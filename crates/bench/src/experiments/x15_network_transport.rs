@@ -11,8 +11,12 @@
 //! * `in-process` — direct call hand-off (the seed's simulated cluster);
 //! * `tcp-unbatched` — one `Event` frame per event (`batch_max = 1`,
 //!   `flush_us = 0`): a syscall and a CRC per tweet;
-//! * `tcp-batched` — the default size/age policy coalescing events into
+//! * `tcp-batched` — the default flush policy coalescing events into
 //!   `EventBatch` frames.
+//!
+//! Next to the throughput arms, one latency row: a lone event's hop across
+//! an idle 2-node TCP cluster at the default policy — the flush is
+//! demand-driven, so this is the wire and two wake-ups, not `flush_us`.
 //!
 //! Results are also written to `BENCH_x15.json` in the working directory
 //! so CI can record the perf trajectory over time.
@@ -24,6 +28,9 @@ use std::time::{Duration, Instant};
 use muppet_apps::hot_topics::{self, HotDetector, MinuteCounter, TopicMapper};
 use muppet_core::event::{Event, Key};
 use muppet_core::json::Json;
+use muppet_core::operator::{Emitter, Updater};
+use muppet_core::slate::Slate;
+use muppet_core::workflow::Workflow;
 use muppet_net::topology::Topology;
 use muppet_net::transport::{ClusterHandler, MachineId, NetError, Transport};
 use muppet_net::{BatchConfig, TcpTransport, WireEvent};
@@ -135,6 +142,58 @@ fn run_tcp_arm(events: &[muppet_core::event::Event], batch_max: usize, flush_us:
         node.shutdown();
     }
     outcome
+}
+
+/// The idle-hop probe's terminal operator.
+struct Touch;
+
+impl Updater for Touch {
+    fn name(&self) -> &str {
+        "touch"
+    }
+    fn update(&self, _ctx: &mut dyn Emitter, _event: &Event, slate: &mut Slate) {
+        slate.replace(b"1".to_vec());
+    }
+}
+
+/// Idle single-event hop latency, µs (p50, p99) over `probes` events: each
+/// is submitted alone on node 0 of an otherwise idle 2-node TCP cluster,
+/// for a key node 1 owns, and timed until node 1 has processed it.
+fn idle_hop_latency_us(probes: usize) -> (u64, u64) {
+    let mut wf = Workflow::builder("x15-idle-hop");
+    wf.external_stream("S1");
+    wf.updater("touch", &["S1"]);
+    let wf = wf.build().expect("workflow");
+    let topology = Topology::loopback_ephemeral(2, false).expect("reserve ports");
+    let nodes: Vec<Engine> = (0..2)
+        .map(|local| {
+            let cfg = EngineConfig {
+                machines: 2,
+                transport: TransportKind::Tcp { topology: topology.clone(), local },
+                ..base_config()
+            };
+            Engine::start(wf.clone(), OperatorSet::new().updater(Touch), cfg, None).unwrap()
+        })
+        .collect();
+    let remote_keys = (0..)
+        .map(|i| Key::from(format!("probe-{i}")))
+        .filter(|key| nodes[0].owner_machine("touch", key) == Some(1));
+    let mut samples: Vec<u64> = Vec::with_capacity(probes);
+    for (done, key) in remote_keys.take(probes).enumerate() {
+        let t0 = Instant::now();
+        nodes[0].submit(Event::new("S1", 1, key, "e")).expect("submit");
+        while nodes[1].stats().processed <= done as u64 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "idle-hop probe never arrived");
+            std::hint::spin_loop();
+        }
+        samples.push(t0.elapsed().as_micros() as u64);
+        std::thread::sleep(Duration::from_millis(2)); // back to idle
+    }
+    for node in nodes {
+        node.shutdown();
+    }
+    samples.sort_unstable();
+    (samples[samples.len() / 2], samples[samples.len() * 99 / 100])
 }
 
 /// Counts deliveries; the wire microbenchmark's sink.
@@ -271,6 +330,16 @@ pub fn run(scale: Scale) {
 
     table.print();
 
+    // --- a lone event's hop across an idle cluster, default policy ---
+    let probes = 200;
+    let (hop_p50, hop_p99) = idle_hop_latency_us(probes);
+    println!(
+        "\nidle hop (1 event, 2-node tcp-batched, flush_us = {}): p50 {}, p99 {} over {probes} probes",
+        defaults.net_flush_us,
+        us(hop_p50),
+        us(hop_p99)
+    );
+
     // --- raw wire microbenchmark: events/s through one sender, no engine
     // — the batching claim proper ---
     let n_wire = scale.events(200_000);
@@ -348,6 +417,16 @@ pub fn run(scale: Scale) {
             Json::arr([
                 wire_json("tcp-unbatched", n_wire, wire_unbatched, wire_unbatched_frames),
                 wire_json("tcp-batched", n_wire, wire_batched, wire_batched_frames),
+            ]),
+        ),
+        (
+            "idle_hop",
+            Json::obj([
+                ("transport", Json::str("tcp-batched")),
+                ("probes", Json::num(probes as f64)),
+                ("flush_us", Json::num(defaults.net_flush_us as f64)),
+                ("p50_us", Json::num(hop_p50 as f64)),
+                ("p99_us", Json::num(hop_p99 as f64)),
             ]),
         ),
         ("wire_batched_vs_unbatched_speedup", Json::num(wire_speedup)),

@@ -10,8 +10,9 @@
 //!   hand-off, refactored behind the trait with identical semantics;
 //! * [`tcp::TcpTransport`] — real TCP sockets with length-prefixed binary
 //!   framing ([`frame`], reusing `muppet-core::codec`): per-peer batching
-//!   senders that coalesce events into `EventBatch` frames under a
-//!   size/age flush policy ([`tcp::BatchConfig`]) with bounded outboxes
+//!   senders that coalesce events into `EventBatch` frames, flushed on
+//!   size, on producer demand, or at an age ceiling
+//!   ([`tcp::BatchConfig`], [`tcp::FlushReason`]), with bounded outboxes
 //!   (backpressure, not buffering), connection pooling for
 //!   request/response frames, and send-failure surfacing so the §4.3
 //!   failure protocol triggers on actual connection errors — with every
@@ -30,6 +31,6 @@ pub mod transport;
 pub use frame::{
     Frame, MembershipPhase, MembershipUpdate, StoreGetItem, StorePutItem, WireEvent, MAX_FORWARDS,
 };
-pub use tcp::{BatchConfig, TcpListenerHandle, TcpStats, TcpTransport};
+pub use tcp::{BatchConfig, FlushReason, TcpListenerHandle, TcpStats, TcpTransport};
 pub use topology::{NodeSpec, Topology};
 pub use transport::{ClusterHandler, InProcessTransport, MachineId, NetError, Transport};

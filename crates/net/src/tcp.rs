@@ -8,11 +8,13 @@
 //!
 //! **The event path is batched and pipelined.** `send_event` enqueues
 //! into a bounded per-peer outbox; a dedicated sender thread per peer
-//! drains it, coalescing events into [`Frame::EventBatch`] frames under a
-//! size/age policy ([`BatchConfig`]: flush at `batch_max` events or when
-//! the oldest queued event is `flush_us` old, whichever first) and
+//! drains it, coalescing events into [`Frame::EventBatch`] frames and
 //! writing them back-to-back over one persistent connection — no
-//! per-event connection checkout, CRC, or syscall. A full outbox blocks
+//! per-event connection checkout, CRC, or syscall. A batch leaves when it
+//! is full (`batch_max`), when the producer that filled it says it has
+//! nothing more to add ([`Transport::flush_events`]), or — the ceiling for
+//! producers that never say so — when its oldest event is `flush_us` old
+//! ([`BatchConfig`], [`FlushReason`]). A full outbox blocks
 //! the enqueueing thread (real backpressure; the engine also folds
 //! [`Transport::outbound_backlog`] into its source-throttle budget) —
 //! the queue never grows unboundedly.
@@ -60,8 +62,6 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// every outbound connection (a hung peer cannot wedge a sender thread —
 /// or, through it, shutdown's thread join).
 const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
-/// Poll interval for the nonblocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// Read timeout on inbound connections (bounds shutdown latency).
 const SERVE_POLL: Duration = Duration::from_millis(200);
 /// Idle/stop-flag poll for sender threads and blocked producers.
@@ -71,15 +71,16 @@ const OUTBOX_POLL: Duration = Duration::from_millis(20);
 const BATCH_SOFT_BYTES: usize = 1 << 20;
 
 /// Flush policy for the per-peer batching senders: a batch goes on the
-/// wire when it holds `batch_max` events OR the oldest queued event is
+/// wire when it holds `batch_max` events, when a producer asks
+/// ([`Transport::flush_events`]), or when the oldest queued event is
 /// `flush_us` microseconds old, whichever comes first.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// Events coalesced into one frame at most.
     pub batch_max: usize,
-    /// Age bound: a queued event never waits longer than this before its
-    /// batch is flushed (0 = flush immediately, batching only what has
-    /// already accumulated).
+    /// Age ceiling: a queued event whose producer never asks for a flush
+    /// waits at most this long before its batch leaves (0 = never hold
+    /// anything, batching only what has already accumulated).
     pub flush_us: u64,
     /// Bounded outbox capacity per peer (events). A full outbox blocks
     /// the sender — backpressure, not buffering.
@@ -89,6 +90,37 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig { batch_max: 128, flush_us: 1_000, queue_capacity: 16_384 }
+    }
+}
+
+/// Why a sender took a batch off its outbox. A cluster whose frames are
+/// mostly `Age` has producers that are not signalling; one that is all
+/// `Size` is backlogged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlushReason {
+    /// The outbox held `batch_max` events.
+    Size,
+    /// A producer asked ([`Transport::flush_events`]).
+    Demand,
+    /// The oldest queued event reached `flush_us`.
+    Age,
+    /// The transport is shutting down.
+    Stop,
+}
+
+impl FlushReason {
+    /// Every reason, in [`TcpStats::flushes`] order.
+    pub const ALL: [FlushReason; 4] =
+        [FlushReason::Size, FlushReason::Demand, FlushReason::Age, FlushReason::Stop];
+
+    /// The `reason` label on `/metrics`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FlushReason::Size => "size",
+            FlushReason::Demand => "demand",
+            FlushReason::Age => "age",
+            FlushReason::Stop => "stop",
+        }
     }
 }
 
@@ -114,6 +146,16 @@ pub struct TcpStats {
     pub outbound_backlog: AtomicU64,
     /// Fresh connections whose hello/ack handshake negotiated MBF.
     pub mbf_connects: AtomicU64,
+    /// Batches taken off the outboxes, by [`FlushReason`] (indexed in
+    /// [`FlushReason::ALL`] order).
+    pub flushes: [AtomicU64; 4],
+}
+
+impl TcpStats {
+    /// Batches the senders took for `reason`.
+    pub fn flushes(&self, reason: FlushReason) -> u64 {
+        self.flushes[reason as usize].load(Ordering::Relaxed)
+    }
 }
 
 /// One outbound connection with its negotiated codec: `mbf` is true only
@@ -130,10 +172,14 @@ struct PeerPool {
 }
 
 /// Outbox interior: the queued events plus flush bookkeeping.
+#[derive(Default)]
 struct OutboxQueue {
-    events: VecDeque<WireEvent>,
-    /// When the oldest queued event arrived (age-based flush).
-    oldest_at: Option<Instant>,
+    /// Each event with its enqueue time: the head's is the age the
+    /// `flush_us` ceiling is measured from.
+    events: VecDeque<(Instant, WireEvent)>,
+    /// A producer asked for what is queued to leave as soon as the sender
+    /// can take it; cleared when the queue empties.
+    flush_requested: bool,
 }
 
 /// One peer's outbound event queue + the state its sender thread needs.
@@ -280,7 +326,7 @@ impl TcpTransport {
                 addr,
                 cfg: self.batch,
                 codec: self.codec,
-                queue: Mutex::new(OutboxQueue { events: VecDeque::new(), oldest_at: None }),
+                queue: Mutex::new(OutboxQueue::default()),
                 cv: Condvar::new(),
                 down: AtomicBool::new(false),
                 stopping: AtomicBool::new(false),
@@ -358,18 +404,15 @@ impl TcpTransport {
                 return Err(NetError::Unreachable(dest));
             }
             if q.events.len() < outbox.cfg.queue_capacity {
-                let was_empty = q.events.is_empty();
-                if was_empty {
-                    q.oldest_at = Some(Instant::now());
-                }
-                q.events.push_back(ev);
+                q.events.push_back((Instant::now(), ev));
                 self.stats.outbound_backlog.fetch_add(1, Ordering::Relaxed);
                 // Wake the sender only on the transitions it can act on:
-                // new work after idle, or a batch crossing the size
-                // trigger mid-age-wait. Steady-state pushes into a
-                // part-filled batch stay notification-free (the sender's
-                // age timeout covers them).
-                if was_empty || q.events.len() >= outbox.cfg.batch_max {
+                // new work after idle (which arms the age ceiling), or a
+                // batch reaching the size trigger mid-wait. Every other
+                // push stays notification-free: a sender that is not
+                // waiting re-checks the queue before it next does.
+                let len = q.events.len();
+                if len == 1 || len == outbox.cfg.batch_max {
                     outbox.cv.notify_all();
                 }
                 return Ok(());
@@ -457,29 +500,16 @@ impl TcpTransport {
             (node.host.clone(), node.port)
         };
         let listener = TcpListener::bind((host.as_str(), port))?;
-        let port = listener.local_addr()?.port();
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
         let transport = Arc::clone(self);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("muppet-net-{}", self.local))
-            .spawn(move || {
-                while !stop2.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let transport = Arc::clone(&transport);
-                            let stop = Arc::clone(&stop2);
-                            std::thread::spawn(move || serve_connection(transport, stream, stop));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })?;
-        Ok(TcpListenerHandle { stop, accept_thread: Some(accept_thread), port })
+        TcpListenerHandle::spawn(
+            format!("muppet-net-{}", self.local),
+            listener,
+            move |stream, stop| {
+                let transport = Arc::clone(&transport);
+                let stop = Arc::clone(stop);
+                std::thread::spawn(move || serve_connection(transport, stream, stop));
+            },
+        )
     }
 }
 
@@ -500,48 +530,53 @@ impl Drop for TcpTransport {
 }
 
 /// Take the next batch off `outbox`: up to `batch_max` events (bounded by
-/// [`BATCH_SOFT_BYTES`] encoded size), waiting until either the batch
-/// fills or the oldest queued event reaches `flush_us` of age. `None`
-/// when stopping with an empty queue.
-fn collect_batch(outbox: &PeerOutbox) -> Option<Vec<WireEvent>> {
+/// [`BATCH_SOFT_BYTES`] encoded size), waiting until the batch fills, a
+/// producer asks for a flush, or the oldest queued event reaches
+/// `flush_us` of age. A request raised while the sender was busy writing
+/// is simply found set here, so whatever accumulated meanwhile leaves as
+/// one frame. `None` when stopping with an empty queue.
+fn collect_batch(outbox: &PeerOutbox) -> Option<(Vec<WireEvent>, FlushReason)> {
     let age_limit = Duration::from_micros(outbox.cfg.flush_us);
     let mut q = outbox.queue.lock();
     loop {
-        if q.events.is_empty() {
+        let Some(&(oldest, _)) = q.events.front() else {
             if outbox.stopping.load(Ordering::Acquire) {
                 return None;
             }
             outbox.cv.wait_for(&mut q, OUTBOX_POLL);
             continue;
-        }
-        let age_done = q.oldest_at.map(|t| t.elapsed() >= age_limit).unwrap_or(true);
-        if q.events.len() >= outbox.cfg.batch_max
-            || age_done
-            || outbox.stopping.load(Ordering::Acquire)
-        {
-            let mut batch = Vec::with_capacity(q.events.len().min(outbox.cfg.batch_max));
-            let mut bytes = 0usize;
-            while batch.len() < outbox.cfg.batch_max {
-                let Some(ev) = q.events.pop_front() else { break };
-                let size = wire_event_size_hint(&ev);
-                if !batch.is_empty() && bytes + size > BATCH_SOFT_BYTES {
-                    q.events.push_front(ev); // over budget: stays for the next batch
-                    break;
-                }
-                bytes += size;
-                batch.push(ev);
+        };
+        let age = oldest.elapsed();
+        let reason = if q.events.len() >= outbox.cfg.batch_max {
+            FlushReason::Size
+        } else if q.flush_requested {
+            FlushReason::Demand
+        } else if age >= age_limit {
+            FlushReason::Age
+        } else if outbox.stopping.load(Ordering::Acquire) {
+            FlushReason::Stop
+        } else {
+            // Wait out the remaining age, capped so a stop is never
+            // missed for long.
+            let remaining = age_limit - age;
+            outbox.cv.wait_for(&mut q, remaining.clamp(Duration::from_micros(50), OUTBOX_POLL));
+            continue;
+        };
+        let mut batch = Vec::with_capacity(q.events.len().min(outbox.cfg.batch_max));
+        let mut bytes = 0usize;
+        while batch.len() < outbox.cfg.batch_max {
+            let Some((_, ev)) = q.events.front() else { break };
+            let size = wire_event_size_hint(ev);
+            if !batch.is_empty() && bytes + size > BATCH_SOFT_BYTES {
+                break; // over budget: stays, with its age, for the next batch
             }
-            // The remainder's true oldest age is unknown (only the head's
-            // was tracked); restarting the clock is safe — a still-full
-            // queue flushes again immediately via the size trigger.
-            q.oldest_at = if q.events.is_empty() { None } else { Some(Instant::now()) };
-            return Some(batch);
+            bytes += size;
+            batch.extend(q.events.pop_front().map(|(_, ev)| ev));
         }
-        // Wait out the remaining age, capped so stop/new-work signals are
-        // never missed for long.
-        let oldest = q.oldest_at.unwrap_or_else(Instant::now);
-        let remaining = age_limit.saturating_sub(oldest.elapsed());
-        outbox.cv.wait_for(&mut q, remaining.clamp(Duration::from_micros(50), OUTBOX_POLL));
+        if q.events.is_empty() {
+            q.flush_requested = false;
+        }
+        return Some((batch, reason));
     }
 }
 
@@ -739,7 +774,8 @@ fn send_batch(
 /// down, drain everything undelivered, and hand it to the engine.
 fn sender_loop(outbox: Arc<PeerOutbox>) {
     let mut conn: Option<Conn> = None;
-    while let Some(raw) = collect_batch(&outbox) {
+    while let Some((raw, reason)) = collect_batch(&outbox) {
+        outbox.stats.flushes[reason as usize].fetch_add(1, Ordering::Relaxed);
         let batch = fold_batch(&outbox, raw);
         // Original (pre-fold) event count — what the backlog gauge and
         // loss ledgers are denominated in.
@@ -773,8 +809,8 @@ fn sender_loop(outbox: Arc<PeerOutbox>) {
                 }
                 {
                     let mut q = outbox.queue.lock();
-                    lost.extend(q.events.drain(..));
-                    q.oldest_at = None;
+                    lost.extend(q.events.drain(..).map(|(_, ev)| ev));
+                    q.flush_requested = false;
                 }
                 outbox.stats.outbound_backlog.fetch_sub(lost.len() as u64, Ordering::Relaxed);
                 outbox.cv.notify_all(); // blocked producers see `down`
@@ -812,6 +848,19 @@ impl Transport for TcpTransport {
 
     fn outbound_backlog(&self) -> usize {
         self.stats.outbound_backlog.load(Ordering::Relaxed) as usize
+    }
+
+    fn flush_events(&self, peers: &[MachineId]) {
+        for &peer in peers {
+            let Ok(outbox) = self.outbox(peer) else { continue };
+            let mut q = outbox.queue.lock();
+            // A sender busy writing finds the flag when it comes back for
+            // its next batch; one already waiting needs the wake-up.
+            if !q.events.is_empty() && !q.flush_requested {
+                q.flush_requested = true;
+                outbox.cv.notify_all();
+            }
+        }
     }
 
     fn report_failure(&self, failed: MachineId, epoch: u64) {
@@ -1057,25 +1106,64 @@ impl Transport for TcpTransport {
     }
 }
 
-/// A running frame listener; dropping it stops the node's inbound wire
-/// (used by tests to "kill" a peer).
+/// A running accept loop — the node's frame listener, or any other
+/// thread-per-connection server (`muppet-runtime`'s HTTP front door).
+/// Dropping it stops the loop (tests use that to "kill" a peer).
 pub struct TcpListenerHandle {
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    port: u16,
+    addr: SocketAddr,
 }
 
 impl TcpListenerHandle {
-    /// The bound event port.
+    /// Hand every connection `listener` accepts to `serve`, on a thread
+    /// named `name` that blocks in `accept` (no polling) until
+    /// [`TcpListenerHandle::stop`]. `serve` also gets the stop flag, for
+    /// connection threads that outlive one request.
+    pub fn spawn(
+        name: String,
+        listener: TcpListener,
+        mut serve: impl FnMut(TcpStream, &Arc<AtomicBool>) + Send + 'static,
+    ) -> io::Result<TcpListenerHandle> {
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let accept_thread = std::thread::Builder::new().name(name).spawn(move || {
+            while let Ok((stream, _)) = listener.accept() {
+                if stop2.load(Ordering::Acquire) {
+                    break; // the wake-up connection (or a racing client)
+                }
+                serve(stream, &stop2);
+            }
+        })?;
+        Ok(TcpListenerHandle { stop, accept_thread: Some(accept_thread), addr })
+    }
+
+    /// The bound port.
     pub fn port(&self) -> u16 {
-        self.port
+        self.addr.port()
     }
 
     /// Stop accepting and serving (idempotent; also runs on drop).
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // The thread is parked in `accept`: a throwaway connection
+            // wakes it to see the flag. A wildcard bind is reached over
+            // loopback.
+            let mut addr = self.addr;
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // No connection, no wake-up: leave the thread detached rather
+            // than wait on it forever (it has already exited if `accept`
+            // failed, which is also when the connect is refused).
+            if TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).is_ok() {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -1362,6 +1450,28 @@ mod tests {
         (t0, t1, h0, h1, l0, l1)
     }
 
+    /// `t0` (node 0, batching per `batch`) wired to a listening node 1
+    /// whose handler is `h1`.
+    fn sender_to<H: ClusterHandler>(
+        batch: BatchConfig,
+        h1: &Arc<H>,
+    ) -> (Arc<TcpTransport>, Arc<TcpTransport>, TcpListenerHandle) {
+        let topo = Topology::loopback_ephemeral(2, false).unwrap();
+        let t0 = TcpTransport::new_with_batching(topo.clone(), 0, batch).unwrap();
+        let t1 = TcpTransport::new(topo, 1).unwrap();
+        t1.register(Arc::downgrade(h1) as Weak<dyn ClusterHandler>);
+        let l1 = t1.start_listener().unwrap();
+        (t0, t1, l1)
+    }
+
+    fn wait_delivered(h: &EchoHandler, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while h.delivered.load(Ordering::Relaxed) < n {
+            assert!(Instant::now() < deadline, "events not delivered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     fn wire_event() -> WireEvent {
         WireEvent {
             op: 0,
@@ -1396,24 +1506,14 @@ mod tests {
 
     #[test]
     fn queued_events_coalesce_into_batches() {
-        let topo = Topology::loopback_ephemeral(2, false).unwrap();
         // A long age bound so the first flush finds a full queue.
         let batch = BatchConfig { batch_max: 64, flush_us: 50_000, queue_capacity: 4096 };
-        let t0 = TcpTransport::new_with_batching(topo.clone(), 0, batch).unwrap();
-        let t1 = TcpTransport::new(topo, 1).unwrap();
-        let h0 = EchoHandler::new();
         let h1 = EchoHandler::new();
-        t0.register(Arc::downgrade(&h0) as Weak<dyn ClusterHandler>);
-        t1.register(Arc::downgrade(&h1) as Weak<dyn ClusterHandler>);
-        let _l1 = t1.start_listener().unwrap();
+        let (t0, _t1, _l1) = sender_to(batch, &h1);
         for _ in 0..200 {
             t0.send_event(1, wire_event()).unwrap();
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while h1.delivered.load(Ordering::Relaxed) < 200 {
-            assert!(std::time::Instant::now() < deadline, "events not delivered");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_delivered(&h1, 200);
         let stats = t0.stats();
         let frames = stats.frames_sent.load(Ordering::Relaxed);
         assert!(frames < 200, "200 events must not take 200 frames (got {frames})");
@@ -1422,24 +1522,14 @@ mod tests {
 
     #[test]
     fn full_outbox_blocks_instead_of_buffering_unboundedly() {
-        let topo = Topology::loopback_ephemeral(2, false).unwrap();
         // Tiny queue + slow flush: the producer must hit the wall.
         let batch = BatchConfig { batch_max: 4, flush_us: 20_000, queue_capacity: 8 };
-        let t0 = TcpTransport::new_with_batching(topo.clone(), 0, batch).unwrap();
-        let t1 = TcpTransport::new(topo, 1).unwrap();
-        let h0 = EchoHandler::new();
         let h1 = EchoHandler::new();
-        t0.register(Arc::downgrade(&h0) as Weak<dyn ClusterHandler>);
-        t1.register(Arc::downgrade(&h1) as Weak<dyn ClusterHandler>);
-        let _l1 = t1.start_listener().unwrap();
+        let (t0, _t1, _l1) = sender_to(batch, &h1);
         for _ in 0..100 {
             t0.send_event(1, wire_event()).unwrap();
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while h1.delivered.load(Ordering::Relaxed) < 100 {
-            assert!(std::time::Instant::now() < deadline, "events not delivered");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_delivered(&h1, 100);
         assert!(
             t0.stats().queue_full_waits.load(Ordering::Relaxed) > 0,
             "an 8-slot outbox fed 100 events must exert backpressure"
@@ -1749,7 +1839,7 @@ mod tests {
                 ..cfg
             },
             codec: CodecChoice::Auto,
-            queue: Mutex::new(OutboxQueue { events: VecDeque::new(), oldest_at: None }),
+            queue: Mutex::new(OutboxQueue::default()),
             cv: Condvar::new(),
             down: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
@@ -1768,19 +1858,174 @@ mod tests {
         {
             let mut q = ob.queue.lock();
             for _ in 0..29 {
-                q.events.push_back(wire_event());
+                q.events.push_back((Instant::now(), wire_event()));
             }
-            q.oldest_at = Some(Instant::now());
         }
         ob.stopping.store(true, Ordering::Release);
         let (mut total, mut batches) = (0usize, 0usize);
-        while let Some(batch) = collect_batch(&ob) {
+        while let Some((batch, _)) = collect_batch(&ob) {
             assert!(batch.len() <= 8, "flush emitted an oversized frame of {}", batch.len());
             total += batch.len();
             batches += 1;
         }
         assert_eq!(total, 29, "every queued event drained exactly once");
         assert_eq!(batches, 4, "29 events over batch_max=8 is 4 frames");
+    }
+
+    #[test]
+    fn requests_raised_between_batches_coalesce_and_a_remainder_keeps_its_age() {
+        // No socket: the "sender" is this thread calling `collect_batch`,
+        // so everything enqueued and requested before a call happened
+        // "while it was busy writing".
+        let ob = bare_outbox(BatchConfig { batch_max: 4, flush_us: 400_000, queue_capacity: 64 });
+        let request_flush = |ob: &PeerOutbox| ob.queue.lock().flush_requested = true;
+        for round in 0..3 {
+            ob.queue
+                .lock()
+                .events
+                .push_back((Instant::now(), keyed_event(0, "k", &round.to_string())));
+            request_flush(&ob);
+        }
+        let (batch, reason) = collect_batch(&ob).unwrap();
+        assert_eq!(reason, FlushReason::Demand);
+        let order: Vec<&[u8]> = batch.iter().map(|ev| ev.event.value.as_ref()).collect();
+        assert_eq!(order, [b"0", b"1", b"2"], "three requests, one frame, enqueue order");
+        assert!(!ob.queue.lock().flush_requested, "the flag clears when the queue empties");
+
+        // Six events that have already waited 380 of their 400 ms: the
+        // size trigger takes four, and the two left over are owed their
+        // remaining 20 ms, not a fresh 400.
+        let waited = Instant::now() - Duration::from_millis(380);
+        for _ in 0..6 {
+            ob.queue.lock().events.push_back((waited, wire_event()));
+        }
+        let (batch, reason) = collect_batch(&ob).unwrap();
+        assert_eq!((batch.len(), reason), (4, FlushReason::Size));
+        let t0 = Instant::now();
+        let (batch, reason) = collect_batch(&ob).unwrap();
+        assert_eq!((batch.len(), reason), (2, FlushReason::Age));
+        assert!(t0.elapsed() < Duration::from_millis(200), "remainder waited a second flush_us");
+    }
+
+    #[test]
+    fn zero_flush_us_never_holds_anything() {
+        let ob = bare_outbox(BatchConfig { batch_max: 128, flush_us: 0, queue_capacity: 64 });
+        ob.queue.lock().events.push_back((Instant::now(), wire_event()));
+        let (batch, reason) = collect_batch(&ob).unwrap();
+        assert_eq!((batch.len(), reason), (1, FlushReason::Age));
+    }
+
+    #[test]
+    fn one_flush_request_is_one_frame() {
+        // A ceiling far beyond the test: only size and demand can flush.
+        let batch = BatchConfig { batch_max: 128, flush_us: 60_000_000, queue_capacity: 4096 };
+        let h1 = EchoHandler::new();
+        let (t0, _t1, _l1) = sender_to(batch, &h1);
+        for _ in 0..64 {
+            t0.send_event(1, wire_event()).unwrap();
+        }
+        t0.flush_events(&[1]);
+        wait_delivered(&h1, 64);
+        let stats = t0.stats();
+        assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 1, "a burst is one frame");
+        // 300 more: two full frames leave on their own, the request takes
+        // the rest — ⌈300/128⌉ frames.
+        for _ in 0..300 {
+            t0.send_event(1, wire_event()).unwrap();
+        }
+        t0.flush_events(&[1]);
+        wait_delivered(&h1, 364);
+        assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 1 + 3);
+        assert_eq!(FlushReason::ALL.map(|r| stats.flushes(r)), [2, 2, 0, 0]);
+        // A request with nothing queued is free: no frame, no stale flag.
+        t0.flush_events(&[1, 0, 7]);
+        t0.send_event(1, wire_event()).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(h1.delivered.load(Ordering::Relaxed), 364, "un-flagged event waits");
+    }
+
+    #[test]
+    fn unrequested_events_leave_at_the_age_ceiling() {
+        const FLUSH_US: u64 = 100_000;
+        let batch = BatchConfig { batch_max: 128, flush_us: FLUSH_US, queue_capacity: 4096 };
+        let h1 = EchoHandler::new();
+        let (t0, _t1, _l1) = sender_to(batch, &h1);
+        let started = Instant::now();
+        t0.send_event(1, wire_event()).unwrap();
+        wait_delivered(&h1, 1);
+        let elapsed = started.elapsed();
+        assert!(elapsed <= Duration::from_micros(2 * FLUSH_US), "{elapsed:?}: ceiling missed");
+        assert_eq!(FlushReason::ALL.map(|r| t0.stats().flushes(r)), [0, 0, 1, 0]);
+    }
+
+    /// Records every delivered ⟨key, value⟩ in arrival order, behind a
+    /// gate that parks the connection thread (so the peer stops reading).
+    struct GatedHandler {
+        open: Mutex<bool>,
+        opened: Condvar,
+        seen: Mutex<Vec<(Vec<u8>, u64)>>,
+    }
+
+    impl ClusterHandler for GatedHandler {
+        fn deliver_event(&self, _dest: MachineId, ev: WireEvent) -> Result<(), NetError> {
+            let mut open = self.open.lock();
+            while !*open {
+                self.opened.wait(&mut open);
+            }
+            drop(open);
+            let seq = u64::from_le_bytes(ev.event.value[..8].try_into().unwrap());
+            self.seen.lock().push((ev.event.key.as_bytes().to_vec(), seq));
+            Ok(())
+        }
+        fn handle_failure_report(&self, _failed: MachineId, _epoch: u64) {}
+        fn handle_failure_broadcast(&self, _failed: MachineId, _epoch: u64) {}
+        fn read_local_slate(&self, _d: MachineId, _u: &str, _k: &[u8]) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    #[test]
+    fn flush_requests_against_a_stalled_peer_coalesce_without_loss_or_reordering() {
+        // The peer stops reading, so the kernel buffers fill and the
+        // sender blocks in `write` while the producer keeps enqueueing
+        // 100 KiB events and asking for flushes. However many requests
+        // pile up behind one write, they cost at most one frame each.
+        const ROUNDS: u64 = 24;
+        const PER_ROUND: u64 = 5;
+        let batch = BatchConfig { batch_max: 128, flush_us: 60_000_000, queue_capacity: 4096 };
+        let h1 = Arc::new(GatedHandler {
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+            seen: Mutex::new(Vec::new()),
+        });
+        let (t0, _t1, _l1) = sender_to(batch, &h1);
+        for seq in 0..ROUNDS * PER_ROUND {
+            let mut value = vec![0u8; 100 << 10];
+            value[..8].copy_from_slice(&seq.to_le_bytes());
+            let mut ev = wire_event();
+            ev.event.key = muppet_core::event::Key::from(format!("k{}", seq % 3));
+            ev.event.value = value.into();
+            t0.send_event(1, ev).unwrap();
+            if seq % PER_ROUND == PER_ROUND - 1 {
+                t0.flush_events(&[1]);
+            }
+        }
+        *h1.open.lock() = true;
+        h1.opened.notify_all();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while (h1.seen.lock().len() as u64) < ROUNDS * PER_ROUND {
+            assert!(Instant::now() < deadline, "events lost behind a stalled peer");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let frames = t0.stats().frames_sent.load(Ordering::Relaxed);
+        assert!(frames <= ROUNDS, "{frames} frames for {ROUNDS} flush requests");
+        assert_eq!(t0.stats().flushes(FlushReason::Demand), frames, "every frame was asked for");
+        for key in [&b"k0"[..], b"k1", b"k2"] {
+            let seqs: Vec<u64> =
+                h1.seen.lock().iter().filter(|(k, _)| k == key).map(|(_, s)| *s).collect();
+            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "per-key order broken: {seqs:?}");
+            assert_eq!(seqs.len() as u64, ROUNDS * PER_ROUND / 3);
+        }
     }
 
     /// Handler whose op 1 declares a decimal-sum combiner; tracks the

@@ -214,6 +214,16 @@ pub trait Transport: Send + Sync + 'static {
         0
     }
 
+    /// The caller has, for now, nothing more to send to `peers`: what
+    /// [`Transport::send_event`] queued for them should leave as soon as
+    /// the wire can take it instead of waiting to fill a batch or reach
+    /// its age ceiling. A hint — never needed for delivery, free to call
+    /// with peers that have nothing queued. Synchronous transports hold
+    /// nothing back: default no-op.
+    fn flush_events(&self, peers: &[MachineId]) {
+        let _ = peers;
+    }
+
     /// Report `failed` to the master role (local call or wire frame),
     /// stamped with the reporter's membership epoch.
     fn report_failure(&self, failed: MachineId, epoch: u64);

@@ -39,7 +39,7 @@ use muppet_core::sync::{Condvar, Mutex, RwLock};
 use muppet_core::workflow::{OpId, OpKind, Workflow};
 use muppet_core::{Codec, CodecChoice, Json};
 use muppet_net::frame::{MembershipPhase, MembershipUpdate, WireEvent, MAX_FORWARDS};
-use muppet_net::tcp::{BatchConfig, TcpListenerHandle, TcpTransport};
+use muppet_net::tcp::{BatchConfig, FlushReason, TcpListenerHandle, TcpTransport};
 use muppet_net::topology::{NodeSpec, Topology};
 use muppet_net::transport::{ClusterHandler, InProcessTransport, MachineId, NetError, Transport};
 use muppet_obs::{Counter, Level, Logger, Registry, Sample, Sampler};
@@ -152,9 +152,9 @@ pub struct EngineConfig {
     /// batching senders' size trigger; 1 = unbatched). Ignored
     /// in-process.
     pub net_batch_max: usize,
-    /// TCP mode: age bound in microseconds — a queued outbound event
-    /// never waits longer than this for its batch to flush (the latency
-    /// side of the size/age policy). Ignored in-process.
+    /// TCP mode: age ceiling in microseconds — a queued outbound event
+    /// whose producer never asks for a flush waits at most this long for
+    /// its batch to leave. Ignored in-process.
     pub net_flush_us: u64,
     /// Elastic clusters: the machine count the cluster was *founded*
     /// with. Machines `base..machines` joined later (Muppet 1.0 derives
@@ -628,6 +628,11 @@ pub struct NetSummary {
     pub queue_full_waits: u64,
     /// Gauge: events accepted for send but not yet on the wire.
     pub outbound_backlog: u64,
+    /// Batches the senders took, by reason, in
+    /// [`muppet_net::tcp::FlushReason::ALL`] order (size, demand, age,
+    /// stop). Mostly `age` means producers are not signalling; all `size`
+    /// means the node is backlogged.
+    pub flushes: [u64; 4],
 }
 
 impl Machine {
@@ -1476,30 +1481,8 @@ impl Engine {
         let skip = cursor.min(total) as usize;
         let replayed = (events.len() - skip) as u64;
         for event in events.into_iter().skip(skip) {
-            let injected_us = shared.now_us();
-            let subscribers = shared.wf.subscribers_of(event.stream.as_str());
-            if let Some((&last, rest)) = subscribers.split_last() {
-                for &op in rest {
-                    let packet = Packet {
-                        op,
-                        event: event.clone(),
-                        injected_us,
-                        redirected: false,
-                        forwards: 0,
-                        enqueued_us: 0,
-                    };
-                    try_send(shared, packet, true);
-                }
-                let packet = Packet {
-                    op: last,
-                    event,
-                    injected_us,
-                    redirected: false,
-                    forwards: 0,
-                    enqueued_us: 0,
-                };
-                try_send(shared, packet, true);
-            }
+            let stream = event.stream.clone();
+            fan_out(shared, &stream, event, shared.now_us(), false, true, &mut Vec::new());
         }
         shared.recovered.store(replayed, Ordering::Release);
         if replayed > 0 || truncated {
@@ -1558,7 +1541,7 @@ impl Engine {
                 .map_err(|e| Error::Config(format!("ingest WAL append failed: {e}")))?;
             self.shared.counters.ingest_logged.inc();
         }
-        self.dispatch_accepted(event);
+        self.dispatch_accepted([event]);
         Ok(())
     }
 
@@ -1599,9 +1582,7 @@ impl Engine {
                 .map_err(|e| Error::Config(format!("ingest WAL append failed: {e}")))?;
             self.shared.counters.ingest_logged.add(events.len() as u64);
         }
-        for event in events {
-            self.dispatch_accepted(event);
-        }
+        self.dispatch_accepted(events);
         Ok(())
     }
 
@@ -1631,44 +1612,36 @@ impl Engine {
         }
     }
 
-    /// Fan an accepted (validated, WAL-durable) external event out to its
-    /// stream's subscriber queues. The shared tail of `submit` and
+    /// Fan accepted (validated, WAL-durable) external events out to their
+    /// streams' subscriber queues. The shared tail of `submit` and
     /// `submit_many`.
-    fn dispatch_accepted(&self, event: Event) {
-        let stream = event.stream.clone();
-        let injected_us = self.shared.now_us();
-        self.shared.counters.submitted.inc();
-        // The workflow is immutable after start: iterate the subscriber
-        // slice directly (no per-event Vec) and move the event into the
-        // last packet instead of cloning it.
-        let subscribers = self.shared.wf.subscribers_of(stream.as_str());
-        if let Some((&last, rest)) = subscribers.split_last() {
-            for &op in rest {
-                let packet = Packet {
-                    op,
-                    event: event.clone(),
-                    injected_us,
-                    redirected: false,
-                    forwards: 0,
-                    enqueued_us: 0,
-                };
-                try_send(&self.shared, packet, true);
+    ///
+    /// What the call sends to remote peers is flushed at once iff the node
+    /// had nothing in flight when it started (no queued or running event,
+    /// empty outboxes) — Nagle's rule. An idle node has capacity to spare
+    /// and the submission's latency is all that matters; with work in
+    /// flight the new events queue behind it anyway, and flushing them
+    /// early only shreds the frames a busy node's batching exists to build
+    /// (flushing at every submit tail cost a saturated closed-loop cache
+    /// fill +23 %).
+    fn dispatch_accepted(&self, events: impl IntoIterator<Item = Event>) {
+        let shared = &self.shared;
+        let idle =
+            shared.pending.load(Ordering::Acquire) == 0 && shared.transport.outbound_backlog() == 0;
+        let mut touched = Vec::new();
+        for event in events {
+            let stream = event.stream.clone();
+            let injected_us = shared.now_us();
+            shared.counters.submitted.inc();
+            fan_out(shared, &stream, event, injected_us, false, true, &mut touched);
+            if shared.stages.enabled && shared.stages.sampler_ingest.hit() {
+                // The ingest span: external injection → accepted by a queue
+                // (or the transport's outbox) for every subscriber.
+                shared.stages.ingest.record(shared.now_us().saturating_sub(injected_us));
             }
-            let packet = Packet {
-                op: last,
-                event,
-                injected_us,
-                redirected: false,
-                forwards: 0,
-                enqueued_us: 0,
-            };
-            try_send(&self.shared, packet, true);
         }
-        let stages = &self.shared.stages;
-        if stages.enabled && stages.sampler_ingest.hit() {
-            // The ingest span: external injection → accepted by a queue
-            // (or the transport's outbox) for every subscriber.
-            stages.ingest.record(self.shared.now_us().saturating_sub(injected_us));
+        if idle {
+            shared.transport.flush_events(&touched);
         }
     }
 
@@ -2136,6 +2109,7 @@ impl Engine {
                     send_failures: t.send_failures.load(Ordering::Relaxed),
                     queue_full_waits: t.queue_full_waits.load(Ordering::Relaxed),
                     outbound_backlog: t.outbound_backlog.load(Ordering::Relaxed),
+                    flushes: FlushReason::ALL.map(|r| t.flushes(r)),
                 }
             }
             None => NetSummary::default(),
@@ -2282,7 +2256,7 @@ impl Engine {
                 forwards: 0,
                 enqueued_us: 0,
             };
-            try_send(&self.shared, packet, true);
+            try_send(&self.shared, packet, true, &mut Vec::new());
         }
         n
     }
@@ -2436,6 +2410,8 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
     let machine = shared.machine(machine_id).expect("worker spawned for an existing machine");
     let batch_max = shared.cfg.drain_batch_max.max(1);
     let mut batch: Vec<Packet> = Vec::with_capacity(batch_max);
+    // Remote peers this worker has sent to since it last went idle.
+    let mut touched: Vec<MachineId> = Vec::new();
     loop {
         if !machine.alive.load(Ordering::Acquire) {
             return; // crashed machine: thread dies with it
@@ -2445,13 +2421,20 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
             if machine.queues[thread].pop_many(&mut batch, batch_max, Duration::ZERO) == 0 {
                 return;
             }
-            process_batch(&shared, &machine, machine_id, thread, &mut batch);
+            process_batch(&shared, &machine, machine_id, thread, &mut batch, &mut touched);
             continue;
         }
         let n = machine.queues[thread].pop_many(&mut batch, batch_max, poll);
         if n > 0 {
             shared.drain_hist.record(n as u64);
-            process_batch(&shared, &machine, machine_id, thread, &mut batch);
+            process_batch(&shared, &machine, machine_id, thread, &mut batch, &mut touched);
+            // About to park: this producer has nothing more to add, so its
+            // emissions leave now. With more queued it keeps draining and
+            // they keep accumulating into fuller frames.
+            if !touched.is_empty() && machine.queues[thread].len_hint() == 0 {
+                shared.transport.flush_events(&touched);
+                touched.clear();
+            }
         }
     }
 }
@@ -2471,7 +2454,7 @@ struct Finished {
 
 /// Admit one finished packet's emissions (ts = input ts + 1, §3) and
 /// retire it from the in-flight count.
-fn finish_packet(shared: &Arc<Shared>, done: Finished) {
+fn finish_packet(shared: &Arc<Shared>, done: Finished, touched: &mut Vec<MachineId>) {
     let fanout_t0 =
         (!done.records.is_empty() && shared.stages.enabled && shared.stages.sampler_fanout.hit())
             .then(|| shared.now_us());
@@ -2494,7 +2477,7 @@ fn finish_packet(shared: &Arc<Shared>, done: Finished) {
             value: rec.value,
             seq: 0,
         };
-        fan_out(shared, &rec.stream, out, done.injected_us, done.redirected);
+        fan_out(shared, &rec.stream, out, done.injected_us, done.redirected, false, touched);
     }
     if let Some(t0) = fanout_t0 {
         shared.stages.fanout.record(shared.now_us().saturating_sub(t0));
@@ -2520,6 +2503,7 @@ fn process_batch(
     machine_id: usize,
     thread: usize,
     batch: &mut Vec<Packet>,
+    touched: &mut Vec<MachineId>,
 ) {
     if shared.cfg.combine && batch.len() > 1 {
         fold_local_batch(shared, machine, thread, batch);
@@ -2599,7 +2583,7 @@ fn process_batch(
                     memo = None;
                     drop(guard.take());
                     for done in finished.drain(..) {
-                        finish_packet(shared, done);
+                        finish_packet(shared, done, touched);
                     }
                 }
                 // Ownership check under the membership read lock, held
@@ -2625,10 +2609,10 @@ fn process_batch(
                     memo = None;
                     drop(guard.take());
                     for done in finished.drain(..) {
-                        finish_packet(shared, done);
+                        finish_packet(shared, done, touched);
                     }
                     machine.in_flight[thread].store(0, Ordering::Release);
-                    forward_packet(shared, packet, owner, fwd_hint);
+                    forward_packet(shared, packet, owner, fwd_hint, touched);
                     shared.pending.fetch_sub(1, Ordering::AcqRel);
                     shared.throttle_cv.notify_all();
                     continue;
@@ -2712,7 +2696,7 @@ fn process_batch(
     }
     drop(guard.take());
     for done in finished.drain(..) {
-        finish_packet(shared, done);
+        finish_packet(shared, done, touched);
     }
 }
 
@@ -2861,7 +2845,13 @@ fn log_peer_death(shared: &Arc<Shared>, dest: usize, lost_events: u64) {
 /// by [`MAX_FORWARDS`] so disagreeing rings can never ping-pong an event
 /// forever — past the cap the event is dropped-and-logged like any other
 /// undeliverable (§4.3 posture).
-fn forward_packet(shared: &Arc<Shared>, packet: Packet, owner: usize, thread_hint: Option<usize>) {
+fn forward_packet(
+    shared: &Arc<Shared>,
+    packet: Packet,
+    owner: usize,
+    thread_hint: Option<usize>,
+    touched: &mut Vec<MachineId>,
+) {
     if packet.forwards >= MAX_FORWARDS {
         shared.counters.lost_machine_failure.inc();
         shared.drop_log.log(format!(
@@ -2884,7 +2874,7 @@ fn forward_packet(shared: &Arc<Shared>, packet: Packet, owner: usize, thread_hin
         forwards: packet.forwards + 1,
     };
     match shared.transport.send_event(owner, ev) {
-        Ok(()) => {}
+        Ok(()) => note_remote(shared, owner, touched),
         Err(NetError::Unreachable(_)) => {
             shared.transport.report_failure(owner, shared.epoch());
             log_peer_death(shared, owner, 1);
@@ -2898,12 +2888,16 @@ fn forward_packet(shared: &Arc<Shared>, packet: Packet, owner: usize, thread_hin
     }
 }
 
+/// Send `event` to every subscriber of `stream`; `touched` collects the
+/// remote peers it was queued for (see [`note_remote`]).
 fn fan_out(
     shared: &Arc<Shared>,
     stream: &StreamId,
     event: Event,
     injected_us: u64,
     redirected: bool,
+    external: bool,
+    touched: &mut Vec<MachineId>,
 ) {
     // No per-event Vec, no clone for the final (usually only) subscriber.
     let subscribers = shared.wf.subscribers_of(stream.as_str());
@@ -2917,11 +2911,20 @@ fn fan_out(
                 forwards: 0,
                 enqueued_us: 0,
             };
-            try_send(shared, packet, false);
+            try_send(shared, packet, external, touched);
         }
         let packet =
             Packet { op: last, event, injected_us, redirected, forwards: 0, enqueued_us: 0 };
-        try_send(shared, packet, false);
+        try_send(shared, packet, external, touched);
+    }
+}
+
+/// Record that a burst queued an event for `dest`, if that is another
+/// process: the set a producer hands to [`Transport::flush_events`] once
+/// it has nothing more to add. O(peers) and allocation-free once warm.
+fn note_remote(shared: &Arc<Shared>, dest: MachineId, touched: &mut Vec<MachineId>) {
+    if !shared.transport.is_local(dest) && !touched.contains(&dest) {
+        touched.push(dest);
     }
 }
 
@@ -2931,7 +2934,12 @@ fn fan_out(
 /// — triggers the §4.3 protocol: report to the master, which broadcasts,
 /// and every ring drops the machine; the event is lost and logged, never
 /// retried.
-fn try_send(shared: &Arc<Shared>, mut packet: Packet, external: bool) {
+fn try_send(
+    shared: &Arc<Shared>,
+    mut packet: Packet,
+    external: bool,
+    touched: &mut Vec<MachineId>,
+) {
     // Sender-side split rewrite: route a split hot key's update to one of
     // its subkeys before the ring lookup, so fan-out happens at the
     // source and the subslates land on distinct machines/queues.
@@ -2973,7 +2981,7 @@ fn try_send(shared: &Arc<Shared>, mut packet: Packet, external: bool) {
         forwards: packet.forwards,
     };
     match shared.transport.send_event(machine_id, ev) {
-        Ok(()) => {}
+        Ok(()) => note_remote(shared, machine_id, touched),
         Err(NetError::Unreachable(_)) => {
             // §4.3: the sender detected the dead machine on send. Report to
             // the master (the master's broadcast removes it from every
@@ -3128,7 +3136,7 @@ fn deliver_local(
                         forwards: ev.forwards,
                         enqueued_us: 0,
                     };
-                    try_send(shared, p, external);
+                    try_send(shared, p, external, &mut Vec::new());
                 }
                 return Ok(());
             }
@@ -3860,6 +3868,13 @@ fn collect_engine_samples(sh: &Arc<Shared>, out: &mut Vec<Sample>) {
         out.push(cc("muppet_net_send_failures_total", load(&t.send_failures)));
         out.push(cc("muppet_net_connects_total", load(&t.connects)));
         out.push(cc("muppet_net_queue_full_waits_total", load(&t.queue_full_waits)));
+        for reason in FlushReason::ALL {
+            out.push(Sample::counter(
+                "muppet_net_flushes_total",
+                &[("reason", reason.as_str())],
+                t.flushes(reason),
+            ));
+        }
         out.push(Sample::gauge(
             "muppet_net_outbound_backlog",
             &[],

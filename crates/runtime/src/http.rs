@@ -16,10 +16,10 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use muppet_core::event::Key;
+use muppet_net::FlushReason;
 
 /// What the server needs from its host engine. `Engine` implements this;
 /// tests can substitute a stub.
@@ -174,6 +174,10 @@ impl SlateReader for crate::engine::Engine {
             ("net_frames_sent", Json::num(s.net.frames_sent as f64)),
             ("net_batches_sent", Json::num(s.net.batches_sent as f64)),
             ("net_outbound_backlog", Json::num(s.net.outbound_backlog as f64)),
+            ("net_flushes_size", Json::num(s.net.flushes[FlushReason::Size as usize] as f64)),
+            ("net_flushes_demand", Json::num(s.net.flushes[FlushReason::Demand as usize] as f64)),
+            ("net_flushes_age", Json::num(s.net.flushes[FlushReason::Age as usize] as f64)),
+            ("net_flushes_stop", Json::num(s.net.flushes[FlushReason::Stop as usize] as f64)),
             (
                 "failed_machines",
                 Json::Arr(
@@ -242,11 +246,9 @@ impl SlateReader for crate::engine::Engine {
     }
 }
 
-/// A running slate-read HTTP server.
+/// A running slate-read HTTP server; dropping it stops the accept loop.
 pub struct HttpSlateServer {
-    port: u16,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    listener: muppet_net::TcpListenerHandle,
 }
 
 impl HttpSlateServer {
@@ -258,50 +260,29 @@ impl HttpSlateServer {
     /// Bind to an explicit address (`muppetd` nodes publish a fixed port
     /// from the cluster topology).
     pub fn serve_on(reader: Arc<dyn SlateReader>, addr: &str) -> std::io::Result<HttpSlateServer> {
-        let listener = TcpListener::bind(addr)?;
-        let port = listener.local_addr()?.port();
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let accept_thread =
-            std::thread::Builder::new().name("muppet-http".into()).spawn(move || {
-                while !stop2.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let reader = Arc::clone(&reader);
-                            // One thread per connection: slate reads are
-                            // short-lived; no pool needed at test scale.
-                            std::thread::spawn(move || {
-                                let _ = handle_connection(stream, &*reader);
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })?;
-        Ok(HttpSlateServer { port, stop, accept_thread: Some(accept_thread) })
+        let listener = muppet_net::TcpListenerHandle::spawn(
+            "muppet-http".into(),
+            TcpListener::bind(addr)?,
+            move |stream, _stop| {
+                let reader = Arc::clone(&reader);
+                // One thread per connection: slate reads are short-lived;
+                // no pool needed at test scale.
+                std::thread::spawn(move || {
+                    let _ = handle_connection(stream, &*reader);
+                });
+            },
+        )?;
+        Ok(HttpSlateServer { listener })
     }
 
     /// The bound port.
     pub fn port(&self) -> u16 {
-        self.port
+        self.listener.port()
     }
 
     /// Base URL for clients.
     pub fn base_url(&self) -> String {
-        format!("http://127.0.0.1:{}", self.port)
-    }
-}
-
-impl Drop for HttpSlateServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        format!("http://127.0.0.1:{}", self.port())
     }
 }
 

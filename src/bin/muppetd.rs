@@ -43,8 +43,9 @@
 //! surviving node shows it under `failed_machines`.
 //!
 //! The event wire batches: outbound events coalesce into `EventBatch`
-//! frames per peer, flushed at `--batch-max` events or `--flush-us`
-//! microseconds of age, whichever first (see DESIGN.md §5 "Batching and
+//! frames per peer, flushed at `--batch-max` events or when their
+//! producer has nothing more to add; `--flush-us` is the age ceiling for
+//! events nobody asks to flush (see DESIGN.md §5 "Batching and
 //! backpressure").
 
 use std::sync::Arc;

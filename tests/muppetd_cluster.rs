@@ -153,6 +153,24 @@ fn three_muppetd_processes_run_hot_topics_and_survive_a_kill() {
         "node C never served the cluster-wide slate read"
     );
 
+    // The operator's view of why frames left: one-at-a-time ingest on a
+    // quiet node is flushed on demand, and both endpoints say so.
+    let (_, metrics) = http("GET", a, "/metrics", b"").unwrap();
+    let metrics = String::from_utf8_lossy(&metrics).into_owned();
+    let demand = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("muppet_net_flushes_total{reason=\"demand\"} "))
+        .and_then(|v| v.trim().parse::<u64>().ok());
+    assert!(matches!(demand, Some(n) if n > 0), "no demand flushes on /metrics:\n{metrics}");
+    for reason in ["size", "age", "stop"] {
+        assert!(metrics.contains(&format!("muppet_net_flushes_total{{reason=\"{reason}\"}} ")));
+    }
+    let (_, status) = http("GET", a, "/status", b"").unwrap();
+    let status = String::from_utf8_lossy(&status).into_owned();
+    for field in ["net_flushes_size", "net_flushes_demand", "net_flushes_age", "net_flushes_stop"] {
+        assert!(status.contains(field), "{field} missing from /status: {status}");
+    }
+
     // Kill node B abruptly.
     let mut b_child = cluster.children[1].take().unwrap();
     b_child.kill().unwrap();
