@@ -2,9 +2,10 @@
 //!
 //! §4.3 frames failures as routine ("machines fail quite often") and the
 //! recovery story as restart-and-rejoin. This repo's ingest WAL (PR 7)
-//! makes that restart exact: every accepted event is appended to a
-//! per-machine log before any worker sees it, so a crashed node replays
-//! its uncommitted suffix and converges to bit-identical slates.
+//! makes that restart exact: every accepted event is written to a
+//! per-machine log before any worker sees it and fsynced before its
+//! submit is acked, so a crashed node replays its uncommitted suffix and
+//! converges to bit-identical slates.
 //! Durability is not free — this experiment measures *how* not-free,
 //! across the same fsync spectrum X18 walked for the store WAL:
 //!
@@ -12,9 +13,9 @@
 //!   worker queues; a crash loses them;
 //! * `wal-sync-each`    — one fsync per accepted event (the naive
 //!   durable-ingest strawman);
-//! * `wal-group-commit` — each ingest frame stages as one batch and
-//!   shares one fsync (`IngestLog` group commit), so the fsync tax is
-//!   per-frame, not per-event.
+//! * `wal-group-commit` — each ingest frame is one `write` and shares
+//!   one fsync (`IngestLog` group commit), so the fsync tax is per-frame,
+//!   not per-event — and the workers run the frame while the disk syncs.
 //!
 //! Sources feed the engine in coalesced frames via `submit_many` — the
 //! ingest twin of the PR-2 transport outbox, and the batching boundary
@@ -30,6 +31,7 @@
 //! group-commit ingest tax in events/s versus `no-wal` (acceptance:
 //! under 10% at full scale).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,6 +39,9 @@ use muppet_apps::hot_topics::{self, HotDetector, MinuteCounter, TopicMapper};
 use muppet_apps::retailer::{self, Counter, RetailerMapper};
 use muppet_core::event::Event;
 use muppet_core::json::Json;
+use muppet_core::operator::{Emitter, Updater};
+use muppet_core::slate::Slate;
+use muppet_core::workflow::Workflow;
 use muppet_core::Key;
 use muppet_runtime::engine::{Engine, EngineConfig, EngineStats, OperatorSet};
 use muppet_runtime::overflow::OverflowPolicy;
@@ -58,6 +63,9 @@ const FRAME: usize = 256;
 /// headline tax is the median of the pairwise ratios, and each arm's
 /// fastest rep is tabulated.
 const REPS: usize = 5;
+/// The idle-frame probe: events per frame, frames probed.
+const IDLE_FRAME: usize = 64;
+const IDLE_PROBES: usize = 200;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("muppet-x20-{tag}-{}", std::process::id()));
@@ -193,6 +201,58 @@ fn run_replay_check(scale: Scale) -> (u64, Duration, usize) {
     (replayed, replay_elapsed, matched)
 }
 
+/// Stamps when it first runs after the probe armed it (ns since `base`;
+/// 0 = armed, not yet run).
+struct FirstTouch {
+    base: Instant,
+    first_ns: Arc<AtomicU64>,
+}
+
+impl Updater for FirstTouch {
+    fn name(&self) -> &str {
+        "touch"
+    }
+    fn update(&self, _ctx: &mut dyn Emitter, _event: &Event, _slate: &mut Slate) {
+        let now = self.base.elapsed().as_nanos() as u64;
+        let _ = self.first_ns.compare_exchange(0, now.max(1), Ordering::AcqRel, Ordering::Acquire);
+    }
+}
+
+/// The idle-frame probe: one [`IDLE_FRAME`]-event `submit_many` at a time
+/// on an idle single-node engine with a group-commit WAL. Returns the p50,
+/// µs, of ⟨submit → first update, submit → return⟩ over `probes` frames:
+/// the first is what an event waits for, the second what the source's ack
+/// waits for (the fsync). Advisory — a tmpfs runner has no fsync to hide
+/// behind.
+fn idle_frame_latency_us(probes: usize) -> (u64, u64) {
+    let mut wf = Workflow::builder("x20-idle-frame");
+    wf.external_stream("S1");
+    wf.updater("touch", &["S1"]);
+    let dir = temp_dir("idle-frame");
+    let (base, first_ns) = (Instant::now(), Arc::new(AtomicU64::new(0)));
+    let cfg = EngineConfig { machines: 1, ..engine_config(Some(&dir.join("ingest.wal")), false) };
+    let ops = OperatorSet::new().updater(FirstTouch { base, first_ns: Arc::clone(&first_ns) });
+    let engine = Engine::start(wf.build().expect("workflow"), ops, cfg, None).expect("engine");
+    let frame: Vec<Event> = (0..IDLE_FRAME)
+        .map(|i| Event::new("S1", i as u64, Key::from(format!("k-{i}")), "e"))
+        .collect();
+    let (mut to_first, mut to_return) = (Vec::new(), Vec::new());
+    for _ in 0..probes {
+        first_ns.store(0, Ordering::Release);
+        let t0 = base.elapsed().as_nanos() as u64;
+        engine.submit_many(frame.clone()).expect("submit_many");
+        to_return.push((base.elapsed().as_nanos() as u64 - t0) / 1_000);
+        assert!(engine.drain(Duration::from_secs(10)), "idle frame did not drain");
+        to_first.push(first_ns.load(Ordering::Acquire).saturating_sub(t0) / 1_000);
+        std::thread::sleep(Duration::from_millis(2)); // back to idle
+    }
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    to_first.sort_unstable();
+    to_return.sort_unstable();
+    (to_first[probes / 2], to_return[probes / 2])
+}
+
 /// Run the experiment.
 pub fn run(scale: Scale) {
     super::banner(
@@ -240,6 +300,7 @@ pub fn run(scale: Scale) {
         ("wal-group-commit", fastest(group_reps)),
     ];
     let (replayed, replay_elapsed, retailers_checked) = run_replay_check(scale);
+    let (idle_first_us, idle_return_us) = idle_frame_latency_us(IDLE_PROBES);
 
     let mut table = Table::new([
         "arm",
@@ -286,6 +347,13 @@ pub fn run(scale: Scale) {
         replayed,
     );
 
+    println!(
+        "idle frame ({IDLE_FRAME} events, 1 node, group-commit WAL): submit -> first update p50 \
+         {idle_first_us} us, submit -> return p50 {idle_return_us} us over {IDLE_PROBES} frames \
+         (logged, dispatched, then durable: the first no longer waits for the fsync, the second \
+         still does)"
+    );
+
     // Gate CI on the deterministic durability ledger, not wall time
     // (shared runners make timing unreliable; the committed full-scale
     // numbers live in BENCH_x20.json).
@@ -324,6 +392,15 @@ pub fn run(scale: Scale) {
             Json::num(replayed as f64 / replay_elapsed.as_secs_f64().max(1e-9)),
         ),
         ("replayed_counts_match_reference", Json::Bool(true)),
+        (
+            "idle_frame",
+            Json::obj([
+                ("events", Json::num(IDLE_FRAME as f64)),
+                ("probes", Json::num(IDLE_PROBES as f64)),
+                ("submit_to_first_update_p50_us", Json::num(idle_first_us as f64)),
+                ("submit_to_return_p50_us", Json::num(idle_return_us as f64)),
+            ]),
+        ),
         ("arms", Json::arr(arms.iter().map(|(name, o)| arm_json(name, n, o)))),
     ]);
     std::fs::write("BENCH_x20.json", doc.to_pretty())

@@ -5,9 +5,10 @@
 //! same acquisition order, same memory-ordering discipline, with the IO
 //! replaced by in-memory appends so a run takes microseconds:
 //!
-//! * [`run_group_commit`] — `runtime::ingestlog` leader/follower group
-//!   commit (leader wins `try_lock` on the writer, drains the staged
-//!   buffer, publishes a durable watermark, notifies under the cv mutex);
+//! * [`run_group_commit`] — `runtime::ingestlog` two-watermark group
+//!   commit (write under the writer lock; a leader reads `written`, syncs
+//!   with no lock held, publishes `durable` and notifies under the cv
+//!   mutex);
 //! * [`run_single_flight`] — `runtime::cache` single-flight miss reads
 //!   (one loader per key, waiters coalesce onto the flight);
 //! * [`run_flush_cas`] — `runtime::cache` snapshot flushes (snapshot
@@ -17,8 +18,8 @@
 //!
 //! Every model also has a deliberately-broken variant — the negative
 //! control proving the harness can actually catch the bug class it
-//! guards against (a lost wakeup, a waiter observing an absent value, a
-//! lost dirty bit). `violations > 0` for a broken run is the harness
+//! guards against (an ack past what the sync covered, a waiter observing
+//! an absent value, a lost dirty bit). `violations > 0` for a broken run is the harness
 //! working, not the harness failing.
 
 use std::collections::HashMap;
@@ -38,7 +39,7 @@ pub struct Outcome {
     pub violations: u64,
     /// Human-readable descriptions of the first few violations.
     pub notes: Vec<String>,
-    /// Batches a leader committed (group commit) / loads issued
+    /// Syncs leaders ran (group commit) / loads issued
     /// (single-flight) / flushes performed (flush CAS) — shape counters
     /// for sanity assertions, not invariants.
     pub work: u64,
@@ -57,115 +58,122 @@ impl Outcome {
 // Model 1: ingest-WAL group commit.
 // ---------------------------------------------------------------------
 
-struct GcBuf {
-    entries: Vec<u64>,
-    next_seq: u64,
-}
-
 struct GroupCommit {
-    buf: Mutex<GcBuf>,
-    /// The "WAL": committed records in commit order. Appending is the
-    /// stand-in for `append_many` + fsync.
-    log: Mutex<Vec<u64>>,
+    /// The writer lock and, behind it, the "file": records handed to the
+    /// OS, in write order.
+    file: Mutex<Vec<u64>>,
+    /// `file.len()`, stored under the writer lock, read by sync leaders
+    /// without it.
+    written: AtomicU64,
+    /// The "disk": how many records the completed fsyncs have covered.
+    disk: AtomicU64,
     durable: AtomicU64,
-    cv_mutex: Mutex<()>,
+    /// True while a leader is inside the sync step; its mutex is the cv
+    /// mutex (followers re-check `durable` under it before parking,
+    /// leaders publish and notify under it).
+    syncing: Mutex<bool>,
     cv: Condvar,
-    /// Leader re-entrancy probe: must never exceed 1.
-    leaders_now: AtomicU64,
-    leader_overlaps: AtomicU64,
-    watermark_regressions: AtomicU64,
-    /// Timeout rescues: a parked follower whose covering commit happened
+    /// A watermark was published, or an append returned, beyond what the
+    /// disk holds — an ack a power loss would break.
+    acked_unsynced: AtomicU64,
+    /// Timeout rescues: a parked follower whose covering sync happened
     /// but whose wakeup never arrived — the lost-wakeup signature.
     lost_wakeups: AtomicU64,
-    batches: AtomicU64,
-    /// Negative control: notify without taking the cv mutex first.
-    broken_notify: bool,
+    syncs: AtomicU64,
+    /// Negative control: the leader reads `written` AFTER its sync.
+    broken_read_after_sync: bool,
 }
 
 impl GroupCommit {
-    fn append(&self, record: u64) {
-        let my_seq = {
-            sched::point();
-            let mut buf = self.buf.lock();
-            buf.entries.push(record);
-            buf.next_seq += 1;
-            buf.next_seq - 1
-        };
+    /// `write_batch`: append under the writer lock, advance `written`.
+    fn write(&self, record: u64) -> u64 {
+        sched::point();
+        let mut file = self.file.lock();
+        file.push(record);
+        let seq = file.len() as u64;
+        self.written.store(seq, Ordering::Release);
+        seq
+    }
+
+    /// The fsync stand-in, run with no lock held. It covers what the OS
+    /// held when it began; a record written inside the window is not
+    /// covered.
+    fn fsync(&self) {
+        let held = self.written.load(Ordering::Acquire);
+        sched::point(); // the fsync window: writers keep writing
+        self.disk.fetch_max(held, Ordering::AcqRel);
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `wait_durable`: lead a sync if nobody is syncing, else park until
+    /// a leader's watermark covers `seq`.
+    fn wait_durable(&self, seq: u64) {
+        let mut syncing = self.syncing.lock();
         loop {
-            if self.durable.load(Ordering::Acquire) >= my_seq {
+            if self.durable.load(Ordering::Acquire) >= seq {
                 return;
             }
-            sched::point();
-            if let Some(mut log) = self.log.try_lock() {
-                // Leader. Exactly one thread can be here (it holds the
-                // writer); `leaders_now` proves it.
-                if self.leaders_now.fetch_add(1, Ordering::SeqCst) != 0 {
-                    self.leader_overlaps.fetch_add(1, Ordering::SeqCst);
-                }
-                for _round in 0..64 {
-                    let (entries, high) = {
-                        let mut buf = self.buf.lock();
-                        let high = buf.next_seq.saturating_sub(1);
-                        (std::mem::take(&mut buf.entries), high)
-                    };
-                    if entries.is_empty() {
-                        break;
-                    }
-                    sched::point(); // the "fsync" window
-                    log.extend_from_slice(&entries);
-                    self.batches.fetch_add(1, Ordering::Relaxed);
-                    // Watermark must only move forward.
-                    let prev = self.durable.swap(high, Ordering::AcqRel);
-                    if prev > high {
-                        self.watermark_regressions.fetch_add(1, Ordering::SeqCst);
-                    }
-                    if self.broken_notify {
-                        // BROKEN: notify without the cv mutex. A follower
-                        // that checked `durable` (stale) but has not yet
-                        // parked misses this forever.
-                        self.cv.notify_all();
-                    } else {
-                        let _guard = self.cv_mutex.lock();
-                        self.cv.notify_all();
-                    }
-                }
-                self.leaders_now.fetch_sub(1, Ordering::SeqCst);
-                drop(log);
-            } else {
-                let mut guard = self.cv_mutex.lock();
-                if self.durable.load(Ordering::Acquire) >= my_seq {
-                    return;
-                }
-                // The race window the broken variant opens: the leader
-                // commits and notifies RIGHT HERE, before we park.
+            if *syncing {
                 sched::point();
-                let r = self.cv.wait_for(&mut guard, Duration::from_millis(100));
-                if r.timed_out() && self.durable.load(Ordering::Acquire) >= my_seq {
+                let r = self.cv.wait_for(&mut syncing, Duration::from_millis(100));
+                if r.timed_out() && self.durable.load(Ordering::Acquire) >= seq {
                     // Covered but never woken: only the timeout saved us.
                     self.lost_wakeups.fetch_add(1, Ordering::SeqCst);
                 }
+                continue;
             }
+            *syncing = true;
+            drop(syncing);
+            sched::point();
+            let covers = if self.broken_read_after_sync {
+                // BROKEN: a record written during the sync raises
+                // `written` past what the sync covered, and is acked.
+                self.fsync();
+                sched::point();
+                self.written.load(Ordering::Acquire)
+            } else {
+                let covers = self.written.load(Ordering::Acquire);
+                sched::point();
+                self.fsync();
+                covers
+            };
+            syncing = self.syncing.lock();
+            *syncing = false;
+            self.durable.fetch_max(covers, Ordering::AcqRel);
+            if covers > self.disk.load(Ordering::Acquire) {
+                self.acked_unsynced.fetch_add(1, Ordering::SeqCst);
+            }
+            self.cv.notify_all();
+        }
+    }
+
+    /// `append_batch`: write, then wait durable. The return is the ack.
+    fn append(&self, record: u64) {
+        let seq = self.write(record);
+        self.wait_durable(seq);
+        if self.disk.load(Ordering::Acquire) < seq {
+            self.acked_unsynced.fetch_add(1, Ordering::SeqCst);
         }
     }
 }
 
 /// Drive `threads × per_thread` appends through the group-commit protocol
-/// under seed `seed`. Invariants: no lost wakeup, at most one leader, a
-/// monotone watermark, and every record committed exactly once.
+/// under seed `seed`. Invariants: nothing is acked beyond what a sync
+/// covered, no lost wakeup, every record written exactly once, and the
+/// final watermark covers every append.
 pub fn run_group_commit(seed: u64, threads: u64, per_thread: u64, broken: bool) -> Outcome {
     sched::install(seed);
     let gc = Arc::new(GroupCommit {
-        buf: Mutex::new(GcBuf { entries: Vec::new(), next_seq: 1 }),
-        log: Mutex::new(Vec::new()),
+        file: Mutex::new(Vec::new()),
+        written: AtomicU64::new(0),
+        disk: AtomicU64::new(0),
         durable: AtomicU64::new(0),
-        cv_mutex: Mutex::new(()),
+        syncing: Mutex::new(false),
         cv: Condvar::new(),
-        leaders_now: AtomicU64::new(0),
-        leader_overlaps: AtomicU64::new(0),
-        watermark_regressions: AtomicU64::new(0),
+        acked_unsynced: AtomicU64::new(0),
         lost_wakeups: AtomicU64::new(0),
-        batches: AtomicU64::new(0),
-        broken_notify: broken,
+        syncs: AtomicU64::new(0),
+        broken_read_after_sync: broken,
     });
     let workers: Vec<_> = (0..threads)
         .map(|t| {
@@ -183,22 +191,21 @@ pub fn run_group_commit(seed: u64, threads: u64, per_thread: u64, broken: bool) 
         w.join().expect("model thread never panics");
     }
 
-    let mut out = Outcome { work: gc.batches.load(Ordering::Relaxed), ..Outcome::default() };
-    let log = gc.log.lock();
+    let mut out = Outcome { work: gc.syncs.load(Ordering::Relaxed), ..Outcome::default() };
+    let file = gc.file.lock();
     let expected = threads * per_thread;
-    if log.len() as u64 != expected {
-        out.violate(format!("committed {} records, expected {expected}", log.len()));
+    if file.len() as u64 != expected {
+        out.violate(format!("wrote {} records, expected {expected}", file.len()));
     }
-    let mut seen: Vec<u64> = log.clone();
+    let mut seen: Vec<u64> = file.clone();
     seen.sort_unstable();
     seen.dedup();
-    if seen.len() != log.len() {
-        out.violate("a record committed twice".into());
+    if seen.len() != file.len() {
+        out.violate("a record written twice".into());
     }
     for probe in [
+        (gc.acked_unsynced.load(Ordering::SeqCst), "acked past what a sync covered"),
         (gc.lost_wakeups.load(Ordering::SeqCst), "lost wakeup (timeout rescue)"),
-        (gc.leader_overlaps.load(Ordering::SeqCst), "two leaders at once"),
-        (gc.watermark_regressions.load(Ordering::SeqCst), "watermark went backwards"),
     ] {
         if probe.0 > 0 {
             out.violate(format!("{} × {}", probe.0, probe.1));

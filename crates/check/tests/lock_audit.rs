@@ -85,8 +85,8 @@ fn engine_run_has_acyclic_lock_order_and_no_fsync_under_lock() {
     for k in 0..50u64 {
         let _ = engine.read_slate("U1", &Key::from(format!("k{k}")));
     }
-    // Shutdown checkpoints the ingest cursor and syncs the WAL — the
-    // sanctioned fsync-under-writer-lock windows.
+    // Shutdown syncs the ingest WAL (with no lock held, like every group
+    // commit above) and checkpoints the ingest cursor.
     engine.shutdown();
 
     let cycles = audit::order_cycles();

@@ -42,7 +42,7 @@ fn manufactured_inversion_and_locked_fsync_are_both_caught() {
     assert_eq!(io.len(), 1, "locked IO must be reported: {io:?}");
     assert!(io[0].contains("fsync"), "{}", io[0]);
 
-    // …unless the site is sanctioned via `io_allowed` (group commit).
+    // …unless the site is sanctioned via `io_allowed` (the ingest WAL's sync-each mode).
     {
         let _g = a.lock();
         audit::io_allowed(|| audit::blocking_io("fsync"));

@@ -31,30 +31,30 @@ fn assert_clean(name: &str, seed: u64, out: &models::Outcome) {
 #[test]
 fn group_commit_holds_over_1000_interleavings() {
     arm_hook();
-    let mut batches = 0u64;
+    let mut syncs = 0u64;
     for seed in 0..SEEDS {
         let out = models::run_group_commit(seed, 3, 4, false);
         assert_clean("group commit", seed, &out);
-        batches += out.work;
+        syncs += out.work;
     }
-    // Shape sanity: commits actually batched (fewer batches than records)
-    // while still committing everything — otherwise the model degenerated
-    // into one-append-per-fsync and explored nothing.
-    assert!(batches > 0 && batches < SEEDS * 3 * 4, "batches = {batches}");
+    // Shape sanity: appends actually shared syncs (fewer syncs than
+    // records) while still covering everything — otherwise the model
+    // degenerated into one-append-per-fsync and explored nothing.
+    assert!(syncs > 0 && syncs < SEEDS * 3 * 4, "syncs = {syncs}");
 }
 
 #[test]
-fn group_commit_negative_control_lost_wakeup_is_caught() {
+fn group_commit_negative_control_read_after_sync_is_caught() {
     arm_hook();
-    // The broken variant notifies without holding the cv mutex: a
-    // follower that saw a stale watermark but has not yet parked misses
-    // the wakeup forever and only the timeout rescues it. Some seed in
-    // the sweep must land the race; stop at the first catch.
+    // The broken leader reads `written` after its sync instead of
+    // before: a record written inside the fsync window is published as
+    // durable although the sync did not cover it. Some seed in the sweep
+    // must land a write in that window; stop at the first catch.
     let caught = (0..SEEDS).any(|seed| {
         let out = models::run_group_commit(seed, 3, 4, true);
-        out.notes.iter().any(|n| n.contains("lost wakeup"))
+        out.notes.iter().any(|n| n.contains("acked past"))
     });
-    assert!(caught, "harness failed to catch the naked-notify lost wakeup in {SEEDS} seeds");
+    assert!(caught, "harness failed to catch the read-after-sync watermark in {SEEDS} seeds");
 }
 
 #[test]

@@ -34,6 +34,9 @@ pub enum Error {
     /// An operator implementation was registered under a name that does not
     /// match the workflow declaration.
     OperatorMismatch { expected: String, got: String },
+    /// The ingest WAL failed a `write` or an fsync. The node accepts no
+    /// further ingest until it is restarted on a healthy disk.
+    IngestLog(String),
 }
 
 impl fmt::Display for Error {
@@ -61,6 +64,7 @@ impl fmt::Display for Error {
                     "operator name mismatch: workflow declares {expected:?}, impl says {got:?}"
                 )
             }
+            Error::IngestLog(msg) => write!(f, "ingest WAL failed: {msg}"),
         }
     }
 }
@@ -84,6 +88,7 @@ mod tests {
                 Error::LoopBudgetExceeded { steps: 7 },
                 "cyclic workflow exceeded the step budget of 7",
             ),
+            (Error::IngestLog("no space".into()), "ingest WAL failed: no space"),
         ];
         for (err, want) in cases {
             assert_eq!(err.to_string(), want);

@@ -327,8 +327,8 @@ pub fn blocking_io(what: &'static str) {
 }
 
 /// Run `f` with IO-under-lock reporting suppressed — for sites where
-/// holding a lock across IO is the design (e.g. group commit, where the
-/// WAL writer lock IS the commit serialization point).
+/// holding a lock across IO is the design (e.g. the ingest WAL's
+/// sync-each mode, whose definition is one fsync per record written).
 pub fn io_allowed<R>(f: impl FnOnce() -> R) -> R {
     IO_ALLOWED_DEPTH.with(|d| d.set(d.get() + 1));
     let result = f();

@@ -51,7 +51,7 @@ use crate::cache::{
 };
 use crate::dispatch::{choose_between, RouteHash};
 use crate::dlq::{DeadLetter, DeadLetterQueue};
-use crate::ingestlog::IngestLog;
+use crate::ingestlog::{IngestLog, SyncFn};
 use crate::master::Master;
 use crate::metrics::{Histogram, LatencySummary};
 use crate::netstore::RemoteBackend;
@@ -197,13 +197,15 @@ pub struct EngineConfig {
     pub log_json: bool,
     /// Path of this machine's ingest WAL (`None` = no ingest logging,
     /// the paper's §4.3 lose-in-flight-work semantics). When set, every
-    /// accepted external event is appended durably before dispatch, and
-    /// `Engine::start` replays the segment's suffix past the checkpointed
-    /// cursor so a restart converges to bit-identical slates.
+    /// accepted external event is logged before dispatch and durable
+    /// before its submit returns `Ok`, and `Engine::start` replays the
+    /// segment's suffix past the checkpointed cursor so a restart
+    /// converges to bit-identical slates.
     pub ingest_wal: Option<std::path::PathBuf>,
-    /// Ingest WAL durability mode: true = fsync per record (lowest loss
-    /// window, highest tax); false = leader-based group commit (one fsync
-    /// per concurrent batch — the x20 default).
+    /// Ingest WAL durability mode: true = write + fsync per record, then
+    /// dispatch (highest tax — x20's strawman); false = leader-based group
+    /// commit (one fsync per concurrent batch, dispatched while it runs —
+    /// the default).
     pub ingest_sync_each: bool,
     /// Dead-letter queue capacity (poison events parked per machine
     /// before the oldest letters are evicted).
@@ -509,7 +511,7 @@ impl Counters {
             ),
             ingest_logged: reg.counter(
                 "muppet_wal_ingest_records_total",
-                "Events appended durably to the ingest WAL",
+                "Events written to the ingest WAL (fsynced before their ack)",
             ),
             dead_lettered: reg.counter(
                 "muppet_dead_letters_total",
@@ -989,6 +991,24 @@ impl Shared {
         self.machines.read().clone()
     }
 
+    /// Flush every dirty slate of every live machine (dead machines lost
+    /// theirs, §4.3). Returns how many slates are still dirty afterwards
+    /// (quorum failure, dead store host).
+    fn flush_live_caches(&self) -> u64 {
+        let now = self.now_us();
+        let mut dirty_left = 0;
+        for m in &self.machines_snapshot() {
+            if !m.alive.load(Ordering::Acquire) {
+                continue;
+            }
+            for cache in m.central_cache.iter().chain(m.worker_caches.iter().flatten()) {
+                cache.flush_dirty(now);
+                dirty_left += cache.stats().dirty;
+            }
+        }
+        dirty_left
+    }
+
     /// Whether dynamic hot-key splitting is configured on.
     fn split_enabled(&self) -> bool {
         self.cfg.combine && self.cfg.hot_split_threshold > 0
@@ -1124,6 +1144,20 @@ impl Engine {
         ops: OperatorSet,
         cfg: EngineConfig,
         store: Option<Arc<StoreCluster>>,
+    ) -> Result<Engine> {
+        Self::start_with_ingest_sync(workflow, ops, cfg, store, None)
+    }
+
+    /// [`Engine::start`] with the ingest WAL's sync step replaced (`None`
+    /// = the real one) — the test seam of [`IngestLog::open_with_sync`],
+    /// nothing wider.
+    #[doc(hidden)]
+    pub fn start_with_ingest_sync(
+        workflow: Workflow,
+        ops: OperatorSet,
+        cfg: EngineConfig,
+        store: Option<Arc<StoreCluster>>,
+        ingest_sync: Option<SyncFn>,
     ) -> Result<Engine> {
         // Build the wire first: machine materialization below depends on
         // which machines are local.
@@ -1348,8 +1382,18 @@ impl Engine {
         // replayed past the checkpointed cursor once the workers are up.
         let (ingest_log, ingest_recovery) = match &cfg.ingest_wal {
             Some(path) => {
-                let (log, rec) = IngestLog::open(path, cfg.ingest_sync_each)
-                    .map_err(|e| Error::Config(format!("cannot open ingest WAL: {e}")))?;
+                let (mut log, rec) =
+                    IngestLog::open_with_sync(path, cfg.ingest_sync_each, ingest_sync)
+                        .map_err(|e| Error::Config(format!("cannot open ingest WAL: {e}")))?;
+                if cfg.metrics {
+                    // Every group commit's fsync wall time (one sample per
+                    // sync): the floor of ack latency.
+                    log.record_sync_latency(registry.histogram_with(
+                        "muppet_stage_latency_us",
+                        STAGE_HELP,
+                        &[("stage", "wal_sync")],
+                    ));
+                }
                 (Some(Arc::new(log)), Some(rec))
             }
             None => (None, None),
@@ -1509,47 +1553,31 @@ impl Engine {
     /// updater has a chance to catch up." Internal events never block
     /// (§5's deadlock argument), so a *downstream* hotspot surfaces here,
     /// at the source, via the global in-flight count.
+    ///
+    /// With an ingest WAL the event is **logged before dispatch, durable
+    /// before `Ok`**: its record is written to the log file, workers start
+    /// on it, and the call returns once an fsync covers the record. `Err`
+    /// from a failed fsync means the event was dispatched but not
+    /// accepted; the log is poisoned and every later submit fails
+    /// ([`Error::IngestLog`]).
     pub fn submit(&self, mut event: Event) -> Result<()> {
         let stream = event.stream.clone();
         if !self.shared.wf.is_external(stream.as_str()) {
             return Err(Error::ExternalStreamViolation(stream.as_str().to_string()));
         }
         self.mbf_ingest(&mut event);
-        if self.shared.cfg.overflow == OverflowPolicy::SourceThrottle {
-            let budget = self.shared.total_queue_budget() as i64;
-            // The in-flight count includes the transport's outbound
-            // backlog (TCP mode): events parked in per-peer batching
-            // outboxes are cluster load exactly like queued events, so a
-            // slow wire throttles the source instead of growing buffers.
-            while self.shared.pending.load(Ordering::Acquire)
-                + self.shared.transport.outbound_backlog() as i64
-                > budget
-            {
-                if self.shared.stopping.load(Ordering::Acquire) {
-                    break;
-                }
-                self.shared.counters.throttle_waits.inc();
-                let mut guard = self.shared.throttle_mutex.lock();
-                self.shared.throttle_cv.wait_for(&mut guard, Duration::from_millis(1));
-            }
-        }
-        // Durability line: an accepted event is in the ingest WAL before
-        // any worker sees it, so a crash after this point replays it.
-        // Group commit batches concurrent submitters into one fsync.
-        if let Some(log) = &self.shared.ingest_log {
-            log.append(&event)
-                .map_err(|e| Error::Config(format!("ingest WAL append failed: {e}")))?;
-            self.shared.counters.ingest_logged.inc();
-        }
+        self.throttle_source();
+        let logged = self.log_accepted(std::slice::from_ref(&event))?;
         self.dispatch_accepted([event]);
-        Ok(())
+        self.wait_durable(logged)
     }
 
     /// Submit a coalesced run of external events — the ingest twin of
     /// the transport outbox's frame batching. Semantically identical to
-    /// calling [`Engine::submit`] per event, but the durability line is
-    /// drawn once: the whole run enters the ingest WAL as a single
-    /// staged batch sharing one fsync ([`IngestLog::append_batch`]), so
+    /// calling [`Engine::submit`] per event — logged before dispatch,
+    /// durable before `Ok` — but both lines are drawn once: the whole run
+    /// enters the ingest WAL with one `write` and shares one fsync
+    /// ([`IngestLog::write_batch`], [`IngestLog::wait_durable`]), so
     /// sources that deliver in frames pay the fsync tax per frame, not
     /// per event. Source throttling is checked once at the head of the
     /// run; like `submit`, events are only accepted from external
@@ -1563,27 +1591,60 @@ impl Engine {
         for event in &mut events {
             self.mbf_ingest(event);
         }
-        if self.shared.cfg.overflow == OverflowPolicy::SourceThrottle {
-            let budget = self.shared.total_queue_budget() as i64;
-            while self.shared.pending.load(Ordering::Acquire)
-                + self.shared.transport.outbound_backlog() as i64
-                > budget
-            {
-                if self.shared.stopping.load(Ordering::Acquire) {
-                    break;
-                }
-                self.shared.counters.throttle_waits.inc();
-                let mut guard = self.shared.throttle_mutex.lock();
-                self.shared.throttle_cv.wait_for(&mut guard, Duration::from_millis(1));
-            }
-        }
-        if let Some(log) = &self.shared.ingest_log {
-            log.append_batch(&events)
-                .map_err(|e| Error::Config(format!("ingest WAL append failed: {e}")))?;
-            self.shared.counters.ingest_logged.add(events.len() as u64);
-        }
+        self.throttle_source();
+        let logged = self.log_accepted(&events)?;
         self.dispatch_accepted(events);
-        Ok(())
+        self.wait_durable(logged)
+    }
+
+    /// §5 source throttling, the head of `submit` / `submit_many`: under
+    /// [`OverflowPolicy::SourceThrottle`], block while the cluster is
+    /// backlogged beyond its aggregate queue budget.
+    fn throttle_source(&self) {
+        if self.shared.cfg.overflow != OverflowPolicy::SourceThrottle {
+            return;
+        }
+        let budget = self.shared.total_queue_budget() as i64;
+        // The in-flight count includes the transport's outbound backlog
+        // (TCP mode): events parked in per-peer batching outboxes are
+        // cluster load exactly like queued events, so a slow wire
+        // throttles the source instead of growing buffers.
+        while self.shared.pending.load(Ordering::Acquire)
+            + self.shared.transport.outbound_backlog() as i64
+            > budget
+        {
+            if self.shared.stopping.load(Ordering::Acquire) {
+                break;
+            }
+            self.shared.counters.throttle_waits.inc();
+            let mut guard = self.shared.throttle_mutex.lock();
+            self.shared.throttle_cv.wait_for(&mut guard, Duration::from_millis(1));
+        }
+    }
+
+    /// The *logged* line: write the accepted run to the ingest WAL (no
+    /// fsync) before any worker can see it, so every event a worker ever
+    /// saw is in the file and a process crash from here on replays it.
+    /// Returns the watermark [`Engine::wait_durable`] must reach before
+    /// the ack. A failed write dispatches nothing.
+    fn log_accepted(&self, events: &[Event]) -> Result<u64> {
+        let Some(log) = &self.shared.ingest_log else {
+            return Ok(0);
+        };
+        let seq = log.write_batch(events).map_err(|e| Error::IngestLog(e.to_string()))?;
+        self.shared.counters.ingest_logged.add(events.len() as u64);
+        Ok(seq)
+    }
+
+    /// The *durable* line: `Ok` — the caller's ack — only once an fsync
+    /// covers the first `seq` log records. Workers are already on the
+    /// events while the disk syncs; group commit lets concurrent
+    /// submitters share one fsync.
+    fn wait_durable(&self, seq: u64) -> Result<()> {
+        match &self.shared.ingest_log {
+            Some(log) => log.wait_durable(seq).map_err(|e| Error::IngestLog(e.to_string())),
+            None => Ok(()),
+        }
     }
 
     /// Ingest-edge transcoding: under `CodecChoice::Mbf` (explicit
@@ -1612,7 +1673,7 @@ impl Engine {
         }
     }
 
-    /// Fan accepted (validated, WAL-durable) external events out to their
+    /// Fan accepted (validated, WAL-logged) external events out to their
     /// streams' subscriber queues. The shared tail of `submit` and
     /// `submit_many`.
     ///
@@ -2229,10 +2290,18 @@ impl Engine {
         self.shared.recovered.load(Ordering::Acquire)
     }
 
-    /// ⟨records appended, fsyncs issued⟩ of the ingest WAL, or `None`
+    /// ⟨records written, fsyncs issued⟩ of the ingest WAL, or `None`
     /// when ingest logging is off.
     pub fn ingest_wal_stats(&self) -> Option<(u64, u64)> {
         self.shared.ingest_log.as_ref().map(|log| (log.record_count(), log.sync_count()))
+    }
+
+    /// The ingest WAL's ⟨written, durable⟩ watermarks — their difference
+    /// is the un-acked fsync window — and whether an I/O error has
+    /// poisoned it. `None` when ingest logging is off.
+    pub fn ingest_wal_watermarks(&self) -> Option<(u64, u64, bool)> {
+        let log = self.shared.ingest_log.as_ref()?;
+        Some((log.record_count(), log.durable_count(), log.failed()))
     }
 
     /// This machine's dead-letter queue.
@@ -2286,46 +2355,34 @@ impl Engine {
         .to_compact()
     }
 
-    /// Draw a recovery line: drain in-flight work, flush every dirty
-    /// slate, persist the replay cursor at the WAL's record count, and
-    /// fsync the ingest WAL. After a successful checkpoint a restart
+    /// Draw a recovery line: drain in-flight work, fsync the ingest WAL,
+    /// flush every dirty slate, and persist the replay cursor at the
+    /// WAL's record count. After a successful checkpoint a restart
     /// replays zero events.
+    ///
+    /// The log is synced *before* the first slate reaches the store:
+    /// dispatch precedes durability (see [`Engine::submit`]), so this
+    /// order is what keeps the store from ever holding an effect the
+    /// durable log lacks.
     ///
     /// Returns false — leaving the *old* cursor authoritative, so a
     /// restart replays more than necessary but never misses an event —
-    /// when the drain timed out, a slate failed to flush, or the cursor
-    /// write did not reach the store. Engines without an ingest WAL
-    /// return true trivially.
+    /// when the drain timed out, the log could not be synced (nothing is
+    /// flushed then), a slate failed to flush, or the cursor write did
+    /// not reach the store. Engines without an ingest WAL return true
+    /// trivially.
     pub fn checkpoint(&self, timeout: Duration) -> bool {
         let Some(log) = self.shared.ingest_log.as_ref() else {
             return true;
         };
-        if !self.drain(timeout) {
+        if !self.drain(timeout) || log.sync().is_err() {
             return false;
         }
-        // Flush every dirty slate; the flushed store state now reflects
-        // exactly the WAL prefix `0..record_count`.
-        let now = self.shared.now_us();
-        let mut dirty_left = 0u64;
-        for m in &self.shared.machines_snapshot() {
-            if !m.alive.load(Ordering::Acquire) {
-                continue;
-            }
-            if let Some(cache) = &m.central_cache {
-                cache.flush_dirty(now);
-                dirty_left += cache.stats().dirty;
-            }
-            for cache in m.worker_caches.iter().flatten() {
-                cache.flush_dirty(now);
-                dirty_left += cache.stats().dirty;
-            }
-        }
-        if dirty_left > 0 {
+        // The flushed store state now reflects exactly the durable WAL
+        // prefix `0..record_count`.
+        if self.shared.flush_live_caches() > 0 {
             // Some slate did not reach the store (quorum failure, dead
             // store host): advancing the cursor would lose its updates.
-            return false;
-        }
-        if log.sync().is_err() {
             return false;
         }
         self.shared.store_ingest_cursor(log.record_count())
@@ -2354,25 +2411,15 @@ impl Engine {
         for t in self.flushers.lock().drain(..) {
             let _ = t.join();
         }
-        // Graceful final flush (live machines only — dead machines lost
-        // their dirty slates, §4.3).
-        let now = self.shared.now_us();
-        for m in &self.shared.machines_snapshot() {
-            if !m.alive.load(Ordering::Acquire) {
-                continue;
-            }
-            if let Some(cache) = &m.central_cache {
-                cache.flush_dirty(now);
-            }
-            for cache in m.worker_caches.iter().flatten() {
-                cache.flush_dirty(now);
-            }
-        }
-        // Seal the recovery line: the flushed slates cover the whole
+        // Graceful final flush, sealing the recovery line — log first, as
+        // in `checkpoint`: the flushed slates cover the whole durable
         // ingest log, so a restart after this clean shutdown replays
-        // nothing.
-        if let Some(log) = &self.shared.ingest_log {
-            if log.sync().is_ok() {
+        // nothing. If the log cannot be synced the store stays at the last
+        // checkpoint and a restart replays whatever suffix the file holds.
+        let log = self.shared.ingest_log.as_ref();
+        if log.is_none_or(|log| log.sync().is_ok()) {
+            self.shared.flush_live_caches();
+            if let Some(log) = log {
                 self.shared.store_ingest_cursor(log.record_count());
             }
         }
@@ -3891,6 +3938,11 @@ fn collect_engine_samples(sh: &Arc<Shared>, out: &mut Vec<Sample>) {
     if let Some(log) = &sh.ingest_log {
         out.push(cc("muppet_wal_ingest_syncs_total", log.sync_count()));
         out.push(cc("muppet_wal_ingest_replayed_total", sh.recovered.load(Ordering::Relaxed)));
+        // written − durable = the records inside their fsync window: logged
+        // and dispatched, not yet acked.
+        out.push(Sample::gauge("muppet_ingest_wal_written", &[], log.record_count() as i64));
+        out.push(Sample::gauge("muppet_ingest_wal_durable", &[], log.durable_count() as i64));
+        out.push(Sample::gauge("muppet_ingest_wal_failed", &[], i64::from(log.failed())));
     }
     out.push(Sample::gauge("muppet_dlq_depth", &[], sh.dlq.depth() as i64));
     out.push(cc("muppet_dlq_evicted_total", sh.dlq.dropped()));

@@ -19,6 +19,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use muppet_core::event::Key;
+use muppet_core::Error;
 use muppet_net::FlushReason;
 
 /// What the server needs from its host engine. `Engine` implements this;
@@ -39,9 +40,10 @@ pub trait SlateReader: Send + Sync + 'static {
     /// Ingest one external event (`POST /submit/<stream>/<key>`, body =
     /// value). How `muppetd` nodes receive traffic; the engine routes the
     /// event to its owning machine over the cluster wire. Default:
-    /// unsupported.
-    fn submit_event(&self, _stream: &str, _key: Key, _value: Vec<u8>) -> Result<(), String> {
-        Err("ingest not supported".to_string())
+    /// unsupported. [`Error::IngestLog`] (the ingest WAL failed; the node
+    /// refuses ingest) is answered 503, every other error 400.
+    fn submit_event(&self, _stream: &str, _key: Key, _value: Vec<u8>) -> muppet_core::Result<()> {
+        Err(Error::Config("ingest not supported".to_string()))
     }
 
     /// Reserve a cluster id for a joining node (`POST /join`, body =
@@ -101,6 +103,9 @@ impl SlateReader for crate::engine::Engine {
     fn status_json(&self) -> String {
         use muppet_core::json::Json;
         let s = self.stats();
+        let wal = self.ingest_wal_watermarks();
+        // Ingest-WAL fields are null on a node without one.
+        let wal_num = |v: Option<u64>| v.map_or(Json::Null, |v| Json::num(v as f64));
         Json::obj([
             ("uptime_s", Json::num(self.uptime_s() as f64)),
             (
@@ -153,20 +158,12 @@ impl SlateReader for crate::engine::Engine {
             ("store_miss_coalesced", Json::num(s.store.miss_coalesced as f64)),
             // Crash recovery (DESIGN.md §11): ingest WAL + DLQ state.
             ("recovered_replayed", Json::num(self.recovered_replayed() as f64)),
-            (
-                "ingest_wal_records",
-                match self.ingest_wal_stats() {
-                    Some((records, _)) => Json::num(records as f64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "ingest_wal_syncs",
-                match self.ingest_wal_stats() {
-                    Some((_, syncs)) => Json::num(syncs as f64),
-                    None => Json::Null,
-                },
-            ),
+            // records = written; written − durable = the un-acked fsync window.
+            ("ingest_wal_records", wal_num(wal.map(|(written, _, _)| written))),
+            ("ingest_wal_syncs", wal_num(self.ingest_wal_stats().map(|(_, syncs)| syncs))),
+            ("ingest_wal_written", wal_num(wal.map(|(written, _, _)| written))),
+            ("ingest_wal_durable", wal_num(wal.map(|(_, durable, _)| durable))),
+            ("ingest_wal_failed", wal.map_or(Json::Null, |(_, _, failed)| Json::Bool(failed))),
             ("dlq_depth", Json::num(self.dlq().depth() as f64)),
             ("dlq_added", Json::num(self.dlq().added() as f64)),
             ("dlq_dropped", Json::num(self.dlq().dropped() as f64)),
@@ -188,8 +185,8 @@ impl SlateReader for crate::engine::Engine {
         .to_compact()
     }
 
-    fn submit_event(&self, stream: &str, key: Key, value: Vec<u8>) -> Result<(), String> {
-        self.submit_kv(stream, key, value).map_err(|e| e.to_string())
+    fn submit_event(&self, stream: &str, key: Key, value: Vec<u8>) -> muppet_core::Result<()> {
+        self.submit_kv(stream, key, value)
     }
 
     fn reserve_join(&self, spec: &str) -> Result<String, String> {
@@ -326,7 +323,10 @@ fn handle_connection(stream: TcpStream, reader: &dyn SlateReader) -> std::io::Re
         std::io::Read::read_exact(&mut buf, &mut body)?;
         return match reader.submit_event(stream_name, Key::from(key_bytes), body) {
             Ok(()) => respond(&mut out, 200, "text/plain", b"ok"),
-            Err(msg) => respond(&mut out, 400, "text/plain", msg.as_bytes()),
+            Err(e) => {
+                let code = if matches!(e, Error::IngestLog(_)) { 503 } else { 400 };
+                respond(&mut out, code, "text/plain", e.to_string().as_bytes())
+            }
         };
     }
     if method == "POST" && path == "/join" {
@@ -414,6 +414,7 @@ fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        503 => "Service Unavailable",
         _ => "Error",
     };
     write!(

@@ -1,6 +1,6 @@
-//! Crash recovery end-to-end (DESIGN.md §11): the ingest WAL makes every
-//! accepted event durable before the submit is acked, so a `kill -9` loses
-//! nothing — the restarted node replays the uncheckpointed WAL suffix and
+//! Crash recovery end-to-end (DESIGN.md §11): the ingest WAL logs every
+//! accepted event before a worker sees it and makes it durable before the
+//! submit is acked, so a `kill -9` loses nothing — the restarted node replays the uncheckpointed WAL suffix and
 //! converges to the exact counts the single-threaded reference model
 //! produces. SIGTERM is the clean path: checkpoint, exit 0, zero replay.
 //! Poison events (a panicking updater) never kill a worker — they park in
@@ -10,13 +10,15 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use muppet::apps::retailer;
+use muppet::core::Error;
 use muppet::prelude::*;
 use muppet::runtime::engine::OperatorSet;
 use muppet::runtime::http::percent_encode;
+use muppet::runtime::ingestlog::SyncFn;
 use muppet::slatestore::util::TempDir;
 
 fn http(method: &str, port: u16, path: &str, body: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {
@@ -292,14 +294,18 @@ fn count_workflow() -> Workflow {
     b.build().unwrap()
 }
 
-fn count_engine(wal: &std::path::Path) -> Engine {
-    let cfg = EngineConfig {
+fn count_config(wal: &std::path::Path) -> EngineConfig {
+    EngineConfig {
         machines: 2,
         workers_per_machine: 2,
         ingest_wal: Some(wal.to_path_buf()),
         ..EngineConfig::default()
-    };
-    Engine::start(count_workflow(), OperatorSet::new().updater(CountUpdater), cfg, None).unwrap()
+    }
+}
+
+fn count_engine(wal: &std::path::Path) -> Engine {
+    let ops = OperatorSet::new().updater(CountUpdater);
+    Engine::start(count_workflow(), ops, count_config(wal), None).unwrap()
 }
 
 #[test]
@@ -362,6 +368,150 @@ fn wal_replay_reproduces_reference_counts_and_truncates_a_torn_tail() {
         Some((PER_KEY + 1).to_string().as_bytes())
     );
     e2.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Logged, dispatched, then durable: the WAL's sync step behind the test seam.
+// ---------------------------------------------------------------------------
+
+/// A sync step that reports each entry on the returned receiver, then
+/// blocks until the test sends a token; dropping the sender fails it.
+fn gated_sync() -> (SyncFn, mpsc::Receiver<()>, mpsc::Sender<()>) {
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let gate_rx = muppet::core::sync::Mutex::new(gate_rx);
+    let sync: SyncFn = Box::new(move || {
+        entered_tx.send(()).unwrap();
+        gate_rx.lock().recv().map_err(std::io::Error::other)
+    });
+    (sync, entered_rx, gate_tx)
+}
+
+const GATED_KEYS: usize = 8;
+
+/// 64 events over [`GATED_KEYS`] keys: every key ends at count 8.
+fn gated_frame() -> Vec<Event> {
+    (0..64)
+        .map(|i| Event::new("S1", i as u64, Key::from(format!("k-{}", i % GATED_KEYS)), "e"))
+        .collect()
+}
+
+fn all_keys_count_eight(engine: &Engine) -> bool {
+    (0..GATED_KEYS).all(|k| {
+        engine.read_slate("counter", &Key::from(format!("k-{k}"))).as_deref() == Some(b"8".as_ref())
+    })
+}
+
+/// A store-backed count engine on `wal`, optionally with its sync step
+/// replaced.
+fn stored_count_engine(
+    wal: &std::path::Path,
+    store: &Arc<StoreCluster>,
+    sync: Option<SyncFn>,
+) -> Arc<Engine> {
+    Arc::new(
+        Engine::start_with_ingest_sync(
+            count_workflow(),
+            OperatorSet::new().updater(CountUpdater),
+            count_config(wal),
+            Some(Arc::clone(store)),
+            sync,
+        )
+        .unwrap(),
+    )
+}
+
+fn shutdown(engine: Arc<Engine>) {
+    Arc::into_inner(engine).expect("sole engine owner").shutdown();
+}
+
+#[test]
+fn a_frame_is_applied_while_its_fsync_runs_and_acked_only_after_it() {
+    let dir = TempDir::new("gated-ack").unwrap();
+    let store = Arc::new(StoreCluster::open(dir.path(), StoreConfig::default()).unwrap());
+    let (sync, entered, gate) = gated_sync();
+    let engine = stored_count_engine(&dir.file("ingest.log"), &store, Some(sync));
+
+    let submitter = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || engine.submit_many(gated_frame()))
+    };
+    entered.recv().unwrap();
+    // The submitter sits in the sync step; the workers did not wait for it.
+    assert!(wait_until(Duration::from_secs(10), || engine.stats().processed == 64));
+    assert!(all_keys_count_eight(&engine));
+    assert!(!submitter.is_finished(), "no ack before the fsync returns");
+    assert_eq!(engine.ingest_wal_watermarks(), Some((64, 0, false)));
+
+    gate.send(()).unwrap();
+    submitter.join().unwrap().expect("acked once durable");
+    assert_eq!(engine.ingest_wal_watermarks(), Some((64, 64, false)));
+    shutdown(engine);
+}
+
+#[test]
+fn a_failed_fsync_stops_ingest_keeps_the_store_behind_the_log_and_a_restart_replays() {
+    let dir = TempDir::new("gated-fail").unwrap();
+    let wal = dir.file("ingest.log");
+    let store = Arc::new(StoreCluster::open(dir.path(), StoreConfig::default()).unwrap());
+    let (sync, entered, gate) = gated_sync();
+    let engine = stored_count_engine(&wal, &store, Some(sync));
+
+    let submitter = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || engine.submit_many(gated_frame()))
+    };
+    entered.recv().unwrap();
+    assert!(wait_until(Duration::from_secs(10), || engine.stats().processed == 64));
+    // The only fsync this life ever attempts fails: 64 events are logged
+    // and applied, none is durable, none is acked.
+    drop(gate);
+    let err = submitter.join().unwrap().unwrap_err();
+    assert!(matches!(err, Error::IngestLog(_)), "{err}");
+
+    // Fail-stop: nothing further is accepted or dispatched, and the node
+    // says why on every surface.
+    let refused = engine.submit(Event::new("S1", 99, Key::from("k-0"), "e")).unwrap_err();
+    assert!(matches!(refused, Error::IngestLog(_)), "{refused}");
+    assert_eq!(engine.stats().submitted, 64);
+    assert_eq!(engine.ingest_wal_watermarks(), Some((64, 0, true)));
+    let server = HttpSlateServer::serve(Arc::clone(&engine) as _).unwrap();
+    let (code, _) = http("POST", server.port(), "/submit/S1/k-0", b"e").unwrap();
+    assert_eq!(code, 503);
+    let (_, status) = http("GET", server.port(), "/status", b"").unwrap();
+    let status = String::from_utf8(status).unwrap();
+    assert!(status.contains(r#""ingest_wal_failed":true"#), "{status}");
+    assert!(status.contains(r#""ingest_wal_written":64,"ingest_wal_durable":0"#), "{status}");
+    let (_, metrics) = http("GET", server.port(), "/metrics", b"").unwrap();
+    let metrics = String::from_utf8(metrics).unwrap();
+    for line in [
+        "muppet_ingest_wal_failed 1",
+        "muppet_ingest_wal_written 64",
+        "muppet_ingest_wal_durable 0",
+    ] {
+        assert!(metrics.lines().any(|l| l == line), "{line} missing from /metrics");
+    }
+    drop(server);
+
+    // Barrier order: checkpoint and shutdown sync the log before the first
+    // slate reaches the store — so with an unsyncable log, none does, and
+    // the store never holds an effect the durable log lacks.
+    assert!(all_keys_count_eight(&engine), "the slates are dirty in the cache");
+    assert!(!engine.checkpoint(Duration::from_secs(5)));
+    assert_eq!(store.stats().node.puts, 0);
+    shutdown(engine);
+    assert_eq!(store.stats().node.puts, 0);
+
+    // The process-crash row of DESIGN.md §11: what `write` handed to the
+    // OS is in the file although no fsync ever covered it. A new life on
+    // the same WAL and store replays all of it, exactly once.
+    let engine = stored_count_engine(&wal, &store, None);
+    assert_eq!(engine.recovered_replayed(), 64);
+    assert!(wait_until(Duration::from_secs(10), || all_keys_count_eight(&engine)));
+    assert!(engine.checkpoint(Duration::from_secs(10)));
+    assert!(store.stats().node.puts > GATED_KEYS as u64, "slates and the cursor are stored");
+    assert_eq!(engine.stats().processed, 64, "replayed once, not twice");
+    shutdown(engine);
 }
 
 /// An updater that panics on `"boom"` payloads until the shared flag says
