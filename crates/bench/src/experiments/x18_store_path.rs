@@ -18,7 +18,13 @@
 //!   are `StorePutBatch` frames — one wire round trip per batch);
 //! * `+group-commit`    — the store side: the same D cells written
 //!   through `put_many` on a `wal_sync_each` cluster, one fsync per
-//!   node-batch instead of one per record.
+//!   node-batch instead of one per record;
+//! * `evict`            — the eviction write-back: a full, all-dirty
+//!   cache takes cold touches in runs of 64 with a retire after each run,
+//!   against a 3-replica `wal_sync_each` cluster. Per slate
+//!   (`flush_batch_max = 1`: every miss retires its one victim inline —
+//!   what eviction cost before it was deferred) vs batched (one
+//!   `store_many` and one fsync per replica per run).
 //!
 //! Both an in-process cluster backend and a TCP-loopback `RemoteBackend`
 //! (real `StorePutBatch` frames against a store-hosting peer) are
@@ -26,6 +32,7 @@
 //! not wall time; the committed full-scale numbers live in
 //! `BENCH_x18.json`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -35,7 +42,7 @@ use muppet_core::Codec;
 use muppet_net::topology::Topology;
 use muppet_net::transport::{ClusterHandler, MachineId, NetError, Transport};
 use muppet_net::{StoreGetItem, StorePutItem, TcpTransport, WireEvent};
-use muppet_runtime::cache::{FlushPolicy, SlateBackend, SlateCache};
+use muppet_runtime::cache::{FlushItem, FlushPolicy, SlateBackend, SlateCache};
 use muppet_runtime::netstore::RemoteBackend;
 use muppet_slatestore::cluster::{StoreCluster, StoreConfig};
 
@@ -233,6 +240,84 @@ fn run_group_commit(d: usize) -> ((Duration, u64), (Duration, u64)) {
     (per_record, grouped)
 }
 
+/// Counts the write *calls* a cache issues to the cluster behind it.
+struct CountingStore {
+    inner: StoreCluster,
+    write_calls: AtomicU64,
+}
+
+impl SlateBackend for CountingStore {
+    fn load(&self, updater: &str, key: &Key, now: u64) -> Option<Vec<u8>> {
+        self.inner.load(updater, key, now)
+    }
+    fn store(&self, u: &str, k: &Key, v: &[u8], c: Codec, ttl: Option<u64>, now: u64) -> bool {
+        self.write_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.store(u, k, v, c, ttl, now)
+    }
+    fn store_many(&self, items: &[FlushItem], now: u64) -> Vec<bool> {
+        self.write_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.store_many(items, now)
+    }
+}
+
+const EVICT_RUN: usize = 64;
+
+struct EvictOutcome {
+    elapsed: Duration,
+    write_calls: u64,
+    fsyncs: u64,
+    /// Every key's bytes at rest after the final barrier.
+    contents: Vec<Option<Vec<u8>>>,
+}
+
+/// The eviction arm: fill a single-shard cache with `resident` dirty
+/// slates, then take `runs` × 64 cold touches with a retire after each
+/// run (the worker going idle), and count what the evictions cost the
+/// store.
+fn run_evict_arm(resident: usize, runs: usize, flush_batch: usize, tag: &str) -> EvictOutcome {
+    let dir = temp_dir(tag);
+    let cfg = StoreConfig { wal_sync_each: true, compress_values: false, ..Default::default() };
+    let store = Arc::new(CountingStore {
+        inner: StoreCluster::open(&dir, cfg).expect("open store"),
+        write_calls: AtomicU64::new(0),
+    });
+    let cache = SlateCache::new(resident, FlushPolicy::OnEvict, Arc::clone(&store) as _)
+        .with_flush_batch(flush_batch);
+    let name: Arc<str> = Arc::from("U1");
+    let keys: Vec<Key> =
+        (0..resident + runs * EVICT_RUN).map(|i| Key::from(format!("k{i}"))).collect();
+    let touch = |key: &Key| {
+        let slot = cache.get_or_load(0, &name, key, None, 1);
+        let mut state = slot.state.lock();
+        state.slate.replace(format!("value-{key:?}").into_bytes());
+        cache.note_write(&slot, &mut state, 1);
+    };
+    keys[..resident].iter().for_each(touch);
+    let t0 = Instant::now();
+    for run in keys[resident..].chunks(EVICT_RUN) {
+        run.iter().for_each(touch);
+        cache.retire_evicted(1);
+    }
+    let elapsed = t0.elapsed();
+    let write_calls = store.write_calls.load(Ordering::Relaxed);
+    let fsyncs = store.inner.wal_sync_count();
+    assert_eq!(cache.stats().evictions, (runs * EVICT_RUN) as u64, "one eviction per cold touch");
+    cache.flush_dirty(2); // the residents, so both arms rest on the same cells
+    let contents = keys.iter().map(|key| store.load("U1", key, 3)).collect();
+    drop(cache);
+    let _ = std::fs::remove_dir_all(&dir);
+    EvictOutcome { elapsed, write_calls, fsyncs, contents }
+}
+
+fn evict_json(name: &str, o: &EvictOutcome) -> Json {
+    Json::obj([
+        ("arm", Json::str(name)),
+        ("wall_ms", Json::num(o.elapsed.as_secs_f64() * 1e3)),
+        ("store_write_calls", Json::num(o.write_calls as f64)),
+        ("wal_fsyncs", Json::num(o.fsyncs as f64)),
+    ])
+}
+
 fn arm_json(name: &str, d: usize, o: &Outcome) -> Json {
     Json::obj([
         ("arm", Json::str(name)),
@@ -281,6 +366,13 @@ pub fn run(scale: Scale) {
     // --- WAL group commit under wal_sync_each ---
     let ((each_wall, each_syncs), (group_wall, group_syncs)) = run_group_commit(d);
 
+    // --- eviction write-back: per slate vs one batch per run ---
+    let evict_resident = scale.events(1024);
+    let evict_runs = scale.events(6400) / 100;
+    let evictions = (evict_runs * EVICT_RUN) as u64;
+    let evict_each = run_evict_arm(evict_resident, evict_runs, 1, "evict-1");
+    let evict_batched = run_evict_arm(evict_resident, evict_runs, FLUSH_BATCH, "evict-b");
+
     let mut table = Table::new(["arm", "dirty", "written", "wall time", "round trips / fsyncs"]);
     let mut row = |name: &str, o: &Outcome| {
         table.row([
@@ -310,6 +402,15 @@ pub fn run(scale: Scale) {
         format!("{group_wall:.2?}"),
         group_syncs.to_string(),
     ]);
+    for (name, o) in [("evict per-slate", &evict_each), ("evict batched", &evict_batched)] {
+        table.row([
+            name.into(),
+            evictions.to_string(),
+            evictions.to_string(),
+            format!("{:.2?}", o.elapsed),
+            format!("{} / {}", o.write_calls, o.fsyncs),
+        ]);
+    }
     table.print();
 
     let expected_batches = (d as u64).div_ceil(FLUSH_BATCH as u64);
@@ -343,6 +444,21 @@ pub fn run(scale: Scale) {
         "group commit = one fsync per node-batch ({group_syncs} syncs for {d} records)"
     );
 
+    let replicas = StoreConfig::default().replication as u64;
+    assert_eq!(evict_each.write_calls, evictions, "per slate: one store call per victim");
+    assert_eq!(evict_each.fsyncs, replicas * evictions, "and one fsync per replica per victim");
+    assert_eq!(evict_batched.write_calls, evict_runs as u64, "batched: one store call per run");
+    assert!(
+        evict_batched.fsyncs <= replicas * evict_runs as u64,
+        "and at most one fsync per replica per run ({} fsyncs)",
+        evict_batched.fsyncs
+    );
+    assert!(
+        evict_each.contents == evict_batched.contents
+            && evict_each.contents.iter().all(Option::is_some),
+        "both shapes must leave byte-identical store contents"
+    );
+
     let doc = Json::obj([
         ("experiment", Json::str("x18")),
         ("workload", Json::str("M resident slates, D dirty per flush tick")),
@@ -367,6 +483,21 @@ pub fn run(scale: Scale) {
                 ("group_fsyncs", Json::num(group_syncs as f64)),
                 ("group_wall_ms", Json::num(group_wall.as_secs_f64() * 1e3)),
                 ("fsync_reduction", Json::num(each_syncs as f64 / (group_syncs as f64).max(1.0))),
+            ]),
+        ),
+        (
+            "evict",
+            Json::obj([
+                ("resident_slates", Json::num(evict_resident as f64)),
+                ("evictions", Json::num(evictions as f64)),
+                ("run", Json::num(EVICT_RUN as f64)),
+                (
+                    "arms",
+                    Json::arr([
+                        evict_json("per-slate", &evict_each),
+                        evict_json("batched", &evict_batched),
+                    ]),
+                ),
             ]),
         ),
         (

@@ -11,9 +11,22 @@
 //! Concurrency model: the cache hands out `Arc<SlateSlot>`s; workers lock a
 //! slot's state while running the update function. Two-choice dispatch
 //! bounds contention on any slot to two workers (§4.5).
+//!
+//! The store is behind the event path on every route but one: a miss
+//! *loads* its slate before the update can run — one backend round trip,
+//! shared by all the misses of a drained batch ([`SlateCache::prefetch`]).
+//! Nothing is ever *written* on that path. Dirty slates reach the backend
+//! through one flush core (`flush_slots`: snapshot under the slot lock,
+//! ONE `store_many` per batch outside it, compare-and-set
+//! `flushed_version`), driven by the periodic sweep
+//! ([`SlateCache::flush_dirty`]), by hand-off
+//! ([`SlateCache::flush_slot_now`]) and by eviction: a miss over capacity
+//! only *selects* its LRU victims into the eviction backlog, and
+//! [`SlateCache::retire_evicted`] writes them back and removes them later,
+//! in one batch, when the caller has nothing better to do.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -301,6 +314,32 @@ pub struct CacheStats {
     /// Concurrent misses on the same ⟨op, key⟩ that shared another miss's
     /// in-flight backend load instead of stampeding the store.
     pub miss_coalesced: u64,
+    /// Eviction victims chosen and not yet written back (gauge).
+    pub evict_backlog: u64,
+}
+
+impl CacheStats {
+    /// Fold another cache's snapshot into this one (a machine owning
+    /// several caches reports them as one): counts and gauges add, the
+    /// flush-batch median and maximum take the worst cache.
+    pub fn absorb(&mut self, s: &CacheStats) {
+        self.hits += s.hits;
+        self.misses += s.misses;
+        self.store_loads += s.store_loads;
+        self.evictions += s.evictions;
+        self.flush_writes += s.flush_writes;
+        self.flush_failures += s.flush_failures;
+        self.ttl_resets += s.ttl_resets;
+        self.entries += s.entries;
+        self.dirty += s.dirty;
+        self.shards += s.shards;
+        self.flush_batches += s.flush_batches;
+        self.flush_batch_p50 = self.flush_batch_p50.max(s.flush_batch_p50);
+        self.flush_batch_largest = self.flush_batch_largest.max(s.flush_batch_largest);
+        self.store_round_trips += s.store_round_trips;
+        self.miss_coalesced += s.miss_coalesced;
+        self.evict_backlog += s.evict_backlog;
+    }
 }
 
 /// One lock shard: its own LRU map, its slice of the capacity budget, and
@@ -318,14 +357,44 @@ struct Shard {
     /// stampeding the store with duplicate loads.
     flights: Mutex<HashMap<(OpId, Key), Arc<Flight>>>,
     capacity: usize,
+    /// Eviction victims selected from this shard and not yet resolved
+    /// (waiting in the backlog or mid-retire). They are still resident,
+    /// so victim selection subtracts them from the capacity excess.
+    victims: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
+impl Shard {
+    /// Whether the map still holds this exact slot under its key.
+    fn holds(&self, slot: &Arc<SlateSlot>) -> bool {
+        let map = self.map.lock();
+        map.peek(&(slot.op, slot.key.clone())).is_some_and(|s| Arc::ptr_eq(s, slot))
+    }
+
+    /// Drop `slot` from the map if nobody raced the eviction: the entry
+    /// still holds this exact slot, no worker borrowed it (count == map +
+    /// the caller's binding) and no write left it dirty.
+    fn remove_if_idle(&self, slot: &Arc<SlateSlot>) -> bool {
+        let k = (slot.op, slot.key.clone());
+        let mut map = self.map.lock();
+        let idle = map.peek(&k).is_some_and(|s| Arc::ptr_eq(s, slot))
+            && Arc::strong_count(slot) == 2
+            && !slot.state.lock().dirty();
+        if idle {
+            map.remove(&k);
+        }
+        idle
+    }
+}
+
 /// Outcome of one flush attempt of one slot.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum FlushOutcome {
-    /// The slot is persisted up to the snapshot (or was already clean).
-    Done,
+    /// Nothing to write: the slot was already persisted.
+    Clean,
+    /// The snapshot reached the backend (the slot is persisted up to it).
+    Written,
     /// Another flush of this slot is mid-flight; this attempt did not
     /// write (the slot stays dirty and indexed for retry).
     InFlight,
@@ -354,6 +423,25 @@ impl Flight {
     fn finish(&self) {
         *self.done.lock() = true;
         self.cv.notify_all();
+    }
+}
+
+/// Resolves its flights on every exit — including an unwinding backend
+/// panic. A stranded flight would hang every future miss on its key
+/// forever; with the guard, waiters wake, retry, and (if the slot never
+/// landed) elect a fresh leader.
+struct FlightGuard<'a> {
+    cache: &'a SlateCache,
+    keys: Vec<(OpId, Key)>,
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        for k in &self.keys {
+            if let Some(flight) = self.cache.shard_of(k.0, &k.1).flights.lock().remove(k) {
+                flight.finish();
+            }
+        }
     }
 }
 
@@ -392,6 +480,17 @@ pub struct SlateCache {
     store_codec: Codec,
     /// Dirty slates coalesced into one `store_many` call at most.
     flush_batch_max: usize,
+    /// The eviction backlog: victims selected by misses, still resident,
+    /// waiting for [`SlateCache::retire_evicted`] to write them back and
+    /// remove them.
+    backlog: Mutex<Vec<Arc<SlateSlot>>>,
+    /// Victims selected and not yet resolved, summed over the shards —
+    /// the backlog plus whatever a retire currently holds. The
+    /// no-eviction path reads this (relaxed) and nothing else. A count
+    /// only: it publishes no data (the list has its own lock), and a
+    /// reader that misses another thread's increment is covered by that
+    /// thread's own check.
+    backlog_len: AtomicUsize,
     counters: CacheCounters,
     /// Distribution of flush-batch sizes (events per `store_many`).
     flush_batch_hist: Histogram,
@@ -447,6 +546,7 @@ impl SlateCache {
                 dirty: Mutex::new(HashMap::new()),
                 flights: Mutex::new(HashMap::new()),
                 capacity: base + usize::from(i < extra),
+                victims: AtomicUsize::new(0),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
             })
@@ -458,6 +558,8 @@ impl SlateCache {
             backend,
             store_codec: Codec::Json,
             flush_batch_max: DEFAULT_FLUSH_BATCH_MAX,
+            backlog: Mutex::new(Vec::new()),
+            backlog_len: AtomicUsize::new(0),
             counters: CacheCounters::default(),
             flush_batch_hist: Histogram::new(),
             hot: Box::new([]),
@@ -468,7 +570,9 @@ impl SlateCache {
     }
 
     /// Set the flush-batch cap: dirty slates coalesced into one backend
-    /// `store_many` call at most (1 = the per-slate write-behind path).
+    /// `store_many` call at most, and (up to the capacity) eviction
+    /// victims the backlog holds before a miss retires them inline
+    /// (1 = the per-slate write-behind path).
     pub fn with_flush_batch(mut self, flush_batch_max: usize) -> Self {
         self.flush_batch_max = flush_batch_max.max(1);
         self
@@ -545,6 +649,14 @@ impl SlateCache {
     /// nothing is stored the slot starts empty and the update function
     /// initializes it. Cached slates whose TTL lapsed reset to empty
     /// ("resetting to an empty slate at that time").
+    ///
+    /// A miss that pushes its shard over capacity only *selects* the LRU
+    /// victims into the eviction backlog and returns: the caller runs its
+    /// update first and pays for the write-back later, batched, through
+    /// [`SlateCache::retire_evicted`]. The one exception is the bound: a
+    /// miss that finds `min(flush_batch_max, capacity)` victims waiting
+    /// retires them inline (still as one batch), so residency never
+    /// exceeds capacity plus that bound even if nobody else retires.
     pub fn get_or_load(
         &self,
         op: OpId,
@@ -577,7 +689,7 @@ impl SlateCache {
                         flights.insert((op, key.clone()), Arc::new(Flight::default()));
                         drop(flights);
                         drop(map);
-                        return self.load_as_leader(shard, op, updater, key, ttl_secs, now_us);
+                        return self.load_as_leader(op, updater, key, ttl_secs, now_us);
                     }
                 }
             };
@@ -587,36 +699,80 @@ impl SlateCache {
     }
 
     /// The leader half of single-flight read-through: consult the backend
-    /// with NO cache locks held, install the slot, resolve the flight,
-    /// then run the eviction protocol on any capacity excess.
-    #[allow(clippy::too_many_arguments)]
+    /// with NO cache locks held, install the slot, resolve the flight and
+    /// queue any capacity excess for eviction.
     fn load_as_leader(
         &self,
-        shard: &Shard,
         op: OpId,
         updater: &Arc<str>,
         key: &Key,
         ttl_secs: Option<u64>,
         now_us: u64,
     ) -> Arc<SlateSlot> {
-        /// Resolves the flight on every exit — including an unwinding
-        /// backend panic. A stranded flight would hang every future miss
-        /// on this key forever; with the guard, waiters wake, retry, and
-        /// (if the slot never landed) elect a fresh leader.
-        struct FlightGuard<'a> {
-            shard: &'a Shard,
-            key: (OpId, Key),
-        }
-        impl Drop for FlightGuard<'_> {
-            fn drop(&mut self) {
-                if let Some(flight) = self.shard.flights.lock().remove(&self.key) {
-                    flight.finish();
-                }
-            }
-        }
-        let guard = FlightGuard { shard, key: (op, key.clone()) };
+        let guard = FlightGuard { cache: self, keys: vec![(op, key.clone())] };
         let loaded = self.backend.load(updater, key, now_us);
         self.counters.store_round_trips.fetch_add(1, Ordering::Relaxed);
+        let (slot, victims) = self.install(op, updater, key, ttl_secs, loaded, now_us);
+        drop(guard); // wake the waiters before anything else
+        self.queue_victims(victims, now_us);
+        slot
+    }
+
+    /// Batch the loads of a run of misses: take the flights of the
+    /// `wanted` ⟨op, updater, key, ttl⟩s that are neither resident nor
+    /// already loading, fetch them with ONE `load_many`, install the slots
+    /// and resolve the flights — the `get_or_load` calls that follow are
+    /// hits. At most one backlog's worth is prefetched, so a batch larger
+    /// than a tiny cache does not evict its own head.
+    pub fn prefetch(&self, wanted: &[(OpId, &Arc<str>, &Key, Option<u64>)], now_us: u64) {
+        let mut guard = FlightGuard { cache: self, keys: Vec::new() };
+        let mut lead = Vec::new();
+        let most = self.backlog_bound();
+        for &(op, updater, key, ttl_secs) in wanted {
+            if lead.len() >= most {
+                break;
+            }
+            let shard = self.shard_of(op, key);
+            let map = shard.map.lock();
+            let mut flights = shard.flights.lock();
+            let k = (op, key.clone());
+            if map.peek(&k).is_none() && !flights.contains_key(&k) {
+                flights.insert(k.clone(), Arc::new(Flight::default()));
+                guard.keys.push(k);
+                lead.push((op, updater, key, ttl_secs));
+            }
+        }
+        if lead.len() < 2 {
+            return; // nothing to batch: the guard hands a lone flight back
+        }
+        let items: Vec<(Arc<str>, Key)> =
+            lead.iter().map(|&(_, u, k, _)| (Arc::clone(u), k.clone())).collect();
+        let loaded = self.backend.load_many(&items, now_us);
+        self.counters.store_round_trips.fetch_add(1, Ordering::Relaxed);
+        if loaded.len() != lead.len() {
+            return; // a misbehaving backend: fall back to per-key loads
+        }
+        let mut victims = Vec::new();
+        for ((op, updater, key, ttl_secs), data) in lead.into_iter().zip(loaded) {
+            self.shard_of(op, key).misses.fetch_add(1, Ordering::Relaxed);
+            victims.extend(self.install(op, updater, key, ttl_secs, data, now_us).1);
+        }
+        drop(guard);
+        self.queue_victims(victims, now_us);
+    }
+
+    /// Put a freshly loaded slate (or an empty one) into the map and
+    /// select this shard's capacity excess. Returns the resident slot and
+    /// the victims.
+    fn install(
+        &self,
+        op: OpId,
+        updater: &Arc<str>,
+        key: &Key,
+        ttl_secs: Option<u64>,
+        loaded: Option<Vec<u8>>,
+        now_us: u64,
+    ) -> (Arc<SlateSlot>, Vec<Arc<SlateSlot>>) {
         if loaded.is_some() {
             self.counters.store_loads.fetch_add(1, Ordering::Relaxed);
         }
@@ -644,36 +800,46 @@ impl SlateCache {
                 flushing: false,
             }),
         });
-        let mut evicted: Vec<((OpId, Key), Arc<SlateSlot>)> = Vec::new();
-        let slot = {
-            let mut map = shard.map.lock();
-            if let Some(existing) = map.get(&(op, key.clone())) {
-                // An externally-built slot landed while we were loading
-                // (elastic handoff `insert_slot`): it carries live state —
-                // our freshly loaded copy is the stale one. Keep theirs.
-                let existing = Arc::clone(existing);
-                drop(map);
-                return existing; // guard resolves the flight
+        let shard = self.shard_of(op, key);
+        let mut map = shard.map.lock();
+        if let Some(existing) = map.get(&(op, key.clone())) {
+            // An externally-built slot landed while we were loading
+            // (elastic handoff `insert_slot`): it carries live state —
+            // our freshly loaded copy is the stale one. Keep theirs.
+            return (Arc::clone(existing), Vec::new());
+        }
+        map.insert((op, key.clone()), Arc::clone(&fresh));
+        let victims = self.pick_eviction_victims(shard, &mut map);
+        (fresh, victims)
+    }
+
+    /// Queue freshly selected victims; a full backlog is retired inline.
+    fn queue_victims(&self, victims: Vec<Arc<SlateSlot>>, now_us: u64) {
+        if !victims.is_empty() {
+            self.backlog.lock().extend(victims);
+            if self.backlog_len.load(Ordering::Relaxed) >= self.backlog_bound() {
+                self.retire_evicted(now_us);
             }
-            map.insert((op, key.clone()), Arc::clone(&fresh));
-            self.pick_eviction_victims(shard, &mut map, &mut evicted);
-            Arc::clone(&fresh)
-        };
-        // Wake the waiters before the (possibly I/O-bound) victim flush.
-        drop(guard);
-        self.flush_and_remove_victims(shard, evicted, now_us);
-        slot
+        }
+    }
+
+    /// Most victims the backlog holds before a miss retires it inline.
+    fn backlog_bound(&self) -> usize {
+        self.flush_batch_max.min(self.capacity())
     }
 
     /// Select eviction victims beyond capacity (called with the shard map
     /// locked) — but keep them *resident*: each candidate is reinserted
-    /// immediately (as MRU) and only leaves the map after its flush
-    /// succeeds. A victim removed while dirty would open a window where a
-    /// concurrent get_or_load re-creates the slot from the (still
-    /// unwritten) backend and the slate forks. `pop_lru` moves the map's
-    /// reference out, so an unborrowed victim has strong_count == 1;
-    /// anything higher means a worker (or the leader's fresh binding, for
-    /// the entry just inserted) still holds it — skip those, bounded so a
+    /// immediately (as MRU) and only leaves the map once
+    /// [`SlateCache::retire_evicted`] has persisted it. That is what makes
+    /// deferring the write safe: a victim touched again while it waits is
+    /// a cache hit, never a second copy loaded from the (still unwritten)
+    /// backend. Victims already waiting are still resident, so they are
+    /// subtracted from the excess — otherwise every miss would re-select
+    /// for the same overshoot. `pop_lru` moves the map's reference out,
+    /// so an unborrowed victim has strong_count == 1; anything higher
+    /// means a worker, the backlog (an earlier selection), or the
+    /// leader's fresh binding still holds it — skip those, bounded so a
     /// fully-borrowed cache cannot spin. (The dirty index holds only
     /// `Weak` references, so being dirty never disguises a slot as
     /// borrowed.)
@@ -681,53 +847,79 @@ impl SlateCache {
         &self,
         shard: &Shard,
         map: &mut LruMap<(OpId, Key), Arc<SlateSlot>>,
-        evicted: &mut Vec<((OpId, Key), Arc<SlateSlot>)>,
-    ) {
+    ) -> Vec<Arc<SlateSlot>> {
+        let waiting = shard.victims.load(Ordering::Relaxed);
+        let excess = map.len().saturating_sub(shard.capacity + waiting);
+        let mut victims = Vec::new();
         let mut skipped: Vec<((OpId, Key), Arc<SlateSlot>)> = Vec::new();
+        // Reinserting keeps `map.len()` constant, so the loop is bounded
+        // by the victim count, not by the map shrinking.
         let max_picks = map.len();
-        // Reinserting keeps `map.len()` constant, so the loop is
-        // bounded by the victim count (the capacity excess), not by
-        // the map shrinking.
-        let excess = map.len().saturating_sub(shard.capacity);
-        while evicted.len() < excess && evicted.len() + skipped.len() < max_picks {
+        while victims.len() < excess && victims.len() + skipped.len() < max_picks {
             let Some((k, victim)) = map.pop_lru() else { break };
             if Arc::strong_count(&victim) > 1 {
                 skipped.push((k, victim));
                 continue;
             }
-            map.insert(k.clone(), Arc::clone(&victim)); // stays resident until flushed
-            evicted.push((k, victim));
+            map.insert(k, Arc::clone(&victim)); // stays resident until retired
+            victims.push(victim);
         }
         for (k, v) in skipped {
             map.insert(k, v); // reinsert as MRU; retry next time
         }
+        shard.victims.fetch_add(victims.len(), Ordering::Relaxed);
+        self.backlog_len.fetch_add(victims.len(), Ordering::Relaxed);
+        victims
     }
 
-    /// Flush the victims outside the map lock, then remove each from
-    /// the map only if it was persisted and nobody raced us: the
-    /// entry still holds this exact slot, no worker borrowed it
-    /// meanwhile (count == map + our binding), and no write re-dirtied
-    /// it. Anything else stays resident for the next sweep — a failed
-    /// store write must never silently lose the update.
-    fn flush_and_remove_victims(
-        &self,
-        shard: &Shard,
-        evicted: Vec<((OpId, Key), Arc<SlateSlot>)>,
-        now_us: u64,
-    ) {
-        for (k, victim) in evicted {
-            let flushed = self.flush_slot(&victim, now_us);
-            let mut map = shard.map.lock();
-            let unchanged = map.peek(&k).map(|s| Arc::ptr_eq(s, &victim)).unwrap_or(false);
-            if flushed
-                && unchanged
-                && Arc::strong_count(&victim) == 2
-                && !victim.state.lock().dirty()
-            {
-                map.remove(&k);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Victims selected for eviction and not yet written back (one
+    /// relaxed load — the check callers make before
+    /// [`SlateCache::retire_evicted`]).
+    pub fn evict_backlog(&self) -> usize {
+        self.backlog_len.load(Ordering::Relaxed)
+    }
+
+    /// Write back and remove the victims waiting in the eviction backlog:
+    /// ONE batched flush for all of them, then each leaves the map only if
+    /// nobody raced us — the entry still holds this exact slot, no worker
+    /// borrowed it meanwhile (count == map + our binding) and no write
+    /// re-dirtied it. A victim whose write the backend refused goes back
+    /// into the backlog (resident, dirty, indexed) for the next retire;
+    /// any other survivor was touched while it waited and simply stays
+    /// cached. Entries whose key left this cache since selection
+    /// (hand-off, poison discard) are dropped *before* the snapshot, so a
+    /// long wait never becomes a stale write over a new owner's slate.
+    /// Returns the number of slates evicted.
+    pub fn retire_evicted(&self, now_us: u64) -> u64 {
+        let waiting = std::mem::take(&mut *self.backlog.lock());
+        if waiting.is_empty() {
+            return 0;
         }
+        let (victims, gone): (Vec<_>, Vec<_>) =
+            waiting.into_iter().partition(|slot| self.shard_of(slot.op, &slot.key).holds(slot));
+        gone.iter().for_each(|slot| self.resolve_victim(slot));
+        let outcomes = self.flush_slots(&victims, now_us);
+        let mut evicted = 0u64;
+        for (victim, outcome) in victims.into_iter().zip(outcomes) {
+            let shard = self.shard_of(victim.op, &victim.key);
+            if outcome == FlushOutcome::Failed && shard.holds(&victim) {
+                self.backlog.lock().push(victim);
+                continue;
+            }
+            if shard.remove_if_idle(&victim) {
+                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                evicted += 1;
+            }
+            self.resolve_victim(&victim);
+        }
+        evicted
+    }
+
+    /// A selected victim stops counting against its shard's excess: it
+    /// was evicted, or it stays cached as an ordinary resident.
+    fn resolve_victim(&self, slot: &SlateSlot) {
+        self.shard_of(slot.op, &slot.key).victims.fetch_sub(1, Ordering::Relaxed);
+        self.backlog_len.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn maybe_ttl_reset(&self, slot: &Arc<SlateSlot>, now_us: u64) {
@@ -874,87 +1066,137 @@ impl SlateCache {
         }
     }
 
-    /// Flush one slot if dirty, without holding the slot's state lock
-    /// across the (possibly remote, blocking) backend write: snapshot
-    /// bytes + version under the lock, write outside it, then advance
-    /// `flushed_version` to the *written* version only — a worker that
-    /// mutated the slate mid-flight keeps it dirty (its newer version was
-    /// not persisted) and never stalls behind the wire round trip.
-    /// Returns false when the backend write failed — or when another
-    /// flush of this slot is already mid-flight (issuing a second,
-    /// reorderable store write would risk the stale snapshot landing
-    /// last) — the slate stays dirty for a later retry either way.
-    fn flush_slot(&self, slot: &Arc<SlateSlot>, now_us: u64) -> bool {
-        matches!(self.try_flush_slot(slot, now_us), FlushOutcome::Done)
-    }
-
-    /// One flush attempt of one slot (see [`SlateCache::flush_slot`]).
-    fn try_flush_slot(&self, slot: &Arc<SlateSlot>, now_us: u64) -> FlushOutcome {
-        let ((bytes, codec), version) = {
-            let mut state = slot.state.lock();
-            if !state.dirty() {
-                return FlushOutcome::Done;
+    /// The one flush core — sweeps, eviction retires and hand-off flushes
+    /// all run it. Snapshot phase: bytes + version per dirty slot, each
+    /// under its own briefly-held state lock. Write phase: ONE batched
+    /// backend call per `flush_batch_max` slates (one store round trip
+    /// over a remote host, one WAL group commit per replica), with no
+    /// lock held, so no worker ever stalls behind the store write of a
+    /// slate it is mutating. Then a compare-and-set: `flushed_version`
+    /// advances only to the version actually written — a slate mutated
+    /// mid-flight stays dirty and is re-registered in the dirty index, as
+    /// is one the backend refused. A slot another flush already has in
+    /// flight is skipped (`InFlight`): the store resolves same-key writes
+    /// by arrival order, so a second concurrent write could land the
+    /// stale snapshot last. Returns one outcome per slot, in order.
+    fn flush_slots(&self, slots: &[Arc<SlateSlot>], now_us: u64) -> Vec<FlushOutcome> {
+        let mut outcomes: Vec<FlushOutcome> = Vec::with_capacity(slots.len());
+        let mut failed = 0u64;
+        let mut at = 0usize;
+        while at < slots.len() {
+            // A batch closes at `flush_batch_max` slates OR
+            // `FLUSH_BATCH_SOFT_BYTES` of payload, whichever first — a
+            // count-only cap could assemble a frame over the wire's hard
+            // size limit, which would be rejected wholesale and rebuilt
+            // identically forever. A single slate over the soft cap
+            // still flushes (alone).
+            let mut items: Vec<FlushItem> = Vec::new();
+            let mut meta: Vec<(usize, u64)> = Vec::new();
+            let mut batch_bytes = 0usize;
+            while at < slots.len() && items.len() < self.flush_batch_max {
+                let slot = &slots[at];
+                let ((bytes, codec), version) = {
+                    let mut state = slot.state.lock();
+                    // This flush owns the snapshot: deregister so a
+                    // concurrent sweep does not double-write it; any write
+                    // that lands after this lock drops re-registers via
+                    // `note_write`.
+                    state.indexed = false;
+                    if !state.dirty() {
+                        outcomes.push(FlushOutcome::Clean);
+                        at += 1;
+                        continue;
+                    }
+                    if state.flushing {
+                        // The in-flight flush's completion re-registers
+                        // whatever its snapshot did not cover.
+                        self.force_reindex(slot, &mut state);
+                        outcomes.push(FlushOutcome::InFlight);
+                        at += 1;
+                        continue;
+                    }
+                    state.flushing = true;
+                    (state.slate.materialize(self.store_codec), state.slate.version())
+                };
+                if !items.is_empty() && batch_bytes + bytes.len() > FLUSH_BATCH_SOFT_BYTES {
+                    // Close this batch; the slot opens the next one. The
+                    // snapshot above claimed the slot (flushing = true) —
+                    // release the claim or no flush could ever touch it
+                    // again (`at` is not advanced, so it is re-snapshotted
+                    // as the next batch's first item).
+                    let mut state = slot.state.lock();
+                    state.flushing = false;
+                    self.force_reindex(slot, &mut state);
+                    break;
+                }
+                batch_bytes += bytes.len();
+                items.push(FlushItem {
+                    updater: Arc::clone(&slot.updater),
+                    key: slot.key.clone(),
+                    bytes,
+                    codec,
+                    ttl_secs: slot.ttl_secs,
+                });
+                meta.push((at, version));
+                outcomes.push(FlushOutcome::Failed); // until the backend acks it
+                at += 1;
             }
-            if state.flushing {
-                // Serialize per slot: the in-flight flush's completion
-                // re-registers whatever its snapshot did not cover.
-                self.force_reindex(slot, &mut state);
-                return FlushOutcome::InFlight;
+            if items.is_empty() {
+                continue;
             }
-            state.flushing = true;
-            // This flush owns the snapshot: deregister so a concurrent
-            // sweep does not double-write it; any write that lands after
-            // this lock drops re-registers via `note_write`.
-            state.indexed = false;
-            (state.slate.materialize(self.store_codec), state.slate.version())
-        };
-        self.counters.store_round_trips.fetch_add(1, Ordering::Relaxed);
-        let t0 = Instant::now();
-        let ok = self.backend.store(&slot.updater, &slot.key, &bytes, codec, slot.ttl_secs, now_us);
-        self.flush_latency.record(t0.elapsed().as_micros() as u64);
-        if ok {
-            let mut state = slot.state.lock();
-            state.flushing = false;
-            if version > state.flushed_version {
-                state.flushed_version = version;
+            let t0 = Instant::now();
+            let oks = self.backend.store_many(&items, now_us);
+            self.flush_latency.record(t0.elapsed().as_micros() as u64);
+            self.counters.store_round_trips.fetch_add(1, Ordering::Relaxed);
+            self.counters.flush_batches.fetch_add(1, Ordering::Relaxed);
+            self.flush_batch_hist.record(items.len() as u64);
+            debug_assert_eq!(oks.len(), items.len(), "store_many must ack per item");
+            // A short ack vector (a misbehaving backend) must fail the
+            // uncovered tail, not silently strand it dirty-but-unindexed.
+            let oks = oks.into_iter().chain(std::iter::repeat(false));
+            for ((i, version), ok) in meta.into_iter().zip(oks) {
+                let slot = &slots[i];
+                let mut state = slot.state.lock();
+                state.flushing = false;
+                if ok {
+                    if version > state.flushed_version {
+                        state.flushed_version = version;
+                    }
+                    self.counters.flush_writes.fetch_add(1, Ordering::Relaxed);
+                    outcomes[i] = FlushOutcome::Written;
+                } else {
+                    self.counters.flush_failures.fetch_add(1, Ordering::Relaxed);
+                    failed += 1;
+                }
+                if state.dirty() {
+                    self.force_reindex(slot, &mut state);
+                }
             }
-            if state.dirty() {
-                // Mutated while the snapshot was in flight: the newer
-                // version stays dirty for the next sweep.
-                self.force_reindex(slot, &mut state);
-            }
-            self.counters.flush_writes.fetch_add(1, Ordering::Relaxed);
-            FlushOutcome::Done
-        } else {
-            let mut state = slot.state.lock();
-            state.flushing = false;
-            self.force_reindex(slot, &mut state);
-            self.counters.flush_failures.fetch_add(1, Ordering::Relaxed);
-            // One warn per failed flush attempt of one slot (the
-            // eviction / handoff path flushes one slate per incident).
-            self.logger.warn(
-                "slate flush failed; kept dirty for retry",
-                &[
-                    ("updater", slot.updater.as_ref().into()),
-                    ("key", String::from_utf8_lossy(slot.key.as_bytes()).into_owned().into()),
-                ],
-            );
-            FlushOutcome::Failed
         }
+        if failed > 0 {
+            // One warn per call, not per slate: a store outage during a
+            // large sweep is one incident, and per-slot records from
+            // concurrent flushes would interleave into noise.
+            self.logger.warn(
+                "flush: backend refused writes; slates stay dirty for retry",
+                &[("failed", failed.into()), ("slates", slots.len().into())],
+            );
+        }
+        outcomes
     }
 
-    /// Public flush-one entry point (elastic handoff: the old owner
-    /// flushes moved-away slates before acking the epoch — the ack
-    /// certifies the slate is durable, so an in-flight background flush
-    /// is *waited out* and the slot re-checked, never skipped; the wait
-    /// is bounded by the backend's own write timeout). Returns false
-    /// when the backend write failed.
+    /// Public flush-one entry point — a batch of one through the shared
+    /// core (elastic handoff: the old owner flushes moved-away slates
+    /// before acking the epoch — the ack certifies the slate is durable,
+    /// so an in-flight background flush is *waited out* and the slot
+    /// re-checked, never skipped; the wait is bounded by the backend's
+    /// own write timeout). Returns false when the backend write failed.
     pub fn flush_slot_now(&self, slot: &Arc<SlateSlot>, now_us: u64) -> bool {
         loop {
-            match self.try_flush_slot(slot, now_us) {
-                FlushOutcome::Done => return true,
-                FlushOutcome::Failed => return false,
-                FlushOutcome::InFlight => std::thread::sleep(Duration::from_millis(1)),
+            match self.flush_slots(std::slice::from_ref(slot), now_us).first() {
+                Some(FlushOutcome::InFlight) => std::thread::sleep(Duration::from_millis(1)),
+                Some(FlushOutcome::Failed) => return false,
+                _ => return true,
             }
         }
     }
@@ -999,6 +1241,12 @@ impl SlateCache {
             }
             out.extend(taken);
         }
+        // Moved keys waiting for eviction leave the backlog too: whatever
+        // the caller does with the slot, this cache must not write it
+        // later, over the new owner's slate.
+        let purged: Vec<Arc<SlateSlot>> =
+            self.backlog.lock().extract_if(.., |slot| slot.op == op && moved(&slot.key)).collect();
+        purged.iter().for_each(|slot| self.resolve_victim(slot));
         out
     }
 
@@ -1032,13 +1280,8 @@ impl SlateCache {
 
     /// Flush every dirty slate (background flusher tick / graceful
     /// shutdown). The sweep drains the per-shard dirty indexes — visiting
-    /// only dirty slots, not the whole cache — then assembles the
-    /// snapshots into `FlushBatch`es of at most `flush_batch_max` slates
-    /// and issues ONE batched backend call per batch (one store round
-    /// trip over a remote host, one WAL group commit on the LSM node).
-    /// Snapshots are taken under each slot's state lock but written
-    /// outside it, so no worker ever stalls behind the store write of a
-    /// slate it is mutating. Returns the number of slates written.
+    /// only dirty slots, not the whole cache — and hands them to the
+    /// shared flush core. Returns the number of slates written.
     pub fn flush_dirty(&self, now_us: u64) -> u64 {
         let mut candidates: Vec<Arc<SlateSlot>> = Vec::new();
         for shard in self.shards.iter() {
@@ -1046,112 +1289,8 @@ impl SlateCache {
             // flush (eviction removes only clean slots); nothing to do.
             candidates.extend(shard.dirty.lock().drain().filter_map(|(_, weak)| weak.upgrade()));
         }
-        let mut written = 0u64;
-        let mut failed = 0u64;
-        let mut at = 0usize;
-        while at < candidates.len() {
-            // Snapshot phase: bytes + version per dirty slot, each under
-            // its own briefly-held state lock. A batch closes at
-            // `flush_batch_max` slates OR `FLUSH_BATCH_SOFT_BYTES` of
-            // payload, whichever first — a count-only cap could assemble
-            // a frame over the wire's hard size limit, which would be
-            // rejected wholesale and rebuilt identically forever. A
-            // single slate over the soft cap still flushes (alone),
-            // exactly like the per-slate path would send it.
-            let mut items: Vec<FlushItem> = Vec::new();
-            let mut meta: Vec<(&Arc<SlateSlot>, u64)> = Vec::new();
-            let mut batch_bytes = 0usize;
-            while at < candidates.len() && items.len() < self.flush_batch_max {
-                let slot = &candidates[at];
-                let ((bytes, codec), version) = {
-                    let mut state = slot.state.lock();
-                    state.indexed = false; // this sweep owns the snapshot
-                    if !state.dirty() {
-                        at += 1;
-                        continue; // raced with an eviction flush / TTL reset
-                    }
-                    if state.flushing {
-                        // An eviction flush of this slot is mid-flight:
-                        // a second, reorderable store write could land
-                        // the stale snapshot last. Leave it for the next
-                        // sweep (its completion re-registers it too).
-                        self.force_reindex(slot, &mut state);
-                        at += 1;
-                        continue;
-                    }
-                    state.flushing = true;
-                    (state.slate.materialize(self.store_codec), state.slate.version())
-                };
-                if !items.is_empty() && batch_bytes + bytes.len() > FLUSH_BATCH_SOFT_BYTES {
-                    // Close this batch; the slot opens the next one. The
-                    // snapshot above claimed the slot (flushing = true) —
-                    // release the claim or no sweep could ever touch it
-                    // again (`at` is not advanced, so it is re-snapshotted
-                    // as the next batch's first item).
-                    let mut state = slot.state.lock();
-                    state.flushing = false;
-                    self.force_reindex(slot, &mut state);
-                    break;
-                }
-                batch_bytes += bytes.len();
-                items.push(FlushItem {
-                    updater: Arc::clone(&slot.updater),
-                    key: slot.key.clone(),
-                    bytes,
-                    codec,
-                    ttl_secs: slot.ttl_secs,
-                });
-                meta.push((slot, version));
-                at += 1;
-            }
-            if items.is_empty() {
-                continue;
-            }
-            // One batched backend call for the whole chunk.
-            let t0 = Instant::now();
-            let oks = self.backend.store_many(&items, now_us);
-            self.flush_latency.record(t0.elapsed().as_micros() as u64);
-            self.counters.store_round_trips.fetch_add(1, Ordering::Relaxed);
-            self.counters.flush_batches.fetch_add(1, Ordering::Relaxed);
-            self.flush_batch_hist.record(items.len() as u64);
-            debug_assert_eq!(oks.len(), items.len(), "store_many must ack per item");
-            // A short ack vector (a misbehaving backend) must fail the
-            // uncovered tail, not silently strand it dirty-but-unindexed.
-            let oks = oks.into_iter().chain(std::iter::repeat(false));
-            for ((slot, version), ok) in meta.into_iter().zip(oks) {
-                if ok {
-                    let mut state = slot.state.lock();
-                    state.flushing = false;
-                    // Compare-and-set: advance only to the version this
-                    // sweep actually wrote — a concurrent mutation's newer
-                    // version stays dirty (and re-registered itself).
-                    if version > state.flushed_version {
-                        state.flushed_version = version;
-                    }
-                    if state.dirty() {
-                        self.force_reindex(slot, &mut state);
-                    }
-                    self.counters.flush_writes.fetch_add(1, Ordering::Relaxed);
-                    written += 1;
-                } else {
-                    let mut state = slot.state.lock();
-                    state.flushing = false;
-                    self.force_reindex(slot, &mut state);
-                    self.counters.flush_failures.fetch_add(1, Ordering::Relaxed);
-                    failed += 1;
-                }
-            }
-        }
-        if failed > 0 {
-            // One warn per sweep, not per slate: a store outage during a
-            // large sweep is one incident, and per-slot records from
-            // concurrent sweeps would interleave into noise.
-            self.logger.warn(
-                "flush sweep: backend refused writes; slates stay dirty for retry",
-                &[("failed", failed.into()), ("written", written.into())],
-            );
-        }
-        written
+        let outcomes = self.flush_slots(&candidates, now_us);
+        outcomes.iter().filter(|o| **o == FlushOutcome::Written).count() as u64
     }
 
     /// Read a slate's current bytes without creating it (HTTP reads, §4.4:
@@ -1234,6 +1373,7 @@ impl SlateCache {
             flush_batch_largest: self.flush_batch_hist.max_us(),
             store_round_trips: self.counters.store_round_trips.load(Ordering::Relaxed),
             miss_coalesced: self.counters.miss_coalesced.load(Ordering::Relaxed),
+            evict_backlog: self.evict_backlog() as u64,
         }
     }
 }
@@ -1317,6 +1457,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Backend recording the shape of the write traffic: single-slate
+    /// `store` calls, the size of every `store_many`, and an optional run
+    /// of batches refused wholesale.
+    #[derive(Debug, Default)]
+    struct RecBackend {
+        inner: MemBackend,
+        singles: AtomicU64,
+        batches: Mutex<Vec<usize>>,
+        refuse_batches: AtomicU64,
+        single_loads: AtomicU64,
+        load_batches: Mutex<Vec<usize>>,
+    }
+
+    impl SlateBackend for RecBackend {
+        fn load(&self, updater: &str, key: &Key, now: u64) -> Option<Vec<u8>> {
+            self.single_loads.fetch_add(1, Ordering::Relaxed);
+            self.inner.load(updater, key, now)
+        }
+        fn load_many(&self, items: &[(Arc<str>, Key)], now: u64) -> Vec<Option<Vec<u8>>> {
+            self.load_batches.lock().push(items.len());
+            items.iter().map(|(updater, key)| self.inner.load(updater, key, now)).collect()
+        }
+        fn store(
+            &self,
+            updater: &str,
+            key: &Key,
+            bytes: &[u8],
+            codec: Codec,
+            ttl: Option<u64>,
+            now: u64,
+        ) -> bool {
+            self.singles.fetch_add(1, Ordering::Relaxed);
+            self.inner.store(updater, key, bytes, codec, ttl, now)
+        }
+        fn store_many(&self, items: &[FlushItem], now: u64) -> Vec<bool> {
+            self.batches.lock().push(items.len());
+            let refuse = self
+                .refuse_batches
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                .is_ok();
+            items
+                .iter()
+                .map(|i| {
+                    !refuse
+                        && self.inner.store(&i.updater, &i.key, &i.bytes, i.codec, i.ttl_secs, now)
+                })
+                .collect()
+        }
+    }
+
+    /// Touch `key` and leave it dirty with `value`.
+    fn write(cache: &SlateCache, key: &str, value: &str, now: u64) {
+        let slot = cache.get_or_load(0, &updater_name(), &Key::from(key), None, now);
+        let mut state = slot.state.lock();
+        state.slate.replace(value.as_bytes().to_vec());
+        cache.note_write(&slot, &mut state, now);
     }
 
     /// Backend whose store/load calls block until the test releases them
@@ -1437,6 +1635,7 @@ mod tests {
             state.slate.replace(format!("v{i}").into_bytes());
             cache.note_write(&slot, &mut state, i);
         }
+        cache.retire_evicted(5);
         let s = cache.stats();
         assert!(s.evictions >= 3, "capacity 2 with 5 inserts evicts ≥3: {s:?}");
         assert!(s.flush_writes >= 3, "dirty victims must be persisted");
@@ -1488,17 +1687,24 @@ mod tests {
 
     #[test]
     fn capacity_overflow_evicts_only_the_excess() {
-        // Regression: victims stay resident during the flush, so the
+        // Regression: victims stay resident until retired, so the
         // selection loop must stop at the capacity excess — one insert
-        // over capacity evicts one entry, not the whole cache.
+        // over capacity evicts one entry, not the whole cache — and must
+        // not count the victims already waiting as excess again.
         let cache = SlateCache::new(4, FlushPolicy::OnEvict, Arc::new(NullBackend));
         let name = updater_name();
         for i in 0..5 {
             cache.get_or_load(0, &name, &Key::from(format!("k{i}")), None, i);
         }
+        assert_eq!(cache.evict_backlog(), 1);
+        cache.get_or_load(0, &name, &Key::from("k5"), None, 5);
+        assert_eq!(cache.evict_backlog(), 2, "the second miss selects one more victim, not two");
+        cache.get_or_load(0, &name, &Key::from("k5"), None, 6);
+        assert_eq!(cache.evict_backlog(), 2, "a hit selects nothing");
+        assert_eq!(cache.retire_evicted(7), 2);
         let s = cache.stats();
-        assert_eq!(s.evictions, 1, "exactly the excess is evicted: {s:?}");
-        assert_eq!(s.entries, 4);
+        assert_eq!(s.evictions, 2, "exactly the excess is evicted: {s:?}");
+        assert_eq!((s.entries, s.evict_backlog), (4, 0));
     }
 
     #[test]
@@ -1643,7 +1849,10 @@ mod tests {
             let mut state = slot.state.lock();
             state.slate.replace(format!("v{i}").into_bytes());
             cache.note_write(&slot, &mut state, i);
+            drop(state);
+            assert!(cache.stats().entries <= 8 + 8, "budget + backlog bound, at all times");
         }
+        cache.retire_evicted(64);
         let stats = cache.stats();
         assert!(stats.entries <= 8, "entries bounded by the total budget: {stats:?}");
         assert!(stats.evictions >= 56, "the excess was evicted: {stats:?}");
@@ -2028,8 +2237,180 @@ mod tests {
         for i in 0..5 {
             cache.get_or_load(0, &name, &Key::from(format!("cold{i}")), None, i);
         }
+        cache.retire_evicted(5);
         // The borrowed slot is still reachable and intact.
         let again = cache.get_or_load(0, &name, &Key::from("hot"), None, 100);
         assert_eq!(again.state.lock().slate.bytes(), b"precious");
+    }
+    /// A full cache of `n` dirty slates `r0..`, over a recording backend.
+    fn full_dirty_cache(n: usize, flush_batch: usize) -> (Arc<RecBackend>, SlateCache) {
+        let backend = Arc::new(RecBackend::default());
+        let cache = SlateCache::new(n, FlushPolicy::OnEvict, Arc::clone(&backend) as _)
+            .with_flush_batch(flush_batch);
+        (0..n).for_each(|i| write(&cache, &format!("r{i}"), &format!("v{i}"), i as u64));
+        (backend, cache)
+    }
+
+    #[test]
+    fn a_miss_on_a_full_dirty_cache_writes_nothing() {
+        let (backend, cache) = full_dirty_cache(4, 256);
+        let slot = cache.get_or_load(0, &updater_name(), &Key::from("cold"), None, 9);
+        assert!(slot.state.lock().slate.is_empty());
+        assert_eq!(backend.singles.load(Ordering::Relaxed), 0);
+        assert!(backend.batches.lock().is_empty(), "the victim's write is deferred");
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evict_backlog, s.evictions), (5, 1, 0));
+    }
+
+    #[test]
+    fn one_retire_writes_the_whole_backlog_in_one_batch() {
+        let (backend, cache) = full_dirty_cache(128, 256);
+        (0..64).for_each(|i| write(&cache, &format!("cold{i}"), "c", 200 + i));
+        assert_eq!(cache.evict_backlog(), 64);
+        assert_eq!(cache.retire_evicted(300), 64);
+        assert_eq!(*backend.batches.lock(), vec![64], "ONE store_many of 64 slates");
+        assert_eq!(backend.singles.load(Ordering::Relaxed), 0);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions, s.evict_backlog), (128, 64, 0));
+        assert_eq!((s.flush_batches, s.flush_batch_largest), (1, 64));
+        // The LRU half left, with its bytes in the store.
+        assert_eq!(cache.read(0, &Key::from("r0")), None);
+        assert_eq!(backend.load("U1", &Key::from("r63"), 0), Some(b"v63".to_vec()));
+        assert_eq!(cache.read(0, &Key::from("r64")), Some(b"v64".to_vec()));
+    }
+
+    #[test]
+    fn a_victim_mutated_while_its_snapshot_is_in_flight_stays_resident() {
+        // The victim waits in the backlog; the retire parks in the store
+        // with the OLD snapshot; a borrower mutates the slate meanwhile.
+        // The store gets at most the old version, the slot stays resident
+        // and dirty, and the next sweep persists the newer version.
+        let (backend, entered, release) = SlowBackend::gated();
+        let cache = Arc::new(SlateCache::new(2, FlushPolicy::OnEvict, Arc::clone(&backend) as _));
+        let precious = Key::from("precious");
+        write(&cache, "precious", "old", 0);
+        write(&cache, "other", "x", 1);
+        cache.get_or_load(0, &updater_name(), &Key::from("intruder"), None, 2);
+        assert_eq!(cache.evict_backlog(), 1, "selected, not yet written");
+        assert!(entered.try_recv().is_err(), "the miss issued no store write");
+        let retire = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || cache.retire_evicted(3))
+        };
+        entered.recv_timeout(std::time::Duration::from_secs(5)).expect("retire reached the store");
+        write(&cache, "precious", "newer", 4); // a cache hit on the waiting victim
+        release.send(()).unwrap();
+        assert_eq!(retire.join().unwrap(), 0, "a re-dirtied victim is not evicted");
+        assert_eq!(cache.read(0, &precious), Some(b"newer".to_vec()));
+        assert_eq!(backend.inner.load("U1", &precious, 0), Some(b"old".to_vec()));
+        assert_eq!(cache.evict_backlog(), 0, "it stays cached as an ordinary resident");
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        cache.flush_dirty(10);
+        assert_eq!(backend.inner.load("U1", &precious, 0), Some(b"newer".to_vec()));
+    }
+
+    #[test]
+    fn a_refused_batch_keeps_every_victim_for_the_next_retire() {
+        let (backend, cache) = full_dirty_cache(8, 256);
+        (0..3).for_each(|i| write(&cache, &format!("cold{i}"), "c", 20 + i));
+        backend.refuse_batches.store(1, Ordering::Release);
+        assert_eq!(cache.retire_evicted(30), 0);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.dirty, s.evict_backlog, s.flush_failures), (11, 11, 3, 3));
+        for i in 0..3 {
+            let key = Key::from(format!("r{i}"));
+            assert_eq!(backend.load("U1", &key, 0), None, "nothing reached the store");
+            let slot = cache.get_or_load(0, &updater_name(), &key, None, 31);
+            let state = slot.state.lock();
+            assert!(state.dirty() && state.indexed && !state.flushing, "{key:?} is retryable");
+        }
+        // The store recovers: the next retire writes and evicts them.
+        assert_eq!(cache.retire_evicted(40), 3);
+        assert_eq!(*backend.batches.lock(), vec![3, 3]);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions, s.evict_backlog), (8, 3, 0));
+        assert_eq!(backend.load("U1", &Key::from("r2"), 0), Some(b"v2".to_vec()));
+    }
+
+    #[test]
+    fn unretired_backlog_is_bounded_and_retires_inline_in_batches() {
+        // Nobody calls retire_evicted: residency still never exceeds
+        // capacity + min(flush_batch_max, capacity), and the write-backs
+        // the bound forces are full batches, never single slates.
+        let backend = Arc::new(RecBackend::default());
+        let cache = SlateCache::with_shards(64, FlushPolicy::OnEvict, Arc::clone(&backend) as _, 4)
+            .with_flush_batch(16);
+        for i in 0..10_000u64 {
+            write(&cache, &format!("k{i}"), "v", i);
+            let resident: u64 = cache.shard_stats().iter().map(|s| s.entries).sum();
+            assert!(resident <= 64 + 16, "{resident} resident after {i} keys");
+        }
+        assert_eq!(backend.singles.load(Ordering::Relaxed), 0);
+        let batches = backend.batches.lock();
+        assert!(batches.len() > 500 && batches.iter().all(|&n| n == 16), "{:?}", &batches[..4]);
+    }
+
+    #[test]
+    fn take_matching_purges_the_backlog() {
+        let (backend, cache) = full_dirty_cache(4, 256);
+        write(&cache, "cold", "c", 9);
+        assert_eq!(cache.evict_backlog(), 1, "r0 waits for eviction");
+        let taken = cache.take_matching(0, &|k: &Key| k.as_bytes() == b"r0");
+        assert_eq!(taken.len(), 1, "a waiting victim is still resident, so it is handed off");
+        assert_eq!(cache.evict_backlog(), 0);
+        assert_eq!(cache.retire_evicted(10), 0);
+        assert_eq!(cache.flush_dirty(11), 4);
+        assert_eq!(backend.load("U1", &Key::from("r0"), 0), None, "no write for the moved key");
+        assert_eq!(cache.stats().entries, 4);
+    }
+    #[test]
+    fn prefetch_loads_a_run_of_misses_in_one_round_trip() {
+        let backend = Arc::new(RecBackend::default());
+        for i in 0..8 {
+            let key = Key::from(format!("p{i}"));
+            backend.inner.store("U1", &key, format!("{i}").as_bytes(), Codec::Json, None, 0);
+        }
+        let cache = SlateCache::with_shards(64, FlushPolicy::OnEvict, Arc::clone(&backend) as _, 4);
+        let name = updater_name();
+        cache.get_or_load(0, &name, &Key::from("p0"), None, 0); // resident already
+        let wanted: Vec<_> = (0..10)
+            .chain(5..10) // duplicates; p8 and p9 are not in the store
+            .map(|i| Key::from(format!("p{i}")))
+            .collect();
+        let wanted: Vec<_> = wanted.iter().map(|k| (0, &name, k, None)).collect();
+        cache.prefetch(&wanted, 1);
+        assert_eq!(*backend.load_batches.lock(), vec![9], "ONE load_many of the nine cold keys");
+        assert_eq!(backend.single_loads.load(Ordering::Relaxed), 1, "only p0's own miss");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.store_loads, s.entries, s.store_round_trips), (10, 8, 10, 2));
+        // What follows is hits on the loaded values; no flight is stranded.
+        for i in 0..10 {
+            let slot = cache.get_or_load(0, &name, &Key::from(format!("p{i}")), None, 2);
+            assert_eq!(slot.state.lock().slate.counter(), if i < 8 { i } else { 0 });
+        }
+        assert_eq!(cache.stats().hits, 10);
+        cache.prefetch(&wanted, 3);
+        assert_eq!(backend.load_batches.lock().len(), 1, "nothing left to fetch");
+    }
+
+    #[test]
+    fn prefetch_stops_at_the_backlog_bound_and_queues_its_victims() {
+        let (backend, cache) = full_dirty_cache(8, 256);
+        let (name, keys) = (updater_name(), (0..20).map(|i| Key::from(format!("cold{i}"))));
+        let keys: Vec<Key> = keys.collect();
+        let wanted: Vec<_> = keys.iter().map(|k| (0, &name, k, None)).collect();
+        cache.prefetch(&wanted, 9);
+        assert_eq!(
+            *backend.load_batches.lock(),
+            vec![8],
+            "a tiny cache must not evict its own head"
+        );
+        // Eight installs over a full cache: eight victims, retired inline
+        // at the bound — as one batch.
+        assert_eq!(*backend.batches.lock(), vec![8]);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions, s.evict_backlog), (8, 8, 0));
+        assert!(cache.read(0, &Key::from("r0")).is_none());
     }
 }

@@ -142,7 +142,9 @@ pub struct EngineConfig {
     /// Dirty slates a flush sweep coalesces into one batched backend
     /// call (`SlateBackend::store_many`) at most: over a remote store
     /// host, one `StorePutBatch` wire round trip; on the LSM node, one
-    /// WAL group commit. 1 = the per-slate write-behind path.
+    /// WAL group commit. Also caps the eviction backlog (victims a cache
+    /// lets wait, resident, before a miss writes them back inline).
+    /// 1 = the per-slate write-behind path.
     pub flush_batch_max: usize,
     /// Queue-overflow policy.
     pub overflow: OverflowPolicy,
@@ -638,6 +640,18 @@ pub struct NetSummary {
 }
 
 impl Machine {
+    /// The slate cache worker `thread` updates through: the machine's
+    /// central cache (2.0) or the worker's own (1.0; `None` on a mapper
+    /// thread).
+    fn cache_of(&self, thread: usize) -> Option<&Arc<SlateCache>> {
+        self.central_cache.as_ref().or_else(|| self.worker_caches.get(thread)?.as_ref())
+    }
+
+    /// Every slate cache this machine owns.
+    fn caches(&self) -> impl Iterator<Item = &Arc<SlateCache>> {
+        self.central_cache.iter().chain(self.worker_caches.iter().flatten())
+    }
+
     /// A stub for a machine that lives in another process.
     fn remote_stub() -> Machine {
         Machine {
@@ -1001,8 +1015,11 @@ impl Shared {
             if !m.alive.load(Ordering::Acquire) {
                 continue;
             }
-            for cache in m.central_cache.iter().chain(m.worker_caches.iter().flatten()) {
+            for cache in m.caches() {
+                // Barriers restore capacity too: victims still waiting for
+                // eviction are written by the sweep and retired after it.
                 cache.flush_dirty(now);
+                cache.retire_evicted(now);
                 dirty_left += cache.stats().dirty;
             }
         }
@@ -2132,32 +2149,8 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let c = &self.shared.counters;
         let mut cache = crate::cache::CacheStats::default();
-        let mut dirty = 0u64;
         for m in &self.shared.machines_snapshot() {
-            let mut add = |s: crate::cache::CacheStats| {
-                cache.hits += s.hits;
-                cache.misses += s.misses;
-                cache.store_loads += s.store_loads;
-                cache.evictions += s.evictions;
-                cache.flush_writes += s.flush_writes;
-                cache.flush_failures += s.flush_failures;
-                cache.ttl_resets += s.ttl_resets;
-                cache.entries += s.entries;
-                cache.dirty += s.dirty;
-                cache.shards += s.shards;
-                cache.flush_batches += s.flush_batches;
-                cache.flush_batch_p50 = cache.flush_batch_p50.max(s.flush_batch_p50);
-                cache.flush_batch_largest = cache.flush_batch_largest.max(s.flush_batch_largest);
-                cache.store_round_trips += s.store_round_trips;
-                cache.miss_coalesced += s.miss_coalesced;
-            };
-            if let Some(central) = &m.central_cache {
-                add(central.stats());
-            }
-            for wc in m.worker_caches.iter().flatten() {
-                add(wc.stats());
-            }
-            dirty = cache.dirty;
+            m.caches().for_each(|c| cache.absorb(&c.stats()));
         }
         let net = match &self.shared.tcp {
             Some(tcp) => {
@@ -2192,7 +2185,7 @@ impl Engine {
             epoch: self.shared.epoch(),
             latency: self.shared.latency.summary(),
             cache,
-            dirty_slates: dirty,
+            dirty_slates: cache.dirty,
             net,
             drain: {
                 let d = self.shared.drain_hist.summary();
@@ -2452,7 +2445,11 @@ fn spawn_flusher(shared: &Arc<Shared>, m: usize) -> std::thread::JoinHandle<()> 
 }
 
 fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
-    let poll = Duration::from_millis(1);
+    // A safety ceiling, not a poll: every push, `shutdown` and
+    // `kill_machine` notify the queue, so an idle worker stays parked. A
+    // stop flag set between the check below and the wait costs one
+    // ceiling, once.
+    let park = Duration::from_millis(100);
     // lint: allow(no-unwrap-in-prod) — worker threads are spawned per existing machine index
     let machine = shared.machine(machine_id).expect("worker spawned for an existing machine");
     let batch_max = shared.cfg.drain_batch_max.max(1);
@@ -2464,26 +2461,63 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
             return; // crashed machine: thread dies with it
         }
         if shared.stopping.load(Ordering::Acquire) {
-            // Drain remaining work, then exit.
+            // Drain remaining work, then exit (the shutdown flush retires
+            // whatever is still waiting for eviction).
             if machine.queues[thread].pop_many(&mut batch, batch_max, Duration::ZERO) == 0 {
                 return;
             }
-            process_batch(&shared, &machine, machine_id, thread, &mut batch, &mut touched);
+            let owed =
+                process_batch(&shared, &machine, machine_id, thread, &mut batch, &mut touched);
+            settle_retire(&shared, &machine, thread, owed, false);
             continue;
         }
-        let n = machine.queues[thread].pop_many(&mut batch, batch_max, poll);
+        let n = machine.queues[thread].pop_many(&mut batch, batch_max, park);
         if n > 0 {
             shared.drain_hist.record(n as u64);
-            process_batch(&shared, &machine, machine_id, thread, &mut batch, &mut touched);
+            let owed =
+                process_batch(&shared, &machine, machine_id, thread, &mut batch, &mut touched);
             // About to park: this producer has nothing more to add, so its
-            // emissions leave now. With more queued it keeps draining and
-            // they keep accumulating into fuller frames.
-            if !touched.is_empty() && machine.queues[thread].len_hint() == 0 {
+            // emissions leave now — and then, with nobody waiting on it,
+            // it writes back the slates its misses chose for eviction.
+            // With more queued it keeps draining and both keep
+            // accumulating into fuller batches.
+            let idle = machine.queues[thread].len_hint() == 0;
+            if !touched.is_empty() && idle {
                 shared.transport.flush_events(&touched);
                 touched.clear();
             }
+            settle_retire(&shared, &machine, thread, owed, idle);
         }
     }
+}
+
+/// Take one in-flight unit for the eviction retire this worker now owes,
+/// if its cache has victims waiting and it holds none yet. Called only
+/// while a packet of the current batch still holds its own unit, so
+/// `pending` never touches zero between a miss that chose a victim and
+/// the retire that writes it: `drain() == true` implies no retire is in
+/// flight. The no-eviction path pays one relaxed load.
+fn claim_retire(shared: &Shared, cache: &SlateCache, owed: &mut bool) {
+    if !*owed && cache.evict_backlog() > 0 {
+        shared.pending.fetch_add(1, Ordering::AcqRel);
+        *owed = true;
+    }
+}
+
+/// Retire the eviction backlog when the worker is about to park (its
+/// emissions have already fanned out), then give back the unit
+/// [`claim_retire`] took.
+fn settle_retire(shared: &Shared, machine: &Machine, thread: usize, owed: bool, idle: bool) {
+    if !owed {
+        return;
+    }
+    if idle {
+        if let Some(cache) = machine.cache_of(thread) {
+            cache.retire_evicted(shared.now_us());
+        }
+    }
+    shared.pending.fetch_sub(1, Ordering::AcqRel);
+    shared.throttle_cv.notify_all();
 }
 
 /// A processed packet whose emissions have not fanned out yet. Fan-out
@@ -2544,6 +2578,11 @@ fn finish_packet(shared: &Arc<Shared>, done: Finished, touched: &mut Vec<Machine
 /// end. The memo dies with the guard, because slate handoffs
 /// (`take_matching`) run under the membership *write* lock and so can
 /// only interleave between runs, never inside one.
+///
+/// Store-backed engines first fetch the batch's cold slates in one round
+/// trip ([`prefetch_batch`]). Returns whether the worker now owes an
+/// eviction retire, i.e. holds the in-flight unit [`claim_retire`] took
+/// and must hand it to [`settle_retire`].
 fn process_batch(
     shared: &Arc<Shared>,
     machine: &Arc<Machine>,
@@ -2551,9 +2590,18 @@ fn process_batch(
     thread: usize,
     batch: &mut Vec<Packet>,
     touched: &mut Vec<MachineId>,
-) {
+) -> bool {
     if shared.cfg.combine && batch.len() > 1 {
         fold_local_batch(shared, machine, thread, batch);
+    }
+    let mut retire_owed = false;
+    if let Some(cache) = machine.cache_of(thread) {
+        if shared.has_backend && batch.len() > 1 && !shared.split_enabled() {
+            prefetch_batch(shared, cache, machine_id, batch);
+        }
+        // Victims left over from earlier batches (the queue was not idle
+        // then): claimed here, while every packet of this batch is in flight.
+        claim_retire(shared, cache, &mut retire_owed);
     }
     let mut memo: Option<(OpId, Key, Arc<SlateSlot>)> = None;
     let mut finished: Vec<Finished> = Vec::new();
@@ -2664,16 +2712,8 @@ fn process_batch(
                     shared.throttle_cv.notify_all();
                     continue;
                 }
-                let cache = match shared.cfg.kind {
-                    EngineKind::Muppet2 => {
-                        // lint: allow(no-unwrap-in-prod) — 2.0 machines are built with a central cache
-                        machine.central_cache.as_ref().expect("2.0 central cache")
-                    }
-                    EngineKind::Muppet1 => machine.worker_caches[thread]
-                        .as_ref()
-                        // lint: allow(no-unwrap-in-prod) — 1.0 machines build one cache per worker
-                        .expect("1.0 updater thread owns a cache"),
-                };
+                // lint: allow(no-unwrap-in-prod) — 2.0 machines build a central cache, 1.0 one per updater thread
+                let cache = machine.cache_of(thread).expect("updater thread has a cache");
                 cache.offer_hot(packet.op, &packet.event.key);
                 if shared.split_enabled()
                     && updater.combines()
@@ -2694,6 +2734,7 @@ fn process_batch(
                         let s =
                             cache.get_or_load(packet.op, name, &packet.event.key, *ttl_secs, now);
                         memo = Some((packet.op, packet.event.key.clone(), Arc::clone(&s)));
+                        claim_retire(shared, cache, &mut retire_owed); // a miss may have chosen victims
                         s
                     }
                 };
@@ -2745,6 +2786,32 @@ fn process_batch(
     for done in finished.drain(..) {
         finish_packet(shared, done, touched);
     }
+    retire_owed
+}
+
+/// Load the slates a drained batch is about to miss on in ONE store round
+/// trip: its locally-owned updater keys go to [`SlateCache::prefetch`],
+/// under the membership read guard like any other load (a slate fetched
+/// for a key that moved away meanwhile would sit in the cache stale).
+fn prefetch_batch(shared: &Shared, cache: &SlateCache, machine_id: usize, batch: &[Packet]) {
+    let membership = shared.membership.read();
+    let wanted: Vec<_> = batch
+        .iter()
+        .filter_map(|packet| {
+            let OpInstance::Update { name, ttl_secs, .. } = &shared.ops[packet.op] else {
+                return None;
+            };
+            let route = packet.event.key.route_hash(&shared.wf.op(packet.op).name);
+            let owner = match shared.cfg.kind {
+                EngineKind::Muppet2 => membership.effective_owner2(route),
+                EngineKind::Muppet1 => {
+                    membership.effective_slot1(packet.op, route).map(|s| s.machine)
+                }
+            };
+            (owner == Some(machine_id)).then_some((packet.op, name, &packet.event.key, *ttl_secs))
+        })
+        .collect();
+    cache.prefetch(&wanted, shared.now_us());
 }
 
 /// Map-side pre-aggregation over one drained batch: coalesce runs of
@@ -2806,11 +2873,7 @@ fn fold_local_batch(
         }
     }
     if !absorbed.is_empty() {
-        let cache = match shared.cfg.kind {
-            EngineKind::Muppet2 => machine.central_cache.as_ref(),
-            EngineKind::Muppet1 => machine.worker_caches[thread].as_ref(),
-        };
-        if let Some(cache) = cache {
+        if let Some(cache) = machine.cache_of(thread) {
             let split = shared.split_enabled();
             for ((op, key), n) in absorbed {
                 cache.offer_hot_n(op, &key, n);
@@ -3827,19 +3890,7 @@ fn collect_engine_samples(sh: &Arc<Shared>, out: &mut Vec<Sample>) {
     let mut batches = muppet_obs::HistogramSnapshot::default();
     let mut hot: Vec<muppet_obs::HeavyHitter<(OpId, Key)>> = Vec::new();
     let mut merge = |c: &SlateCache| {
-        let s = c.stats();
-        cache.hits += s.hits;
-        cache.misses += s.misses;
-        cache.store_loads += s.store_loads;
-        cache.evictions += s.evictions;
-        cache.flush_writes += s.flush_writes;
-        cache.flush_failures += s.flush_failures;
-        cache.ttl_resets += s.ttl_resets;
-        cache.entries += s.entries;
-        cache.dirty += s.dirty;
-        cache.flush_batches += s.flush_batches;
-        cache.store_round_trips += s.store_round_trips;
-        cache.miss_coalesced += s.miss_coalesced;
+        cache.absorb(&c.stats());
         for (i, ss) in c.shard_stats().into_iter().enumerate() {
             if shard_hits.len() <= i {
                 shard_hits.resize(i + 1, (0, 0));
@@ -3859,12 +3910,7 @@ fn collect_engine_samples(sh: &Arc<Shared>, out: &mut Vec<Sample>) {
         hot.extend(c.hot_keys(10));
     };
     for m in &sh.machines_snapshot() {
-        if let Some(central) = &m.central_cache {
-            merge(central);
-        }
-        for wc in m.worker_caches.iter().flatten() {
-            merge(wc);
-        }
+        m.caches().for_each(|c| merge(c));
     }
     let cc = |name: &str, v: u64| Sample::counter(name, &[], v);
     out.push(cc("muppet_cache_hits_total", cache.hits));
@@ -3879,6 +3925,10 @@ fn collect_engine_samples(sh: &Arc<Shared>, out: &mut Vec<Sample>) {
     out.push(cc("muppet_cache_miss_coalesced_total", cache.miss_coalesced));
     out.push(Sample::gauge("muppet_cache_entries", &[], cache.entries as i64));
     out.push(Sample::gauge("muppet_cache_dirty_slates", &[], cache.dirty as i64));
+    // Victims chosen for eviction, not yet written back. Non-zero with an
+    // idle queue: the retire rule is broken; pinned at its bound: the
+    // store is the bottleneck.
+    out.push(Sample::gauge("muppet_cache_evict_backlog", &[], cache.evict_backlog as i64));
     for (i, (hits, misses)) in shard_hits.iter().enumerate() {
         let shard = i.to_string();
         out.push(Sample::counter("muppet_cache_shard_hits_total", &[("shard", &shard)], *hits));
@@ -3972,11 +4022,9 @@ fn flusher_loop(shared: Arc<Shared>, machine_id: usize, interval: Duration) {
             return;
         }
         let now = shared.now_us();
-        if let Some(cache) = &machine.central_cache {
+        for cache in machine.caches() {
             cache.flush_dirty(now);
-        }
-        for cache in machine.worker_caches.iter().flatten() {
-            cache.flush_dirty(now);
+            cache.retire_evicted(now); // nothing lingers when traffic stops
         }
     }
 }

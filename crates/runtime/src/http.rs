@@ -156,6 +156,8 @@ impl SlateReader for crate::engine::Engine {
             ("store_flush_batch_largest", Json::num(s.store.flush_batch_largest as f64)),
             ("store_round_trips", Json::num(s.store.store_round_trips as f64)),
             ("store_miss_coalesced", Json::num(s.store.miss_coalesced as f64)),
+            // Eviction victims chosen, not yet written back.
+            ("evict_backlog", Json::num(s.cache.evict_backlog as f64)),
             // Crash recovery (DESIGN.md §11): ingest WAL + DLQ state.
             ("recovered_replayed", Json::num(self.recovered_replayed() as f64)),
             // records = written; written − durable = the un-acked fsync window.

@@ -283,3 +283,130 @@ mod fold_equivalence {
         }
     }
 }
+
+// ---------- deferred eviction vs a model (DESIGN.md §9) ----------
+//
+// A capacity-8 cache over a recording backend takes a random sequence of
+// touches, prefetches, retires, sweeps, refused store calls and hand-offs. Whatever
+// the interleaving, a key's count is never lost (it is resident, or it is
+// in the store); while the store accepts writes, residency stays within
+// capacity + the backlog bound (a refused write keeps its dirty victims
+// resident instead — nothing bounds that but the store recovering); and
+// the barriers converge the store onto the model.
+mod deferred_eviction {
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use muppet_core::event::Key;
+    use muppet_core::sync::Mutex;
+    use muppet_core::Codec;
+    use muppet_runtime::cache::{FlushItem, FlushPolicy, SlateBackend, SlateCache};
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    const CAPACITY: usize = 8;
+    const KEYS: u64 = 24;
+
+    /// Map store whose next write call can be refused wholesale.
+    #[derive(Default)]
+    struct Recording {
+        data: Mutex<HashMap<Key, Vec<u8>>>,
+        refuse_next: AtomicBool,
+        refused: AtomicU64,
+    }
+
+    impl SlateBackend for Recording {
+        fn load(&self, _updater: &str, key: &Key, _now: u64) -> Option<Vec<u8>> {
+            self.data.lock().get(key).cloned()
+        }
+        fn store(&self, _u: &str, k: &Key, v: &[u8], _c: Codec, _t: Option<u64>, _n: u64) -> bool {
+            self.data.lock().insert(k.clone(), v.to_vec());
+            true
+        }
+        fn store_many(&self, items: &[FlushItem], now: u64) -> Vec<bool> {
+            let refuse = self.refuse_next.swap(false, Ordering::AcqRel);
+            self.refused.fetch_add(u64::from(refuse), Ordering::Relaxed);
+            items
+                .iter()
+                .map(|i| !refuse && self.store(&i.updater, &i.key, &i.bytes, i.codec, None, now))
+                .collect()
+        }
+    }
+
+    fn count(bytes: Option<Vec<u8>>) -> u64 {
+        bytes.map_or(0, |b| String::from_utf8(b).unwrap().parse().unwrap())
+    }
+
+    proptest! {
+        #[test]
+        fn no_interleaving_loses_a_count_or_breaks_the_bound(seed in any::<u64>()) {
+            let backend = Arc::new(Recording::default());
+            let cache = SlateCache::new(CAPACITY, FlushPolicy::OnEvict, Arc::clone(&backend) as _);
+            let name: Arc<str> = Arc::from("U1");
+            let mut model: HashMap<Key, u64> = HashMap::new();
+            let mut rng = TestRng::from_label("deferred_eviction", seed);
+            let mut refused_before = 0;
+            let touch = |model: &mut HashMap<Key, u64>, key: Key, now: u64| {
+                let slot = cache.get_or_load(0, &name, &key, None, now);
+                let mut state = slot.state.lock();
+                state.slate.incr_counter(1);
+                cache.note_write(&slot, &mut state, now);
+                *model.entry(key).or_insert(0) += 1;
+            };
+            for step in 0..400u64 {
+                let key = Key::from(format!("k{}", rng.below(KEYS)));
+                match rng.below(10) {
+                    0 => drop(cache.retire_evicted(step)),
+                    1 => drop(cache.flush_dirty(step)),
+                    2 => backend.refuse_next.store(true, Ordering::Release),
+                    3 => {
+                        // Store-backed hand-off, as `membership_prepare`
+                        // runs it: flush the moved slate; keep it on failure.
+                        for (k, slot) in cache.take_matching(0, &|k: &Key| *k == key) {
+                            if !cache.flush_slot_now(&slot, step) {
+                                cache.insert_slot(0, k, slot);
+                            }
+                        }
+                    }
+                    4 => {
+                        // A drained batch announcing the keys it will touch.
+                        let keys: Vec<Key> = (0..rng.below(12))
+                            .map(|_| Key::from(format!("k{}", rng.below(KEYS))))
+                            .collect();
+                        let wanted: Vec<_> = keys.iter().map(|k| (0, &name, k, None)).collect();
+                        cache.prefetch(&wanted, step);
+                    }
+                    _ => touch(&mut model, key, step),
+                }
+                // The store "accepts writes" from the moment the cache is
+                // back within capacity until the next refused call.
+                let resident = cache.stats().entries as usize;
+                if resident <= CAPACITY {
+                    refused_before = backend.refused.load(Ordering::Relaxed);
+                }
+                let accepting = backend.refused.load(Ordering::Relaxed) == refused_before;
+                prop_assert!(
+                    !accepting || resident <= 2 * CAPACITY,
+                    "seed {seed} step {step}: {resident} resident"
+                );
+                for (k, &n) in &model {
+                    let held = cache.read(0, k).or_else(|| backend.load("U1", k, 0));
+                    prop_assert_eq!(count(held), n, "seed {} step {}: {:?} lost counts", seed, step, k);
+                }
+            }
+            // Barriers: one more miss re-selects whatever a failed hand-off
+            // put back over capacity, then sweep and retire.
+            backend.refuse_next.store(false, Ordering::Release);
+            touch(&mut model, Key::from("last"), 400);
+            cache.flush_dirty(401);
+            cache.retire_evicted(401);
+            let stats = cache.stats();
+            prop_assert!(stats.entries as usize <= CAPACITY, "seed {seed}: {stats:?}");
+            prop_assert_eq!((stats.dirty, stats.evict_backlog), (0, 0), "seed {}", seed);
+            for (k, &n) in &model {
+                prop_assert_eq!(count(backend.load("U1", k, 0)), n, "seed {}: {:?} at rest", seed, k);
+            }
+        }
+    }
+}

@@ -13,8 +13,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+mod common;
+
 use muppet::apps::retailer;
 use muppet::core::Error;
+use muppet::net::topology::Topology;
 use muppet::prelude::*;
 use muppet::runtime::engine::OperatorSet;
 use muppet::runtime::http::percent_encode;
@@ -422,6 +425,9 @@ fn stored_count_engine(
 }
 
 fn shutdown(engine: Arc<Engine>) {
+    // A dropped HTTP server's last connection thread may hold its clone of
+    // the engine for a moment longer.
+    wait_until(Duration::from_secs(5), || Arc::strong_count(&engine) == 1);
     Arc::into_inner(engine).expect("sole engine owner").shutdown();
 }
 
@@ -512,6 +518,44 @@ fn a_failed_fsync_stops_ingest_keeps_the_store_behind_the_log_and_a_restart_repl
     assert!(store.stats().node.puts > GATED_KEYS as u64, "slates and the cursor are stored");
     assert_eq!(engine.stats().processed, 64, "replayed once, not twice");
     shutdown(engine);
+}
+
+/// `drain` covers the deferred eviction write-back: with the store gated
+/// shut while an idle worker retires its backlog, every event is already
+/// processed, yet `drain` must not report quiescence — `checkpoint` sweeps
+/// the caches right after it, would find the retiring victims mid-flight
+/// (skipped, still dirty) and fail spuriously.
+#[test]
+fn drain_waits_out_an_eviction_retire_and_the_checkpoint_after_it_succeeds() {
+    let dir = TempDir::new("gated-retire").unwrap();
+    let topology = Topology::loopback_ephemeral(2, false).unwrap();
+    let (store, _host, _listener) = common::serve_store(&topology);
+    let cfg = EngineConfig {
+        workers_per_machine: 1,
+        transport: TransportKind::Tcp { topology, local: 1 },
+        store_host: Some(0),
+        slate_cache_capacity: 32,
+        cache_shards: 1,
+        ..count_config(&dir.file("ingest.log"))
+    };
+    let gate = Arc::new(common::Gate::default());
+    let ops = OperatorSet::new().updater(common::GatedCounter(Arc::clone(&gate)));
+    let engine = Engine::start(common::counter_workflow(), ops, cfg, None).unwrap();
+    // 41 cold keys through 32 slots, drained as one batch: 9 victims, under
+    // the inline bound, so the write-back is the worker's once it is idle.
+    let keys = common::keys_owned_by(&engine, "counter", 1, "cold-", 40);
+    let frame: Vec<Event> = keys.iter().map(|k| Event::new("S1", 0, k.clone(), "e")).collect();
+    store.shut.store(true, Ordering::Release);
+    common::submit_behind_gate(&engine, &gate, &[frame]);
+    assert!(wait_until(Duration::from_secs(10), || store.entered.load(Ordering::Acquire)));
+    assert_eq!(engine.stats().processed, 41, "the updates did not wait for the write-back");
+    assert!(!engine.drain(Duration::from_millis(200)), "a retire is in flight");
+    store.shut.store(false, Ordering::Release);
+    assert!(engine.drain(Duration::from_secs(10)));
+    assert!(engine.checkpoint(Duration::from_secs(10)), "nothing is mid-flight after drain");
+    assert_eq!(engine.stats().cache.evictions, 9);
+    assert_eq!(store.batch_sizes.lock().first(), Some(&9), "one batch for the nine victims");
+    engine.shutdown();
 }
 
 /// An updater that panics on `"boom"` payloads until the shared flag says

@@ -96,6 +96,59 @@ fn both_engines_agree_with_each_other_and_ground_truth() {
     assert_eq!(v2, truth, "Muppet 2.0 vs ground truth");
 }
 
+/// Run `events` through a store-backed single-machine engine whose cache
+/// budget plus eviction backlog (2 + 2 slates) is smaller than the app's
+/// five keys, so slates are evicted — written back in deferred batches —
+/// and refaulted throughout the run. Returns the per-retailer totals *at rest* after shutdown.
+fn tiny_cache_counts_at_rest(events: &[Event], kind: EngineKind) -> BTreeMap<String, u64> {
+    let dir = TempDir::new("tiny-cache").unwrap();
+    let store = Arc::new(StoreCluster::open(dir.path(), StoreConfig::default()).unwrap());
+    let cfg = EngineConfig {
+        kind,
+        machines: 1,
+        workers_per_machine: 3,
+        workers_per_op: 1,
+        overflow: OverflowPolicy::SourceThrottle,
+        queue_capacity: 512,
+        slate_cache_capacity: 2,
+        cache_shards: 1,
+        ..EngineConfig::default()
+    };
+    let engine = Engine::start(
+        retailer::workflow(),
+        OperatorSet::new().mapper(RetailerMapper::new()).updater(Counter::new()),
+        cfg,
+        Some(Arc::clone(&store)),
+    )
+    .unwrap();
+    for ev in events {
+        engine.submit(ev.clone()).unwrap();
+    }
+    assert!(engine.drain(Duration::from_secs(60)), "engine must drain");
+    let now = engine.now_us();
+    let stats = engine.shutdown();
+    assert!(stats.cache.evictions > 100, "the cache was under pressure: {:?}", stats.cache);
+    assert_eq!((stats.dirty_slates, stats.cache.evict_backlog), (0, 0), "shutdown is a barrier");
+    assert_eq!(stats.dropped_overflow + stats.lost_machine_failure + stats.lost_in_queues, 0);
+    store
+        .scan_column(retailer::COUNTER, now + 1)
+        .unwrap()
+        .into_iter()
+        .map(|(row, value)| {
+            (String::from_utf8_lossy(&row).into_owned(), canonical(&value).parse().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn tiny_cache_over_a_store_matches_reference_exactly_at_rest() {
+    let mut gen = CheckinGenerator::new(808, 600, 2000.0);
+    let events = gen.take(retailer::CHECKIN_STREAM, 6000);
+    let expected = reference_counts(&events);
+    assert_eq!(tiny_cache_counts_at_rest(&events, EngineKind::Muppet2), expected, "Muppet 2.0");
+    assert_eq!(tiny_cache_counts_at_rest(&events, EngineKind::Muppet1), expected, "Muppet 1.0");
+}
+
 /// Run `events` through an engine that *grows by one machine* mid-stream
 /// (elastic join, DESIGN.md §7) and return the per-retailer totals.
 fn engine_counts_with_join(

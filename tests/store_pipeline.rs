@@ -4,67 +4,20 @@
 //! to per-slate flushes, and single-flight miss reads must return the
 //! same values as naive per-miss reads.
 
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
+use common::{HostStore, StoreMap};
 use muppet::net::topology::Topology;
-use muppet::net::transport::{ClusterHandler, MachineId, NetError, Transport};
-use muppet::net::{StoreGetItem, StorePutItem, TcpTransport, WireEvent};
+use muppet::net::transport::{ClusterHandler, Transport};
+use muppet::net::{StoreGetItem, TcpTransport};
 use muppet::prelude::*;
 use muppet::runtime::cache::{SlateBackend, SlateCache};
 use muppet::runtime::netstore::RemoteBackend;
-use muppet_core::sync::Mutex;
 use muppet_core::workflow::OpId;
-use std::collections::HashMap;
-
-/// Cell map: ⟨updater, key⟩ → value.
-type StoreMap = HashMap<(String, Vec<u8>), Vec<u8>>;
-
-/// The store-hosting side of the wire: a map store that group-commit
-/// batches land on via `backend_store_many`, counting batched calls.
-#[derive(Default)]
-struct HostStore {
-    data: Mutex<StoreMap>,
-    store_calls: Mutex<u64>,
-    batch_calls: Mutex<u64>,
-}
-
-impl ClusterHandler for HostStore {
-    fn deliver_event(&self, dest: MachineId, _ev: WireEvent) -> Result<(), NetError> {
-        Err(NetError::NoRoute(dest))
-    }
-    fn handle_failure_report(&self, _f: MachineId, _epoch: u64) {}
-    fn handle_failure_broadcast(&self, _f: MachineId, _epoch: u64) {}
-    fn read_local_slate(&self, _d: MachineId, _u: &str, _k: &[u8]) -> Option<Vec<u8>> {
-        None
-    }
-    fn backend_store(
-        &self,
-        u: &str,
-        k: &[u8],
-        v: &[u8],
-        _codec: muppet_core::Codec,
-        _ttl: Option<u64>,
-        _now: u64,
-    ) {
-        *self.store_calls.lock() += 1;
-        self.data.lock().insert((u.to_string(), k.to_vec()), v.to_vec());
-    }
-    fn backend_load(&self, u: &str, k: &[u8], _now: u64) -> Option<Vec<u8>> {
-        self.data.lock().get(&(u.to_string(), k.to_vec())).cloned()
-    }
-    fn backend_store_many(&self, items: &[StorePutItem], _now: u64) -> Vec<bool> {
-        *self.batch_calls.lock() += 1;
-        let mut data = self.data.lock();
-        for item in items {
-            data.insert((item.updater.clone(), item.key.clone()), item.value.to_vec());
-        }
-        vec![true; items.len()]
-    }
-    fn backend_load_many(&self, items: &[StoreGetItem], now: u64) -> Vec<Option<Vec<u8>>> {
-        items.iter().map(|item| self.backend_load(&item.updater, &item.key, now)).collect()
-    }
-}
 
 /// A cache on node 1 whose backend is the store service hosted on node 0,
 /// reached over real TCP sockets.
@@ -78,14 +31,11 @@ fn remote_cache_pair(
     SlateCache,
 ) {
     let topology = Topology::loopback_ephemeral(2, false).expect("reserve ports");
-    let host = TcpTransport::new(topology.clone(), 0).unwrap();
+    let (store, host, listener) = common::serve_store(&topology);
     let client = TcpTransport::new(topology, 1).unwrap();
-    let store = Arc::new(HostStore::default());
-    host.register(Arc::downgrade(&store) as Weak<dyn ClusterHandler>);
     let client_handler = Arc::new(HostStore::default());
     client.register(Arc::downgrade(&client_handler) as Weak<dyn ClusterHandler>);
     std::mem::forget(client_handler); // keep the Weak alive for the test
-    let listener = host.start_listener().unwrap();
     let backend = RemoteBackend::new(Arc::clone(&client) as Arc<dyn Transport>, 0);
     let cache = SlateCache::with_shards(100_000, FlushPolicy::IntervalMs(50), Arc::new(backend), 8)
         .with_flush_batch(flush_batch_max);
@@ -119,7 +69,7 @@ fn tcp_flush_round_trips_scale_with_the_batch_cap_not_the_dirty_set() {
     // cost ⌈N/B⌉ store round trips, not N.
     let expected = (N as u64).div_ceil(BATCH as u64);
     assert_eq!(frames, expected, "one wire frame per flush batch (⌈{N}/{BATCH}⌉ = {expected})");
-    assert_eq!(*store.batch_calls.lock(), expected, "the host saw batched calls only");
+    assert_eq!(store.batch_sizes.lock().len() as u64, expected, "the host saw batched calls only");
     assert_eq!(*store.store_calls.lock(), 0, "no per-slate StorePut fell through");
     assert_eq!(cache.dirty_count(), 0);
     let stats = cache.stats();
@@ -293,6 +243,104 @@ fn engine_over_tcp_store_host_flushes_in_batches_and_counts_exactly() {
     );
     worker.shutdown();
     host.shutdown();
+}
+
+/// Deferred eviction and batched miss loads end to end: 256 distinct cold
+/// keys through a cache of 32 slates. Batch sizes are pinned by parking the updater on a gate
+/// until all four 64-event frames are queued, so the worker drains them
+/// as four full batches and never goes idle in between.
+#[test]
+fn evicted_slates_reach_the_store_in_batches_only() {
+    const HOLD: &str = "hold-";
+    #[derive(Default)]
+    struct Gate {
+        entered: AtomicBool,
+        open: AtomicBool,
+    }
+    struct GatedCounter(Arc<Gate>);
+    impl Updater for GatedCounter {
+        fn name(&self) -> &str {
+            "counter"
+        }
+        fn update(&self, _ctx: &mut dyn Emitter, event: &Event, slate: &mut Slate) {
+            if event.key.as_bytes().starts_with(HOLD.as_bytes()) {
+                self.0.entered.store(true, Ordering::Release);
+                while !self.0.open.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            slate.incr_counter(1);
+        }
+    }
+    let mut b = Workflow::builder("evict-pipe");
+    b.external_stream("S1");
+    b.updater("counter", &["S1"]);
+    let wf = b.build().unwrap();
+
+    // Machine 0 is a bare counting store host; the engine is machine 1 and
+    // only ever sees keys it owns.
+    let topology = Topology::loopback_ephemeral(2, false).expect("reserve ports");
+    let (store, _host, _listener) = common::serve_store(&topology);
+    let gate = Arc::new(Gate::default());
+    let cfg = EngineConfig {
+        kind: EngineKind::Muppet2,
+        machines: 2,
+        workers_per_machine: 1,
+        transport: TransportKind::Tcp { topology, local: 1 },
+        store_host: Some(0),
+        slate_cache_capacity: 32,
+        cache_shards: 1,
+        flush: FlushPolicy::OnEvict,
+        ..EngineConfig::default()
+    };
+    let ops = OperatorSet::new().updater(GatedCounter(Arc::clone(&gate)));
+    let engine = Engine::start(wf.clone(), ops, cfg, None).unwrap();
+    let hold =
+        Event::new("S1", 0, common::keys_owned_by(&engine, "counter", 1, HOLD, 1).remove(0), "e");
+    let keys = common::keys_owned_by(&engine, "counter", 1, "cold-", 256);
+    let events: Vec<Event> =
+        keys.iter().enumerate().map(|(i, k)| Event::new("S1", i as u64, k.clone(), "e")).collect();
+
+    engine.submit(hold.clone()).unwrap();
+    while !gate.entered.load(Ordering::Acquire) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for frame in events.chunks(64) {
+        engine.submit_many(frame.to_vec()).unwrap();
+    }
+    gate.open.store(true, Ordering::Release);
+    assert!(engine.drain(Duration::from_secs(60)), "engine drained");
+
+    // 257 slates through 32 slots: 225 evictions, every one written back
+    // through a StorePutBatch frame (the bound retires 32 at a time; the
+    // idle worker retires the remainder), none through a StorePut.
+    let stats = engine.stats();
+    assert_eq!(stats.processed, 257);
+    assert_eq!(stats.cache.evictions, 225, "{:?}", stats.cache);
+    assert_eq!(stats.cache.evict_backlog, 0, "an idle worker leaves no backlog");
+    assert_eq!(*store.store_calls.lock(), 0, "no eviction may cost a single-slate write");
+    let sizes = store.batch_sizes.lock().clone();
+    assert_eq!(sizes.iter().sum::<usize>(), 225, "every evicted slate was written once");
+    assert!(sizes.len() <= 16, "225 evictions in {} write calls: {sizes:?}", sizes.len());
+    assert_eq!(stats.store.flush_batches, sizes.len() as u64);
+    // And the loads: each of the four full batches fetched a backlog's
+    // worth of its cold keys (32) in one StoreGetBatch frame.
+    assert_eq!(*store.load_batch_sizes.lock(), vec![32; 4]);
+    assert_eq!(*store.load_calls.lock(), 257 - 4 * 32);
+
+    // Per-key totals equal the reference executor's.
+    let mut exec = ReferenceExecutor::new(&wf);
+    exec.register_updater(GatedCounter(gate));
+    exec.push_external("S1", hold);
+    exec.push_external_batch("S1", events);
+    exec.run_to_completion().unwrap();
+    engine.shutdown();
+    assert_eq!(exec.slate_count(), 257);
+    let stored = store.data.lock();
+    for (key, slate) in exec.slates_of("counter") {
+        let got = stored.get(&("counter".to_string(), key.as_bytes().to_vec()));
+        assert_eq!(got.map(Vec::as_slice), Some(slate.bytes()), "{key:?}");
+    }
 }
 
 fn tempdir() -> std::path::PathBuf {
