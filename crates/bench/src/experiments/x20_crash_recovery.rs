@@ -30,6 +30,13 @@
 //! Results land in `BENCH_x20.json`; the headline figure is the
 //! group-commit ingest tax in events/s versus `no-wal` (acceptance:
 //! under 10% at full scale).
+//!
+//! Two more figures ride along. `wal_bytes_per_event` is what the log
+//! costs on disk for two shapes of input (a counter stream in 64-event
+//! frames, tweets in 60-event frames): a deterministic byte count, gated.
+//! `restart` is the time from `Engine::start` to the first replayed update
+//! on a long log whose checkpoint covers all but its last frame: replay
+//! decodes the suffix past the cursor, not the history before it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,9 +51,12 @@ use muppet_core::slate::Slate;
 use muppet_core::workflow::Workflow;
 use muppet_core::Key;
 use muppet_runtime::engine::{Engine, EngineConfig, EngineStats, OperatorSet};
+use muppet_runtime::ingestlog::IngestLog;
 use muppet_runtime::overflow::OverflowPolicy;
+use muppet_slatestore::{StoreCluster, StoreConfig};
 use muppet_workloads::checkins::CheckinGenerator;
 use muppet_workloads::tweets::TweetGenerator;
+use muppet_workloads::zipf::zipf_events;
 
 use crate::table::{rate, Table};
 use crate::Scale;
@@ -66,6 +76,9 @@ const REPS: usize = 5;
 /// The idle-frame probe: events per frame, frames probed.
 const IDLE_FRAME: usize = 64;
 const IDLE_PROBES: usize = 200;
+/// The counter shape's gate: log bytes per event, file header and frame
+/// headers included (the per-record cell encoding cost 31.7).
+const COUNTER_BYTES_PER_EVENT_MAX: f64 = 10.0;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("muppet-x20-{tag}-{}", std::process::id()));
@@ -253,6 +266,81 @@ fn idle_frame_latency_us(probes: usize) -> (u64, u64) {
     (to_first[probes / 2], to_return[probes / 2])
 }
 
+/// Log bytes per event for one input shape: `events` written as
+/// `frame`-event frames, file length ÷ events. Written twice — the
+/// encoding is deterministic, so the two byte counts must be equal.
+fn wal_bytes_per_event(events: &[Event], frame: usize) -> f64 {
+    let dir = temp_dir("wal-bytes");
+    let lens: Vec<u64> = (0..2)
+        .map(|pass| {
+            let path = dir.join(format!("ingest-{pass}.wal"));
+            let (log, _) = IngestLog::open(&path, false).expect("open ingest WAL");
+            for run in events.chunks(frame) {
+                log.write_batch(run).expect("write_batch");
+            }
+            drop(log);
+            std::fs::metadata(&path).expect("ingest WAL metadata").len()
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(lens[0], lens[1], "the log's byte count must repeat exactly");
+    lens[0] as f64 / events.len() as f64
+}
+
+/// Restart cost on a long log: `n` events in [`IDLE_FRAME`]-event frames,
+/// the checkpoint covering all but the last frame. Returns ⟨events
+/// replayed, µs from `Engine::start` to the first replayed update⟩.
+fn restart_to_first_update(n: usize) -> (u64, u64) {
+    let mut wf = Workflow::builder("x20-restart");
+    wf.external_stream("S1");
+    wf.updater("touch", &["S1"]);
+    let wf = wf.build().expect("workflow");
+    let dir = temp_dir("restart");
+    let store = Arc::new(
+        StoreCluster::open(
+            dir.join("store"),
+            StoreConfig { nodes: 1, replication: 1, ..Default::default() },
+        )
+        .expect("store"),
+    );
+    let events: Vec<Event> = (0..n)
+        .map(|i| Event::new("S1", i as u64, Key::from(format!("k-{}", i % 1_000)), "e"))
+        .collect();
+    let covered = n - IDLE_FRAME.min(n);
+    let (base, first_ns) = (Instant::now(), Arc::new(AtomicU64::new(0)));
+    let start = |wal: &std::path::Path| {
+        let cfg = EngineConfig { machines: 1, ..engine_config(Some(wal), false) };
+        let ops = OperatorSet::new().updater(FirstTouch { base, first_ns: Arc::clone(&first_ns) });
+        Engine::start(wf.clone(), ops, cfg, Some(Arc::clone(&store))).expect("engine start")
+    };
+    // First life: everything but the last frame, checkpointed — the store
+    // holds those effects and a cursor of `covered`.
+    let engine = start(&dir.join("first.wal"));
+    for frame in events[..covered].chunks(IDLE_FRAME) {
+        engine.submit_many(frame.to_vec()).expect("submit_many");
+    }
+    assert!(engine.checkpoint(Duration::from_secs(180)), "checkpoint");
+    engine.shutdown();
+    // The log of a node that died one frame after that checkpoint.
+    let wal = dir.join("ingest.wal");
+    let (log, _) = IngestLog::open(&wal, false).expect("open ingest WAL");
+    for frame in events.chunks(IDLE_FRAME) {
+        log.write_batch(frame).expect("write_batch");
+    }
+    log.sync().expect("sync");
+    drop(log);
+
+    first_ns.store(0, Ordering::Release);
+    let t0 = base.elapsed().as_nanos() as u64;
+    let engine = start(&wal);
+    assert!(engine.drain(Duration::from_secs(180)), "replay did not drain");
+    let replayed = engine.recovered_replayed();
+    let first_us = first_ns.load(Ordering::Acquire).saturating_sub(t0) / 1_000;
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    (replayed, first_us)
+}
+
 /// Run the experiment.
 pub fn run(scale: Scale) {
     super::banner(
@@ -301,6 +389,10 @@ pub fn run(scale: Scale) {
     ];
     let (replayed, replay_elapsed, retailers_checked) = run_replay_check(scale);
     let (idle_first_us, idle_return_us) = idle_frame_latency_us(IDLE_PROBES);
+    let counter_bytes = wal_bytes_per_event(&zipf_events(500, 1.2, n, 42), 64);
+    let tweet_bytes = wal_bytes_per_event(&events, 60);
+    let restart_events = scale.events(200_000);
+    let (restart_replayed, restart_first_us) = restart_to_first_update(restart_events);
 
     let mut table = Table::new([
         "arm",
@@ -354,6 +446,15 @@ pub fn run(scale: Scale) {
          still does)"
     );
 
+    println!(
+        "ingest WAL bytes per event: {counter_bytes:.2} B (Zipf counters, 64-event frames), \
+         {tweet_bytes:.2} B (tweets, 60-event frames)"
+    );
+    println!(
+        "restart on a {restart_events}-event log checkpointed one frame from its end: replayed \
+         {restart_replayed} events, Engine::start -> first replayed update {restart_first_us} us"
+    );
+
     // Gate CI on the deterministic durability ledger, not wall time
     // (shared runners make timing unreliable; the committed full-scale
     // numbers live in BENCH_x20.json).
@@ -372,6 +473,16 @@ pub fn run(scale: Scale) {
     assert!(
         g_syncs <= frames,
         "group commit must pay at most one fsync per ingest frame ({g_syncs} > {frames})"
+    );
+
+    assert!(
+        counter_bytes <= COUNTER_BYTES_PER_EVENT_MAX,
+        "the counter shape must log at most {COUNTER_BYTES_PER_EVENT_MAX} B/event, got {counter_bytes:.2}"
+    );
+    assert_eq!(
+        restart_replayed,
+        IDLE_FRAME.min(restart_events) as u64,
+        "a restart must replay exactly the frame past the checkpoint"
     );
 
     let doc = Json::obj([
@@ -399,6 +510,24 @@ pub fn run(scale: Scale) {
                 ("probes", Json::num(IDLE_PROBES as f64)),
                 ("submit_to_first_update_p50_us", Json::num(idle_first_us as f64)),
                 ("submit_to_return_p50_us", Json::num(idle_return_us as f64)),
+            ]),
+        ),
+        (
+            "wal_bytes_per_event",
+            Json::obj([
+                (
+                    "zipf_counters_64_event_frames",
+                    Json::num((counter_bytes * 100.0).round() / 100.0),
+                ),
+                ("tweets_60_event_frames", Json::num((tweet_bytes * 100.0).round() / 100.0)),
+            ]),
+        ),
+        (
+            "restart",
+            Json::obj([
+                ("logged_events", Json::num(restart_events as f64)),
+                ("replayed_events", Json::num(restart_replayed as f64)),
+                ("start_to_first_update_us", Json::num(restart_first_us as f64)),
             ]),
         ),
         ("arms", Json::arr(arms.iter().map(|(name, o)| arm_json(name, n, o)))),

@@ -51,7 +51,7 @@ use crate::cache::{
 };
 use crate::dispatch::{choose_between, RouteHash};
 use crate::dlq::{DeadLetter, DeadLetterQueue};
-use crate::ingestlog::{IngestLog, SyncFn};
+use crate::ingestlog::{IngestLog, IngestRecovery, SyncFn};
 use crate::master::Master;
 use crate::metrics::{Histogram, LatencySummary};
 use crate::netstore::RemoteBackend;
@@ -1395,7 +1395,7 @@ impl Engine {
 
         // Crash recovery: open (or create) the ingest WAL before anything
         // can accept events. A torn tail from a crash mid-append is cut
-        // back to the last intact record; the recovered history is
+        // back to the last intact frame; the recovered history is
         // replayed past the checkpointed cursor once the workers are up.
         let (ingest_log, ingest_recovery) = match &cfg.ingest_wal {
             Some(path) => {
@@ -1525,7 +1525,7 @@ impl Engine {
         // events logged after it are re-injected. A node that was
         // checkpointed at shutdown (SIGTERM) replays nothing.
         if let Some(recovery) = ingest_recovery {
-            engine.replay_recovered(recovery.events, recovery.truncated);
+            engine.replay_recovered(&recovery)?;
         }
         Ok(engine)
     }
@@ -1534,29 +1534,33 @@ impl Engine {
     /// replayed events fan out exactly like fresh submissions — same
     /// routing, same seq assignment order — but are *not* re-appended to
     /// the WAL (they are already in it) and count as `recovered`, not
-    /// `submitted`.
-    fn replay_recovered(&self, events: Vec<Event>, truncated: bool) {
+    /// `submitted`. The cursor counts events and may land inside a frame
+    /// (a checkpoint racing a submit); only the frames it does not cover
+    /// whole are decoded.
+    fn replay_recovered(&self, recovery: &IngestRecovery) -> Result<()> {
         let shared = &self.shared;
         let cursor = shared.load_ingest_cursor();
-        let total = events.len() as u64;
-        let skip = cursor.min(total) as usize;
-        let replayed = (events.len() - skip) as u64;
-        for event in events.into_iter().skip(skip) {
+        let events = recovery
+            .events_after(cursor)
+            .map_err(|e| Error::Config(format!("cannot replay ingest WAL: {e}")))?;
+        let replayed = events.len() as u64;
+        for event in events {
             let stream = event.stream.clone();
             fan_out(shared, &stream, event, shared.now_us(), false, true, &mut Vec::new());
         }
         shared.recovered.store(replayed, Ordering::Release);
-        if replayed > 0 || truncated {
+        if replayed > 0 || recovery.truncated {
             shared.logger.warn(
                 "ingest WAL recovery",
                 &[
-                    ("logged", total.into()),
+                    ("logged", recovery.events.into()),
                     ("cursor", cursor.into()),
                     ("replayed", replayed.into()),
-                    ("torn_tail", u64::from(truncated).into()),
+                    ("torn_tail", u64::from(recovery.truncated).into()),
                 ],
             );
         }
+        Ok(())
     }
 
     /// Inject one external event (the paper's special source mapper M0
@@ -2295,6 +2299,12 @@ impl Engine {
     pub fn ingest_wal_watermarks(&self) -> Option<(u64, u64, bool)> {
         let log = self.shared.ingest_log.as_ref()?;
         Some((log.record_count(), log.durable_count(), log.failed()))
+    }
+
+    /// The ingest WAL segment's ⟨bytes, frames⟩, or `None` when ingest
+    /// logging is off.
+    pub fn ingest_wal_size(&self) -> Option<(u64, u64)> {
+        self.shared.ingest_log.as_ref().map(|log| (log.byte_count(), log.frame_count()))
     }
 
     /// This machine's dead-letter queue.
@@ -3987,6 +3997,11 @@ fn collect_engine_samples(sh: &Arc<Shared>, out: &mut Vec<Sample>) {
     // Crash recovery: the ingest WAL and the dead-letter queue.
     if let Some(log) = &sh.ingest_log {
         out.push(cc("muppet_wal_ingest_syncs_total", log.sync_count()));
+        // Segment totals (recovered prefix included, like the watermarks
+        // below): bytes ÷ written is the log's cost per event, written ÷
+        // frames near 1 a source that pays a header and an fsync per event.
+        out.push(cc("muppet_wal_ingest_bytes_total", log.byte_count()));
+        out.push(cc("muppet_wal_ingest_frames_total", log.frame_count()));
         out.push(cc("muppet_wal_ingest_replayed_total", sh.recovered.load(Ordering::Relaxed)));
         // written − durable = the records inside their fsync window: logged
         // and dispatched, not yet acked.

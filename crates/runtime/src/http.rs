@@ -163,6 +163,8 @@ impl SlateReader for crate::engine::Engine {
             // records = written; written − durable = the un-acked fsync window.
             ("ingest_wal_records", wal_num(wal.map(|(written, _, _)| written))),
             ("ingest_wal_syncs", wal_num(self.ingest_wal_stats().map(|(_, syncs)| syncs))),
+            ("ingest_wal_bytes", wal_num(self.ingest_wal_size().map(|(bytes, _)| bytes))),
+            ("ingest_wal_frames", wal_num(self.ingest_wal_size().map(|(_, frames)| frames))),
             ("ingest_wal_written", wal_num(wal.map(|(written, _, _)| written))),
             ("ingest_wal_durable", wal_num(wal.map(|(_, durable, _)| durable))),
             ("ingest_wal_failed", wal.map_or(Json::Null, |(_, _, failed)| Json::Bool(failed))),

@@ -7,17 +7,36 @@
 //! replays the suffix past its replay cursor (see `Engine::checkpoint`)
 //! and converges to bit-identical slates.
 //!
-//! The log reuses `slatestore::wal` framing (crc32c + length prefix per
-//! record), so torn tails from a crash mid-append are detected and cut
-//! back to the last intact record. An event ⟨sid, ts, k, v⟩ maps onto a
-//! WAL cell as `CellKey{row: k, column: sid}` / `Cell{value: v, write_ts:
-//! ts}` — a lossless round trip, since `seq` is reassigned in admission
-//! order on replay exactly as it was assigned on first ingest.
+//! ## One submit, one record
+//!
+//! One [`IngestLog::write_batch`] call writes one **frame**: one record of
+//! `slatestore::wal`'s raw layer (which owns crc, length and torn tails)
+//! whose payload spells each stream name once and each `ts` as a delta.
+//! `seq` is not stored: replay re-admits in log order, which reassigns it.
+//!
+//! ```text
+//! segment := header frame*
+//! header  := "MUPIWAL" [u8 format version = 1]      written + synced at creation
+//! frame   := [u32 crc32c over payload][u32 payload_len][payload]
+//! payload := [varint n]                               events in the frame, ≥ 1
+//!            [varint s] s × [len-prefixed stream name]   in order of first use
+//!            n × ( [varint stream index][len-prefixed key]
+//!                  [varint zigzag(ts − previous ts, wrapping; the first from 0)]
+//!                  [len-prefixed value] )
+//! ```
+//!
+//! **A frame is atomic**: torn or corrupt, it is dropped whole with
+//! everything after it and the file is cut back to the last intact frame —
+//! a `submit_many` is in the log entirely or not at all. Only a run past
+//! [`FRAME_SOFT_BYTES`] is split. **The header guards the path**: a
+//! non-empty file without it (a store file, a pre-frame log) is refused and
+//! left untouched, where a torn-tail reading would have emptied it. No
+//! compressor, no preallocation: DESIGN.md §11 says why.
 //!
 //! ## Logged, then durable
 //!
-//! A record crosses two lines, tracked by two watermarks (both count
-//! records since the start of the segment):
+//! An event crosses two lines, tracked by two watermarks (both count
+//! events since the start of the segment, whatever the frames):
 //!
 //! * **logged** (`written`): [`IngestLog::write_batch`] has encoded the
 //!   run, `write`n it to the file and flushed the buffer to the OS. A
@@ -45,8 +64,8 @@
 //! the engine keeps dispatching); the next leader's one fsync covers all
 //! of them. A lone single-event submitter degenerates to sync-per-record,
 //! which is the correct latency floor. `sync_each` mode writes and
-//! fsyncs record by record under the writer lock — the expensive arm
-//! benchmarked in x20.
+//! fsyncs event by event (frames of one) under the writer lock — the
+//! expensive arm benchmarked in x20.
 //!
 //! ## Failure
 //!
@@ -56,35 +75,183 @@
 //! last good sync can be trusted to ever reach the disk; refusing ingest
 //! is the only honest answer.
 
-use std::path::Path;
+use std::fs::File;
+use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
+use muppet_core::codec::{get_len_prefixed, get_varint, put_len_prefixed, put_varint};
 use muppet_core::sync::{audit, Condvar, Mutex};
-use muppet_core::Event;
+use muppet_core::{Event, Key, StreamId};
 use muppet_obs::Histogram;
-use muppet_slatestore::types::{Cell, CellKey, StoreError, StoreResult};
-use muppet_slatestore::wal::WalWriter;
+use muppet_slatestore::types::{StoreError, StoreResult};
+use muppet_slatestore::wal::{RawReplay, WalWriter};
 
-/// Encode an event as a WAL record. `seq` is intentionally not stored:
-/// replay re-admits events in log order, which reproduces it.
-fn event_to_record(event: &Event) -> (CellKey, Cell) {
-    (
-        CellKey::new(event.key.as_bytes(), event.stream.as_str()),
-        Cell::live(event.value.clone(), event.ts, None),
-    )
+/// First bytes of every segment: magic + format version.
+const SEGMENT_HEADER: [u8; 8] = *b"MUPIWAL\x01";
+/// A run whose encoding passes this is split into several frames (the
+/// wire's `BATCH_SOFT_BYTES`).
+pub const FRAME_SOFT_BYTES: usize = 1 << 20;
+/// The reader rejects a frame longer than this before allocating for it.
+pub const FRAME_HARD_BYTES: usize = 64 << 20;
+
+/// Upper bound on the payload of a frame holding only `event`, and so on
+/// what it adds to any frame: its bytes, its stream name should the table
+/// lack it, five varints, and the frame's own two.
+fn event_bound(event: &Event) -> usize {
+    event.key.as_bytes().len() + event.value.len() + event.stream.as_str().len() + 70
 }
 
-/// Decode a WAL record back into the event that produced it.
-fn record_to_event(key: &CellKey, cell: &Cell) -> Event {
-    Event::new(
-        String::from_utf8_lossy(&key.column).into_owned(),
-        cell.write_ts,
-        muppet_core::Key::from(key.row.as_ref()),
-        Bytes::clone(&cell.value),
-    )
+/// The longest prefix of `events` (at least one) that fits a frame, and
+/// its stream table.
+fn plan_frame(events: &[Event]) -> (usize, Vec<&str>) {
+    let (mut streams, mut bytes) = (Vec::new(), 0);
+    for (i, event) in events.iter().enumerate() {
+        bytes += event_bound(event);
+        if i > 0 && bytes > FRAME_SOFT_BYTES {
+            return (i, streams);
+        }
+        if !streams.contains(&event.stream.as_str()) {
+            streams.push(event.stream.as_str());
+        }
+    }
+    (events.len(), streams)
+}
+
+/// Append the frame payload of the module doc for `events`, whose every
+/// stream is in `streams`.
+fn encode_frame(buf: &mut Vec<u8>, events: &[Event], streams: &[&str]) {
+    put_varint(buf, events.len() as u64);
+    put_varint(buf, streams.len() as u64);
+    for stream in streams {
+        put_len_prefixed(buf, stream.as_bytes());
+    }
+    let mut prev_ts = 0u64;
+    for event in events {
+        let stream = event.stream.as_str();
+        // lint: allow(no-unwrap-in-prod) — `plan_frame` put every stream of `events` in `streams`
+        let index = streams.iter().position(|s| *s == stream).expect("planned stream");
+        put_varint(buf, index as u64);
+        put_len_prefixed(buf, event.key.as_bytes());
+        let delta = event.ts.wrapping_sub(prev_ts) as i64;
+        put_varint(buf, ((delta << 1) ^ (delta >> 63)) as u64);
+        prev_ts = event.ts;
+        put_len_prefixed(buf, &event.value);
+    }
+}
+
+/// `n` of a frame payload, without walking it.
+fn frame_events(payload: &[u8]) -> Option<u64> {
+    let (n, _) = get_varint(payload)?;
+    // An event takes at least four bytes: a count that cannot be true is
+    // not believed (it would be summed into the watermarks).
+    (n >= 1 && n <= payload.len() as u64).then_some(n)
+}
+
+/// Decode a frame payload, pushing its events from index `skip` on. `None`
+/// if it is not a well-formed frame (`out` may then hold a partial frame).
+fn decode_frame(payload: &[u8], skip: u64, out: &mut Vec<Event>) -> Option<()> {
+    let mut at = 0;
+    let varint = |at: &mut usize| {
+        let (value, used) = get_varint(&payload[*at..])?;
+        *at += used;
+        Some(value)
+    };
+    let bytes = |at: &mut usize| {
+        let (bytes, used) = get_len_prefixed(&payload[*at..])?;
+        *at += used;
+        Some(bytes)
+    };
+    let n = frame_events(payload)?;
+    varint(&mut at)?;
+    let mut streams = Vec::new();
+    for _ in 0..varint(&mut at)? {
+        streams.push(StreamId::from(std::str::from_utf8(bytes(&mut at)?).ok()?));
+    }
+    let mut ts = 0u64;
+    for i in 0..n {
+        let stream = streams.get(usize::try_from(varint(&mut at)?).ok()?)?;
+        let key = bytes(&mut at)?;
+        let zigzag = varint(&mut at)?;
+        ts = ts.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
+        let value = bytes(&mut at)?;
+        if i >= skip {
+            out.push(Event::new(stream.clone(), ts, Key::from(key), Bytes::copy_from_slice(value)));
+        }
+    }
+    (at == payload.len()).then_some(())
+}
+
+fn invalid_input(msg: String) -> StoreError {
+    StoreError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
+}
+
+/// What a pass over a segment found.
+#[derive(Default)]
+struct Scan {
+    events: u64,
+    frames: u64,
+    /// End of the last intact frame; 0 = no header yet (missing or empty
+    /// file, or one whose creation died inside the header).
+    valid_bytes: u64,
+    truncated: bool,
+    /// The events at index ≥ the scan's cursor.
+    suffix: Vec<Event>,
+}
+
+/// Stream the segment at `path` frame by frame, up to event `until`,
+/// building only the events at index ≥ `cursor`: a frame wholly below the
+/// cursor is counted by its `n` and never walked.
+fn scan(path: &Path, cursor: u64, until: u64) -> StoreResult<Scan> {
+    let mut found = Scan::default();
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(found),
+        Err(e) => return Err(e.into()),
+    };
+    let mut header = Vec::new();
+    (&file).take(SEGMENT_HEADER.len() as u64).read_to_end(&mut header)?;
+    if header != SEGMENT_HEADER {
+        if SEGMENT_HEADER.starts_with(&header) {
+            return Ok(found);
+        }
+        return Err(invalid_input(format!(
+            "{} is not an ingest WAL segment (no segment header); left untouched",
+            path.display()
+        )));
+    }
+    found.valid_bytes = header.len() as u64;
+    let mut raw = RawReplay::new(file, FRAME_HARD_BYTES as u32)?;
+    while found.events < until {
+        let Some(payload) = raw.next_payload()? else { break };
+        // An intact checksum over a malformed frame is not a crash's work.
+        let malformed =
+            || StoreError::Corrupt(format!("{}: malformed ingest frame", path.display()));
+        let n = frame_events(payload).ok_or_else(malformed)?;
+        if found.events + n > cursor {
+            let skip = cursor.saturating_sub(found.events);
+            decode_frame(payload, skip, &mut found.suffix).ok_or_else(malformed)?;
+        }
+        found.events += n;
+        found.frames += 1;
+        found.valid_bytes = raw.offset();
+    }
+    found.truncated = raw.torn();
+    Ok(found)
+}
+
+/// Start a segment at `path`: the header, synced together with the
+/// directory entry. Returns the header's length.
+fn create_segment(path: &Path) -> StoreResult<u64> {
+    audit::blocking_io("ingest wal create");
+    std::fs::write(path, SEGMENT_HEADER)?;
+    File::open(path)?.sync_all()?;
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    Ok(SEGMENT_HEADER.len() as u64)
 }
 
 /// The log's sync step: make everything handed to the OS so far durable.
@@ -96,11 +263,14 @@ pub type SyncFn = Box<dyn Fn() -> std::io::Result<()> + Send + Sync>;
 pub struct IngestLog {
     writer: Mutex<WalWriter>,
     sync_fn: SyncFn,
-    /// Records handed to the OS. Stored under the writer lock (so it is
+    /// Events handed to the OS. Stored under the writer lock (so it is
     /// monotone), read by sync leaders without it.
     written: AtomicU64,
-    /// Records covered by a completed fsync. `durable ≤ written`.
+    /// Events covered by a completed fsync. `durable ≤ written`.
     durable: AtomicU64,
+    /// Frames in, and length of, the segment (operator statistics).
+    frames: AtomicU64,
+    bytes: AtomicU64,
     /// True while a leader is inside the sync step. Its mutex is the
     /// condvar mutex: followers re-check `durable` under it before
     /// parking and leaders publish + notify under it, so a wakeup cannot
@@ -116,18 +286,29 @@ pub struct IngestLog {
 
 /// What `IngestLog::open` recovered from an existing segment.
 pub struct IngestRecovery {
-    /// Events in append order — the full ingest history of the segment.
-    pub events: Vec<Event>,
-    /// True if a torn tail was cut back to the last intact record.
+    path: PathBuf,
+    /// Events in the segment's intact frames — its full ingest history.
+    pub events: u64,
+    /// True if a torn tail was cut back to the last intact frame.
     pub truncated: bool,
 }
 
+impl IngestRecovery {
+    /// The recovered events past a replay cursor (an event count, which
+    /// may land inside a frame), in admission order. Frames wholly below
+    /// the cursor are read but never decoded.
+    pub fn events_after(&self, cursor: u64) -> StoreResult<Vec<Event>> {
+        Ok(scan(&self.path, cursor, self.events)?.suffix)
+    }
+}
+
 impl IngestLog {
-    /// Open (or create) the log at `path`, replaying any intact prefix.
+    /// Open (or create) the log at `path`, counting its intact frames.
     /// A torn tail — the signature of a crash mid-append — is truncated
-    /// to the last whole record before the writer is positioned.
+    /// to the last whole frame before the writer is positioned. A
+    /// non-empty file that is not an ingest segment is refused, untouched.
     ///
-    /// `sync_each` selects fsync-per-record; the default (false) is
+    /// `sync_each` selects fsync-per-event; the default (false) is
     /// group commit, where durability is per-batch.
     pub fn open(
         path: impl AsRef<Path>,
@@ -144,9 +325,15 @@ impl IngestLog {
         sync_each: bool,
         sync_fn: Option<SyncFn>,
     ) -> StoreResult<(IngestLog, IngestRecovery)> {
+        let path = path.as_ref();
+        let found = scan(path, u64::MAX, u64::MAX)?;
+        let valid_bytes = match found.valid_bytes {
+            0 => create_segment(path)?,
+            valid_bytes => valid_bytes,
+        };
         // The inner writer never syncs on its own: every fsync goes
         // through `sync_fn`, on a second handle to the same file.
-        let (writer, replayed) = WalWriter::open_or_create(path, false)?;
+        let writer = WalWriter::resume(path, false, found.frames, valid_bytes)?;
         let sync_fn = match sync_fn {
             Some(sync_fn) => sync_fn,
             None => {
@@ -157,14 +344,13 @@ impl IngestLog {
                 })
             }
         };
-        let events =
-            replayed.records.iter().map(|(k, c)| record_to_event(k, c)).collect::<Vec<_>>();
-        let recovered = events.len() as u64;
         let log = IngestLog {
             writer: Mutex::new(writer),
             sync_fn,
-            written: AtomicU64::new(recovered),
-            durable: AtomicU64::new(recovered),
+            written: AtomicU64::new(found.events),
+            durable: AtomicU64::new(found.events),
+            frames: AtomicU64::new(found.frames),
+            bytes: AtomicU64::new(valid_bytes),
             syncing: Mutex::new(false),
             cv: Condvar::new(),
             failed: AtomicBool::new(false),
@@ -172,14 +358,19 @@ impl IngestLog {
             syncs: AtomicU64::new(0),
             sync_latency: None,
         };
-        if recovered > 0 || replayed.truncated {
+        if found.events > 0 || found.truncated {
             // The previous incarnation may have died between `write` and
             // fsync: the recovered prefix (and the truncation) is in the
             // page cache, not necessarily on disk. `durable = recovered`
             // must be true before anyone reads it.
             log.run_sync()?;
         }
-        Ok((log, IngestRecovery { events, truncated: replayed.truncated }))
+        let recovery = IngestRecovery {
+            path: path.to_path_buf(),
+            events: found.events,
+            truncated: found.truncated,
+        };
+        Ok((log, recovery))
     }
 
     /// Record every fsync's wall time (µs) into `hist`. Called by the
@@ -202,21 +393,28 @@ impl IngestLog {
         self.wait_durable(seq)
     }
 
-    /// Log a run of events: encode, `write`, flush to the OS. Returns the
-    /// watermark that covers the run — pass it to
-    /// [`IngestLog::wait_durable`] before acking. On return the records
+    /// Log a run of events as one frame: encode, `write`, flush to the OS.
+    /// Returns the watermark that covers the run — pass it to
+    /// [`IngestLog::wait_durable`] before acking. On return the events
     /// survive a process crash (a reopen replays them), not yet a power
-    /// loss. Under `sync_each` each record is also fsynced here, so the
-    /// returned watermark is already durable.
+    /// loss. Under `sync_each` each event is its own frame and is also
+    /// fsynced here, so the returned watermark is already durable.
     pub fn write_batch(&self, events: &[Event]) -> StoreResult<u64> {
         self.check_failed()?;
+        if events.iter().any(|event| event_bound(event) > FRAME_HARD_BYTES) {
+            // The caller's input, not the disk's failure: nothing is
+            // written and the log stays healthy.
+            return Err(invalid_input(format!(
+                "event exceeds the {FRAME_HARD_BYTES}-byte ingest frame limit"
+            )));
+        }
         let mut w = self.writer.lock();
         let result = if self.sync_each {
             // Fsync under the writer lock is this mode's definition (one
             // durability line per record) — the log's one sanctioned
             // IO-under-lock window for the lock-audit probe.
             audit::io_allowed(|| {
-                events.iter().try_fold(w.record_count(), |_, event| {
+                events.iter().try_fold(self.record_count(), |_, event| {
                     let seq = self.write_locked(&mut w, std::slice::from_ref(event))?;
                     self.run_sync()?;
                     self.durable.fetch_max(seq, Ordering::AcqRel);
@@ -229,17 +427,26 @@ impl IngestLog {
         result.map_err(|e| self.poison(e))
     }
 
-    /// Encode + `write` + flush to the OS under the writer lock, then
-    /// advance `written`. Returns the new watermark.
+    /// Encode into the writer's one buffer + one `write` + flush to the
+    /// OS, under the writer lock, then advance `written`. Returns the new
+    /// watermark.
     fn write_locked(&self, w: &mut WalWriter, events: &[Event]) -> StoreResult<u64> {
-        w.append_many(events.iter().map(event_to_record))?;
+        let mut rest = events;
+        while !rest.is_empty() {
+            let (take, streams) = plan_frame(rest);
+            w.stage(|buf| encode_frame(buf, &rest[..take], &streams));
+            rest = &rest[take..];
+        }
+        w.commit()?;
         w.flush()?;
-        let seq = w.record_count();
+        self.frames.store(w.record_count(), Ordering::Relaxed);
+        self.bytes.store(w.byte_count(), Ordering::Relaxed);
+        let seq = self.written.load(Ordering::Relaxed) + events.len() as u64;
         self.written.store(seq, Ordering::Release);
         Ok(seq)
     }
 
-    /// Return once an fsync covers the first `seq` records — by leading
+    /// Return once an fsync covers the first `seq` events — by leading
     /// one, or by waiting for a leader whose watermark reaches `seq`.
     pub fn wait_durable(&self, seq: u64) -> StoreResult<()> {
         let mut syncing = self.syncing.lock();
@@ -309,7 +516,7 @@ impl IngestLog {
         self.failed.load(Ordering::Acquire)
     }
 
-    /// Records *written* over the log's lifetime (including the recovered
+    /// Events *written* over the log's lifetime (including the recovered
     /// prefix) — the value a replay cursor checkpoints. It may run ahead
     /// of [`IngestLog::durable_count`] by the frames inside their fsync
     /// window, so a cursor must only be taken from it after
@@ -318,9 +525,21 @@ impl IngestLog {
         self.written.load(Ordering::Acquire)
     }
 
-    /// Records covered by a completed fsync.
+    /// Events covered by a completed fsync.
     pub fn durable_count(&self) -> u64 {
         self.durable.load(Ordering::Acquire)
+    }
+
+    /// Frames in the segment (recovered prefix included). Events ÷ frames
+    /// near 1 means the source is not batching.
+    pub fn frame_count(&self) -> u64 {
+        self.frames.load(Ordering::Relaxed)
+    }
+
+    /// Length of the segment in bytes (header and recovered prefix
+    /// included).
+    pub fn byte_count(&self) -> u64 {
+        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Fsyncs issued since open. Group commit keeps this well below
@@ -333,7 +552,10 @@ impl IngestLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muppet_core::codec::crc32c;
+    use muppet_slatestore::types::{Cell, CellKey};
     use muppet_slatestore::util::TempDir;
+    use proptest::prelude::*;
     use std::sync::{mpsc, OnceLock, Weak};
     use std::time::Duration;
 
@@ -341,15 +563,157 @@ mod tests {
         Event::new("clicks", 1_000 + i, format!("user-{i}").into(), format!("payload-{i}"))
     }
 
+    /// A log whose sync step does nothing (the sweeps reopen hundreds of times).
+    fn open_unsynced(path: &Path) -> (IngestLog, IngestRecovery) {
+        IngestLog::open_with_sync(path, false, Some(Box::new(|| Ok(())))).unwrap()
+    }
+
+    /// Everything a fresh open of `path` replays, and whether it cut a tail.
+    fn replay_all(path: &Path) -> (Vec<Event>, bool) {
+        let (_, rec) = open_unsynced(path);
+        let events = rec.events_after(0).unwrap();
+        assert_eq!(events.len() as u64, rec.events);
+        (events, rec.truncated)
+    }
+
     #[test]
-    fn event_record_roundtrip_is_lossless() {
-        let e = Event::new("S1", 42, muppet_core::Key::from(vec![0u8, 255]), vec![1u8, 2, 3]);
-        let (k, c) = event_to_record(&e);
-        let back = record_to_event(&k, &c);
-        assert_eq!(back.stream, e.stream);
-        assert_eq!(back.ts, e.ts);
-        assert_eq!(back.key, e.key);
-        assert_eq!(back.value, e.value);
+    fn a_frame_has_the_documented_byte_layout() {
+        let dir = TempDir::new("ingest").unwrap();
+        let path = dir.file("layout.wal");
+        let (log, _) = IngestLog::open(&path, false).unwrap();
+        log.append_batch(&[
+            Event::new("clicks", 1_000, Key::from("a"), "xy"),
+            Event::new("views", 1_003, Key::from(""), ""),
+            Event::new("clicks", 999, Key::from(vec![0u8, 255]), "z"),
+        ])
+        .unwrap();
+        #[rustfmt::skip]
+        let payload: Vec<u8> = [
+            &[3u8][..],                                   // n
+            &[2, 6], b"clicks", &[5], b"views",           // stream table
+            &[0, 1], b"a", &[0xd0, 0x0f], &[2], b"xy",    // zigzag(+1000) = 2000
+            &[1, 0, 6, 0],                                // zigzag(+3) = 6, empty key and value
+            &[0, 2, 0, 255, 7, 1], b"z",                  // zigzag(-4) = 7
+        ]
+        .concat();
+        let mut expected = b"MUPIWAL\x01".to_vec();
+        expected.extend_from_slice(&crc32c(&payload).to_le_bytes());
+        expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        expected.extend_from_slice(&payload);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!((log.record_count(), log.frame_count()), (3, 1));
+        assert_eq!(log.byte_count(), expected.len() as u64);
+    }
+
+    #[test]
+    fn a_singleton_frame_costs_at_most_two_bytes_more_than_the_cell_record_did() {
+        let dir = TempDir::new("ingest").unwrap();
+        for event in [ev(0), Event::new("S", u64::MAX, Key::from(""), ""), ev(1 << 40)] {
+            let mut frame = Vec::new();
+            encode_frame(&mut frame, std::slice::from_ref(&event), &[event.stream.as_str()]);
+            let mut cells = WalWriter::create(dir.file("cell.wal"), false).unwrap();
+            let key = CellKey::new(event.key.as_bytes(), event.stream.as_str());
+            cells.append(&key, &Cell::live(event.value.clone(), event.ts, None)).unwrap();
+            assert!(8 + frame.len() as u64 <= cells.byte_count() + 2);
+        }
+    }
+
+    fn arb_event() -> impl Strategy<Value = Event> {
+        let bytes = || proptest::collection::vec(any::<u8>(), 0..12);
+        // Timestamps cluster (small deltas either way) or jump anywhere,
+        // the ends of the range included.
+        let ts = prop_oneof![1_000u64..1_064, any::<u64>(), 0u64..2, (u64::MAX - 1)..=u64::MAX];
+        (0usize..3, ts, bytes(), bytes()).prop_map(|(stream, ts, key, value)| {
+            Event::new(["S1", "clicks", "ünï/ço∂é"][stream], ts, Key::from(key), value)
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn runs_round_trip_losslessly_and_in_order(
+            runs in proptest::collection::vec(proptest::collection::vec(arb_event(), 1..40), 1..6),
+            cursor in 0usize..200,
+        ) {
+            let dir = TempDir::new("ingest-prop").unwrap();
+            let path = dir.file("prop.wal");
+            let (log, _) = open_unsynced(&path);
+            for run in &runs {
+                log.write_batch(run).unwrap();
+            }
+            let all: Vec<Event> = runs.concat();
+            prop_assert_eq!((log.record_count(), log.frame_count()), (all.len() as u64, runs.len() as u64));
+            drop(log);
+            let (log, rec) = open_unsynced(&path);
+            prop_assert!(!rec.truncated);
+            prop_assert_eq!((rec.events, log.frame_count()), (all.len() as u64, runs.len() as u64));
+            // `Event: Eq` covers stream, ts, key, value (and seq, 0 on both sides).
+            prop_assert_eq!(&rec.events_after(0).unwrap(), &all);
+            // A cursor anywhere — inside a frame, or past the end — skips exactly that many.
+            prop_assert_eq!(&rec.events_after(cursor as u64).unwrap()[..], &all[cursor.min(all.len())..]);
+        }
+
+        #[test]
+        fn the_decoder_never_panics_on_hostile_payloads(
+            noise in proptest::collection::vec(any::<u8>(), 0..64),
+            run in proptest::collection::vec(arb_event(), 1..6),
+            damage in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..4),
+            skip in 0u64..8,
+        ) {
+            let _ = decode_frame(&noise, skip, &mut Vec::new());
+            let mut frame = Vec::new();
+            encode_frame(&mut frame, &run, &plan_frame(&run).1);
+            for (at, byte) in damage {
+                let at = at as usize % frame.len();
+                frame[at] = byte;
+            }
+            let mut out = Vec::new();
+            if decode_frame(&frame, 0, &mut out).is_some() {
+                prop_assert_eq!(out.len(), frame_events(&frame).unwrap() as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn ts_wraps_through_both_ends_of_the_range() {
+        let run: Vec<Event> = [u64::MAX, 0, u64::MAX, 1 << 63, (1 << 63) - 1, 0]
+            .into_iter()
+            .map(|ts| Event::new("S1", ts, Key::from("k"), "v"))
+            .collect();
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, &run, &["S1"]);
+        let mut back = Vec::new();
+        decode_frame(&frame, 0, &mut back).unwrap();
+        assert_eq!(back, run);
+    }
+
+    #[test]
+    fn a_run_past_the_soft_cap_is_split_into_several_frames() {
+        let dir = TempDir::new("ingest").unwrap();
+        let path = dir.file("split.wal");
+        let run: Vec<Event> = (0..10_000u64)
+            .map(|i| Event::new("S1", i, Key::from(format!("k{i}")), vec![i as u8; 300]))
+            .collect();
+        let (log, _) = open_unsynced(&path);
+        log.append_batch(&run).unwrap();
+        let frames = log.frame_count();
+        assert!((3..=5).contains(&frames), "≈ 3.5 MB over a 1 MiB cap, got {frames} frames");
+        assert!(log.byte_count() / frames < (FRAME_SOFT_BYTES + 1_000) as u64);
+        assert_eq!(log.record_count(), 10_000, "the watermark counts events, not frames");
+        drop(log);
+        let (events, truncated) = replay_all(&path);
+        assert!(!truncated);
+        assert_eq!(events, run);
+    }
+
+    #[test]
+    fn an_event_no_frame_can_hold_is_refused_and_the_log_stays_healthy() {
+        let dir = TempDir::new("ingest").unwrap();
+        let (log, _) = open_unsynced(&dir.file("big.wal"));
+        let big = Event::new("S1", 0, Key::from("k"), vec![0u8; FRAME_HARD_BYTES]);
+        assert!(log.write_batch(&[ev(0), big]).is_err());
+        assert!(!log.failed());
+        assert_eq!((log.record_count(), log.frame_count()), (0, 0), "nothing of the run is logged");
+        log.append_batch(&[ev(1)]).unwrap();
     }
 
     #[test]
@@ -358,21 +722,182 @@ mod tests {
         let path = dir.file("ingest.wal");
         {
             let (log, rec) = IngestLog::open(&path, true).unwrap();
-            assert!(rec.events.is_empty());
-            for i in 0..20 {
-                log.append_batch(&[ev(i)]).unwrap();
-            }
-            assert_eq!(log.record_count(), 20);
-            assert_eq!(log.sync_count(), 20, "sync_each fsyncs per record");
+            assert_eq!(rec.events, 0);
+            let run: Vec<Event> = (0..10).map(ev).collect();
+            log.append_batch(&run).unwrap();
+            assert_eq!(log.record_count(), 10);
+            assert_eq!(
+                (log.frame_count(), log.sync_count()),
+                (10, 10),
+                "sync_each: a frame and an fsync per event, batch or not"
+            );
         }
         let (log, rec) = IngestLog::open(&path, true).unwrap();
         assert!(!rec.truncated);
-        assert_eq!(rec.events.len(), 20);
-        for (i, e) in rec.events.iter().enumerate() {
-            assert_eq!(e.key, ev(i as u64).key);
-            assert_eq!(e.value, ev(i as u64).value);
+        assert_eq!(rec.events_after(0).unwrap(), (0..10).map(ev).collect::<Vec<_>>());
+        assert_eq!(
+            (log.record_count(), log.durable_count(), log.frame_count()),
+            (10, 10, 10),
+            "the writer continues from the recovered prefix"
+        );
+    }
+
+    /// The files this flag has been pointed at by mistake: each is refused
+    /// and left byte-identical.
+    #[test]
+    fn a_file_without_the_segment_header_is_refused_and_left_untouched() {
+        let dir = TempDir::new("ingest").unwrap();
+        let cells = |path: &Path, records: Vec<(CellKey, Cell)>| {
+            let mut w = WalWriter::create(path, false).unwrap();
+            w.append_many(&records).unwrap();
+            w.flush().unwrap();
+        };
+        let store_wal = dir.file("store.wal");
+        cells(&store_wal, vec![(CellKey::new("row", "U1"), Cell::live("slate", 7, Some(60)))]);
+        // The pre-frame ingest format: one cell record per event.
+        let old_log = dir.file("old-ingest.wal");
+        cells(
+            &old_log,
+            (0..5)
+                .map(ev)
+                .map(|e| {
+                    (CellKey::new(e.key.as_bytes(), "clicks"), Cell::live(e.value, e.ts, None))
+                })
+                .collect(),
+        );
+        let garbage = dir.file("garbage");
+        std::fs::write(&garbage, b"MUPIWAL\x02 a later format").unwrap();
+        for path in [&store_wal, &old_log, &garbage] {
+            let before = std::fs::read(path).unwrap();
+            let Err(err) = IngestLog::open(path, false) else { panic!("{path:?} was accepted") };
+            assert!(err.to_string().contains(path.to_str().unwrap()), "{err}");
+            assert_eq!(std::fs::read(path).unwrap(), before);
         }
-        assert_eq!(log.record_count(), 20, "writer continues from the recovered prefix");
+    }
+
+    #[test]
+    fn a_segment_whose_creation_died_inside_the_header_starts_over() {
+        let dir = TempDir::new("ingest").unwrap();
+        for len in 0..SEGMENT_HEADER.len() {
+            let path = dir.file(&format!("partial-{len}.wal"));
+            std::fs::write(&path, &SEGMENT_HEADER[..len]).unwrap();
+            let (log, rec) = IngestLog::open(&path, false).unwrap();
+            assert_eq!((rec.events, rec.truncated), (0, false));
+            log.append_batch(&[ev(0)]).unwrap();
+            drop(log);
+            assert_eq!(replay_all(&path), (vec![ev(0)], false));
+        }
+    }
+
+    /// Three frames (3, 4 and 2 events, the middle one over two streams):
+    /// the file's bytes and the offset each frame ends at.
+    fn three_frames(dir: &TempDir) -> (Vec<u8>, [usize; 3], [Vec<Event>; 3]) {
+        let path = dir.file("three.wal");
+        let (log, _) = open_unsynced(&path);
+        let mut b: Vec<Event> = (3..7).map(ev).collect();
+        b[2].stream = "views".into();
+        let runs = [(0..3).map(ev).collect(), b, (7..9).map(ev).collect::<Vec<_>>()];
+        let ends = runs.each_ref().map(|run| {
+            log.write_batch(run).unwrap();
+            log.byte_count() as usize
+        });
+        (std::fs::read(&path).unwrap(), ends, runs)
+    }
+
+    #[test]
+    fn a_cut_at_every_offset_of_the_last_two_frames_loses_exactly_the_cut_frames() {
+        let dir = TempDir::new("ingest-torn").unwrap();
+        let (data, ends, runs) = three_frames(&dir);
+        let path = dir.file("cut.wal");
+        for cut in ends[0]..ends[2] {
+            std::fs::write(&path, &data[..cut]).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            let boundary = ends[whole - 1];
+            let mut expected = runs[..whole].concat();
+            let (log, rec) = open_unsynced(&path);
+            assert_eq!(rec.truncated, cut != boundary, "cut at {cut}");
+            assert_eq!(rec.events_after(0).unwrap(), expected, "cut at {cut}");
+            assert_eq!(
+                (log.record_count(), log.frame_count(), log.byte_count()),
+                (expected.len() as u64, whole as u64, boundary as u64),
+                "cut at {cut}"
+            );
+            // The reopened log appends on the boundary ...
+            log.write_batch(&[ev(99)]).unwrap();
+            drop(log);
+            assert_eq!(std::fs::read(&path).unwrap()[..boundary], data[..boundary]);
+            // ... and a third open is clean.
+            expected.push(ev(99));
+            assert_eq!(replay_all(&path), (expected, false), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_flipped_bit_anywhere_in_a_frame_drops_it_and_everything_after() {
+        let dir = TempDir::new("ingest-flip").unwrap();
+        let (data, ends, runs) = three_frames(&dir);
+        let path = dir.file("flip.wal");
+        for bit in ends[0] * 8..ends[1] * 8 {
+            let mut damaged = data.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &damaged).unwrap();
+            // A flipped length may still frame bytes whose checksum fails:
+            // either way nothing of frame two or three comes back.
+            let (events, truncated) = replay_all(&path);
+            assert!(truncated, "bit {bit}");
+            assert_eq!(events, runs[0], "bit {bit}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[0] as u64);
+        }
+    }
+
+    #[test]
+    fn a_hostile_length_is_a_torn_tail() {
+        let dir = TempDir::new("ingest").unwrap();
+        let path = dir.file("hostile.wal");
+        for len in [u32::MAX, FRAME_HARD_BYTES as u32 + 1] {
+            let mut data = SEGMENT_HEADER.to_vec();
+            data.extend_from_slice(&[0; 4]);
+            data.extend_from_slice(&len.to_le_bytes());
+            data.extend_from_slice(b"not four gigabytes");
+            std::fs::write(&path, &data).unwrap();
+            assert_eq!(replay_all(&path), (vec![], true));
+            assert_eq!(std::fs::read(&path).unwrap(), SEGMENT_HEADER);
+        }
+    }
+
+    #[test]
+    fn replay_decodes_only_the_frames_the_cursor_does_not_cover() {
+        let dir = TempDir::new("ingest").unwrap();
+        let path = dir.file("long.wal");
+        let (log, _) = open_unsynced(&path);
+        // 3 124 frames that pass their checksum, claim 64 events each and
+        // decode as nothing: whoever walks one fails.
+        let mut opaque = vec![0xff; 300];
+        opaque[0] = 64;
+        {
+            let mut w = log.writer.lock();
+            for _ in 0..3_124 {
+                w.stage(|buf| buf.extend_from_slice(&opaque));
+            }
+            w.commit().unwrap();
+            w.flush().unwrap();
+        }
+        let last: Vec<Event> = (0..64).map(ev).collect();
+        drop(log);
+        let (log, rec) = open_unsynced(&path);
+        assert_eq!((rec.events, log.frame_count()), (199_936, 3_124), "counted by their `n`");
+        log.write_batch(&last).unwrap();
+        drop(log);
+        let (_, rec) = open_unsynced(&path);
+        assert_eq!(rec.events, 200_000);
+        // The cursor sits on the last frame's first event: that frame is
+        // decoded, none of the 3 124 below it is so much as walked.
+        assert_eq!(rec.events_after(199_936).unwrap(), last);
+        // Ten events into it, the frame is decoded and its head skipped.
+        assert_eq!(rec.events_after(199_946).unwrap(), last[10..]);
+        assert!(rec.events_after(200_000).unwrap().is_empty());
+        // One event lower, and the frame below has to be read.
+        assert!(rec.events_after(199_935).is_err());
     }
 
     /// A sync seam that reports each entry on the returned receiver and
@@ -402,8 +927,8 @@ mod tests {
             entered.recv().unwrap();
             // The leader is inside the sync step; what a process crash
             // would leave behind already replays in full.
-            let replayed = muppet_slatestore::wal::replay(&path).unwrap();
-            assert_eq!(replayed.records.len(), 8);
+            let replayed = scan(&path, 0, u64::MAX).unwrap();
+            assert_eq!(replayed.suffix, events);
             assert!(!replayed.truncated);
             assert_eq!(log.durable_count(), 0, "nothing is acked before the sync returns");
             assert!(!waiter.is_finished());
@@ -511,28 +1036,5 @@ mod tests {
         assert!(log.sync().is_err());
         assert_eq!(log.record_count(), 2);
         log.wait_durable(1).expect("what a good sync covered stays acked");
-    }
-
-    #[test]
-    fn torn_tail_recovers_to_intact_prefix() {
-        let dir = TempDir::new("ingest").unwrap();
-        let path = dir.file("torn.wal");
-        {
-            let (log, _) = IngestLog::open(&path, true).unwrap();
-            for i in 0..10 {
-                log.append_batch(&[ev(i)]).unwrap();
-            }
-        }
-        let data = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &data[..data.len() - 3]).unwrap();
-        let (log, rec) = IngestLog::open(&path, true).unwrap();
-        assert!(rec.truncated);
-        assert_eq!(rec.events.len(), 9, "only the torn record is lost");
-        // The log stays appendable after the truncation.
-        log.append_batch(&[ev(99)]).unwrap();
-        drop(log);
-        let (_, rec) = IngestLog::open(&path, true).unwrap();
-        assert!(!rec.truncated);
-        assert_eq!(rec.events.len(), 10);
     }
 }

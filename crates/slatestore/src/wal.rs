@@ -6,24 +6,31 @@
 //! recovering the application from crashes" (§4.2): on restart, the WAL
 //! segments written since the last flush replay into a fresh memtable.
 //!
-//! ## Record framing
+//! ## Two layers
+//!
+//! The **raw layer** frames opaque payloads and owns everything a crash
+//! can do to a file: [`WalWriter::stage`] + [`WalWriter::commit`] write
+//! records, [`RawReplay`] streams their payloads back and stops cleanly at
+//! the first torn or corrupt one — the tail of a crashed write must not
+//! poison recovery — and [`WalWriter::resume`] cuts the file back to that
+//! boundary. The runtime's ingest log puts its frames of events on it.
+//! The **cell layer** (`append`, `append_many`, [`replay`],
+//! [`WalWriter::open_or_create`]) is the commit log proper: one record per
+//! cell write.
 //!
 //! ```text
-//! [u32 crc32c over payload][u32 payload_len][payload]
-//! payload := [len-prefixed row][len-prefixed column][u8 flags]
+//! record  := [u32 crc32c over payload][u32 payload_len][payload]
+//! payload := [len-prefixed row][len-prefixed column][u8 flags]      (cell layer)
 //!            [varint write_ts][varint ttl_secs+1 (0 = none)]
 //!            [len-prefixed value]
 //! ```
-//!
-//! Replay stops cleanly at the first torn/corrupt record — the tail of a
-//! crashed write must not poison recovery.
 
 use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
-use muppet_core::codec::{crc32c, get_u32};
+use muppet_core::codec::crc32c;
 
 use crate::record::{decode_cell, encode_cell};
 use crate::types::{Cell, CellKey, StoreError, StoreResult};
@@ -44,6 +51,8 @@ pub struct WalWriter {
     /// Reused frame buffer: a whole `append_many` batch is encoded here
     /// and handed to `out` as one `write_all`.
     scratch: Vec<u8>,
+    /// Records framed in `scratch`, not yet committed.
+    staged: u64,
 }
 
 impl WalWriter {
@@ -52,17 +61,7 @@ impl WalWriter {
     /// [`WalWriter::open_or_create`] instead — `create` destroys exactly
     /// the records a restart would replay.
     pub fn create(path: impl AsRef<Path>, sync_each: bool) -> StoreResult<WalWriter> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
-        Ok(WalWriter {
-            path,
-            out: BufWriter::new(file),
-            records: 0,
-            bytes: 0,
-            sync_each,
-            syncs: 0,
-            scratch: Vec::new(),
-        })
+        Self::resume(path, sync_each, 0, 0)
     }
 
     /// Open an existing segment for appending — replaying its intact
@@ -76,47 +75,71 @@ impl WalWriter {
         path: impl AsRef<Path>,
         sync_each: bool,
     ) -> StoreResult<(WalWriter, WalReplay)> {
-        use std::io::Seek;
-        let path = path.as_ref().to_path_buf();
         let replayed = replay(&path)?;
-        let mut file = OpenOptions::new().create(true).truncate(false).write(true).open(&path)?;
-        if replayed.truncated {
-            file.set_len(replayed.valid_bytes)?;
-        }
-        file.seek(std::io::SeekFrom::Start(replayed.valid_bytes))?;
-        let writer = WalWriter {
-            path,
-            out: BufWriter::new(file),
-            records: replayed.records.len() as u64,
-            bytes: replayed.valid_bytes,
-            sync_each,
-            syncs: 0,
-            scratch: Vec::new(),
-        };
+        let records = replayed.records.len() as u64;
+        let writer = Self::resume(path, sync_each, records, replayed.valid_bytes)?;
         Ok((writer, replayed))
     }
 
-    /// Frame one record at the tail of `scratch`: reserve the 8-byte
-    /// header, encode the payload in place, back-patch crc + length.
-    fn frame_record(&mut self, key: &CellKey, cell: &Cell) {
-        let header = self.scratch.len();
-        self.scratch.extend_from_slice(&[0u8; 8]);
-        encode_cell(&mut self.scratch, key, cell);
-        let payload = &self.scratch[header + 8..];
-        let (crc, len) = (crc32c(payload), payload.len() as u32);
-        self.scratch[header..header + 4].copy_from_slice(&crc.to_le_bytes());
-        self.scratch[header + 4..header + 8].copy_from_slice(&len.to_le_bytes());
+    /// Raw layer: open (or create) the segment for appending at
+    /// `valid_bytes` — the end of the `records` intact records a replay
+    /// found — cutting off whatever lies beyond it.
+    pub fn resume(
+        path: impl AsRef<Path>,
+        sync_each: bool,
+        records: u64,
+        valid_bytes: u64,
+    ) -> StoreResult<WalWriter> {
+        let path = path.as_ref().to_path_buf();
+        let mut file = OpenOptions::new().create(true).truncate(false).write(true).open(&path)?;
+        if file.metadata()?.len() > valid_bytes {
+            file.set_len(valid_bytes)?;
+        }
+        file.seek(std::io::SeekFrom::Start(valid_bytes))?;
+        Ok(WalWriter {
+            path,
+            out: BufWriter::new(file),
+            records,
+            bytes: valid_bytes,
+            sync_each,
+            syncs: 0,
+            scratch: Vec::new(),
+            staged: 0,
+        })
     }
 
-    /// Hand the `records` frames in `scratch` to the file buffer with one
-    /// `write_all`.
-    fn write_scratch(&mut self, records: u64) -> StoreResult<()> {
+    /// Raw layer: frame whatever `encode` appends as one record at the
+    /// tail of `scratch` — reserve the 8-byte header, let the payload be
+    /// encoded in place, back-patch crc + length. Nothing reaches the file
+    /// before [`WalWriter::commit`].
+    pub fn stage(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let header = self.scratch.len();
+        self.scratch.extend_from_slice(&[0u8; 8]);
+        encode(&mut self.scratch);
+        let payload = &self.scratch[header + 8..];
+        // lint: allow(no-unwrap-in-prod) — a 4 GiB record is a caller's bug; `as u32` would write a lying length
+        let len = u32::try_from(payload.len()).expect("a WAL record is under 4 GiB");
+        let crc = crc32c(payload);
+        self.scratch[header..header + 4].copy_from_slice(&crc.to_le_bytes());
+        self.scratch[header + 4..header + 8].copy_from_slice(&len.to_le_bytes());
+        self.staged += 1;
+    }
+
+    /// Raw layer: hand every staged record to the file buffer with one
+    /// `write_all`, then — under `sync_each` — one fsync for all of them.
+    pub fn commit(&mut self) -> StoreResult<()> {
+        if self.staged == 0 {
+            return Ok(());
+        }
         let written = self.out.write_all(&self.scratch);
-        let bytes = self.scratch.len() as u64;
+        let (records, bytes) = (std::mem::take(&mut self.staged), self.scratch.len() as u64);
         self.scratch.clear();
         written?;
         self.records += records;
         self.bytes += bytes;
+        if self.sync_each {
+            self.sync()?;
+        }
         Ok(())
     }
 
@@ -134,12 +157,8 @@ impl WalWriter {
 
     /// Append one cell write.
     pub fn append(&mut self, key: &CellKey, cell: &Cell) -> StoreResult<()> {
-        self.frame_record(key, cell);
-        self.write_scratch(1)?;
-        if self.sync_each {
-            self.sync()?;
-        }
-        Ok(())
+        self.stage(|buf| encode_cell(buf, key, cell));
+        self.commit()
     }
 
     /// Append a run of cell writes as one group commit: all records are
@@ -147,26 +166,16 @@ impl WalWriter {
     /// then — under `sync_each` — ONE fsync makes the whole batch durable,
     /// instead of one per record. The §4.2 write-behind pipeline's
     /// durability amortization: a flush tick of N dirty slates pays one
-    /// disk sync, not N. Entries may be borrowed (`&[(CellKey, Cell)]`) or
-    /// produced on the fly (the ingest log maps events to records).
+    /// disk sync, not N.
     pub fn append_many<R: Borrow<(CellKey, Cell)>>(
         &mut self,
         entries: impl IntoIterator<Item = R>,
     ) -> StoreResult<()> {
-        let mut records = 0;
         for entry in entries {
             let (key, cell) = entry.borrow();
-            self.frame_record(key, cell);
-            records += 1;
+            self.stage(|buf| encode_cell(buf, key, cell));
         }
-        if records == 0 {
-            return Ok(());
-        }
-        self.write_scratch(records)?;
-        if self.sync_each {
-            self.sync()?;
-        }
-        Ok(())
+        self.commit()
     }
 
     /// A second handle to the segment file, for a caller that fsyncs
@@ -225,52 +234,89 @@ pub struct WalReplay {
     pub valid_bytes: u64,
 }
 
-/// Replay a segment file. Missing file ⟹ empty replay (fresh node).
+/// Raw layer: streams a segment's record payloads in order, one at a time
+/// in a reused buffer, and stops at the first torn or corrupt record.
+pub struct RawReplay {
+    input: BufReader<File>,
+    /// Read position (just past the last payload returned) and file length.
+    offset: u64,
+    end: u64,
+    max_len: u32,
+    torn: bool,
+    payload: Vec<u8>,
+}
+
+impl RawReplay {
+    /// Replay `file` from its current position. A record whose header
+    /// claims more than `max_len` payload bytes, or more than the file
+    /// still holds, is torn: nothing is allocated for it.
+    pub fn new(mut file: File, max_len: u32) -> StoreResult<RawReplay> {
+        let (offset, end) = (file.stream_position()?, file.metadata()?.len());
+        let input = BufReader::new(file);
+        Ok(RawReplay { input, offset, end, max_len, torn: false, payload: Vec::new() })
+    }
+
+    /// The next intact record's payload; `None` at the end of the file or
+    /// at a torn/corrupt record ([`RawReplay::torn`] tells which).
+    pub fn next_payload(&mut self) -> StoreResult<Option<&[u8]>> {
+        let remaining = self.end.saturating_sub(self.offset);
+        if self.torn || remaining == 0 {
+            return Ok(None);
+        }
+        self.torn = true; // until this record proves intact
+        if remaining < 8 {
+            return Ok(None);
+        }
+        let (mut crc, mut len) = ([0u8; 4], [0u8; 4]);
+        self.input.read_exact(&mut crc)?;
+        self.input.read_exact(&mut len)?;
+        let (crc, len) = (u32::from_le_bytes(crc), u32::from_le_bytes(len));
+        if len > self.max_len || u64::from(len) > remaining - 8 {
+            return Ok(None);
+        }
+        self.payload.resize(len as usize, 0);
+        self.input.read_exact(&mut self.payload)?;
+        if crc32c(&self.payload) != crc {
+            return Ok(None);
+        }
+        self.torn = false;
+        self.offset += 8 + u64::from(len);
+        Ok(Some(&self.payload))
+    }
+
+    /// File offset just past the last payload returned — the boundary a
+    /// torn tail is cut back to.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// True once replay has stopped at a torn or corrupt record.
+    pub fn torn(&self) -> bool {
+        self.torn
+    }
+}
+
+/// Replay a segment file of cell records. Missing file ⟹ empty replay
+/// (fresh node). A record that fails its checksum or does not decode as a
+/// cell ends the replay there.
 pub fn replay(path: impl AsRef<Path>) -> StoreResult<WalReplay> {
-    let path = path.as_ref();
-    let mut data = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut data)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(WalReplay { records: Vec::new(), truncated: false, valid_bytes: 0 });
-        }
+    let mut replayed = WalReplay { records: Vec::new(), truncated: false, valid_bytes: 0 };
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(replayed),
         Err(e) => return Err(e.into()),
-    }
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    let mut truncated = false;
-    while offset < data.len() {
-        let Some(crc) = get_u32(&data, offset) else {
-            truncated = true;
+    };
+    let mut raw = RawReplay::new(file, u32::MAX)?;
+    while let Some(payload) = raw.next_payload()? {
+        let Ok(record) = decode_record(payload) else {
+            replayed.truncated = true;
             break;
         };
-        let Some(len) = get_u32(&data, offset + 4) else {
-            truncated = true;
-            break;
-        };
-        let start = offset + 8;
-        let end = start + len as usize;
-        if end > data.len() {
-            truncated = true;
-            break;
-        }
-        let payload = &data[start..end];
-        if crc32c(payload) != crc {
-            truncated = true;
-            break;
-        }
-        match decode_record(payload) {
-            Ok(rec) => records.push(rec),
-            Err(_) => {
-                truncated = true;
-                break;
-            }
-        }
-        offset = end;
+        replayed.records.push(record);
+        replayed.valid_bytes = raw.offset();
     }
-    Ok(WalReplay { records, truncated, valid_bytes: offset as u64 })
+    replayed.truncated |= raw.torn();
+    Ok(replayed)
 }
 
 #[cfg(test)]
@@ -356,6 +402,59 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), expected);
         assert_eq!(w.byte_count(), expected.len() as u64);
         assert_eq!(w.record_count(), 7);
+    }
+
+    #[test]
+    fn raw_records_round_trip_and_resume_on_the_boundary() {
+        let dir = TempDir::new("wal").unwrap();
+        let path = dir.file("raw.log");
+        let mut w = WalWriter::create(&path, true).unwrap();
+        w.stage(|buf| buf.extend_from_slice(b"one"));
+        w.commit().unwrap();
+        w.stage(|_| ());
+        w.stage(|buf| buf.extend_from_slice(&[0xff; 300]));
+        w.commit().unwrap();
+        assert_eq!((w.record_count(), w.sync_count()), (3, 2), "one fsync per commit");
+        let boundary = w.byte_count();
+        drop(w);
+        // A torn fourth record.
+        let mut data = std::fs::read(&path).unwrap();
+        data.extend_from_slice(&[1, 2, 3, 4, 9, 0, 0, 0, b'x']);
+        std::fs::write(&path, &data).unwrap();
+
+        let mut raw = RawReplay::new(File::open(&path).unwrap(), u32::MAX).unwrap();
+        for expected in [&b"one"[..], b"", &[0xff; 300]] {
+            assert_eq!(raw.next_payload().unwrap(), Some(expected));
+        }
+        assert_eq!(raw.next_payload().unwrap(), None);
+        assert!(raw.torn());
+        assert_eq!(raw.offset(), boundary);
+
+        let mut w = WalWriter::resume(&path, false, 3, boundary).unwrap();
+        w.stage(|buf| buf.extend_from_slice(b"four"));
+        w.commit().unwrap();
+        w.flush().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), boundary + 12);
+    }
+
+    #[test]
+    fn a_length_over_the_readers_cap_is_torn_before_anything_is_allocated() {
+        let dir = TempDir::new("wal").unwrap();
+        let path = dir.file("cap.log");
+        let mut w = WalWriter::create(&path, false).unwrap();
+        w.stage(|buf| buf.extend_from_slice(&[7; 2_000]));
+        w.commit().unwrap();
+        w.flush().unwrap();
+        // Intact and within the file — only the cap says no.
+        let mut raw = RawReplay::new(File::open(&path).unwrap(), 1_999).unwrap();
+        assert_eq!(raw.next_payload().unwrap(), None);
+        assert!(raw.torn());
+        assert_eq!((raw.offset(), raw.payload.capacity()), (0, 0));
+        // So does a length the file cannot hold, whatever the cap.
+        std::fs::write(&path, [0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 1, 2, 3]).unwrap();
+        let mut raw = RawReplay::new(File::open(&path).unwrap(), u32::MAX).unwrap();
+        assert_eq!(raw.next_payload().unwrap(), None);
+        assert_eq!((raw.torn(), raw.payload.capacity()), (true, 0));
     }
 
     #[test]

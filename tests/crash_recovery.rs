@@ -21,7 +21,7 @@ use muppet::net::topology::Topology;
 use muppet::prelude::*;
 use muppet::runtime::engine::OperatorSet;
 use muppet::runtime::http::percent_encode;
-use muppet::runtime::ingestlog::SyncFn;
+use muppet::runtime::ingestlog::{IngestLog, SyncFn};
 use muppet::slatestore::util::TempDir;
 
 fn http(method: &str, port: u16, path: &str, body: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {
@@ -517,6 +517,47 @@ fn a_failed_fsync_stops_ingest_keeps_the_store_behind_the_log_and_a_restart_repl
     assert!(engine.checkpoint(Duration::from_secs(10)));
     assert!(store.stats().node.puts > GATED_KEYS as u64, "slates and the cursor are stored");
     assert_eq!(engine.stats().processed, 64, "replayed once, not twice");
+    shutdown(engine);
+}
+
+/// The replay cursor counts events, not frames, and a checkpoint racing a
+/// `submit_many` may leave it inside one: the restart skips exactly that
+/// many events of the frame and replays the rest, once.
+#[test]
+fn a_cursor_inside_a_frame_replays_exactly_the_rest_of_it() {
+    let dir = TempDir::new("mid-frame-cursor").unwrap();
+    let store = Arc::new(StoreCluster::open(dir.path(), StoreConfig::default()).unwrap());
+    let frame = gated_frame();
+    let wf = count_workflow();
+    let mut exec = ReferenceExecutor::new(&wf);
+    exec.register_updater(CountUpdater);
+    for ev in &frame {
+        exec.push_external("S1", ev.clone());
+    }
+    exec.run_to_completion().unwrap();
+
+    // First life: the frame's first ten events, checkpointed — the store
+    // holds their effects and a cursor of 10.
+    let engine = stored_count_engine(&dir.file("first.log"), &store, None);
+    engine.submit_many(frame[..10].to_vec()).unwrap();
+    assert!(engine.checkpoint(Duration::from_secs(10)));
+    shutdown(engine);
+
+    // The log a racing checkpoint would have left: all 64 events in ONE frame.
+    let wal = dir.file("ingest.log");
+    let (log, _) = IngestLog::open(&wal, false).unwrap();
+    log.append_batch(&frame).unwrap();
+    drop(log);
+
+    let engine = stored_count_engine(&wal, &store, None);
+    assert_eq!(engine.recovered_replayed(), 54);
+    assert!(engine.drain(Duration::from_secs(10)));
+    assert_eq!(engine.stats().processed, 54, "the first ten are not applied twice");
+    for k in 0..GATED_KEYS {
+        let key = Key::from(format!("k-{k}"));
+        let reference = exec.slate("counter", &key).unwrap();
+        assert_eq!(engine.read_slate("counter", &key).as_deref(), Some(reference.bytes()));
+    }
     shutdown(engine);
 }
 
