@@ -11,10 +11,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use muppet_apps::retailer::{self};
+use muppet_obs::Histogram;
 use muppet_runtime::cache::FlushPolicy;
 use muppet_runtime::engine::{Engine, EngineConfig, EngineKind};
 use muppet_runtime::http::{http_get, percent_encode, HttpSlateServer};
-use muppet_runtime::metrics::Histogram;
 use muppet_slatestore::cluster::{StoreCluster, StoreConfig};
 use muppet_slatestore::types::CellKey;
 use muppet_slatestore::util::TempDir;

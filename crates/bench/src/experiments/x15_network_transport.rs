@@ -9,10 +9,10 @@
 //! two-choice dispatch; only the wire differs. Three arms:
 //!
 //! * `in-process` — direct call hand-off (the seed's simulated cluster);
-//! * `tcp-unbatched` — one `Event` frame per event (`batch_max = 1`,
+//! * `tcp-unbatched` — one `Events` frame per event (`batch_max = 1`,
 //!   `flush_us = 0`): a syscall and a CRC per tweet;
 //! * `tcp-batched` — the default flush policy coalescing events into
-//!   `EventBatch` frames.
+//!   multi-event frames.
 //!
 //! Next to the throughput arms, one latency row: a lone event's hop across
 //! an idle 2-node TCP cluster at the default policy — the flush is
@@ -99,7 +99,7 @@ fn drive(intake: &Engine, cluster: &[&Engine], events: &[muppet_core::event::Eve
     let mut processed = 0;
     let mut frames_sent = 0;
     let mut batches_sent = 0;
-    let mut latency = muppet_runtime::metrics::LatencySummary::default();
+    let mut latency = muppet_obs::LatencySummary::default();
     for engine in cluster {
         let stats = engine.stats();
         processed += stats.processed;

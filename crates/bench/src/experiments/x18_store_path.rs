@@ -15,7 +15,7 @@
 //!   backend call per slate (`flush_batch_max = 1`);
 //! * `+batched-calls`   — the dirty index plus `FlushBatch`es:
 //!   ⌈D/flush_batch_max⌉ `store_many` calls per sweep (over TCP these
-//!   are `StorePutBatch` frames — one wire round trip per batch);
+//!   are `StorePut` frames — one wire round trip per batch);
 //! * `+group-commit`    — the store side: the same D cells written
 //!   through `put_many` on a `wal_sync_each` cluster, one fsync per
 //!   node-batch instead of one per record;
@@ -27,7 +27,7 @@
 //!   `store_many` and one fsync per replica per run).
 //!
 //! Both an in-process cluster backend and a TCP-loopback `RemoteBackend`
-//! (real `StorePutBatch` frames against a store-hosting peer) are
+//! (real `StorePut` frames against a store-hosting peer) are
 //! measured. CI gates on the deterministic round-trip / fsync counts,
 //! not wall time; the committed full-scale numbers live in
 //! `BENCH_x18.json`.
@@ -41,7 +41,7 @@ use muppet_core::json::Json;
 use muppet_core::Codec;
 use muppet_net::topology::Topology;
 use muppet_net::transport::{ClusterHandler, MachineId, NetError, Transport};
-use muppet_net::{StoreGetItem, StorePutItem, TcpTransport, WireEvent};
+use muppet_net::{StorePutItem, TcpTransport, WireEvent};
 use muppet_runtime::cache::{FlushItem, FlushPolicy, SlateBackend, SlateCache};
 use muppet_runtime::netstore::RemoteBackend;
 use muppet_slatestore::cluster::{StoreCluster, StoreConfig};
@@ -115,8 +115,8 @@ fn flush_by_sweep(cache: &SlateCache) -> Outcome {
     }
 }
 
-/// The store host behind the TCP arms: serves the batched (and unbatched)
-/// store frames from a real LSM cluster.
+/// The store host behind the TCP arms: serves the store frames from a
+/// real LSM cluster.
 struct HostedStore(Arc<StoreCluster>);
 
 impl ClusterHandler for HostedStore {
@@ -127,9 +127,6 @@ impl ClusterHandler for HostedStore {
     fn handle_failure_broadcast(&self, _f: MachineId, _epoch: u64) {}
     fn read_local_slate(&self, _d: MachineId, _u: &str, _k: &[u8]) -> Option<Vec<u8>> {
         None
-    }
-    fn backend_store(&self, u: &str, k: &[u8], v: &[u8], codec: Codec, ttl: Option<u64>, now: u64) {
-        SlateBackend::store(&*self.0, u, &Key::from(k), v, codec, ttl, now);
     }
     fn backend_load(&self, u: &str, k: &[u8], now: u64) -> Option<Vec<u8>> {
         SlateBackend::load(&*self.0, u, &Key::from(k), now)
@@ -146,9 +143,6 @@ impl ClusterHandler for HostedStore {
             })
             .collect();
         SlateBackend::store_many(&*self.0, &flush, now)
-    }
-    fn backend_load_many(&self, items: &[StoreGetItem], now: u64) -> Vec<Option<Vec<u8>>> {
-        items.iter().map(|item| self.backend_load(&item.updater, &item.key, now)).collect()
     }
 }
 
@@ -359,7 +353,7 @@ pub fn run(scale: Scale) {
     let index = run_inproc(1, "index", false);
     let batched = run_inproc(FLUSH_BATCH, "batched", false);
 
-    // --- TCP-loopback arms: real StorePut / StorePutBatch frames ---
+    // --- TCP-loopback arms: real StorePut frames, of one slate and of a batch ---
     let tcp_per_slate = run_tcp_arm(m, d, 1, "tcp-1");
     let tcp_batched = run_tcp_arm(m, d, FLUSH_BATCH, "tcp-b");
 
@@ -436,7 +430,7 @@ pub fn run(scale: Scale) {
     assert_eq!(tcp_per_slate.round_trips, d as u64, "unbatched TCP = one frame per slate");
     assert_eq!(
         tcp_batched.round_trips, expected_batches,
-        "batched TCP = one StorePutBatch frame per batch"
+        "batched TCP = one StorePut frame per batch"
     );
     assert_eq!(each_syncs, d as u64, "sync_each without batching = one fsync per record");
     assert!(

@@ -3,15 +3,15 @@
 //!
 //! §4.2: "our applications often use JSON to encode slates". PR 9 threads
 //! MBF — the compact tagged binary codec — through every byte boundary the
-//! earlier experiments measured one at a time: EventBatch payloads on the
+//! earlier experiments measured one at a time: event-frame payloads on the
 //! wire (x15), slate materialization on the hot path (x17), and the
 //! WAL/SSTable store path (x18). This experiment re-runs those boundaries
 //! in both codecs on the paper's two workloads:
 //!
 //! * `event payloads`   — the bytes a tweet/checkin value occupies as
 //!   JSON text vs MBF: what the ingest WAL appends and frames carry;
-//! * `wire frames`      — the exact `Event`/`EventBatch` payload bytes a
-//!   v5↔v5 connection ships vs the same events downgraded for a JSON
+//! * `wire frames`      — the exact `Events` payload bytes an MBF
+//!   connection ships vs the same events downgraded for a JSON
 //!   peer (`encode_events_payload` both ways — framing included);
 //! * `slates at rest`   — a store-backed hot_topics run per codec,
 //!   scanning the store after shutdown: the bytes that actually rested;
@@ -110,9 +110,9 @@ fn payload_arm(workload: &'static str, events: &[Event]) -> ByteArm {
     ByteArm { boundary: "event-payloads", workload, json, mbf }
 }
 
-/// Exact wire payload bytes: the events (values already MBF, as a v5
-/// ingest node holds them) encoded for a v5 peer vs downgraded for a
-/// JSON peer, in default-sized batches. Framing and headers included.
+/// Exact wire payload bytes: the events (values already MBF, as an
+/// `mbf` ingest node holds them) encoded for an MBF peer vs downgraded for
+/// a JSON peer, in default-sized batches. Framing and headers included.
 fn wire_arm(workload: &'static str, events: &[Event]) -> ByteArm {
     let wire: Vec<WireEvent> = events
         .iter()

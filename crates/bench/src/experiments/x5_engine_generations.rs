@@ -21,8 +21,8 @@ use muppet_core::event::{Event, Key};
 use muppet_core::operator::{Emitter, FnMapper, FnUpdater};
 use muppet_core::slate::Slate;
 use muppet_core::workflow::Workflow;
+use muppet_obs::Histogram;
 use muppet_runtime::engine::{Engine, EngineConfig, EngineKind, OperatorSet};
-use muppet_runtime::metrics::Histogram;
 
 use crate::table::{us, Table};
 use crate::Scale;

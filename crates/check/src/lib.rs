@@ -1,6 +1,7 @@
 //! # muppet-check — the workspace's correctness tooling
 //!
-//! Three layers (DESIGN.md §12):
+//! Three layers (DESIGN.md §12), plus [`loc`], the line accounting every
+//! PR reports with (`cargo run -p muppet-check -- loc`):
 //!
 //! * [`lexer`] + [`rules`] + [`lint`] — a zero-dependency source scanner
 //!   with repo-specific deny rules (`no-raw-lock`, `no-unwrap-in-prod`,
@@ -17,6 +18,7 @@
 
 pub mod lexer;
 pub mod lint;
+pub mod loc;
 pub mod models;
 pub mod rules;
 pub mod sched;

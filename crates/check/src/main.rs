@@ -6,11 +6,12 @@
 //! cargo run -p muppet-check -- lint FILE...    # lint explicit files
 //!                                              # (honors `// lint-fixture-as:` headers)
 //! cargo run -p muppet-check -- lint --root DIR # lint another tree
+//! cargo run -p muppet-check -- loc [--root DIR] # code/test lines per package
 //! ```
 //!
 //! Exit code 0 = clean, 1 = findings, 2 = usage/IO error.
 
-use muppet_check::lint;
+use muppet_check::{lint, loc};
 
 fn main() {
     std::process::exit(run(std::env::args().skip(1).collect()));
@@ -18,17 +19,19 @@ fn main() {
 
 fn run(args: Vec<String>) -> i32 {
     let mut args = args.into_iter().peekable();
-    match args.next().as_deref() {
-        Some("lint") => {}
+    let command = args.next();
+    match command.as_deref() {
+        Some("lint") | Some("loc") => {}
         Some("--help") | Some("-h") | None => {
             eprintln!(
-                "usage: muppet-check lint [--json] [--root DIR] [FILE...]\n\nrules: {}",
+                "usage: muppet-check lint [--json] [--root DIR] [FILE...]\n       \
+                 muppet-check loc [--root DIR]\n\nrules: {}",
                 muppet_check::rules::RULES.join(", ")
             );
             return if args.len() == 0 { 2 } else { 0 };
         }
         Some(other) => {
-            eprintln!("muppet-check: unknown command `{other}` (try `lint`)");
+            eprintln!("muppet-check: unknown command `{other}` (try `lint` or `loc`)");
             return 2;
         }
     }
@@ -47,6 +50,18 @@ fn run(args: Vec<String>) -> i32 {
             },
             f => files.push(f.to_string()),
         }
+    }
+    if command.as_deref() == Some("loc") {
+        return match loc::count_workspace(&root) {
+            Ok(rows) => {
+                print!("{}", loc::render(&rows));
+                0
+            }
+            Err(e) => {
+                eprintln!("muppet-check: {e}");
+                2
+            }
+        };
     }
     let report =
         if files.is_empty() { lint::lint_workspace(&root) } else { lint::lint_files(&files) };

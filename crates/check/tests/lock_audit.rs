@@ -64,7 +64,6 @@ fn engine_run_has_acyclic_lock_order_and_no_fsync_under_lock() {
         cache_shards: 4,
         drain_batch_max: 8,
         flush: FlushPolicy::WriteThrough,
-        record_latency: true,
         ingest_wal: Some(dir.path().join("ingest.wal")),
         ..EngineConfig::default()
     };

@@ -71,7 +71,7 @@ pub fn get_len_prefixed(buf: &[u8]) -> Option<(&[u8], usize)> {
 /// present, the length-prefixed bytes. Shared by the network framing and
 /// store codecs (previously copy-pasted in each).
 #[inline]
-pub fn put_opt_bytes(out: &mut Vec<u8>, value: &Option<Vec<u8>>) {
+pub fn put_opt_bytes(out: &mut Vec<u8>, value: Option<&[u8]>) {
     match value {
         Some(bytes) => {
             out.push(1);
@@ -279,8 +279,8 @@ mod tests {
     #[test]
     fn opt_bytes_roundtrip_and_reject_bad_presence() {
         let mut buf = Vec::new();
-        put_opt_bytes(&mut buf, &Some(b"payload".to_vec()));
-        put_opt_bytes(&mut buf, &None);
+        put_opt_bytes(&mut buf, Some(b"payload"));
+        put_opt_bytes(&mut buf, None);
         let (a, n) = get_opt_bytes(&buf).unwrap();
         assert_eq!(a.as_deref(), Some(&b"payload"[..]));
         let (b, m) = get_opt_bytes(&buf[n..]).unwrap();

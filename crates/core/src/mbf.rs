@@ -1,7 +1,7 @@
 //! MBF — the Muppet Binary Format for slate and event payloads.
 //!
 //! "Our applications often use JSON to encode slates" (§4.2) — and every
-//! byte boundary (EventBatch frames, SSTable blocks, WAL records, flush
+//! byte boundary (event frames, SSTable blocks, WAL records, flush
 //! materialization) used to pay JSON's text bloat and parse cost. MBF is a
 //! compact self-describing tagged binary encoding of exactly the [`Json`]
 //! value model: one magic byte, then a recursive tagged value.
@@ -99,7 +99,7 @@ pub fn is_mbf(bytes: &[u8]) -> bool {
 /// text and pre-MBF payloads are tagged `Json`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Codec {
-    /// JSON text (or raw/opaque legacy bytes — counters, pre-v5 payloads).
+    /// JSON text (or raw/opaque bytes — counters, payloads of no format).
     #[default]
     Json,
     /// MBF tagged binary.
@@ -131,15 +131,15 @@ impl std::fmt::Display for Codec {
     }
 }
 
-/// Operator-facing codec knob: `auto` negotiates MBF where both peers
-/// support it (PROTOCOL_VERSION ≥ 5) and keeps JSON elsewhere.
+/// Operator-facing codec knob (DESIGN.md §13): what this node offers in
+/// the wire handshake and stores at rest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CodecChoice {
-    /// Negotiate: MBF with v5 peers and at rest, JSON with older peers and
-    /// at the HTTP boundary.
+    /// Negotiate: MBF with peers that offer it and at rest, JSON with
+    /// JSON-pinned peers and at the HTTP boundary.
     #[default]
     Auto,
-    /// Force JSON everywhere (pre-v5 behaviour).
+    /// Force JSON everywhere: offer nothing, store text.
     Json,
     /// Prefer MBF; still downgrades per connection when a peer cannot
     /// decode it.

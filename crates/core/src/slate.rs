@@ -36,8 +36,9 @@
 //! [`Slate::json_mut`] / [`Slate::json_mut_or`] mutate the resident
 //! document in place, bumping `version` without serializing.
 //! [`Slate::materialize`] emits the payload in a caller-chosen codec —
-//! JSON text for human-facing boundaries, MBF for v5 wire peers and the
-//! store — serializing at most once per codec per mutation.
+//! JSON text for human-facing boundaries, MBF for wire peers that
+//! negotiated it and the store — serializing at most once per codec per
+//! mutation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -12,6 +12,7 @@
 //! desynchronization; decoding is bounds-checked throughout and never
 //! panics on malformed input.
 
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 use bytes::Bytes;
@@ -97,8 +98,8 @@ pub struct MembershipUpdate {
     pub nodes: Vec<NodeSpec>,
 }
 
-/// One slate write inside a [`Frame::StorePutBatch`] — the wire image of
-/// a dirty-slate snapshot headed for the store host.
+/// One slate write inside a [`Frame::StorePut`] — the wire image of a
+/// dirty-slate snapshot headed for the store host.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StorePutItem {
     /// Update function (store column).
@@ -110,13 +111,12 @@ pub struct StorePutItem {
     pub value: Bytes,
     /// Slate TTL, if the updater configured one.
     pub ttl_secs: Option<u64>,
-    /// Payload format of `value`. All-JSON batches encode as the v3 wire
-    /// (kind 16, byte-identical); any MBF item switches the batch to the
-    /// tagged v5 encoding (kind 22).
+    /// Payload format of `value`. Travels with every item: the store may
+    /// compress the bytes, after which they can no longer be sniffed.
     pub codec: Codec,
 }
 
-/// One slate read inside a [`Frame::StoreGetBatch`].
+/// One slate read inside a [`Frame::StoreGet`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreGetItem {
     /// Update function (store column).
@@ -125,37 +125,28 @@ pub struct StoreGetItem {
     pub key: Vec<u8>,
 }
 
-/// One protocol message.
+/// One protocol message. DESIGN.md §5 has the kind table (byte,
+/// direction, reply).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
-    /// Connection preamble: protocol version + sender machine + (v5) the
-    /// codec capabilities the dialer offers ([`CODEC_MBF`] bit). Receivers
-    /// accept versions 3..=5 — pre-v5 hellos carry no codecs byte and
-    /// decode with `codecs == 0`, so a mixed-version cluster degrades to
-    /// JSON on exactly the connections that need it.
+    /// Connection preamble, always the first frame: protocol version,
+    /// sender machine, and the codec capabilities the dialer offers
+    /// ([`CODEC_MBF`] bit). A hello of another version decodes with only
+    /// its `version` filled in, so the receiver can name what it refuses.
     Hello { sender: MachineId, version: u64, codecs: u8 },
-    /// Reply to a **v5** [`Frame::Hello`] carrying the receiver's codec
-    /// capabilities; the intersection of offered and acked bits is the
-    /// connection's negotiated codec. Never sent in reply to a pre-v5
-    /// hello: legacy dialers do not read acks (their liveness probe
-    /// treats any readable byte on an event connection as a dead peer).
+    /// Reply to every accepted [`Frame::Hello`], carrying the receiver's
+    /// codec capabilities; the intersection of offered and acked bits is
+    /// the connection's negotiated codec.
     HelloAck { codecs: u8 },
-    /// Deliver an event (one-way; losses surface as connection errors).
-    Event(WireEvent),
-    /// Deliver a coalesced run of events (one-way). One frame header, one
-    /// CRC, one syscall for the whole run — the amortization that makes
-    /// the wire keep up with the firehose (§4.1). Semantically identical
-    /// to the same events sent as individual [`Frame::Event`]s.
-    EventBatch(Vec<WireEvent>),
-    /// Deliver a coalesced run of *combined* events (one-way): each entry
-    /// is one wire event whose payload absorbed `count` original
-    /// same-⟨op,key⟩ events through the operator's declared associative
-    /// combiner (map-side pre-aggregation in the sender outbox). The
-    /// count rides along so the receiver can account for original events
-    /// (ledgers, metrics) without unfolding. A batch where every count is
-    /// 1 never uses this kind — it encodes as the plain
-    /// [`Frame::EventBatch`] / [`Frame::Event`] wire, byte-identical.
-    CombinedBatch(Vec<(WireEvent, u64)>),
+    /// Deliver a run of events (one-way; losses surface as connection
+    /// errors). One frame header, one CRC, one syscall for the whole run —
+    /// the amortization that makes the wire keep up with the firehose
+    /// (§4.1). Each entry carries the number of original same-⟨op,key⟩
+    /// events its payload absorbed through the operator's declared
+    /// associative combiner (map-side pre-aggregation in the sender
+    /// outbox), so the receiver can account for original events without
+    /// unfolding; an uncombined event is the case `absorbed == 1`.
+    Events(Vec<(WireEvent, u64)>),
     /// Worker → master: `failed` was unreachable on send (§4.3), observed
     /// under membership `epoch` (stale-epoch reports about a re-joined id
     /// are rejected by the master).
@@ -166,46 +157,33 @@ pub enum Frame {
     /// Joiner → master: machine `machine` (previously reserved via the
     /// HTTP `/join` admin call) is live and ready to enter the rings.
     Join { machine: MachineId },
-    /// Master → workers: an epoch-stamped membership change (prepare or
-    /// commit; see [`MembershipUpdate`]).
+    /// Master → workers: an epoch-stamped membership change (prepare,
+    /// commit or abort; see [`MembershipUpdate`]).
     Membership(MembershipUpdate),
-    /// Worker → master reply to a [`Frame::Membership`] prepare: the
-    /// epoch is staged; moved-away dirty slates were flushed before this
-    /// ack.
-    MembershipAck { epoch: u64 },
-    /// Worker → master reply to a [`Frame::Membership`] prepare the
-    /// worker refused (e.g. a newer epoch already staged). Lets the
-    /// master fail fast instead of burning a reply timeout and
-    /// misreading a healthy worker as dead.
-    MembershipNack { epoch: u64 },
+    /// Worker → master reply to a [`Frame::Membership`] prepare. Accepted:
+    /// the epoch is staged and moved-away dirty slates were flushed before
+    /// this reply. Refused (e.g. a newer epoch already staged): the master
+    /// fails fast instead of burning a reply timeout and misreading a
+    /// healthy worker as dead.
+    MembershipReply { epoch: u64, accepted: bool },
     /// Request the live cached slate of ⟨updater, key⟩ (§4.4 remote read).
     SlateGet { updater: String, key: Vec<u8> },
     /// Response to [`Frame::SlateGet`].
     SlateValue { value: Option<Vec<u8>> },
-    /// Persist slate bytes on the store-hosting node.
-    StorePut { updater: String, key: Vec<u8>, value: Vec<u8>, ttl_secs: Option<u64>, now_us: u64 },
-    /// Load persisted slate bytes from the store-hosting node.
-    StoreGet { updater: String, key: Vec<u8>, now_us: u64 },
-    /// Response to [`Frame::StoreGet`].
-    StoreValue { value: Option<Vec<u8>> },
-    /// Response to [`Frame::StorePut`].
-    StoreAck,
     /// Persist a run of slates on the store-hosting node in ONE framed
     /// round trip (the §4.2 write-behind flush: a tick's dirty set crosses
-    /// the wire as one frame, one CRC, one syscall — the store-path twin
-    /// of [`Frame::EventBatch`]). Semantically identical to the same cells
-    /// sent as individual [`Frame::StorePut`]s, which remain accepted.
-    StorePutBatch { items: Vec<StorePutItem>, now_us: u64 },
-    /// Response to [`Frame::StorePutBatch`]: per-item success, in order
-    /// (false = the store refused that cell; the sender keeps it dirty).
-    StoreAckBatch { ok: Vec<bool> },
+    /// the wire as one frame, one CRC, one syscall). A single slate is a
+    /// run of one.
+    StorePut { items: Vec<StorePutItem>, now_us: u64 },
+    /// Response to [`Frame::StorePut`]: per-item success, in order (false
+    /// = the store refused that cell; the sender keeps it dirty).
+    StoreAck { ok: Vec<bool> },
     /// Load a run of slates from the store-hosting node in one round trip.
-    StoreGetBatch { items: Vec<StoreGetItem>, now_us: u64 },
-    /// Response to [`Frame::StoreGetBatch`]: per-item values with their
-    /// payload codecs, in order. All-JSON responses encode as the v3 wire
-    /// (kind 19, byte-identical); any MBF value switches to the tagged v5
-    /// encoding (kind 23).
-    StoreValueBatch { values: Vec<Option<(Vec<u8>, Codec)>> },
+    StoreGet { items: Vec<StoreGetItem>, now_us: u64 },
+    /// Response to [`Frame::StoreGet`]: per-item values, in order. No
+    /// codec tag: values come back uncompressed, and the MBF magic byte is
+    /// sniffable.
+    StoreValue { values: Vec<Option<Vec<u8>>> },
     /// A restarted incarnation of `machine` re-identifying itself (crash
     /// recovery): the receiver clears its §4.3 death-ledger entry, marks
     /// the machine routable again, and — on the master — re-runs the
@@ -216,55 +194,42 @@ pub enum Frame {
     ReintroduceAck { epoch: u64 },
 }
 
-/// Protocol version carried in [`Frame::Hello`]. v6: combined-batch
-/// event frames (kind 25) carrying map-side pre-aggregated deltas with
-/// their absorbed-event counts; v5: MBF codec
-/// negotiation (`HelloAck`, the hello codecs byte, tagged store batch
-/// kinds 22/23) — hellos from v3/v4 peers are still accepted and pin
-/// their connections to JSON; v4: restart re-identification
-/// (`Reintroduce`/`ReintroduceAck`); v3 added batched store frames
-/// (`StorePutBatch`/`StoreGetBatch` + responses); v2 added epoch-stamped
-/// failure frames + the membership (elastic join) frames. The unbatched
-/// store frames remain in the protocol and are still accepted.
-pub const PROTOCOL_VERSION: u64 = 6;
-
-/// Oldest hello version still accepted (see [`Frame::Hello`]).
-pub const MIN_PROTOCOL_VERSION: u64 = 3;
+/// Protocol version carried in [`Frame::Hello`]; the only one a node
+/// speaks (DESIGN.md §5).
+pub const PROTOCOL_VERSION: u64 = 7;
 
 /// Codec-capability bit in the hello/ack `codecs` byte: the peer can
 /// decode MBF payloads in event values and store frames.
 pub const CODEC_MBF: u8 = 0b0000_0001;
 
+// Kind bytes are never renumbered and a retired byte (2, 7–11, 15, 16, 23)
+// is never reused.
 const KIND_HELLO: u8 = 1;
-const KIND_EVENT: u8 = 2;
 const KIND_FAILURE_REPORT: u8 = 3;
 const KIND_FAILURE_BROADCAST: u8 = 4;
 const KIND_SLATE_GET: u8 = 5;
 const KIND_SLATE_VALUE: u8 = 6;
-const KIND_STORE_PUT: u8 = 7;
-const KIND_STORE_GET: u8 = 8;
-const KIND_STORE_VALUE: u8 = 9;
-const KIND_STORE_ACK: u8 = 10;
-const KIND_EVENT_BATCH: u8 = 11;
 const KIND_JOIN: u8 = 12;
 const KIND_MEMBERSHIP: u8 = 13;
-const KIND_MEMBERSHIP_ACK: u8 = 14;
-const KIND_MEMBERSHIP_NACK: u8 = 15;
-const KIND_STORE_PUT_BATCH: u8 = 16;
-const KIND_STORE_ACK_BATCH: u8 = 17;
-const KIND_STORE_GET_BATCH: u8 = 18;
-const KIND_STORE_VALUE_BATCH: u8 = 19;
+const KIND_MEMBERSHIP_REPLY: u8 = 14;
+const KIND_STORE_ACK: u8 = 17;
+const KIND_STORE_GET: u8 = 18;
+const KIND_STORE_VALUE: u8 = 19;
 const KIND_REINTRODUCE: u8 = 20;
 const KIND_REINTRODUCE_ACK: u8 = 21;
-const KIND_STORE_PUT_BATCH_TAGGED: u8 = 22;
-const KIND_STORE_VALUE_BATCH_TAGGED: u8 = 23;
+const KIND_STORE_PUT: u8 = 22;
 const KIND_HELLO_ACK: u8 = 24;
-const KIND_COMBINED_BATCH: u8 = 25;
+const KIND_EVENTS: u8 = 25;
 
 /// The encoded floor of one event inside a batch (op + injected_us +
 /// flags + hint tag + the event's own fixed fields) — used to bound the
 /// batch-vector pre-allocation against corrupt counts.
 const MIN_WIRE_EVENT_BYTES: usize = 8;
+
+/// Wire-event flags bit 5: the entry absorbed more than itself, and its
+/// count follows the event. Bits 0–1 are `redirected`/`external`, 2–4 the
+/// forwarding hop count.
+const FLAG_ABSORBED: u8 = 1 << 5;
 
 fn codec_byte(codec: Codec) -> u8 {
     match codec {
@@ -281,30 +246,28 @@ fn codec_from_byte(byte: u8) -> Option<Codec> {
     }
 }
 
-/// Re-encode an MBF payload as canonical JSON text — the downgrade
-/// applied when a value negotiated for an MBF connection must cross a
-/// JSON-only one instead. Returns `None` when no change is needed: the
-/// bytes are not MBF, or they fail to decode (then they travel as-is;
-/// payloads are opaque to the wire).
-fn mbf_to_json_bytes(value: &[u8]) -> Option<Vec<u8>> {
-    if !mbf::is_mbf(value) {
-        return None;
+/// `value` as it crosses a connection: unchanged when the connection
+/// negotiated MBF, else any MBF payload re-encoded as canonical JSON
+/// text. Bytes that are not MBF, or fail to decode, travel as-is (payloads
+/// are opaque to the wire).
+fn wire_value(value: &[u8], allow_mbf: bool) -> Cow<'_, [u8]> {
+    if !allow_mbf && mbf::is_mbf(value) {
+        if let Ok(doc) = Json::from_mbf(value) {
+            return Cow::Owned(doc.to_compact().into_bytes());
+        }
     }
-    Json::from_mbf(value).ok().map(|doc| doc.to_compact().into_bytes())
+    Cow::Borrowed(value)
 }
 
-/// Clone `ev` with its value transcoded MBF→JSON; `None` when the value
-/// already travels on every protocol version.
-fn downgrade_wire_event(ev: &WireEvent) -> Option<WireEvent> {
-    let value = mbf_to_json_bytes(&ev.event.value)?;
-    let mut out = ev.clone();
-    out.event.value = value.into();
-    Some(out)
+/// An optional slate value, transcoded for the connection by
+/// [`wire_value`].
+fn put_opt_value(out: &mut Vec<u8>, value: Option<&[u8]>, allow_mbf: bool) {
+    put_opt_bytes(out, value.map(|bytes| wire_value(bytes, allow_mbf)).as_deref());
 }
 
-/// Encode one batched-path event's fields (shared by the `Event` and
-/// `EventBatch` payloads).
-fn put_wire_event(out: &mut Vec<u8>, ev: &WireEvent) {
+/// Encode one [`Frame::Events`] entry. An uncombined event (`absorbed ==
+/// 1`) costs no count byte: the count rides behind [`FLAG_ABSORBED`].
+fn put_wire_event(out: &mut Vec<u8>, ev: &WireEvent, absorbed: u64, allow_mbf: bool) {
     put_varint(out, ev.op as u64);
     put_varint(out, ev.injected_us);
     let mut flags = 0u8;
@@ -316,14 +279,23 @@ fn put_wire_event(out: &mut Vec<u8>, ev: &WireEvent) {
     }
     // Bits 2..=4: the forwarding hop count, saturating at MAX_FORWARDS.
     flags |= ev.forwards.min(MAX_FORWARDS) << 2;
+    if absorbed > 1 {
+        flags |= FLAG_ABSORBED;
+    }
     out.push(flags);
     put_opt_varint(out, ev.thread_hint.map(|t| t as u64));
-    put_event(out, &ev.event);
+    match wire_value(&ev.event.value, allow_mbf) {
+        Cow::Borrowed(_) => put_event(out, &ev.event),
+        Cow::Owned(json) => put_event(out, &Event { value: json.into(), ..ev.event.clone() }),
+    }
+    if absorbed > 1 {
+        put_varint(out, absorbed);
+    }
 }
 
-/// Decode one batched-path event's fields. Returns the event and the
-/// bytes consumed; `None` on malformed input.
-fn get_wire_event(buf: &[u8]) -> Option<(WireEvent, usize)> {
+/// Decode one [`Frame::Events`] entry. Returns the event, its absorbed
+/// count and the bytes consumed; `None` on malformed input.
+fn get_wire_event(buf: &[u8]) -> Option<(WireEvent, u64, usize)> {
     let mut at = 0;
     let (op, n) = get_varint(buf)?;
     at += n;
@@ -335,6 +307,17 @@ fn get_wire_event(buf: &[u8]) -> Option<(WireEvent, usize)> {
     at += n;
     let (event, n) = get_event(&buf[at..])?;
     at += n;
+    let absorbed = if flags & FLAG_ABSORBED != 0 {
+        let (count, n) = get_varint(&buf[at..])?;
+        at += n;
+        // "Absorbed nothing" has one spelling: the unflagged entry.
+        if count < 2 {
+            return None;
+        }
+        count
+    } else {
+        1
+    };
     Some((
         WireEvent {
             op: op as OpId,
@@ -345,6 +328,7 @@ fn get_wire_event(buf: &[u8]) -> Option<(WireEvent, usize)> {
             thread_hint: hint.map(|t| t as usize),
             forwards: (flags >> 2) & 0x07,
         },
+        absorbed,
         at,
     ))
 }
@@ -379,87 +363,30 @@ fn get_node_spec(buf: &[u8]) -> Option<(NodeSpec, usize)> {
     ))
 }
 
-/// Encode a run of events as the smallest equivalent payload: a plain
-/// `Event` frame for a single event (byte-identical to the unbatched
-/// wire), an `EventBatch` otherwise. Used by senders that hold the events
-/// by reference and must not clone them just to build a `Frame` value.
-///
-/// `allow_mbf` is the connection's negotiated codec: when false (a JSON
-/// peer), any MBF event value is transcoded to JSON text on the way out,
-/// so pre-v5 receivers only ever see payloads they can parse.
-pub fn encode_events_payload(events: &[WireEvent], allow_mbf: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 * events.len().max(1));
-    let put_one = |out: &mut Vec<u8>, ev: &WireEvent| {
-        if allow_mbf {
-            put_wire_event(out, ev);
-        } else if let Some(json_ev) = downgrade_wire_event(ev) {
-            put_wire_event(out, &json_ev);
-        } else {
-            put_wire_event(out, ev);
-        }
-    };
-    if let [only] = events {
-        out.push(KIND_EVENT);
-        put_one(&mut out, only);
-    } else {
-        out.push(KIND_EVENT_BATCH);
-        put_varint(&mut out, events.len() as u64);
-        for ev in events {
-            put_one(&mut out, ev);
-        }
+/// The one events encoder: a [`Frame::Events`] payload from entries held
+/// by reference (senders must not clone events just to build a `Frame`).
+/// `allow_mbf` is the connection's negotiated codec: when false, any MBF
+/// event value is transcoded to JSON text on the way out.
+pub fn encode_events<'a>(
+    entries: impl ExactSizeIterator<Item = (&'a WireEvent, u64)>,
+    allow_mbf: bool,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 * entries.len().max(1));
+    out.push(KIND_EVENTS);
+    put_varint(&mut out, entries.len() as u64);
+    for (ev, absorbed) in entries {
+        put_wire_event(&mut out, ev, absorbed, allow_mbf);
     }
     out
 }
 
-/// Encode a run of combined entries as the smallest equivalent payload.
-/// A batch where no entry actually absorbed anything (`count == 1`
-/// everywhere — the overwhelmingly common case when no operator declares
-/// a combiner) encodes byte-identically to [`encode_events_payload`];
-/// only a batch carrying real folds uses [`Frame::CombinedBatch`]
-/// (kind 25). `allow_mbf` downgrades payloads exactly as in the plain
-/// event path.
-pub fn encode_combined_payload(entries: &[(WireEvent, u64)], allow_mbf: bool) -> Vec<u8> {
-    if entries.iter().all(|(_, count)| *count == 1) {
-        let mut out = Vec::with_capacity(64 * entries.len().max(1));
-        let put_one = |out: &mut Vec<u8>, ev: &WireEvent| {
-            if allow_mbf {
-                put_wire_event(out, ev);
-            } else if let Some(json_ev) = downgrade_wire_event(ev) {
-                put_wire_event(out, &json_ev);
-            } else {
-                put_wire_event(out, ev);
-            }
-        };
-        if let [(only, _)] = entries {
-            out.push(KIND_EVENT);
-            put_one(&mut out, only);
-        } else {
-            out.push(KIND_EVENT_BATCH);
-            put_varint(&mut out, entries.len() as u64);
-            for (ev, _) in entries {
-                put_one(&mut out, ev);
-            }
-        }
-        return out;
-    }
-    let mut out = Vec::with_capacity(64 * entries.len());
-    out.push(KIND_COMBINED_BATCH);
-    put_varint(&mut out, entries.len() as u64);
-    for (ev, count) in entries {
-        if allow_mbf {
-            put_wire_event(&mut out, ev);
-        } else if let Some(json_ev) = downgrade_wire_event(ev) {
-            put_wire_event(&mut out, &json_ev);
-        } else {
-            put_wire_event(&mut out, ev);
-        }
-        put_varint(&mut out, *count);
-    }
-    out
+/// [`encode_events`] over uncombined events.
+pub fn encode_events_payload(events: &[WireEvent], allow_mbf: bool) -> Vec<u8> {
+    encode_events(events.iter().map(|ev| (ev, 1)), allow_mbf)
 }
 
 impl Frame {
-    /// A current-version hello, offering MBF iff `offer_mbf`.
+    /// A hello, offering MBF iff `offer_mbf`.
     pub fn hello(sender: MachineId, offer_mbf: bool) -> Frame {
         Frame::Hello {
             sender,
@@ -468,142 +395,30 @@ impl Frame {
         }
     }
 
-    /// A v4 hello, byte-identical to what a pre-MBF peer sends. Dialed by
-    /// JSON-pinned transports so they behave exactly like a legacy node
-    /// (and never wait on a `HelloAck`, which v5 receivers only send to
-    /// v5 hellos).
-    pub fn hello_legacy(sender: MachineId) -> Frame {
-        Frame::Hello { sender, version: 4, codecs: 0 }
-    }
-
-    /// A clone of this frame with every MBF payload transcoded to JSON
-    /// text, for sending over a connection whose peer did not negotiate
-    /// MBF. `None` means the frame already travels on every protocol
-    /// version unchanged (the common case — no clone happens).
-    pub fn json_downgraded(&self) -> Option<Frame> {
-        match self {
-            Frame::Event(ev) => downgrade_wire_event(ev).map(Frame::Event),
-            Frame::EventBatch(events) => {
-                if events.iter().all(|ev| !mbf::is_mbf(&ev.event.value)) {
-                    return None;
-                }
-                Some(Frame::EventBatch(
-                    events
-                        .iter()
-                        .map(|ev| downgrade_wire_event(ev).unwrap_or_else(|| ev.clone()))
-                        .collect(),
-                ))
-            }
-            Frame::CombinedBatch(entries) => {
-                if entries.iter().all(|(ev, _)| !mbf::is_mbf(&ev.event.value)) {
-                    return None;
-                }
-                Some(Frame::CombinedBatch(
-                    entries
-                        .iter()
-                        .map(|(ev, count)| {
-                            (downgrade_wire_event(ev).unwrap_or_else(|| ev.clone()), *count)
-                        })
-                        .collect(),
-                ))
-            }
-            Frame::StorePut { updater, key, value, ttl_secs, now_us } => {
-                let value = mbf_to_json_bytes(value)?;
-                Some(Frame::StorePut {
-                    updater: updater.clone(),
-                    key: key.clone(),
-                    value,
-                    ttl_secs: *ttl_secs,
-                    now_us: *now_us,
-                })
-            }
-            Frame::StorePutBatch { items, now_us } => {
-                if items.iter().all(|i| i.codec == Codec::Json) {
-                    return None;
-                }
-                let items = items
-                    .iter()
-                    .map(|item| {
-                        let mut out = item.clone();
-                        if out.codec == Codec::Mbf {
-                            if let Some(json) = mbf_to_json_bytes(&out.value) {
-                                out.value = json.into();
-                            }
-                            // Undecodable MBF travels raw under the JSON
-                            // tag; readers sniff payloads, so nothing is
-                            // lost — and a JSON connection has no way to
-                            // carry the tag anyway.
-                            out.codec = Codec::Json;
-                        }
-                        out
-                    })
-                    .collect();
-                Some(Frame::StorePutBatch { items, now_us: *now_us })
-            }
-            Frame::StoreValue { value: Some(value) } => {
-                mbf_to_json_bytes(value).map(|v| Frame::StoreValue { value: Some(v) })
-            }
-            Frame::StoreValueBatch { values } => {
-                if values.iter().all(|v| !matches!(v, Some((_, Codec::Mbf)))) {
-                    return None;
-                }
-                let values = values
-                    .iter()
-                    .map(|value| match value {
-                        Some((bytes, Codec::Mbf)) => Some((
-                            mbf_to_json_bytes(bytes).unwrap_or_else(|| bytes.clone()),
-                            Codec::Json,
-                        )),
-                        other => other.clone(),
-                    })
-                    .collect();
-                Some(Frame::StoreValueBatch { values })
-            }
-            Frame::SlateValue { value: Some(value) } => {
-                mbf_to_json_bytes(value).map(|v| Frame::SlateValue { value: Some(v) })
-            }
-            _ => None,
-        }
-    }
-
     /// Encode the payload (kind byte + fields), without the outer
-    /// length/CRC header.
+    /// length/CRC header, for a connection that negotiated MBF.
     pub fn encode_payload(&self) -> Vec<u8> {
+        self.encode_payload_for(true)
+    }
+
+    /// Encode the payload for a connection's negotiated codec. With
+    /// `allow_mbf` false this is the one place an MBF payload becomes JSON
+    /// text: event values, put items, store and slate values.
+    pub fn encode_payload_for(&self, allow_mbf: bool) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
             Frame::Hello { sender, version, codecs } => {
                 out.push(KIND_HELLO);
                 put_varint(&mut out, *version);
                 put_varint(&mut out, *sender as u64);
-                // The codecs byte exists only from v5 on; encoding a
-                // legacy hello (the JSON-pinned dial path) stays
-                // byte-identical to what a real v3/v4 peer sends.
-                if *version >= 5 {
-                    out.push(*codecs);
-                }
+                out.push(*codecs);
             }
             Frame::HelloAck { codecs } => {
                 out.push(KIND_HELLO_ACK);
                 out.push(*codecs);
             }
-            Frame::Event(ev) => {
-                out.push(KIND_EVENT);
-                put_wire_event(&mut out, ev);
-            }
-            Frame::EventBatch(events) => {
-                out.push(KIND_EVENT_BATCH);
-                put_varint(&mut out, events.len() as u64);
-                for ev in events {
-                    put_wire_event(&mut out, ev);
-                }
-            }
-            Frame::CombinedBatch(entries) => {
-                out.push(KIND_COMBINED_BATCH);
-                put_varint(&mut out, entries.len() as u64);
-                for (ev, count) in entries {
-                    put_wire_event(&mut out, ev);
-                    put_varint(&mut out, *count);
-                }
+            Frame::Events(entries) => {
+                return encode_events(entries.iter().map(|(ev, n)| (ev, *n)), allow_mbf);
             }
             Frame::FailureReport { failed, epoch } => {
                 out.push(KIND_FAILURE_REPORT);
@@ -640,13 +455,10 @@ impl Frame {
                     put_node_spec(&mut out, node);
                 }
             }
-            Frame::MembershipAck { epoch } => {
-                out.push(KIND_MEMBERSHIP_ACK);
+            Frame::MembershipReply { epoch, accepted } => {
+                out.push(KIND_MEMBERSHIP_REPLY);
                 put_varint(&mut out, *epoch);
-            }
-            Frame::MembershipNack { epoch } => {
-                out.push(KIND_MEMBERSHIP_NACK);
-                put_varint(&mut out, *epoch);
+                out.push(u8::from(*accepted));
             }
             Frame::SlateGet { updater, key } => {
                 out.push(KIND_SLATE_GET);
@@ -655,55 +467,32 @@ impl Frame {
             }
             Frame::SlateValue { value } => {
                 out.push(KIND_SLATE_VALUE);
-                put_opt_bytes(&mut out, value);
+                put_opt_value(&mut out, value.as_deref(), allow_mbf);
             }
-            Frame::StorePut { updater, key, value, ttl_secs, now_us } => {
+            Frame::StorePut { items, now_us } => {
                 out.push(KIND_STORE_PUT);
-                put_len_prefixed(&mut out, updater.as_bytes());
-                put_len_prefixed(&mut out, key);
-                put_len_prefixed(&mut out, value);
-                put_opt_varint(&mut out, *ttl_secs);
-                put_varint(&mut out, *now_us);
-            }
-            Frame::StoreGet { updater, key, now_us } => {
-                out.push(KIND_STORE_GET);
-                put_len_prefixed(&mut out, updater.as_bytes());
-                put_len_prefixed(&mut out, key);
-                put_varint(&mut out, *now_us);
-            }
-            Frame::StoreValue { value } => {
-                out.push(KIND_STORE_VALUE);
-                put_opt_bytes(&mut out, value);
-            }
-            Frame::StoreAck => out.push(KIND_STORE_ACK),
-            Frame::StorePutBatch { items, now_us } => {
-                // All-JSON batches keep the v3 encoding byte-for-byte;
-                // only a batch that actually carries MBF needs the tagged
-                // kind (which a JSON-pinned connection never sends — the
-                // sender downgrades first).
-                let tagged = items.iter().any(|i| i.codec != Codec::Json);
-                out.push(if tagged { KIND_STORE_PUT_BATCH_TAGGED } else { KIND_STORE_PUT_BATCH });
                 put_varint(&mut out, items.len() as u64);
                 for item in items {
+                    // A connection that cannot carry MBF cannot carry its
+                    // tag either. Undecodable MBF then travels raw under
+                    // the JSON tag; readers sniff payloads, so nothing is
+                    // lost.
+                    let downgrade = !allow_mbf && item.codec == Codec::Mbf;
                     put_len_prefixed(&mut out, item.updater.as_bytes());
                     put_len_prefixed(&mut out, &item.key);
-                    put_len_prefixed(&mut out, &item.value);
+                    put_len_prefixed(&mut out, &wire_value(&item.value, !downgrade));
                     put_opt_varint(&mut out, item.ttl_secs);
-                    if tagged {
-                        out.push(codec_byte(item.codec));
-                    }
+                    out.push(codec_byte(if downgrade { Codec::Json } else { item.codec }));
                 }
                 put_varint(&mut out, *now_us);
             }
-            Frame::StoreAckBatch { ok } => {
-                out.push(KIND_STORE_ACK_BATCH);
+            Frame::StoreAck { ok } => {
+                out.push(KIND_STORE_ACK);
                 put_varint(&mut out, ok.len() as u64);
-                for &b in ok {
-                    out.push(u8::from(b));
-                }
+                out.extend(ok.iter().map(|&b| u8::from(b)));
             }
-            Frame::StoreGetBatch { items, now_us } => {
-                out.push(KIND_STORE_GET_BATCH);
+            Frame::StoreGet { items, now_us } => {
+                out.push(KIND_STORE_GET);
                 put_varint(&mut out, items.len() as u64);
                 for item in items {
                     put_len_prefixed(&mut out, item.updater.as_bytes());
@@ -711,25 +500,11 @@ impl Frame {
                 }
                 put_varint(&mut out, *now_us);
             }
-            Frame::StoreValueBatch { values } => {
-                let tagged = values.iter().any(|v| matches!(v, Some((_, Codec::Mbf))));
-                out.push(if tagged {
-                    KIND_STORE_VALUE_BATCH_TAGGED
-                } else {
-                    KIND_STORE_VALUE_BATCH
-                });
+            Frame::StoreValue { values } => {
+                out.push(KIND_STORE_VALUE);
                 put_varint(&mut out, values.len() as u64);
                 for value in values {
-                    match value {
-                        Some((bytes, codec)) => {
-                            out.push(1);
-                            if tagged {
-                                out.push(codec_byte(*codec));
-                            }
-                            put_len_prefixed(&mut out, bytes);
-                        }
-                        None => out.push(0),
-                    }
+                    put_opt_value(&mut out, value.as_deref(), allow_mbf);
                 }
             }
             Frame::Reintroduce { machine } => {
@@ -744,27 +519,23 @@ impl Frame {
         out
     }
 
-    /// Decode a payload produced by [`Frame::encode_payload`]. `None` on
-    /// malformed input.
+    /// Decode a payload produced by [`Frame::encode_payload_for`]. `None`
+    /// on malformed input.
     pub fn decode_payload(buf: &[u8]) -> Option<Frame> {
         let kind = *buf.first()?;
         let rest = &buf[1..];
         let frame = match kind {
             KIND_HELLO => {
                 let (version, n) = get_varint(rest)?;
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                    return None;
+                if version != PROTOCOL_VERSION {
+                    // Another binary's hello: its layout is unknown past
+                    // the version, which is all the receiver needs to
+                    // count and log the refusal.
+                    return Some(Frame::Hello { sender: 0, version, codecs: 0 });
                 }
                 let (sender, m) = get_varint(&rest[n..])?;
-                let mut at = n + m;
-                let codecs = if version >= 5 {
-                    let c = *rest.get(at)?;
-                    at += 1;
-                    c
-                } else {
-                    0
-                };
-                expect_consumed(rest, at)?;
+                let codecs = *rest.get(n + m)?;
+                expect_consumed(rest, n + m + 1)?;
                 Frame::Hello { sender: sender as MachineId, version, codecs }
             }
             KIND_HELLO_ACK => {
@@ -772,42 +543,19 @@ impl Frame {
                 expect_consumed(rest, 1)?;
                 Frame::HelloAck { codecs }
             }
-            KIND_EVENT => {
-                let (ev, n) = get_wire_event(rest)?;
-                expect_consumed(rest, n)?;
-                Frame::Event(ev)
-            }
-            KIND_EVENT_BATCH => {
+            KIND_EVENTS => {
                 let (count, mut at) = get_varint(rest)?;
                 // Cap the pre-allocation by what the buffer could possibly
                 // hold: a corrupt count must not trigger a huge reserve.
                 let possible = rest.len() / MIN_WIRE_EVENT_BYTES + 1;
-                let mut events = Vec::with_capacity((count as usize).min(possible));
-                for _ in 0..count {
-                    let (ev, n) = get_wire_event(&rest[at..])?;
-                    at += n;
-                    events.push(ev);
-                }
-                expect_consumed(rest, at)?;
-                Frame::EventBatch(events)
-            }
-            KIND_COMBINED_BATCH => {
-                let (count, mut at) = get_varint(rest)?;
-                let possible = rest.len() / (MIN_WIRE_EVENT_BYTES + 1) + 1;
                 let mut entries = Vec::with_capacity((count as usize).min(possible));
                 for _ in 0..count {
-                    let (ev, n) = get_wire_event(&rest[at..])?;
+                    let (ev, absorbed, n) = get_wire_event(&rest[at..])?;
                     at += n;
-                    let (absorbed, n) = get_varint(&rest[at..])?;
-                    at += n;
-                    // A combined entry absorbs at least itself.
-                    if absorbed == 0 {
-                        return None;
-                    }
                     entries.push((ev, absorbed));
                 }
                 expect_consumed(rest, at)?;
-                Frame::CombinedBatch(entries)
+                Frame::Events(entries)
             }
             KIND_FAILURE_REPORT => {
                 let (failed, n) = get_varint(rest)?;
@@ -869,15 +617,11 @@ impl Frame {
                 expect_consumed(rest, at)?;
                 Frame::Membership(MembershipUpdate { epoch, phase, joined, members, nodes })
             }
-            KIND_MEMBERSHIP_ACK => {
+            KIND_MEMBERSHIP_REPLY => {
                 let (epoch, n) = get_varint(rest)?;
-                expect_consumed(rest, n)?;
-                Frame::MembershipAck { epoch }
-            }
-            KIND_MEMBERSHIP_NACK => {
-                let (epoch, n) = get_varint(rest)?;
-                expect_consumed(rest, n)?;
-                Frame::MembershipNack { epoch }
+                let accepted = get_bool(rest, n)?;
+                expect_consumed(rest, n + 1)?;
+                Frame::MembershipReply { epoch, accepted }
             }
             KIND_SLATE_GET => {
                 let (updater, n) = get_len_prefixed(rest)?;
@@ -894,52 +638,12 @@ impl Frame {
                 Frame::SlateValue { value }
             }
             KIND_STORE_PUT => {
-                let mut at = 0;
-                let (updater, n) = get_len_prefixed(rest)?;
-                let updater = std::str::from_utf8(updater).ok()?.to_string();
-                at += n;
-                let (key, n) = get_len_prefixed(&rest[at..])?;
-                let key = key.to_vec();
-                at += n;
-                let (value, n) = get_len_prefixed(&rest[at..])?;
-                let value = value.to_vec();
-                at += n;
-                let (ttl_secs, n) = get_opt_varint(&rest[at..])?;
-                at += n;
-                let (now_us, n) = get_varint(&rest[at..])?;
-                at += n;
-                expect_consumed(rest, at)?;
-                Frame::StorePut { updater, key, value, ttl_secs, now_us }
-            }
-            KIND_STORE_GET => {
-                let mut at = 0;
-                let (updater, n) = get_len_prefixed(rest)?;
-                let updater = std::str::from_utf8(updater).ok()?.to_string();
-                at += n;
-                let (key, n) = get_len_prefixed(&rest[at..])?;
-                let key = key.to_vec();
-                at += n;
-                let (now_us, n) = get_varint(&rest[at..])?;
-                at += n;
-                expect_consumed(rest, at)?;
-                Frame::StoreGet { updater, key, now_us }
-            }
-            KIND_STORE_VALUE => {
-                let (value, n) = get_opt_bytes(rest)?;
-                expect_consumed(rest, n)?;
-                Frame::StoreValue { value }
-            }
-            KIND_STORE_ACK => {
-                expect_consumed(rest, 0)?;
-                Frame::StoreAck
-            }
-            KIND_STORE_PUT_BATCH | KIND_STORE_PUT_BATCH_TAGGED => {
-                let tagged = kind == KIND_STORE_PUT_BATCH_TAGGED;
                 let (count, mut at) = get_varint(rest)?;
                 // Cap the pre-allocation by what the buffer could possibly
-                // hold (≥4 bytes per item: three length prefixes + the ttl
-                // tag) — a corrupt count must not trigger a huge reserve.
-                let possible = rest.len() / 4 + 1;
+                // hold (≥5 bytes per item: three length prefixes, the ttl
+                // tag, the codec tag) — a corrupt count must not trigger a
+                // huge reserve.
+                let possible = rest.len() / 5 + 1;
                 let mut items = Vec::with_capacity((count as usize).min(possible));
                 for _ in 0..count {
                     let (updater, n) = get_len_prefixed(&rest[at..])?;
@@ -953,36 +657,27 @@ impl Frame {
                     at += n;
                     let (ttl_secs, n) = get_opt_varint(&rest[at..])?;
                     at += n;
-                    let codec = if tagged {
-                        let c = codec_from_byte(*rest.get(at)?)?;
-                        at += 1;
-                        c
-                    } else {
-                        Codec::Json
-                    };
+                    let codec = codec_from_byte(*rest.get(at)?)?;
+                    at += 1;
                     items.push(StorePutItem { updater, key, value, ttl_secs, codec });
                 }
                 let (now_us, n) = get_varint(&rest[at..])?;
                 at += n;
                 expect_consumed(rest, at)?;
-                Frame::StorePutBatch { items, now_us }
+                Frame::StorePut { items, now_us }
             }
-            KIND_STORE_ACK_BATCH => {
+            KIND_STORE_ACK => {
                 let (count, mut at) = get_varint(rest)?;
                 let possible = rest.len() + 1;
                 let mut ok = Vec::with_capacity((count as usize).min(possible));
                 for _ in 0..count {
-                    match *rest.get(at)? {
-                        0 => ok.push(false),
-                        1 => ok.push(true),
-                        _ => return None,
-                    }
+                    ok.push(get_bool(rest, at)?);
                     at += 1;
                 }
                 expect_consumed(rest, at)?;
-                Frame::StoreAckBatch { ok }
+                Frame::StoreAck { ok }
             }
-            KIND_STORE_GET_BATCH => {
+            KIND_STORE_GET => {
                 let (count, mut at) = get_varint(rest)?;
                 let possible = rest.len() / 2 + 1;
                 let mut items = Vec::with_capacity((count as usize).min(possible));
@@ -998,37 +693,19 @@ impl Frame {
                 let (now_us, n) = get_varint(&rest[at..])?;
                 at += n;
                 expect_consumed(rest, at)?;
-                Frame::StoreGetBatch { items, now_us }
+                Frame::StoreGet { items, now_us }
             }
-            KIND_STORE_VALUE_BATCH | KIND_STORE_VALUE_BATCH_TAGGED => {
-                let tagged = kind == KIND_STORE_VALUE_BATCH_TAGGED;
+            KIND_STORE_VALUE => {
                 let (count, mut at) = get_varint(rest)?;
                 let possible = rest.len() + 1;
                 let mut values = Vec::with_capacity((count as usize).min(possible));
                 for _ in 0..count {
-                    match *rest.get(at)? {
-                        0 => {
-                            at += 1;
-                            values.push(None);
-                        }
-                        1 => {
-                            at += 1;
-                            let codec = if tagged {
-                                let c = codec_from_byte(*rest.get(at)?)?;
-                                at += 1;
-                                c
-                            } else {
-                                Codec::Json
-                            };
-                            let (bytes, n) = get_len_prefixed(&rest[at..])?;
-                            at += n;
-                            values.push(Some((bytes.to_vec(), codec)));
-                        }
-                        _ => return None,
-                    }
+                    let (value, n) = get_opt_bytes(&rest[at..])?;
+                    at += n;
+                    values.push(value);
                 }
                 expect_consumed(rest, at)?;
-                Frame::StoreValueBatch { values }
+                Frame::StoreValue { values }
             }
             KIND_REINTRODUCE => {
                 let (machine, n) = get_varint(rest)?;
@@ -1104,10 +781,23 @@ fn expect_consumed(buf: &[u8], consumed: usize) -> Option<()> {
     }
 }
 
+/// The 0/1 byte at `buf[at]`; anything else is malformed.
+fn get_bool(buf: &[u8], at: usize) -> Option<bool> {
+    match *buf.get(at)? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use muppet_core::event::Key;
+
+    /// Every kind byte that decodes; the rest of 0..=255 is retired
+    /// (2, 7–11, 15, 16, 23) or never assigned.
+    const SURVIVING_KINDS: [u8; 16] = [1, 3, 4, 5, 6, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25];
 
     fn sample_wire_event(seq: u64) -> WireEvent {
         let mut event = Event::new("S1", 99, Key::from("walmart"), b"checkin".to_vec());
@@ -1123,45 +813,45 @@ mod tests {
         }
     }
 
+    fn bare_wire_event() -> WireEvent {
+        WireEvent {
+            op: 0,
+            event: Event::new("S2", 7, Key::from(""), Vec::new()),
+            injected_us: 0,
+            redirected: false,
+            external: true,
+            thread_hint: None,
+            forwards: 0,
+        }
+    }
+
+    fn put_item(
+        key: &[u8],
+        value: &'static [u8],
+        ttl_secs: Option<u64>,
+        codec: Codec,
+    ) -> StorePutItem {
+        StorePutItem {
+            updater: "counter".into(),
+            key: key.to_vec(),
+            value: Bytes::from_static(value),
+            ttl_secs,
+            codec,
+        }
+    }
+
     fn sample_frames() -> Vec<Frame> {
         vec![
-            Frame::Hello { sender: 2, version: PROTOCOL_VERSION, codecs: CODEC_MBF },
-            Frame::Hello { sender: 2, version: PROTOCOL_VERSION, codecs: 0 },
-            Frame::Hello { sender: 7, version: 4, codecs: 0 },
-            Frame::Hello { sender: 0, version: 3, codecs: 0 },
+            Frame::hello(2, true),
+            Frame::hello(2, false),
             Frame::HelloAck { codecs: CODEC_MBF },
             Frame::HelloAck { codecs: 0 },
-            Frame::Event(sample_wire_event(3)),
-            Frame::EventBatch(Vec::new()),
-            Frame::EventBatch(vec![
-                sample_wire_event(1),
-                sample_wire_event(2),
-                WireEvent {
-                    op: 0,
-                    event: Event::new("S2", 7, Key::from(""), Vec::new()),
-                    injected_us: 0,
-                    redirected: false,
-                    external: true,
-                    thread_hint: None,
-                    forwards: 0,
-                },
-            ]),
-            Frame::CombinedBatch(Vec::new()),
-            Frame::CombinedBatch(vec![
+            Frame::Events(Vec::new()),
+            Frame::Events(vec![(sample_wire_event(3), 1)]),
+            Frame::Events(vec![
                 (sample_wire_event(1), 1),
                 (sample_wire_event(2), 10_000),
-                (
-                    WireEvent {
-                        op: 0,
-                        event: Event::new("S2", 7, Key::from(""), Vec::new()),
-                        injected_us: 0,
-                        redirected: false,
-                        external: true,
-                        thread_hint: None,
-                        forwards: 0,
-                    },
-                    3,
-                ),
+                (bare_wire_event(), 3),
             ]),
             Frame::FailureReport { failed: 1, epoch: 4 },
             Frame::FailureBroadcast { failed: 0, epoch: 0 },
@@ -1190,77 +880,33 @@ mod tests {
                 members: Vec::new(),
                 nodes: Vec::new(),
             }),
-            Frame::MembershipAck { epoch: 2 },
-            Frame::MembershipNack { epoch: 9 },
+            Frame::MembershipReply { epoch: 2, accepted: true },
+            Frame::MembershipReply { epoch: 9, accepted: false },
             Frame::SlateGet { updater: "counter".into(), key: b"best-buy".to_vec() },
             Frame::SlateValue { value: Some(b"42".to_vec()) },
             Frame::SlateValue { value: None },
+            Frame::StorePut { items: Vec::new(), now_us: 0 },
             Frame::StorePut {
-                updater: "counter".into(),
-                key: b"k".to_vec(),
-                value: vec![0, 1, 2],
-                ttl_secs: Some(60),
-                now_us: 1_000,
-            },
-            Frame::StoreGet { updater: "counter".into(), key: b"k".to_vec(), now_us: 5 },
-            Frame::StoreValue { value: Some(vec![9]) },
-            Frame::StoreAck,
-            Frame::StorePutBatch { items: Vec::new(), now_us: 0 },
-            Frame::StorePutBatch {
                 items: vec![
-                    StorePutItem {
-                        updater: "counter".into(),
-                        key: b"walmart".to_vec(),
-                        value: Bytes::from_static(b"42"),
-                        ttl_secs: Some(60),
-                        codec: Codec::Json,
-                    },
-                    StorePutItem {
-                        updater: "topics".into(),
-                        key: Vec::new(),
-                        value: Bytes::new(),
-                        ttl_secs: None,
-                        codec: Codec::Json,
-                    },
-                ],
-                now_us: 9_000,
-            },
-            Frame::StorePutBatch {
-                items: vec![
-                    StorePutItem {
-                        updater: "counter".into(),
-                        key: b"mixed".to_vec(),
-                        value: Bytes::from_static(b"\xb1\x03\x2a"),
-                        ttl_secs: None,
-                        codec: Codec::Mbf,
-                    },
-                    StorePutItem {
-                        updater: "counter".into(),
-                        key: b"text".to_vec(),
-                        value: Bytes::from_static(b"42"),
-                        ttl_secs: Some(9),
-                        codec: Codec::Json,
-                    },
+                    put_item(b"mixed", b"\xb1\x03\x2a", None, Codec::Mbf),
+                    put_item(b"text", b"42", Some(9), Codec::Json),
+                    put_item(b"", b"", None, Codec::Json),
                 ],
                 now_us: 9_001,
             },
-            Frame::StoreAckBatch { ok: vec![true, false, true] },
-            Frame::StoreAckBatch { ok: Vec::new() },
-            Frame::StoreGetBatch {
+            Frame::StoreAck { ok: vec![true, false, true] },
+            Frame::StoreAck { ok: Vec::new() },
+            Frame::StoreGet {
                 items: vec![
                     StoreGetItem { updater: "counter".into(), key: b"a".to_vec() },
                     StoreGetItem { updater: "counter".into(), key: b"b".to_vec() },
                 ],
                 now_us: 77,
             },
-            Frame::StoreValueBatch { values: vec![Some((vec![1, 2], Codec::Json)), None] },
-            Frame::StoreValueBatch {
-                values: vec![
-                    Some((b"\xb1\x03\x2a".to_vec(), Codec::Mbf)),
-                    None,
-                    Some((b"42".to_vec(), Codec::Json)),
-                ],
+            Frame::StoreValue {
+                values: vec![Some(b"\xb1\x03\x2a".to_vec()), None, Some(b"42".to_vec())],
             },
+            Frame::StoreValue { values: Vec::new() },
             Frame::Reintroduce { machine: 3 },
             Frame::ReintroduceAck { epoch: 9 },
         ]
@@ -1268,10 +914,13 @@ mod tests {
 
     #[test]
     fn payload_roundtrip_every_kind() {
+        let mut kinds = std::collections::BTreeSet::new();
         for frame in sample_frames() {
             let payload = frame.encode_payload();
+            kinds.insert(payload[0]);
             assert_eq!(Frame::decode_payload(&payload), Some(frame.clone()), "{frame:?}");
         }
+        assert_eq!(kinds.into_iter().collect::<Vec<u8>>(), SURVIVING_KINDS);
     }
 
     #[test]
@@ -1286,15 +935,185 @@ mod tests {
         }
     }
 
+    /// The format, pinned byte by byte (header: u32 LE payload length, u32
+    /// LE crc32c of the payload): a drift in any kind's layout fails here
+    /// even when encoder and decoder drift together.
+    #[test]
+    fn golden_bytes_of_every_kind() {
+        let u = || "U".to_string();
+        let golden: Vec<(Frame, &[u8])> = vec![
+            (
+                Frame::Hello { sender: 2, version: 7, codecs: CODEC_MBF },
+                // kind, version, sender, codecs
+                &[4, 0, 0, 0, 0xfb, 0x36, 0xfc, 0x34, 1, 7, 2, 1],
+            ),
+            (Frame::HelloAck { codecs: CODEC_MBF }, &[2, 0, 0, 0, 0xe8, 0xc6, 0xdb, 0xa1, 24, 1]),
+            (
+                Frame::Events(vec![
+                    (
+                        WireEvent {
+                            op: 4,
+                            event: Event { seq: 1, ..Event::new("S1", 99, Key::from("k"), "v") },
+                            injected_us: 123,
+                            redirected: true,
+                            external: false,
+                            thread_hint: Some(7),
+                            forwards: 3,
+                        },
+                        1,
+                    ),
+                    (
+                        WireEvent {
+                            event: Event::new("S1", 7, Key::from(""), "6"),
+                            ..bare_wire_event()
+                        },
+                        3,
+                    ),
+                ]),
+                &[
+                    29, 0, 0, 0, 0xc5, 0x7a, 0x0f, 0xc9, // header
+                    25, 2, // kind, two entries
+                    // op 4, injected 123, flags = redirected | forwards 3 << 2, hint Some(7),
+                    // "S1", ts 99, seq 1, "k", "v" — no count byte.
+                    4, 123, 0x0d, 1, 7, 2, b'S', b'1', 99, 1, 1, b'k', 1, b'v',
+                    // op 0, injected 0, flags = external | FLAG_ABSORBED, no hint,
+                    // "S1", ts 7, seq 0, "", "6", then the absorbed count 3.
+                    0, 0, 0x22, 0, 2, b'S', b'1', 7, 0, 0, 1, b'6', 3,
+                ],
+            ),
+            (
+                Frame::FailureReport { failed: 3, epoch: 300 },
+                &[4, 0, 0, 0, 0xe5, 0xc9, 0x86, 0x76, 3, 3, 0xac, 0x02],
+            ),
+            (
+                Frame::FailureBroadcast { failed: 3, epoch: 1 },
+                &[3, 0, 0, 0, 0xfa, 0x2c, 0x36, 0x38, 4, 3, 1],
+            ),
+            (Frame::Join { machine: 5 }, &[2, 0, 0, 0, 0xaa, 0xc1, 0x0e, 0x17, 12, 5]),
+            (
+                Frame::Membership(MembershipUpdate {
+                    epoch: 2,
+                    phase: MembershipPhase::Prepare,
+                    joined: vec![3],
+                    members: vec![0, 3],
+                    nodes: vec![NodeSpec { id: 3, host: "h".into(), port: 9103, http_port: 0 }],
+                }),
+                &[
+                    15, 0, 0, 0, 0xb9, 0x4c, 0x84, 0x5c, // header
+                    13, 2, 0, // kind, epoch, prepare
+                    1, 3, // joined
+                    2, 0, 3, // members
+                    1, 3, 1, b'h', 0x8f, 0x47, 0, // one node: id, host, port 9103, http 0
+                ],
+            ),
+            (
+                Frame::MembershipReply { epoch: 2, accepted: true },
+                &[3, 0, 0, 0, 0x45, 0xd8, 0xaa, 0x5c, 14, 2, 1],
+            ),
+            (
+                Frame::SlateGet { updater: u(), key: b"k".to_vec() },
+                &[5, 0, 0, 0, 0x88, 0x66, 0xd6, 0x27, 5, 1, b'U', 1, b'k'],
+            ),
+            (
+                Frame::SlateValue { value: Some(b"42".to_vec()) },
+                &[5, 0, 0, 0, 0x71, 0xa5, 0x23, 0x98, 6, 1, 2, b'4', b'2'],
+            ),
+            (
+                Frame::StorePut {
+                    items: vec![
+                        StorePutItem {
+                            updater: u(),
+                            ..put_item(b"k", b"42", Some(60), Codec::Json)
+                        },
+                        StorePutItem {
+                            updater: u(),
+                            ..put_item(b"", b"\xb1\x00", None, Codec::Mbf)
+                        },
+                    ],
+                    now_us: 9,
+                },
+                &[
+                    21, 0, 0, 0, 0x6d, 0xef, 0x5d, 0x13, // header
+                    22, 2, // kind, two items
+                    1, b'U', 1, b'k', 2, b'4', b'2', 1, 60, 0, // ttl Some(60), tag Json
+                    1, b'U', 0, 2, 0xb1, 0x00, 0, 1, // no ttl, tag Mbf
+                    9, // now_us
+                ],
+            ),
+            (
+                Frame::StoreAck { ok: vec![true, false] },
+                &[4, 0, 0, 0, 0x38, 0x9a, 0x8b, 0x20, 17, 2, 1, 0],
+            ),
+            (
+                Frame::StoreGet {
+                    items: vec![StoreGetItem { updater: u(), key: b"k".to_vec() }],
+                    now_us: 9,
+                },
+                &[7, 0, 0, 0, 0xea, 0xbf, 0x7b, 0x30, 18, 1, 1, b'U', 1, b'k', 9],
+            ),
+            (
+                Frame::StoreValue { values: vec![Some(b"42".to_vec()), None] },
+                &[7, 0, 0, 0, 0x94, 0x09, 0xa9, 0xab, 19, 2, 1, 2, b'4', b'2', 0],
+            ),
+            (Frame::Reintroduce { machine: 3 }, &[2, 0, 0, 0, 0x7b, 0x14, 0x7e, 0x93, 20, 3]),
+            (Frame::ReintroduceAck { epoch: 9 }, &[2, 0, 0, 0, 0x34, 0xa4, 0x3e, 0xeb, 21, 9]),
+        ];
+        let kinds: Vec<u8> = golden.iter().map(|(_, wire)| wire[8]).collect();
+        let mut sorted = kinds.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, SURVIVING_KINDS, "one golden per surviving kind");
+        for (frame, wire) in golden {
+            let mut written = Vec::new();
+            frame.write_to(&mut written).unwrap();
+            assert_eq!(written, wire, "{frame:?}");
+            assert_eq!(Frame::read_from(&mut std::io::Cursor::new(wire)).unwrap(), frame);
+        }
+    }
+
+    #[test]
+    fn retired_and_unassigned_kinds_decode_to_none() {
+        // The bodies are what the retired kinds used to carry (a wire
+        // event, a counted run of them, a bare epoch): no compatibility
+        // reader is left behind any of them.
+        let mut event = Vec::new();
+        put_wire_event(&mut event, &sample_wire_event(1), 1, true);
+        let bodies: [&[u8]; 4] = [&[], &[7], &event, &[&[1u8][..], &event].concat()];
+        for kind in (0..=u8::MAX).filter(|k| !SURVIVING_KINDS.contains(k)) {
+            for body in bodies {
+                let payload = [&[kind][..], body].concat();
+                assert_eq!(Frame::decode_payload(&payload), None, "kind {kind}");
+            }
+        }
+        assert_eq!(Frame::decode_payload(&[]), None);
+    }
+
     #[test]
     fn forwards_roundtrip_and_saturate_on_the_wire() {
         let mut ev = sample_wire_event(1);
         ev.forwards = MAX_FORWARDS + 5; // encodes saturated, not wrapped
-        let payload = Frame::Event(ev).encode_payload();
+        let payload = Frame::Events(vec![(ev, 1)]).encode_payload();
         match Frame::decode_payload(&payload) {
-            Some(Frame::Event(back)) => assert_eq!(back.forwards, MAX_FORWARDS),
-            other => panic!("expected an Event frame, got {other:?}"),
+            Some(Frame::Events(back)) => assert_eq!(back[0].0.forwards, MAX_FORWARDS),
+            other => panic!("expected an Events frame, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_flagged_count_of_zero_or_one_is_refused() {
+        let entry = |flagged_count: u64| {
+            let mut payload = vec![KIND_EVENTS, 1];
+            put_wire_event(&mut payload, &sample_wire_event(1), 2, true);
+            let count_at = payload.len() - 1;
+            payload[count_at] = flagged_count as u8;
+            payload
+        };
+        assert!(matches!(Frame::decode_payload(&entry(2)), Some(Frame::Events(e)) if e[0].1 == 2));
+        assert_eq!(Frame::decode_payload(&entry(1)), None);
+        assert_eq!(Frame::decode_payload(&entry(0)), None);
+        // And a flagged entry whose count is missing altogether.
+        let mut truncated = entry(2);
+        truncated.pop();
+        assert_eq!(Frame::decode_payload(&truncated), None);
     }
 
     #[test]
@@ -1316,251 +1135,136 @@ mod tests {
         assert!(Frame::read_from(&mut std::io::Cursor::new(buf)).is_err());
 
         let mut ok = Vec::new();
-        Frame::StoreAck.write_to(&mut ok).unwrap();
+        Frame::Join { machine: 1 }.write_to(&mut ok).unwrap();
         ok.truncate(ok.len() - 1);
         assert!(Frame::read_from(&mut std::io::Cursor::new(ok)).is_err());
     }
 
     #[test]
     fn trailing_garbage_in_payload_rejected() {
-        let mut payload = Frame::StoreAck.encode_payload();
-        payload.push(0xde);
-        assert_eq!(Frame::decode_payload(&payload), None);
-    }
-
-    #[test]
-    fn unknown_kind_rejected() {
-        assert_eq!(Frame::decode_payload(&[200]), None);
-        assert_eq!(Frame::decode_payload(&[]), None);
-    }
-
-    #[test]
-    fn encode_events_payload_matches_frame_encoding() {
-        let one = [sample_wire_event(5)];
-        assert_eq!(
-            encode_events_payload(&one, true),
-            Frame::Event(one[0].clone()).encode_payload(),
-            "a single event must be byte-identical to the unbatched wire"
-        );
-        let many = vec![sample_wire_event(1), sample_wire_event(2)];
-        assert_eq!(
-            encode_events_payload(&many, true),
-            Frame::EventBatch(many.clone()).encode_payload()
-        );
-        // JSON-only events are unaffected by the downgrade flag.
-        assert_eq!(
-            encode_events_payload(&many, false),
-            Frame::EventBatch(many.clone()).encode_payload()
-        );
-    }
-
-    fn mbf_event(seq: u64) -> WireEvent {
-        let doc = Json::parse(r#"{"loc":"walmart","n":42}"#).unwrap();
-        let mut ev = sample_wire_event(seq);
-        ev.event.value = doc.to_mbf().unwrap().into();
-        ev
-    }
-
-    #[test]
-    fn combined_payload_degenerates_to_plain_event_wire() {
-        // All counts 1 → byte-identical to the uncombined encodings, so a
-        // cluster with no declared combiners never emits kind 25.
-        let one = [(sample_wire_event(5), 1)];
-        assert_eq!(
-            encode_combined_payload(&one, true),
-            encode_events_payload(&[one[0].0.clone()], true)
-        );
-        let many = vec![(sample_wire_event(1), 1), (sample_wire_event(2), 1)];
-        let plain: Vec<WireEvent> = many.iter().map(|(ev, _)| ev.clone()).collect();
-        assert_eq!(encode_combined_payload(&many, true), encode_events_payload(&plain, true));
-        assert_eq!(encode_combined_payload(&many, false), encode_events_payload(&plain, false));
-    }
-
-    #[test]
-    fn combined_payload_roundtrips_counts() {
-        let entries = vec![(sample_wire_event(1), 250), (sample_wire_event(2), 1)];
-        let payload = encode_combined_payload(&entries, true);
-        assert_eq!(payload[0], KIND_COMBINED_BATCH);
-        assert_eq!(Frame::decode_payload(&payload), Some(Frame::CombinedBatch(entries.clone())));
-        assert_eq!(payload, Frame::CombinedBatch(entries).encode_payload());
-    }
-
-    #[test]
-    fn combined_payload_transcodes_mbf_values_for_json_peers() {
-        let entries = vec![(mbf_event(1), 7), (sample_wire_event(2), 2)];
-        let payload = encode_combined_payload(&entries, false);
-        match Frame::decode_payload(&payload) {
-            Some(Frame::CombinedBatch(back)) => {
-                assert_eq!(
-                    std::str::from_utf8(&back[0].0.event.value).unwrap(),
-                    r#"{"loc":"walmart","n":42}"#
-                );
-                assert_eq!(back[0].1, 7, "absorbed count survives the downgrade");
-                assert_eq!(back[1], entries[1]);
-            }
-            other => panic!("expected CombinedBatch, got {other:?}"),
+        for frame in sample_frames() {
+            let mut payload = frame.encode_payload();
+            payload.push(0xde);
+            assert_eq!(Frame::decode_payload(&payload), None, "{frame:?}");
         }
-        // json_downgraded covers the frame too.
-        let frame = Frame::CombinedBatch(entries.clone());
-        let down = frame.json_downgraded().expect("carries MBF");
-        assert_eq!(down.encode_payload(), payload);
-        let all_json = Frame::CombinedBatch(vec![(sample_wire_event(3), 4)]);
-        assert!(all_json.json_downgraded().is_none());
     }
 
     #[test]
-    fn combined_zero_count_rejected() {
-        let mut payload = vec![KIND_COMBINED_BATCH];
-        put_varint(&mut payload, 1);
-        put_wire_event(&mut payload, &sample_wire_event(1));
-        put_varint(&mut payload, 0);
-        assert_eq!(Frame::decode_payload(&payload), None);
-    }
-
-    #[test]
-    fn events_payload_transcodes_mbf_values_for_json_peers() {
-        let events = vec![mbf_event(1), sample_wire_event(2)];
-        let payload = encode_events_payload(&events, false);
-        match Frame::decode_payload(&payload) {
-            Some(Frame::EventBatch(back)) => {
+    fn a_hello_of_another_version_decodes_with_only_its_version() {
+        for version in [0u64, 3, 6, PROTOCOL_VERSION + 1, u64::MAX] {
+            // Whatever follows the version is not interpreted: a v4 hello
+            // had no codecs byte, a future one may have more.
+            for tail in [&[][..], &[2], &[2, 1, 9, 9]] {
+                let mut payload = vec![KIND_HELLO];
+                put_varint(&mut payload, version);
+                payload.extend_from_slice(tail);
                 assert_eq!(
-                    std::str::from_utf8(&back[0].event.value).unwrap(),
-                    r#"{"loc":"walmart","n":42}"#,
-                    "MBF value must arrive as canonical JSON text"
+                    Frame::decode_payload(&payload),
+                    Some(Frame::Hello { sender: 0, version, codecs: 0 }),
+                    "version {version}"
                 );
-                assert_eq!(back[1], events[1], "JSON values pass through untouched");
             }
-            other => panic!("expected EventBatch, got {other:?}"),
+        }
+        // The current version is decoded strictly.
+        assert_eq!(Frame::decode_payload(&[KIND_HELLO, PROTOCOL_VERSION as u8, 2]), None);
+        assert_eq!(Frame::decode_payload(&[KIND_HELLO, PROTOCOL_VERSION as u8, 2, 1, 0]), None);
+    }
+
+    fn mbf_doc() -> (Vec<u8>, &'static str) {
+        let text = r#"{"loc":"walmart","n":42}"#;
+        (Json::parse(text).unwrap().to_mbf().unwrap(), text)
+    }
+
+    #[test]
+    fn encode_events_payload_is_the_events_frame_of_uncombined_entries() {
+        let (raw, _) = mbf_doc();
+        let mut carrier = sample_wire_event(2);
+        carrier.event.value = raw.into();
+        let events = vec![sample_wire_event(1), carrier, bare_wire_event()];
+        let frame = Frame::Events(events.iter().map(|ev| (ev.clone(), 1)).collect());
+        for allow_mbf in [true, false] {
+            assert_eq!(
+                encode_events_payload(&events, allow_mbf),
+                frame.encode_payload_for(allow_mbf)
+            );
+        }
+        assert_eq!(encode_events_payload(&[], true), Frame::Events(Vec::new()).encode_payload());
+    }
+
+    #[test]
+    fn events_transcode_mbf_values_for_json_peers_and_keep_their_counts() {
+        let (raw, text) = mbf_doc();
+        let mut carrier = sample_wire_event(1);
+        carrier.event.value = raw.into();
+        let frame = Frame::Events(vec![(carrier, 7), (sample_wire_event(2), 1)]);
+        let Frame::Events(entries) = &frame else { unreachable!() };
+        match Frame::decode_payload(&frame.encode_payload_for(false)) {
+            Some(Frame::Events(back)) => {
+                assert_eq!(std::str::from_utf8(&back[0].0.event.value).unwrap(), text);
+                assert_eq!(back[0].1, 7, "absorbed count survives the downgrade");
+                assert_eq!(back[0].0.event.key, entries[0].0.event.key);
+                assert_eq!(back[1], entries[1], "JSON values pass through untouched");
+            }
+            other => panic!("expected Events, got {other:?}"),
         }
         // With MBF allowed the value travels verbatim.
-        let payload = encode_events_payload(&events, true);
-        match Frame::decode_payload(&payload) {
-            Some(Frame::EventBatch(back)) => assert_eq!(back, events),
-            other => panic!("expected EventBatch, got {other:?}"),
-        }
+        assert_eq!(Frame::decode_payload(&frame.encode_payload_for(true)), Some(frame));
     }
 
     #[test]
-    fn legacy_hello_is_byte_identical_to_v4_wire() {
-        // Hand-rolled v4 hello payload: kind, version varint, sender
-        // varint — no codecs byte.
-        let mut expected = vec![KIND_HELLO];
-        put_varint(&mut expected, 4);
-        put_varint(&mut expected, 2);
-        assert_eq!(Frame::hello_legacy(2).encode_payload(), expected);
-        assert_eq!(
-            Frame::decode_payload(&expected),
-            Some(Frame::Hello { sender: 2, version: 4, codecs: 0 })
-        );
-    }
-
-    #[test]
-    fn hello_version_bounds_are_enforced() {
-        for version in [0u64, 1, 2, PROTOCOL_VERSION + 1] {
-            let mut payload = vec![KIND_HELLO];
-            put_varint(&mut payload, version);
-            put_varint(&mut payload, 1);
-            if version >= 5 {
-                payload.push(CODEC_MBF);
-            }
-            assert_eq!(Frame::decode_payload(&payload), None, "version {version}");
-        }
-    }
-
-    #[test]
-    fn all_json_batches_keep_the_legacy_kinds() {
-        let put = Frame::StorePutBatch {
-            items: vec![StorePutItem {
-                updater: "c".into(),
-                key: b"k".to_vec(),
-                value: Bytes::from_static(b"42"),
-                ttl_secs: None,
-                codec: Codec::Json,
-            }],
-            now_us: 1,
-        };
-        assert_eq!(put.encode_payload()[0], KIND_STORE_PUT_BATCH);
-        let mixed = Frame::StorePutBatch {
-            items: vec![StorePutItem {
-                updater: "c".into(),
-                key: b"k".to_vec(),
-                value: Bytes::from_static(b"\xb1\x03\x2a"),
-                ttl_secs: None,
-                codec: Codec::Mbf,
-            }],
-            now_us: 1,
-        };
-        assert_eq!(mixed.encode_payload()[0], KIND_STORE_PUT_BATCH_TAGGED);
-
-        let vals = Frame::StoreValueBatch { values: vec![Some((b"42".to_vec(), Codec::Json))] };
-        assert_eq!(vals.encode_payload()[0], KIND_STORE_VALUE_BATCH);
-        let tagged =
-            Frame::StoreValueBatch { values: vec![Some((b"\xb1\x00".to_vec(), Codec::Mbf))] };
-        assert_eq!(tagged.encode_payload()[0], KIND_STORE_VALUE_BATCH_TAGGED);
-    }
-
-    #[test]
-    fn json_downgrade_covers_store_frames() {
-        let doc = Json::parse(r#"[1,2,3]"#).unwrap();
-        let raw = doc.to_mbf().unwrap();
-        let batch = Frame::StorePutBatch {
-            items: vec![StorePutItem {
-                updater: "c".into(),
-                key: b"k".to_vec(),
-                value: raw.clone().into(),
-                ttl_secs: Some(3),
-                codec: Codec::Mbf,
-            }],
+    fn store_and_slate_values_transcode_for_json_peers() {
+        let (raw, text) = mbf_doc();
+        let put = Frame::StorePut {
+            items: vec![
+                StorePutItem {
+                    value: raw.clone().into(),
+                    ..put_item(b"k", b"", Some(3), Codec::Mbf)
+                },
+                // Tagged MBF but undecodable: travels raw, retagged.
+                put_item(b"junk", b"\xb1\xff", None, Codec::Mbf),
+                put_item(b"text", b"42", None, Codec::Json),
+            ],
             now_us: 7,
         };
-        match batch.json_downgraded() {
-            Some(Frame::StorePutBatch { items, now_us: 7 }) => {
-                assert_eq!(items[0].codec, Codec::Json);
-                assert_eq!(&items[0].value[..], b"[1,2,3]");
+        match Frame::decode_payload(&put.encode_payload_for(false)) {
+            Some(Frame::StorePut { items, now_us: 7 }) => {
+                assert_eq!((&items[0].value[..], items[0].codec), (text.as_bytes(), Codec::Json));
                 assert_eq!(items[0].ttl_secs, Some(3));
+                assert_eq!((&items[1].value[..], items[1].codec), (&b"\xb1\xff"[..], Codec::Json));
+                assert_eq!(items[2], put_item(b"text", b"42", None, Codec::Json));
             }
             other => panic!("unexpected downgrade: {other:?}"),
         }
+        assert_eq!(Frame::decode_payload(&put.encode_payload_for(true)), Some(put));
+
         let values =
-            Frame::StoreValueBatch { values: vec![Some((raw.to_vec(), Codec::Mbf)), None] };
-        match values.json_downgraded() {
-            Some(Frame::StoreValueBatch { values }) => {
-                assert_eq!(values[0], Some((b"[1,2,3]".to_vec(), Codec::Json)));
-                assert_eq!(values[1], None);
-            }
-            other => panic!("unexpected downgrade: {other:?}"),
-        }
-        // JSON-only frames need no clone at all.
-        let json_put = Frame::StorePut {
-            updater: "c".into(),
-            key: b"k".to_vec(),
-            value: b"42".to_vec(),
-            ttl_secs: None,
-            now_us: 1,
-        };
-        assert_eq!(json_put.json_downgraded(), None);
-        assert_eq!(Frame::StoreAck.json_downgraded(), None);
-        // Sniffed single-put downgrade (the untagged frame).
-        let mbf_put = Frame::StorePut {
-            updater: "c".into(),
-            key: b"k".to_vec(),
-            value: raw.to_vec(),
-            ttl_secs: None,
-            now_us: 1,
-        };
-        match mbf_put.json_downgraded() {
-            Some(Frame::StorePut { value, .. }) => assert_eq!(value, b"[1,2,3]".to_vec()),
-            other => panic!("unexpected downgrade: {other:?}"),
-        }
+            Frame::StoreValue { values: vec![Some(raw.clone()), None, Some(b"42".to_vec())] };
+        assert_eq!(
+            Frame::decode_payload(&values.encode_payload_for(false)),
+            Some(Frame::StoreValue {
+                values: vec![Some(text.as_bytes().to_vec()), None, Some(b"42".to_vec())]
+            })
+        );
+        let slate = Frame::SlateValue { value: Some(raw) };
+        assert_eq!(
+            Frame::decode_payload(&slate.encode_payload_for(false)),
+            Some(Frame::SlateValue { value: Some(text.as_bytes().to_vec()) })
+        );
+        assert_eq!(Frame::decode_payload(&slate.encode_payload_for(true)), Some(slate));
     }
 
     #[test]
-    fn corrupt_batch_count_is_rejected_without_huge_allocation() {
-        // A batch claiming u64::MAX events with a near-empty body must
-        // fail cleanly (the per-event decode runs out of bytes) and the
+    fn corrupt_counts_are_rejected_without_huge_allocation() {
+        // A run claiming u64::MAX entries with a near-empty body must fail
+        // cleanly (the per-entry decode runs out of bytes) and the
         // pre-allocation is capped by the buffer length.
-        let mut payload = vec![KIND_EVENT_BATCH];
-        put_varint(&mut payload, u64::MAX);
-        assert_eq!(Frame::decode_payload(&payload), None);
+        for kind in [KIND_EVENTS, KIND_STORE_PUT, KIND_STORE_GET, KIND_STORE_VALUE, KIND_STORE_ACK]
+        {
+            let mut payload = vec![kind];
+            put_varint(&mut payload, u64::MAX);
+            assert_eq!(Frame::decode_payload(&payload), None, "kind {kind}");
+            payload.extend_from_slice(&[1, 0, 1, 0]);
+            assert_eq!(Frame::decode_payload(&payload), None, "kind {kind}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!   hand-off, refactored behind the trait with identical semantics;
 //! * [`tcp::TcpTransport`] — real TCP sockets with length-prefixed binary
 //!   framing ([`frame`], reusing `muppet-core::codec`): per-peer batching
-//!   senders that coalesce events into `EventBatch` frames, flushed on
+//!   senders that coalesce events into `Events` frames, flushed on
 //!   size, on producer demand, or at an age ceiling
 //!   ([`tcp::BatchConfig`], [`tcp::FlushReason`]), with bounded outboxes
 //!   (backpressure, not buffering), connection pooling for

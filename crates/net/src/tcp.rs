@@ -8,7 +8,7 @@
 //!
 //! **The event path is batched and pipelined.** `send_event` enqueues
 //! into a bounded per-peer outbox; a dedicated sender thread per peer
-//! drains it, coalescing events into [`Frame::EventBatch`] frames and
+//! drains it, coalescing events into [`Frame::Events`] frames and
 //! writing them back-to-back over one persistent connection — no
 //! per-event connection checkout, CRC, or syscall. A batch leaves when it
 //! is full (`batch_max`), when the producer that filled it says it has
@@ -36,20 +36,25 @@
 //! failure frames stay on the synchronous pooled path: per peer, a small
 //! stack of idle connections; an exchange takes one exclusively (so
 //! request/response frames never interleave), then returns it.
+//!
+//! Every connection opens with one handshake: the dialer's
+//! current-version [`Frame::Hello`], answered by a [`Frame::HelloAck`].
+//! A connection that opens any other way is closed and counted
+//! ([`TcpStats::hello_rejected`]).
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use muppet_core::sync::{Condvar, Mutex, RwLock};
-use muppet_core::{Codec, CodecChoice};
+use muppet_core::CodecChoice;
 
 use crate::frame::{
     self, Frame, MembershipPhase, MembershipUpdate, StoreGetItem, StorePutItem, WireEvent,
-    CODEC_MBF, MAX_FRAME_BYTES,
+    CODEC_MBF, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::topology::{NodeSpec, Topology};
 use crate::transport::{ClusterHandler, HandlerSlot, MachineId, NetError, Transport};
@@ -69,6 +74,9 @@ const OUTBOX_POLL: Duration = Duration::from_millis(20);
 /// Soft cap on one batch frame's encoded size: flush early rather than
 /// approach [`MAX_FRAME_BYTES`].
 const BATCH_SOFT_BYTES: usize = 1 << 20;
+/// Distinct peer addresses remembered so a refused hello is reported once
+/// per peer; past this, refusals are still counted, no longer reported.
+const MAX_REJECTED_PEERS: usize = 1024;
 
 /// Flush policy for the per-peer batching senders: a batch goes on the
 /// wire when it holds `batch_max` events, when a producer asks
@@ -146,6 +154,9 @@ pub struct TcpStats {
     pub outbound_backlog: AtomicU64,
     /// Fresh connections whose hello/ack handshake negotiated MBF.
     pub mbf_connects: AtomicU64,
+    /// Inbound connections closed because they did not open with a
+    /// current-version hello (another binary, or not a muppet peer).
+    pub hello_rejected: AtomicU64,
     /// Batches taken off the outboxes, by [`FlushReason`] (indexed in
     /// [`FlushReason::ALL`] order).
     pub flushes: [AtomicU64; 4],
@@ -159,8 +170,8 @@ impl TcpStats {
 }
 
 /// One outbound connection with its negotiated codec: `mbf` is true only
-/// when this side offered MBF (a v5 hello) and the peer's `HelloAck`
-/// confirmed it. Legacy peers and JSON-pinned transports never set it.
+/// when this side's hello offered MBF and the peer's `HelloAck` confirmed
+/// it.
 struct Conn {
     stream: TcpStream,
     mbf: bool,
@@ -216,6 +227,8 @@ fn wire_event_size_hint(ev: &WireEvent) -> usize {
     ev.event.key.as_bytes().len() + ev.event.value.len() + ev.event.stream.as_str().len() + 128
 }
 
+type RejectHook = Box<dyn Fn(SocketAddr, Option<u64>) + Send + Sync>;
+
 /// A [`Transport`] over real TCP sockets. One instance per `muppetd`
 /// process; `local` is the machine this process runs.
 ///
@@ -228,11 +241,14 @@ pub struct TcpTransport {
     /// The master role's machine id (pinned at cluster creation).
     master: MachineId,
     batch: BatchConfig,
-    /// Wire-codec policy: `Auto`/`Mbf` dial with a v5 hello offering MBF
-    /// and read the peer's `HelloAck`; `Json` dials a byte-identical v4
-    /// legacy hello (no ack read) and pins every connection to JSON.
+    /// Wire-codec policy: whether this node's hellos and acks offer MBF.
+    /// `Json` offers nothing, which pins every connection to JSON.
     codec: CodecChoice,
     handler: Arc<HandlerSlot>,
+    /// Told, once per peer address, that a connection was refused at the
+    /// hello and which version it offered (`None`: no hello at all).
+    reject_hook: OnceLock<RejectHook>,
+    rejected_peers: Mutex<HashSet<IpAddr>>,
     /// Indexed by machine id; `None` at `local`. Grows via `add_peer`.
     pools: RwLock<Vec<Option<Arc<PeerPool>>>>,
     /// Per-peer batching outboxes; `None` at `local`. Grows via
@@ -281,6 +297,8 @@ impl TcpTransport {
                 ..batch
             },
             handler: Arc::new(HandlerSlot::default()),
+            reject_hook: OnceLock::new(),
+            rejected_peers: Mutex::new(HashSet::new()),
             pools: RwLock::new(Vec::new()),
             outboxes: RwLock::new(Vec::new()),
             sender_threads: Mutex::new(Vec::new()),
@@ -347,6 +365,30 @@ impl TcpTransport {
     /// Counter snapshot.
     pub fn stats(&self) -> &TcpStats {
         &self.stats
+    }
+
+    /// Have `hook` told, once per peer address, that an inbound connection
+    /// was refused at the hello, with the version it offered (`None` when
+    /// it did not open with a hello). The engine logs it: a dialer reads
+    /// the closed connection as a dead peer, so this side's log is where a
+    /// mixed-binary cluster becomes legible. First registration wins.
+    pub fn on_hello_rejected(
+        &self,
+        hook: impl Fn(SocketAddr, Option<u64>) + Send + Sync + 'static,
+    ) {
+        let _ = self.reject_hook.set(Box::new(hook));
+    }
+
+    fn reject_hello(&self, peer: io::Result<SocketAddr>, offered: Option<u64>) {
+        self.stats.hello_rejected.fetch_add(1, Ordering::Relaxed);
+        let (Ok(peer), Some(hook)) = (peer, self.reject_hook.get()) else { return };
+        let first = {
+            let mut seen = self.rejected_peers.lock();
+            seen.len() < MAX_REJECTED_PEERS && seen.insert(peer.ip())
+        };
+        if first {
+            hook(peer, offered);
+        }
     }
 
     fn handler(&self) -> Option<Arc<dyn ClusterHandler>> {
@@ -439,14 +481,14 @@ impl TcpTransport {
         let pool = self.pool(dest)?;
         // Size-check before touching the socket: an oversized frame is a
         // local protocol error, not a dead peer — it must not trip §4.3.
-        // The check uses the as-is encoding; the per-connection JSON
-        // downgrade (below) re-encodes only when the peer needs it.
-        let payload = frame.encode_payload();
-        if payload.len() > crate::frame::MAX_FRAME_BYTES {
+        // The check uses the encoding this node's hello asks for; only a
+        // connection whose peer granted less (below) re-encodes.
+        let offers_mbf = self.codec.offers_mbf();
+        let payload = frame.encode_payload_for(offers_mbf);
+        if payload.len() > MAX_FRAME_BYTES {
             return Err(NetError::Protocol(format!(
-                "frame of {} bytes exceeds the {}-byte limit",
-                payload.len(),
-                crate::frame::MAX_FRAME_BYTES
+                "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte limit",
+                payload.len()
             )));
         }
         let pooled = pool.idle.lock().pop();
@@ -454,15 +496,16 @@ impl TcpTransport {
 
         let attempt = |conn: Option<Conn>| -> io::Result<(Conn, Option<Frame>)> {
             let mut conn = match conn {
-                Some(c) => c,
+                // A one-way write to a peer that has closed "succeeds"
+                // into the kernel buffer and the frame is lost unreported,
+                // so a pooled connection is probed first. A request needs
+                // no probe: its reply read fails and the redial below runs.
+                Some(c) if want_reply => c,
+                Some(c) => probe_peer_alive(&c.stream).map(|()| c)?,
                 None => self.connect(pool.addr)?,
             };
-            // The payload is encoded for the negotiated codec: MBF
-            // connections take the frame as built; JSON connections get
-            // any MBF payload transcoded to JSON text first.
-            let json_payload =
-                if conn.mbf { None } else { frame.json_downgraded().map(|f| f.encode_payload()) };
-            frame::write_payload(&mut conn.stream, json_payload.as_deref().unwrap_or(&payload))?;
+            let downgraded = (offers_mbf && !conn.mbf).then(|| frame.encode_payload_for(false));
+            frame::write_payload(&mut conn.stream, downgraded.as_deref().unwrap_or(&payload))?;
             let reply = if want_reply { Some(Frame::read_from(&mut conn.stream)?) } else { None };
             Ok((conn, reply))
         };
@@ -649,11 +692,9 @@ fn fold_batch(outbox: &PeerOutbox, raw: Vec<WireEvent>) -> Vec<(WireEvent, u64)>
 /// thread must not block forever on a stalled master, or
 /// `TcpTransport::drop`'s join would wedge shutdown.
 ///
-/// `Auto`/`Mbf` transports send a v5 hello offering MBF and block on the
-/// peer's [`Frame::HelloAck`]; the connection speaks MBF only if the ack
-/// grants it. `Json` transports send a byte-identical v4 legacy hello —
-/// and read no ack, exactly like a real pre-MBF peer (v5 receivers only
-/// ack v5 hellos).
+/// The hello offers MBF unless this transport is pinned to JSON, and the
+/// dial blocks on the peer's [`Frame::HelloAck`]; the connection speaks
+/// MBF only if the ack grants it.
 fn dial(
     addr: SocketAddr,
     local: MachineId,
@@ -666,14 +707,10 @@ fn dial(
     stream.set_write_timeout(Some(REPLY_TIMEOUT))?;
     stats.connects.fetch_add(1, Ordering::Relaxed);
     let mut w = &stream;
-    if !codec.offers_mbf() {
-        Frame::hello_legacy(local).write_to(&mut w)?;
-        return Ok(Conn { stream, mbf: false });
-    }
-    Frame::hello(local, true).write_to(&mut w)?;
+    Frame::hello(local, codec.offers_mbf()).write_to(&mut w)?;
     let mut r = &stream;
     let mbf = match Frame::read_from(&mut r)? {
-        Frame::HelloAck { codecs } => codecs & CODEC_MBF != 0,
+        Frame::HelloAck { codecs } => codec.offers_mbf() && codecs & CODEC_MBF != 0,
         other => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -692,26 +729,31 @@ fn connect_outbox(outbox: &PeerOutbox) -> io::Result<Conn> {
     dial(outbox.addr, outbox.local, &outbox.stats, outbox.codec)
 }
 
-/// Check a reused event connection for a peer that has already closed:
-/// events are one-way, so any readable state — EOF (FIN) or unexpected
-/// bytes — means the connection is dead. Without this probe, the first
-/// write after a graceful peer close "succeeds" into the kernel buffer
-/// and a whole batch is silently lost; with it, detection is
-/// deterministic once the close has propagated.
+/// Check a reused connection for a peer that has already closed, before a
+/// one-way write: nothing is owed to this side, so any readable state —
+/// EOF (FIN) or unexpected bytes — means the connection is dead. Without
+/// this probe, the first write after a graceful peer close "succeeds"
+/// into the kernel buffer and the frame is silently lost; with it,
+/// detection is deterministic once the close has propagated.
 fn probe_peer_alive(stream: &TcpStream) -> io::Result<()> {
     stream.set_nonblocking(true)?;
     let mut probe = [0u8; 1];
     let mut reader = stream;
     let verdict = match reader.read(&mut probe) {
         Ok(0) => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed")),
-        Ok(_) => {
-            Err(io::Error::new(io::ErrorKind::InvalidData, "unexpected data on event connection"))
-        }
+        Ok(_) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "unexpected data on a one-way connection",
+        )),
         Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(()),
         Err(e) => Err(e),
     };
     stream.set_nonblocking(false)?;
     verdict
+}
+
+fn encode_batch(batch: &[(WireEvent, u64)], allow_mbf: bool) -> Vec<u8> {
+    frame::encode_events(batch.iter().map(|(ev, absorbed)| (ev, *absorbed)), allow_mbf)
 }
 
 /// Write one batch, reusing `conn` with one reconnect retry (a stale
@@ -727,11 +769,11 @@ fn send_batch(
     let reused = conn.is_some();
     let first = match conn.as_mut() {
         Some(c) => probe_peer_alive(&c.stream).and_then(|()| {
-            let payload = frame::encode_combined_payload(batch, c.mbf);
+            let payload = encode_batch(batch, c.mbf);
             frame::write_payload(&mut c.stream, &payload)
         }),
         None => connect_outbox(outbox).and_then(|mut c| {
-            let payload = frame::encode_combined_payload(batch, c.mbf);
+            let payload = encode_batch(batch, c.mbf);
             frame::write_payload(&mut c.stream, &payload)?;
             *conn = Some(c);
             Ok(())
@@ -760,7 +802,7 @@ fn send_batch(
             // the peer's socket is gone — so the resend cannot duplicate.
             *conn = None;
             let mut c = connect_outbox(outbox)?;
-            let payload = frame::encode_combined_payload(batch, c.mbf);
+            let payload = encode_batch(batch, c.mbf);
             frame::write_payload(&mut c.stream, &payload)?;
             *conn = Some(c);
             Ok(())
@@ -941,11 +983,13 @@ impl Transport for TcpTransport {
         );
         match self.exchange(dest, &Frame::Membership(update.clone()), want_ack)? {
             None => Ok(()),
-            Some(Frame::MembershipAck { epoch }) if epoch == update.epoch => Ok(()),
-            Some(Frame::MembershipNack { epoch }) => {
+            Some(Frame::MembershipReply { epoch, accepted: true }) if epoch == update.epoch => {
+                Ok(())
+            }
+            Some(Frame::MembershipReply { epoch, accepted: false }) => {
                 Err(NetError::Protocol(format!("peer {dest} refused membership epoch {epoch}")))
             }
-            other => Err(NetError::Protocol(format!("expected MembershipAck, got {other:?}"))),
+            other => Err(NetError::Protocol(format!("expected MembershipReply, got {other:?}"))),
         }
     }
 
@@ -968,61 +1012,6 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn store_put(
-        &self,
-        dest: MachineId,
-        updater: &str,
-        key: &[u8],
-        value: &[u8],
-        codec: Codec,
-        ttl_secs: Option<u64>,
-        now_us: u64,
-    ) -> Result<(), NetError> {
-        if dest == self.local {
-            return match self.handler() {
-                Some(h) => {
-                    h.backend_store(updater, key, value, codec, ttl_secs, now_us);
-                    Ok(())
-                }
-                None => Err(NetError::NoRoute(dest)),
-            };
-        }
-        // The unbatched put frame carries no codec tag: the value travels
-        // raw and the serving side re-sniffs it (uncompressed payloads are
-        // sniffable); a JSON-pinned connection transcodes in `exchange`.
-        let request = Frame::StorePut {
-            updater: updater.to_string(),
-            key: key.to_vec(),
-            value: value.to_vec(),
-            ttl_secs,
-            now_us,
-        };
-        match self.exchange(dest, &request, true)? {
-            Some(Frame::StoreAck) => Ok(()),
-            other => Err(NetError::Protocol(format!("expected StoreAck, got {other:?}"))),
-        }
-    }
-
-    fn store_get(
-        &self,
-        dest: MachineId,
-        updater: &str,
-        key: &[u8],
-        now_us: u64,
-    ) -> Result<Option<Vec<u8>>, NetError> {
-        if dest == self.local {
-            return match self.handler() {
-                Some(h) => Ok(h.backend_load(updater, key, now_us)),
-                None => Err(NetError::NoRoute(dest)),
-            };
-        }
-        let request = Frame::StoreGet { updater: updater.to_string(), key: key.to_vec(), now_us };
-        match self.exchange(dest, &request, true)? {
-            Some(Frame::StoreValue { value }) => Ok(value),
-            other => Err(NetError::Protocol(format!("expected StoreValue, got {other:?}"))),
-        }
-    }
-
     fn store_put_many(
         &self,
         dest: MachineId,
@@ -1039,14 +1028,14 @@ impl Transport for TcpTransport {
         // dirty slates cost one request frame and one reply, not N; the
         // owned items move straight into the frame (no payload re-copy).
         let sent = items.len();
-        let request = Frame::StorePutBatch { items, now_us };
+        let request = Frame::StorePut { items, now_us };
         match self.exchange(dest, &request, true)? {
-            Some(Frame::StoreAckBatch { ok }) if ok.len() == sent => Ok(ok),
-            Some(Frame::StoreAckBatch { ok }) => Err(NetError::Protocol(format!(
-                "StoreAckBatch length mismatch: sent {sent}, acked {}",
+            Some(Frame::StoreAck { ok }) if ok.len() == sent => Ok(ok),
+            Some(Frame::StoreAck { ok }) => Err(NetError::Protocol(format!(
+                "StoreAck length mismatch: sent {sent}, acked {}",
                 ok.len()
             ))),
-            other => Err(NetError::Protocol(format!("expected StoreAckBatch, got {other:?}"))),
+            other => Err(NetError::Protocol(format!("expected StoreAck, got {other:?}"))),
         }
     }
 
@@ -1063,19 +1052,14 @@ impl Transport for TcpTransport {
             };
         }
         let asked = items.len();
-        let request = Frame::StoreGetBatch { items, now_us };
+        let request = Frame::StoreGet { items, now_us };
         match self.exchange(dest, &request, true)? {
-            Some(Frame::StoreValueBatch { values }) if values.len() == asked => {
-                // The trait's get path is untagged — decompressed values
-                // are sniffable, so callers recover the codec from the
-                // bytes themselves.
-                Ok(values.into_iter().map(|v| v.map(|(bytes, _)| bytes)).collect())
-            }
-            Some(Frame::StoreValueBatch { values }) => Err(NetError::Protocol(format!(
-                "StoreValueBatch length mismatch: asked {asked}, got {}",
+            Some(Frame::StoreValue { values }) if values.len() == asked => Ok(values),
+            Some(Frame::StoreValue { values }) => Err(NetError::Protocol(format!(
+                "StoreValue length mismatch: asked {asked}, got {}",
                 values.len()
             ))),
-            other => Err(NetError::Protocol(format!("expected StoreValueBatch, got {other:?}"))),
+            other => Err(NetError::Protocol(format!("expected StoreValue, got {other:?}"))),
         }
     }
 
@@ -1197,6 +1181,33 @@ fn read_full_polled(r: &mut impl io::Read, buf: &mut [u8], stop: &AtomicBool) ->
     Ok(true)
 }
 
+/// Read one frame off an inbound connection, polling `stop`. `None` ends
+/// the connection: stop raised, peer gone, oversized or corrupt frame, or
+/// an undecodable payload.
+fn read_frame_polled(reader: &mut TcpStream, stats: &TcpStats, stop: &AtomicBool) -> Option<Frame> {
+    let mut head = [0u8; 8];
+    if !read_full_polled(reader, &mut head, stop).ok()? {
+        return None;
+    }
+    // lint: allow(no-unwrap-in-prod) — 8-byte header array, offsets statically in bounds
+    let len = muppet_core::codec::get_u32(&head, 0).expect("fixed header") as usize;
+    // lint: allow(no-unwrap-in-prod) — 8-byte header array, offsets statically in bounds
+    let crc = muppet_core::codec::get_u32(&head, 4).expect("fixed header");
+    if len > MAX_FRAME_BYTES {
+        return None;
+    }
+    let mut payload = vec![0u8; len];
+    if !read_full_polled(reader, &mut payload, stop).ok()? {
+        return None;
+    }
+    if muppet_core::codec::crc32c(&payload) != crc {
+        return None; // corrupt connection
+    }
+    let frame = Frame::decode_payload(&payload)?;
+    stats.frames_received.fetch_add(1, Ordering::Relaxed);
+    Some(frame)
+}
+
 fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(SERVE_POLL));
     let _ = stream.set_nodelay(true);
@@ -1205,68 +1216,41 @@ fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<A
         Err(_) => return,
     };
     let mut writer = stream;
-    // Negotiated by the peer's hello: true only for a v5 hello offering
-    // MBF on a transport that also offers it. Replies on a JSON
-    // connection get their MBF payloads transcoded before the write.
-    let mut peer_mbf = false;
+    // The preamble: nothing is served before a current-version hello. The
+    // connection speaks MBF only if both sides offer it; replies on a JSON
+    // connection get their MBF payloads transcoded as they are encoded.
+    let Some(first) = read_frame_polled(&mut reader, &transport.stats, &stop) else { return };
+    let peer_mbf = match first {
+        Frame::Hello { version: PROTOCOL_VERSION, codecs, .. } => {
+            let ours = transport.codec.offers_mbf();
+            let ack = Frame::HelloAck { codecs: if ours { CODEC_MBF } else { 0 } };
+            if ack.write_to(&mut writer).is_err() {
+                return;
+            }
+            ours && codecs & CODEC_MBF != 0
+        }
+        Frame::Hello { version, .. } => {
+            return transport.reject_hello(writer.peer_addr(), Some(version))
+        }
+        _ => return transport.reject_hello(writer.peer_addr(), None),
+    };
     loop {
         if stop.load(Ordering::Acquire) {
             return; // closes both halves → peers see RST on next send
         }
-        let mut head = [0u8; 8];
-        match read_full_polled(&mut reader, &mut head, &stop) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        // lint: allow(no-unwrap-in-prod) — 8-byte header array, offsets statically in bounds
-        let len = muppet_core::codec::get_u32(&head, 0).expect("fixed header") as usize;
-        // lint: allow(no-unwrap-in-prod) — 8-byte header array, offsets statically in bounds
-        let crc = muppet_core::codec::get_u32(&head, 4).expect("fixed header");
-        if len > crate::frame::MAX_FRAME_BYTES {
-            return;
-        }
-        let mut payload = vec![0u8; len];
-        match read_full_polled(&mut reader, &mut payload, &stop) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        if muppet_core::codec::crc32c(&payload) != crc {
-            return; // corrupt connection
-        }
-        let Some(frame) = Frame::decode_payload(&payload) else { return };
-        transport.stats.frames_received.fetch_add(1, Ordering::Relaxed);
+        let Some(frame) = read_frame_polled(&mut reader, &transport.stats, &stop) else { return };
         let Some(handler) = transport.handler() else { return };
         let local = transport.local;
         let reply = match frame {
-            Frame::Hello { version, codecs, .. } => {
-                if version >= 5 {
-                    // v5 dialers block on this ack right after their
-                    // hello; pre-v5 dialers never read one (any byte on
-                    // an event connection reads as a dead peer to them),
-                    // so the ack is gated on the hello version.
-                    let ours = transport.codec.offers_mbf();
-                    peer_mbf = ours && codecs & CODEC_MBF != 0;
-                    Some(Frame::HelloAck { codecs: if ours { CODEC_MBF } else { 0 } })
-                } else {
-                    peer_mbf = false;
-                    None
-                }
-            }
-            Frame::Event(ev) => {
+            Frame::Events(entries) => {
                 // Delivery failures here are local queue-policy outcomes;
                 // the sender's §4.3 signal is the connection, not a NACK.
-                let _ = handler.deliver_event(local, ev);
-                None
-            }
-            Frame::EventBatch(events) => {
-                for ev in events {
-                    let _ = handler.deliver_event(local, ev);
-                }
-                None
-            }
-            Frame::CombinedBatch(entries) => {
                 for (ev, absorbed) in entries {
-                    let _ = handler.deliver_combined(local, ev, absorbed);
+                    let _ = if absorbed == 1 {
+                        handler.deliver_event(local, ev)
+                    } else {
+                        handler.deliver_combined(local, ev, absorbed)
+                    };
                 }
                 None
             }
@@ -1284,47 +1268,22 @@ fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<A
             }
             Frame::Membership(update) => {
                 // Prepare is a request/response (the flush-before-ack
-                // barrier) — a refusal replies an explicit nack so the
-                // master fails fast instead of burning a reply timeout.
+                // barrier) — a refusal is an explicit reply so the master
+                // fails fast instead of burning a reply timeout.
                 // Commit/abort are one-way so the pooled connection is
                 // never left with an unread reply.
-                let acked = handler.handle_membership(&update);
-                match update.phase {
-                    MembershipPhase::Prepare if acked => {
-                        Some(Frame::MembershipAck { epoch: update.epoch })
-                    }
-                    MembershipPhase::Prepare => Some(Frame::MembershipNack { epoch: update.epoch }),
-                    MembershipPhase::Commit | MembershipPhase::Abort => None,
-                }
+                let accepted = handler.handle_membership(&update);
+                (update.phase == MembershipPhase::Prepare)
+                    .then_some(Frame::MembershipReply { epoch: update.epoch, accepted })
             }
             Frame::SlateGet { updater, key } => {
                 Some(Frame::SlateValue { value: handler.read_local_slate(local, &updater, &key) })
             }
-            Frame::StorePut { updater, key, value, ttl_secs, now_us } => {
-                // The unbatched frame is untagged; the payload arrives
-                // uncompressed, so its codec is recovered by sniffing.
-                let codec = Codec::sniff(&value);
-                handler.backend_store(&updater, &key, &value, codec, ttl_secs, now_us);
-                Some(Frame::StoreAck)
+            Frame::StorePut { items, now_us } => {
+                Some(Frame::StoreAck { ok: handler.backend_store_many(&items, now_us) })
             }
-            Frame::StoreGet { updater, key, now_us } => {
-                Some(Frame::StoreValue { value: handler.backend_load(&updater, &key, now_us) })
-            }
-            Frame::StorePutBatch { items, now_us } => {
-                Some(Frame::StoreAckBatch { ok: handler.backend_store_many(&items, now_us) })
-            }
-            Frame::StoreGetBatch { items, now_us } => {
-                let values = handler
-                    .backend_load_many(&items, now_us)
-                    .into_iter()
-                    .map(|v| {
-                        v.map(|bytes| {
-                            let codec = Codec::sniff(&bytes);
-                            (bytes, codec)
-                        })
-                    })
-                    .collect();
-                Some(Frame::StoreValueBatch { values })
+            Frame::StoreGet { items, now_us } => {
+                Some(Frame::StoreValue { values: handler.backend_load_many(&items, now_us) })
             }
             Frame::Reintroduce { machine } => {
                 // A restarted incarnation re-identified itself: forget our
@@ -1334,25 +1293,18 @@ fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<A
                 transport.revive_peer(machine);
                 Some(Frame::ReintroduceAck { epoch: handler.handle_reintroduce(machine) })
             }
-            // Reply kinds arriving as requests: protocol violation.
-            Frame::HelloAck { .. }
+            // A second hello, or a reply kind arriving as a request:
+            // protocol violation.
+            Frame::Hello { .. }
+            | Frame::HelloAck { .. }
             | Frame::SlateValue { .. }
             | Frame::StoreValue { .. }
-            | Frame::StoreAck
-            | Frame::StoreAckBatch { .. }
-            | Frame::StoreValueBatch { .. }
-            | Frame::MembershipAck { .. }
-            | Frame::MembershipNack { .. }
+            | Frame::StoreAck { .. }
+            | Frame::MembershipReply { .. }
             | Frame::ReintroduceAck { .. } => return,
         };
         if let Some(reply) = reply {
-            let reply = if peer_mbf {
-                reply
-            } else {
-                // JSON connection: replies must not carry MBF payloads.
-                reply.json_downgraded().unwrap_or(reply)
-            };
-            if reply.write_to(&mut writer).is_err() {
+            if frame::write_payload(&mut writer, &reply.encode_payload_for(peer_mbf)).is_err() {
                 return;
             }
         }
@@ -1362,6 +1314,7 @@ fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<A
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muppet_core::Codec;
     use std::sync::atomic::AtomicUsize;
 
     type TaggedCells = std::collections::HashMap<Vec<u8>, (Vec<u8>, Codec)>;
@@ -1374,6 +1327,7 @@ mod tests {
         memberships: Mutex<Vec<MembershipUpdate>>,
         send_failures: Mutex<Vec<(MachineId, usize)>>,
         store: Mutex<TaggedCells>,
+        last_value: Mutex<Vec<u8>>,
     }
 
     impl EchoHandler {
@@ -1386,12 +1340,14 @@ mod tests {
                 memberships: Mutex::new(Vec::new()),
                 send_failures: Mutex::new(Vec::new()),
                 store: Mutex::new(Default::default()),
+                last_value: Mutex::new(Vec::new()),
             })
         }
     }
 
     impl ClusterHandler for EchoHandler {
-        fn deliver_event(&self, _dest: MachineId, _ev: WireEvent) -> Result<(), NetError> {
+        fn deliver_event(&self, _dest: MachineId, ev: WireEvent) -> Result<(), NetError> {
+            *self.last_value.lock() = ev.event.value.to_vec();
             self.delivered.fetch_add(1, Ordering::Relaxed);
             Ok(())
         }
@@ -1414,16 +1370,12 @@ mod tests {
         fn read_local_slate(&self, _dest: MachineId, updater: &str, key: &[u8]) -> Option<Vec<u8>> {
             (updater == "U1" && key == b"walmart").then(|| b"7".to_vec())
         }
-        fn backend_store(
-            &self,
-            _u: &str,
-            key: &[u8],
-            value: &[u8],
-            codec: Codec,
-            _ttl: Option<u64>,
-            _now: u64,
-        ) {
-            self.store.lock().insert(key.to_vec(), (value.to_vec(), codec));
+        fn backend_store_many(&self, items: &[StorePutItem], _now: u64) -> Vec<bool> {
+            let mut store = self.store.lock();
+            for item in items {
+                store.insert(item.key.clone(), (item.value.to_vec(), item.codec));
+            }
+            vec![true; items.len()]
         }
         fn backend_load(&self, _u: &str, key: &[u8], _now: u64) -> Option<Vec<u8>> {
             self.store.lock().get(key).map(|(v, _)| v.clone())
@@ -1469,6 +1421,16 @@ mod tests {
         while h.delivered.load(Ordering::Relaxed) < n {
             assert!(Instant::now() < deadline, "events not delivered");
             std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn put_item(key: &[u8], value: &[u8], codec: Codec) -> StorePutItem {
+        StorePutItem {
+            updater: "U1".into(),
+            key: key.to_vec(),
+            value: value.to_vec().into(),
+            ttl_secs: None,
+            codec,
         }
     }
 
@@ -1572,9 +1534,16 @@ mod tests {
         assert_eq!(t0.read_slate(1, "U1", b"walmart").unwrap(), Some(b"7".to_vec()));
         assert_eq!(t0.read_slate(1, "U1", b"absent").unwrap(), None);
         // Store ops served by node 0's handler, called from node 1.
-        t1.store_put(0, "U1", b"k1", b"v1", Codec::Json, None, 0).unwrap();
-        assert_eq!(t1.store_get(0, "U1", b"k1", 0).unwrap(), Some(b"v1".to_vec()));
-        assert_eq!(t1.store_get(0, "U1", b"nope", 0).unwrap(), None);
+        let get = |key: &[u8]| {
+            let item = StoreGetItem { updater: "U1".into(), key: key.to_vec() };
+            t1.store_get_many(0, vec![item], 0).unwrap().remove(0)
+        };
+        assert_eq!(
+            t1.store_put_many(0, vec![put_item(b"k1", b"v1", Codec::Json)], 0).unwrap(),
+            [true]
+        );
+        assert_eq!(get(b"k1"), Some(b"v1".to_vec()));
+        assert_eq!(get(b"nope"), None);
         assert_eq!(h0.store.lock().len(), 1);
     }
 
@@ -1716,25 +1685,10 @@ mod tests {
     }
 
     #[test]
-    fn v5_peers_negotiate_mbf_and_tags_survive_the_wire() {
+    fn peers_negotiate_mbf_and_tags_survive_the_wire() {
         let (_t0, t1, h0, _h1, _l0, _l1) = pair();
         let raw = mbf_value();
-        let items = vec![
-            StorePutItem {
-                updater: "U1".into(),
-                key: b"bin".to_vec(),
-                value: raw.clone().into(),
-                ttl_secs: None,
-                codec: Codec::Mbf,
-            },
-            StorePutItem {
-                updater: "U1".into(),
-                key: b"txt".to_vec(),
-                value: bytes::Bytes::from_static(b"7"),
-                ttl_secs: None,
-                codec: Codec::Json,
-            },
-        ];
+        let items = vec![put_item(b"bin", &raw, Codec::Mbf), put_item(b"txt", b"7", Codec::Json)];
         let ok = t1.store_put_many(0, items, 1).unwrap();
         assert_eq!(ok, vec![true, true]);
         assert!(t1.stats().mbf_connects.load(Ordering::Relaxed) >= 1, "handshake negotiated MBF");
@@ -1742,7 +1696,7 @@ mod tests {
         assert_eq!(store.get(&b"bin"[..].to_vec()).unwrap(), &(raw.clone(), Codec::Mbf));
         assert_eq!(store.get(&b"txt"[..].to_vec()).unwrap(), &(b"7".to_vec(), Codec::Json));
         drop(store);
-        // The tagged value batch carries the MBF bytes back verbatim.
+        // The value reply carries the MBF bytes back verbatim.
         let gets = vec![
             StoreGetItem { updater: "U1".into(), key: b"bin".to_vec() },
             StoreGetItem { updater: "U1".into(), key: b"txt".to_vec() },
@@ -1752,78 +1706,156 @@ mod tests {
         assert_eq!(values[1].as_deref(), Some(&b"7"[..]));
     }
 
-    #[test]
-    fn json_pinned_dialer_acts_like_a_v4_peer() {
-        // t1 is pinned to JSON: it dials legacy v4 hellos (no ack read)
-        // and must transcode MBF payloads before they reach the wire —
-        // the unit-level mixed-version scenario.
+    /// Node 1 dials node 0 where one of the two is pinned to JSON: the one
+    /// handshake (hello, always acked) grants no MBF, and no MBF byte
+    /// crosses in either direction.
+    fn no_mbf_crosses_when_one_side_is_pinned(dialer: CodecChoice, server: CodecChoice) {
+        const TEXT: &str = r#"{"count":42,"loc":"walmart"}"#;
         let topo = Topology::loopback_ephemeral(2, false).unwrap();
-        let t0 = TcpTransport::new(topo.clone(), 0).unwrap();
-        let t1 = TcpTransport::new_with_codec(topo, 1, BatchConfig::default(), CodecChoice::Json)
-            .unwrap();
+        let batch = BatchConfig::default();
+        let t0 = TcpTransport::new_with_codec(topo.clone(), 0, batch, server).unwrap();
+        let t1 = TcpTransport::new_with_codec(topo, 1, batch, dialer).unwrap();
         let h0 = EchoHandler::new();
         let h1 = EchoHandler::new();
         t0.register(Arc::downgrade(&h0) as Weak<dyn ClusterHandler>);
         t1.register(Arc::downgrade(&h1) as Weak<dyn ClusterHandler>);
         let _l0 = t0.start_listener().unwrap();
 
+        // Requests: a tagged MBF put arrives as JSON text under the JSON
+        // tag. (That the reply parsed as a StoreAck is the dialer having
+        // read its HelloAck first, whatever it offered.)
         let raw = mbf_value();
-        let items = vec![StorePutItem {
-            updater: "U1".into(),
-            key: b"bin".to_vec(),
-            value: raw.clone().into(),
-            ttl_secs: None,
-            codec: Codec::Mbf,
-        }];
-        let ok = t1.store_put_many(0, items, 1).unwrap();
+        let ok = t1.store_put_many(0, vec![put_item(b"bin", &raw, Codec::Mbf)], 1).unwrap();
         assert_eq!(ok, vec![true]);
-        assert_eq!(t1.stats().mbf_connects.load(Ordering::Relaxed), 0);
-        let store = h0.store.lock();
-        let (stored, codec) = store.get(&b"bin"[..].to_vec()).unwrap().clone();
-        drop(store);
-        assert_eq!(codec, Codec::Json, "the downgrade strips the MBF tag");
-        assert_eq!(
-            std::str::from_utf8(&stored).unwrap(),
-            r#"{"count":42,"loc":"walmart"}"#,
-            "the payload crossed the wire as canonical JSON text"
-        );
+        assert_eq!(t1.stats().mbf_connects.load(Ordering::Relaxed), 0, "nothing was granted");
+        assert_eq!(t0.stats().hello_rejected.load(Ordering::Relaxed), 0);
+        let stored = h0.store.lock().get(&b"bin"[..]).cloned();
+        assert_eq!(stored, Some((TEXT.as_bytes().to_vec(), Codec::Json)));
+        // Replies: an MBF value at rest on the host comes back as text.
+        h0.store.lock().insert(b"at-rest".to_vec(), (raw.clone(), Codec::Mbf));
+        let get = vec![StoreGetItem { updater: "U1".into(), key: b"at-rest".to_vec() }];
+        assert_eq!(t1.store_get_many(0, get, 2).unwrap(), [Some(TEXT.as_bytes().to_vec())]);
         // Event values downgrade the same way on the batching path.
         let mut ev = wire_event();
         ev.event.value = raw.into();
         t1.send_event(0, ev).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while h0.delivered.load(Ordering::Relaxed) < 1 {
-            assert!(std::time::Instant::now() < deadline, "event not delivered");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_delivered(&h0, 1);
+        assert_eq!(*h0.last_value.lock(), TEXT.as_bytes());
+    }
+
+    #[test]
+    fn json_pinned_dialer_offers_nothing_and_reads_its_ack() {
+        no_mbf_crosses_when_one_side_is_pinned(CodecChoice::Json, CodecChoice::Auto);
     }
 
     #[test]
     fn mbf_dialer_against_json_pinned_server_falls_back_to_json() {
-        // The server offers nothing (JSON-pinned), so the v5 dialer's
-        // handshake negotiates JSON and MBF payloads are transcoded.
-        let topo = Topology::loopback_ephemeral(2, false).unwrap();
-        let t0 = TcpTransport::new_with_codec(
-            topo.clone(),
-            0,
-            BatchConfig::default(),
-            CodecChoice::Json,
-        )
-        .unwrap();
-        let t1 = TcpTransport::new(topo, 1).unwrap();
-        let h0 = EchoHandler::new();
-        let h1 = EchoHandler::new();
-        t0.register(Arc::downgrade(&h0) as Weak<dyn ClusterHandler>);
-        t1.register(Arc::downgrade(&h1) as Weak<dyn ClusterHandler>);
-        let _l0 = t0.start_listener().unwrap();
+        no_mbf_crosses_when_one_side_is_pinned(CodecChoice::Auto, CodecChoice::Json);
+    }
 
-        let raw = mbf_value();
-        t1.store_put(0, "U1", b"bin", &raw, Codec::Mbf, None, 1).unwrap();
-        assert_eq!(t1.stats().mbf_connects.load(Ordering::Relaxed), 0, "ack granted nothing");
-        let store = h0.store.lock();
-        let (stored, codec) = store.get(&b"bin"[..].to_vec()).unwrap().clone();
-        assert_eq!(codec, Codec::Json);
-        assert_eq!(std::str::from_utf8(&stored).unwrap(), r#"{"count":42,"loc":"walmart"}"#);
+    #[test]
+    fn one_way_frame_on_a_stale_pooled_connection_is_redialed_not_lost() {
+        let topo = Topology::loopback_ephemeral(2, false).unwrap();
+        let t0 = TcpTransport::new(topo.clone(), 0).unwrap();
+        let h0 = EchoHandler::new();
+        t0.register(Arc::downgrade(&h0) as Weak<dyn ClusterHandler>);
+        let listen = |handler: &Arc<EchoHandler>| {
+            let t1 = TcpTransport::new(topo.clone(), 1).unwrap();
+            t1.register(Arc::downgrade(handler) as Weak<dyn ClusterHandler>);
+            let l1 = t1.start_listener().unwrap();
+            (t1, l1)
+        };
+        // A request/response pools a connection to node 1's first
+        // incarnation, which then goes away...
+        let first = EchoHandler::new();
+        let (t1, l1) = listen(&first);
+        assert_eq!(t0.read_slate(1, "U1", b"walmart").unwrap(), Some(b"7".to_vec()));
+        drop((l1, t1));
+        // ...and its close has reached node 0 (the pooled socket reads EOF)
+        // before a second incarnation listens on the same port.
+        let pooled = t0.pool(1).unwrap().idle.lock()[0].stream.try_clone().unwrap();
+        assert_eq!((&pooled).read(&mut [0u8; 1]).unwrap(), 0, "the old incarnation closed");
+        let second = EchoHandler::new();
+        let (_t1, _l1) = listen(&second);
+        // The write into the dead socket would succeed; the join must reach
+        // the new incarnation anyway.
+        t0.send_join(1, 0).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while second.joins.lock().is_empty() {
+            assert!(Instant::now() < deadline, "join reported sent, never delivered");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(*second.joins.lock(), vec![0]);
+        assert!(first.joins.lock().is_empty());
+    }
+
+    type Refusals = Arc<Mutex<Vec<(IpAddr, Option<u64>)>>>;
+
+    /// A listening node 1 whose hello refusals are recorded.
+    fn refusing_server() -> (Arc<TcpTransport>, Arc<EchoHandler>, TcpListenerHandle, Refusals) {
+        let topo = Topology::loopback_ephemeral(2, false).unwrap();
+        let t1 = TcpTransport::new(topo, 1).unwrap();
+        let h1 = EchoHandler::new();
+        t1.register(Arc::downgrade(&h1) as Weak<dyn ClusterHandler>);
+        let refusals = Refusals::default();
+        let seen = Arc::clone(&refusals);
+        t1.on_hello_rejected(move |peer, version| seen.lock().push((peer.ip(), version)));
+        let l1 = t1.start_listener().unwrap();
+        (t1, h1, l1, refusals)
+    }
+
+    /// Open a raw connection to `server`, write `frames`, and return what
+    /// the server sent before closing.
+    fn raw_exchange(server: &TcpListenerHandle, frames: &[Frame]) -> Vec<u8> {
+        let mut stream = TcpStream::connect(("127.0.0.1", server.port())).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        for frame in frames {
+            frame.write_to(&mut stream).unwrap();
+        }
+        let mut reply = Vec::new();
+        match stream.read_to_end(&mut reply) {
+            Ok(_) => {}
+            // Closed with our frames still unread in its buffer.
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("server neither replied nor closed: {e}"),
+        }
+        reply
+    }
+
+    #[test]
+    fn a_connection_that_does_not_open_with_a_hello_is_refused() {
+        let (t1, h1, l1, refusals) = refusing_server();
+        let join = Frame::Join { machine: 0 };
+        let report = Frame::FailureReport { failed: 0, epoch: 0 };
+        assert!(raw_exchange(&l1, &[join, report]).is_empty(), "closed without a word");
+        assert!(h1.joins.lock().is_empty() && h1.reports.lock().is_empty(), "nothing was served");
+        assert_eq!(t1.stats().hello_rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(*refusals.lock(), vec![(IpAddr::from([127, 0, 0, 1]), None)]);
+    }
+
+    #[test]
+    fn a_hello_of_another_version_is_refused_and_reported_once_per_peer() {
+        let (t1, h1, l1, refusals) = refusing_server();
+        let old = Frame::Hello { sender: 0, version: PROTOCOL_VERSION - 1, codecs: CODEC_MBF };
+        let join = Frame::Join { machine: 0 };
+        for _ in 0..3 {
+            assert!(
+                raw_exchange(&l1, &[old.clone(), join.clone()]).is_empty(),
+                "no ack, no service"
+            );
+        }
+        assert!(h1.joins.lock().is_empty(), "nothing was served");
+        assert_eq!(t1.stats().hello_rejected.load(Ordering::Relaxed), 3, "every refusal counts");
+        let reported = vec![(IpAddr::from([127, 0, 0, 1]), Some(PROTOCOL_VERSION - 1))];
+        assert_eq!(*refusals.lock(), reported, "one report per peer address");
+        // The same connection with the current version is acked and served.
+        let mut stream = TcpStream::connect(("127.0.0.1", l1.port())).unwrap();
+        Frame::hello(0, true).write_to(&mut stream).unwrap();
+        let get = Frame::SlateGet { updater: "U1".into(), key: b"walmart".to_vec() };
+        get.write_to(&mut stream).unwrap();
+        assert_eq!(Frame::read_from(&mut stream).unwrap(), Frame::HelloAck { codecs: CODEC_MBF });
+        let value = Frame::SlateValue { value: Some(b"7".to_vec()) };
+        assert_eq!(Frame::read_from(&mut stream).unwrap(), value);
     }
 
     /// A standalone outbox (no transport, no socket) for driving

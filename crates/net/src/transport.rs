@@ -23,7 +23,6 @@ use std::fmt;
 use std::sync::{Arc, OnceLock, Weak};
 
 use muppet_core::workflow::OpId;
-use muppet_core::Codec;
 
 use crate::frame::{MembershipUpdate, StoreGetItem, StorePutItem, WireEvent};
 
@@ -127,46 +126,21 @@ pub trait ClusterHandler: Send + Sync + 'static {
     /// `dest` (§4.4).
     fn read_local_slate(&self, dest: MachineId, updater: &str, key: &[u8]) -> Option<Vec<u8>>;
 
-    /// Persist slate bytes into the locally hosted store, if this node
-    /// hosts one. `codec` is the payload format tag persisted with the
-    /// cell (stored values may be compressed, so it cannot be re-sniffed
-    /// at rest).
-    fn backend_store(
-        &self,
-        _updater: &str,
-        _key: &[u8],
-        _value: &[u8],
-        _codec: Codec,
-        _ttl_secs: Option<u64>,
-        _now_us: u64,
-    ) {
-    }
-
-    /// Load slate bytes from the locally hosted store, if any.
+    /// Load slate bytes from the locally hosted store, if any. Nothing on
+    /// the wire asks for one slate — this is the per-item primitive behind
+    /// the default [`ClusterHandler::backend_load_many`], for hosts with
+    /// nothing to gain from seeing the run.
     fn backend_load(&self, _updater: &str, _key: &[u8], _now_us: u64) -> Option<Vec<u8>> {
         None
     }
 
     /// Persist a run of slates into the locally hosted store, returning
-    /// per-item success in order. Default: one [`ClusterHandler::backend_store`]
-    /// per item (the unbatched store path has no failure signal, so every
-    /// item reports true) — store hosts override this to group-commit the
-    /// run and report real per-cell outcomes.
-    fn backend_store_many(&self, items: &[StorePutItem], now_us: u64) -> Vec<bool> {
-        items
-            .iter()
-            .map(|item| {
-                self.backend_store(
-                    &item.updater,
-                    &item.key,
-                    &item.value,
-                    item.codec,
-                    item.ttl_secs,
-                    now_us,
-                );
-                true
-            })
-            .collect()
+    /// per-item success in order. Each item carries the payload format tag
+    /// persisted with its cell (stored values may be compressed, so it
+    /// cannot be re-sniffed at rest). The one write callback; default (a
+    /// node hosting no store): refuse every item.
+    fn backend_store_many(&self, items: &[StorePutItem], _now_us: u64) -> Vec<bool> {
+        vec![false; items.len()]
     }
 
     /// Load a run of slates from the locally hosted store, in order.
@@ -256,76 +230,29 @@ pub trait Transport: Send + Sync + 'static {
         key: &[u8],
     ) -> Result<Option<Vec<u8>>, NetError>;
 
-    /// Persist slate bytes on the store-hosting machine `dest`. `codec`
-    /// tags the payload format; transports whose connection did not
-    /// negotiate MBF transcode an MBF value to JSON text on the way out.
-    #[allow(clippy::too_many_arguments)]
-    fn store_put(
-        &self,
-        dest: MachineId,
-        updater: &str,
-        key: &[u8],
-        value: &[u8],
-        codec: Codec,
-        ttl_secs: Option<u64>,
-        now_us: u64,
-    ) -> Result<(), NetError>;
-
-    /// Load slate bytes from the store-hosting machine `dest`.
-    fn store_get(
-        &self,
-        dest: MachineId,
-        updater: &str,
-        key: &[u8],
-        now_us: u64,
-    ) -> Result<Option<Vec<u8>>, NetError>;
-
-    /// Persist a run of slates on the store-hosting machine `dest` —
-    /// ideally in one wire round trip ([`crate::frame::Frame::StorePutBatch`]).
-    /// Items are taken by value so a frame-building transport never
-    /// re-copies the payload. Returns per-item success in order; an
-    /// `Err` means the whole batch may not have reached the store (the
-    /// caller keeps every slate dirty). Default: one
-    /// [`Transport::store_put`] per item, mapping that item's wire
-    /// failure to `false` — correct but unbatched.
+    /// Persist a run of slates on the store-hosting machine `dest` in one
+    /// round trip ([`crate::frame::Frame::StorePut`]); a single slate is a
+    /// run of one. Items are taken by value so a frame-building transport
+    /// never re-copies the payload; each carries its payload format tag,
+    /// and a connection that did not negotiate MBF transcodes MBF values
+    /// to JSON text on the way out. Returns per-item success in order; an
+    /// `Err` means the whole run may not have reached the store (the
+    /// caller keeps every slate dirty).
     fn store_put_many(
         &self,
         dest: MachineId,
         items: Vec<StorePutItem>,
         now_us: u64,
-    ) -> Result<Vec<bool>, NetError> {
-        Ok(items
-            .iter()
-            .map(|item| {
-                self.store_put(
-                    dest,
-                    &item.updater,
-                    &item.key,
-                    &item.value,
-                    item.codec,
-                    item.ttl_secs,
-                    now_us,
-                )
-                .is_ok()
-            })
-            .collect())
-    }
+    ) -> Result<Vec<bool>, NetError>;
 
-    /// Load a run of slates from the store-hosting machine `dest` —
-    /// ideally one [`crate::frame::Frame::StoreGetBatch`] round trip.
-    /// Default: one [`Transport::store_get`] per item (wire failures read
-    /// as misses, the availability-first posture of the miss path).
+    /// Load a run of slates from the store-hosting machine `dest` in one
+    /// [`crate::frame::Frame::StoreGet`] round trip.
     fn store_get_many(
         &self,
         dest: MachineId,
         items: Vec<StoreGetItem>,
         now_us: u64,
-    ) -> Result<Vec<Option<Vec<u8>>>, NetError> {
-        Ok(items
-            .iter()
-            .map(|item| self.store_get(dest, &item.updater, &item.key, now_us).ok().flatten())
-            .collect())
-    }
+    ) -> Result<Vec<Option<Vec<u8>>>, NetError>;
 
     /// Announce to `dest` that `machine` — a previously failed id — is a
     /// restarted incarnation re-identifying itself (crash recovery).
@@ -450,38 +377,6 @@ impl Transport for InProcessTransport {
     ) -> Result<Option<Vec<u8>>, NetError> {
         match self.handler() {
             Some(h) => Ok(h.read_local_slate(dest, updater, key)),
-            None => Err(NetError::NoRoute(dest)),
-        }
-    }
-
-    fn store_put(
-        &self,
-        dest: MachineId,
-        updater: &str,
-        key: &[u8],
-        value: &[u8],
-        codec: Codec,
-        ttl_secs: Option<u64>,
-        now_us: u64,
-    ) -> Result<(), NetError> {
-        match self.handler() {
-            Some(h) => {
-                h.backend_store(updater, key, value, codec, ttl_secs, now_us);
-                Ok(())
-            }
-            None => Err(NetError::NoRoute(dest)),
-        }
-    }
-
-    fn store_get(
-        &self,
-        dest: MachineId,
-        updater: &str,
-        key: &[u8],
-        now_us: u64,
-    ) -> Result<Option<Vec<u8>>, NetError> {
-        match self.handler() {
-            Some(h) => Ok(h.backend_load(updater, key, now_us)),
             None => Err(NetError::NoRoute(dest)),
         }
     }

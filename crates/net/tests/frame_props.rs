@@ -1,5 +1,5 @@
-//! Property tests for the full `Frame` codec: every variant (including
-//! `EventBatch`) round-trips through payload encoding and stream I/O, and
+//! Property tests for the full `Frame` codec: every variant round-trips
+//! through payload encoding and stream I/O, and
 //! adversarial inputs — truncation, byte corruption, random bytes,
 //! absurd length/count prefixes — always yield a decode *error*, never a
 //! panic or a huge speculative allocation.
@@ -11,7 +11,7 @@ use muppet_core::event::{Event, Key};
 use muppet_core::Codec;
 use muppet_net::frame::{
     Frame, MembershipPhase, MembershipUpdate, StoreGetItem, StorePutItem, WireEvent, MAX_FORWARDS,
-    MAX_FRAME_BYTES,
+    MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use muppet_net::topology::NodeSpec;
 use proptest::prelude::*;
@@ -112,60 +112,76 @@ fn arb_store_get_item() -> impl Strategy<Value = StoreGetItem> {
         .prop_map(|(updater, key)| StoreGetItem { updater, key })
 }
 
+/// Exactly the 16 variants (the enum match in
+/// `every_variant_is_generated` fails to compile when one is added).
 fn arb_frame() -> BoxedStrategy<Frame> {
     let updater = "[a-z][a-z0-9_-]{0,15}";
     prop_oneof![
-        // A hello's codecs byte only exists on the wire from v5 up, so
-        // pre-v5 hellos must carry codecs = 0 to round-trip exactly.
-        (0usize..64, 3u64..=5, any::<bool>()).prop_map(|(sender, version, mbf)| Frame::Hello {
-            sender,
-            version,
-            codecs: if version >= 5 && mbf { 1 } else { 0 },
-        }),
+        // Only a current-version hello round-trips: any other version
+        // decodes with nothing but its version (see the hello properties).
+        (0usize..64, any::<bool>()).prop_map(|(sender, mbf)| Frame::hello(sender, mbf)),
         (any::<bool>()).prop_map(|mbf| Frame::HelloAck { codecs: u8::from(mbf) }),
-        arb_wire_event().prop_map(Frame::Event),
-        proptest::collection::vec(arb_wire_event(), 0..12).prop_map(Frame::EventBatch),
+        proptest::collection::vec((arb_wire_event(), arb_absorbed()), 0..12)
+            .prop_map(Frame::Events),
         (0usize..64, any::<u64>())
             .prop_map(|(failed, epoch)| Frame::FailureReport { failed, epoch }),
         (0usize..64, any::<u64>())
             .prop_map(|(failed, epoch)| Frame::FailureBroadcast { failed, epoch }),
         (0usize..64).prop_map(|machine| Frame::Join { machine }),
         arb_membership_with_members().prop_map(Frame::Membership),
-        any::<u64>().prop_map(|epoch| Frame::MembershipAck { epoch }),
-        any::<u64>().prop_map(|epoch| Frame::MembershipNack { epoch }),
+        (any::<u64>(), any::<bool>())
+            .prop_map(|(epoch, accepted)| Frame::MembershipReply { epoch, accepted }),
         (updater, proptest::collection::vec(any::<u8>(), 0..48))
             .prop_map(|(updater, key)| Frame::SlateGet { updater, key }),
         arb_opt_bytes().prop_map(|value| Frame::SlateValue { value }),
-        (
-            updater,
-            proptest::collection::vec(any::<u8>(), 0..48),
-            proptest::collection::vec(any::<u8>(), 0..128),
-            proptest::option::of(any::<u64>()),
-            any::<u64>(),
-        )
-            .prop_map(|(updater, key, value, ttl_secs, now_us)| Frame::StorePut {
-                updater,
-                key,
-                value,
-                ttl_secs,
-                now_us,
-            }),
-        (updater, proptest::collection::vec(any::<u8>(), 0..48), any::<u64>())
-            .prop_map(|(updater, key, now_us)| Frame::StoreGet { updater, key, now_us }),
-        arb_opt_bytes().prop_map(|value| Frame::StoreValue { value }),
-        Just(Frame::StoreAck),
         (proptest::collection::vec(arb_store_put_item(), 0..8), any::<u64>())
-            .prop_map(|(items, now_us)| Frame::StorePutBatch { items, now_us }),
-        proptest::collection::vec(any::<bool>(), 0..32).prop_map(|ok| Frame::StoreAckBatch { ok }),
+            .prop_map(|(items, now_us)| Frame::StorePut { items, now_us }),
+        proptest::collection::vec(any::<bool>(), 0..32).prop_map(|ok| Frame::StoreAck { ok }),
         (proptest::collection::vec(arb_store_get_item(), 0..8), any::<u64>())
-            .prop_map(|(items, now_us)| Frame::StoreGetBatch { items, now_us }),
-        proptest::collection::vec(
-            proptest::option::of((proptest::collection::vec(any::<u8>(), 0..64), arb_codec())),
-            0..8
-        )
-        .prop_map(|values| Frame::StoreValueBatch { values }),
+            .prop_map(|(items, now_us)| Frame::StoreGet { items, now_us }),
+        proptest::collection::vec(arb_opt_bytes(), 0..8)
+            .prop_map(|values| Frame::StoreValue { values }),
+        (0usize..64).prop_map(|machine| Frame::Reintroduce { machine }),
+        any::<u64>().prop_map(|epoch| Frame::ReintroduceAck { epoch }),
     ]
     .boxed()
+}
+
+/// Absorbed counts: mostly the uncombined 1, plus the whole flagged range.
+fn arb_absorbed() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(1u64), 2u64..=4, 2u64..=u64::MAX]
+}
+
+/// Which of the 16 variants `frame` is.
+fn variant_index(frame: &Frame) -> usize {
+    match frame {
+        Frame::Hello { .. } => 0,
+        Frame::HelloAck { .. } => 1,
+        Frame::Events(_) => 2,
+        Frame::FailureReport { .. } => 3,
+        Frame::FailureBroadcast { .. } => 4,
+        Frame::Join { .. } => 5,
+        Frame::Membership(_) => 6,
+        Frame::MembershipReply { .. } => 7,
+        Frame::SlateGet { .. } => 8,
+        Frame::SlateValue { .. } => 9,
+        Frame::StorePut { .. } => 10,
+        Frame::StoreAck { .. } => 11,
+        Frame::StoreGet { .. } => 12,
+        Frame::StoreValue { .. } => 13,
+        Frame::Reintroduce { .. } => 14,
+        Frame::ReintroduceAck { .. } => 15,
+    }
+}
+
+#[test]
+fn every_variant_is_generated() {
+    let mut rng = TestRng::from_label("every_variant_is_generated", 0);
+    let mut seen = [false; 16];
+    for _ in 0..2_000 {
+        seen[variant_index(&arb_frame().generate(&mut rng))] = true;
+    }
+    assert_eq!(seen, [true; 16], "arb_frame misses a variant");
 }
 
 proptest! {
@@ -254,30 +270,50 @@ proptest! {
     }
 
     #[test]
-    fn absurd_batch_counts_are_rejected_without_allocating(count in any::<u64>(), body in proptest::collection::vec(any::<u8>(), 0..32)) {
-        // KIND_EVENT_BATCH = 11 with an arbitrary count varint and junk
-        // body: the decoder caps its pre-allocation by the buffer size,
-        // so even count = u64::MAX cannot reserve beyond ~buffer length.
-        let mut payload = vec![11u8];
-        codec::put_varint(&mut payload, count);
-        payload.extend_from_slice(&body);
-        let _ = Frame::decode_payload(&payload);
-    }
-
-    #[test]
-    fn absurd_store_batch_counts_are_rejected_without_allocating(
-        kind in prop_oneof![Just(16u8), Just(17), Just(18), Just(19), Just(22), Just(23)],
+    fn absurd_run_counts_are_rejected_without_allocating(
+        kind in prop_oneof![Just(25u8), Just(22), Just(17), Just(18), Just(19)],
         count in any::<u64>(),
         body in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
-        // The four store-batch kinds with an arbitrary count varint and a
-        // junk body: the per-item decode runs out of bytes and the
-        // pre-allocation is capped by the buffer length — clean rejection,
-        // no panic, no huge reserve.
+        // The five counted kinds (Events, StorePut, StoreAck, StoreGet,
+        // StoreValue) with an arbitrary count varint and a junk body: the
+        // per-item decode runs out of bytes and the pre-allocation is
+        // capped by the buffer length — no panic, no huge reserve, and a
+        // count the body cannot hold is a decode error.
         let mut payload = vec![kind];
         codec::put_varint(&mut payload, count);
         payload.extend_from_slice(&body);
-        let _ = Frame::decode_payload(&payload);
+        let decoded = Frame::decode_payload(&payload);
+        if count > body.len() as u64 {
+            prop_assert_eq!(decoded, None);
+        }
+    }
+
+    #[test]
+    fn retired_and_unassigned_kinds_never_decode(
+        nth in 0usize..240,
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        const SURVIVING: [u8; 16] = [1, 3, 4, 5, 6, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25];
+        let kind = (0..=u8::MAX).filter(|k| !SURVIVING.contains(k)).nth(nth).unwrap();
+        let mut payload = vec![kind];
+        payload.extend_from_slice(&body);
+        prop_assert_eq!(Frame::decode_payload(&payload), None);
+    }
+
+    #[test]
+    fn a_hello_of_another_version_keeps_only_its_version(
+        version in any::<u64>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let version = if version == PROTOCOL_VERSION { version + 1 } else { version };
+        let mut payload = vec![1u8];
+        codec::put_varint(&mut payload, version);
+        payload.extend_from_slice(&tail);
+        prop_assert_eq!(
+            Frame::decode_payload(&payload),
+            Some(Frame::Hello { sender: 0, version, codecs: 0 })
+        );
     }
 
     #[test]

@@ -37,12 +37,11 @@ use muppet_core::slate::Slate;
 use muppet_core::sync::{Condvar, Mutex};
 use muppet_core::workflow::OpId;
 use muppet_core::Codec;
-use muppet_obs::{HeavyHitter, HistogramSnapshot, Logger, Sampler, SpaceSaving};
+use muppet_obs::{HeavyHitter, Histogram, HistogramSnapshot, Logger, Sampler, SpaceSaving};
 use muppet_slatestore::cluster::StoreCluster;
 use muppet_slatestore::types::CellKey;
 
 use crate::lru::LruMap;
-use crate::metrics::Histogram;
 
 /// Default cap on one batched flush call (dirty slates per
 /// `store_many`; see [`crate::engine::EngineConfig::flush_batch_max`]).
@@ -50,7 +49,7 @@ pub const DEFAULT_FLUSH_BATCH_MAX: usize = 256;
 
 /// Soft byte cap on one flush batch's payload: a batch closes early
 /// rather than approach the wire's 64 MB hard frame limit (an oversized
-/// `StorePutBatch` would be refused wholesale and rebuilt identically
+/// `StorePut` frame would be refused wholesale and rebuilt identically
 /// on every sweep — a flush livelock). A single slate over the cap
 /// still flushes alone.
 pub const FLUSH_BATCH_SOFT_BYTES: usize = 8 << 20;
@@ -119,7 +118,7 @@ pub trait SlateBackend: Send + Sync + 'static {
 
     /// Persist a run of slates, returning per-item success in order.
     /// Batch-capable backends override this to turn a flush tick's dirty
-    /// set into one store round trip (one `StorePutBatch` frame over the
+    /// set into one store round trip (one `StorePut` frame over the
     /// wire, one WAL group commit on the LSM node); the default falls
     /// back to per-slate [`SlateBackend::store`] calls so existing
     /// backends keep working unchanged.

@@ -42,7 +42,7 @@ use muppet_net::frame::{MembershipPhase, MembershipUpdate, WireEvent, MAX_FORWAR
 use muppet_net::tcp::{BatchConfig, FlushReason, TcpListenerHandle, TcpTransport};
 use muppet_net::topology::{NodeSpec, Topology};
 use muppet_net::transport::{ClusterHandler, InProcessTransport, MachineId, NetError, Transport};
-use muppet_obs::{Counter, Level, Logger, Registry, Sample, Sampler};
+use muppet_obs::{Counter, Histogram, LatencySummary, Level, Logger, Registry, Sample, Sampler};
 use muppet_slatestore::cluster::StoreCluster;
 use muppet_slatestore::ring::{ConsistentRing, EpochRing};
 
@@ -53,7 +53,6 @@ use crate::dispatch::{choose_between, RouteHash};
 use crate::dlq::{DeadLetter, DeadLetterQueue};
 use crate::ingestlog::{IngestLog, IngestRecovery, SyncFn};
 use crate::master::Master;
-use crate::metrics::{Histogram, LatencySummary};
 use crate::netstore::RemoteBackend;
 use crate::overflow::{DropLog, OverflowAction, OverflowPolicy};
 use crate::queue::EventQueue;
@@ -141,15 +140,13 @@ pub struct EngineConfig {
     pub flush: FlushPolicy,
     /// Dirty slates a flush sweep coalesces into one batched backend
     /// call (`SlateBackend::store_many`) at most: over a remote store
-    /// host, one `StorePutBatch` wire round trip; on the LSM node, one
+    /// host, one `StorePut` wire round trip; on the LSM node, one
     /// WAL group commit. Also caps the eviction backlog (victims a cache
     /// lets wait, resident, before a miss writes them back inline).
     /// 1 = the per-slate write-behind path.
     pub flush_batch_max: usize,
     /// Queue-overflow policy.
     pub overflow: OverflowPolicy,
-    /// Whether to measure end-to-end latency per updater delivery.
-    pub record_latency: bool,
     /// TCP mode: events coalesced into one wire frame at most (the
     /// batching senders' size trigger; 1 = unbatched). Ignored
     /// in-process.
@@ -189,9 +186,6 @@ pub struct EngineConfig {
     /// 1-in-N sampling interval for per-stage latency spans and hot-key
     /// offers (rounded up to a power of two; 1 = observe every event).
     pub latency_sample_n: u64,
-    /// Keys tracked per cache shard by the space-saving hot-key sketch
-    /// (0 disables per-⟨op, key⟩ telemetry).
-    pub hot_key_capacity: usize,
     /// Minimum severity for operational incident logging. Defaults to
     /// `Off` so libraries and tests stay silent; `muppetd` raises it.
     pub log_level: Level,
@@ -214,9 +208,9 @@ pub struct EngineConfig {
     pub dlq_capacity: usize,
     /// Slate/wire byte representation. `Auto` (default) offers MBF in the
     /// TCP hello and stores MBF at rest, falling back to JSON per
-    /// connection when the peer predates protocol v5 or is pinned to
-    /// JSON. `Json` pins everything to the pre-v5 text wire (the rolling-
-    /// upgrade escape hatch); `Mbf` additionally transcodes
+    /// connection when the peer is pinned to JSON. `Json` pins everything
+    /// to text, on the wire and at rest (the rollback lever); `Mbf`
+    /// additionally transcodes
     /// container-shaped external event values to MBF at the ingest edge
     /// (one parse+encode per event buys ~30% fewer bytes WAL-appended and
     /// framed — see x22). HTTP endpoints always speak JSON.
@@ -256,7 +250,6 @@ impl Default for EngineConfig {
             flush: FlushPolicy::default(),
             flush_batch_max: DEFAULT_FLUSH_BATCH_MAX,
             overflow: OverflowPolicy::default(),
-            record_latency: true,
             net_batch_max: BatchConfig::default().batch_max,
             net_flush_us: BatchConfig::default().flush_us,
             base_machines: None,
@@ -266,7 +259,6 @@ impl Default for EngineConfig {
             ring_members: None,
             metrics: true,
             latency_sample_n: 64,
-            hot_key_capacity: 64,
             log_level: Level::Off,
             log_json: false,
             ingest_wal: None,
@@ -300,7 +292,6 @@ impl EngineConfig {
             },
             flush_batch_max: DEFAULT_FLUSH_BATCH_MAX,
             overflow: OverflowPolicy::default(),
-            record_latency: true,
             net_batch_max: BatchConfig::default().batch_max,
             net_flush_us: BatchConfig::default().flush_us,
             base_machines: None,
@@ -310,7 +301,6 @@ impl EngineConfig {
             ring_members: None,
             metrics: true,
             latency_sample_n: 64,
-            hot_key_capacity: 64,
             log_level: Level::Off,
             log_json: false,
             ingest_wal: None,
@@ -808,6 +798,9 @@ impl Membership {
     }
 }
 
+/// Keys tracked per cache shard by the space-saving hot-key sketch.
+const HOT_KEY_CAPACITY: usize = 64;
+
 /// Help string shared by every `muppet_stage_latency_us` series.
 const STAGE_HELP: &str = "Sampled per-stage event latency, microseconds";
 
@@ -1263,6 +1256,21 @@ impl Engine {
         } else {
             Logger::stderr(cfg.log_level, cfg.log_json, transport.local_machine().map(|m| m as u64))
         };
+        if let Some(tcp) = &tcp {
+            // A refused connection is all a node running another binary
+            // ever sees of this one, and its own log blames a dead peer.
+            let logger = Arc::clone(&logger);
+            tcp.on_hello_rejected(move |peer, offered| {
+                logger.warn(
+                    "refused a connection that did not open with this node's protocol version",
+                    &[
+                        ("peer", peer.to_string().into()),
+                        ("offered", offered.map_or("no hello".into(), |v| v.to_string()).into()),
+                        ("protocol_version", muppet_net::frame::PROTOCOL_VERSION.into()),
+                    ],
+                );
+            });
+        }
         let stages = StageMetrics::new(&registry, &workflow, &cfg);
         let cache_obs = CacheObs {
             flush_latency: registry.histogram_with(
@@ -1271,7 +1279,7 @@ impl Engine {
                 &[("stage", "flush")],
             ),
             logger: Arc::clone(&logger),
-            hot_key_capacity: if cfg.metrics { cfg.hot_key_capacity } else { 0 },
+            hot_key_capacity: if cfg.metrics { HOT_KEY_CAPACITY } else { 0 },
             hot_sample_n: cfg.latency_sample_n.max(1),
         };
 
@@ -2230,7 +2238,7 @@ impl Engine {
 
     /// The hottest ⟨updater, key⟩ pairs this node has seen, estimated by
     /// the per-shard space-saving sketches (count, overshoot bound), best
-    /// first. Empty when `hot_key_capacity` is 0 or metrics are off.
+    /// first. Empty when metrics are off.
     pub fn hot_keys(&self, k: usize) -> Vec<(String, Key, u64, u64)> {
         let mut all = Vec::new();
         for m in &self.shared.machines_snapshot() {
@@ -2777,9 +2785,7 @@ fn process_batch(
                     // update under the slot lock.
                     shared.stages.service[packet.op].record(shared.now_us().saturating_sub(now));
                 }
-                if shared.cfg.record_latency {
-                    shared.latency.record(shared.now_us().saturating_sub(packet.injected_us));
-                }
+                shared.latency.record(shared.now_us().saturating_sub(packet.injected_us));
                 shared.counters.processed.inc();
                 machine.in_flight[thread].store(0, Ordering::Release);
                 finished.push(Finished {
@@ -3804,32 +3810,11 @@ impl ClusterHandler for EngineHandler {
         }
     }
 
-    fn backend_store(
-        &self,
-        updater: &str,
-        key: &[u8],
-        value: &[u8],
-        codec: Codec,
-        ttl_secs: Option<u64>,
-        now_us: u64,
-    ) {
-        if let Some(store) = &self.0.host_store {
-            let key = Key::from(key);
-            SlateBackend::store(&**store, updater, &key, value, codec, ttl_secs, now_us);
-        }
-    }
-
-    fn backend_load(&self, updater: &str, key: &[u8], now_us: u64) -> Option<Vec<u8>> {
-        let store = self.0.host_store.as_ref()?;
-        let key = Key::from(key);
-        SlateBackend::load(&**store, updater, &key, now_us)
-    }
-
     fn backend_store_many(&self, items: &[muppet_net::StorePutItem], now_us: u64) -> Vec<bool> {
-        // A peer's `StorePutBatch` lands here: one `store_many` on the
-        // hosted cluster — cells grouped per LSM node, each node's run
+        // A peer's `StorePut` lands here: one `store_many` on the hosted
+        // cluster — cells grouped per LSM node, each node's run
         // WAL-group-committed — with real per-cell quorum outcomes in the
-        // ack (the unbatched `StorePut` path cannot report these).
+        // ack.
         let Some(store) = &self.0.host_store else {
             return vec![false; items.len()];
         };
@@ -3974,6 +3959,7 @@ fn collect_engine_samples(sh: &Arc<Shared>, out: &mut Vec<Sample>) {
         out.push(cc("muppet_net_batched_events_sent_total", load(&t.batched_events_sent)));
         out.push(cc("muppet_net_send_failures_total", load(&t.send_failures)));
         out.push(cc("muppet_net_connects_total", load(&t.connects)));
+        out.push(cc("muppet_net_hello_rejected_total", load(&t.hello_rejected)));
         out.push(cc("muppet_net_queue_full_waits_total", load(&t.queue_full_waits)));
         for reason in FlushReason::ALL {
             out.push(Sample::counter(

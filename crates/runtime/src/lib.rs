@@ -23,8 +23,7 @@
 //!   the master broadcasts, rings drop the dead machine (§4.3);
 //! * [`cache`] — LRU slate caches with write-through / interval / on-evict
 //!   flush policies into the `muppet-slatestore` cluster (§4.2);
-//! * [`http`] — the per-node HTTP server for live slate reads (§4.4);
-//! * [`metrics`] — latency histograms and counters.
+//! * [`http`] — the per-node HTTP server for live slate reads (§4.4).
 //!
 //! The cluster runs over a pluggable wire ([`muppet_net::Transport`],
 //! selected via [`engine::TransportKind`]): by default *in-process* —
@@ -45,7 +44,6 @@ pub mod http;
 pub mod ingestlog;
 pub mod lru;
 pub mod master;
-pub mod metrics;
 pub mod netstore;
 pub mod overflow;
 pub mod queue;

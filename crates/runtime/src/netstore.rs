@@ -5,13 +5,14 @@
 //! cluster". In a `muppetd` cluster, one node hosts the store
 //! ([`crate::engine::EngineConfig::store_host`]); every other node's slate
 //! cache flushes and misses go through `StorePut`/`StoreGet` frames on the
-//! same [`Transport`] the events use. Write failures are surfaced to the
+//! same [`Transport`] the events use, a single slate as a run of one. Write failures are surfaced to the
 //! cache (the dirty slate stays dirty; a later flush retries) and read
 //! failures surface as cache misses — the availability-first posture of
 //! the in-process store adapter.
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use muppet_core::event::Key;
 use muppet_core::Codec;
 use muppet_net::frame::{StoreGetItem, StorePutItem};
@@ -33,8 +34,10 @@ impl RemoteBackend {
 }
 
 impl SlateBackend for RemoteBackend {
+    // A single slate is a batch of one: one wire round trip either way, a
+    // wire failure reads as a miss / leaves the slate dirty.
     fn load(&self, updater: &str, key: &Key, now_us: u64) -> Option<Vec<u8>> {
-        self.transport.store_get(self.host, updater, key.as_bytes(), now_us).ok().flatten()
+        self.load_many(&[(Arc::from(updater), key.clone())], now_us).pop().flatten()
     }
 
     fn store(
@@ -46,13 +49,18 @@ impl SlateBackend for RemoteBackend {
         ttl_secs: Option<u64>,
         now_us: u64,
     ) -> bool {
-        self.transport
-            .store_put(self.host, updater, key.as_bytes(), bytes, codec, ttl_secs, now_us)
-            .is_ok()
+        let item = FlushItem {
+            updater: Arc::from(updater),
+            key: key.clone(),
+            bytes: Bytes::copy_from_slice(bytes),
+            codec,
+            ttl_secs,
+        };
+        self.store_many(&[item], now_us)[0]
     }
 
     fn store_many(&self, items: &[FlushItem], now_us: u64) -> Vec<bool> {
-        // One `StorePutBatch` frame for the whole run: a flush tick of N
+        // One `StorePut` frame for the whole run: a flush tick of N
         // dirty slates costs one wire round trip instead of N. A wire
         // failure fails the batch wholesale — every slate stays dirty and
         // the next sweep retries (identical posture to the per-slate
@@ -111,16 +119,12 @@ mod tests {
         fn read_local_slate(&self, _d: usize, _u: &str, _k: &[u8]) -> Option<Vec<u8>> {
             None
         }
-        fn backend_store(
-            &self,
-            u: &str,
-            k: &[u8],
-            v: &[u8],
-            _codec: Codec,
-            _ttl: Option<u64>,
-            _now: u64,
-        ) {
-            self.0.lock().insert((u.to_string(), k.to_vec()), v.to_vec());
+        fn backend_store_many(&self, items: &[StorePutItem], _now: u64) -> Vec<bool> {
+            let mut cells = self.0.lock();
+            for item in items {
+                cells.insert((item.updater.clone(), item.key.clone()), item.value.to_vec());
+            }
+            vec![true; items.len()]
         }
         fn backend_load(&self, u: &str, k: &[u8], _now: u64) -> Option<Vec<u8>> {
             self.0.lock().get(&(u.to_string(), k.to_vec())).cloned()

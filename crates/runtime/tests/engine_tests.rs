@@ -46,7 +46,6 @@ fn small_config(kind: EngineKind) -> EngineConfig {
         slate_cache_capacity: 10_000,
         flush: FlushPolicy::OnEvict,
         overflow: OverflowPolicy::DropAndLog,
-        record_latency: true,
         ..EngineConfig::default()
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the runtime's data structures.
 
+use muppet_obs::Histogram;
 use muppet_runtime::dispatch::{choose_queue, queue_pair};
 use muppet_runtime::lru::LruMap;
-use muppet_runtime::metrics::Histogram;
 use muppet_runtime::overflow::{OverflowAction, OverflowPolicy};
 use proptest::prelude::*;
 

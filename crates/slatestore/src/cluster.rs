@@ -322,7 +322,7 @@ impl StoreCluster {
     }
 
     /// Read a run of cells at the default consistency (the remote miss
-    /// path's `StoreGetBatch` lands here: one wire round trip, N point
+    /// path's `StoreGet` frame lands here: one wire round trip, N point
     /// reads). Quorum failures surface per cell as `None`-less errors
     /// folded to `Err`; callers wanting the availability-first posture map
     /// errors to misses.

@@ -42,7 +42,7 @@
 //! the dead machine, the master broadcasts, and `/status` on every
 //! surviving node shows it under `failed_machines`.
 //!
-//! The event wire batches: outbound events coalesce into `EventBatch`
+//! The event wire batches: outbound events coalesce into `Events`
 //! frames per peer, flushed at `--batch-max` events or when their
 //! producer has nothing more to add; `--flush-us` is the age ceiling for
 //! events nobody asks to flush (see DESIGN.md §5 "Batching and

@@ -1,7 +1,7 @@
 //! A counting, gateable store host for engine-level tests: one end of a
 //! real TCP wire that serves the store frames from a map, so a test can
-//! see *how* an engine wrote (single-slate `StorePut`s vs `StorePutBatch`
-//! frames and their sizes) and hold a batched write mid-flight.
+//! see *how* an engine wrote and read (the `StorePut`/`StoreGet` frames
+//! and their sizes), hold a write mid-flight, and have writes refused.
 #![allow(dead_code)]
 
 use std::collections::HashMap;
@@ -23,18 +23,17 @@ pub type StoreMap = HashMap<(String, Vec<u8>), Vec<u8>>;
 #[derive(Default)]
 pub struct HostStore {
     pub data: Mutex<StoreMap>,
-    /// Single-slate `StorePut` frames served.
-    pub store_calls: Mutex<u64>,
-    /// Slates per `StorePutBatch` frame, in arrival order.
+    /// Slates per `StorePut` frame, in arrival order.
     pub batch_sizes: Mutex<Vec<usize>>,
-    /// Single-slate `StoreGet` frames served.
-    pub load_calls: Mutex<u64>,
-    /// Slates per `StoreGetBatch` frame, in arrival order.
+    /// Slates per `StoreGet` frame, in arrival order.
     pub load_batch_sizes: Mutex<Vec<usize>>,
-    /// While set, a batched write parks before it lands.
+    /// While set, a write parks before it lands.
     pub shut: AtomicBool,
-    /// A batched write has reached the (shut) gate.
+    /// A write has reached the (shut) gate.
     pub entered: AtomicBool,
+    /// While set, every write is refused (a quorum failure): nothing
+    /// lands and every item is acked `false`.
+    pub refuse: AtomicBool,
 }
 
 impl ClusterHandler for HostStore {
@@ -46,26 +45,13 @@ impl ClusterHandler for HostStore {
     fn read_local_slate(&self, _d: MachineId, _u: &str, _k: &[u8]) -> Option<Vec<u8>> {
         None
     }
-    fn backend_store(
-        &self,
-        u: &str,
-        k: &[u8],
-        v: &[u8],
-        _codec: muppet_core::Codec,
-        _ttl: Option<u64>,
-        _now: u64,
-    ) {
-        *self.store_calls.lock() += 1;
-        self.data.lock().insert((u.to_string(), k.to_vec()), v.to_vec());
-    }
-    fn backend_load(&self, u: &str, k: &[u8], _now: u64) -> Option<Vec<u8>> {
-        *self.load_calls.lock() += 1;
-        self.data.lock().get(&(u.to_string(), k.to_vec())).cloned()
-    }
     fn backend_store_many(&self, items: &[StorePutItem], _now: u64) -> Vec<bool> {
         while self.shut.load(Ordering::Acquire) {
             self.entered.store(true, Ordering::Release);
             std::thread::sleep(Duration::from_millis(1));
+        }
+        if self.refuse.load(Ordering::Acquire) {
+            return vec![false; items.len()];
         }
         self.batch_sizes.lock().push(items.len());
         let mut data = self.data.lock();

@@ -599,6 +599,31 @@ fn drain_waits_out_an_eviction_retire_and_the_checkpoint_after_it_succeeds() {
     engine.shutdown();
 }
 
+/// A cursor the store host refused is not a checkpoint. The cursor is a
+/// non-host node's only single-slate write, and its ack crosses the wire
+/// per item like any other: with nothing dirty and the quorum refusing,
+/// `checkpoint` must say so, or a restart would trust a cursor that was
+/// never stored.
+#[test]
+fn a_checkpoint_whose_cursor_the_store_host_refuses_is_not_taken() {
+    let dir = TempDir::new("refused-cursor").unwrap();
+    let topology = Topology::loopback_ephemeral(2, false).unwrap();
+    let (store, _host, _listener) = common::serve_store(&topology);
+    let cfg = EngineConfig {
+        transport: TransportKind::Tcp { topology, local: 1 },
+        store_host: Some(0),
+        ..count_config(&dir.file("ingest.log"))
+    };
+    let ops = OperatorSet::new().updater(CountUpdater);
+    let engine = Engine::start(count_workflow(), ops, cfg, None).unwrap();
+    assert!(engine.checkpoint(Duration::from_secs(10)), "an accepting store takes the cursor");
+    store.refuse.store(true, Ordering::Release);
+    assert!(!engine.checkpoint(Duration::from_secs(10)), "nothing dirty, cursor refused");
+    store.refuse.store(false, Ordering::Release);
+    assert!(engine.checkpoint(Duration::from_secs(10)));
+    engine.shutdown();
+}
+
 /// An updater that panics on `"boom"` payloads until the shared flag says
 /// the bug is fixed — the poison-event stand-in.
 struct PoisonUpdater {
