@@ -1,5 +1,5 @@
 //! `muppet-check loc`: code and test lines per package, one recipe for
-//! every PR's line accounting.
+//! every PR's line accounting, and `--ceiling` to hold a package to it.
 //!
 //! A line counts when its code projection ([`crate::lexer`]) is not
 //! blank, so comments, doc comments, blank lines and the inside of a
@@ -84,6 +84,32 @@ pub fn render(rows: &[PackageLoc]) -> String {
     out
 }
 
+/// Parse one `--ceiling <package>=<lines>` value.
+pub fn parse_ceiling(arg: &str) -> Result<(String, usize), String> {
+    let parsed = arg.split_once('=').and_then(|(package, lines)| {
+        Some((package.trim_end_matches('/').to_string(), lines.parse().ok()?))
+    });
+    parsed.ok_or_else(|| format!("--ceiling wants <package>=<lines>, got `{arg}`"))
+}
+
+/// One message per ceiling the counted code lines break: the package, what
+/// it has and what it may have. A ceiling on a package that was not
+/// counted is broken too — a typo must not pass the gate.
+pub fn over_ceiling(rows: &[PackageLoc], ceilings: &[(String, usize)]) -> Vec<String> {
+    ceilings
+        .iter()
+        .filter_map(|(package, ceiling)| match rows.iter().find(|r| r.package == *package) {
+            Some(row) if row.code <= *ceiling => None,
+            Some(row) => Some(format!(
+                "`{package}` has {} code lines, over its ceiling of {ceiling}: shrink it, or \
+                 raise the ceiling where it is set and say why",
+                row.code
+            )),
+            None => Some(format!("`{package}` has a ceiling of {ceiling} but is not a package")),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,6 +122,29 @@ mod tests {
         // use, fn, let, closing brace | attribute, mod, #[test], fn, brace.
         assert_eq!(count_source(src), (4, 5));
         assert_eq!(count_source(""), (0, 0));
+    }
+
+    #[test]
+    fn a_ceiling_names_the_package_and_both_numbers() {
+        let rows = [
+            PackageLoc { package: "crates/net".into(), code: 1910, test: 5 },
+            PackageLoc { package: "crates/runtime".into(), code: 4926, test: 9 },
+        ];
+        let ceilings = |args: &[&str]| -> Vec<(String, usize)> {
+            args.iter().map(|a| parse_ceiling(a).expect("well-formed")).collect()
+        };
+        let at = ceilings(&["crates/runtime=4926", "crates/net/=1910"]);
+        assert!(over_ceiling(&rows, &at).is_empty(), "at the ceiling is inside it");
+        let broken = over_ceiling(&rows, &ceilings(&["crates/net=1910", "crates/runtime=4925"]));
+        assert_eq!(broken.len(), 1);
+        assert!(
+            ["`crates/runtime`", "4926", "4925"].iter().all(|part| broken[0].contains(part)),
+            "{broken:?}"
+        );
+        assert_eq!(over_ceiling(&rows, &ceilings(&["crates/runtim=9999"])).len(), 1);
+        for malformed in ["crates/net", "crates/net=", "crates/net=many", "=12x"] {
+            assert!(parse_ceiling(malformed).is_err(), "{malformed}");
+        }
     }
 
     #[test]

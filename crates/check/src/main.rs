@@ -7,9 +7,10 @@
 //!                                              # (honors `// lint-fixture-as:` headers)
 //! cargo run -p muppet-check -- lint --root DIR # lint another tree
 //! cargo run -p muppet-check -- loc [--root DIR] # code/test lines per package
+//!     [--ceiling PACKAGE=LINES]...             # fail if a package's code lines exceed
 //! ```
 //!
-//! Exit code 0 = clean, 1 = findings, 2 = usage/IO error.
+//! Exit code 0 = clean, 1 = findings or a broken ceiling, 2 = usage/IO error.
 
 use muppet_check::{lint, loc};
 
@@ -25,7 +26,7 @@ fn run(args: Vec<String>) -> i32 {
         Some("--help") | Some("-h") | None => {
             eprintln!(
                 "usage: muppet-check lint [--json] [--root DIR] [FILE...]\n       \
-                 muppet-check loc [--root DIR]\n\nrules: {}",
+                 muppet-check loc [--root DIR] [--ceiling PACKAGE=LINES]...\n\nrules: {}",
                 muppet_check::rules::RULES.join(", ")
             );
             return if args.len() == 0 { 2 } else { 0 };
@@ -38,9 +39,17 @@ fn run(args: Vec<String>) -> i32 {
     let mut json = false;
     let mut root = lint::default_root();
     let mut files: Vec<String> = Vec::new();
+    let mut ceilings: Vec<(String, usize)> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
+            "--ceiling" => match loc::parse_ceiling(&args.next().unwrap_or_default()) {
+                Ok(ceiling) => ceilings.push(ceiling),
+                Err(e) => {
+                    eprintln!("muppet-check: {e}");
+                    return 2;
+                }
+            },
             "--root" => match args.next() {
                 Some(dir) => root = dir.into(),
                 None => {
@@ -55,7 +64,9 @@ fn run(args: Vec<String>) -> i32 {
         return match loc::count_workspace(&root) {
             Ok(rows) => {
                 print!("{}", loc::render(&rows));
-                0
+                let broken = loc::over_ceiling(&rows, &ceilings);
+                broken.iter().for_each(|message| eprintln!("muppet-check: {message}"));
+                i32::from(!broken.is_empty())
             }
             Err(e) => {
                 eprintln!("muppet-check: {e}");

@@ -1,29 +1,8 @@
-//! The Muppet engines: distributed execution of MapUpdate applications
-//! (§4.1, §4.3, §4.5) over a simulated in-process cluster.
-//!
-//! ## What is faithful to the paper
-//!
-//! * **Routing**: every worker shares one hash function mapping
-//!   ⟨event key, destination function⟩ to a destination; events pass
-//!   *directly* between workers — no master on the data path (§4.1).
-//! * **Muppet 1.0**: one worker = one function; a consistent ring per
-//!   function spreads its keys over its workers; each updater-worker owns a
-//!   private slate cache (the machine's budget split evenly — the §4.5
-//!   fragmentation problem).
-//! * **Muppet 2.0**: per machine, a pool of threads each able to run any
-//!   function; two-choice dispatch into primary/secondary queues; a single
-//!   central slate cache per machine; a background store-flusher thread.
-//! * **Failure handling** (§4.3): senders detect dead machines on send,
-//!   report to the master, the master broadcast removes the machine from
-//!   the rings, the undeliverable event is lost and logged; queued events
-//!   on the dead machine are lost; unflushed slate changes are lost.
-//! * **Queue overflow** (§4.3/§5): drop-and-log, overflow stream, or
-//!   source throttling (external intake blocks; internal events force
-//!   through to avoid the §5 self-feeding deadlock).
-//!
-//! ## What is simulated
-//!
-//! Machines are structs; "the network" is a queue hand-off. See DESIGN.md.
+//! The Muppet engines (§4.1, §4.3, §4.5): configuration, the per-machine
+//! state, ingest, the worker loop, send and local delivery, and the
+//! shell of the membership protocol. Where ⟨function, key⟩ lives is
+//! `placement.rs`'s. DESIGN.md §3 describes the engines, §5 the
+//! transport seam the machines talk through, §7 elastic membership.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -44,7 +23,6 @@ use muppet_net::topology::{NodeSpec, Topology};
 use muppet_net::transport::{ClusterHandler, InProcessTransport, MachineId, NetError, Transport};
 use muppet_obs::{Counter, Histogram, LatencySummary, Level, Logger, Registry, Sample, Sampler};
 use muppet_slatestore::cluster::StoreCluster;
-use muppet_slatestore::ring::{ConsistentRing, EpochRing};
 
 use crate::cache::{
     FlushPolicy, NullBackend, SlateBackend, SlateCache, SlateSlot, DEFAULT_FLUSH_BATCH_MAX,
@@ -55,6 +33,7 @@ use crate::ingestlog::{IngestLog, IngestRecovery, SyncFn};
 use crate::master::Master;
 use crate::netstore::RemoteBackend;
 use crate::overflow::{DropLog, OverflowAction, OverflowPolicy};
+use crate::placement::{Membership, Placement, Rings};
 use crate::queue::EventQueue;
 
 /// Default lock-shard count for the Muppet 2.0 central slate cache.
@@ -155,28 +134,13 @@ pub struct EngineConfig {
     /// whose producer never asks for a flush waits at most this long for
     /// its batch to leave. Ignored in-process.
     pub net_flush_us: u64,
-    /// Elastic clusters: the machine count the cluster was *founded*
-    /// with. Machines `base..machines` joined later (Muppet 1.0 derives
-    /// their worker layout from the join order instead of the founding
-    /// round-robin). `None` means every machine is a founding member.
-    pub base_machines: Option<usize>,
     /// This node was reserved via the master's `/join` admin call and has
-    /// not entered the rings yet: start with the local machine excluded
-    /// from all rings, then call [`Engine::announce_join`] — the master's
-    /// epoch-stamped membership update installs it everywhere (including
-    /// here).
-    pub pending_join: bool,
-    /// The membership epoch this engine starts at (a joiner inherits the
-    /// master's epoch from the join grant; founding members start at 0).
-    pub initial_epoch: u64,
-    /// Machines already known failed at start (a joiner inherits the
-    /// master's failed set so it never routes to corpses).
-    pub initial_failed: Vec<usize>,
-    /// The committed ring membership at start (`None` = every machine).
-    /// A joiner inherits this from its grant so that *reserved but not
-    /// yet joined* ids — present in the node list for addressing — never
-    /// enter its rings before their own commit.
-    pub ring_members: Option<Vec<usize>>,
+    /// not entered the rings yet: the cluster as the join grant described
+    /// it. The engine starts with the local machine outside every ring;
+    /// [`Engine::announce_join`] then has the master's epoch-stamped
+    /// membership update install it everywhere (including here). `None`
+    /// = a founding member: epoch 0, every machine in the rings.
+    pub joining: Option<ClusterView>,
     /// Master switch for the observability extras that ride the hot
     /// path: sampled per-stage latency spans and per-shard hot-key
     /// sketch offers. The registry's counters and the end-to-end latency
@@ -252,11 +216,7 @@ impl Default for EngineConfig {
             overflow: OverflowPolicy::default(),
             net_batch_max: BatchConfig::default().batch_max,
             net_flush_us: BatchConfig::default().flush_us,
-            base_machines: None,
-            pending_join: false,
-            initial_epoch: 0,
-            initial_failed: Vec::new(),
-            ring_members: None,
+            joining: None,
             metrics: true,
             latency_sample_n: 64,
             log_level: Level::Off,
@@ -277,40 +237,36 @@ impl EngineConfig {
         EngineConfig {
             kind,
             machines: app.machines,
-            transport: TransportKind::InProcess,
-            store_host: None,
             workers_per_machine: app.workers_per_machine,
             workers_per_op: app.workers_per_machine, // 1.0 interpretation
             queue_capacity: app.queue_capacity,
             slate_cache_capacity: app.slate_cache_capacity,
-            cache_shards: DEFAULT_CACHE_SHARDS,
-            drain_batch_max: DEFAULT_DRAIN_BATCH,
             flush: match app.flush {
                 FlushSpec::WriteThrough => FlushPolicy::WriteThrough,
                 FlushSpec::IntervalMs(ms) => FlushPolicy::IntervalMs(ms),
                 FlushSpec::OnEvict => FlushPolicy::OnEvict,
             },
-            flush_batch_max: DEFAULT_FLUSH_BATCH_MAX,
-            overflow: OverflowPolicy::default(),
-            net_batch_max: BatchConfig::default().batch_max,
-            net_flush_us: BatchConfig::default().flush_us,
-            base_machines: None,
-            pending_join: false,
-            initial_epoch: 0,
-            initial_failed: Vec::new(),
-            ring_members: None,
-            metrics: true,
-            latency_sample_n: 64,
-            log_level: Level::Off,
-            log_json: false,
-            ingest_wal: None,
-            ingest_sync_each: false,
-            dlq_capacity: DEFAULT_DLQ_CAPACITY,
-            wire_codec: CodecChoice::Auto,
-            combine: false,
-            hot_split_threshold: 0,
+            ..EngineConfig::default()
         }
     }
+}
+
+/// The membership state a running cluster hands a joiner: what its rings
+/// must start from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ClusterView {
+    /// The founding machine count (Muppet 1.0 derives the founders' worker
+    /// layout from it and every later machine's from its id).
+    pub base: usize,
+    /// The master's membership epoch at reservation time.
+    pub epoch: u64,
+    /// Machines already known failed, so the joiner never routes to
+    /// corpses.
+    pub failed: Vec<usize>,
+    /// The committed ring members — a strict subset of the node list when
+    /// other reservations are pending; only these may enter the joiner's
+    /// initial rings (the others enter via their own commit).
+    pub members: Vec<usize>,
 }
 
 /// A join reservation issued by the master's `/join` admin endpoint: the
@@ -320,23 +276,31 @@ pub struct JoinGrant {
     /// The machine id assigned to the joiner (always `nodes.len() - 1` —
     /// ids are append-only, never reused).
     pub id: MachineId,
-    /// The master's membership epoch at reservation time.
-    pub epoch: u64,
-    /// The founding machine count (Muppet 1.0 layout replay).
-    pub base: usize,
+    /// Epoch, founding size, failed set and ring members at grant time.
+    pub view: ClusterView,
     /// The full node list, joiner included (as a not-yet-joined
     /// reservation).
     pub topology: Topology,
-    /// Machines already known failed.
-    pub failed: Vec<usize>,
-    /// The committed ring members at grant time — a strict subset of the
-    /// node list when other reservations are pending; only these may
-    /// enter the joiner's initial rings.
-    pub members: Vec<usize>,
     /// The cluster's slate-store host, so the joiner wires itself to the
     /// same store the handoff flushes went to (a joiner without it would
     /// fault nothing and silently reset every moved slate).
     pub store_host: Option<usize>,
+}
+
+/// One node's view of the cluster's membership.
+#[derive(Clone, Debug)]
+pub struct MembershipView {
+    /// The installed membership epoch.
+    pub epoch: u64,
+    /// An epoch this node has prepared and not yet committed: set for
+    /// the instant a join takes, or for good when one is stuck.
+    pub staged_epoch: Option<u64>,
+    /// The committed machine-ring members, sorted.
+    pub members: Vec<MachineId>,
+    /// Every node with an id — reservations that are in no ring included.
+    pub nodes: Vec<NodeSpec>,
+    /// Machines known failed.
+    pub failed: Vec<MachineId>,
 }
 
 /// Map the config consistency onto the store's enum (convenience for
@@ -427,20 +391,6 @@ struct Machine {
     worker_caches: Vec<Option<Arc<SlateCache>>>,
     /// 1.0: the single op each thread runs (None in 2.0).
     thread_ops: Vec<Option<OpId>>,
-}
-
-/// 1.0 worker slot: global id → (machine, thread, function). Slot ids
-/// are append-only and their layout is a pure function of the founding
-/// configuration plus machine ids (join layout: machine `id ≥ base` owns
-/// one slot per op at a deterministic position), so every node derives
-/// identical slot ids regardless of when it learned of a machine.
-#[derive(Clone, Copy, Debug)]
-struct WorkerSlot {
-    machine: usize,
-    thread: usize,
-    /// The function this slot runs (lets membership updates rebuild a
-    /// missing machine's ring entries from the slot table alone).
-    op: OpId,
 }
 
 /// Cumulative engine counters — registry handles, so the same atomic
@@ -637,6 +587,16 @@ impl Machine {
         self.central_cache.as_ref().or_else(|| self.worker_caches.get(thread)?.as_ref())
     }
 
+    /// The slate cache that holds `op`'s slates placed at `at` on this
+    /// machine (1.0: only if the placement's thread does run `op`).
+    fn cache_at(&self, op: OpId, at: Placement) -> Option<&Arc<SlateCache>> {
+        match at.thread {
+            None => self.central_cache.as_ref(),
+            Some(t) if self.thread_ops.get(t) == Some(&Some(op)) => self.worker_caches[t].as_ref(),
+            Some(_) => None,
+        }
+    }
+
     /// Every slate cache this machine owns.
     fn caches(&self) -> impl Iterator<Item = &Arc<SlateCache>> {
         self.central_cache.iter().chain(self.worker_caches.iter().flatten())
@@ -655,145 +615,51 @@ impl Machine {
         }
     }
 
-    /// A local Muppet 2.0 machine: a worker pool and one central cache.
-    fn local2(cfg: &EngineConfig, backend: &Arc<dyn SlateBackend>, obs: &CacheObs) -> Machine {
-        let threads = cfg.workers_per_machine.max(1);
-        Machine {
-            local: true,
-            alive: AtomicBool::new(true),
-            queues: (0..threads).map(|_| Arc::new(EventQueue::new(cfg.queue_capacity))).collect(),
-            in_flight: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            central_cache: Some(Arc::new(
-                SlateCache::with_shards(
-                    cfg.slate_cache_capacity,
-                    cfg.flush,
-                    Arc::clone(backend),
-                    cfg.cache_shards.max(1),
-                )
-                .with_flush_batch(cfg.flush_batch_max)
-                .with_store_codec(cfg.wire_codec.store_codec())
-                .with_hot_keys(obs.hot_key_capacity, obs.hot_sample_n)
-                .with_flush_latency(Arc::clone(&obs.flush_latency))
-                .with_logger(Arc::clone(&obs.logger)),
-            )),
-            worker_caches: (0..threads).map(|_| None).collect(),
-            thread_ops: (0..threads).map(|_| None).collect(),
-        }
-    }
-
-    /// A local Muppet 1.0 machine from its thread→function binding; each
-    /// updater thread gets an even share of the machine's cache budget
-    /// (§4.5).
-    fn local1(
-        thread_ops: &[OpId],
+    /// A machine that lives in this process. `bound` is Muppet 1.0's
+    /// thread→function binding ([`Rings::bound_ops`]): one thread per
+    /// entry, each updater thread with a private cache holding an even
+    /// share of the machine's budget (§4.5). `None` is Muppet 2.0: a pool
+    /// of `workers_per_machine` threads over one central, sharded cache.
+    fn local(
+        bound: Option<&[OpId]>,
         wf: &Workflow,
         cfg: &EngineConfig,
         backend: &Arc<dyn SlateBackend>,
         obs: &CacheObs,
     ) -> Machine {
-        let n_upd =
-            thread_ops.iter().filter(|&&op| wf.op(op).kind == OpKind::Update).count().max(1);
-        let per_worker_cap = (cfg.slate_cache_capacity / n_upd).max(1);
-        // A machine can end up with zero assigned workers (more machines
-        // than worker slots); keep one idle thread so every per-thread
-        // vector stays consistent.
-        let n_threads = thread_ops.len().max(1);
-        let mut worker_caches: Vec<Option<Arc<SlateCache>>> = thread_ops
-            .iter()
-            .map(|&op| {
-                if wf.op(op).kind == OpKind::Update {
-                    Some(Arc::new(
-                        SlateCache::new(per_worker_cap, cfg.flush, Arc::clone(backend))
-                            .with_flush_batch(cfg.flush_batch_max)
-                            .with_store_codec(cfg.wire_codec.store_codec())
-                            .with_hot_keys(obs.hot_key_capacity, obs.hot_sample_n)
-                            .with_flush_latency(Arc::clone(&obs.flush_latency))
-                            .with_logger(Arc::clone(&obs.logger)),
-                    ))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        worker_caches.resize_with(n_threads, || None);
-        let mut bound_ops: Vec<Option<OpId>> = thread_ops.iter().map(|&op| Some(op)).collect();
-        bound_ops.resize(n_threads, None);
+        let cache = |capacity: usize, shards: usize| {
+            Arc::new(
+                SlateCache::with_shards(capacity, cfg.flush, Arc::clone(backend), shards)
+                    .with_flush_batch(cfg.flush_batch_max)
+                    .with_store_codec(cfg.wire_codec.store_codec())
+                    .with_hot_keys(obs.hot_key_capacity, obs.hot_sample_n)
+                    .with_flush_latency(Arc::clone(&obs.flush_latency))
+                    .with_logger(Arc::clone(&obs.logger)),
+            )
+        };
+        let updates = |op: &OpId| wf.op(*op).kind == OpKind::Update;
+        // A 1.0 machine can end up with no worker at all (more machines
+        // than worker slots); it keeps one idle thread so every per-thread
+        // vector has an entry.
+        let threads = bound.map_or(cfg.workers_per_machine, <[OpId]>::len).max(1);
+        let mut thread_ops: Vec<Option<OpId>> =
+            bound.unwrap_or(&[]).iter().map(|&op| Some(op)).collect();
+        thread_ops.resize(threads, None);
+        let updater_threads = thread_ops.iter().flatten().filter(|op| updates(op)).count();
+        let per_worker = (cfg.slate_cache_capacity / updater_threads.max(1)).max(1);
         Machine {
             local: true,
             alive: AtomicBool::new(true),
-            queues: (0..n_threads).map(|_| Arc::new(EventQueue::new(cfg.queue_capacity))).collect(),
-            in_flight: (0..n_threads).map(|_| AtomicU64::new(0)).collect(),
-            central_cache: None,
-            worker_caches,
-            thread_ops: bound_ops,
-        }
-    }
-}
-
-/// The Muppet 1.0 worker layout of one machine that *joined* a running
-/// cluster: one worker slot per function, thread `t` running op `t`.
-/// A pure function of the workflow, so every node (and the joiner
-/// itself) derives the identical layout from the join order alone.
-fn join_layout_ops(wf: &Workflow) -> Vec<OpId> {
-    (0..wf.ops().len()).collect()
-}
-
-/// The routing state one membership epoch defines: the machine ring
-/// (2.0), the per-op worker-slot rings (1.0), and the slot table. All of
-/// it lives under ONE `RwLock` — updaters hold the read lock across a
-/// slate mutation, so installing a new epoch (write lock) is atomic with
-/// respect to every in-flight update: after the install, no worker can
-/// still be mutating a slate the node just handed off.
-struct Membership {
-    /// 2.0: ring over machines, stamped with the master-assigned
-    /// membership epoch (failure drops reshape the ring but do not mint
-    /// epochs; only committed membership updates do).
-    machine_ring: EpochRing,
-    /// 1.0: ring per op over global worker-slot ids.
-    op_rings: Vec<ConsistentRing>,
-    /// 1.0: global slot id → (machine, thread).
-    worker_slots: Vec<WorkerSlot>,
-    /// Staged next-epoch state between the prepare and commit phases of a
-    /// join. Once staged, *processing* ownership checks use it (this node
-    /// has flushed its moved-away slates and must forward instead of
-    /// updating them locally) while *sender* routing keeps the committed
-    /// rings until the cluster-wide flush barrier passes.
-    pending: Option<PendingEpoch>,
-}
-
-/// A staged (prepared, not yet committed) membership epoch.
-struct PendingEpoch {
-    epoch: u64,
-    machine_ring: ConsistentRing,
-    op_rings: Vec<ConsistentRing>,
-    worker_slots: Vec<WorkerSlot>,
-    joined: Vec<MachineId>,
-}
-
-impl Membership {
-    /// Committed 2.0 owner of `route` — what senders route by.
-    fn owner2(&self, route: RouteHash) -> Option<usize> {
-        self.machine_ring.owner(route)
-    }
-
-    /// Committed 1.0 owning slot of ⟨op, route⟩.
-    fn slot1(&self, op: OpId, route: RouteHash) -> Option<WorkerSlot> {
-        self.op_rings.get(op)?.owner(route).map(|sid| self.worker_slots[sid])
-    }
-
-    /// 2.0 owner including a staged epoch (processing-side checks).
-    fn effective_owner2(&self, route: RouteHash) -> Option<usize> {
-        match &self.pending {
-            Some(p) => p.machine_ring.owner(route),
-            None => self.machine_ring.owner(route),
-        }
-    }
-
-    /// 1.0 owning slot including a staged epoch (processing-side checks).
-    fn effective_slot1(&self, op: OpId, route: RouteHash) -> Option<WorkerSlot> {
-        match &self.pending {
-            Some(p) => p.op_rings.get(op)?.owner(route).map(|sid| p.worker_slots[sid]),
-            None => self.slot1(op, route),
+            queues: (0..threads).map(|_| Arc::new(EventQueue::new(cfg.queue_capacity))).collect(),
+            in_flight: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+            central_cache: bound
+                .is_none()
+                .then(|| cache(cfg.slate_cache_capacity, cfg.cache_shards.max(1))),
+            worker_caches: thread_ops
+                .iter()
+                .map(|op| op.as_ref().filter(|op| updates(op)).map(|_| cache(per_worker, 1)))
+                .collect(),
+            thread_ops,
         }
     }
 }
@@ -917,7 +783,11 @@ struct Shared {
     cfg: EngineConfig,
     /// Per-machine state; grows when machines join (ids are append-only).
     machines: RwLock<Vec<Arc<Machine>>>,
-    /// The epoch-stamped routing state (all rings + slot table).
+    /// The routing state: the committed epoch's rings and, mid-join, the
+    /// staged epoch's. ONE lock over all of it — updaters hold the read
+    /// lock across a slate mutation, so a transition (write lock) is
+    /// atomic with respect to every in-flight update: once it returns, no
+    /// worker can still be mutating a slate the node just handed off.
     membership: RwLock<Membership>,
     /// The full cluster node list, reservations included (authoritative
     /// on the master; grown from membership updates elsewhere).
@@ -1092,7 +962,7 @@ impl Shared {
     }
 
     fn epoch(&self) -> u64 {
-        self.membership.read().machine_ring.epoch()
+        self.membership.read().epoch()
     }
 
     /// Total events the cluster's queues are sized to hold; the source-
@@ -1283,114 +1153,42 @@ impl Engine {
             hot_sample_n: cfg.latency_sample_n.max(1),
         };
 
-        // Build machines + worker layout. Machines `0..base` carry the
-        // founding layout; machines `base..` joined a running cluster and
-        // carry the deterministic join layout (replayed identically on
-        // every node from the join order).
-        let base = cfg.base_machines.unwrap_or(cfg.machines).min(cfg.machines).max(1);
-        let local_machine = transport.local_machine();
-        let mut machines: Vec<Arc<Machine>> = Vec::with_capacity(cfg.machines);
-        let mut worker_slots = Vec::new();
-        let mut op_rings: Vec<ConsistentRing> =
-            (0..workflow.ops().len()).map(|_| ConsistentRing::new(0, 32)).collect();
-        match cfg.kind {
-            EngineKind::Muppet2 => {
-                for m in 0..cfg.machines {
-                    machines.push(Arc::new(if is_local(m) {
-                        Machine::local2(&cfg, &backend, &cache_obs)
-                    } else {
-                        Machine::remote_stub()
-                    }));
-                }
-            }
-            EngineKind::Muppet1 => {
-                // Founding machines: workers_per_op workers per function,
-                // round-robin over machines 0..base.
-                let mut per_machine_threads: Vec<Vec<OpId>> = vec![Vec::new(); base];
-                let mut slot_positions: Vec<Vec<(usize, usize)>> = Vec::new(); // per op: (machine, thread)
-                let mut rr = 0usize;
-                for op_id in 0..workflow.ops().len() {
-                    let mut positions = Vec::new();
-                    for _ in 0..cfg.workers_per_op.max(1) {
-                        let m = rr % base;
-                        rr += 1;
-                        let thread = per_machine_threads[m].len();
-                        per_machine_threads[m].push(op_id);
-                        positions.push((m, thread));
-                    }
-                    slot_positions.push(positions);
-                }
-                for (m, thread_ops) in per_machine_threads.iter().enumerate() {
-                    machines.push(Arc::new(if is_local(m) {
-                        Machine::local1(thread_ops, &workflow, &cfg, &backend, &cache_obs)
-                    } else {
-                        Machine::remote_stub()
-                    }));
-                }
-                // Founding worker slots + per-op rings over slot ids.
-                for (op, positions) in slot_positions.iter().enumerate() {
-                    for &(machine, thread) in positions {
-                        let slot_id = worker_slots.len();
-                        worker_slots.push(WorkerSlot { machine, thread, op });
-                        op_rings[op].add(slot_id);
-                    }
-                }
-                // Joined machines (id order): one slot per function,
-                // thread t running op t, at deterministic slot ids.
-                let join_ops = join_layout_ops(&workflow);
-                for id in base..cfg.machines {
-                    machines.push(Arc::new(if is_local(id) {
-                        Machine::local1(&join_ops, &workflow, &cfg, &backend, &cache_obs)
-                    } else {
-                        Machine::remote_stub()
-                    }));
-                    for (thread, &op) in join_ops.iter().enumerate() {
-                        let slot_id = worker_slots.len();
-                        worker_slots.push(WorkerSlot { machine: id, thread, op });
-                        op_rings[op].add(slot_id);
-                    }
-                }
-            }
-        }
-
-        // The machine ring holds only committed members: not a pending
-        // local joiner, not machines already known failed, and — when
-        // the grant says so — not ids that are mere reservations (other
-        // joiners racing us; they enter via their own commit).
+        // The rings this node starts from. Founding members put every
+        // machine in; a joiner starts from its grant's view: not itself
+        // (it enters with its own commit), not machines already known
+        // failed, not ids that are still mere reservations.
+        let view = cfg.joining.as_ref();
+        let base = view.map_or(cfg.machines, |v| v.base).clamp(1, cfg.machines.max(1));
+        let slotted = (cfg.kind == EngineKind::Muppet1)
+            .then(|| (workflow.ops().len(), cfg.workers_per_op.max(1)));
+        let mut rings = Rings::new(base, slotted);
+        rings.ensure_slots(cfg.machines);
         let in_ring = |m: usize| {
-            if cfg.pending_join && local_machine == Some(m) {
-                return false;
-            }
-            if cfg.initial_failed.contains(&m) {
-                return false;
-            }
-            cfg.ring_members.as_ref().map(|members| members.contains(&m)).unwrap_or(true)
+            view.is_none_or(|v| {
+                transport.local_machine() != Some(m)
+                    && !v.failed.contains(&m)
+                    && v.members.contains(&m)
+            })
         };
-        let mut machine_ring = ConsistentRing::new(0, 64);
-        for m in 0..cfg.machines {
-            if in_ring(m) {
-                machine_ring.add(m);
-            }
-        }
-        // Out-of-ring machines lose their 1.0 slots too; failed ones
-        // also their alive flag.
-        for m in 0..cfg.machines {
-            if in_ring(m) {
-                continue;
-            }
-            for (slot_id, slot) in worker_slots.iter().enumerate() {
-                if slot.machine == m {
-                    for ring in op_rings.iter_mut() {
-                        ring.remove(slot_id);
-                    }
-                }
-            }
-            if cfg.initial_failed.contains(&m) {
-                if let Some(machine) = machines.get(m) {
-                    machine.alive.store(false, Ordering::Release);
-                }
-            }
-        }
+        (0..cfg.machines).filter(|&m| in_ring(m)).for_each(|m| rings.add_machine(m));
+        let failed: &[usize] = view.map_or(&[], |v| &v.failed);
+        let machines: Vec<Arc<Machine>> = (0..cfg.machines)
+            .map(|m| {
+                let machine = if is_local(m) {
+                    Machine::local(
+                        rings.bound_ops(m).as_deref(),
+                        &workflow,
+                        &cfg,
+                        &backend,
+                        &cache_obs,
+                    )
+                } else {
+                    Machine::remote_stub()
+                };
+                machine.alive.store(!failed.contains(&m), Ordering::Release);
+                Arc::new(machine)
+            })
+            .collect();
 
         // The authoritative node list (addresses for TCP; synthesized
         // placeholders in-process, where addressing is by id only).
@@ -1424,16 +1222,11 @@ impl Engine {
             None => (None, None),
         };
 
-        let initial_epoch = cfg.initial_epoch;
-        let initial_failed = cfg.initial_failed.clone();
+        let initial_epoch = view.map_or(0, |v| v.epoch);
+        let initial_failed = failed.to_vec();
         let dlq_capacity = cfg.dlq_capacity;
         let shared = Arc::new(Shared {
-            membership: RwLock::new(Membership {
-                machine_ring: EpochRing::from_ring(machine_ring, initial_epoch),
-                op_rings,
-                worker_slots,
-                pending: None,
-            }),
+            membership: RwLock::new(Membership::new(initial_epoch, rings)),
             cluster_nodes: Mutex::new(cluster_nodes),
             join_lock: Mutex::new(()),
             epoch_mint: AtomicU64::new(initial_epoch),
@@ -1589,16 +1382,8 @@ impl Engine {
     /// from a failed fsync means the event was dispatched but not
     /// accepted; the log is poisoned and every later submit fails
     /// ([`Error::IngestLog`]).
-    pub fn submit(&self, mut event: Event) -> Result<()> {
-        let stream = event.stream.clone();
-        if !self.shared.wf.is_external(stream.as_str()) {
-            return Err(Error::ExternalStreamViolation(stream.as_str().to_string()));
-        }
-        self.mbf_ingest(&mut event);
-        self.throttle_source();
-        let logged = self.log_accepted(std::slice::from_ref(&event))?;
-        self.dispatch_accepted([event]);
-        self.wait_durable(logged)
+    pub fn submit(&self, event: Event) -> Result<()> {
+        self.submit_run([event])
     }
 
     /// Submit a coalesced run of external events — the ingest twin of
@@ -1611,18 +1396,21 @@ impl Engine {
     /// per event. Source throttling is checked once at the head of the
     /// run; like `submit`, events are only accepted from external
     /// streams.
-    pub fn submit_many(&self, mut events: Vec<Event>) -> Result<()> {
-        for event in &events {
-            if !self.shared.wf.is_external(event.stream.as_str()) {
-                return Err(Error::ExternalStreamViolation(event.stream.as_str().to_string()));
-            }
+    pub fn submit_many(&self, events: Vec<Event>) -> Result<()> {
+        self.submit_run(events)
+    }
+
+    /// `submit` and `submit_many`: validate → transcode → throttle → log →
+    /// dispatch → wait durable, over a run held in an array or a `Vec`.
+    fn submit_run(&self, mut run: impl AsMut<[Event]> + IntoIterator<Item = Event>) -> Result<()> {
+        let events = run.as_mut();
+        if let Some(bad) = events.iter().find(|e| !self.shared.wf.is_external(e.stream.as_str())) {
+            return Err(Error::ExternalStreamViolation(bad.stream.as_str().to_string()));
         }
-        for event in &mut events {
-            self.mbf_ingest(event);
-        }
+        events.iter_mut().for_each(|event| self.mbf_ingest(event));
         self.throttle_source();
-        let logged = self.log_accepted(&events)?;
-        self.dispatch_accepted(events);
+        let logged = self.log_accepted(events)?;
+        self.dispatch_accepted(run);
         self.wait_durable(logged)
     }
 
@@ -1852,17 +1640,7 @@ impl Engine {
             if !machine.alive.load(Ordering::Acquire) {
                 return Err(NetError::Unreachable(owner));
             }
-            Ok(match self.shared.cfg.kind {
-                EngineKind::Muppet2 => {
-                    machine.central_cache.as_ref().and_then(|cache| cache.read(op, key))
-                }
-                EngineKind::Muppet1 => {
-                    let route = key.route_hash(updater);
-                    let slot = self.shared.membership.read().effective_slot1(op, route);
-                    slot.filter(|s| s.machine == owner)
-                        .and_then(|s| machine.worker_caches.get(s.thread)?.as_ref()?.read(op, key))
-                }
-            })
+            Ok(read_cached(&self.shared, owner, &machine, op, updater, key))
         } else {
             self.shared.transport.read_slate(owner, updater, key.as_bytes())
         }
@@ -1874,11 +1652,7 @@ impl Engine {
     pub fn owner_machine(&self, updater: &str, key: &Key) -> Option<usize> {
         let op = self.shared.wf.op_id(updater)?;
         let route = key.route_hash(updater);
-        let membership = self.shared.membership.read();
-        match self.shared.cfg.kind {
-            EngineKind::Muppet2 => membership.owner2(route),
-            EngineKind::Muppet1 => membership.slot1(op, route).map(|slot| slot.machine),
-        }
+        self.shared.membership.read().route(op, route).map(|at| at.machine)
     }
 
     /// All cached keys of one updater across machines (bulk reads, §5).
@@ -1889,12 +1663,7 @@ impl Engine {
             if !m.alive.load(Ordering::Acquire) {
                 continue;
             }
-            if let Some(cache) = &m.central_cache {
-                keys.extend(cache.keys_of(op));
-            }
-            for cache in m.worker_caches.iter().flatten() {
-                keys.extend(cache.keys_of(op));
-            }
+            m.caches().for_each(|cache| keys.extend(cache.keys_of(op)));
         }
         keys.sort();
         keys.dedup();
@@ -1909,23 +1678,17 @@ impl Engine {
     /// the store (see `StoreCluster::scan_column` for that path).
     pub fn dump_slates(&self, updater: &str) -> Vec<(Key, Vec<u8>)> {
         let Some(op) = self.shared.wf.op_id(updater) else { return Vec::new() };
-        let read_from = |cache: &crate::cache::SlateCache, out: &mut Vec<(Key, Vec<u8>)>| {
-            for key in cache.keys_of(op) {
-                if let Some(bytes) = cache.read(op, &key) {
-                    out.push((key, bytes));
-                }
-            }
-        };
         let mut out = Vec::new();
         for m in &self.shared.machines_snapshot() {
             if !m.alive.load(Ordering::Acquire) {
                 continue;
             }
-            if let Some(cache) = &m.central_cache {
-                read_from(cache, &mut out);
-            }
-            for cache in m.worker_caches.iter().flatten() {
-                read_from(cache, &mut out);
+            for cache in m.caches() {
+                for key in cache.keys_of(op) {
+                    if let Some(bytes) = cache.read(op, &key) {
+                        out.push((key, bytes));
+                    }
+                }
             }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -1966,13 +1729,18 @@ impl Engine {
         self.shared.epoch()
     }
 
-    /// This node's view of the cluster: (epoch, node list, failed ids).
-    pub fn membership_view(&self) -> (u64, Vec<NodeSpec>, Vec<usize>) {
-        (
-            self.shared.epoch(),
-            self.shared.cluster_nodes.lock().clone(),
-            self.shared.master.failed_machines(),
-        )
+    /// This node's view of the cluster (the `GET /membership` document).
+    pub fn membership_view(&self) -> MembershipView {
+        let nodes = self.shared.cluster_nodes.lock().clone();
+        let failed = self.shared.master.failed_machines();
+        let membership = self.shared.membership.read();
+        MembershipView {
+            epoch: membership.epoch(),
+            staged_epoch: membership.staged_epoch(),
+            members: membership.committed().members(),
+            nodes,
+            failed,
+        }
     }
 
     /// In-process elastic growth: add one machine to the running
@@ -1989,23 +1757,17 @@ impl Engine {
             ));
         }
         let id = {
+            // The machine table only grows under this lock.
             let _serialize = shared.join_lock.lock();
-            let mut machines = shared.machines.write();
-            let id = machines.len();
-            let machine = match shared.cfg.kind {
-                EngineKind::Muppet2 => {
-                    Machine::local2(&shared.cfg, &shared.backend, &shared.cache_obs)
-                }
-                EngineKind::Muppet1 => Machine::local1(
-                    &join_layout_ops(&shared.wf),
-                    &shared.wf,
-                    &shared.cfg,
-                    &shared.backend,
-                    &shared.cache_obs,
-                ),
-            };
-            machines.push(Arc::new(machine));
-            drop(machines);
+            let id = shared.machines.read().len();
+            let bound = shared.membership.read().committed().bound_ops(id);
+            shared.machines.write().push(Arc::new(Machine::local(
+                bound.as_deref(),
+                &shared.wf,
+                &shared.cfg,
+                &shared.backend,
+                &shared.cache_obs,
+            )));
             shared.cluster_nodes.lock().push(NodeSpec {
                 id,
                 host: "in-process".into(),
@@ -2057,21 +1819,22 @@ impl Engine {
         tcp.add_peer(&spec).map_err(Error::Config)?;
         shared.machines.write().push(Arc::new(Machine::remote_stub()));
         cluster_nodes.push(spec);
-        let mut members = shared.membership.read().machine_ring.members().to_vec();
-        members.sort_unstable();
+        let membership = shared.membership.read();
         Ok(JoinGrant {
             id,
-            epoch: shared.epoch(),
-            base: shared.cfg.base_machines.unwrap_or(shared.cfg.machines),
+            view: ClusterView {
+                base: shared.cfg.joining.as_ref().map_or(shared.cfg.machines, |v| v.base),
+                epoch: membership.epoch(),
+                failed: shared.master.failed_machines(),
+                members: membership.committed().members(),
+            },
             topology: Topology { nodes: cluster_nodes.clone(), master },
-            failed: shared.master.failed_machines(),
-            members,
             store_host: shared.cfg.store_host,
         })
     }
 
     /// Joiner-side: announce to the master that this node (started with
-    /// [`EngineConfig::pending_join`], listener live) is ready to enter
+    /// [`EngineConfig::joining`], listener live) is ready to enter
     /// the rings. The master's epoch-stamped membership update installs
     /// it everywhere — including here, once the commit arrives.
     pub fn announce_join(&self) -> Result<()> {
@@ -2125,7 +1888,7 @@ impl Engine {
     /// Whether `machine` is still a member of the routing ring (false once
     /// the §4.3 broadcast dropped it, true again after a committed join).
     pub fn ring_contains(&self, machine: usize) -> bool {
-        self.shared.membership.read().machine_ring.contains(machine)
+        self.shared.membership.read().committed().contains(machine)
     }
 
     /// The machine this engine runs locally (`None` in-process, where all
@@ -2242,12 +2005,7 @@ impl Engine {
     pub fn hot_keys(&self, k: usize) -> Vec<(String, Key, u64, u64)> {
         let mut all = Vec::new();
         for m in &self.shared.machines_snapshot() {
-            if let Some(central) = &m.central_cache {
-                all.extend(central.hot_keys(k));
-            }
-            for wc in m.worker_caches.iter().flatten() {
-                all.extend(wc.hot_keys(k));
-            }
+            m.caches().for_each(|cache| all.extend(cache.hot_keys(k)));
         }
         all.sort_by(|a, b| b.count.cmp(&a.count).then(a.err.cmp(&b.err)));
         all.truncate(k);
@@ -2260,13 +2018,12 @@ impl Engine {
             .collect()
     }
 
-    /// Per-shard central-cache statistics, summed shard-wise across this
-    /// engine's local machines (Muppet 2.0; empty under Muppet 1.0, whose
-    /// per-worker caches are single-shard by construction).
+    /// Per-shard cache statistics, summed shard-wise across this engine's
+    /// slate caches (Muppet 1.0's per-worker caches have one shard each).
     pub fn cache_shard_stats(&self) -> Vec<crate::cache::ShardStats> {
         let mut out: Vec<crate::cache::ShardStats> = Vec::new();
         for m in &self.shared.machines_snapshot() {
-            if let Some(cache) = &m.central_cache {
+            for cache in m.caches() {
                 let per = cache.shard_stats();
                 if out.len() < per.len() {
                     out.resize(per.len(), crate::cache::ShardStats::default());
@@ -2436,6 +2193,21 @@ impl Engine {
         }
         self.stats()
     }
+}
+
+/// `machine`'s cached value of ⟨`op`, `key`⟩, if this node's rings place
+/// the key there — by [`Membership::owner`]: once an epoch is staged, a
+/// handed-off slate is read at its new owner (or from the store).
+fn read_cached(
+    shared: &Shared,
+    machine_id: usize,
+    machine: &Machine,
+    op: OpId,
+    updater: &str,
+    key: &Key,
+) -> Option<Vec<u8>> {
+    let owner = shared.membership.read().owner(op, key.route_hash(updater));
+    machine.cache_at(op, owner.filter(|at| at.machine == machine_id)?)?.read(op, key)
 }
 
 /// Spawn the worker thread for (machine, thread).
@@ -2699,24 +2471,15 @@ fn process_batch(
                         finish_packet(shared, done, touched);
                     }
                 }
-                // Ownership check under the membership read lock, held
+                // The ownership check, under the membership read lock held
                 // across the whole slate mutation (and, amortized, across
                 // the run): a membership change (write lock) can only land
                 // between runs, never mid-update — so the prepare-phase
                 // flush sees every completed write, and no worker mutates
-                // a slate its machine has already handed off. Keys this
-                // machine no longer owns (a committed drop, or a *staged*
-                // epoch after this node flushed them) are forwarded to
-                // their current owner instead of being processed here.
+                // a slate its machine has already handed off.
                 let membership = guard.get_or_insert_with(|| shared.membership.read());
-                let (owner, fwd_hint) = match shared.cfg.kind {
-                    EngineKind::Muppet2 => (membership.effective_owner2(route), None),
-                    EngineKind::Muppet1 => {
-                        let slot = membership.effective_slot1(packet.op, route);
-                        (slot.map(|s| s.machine), slot.map(|s| s.thread))
-                    }
-                };
-                if let Some(owner) = owner.filter(|&o| o != machine_id) {
+                let owner = membership.owner(packet.op, route);
+                if let Some(owner) = owner.filter(|at| at.machine != machine_id) {
                     // Forwarding re-enters the transport (and, in-process,
                     // the membership lock): close the run first.
                     memo = None;
@@ -2725,7 +2488,7 @@ fn process_batch(
                         finish_packet(shared, done, touched);
                     }
                     machine.in_flight[thread].store(0, Ordering::Release);
-                    forward_packet(shared, packet, owner, fwd_hint, touched);
+                    forward_packet(shared, packet, owner, touched);
                     shared.pending.fetch_sub(1, Ordering::AcqRel);
                     shared.throttle_cv.notify_all();
                     continue;
@@ -2818,12 +2581,7 @@ fn prefetch_batch(shared: &Shared, cache: &SlateCache, machine_id: usize, batch:
                 return None;
             };
             let route = packet.event.key.route_hash(&shared.wf.op(packet.op).name);
-            let owner = match shared.cfg.kind {
-                EngineKind::Muppet2 => membership.effective_owner2(route),
-                EngineKind::Muppet1 => {
-                    membership.effective_slot1(packet.op, route).map(|s| s.machine)
-                }
-            };
+            let owner = membership.owner(packet.op, route).map(|at| at.machine);
             (owner == Some(machine_id)).then_some((packet.op, name, &packet.event.key, *ttl_secs))
         })
         .collect();
@@ -2973,45 +2731,23 @@ fn log_peer_death(shared: &Arc<Shared>, dest: usize, lost_events: u64) {
 /// undeliverable (§4.3 posture).
 fn forward_packet(
     shared: &Arc<Shared>,
-    packet: Packet,
-    owner: usize,
-    thread_hint: Option<usize>,
+    mut packet: Packet,
+    owner: Placement,
     touched: &mut Vec<MachineId>,
 ) {
     if packet.forwards >= MAX_FORWARDS {
         shared.counters.lost_machine_failure.inc();
         shared.drop_log.log(format!(
-            "forward cap hit for key={:?} (rings disagree about machine {owner}?)",
-            packet.event.key
+            "forward cap hit for key={:?} (rings disagree about machine {}?)",
+            packet.event.key, owner.machine
         ));
         return;
     }
     shared.counters.forwarded.inc();
-    let key = packet.event.key.clone();
-    let ev = WireEvent {
-        op: packet.op,
-        event: packet.event,
-        injected_us: packet.injected_us,
-        redirected: packet.redirected,
-        // Forwarded events count as internal: the receiver's overflow
-        // policy must never block the forwarding worker.
-        external: false,
-        thread_hint,
-        forwards: packet.forwards + 1,
-    };
-    match shared.transport.send_event(owner, ev) {
-        Ok(()) => note_remote(shared, owner, touched),
-        Err(NetError::Unreachable(_)) => {
-            shared.transport.report_failure(owner, shared.epoch());
-            log_peer_death(shared, owner, 1);
-            shared.counters.lost_machine_failure.inc();
-            shared.drop_log.log(format!("lost to failed machine {owner}: key={key:?}"));
-        }
-        Err(e) => {
-            shared.counters.lost_machine_failure.inc();
-            shared.drop_log.log(format!("undeliverable to machine {owner} ({e}): key={key:?}"));
-        }
-    }
+    packet.forwards += 1;
+    // Forwarded events count as internal: the receiver's overflow policy
+    // must never block the forwarding worker.
+    send_to(shared, packet, owner, false, touched);
 }
 
 /// Send `event` to every subscriber of `stream`; `touched` collects the
@@ -3054,12 +2790,8 @@ fn note_remote(shared: &Arc<Shared>, dest: MachineId, touched: &mut Vec<MachineI
     }
 }
 
-/// The send path (see note above `worker_loop`): resolves the destination
-/// machine via the rings, then puts the event on the wire. A transport
-/// failure — dead simulated machine in-process, connection error over TCP
-/// — triggers the §4.3 protocol: report to the master, which broadcasts,
-/// and every ring drops the machine; the event is lost and logged, never
-/// retried.
+/// The send path: resolve the destination by the committed rings
+/// ([`Membership::route`]), then put the event on the wire.
 fn try_send(
     shared: &Arc<Shared>,
     mut packet: Packet,
@@ -3077,25 +2809,26 @@ fn try_send(
             packet.event.key = sub;
         }
     }
-    let updater_name = shared.wf.op(packet.op).name.as_str();
-    let route: RouteHash = packet.event.key.route_hash(updater_name);
-    // Senders route by the *committed* rings: a staged (prepared) epoch
-    // only redirects processing on the machines that already flushed —
-    // routing to a joiner before the cluster-wide flush barrier passes
-    // could fault a stale slate out of the store.
-    let dest = {
-        let membership = shared.membership.read();
-        match shared.cfg.kind {
-            EngineKind::Muppet2 => membership.owner2(route).map(|m| (m, None)),
-            EngineKind::Muppet1 => {
-                membership.slot1(packet.op, route).map(|slot| (slot.machine, Some(slot.thread)))
-            }
-        }
-    };
-    let Some((machine_id, thread_hint)) = dest else {
+    let route: RouteHash = packet.event.key.route_hash(&shared.wf.op(packet.op).name);
+    let Some(dest) = shared.membership.read().route(packet.op, route) else {
         shared.counters.lost_machine_failure.inc();
         return;
     };
+    send_to(shared, packet, dest, external, touched);
+}
+
+/// Put `packet` on the wire to `dest`. A transport failure — dead simulated
+/// machine in-process, connection error over TCP — triggers the §4.3
+/// protocol: report to the master, which broadcasts, and every ring drops
+/// the machine; the event is lost and logged, never retried.
+fn send_to(
+    shared: &Arc<Shared>,
+    packet: Packet,
+    dest: Placement,
+    external: bool,
+    touched: &mut Vec<MachineId>,
+) {
+    let machine = dest.machine;
     let key = packet.event.key.clone();
     let ev = WireEvent {
         op: packet.op,
@@ -3103,28 +2836,23 @@ fn try_send(
         injected_us: packet.injected_us,
         redirected: packet.redirected,
         external,
-        thread_hint,
+        thread_hint: dest.thread,
         forwards: packet.forwards,
     };
-    match shared.transport.send_event(machine_id, ev) {
-        Ok(()) => note_remote(shared, machine_id, touched),
+    match shared.transport.send_event(machine, ev) {
+        Ok(()) => note_remote(shared, machine, touched),
         Err(NetError::Unreachable(_)) => {
-            // §4.3: the sender detected the dead machine on send. Report to
-            // the master (the master's broadcast removes it from every
-            // ring); the undeliverable event is lost and logged.
-            shared.transport.report_failure(machine_id, shared.epoch());
-            log_peer_death(shared, machine_id, 1);
+            shared.transport.report_failure(machine, shared.epoch());
+            log_peer_death(shared, machine, 1);
             shared.counters.lost_machine_failure.inc();
-            shared.drop_log.log(format!("lost to failed machine {machine_id}: key={key:?}"));
+            shared.drop_log.log(format!("lost to failed machine {machine}: key={key:?}"));
         }
         Err(e) => {
             // A local protocol/config error (oversized frame, no handler)
             // is not a dead peer — the event is lost and logged, but the
             // machine must not be declared failed.
             shared.counters.lost_machine_failure.inc();
-            shared
-                .drop_log
-                .log(format!("undeliverable to machine {machine_id} ({e}): key={key:?}"));
+            shared.drop_log.log(format!("undeliverable to machine {machine} ({e}): key={key:?}"));
         }
     }
 }
@@ -3137,6 +2865,7 @@ fn deliver_local(
     shared: &Arc<Shared>,
     machine_id: usize,
     ev: WireEvent,
+    mut absorbed: u64,
 ) -> std::result::Result<(), NetError> {
     loop {
         let Some(machine) = shared.machine(machine_id) else {
@@ -3162,12 +2891,8 @@ fn deliver_local(
                 let valid =
                     |t: usize| t < machine.queues.len() && machine.thread_ops[t] == Some(ev.op);
                 let resolved = ev.thread_hint.filter(|&t| valid(t)).or_else(|| {
-                    shared
-                        .membership
-                        .read()
-                        .effective_slot1(ev.op, route)
-                        .filter(|slot| slot.machine == machine_id && valid(slot.thread))
-                        .map(|slot| slot.thread)
+                    let owner = shared.membership.read().owner(ev.op, route);
+                    owner.filter(|at| at.machine == machine_id)?.thread.filter(|&t| valid(t))
                 });
                 match resolved {
                     Some(t) => t,
@@ -3202,6 +2927,16 @@ fn deliver_local(
                 )
             }
         };
+        let credit = std::mem::take(&mut absorbed);
+        if credit > 1 {
+            // A carrier the sender folded from `absorbed` events is one
+            // event here, but the splitter's threshold is denominated in
+            // events: credit them to the sketch of the cache the carrier
+            // will update (once, however often a full queue retries).
+            if let Some(cache) = machine.cache_of(thread) {
+                cache.offer_hot_n(ev.op, &ev.event.key, credit);
+            }
+        }
         let queue = &machine.queues[thread];
         let into_packet = |ev: WireEvent| {
             // Stamp the queue-wait span here, on the receiving side —
@@ -3296,30 +3031,7 @@ fn apply_ring_drop(shared: &Arc<Shared>, failed: usize, epoch: u64) {
     if epoch < shared.master.joined_epoch(failed) {
         return;
     }
-    {
-        let mut membership = shared.membership.write();
-        membership.machine_ring.remove(failed);
-        let slot_ids: Vec<usize> = membership
-            .worker_slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.machine == failed)
-            .map(|(slot_id, _)| slot_id)
-            .collect();
-        for slot_id in slot_ids {
-            for ring in membership.op_rings.iter_mut() {
-                ring.remove(slot_id);
-            }
-            if let Some(p) = membership.pending.as_mut() {
-                for ring in p.op_rings.iter_mut() {
-                    ring.remove(slot_id);
-                }
-            }
-        }
-        if let Some(p) = membership.pending.as_mut() {
-            p.machine_ring.remove(failed);
-        }
-    }
+    shared.membership.write().drop_machine(failed);
     if let Some(machine) = shared.machine(failed) {
         machine.alive.store(false, Ordering::Release);
     }
@@ -3329,27 +3041,19 @@ fn apply_ring_drop(shared: &Arc<Shared>, failed: usize, epoch: u64) {
 }
 
 /// Stage a membership epoch (the *prepare* phase): grow the peer table
-/// for unseen nodes, build the candidate rings, and — the handoff
-/// invariant — flush (or transfer) every dirty slate whose arc moves away
-/// from a local machine, all under the membership write lock so no
-/// updater can be mid-write on a moved slate. After this returns true,
+/// for unseen nodes, stage the epoch ([`Membership::stage`]), and — the
+/// handoff invariant — flush (or transfer) every dirty slate whose arc
+/// moves away from a local machine, all under the membership write lock so
+/// no updater can be mid-write on a moved slate. After this returns true,
 /// processing-side ownership checks use the staged rings: moved keys are
 /// forwarded to their new owner, never updated here again.
 fn membership_prepare(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
     let mut membership = shared.membership.write();
-    if update.epoch <= membership.machine_ring.epoch() {
-        return true; // already installed (duplicate delivery)
-    }
-    if let Some(p) = &membership.pending {
-        if p.epoch == update.epoch {
-            return true; // duplicate prepare
-        }
-        if p.epoch > update.epoch {
-            return false; // a newer epoch is already staged
-        }
+    if let Some(answer) = membership.prepared(update.epoch) {
+        return answer;
     }
     // Grow peers + machine stubs for nodes this engine has never seen.
-    {
+    let known_machines = {
         let mut machines = shared.machines.write();
         let mut cluster_nodes = shared.cluster_nodes.lock();
         let mut specs: Vec<&NodeSpec> = update.nodes.iter().collect();
@@ -3367,107 +3071,32 @@ fn membership_prepare(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
             machines.push(Arc::new(Machine::remote_stub()));
             cluster_nodes.push(spec.clone());
         }
-    }
-    // Candidate routing state: committed rings + every machine the
-    // master says is (or becomes) a member. Healing is by *member set*,
-    // not by delta: a node that missed an earlier epoch re-adds the
-    // machines it lost track of here, so one dropped frame can never
-    // diverge membership forever.
-    let mut machine_ring = membership.machine_ring.ring().clone();
-    let mut op_rings = membership.op_rings.clone();
-    let mut worker_slots = membership.worker_slots.clone();
-    if shared.cfg.kind == EngineKind::Muppet1 {
-        // 1.0 slot ids are a pure function of the machine id (join
-        // layout: one slot per op, thread t = op t, at position
-        // base_slots + (id - base) · n_ops). Materialize placeholders
-        // for EVERY known machine id in order — reservations included,
-        // outside the rings — so slot ids agree across nodes no matter
-        // when (or whether) each id actually joins.
-        let known = shared.machines.read().len();
-        let base = shared.cfg.base_machines.unwrap_or(shared.cfg.machines);
-        for id in base..known {
-            if !worker_slots.iter().any(|slot| slot.machine == id) {
-                for (thread, op) in join_layout_ops(&shared.wf).into_iter().enumerate() {
-                    worker_slots.push(WorkerSlot { machine: id, thread, op });
-                }
-            }
-        }
-    }
-    let mut entering: Vec<MachineId> = update.joined.clone();
-    entering.extend(update.members.iter().copied());
-    for id in entering {
-        // The failed set excludes members from healing, but never the
-        // explicit joiners of THIS epoch: a restarted incarnation
-        // re-announces under its old id, and the join must be able to
-        // supersede the death recorded against the previous incarnation.
-        if machine_ring.contains(id)
-            || (shared.master.is_failed(id) && !update.joined.contains(&id))
-        {
-            continue;
-        }
-        machine_ring.add(id);
-        if update.joined.contains(&id) {
-            // Reachable again: re-arm the wire and the liveness flag so
-            // forwarded events flow as soon as the staged rings apply.
-            shared.transport.revive_peer(id);
-            if let Some(machine) = shared.machine(id) {
-                machine.alive.store(true, Ordering::Release);
-            }
-        }
-        if shared.cfg.kind == EngineKind::Muppet1 {
-            for (slot_id, slot) in worker_slots.iter().enumerate() {
-                if slot.machine == id {
-                    op_rings[slot.op].add(slot_id);
-                }
-            }
+        machines.len()
+    };
+    let machines = shared.machines_snapshot();
+    for id in membership.stage(update, known_machines, &|id| shared.master.is_failed(id)) {
+        // This epoch's joiners are reachable again: re-arm the wire and
+        // the liveness flag so forwarded events flow as soon as the
+        // staged rings apply.
+        shared.transport.revive_peer(id);
+        if let Some(machine) = machines.get(id) {
+            machine.alive.store(true, Ordering::Release);
         }
     }
     // The handoff: move every slate whose arc leaves a local machine.
-    let machines = shared.machines_snapshot();
     let now = shared.now_us();
     for (m, machine) in machines.iter().enumerate() {
         if !machine.local || !machine.alive.load(Ordering::Acquire) {
             continue;
         }
-        for op in 0..shared.wf.ops().len() {
-            if shared.wf.op(op).kind != OpKind::Update {
+        for (op, spec) in shared.wf.ops().iter().enumerate() {
+            if spec.kind != OpKind::Update {
                 continue;
             }
-            let opname = shared.wf.op(op).name.clone();
-            let moved_to: &dyn Fn(&Key) -> Option<usize> = &|key| {
-                let route = key.route_hash(&opname);
-                let (old_owner, new_owner) = match shared.cfg.kind {
-                    EngineKind::Muppet2 => {
-                        // The ownership-diff primitive: only arcs whose
-                        // owner changes between the two rings move.
-                        if !membership.machine_ring.owner_moved(&machine_ring, route) {
-                            return None;
-                        }
-                        (membership.machine_ring.owner(route), machine_ring.owner(route))
-                    }
-                    EngineKind::Muppet1 => (
-                        membership.slot1(op, route).map(|s| s.machine),
-                        op_rings
-                            .get(op)
-                            .and_then(|ring| ring.owner(route))
-                            .map(|sid| worker_slots[sid].machine),
-                    ),
-                };
-                new_owner.filter(|&new| old_owner == Some(m) && new != m)
-            };
-            let caches: Vec<&Arc<SlateCache>> = match shared.cfg.kind {
-                EngineKind::Muppet2 => machine.central_cache.iter().collect(),
-                EngineKind::Muppet1 => machine
-                    .worker_caches
-                    .iter()
-                    .enumerate()
-                    .filter(|(t, _)| machine.thread_ops.get(*t) == Some(&Some(op)))
-                    .filter_map(|(_, c)| c.as_ref())
-                    .collect(),
-            };
-            for cache in caches {
-                let taken = cache.take_matching(op, &|key| moved_to(key).is_some());
-                for (key, slot) in taken {
+            let opname = &spec.name;
+            let moved_to = |key: &Key| membership.moved_from(m, op, key.route_hash(opname));
+            for cache in machine.caches() {
+                for (key, slot) in cache.take_matching(op, &|key| moved_to(key).is_some()) {
                     if shared.has_backend {
                         // Store-backed handoff (§4.3 recovery path, run
                         // proactively): flush, then the new owner faults
@@ -3488,30 +3117,16 @@ fn membership_prepare(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
                         }
                         continue;
                     }
-                    // No store attached: hand the slot to the new owner's
-                    // cache directly when it lives in this process (the
-                    // in-process cluster); otherwise the slate is lost
-                    // exactly like a §4.3 crash would lose it.
-                    let target = moved_to(&key)
-                        .and_then(|new| machines.get(new))
-                        .filter(|target| target.local);
+                    // No store attached: hand the slot to the cache its
+                    // staged placement names when that lives in this
+                    // process (the in-process cluster); otherwise the
+                    // slate is lost exactly like a §4.3 crash would lose
+                    // it.
+                    let target = moved_to(&key).and_then(|to| {
+                        machines.get(to.machine).filter(|t| t.local)?.cache_at(op, to)
+                    });
                     match target {
-                        Some(target) => {
-                            let target_cache = match shared.cfg.kind {
-                                EngineKind::Muppet2 => target.central_cache.as_ref(),
-                                EngineKind::Muppet1 => target
-                                    .thread_ops
-                                    .iter()
-                                    .position(|&t| t == Some(op))
-                                    .and_then(|t| target.worker_caches[t].as_ref()),
-                            };
-                            match target_cache {
-                                Some(c) => c.insert_slot(op, key, slot),
-                                None => shared.drop_log.log(format!(
-                                    "handoff target cache missing for {opname} key={key:?}"
-                                )),
-                            }
-                        }
+                        Some(target) => target.insert_slot(op, key, slot),
                         None => shared.drop_log.log(format!(
                             "handoff without store: slate {opname} key={key:?} lost (§4.3 \
                              posture)"
@@ -3521,37 +3136,14 @@ fn membership_prepare(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
             }
         }
     }
-    membership.pending = Some(PendingEpoch {
-        epoch: update.epoch,
-        machine_ring,
-        op_rings,
-        worker_slots,
-        joined: update.joined.clone(),
-    });
     true
 }
 
 /// Install a staged membership epoch (the *commit* phase).
 fn membership_commit(shared: &Arc<Shared>, epoch: u64) -> bool {
-    let mut membership = shared.membership.write();
-    if membership.machine_ring.epoch() >= epoch {
-        return true; // duplicate commit
-    }
-    let Some(p) = membership.pending.take() else {
-        // Commit without a prepare (this node missed the prepare frame):
-        // nothing staged — keep the old rings; ownership forwarding by
-        // the up-to-date owners still delivers every event correctly.
+    let Some(joined) = shared.membership.write().commit(epoch) else {
         return false;
     };
-    if p.epoch != epoch {
-        membership.pending = Some(p);
-        return false;
-    }
-    membership.machine_ring = EpochRing::from_ring(p.machine_ring, epoch);
-    membership.op_rings = p.op_rings;
-    membership.worker_slots = p.worker_slots;
-    let joined = p.joined;
-    drop(membership);
     for id in joined {
         shared.master.mark_joined(id, epoch);
         // Forget the previous incarnation's death (§4.3 ledger): if the
@@ -3570,9 +3162,7 @@ fn membership_commit(shared: &Arc<Shared>, epoch: u64) -> bool {
 /// to the committed rings; the already-flushed moved slates simply fault
 /// back in from the store on the old owner's next touch.
 fn membership_abort(shared: &Arc<Shared>, epoch: u64) -> bool {
-    let mut membership = shared.membership.write();
-    if membership.pending.as_ref().map(|p| p.epoch) == Some(epoch) {
-        membership.pending = None;
+    if shared.membership.write().abort(epoch) {
         shared.drop_log.log(format!("membership epoch {epoch} aborted; staged state discarded"));
     }
     true
@@ -3643,8 +3233,7 @@ fn run_join_protocol(shared: &Arc<Shared>, machine: MachineId) {
     // never announced are excluded (their listeners may not exist; they
     // must not be able to abort someone else's join), and so are failed
     // machines.
-    let mut members = shared.membership.read().machine_ring.members().to_vec();
-    members.sort_unstable();
+    let members = shared.membership.read().committed().members();
     let mut order: Vec<MachineId> = vec![machine];
     order.extend(members.iter().copied().filter(|&id| id != machine));
     let mut post_members = members.clone();
@@ -3683,7 +3272,7 @@ struct EngineHandler(Arc<Shared>);
 
 impl ClusterHandler for EngineHandler {
     fn deliver_event(&self, dest: MachineId, ev: WireEvent) -> std::result::Result<(), NetError> {
-        deliver_local(&self.0, dest, ev)
+        deliver_local(&self.0, dest, ev, 1)
     }
 
     fn deliver_combined(
@@ -3692,20 +3281,7 @@ impl ClusterHandler for EngineHandler {
         ev: WireEvent,
         absorbed: u64,
     ) -> std::result::Result<(), NetError> {
-        // The sender already folded `absorbed` original events into this
-        // carrier (and accounted them via `combine_values`); locally it
-        // is one ordinary event. The owner's hot-key sketch is still
-        // credited with the absorbed load, so the splitter sees
-        // event-scale heat for keys folded down on remote senders.
-        let shared = &self.0;
-        if absorbed > 0 {
-            if let Some(machine) = shared.machine(dest) {
-                if let Some(cache) = machine.central_cache.as_ref() {
-                    cache.offer_hot_n(ev.op, &ev.event.key, absorbed);
-                }
-            }
-        }
-        deliver_local(shared, dest, ev)
+        deliver_local(&self.0, dest, ev, absorbed)
     }
 
     fn combine_values(&self, op: OpId, acc: &[u8], next: &[u8]) -> Option<Vec<u8>> {
@@ -3771,7 +3347,7 @@ impl ClusterHandler for EngineHandler {
             m.alive.store(true, Ordering::Release);
         }
         let needs_join = shared.master.is_failed(machine)
-            || !shared.membership.read().machine_ring.contains(machine);
+            || !shared.membership.read().committed().contains(machine);
         if needs_join {
             run_join_protocol(shared, machine);
         }
@@ -3796,18 +3372,7 @@ impl ClusterHandler for EngineHandler {
         if !machine.local || !machine.alive.load(Ordering::Acquire) {
             return None;
         }
-        let key = Key::from(key);
-        match shared.cfg.kind {
-            EngineKind::Muppet2 => machine.central_cache.as_ref()?.read(op, &key),
-            EngineKind::Muppet1 => {
-                let route = key.route_hash(updater);
-                let slot = shared.membership.read().effective_slot1(op, route)?;
-                if slot.machine != dest {
-                    return None;
-                }
-                machine.worker_caches[slot.thread].as_ref()?.read(op, &key)
-            }
-        }
+        read_cached(shared, dest, &machine, op, updater, &Key::from(key))
     }
 
     fn backend_store_many(&self, items: &[muppet_net::StorePutItem], now_us: u64) -> Vec<bool> {

@@ -54,8 +54,8 @@ pub trait SlateReader: Send + Sync + 'static {
         Err("join not supported".to_string())
     }
 
-    /// The node's membership view (`GET /membership`): epoch, node list,
-    /// failed machines, as JSON.
+    /// The node's membership view (`GET /membership`): epoch, staged
+    /// epoch, ring members, node list, failed machines, as JSON.
     fn membership_json(&self) -> String {
         "{}".to_string()
     }
@@ -205,16 +205,15 @@ impl SlateReader for crate::engine::Engine {
         // Grant document: a one-line header the joiner parses by hand,
         // then the topology in the TOML subset `muppetd --config` already
         // understands.
-        let failed = grant.failed.iter().map(|m| m.to_string()).collect::<Vec<_>>().join(",");
-        let members = grant.members.iter().map(|m| m.to_string()).collect::<Vec<_>>().join(",");
+        let list = |ids: &[usize]| ids.iter().map(|m| m.to_string()).collect::<Vec<_>>().join(",");
         let store_host = grant.store_host.map(|h| format!(" store_host={h}")).unwrap_or_default();
         Ok(format!(
             "id={} epoch={} base={} failed={} members={}{}\n{}",
             grant.id,
-            grant.epoch,
-            grant.base,
-            failed,
-            members,
+            grant.view.epoch,
+            grant.view.base,
+            list(&grant.view.failed),
+            list(&grant.view.members),
             store_host,
             grant.topology.to_toml()
         ))
@@ -222,14 +221,18 @@ impl SlateReader for crate::engine::Engine {
 
     fn membership_json(&self) -> String {
         use muppet_core::json::Json;
-        let (epoch, nodes, failed) = self.membership_view();
+        let view = self.membership_view();
+        let ids =
+            |ids: Vec<usize>| Json::Arr(ids.into_iter().map(|m| Json::num(m as f64)).collect());
         Json::obj([
-            ("epoch", Json::num(epoch as f64)),
-            ("failed", Json::Arr(failed.into_iter().map(|m| Json::num(m as f64)).collect())),
+            ("epoch", Json::num(view.epoch as f64)),
+            ("staged_epoch", view.staged_epoch.map_or(Json::Null, |e| Json::num(e as f64))),
+            ("members", ids(view.members)),
+            ("failed", ids(view.failed)),
             (
                 "nodes",
                 Json::Arr(
-                    nodes
+                    view.nodes
                         .into_iter()
                         .map(|n| {
                             Json::obj([

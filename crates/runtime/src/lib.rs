@@ -46,6 +46,7 @@ pub mod lru;
 pub mod master;
 pub mod netstore;
 pub mod overflow;
+mod placement;
 pub mod queue;
 
 pub use cache::{FlushPolicy, SlateCache};

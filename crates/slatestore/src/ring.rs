@@ -95,100 +95,6 @@ impl ConsistentRing {
     pub fn members(&self) -> &[usize] {
         &self.members
     }
-
-    /// Whether `hash` is owned by a different member in `next` than here —
-    /// the ownership-diff primitive behind elastic membership: on a
-    /// membership change, exactly the hashes for which this returns `true`
-    /// must be handed off (flushed by the old owner, faulted in by the
-    /// new one). Hashes owned by nobody on either side never move.
-    pub fn owner_moved(&self, next: &ConsistentRing, hash: u64) -> bool {
-        self.owner(hash) != next.owner(hash)
-    }
-}
-
-/// A consistent ring stamped with a membership epoch (elastic clusters).
-///
-/// The paper's ring only ever shrinks (§4.3 failure drops); an elastic
-/// cluster also grows, and once membership can change in both directions
-/// every ring state needs an identity — the *epoch* — so that protocol
-/// messages (failure reports, membership updates) can be ordered against
-/// the membership they were observed under. The epoch is minted only by
-/// the membership coordinator ([`EpochRing::set_epoch`] /
-/// [`EpochRing::from_ring`], at commit time): `add`/`remove` reshape the
-/// ring without touching the epoch, so §4.3 failure drops — applied
-/// independently on every node — can never make epochs diverge across
-/// the cluster (see DESIGN.md §7).
-#[derive(Clone, Debug)]
-pub struct EpochRing {
-    ring: ConsistentRing,
-    epoch: u64,
-}
-
-impl EpochRing {
-    /// A ring over members `0..n` at epoch 0.
-    pub fn new(n: usize, vnodes: usize) -> Self {
-        EpochRing { ring: ConsistentRing::new(n, vnodes), epoch: 0 }
-    }
-
-    /// Wrap an existing ring at an explicit (coordinator-minted) epoch.
-    pub fn from_ring(ring: ConsistentRing, epoch: u64) -> Self {
-        EpochRing { ring, epoch }
-    }
-
-    /// The installed membership epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Pin the epoch (installing a master-assigned membership update).
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// The underlying ring.
-    pub fn ring(&self) -> &ConsistentRing {
-        &self.ring
-    }
-
-    /// Add a member (idempotent). Does not mint an epoch.
-    pub fn add(&mut self, id: usize) {
-        self.ring.add(id);
-    }
-
-    /// Remove a member (idempotent; §4.3 drop). Does not mint an epoch.
-    pub fn remove(&mut self, id: usize) {
-        self.ring.remove(id);
-    }
-
-    /// See [`ConsistentRing::owner`].
-    pub fn owner(&self, hash: u64) -> Option<usize> {
-        self.ring.owner(hash)
-    }
-
-    /// See [`ConsistentRing::owner_moved`].
-    pub fn owner_moved(&self, next: &ConsistentRing, hash: u64) -> bool {
-        self.ring.owner_moved(next, hash)
-    }
-
-    /// See [`ConsistentRing::contains`].
-    pub fn contains(&self, id: usize) -> bool {
-        self.ring.contains(id)
-    }
-
-    /// Live member ids in insertion order.
-    pub fn members(&self) -> &[usize] {
-        self.ring.members()
-    }
-
-    /// See [`ConsistentRing::len`].
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when the ring has no members.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -286,59 +192,5 @@ mod tests {
         ring.add(1);
         assert_eq!(ring.points.len(), points_before);
         assert_eq!(ring.len(), 3);
-    }
-
-    #[test]
-    fn owner_moved_flags_exactly_the_new_members_arcs() {
-        let before = ConsistentRing::new(4, 32);
-        let mut after = before.clone();
-        after.add(4);
-        let mut moved = 0usize;
-        for h in (0..3000u64).map(mix64) {
-            if before.owner_moved(&after, h) {
-                // Only arcs captured by the new member move.
-                assert_eq!(after.owner(h), Some(4), "a moved hash must land on the joiner");
-                moved += 1;
-            } else {
-                assert_eq!(before.owner(h), after.owner(h));
-            }
-        }
-        assert!(moved > 0, "a 5th member must capture some arcs");
-        assert!(moved < 3000, "a 5th member must not capture everything");
-    }
-
-    #[test]
-    fn epoch_is_minted_by_the_coordinator_not_by_mutation() {
-        let mut ring = EpochRing::new(3, 16);
-        assert_eq!(ring.epoch(), 0);
-        // §4.3 failure drops reshape the ring on every node independently
-        // — they must not advance the epoch, or nodes would diverge.
-        ring.remove(0);
-        assert_eq!(ring.epoch(), 0);
-        assert!(!ring.contains(0));
-        ring.add(3);
-        assert_eq!(ring.epoch(), 0);
-        assert!(ring.contains(3));
-        assert_eq!(ring.members(), &[1, 2, 3]);
-        // A committed membership update installs the minted epoch.
-        let committed = EpochRing::from_ring(ring.ring().clone(), 7);
-        assert_eq!(committed.epoch(), 7);
-        assert_eq!(committed.len(), 3);
-    }
-
-    #[test]
-    fn epoch_ring_grow_then_shrink_routes_like_a_fresh_ring() {
-        // Ring placement stays a pure function of membership through any
-        // add/remove history — the property elastic handoff relies on.
-        let mut grown = EpochRing::new(3, 32);
-        grown.add(3);
-        grown.remove(1);
-        let mut fresh = ConsistentRing::new(0, 32);
-        for id in [0, 2, 3] {
-            fresh.add(id);
-        }
-        for h in (0..1000u64).map(mix64) {
-            assert_eq!(grown.owner(h), fresh.owner(h));
-        }
     }
 }

@@ -11,7 +11,8 @@
 //! * `GET  /status`                 — engine counters + epoch + failures;
 //! * `GET  /metrics`                — Prometheus text exposition (counters,
 //!   per-stage latency histograms, hot-key top-k);
-//! * `GET  /membership`             — epoch, node list, failed machines;
+//! * `GET  /membership`             — epoch, staged epoch, ring members,
+//!   node list, failed machines;
 //! * `POST /submit/<stream>/<key>`  — ingest one event (body = value);
 //! * `POST /join` (master only)     — reserve a cluster id for a joiner.
 //!
@@ -53,7 +54,7 @@ use std::sync::Arc;
 use muppet::apps::{hot_topics, retailer};
 use muppet::core::workflow::Workflow;
 use muppet::prelude::*;
-use muppet::runtime::engine::{OperatorSet, TransportKind};
+use muppet::runtime::engine::{ClusterView, JoinGrant, OperatorSet, TransportKind};
 use muppet::runtime::http::http_post;
 use muppet::slatestore::cluster::{StoreCluster, StoreConfig};
 use muppet_net::topology::Topology;
@@ -73,9 +74,8 @@ struct Options {
     latency_sample_n: u64,
     log_level: Level,
     log_json: bool,
-    /// Elastic join state from the grant: (founding machine count, grant
-    /// epoch, failed machines, committed ring members).
-    join: Option<(usize, u64, Vec<usize>, Vec<usize>)>,
+    /// Elastic join: the cluster as the master's grant described it.
+    join: Option<ClusterView>,
     ingest_wal: Option<String>,
     ingest_sync_each: bool,
     dlq_capacity: Option<usize>,
@@ -107,21 +107,8 @@ fn fail(msg: String) -> ! {
     std::process::exit(2)
 }
 
-/// A parsed join grant.
-struct Grant {
-    topology: Topology,
-    id: usize,
-    base: usize,
-    epoch: u64,
-    failed: Vec<usize>,
-    members: Vec<usize>,
-    /// The cluster's store host (inherited so handoff faults find the
-    /// slates the old owners flushed).
-    store_host: Option<usize>,
-}
-
 /// Reserve an id at the running cluster's master and parse the grant.
-fn reserve_join(master_http: &str, listen: &str) -> Grant {
+fn reserve_join(master_http: &str, listen: &str) -> JoinGrant {
     let fields: Vec<&str> = listen.split(':').collect();
     if fields.len() != 3 {
         fail(format!("--listen wants host:port:http_port, got '{listen}'"));
@@ -162,7 +149,7 @@ fn reserve_join(master_http: &str, listen: &str) -> Grant {
     };
     let topology =
         Topology::from_toml_str(toml).unwrap_or_else(|e| fail(format!("bad grant topology: {e}")));
-    Grant { topology, id, base, epoch, failed, members, store_host }
+    JoinGrant { id, view: ClusterView { base, epoch, failed, members }, topology, store_host }
 }
 
 fn parse_args() -> Options {
@@ -338,7 +325,7 @@ fn parse_args() -> Options {
             latency_sample_n,
             log_level,
             log_json,
-            join: Some((grant.base, grant.epoch, grant.failed, grant.members)),
+            join: Some(grant.view),
             ingest_wal,
             ingest_sync_each,
             dlq_capacity,
@@ -452,12 +439,6 @@ fn main() {
     };
 
     let http_port = opts.topology.nodes[opts.node].http_port;
-    let (base_machines, initial_epoch, initial_failed, ring_members) = match &opts.join {
-        Some((base, epoch, failed, members)) => {
-            (Some(*base), *epoch, failed.clone(), Some(members.clone()))
-        }
-        None => (None, 0, Vec::new(), None),
-    };
     let cfg = EngineConfig {
         kind: opts.kind,
         machines: opts.topology.len(),
@@ -472,11 +453,7 @@ fn main() {
         latency_sample_n: opts.latency_sample_n,
         log_level: opts.log_level,
         log_json: opts.log_json,
-        base_machines,
-        pending_join: opts.join.is_some(),
-        initial_epoch,
-        initial_failed,
-        ring_members,
+        joining: opts.join.clone(),
         ingest_wal: opts.ingest_wal.as_ref().map(std::path::PathBuf::from),
         ingest_sync_each: opts.ingest_sync_each,
         dlq_capacity: opts.dlq_capacity.unwrap_or(muppet::runtime::engine::DEFAULT_DLQ_CAPACITY),

@@ -183,3 +183,49 @@ fn combine_off_is_unchanged_and_exact() {
     assert_eq!(stats.split_keys_active, 0);
     assert_eq!(stats.split_merge_reads, 0);
 }
+
+/// A key a remote sender folds down must still look hot to its owner
+/// under Muppet 1.0, whose sketches sit in the per-worker caches: the
+/// carrier's absorbed count is credited to the cache of the thread it is
+/// delivered to.
+#[test]
+fn remote_folds_reach_the_owners_sketch_under_muppet_1() {
+    const BURST: u64 = 400;
+    let topology = Topology::loopback_ephemeral(2, false).unwrap();
+    let start = |local: usize| {
+        let cfg = EngineConfig {
+            kind: EngineKind::Muppet1,
+            transport: TransportKind::Tcp { topology: topology.clone(), local },
+            latency_sample_n: 1,
+            ..config(true, 0)
+        };
+        Engine::start(
+            workflow(),
+            OperatorSet::new().updater(CombiningCounter::named(COUNTER)),
+            cfg,
+            None,
+        )
+        .unwrap()
+    };
+    let (sender, owner) = (start(0), start(1));
+    let key = (0..)
+        .map(|i| Key::from(format!("hot-{i}")))
+        .find(|key| sender.owner_machine(COUNTER, key) == Some(1))
+        .unwrap();
+    let burst = (0..BURST).map(|ts| Event::new(ZIPF_STREAM, ts, key.clone(), &b"1"[..])).collect();
+    sender.submit_many(burst).unwrap();
+    // Frames between the two sockets are in neither node's drain count:
+    // wait for the total itself.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let total = || owner.read_slate(COUNTER, &key).map(|b| String::from_utf8(b).unwrap());
+    while total() != Some(BURST.to_string()) {
+        assert!(std::time::Instant::now() < deadline, "the burst never arrived: {:?}", total());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(sender.stats().combined_events > 0, "the outbox must have folded the burst");
+    let (_, hottest, count, _) = owner.hot_keys(1).remove(0);
+    assert_eq!(hottest, key);
+    assert!(count >= BURST, "the owner's sketch saw {count} of {BURST} events");
+    sender.shutdown();
+    owner.shutdown();
+}

@@ -274,4 +274,8 @@ fn fourth_muppetd_joins_a_running_cluster_with_zero_handoff_loss() {
     let body = String::from_utf8_lossy(&body).to_string();
     assert!(json_u64(&body, "epoch").unwrap_or(0) >= 1, "{body}");
     assert_eq!(body.matches("\"id\":").count(), 4, "{body}");
+    assert!(
+        body.contains("\"members\":[0,1,2,3]") && body.contains("\"staged_epoch\":null"),
+        "{body}"
+    );
 }
