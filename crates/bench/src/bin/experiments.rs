@@ -23,7 +23,7 @@ fn main() {
     };
 
     println!("Muppet experiment harness — reproducing the paper's evaluation surface");
-    println!("(figures 1–4 + §4/§5 operational claims; see DESIGN.md §4 and EXPERIMENTS.md)");
+    println!("(figures 1–4 + §4/§5 operational claims; see DESIGN.md §4)");
     if quick {
         println!("[quick mode: event counts divided by {}]", Scale::QUICK.divisor);
     }

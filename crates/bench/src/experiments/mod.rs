@@ -1,5 +1,5 @@
 //! One module per reproduced figure / claim. See DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for recorded outcomes.
+//! experiment index.
 
 pub mod f1a_workflow_graphs;
 pub mod x10_machine_failure;
@@ -7,16 +7,7 @@ pub mod x11_overflow;
 pub mod x12_hotspot_splitting;
 pub mod x13_slate_sizes;
 pub mod x14_http_reads;
-pub mod x15_network_transport;
-pub mod x16_elasticity;
-pub mod x17_hot_path;
-pub mod x18_store_path;
-pub mod x19_observability;
 pub mod x1_distributed_execution;
-pub mod x20_crash_recovery;
-pub mod x21_lock_shim;
-pub mod x22_binary_codec;
-pub mod x23_hot_keys;
 pub mod x2_retailer_counts;
 pub mod x3_hot_topics;
 pub mod x4_scale_latency;

@@ -148,7 +148,6 @@ pub fn run(scale: Scale) {
         stalled_fracs[0] * 100.0,
         stalled_fracs[1] * 100.0
     );
-    assert!(drain_speedup > 1.2, "2.0 must drain the skewed burst faster than 1.0");
 }
 
 /// Number of samples strictly below `threshold_us` (bucket-resolution).

@@ -6,12 +6,8 @@ use std::time::{Duration, Instant};
 
 use muppet_apps::retailer::{self, Counter, RetailerMapper};
 use muppet_core::event::{Event, Key};
-use muppet_core::json::Json;
 use muppet_runtime::engine::{Engine, EngineConfig, EngineStats, OperatorSet};
 use muppet_slatestore::cluster::StoreCluster;
-
-/// A flattened metrics-registry snapshot (`family{labels}` → value).
-pub type RegistrySnapshot = Vec<(String, f64)>;
 
 /// Outcome of a timed engine run.
 pub struct RunOutcome {
@@ -21,10 +17,6 @@ pub struct RunOutcome {
     pub stats: EngineStats,
     /// Peak queue occupancy.
     pub max_queue: usize,
-    /// Registry snapshot taken before the first submit.
-    pub registry_before: RegistrySnapshot,
-    /// Registry snapshot taken after drain, before shutdown.
-    pub registry_after: RegistrySnapshot,
 }
 
 impl RunOutcome {
@@ -32,21 +24,6 @@ impl RunOutcome {
     pub fn throughput(&self, events: usize) -> f64 {
         events as f64 / self.elapsed.as_secs_f64()
     }
-
-    /// The before/after registry snapshots as a JSON object, for stamping
-    /// into `BENCH_xNN.json` so recorded numbers carry the engine's own
-    /// counters alongside the wall-clock measurements.
-    pub fn registry_json(&self) -> Json {
-        Json::obj([
-            ("before", snapshot_json(&self.registry_before)),
-            ("after", snapshot_json(&self.registry_after)),
-        ])
-    }
-}
-
-/// Render a flattened registry snapshot as a JSON object.
-pub fn snapshot_json(snapshot: &RegistrySnapshot) -> Json {
-    Json::Obj(snapshot.iter().map(|(name, v)| (name.clone(), Json::num(*v))).collect())
 }
 
 /// Start an engine, stream `events`, drain, shut down, and time it.
@@ -58,7 +35,6 @@ pub fn run_engine(
     events: Vec<Event>,
 ) -> RunOutcome {
     let engine = Engine::start(workflow, ops, cfg, store).expect("engine starts");
-    let registry_before = engine.registry().snapshot();
     let t0 = Instant::now();
     for ev in events {
         engine.submit(ev).expect("submit");
@@ -66,9 +42,8 @@ pub fn run_engine(
     assert!(engine.drain(Duration::from_secs(300)), "engine must drain");
     let elapsed = t0.elapsed();
     let max_queue = engine.max_queue_high_water();
-    let registry_after = engine.registry().snapshot();
     let stats = engine.shutdown();
-    RunOutcome { elapsed, stats, max_queue, registry_before, registry_after }
+    RunOutcome { elapsed, stats, max_queue }
 }
 
 /// Like [`run_engine`] but keeps the engine alive and hands it to a
@@ -83,7 +58,6 @@ pub fn run_engine_with<F: FnOnce(&Engine)>(
     second: Vec<Event>,
 ) -> RunOutcome {
     let engine = Engine::start(workflow, ops, cfg, store).expect("engine starts");
-    let registry_before = engine.registry().snapshot();
     let t0 = Instant::now();
     for ev in first {
         engine.submit(ev).expect("submit");
@@ -96,9 +70,8 @@ pub fn run_engine_with<F: FnOnce(&Engine)>(
     assert!(engine.drain(Duration::from_secs(300)), "engine must drain");
     let elapsed = t0.elapsed();
     let max_queue = engine.max_queue_high_water();
-    let registry_after = engine.registry().snapshot();
     let stats = engine.shutdown();
-    RunOutcome { elapsed, stats, max_queue, registry_before, registry_after }
+    RunOutcome { elapsed, stats, max_queue }
 }
 
 /// The retailer operator set (the workhorse app for throughput runs).

@@ -17,7 +17,6 @@ pub mod table;
 /// All experiment ids in run order.
 pub const ALL_EXPERIMENTS: &[&str] = &[
     "f1a", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9", "x10", "x11", "x12", "x13", "x14",
-    "x15", "x16", "x17", "x18", "x19", "x20", "x21", "x22", "x23",
 ];
 
 /// Scale knob: `--quick` divides event counts for CI-speed runs.
@@ -57,15 +56,6 @@ pub fn run_experiment(id: &str, scale: Scale) -> bool {
         "x12" => experiments::x12_hotspot_splitting::run(scale),
         "x13" => experiments::x13_slate_sizes::run(scale),
         "x14" => experiments::x14_http_reads::run(scale),
-        "x15" => experiments::x15_network_transport::run(scale),
-        "x16" => experiments::x16_elasticity::run(scale),
-        "x17" => experiments::x17_hot_path::run(scale),
-        "x18" => experiments::x18_store_path::run(scale),
-        "x19" => experiments::x19_observability::run(scale),
-        "x20" => experiments::x20_crash_recovery::run(scale),
-        "x21" => experiments::x21_lock_shim::run(scale),
-        "x22" => experiments::x22_binary_codec::run(scale),
-        "x23" => experiments::x23_hot_keys::run(scale),
         _ => return false,
     }
     true

@@ -62,7 +62,6 @@ fn engine_run_has_acyclic_lock_order_and_no_fsync_under_lock() {
         // index → backend, and evictions churn the shard maps.
         slate_cache_capacity: 64,
         cache_shards: 4,
-        drain_batch_max: 8,
         flush: FlushPolicy::WriteThrough,
         ingest_wal: Some(dir.path().join("ingest.wal")),
         ..EngineConfig::default()

@@ -57,31 +57,9 @@ static SERIALIZATIONS: AtomicU64 = AtomicU64::new(0);
 /// payloads — an allocations-ish proxy the hot-path benchmarks record: the
 /// seed path pays one parse *and* one serialization per update, the
 /// resident path parses once per cache fault and serializes once per
-/// flush. MBF decodes/encodes are counted separately; see
-/// [`codec_counters`].
+/// flush. MBF decodes/encodes are not counted.
 pub fn repr_counters() -> (u64, u64) {
     (PARSES.load(Ordering::Relaxed), SERIALIZATIONS.load(Ordering::Relaxed))
-}
-
-/// Per-codec payload conversion counters (process-wide).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CodecCounters {
-    /// JSON text → document parses.
-    pub json_parses: u64,
-    /// Document → JSON text serializations.
-    pub json_serializations: u64,
-    /// MBF bytes → document decodes.
-    pub mbf_decodes: u64,
-    /// Document → MBF bytes encodes.
-    pub mbf_encodes: u64,
-}
-
-/// Process-wide conversion counters split by codec: JSON parse/serialize
-/// (same values as [`repr_counters`]) plus MBF decode/encode.
-pub fn codec_counters() -> CodecCounters {
-    let (json_parses, json_serializations) = repr_counters();
-    let (mbf_decodes, mbf_encodes) = mbf::mbf_counters();
-    CodecCounters { json_parses, json_serializations, mbf_decodes, mbf_encodes }
 }
 
 /// The payload: raw bytes, an undecoded MBF payload, or a resident parsed
@@ -702,23 +680,5 @@ mod tests {
         let s = Slate::from_stored(Vec::new(), Codec::Mbf);
         assert!(s.is_empty());
         assert_eq!(s.materialize(Codec::Mbf).0.len(), 0);
-    }
-
-    #[test]
-    fn codec_counters_split_by_codec() {
-        let before = codec_counters();
-        let mut s = Slate::from_stored(doc().to_mbf().unwrap(), Codec::Mbf);
-        s.json_mut().unwrap().set("count", Json::num(9));
-        let _ = s.materialize(Codec::Mbf);
-        let _ = s.materialize(Codec::Json);
-        let after = codec_counters();
-        assert!(after.mbf_decodes > before.mbf_decodes);
-        assert!(after.mbf_encodes > before.mbf_encodes);
-        assert!(after.json_serializations > before.json_serializations);
-        assert_eq!(
-            (after.json_parses, after.json_serializations),
-            repr_counters(),
-            "repr_counters stays the JSON view"
-        );
     }
 }

@@ -5,7 +5,7 @@
 //! In a default build these are transparent newtypes over the vendored
 //! `parking_lot` shim: no extra fields, no extra branches, `#[inline]`
 //! passthroughs — the migration from raw `parking_lot` costs nothing
-//! (benchmarked in x21).
+//! (measured in PR 8).
 //!
 //! Under the **`lock-audit`** feature every lock carries the source
 //! location of its construction site as a static *lock class* label, every
@@ -361,6 +361,14 @@ mod tests {
             assert!(m.try_lock().is_none());
         }
         assert_eq!(m.into_inner(), 2);
+        // Contended: no increment is lost.
+        let shared = Mutex::new(0u64);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| (0..10_000).for_each(|_| *shared.lock() += 1));
+            }
+        });
+        assert_eq!(shared.into_inner(), 20_000);
     }
 
     #[test]

@@ -1207,7 +1207,8 @@ mod tests {
             }
             other => panic!("expected Events, got {other:?}"),
         }
-        // With MBF allowed the value travels verbatim.
+        // With MBF allowed the value travels verbatim, in a smaller frame.
+        assert!(frame.encode_payload_for(true).len() < frame.encode_payload_for(false).len());
         assert_eq!(Frame::decode_payload(&frame.encode_payload_for(true)), Some(frame));
     }
 

@@ -40,7 +40,8 @@
 //! Every connection opens with one handshake: the dialer's
 //! current-version [`Frame::Hello`], answered by a [`Frame::HelloAck`].
 //! A connection that opens any other way is closed and counted
-//! ([`TcpStats::hello_rejected`]).
+//! ([`TcpStats::hello_rejected`]); so is one that later sends bytes that
+//! are no frame ([`TcpStats::frames_rejected`]).
 
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read};
@@ -157,6 +158,9 @@ pub struct TcpStats {
     /// Inbound connections closed because they did not open with a
     /// current-version hello (another binary, or not a muppet peer).
     pub hello_rejected: AtomicU64,
+    /// Inbound connections closed after their hello on a frame that was
+    /// oversized, failed its CRC or did not decode.
+    pub frames_rejected: AtomicU64,
     /// Batches taken off the outboxes, by [`FlushReason`] (indexed in
     /// [`FlushReason::ALL`] order).
     pub flushes: [AtomicU64; 4],
@@ -368,19 +372,19 @@ impl TcpTransport {
     }
 
     /// Have `hook` told, once per peer address, that an inbound connection
-    /// was refused at the hello, with the version it offered (`None` when
-    /// it did not open with a hello). The engine logs it: a dialer reads
-    /// the closed connection as a dead peer, so this side's log is where a
-    /// mixed-binary cluster becomes legible. First registration wins.
-    pub fn on_hello_rejected(
-        &self,
-        hook: impl Fn(SocketAddr, Option<u64>) + Send + Sync + 'static,
-    ) {
+    /// was closed on what it sent: a hello of another version (`Some`), or
+    /// no hello at all or a bad frame after it (`None`). The engine logs
+    /// it: a dialer reads the closed connection as a dead peer, so this
+    /// side's log is where a mixed-binary cluster or a corrupting link
+    /// becomes legible. First registration wins.
+    pub fn on_rejected(&self, hook: impl Fn(SocketAddr, Option<u64>) + Send + Sync + 'static) {
         let _ = self.reject_hook.set(Box::new(hook));
     }
 
-    fn reject_hello(&self, peer: io::Result<SocketAddr>, offered: Option<u64>) {
-        self.stats.hello_rejected.fetch_add(1, Ordering::Relaxed);
+    /// Count a refused inbound connection under `counter` and tell the
+    /// hook, once per peer address.
+    fn reject(&self, counter: &AtomicU64, peer: io::Result<SocketAddr>, offered: Option<u64>) {
+        counter.fetch_add(1, Ordering::Relaxed);
         let (Ok(peer), Some(hook)) = (peer, self.reject_hook.get()) else { return };
         let first = {
             let mut seen = self.rejected_peers.lock();
@@ -1181,31 +1185,36 @@ fn read_full_polled(r: &mut impl io::Read, buf: &mut [u8], stop: &AtomicBool) ->
     Ok(true)
 }
 
-/// Read one frame off an inbound connection, polling `stop`. `None` ends
-/// the connection: stop raised, peer gone, oversized or corrupt frame, or
-/// an undecodable payload.
-fn read_frame_polled(reader: &mut TcpStream, stats: &TcpStats, stop: &AtomicBool) -> Option<Frame> {
+/// Bytes arrived that are no frame: oversized, corrupt or undecodable.
+struct Rejected;
+
+/// One read off an inbound connection. `Ok(None)` ends the connection
+/// quietly: stop raised, or the peer went away.
+type Inbound = Result<Option<Frame>, Rejected>;
+
+/// Read one frame off an inbound connection, polling `stop`.
+fn read_frame_polled(reader: &mut TcpStream, stats: &TcpStats, stop: &AtomicBool) -> Inbound {
     let mut head = [0u8; 8];
-    if !read_full_polled(reader, &mut head, stop).ok()? {
-        return None;
+    if !matches!(read_full_polled(reader, &mut head, stop), Ok(true)) {
+        return Ok(None);
     }
     // lint: allow(no-unwrap-in-prod) — 8-byte header array, offsets statically in bounds
     let len = muppet_core::codec::get_u32(&head, 0).expect("fixed header") as usize;
     // lint: allow(no-unwrap-in-prod) — 8-byte header array, offsets statically in bounds
     let crc = muppet_core::codec::get_u32(&head, 4).expect("fixed header");
     if len > MAX_FRAME_BYTES {
-        return None;
+        return Err(Rejected);
     }
     let mut payload = vec![0u8; len];
-    if !read_full_polled(reader, &mut payload, stop).ok()? {
-        return None;
+    if !matches!(read_full_polled(reader, &mut payload, stop), Ok(true)) {
+        return Ok(None);
     }
     if muppet_core::codec::crc32c(&payload) != crc {
-        return None; // corrupt connection
+        return Err(Rejected);
     }
-    let frame = Frame::decode_payload(&payload)?;
+    let frame = Frame::decode_payload(&payload).ok_or(Rejected)?;
     stats.frames_received.fetch_add(1, Ordering::Relaxed);
-    Some(frame)
+    Ok(Some(frame))
 }
 
 fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<AtomicBool>) {
@@ -1219,7 +1228,12 @@ fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<A
     // The preamble: nothing is served before a current-version hello. The
     // connection speaks MBF only if both sides offer it; replies on a JSON
     // connection get their MBF payloads transcoded as they are encoded.
-    let Some(first) = read_frame_polled(&mut reader, &transport.stats, &stop) else { return };
+    let stats = &transport.stats;
+    let first = match read_frame_polled(&mut reader, stats, &stop) {
+        Ok(Some(frame)) => frame,
+        Ok(None) => return,
+        Err(Rejected) => return transport.reject(&stats.hello_rejected, writer.peer_addr(), None),
+    };
     let peer_mbf = match first {
         Frame::Hello { version: PROTOCOL_VERSION, codecs, .. } => {
             let ours = transport.codec.offers_mbf();
@@ -1230,15 +1244,21 @@ fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<A
             ours && codecs & CODEC_MBF != 0
         }
         Frame::Hello { version, .. } => {
-            return transport.reject_hello(writer.peer_addr(), Some(version))
+            return transport.reject(&stats.hello_rejected, writer.peer_addr(), Some(version))
         }
-        _ => return transport.reject_hello(writer.peer_addr(), None),
+        _ => return transport.reject(&stats.hello_rejected, writer.peer_addr(), None),
     };
     loop {
         if stop.load(Ordering::Acquire) {
             return; // closes both halves → peers see RST on next send
         }
-        let Some(frame) = read_frame_polled(&mut reader, &transport.stats, &stop) else { return };
+        let frame = match read_frame_polled(&mut reader, stats, &stop) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return,
+            Err(Rejected) => {
+                return transport.reject(&stats.frames_rejected, writer.peer_addr(), None)
+            }
+        };
         let Some(handler) = transport.handler() else { return };
         let local = transport.local;
         let reply = match frame {
@@ -1315,6 +1335,7 @@ fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<A
 mod tests {
     use super::*;
     use muppet_core::Codec;
+    use std::io::Write;
     use std::sync::atomic::AtomicUsize;
 
     type TaggedCells = std::collections::HashMap<Vec<u8>, (Vec<u8>, Codec)>;
@@ -1799,19 +1820,24 @@ mod tests {
         t1.register(Arc::downgrade(&h1) as Weak<dyn ClusterHandler>);
         let refusals = Refusals::default();
         let seen = Arc::clone(&refusals);
-        t1.on_hello_rejected(move |peer, version| seen.lock().push((peer.ip(), version)));
+        t1.on_rejected(move |peer, version| seen.lock().push((peer.ip(), version)));
         let l1 = t1.start_listener().unwrap();
         (t1, h1, l1, refusals)
     }
 
-    /// Open a raw connection to `server`, write `frames`, and return what
+    /// `frames` as the bytes a peer writes.
+    fn wire(frames: &[Frame]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        frames.iter().for_each(|frame| frame.write_to(&mut bytes).unwrap());
+        bytes
+    }
+
+    /// Open a raw connection to `server`, write `bytes`, and return what
     /// the server sent before closing.
-    fn raw_exchange(server: &TcpListenerHandle, frames: &[Frame]) -> Vec<u8> {
+    fn raw_exchange(server: &TcpListenerHandle, bytes: &[u8]) -> Vec<u8> {
         let mut stream = TcpStream::connect(("127.0.0.1", server.port())).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        for frame in frames {
-            frame.write_to(&mut stream).unwrap();
-        }
+        stream.write_all(bytes).unwrap();
         let mut reply = Vec::new();
         match stream.read_to_end(&mut reply) {
             Ok(_) => {}
@@ -1827,9 +1853,30 @@ mod tests {
         let (t1, h1, l1, refusals) = refusing_server();
         let join = Frame::Join { machine: 0 };
         let report = Frame::FailureReport { failed: 0, epoch: 0 };
-        assert!(raw_exchange(&l1, &[join, report]).is_empty(), "closed without a word");
+        assert!(raw_exchange(&l1, &wire(&[join, report])).is_empty(), "closed without a word");
         assert!(h1.joins.lock().is_empty() && h1.reports.lock().is_empty(), "nothing was served");
         assert_eq!(t1.stats().hello_rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(*refusals.lock(), vec![(IpAddr::from([127, 0, 0, 1]), None)]);
+    }
+
+    #[test]
+    fn garbage_in_place_of_the_hello_is_refused_like_any_other_opening() {
+        let (t1, _h1, l1, refusals) = refusing_server();
+        assert!(raw_exchange(&l1, b"GET /status HTTP/1.1\r\n\r\n").is_empty());
+        assert_eq!(t1.stats().hello_rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(*refusals.lock(), vec![(IpAddr::from([127, 0, 0, 1]), None)]);
+    }
+
+    #[test]
+    fn a_corrupt_frame_after_the_hello_is_counted_and_reported_not_served() {
+        let (t1, h1, l1, refusals) = refusing_server();
+        let mut bytes = wire(&[Frame::hello(0, true), Frame::Join { machine: 0 }]);
+        *bytes.last_mut().unwrap() ^= 1; // one payload bit of the join
+        assert_eq!(raw_exchange(&l1, &bytes), wire(&[Frame::HelloAck { codecs: CODEC_MBF }]));
+        assert!(h1.joins.lock().is_empty(), "the handler saw no callback");
+        let stats = t1.stats();
+        assert_eq!(stats.frames_rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.hello_rejected.load(Ordering::Relaxed), 0, "the hello was fine");
         assert_eq!(*refusals.lock(), vec![(IpAddr::from([127, 0, 0, 1]), None)]);
     }
 
@@ -1840,7 +1887,7 @@ mod tests {
         let join = Frame::Join { machine: 0 };
         for _ in 0..3 {
             assert!(
-                raw_exchange(&l1, &[old.clone(), join.clone()]).is_empty(),
+                raw_exchange(&l1, &wire(&[old.clone(), join.clone()])).is_empty(),
                 "no ack, no service"
             );
         }
@@ -1885,23 +1932,26 @@ mod tests {
     fn overgrown_queue_flushes_in_batch_max_sized_frames() {
         // Regression: a queue that grew past batch_max between flush
         // ticks (age- or stop-triggered) must drain as several
-        // batch_max-sized frames, never one oversized frame.
-        let ob = bare_outbox(BatchConfig { batch_max: 8, flush_us: 1, queue_capacity: 4096 });
-        {
-            let mut q = ob.queue.lock();
-            for _ in 0..29 {
-                q.events.push_back((Instant::now(), wire_event()));
+        // batch_max-sized frames, never one oversized frame. At
+        // batch_max = 1 that is one frame per event: the unbatched wire.
+        for (batch_max, frames) in [(8, 4), (1, 29)] {
+            let ob = bare_outbox(BatchConfig { batch_max, flush_us: 1, queue_capacity: 4096 });
+            {
+                let mut q = ob.queue.lock();
+                for _ in 0..29 {
+                    q.events.push_back((Instant::now(), wire_event()));
+                }
             }
+            ob.stopping.store(true, Ordering::Release);
+            let (mut total, mut batches) = (0usize, 0usize);
+            while let Some((batch, _)) = collect_batch(&ob) {
+                assert!(batch.len() <= batch_max, "an oversized frame of {}", batch.len());
+                total += batch.len();
+                batches += 1;
+            }
+            assert_eq!(total, 29, "every queued event drained exactly once");
+            assert_eq!(batches, frames, "29 events over batch_max={batch_max}");
         }
-        ob.stopping.store(true, Ordering::Release);
-        let (mut total, mut batches) = (0usize, 0usize);
-        while let Some((batch, _)) = collect_batch(&ob) {
-            assert!(batch.len() <= 8, "flush emitted an oversized frame of {}", batch.len());
-            total += batch.len();
-            batches += 1;
-        }
-        assert_eq!(total, 29, "every queued event drained exactly once");
-        assert_eq!(batches, 4, "29 events over batch_max=8 is 4 frames");
     }
 
     #[test]
@@ -2151,6 +2201,19 @@ mod tests {
         assert_eq!(entries[1].1, 1);
         assert_eq!(entries[2].1, 1, "non-combining op never folds");
         assert_eq!(entries[3].1, 1);
+
+        // A single-hot-key burst of N frames ⌈N/batch_max⌉ entries: every
+        // drained batch folds into one carrier.
+        let batch_max = ob.cfg.batch_max;
+        for _ in 0..2 * batch_max + 44 {
+            ob.queue.lock().events.push_back((Instant::now(), keyed_event(1, "hot", "1")));
+        }
+        ob.stopping.store(true, Ordering::Release);
+        let mut absorbed = Vec::new();
+        while let Some((batch, _)) = collect_batch(&ob) {
+            absorbed.extend(fold_batch(&ob, batch).into_iter().map(|(_, n)| n as usize));
+        }
+        assert_eq!(absorbed, [batch_max, batch_max, 44]);
     }
 
     #[test]

@@ -454,8 +454,8 @@ impl ParsedSample {
 }
 
 /// Parse a Prometheus text exposition document — the round-trip check
-/// for what [`Registry::render`] emits (and the scrape side of the x19
-/// smoke test). Comments and blank lines are skipped.
+/// for what [`Registry::render`] emits (and the scrape side of
+/// `tests/observability.rs`). Comments and blank lines are skipped.
 pub fn parse_exposition(text: &str) -> Result<Vec<ParsedSample>, String> {
     let mut out = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {

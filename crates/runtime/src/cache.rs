@@ -623,11 +623,6 @@ impl SlateCache {
         self.policy
     }
 
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total capacity across shards.
     pub fn capacity(&self) -> usize {
         self.shards.iter().map(|s| s.capacity).sum()
@@ -1807,7 +1802,7 @@ mod tests {
                 shards,
             );
             let n = shards.next_power_of_two();
-            assert_eq!(cache.shard_count(), n);
+            assert_eq!(cache.stats().shards, n as u64);
             assert_eq!(cache.capacity(), capacity.max(n), "capacity pinned ({capacity}/{shards})");
         }
     }
@@ -2217,6 +2212,7 @@ mod tests {
                 cache.note_write(&slot, &mut state, 0);
             }
             cache.flush_dirty(1);
+            assert_eq!(cache.stats().flush_batches, 64_u64.div_ceil(batch as u64), "cap {batch}");
             let contents = backend.data.read().clone();
             contents
         };

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use muppet_core::config::{AppConfig, ConsistencySpec, FlushSpec};
+use muppet_core::config::{AppConfig, FlushSpec};
 use muppet_core::error::{Error, Result};
 use muppet_core::event::{Event, Key, StreamId};
 use muppet_core::operator::{Mapper, Updater, VecEmitter};
@@ -38,8 +38,10 @@ use crate::queue::EventQueue;
 
 /// Default lock-shard count for the Muppet 2.0 central slate cache.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
-/// Default per-worker queue drain batch (events per lock acquisition).
-pub const DEFAULT_DRAIN_BATCH: usize = 64;
+/// Events a worker drains from its queue per lock acquisition. A drain
+/// never *waits* for a full batch — it returns whatever is queued — so the
+/// batch adds no latency, only removes mutex + condvar round-trips.
+pub const DRAIN_BATCH: usize = 64;
 /// Default dead-letter queue capacity per machine.
 pub const DEFAULT_DLQ_CAPACITY: usize = 1024;
 /// Reserved store column the ingest replay cursor is checkpointed under
@@ -110,11 +112,6 @@ pub struct EngineConfig {
     /// hot-path bottleneck. Muppet 1.0 per-worker caches have one owner
     /// and always use a single shard.
     pub cache_shards: usize,
-    /// Events a worker drains from its queue per lock acquisition (1 =
-    /// the pre-batching pop-per-event behaviour). Batching never *waits*
-    /// for a full batch — a drain returns whatever is queued — so it adds
-    /// no latency, only removes mutex + condvar round-trips.
-    pub drain_batch_max: usize,
     /// Flush policy for dirty slates.
     pub flush: FlushPolicy,
     /// Dirty slates a flush sweep coalesces into one batched backend
@@ -163,9 +160,9 @@ pub struct EngineConfig {
     /// converges to bit-identical slates.
     pub ingest_wal: Option<std::path::PathBuf>,
     /// Ingest WAL durability mode: true = write + fsync per record, then
-    /// dispatch (highest tax — x20's strawman); false = leader-based group
-    /// commit (one fsync per concurrent batch, dispatched while it runs —
-    /// the default).
+    /// dispatch (highest tax — the strawman PR 7 measured); false =
+    /// leader-based group commit (one fsync per concurrent batch,
+    /// dispatched while it runs — the default).
     pub ingest_sync_each: bool,
     /// Dead-letter queue capacity (poison events parked per machine
     /// before the oldest letters are evicted).
@@ -177,7 +174,7 @@ pub struct EngineConfig {
     /// additionally transcodes
     /// container-shaped external event values to MBF at the ingest edge
     /// (one parse+encode per event buys ~30% fewer bytes WAL-appended and
-    /// framed — see x22). HTTP endpoints always speak JSON.
+    /// framed — measured in PR 9). HTTP endpoints always speak JSON.
     pub wire_codec: CodecChoice,
     /// Map-side combining: when true, same-⟨op, key⟩ runs for updaters
     /// that declare an associative `combine` are pre-aggregated in the
@@ -210,7 +207,6 @@ impl Default for EngineConfig {
             queue_capacity: 4096,
             slate_cache_capacity: 100_000,
             cache_shards: DEFAULT_CACHE_SHARDS,
-            drain_batch_max: DEFAULT_DRAIN_BATCH,
             flush: FlushPolicy::default(),
             flush_batch_max: DEFAULT_FLUSH_BATCH_MAX,
             overflow: OverflowPolicy::default(),
@@ -301,16 +297,6 @@ pub struct MembershipView {
     pub nodes: Vec<NodeSpec>,
     /// Machines known failed.
     pub failed: Vec<MachineId>,
-}
-
-/// Map the config consistency onto the store's enum (convenience for
-/// experiment harnesses).
-pub fn consistency_of(spec: ConsistencySpec) -> muppet_slatestore::cluster::Consistency {
-    match spec {
-        ConsistencySpec::One => muppet_slatestore::cluster::Consistency::One,
-        ConsistencySpec::Quorum => muppet_slatestore::cluster::Consistency::Quorum,
-        ConsistencySpec::All => muppet_slatestore::cluster::Consistency::All,
-    }
 }
 
 /// Registered operator implementations for a workflow.
@@ -553,6 +539,23 @@ pub struct DrainSummary {
     pub p99: u64,
     /// Largest single drain.
     pub max: u64,
+}
+
+/// One reading of the ingest WAL ([`Engine::ingest_wal`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IngestWalView {
+    /// Events logged (and dispatched).
+    pub written: u64,
+    /// Events an fsync covers; `written − durable` is the un-acked window.
+    pub durable: u64,
+    /// An I/O error has poisoned the log.
+    pub failed: bool,
+    /// Fsyncs issued.
+    pub syncs: u64,
+    /// Bytes in the segment, header included.
+    pub bytes: u64,
+    /// Frames in the segment.
+    pub frames: u64,
 }
 
 /// Snapshot of the TCP transport's counters (see `muppet_net::TcpStats`).
@@ -1127,15 +1130,16 @@ impl Engine {
             Logger::stderr(cfg.log_level, cfg.log_json, transport.local_machine().map(|m| m as u64))
         };
         if let Some(tcp) = &tcp {
-            // A refused connection is all a node running another binary
-            // ever sees of this one, and its own log blames a dead peer.
+            // A closed connection is all a node running another binary, or
+            // one behind a corrupting link, ever sees of this one, and its
+            // own log blames a dead peer.
             let logger = Arc::clone(&logger);
-            tcp.on_hello_rejected(move |peer, offered| {
+            tcp.on_rejected(move |peer, offered| {
                 logger.warn(
-                    "refused a connection that did not open with this node's protocol version",
+                    "closed a connection: no hello of this node's protocol version, or a bad frame",
                     &[
                         ("peer", peer.to_string().into()),
-                        ("offered", offered.map_or("no hello".into(), |v| v.to_string()).into()),
+                        ("offered", offered.map_or("none".into(), |v| v.to_string()).into()),
                         ("protocol_version", muppet_net::frame::PROTOCOL_VERSION.into()),
                     ],
                 );
@@ -1470,7 +1474,7 @@ impl Engine {
     /// ingest-WAL append, so a crash replay redispatches the identical
     /// bytes — and every downstream `Json::from_payload` skips the text
     /// parser. This trades one parse+encode per event at the ingest edge
-    /// for ~30% fewer bytes WAL-appended and framed downstream (x22), so
+    /// for ~30% fewer bytes WAL-appended and framed downstream (PR 9), so
     /// it is not part of `Auto`: the default negotiates binary where it
     /// is free (slate materialization, store frames) and leaves submitted
     /// values untouched. Scalar and plain-text values (`"42"`, raw URLs)
@@ -2052,24 +2056,17 @@ impl Engine {
         self.shared.recovered.load(Ordering::Acquire)
     }
 
-    /// ⟨records written, fsyncs issued⟩ of the ingest WAL, or `None`
-    /// when ingest logging is off.
-    pub fn ingest_wal_stats(&self) -> Option<(u64, u64)> {
-        self.shared.ingest_log.as_ref().map(|log| (log.record_count(), log.sync_count()))
-    }
-
-    /// The ingest WAL's ⟨written, durable⟩ watermarks — their difference
-    /// is the un-acked fsync window — and whether an I/O error has
-    /// poisoned it. `None` when ingest logging is off.
-    pub fn ingest_wal_watermarks(&self) -> Option<(u64, u64, bool)> {
+    /// The ingest WAL's counters, or `None` when ingest logging is off.
+    pub fn ingest_wal(&self) -> Option<IngestWalView> {
         let log = self.shared.ingest_log.as_ref()?;
-        Some((log.record_count(), log.durable_count(), log.failed()))
-    }
-
-    /// The ingest WAL segment's ⟨bytes, frames⟩, or `None` when ingest
-    /// logging is off.
-    pub fn ingest_wal_size(&self) -> Option<(u64, u64)> {
-        self.shared.ingest_log.as_ref().map(|log| (log.byte_count(), log.frame_count()))
+        Some(IngestWalView {
+            written: log.record_count(),
+            durable: log.durable_count(),
+            failed: log.failed(),
+            syncs: log.sync_count(),
+            bytes: log.byte_count(),
+            frames: log.frame_count(),
+        })
     }
 
     /// This machine's dead-letter queue.
@@ -2242,8 +2239,7 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
     let park = Duration::from_millis(100);
     // lint: allow(no-unwrap-in-prod) — worker threads are spawned per existing machine index
     let machine = shared.machine(machine_id).expect("worker spawned for an existing machine");
-    let batch_max = shared.cfg.drain_batch_max.max(1);
-    let mut batch: Vec<Packet> = Vec::with_capacity(batch_max);
+    let mut batch: Vec<Packet> = Vec::with_capacity(DRAIN_BATCH);
     // Remote peers this worker has sent to since it last went idle.
     let mut touched: Vec<MachineId> = Vec::new();
     loop {
@@ -2253,7 +2249,7 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
         if shared.stopping.load(Ordering::Acquire) {
             // Drain remaining work, then exit (the shutdown flush retires
             // whatever is still waiting for eviction).
-            if machine.queues[thread].pop_many(&mut batch, batch_max, Duration::ZERO) == 0 {
+            if machine.queues[thread].pop_many(&mut batch, DRAIN_BATCH, Duration::ZERO) == 0 {
                 return;
             }
             let owed =
@@ -2261,7 +2257,7 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
             settle_retire(&shared, &machine, thread, owed, false);
             continue;
         }
-        let n = machine.queues[thread].pop_many(&mut batch, batch_max, park);
+        let n = machine.queues[thread].pop_many(&mut batch, DRAIN_BATCH, park);
         if n > 0 {
             shared.drain_hist.record(n as u64);
             let owed =
@@ -3525,6 +3521,7 @@ fn collect_engine_samples(sh: &Arc<Shared>, out: &mut Vec<Sample>) {
         out.push(cc("muppet_net_send_failures_total", load(&t.send_failures)));
         out.push(cc("muppet_net_connects_total", load(&t.connects)));
         out.push(cc("muppet_net_hello_rejected_total", load(&t.hello_rejected)));
+        out.push(cc("muppet_net_frames_rejected_total", load(&t.frames_rejected)));
         out.push(cc("muppet_net_queue_full_waits_total", load(&t.queue_full_waits)));
         for reason in FlushReason::ALL {
             out.push(Sample::counter(

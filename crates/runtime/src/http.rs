@@ -103,7 +103,7 @@ impl SlateReader for crate::engine::Engine {
     fn status_json(&self) -> String {
         use muppet_core::json::Json;
         let s = self.stats();
-        let wal = self.ingest_wal_watermarks();
+        let wal = self.ingest_wal();
         // Ingest-WAL fields are null on a node without one.
         let wal_num = |v: Option<u64>| v.map_or(Json::Null, |v| Json::num(v as f64));
         Json::obj([
@@ -160,14 +160,13 @@ impl SlateReader for crate::engine::Engine {
             ("evict_backlog", Json::num(s.cache.evict_backlog as f64)),
             // Crash recovery (DESIGN.md §11): ingest WAL + DLQ state.
             ("recovered_replayed", Json::num(self.recovered_replayed() as f64)),
-            // records = written; written − durable = the un-acked fsync window.
-            ("ingest_wal_records", wal_num(wal.map(|(written, _, _)| written))),
-            ("ingest_wal_syncs", wal_num(self.ingest_wal_stats().map(|(_, syncs)| syncs))),
-            ("ingest_wal_bytes", wal_num(self.ingest_wal_size().map(|(bytes, _)| bytes))),
-            ("ingest_wal_frames", wal_num(self.ingest_wal_size().map(|(_, frames)| frames))),
-            ("ingest_wal_written", wal_num(wal.map(|(written, _, _)| written))),
-            ("ingest_wal_durable", wal_num(wal.map(|(_, durable, _)| durable))),
-            ("ingest_wal_failed", wal.map_or(Json::Null, |(_, _, failed)| Json::Bool(failed))),
+            ("ingest_wal_syncs", wal_num(wal.map(|w| w.syncs))),
+            ("ingest_wal_bytes", wal_num(wal.map(|w| w.bytes))),
+            ("ingest_wal_frames", wal_num(wal.map(|w| w.frames))),
+            // written − durable = the un-acked fsync window.
+            ("ingest_wal_written", wal_num(wal.map(|w| w.written))),
+            ("ingest_wal_durable", wal_num(wal.map(|w| w.durable))),
+            ("ingest_wal_failed", wal.map_or(Json::Null, |w| Json::Bool(w.failed))),
             ("dlq_depth", Json::num(self.dlq().depth() as f64)),
             ("dlq_added", Json::num(self.dlq().added() as f64)),
             ("dlq_dropped", Json::num(self.dlq().dropped() as f64)),

@@ -65,7 +65,7 @@
 //! of them. A lone single-event submitter degenerates to sync-per-record,
 //! which is the correct latency floor. `sync_each` mode writes and
 //! fsyncs event by event (frames of one) under the writer lock — the
-//! expensive arm benchmarked in x20.
+//! expensive arm PR 7 measured.
 //!
 //! ## Failure
 //!
@@ -603,6 +603,23 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), expected);
         assert_eq!((log.record_count(), log.frame_count()), (3, 1));
         assert_eq!(log.byte_count(), expected.len() as u64);
+
+        // What the layout buys: the counter shape (short keys, unit values,
+        // adjacent timestamps) in 64-event frames costs at most 10 B/event,
+        // segment and frame headers included, and the bytes are a function
+        // of the run alone.
+        let counters: Vec<Event> = (0..6_400u64)
+            .map(|i| Event::new("zipf_counts", i + 1, format!("k{}", i * 7919 % 500).into(), "1"))
+            .collect();
+        let [first, again] = ["first.wal", "again.wal"].map(|name| {
+            let (log, _) = open_unsynced(&dir.file(name));
+            for run in counters.chunks(64) {
+                log.write_batch(run).unwrap();
+            }
+            std::fs::read(dir.file(name)).unwrap()
+        });
+        assert!(first.len() <= 10 * counters.len(), "{} B for 6400 events", first.len());
+        assert_eq!(first, again);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use muppet_core::operator::{Emitter, FnMapper, FnUpdater};
 use muppet_core::slate::Slate;
 use muppet_core::workflow::Workflow;
 use muppet_runtime::cache::FlushPolicy;
-use muppet_runtime::engine::{Engine, EngineConfig, EngineKind, OperatorSet};
+use muppet_runtime::engine::{Engine, EngineConfig, EngineKind, OperatorSet, DRAIN_BATCH};
 use muppet_runtime::http::{http_get, percent_encode, HttpSlateServer};
 use muppet_runtime::overflow::OverflowPolicy;
 use muppet_slatestore::cluster::{StoreCluster, StoreConfig};
@@ -60,36 +60,20 @@ fn submit_keys(engine: &Engine, keys: &[&str]) {
 fn hot_path_stats_surface_shards_and_drain_batches() {
     // The observability satellites: the sharded central cache and the
     // batch-drained queues report through EngineStats.
-    let cfg =
-        EngineConfig { cache_shards: 4, drain_batch_max: 8, ..small_config(EngineKind::Muppet2) };
+    let cfg = EngineConfig { cache_shards: 4, ..small_config(EngineKind::Muppet2) };
     let engine = Engine::start(count_workflow(), count_ops(), cfg, None).unwrap();
     submit_keys(&engine, &["a", "b", "a", "c", "a", "b"]);
     assert!(engine.drain(Duration::from_secs(10)));
     let stats = engine.stats();
     assert_eq!(stats.cache.shards, 8, "4 shards × 2 machines");
     assert!(stats.drain.drains > 0, "workers record their queue drains");
-    assert!(stats.drain.max >= 1 && stats.drain.max <= 8, "batches bounded by drain_batch_max");
+    assert!((1..=DRAIN_BATCH as u64).contains(&stats.drain.max), "batches bounded by DRAIN_BATCH");
     let per_shard = engine.cache_shard_stats();
     assert_eq!(per_shard.len(), 4, "shard-wise aggregation across machines");
     assert_eq!(per_shard.iter().map(|s| s.entries).sum::<u64>(), stats.cache.entries);
     // Batch draining must not change results: same counts as ever.
     assert_eq!(engine.read_slate("U1", &Key::from("a")), Some(b"3".to_vec()));
     engine.shutdown();
-}
-
-#[test]
-fn drain_batch_of_one_reproduces_pop_per_event() {
-    // drain_batch_max = 1 is the pre-batching engine; exactness holds at
-    // both extremes.
-    for batch in [1usize, 64] {
-        let cfg = EngineConfig { drain_batch_max: batch, ..small_config(EngineKind::Muppet2) };
-        let engine = Engine::start(count_workflow(), count_ops(), cfg, None).unwrap();
-        submit_keys(&engine, &["x", "y", "x", "x", "y"]);
-        assert!(engine.drain(Duration::from_secs(10)));
-        assert_eq!(engine.read_slate("U1", &Key::from("x")), Some(b"3".to_vec()), "batch={batch}");
-        assert_eq!(engine.read_slate("U1", &Key::from("y")), Some(b"2".to_vec()), "batch={batch}");
-        engine.shutdown();
-    }
 }
 
 #[test]

@@ -51,6 +51,11 @@ impl Consistency {
     }
 }
 
+/// Largest run [`StoreCluster::put_many`] hands one node in a single group
+/// commit; bigger batches are split. Bounds WAL latency under a huge flush
+/// tick without giving up the per-batch fsync amortization.
+const PUT_BATCH_MAX: usize = 1024;
+
 /// Cluster construction parameters.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
@@ -67,10 +72,6 @@ pub struct StoreConfig {
     /// Compress values before storing (the §4.2 behaviour; off for
     /// ablation).
     pub compress_values: bool,
-    /// Largest run [`StoreCluster::put_many`] hands one node in a single
-    /// group commit; bigger batches are split. Bounds WAL latency under a
-    /// huge flush tick without giving up the per-batch fsync amortization.
-    pub put_batch_max: usize,
     /// fsync node WALs on every append (durable against power loss).
     /// Batched writes group-commit: one fsync per [`StoreCluster::put_many`]
     /// run per node, instead of one per record.
@@ -90,7 +91,6 @@ impl Default for StoreConfig {
             device: DeviceProfile::NULL,
             memtable_flush_bytes: 4 * 1024 * 1024,
             compress_values: true,
-            put_batch_max: 1024,
             wal_sync_each: false,
             compact_rewrite_mbf: false,
         }
@@ -248,7 +248,7 @@ impl StoreCluster {
         now: u64,
     ) -> Vec<StoreResult<()>> {
         let mut out: Vec<StoreResult<()>> = Vec::with_capacity(items.len());
-        for chunk in items.chunks(self.cfg.put_batch_max.max(1)) {
+        for chunk in items.chunks(PUT_BATCH_MAX) {
             out.extend(self.put_chunk(chunk, now));
         }
         out
@@ -651,8 +651,14 @@ mod tests {
 
     #[test]
     fn put_many_equals_per_cell_puts() {
-        let (_dir, batched) = cluster(Consistency::Quorum);
-        let (_dir2, percell) = cluster(Consistency::Quorum);
+        let durable = || {
+            let dir = TempDir::new("cluster").unwrap();
+            let cfg = StoreConfig { wal_sync_each: true, ..Default::default() };
+            let c = StoreCluster::open(dir.path(), cfg).unwrap();
+            (dir, c)
+        };
+        let (_dir, batched) = durable();
+        let (_dir2, percell) = durable();
         let cells: Vec<(CellKey, Vec<u8>)> =
             (0..40).map(|i| (key(&format!("k{i}")), format!("value-{i}").into_bytes())).collect();
         let items: Vec<(CellKey, &[u8], Codec, Option<u64>)> =
@@ -672,23 +678,25 @@ mod tests {
         assert_eq!(batched.stats().writes_ok, 40);
         assert!(batched.stats().write_batches >= 1);
         assert_eq!(batched.stats().node.puts, percell.stats().node.puts);
+        // Under `wal_sync_each` the run group-commits: one fsync per replica
+        // node for the whole batch, against one per replica per cell.
+        assert_eq!((batched.wal_sync_count(), percell.wal_sync_count()), (3, 3 * 40));
     }
 
     #[test]
     fn put_many_chunks_by_batch_limit_and_reports_quorum_per_cell() {
-        let dir = TempDir::new("cluster").unwrap();
-        let cfg = StoreConfig { put_batch_max: 8, ..Default::default() };
-        let c = StoreCluster::open(dir.path(), cfg).unwrap();
-        let values: Vec<Vec<u8>> = (0..20).map(|i| format!("v{i}").into_bytes()).collect();
+        let (_dir, c) = cluster(Consistency::Quorum);
+        let values: Vec<Vec<u8>> =
+            (0..2 * PUT_BATCH_MAX + 4).map(|i| format!("v{i}").into_bytes()).collect();
         let items: Vec<(CellKey, &[u8], Codec, Option<u64>)> = values
             .iter()
             .enumerate()
             .map(|(i, v)| (key(&format!("c{i}")), &v[..], Codec::Json, None))
             .collect();
         let results = c.put_many(&items, 1);
-        assert_eq!(results.len(), 20);
+        assert_eq!(results.len(), values.len());
         assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(c.stats().write_batches, 3, "20 cells at batch limit 8 = 3 chunks");
+        assert_eq!(c.stats().write_batches, 3, "two full chunks and a remainder");
         // With every node down, each cell individually reports its quorum
         // failure.
         for n in 0..c.node_count() {

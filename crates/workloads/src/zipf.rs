@@ -20,8 +20,8 @@ pub const ZIPF_STREAM: &str = "zipf_counts";
 /// key universe of `n_keys` ranks: key `k<rank>` (rank 0 hottest),
 /// value `"1"` (one unit, foldable by decimal sum), timestamps
 /// `1..=len` on [`ZIPF_STREAM`]. `s = 0` degenerates to uniform. The
-/// shared skewed input of the hot-key experiments (X23) and the
-/// combiner exactness suites — same seed, same events, everywhere.
+/// shared skewed input of e2e's `counters_skew` and the combiner
+/// exactness suites (PR 10) — same seed, same events, everywhere.
 pub fn zipf_events(n_keys: usize, s: f64, len: usize, seed: u64) -> Vec<Event> {
     let zipf = Zipf::new(n_keys, s);
     let mut rng = StdRng::seed_from_u64(seed);

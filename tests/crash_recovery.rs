@@ -364,8 +364,7 @@ fn wal_replay_reproduces_reference_counts_and_truncates_a_torn_tail() {
     // record, and the count advances.
     e2.submit(Event::new("S1", 10_000, Key::from("k-0"), "e")).unwrap();
     assert!(e2.drain(Duration::from_secs(10)));
-    let (records, _) = e2.ingest_wal_stats().unwrap();
-    assert_eq!(records, (KEYS * PER_KEY + 1) as u64);
+    assert_eq!(e2.ingest_wal().unwrap().written, (KEYS * PER_KEY + 1) as u64);
     assert_eq!(
         e2.read_slate("counter", &Key::from("k-0")).as_deref(),
         Some((PER_KEY + 1).to_string().as_bytes())
@@ -447,11 +446,13 @@ fn a_frame_is_applied_while_its_fsync_runs_and_acked_only_after_it() {
     assert!(wait_until(Duration::from_secs(10), || engine.stats().processed == 64));
     assert!(all_keys_count_eight(&engine));
     assert!(!submitter.is_finished(), "no ack before the fsync returns");
-    assert_eq!(engine.ingest_wal_watermarks(), Some((64, 0, false)));
+    let view = engine.ingest_wal().unwrap();
+    assert_eq!((view.written, view.durable, view.failed), (64, 0, false));
 
     gate.send(()).unwrap();
     submitter.join().unwrap().expect("acked once durable");
-    assert_eq!(engine.ingest_wal_watermarks(), Some((64, 64, false)));
+    let view = engine.ingest_wal().unwrap();
+    assert_eq!((view.written, view.durable, view.failed), (64, 64, false));
     shutdown(engine);
 }
 
@@ -480,7 +481,8 @@ fn a_failed_fsync_stops_ingest_keeps_the_store_behind_the_log_and_a_restart_repl
     let refused = engine.submit(Event::new("S1", 99, Key::from("k-0"), "e")).unwrap_err();
     assert!(matches!(refused, Error::IngestLog(_)), "{refused}");
     assert_eq!(engine.stats().submitted, 64);
-    assert_eq!(engine.ingest_wal_watermarks(), Some((64, 0, true)));
+    let view = engine.ingest_wal().unwrap();
+    assert_eq!((view.written, view.durable, view.failed), (64, 0, true));
     let server = HttpSlateServer::serve(Arc::clone(&engine) as _).unwrap();
     let (code, _) = http("POST", server.port(), "/submit/S1/k-0", b"e").unwrap();
     assert_eq!(code, 503);

@@ -127,7 +127,7 @@ fn tiny_cache_counts_at_rest(events: &[Event], kind: EngineKind) -> BTreeMap<Str
     assert!(engine.drain(Duration::from_secs(60)), "engine must drain");
     let now = engine.now_us();
     let stats = engine.shutdown();
-    assert!(stats.cache.evictions > 100, "the cache was under pressure: {:?}", stats.cache);
+    assert!(stats.cache.evictions > 0 && stats.cache.store_loads > 0, "{:?}", stats.cache);
     assert_eq!((stats.dirty_slates, stats.cache.evict_backlog), (0, 0), "shutdown is a barrier");
     assert_eq!(stats.dropped_overflow + stats.lost_machine_failure + stats.lost_in_queues, 0);
     store

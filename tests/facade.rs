@@ -5,7 +5,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use muppet::prelude::*;
-use muppet::runtime::engine::consistency_of;
 use muppet::runtime::http::{http_get, percent_encode};
 use muppet::slatestore::util::TempDir;
 
@@ -31,6 +30,16 @@ const CONFIG: &str = r#"
     }
 }
 "#;
+
+/// Map the config file's consistency onto the store's enum.
+fn consistency_of(spec: muppet::core::config::ConsistencySpec) -> Consistency {
+    use muppet::core::config::ConsistencySpec as Spec;
+    match spec {
+        Spec::One => Consistency::One,
+        Spec::Quorum => Consistency::Quorum,
+        Spec::All => Consistency::All,
+    }
+}
 
 fn operators() -> OperatorSet {
     OperatorSet::new()

@@ -75,10 +75,16 @@ fn combine_on_matches_per_event_totals_exactly() {
     assert_eq!(got, expected, "folded delivery must be exact");
     assert_eq!(stats.dropped_overflow, 0);
     assert_eq!(stats.lost_machine_failure + stats.lost_in_queues, 0);
+    // One `submit_many` queues the burst faster than the workers drain it,
+    // so drains are deep: the folds (over all keys) ran 1.4–2.3× the head
+    // key's events when this floor of 0.9× was set.
     assert!(
-        stats.combined_events > 0,
-        "a skewed burst through full queues must fold at least once"
+        stats.combined_events * 10 >= expected["k0"] * 9,
+        "a skewed burst through full queues must fold: {} of {}",
+        stats.combined_events,
+        expected["k0"]
     );
+    assert_eq!(stats.processed + stats.combined_events, 8000, "an update or a fold per event");
     assert_eq!(stats.split_keys_active, 0, "threshold 0 never splits");
 }
 
@@ -180,6 +186,7 @@ fn combine_off_is_unchanged_and_exact() {
     let stats = engine.shutdown();
     assert_eq!(got, expected);
     assert_eq!(stats.combined_events, 0, "no folding unless configured");
+    assert_eq!(stats.processed, 4000, "one update per event");
     assert_eq!(stats.split_keys_active, 0);
     assert_eq!(stats.split_merge_reads, 0);
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use muppet::obs::parse_exposition;
+use muppet::obs::{parse_exposition, ParsedSample};
 use muppet::prelude::*;
 use muppet::runtime::http::http_get;
 
@@ -46,6 +46,15 @@ fn feed(engine: &Engine, n: u64) {
     assert!(engine.drain(Duration::from_secs(30)));
 }
 
+/// Spans recorded for `stage`, summed over its label sets.
+fn stage_spans(samples: &[ParsedSample], stage: &str) -> f64 {
+    samples
+        .iter()
+        .filter(|s| s.name == "muppet_stage_latency_us_count" && s.label("stage") == Some(stage))
+        .map(|s| s.value)
+        .sum()
+}
+
 #[test]
 fn metrics_endpoint_round_trips_every_engine_counter() {
     let engine = start(true, 1);
@@ -78,15 +87,7 @@ fn metrics_endpoint_round_trips_every_engine_counter() {
 
     // Stage histograms: all five stages appear, and with 1-in-1 sampling
     // the service stage saw every processed event.
-    let stage_count = |stage: &str| -> f64 {
-        samples
-            .iter()
-            .filter(|s| {
-                s.name == "muppet_stage_latency_us_count" && s.label("stage") == Some(stage)
-            })
-            .map(|s| s.value)
-            .sum()
-    };
+    let stage_count = |stage: &str| stage_spans(&samples, stage);
     for stage in ["ingest", "queue_wait", "service", "fanout", "flush"] {
         assert!(
             samples.iter().any(|s| s.name.starts_with("muppet_stage_latency_us")
@@ -107,6 +108,7 @@ fn metrics_endpoint_round_trips_every_engine_counter() {
     assert_eq!(hottest.label("key"), Some("walmart"));
     assert_eq!(hottest.label("op"), Some("tally"));
     assert!(hottest.value >= 300.0, "~3/4 of 400 events hit the hot key: {}", hottest.value);
+    assert!(engine.hot_keys(5).iter().any(|(_, key, ..)| key.as_bytes() == b"walmart"));
 }
 
 #[test]
@@ -126,8 +128,10 @@ fn status_carries_identity_fields_and_agrees_with_metrics() {
         Some(muppet::net::frame::PROTOCOL_VERSION)
     );
     // The in-process transport hosts every machine, so there is no single
-    // local machine id — the field is present but null.
+    // local machine id — the field is present but null. So are the ingest
+    // WAL's on an engine that was given none.
     assert!(status.get("machine_id").is_some());
+    assert_eq!(status.get("ingest_wal_written"), Some(&Json::Null));
 
     // /metrics and /status are views of the same registry state.
     let (_, body) = http_get(&format!("{}/metrics", server.base_url())).unwrap();
@@ -137,6 +141,10 @@ fn status_carries_identity_fields_and_agrees_with_metrics() {
     assert_eq!(submitted, Some(100.0));
     let epoch = samples.iter().find(|s| s.name == "muppet_epoch").map(|s| s.value);
     assert_eq!(epoch, Some(0.0));
+    // 1-in-64 sampling times some service spans but fewer than one per
+    // event (1-in-1, above, times every one).
+    let spans = stage_spans(&samples, "service");
+    assert!(spans > 0.0 && spans < 100.0, "{spans} service spans for 100 events");
 }
 
 #[test]

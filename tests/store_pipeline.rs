@@ -98,6 +98,7 @@ fn per_slate_and_batched_tcp_flushes_leave_identical_store_contents() {
         let (store, _host, _client, _listener, cache) = remote_cache_pair(batch);
         dirty_n(&cache, 0, 64);
         assert_eq!(cache.flush_dirty(500), 64);
+        assert_eq!(store.batch_sizes.lock().len(), 64 / batch, "one frame per flush batch");
         let contents = store.data.lock().clone();
         contents
     };
