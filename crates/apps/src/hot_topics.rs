@@ -16,8 +16,9 @@
 //!   paper, Example 5). When `count / avg_count` exceeds the threshold it
 //!   publishes the key to S4, at most once per day.
 
+use bytes::Bytes;
 use muppet_core::event::{Event, Key};
-use muppet_core::json::Json;
+use muppet_core::json::{self, Field, Json};
 use muppet_core::operator::{Emitter, Mapper, Updater};
 use muppet_core::slate::Slate;
 use muppet_core::time::{day_index, minute_of_day};
@@ -77,17 +78,20 @@ impl Mapper for TopicMapper {
     }
 
     fn map(&self, ctx: &mut dyn Emitter, event: &Event) {
-        let Ok(v) = Json::from_payload(&event.value) else { return };
-        let Some(topics) = v.get("topics").and_then(Json::as_arr) else { return };
+        let Ok([Some(Field::Arr(topics))]) = json::scan(&event.value, ["topics"]) else { return };
         let m = minute_of_day(event.ts);
-        for topic in topics {
+        // Carry the event ts in the payload so downstream slates can
+        // detect day rollover.
+        let payload = Bytes::from(Json::obj([("ts", Json::num(event.ts as f64))]).to_compact());
+        topics.items(|topic| {
             if let Some(topic) = topic.as_str() {
-                // Carry the event ts in the payload so downstream slates
-                // can detect day rollover.
-                let payload = Json::obj([("ts", Json::num(event.ts as f64))]).to_compact();
-                ctx.publish(TOPIC_MINUTE_STREAM, topic_minute_key(topic, m), payload.into_bytes());
+                ctx.publish_shared(
+                    TOPIC_MINUTE_STREAM,
+                    topic_minute_key(topic, m),
+                    payload.clone(),
+                );
             }
-        }
+        });
     }
 }
 
@@ -115,10 +119,8 @@ impl Updater for MinuteCounter {
     }
 
     fn update(&self, ctx: &mut dyn Emitter, event: &Event, slate: &mut Slate) {
-        let ts = Json::from_payload(&event.value)
-            .ok()
-            .and_then(|v| v.get("ts").and_then(Json::as_u64))
-            .unwrap_or(event.ts);
+        let ts =
+            json::scan(&event.value, ["ts"]).ok().and_then(|[ts]| ts?.as_u64()).unwrap_or(event.ts);
         let day = day_index(ts);
         // Resident slate: parsed once per cache fault, mutated in place,
         // serialized only at byte boundaries (flush/handoff/HTTP).
@@ -161,12 +163,9 @@ impl Updater for HotDetector {
     }
 
     fn update(&self, ctx: &mut dyn Emitter, event: &Event, slate: &mut Slate) {
-        let v = match Json::from_payload(&event.value) {
-            Ok(v) => v,
-            Err(_) => return,
-        };
-        let count = v.get("count").and_then(Json::as_u64).unwrap_or(0);
-        let ts = v.get("ts").and_then(Json::as_u64).unwrap_or(event.ts);
+        let Ok([count, ts]) = json::scan(&event.value, ["count", "ts"]) else { return };
+        let count = count.as_ref().and_then(Field::as_u64).unwrap_or(0);
+        let ts = ts.as_ref().and_then(Field::as_u64).unwrap_or(event.ts);
         let day = day_index(ts);
 
         // Slate: Example 5's two summaries (total_count, days) plus the

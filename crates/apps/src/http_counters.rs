@@ -8,7 +8,7 @@
 //! queried live over the §4.4 HTTP interface.
 
 use muppet_core::event::Event;
-use muppet_core::json::Json;
+use muppet_core::json::{self, Field, Json};
 use muppet_core::operator::{Emitter, Updater};
 use muppet_core::slate::Slate;
 use muppet_core::workflow::Workflow;
@@ -69,9 +69,9 @@ impl Updater for SectionCounter {
     }
 
     fn update(&self, _ctx: &mut dyn Emitter, event: &Event, slate: &mut Slate) {
-        let Ok(req) = Json::from_payload(&event.value) else { return };
-        let status = req.get("status").and_then(Json::as_u64).unwrap_or(200);
-        let bytes = req.get("bytes").and_then(Json::as_u64).unwrap_or(0);
+        let Ok([status, bytes]) = json::scan(&event.value, ["status", "bytes"]) else { return };
+        let status = status.as_ref().and_then(Field::as_u64).unwrap_or(200);
+        let bytes = bytes.as_ref().and_then(Field::as_u64).unwrap_or(0);
         let class = match status {
             200..=299 => "2xx",
             300..=399 => "3xx",

@@ -13,7 +13,8 @@
 //!
 //! Every module exposes its `workflow()` plus operator constructors, usable
 //! with both the deterministic [`muppet_core::reference::ReferenceExecutor`]
-//! and the `muppet-runtime` engines.
+//! and the `muppet-runtime` engines. Operators read event values with
+//! [`muppet_core::json::scan`]: DESIGN.md §8 "Operators read fields".
 
 pub mod hot_topics;
 pub mod http_counters;

@@ -13,8 +13,9 @@
 //! impossible in MapUpdate — exactly why the paper keeps per-key slates —
 //! so the weight is carried in the event instead.)
 
+use bytes::Bytes;
 use muppet_core::event::{Event, Key};
-use muppet_core::json::Json;
+use muppet_core::json::{self, Field, Json};
 use muppet_core::operator::{Emitter, Mapper, Updater};
 use muppet_core::slate::Slate;
 use muppet_core::workflow::Workflow;
@@ -62,11 +63,14 @@ impl Default for ReputationMapper {
     }
 }
 
-fn delta_payload(points: i64, reason: &str) -> Vec<u8> {
-    Json::obj([("delta", Json::num(points as f64)), ("reason", Json::str(reason))])
-        .to_compact()
-        .into_bytes()
-}
+/// The three delta payloads M1 emits, as constants:
+/// `Json::obj([("delta", points), ("reason", ..)]).to_compact()` byte for
+/// byte (pinned by a test).
+pub const TWEET_DELTA: &[u8] = br#"{"delta":1,"reason":"tweet"}"#;
+/// The retweeted user's delta.
+pub const RETWEET_DELTA: &[u8] = br#"{"delta":5,"reason":"retweeted"}"#;
+/// The replied-to user's delta.
+pub const REPLY_DELTA: &[u8] = br#"{"delta":2,"reason":"replied"}"#;
 
 impl Mapper for ReputationMapper {
     fn name(&self) -> &str {
@@ -74,20 +78,19 @@ impl Mapper for ReputationMapper {
     }
 
     fn map(&self, ctx: &mut dyn Emitter, event: &Event) {
-        let Ok(v) = Json::from_payload(&event.value) else { return };
-        let Some(author) = v.get("user").and_then(Json::as_str) else { return };
+        let Ok([user, retweet_of, reply_to]) =
+            json::scan(&event.value, ["user", "retweet_of", "reply_to"])
+        else {
+            return;
+        };
+        let Some(author) = user.as_ref().and_then(Field::as_str) else { return };
         // The author's activity.
-        ctx.publish(DELTA_STREAM, Key::from(author), delta_payload(TWEET_POINTS, "tweet"));
+        ctx.publish_shared(DELTA_STREAM, Key::from(author), Bytes::from_static(TWEET_DELTA));
         // Engagement credit to the referenced user.
-        if let Some(target) = v.get("retweet_of").and_then(Json::as_str) {
-            ctx.publish(
-                DELTA_STREAM,
-                Key::from(target),
-                delta_payload(RETWEET_POINTS, "retweeted"),
-            );
-        }
-        if let Some(target) = v.get("reply_to").and_then(Json::as_str) {
-            ctx.publish(DELTA_STREAM, Key::from(target), delta_payload(REPLY_POINTS, "replied"));
+        for (target, delta) in [(retweet_of, RETWEET_DELTA), (reply_to, REPLY_DELTA)] {
+            if let Some(target) = target.as_ref().and_then(Field::as_str) {
+                ctx.publish_shared(DELTA_STREAM, Key::from(target), Bytes::from_static(delta));
+            }
         }
     }
 }
@@ -122,10 +125,8 @@ impl Updater for ReputationScorer {
     }
 
     fn update(&self, _ctx: &mut dyn Emitter, event: &Event, slate: &mut Slate) {
-        let delta = Json::from_payload(&event.value)
-            .ok()
-            .and_then(|v| v.get("delta").and_then(Json::as_i64))
-            .unwrap_or(0);
+        let delta =
+            json::scan(&event.value, ["delta"]).ok().and_then(|[d]| d?.as_i64()).unwrap_or(0);
         // Resident slate: mutate the parsed document in place; the bytes
         // materialize only at flush/read boundaries.
         let state =
@@ -217,6 +218,23 @@ mod tests {
         let mut em = VecEmitter::new();
         m.map(&mut em, &Event::new(TWEET_STREAM, 1, Key::from("x"), b"garbage".to_vec()));
         m.map(&mut em, &Event::new(TWEET_STREAM, 2, Key::from("x"), b"{}".to_vec()));
+        // A valid tweet followed by garbage: the scanner validates the
+        // whole payload, as the tree parser did.
+        let prefix = br#"{"user":"a","retweet_of":"b"}garbage"#.to_vec();
+        m.map(&mut em, &Event::new(TWEET_STREAM, 3, Key::from("x"), prefix));
         assert!(em.is_empty());
+    }
+
+    #[test]
+    fn static_deltas_match_the_tree_serializer() {
+        for (payload, points, reason) in [
+            (TWEET_DELTA, TWEET_POINTS, "tweet"),
+            (RETWEET_DELTA, RETWEET_POINTS, "retweeted"),
+            (REPLY_DELTA, REPLY_POINTS, "replied"),
+        ] {
+            let tree =
+                Json::obj([("delta", Json::num(points as f64)), ("reason", Json::str(reason))]);
+            assert_eq!(payload, tree.to_compact().as_bytes(), "{reason}");
+        }
     }
 }

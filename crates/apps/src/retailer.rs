@@ -4,8 +4,10 @@
 //! Workflow: `S1 (checkins) → M1 RetailerMapper → S2 → U1 Counter`.
 //! The output of the application is the set of slates maintained by U1.
 
+use std::borrow::Cow;
+
 use muppet_core::event::{Event, Key};
-use muppet_core::json::Json;
+use muppet_core::json::{self, Field};
 use muppet_core::operator::{Emitter, Mapper, Updater};
 use muppet_core::slate::Slate;
 use muppet_core::workflow::Workflow;
@@ -95,10 +97,13 @@ impl RetailerMapper {
     }
 
     /// Extract the venue name from a checkin payload (the `getVenue` of
-    /// Figure 3, here a real JSON parse).
-    pub fn venue_of(event: &Event) -> Option<String> {
-        let v = Json::from_payload(&event.value).ok()?;
-        Some(v.get("venue")?.get("name")?.as_str()?.to_string())
+    /// Figure 3, here a validating field scan), borrowed from the payload.
+    pub fn venue_of(event: &Event) -> Option<Cow<'_, str>> {
+        let [venue] = json::scan(&event.value, ["venue"]).ok()?;
+        match venue?.as_obj()?.fields(["name"]) {
+            [Some(Field::Str(name))] => Some(name),
+            _ => None,
+        }
     }
 }
 
@@ -117,7 +122,7 @@ impl Mapper for RetailerMapper {
         let Some(venue) = Self::venue_of(event) else { return };
         if let Some(retailer) = match_retailer(&venue) {
             // Figure 3: submitter.publish("S_2", retailer, event).
-            ctx.publish(RETAILER_STREAM, Key::from(retailer), event.value.to_vec());
+            ctx.publish_shared(RETAILER_STREAM, Key::from(retailer), event.value.clone());
         }
     }
 }
@@ -161,6 +166,7 @@ impl Updater for Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muppet_core::json::Json;
     use muppet_core::reference::ReferenceExecutor;
     use muppet_workloads::checkins::{canonical_retailer, CheckinGenerator};
 

@@ -12,11 +12,12 @@
 //! Workflow: `S1 (checkins) → M1 splitting-mapper → S2 → U1 partial-counter
 //! → S3 → U2 total-counter`, parameterized by the split factor k.
 
+use bytes::Bytes;
 use muppet_core::sync::Mutex;
 
 use muppet_core::event::{Event, Key};
 use muppet_core::hash::FxHashMap;
-use muppet_core::json::Json;
+use muppet_core::json::{self, Json};
 use muppet_core::operator::{Emitter, Mapper, Updater};
 use muppet_core::slate::Slate;
 use muppet_core::workflow::Workflow;
@@ -98,7 +99,7 @@ impl Mapper for SplittingMapper {
                 *cursor += 1;
                 shard
             };
-            ctx.publish(SPLIT_STREAM, split_key(retailer, shard), event.value.to_vec());
+            ctx.publish_shared(SPLIT_STREAM, split_key(retailer, shard), event.value.clone());
         }
     }
 }
@@ -169,10 +170,8 @@ impl Updater for TotalCounter {
     }
 
     fn update(&self, _ctx: &mut dyn Emitter, event: &Event, slate: &mut Slate) {
-        let delta = Json::from_payload(&event.value)
-            .ok()
-            .and_then(|v| v.get("delta").and_then(Json::as_u64))
-            .unwrap_or(0);
+        let delta =
+            json::scan(&event.value, ["delta"]).ok().and_then(|[d]| d?.as_u64()).unwrap_or(0);
         slate.incr_counter(delta);
     }
 }
@@ -236,7 +235,7 @@ impl Mapper for UnitMapper {
     fn map(&self, ctx: &mut dyn Emitter, event: &Event) {
         let Some(venue) = crate::retailer::RetailerMapper::venue_of(event) else { return };
         if let Some(retailer) = match_retailer(&venue) {
-            ctx.publish(UNIT_STREAM, Key::from(retailer), b"1".to_vec());
+            ctx.publish_shared(UNIT_STREAM, Key::from(retailer), Bytes::from_static(b"1"));
         }
     }
 }

@@ -7,7 +7,7 @@
 //! [`crate::split_counter`]).
 
 use muppet_core::event::{Event, Key};
-use muppet_core::json::Json;
+use muppet_core::json::{self, Field, Json};
 use muppet_core::operator::{Emitter, Mapper, Updater};
 use muppet_core::slate::Slate;
 use muppet_core::workflow::Workflow;
@@ -61,13 +61,12 @@ impl Mapper for UrlMapper {
     }
 
     fn map(&self, ctx: &mut dyn Emitter, event: &Event) {
-        let Ok(v) = Json::from_payload(&event.value) else { return };
-        let Some(urls) = v.get("urls").and_then(Json::as_arr) else { return };
-        for url in urls {
+        let Ok([Some(Field::Arr(urls))]) = json::scan(&event.value, ["urls"]) else { return };
+        urls.items(|url| {
             if let Some(url) = url.as_str() {
                 ctx.publish(URL_STREAM, Key::from(url), Vec::new());
             }
-        }
+        });
     }
 }
 
@@ -140,9 +139,9 @@ impl Updater for TopKUpdater {
     }
 
     fn update(&self, _ctx: &mut dyn Emitter, event: &Event, slate: &mut Slate) {
-        let Ok(v) = Json::from_payload(&event.value) else { return };
+        let Ok([url, count]) = json::scan(&event.value, ["url", "count"]) else { return };
         let (Some(url), Some(count)) =
-            (v.get("url").and_then(Json::as_str), v.get("count").and_then(Json::as_u64))
+            (url.as_ref().and_then(Field::as_str), count.as_ref().and_then(Field::as_u64))
         else {
             return;
         };

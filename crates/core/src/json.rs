@@ -9,10 +9,15 @@
 //!
 //! Objects preserve insertion order — slate payloads are diffed byte-wise
 //! in tests, so serialization must be deterministic.
+//!
+//! Operators that read a few fields of an event use [`scan`] instead of
+//! the tree: DESIGN.md §8 "Operators read fields".
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::{Error, Result};
+use crate::mbf::{self, Codec};
 
 /// Maximum nesting depth the parser accepts; guards against stack overflow
 /// on adversarial inputs read back from disk.
@@ -77,15 +82,14 @@ impl Json {
         }
     }
 
-    /// Insert or replace an object field. Panics on non-objects — misuse is
-    /// a programming error, not a data error.
-    pub fn set(&mut self, key: impl Into<String>, value: Json) {
+    /// Insert or replace an object field; the key is allocated only on
+    /// insert. Panics on non-objects — misuse is a programming error, not
+    /// a data error.
+    pub fn set<K: AsRef<str> + Into<String>>(&mut self, key: K, value: Json) {
         let Json::Obj(pairs) = self else { panic!("Json::set on non-object") };
-        let key = key.into();
-        if let Some(slot) = pairs.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = value;
-        } else {
-            pairs.push((key, value));
+        match pairs.iter_mut().find(|(k, _)| k == key.as_ref()) {
+            Some(slot) => slot.1 = value,
+            None => pairs.push((key.into(), value)),
         }
     }
 
@@ -116,18 +120,12 @@ impl Json {
     /// Integer view; `None` if the number is fractional, out of range, or
     /// the value is not a number.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
-            _ => None,
-        }
+        self.as_f64().and_then(u64_of)
     }
 
     /// Signed integer view with the same representability rules.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => Some(*n as i64),
-            _ => None,
-        }
+        self.as_f64().and_then(i64_of)
     }
 
     /// Boolean view.
@@ -163,23 +161,12 @@ impl Json {
 
     /// Parse a complete JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(value)
+        Parser::new(text).whole(|p| p.value(0))
     }
 
     /// Parse from raw bytes (must be UTF-8).
     pub fn parse_bytes(bytes: &[u8]) -> Result<Json> {
-        let text = std::str::from_utf8(bytes).map_err(|e| Error::Json {
-            offset: e.valid_up_to(),
-            message: "invalid UTF-8".into(),
-        })?;
-        Json::parse(text)
+        Json::parse(utf8(bytes)?)
     }
 
     // ---------- serialization ----------
@@ -256,6 +243,153 @@ impl fmt::Display for Json {
     }
 }
 
+/// The integer views' representability rule, shared by [`Json`] and
+/// [`Field`]: integral and within ±2⁵³.
+fn u64_of(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
+}
+
+fn i64_of(n: f64) -> Option<i64> {
+    (n.fract() == 0.0 && n.abs() <= 2f64.powi(53)).then_some(n as i64)
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str> {
+    std::str::from_utf8(bytes)
+        .map_err(|e| Error::Json { offset: e.valid_up_to(), message: "invalid UTF-8".into() })
+}
+
+/// The field scanner: the first match for each of `names` among the
+/// top-level members of an event payload in either codec (sniffed like
+/// [`Json::from_payload`]), borrowed from `payload`. The same pass
+/// validates the whole payload, so it accepts exactly what `from_payload`
+/// accepts. DESIGN.md §8 "Operators read fields".
+pub fn scan<'a, const N: usize>(
+    payload: &'a [u8],
+    names: [&str; N],
+) -> Result<[Option<Field<'a>>; N]> {
+    let raw = match payload.split_first() {
+        Some((&mbf::MAGIC, value)) => Raw { codec: Codec::Mbf, bytes: value },
+        _ => Raw { codec: Codec::Json, bytes: payload },
+    };
+    raw.try_fields(names)
+}
+
+/// One value found by [`scan`], borrowed from the payload.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Field<'a> {
+    Null,
+    Bool(bool),
+    /// Decoded exactly as the tree decodes it.
+    Num(f64),
+    /// Borrowed unless JSON text escaped it.
+    Str(Cow<'a, str>),
+    Arr(Raw<'a>),
+    Obj(Raw<'a>),
+}
+
+impl<'a> Field<'a> {
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Field::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Field::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Same rule as [`Json::as_u64`].
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().and_then(u64_of)
+    }
+
+    /// Same rule as [`Json::as_i64`].
+    pub fn as_i64(&self) -> Option<i64> {
+        self.as_f64().and_then(i64_of)
+    }
+
+    pub fn as_arr(&self) -> Option<Raw<'a>> {
+        match self {
+            Field::Arr(raw) => Some(*raw),
+            _ => None,
+        }
+    }
+
+    pub fn as_obj(&self) -> Option<Raw<'a>> {
+        match self {
+            Field::Obj(raw) => Some(*raw),
+            _ => None,
+        }
+    }
+
+    /// The tree value (containers parse their sub-slice).
+    pub fn into_json(self) -> Result<Json> {
+        Ok(match self {
+            Field::Null => Json::Null,
+            Field::Bool(b) => Json::Bool(b),
+            Field::Num(n) => Json::Num(n),
+            Field::Str(s) => Json::Str(s.into_owned()),
+            Field::Arr(raw) | Field::Obj(raw) => return raw.to_json(),
+        })
+    }
+}
+
+/// A nested array or object of a scanned payload: its bytes in the
+/// payload's codec (for MBF, one tagged value). Every `Raw` handed out
+/// was validated by the walk that found it, so walking it again cannot
+/// fail.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Raw<'a> {
+    pub(crate) codec: Codec,
+    pub(crate) bytes: &'a [u8],
+}
+
+impl<'a> Raw<'a> {
+    /// [`scan`] one level down (`venue.name`): all `None` on an array.
+    pub fn fields<const N: usize>(&self, names: [&str; N]) -> [Option<Field<'a>>; N] {
+        self.try_fields(names).unwrap_or_else(|_| std::array::from_fn(|_| None))
+    }
+
+    /// Visit each element of an array (`topics[*]`), or each member value
+    /// of an object.
+    pub fn items(&self, mut item: impl FnMut(Field<'a>)) {
+        // Cannot fail: see the type's doc.
+        let _ = self.walk(|_, value| item(value));
+    }
+
+    pub fn to_json(&self) -> Result<Json> {
+        match self.codec {
+            Codec::Json => Json::parse_bytes(self.bytes),
+            Codec::Mbf => mbf::decode_value(self.bytes).map(|(value, _)| value),
+        }
+    }
+
+    fn try_fields<const N: usize>(&self, names: [&str; N]) -> Result<[Option<Field<'a>>; N]> {
+        let mut out = std::array::from_fn(|_| None);
+        self.walk(|key, value| {
+            for (slot, name) in out.iter_mut().zip(names) {
+                if slot.is_none() && key == Some(name) {
+                    *slot = Some(value.clone());
+                }
+            }
+        })?;
+        Ok(out)
+    }
+
+    /// Validate the whole value, handing each top-level member (key `None`
+    /// in arrays; none for a scalar) to `member`.
+    fn walk(&self, member: impl FnMut(Option<&str>, Field<'a>)) -> Result<()> {
+        match self.codec {
+            Codec::Json => Parser::new(utf8(self.bytes)?).whole(|p| p.walk(member)),
+            Codec::Mbf => mbf::walk(self.bytes, member),
+        }
+    }
+}
+
 fn newline_indent(out: &mut Vec<u8>, indent: Option<usize>, level: usize) {
     if let Some(width) = indent {
         out.push(b'\n');
@@ -303,12 +437,31 @@ fn write_string(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
 }
 
+/// The one JSON grammar: the tree parser ([`Parser::value`]) and the field
+/// scanner ([`Parser::field`]) share every lexical primitive, the container
+/// walk ([`Parser::members`]) and the depth limit.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser { text, bytes: text.as_bytes(), pos: 0 }
+    }
+
+    /// Run `body` over a whole document: surrounding whitespace only.
+    fn whole<T>(mut self, body: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.skip_ws();
+        let value = body(&mut self)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: impl Into<String>) -> Error {
         Error::Json { offset: self.pos, message: message.into() }
     }
@@ -321,6 +474,10 @@ impl<'a> Parser<'a> {
         let b = self.peek()?;
         self.pos += 1;
         Some(b)
+    }
+
+    fn slice(&self, start: usize, end: usize) -> Result<&'a str> {
+        self.text.get(start..end).ok_or_else(|| self.err("invalid UTF-8"))
     }
 
     fn skip_ws(&mut self) {
@@ -341,7 +498,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json> {
+    fn literal<T>(&mut self, word: &str, value: T) -> Result<T> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -351,116 +508,152 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self, depth: usize) -> Result<Json> {
+        if depth > MAX_DEPTH || !matches!(self.peek(), Some(b'[' | b'{')) {
+            return self.field(depth)?.into_json();
+        }
+        let (mut items, mut pairs) = (Vec::new(), Vec::new());
+        let obj = self.members(|p, key| {
+            let value = p.value(depth + 1)?;
+            match key {
+                Some(key) => pairs.push((key.into_owned(), value)),
+                None => items.push(value),
+            }
+            Ok(())
+        })?;
+        Ok(if obj { Json::Obj(pairs) } else { Json::Arr(items) })
+    }
+
+    /// One value without building a tree: scalars decode, strings borrow
+    /// unless escaped, and containers are validated member by member and
+    /// come back as their raw sub-slice.
+    fn field(&mut self, depth: usize) -> Result<Field<'a>> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'n') => self.literal("null", Field::Null),
+            Some(b't') => self.literal("true", Field::Bool(true)),
+            Some(b'f') => self.literal("false", Field::Bool(false)),
+            Some(b'"') => self.string().map(Field::Str),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Field::Num),
+            Some(b'[' | b'{') => {
+                let start = self.pos;
+                let obj = self.members(|p, _| p.field(depth + 1).map(drop))?;
+                let raw = Raw { codec: Codec::Json, bytes: &self.bytes[start..self.pos] };
+                Ok(if obj { Field::Obj(raw) } else { Field::Arr(raw) })
+            }
             Some(b) => Err(self.err(format!("unexpected character {:?}", b as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// [`Raw`]'s walk over JSON text.
+    fn walk(&mut self, mut member: impl FnMut(Option<&str>, Field<'a>)) -> Result<()> {
+        if !matches!(self.peek(), Some(b'[' | b'{')) {
+            return self.field(0).map(drop);
+        }
+        self.members(|p, key| {
+            let value = p.field(1)?;
+            member(key.as_deref(), value);
+            Ok(())
+        })
+        .map(drop)
+    }
+
+    /// Walk the array or object at the cursor, handing each member's key
+    /// (`None` in arrays) to `member`, which parses the value. Returns
+    /// whether it was an object.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Option<Cow<'a, str>>) -> Result<()>,
+    ) -> Result<bool> {
+        let obj = self.bump() == Some(b'{');
+        let close = if obj { b'}' } else { b']' };
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(obj);
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let key = if obj {
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                Some(key)
+            } else {
+                None
+            };
+            member(self, key)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
+                Some(b) if b == close => return Ok(obj),
                 Some(b) => {
-                    return Err(self.err(format!("expected ',' or ']', found {:?}", b as char)))
+                    return Err(self.err(format!(
+                        "expected ',' or {:?}, found {:?}",
+                        close as char, b as char
+                    )))
                 }
+                None if obj => return Err(self.err("unterminated object")),
                 None => return Err(self.err("unterminated array")),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(pairs)),
-                Some(b) => {
-                    return Err(self.err(format!("expected ',' or '}}', found {:?}", b as char)))
-                }
-                None => return Err(self.err("unterminated object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
+    /// A string, borrowed from the input unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut owned: Option<String> = None;
         loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
+            let run = self.pos;
+            // Fast path: skip a run of plain bytes at once (the input is
+            // &str, and the run stops only at ASCII markers — boundaries).
             while let Some(b) = self.peek() {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                // Input is &str, so slices on char boundaries are valid UTF-8;
-                // the loop above only stops at ASCII markers, which are
-                // boundaries.
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?,
-                );
-            }
             match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => self.escape(&mut out)?,
+                Some(b'"') => {
+                    let end = self.pos - 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(self.slice(start, end)?),
+                        Some(mut out) => {
+                            out.push_str(self.slice(run, end)?);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let plain = self.slice(run, self.pos - 1)?;
+                    let c = self.escape()?;
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(plain);
+                    out.push(c);
+                }
                 Some(_) => return Err(self.err("control character in string")),
                 None => return Err(self.err("unterminated string")),
             }
         }
     }
 
-    fn escape(&mut self, out: &mut String) -> Result<()> {
-        match self.bump() {
-            Some(b'"') => out.push('"'),
-            Some(b'\\') => out.push('\\'),
-            Some(b'/') => out.push('/'),
-            Some(b'b') => out.push('\u{08}'),
-            Some(b'f') => out.push('\u{0c}'),
-            Some(b'n') => out.push('\n'),
-            Some(b'r') => out.push('\r'),
-            Some(b't') => out.push('\t'),
+    fn escape(&mut self) -> Result<char> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
             Some(b'u') => {
                 let hi = self.hex4()?;
-                let c = if (0xd800..0xdc00).contains(&hi) {
+                if (0xd800..0xdc00).contains(&hi) {
                     // High surrogate: require a following \uXXXX low surrogate.
                     if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
                         return Err(self.err("unpaired surrogate"));
@@ -475,13 +668,11 @@ impl<'a> Parser<'a> {
                     return Err(self.err("unpaired low surrogate"));
                 } else {
                     char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
-                };
-                out.push(c);
+                }
             }
             Some(b) => return Err(self.err(format!("invalid escape \\{:?}", b as char))),
             None => return Err(self.err("unterminated escape")),
-        }
-        Ok(())
+        })
     }
 
     fn hex4(&mut self) -> Result<u32> {
@@ -494,7 +685,7 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<Json> {
+    fn number(&mut self) -> Result<f64> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -530,8 +721,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err("number out of range"))
+        self.slice(start, self.pos)?.parse::<f64>().map_err(|_| self.err("number out of range"))
     }
 }
 
@@ -685,6 +875,33 @@ mod tests {
         let mut prefixed = b"x".to_vec();
         v.write_into(&mut prefixed);
         assert_eq!(&prefixed[1..], buf.as_slice());
+    }
+
+    #[test]
+    fn scan_borrows_first_matches_in_either_codec() {
+        let text = r#"{"id":7,"\u0075ser":"a","user":"b","text":"x\ny","venue":{"name":"Target"},"topics":["t1",2]}"#;
+        let mbf = Json::parse(text).unwrap().to_mbf().unwrap();
+        for payload in [text.as_bytes(), &mbf] {
+            let [user, text, id, venue, topics, missing] =
+                scan(payload, ["user", "text", "id", "venue", "topics", "nope"]).unwrap();
+            // An escaped key matches; the first of two duplicates wins.
+            assert!(matches!(user, Some(Field::Str(Cow::Borrowed("a")))));
+            assert_eq!(text.unwrap().as_str(), Some("x\ny"));
+            assert_eq!(id.unwrap().as_u64(), Some(7));
+            assert!(missing.is_none());
+            let [name] = venue.unwrap().as_obj().unwrap().fields(["name"]);
+            assert!(matches!(name, Some(Field::Str(Cow::Borrowed("Target")))));
+            let mut items = Vec::new();
+            topics.unwrap().as_arr().unwrap().items(|item| items.push(item));
+            assert_eq!(items, [Field::Str(Cow::Borrowed("t1")), Field::Num(2.0)]);
+        }
+        // Only escaped strings allocate.
+        let [text] = scan(text.as_bytes(), ["text"]).unwrap();
+        assert!(matches!(text, Some(Field::Str(Cow::Owned(_)))));
+        // The whole payload is validated, as `from_payload` does.
+        assert!(scan(br#"{"user":"a"}garbage"#, ["user"]).is_err());
+        assert!(scan(br#"{"user":"a","x":[1,}"#, ["user"]).is_err());
+        assert_eq!(scan(b"[1,2]", ["user"]).unwrap(), [None]);
     }
 
     #[test]

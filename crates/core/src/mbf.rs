@@ -37,12 +37,17 @@
 //!   `from_mbf(to_mbf(v)) == parse(serialize(v))` for every value.
 //! * **Hardened decode.** Bounds-checked everywhere, depth-capped at
 //!   [`json::MAX_DEPTH`], string lengths capped at [`MAX_STR_LEN`],
-//!   container preallocation capped by the remaining buffer — truncated or
+//!   container counts checked against the remaining buffer — truncated or
 //!   corrupt input returns an error, never panics, never over-allocates.
+//!
+//! [`crate::json::scan`] reads fields of MBF payloads without decoding a
+//! tree: DESIGN.md §8 "Operators read fields".
+
+use std::borrow::Cow;
 
 use crate::codec::{get_varint, put_varint};
 use crate::error::{Error, Result};
-use crate::json::{self, Json};
+use crate::json::{self, Field, Json, Raw};
 
 /// First byte of every MBF payload. High bit set: no JSON text, counter
 /// text, or other UTF-8/ASCII payload in this codebase begins with it.
@@ -281,25 +286,44 @@ pub fn decode_value(buf: &[u8]) -> Result<(Json, usize)> {
 }
 
 fn decode_at(buf: &[u8], base: usize, depth: usize) -> Result<(Json, usize)> {
+    let obj = match buf.first() {
+        Some(&TAG_ARR) if depth <= json::MAX_DEPTH => false,
+        Some(&TAG_OBJ) if depth <= json::MAX_DEPTH => true,
+        _ => {
+            let (field, n) = field_at(buf, base, depth)?;
+            return Ok((field.into_json()?, n));
+        }
+    };
+    let (mut items, mut pairs) = (Vec::new(), Vec::new());
+    let n = members(&buf[1..], base + 1, obj, |key, at| {
+        let (value, n) = decode_at(&buf[1 + at..], base + 1 + at, depth + 1)?;
+        match key {
+            Some(key) => pairs.push((key.to_owned(), value)),
+            None => items.push(value),
+        }
+        Ok(n)
+    })?;
+    Ok((if obj { Json::Obj(pairs) } else { Json::Arr(items) }, 1 + n))
+}
+
+/// The scanner's side of [`decode_at`] (which defers every scalar to it):
+/// one value, borrowed — strings borrow, and arrays and objects are
+/// validated member by member and come back as their raw sub-slice.
+fn field_at(buf: &[u8], base: usize, depth: usize) -> Result<(Field<'_>, usize)> {
     if depth > json::MAX_DEPTH {
         return Err(decode_err(base, format!("nesting deeper than {}", json::MAX_DEPTH)));
     }
     let (&tag, rest) =
         buf.split_first().ok_or_else(|| decode_err(base, "truncated: missing tag"))?;
     let mut at = 1;
-    let value = match tag {
-        TAG_NULL => Json::Null,
-        TAG_FALSE => Json::Bool(false),
-        TAG_TRUE => Json::Bool(true),
-        TAG_INT_POS => {
+    let field = match tag {
+        TAG_NULL => Field::Null,
+        TAG_FALSE => Field::Bool(false),
+        TAG_TRUE => Field::Bool(true),
+        TAG_INT_POS | TAG_INT_NEG => {
             let (v, n) = get_varint(rest).ok_or_else(|| decode_err(base + at, "bad integer"))?;
             at += n;
-            Json::Num(v as f64)
-        }
-        TAG_INT_NEG => {
-            let (v, n) = get_varint(rest).ok_or_else(|| decode_err(base + at, "bad integer"))?;
-            at += n;
-            Json::Num(-(v as f64))
+            Field::Num(if tag == TAG_INT_POS { v as f64 } else { -(v as f64) })
         }
         TAG_F64 => {
             let bytes: [u8; 8] = rest
@@ -307,67 +331,96 @@ fn decode_at(buf: &[u8], base: usize, depth: usize) -> Result<(Json, usize)> {
                 .and_then(|s| s.try_into().ok())
                 .ok_or_else(|| decode_err(base + at, "truncated f64"))?;
             at += 8;
-            Json::Num(f64::from_le_bytes(bytes))
+            Field::Num(f64::from_le_bytes(bytes))
         }
         TAG_STR => {
-            let (s, n) = decode_str(rest, base + at)?;
+            let (s, n) = str_at(rest, base + at)?;
             at += n;
-            Json::Str(s)
+            Field::Str(Cow::Borrowed(s))
         }
-        TAG_ARR => {
-            let (count, n) =
-                get_varint(rest).ok_or_else(|| decode_err(base + at, "bad array count"))?;
-            at += n;
-            // Each element is at least one tag byte: a count beyond the
-            // remaining buffer is corrupt, and capping the preallocation
-            // by it keeps a forged count from allocating gigabytes.
-            let remaining = buf.len() - at;
-            if count as usize > remaining {
-                return Err(decode_err(base + at, "array count exceeds buffer"));
+        TAG_ARR | TAG_OBJ => {
+            at += members(rest, base + at, tag == TAG_OBJ, |_, i| {
+                Ok(field_at(&rest[i..], base + 1 + i, depth + 1)?.1)
+            })?;
+            let raw = Raw { codec: Codec::Mbf, bytes: &buf[..at] };
+            if tag == TAG_OBJ {
+                Field::Obj(raw)
+            } else {
+                Field::Arr(raw)
             }
-            let mut items = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let (item, n) = decode_at(&buf[at..], base + at, depth + 1)?;
-                at += n;
-                items.push(item);
-            }
-            Json::Arr(items)
         }
-        TAG_OBJ => {
-            let (count, n) =
-                get_varint(rest).ok_or_else(|| decode_err(base + at, "bad object count"))?;
-            at += n;
-            let remaining = buf.len() - at;
-            if count as usize > remaining {
-                return Err(decode_err(base + at, "object count exceeds buffer"));
-            }
-            let mut pairs = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let (key, n) = decode_str(&buf[at..], base + at)?;
-                at += n;
-                let (item, n) = decode_at(&buf[at..], base + at, depth + 1)?;
-                at += n;
-                pairs.push((key, item));
-            }
-            Json::Obj(pairs)
-        }
-        TAG_FIXINT_MIN..=TAG_FIXINT_MAX => Json::Num((tag - TAG_FIXINT_MIN) as f64),
+        TAG_FIXINT_MIN..=TAG_FIXINT_MAX => Field::Num((tag - TAG_FIXINT_MIN) as f64),
         TAG_FIXSTR_MIN..=TAG_FIXSTR_MAX => {
             let len = (tag & 0x1F) as usize;
             let bytes = rest.get(..len).ok_or_else(|| decode_err(base + at, "truncated string"))?;
             let s = std::str::from_utf8(bytes)
                 .map_err(|_| decode_err(base + at, "string is not UTF-8"))?;
             at += len;
-            Json::Str(s.to_owned())
+            Field::Str(Cow::Borrowed(s))
         }
         other => return Err(decode_err(base, format!("unknown tag 0x{other:02x}"))),
     };
-    Ok((value, at))
+    Ok((field, at))
 }
 
-/// Decode a varint-length-prefixed UTF-8 string (shared by string values
-/// and object keys). The tag byte, if any, has already been consumed.
-fn decode_str(buf: &[u8], base: usize) -> Result<(String, usize)> {
+/// `Raw`'s walk over one MBF value: each top-level member of an array or
+/// object goes to `member` (key `None` in arrays), and the value must fill
+/// `buf` exactly.
+pub(crate) fn walk<'a>(
+    buf: &'a [u8],
+    mut member: impl FnMut(Option<&str>, Field<'a>),
+) -> Result<()> {
+    let n = match buf.split_first() {
+        Some((&tag @ (TAG_ARR | TAG_OBJ), rest)) => {
+            1 + members(rest, 1, tag == TAG_OBJ, |key, at| {
+                let (value, n) = field_at(&rest[at..], 1 + at, 1)?;
+                member(key, value);
+                Ok(n)
+            })?
+        }
+        _ => field_at(buf, 0, 0)?.1,
+    };
+    if n != buf.len() {
+        return Err(decode_err(n, "trailing bytes after value"));
+    }
+    Ok(())
+}
+
+/// The container walk under both [`decode_at`] and [`field_at`]: reads the
+/// count of the array or object whose tag precedes `rest`, and hands each
+/// member's key (`None` in arrays) and offset in `rest` to `member`, which
+/// consumes the value and returns its length. Returns the bytes of `rest`
+/// consumed.
+fn members<'a>(
+    rest: &'a [u8],
+    base: usize,
+    obj: bool,
+    mut member: impl FnMut(Option<&'a str>, usize) -> Result<usize>,
+) -> Result<usize> {
+    let (count, mut at) =
+        get_varint(rest).ok_or_else(|| decode_err(base, "bad container count"))?;
+    // Each member is at least one tag byte: a count beyond the remaining
+    // buffer is corrupt, and rejecting it up front keeps a forged count
+    // from driving the loop.
+    if count > (rest.len() - at) as u64 {
+        return Err(decode_err(base + at, "container count exceeds buffer"));
+    }
+    for _ in 0..count {
+        let key = if obj {
+            let (key, n) = str_at(&rest[at..], base + at)?;
+            at += n;
+            Some(key)
+        } else {
+            None
+        };
+        at += member(key, at)?;
+    }
+    Ok(at)
+}
+
+/// A varint-length-prefixed UTF-8 string (string values and object keys),
+/// borrowed. The tag byte, if any, has already been consumed.
+fn str_at(buf: &[u8], base: usize) -> Result<(&str, usize)> {
     let (len, n) = get_varint(buf).ok_or_else(|| decode_err(base, "bad string length"))?;
     if len > MAX_STR_LEN as u64 {
         return Err(decode_err(
@@ -378,9 +431,7 @@ fn decode_str(buf: &[u8], base: usize) -> Result<(String, usize)> {
     let len = len as usize;
     let end = n.checked_add(len).ok_or_else(|| decode_err(base, "string length overflow"))?;
     let bytes = buf.get(n..end).ok_or_else(|| decode_err(base, "truncated string"))?;
-    let s = std::str::from_utf8(bytes)
-        .map_err(|_| decode_err(base + n, "string is not UTF-8"))?
-        .to_owned();
+    let s = std::str::from_utf8(bytes).map_err(|_| decode_err(base + n, "string is not UTF-8"))?;
     Ok((s, end))
 }
 

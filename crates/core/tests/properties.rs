@@ -2,7 +2,7 @@
 
 use muppet_core::codec;
 use muppet_core::event::{Event, Key};
-use muppet_core::json::Json;
+use muppet_core::json::{self, Field, Json};
 use muppet_core::operator::{Emitter, FnMapper, FnUpdater};
 use muppet_core::reference::ReferenceExecutor;
 use muppet_core::slate::Slate;
@@ -192,6 +192,146 @@ proptest! {
     #[test]
     fn mbf_encoding_is_deterministic(v in arb_json(4)) {
         prop_assert_eq!(v.to_mbf().unwrap(), v.to_mbf().unwrap());
+    }
+}
+
+// ---------- field scanner ----------
+
+/// The scanner's contract against the tree: the same accept set, and for
+/// each requested name the first match `Json::get` finds — nested objects
+/// and arrays re-scanned member by member.
+fn assert_scan_agrees<const N: usize>(payload: &[u8], names: [&str; N]) {
+    let tree = Json::from_payload(payload);
+    let scanned = json::scan(payload, names);
+    assert_eq!(tree.is_ok(), scanned.is_ok(), "accept sets differ on {payload:?}");
+    if let (Ok(tree), Ok(fields)) = (tree, scanned) {
+        for (name, field) in names.iter().zip(fields) {
+            assert_field_eq(tree.get(name), field);
+        }
+    }
+}
+
+fn assert_field_eq(want: Option<&Json>, got: Option<Field<'_>>) {
+    let (want, got) = match (want, got) {
+        (None, None) => return,
+        (Some(want), Some(got)) => (want, got),
+        (want, got) => panic!("presence differs: {want:?} vs {got:?}"),
+    };
+    assert_eq!((got.as_u64(), got.as_i64()), (want.as_u64(), want.as_i64()), "number rule");
+    if let Some(raw) = got.as_obj() {
+        for (key, _) in want.as_obj().unwrap() {
+            let [member] = raw.fields([key.as_str()]);
+            assert_field_eq(want.get(key), member);
+        }
+    }
+    if let Some(raw) = got.as_arr() {
+        let mut items = Vec::new();
+        raw.items(|item| items.push(item));
+        assert_eq!(items.len(), want.as_arr().unwrap().len());
+        for (want, got) in want.as_arr().unwrap().iter().zip(items) {
+            assert_field_eq(Some(want), Some(got));
+        }
+    }
+    // Debug, not `==`: a flipped MBF f64 can be NaN on both sides.
+    assert_eq!(format!("{:?}", got.into_json().unwrap()), format!("{want:?}"));
+}
+
+/// What the apps scan and store: a tweet (and one with escapes, an
+/// escaped key among them), a checkin, a web request, the payloads between
+/// operators, and one slate of each app.
+const CORPUS: &[&str] = &[
+    r#"{"id":41,"user":"user-7","text":"synthetic tweet #41 about music #music","topics":["music"],"retweet_of":"user-2","urls":["http://example.com/page3"]}"#,
+    r#"{"id":42,"\u0075ser":"user-8","text":"a \"quoted\" caf\u00e9 \ud83d\ude00","topics":[],"reply_to":"user-1","user":"second"}"#,
+    r#"{"id":48213,"user":"user-417","venue":{"name":"Walmart Supercenter","lat":37.31415926535,"lng":-122.27182818284}}"#,
+    r#"{"path":"/news/item-12","section":"news","status":404,"bytes":5120}"#,
+    r#"{"delta":5,"reason":"retweeted"}"#,
+    r#"{"ts":1700000000000}"#,
+    r#"{"count":17,"ts":1700000000000}"#,
+    r#"{"url":"http://example.com/page3","count":12}"#,
+    r#"{"score":9,"events":4}"#,
+    "17",
+    r#"{"count":17,"day":15170}"#,
+    r#"{"total_count":412,"days":3,"last_day":15170,"today_count":17,"emitted_day":null}"#,
+    r#"{"k":10,"top":[{"url":"http://example.com/page3","count":12},{"url":"http://example.com/page9","count":7}]}"#,
+    r#"{"count":6,"status":{"2xx":2,"3xx":1,"4xx":1,"5xx":2},"bytes":60}"#,
+    r#"{"count":41,"unreported":3}"#,
+];
+
+/// Every name an app operator reads, plus the slates' containers.
+const NAMES: [&str; 14] = [
+    "user",
+    "retweet_of",
+    "reply_to",
+    "topics",
+    "urls",
+    "venue",
+    "status",
+    "bytes",
+    "delta",
+    "ts",
+    "count",
+    "url",
+    "top",
+    "emitted_day",
+];
+
+#[test]
+fn scanner_and_tree_agree_on_every_cut_and_bit_flip_of_the_corpus() {
+    for text in CORPUS {
+        let mbf = Json::parse(text).unwrap().to_mbf().unwrap();
+        for doc in [text.as_bytes(), &mbf] {
+            for cut in 0..=doc.len() {
+                assert_scan_agrees(&doc[..cut], NAMES);
+            }
+            for bit in 0..doc.len() * 8 {
+                let mut flipped = doc.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_scan_agrees(&flipped, NAMES);
+            }
+        }
+    }
+}
+
+/// Keys from a two-letter alphabet plus `"` (which JSON text escapes):
+/// duplicates are common, and the first must win.
+const KEY: &str = "[ab\"]{1,2}";
+
+/// Numbers at the 2⁵³ boundary, where the integer views turn.
+fn arb_boundary() -> impl Strategy<Value = Json> {
+    (-2i64..=2, any::<bool>()).prop_map(|(d, neg)| {
+        let n = 2f64.powi(53) + d as f64;
+        Json::Num(if neg { -n } else { n })
+    })
+}
+
+/// A key as JSON text, optionally spelled entirely in `\u` escapes.
+fn key_text(key: &str, escaped: bool) -> String {
+    if escaped {
+        format!("\"{}\"", key.encode_utf16().map(|u| format!("\\u{u:04x}")).collect::<String>())
+    } else {
+        Json::str(key).to_compact()
+    }
+}
+
+proptest! {
+    #[test]
+    fn scanner_and_tree_agree_on_arbitrary_documents(
+        members in proptest::collection::vec(
+            (KEY, prop_oneof![arb_json(2), arb_boundary()], any::<bool>()), 0..6),
+        names in (KEY, KEY, KEY),
+        root in arb_json(3),
+    ) {
+        let text: Vec<String> =
+            members.iter().map(|(k, v, esc)| format!("{}:{}", key_text(k, *esc), v.to_compact())).collect();
+        let doc = Json::Obj(members.into_iter().map(|(k, v, _)| (k, v)).collect());
+        for payload in [
+            format!("{{{}}}", text.join(",")).into_bytes(),
+            doc.to_mbf().unwrap(),
+            root.to_compact().into_bytes(),
+            root.to_mbf().unwrap(),
+        ] {
+            assert_scan_agrees(&payload, [names.0.as_str(), names.1.as_str(), names.2.as_str()]);
+        }
     }
 }
 

@@ -758,6 +758,11 @@ struct SplitTracker {
     /// Sampled-probe counter for the hot detector (one sketch estimate
     /// per `SPLIT_PROBE_EVERY` update events).
     probe: AtomicU64,
+    /// Collapsed pairs' sketch estimates at collapse, as read by the first
+    /// over-threshold probe after it (`None` until then). The sketch count
+    /// is cumulative, so a pair re-splits only on heat gained since. At
+    /// most [`HOT_KEY_CAPACITY`] entries.
+    floors: Mutex<HashMap<(OpId, Key), Option<u64>>>,
 }
 
 /// Per-split-key routing state.
@@ -918,10 +923,17 @@ impl Shared {
         {
             let windowed = entry.hits.swap(0, Ordering::AcqRel);
             if windowed < self.cfg.hot_split_threshold / 2 {
-                let mut map = self.splits.map.write();
-                if map.remove(&(op, key.clone())).is_some() {
+                let id = (op, key.clone());
+                if self.splits.map.write().remove(&id).is_some() {
                     self.splits.active.fetch_sub(1, Ordering::AcqRel);
                 }
+                let mut floors = self.splits.floors.lock();
+                if floors.len() >= HOT_KEY_CAPACITY {
+                    if let Some(old) = floors.keys().next().cloned() {
+                        floors.remove(&old);
+                    }
+                }
+                floors.insert(id, None);
                 return None;
             }
         }
@@ -952,8 +964,17 @@ impl Shared {
         if est < self.cfg.hot_split_threshold {
             return;
         }
+        let id = (op, key.clone());
+        let floor = match self.splits.floors.lock().get_mut(&id) {
+            Some(floor) => *floor.get_or_insert(est),
+            None => 0,
+        };
+        if est.saturating_sub(floor) < self.cfg.hot_split_threshold {
+            return;
+        }
+        self.splits.floors.lock().remove(&id);
         let mut map = self.splits.map.write();
-        if let std::collections::hash_map::Entry::Vacant(v) = map.entry((op, key.clone())) {
+        if let std::collections::hash_map::Entry::Vacant(v) = map.entry(id) {
             let now = self.now_us();
             v.insert(Arc::new(SplitEntry {
                 rr: AtomicU64::new(0),
@@ -1268,6 +1289,7 @@ impl Engine {
                 map: RwLock::new(HashMap::new()),
                 active: AtomicU64::new(0),
                 probe: AtomicU64::new(0),
+                floors: Mutex::new(HashMap::new()),
             },
             cfg,
         });

@@ -143,6 +143,60 @@ fn split_cycle_fans_out_merges_on_read_and_collapses() {
     engine.shutdown();
 }
 
+/// The sketch count is cumulative: after a collapse, the burst that split
+/// the head key must not re-split it on the first trickle event a sampled
+/// probe lands on. Only heat gained since the collapse re-splits it.
+#[test]
+fn a_collapsed_split_stays_collapsed_under_trickle_and_resplits_when_hot() {
+    let events = zipf_events(50, 1.4, 12_000, 23);
+    let engine = Engine::start(
+        workflow(),
+        OperatorSet::new().updater(CombiningCounter::named(COUNTER)),
+        config(true, 200),
+        None,
+    )
+    .unwrap();
+    engine.submit_many(events.clone()).unwrap();
+    assert!(engine.drain(Duration::from_secs(60)), "engine must drain");
+    let split = engine.stats().split_keys_active;
+    assert!(split >= 1, "the Zipf head must be split after the burst");
+
+    // Roll the head key's cooling window twice so its split collapses.
+    let head = Key::from("k0");
+    let mut sent = events;
+    let mut send = |ev: Event| {
+        sent.push(ev.clone());
+        engine.submit(ev).unwrap();
+        assert!(engine.drain(Duration::from_secs(30)));
+    };
+    let mut ts = 20_000;
+    let mut next = || {
+        ts += 1;
+        Event::new(ZIPF_STREAM, ts, head.clone(), &b"1"[..])
+    };
+    for _ in 0..2 {
+        std::thread::sleep(Duration::from_millis(300));
+        send(next());
+    }
+    let collapsed = engine.stats().split_keys_active;
+    assert_eq!(collapsed, split - 1, "the cooled head key collapses");
+
+    // 128 trickle events: at least two 1-in-64 probes land on the head key.
+    for _ in 0..128 {
+        send(next());
+    }
+    assert_eq!(engine.stats().split_keys_active, collapsed, "a trickle must not re-split");
+
+    // Heat gained since the collapse does re-split it.
+    let burst: Vec<Event> = (0..2000).map(|_| next()).collect();
+    sent.extend(burst.iter().cloned());
+    engine.submit_many(burst).unwrap();
+    assert!(engine.drain(Duration::from_secs(60)));
+    assert_eq!(engine.stats().split_keys_active, split, "a re-heated key splits again");
+    assert_eq!(read_counts(&engine, &sent), expected_counts(&sent), "exact across the cycle");
+    engine.shutdown();
+}
+
 #[test]
 fn combine_and_split_survive_a_midstream_join() {
     let events = zipf_events(80, 1.3, 10_000, 31);

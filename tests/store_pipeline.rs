@@ -128,12 +128,18 @@ fn single_flight_reads_return_the_same_values_as_naive_reads() {
 
     let cache = Arc::new(cache);
     for (i, expected) in naive.iter().enumerate() {
+        // Released together, so the misses overlap even on a loaded box.
+        let start = Arc::new(std::sync::Barrier::new(8));
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 let name = Arc::clone(&name);
                 let key = Key::from(format!("key-{i}"));
-                std::thread::spawn(move || cache.get_or_load(0, &name, &key, None, 1))
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    cache.get_or_load(0, &name, &key, None, 1)
+                })
             })
             .collect();
         for t in threads {
