@@ -7,8 +7,8 @@
 //!
 //! * **[`Registry`]** — named [`Counter`]/[`Gauge`]/[`Histogram`] handles
 //!   (plain atomics, zero allocation to record) plus pull-style
-//!   *collectors* for state that already lives elsewhere (cache shard
-//!   counters, wire stats, WAL sync counts). One [`Registry::render`]
+//!   *collectors* for state that is not a count or lives elsewhere
+//!   (gauges, wire stats, WAL sync counts). One [`Registry::render`]
 //!   call produces the Prometheus text exposition.
 //! * **[`SpaceSaving`]** — the fixed-size heavy-hitters sketch behind
 //!   per-⟨op, key⟩ rate telemetry (the hot-key signal ROADMAP item 5's

@@ -6,12 +6,11 @@
 //!
 //! * **Handles** ([`Counter`], [`Gauge`], [`Histogram`]) — created
 //!   through the registry, cloned onto the hot path, recorded with one
-//!   relaxed atomic op and zero allocation. The engine's own event
-//!   counters use these.
+//!   relaxed atomic op and zero allocation. Every count the engine
+//!   records is one of these.
 //! * **Collectors** — closures run at scrape time that emit [`Sample`]s
-//!   from state that already exists elsewhere (cache shard counters,
-//!   `TcpStats`, WAL sync counts, the heavy-hitter sketches). Migrating
-//!   those onto the registry costs nothing on their hot paths.
+//!   from state that is not a count or lives in another crate (gauges,
+//!   `TcpStats`, WAL sync counts, the heavy-hitter sketches).
 //!
 //! [`Registry::render`] merges both into one exposition document;
 //! [`Registry::snapshot`] flattens the same data into ⟨name, value⟩

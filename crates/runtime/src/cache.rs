@@ -26,7 +26,7 @@
 //! in one batch, when the caller has nothing better to do.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -37,11 +37,12 @@ use muppet_core::slate::Slate;
 use muppet_core::sync::{Condvar, Mutex};
 use muppet_core::workflow::OpId;
 use muppet_core::Codec;
-use muppet_obs::{HeavyHitter, Histogram, HistogramSnapshot, Logger, Sampler, SpaceSaving};
+use muppet_obs::{Counter, HeavyHitter, Logger, Registry, Sampler, SpaceSaving};
 use muppet_slatestore::cluster::StoreCluster;
 use muppet_slatestore::types::CellKey;
 
 use crate::lru::LruMap;
+use crate::stats::CacheMetrics;
 
 /// Default cap on one batched flush call (dirty slates per
 /// `store_many`; see [`crate::engine::EngineConfig::flush_batch_max`]).
@@ -264,20 +265,7 @@ pub struct SlateSlot {
     pub state: Mutex<SlateState>,
 }
 
-/// Cache statistics (atomic; cheap to snapshot).
-#[derive(Debug, Default)]
-pub struct CacheCounters {
-    store_loads: AtomicU64,
-    evictions: AtomicU64,
-    flush_writes: AtomicU64,
-    flush_failures: AtomicU64,
-    ttl_resets: AtomicU64,
-    flush_batches: AtomicU64,
-    store_round_trips: AtomicU64,
-    miss_coalesced: AtomicU64,
-}
-
-/// Snapshot of [`CacheCounters`].
+/// A snapshot of slate-cache statistics: counters and gauges.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from memory.
@@ -317,32 +305,8 @@ pub struct CacheStats {
     pub evict_backlog: u64,
 }
 
-impl CacheStats {
-    /// Fold another cache's snapshot into this one (a machine owning
-    /// several caches reports them as one): counts and gauges add, the
-    /// flush-batch median and maximum take the worst cache.
-    pub fn absorb(&mut self, s: &CacheStats) {
-        self.hits += s.hits;
-        self.misses += s.misses;
-        self.store_loads += s.store_loads;
-        self.evictions += s.evictions;
-        self.flush_writes += s.flush_writes;
-        self.flush_failures += s.flush_failures;
-        self.ttl_resets += s.ttl_resets;
-        self.entries += s.entries;
-        self.dirty += s.dirty;
-        self.shards += s.shards;
-        self.flush_batches += s.flush_batches;
-        self.flush_batch_p50 = self.flush_batch_p50.max(s.flush_batch_p50);
-        self.flush_batch_largest = self.flush_batch_largest.max(s.flush_batch_largest);
-        self.store_round_trips += s.store_round_trips;
-        self.miss_coalesced += s.miss_coalesced;
-        self.evict_backlog += s.evict_backlog;
-    }
-}
-
 /// One lock shard: its own LRU map, its slice of the capacity budget, and
-/// its own hit/miss counters (the `/status` observability surface).
+/// its hit/miss cells.
 struct Shard {
     map: Mutex<LruMap<(OpId, Key), Arc<SlateSlot>>>,
     /// The dirty index: slots with unpersisted writes, registered on the
@@ -360,8 +324,8 @@ struct Shard {
     /// (waiting in the backlog or mid-retire). They are still resident,
     /// so victim selection subtracts them from the capacity excess.
     victims: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
 }
 
 impl Shard {
@@ -490,9 +454,7 @@ pub struct SlateCache {
     /// reader that misses another thread's increment is covered by that
     /// thread's own check.
     backlog_len: AtomicUsize,
-    counters: CacheCounters,
-    /// Distribution of flush-batch sizes (events per `store_many`).
-    flush_batch_hist: Histogram,
+    metrics: CacheMetrics,
     /// Per-shard heavy-hitter sketches over the updater event stream
     /// (⟨op, key⟩ offers from the engine's updater path, §5: "the
     /// distribution of event keys can be strongly skewed"). Empty when
@@ -502,9 +464,6 @@ pub struct SlateCache {
     /// sampling interval as its weight, keeping reported counts
     /// event-scale.
     hot_samplers: Box<[Sampler]>,
-    /// µs per backend store call on the flush path; shared with the
-    /// registry when one is attached.
-    flush_latency: Arc<Histogram>,
     /// Incident logger (flush failures, aggregated once per sweep).
     logger: Arc<Logger>,
 }
@@ -537,6 +496,20 @@ impl SlateCache {
         shards: usize,
     ) -> Self {
         let n = shards.max(1).next_power_of_two();
+        let metrics = CacheMetrics::register(&Registry::new(), n);
+        SlateCache::with_metrics(capacity, policy, backend, shards, metrics)
+    }
+
+    /// [`SlateCache::with_shards`], recording into `metrics` — which must
+    /// have a hit/miss cell per shard.
+    pub(crate) fn with_metrics(
+        capacity: usize,
+        policy: FlushPolicy,
+        backend: Arc<dyn SlateBackend>,
+        shards: usize,
+        metrics: CacheMetrics,
+    ) -> Self {
+        let n = shards.max(1).next_power_of_two();
         let capacity = capacity.max(n); // every shard holds at least one slate
         let (base, extra) = (capacity / n, capacity % n);
         let shards: Vec<Shard> = (0..n)
@@ -546,8 +519,8 @@ impl SlateCache {
                 flights: Mutex::new(HashMap::new()),
                 capacity: base + usize::from(i < extra),
                 victims: AtomicUsize::new(0),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
+                hits: metrics.shard_hits[i].clone(),
+                misses: metrics.shard_misses[i].clone(),
             })
             .collect();
         SlateCache {
@@ -559,11 +532,9 @@ impl SlateCache {
             flush_batch_max: DEFAULT_FLUSH_BATCH_MAX,
             backlog: Mutex::new(Vec::new()),
             backlog_len: AtomicUsize::new(0),
-            counters: CacheCounters::default(),
-            flush_batch_hist: Histogram::new(),
+            metrics,
             hot: Box::new([]),
             hot_samplers: Box::new([]),
-            flush_latency: Arc::new(Histogram::new()),
             logger: Logger::disabled(),
         }
     }
@@ -602,13 +573,6 @@ impl SlateCache {
     /// (tagged JSON).
     pub fn with_store_codec(mut self, codec: Codec) -> Self {
         self.store_codec = codec;
-        self
-    }
-
-    /// Record flush-path store latency into `hist` (a registry-owned
-    /// histogram, so `/metrics` exports the flush stage).
-    pub fn with_flush_latency(mut self, hist: Arc<Histogram>) -> Self {
-        self.flush_latency = hist;
         self
     }
 
@@ -664,7 +628,7 @@ impl SlateCache {
             let flight = {
                 let mut map = shard.map.lock();
                 if let Some(slot) = map.get(&(op, key.clone())) {
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
+                    shard.hits.inc();
                     let slot = Arc::clone(slot);
                     drop(map);
                     self.maybe_ttl_reset(&slot, now_us);
@@ -675,11 +639,11 @@ impl SlateCache {
                     Some(flight) => {
                         // Another miss is already loading this slate from
                         // the backend: share its flight.
-                        self.counters.miss_coalesced.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.miss_coalesced.inc();
                         Arc::clone(flight)
                     }
                     None => {
-                        shard.misses.fetch_add(1, Ordering::Relaxed);
+                        shard.misses.inc();
                         flights.insert((op, key.clone()), Arc::new(Flight::default()));
                         drop(flights);
                         drop(map);
@@ -705,7 +669,7 @@ impl SlateCache {
     ) -> Arc<SlateSlot> {
         let guard = FlightGuard { cache: self, keys: vec![(op, key.clone())] };
         let loaded = self.backend.load(updater, key, now_us);
-        self.counters.store_round_trips.fetch_add(1, Ordering::Relaxed);
+        self.metrics.store_round_trips.inc();
         let (slot, victims) = self.install(op, updater, key, ttl_secs, loaded, now_us);
         drop(guard); // wake the waiters before anything else
         self.queue_victims(victims, now_us);
@@ -742,13 +706,13 @@ impl SlateCache {
         let items: Vec<(Arc<str>, Key)> =
             lead.iter().map(|&(_, u, k, _)| (Arc::clone(u), k.clone())).collect();
         let loaded = self.backend.load_many(&items, now_us);
-        self.counters.store_round_trips.fetch_add(1, Ordering::Relaxed);
+        self.metrics.store_round_trips.inc();
         if loaded.len() != lead.len() {
             return; // a misbehaving backend: fall back to per-key loads
         }
         let mut victims = Vec::new();
         for ((op, updater, key, ttl_secs), data) in lead.into_iter().zip(loaded) {
-            self.shard_of(op, key).misses.fetch_add(1, Ordering::Relaxed);
+            self.shard_of(op, key).misses.inc();
             victims.extend(self.install(op, updater, key, ttl_secs, data, now_us).1);
         }
         drop(guard);
@@ -768,7 +732,7 @@ impl SlateCache {
         now_us: u64,
     ) -> (Arc<SlateSlot>, Vec<Arc<SlateSlot>>) {
         if loaded.is_some() {
-            self.counters.store_loads.fetch_add(1, Ordering::Relaxed);
+            self.metrics.store_loads.inc();
         }
         // The load path is untagged (the store decompresses before
         // returning), so the payload's codec is sniffed from its first
@@ -901,7 +865,7 @@ impl SlateCache {
                 continue;
             }
             if shard.remove_if_idle(&victim) {
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                self.metrics.evictions.inc();
                 evicted += 1;
             }
             self.resolve_victim(&victim);
@@ -924,7 +888,7 @@ impl SlateCache {
         {
             state.slate.clear();
             state.flushed_version = state.slate.version();
-            self.counters.ttl_resets.fetch_add(1, Ordering::Relaxed);
+            self.metrics.ttl_resets.inc();
         }
     }
 
@@ -933,7 +897,7 @@ impl SlateCache {
     /// without touching the shard lock): counts as a shard hit and applies
     /// the TTL check exactly like a map lookup would.
     pub fn note_memo_hit(&self, op: OpId, slot: &Arc<SlateSlot>, now_us: u64) {
-        self.shard_of(op, &slot.key).hits.fetch_add(1, Ordering::Relaxed);
+        self.shard_of(op, &slot.key).hits.inc();
         self.maybe_ttl_reset(slot, now_us);
     }
 
@@ -999,16 +963,6 @@ impl SlateCache {
         self.hot[i].lock().estimate(&(op, key.clone()))
     }
 
-    /// Point-in-time reading of the flush-batch-size histogram (the
-    /// registry's cache collector exports it as a histogram family).
-    pub fn flush_batch_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bucket_counts: self.flush_batch_hist.bucket_counts(),
-            sum: self.flush_batch_hist.sum_us(),
-            count: self.flush_batch_hist.count(),
-        }
-    }
-
     /// Register `slot` in its shard's dirty index if it is not already
     /// there (caller holds the slot's state lock — the `indexed` flag
     /// makes steady-state re-writes of an already-dirty slate free).
@@ -1042,18 +996,18 @@ impl SlateCache {
             // is skipped — two concurrent store writes of one key could
             // land out of order. The slot stays dirty; the in-flight
             // flush's CAS sees the newer version and re-registers it.)
-            self.counters.store_round_trips.fetch_add(1, Ordering::Relaxed);
+            self.metrics.store_round_trips.inc();
             let t0 = Instant::now();
             let (bytes, codec) = state.slate.materialize(self.store_codec);
             let ok =
                 self.backend.store(&slot.updater, &slot.key, &bytes, codec, slot.ttl_secs, now_us);
-            self.flush_latency.record(t0.elapsed().as_micros() as u64);
+            self.metrics.flush_latency.record(t0.elapsed().as_micros() as u64);
             if ok {
                 state.flushed_version = state.slate.version();
-                self.counters.flush_writes.fetch_add(1, Ordering::Relaxed);
+                self.metrics.flush_writes.inc();
                 return;
             }
-            self.counters.flush_failures.fetch_add(1, Ordering::Relaxed);
+            self.metrics.flush_failures.inc();
         }
         if state.dirty() {
             self.ensure_indexed(slot, state);
@@ -1140,10 +1094,9 @@ impl SlateCache {
             }
             let t0 = Instant::now();
             let oks = self.backend.store_many(&items, now_us);
-            self.flush_latency.record(t0.elapsed().as_micros() as u64);
-            self.counters.store_round_trips.fetch_add(1, Ordering::Relaxed);
-            self.counters.flush_batches.fetch_add(1, Ordering::Relaxed);
-            self.flush_batch_hist.record(items.len() as u64);
+            self.metrics.flush_latency.record(t0.elapsed().as_micros() as u64);
+            self.metrics.store_round_trips.inc();
+            self.metrics.flush_batch.record(items.len() as u64);
             debug_assert_eq!(oks.len(), items.len(), "store_many must ack per item");
             // A short ack vector (a misbehaving backend) must fail the
             // uncovered tail, not silently strand it dirty-but-unindexed.
@@ -1156,10 +1109,10 @@ impl SlateCache {
                     if version > state.flushed_version {
                         state.flushed_version = version;
                     }
-                    self.counters.flush_writes.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.flush_writes.inc();
                     outcomes[i] = FlushOutcome::Written;
                 } else {
-                    self.counters.flush_failures.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.flush_failures.inc();
                     failed += 1;
                 }
                 if state.dirty() {
@@ -1332,43 +1285,18 @@ impl SlateCache {
         self.shards
             .iter()
             .map(|s| ShardStats {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
+                hits: s.hits.get(),
+                misses: s.misses.get(),
                 entries: s.map.lock().len() as u64,
                 capacity: s.capacity as u64,
             })
             .collect()
     }
 
-    /// Statistics snapshot.
+    /// Statistics snapshot: the counters this cache records into, and its
+    /// own gauges.
     pub fn stats(&self) -> CacheStats {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut entries = 0u64;
-        for shard in self.shards.iter() {
-            hits += shard.hits.load(Ordering::Relaxed);
-            misses += shard.misses.load(Ordering::Relaxed);
-            entries += shard.map.lock().len() as u64;
-        }
-        let dirty = self.dirty_count();
-        CacheStats {
-            hits,
-            misses,
-            store_loads: self.counters.store_loads.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            flush_writes: self.counters.flush_writes.load(Ordering::Relaxed),
-            flush_failures: self.counters.flush_failures.load(Ordering::Relaxed),
-            ttl_resets: self.counters.ttl_resets.load(Ordering::Relaxed),
-            entries,
-            dirty,
-            shards: self.shards.len() as u64,
-            flush_batches: self.counters.flush_batches.load(Ordering::Relaxed),
-            flush_batch_p50: self.flush_batch_hist.percentile_us(0.50),
-            flush_batch_largest: self.flush_batch_hist.max_us(),
-            store_round_trips: self.counters.store_round_trips.load(Ordering::Relaxed),
-            miss_coalesced: self.counters.miss_coalesced.load(Ordering::Relaxed),
-            evict_backlog: self.evict_backlog() as u64,
-        }
+        self.metrics.read([self])
     }
 }
 
@@ -1377,6 +1305,7 @@ mod tests {
     use super::*;
     use muppet_core::sync::RwLock;
     use std::collections::HashMap;
+    use std::sync::atomic::AtomicU64;
 
     /// In-memory backend recording stores.
     #[derive(Debug, Default)]

@@ -16,7 +16,6 @@
 //! updater is hot-fixed or a transient resource problem clears).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use muppet_core::sync::Mutex;
 use muppet_core::workflow::OpId;
@@ -35,44 +34,35 @@ pub struct DeadLetter {
     pub at_us: u64,
 }
 
-/// Bounded FIFO of dead letters with eviction and lifetime counters.
+/// Bounded FIFO of dead letters. What it parks, evicts and hands back is
+/// counted by its caller, in the engine's registry.
 pub struct DeadLetterQueue {
     letters: Mutex<VecDeque<DeadLetter>>,
     capacity: usize,
-    added: AtomicU64,
-    dropped: AtomicU64,
-    retried: AtomicU64,
 }
 
 impl DeadLetterQueue {
     /// A queue holding at most `capacity` letters (0 is clamped to 1 —
     /// a DLQ that can hold nothing would silently re-lose poison events).
     pub fn new(capacity: usize) -> Self {
-        DeadLetterQueue {
-            letters: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            added: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-        }
+        DeadLetterQueue { letters: Mutex::new(VecDeque::new()), capacity: capacity.max(1) }
     }
 
-    /// Park a letter, evicting the oldest if the queue is full.
-    pub fn push(&self, letter: DeadLetter) {
+    /// Park a letter, evicting the oldest if the queue is full. Returns
+    /// whether a letter was evicted.
+    pub fn push(&self, letter: DeadLetter) -> bool {
         let mut letters = self.letters.lock();
-        if letters.len() >= self.capacity {
+        let evict = letters.len() >= self.capacity;
+        if evict {
             letters.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         letters.push_back(letter);
-        self.added.fetch_add(1, Ordering::Relaxed);
+        evict
     }
 
     /// Remove and return every parked letter (for `/dlq/retry`).
     pub fn drain(&self) -> Vec<DeadLetter> {
-        let drained: Vec<DeadLetter> = self.letters.lock().drain(..).collect();
-        self.retried.fetch_add(drained.len() as u64, Ordering::Relaxed);
-        drained
+        self.letters.lock().drain(..).collect()
     }
 
     /// Snapshot the parked letters without removing them (for `GET /dlq`).
@@ -83,21 +73,6 @@ impl DeadLetterQueue {
     /// Letters currently parked.
     pub fn depth(&self) -> usize {
         self.letters.lock().len()
-    }
-
-    /// Lifetime letters parked.
-    pub fn added(&self) -> u64 {
-        self.added.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime letters evicted by capacity pressure.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime letters handed back for retry.
-    pub fn retried(&self) -> u64 {
-        self.retried.load(Ordering::Relaxed)
     }
 }
 
@@ -118,10 +93,9 @@ mod tests {
     #[test]
     fn push_snapshot_drain_roundtrip() {
         let q = DeadLetterQueue::new(8);
-        q.push(letter(1));
-        q.push(letter(2));
+        assert!(!q.push(letter(1)));
+        assert!(!q.push(letter(2)));
         assert_eq!(q.depth(), 2);
-        assert_eq!(q.added(), 2);
         let snap = q.snapshot();
         assert_eq!(snap.len(), 2, "snapshot does not consume");
         assert_eq!(q.depth(), 2);
@@ -129,17 +103,14 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].reason, "boom 1", "FIFO order");
         assert_eq!(q.depth(), 0);
-        assert_eq!(q.retried(), 2);
     }
 
     #[test]
     fn capacity_evicts_oldest() {
         let q = DeadLetterQueue::new(3);
-        for i in 0..5 {
-            q.push(letter(i));
-        }
+        let evicted = (0..5).filter(|&i| q.push(letter(i))).count();
         assert_eq!(q.depth(), 3);
-        assert_eq!(q.dropped(), 2);
+        assert_eq!(evicted, 2);
         let snap = q.snapshot();
         assert_eq!(snap[0].at_us, 2, "letters 0 and 1 were evicted");
         assert_eq!(snap[2].at_us, 4, "newest failures are retained");

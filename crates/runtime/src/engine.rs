@@ -2,7 +2,8 @@
 //! state, ingest, the worker loop, send and local delivery, and the
 //! shell of the membership protocol. Where ⟨function, key⟩ lives is
 //! `placement.rs`'s. DESIGN.md §3 describes the engines, §5 the
-//! transport seam the machines talk through, §7 elastic membership.
+//! transport seam the machines talk through, §7 elastic membership; the
+//! engine's numbers are `stats.rs`'s (§10).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -18,10 +19,10 @@ use muppet_core::sync::{Condvar, Mutex, RwLock};
 use muppet_core::workflow::{OpId, OpKind, Workflow};
 use muppet_core::{Codec, CodecChoice, Json};
 use muppet_net::frame::{MembershipPhase, MembershipUpdate, WireEvent, MAX_FORWARDS};
-use muppet_net::tcp::{BatchConfig, FlushReason, TcpListenerHandle, TcpTransport};
+use muppet_net::tcp::{BatchConfig, TcpListenerHandle, TcpTransport};
 use muppet_net::topology::{NodeSpec, Topology};
 use muppet_net::transport::{ClusterHandler, InProcessTransport, MachineId, NetError, Transport};
-use muppet_obs::{Counter, Histogram, LatencySummary, Level, Logger, Registry, Sample, Sampler};
+use muppet_obs::{Level, Logger};
 use muppet_slatestore::cluster::StoreCluster;
 
 use crate::cache::{
@@ -35,6 +36,8 @@ use crate::netstore::RemoteBackend;
 use crate::overflow::{DropLog, OverflowAction, OverflowPolicy};
 use crate::placement::{Membership, Placement, Rings};
 use crate::queue::EventQueue;
+use crate::stats::{self, hottest, CacheMetrics, Stats};
+pub use crate::stats::{DrainSummary, EngineStats, NetSummary};
 
 /// Default lock-shard count for the Muppet 2.0 central slate cache.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
@@ -42,8 +45,8 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// never *waits* for a full batch — it returns whatever is queued — so the
 /// batch adds no latency, only removes mutex + condvar round-trips.
 pub const DRAIN_BATCH: usize = 64;
-/// Default dead-letter queue capacity per machine.
-pub const DEFAULT_DLQ_CAPACITY: usize = 1024;
+/// Dead letters a machine parks before the oldest are evicted.
+const DLQ_CAPACITY: usize = 1024;
 /// Reserved store column the ingest replay cursor is checkpointed under
 /// (never a real updater name — workflow operator names are validated).
 const INGEST_CURSOR_COLUMN: &str = "__ingest_cursor";
@@ -141,8 +144,7 @@ pub struct EngineConfig {
     /// Master switch for the observability extras that ride the hot
     /// path: sampled per-stage latency spans and per-shard hot-key
     /// sketch offers. The registry's counters and the end-to-end latency
-    /// histogram are always on (one relaxed atomic each — they predate
-    /// the registry).
+    /// histogram are always on (one relaxed atomic each).
     pub metrics: bool,
     /// 1-in-N sampling interval for per-stage latency spans and hot-key
     /// offers (rounded up to a power of two; 1 = observe every event).
@@ -164,9 +166,6 @@ pub struct EngineConfig {
     /// leader-based group commit (one fsync per concurrent batch,
     /// dispatched while it runs — the default).
     pub ingest_sync_each: bool,
-    /// Dead-letter queue capacity (poison events parked per machine
-    /// before the oldest letters are evicted).
-    pub dlq_capacity: usize,
     /// Slate/wire byte representation. `Auto` (default) offers MBF in the
     /// TCP hello and stores MBF at rest, falling back to JSON per
     /// connection when the peer is pinned to JSON. `Json` pins everything
@@ -219,7 +218,6 @@ impl Default for EngineConfig {
             log_json: false,
             ingest_wal: None,
             ingest_sync_each: false,
-            dlq_capacity: DEFAULT_DLQ_CAPACITY,
             wire_codec: CodecChoice::Auto,
             combine: false,
             hot_split_threshold: 0,
@@ -379,209 +377,6 @@ struct Machine {
     thread_ops: Vec<Option<OpId>>,
 }
 
-/// Cumulative engine counters — registry handles, so the same atomic
-/// cells feed both [`EngineStats`] and the `/metrics` exposition.
-struct Counters {
-    submitted: Counter,
-    processed: Counter,
-    emitted: Counter,
-    lost_machine_failure: Counter,
-    lost_in_queues: Counter,
-    dropped_overflow: Counter,
-    redirected_overflow: Counter,
-    throttle_waits: Counter,
-    publish_errors: Counter,
-    forwarded: Counter,
-    ingest_logged: Counter,
-    dead_lettered: Counter,
-    /// Original events absorbed into a pre-aggregated carrier by a
-    /// declared combiner (outbox + local drain folds).
-    combined_events: Counter,
-    /// Reads that merged split subslates back through the combiner.
-    split_merge_reads: Counter,
-}
-
-impl Counters {
-    fn register(reg: &Registry) -> Counters {
-        let lost = "Events lost (§4.3), by reason";
-        Counters {
-            submitted: reg.counter("muppet_events_submitted_total", "External events accepted"),
-            processed: reg
-                .counter("muppet_events_processed_total", "Operator invocations completed"),
-            emitted: reg.counter("muppet_events_emitted_total", "Events emitted by operators"),
-            lost_machine_failure: reg.counter_with(
-                "muppet_events_lost_total",
-                lost,
-                &[("reason", "machine_failure")],
-            ),
-            lost_in_queues: reg.counter_with(
-                "muppet_events_lost_total",
-                lost,
-                &[("reason", "in_queues")],
-            ),
-            dropped_overflow: reg
-                .counter("muppet_overflow_dropped_total", "Events dropped by the overflow policy"),
-            redirected_overflow: reg.counter(
-                "muppet_overflow_redirected_total",
-                "Events redirected to the overflow stream",
-            ),
-            throttle_waits: reg.counter(
-                "muppet_throttle_waits_total",
-                "Times an external producer blocked on source throttling",
-            ),
-            publish_errors: reg.counter(
-                "muppet_publish_errors_total",
-                "Emissions to unknown/external streams (discarded)",
-            ),
-            forwarded: reg.counter(
-                "muppet_events_forwarded_total",
-                "Events re-sent to their current owner (elastic handoff)",
-            ),
-            ingest_logged: reg.counter(
-                "muppet_wal_ingest_records_total",
-                "Events written to the ingest WAL (fsynced before their ack)",
-            ),
-            dead_lettered: reg.counter(
-                "muppet_dead_letters_total",
-                "Poison events parked in the dead-letter queue",
-            ),
-            combined_events: reg.counter(
-                "muppet_combined_events_total",
-                "Original events absorbed into combiner-folded carriers",
-            ),
-            split_merge_reads: reg.counter(
-                "muppet_split_merge_reads_total",
-                "Slate reads that merged hot-key subslates through the combiner",
-            ),
-        }
-    }
-}
-
-/// Public snapshot of engine statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineStats {
-    /// External events accepted via `submit`.
-    pub submitted: u64,
-    /// Operator invocations completed.
-    pub processed: u64,
-    /// Events emitted by operators.
-    pub emitted: u64,
-    /// Events lost to machine failures (undeliverable sends).
-    pub lost_machine_failure: u64,
-    /// Events lost inside a crashed machine's queues.
-    pub lost_in_queues: u64,
-    /// Events dropped by the overflow policy.
-    pub dropped_overflow: u64,
-    /// Events redirected to the overflow stream.
-    pub redirected_overflow: u64,
-    /// Times an external producer blocked on source throttling.
-    pub throttle_waits: u64,
-    /// Emissions to unknown/external streams (discarded, counted).
-    pub publish_errors: u64,
-    /// Events re-sent to their current owner by a machine that no longer
-    /// owned their key (elastic handoff / laggard rings) — never lost,
-    /// just re-routed.
-    pub forwarded: u64,
-    /// The membership epoch this node has installed.
-    pub epoch: u64,
-    /// End-to-end latency (injection → updater completion).
-    pub latency: LatencySummary,
-    /// Aggregated slate-cache stats.
-    pub cache: crate::cache::CacheStats,
-    /// Dirty slates that never reached the store (loss bound, §4.3).
-    pub dirty_slates: u64,
-    /// Wire-level counters (all zero for the in-process transport).
-    pub net: NetSummary,
-    /// Queue drain-batch sizes (how many events workers pop per lock
-    /// acquisition).
-    pub drain: DrainSummary,
-    /// The write-behind store pipeline (flush batching + single-flight
-    /// misses), aggregated across this node's slate caches.
-    pub store: StoreSummary,
-    /// Original events absorbed into combiner-folded carriers (map-side
-    /// pre-aggregation in the outbox and the local dispatch drain).
-    pub combined_events: u64,
-    /// Hot keys currently split across subslates on this node.
-    pub split_keys_active: u64,
-    /// Slate reads that merged split subslates through the combiner.
-    pub split_merge_reads: u64,
-}
-
-/// Counters of the write-behind store pipeline (DESIGN.md §9).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StoreSummary {
-    /// Batched `store_many` calls issued by flush sweeps.
-    pub flush_batches: u64,
-    /// Median flush-batch size (power-of-two bucket upper bound; worst
-    /// cache when a machine owns several).
-    pub flush_batch_p50: u64,
-    /// Largest single flush batch.
-    pub flush_batch_largest: u64,
-    /// Backend round trips (loads + stores + batched stores) — over a
-    /// remote store host, the wire-round-trip count of the slate path.
-    pub store_round_trips: u64,
-    /// Concurrent cache misses that shared another miss's in-flight
-    /// backend load (single-flight read-through).
-    pub miss_coalesced: u64,
-}
-
-/// Distribution of worker queue drain-batch sizes (events per
-/// `pop_many`). Percentiles are power-of-two bucket upper bounds.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DrainSummary {
-    /// Non-empty drains.
-    pub drains: u64,
-    /// Mean batch size.
-    pub mean: u64,
-    /// Median batch size (bucket upper bound).
-    pub p50: u64,
-    /// 99th-percentile batch size (bucket upper bound).
-    pub p99: u64,
-    /// Largest single drain.
-    pub max: u64,
-}
-
-/// One reading of the ingest WAL ([`Engine::ingest_wal`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IngestWalView {
-    /// Events logged (and dispatched).
-    pub written: u64,
-    /// Events an fsync covers; `written − durable` is the un-acked window.
-    pub durable: u64,
-    /// An I/O error has poisoned the log.
-    pub failed: bool,
-    /// Fsyncs issued.
-    pub syncs: u64,
-    /// Bytes in the segment, header included.
-    pub bytes: u64,
-    /// Frames in the segment.
-    pub frames: u64,
-}
-
-/// Snapshot of the TCP transport's counters (see `muppet_net::TcpStats`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NetSummary {
-    /// Frames written to peers (events, batches, and request frames).
-    pub frames_sent: u64,
-    /// Frames received by this node's listener.
-    pub frames_received: u64,
-    /// Multi-event frames written by the batching senders.
-    pub batches_sent: u64,
-    /// Events shipped through the batching path.
-    pub batched_events_sent: u64,
-    /// Wire failures that triggered §4.3 detection.
-    pub send_failures: u64,
-    /// Times a producer blocked on a full peer outbox (backpressure).
-    pub queue_full_waits: u64,
-    /// Gauge: events accepted for send but not yet on the wire.
-    pub outbound_backlog: u64,
-    /// Batches the senders took, by reason, in
-    /// [`muppet_net::tcp::FlushReason::ALL`] order (size, demand, age,
-    /// stop). Mostly `age` means producers are not signalling; all `size`
-    /// means the node is backlogged.
-    pub flushes: [u64; 4],
-}
-
 impl Machine {
     /// The slate cache worker `thread` updates through: the machine's
     /// central cache (2.0) or the worker's own (1.0; `None` on a mapper
@@ -628,16 +423,18 @@ impl Machine {
         wf: &Workflow,
         cfg: &EngineConfig,
         backend: &Arc<dyn SlateBackend>,
-        obs: &CacheObs,
+        metrics: &CacheMetrics,
+        logger: &Arc<Logger>,
     ) -> Machine {
+        let hot_keys = if cfg.metrics { HOT_KEY_CAPACITY } else { 0 };
         let cache = |capacity: usize, shards: usize| {
+            let backend = Arc::clone(backend);
             Arc::new(
-                SlateCache::with_shards(capacity, cfg.flush, Arc::clone(backend), shards)
+                SlateCache::with_metrics(capacity, cfg.flush, backend, shards, metrics.clone())
                     .with_flush_batch(cfg.flush_batch_max)
                     .with_store_codec(cfg.wire_codec.store_codec())
-                    .with_hot_keys(obs.hot_key_capacity, obs.hot_sample_n)
-                    .with_flush_latency(Arc::clone(&obs.flush_latency))
-                    .with_logger(Arc::clone(&obs.logger)),
+                    .with_hot_keys(hot_keys, cfg.latency_sample_n.max(1))
+                    .with_logger(Arc::clone(logger)),
             )
         };
         let updates = |op: &OpId| wf.op(*op).kind == OpKind::Update;
@@ -669,72 +466,6 @@ impl Machine {
 
 /// Keys tracked per cache shard by the space-saving hot-key sketch.
 const HOT_KEY_CAPACITY: usize = 64;
-
-/// Help string shared by every `muppet_stage_latency_us` series.
-const STAGE_HELP: &str = "Sampled per-stage event latency, microseconds";
-
-/// The observability wiring every slate cache receives at construction —
-/// founding machines and elastic joiners alike (kept in [`Shared`] so
-/// `join_machine` builds identically instrumented caches).
-#[derive(Clone)]
-struct CacheObs {
-    /// The `stage="flush"` latency histogram (backend store calls).
-    flush_latency: Arc<Histogram>,
-    logger: Arc<Logger>,
-    /// Keys per shard for the hot-key sketch (0 = disabled).
-    hot_key_capacity: usize,
-    /// 1-in-N sampling of sketch offers (counted with weight N).
-    hot_sample_n: u64,
-}
-
-/// Sampled per-stage latency spans: ingest (submit → accepted by a
-/// queue), queue-wait (enqueue → drained), service (slate fetch +
-/// operator execution, labeled per op), and fan-out (emitted records →
-/// re-routed). The flush stage lives cache-side via [`CacheObs`]. Each
-/// span is timed on 1 in `latency_sample_n` events; an unsampled event
-/// pays one relaxed fetch_add and a branch.
-struct StageMetrics {
-    /// False ⇒ every span site is a single load + branch.
-    enabled: bool,
-    sampler_ingest: Sampler,
-    sampler_queue: Sampler,
-    sampler_service: Sampler,
-    sampler_fanout: Sampler,
-    ingest: Arc<Histogram>,
-    queue_wait: Arc<Histogram>,
-    /// Indexed by `OpId`.
-    service: Vec<Arc<Histogram>>,
-    fanout: Arc<Histogram>,
-}
-
-impl StageMetrics {
-    fn new(reg: &Registry, wf: &Workflow, cfg: &EngineConfig) -> StageMetrics {
-        let n = cfg.latency_sample_n.max(1);
-        let stage =
-            |s: &str| reg.histogram_with("muppet_stage_latency_us", STAGE_HELP, &[("stage", s)]);
-        StageMetrics {
-            enabled: cfg.metrics,
-            sampler_ingest: Sampler::every(n),
-            sampler_queue: Sampler::every(n),
-            sampler_service: Sampler::every(n),
-            sampler_fanout: Sampler::every(n),
-            ingest: stage("ingest"),
-            queue_wait: stage("queue_wait"),
-            service: wf
-                .ops()
-                .iter()
-                .map(|op| {
-                    reg.histogram_with(
-                        "muppet_stage_latency_us",
-                        STAGE_HELP,
-                        &[("stage", "service"), ("op", &op.name)],
-                    )
-                })
-                .collect(),
-            fanout: stage("fanout"),
-        }
-    }
-}
 
 /// Cooling-probe window for split hot keys: a key whose rewrite traffic
 /// over one window falls below half `hot_split_threshold` collapses back
@@ -824,16 +555,8 @@ struct Shared {
     /// Events enqueued but not yet fully processed.
     pending: AtomicI64,
     stopping: AtomicBool,
-    counters: Counters,
-    latency: Arc<Histogram>,
-    /// Batch sizes of non-empty worker queue drains.
-    drain_hist: Arc<Histogram>,
-    /// The unified metrics registry: every counter/histogram above is a
-    /// handle into it, and collectors pull cache/net/store state at
-    /// scrape time. `Engine::registry()` / `GET /metrics` expose it.
-    registry: Arc<Registry>,
-    /// Sampled per-stage latency spans.
-    stages: StageMetrics,
+    /// Every count the engine records (`Engine::stats`, `GET /metrics`).
+    stats: Stats,
     /// Leveled incident logger (peer deaths, flush failures). Disabled
     /// (`Level::Off`) unless the config raises it.
     logger: Arc<Logger>,
@@ -843,8 +566,6 @@ struct Shared {
     /// operator-facing record exactly-once while the [`DropLog`] ring
     /// keeps its per-event entries.
     logged_peer_deaths: Mutex<HashSet<usize>>,
-    /// Cache observability wiring, reused by elastic joins.
-    cache_obs: CacheObs,
     drop_log: DropLog,
     start: Instant,
     /// Source-throttling gate: producers wait here when queues are full.
@@ -853,11 +574,8 @@ struct Shared {
     /// The per-machine ingest WAL (`None` = the paper's §4.3 semantics:
     /// in-flight work dies with the machine).
     ingest_log: Option<Arc<IngestLog>>,
-    /// Events replayed from the ingest WAL by this start (past the
-    /// checkpointed cursor).
-    recovered: AtomicU64,
     /// Poison events parked instead of killing worker threads.
-    dlq: Arc<DeadLetterQueue>,
+    dlq: DeadLetterQueue,
     /// Dynamic hot-key splitting state (empty unless `cfg.combine` and
     /// `cfg.hot_split_threshold > 0` ever install a split).
     splits: SplitTracker,
@@ -876,6 +594,27 @@ impl Shared {
         self.machines.read().clone()
     }
 
+    /// Every slate cache of every machine this process holds.
+    fn caches(&self) -> Vec<Arc<SlateCache>> {
+        self.machines_snapshot().iter().flat_map(|m| m.caches().cloned()).collect()
+    }
+
+    /// The stats snapshot: the registry's handles, with `caches`' and this
+    /// node's gauges.
+    fn snapshot(&self, caches: &[Arc<SlateCache>]) -> EngineStats {
+        EngineStats {
+            epoch: self.epoch(),
+            uptime_s: self.start.elapsed().as_secs(),
+            machine_id: self.transport.local_machine(),
+            pending: self.pending.load(Ordering::Acquire),
+            split_keys_active: self.splits.active.load(Ordering::Acquire),
+            ingest_wal: self.ingest_log.as_ref().map(|log| log.view()),
+            store_wal_syncs: self.host_store.as_ref().map(|store| store.wal_sync_count()),
+            dlq_depth: self.dlq.depth() as u64,
+            ..self.stats.read(caches, self.tcp.as_deref())
+        }
+    }
+
     /// Flush every dirty slate of every live machine (dead machines lost
     /// theirs, §4.3). Returns how many slates are still dirty afterwards
     /// (quorum failure, dead store host).
@@ -891,7 +630,7 @@ impl Shared {
                 // eviction are written by the sweep and retired after it.
                 cache.flush_dirty(now);
                 cache.retire_evicted(now);
-                dirty_left += cache.stats().dirty;
+                dirty_left += cache.dirty_count();
             }
         }
         dirty_left
@@ -1141,10 +880,9 @@ impl Engine {
             })
             .collect::<Result<_>>()?;
 
-        // The observability substrate: one registry per engine, built
-        // before the machines so every cache records into it from the
-        // first event.
-        let registry = Arc::new(Registry::new());
+        // Built before the machines, so every cache records into the
+        // engine's handles from the first event.
+        let stats = Stats::new(&workflow, &cfg);
         let logger = if cfg.log_level == Level::Off {
             Logger::disabled()
         } else {
@@ -1166,17 +904,6 @@ impl Engine {
                 );
             });
         }
-        let stages = StageMetrics::new(&registry, &workflow, &cfg);
-        let cache_obs = CacheObs {
-            flush_latency: registry.histogram_with(
-                "muppet_stage_latency_us",
-                STAGE_HELP,
-                &[("stage", "flush")],
-            ),
-            logger: Arc::clone(&logger),
-            hot_key_capacity: if cfg.metrics { HOT_KEY_CAPACITY } else { 0 },
-            hot_sample_n: cfg.latency_sample_n.max(1),
-        };
 
         // The rings this node starts from. Founding members put every
         // machine in; a joiner starts from its grant's view: not itself
@@ -1205,7 +932,8 @@ impl Engine {
                         &workflow,
                         &cfg,
                         &backend,
-                        &cache_obs,
+                        &stats.cache,
+                        &logger,
                     )
                 } else {
                     Machine::remote_stub()
@@ -1233,14 +961,10 @@ impl Engine {
                 let (mut log, rec) =
                     IngestLog::open_with_sync(path, cfg.ingest_sync_each, ingest_sync)
                         .map_err(|e| Error::Config(format!("cannot open ingest WAL: {e}")))?;
-                if cfg.metrics {
-                    // Every group commit's fsync wall time (one sample per
-                    // sync): the floor of ack latency.
-                    log.record_sync_latency(registry.histogram_with(
-                        "muppet_stage_latency_us",
-                        STAGE_HELP,
-                        &[("stage", "wal_sync")],
-                    ));
+                if let Some(hist) = &stats.stages.wal_sync {
+                    // Every group commit's fsync wall time: the floor of
+                    // ack latency.
+                    log.record_sync_latency(Arc::clone(hist));
                 }
                 (Some(Arc::new(log)), Some(rec))
             }
@@ -1249,7 +973,6 @@ impl Engine {
 
         let initial_epoch = view.map_or(0, |v| v.epoch);
         let initial_failed = failed.to_vec();
-        let dlq_capacity = cfg.dlq_capacity;
         let shared = Arc::new(Shared {
             membership: RwLock::new(Membership::new(initial_epoch, rings)),
             cluster_nodes: Mutex::new(cluster_nodes),
@@ -1266,25 +989,15 @@ impl Engine {
             master: Master::new(),
             pending: AtomicI64::new(0),
             stopping: AtomicBool::new(false),
-            counters: Counters::register(&registry),
-            latency: registry.histogram(
-                "muppet_event_latency_us",
-                "End-to-end event latency (injection → updater completion), microseconds",
-            ),
-            drain_hist: registry
-                .histogram("muppet_drain_batch_events", "Events per non-empty worker queue drain"),
-            registry,
-            stages,
+            stats,
             logger,
             logged_peer_deaths: Mutex::new(HashSet::new()),
-            cache_obs,
             drop_log: DropLog::new(1024),
             start: Instant::now(),
             throttle_mutex: Mutex::new(()),
             throttle_cv: Condvar::new(),
             ingest_log,
-            recovered: AtomicU64::new(0),
-            dlq: Arc::new(DeadLetterQueue::new(dlq_capacity)),
+            dlq: DeadLetterQueue::new(DLQ_CAPACITY),
             splits: SplitTracker {
                 map: RwLock::new(HashMap::new()),
                 active: AtomicU64::new(0),
@@ -1296,7 +1009,7 @@ impl Engine {
         for failed in initial_failed {
             shared.master.mark_failed(failed, initial_epoch);
         }
-        register_collectors(&shared);
+        register_collector(&shared);
 
         // Wire the transport back into this engine.
         let handler = Arc::new(EngineHandler(Arc::clone(&shared)));
@@ -1375,7 +1088,7 @@ impl Engine {
             let stream = event.stream.clone();
             fan_out(shared, &stream, event, shared.now_us(), false, true, &mut Vec::new());
         }
-        shared.recovered.store(replayed, Ordering::Release);
+        shared.stats.ingest_replayed.add(replayed);
         if replayed > 0 || recovery.truncated {
             shared.logger.warn(
                 "ingest WAL recovery",
@@ -1459,7 +1172,7 @@ impl Engine {
             if self.shared.stopping.load(Ordering::Acquire) {
                 break;
             }
-            self.shared.counters.throttle_waits.inc();
+            self.shared.stats.throttle_waits.inc();
             let mut guard = self.shared.throttle_mutex.lock();
             self.shared.throttle_cv.wait_for(&mut guard, Duration::from_millis(1));
         }
@@ -1475,7 +1188,7 @@ impl Engine {
             return Ok(0);
         };
         let seq = log.write_batch(events).map_err(|e| Error::IngestLog(e.to_string()))?;
-        self.shared.counters.ingest_logged.add(events.len() as u64);
+        self.shared.stats.ingest_logged.add(events.len() as u64);
         Ok(seq)
     }
 
@@ -1536,12 +1249,12 @@ impl Engine {
         for event in events {
             let stream = event.stream.clone();
             let injected_us = shared.now_us();
-            shared.counters.submitted.inc();
+            shared.stats.submitted.inc();
             fan_out(shared, &stream, event, injected_us, false, true, &mut touched);
-            if shared.stages.enabled && shared.stages.sampler_ingest.hit() {
+            if shared.stats.stages.enabled && shared.stats.stages.sampler_ingest.hit() {
                 // The ingest span: external injection → accepted by a queue
                 // (or the transport's outbox) for every subscriber.
-                shared.stages.ingest.record(shared.now_us().saturating_sub(injected_us));
+                shared.stats.stages.ingest.record(shared.now_us().saturating_sub(injected_us));
             }
         }
         if idle {
@@ -1617,7 +1330,7 @@ impl Engine {
             }
         }
         if merged {
-            shared.counters.split_merge_reads.inc();
+            shared.stats.split_merge_reads.inc();
         }
         acc
     }
@@ -1741,7 +1454,7 @@ impl Engine {
             lost += dropped.len() as u64;
             q.notify();
         }
-        self.shared.counters.lost_in_queues.add(lost);
+        self.shared.stats.lost_in_queues.add(lost);
         self.shared.pending.fetch_sub(lost as i64, Ordering::AcqRel);
     }
 
@@ -1792,7 +1505,8 @@ impl Engine {
                 &shared.wf,
                 &shared.cfg,
                 &shared.backend,
-                &shared.cache_obs,
+                &shared.stats.cache,
+                &shared.logger,
             )));
             shared.cluster_nodes.lock().push(NodeSpec {
                 id,
@@ -1948,152 +1662,35 @@ impl Engine {
 
     /// Snapshot engine statistics.
     pub fn stats(&self) -> EngineStats {
-        let c = &self.shared.counters;
-        let mut cache = crate::cache::CacheStats::default();
-        for m in &self.shared.machines_snapshot() {
-            m.caches().for_each(|c| cache.absorb(&c.stats()));
-        }
-        let net = match &self.shared.tcp {
-            Some(tcp) => {
-                let t = tcp.stats();
-                NetSummary {
-                    frames_sent: t.frames_sent.load(Ordering::Relaxed),
-                    frames_received: t.frames_received.load(Ordering::Relaxed),
-                    batches_sent: t.batches_sent.load(Ordering::Relaxed),
-                    batched_events_sent: t.batched_events_sent.load(Ordering::Relaxed),
-                    send_failures: t.send_failures.load(Ordering::Relaxed),
-                    queue_full_waits: t.queue_full_waits.load(Ordering::Relaxed),
-                    outbound_backlog: t.outbound_backlog.load(Ordering::Relaxed),
-                    flushes: FlushReason::ALL.map(|r| t.flushes(r)),
-                }
-            }
-            None => NetSummary::default(),
-        };
-        EngineStats {
-            submitted: c.submitted.get(),
-            processed: c.processed.get(),
-            emitted: c.emitted.get(),
-            lost_machine_failure: c.lost_machine_failure.get(),
-            lost_in_queues: c.lost_in_queues.get(),
-            dropped_overflow: c.dropped_overflow.get(),
-            redirected_overflow: c.redirected_overflow.get(),
-            throttle_waits: c.throttle_waits.get(),
-            publish_errors: c.publish_errors.get(),
-            forwarded: c.forwarded.get(),
-            combined_events: c.combined_events.get(),
-            split_keys_active: self.shared.splits.active.load(Ordering::Acquire),
-            split_merge_reads: c.split_merge_reads.get(),
-            epoch: self.shared.epoch(),
-            latency: self.shared.latency.summary(),
-            cache,
-            dirty_slates: cache.dirty,
-            net,
-            drain: {
-                let d = self.shared.drain_hist.summary();
-                DrainSummary {
-                    drains: d.count,
-                    mean: d.mean_us,
-                    p50: d.p50_us,
-                    p99: d.p99_us,
-                    max: d.max_us,
-                }
-            },
-            store: StoreSummary {
-                flush_batches: cache.flush_batches,
-                flush_batch_p50: cache.flush_batch_p50,
-                flush_batch_largest: cache.flush_batch_largest,
-                store_round_trips: cache.store_round_trips,
-                miss_coalesced: cache.miss_coalesced,
-            },
-        }
+        self.shared.snapshot(&self.shared.caches())
     }
 
-    /// The engine's unified metrics registry: every [`EngineStats`]
-    /// counter plus cache/net/store collectors. `registry().render()` is
+    /// The engine's metrics registry: every count [`EngineStats`] reads,
+    /// plus the gauges collected at scrape time. `registry().render()` is
     /// the Prometheus text exposition served at `GET /metrics`.
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.shared.registry)
-    }
-
-    /// The Prometheus text exposition of this engine's registry.
-    pub fn metrics_text(&self) -> String {
-        self.shared.registry.render()
-    }
-
-    /// Whole seconds since the engine started.
-    pub fn uptime_s(&self) -> u64 {
-        self.shared.start.elapsed().as_secs()
+    pub fn registry(&self) -> Arc<muppet_obs::Registry> {
+        Arc::clone(&self.shared.stats.registry)
     }
 
     /// The hottest ⟨updater, key⟩ pairs this node has seen, estimated by
     /// the per-shard space-saving sketches (count, overshoot bound), best
     /// first. Empty when metrics are off.
     pub fn hot_keys(&self, k: usize) -> Vec<(String, Key, u64, u64)> {
-        let mut all = Vec::new();
-        for m in &self.shared.machines_snapshot() {
-            m.caches().for_each(|cache| all.extend(cache.hot_keys(k)));
-        }
-        all.sort_by(|a, b| b.count.cmp(&a.count).then(a.err.cmp(&b.err)));
-        all.truncate(k);
-        all.into_iter()
-            .map(|hh| {
-                let (op, key) = hh.key;
-                let name = self.shared.wf.op(op).name.clone();
-                (name, key, hh.count, hh.err)
-            })
-            .collect()
+        let wf = &self.shared.wf;
+        let hot = hottest(&self.shared.caches(), k).into_iter();
+        hot.map(|hh| (wf.op(hh.key.0).name.clone(), hh.key.1, hh.count, hh.err)).collect()
     }
 
-    /// Per-shard cache statistics, summed shard-wise across this engine's
-    /// slate caches (Muppet 1.0's per-worker caches have one shard each).
+    /// Per-shard cache statistics of this engine's slate caches (Muppet
+    /// 1.0's per-worker caches have one shard each).
     pub fn cache_shard_stats(&self) -> Vec<crate::cache::ShardStats> {
-        let mut out: Vec<crate::cache::ShardStats> = Vec::new();
-        for m in &self.shared.machines_snapshot() {
-            for cache in m.caches() {
-                let per = cache.shard_stats();
-                if out.len() < per.len() {
-                    out.resize(per.len(), crate::cache::ShardStats::default());
-                }
-                for (acc, s) in out.iter_mut().zip(per) {
-                    acc.hits += s.hits;
-                    acc.misses += s.misses;
-                    acc.entries += s.entries;
-                    acc.capacity += s.capacity;
-                }
-            }
-        }
-        out
+        self.shared.stats.cache.shard_stats(&self.shared.caches())
     }
 
     /// Recent drop-log entries (§4.3: dropped events "can be logged for
     /// later processing and debugging").
     pub fn recent_drops(&self) -> Vec<String> {
         self.shared.drop_log.recent()
-    }
-
-    /// Events replayed from the ingest WAL when this engine started
-    /// (zero without an ingest WAL, and zero after a clean checkpointed
-    /// shutdown — the SIGTERM acceptance test's assertion).
-    pub fn recovered_replayed(&self) -> u64 {
-        self.shared.recovered.load(Ordering::Acquire)
-    }
-
-    /// The ingest WAL's counters, or `None` when ingest logging is off.
-    pub fn ingest_wal(&self) -> Option<IngestWalView> {
-        let log = self.shared.ingest_log.as_ref()?;
-        Some(IngestWalView {
-            written: log.record_count(),
-            durable: log.durable_count(),
-            failed: log.failed(),
-            syncs: log.sync_count(),
-            bytes: log.byte_count(),
-            frames: log.frame_count(),
-        })
-    }
-
-    /// This machine's dead-letter queue.
-    pub fn dlq(&self) -> Arc<DeadLetterQueue> {
-        Arc::clone(&self.shared.dlq)
     }
 
     /// Re-inject every parked dead letter into the dispatch path (the
@@ -2103,6 +1700,7 @@ impl Engine {
     pub fn dlq_retry(&self) -> usize {
         let letters = self.shared.dlq.drain();
         let n = letters.len();
+        self.shared.stats.dlq_retried.add(n as u64);
         for letter in letters {
             let packet = Packet {
                 op: letter.op,
@@ -2281,7 +1879,7 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
         }
         let n = machine.queues[thread].pop_many(&mut batch, DRAIN_BATCH, park);
         if n > 0 {
-            shared.drain_hist.record(n as u64);
+            shared.stats.drain.record(n as u64);
             let owed =
                 process_batch(&shared, &machine, machine_id, thread, &mut batch, &mut touched);
             // About to park: this producer has nothing more to add, so its
@@ -2344,14 +1942,14 @@ struct Finished {
 /// Admit one finished packet's emissions (ts = input ts + 1, §3) and
 /// retire it from the in-flight count.
 fn finish_packet(shared: &Arc<Shared>, done: Finished, touched: &mut Vec<MachineId>) {
-    let fanout_t0 =
-        (!done.records.is_empty() && shared.stages.enabled && shared.stages.sampler_fanout.hit())
-            .then(|| shared.now_us());
+    let stages = &shared.stats.stages;
+    let fanout_t0 = (!done.records.is_empty() && stages.enabled && stages.sampler_fanout.hit())
+        .then(|| shared.now_us());
     for rec in done.records {
-        shared.counters.emitted.inc();
+        shared.stats.emitted.inc();
         if shared.wf.is_external(rec.stream.as_str()) || !shared.wf.has_stream(rec.stream.as_str())
         {
-            shared.counters.publish_errors.inc();
+            shared.stats.publish_errors.inc();
             shared.drop_log.log(format!(
                 "illegal publish to {} from {}",
                 rec.stream,
@@ -2369,7 +1967,7 @@ fn finish_packet(shared: &Arc<Shared>, done: Finished, touched: &mut Vec<Machine
         fan_out(shared, &rec.stream, out, done.injected_us, done.redirected, false, touched);
     }
     if let Some(t0) = fanout_t0 {
-        shared.stages.fanout.record(shared.now_us().saturating_sub(t0));
+        stages.fanout.record(shared.now_us().saturating_sub(t0));
     }
     shared.pending.fetch_sub(1, Ordering::AcqRel);
     shared.throttle_cv.notify_all();
@@ -2411,6 +2009,7 @@ fn process_batch(
         // then): claimed here, while every packet of this batch is in flight.
         claim_retire(shared, cache, &mut retire_owed);
     }
+    let stages = &shared.stats.stages;
     let mut memo: Option<(OpId, Key, Arc<SlateSlot>)> = None;
     let mut finished: Vec<Finished> = Vec::new();
     let mut guard: Option<muppet_core::sync::RwLockReadGuard<'_, Membership>> = None;
@@ -2436,15 +2035,15 @@ fn process_batch(
         if packet.enqueued_us > 0 {
             // The queue-wait span: stamped at local enqueue by a sampler
             // hit, closed when the drain reaches the packet.
-            shared.stages.queue_wait.record(shared.now_us().saturating_sub(packet.enqueued_us));
+            stages.queue_wait.record(shared.now_us().saturating_sub(packet.enqueued_us));
         }
         match &shared.ops[packet.op] {
             OpInstance::Map(mapper) => {
                 // Mappers need no membership lock; an open updater run's
                 // guard is left in place and the mapper's fan-out joins
                 // the deferred queue like everyone else's.
-                let service_t0 = (shared.stages.enabled && shared.stages.sampler_service.hit())
-                    .then(|| shared.now_us());
+                let service_t0 =
+                    (stages.enabled && stages.sampler_service.hit()).then(|| shared.now_us());
                 let mut emitter = VecEmitter::new();
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     mapper.map(&mut emitter, &packet.event)
@@ -2459,9 +2058,9 @@ fn process_batch(
                     continue;
                 }
                 if let Some(t0) = service_t0 {
-                    shared.stages.service[packet.op].record(shared.now_us().saturating_sub(t0));
+                    stages.service[packet.op].record(shared.now_us().saturating_sub(t0));
                 }
-                shared.counters.processed.inc();
+                shared.stats.processed.inc();
                 machine.in_flight[thread].store(0, Ordering::Release);
                 finished.push(Finished {
                     op: packet.op,
@@ -2520,7 +2119,7 @@ fn process_batch(
                 {
                     shared.maybe_split(cache, packet.op, &packet.event.key);
                 }
-                let service_sampled = shared.stages.enabled && shared.stages.sampler_service.hit();
+                let service_sampled = stages.enabled && stages.sampler_service.hit();
                 let now = shared.now_us();
                 let slot = match &memo {
                     Some((m_op, m_key, m_slot))
@@ -2564,10 +2163,10 @@ fn process_batch(
                 if service_sampled {
                     // Service span: slate fetch (cache or store) + the
                     // update under the slot lock.
-                    shared.stages.service[packet.op].record(shared.now_us().saturating_sub(now));
+                    stages.service[packet.op].record(shared.now_us().saturating_sub(now));
                 }
-                shared.latency.record(shared.now_us().saturating_sub(packet.injected_us));
-                shared.counters.processed.inc();
+                shared.stats.latency.record(shared.now_us().saturating_sub(packet.injected_us));
+                shared.stats.processed.inc();
                 machine.in_flight[thread].store(0, Ordering::Release);
                 finished.push(Finished {
                     op: packet.op,
@@ -2652,7 +2251,7 @@ fn fold_local_batch(
                 carrier.injected_us = carrier.injected_us.min(packet.injected_us);
                 carrier.forwards = carrier.forwards.max(packet.forwards);
                 *absorbed.entry((packet.op, packet.event.key.clone())).or_insert(0) += 1;
-                shared.counters.combined_events.inc();
+                shared.stats.combined_events.inc();
                 shared.pending.fetch_sub(1, Ordering::AcqRel);
                 shared.throttle_cv.notify_all();
             }
@@ -2697,7 +2296,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// converges, and the event stays inspectable via `GET /dlq`.
 fn dead_letter(shared: &Arc<Shared>, packet: Packet, payload: Box<dyn std::any::Any + Send>) {
     let reason = panic_message(payload);
-    shared.counters.dead_lettered.inc();
+    shared.stats.dead_lettered.inc();
     shared.drop_log.log(format!(
         "poison event dead-lettered at {}: key={:?} ({reason})",
         shared.wf.op(packet.op).name,
@@ -2709,12 +2308,10 @@ fn dead_letter(shared: &Arc<Shared>, packet: Packet, payload: Box<dyn std::any::
             &[("op", (packet.op as u64).into()), ("dlq_depth", (shared.dlq.depth() as u64).into())],
         );
     }
-    shared.dlq.push(DeadLetter {
-        op: packet.op,
-        event: packet.event,
-        reason,
-        at_us: shared.now_us(),
-    });
+    let letter = DeadLetter { op: packet.op, event: packet.event, reason, at_us: shared.now_us() };
+    if shared.dlq.push(letter) {
+        shared.stats.dlq_evicted.inc();
+    }
     shared.pending.fetch_sub(1, Ordering::AcqRel);
     shared.throttle_cv.notify_all();
 }
@@ -2754,14 +2351,14 @@ fn forward_packet(
     touched: &mut Vec<MachineId>,
 ) {
     if packet.forwards >= MAX_FORWARDS {
-        shared.counters.lost_machine_failure.inc();
+        shared.stats.lost_machine_failure.inc();
         shared.drop_log.log(format!(
             "forward cap hit for key={:?} (rings disagree about machine {}?)",
             packet.event.key, owner.machine
         ));
         return;
     }
-    shared.counters.forwarded.inc();
+    shared.stats.forwarded.inc();
     packet.forwards += 1;
     // Forwarded events count as internal: the receiver's overflow policy
     // must never block the forwarding worker.
@@ -2829,7 +2426,7 @@ fn try_send(
     }
     let route: RouteHash = packet.event.key.route_hash(&shared.wf.op(packet.op).name);
     let Some(dest) = shared.membership.read().route(packet.op, route) else {
-        shared.counters.lost_machine_failure.inc();
+        shared.stats.lost_machine_failure.inc();
         return;
     };
     send_to(shared, packet, dest, external, touched);
@@ -2862,14 +2459,14 @@ fn send_to(
         Err(NetError::Unreachable(_)) => {
             shared.transport.report_failure(machine, shared.epoch());
             log_peer_death(shared, machine, 1);
-            shared.counters.lost_machine_failure.inc();
+            shared.stats.lost_machine_failure.inc();
             shared.drop_log.log(format!("lost to failed machine {machine}: key={key:?}"));
         }
         Err(e) => {
             // A local protocol/config error (oversized frame, no handler)
             // is not a dead peer — the event is lost and logged, but the
             // machine must not be declared failed.
-            shared.counters.lost_machine_failure.inc();
+            shared.stats.lost_machine_failure.inc();
             shared.drop_log.log(format!("undeliverable to machine {machine} ({e}): key={key:?}"));
         }
     }
@@ -2960,11 +2557,12 @@ fn deliver_local(
             // Stamp the queue-wait span here, on the receiving side —
             // the mark never crosses the wire (`max(1)`: 0 means
             // unsampled, and `now_us` can legitimately be 0 early on).
-            let enqueued_us = if shared.stages.enabled && shared.stages.sampler_queue.hit() {
-                shared.now_us().max(1)
-            } else {
-                0
-            };
+            let enqueued_us =
+                if shared.stats.stages.enabled && shared.stats.stages.sampler_queue.hit() {
+                    shared.now_us().max(1)
+                } else {
+                    0
+                };
             Packet {
                 op: ev.op,
                 event: ev.event,
@@ -2985,7 +2583,7 @@ fn deliver_local(
         // Queue full: invoke the overflow mechanism (§4.3).
         match shared.cfg.overflow.decide(ev.external, ev.redirected) {
             OverflowAction::Drop => {
-                shared.counters.dropped_overflow.inc();
+                shared.stats.dropped_overflow.inc();
                 shared.drop_log.log(format!(
                     "overflow drop at m{machine_id}w{thread}: key={:?} op={}",
                     ev.event.key, updater_name
@@ -2993,11 +2591,11 @@ fn deliver_local(
                 return Ok(());
             }
             OverflowAction::Redirect(overflow_stream) => {
-                shared.counters.redirected_overflow.inc();
+                shared.stats.redirected_overflow.inc();
                 if !shared.wf.has_stream(&overflow_stream)
                     || shared.wf.is_external(&overflow_stream)
                 {
-                    shared.counters.publish_errors.inc();
+                    shared.stats.publish_errors.inc();
                     return Ok(());
                 }
                 let external = ev.external;
@@ -3025,7 +2623,7 @@ fn deliver_local(
                 return Ok(());
             }
             OverflowAction::BlockProducer => {
-                shared.counters.throttle_waits.inc();
+                shared.stats.throttle_waits.inc();
                 let mut guard = shared.throttle_mutex.lock();
                 shared.throttle_cv.wait_for(&mut guard, Duration::from_millis(1));
                 drop(guard);
@@ -3311,7 +2909,7 @@ impl ClusterHandler for EngineHandler {
             Some(OpInstance::Update { updater, .. }) if updater.combines() => {
                 let folded = updater.combine(acc, next);
                 if folded.is_some() {
-                    shared.counters.combined_events.inc();
+                    shared.stats.combined_events.inc();
                 }
                 folded
             }
@@ -3327,7 +2925,7 @@ impl ClusterHandler for EngineHandler {
         // batch. Never retried.
         let shared = &self.0;
         log_peer_death(shared, dest, lost.len() as u64);
-        shared.counters.lost_machine_failure.add(lost.len() as u64);
+        shared.stats.lost_machine_failure.add(lost.len() as u64);
         for ev in &lost {
             shared.drop_log.log(format!("lost to failed machine {dest}: key={:?}", ev.event.key));
         }
@@ -3430,164 +3028,17 @@ impl ClusterHandler for EngineHandler {
     }
 }
 
-/// Register the registry's pull-side collectors: cache, net, store, and
-/// slate-representation state that lives in its own structs (pre-dating
-/// the registry) and is snapshotted at scrape time instead of being
-/// migrated onto push handles. Holds only a `Weak` back-reference —
-/// `Shared` owns the registry, so a strong ref would leak both.
-fn register_collectors(shared: &Arc<Shared>) {
+/// Register the scrape-time collector. It holds only a `Weak`
+/// back-reference — `Shared` owns the registry, so a strong ref would leak
+/// both.
+fn register_collector(shared: &Arc<Shared>) {
     let weak = Arc::downgrade(shared);
-    shared.registry.collector(move |out| {
-        let Some(sh) = weak.upgrade() else { return };
-        collect_engine_samples(&sh, out);
+    shared.stats.registry.collector(move |out| {
+        if let Some(sh) = weak.upgrade() {
+            let caches = sh.caches();
+            stats::collect(&sh.wf, &sh.snapshot(&caches), &caches, sh.tcp.as_deref(), out);
+        }
     });
-}
-
-fn collect_engine_samples(sh: &Arc<Shared>, out: &mut Vec<Sample>) {
-    out.push(Sample::gauge("muppet_epoch", &[], sh.epoch() as i64));
-    out.push(Sample::gauge("muppet_uptime_seconds", &[], sh.start.elapsed().as_secs() as i64));
-    out.push(Sample::gauge("muppet_pending_events", &[], sh.pending.load(Ordering::Acquire)));
-    out.push(Sample::gauge(
-        "muppet_split_keys_active",
-        &[],
-        sh.splits.active.load(Ordering::Acquire) as i64,
-    ));
-    out.push(Sample::gauge(
-        "muppet_protocol_version",
-        &[],
-        muppet_net::frame::PROTOCOL_VERSION as i64,
-    ));
-    if let Some(local) = sh.transport.local_machine() {
-        out.push(Sample::gauge("muppet_machine_id", &[], local as i64));
-    }
-
-    // Slate caches: aggregate counters, per-shard hit/miss series, the
-    // flush-batch size distribution, and the hottest ⟨op, key⟩ pairs.
-    let mut cache = crate::cache::CacheStats::default();
-    let mut shard_hits: Vec<(u64, u64)> = Vec::new();
-    let mut batches = muppet_obs::HistogramSnapshot::default();
-    let mut hot: Vec<muppet_obs::HeavyHitter<(OpId, Key)>> = Vec::new();
-    let mut merge = |c: &SlateCache| {
-        cache.absorb(&c.stats());
-        for (i, ss) in c.shard_stats().into_iter().enumerate() {
-            if shard_hits.len() <= i {
-                shard_hits.resize(i + 1, (0, 0));
-            }
-            shard_hits[i].0 += ss.hits;
-            shard_hits[i].1 += ss.misses;
-        }
-        let b = c.flush_batch_snapshot();
-        if batches.bucket_counts.len() < b.bucket_counts.len() {
-            batches.bucket_counts.resize(b.bucket_counts.len(), 0);
-        }
-        for (acc, n) in batches.bucket_counts.iter_mut().zip(&b.bucket_counts) {
-            *acc += n;
-        }
-        batches.sum += b.sum;
-        batches.count += b.count;
-        hot.extend(c.hot_keys(10));
-    };
-    for m in &sh.machines_snapshot() {
-        m.caches().for_each(|c| merge(c));
-    }
-    let cc = |name: &str, v: u64| Sample::counter(name, &[], v);
-    out.push(cc("muppet_cache_hits_total", cache.hits));
-    out.push(cc("muppet_cache_misses_total", cache.misses));
-    out.push(cc("muppet_cache_store_loads_total", cache.store_loads));
-    out.push(cc("muppet_cache_evictions_total", cache.evictions));
-    out.push(cc("muppet_cache_flush_writes_total", cache.flush_writes));
-    out.push(cc("muppet_cache_flush_failures_total", cache.flush_failures));
-    out.push(cc("muppet_cache_ttl_resets_total", cache.ttl_resets));
-    out.push(cc("muppet_cache_flush_batches_total", cache.flush_batches));
-    out.push(cc("muppet_cache_store_round_trips_total", cache.store_round_trips));
-    out.push(cc("muppet_cache_miss_coalesced_total", cache.miss_coalesced));
-    out.push(Sample::gauge("muppet_cache_entries", &[], cache.entries as i64));
-    out.push(Sample::gauge("muppet_cache_dirty_slates", &[], cache.dirty as i64));
-    // Victims chosen for eviction, not yet written back. Non-zero with an
-    // idle queue: the retire rule is broken; pinned at its bound: the
-    // store is the bottleneck.
-    out.push(Sample::gauge("muppet_cache_evict_backlog", &[], cache.evict_backlog as i64));
-    for (i, (hits, misses)) in shard_hits.iter().enumerate() {
-        let shard = i.to_string();
-        out.push(Sample::counter("muppet_cache_shard_hits_total", &[("shard", &shard)], *hits));
-        out.push(Sample::counter("muppet_cache_shard_misses_total", &[("shard", &shard)], *misses));
-    }
-    if batches.count > 0 {
-        out.push(Sample {
-            name: "muppet_flush_batch_slates".into(),
-            labels: Vec::new(),
-            value: muppet_obs::Value::Histogram(batches),
-        });
-    }
-    hot.sort_by(|a, b| b.count.cmp(&a.count).then(a.err.cmp(&b.err)));
-    hot.truncate(10);
-    for hh in hot {
-        let (op, key) = hh.key;
-        let op_name = sh.wf.op(op).name.as_str();
-        let key_text = String::from_utf8_lossy(key.as_bytes()).into_owned();
-        out.push(Sample::counter(
-            "muppet_hot_key_events_est",
-            &[("op", op_name), ("key", &key_text)],
-            hh.count,
-        ));
-    }
-
-    // The wire (TCP mode only; all zero in-process).
-    if let Some(tcp) = &sh.tcp {
-        let t = tcp.stats();
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        out.push(cc("muppet_net_frames_sent_total", load(&t.frames_sent)));
-        out.push(cc("muppet_net_frames_received_total", load(&t.frames_received)));
-        out.push(cc("muppet_net_batches_sent_total", load(&t.batches_sent)));
-        out.push(cc("muppet_net_batched_events_sent_total", load(&t.batched_events_sent)));
-        out.push(cc("muppet_net_send_failures_total", load(&t.send_failures)));
-        out.push(cc("muppet_net_connects_total", load(&t.connects)));
-        out.push(cc("muppet_net_hello_rejected_total", load(&t.hello_rejected)));
-        out.push(cc("muppet_net_frames_rejected_total", load(&t.frames_rejected)));
-        out.push(cc("muppet_net_queue_full_waits_total", load(&t.queue_full_waits)));
-        for reason in FlushReason::ALL {
-            out.push(Sample::counter(
-                "muppet_net_flushes_total",
-                &[("reason", reason.as_str())],
-                t.flushes(reason),
-            ));
-        }
-        out.push(Sample::gauge(
-            "muppet_net_outbound_backlog",
-            &[],
-            load(&t.outbound_backlog) as i64,
-        ));
-    }
-
-    // The durable store (when hosted by this node).
-    if let Some(store) = &sh.host_store {
-        out.push(cc("muppet_wal_syncs_total", store.wal_sync_count()));
-    }
-
-    // Crash recovery: the ingest WAL and the dead-letter queue.
-    if let Some(log) = &sh.ingest_log {
-        out.push(cc("muppet_wal_ingest_syncs_total", log.sync_count()));
-        // Segment totals (recovered prefix included, like the watermarks
-        // below): bytes ÷ written is the log's cost per event, written ÷
-        // frames near 1 a source that pays a header and an fsync per event.
-        out.push(cc("muppet_wal_ingest_bytes_total", log.byte_count()));
-        out.push(cc("muppet_wal_ingest_frames_total", log.frame_count()));
-        out.push(cc("muppet_wal_ingest_replayed_total", sh.recovered.load(Ordering::Relaxed)));
-        // written − durable = the records inside their fsync window: logged
-        // and dispatched, not yet acked.
-        out.push(Sample::gauge("muppet_ingest_wal_written", &[], log.record_count() as i64));
-        out.push(Sample::gauge("muppet_ingest_wal_durable", &[], log.durable_count() as i64));
-        out.push(Sample::gauge("muppet_ingest_wal_failed", &[], i64::from(log.failed())));
-    }
-    out.push(Sample::gauge("muppet_dlq_depth", &[], sh.dlq.depth() as i64));
-    out.push(cc("muppet_dlq_evicted_total", sh.dlq.dropped()));
-    out.push(cc("muppet_dlq_retried_total", sh.dlq.retried()));
-
-    // Slate codec work (process-wide statics — shared across engines in
-    // one process, which only bench harnesses do).
-    let (parses, serializations) = muppet_core::slate::repr_counters();
-    out.push(cc("muppet_slate_parses_total", parses));
-    out.push(cc("muppet_slate_serializations_total", serializations));
 }
 
 fn flusher_loop(shared: Arc<Shared>, machine_id: usize, interval: Duration) {

@@ -22,6 +22,8 @@ use muppet_core::event::Key;
 use muppet_core::Error;
 use muppet_net::FlushReason;
 
+use crate::ingestlog::IngestWalView;
+
 /// What the server needs from its host engine. `Engine` implements this;
 /// tests can substitute a stub.
 pub trait SlateReader: Send + Sync + 'static {
@@ -89,7 +91,7 @@ impl SlateReader for crate::engine::Engine {
     }
 
     fn metrics_text(&self) -> Option<String> {
-        Some(self.metrics_text())
+        Some(self.registry().render())
     }
 
     fn dlq_json(&self) -> String {
@@ -103,86 +105,72 @@ impl SlateReader for crate::engine::Engine {
     fn status_json(&self) -> String {
         use muppet_core::json::Json;
         let s = self.stats();
-        let wal = self.ingest_wal();
+        let shards = self.cache_shard_stats();
+        let num = |v: u64| Json::num(v as f64);
         // Ingest-WAL fields are null on a node without one.
-        let wal_num = |v: Option<u64>| v.map_or(Json::Null, |v| Json::num(v as f64));
+        let wal_num =
+            |f: fn(&IngestWalView) -> u64| s.ingest_wal.map_or(Json::Null, |w| num(f(&w)));
         Json::obj([
-            ("uptime_s", Json::num(self.uptime_s() as f64)),
-            (
-                "machine_id",
-                match self.local_machine() {
-                    Some(id) => Json::num(id as f64),
-                    None => Json::Null,
-                },
-            ),
-            ("protocol_version", Json::num(muppet_net::frame::PROTOCOL_VERSION as f64)),
-            ("submitted", Json::num(s.submitted as f64)),
-            ("processed", Json::num(s.processed as f64)),
-            ("emitted", Json::num(s.emitted as f64)),
-            ("dropped_overflow", Json::num(s.dropped_overflow as f64)),
-            ("lost_machine_failure", Json::num(s.lost_machine_failure as f64)),
-            ("lost_in_queues", Json::num(s.lost_in_queues as f64)),
-            ("forwarded", Json::num(s.forwarded as f64)),
-            ("combined_events_total", Json::num(s.combined_events as f64)),
-            ("split_keys_active", Json::num(s.split_keys_active as f64)),
-            ("split_merge_reads_total", Json::num(s.split_merge_reads as f64)),
-            ("epoch", Json::num(s.epoch as f64)),
-            ("machines", Json::num(self.machine_count() as f64)),
-            ("max_queue_high_water", Json::num(self.max_queue_high_water() as f64)),
-            ("cache_entries", Json::num(s.cache.entries as f64)),
-            ("cache_hits", Json::num(s.cache.hits as f64)),
-            ("cache_misses", Json::num(s.cache.misses as f64)),
+            ("uptime_s", num(s.uptime_s)),
+            ("machine_id", s.machine_id.map_or(Json::Null, |id| num(id as u64))),
+            ("protocol_version", num(muppet_net::frame::PROTOCOL_VERSION)),
+            ("submitted", num(s.submitted)),
+            ("processed", num(s.processed)),
+            ("emitted", num(s.emitted)),
+            ("dropped_overflow", num(s.dropped_overflow)),
+            ("lost_machine_failure", num(s.lost_machine_failure)),
+            ("lost_in_queues", num(s.lost_in_queues)),
+            ("forwarded", num(s.forwarded)),
+            ("combined_events_total", num(s.combined_events)),
+            ("split_keys_active", num(s.split_keys_active)),
+            ("split_merge_reads_total", num(s.split_merge_reads)),
+            ("epoch", num(s.epoch)),
+            ("machines", num(self.machine_count() as u64)),
+            ("max_queue_high_water", num(self.max_queue_high_water() as u64)),
+            ("cache_entries", num(s.cache.entries)),
+            ("cache_hits", num(s.cache.hits)),
+            ("cache_misses", num(s.cache.misses)),
             // Per-machine shard count — the length of cache_shard_hits
             // below (EngineStats::cache.shards is the cross-machine sum).
-            ("cache_shards", Json::num(self.cache_shard_stats().len() as f64)),
-            ("drain_batches", Json::num(s.drain.drains as f64)),
-            ("drain_batch_mean", Json::num(s.drain.mean as f64)),
-            ("drain_batch_p50", Json::num(s.drain.p50 as f64)),
-            ("drain_batch_p99", Json::num(s.drain.p99 as f64)),
-            ("drain_batch_max", Json::num(s.drain.max as f64)),
-            (
-                "cache_shard_hits",
-                Json::Arr(
-                    self.cache_shard_stats()
-                        .into_iter()
-                        .map(|sh| Json::num(sh.hits as f64))
-                        .collect(),
-                ),
-            ),
-            ("p99_latency_us", Json::num(s.latency.p99_us as f64)),
+            ("cache_shards", num(shards.len() as u64)),
+            ("drain_batches", num(s.drain.drains)),
+            ("drain_batch_mean", num(s.drain.mean)),
+            ("drain_batch_p50", num(s.drain.p50)),
+            ("drain_batch_p99", num(s.drain.p99)),
+            ("drain_batch_max", num(s.drain.max)),
+            ("cache_shard_hits", Json::Arr(shards.iter().map(|shard| num(shard.hits)).collect())),
+            ("p99_latency_us", num(s.latency.p99_us)),
             // The write-behind store pipeline (DESIGN.md §9).
-            ("store_flush_batches", Json::num(s.store.flush_batches as f64)),
-            ("store_flush_batch_p50", Json::num(s.store.flush_batch_p50 as f64)),
-            ("store_flush_batch_largest", Json::num(s.store.flush_batch_largest as f64)),
-            ("store_round_trips", Json::num(s.store.store_round_trips as f64)),
-            ("store_miss_coalesced", Json::num(s.store.miss_coalesced as f64)),
+            ("store_flush_batches", num(s.cache.flush_batches)),
+            ("store_flush_batch_p50", num(s.cache.flush_batch_p50)),
+            ("store_flush_batch_largest", num(s.cache.flush_batch_largest)),
+            ("store_round_trips", num(s.cache.store_round_trips)),
+            ("store_miss_coalesced", num(s.cache.miss_coalesced)),
             // Eviction victims chosen, not yet written back.
-            ("evict_backlog", Json::num(s.cache.evict_backlog as f64)),
+            ("evict_backlog", num(s.cache.evict_backlog)),
             // Crash recovery (DESIGN.md §11): ingest WAL + DLQ state.
-            ("recovered_replayed", Json::num(self.recovered_replayed() as f64)),
-            ("ingest_wal_syncs", wal_num(wal.map(|w| w.syncs))),
-            ("ingest_wal_bytes", wal_num(wal.map(|w| w.bytes))),
-            ("ingest_wal_frames", wal_num(wal.map(|w| w.frames))),
+            ("recovered_replayed", num(s.recovered_replayed)),
+            ("ingest_wal_syncs", wal_num(|w| w.syncs)),
+            ("ingest_wal_bytes", wal_num(|w| w.bytes)),
+            ("ingest_wal_frames", wal_num(|w| w.frames)),
             // written − durable = the un-acked fsync window.
-            ("ingest_wal_written", wal_num(wal.map(|w| w.written))),
-            ("ingest_wal_durable", wal_num(wal.map(|w| w.durable))),
-            ("ingest_wal_failed", wal.map_or(Json::Null, |w| Json::Bool(w.failed))),
-            ("dlq_depth", Json::num(self.dlq().depth() as f64)),
-            ("dlq_added", Json::num(self.dlq().added() as f64)),
-            ("dlq_dropped", Json::num(self.dlq().dropped() as f64)),
-            ("dlq_retried", Json::num(self.dlq().retried() as f64)),
-            ("net_frames_sent", Json::num(s.net.frames_sent as f64)),
-            ("net_batches_sent", Json::num(s.net.batches_sent as f64)),
-            ("net_outbound_backlog", Json::num(s.net.outbound_backlog as f64)),
-            ("net_flushes_size", Json::num(s.net.flushes[FlushReason::Size as usize] as f64)),
-            ("net_flushes_demand", Json::num(s.net.flushes[FlushReason::Demand as usize] as f64)),
-            ("net_flushes_age", Json::num(s.net.flushes[FlushReason::Age as usize] as f64)),
-            ("net_flushes_stop", Json::num(s.net.flushes[FlushReason::Stop as usize] as f64)),
+            ("ingest_wal_written", wal_num(|w| w.written)),
+            ("ingest_wal_durable", wal_num(|w| w.durable)),
+            ("ingest_wal_failed", s.ingest_wal.map_or(Json::Null, |w| Json::Bool(w.failed))),
+            ("dlq_depth", num(s.dlq_depth)),
+            ("dlq_added", num(s.dead_lettered)),
+            ("dlq_dropped", num(s.dlq_evicted)),
+            ("dlq_retried", num(s.dlq_retried)),
+            ("net_frames_sent", num(s.net.frames_sent)),
+            ("net_batches_sent", num(s.net.batches_sent)),
+            ("net_outbound_backlog", num(s.net.outbound_backlog)),
+            ("net_flushes_size", num(s.net.flushes[FlushReason::Size as usize])),
+            ("net_flushes_demand", num(s.net.flushes[FlushReason::Demand as usize])),
+            ("net_flushes_age", num(s.net.flushes[FlushReason::Age as usize])),
+            ("net_flushes_stop", num(s.net.flushes[FlushReason::Stop as usize])),
             (
                 "failed_machines",
-                Json::Arr(
-                    self.failed_machines().into_iter().map(|m| Json::num(m as f64)).collect(),
-                ),
+                Json::Arr(self.failed_machines().into_iter().map(|m| num(m as u64)).collect()),
             ),
         ])
         .to_compact()
@@ -289,23 +277,30 @@ impl HttpSlateServer {
     }
 }
 
+/// Bytes of request line and headers together a connection may send; past
+/// them it is answered 431 and closed.
+const MAX_HEAD: u64 = 16 << 10;
+
 fn handle_connection(stream: TcpStream, reader: &dyn SlateReader) -> std::io::Result<()> {
     stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
     let mut buf = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    buf.read_line(&mut request_line)?;
-    // Drain headers, keeping Content-Length (POST ingest bodies).
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if buf.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
-        }
+    let mut out = stream;
+    let Some(head) = read_head(&mut buf)? else {
+        return respond(&mut out, 431, "text/plain", b"request head too large");
+    };
+    let mut lines = head.lines();
+    let request_line = lines.next().unwrap_or_default();
+    // Content-Length sizes POST bodies; one that does not parse is refused,
+    // not read as an empty body.
+    let mut content_length = Some(0usize);
+    for line in lines {
         if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
+            content_length = v.trim().parse().ok();
         }
     }
-    let mut out = stream;
+    let Some(content_length) = content_length else {
+        return respond(&mut out, 400, "text/plain", b"bad content-length");
+    };
     let mut parts = request_line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m, p),
@@ -409,6 +404,26 @@ fn handle_connection(stream: TcpStream, reader: &dyn SlateReader) -> std::io::Re
     respond(&mut out, 404, "text/plain", b"not found")
 }
 
+/// The request line and headers, up to the blank line that ends them:
+/// `None` when they do not end within [`MAX_HEAD`] bytes. A stream that
+/// ends first yields what it sent.
+fn read_head(buf: impl BufRead) -> std::io::Result<Option<String>> {
+    let mut head = String::new();
+    let mut capped = buf.take(MAX_HEAD);
+    loop {
+        let start = head.len();
+        capped.read_line(&mut head)?;
+        let line = &head[start..];
+        if !line.ends_with('\n') {
+            // End of stream, or of the cap.
+            return Ok((capped.limit() > 0).then_some(head));
+        }
+        if start > 0 && (line == "\r\n" || line == "\n") {
+            return Ok(Some(head));
+        }
+    }
+}
+
 fn respond(
     stream: &mut TcpStream,
     code: u16,
@@ -420,16 +435,19 @@ fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Error",
     };
-    write!(
-        stream,
+    // One write: a connection closed with its request unread is reset, and
+    // a reset drops whatever the response still had queued.
+    let mut msg = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
-    stream.write_all(body)?;
-    stream.flush()
+    )
+    .into_bytes();
+    msg.extend_from_slice(body);
+    stream.write_all(&msg)
 }
 
 /// Decode `%xx` escapes and `+` (as space). Returns `None` on malformed
@@ -545,6 +563,42 @@ mod tests {
         fn dlq_retry(&self) -> Result<usize, String> {
             Ok(3)
         }
+        fn submit_event(&self, _: &str, _: Key, _: Vec<u8>) -> muppet_core::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The status line the server answers a raw `request` with.
+    fn raw_status(srv: &HttpSlateServer, request: &[u8]) -> String {
+        let mut stream = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
+        // The server stops reading at its cap and closes; the rest of an
+        // oversized request may not be written.
+        let _ = stream.write_all(request);
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        line
+    }
+
+    #[test]
+    fn an_oversized_request_head_is_refused_and_the_server_keeps_serving() {
+        let srv = server();
+        let request = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(1 << 20));
+        let line = raw_status(&srv, request.as_bytes());
+        assert!(line.starts_with("HTTP/1.1 431 "), "{line}");
+        let headers =
+            format!("GET /status HTTP/1.1\r\n{}\r\n", "X-Pad: 0123456789\r\n".repeat(1000));
+        assert!(raw_status(&srv, headers.as_bytes()).starts_with("HTTP/1.1 431 "));
+        let (code, body) = http_get(&format!("{}/status", srv.base_url())).unwrap();
+        assert_eq!((code, body.as_slice()), (200, br#"{"ok":true}"#.as_slice()));
+    }
+
+    #[test]
+    fn a_malformed_content_length_is_refused() {
+        let srv = server();
+        let request = b"POST /submit/S1/k HTTP/1.1\r\nContent-Length: 12x\r\n\r\n";
+        assert!(raw_status(&srv, request).starts_with("HTTP/1.1 400 "));
+        let (code, _) = http_post(&format!("{}/submit/S1/k", srv.base_url()), b"v").unwrap();
+        assert_eq!(code, 200, "a well-formed submit is accepted");
     }
 
     fn server() -> HttpSlateServer {

@@ -284,6 +284,23 @@ pub struct IngestLog {
     sync_latency: Option<Arc<Histogram>>,
 }
 
+/// One reading of an ingest WAL ([`IngestLog::view`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IngestWalView {
+    /// Events logged (and dispatched).
+    pub written: u64,
+    /// Events an fsync covers; `written − durable` is the un-acked window.
+    pub durable: u64,
+    /// An I/O error has poisoned the log.
+    pub failed: bool,
+    /// Fsyncs issued.
+    pub syncs: u64,
+    /// Bytes in the segment, header included.
+    pub bytes: u64,
+    /// Frames in the segment.
+    pub frames: u64,
+}
+
 /// What `IngestLog::open` recovered from an existing segment.
 pub struct IngestRecovery {
     path: PathBuf,
@@ -546,6 +563,18 @@ impl IngestLog {
     /// `record_count` under concurrency.
     pub fn sync_count(&self) -> u64 {
         self.syncs.load(Ordering::Relaxed)
+    }
+
+    /// The log's counters, read once.
+    pub fn view(&self) -> IngestWalView {
+        IngestWalView {
+            written: self.record_count(),
+            durable: self.durable_count(),
+            failed: self.failed(),
+            syncs: self.sync_count(),
+            bytes: self.byte_count(),
+            frames: self.frame_count(),
+        }
     }
 }
 

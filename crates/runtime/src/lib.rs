@@ -23,7 +23,8 @@
 //!   the master broadcasts, rings drop the dead machine (§4.3);
 //! * [`cache`] — LRU slate caches with write-through / interval / on-evict
 //!   flush policies into the `muppet-slatestore` cluster (§4.2);
-//! * [`http`] — the per-node HTTP server for live slate reads (§4.4).
+//! * [`http`] — the per-node HTTP server for live slate reads (§4.4);
+//! * `stats` — the engine's registry and the handles it records into.
 //!
 //! The cluster runs over a pluggable wire ([`muppet_net::Transport`],
 //! selected via [`engine::TransportKind`]): by default *in-process* —
@@ -48,6 +49,7 @@ pub mod netstore;
 pub mod overflow;
 mod placement;
 pub mod queue;
+mod stats;
 
 pub use cache::{FlushPolicy, SlateCache};
 pub use engine::{Engine, EngineConfig, EngineKind, EngineStats, TransportKind};

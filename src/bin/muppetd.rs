@@ -78,7 +78,6 @@ struct Options {
     join: Option<ClusterView>,
     ingest_wal: Option<String>,
     ingest_sync_each: bool,
-    dlq_capacity: Option<usize>,
     wire_codec: CodecChoice,
     combine: bool,
     hot_split_threshold: u64,
@@ -92,7 +91,7 @@ fn usage() -> ! {
            [--batch-max <events>] [--flush-us <microseconds>]
            [--flush-batch-max <slates>]
            [--metrics on|off] [--latency-sample-n <n>]
-           [--ingest-wal <path>] [--ingest-sync each|group] [--dlq-capacity <n>]
+           [--ingest-wal <path>] [--ingest-sync each|group]
            [--wire-codec auto|json|mbf]
            [--combine on|off] [--hot-split-threshold <events>]
            [--log-level debug|info|warn|error|off] [--log-json]
@@ -176,7 +175,6 @@ fn parse_args() -> Options {
     let mut log_json = false;
     let mut ingest_wal = None;
     let mut ingest_sync_each = false;
-    let mut dlq_capacity = None;
     let mut wire_codec = defaults.wire_codec;
     let mut combine = defaults.combine;
     let mut hot_split_threshold = defaults.hot_split_threshold;
@@ -266,12 +264,6 @@ fn parse_args() -> Options {
                     }
                 }
             }
-            "--dlq-capacity" => {
-                dlq_capacity = Some(value().parse().unwrap_or_else(|_| {
-                    eprintln!("muppetd: --dlq-capacity wants an event count");
-                    usage()
-                }))
-            }
             "--wire-codec" => {
                 wire_codec = value().parse().unwrap_or_else(|_| {
                     eprintln!("muppetd: --wire-codec wants auto|json|mbf");
@@ -328,7 +320,6 @@ fn parse_args() -> Options {
             join: Some(grant.view),
             ingest_wal,
             ingest_sync_each,
-            dlq_capacity,
             wire_codec,
             combine,
             hot_split_threshold,
@@ -361,7 +352,6 @@ fn parse_args() -> Options {
         join: None,
         ingest_wal,
         ingest_sync_each,
-        dlq_capacity,
         wire_codec,
         combine,
         hot_split_threshold,
@@ -456,7 +446,6 @@ fn main() {
         joining: opts.join.clone(),
         ingest_wal: opts.ingest_wal.as_ref().map(std::path::PathBuf::from),
         ingest_sync_each: opts.ingest_sync_each,
-        dlq_capacity: opts.dlq_capacity.unwrap_or(muppet::runtime::engine::DEFAULT_DLQ_CAPACITY),
         wire_codec: opts.wire_codec,
         combine: opts.combine,
         hot_split_threshold: opts.hot_split_threshold,

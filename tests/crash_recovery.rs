@@ -350,7 +350,7 @@ fn wal_replay_reproduces_reference_counts_and_truncates_a_torn_tail() {
     }
 
     let e2 = count_engine(&wal);
-    assert_eq!(e2.recovered_replayed(), (KEYS * PER_KEY) as u64, "full replay expected");
+    assert_eq!(e2.stats().recovered_replayed, (KEYS * PER_KEY) as u64, "full replay expected");
     let all_match = wait_until(Duration::from_secs(20), || {
         (0..KEYS).all(|k| {
             let key = Key::from(format!("k-{k}"));
@@ -364,7 +364,7 @@ fn wal_replay_reproduces_reference_counts_and_truncates_a_torn_tail() {
     // record, and the count advances.
     e2.submit(Event::new("S1", 10_000, Key::from("k-0"), "e")).unwrap();
     assert!(e2.drain(Duration::from_secs(10)));
-    assert_eq!(e2.ingest_wal().unwrap().written, (KEYS * PER_KEY + 1) as u64);
+    assert_eq!(e2.stats().ingest_wal.unwrap().written, (KEYS * PER_KEY + 1) as u64);
     assert_eq!(
         e2.read_slate("counter", &Key::from("k-0")).as_deref(),
         Some((PER_KEY + 1).to_string().as_bytes())
@@ -446,12 +446,12 @@ fn a_frame_is_applied_while_its_fsync_runs_and_acked_only_after_it() {
     assert!(wait_until(Duration::from_secs(10), || engine.stats().processed == 64));
     assert!(all_keys_count_eight(&engine));
     assert!(!submitter.is_finished(), "no ack before the fsync returns");
-    let view = engine.ingest_wal().unwrap();
+    let view = engine.stats().ingest_wal.unwrap();
     assert_eq!((view.written, view.durable, view.failed), (64, 0, false));
 
     gate.send(()).unwrap();
     submitter.join().unwrap().expect("acked once durable");
-    let view = engine.ingest_wal().unwrap();
+    let view = engine.stats().ingest_wal.unwrap();
     assert_eq!((view.written, view.durable, view.failed), (64, 64, false));
     shutdown(engine);
 }
@@ -481,7 +481,7 @@ fn a_failed_fsync_stops_ingest_keeps_the_store_behind_the_log_and_a_restart_repl
     let refused = engine.submit(Event::new("S1", 99, Key::from("k-0"), "e")).unwrap_err();
     assert!(matches!(refused, Error::IngestLog(_)), "{refused}");
     assert_eq!(engine.stats().submitted, 64);
-    let view = engine.ingest_wal().unwrap();
+    let view = engine.stats().ingest_wal.unwrap();
     assert_eq!((view.written, view.durable, view.failed), (64, 0, true));
     let server = HttpSlateServer::serve(Arc::clone(&engine) as _).unwrap();
     let (code, _) = http("POST", server.port(), "/submit/S1/k-0", b"e").unwrap();
@@ -514,7 +514,7 @@ fn a_failed_fsync_stops_ingest_keeps_the_store_behind_the_log_and_a_restart_repl
     // OS is in the file although no fsync ever covered it. A new life on
     // the same WAL and store replays all of it, exactly once.
     let engine = stored_count_engine(&wal, &store, None);
-    assert_eq!(engine.recovered_replayed(), 64);
+    assert_eq!(engine.stats().recovered_replayed, 64);
     assert!(wait_until(Duration::from_secs(10), || all_keys_count_eight(&engine)));
     assert!(engine.checkpoint(Duration::from_secs(10)));
     assert!(store.stats().node.puts > GATED_KEYS as u64, "slates and the cursor are stored");
@@ -552,7 +552,7 @@ fn a_cursor_inside_a_frame_replays_exactly_the_rest_of_it() {
     drop(log);
 
     let engine = stored_count_engine(&wal, &store, None);
-    assert_eq!(engine.recovered_replayed(), 54);
+    assert_eq!(engine.stats().recovered_replayed, 54);
     assert!(engine.drain(Duration::from_secs(10)));
     assert_eq!(engine.stats().processed, 54, "the first ten are not applied twice");
     for k in 0..GATED_KEYS {
@@ -673,24 +673,24 @@ fn panicking_updater_is_contained_dead_lettered_and_retryable() {
     assert!(engine.drain(Duration::from_secs(20)), "drain must converge past the poison event");
     assert_eq!(engine.read_slate("poison", &Key::from("good")).as_deref(), Some(b"80".as_ref()));
     assert_eq!(engine.stats().processed, 80, "the dead-lettered event is not 'processed'");
-    assert_eq!(engine.dlq().depth(), 1);
+    assert_eq!(engine.stats().dlq_depth, 1);
     let json = engine.dlq_json();
     assert!(json.contains("poison") && json.contains("boom"), "{json}");
 
     // Retry while still broken: the event poisons again and comes back.
     assert_eq!(engine.dlq_retry(), 1);
     assert!(
-        wait_until(Duration::from_secs(10), || engine.dlq().depth() == 1),
+        wait_until(Duration::from_secs(10), || engine.stats().dlq_depth == 1),
         "an unfixed poison event must return to the DLQ"
     );
-    assert_eq!(engine.dlq().retried(), 1);
+    assert_eq!(engine.stats().dlq_retried, 1);
     assert_eq!(engine.read_slate("poison", &Key::from("bad")), None, "no partial state leaked");
 
     // Fix the operator; the retry drains the queue and applies the event.
     fixed.store(true, Ordering::Release);
     assert_eq!(engine.dlq_retry(), 1);
     assert!(
-        wait_until(Duration::from_secs(10), || engine.dlq().depth() == 0
+        wait_until(Duration::from_secs(10), || engine.stats().dlq_depth == 0
             && engine.read_slate("poison", &Key::from("bad")).as_deref() == Some(b"1".as_ref())),
         "a fixed poison event must finally apply"
     );

@@ -230,21 +230,21 @@ fn engine_over_tcp_store_host_flushes_in_batches_and_counts_exactly() {
     // the worker node's cache flushed over the wire with > 1 slate per
     // round trip (50 hot keys per tick at flush_batch_max = 16).
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while worker.stats().store.flush_batches == 0 {
+    while worker.stats().cache.flush_batches == 0 {
         assert!(std::time::Instant::now() < deadline, "worker flusher never ticked");
         std::thread::sleep(Duration::from_millis(20));
     }
     let wstats = worker.stats();
     assert!(
-        wstats.store.flush_batch_largest > 1,
+        wstats.cache.flush_batch_largest > 1,
         "remote flushes must coalesce (largest batch {})",
-        wstats.store.flush_batch_largest
+        wstats.cache.flush_batch_largest
     );
     let wflushed = wstats.cache.flush_writes;
     assert!(
-        wstats.store.flush_batches < wflushed,
+        wstats.cache.flush_batches < wflushed,
         "fewer store round trips than slates flushed ({} batches / {} writes)",
-        wstats.store.flush_batches,
+        wstats.cache.flush_batches,
         wflushed
     );
     worker.shutdown();
@@ -327,7 +327,7 @@ fn evicted_slates_reach_the_store_in_batches_only() {
     let sizes = store.batch_sizes.lock().clone();
     assert_eq!(sizes.iter().sum::<usize>(), 225, "every evicted slate was written once");
     assert!(sizes.len() <= 16, "225 evictions in {} write calls: {sizes:?}", sizes.len());
-    assert_eq!(stats.store.flush_batches, sizes.len() as u64);
+    assert_eq!(stats.cache.flush_batches, sizes.len() as u64);
     // And the loads: each of the four full batches fetched a backlog's
     // worth of its cold keys (32) in one StoreGet frame; the other 129
     // misses were lone ones, each a frame of one.
