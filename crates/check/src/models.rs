@@ -7,8 +7,9 @@
 //!
 //! * [`run_group_commit`] — `runtime::ingestlog` two-watermark group
 //!   commit (write under the writer lock; a leader reads `written`, syncs
-//!   with no lock held, publishes `durable` and notifies under the cv
-//!   mutex);
+//!   the live segment and any sealed tail with no lock held, publishes
+//!   `durable` and notifies under the cv mutex) and `Engine::checkpoint`'s
+//!   recovery line over it (rotate, sync, drain, flush, store the cursor);
 //! * [`run_single_flight`] — `runtime::cache` single-flight miss reads
 //!   (one loader per key, waiters coalesce onto the flight);
 //! * [`run_flush_cas`] — `runtime::cache` snapshot flushes (snapshot
@@ -16,13 +17,14 @@
 //!   the *snapshot* version only, so a concurrent mutation keeps its
 //!   dirty bit).
 //!
-//! Every model also has a deliberately-broken variant — the negative
-//! control proving the harness can actually catch the bug class it
-//! guards against (an ack past what the sync covered, a waiter observing
-//! an absent value, a lost dirty bit). `violations > 0` for a broken run is the harness
-//! working, not the harness failing.
+//! Every model also has deliberately-broken variants — the negative
+//! controls proving the harness can actually catch the bug class it
+//! guards against (an ack past what the sync covered, a cursor past its
+//! flush, a waiter observing an absent value, a lost dirty bit).
+//! `violations > 0` for a broken run is the harness working, not the
+//! harness failing.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,53 +57,105 @@ impl Outcome {
 }
 
 // ---------------------------------------------------------------------
-// Model 1: ingest-WAL group commit.
+// Model 1: ingest-WAL group commit and the recovery line.
 // ---------------------------------------------------------------------
 
+/// A deliberately broken step of [`run_group_commit`]'s protocol — the
+/// negative controls its sweep must catch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GroupCommitBug {
+    /// The sync leader reads `written` after its sync, not before.
+    ReadAfterSync,
+    /// The leader syncs only the live segment, not a sealed one's
+    /// unsynced tail.
+    SyncLiveOnly,
+    /// The checkpointer reads its cursor after the flush, not at its
+    /// rotation.
+    CursorAfterFlush,
+    /// The checkpointer's drain ignores runs between their log write and
+    /// their dispatch.
+    DrainIgnoresDispatch,
+}
+
+/// Segments a run can have: the first live one and the one the
+/// checkpointer rotates to.
+const SEGMENTS: usize = 2;
+
 struct GroupCommit {
-    /// The writer lock and, behind it, the "file": records handed to the
-    /// OS, in write order.
-    file: Mutex<Vec<u64>>,
-    /// `file.len()`, stored under the writer lock, read by sync leaders
-    /// without it.
+    /// The writer lock and, behind it, the segments: records handed to
+    /// the OS, in write order. The last one is live.
+    segments: Mutex<Vec<Vec<u64>>>,
+    /// Records written, stored under the writer lock, read by sync
+    /// leaders without it.
     written: AtomicU64,
-    /// The "disk": how many records the completed fsyncs have covered.
-    disk: AtomicU64,
+    /// Per segment: records the OS holds (stored under the writer lock)
+    /// and records a completed fsync of that segment covered.
+    held: [AtomicU64; SEGMENTS],
+    disk: [AtomicU64; SEGMENTS],
     durable: AtomicU64,
+    /// What a sync step covers: the live segment, and sealed segments no
+    /// step has synced yet.
+    sync_set: Mutex<(usize, Vec<usize>)>,
     /// True while a leader is inside the sync step; its mutex is the cv
     /// mutex (followers re-check `durable` under it before parking,
     /// leaders publish and notify under it).
     syncing: Mutex<bool>,
     cv: Condvar,
-    /// A watermark was published, or an append returned, beyond what the
-    /// disk holds — an ack a power loss would break.
+    /// Runs between their write and their dispatch; dispatched records
+    /// not yet applied; applied records, by sequence number.
+    dispatching: AtomicU64,
+    pending: AtomicU64,
+    applied: Mutex<HashSet<u64>>,
+    /// An append returned before a sync of its own segment covered it —
+    /// an ack a power loss would break.
     acked_unsynced: AtomicU64,
     /// Timeout rescues: a parked follower whose covering sync happened
     /// but whose wakeup never arrived — the lost-wakeup signature.
     lost_wakeups: AtomicU64,
+    /// Events below the stored cursor that its flush lacked.
+    unflushed_below_cursor: AtomicU64,
     syncs: AtomicU64,
-    /// Negative control: the leader reads `written` AFTER its sync.
-    broken_read_after_sync: bool,
+    bug: Option<GroupCommitBug>,
 }
 
 impl GroupCommit {
-    /// `write_batch`: append under the writer lock, advance `written`.
-    fn write(&self, record: u64) -> u64 {
+    /// `write_batch`: append to the live segment under the writer lock,
+    /// advance `written`. Returns ⟨sequence number, segment, records in
+    /// the segment⟩.
+    fn write(&self, record: u64) -> (u64, usize, u64) {
         sched::point();
-        let mut file = self.file.lock();
-        file.push(record);
-        let seq = file.len() as u64;
+        let mut segments = self.segments.lock();
+        let live = segments.len() - 1;
+        segments[live].push(record);
+        let in_segment = segments[live].len() as u64;
+        self.held[live].store(in_segment, Ordering::Release);
+        let seq = self.written.load(Ordering::Relaxed) + 1;
         self.written.store(seq, Ordering::Release);
-        seq
+        (seq, live, in_segment)
     }
 
-    /// The fsync stand-in, run with no lock held. It covers what the OS
-    /// held when it began; a record written inside the window is not
-    /// covered.
-    fn fsync(&self) {
-        let held = self.written.load(Ordering::Acquire);
+    /// The fsync stand-in for one segment, run with no lock held. It
+    /// covers what the OS held when it began; a record written inside the
+    /// window is not covered.
+    fn fsync(&self, segment: usize) {
+        let held = self.held[segment].load(Ordering::Acquire);
         sched::point(); // the fsync window: writers keep writing
-        self.disk.fetch_max(held, Ordering::AcqRel);
+        self.disk[segment].fetch_max(held, Ordering::AcqRel);
+    }
+
+    /// The sync step: every sealed segment no step has synced yet, then
+    /// the live one.
+    fn sync_step(&self) {
+        let (live, sealed) = {
+            let mut set = self.sync_set.lock();
+            (set.0, std::mem::take(&mut set.1))
+        };
+        if self.bug != Some(GroupCommitBug::SyncLiveOnly) {
+            // BROKEN otherwise: a tail sealed since the last step stays in
+            // the page cache while the watermark covers it.
+            sealed.into_iter().for_each(|segment| self.fsync(segment));
+        }
+        self.fsync(live);
         self.syncs.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -125,57 +179,111 @@ impl GroupCommit {
             *syncing = true;
             drop(syncing);
             sched::point();
-            let covers = if self.broken_read_after_sync {
+            let covers = if self.bug == Some(GroupCommitBug::ReadAfterSync) {
                 // BROKEN: a record written during the sync raises
                 // `written` past what the sync covered, and is acked.
-                self.fsync();
+                self.sync_step();
                 sched::point();
                 self.written.load(Ordering::Acquire)
             } else {
                 let covers = self.written.load(Ordering::Acquire);
                 sched::point();
-                self.fsync();
+                self.sync_step();
                 covers
             };
             syncing = self.syncing.lock();
             *syncing = false;
             self.durable.fetch_max(covers, Ordering::AcqRel);
-            if covers > self.disk.load(Ordering::Acquire) {
-                self.acked_unsynced.fetch_add(1, Ordering::SeqCst);
-            }
             self.cv.notify_all();
         }
     }
 
-    /// `append_batch`: write, then wait durable. The return is the ack.
+    /// `submit_many`: count the run as dispatching, write it, queue it,
+    /// then wait durable — the return is the ack. The model's worker is
+    /// the submitter itself, applying the record after it is queued.
     fn append(&self, record: u64) {
-        let seq = self.write(record);
+        self.dispatching.fetch_add(1, Ordering::AcqRel);
+        let (seq, segment, in_segment) = self.write(record);
+        sched::point(); // logged, not yet dispatched
+        self.pending.fetch_add(1, Ordering::AcqRel);
+        self.dispatching.fetch_sub(1, Ordering::AcqRel);
+        sched::point();
+        self.applied.lock().insert(seq);
+        self.pending.fetch_sub(1, Ordering::AcqRel);
         self.wait_durable(seq);
-        if self.disk.load(Ordering::Acquire) < seq {
+        if self.disk[segment].load(Ordering::Acquire) < in_segment {
             self.acked_unsynced.fetch_add(1, Ordering::SeqCst);
         }
+    }
+
+    /// `Engine::checkpoint`'s recovery line: rotate under the writer lock
+    /// and take the rotation point as the cursor, sync below it, drain,
+    /// flush the applied set, store the cursor.
+    fn checkpoint(&self) {
+        sched::point();
+        let rotated = {
+            let mut segments = self.segments.lock();
+            segments.push(Vec::new());
+            let mut set = self.sync_set.lock();
+            let sealed = std::mem::replace(&mut set.0, segments.len() - 1);
+            set.1.push(sealed);
+            self.written.load(Ordering::Acquire)
+        };
+        self.wait_durable(rotated);
+        // `dispatching` before `pending`, as `Engine::drain` reads them.
+        let ignore_dispatching = self.bug == Some(GroupCommitBug::DrainIgnoresDispatch);
+        while (!ignore_dispatching && self.dispatching.load(Ordering::Acquire) > 0)
+            || self.pending.load(Ordering::Acquire) > 0
+        {
+            sched::point();
+            std::thread::yield_now();
+        }
+        let flushed = self.applied.lock().clone();
+        sched::point();
+        let cursor = match self.bug {
+            // BROKEN: records written since the rotation are counted but
+            // were not all applied when the flush was taken.
+            Some(GroupCommitBug::CursorAfterFlush) => self.written.load(Ordering::Acquire),
+            _ => rotated,
+        };
+        let missing = (1..=cursor).filter(|seq| !flushed.contains(seq)).count() as u64;
+        self.unflushed_below_cursor.fetch_add(missing, Ordering::SeqCst);
     }
 }
 
 /// Drive `threads × per_thread` appends through the group-commit protocol
-/// under seed `seed`. Invariants: nothing is acked beyond what a sync
-/// covered, no lost wakeup, every record written exactly once, and the
-/// final watermark covers every append.
-pub fn run_group_commit(seed: u64, threads: u64, per_thread: u64, broken: bool) -> Outcome {
+/// under seed `seed`, with a checkpointer drawing one recovery line once
+/// half of them are written. Invariants: no record is acked unless a sync
+/// of its own segment covered it, no lost wakeup, every record written
+/// exactly once, the final watermark covers every append, and every event
+/// below the stored cursor is in the flush stored with it. `bug` selects
+/// a negative control.
+pub fn run_group_commit(
+    seed: u64,
+    threads: u64,
+    per_thread: u64,
+    bug: Option<GroupCommitBug>,
+) -> Outcome {
     sched::install(seed);
     let gc = Arc::new(GroupCommit {
-        file: Mutex::new(Vec::new()),
+        segments: Mutex::new(vec![Vec::new()]),
         written: AtomicU64::new(0),
-        disk: AtomicU64::new(0),
+        held: Default::default(),
+        disk: Default::default(),
         durable: AtomicU64::new(0),
+        sync_set: Mutex::new((0, Vec::new())),
         syncing: Mutex::new(false),
         cv: Condvar::new(),
+        dispatching: AtomicU64::new(0),
+        pending: AtomicU64::new(0),
+        applied: Mutex::new(HashSet::new()),
         acked_unsynced: AtomicU64::new(0),
         lost_wakeups: AtomicU64::new(0),
+        unflushed_below_cursor: AtomicU64::new(0),
         syncs: AtomicU64::new(0),
-        broken_read_after_sync: broken,
+        bug,
     });
-    let workers: Vec<_> = (0..threads)
+    let mut workers: Vec<_> = (0..threads)
         .map(|t| {
             let gc = Arc::clone(&gc);
             std::thread::spawn(move || {
@@ -187,12 +295,23 @@ pub fn run_group_commit(seed: u64, threads: u64, per_thread: u64, broken: bool) 
             })
         })
         .collect();
+    workers.push({
+        let gc = Arc::clone(&gc);
+        std::thread::spawn(move || {
+            sched::register(threads + 1);
+            while gc.written.load(Ordering::Acquire) < threads * per_thread / 2 {
+                std::thread::yield_now();
+            }
+            gc.checkpoint();
+            sched::deregister();
+        })
+    });
     for w in workers {
         w.join().expect("model thread never panics");
     }
 
     let mut out = Outcome { work: gc.syncs.load(Ordering::Relaxed), ..Outcome::default() };
-    let file = gc.file.lock();
+    let file: Vec<u64> = gc.segments.lock().concat();
     let expected = threads * per_thread;
     if file.len() as u64 != expected {
         out.violate(format!("wrote {} records, expected {expected}", file.len()));
@@ -204,8 +323,12 @@ pub fn run_group_commit(seed: u64, threads: u64, per_thread: u64, broken: bool) 
         out.violate("a record written twice".into());
     }
     for probe in [
-        (gc.acked_unsynced.load(Ordering::SeqCst), "acked past what a sync covered"),
+        (gc.acked_unsynced.load(Ordering::SeqCst), "acked past what a sync of its segment covered"),
         (gc.lost_wakeups.load(Ordering::SeqCst), "lost wakeup (timeout rescue)"),
+        (
+            gc.unflushed_below_cursor.load(Ordering::SeqCst),
+            "events below the cursor its flush lacks",
+        ),
     ] {
         if probe.0 > 0 {
             out.violate(format!("{} × {}", probe.0, probe.1));

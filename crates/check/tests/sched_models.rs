@@ -33,7 +33,7 @@ fn group_commit_holds_over_1000_interleavings() {
     arm_hook();
     let mut syncs = 0u64;
     for seed in 0..SEEDS {
-        let out = models::run_group_commit(seed, 3, 4, false);
+        let out = models::run_group_commit(seed, 3, 4, None);
         assert_clean("group commit", seed, &out);
         syncs += out.work;
     }
@@ -43,18 +43,49 @@ fn group_commit_holds_over_1000_interleavings() {
     assert!(syncs > 0 && syncs < SEEDS * 3 * 4, "syncs = {syncs}");
 }
 
+/// Whether some seed of the sweep catches `bug` with a note containing
+/// `symptom`; stops at the first catch.
+fn group_commit_catches(bug: models::GroupCommitBug, symptom: &str) -> bool {
+    arm_hook();
+    (0..SEEDS).any(|seed| {
+        let out = models::run_group_commit(seed, 3, 4, Some(bug));
+        out.notes.iter().any(|n| n.contains(symptom))
+    })
+}
+
 #[test]
 fn group_commit_negative_control_read_after_sync_is_caught() {
-    arm_hook();
     // The broken leader reads `written` after its sync instead of
     // before: a record written inside the fsync window is published as
-    // durable although the sync did not cover it. Some seed in the sweep
-    // must land a write in that window; stop at the first catch.
-    let caught = (0..SEEDS).any(|seed| {
-        let out = models::run_group_commit(seed, 3, 4, true);
-        out.notes.iter().any(|n| n.contains("acked past"))
-    });
+    // durable although the sync did not cover it.
+    let caught = group_commit_catches(models::GroupCommitBug::ReadAfterSync, "acked past");
     assert!(caught, "harness failed to catch the read-after-sync watermark in {SEEDS} seeds");
+}
+
+#[test]
+fn group_commit_negative_control_live_only_sync_is_caught() {
+    // The broken leader syncs the live segment only: a record the
+    // rotation sealed before any sync reached it is acked from the page
+    // cache.
+    let caught = group_commit_catches(models::GroupCommitBug::SyncLiveOnly, "acked past");
+    assert!(caught, "harness failed to catch the unsynced sealed tail in {SEEDS} seeds");
+}
+
+#[test]
+fn checkpoint_negative_control_cursor_after_flush_is_caught() {
+    // The broken checkpointer reads its cursor after the flush: records
+    // written while it flushed are below the cursor and not in the flush.
+    let caught = group_commit_catches(models::GroupCommitBug::CursorAfterFlush, "flush lacks");
+    assert!(caught, "harness failed to catch the cursor read after the flush in {SEEDS} seeds");
+}
+
+#[test]
+fn checkpoint_negative_control_drain_ignoring_dispatch_is_caught() {
+    // The broken drain waits for queued events only: a run written before
+    // the rotation but not yet dispatched is below the cursor and not in
+    // the flush.
+    let caught = group_commit_catches(models::GroupCommitBug::DrainIgnoresDispatch, "flush lacks");
+    assert!(caught, "harness failed to catch the drain that ignores dispatch in {SEEDS} seeds");
 }
 
 #[test]

@@ -554,6 +554,12 @@ struct Shared {
     master: Master,
     /// Events enqueued but not yet fully processed.
     pending: AtomicI64,
+    /// Submitted runs between their ingest-log write and the end of their
+    /// dispatch: `drain` waits for them as for `pending`.
+    dispatching: AtomicU64,
+    /// A recovery line is running: two would store their cursors out of
+    /// order.
+    checkpointing: AtomicBool,
     stopping: AtomicBool,
     /// Every count the engine records (`Engine::stats`, `GET /metrics`).
     stats: Stats,
@@ -744,12 +750,16 @@ impl Shared {
     }
 
     /// The checkpointed replay cursor: events `0..cursor` of the ingest
-    /// WAL are already reflected in store-recovered slates.
-    fn load_ingest_cursor(&self) -> u64 {
-        self.backend
-            .load(INGEST_CURSOR_COLUMN, &self.ingest_cursor_key(), self.now_us())
-            .and_then(|bytes| String::from_utf8(bytes).ok()?.trim().parse().ok())
-            .unwrap_or(0)
+    /// WAL are already reflected in store-recovered slates. No cell is 0;
+    /// a cell that is not a number is an error, not 0.
+    fn load_ingest_cursor(&self) -> Result<u64> {
+        let key = self.ingest_cursor_key();
+        let Some(cell) = self.backend.load(INGEST_CURSOR_COLUMN, &key, self.now_us()) else {
+            return Ok(0);
+        };
+        let text = String::from_utf8_lossy(&cell);
+        let unreadable = |_| Error::Config(format!("unreadable ingest replay cursor {text:?}"));
+        text.trim().parse().map_err(unreadable)
     }
 
     /// Persist the replay cursor. Returns false if the store rejected
@@ -988,6 +998,8 @@ impl Engine {
             has_backend,
             master: Master::new(),
             pending: AtomicI64::new(0),
+            dispatching: AtomicU64::new(0),
+            checkpointing: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
             stats,
             logger,
@@ -1064,8 +1076,9 @@ impl Engine {
         // store recovered the slates as of the last checkpoint, so only
         // events logged after it are re-injected. A node that was
         // checkpointed at shutdown (SIGTERM) replays nothing.
-        if let Some(recovery) = ingest_recovery {
-            engine.replay_recovered(&recovery)?;
+        if let Some(Err(e)) = ingest_recovery.map(|recovery| engine.replay_recovered(recovery)) {
+            engine.stop();
+            return Err(e);
         }
         Ok(engine)
     }
@@ -1074,29 +1087,31 @@ impl Engine {
     /// replayed events fan out exactly like fresh submissions — same
     /// routing, same seq assignment order — but are *not* re-appended to
     /// the WAL (they are already in it) and count as `recovered`, not
-    /// `submitted`. The cursor counts events and may land inside a frame
-    /// (a checkpoint racing a submit); only the frames it does not cover
-    /// whole are decoded.
-    fn replay_recovered(&self, recovery: &IngestRecovery) -> Result<()> {
+    /// `submitted`. A cursor the log cannot honour is refused; segments a
+    /// crash left below it are deleted first.
+    fn replay_recovered(&self, recovery: IngestRecovery) -> Result<()> {
         let shared = &self.shared;
-        let cursor = shared.load_ingest_cursor();
-        let events = recovery
-            .events_after(cursor)
-            .map_err(|e| Error::Config(format!("cannot replay ingest WAL: {e}")))?;
+        let cursor = shared.load_ingest_cursor()?;
+        let (logged, truncated) = (recovery.events, recovery.truncated);
+        let refused = |e| Error::Config(format!("cannot replay ingest WAL: {e}"));
+        let events = recovery.events_after(cursor).map_err(refused)?;
+        if let (true, Some(log)) = (shared.has_backend, &shared.ingest_log) {
+            log.release_below(cursor).map_err(refused)?;
+        }
         let replayed = events.len() as u64;
         for event in events {
             let stream = event.stream.clone();
             fan_out(shared, &stream, event, shared.now_us(), false, true, &mut Vec::new());
         }
         shared.stats.ingest_replayed.add(replayed);
-        if replayed > 0 || recovery.truncated {
+        if replayed > 0 || truncated {
             shared.logger.warn(
                 "ingest WAL recovery",
                 &[
-                    ("logged", recovery.events.into()),
+                    ("logged", logged.into()),
                     ("cursor", cursor.into()),
                     ("replayed", replayed.into()),
-                    ("torn_tail", u64::from(recovery.truncated).into()),
+                    ("torn_tail", u64::from(truncated).into()),
                 ],
             );
         }
@@ -1148,9 +1163,15 @@ impl Engine {
         }
         events.iter_mut().for_each(|event| self.mbf_ingest(event));
         self.throttle_source();
-        let logged = self.log_accepted(events)?;
-        self.dispatch_accepted(run);
-        self.wait_durable(logged)
+        // Counted from before the write, so a recovery line whose rotation
+        // took this run below its cursor finds it here until it is queued.
+        self.shared.dispatching.fetch_add(1, Ordering::AcqRel);
+        let logged = self.log_accepted(events);
+        if logged.is_ok() {
+            self.dispatch_accepted(run);
+        }
+        self.shared.dispatching.fetch_sub(1, Ordering::AcqRel);
+        self.wait_durable(logged?)
     }
 
     /// §5 source throttling, the head of `submit` / `submit_many`: under
@@ -1270,12 +1291,16 @@ impl Engine {
     }
 
     /// Wait until all in-flight events finish (or `timeout` elapses) —
-    /// including events still parked in the transport's outbound batching
-    /// queues, which have not reached their destination machine yet.
-    /// Returns true on a full drain.
+    /// including runs logged but not yet dispatched, and events still
+    /// parked in the transport's outbound batching queues, which have not
+    /// reached their destination machine yet. Returns true on a full
+    /// drain.
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while self.shared.pending.load(Ordering::Acquire) > 0
+        // `dispatching` first: a run it no longer counts has queued its
+        // events, so `pending` read after it sees them.
+        while self.shared.dispatching.load(Ordering::Acquire) > 0
+            || self.shared.pending.load(Ordering::Acquire) > 0
             || self.shared.transport.outbound_backlog() > 0
         {
             if Instant::now() > deadline {
@@ -1740,44 +1765,73 @@ impl Engine {
         .to_compact()
     }
 
-    /// Draw a recovery line: drain in-flight work, fsync the ingest WAL,
-    /// flush every dirty slate, and persist the replay cursor at the
-    /// WAL's record count. After a successful checkpoint a restart
-    /// replays zero events.
+    /// Draw a recovery line (DESIGN.md §11): rotate the ingest WAL and
+    /// take the rotation point as the replay cursor, fsync everything
+    /// below it, drain in-flight work, flush every dirty slate, store the
+    /// cursor, and only then delete the log segments it covers. After a
+    /// successful checkpoint with no ingest since, a restart replays zero
+    /// events and the log is one header-only segment.
     ///
     /// The log is synced *before* the first slate reaches the store:
     /// dispatch precedes durability (see [`Engine::submit`]), so this
     /// order is what keeps the store from ever holding an effect the
-    /// durable log lacks.
+    /// durable log lacks. Runs that arrive during the flush are past the
+    /// cursor and replay after a crash (at-least-once for them, as for
+    /// eviction); none is lost.
     ///
-    /// Returns false — leaving the *old* cursor authoritative, so a
-    /// restart replays more than necessary but never misses an event —
-    /// when the drain timed out, the log could not be synced (nothing is
-    /// flushed then), a slate failed to flush, or the cursor write did
+    /// Returns false — leaving the *old* cursor authoritative and every
+    /// segment in place, so a restart replays more than necessary but
+    /// never misses an event — when another checkpoint is running, the
+    /// log could not be rotated or synced (nothing is flushed then), the
+    /// drain timed out, a slate failed to flush, or the cursor write did
     /// not reach the store. Engines without an ingest WAL return true
     /// trivially.
     pub fn checkpoint(&self, timeout: Duration) -> bool {
         let Some(log) = self.shared.ingest_log.as_ref() else {
             return true;
         };
-        if !self.drain(timeout) || log.sync().is_err() {
+        if self.shared.checkpointing.swap(true, Ordering::AcqRel) {
             return false;
         }
-        // The flushed store state now reflects exactly the durable WAL
-        // prefix `0..record_count`.
-        if self.shared.flush_live_caches() > 0 {
-            // Some slate did not reach the store (quorum failure, dead
-            // store host): advancing the cursor would lose its updates.
-            return false;
-        }
-        self.shared.store_ingest_cursor(log.record_count())
+        let taken = self.recovery_line(log, timeout);
+        self.shared.checkpointing.store(false, Ordering::Release);
+        taken
     }
 
-    /// Stop the engine: waits for queues to drain (bounded), flushes all
-    /// dirty slates (graceful shutdown), joins threads, and returns final
-    /// stats.
+    /// The recovery line of `checkpoint` and `shutdown`, in its order.
+    /// Without a store the log is the only copy: it neither rotates nor
+    /// shrinks.
+    fn recovery_line(&self, log: &IngestLog, timeout: Duration) -> bool {
+        let shared = &self.shared;
+        let rotated = if shared.has_backend { log.rotate() } else { Ok(log.record_count()) };
+        let Ok(cursor) = rotated else { return false };
+        if log.wait_durable(cursor).is_err()
+            || !self.drain(timeout)
+            || shared.flush_live_caches() > 0
+            || !shared.store_ingest_cursor(cursor)
+        {
+            return false;
+        }
+        !shared.has_backend || log.release_below(cursor).is_ok()
+    }
+
+    /// Stop the engine: waits for queues to drain (bounded), draws the
+    /// final recovery line (or, without an ingest WAL, flushes every
+    /// dirty slate), joins threads, and returns final stats.
     pub fn shutdown(self) -> EngineStats {
         self.drain(Duration::from_secs(30));
+        self.stop();
+        // If the line fails (an unsyncable log) the store stays at the last
+        // checkpoint and a restart replays whatever the log holds.
+        match &self.shared.ingest_log {
+            Some(log) => _ = self.recovery_line(log, Duration::ZERO),
+            None => _ = self.shared.flush_live_caches(),
+        }
+        self.stats()
+    }
+
+    /// Close the inbound wire and join every worker and flusher thread.
+    fn stop(&self) {
         // TCP mode: close the inbound wire first so no new remote events
         // arrive during teardown (peers will see this node as failed —
         // which is accurate).
@@ -1796,19 +1850,6 @@ impl Engine {
         for t in self.flushers.lock().drain(..) {
             let _ = t.join();
         }
-        // Graceful final flush, sealing the recovery line — log first, as
-        // in `checkpoint`: the flushed slates cover the whole durable
-        // ingest log, so a restart after this clean shutdown replays
-        // nothing. If the log cannot be synced the store stays at the last
-        // checkpoint and a restart replays whatever suffix the file holds.
-        let log = self.shared.ingest_log.as_ref();
-        if log.is_none_or(|log| log.sync().is_ok()) {
-            self.shared.flush_live_caches();
-            if let Some(log) = log {
-                self.shared.store_ingest_cursor(log.record_count());
-            }
-        }
-        self.stats()
     }
 }
 

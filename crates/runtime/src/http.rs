@@ -157,6 +157,10 @@ impl SlateReader for crate::engine::Engine {
             ("ingest_wal_written", wal_num(|w| w.written)),
             ("ingest_wal_durable", wal_num(|w| w.durable)),
             ("ingest_wal_failed", s.ingest_wal.map_or(Json::Null, |w| Json::Bool(w.failed))),
+            ("ingest_wal_retained_bytes", wal_num(|w| w.retained_bytes)),
+            ("ingest_wal_segments", wal_num(|w| w.segments)),
+            // The last replay cursor the store accepted.
+            ("ingest_wal_cursor", wal_num(|w| w.cursor)),
             ("dlq_depth", num(s.dlq_depth)),
             ("dlq_added", num(s.dead_lettered)),
             ("dlq_dropped", num(s.dlq_evicted)),

@@ -1,22 +1,30 @@
 //! Ingest write-ahead log — durability for *accepted but unprocessed*
-//! events.
+//! events. DESIGN.md §11 has the reasoning, the crash table and the
+//! measurements.
 //!
 //! Muppet's §4.3 protocol shrugs at a dead machine's in-flight work; at
 //! production scale that is unacceptable, so each `muppetd` writes every
 //! event it accepts from sources to a per-machine WAL. A restarted node
-//! replays the suffix past its replay cursor (see `Engine::checkpoint`)
+//! replays the events past its replay cursor (see `Engine::checkpoint`)
 //! and converges to bit-identical slates.
 //!
-//! ## One submit, one record
+//! ## Segments and frames
 //!
-//! One [`IngestLog::write_batch`] call writes one **frame**: one record of
+//! The log is a run of segments. The live one sits at the configured
+//! path; [`IngestLog::rotate`] seals it beside that path as
+//! `<path>.<base>` and starts the next one at the log's end, and
+//! [`IngestLog::release_below`] deletes the sealed segments a stored
+//! cursor covers. Events are numbered from the start of the log, across
+//! segments; a segment's header records the number of its first event
+//! (its *base*), and a replay cursor is always a base. One
+//! [`IngestLog::write_batch`] call writes one **frame**: one record of
 //! `slatestore::wal`'s raw layer (which owns crc, length and torn tails)
 //! whose payload spells each stream name once and each `ts` as a delta.
 //! `seq` is not stored: replay re-admits in log order, which reassigns it.
 //!
 //! ```text
 //! segment := header frame*
-//! header  := "MUPIWAL" [u8 format version = 1]      written + synced at creation
+//! header  := "MUPIWAL" [u8 format version = 2] [u64 LE base]
 //! frame   := [u32 crc32c over payload][u32 payload_len][payload]
 //! payload := [varint n]                               events in the frame, ≥ 1
 //!            [varint s] s × [len-prefixed stream name]   in order of first use
@@ -26,17 +34,17 @@
 //! ```
 //!
 //! **A frame is atomic**: torn or corrupt, it is dropped whole with
-//! everything after it and the file is cut back to the last intact frame —
-//! a `submit_many` is in the log entirely or not at all. Only a run past
-//! [`FRAME_SOFT_BYTES`] is split. **The header guards the path**: a
-//! non-empty file without it (a store file, a pre-frame log) is refused and
-//! left untouched, where a torn-tail reading would have emptied it. No
-//! compressor, no preallocation: DESIGN.md §11 says why.
+//! everything after it and the live file is cut back to the last intact
+//! frame — a `submit_many` is in the log entirely or not at all. Only a
+//! run past [`FRAME_SOFT_BYTES`] is split. **The header guards the path**:
+//! a non-empty file without it (a store file, a log of format 1) is
+//! refused and left untouched, where a torn-tail reading would have
+//! emptied it.
 //!
 //! ## Logged, then durable
 //!
 //! An event crosses two lines, tracked by two watermarks (both count
-//! events since the start of the segment, whatever the frames):
+//! events since the start of the log, whatever the frames):
 //!
 //! * **logged** (`written`): [`IngestLog::write_batch`] has encoded the
 //!   run, `write`n it to the file and flushed the buffer to the OS. A
@@ -53,27 +61,26 @@
 //!
 //! The fsync tax is paid once per *batch*, not once per event. The
 //! writer lock covers encode + `write` only and is never held across an
-//! fsync: the sync step runs on a second handle to the same file (fsync
-//! is per inode). A caller whose records are not yet durable either
+//! fsync: the sync step runs on second handles to the files (fsync is
+//! per inode). A caller whose records are not yet durable either
 //! becomes the **leader** — nobody is syncing: read `written`, sync,
 //! publish `durable =` the value read, wake everyone — or parks until a
 //! leader's watermark covers it. The leader must read `written` *before*
 //! its sync: a record written while the sync runs may not be covered by
 //! it, so publishing a later value would ack records a power loss can
-//! still take. Submitters that arrive during a sync keep writing (and
-//! the engine keeps dispatching); the next leader's one fsync covers all
-//! of them. A lone single-event submitter degenerates to sync-per-record,
-//! which is the correct latency floor. `sync_each` mode writes and
-//! fsyncs event by event (frames of one) under the writer lock — the
-//! expensive arm PR 7 measured.
+//! still take. For the same reason the step syncs every sealed segment
+//! whose tail no step has covered yet, not only the live file: a
+//! rotation may have sealed records the value read counts. `sync_each`
+//! mode writes and fsyncs event by event (frames of one) under the writer
+//! lock — the expensive arm DESIGN.md §11 measures.
 //!
 //! ## Failure
 //!
-//! A failed `write` or fsync poisons the log ([`IngestLog::failed`]):
-//! that call and every later one return `Err`. After a failed fsync the
-//! kernel may have dropped the dirty pages, so nothing written since the
-//! last good sync can be trusted to ever reach the disk; refusing ingest
-//! is the only honest answer.
+//! A failed `write`, fsync or rotation poisons the log
+//! ([`IngestLog::failed`]): that call and every later one return `Err`.
+//! After a failed fsync the kernel may have dropped the dirty pages, so
+//! nothing written since the last good sync can be trusted to ever reach
+//! the disk; refusing ingest is the only honest answer.
 
 use std::fs::File;
 use std::io::Read;
@@ -90,13 +97,24 @@ use muppet_obs::Histogram;
 use muppet_slatestore::types::{StoreError, StoreResult};
 use muppet_slatestore::wal::{RawReplay, WalWriter};
 
-/// First bytes of every segment: magic + format version.
-const SEGMENT_HEADER: [u8; 8] = *b"MUPIWAL\x01";
+/// First bytes of every segment: magic + format version. The base
+/// follows as a little-endian `u64`.
+const MAGIC: [u8; 8] = *b"MUPIWAL\x02";
+/// Length of a segment header.
+const HEADER_LEN: u64 = 16;
 /// A run whose encoding passes this is split into several frames (the
 /// wire's `BATCH_SOFT_BYTES`).
 pub const FRAME_SOFT_BYTES: usize = 1 << 20;
 /// The reader rejects a frame longer than this before allocating for it.
 pub const FRAME_HARD_BYTES: usize = 64 << 20;
+
+/// The header of a segment whose first event is number `base`.
+fn segment_header(base: u64) -> [u8; HEADER_LEN as usize] {
+    let mut header = [0; HEADER_LEN as usize];
+    header[..MAGIC.len()].copy_from_slice(&MAGIC);
+    header[MAGIC.len()..].copy_from_slice(&base.to_le_bytes());
+    header
+}
 
 /// Upper bound on the payload of a frame holding only `event`, and so on
 /// what it adds to any frame: its bytes, its stream name should the table
@@ -143,17 +161,10 @@ fn encode_frame(buf: &mut Vec<u8>, events: &[Event], streams: &[&str]) {
     }
 }
 
-/// `n` of a frame payload, without walking it.
-fn frame_events(payload: &[u8]) -> Option<u64> {
-    let (n, _) = get_varint(payload)?;
-    // An event takes at least four bytes: a count that cannot be true is
-    // not believed (it would be summed into the watermarks).
-    (n >= 1 && n <= payload.len() as u64).then_some(n)
-}
-
-/// Decode a frame payload, pushing its events from index `skip` on. `None`
-/// if it is not a well-formed frame (`out` may then hold a partial frame).
-fn decode_frame(payload: &[u8], skip: u64, out: &mut Vec<Event>) -> Option<()> {
+/// Decode a frame payload, pushing its events. `None` if it is not a
+/// well-formed frame (`out` may then hold a partial frame). Every count is
+/// walked, never allocated for: a lying one runs out of payload.
+fn decode_frame(payload: &[u8], out: &mut Vec<Event>) -> Option<()> {
     let mut at = 0;
     let varint = |at: &mut usize| {
         let (value, used) = get_varint(&payload[*at..])?;
@@ -165,22 +176,19 @@ fn decode_frame(payload: &[u8], skip: u64, out: &mut Vec<Event>) -> Option<()> {
         *at += used;
         Some(bytes)
     };
-    let n = frame_events(payload)?;
-    varint(&mut at)?;
+    let n = varint(&mut at)?;
     let mut streams = Vec::new();
     for _ in 0..varint(&mut at)? {
         streams.push(StreamId::from(std::str::from_utf8(bytes(&mut at)?).ok()?));
     }
     let mut ts = 0u64;
-    for i in 0..n {
+    for _ in 0..n {
         let stream = streams.get(usize::try_from(varint(&mut at)?).ok()?)?;
         let key = bytes(&mut at)?;
         let zigzag = varint(&mut at)?;
         ts = ts.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
         let value = bytes(&mut at)?;
-        if i >= skip {
-            out.push(Event::new(stream.clone(), ts, Key::from(key), Bytes::copy_from_slice(value)));
-        }
+        out.push(Event::new(stream.clone(), ts, Key::from(key), Bytes::copy_from_slice(value)));
     }
     (at == payload.len()).then_some(())
 }
@@ -189,69 +197,80 @@ fn invalid_input(msg: String) -> StoreError {
     StoreError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
 }
 
-/// What a pass over a segment found.
+/// One segment: as a scan found it, or, once sealed, as it sits on disk
+/// (its events are then the recovery's, not kept).
 #[derive(Default)]
-struct Scan {
-    events: u64,
+struct Segment {
+    path: PathBuf,
+    base: u64,
+    events: Vec<Event>,
     frames: u64,
-    /// End of the last intact frame; 0 = no header yet (missing or empty
-    /// file, or one whose creation died inside the header).
+    /// End of the last intact frame.
     valid_bytes: u64,
     truncated: bool,
-    /// The events at index ≥ the scan's cursor.
-    suffix: Vec<Event>,
 }
 
-/// Stream the segment at `path` frame by frame, up to event `until`,
-/// building only the events at index ≥ `cursor`: a frame wholly below the
-/// cursor is counted by its `n` and never walked.
-fn scan(path: &Path, cursor: u64, until: u64) -> StoreResult<Scan> {
-    let mut found = Scan::default();
+impl Segment {
+    /// One past the number of its last event.
+    fn end(&self) -> u64 {
+        self.base + self.events.len() as u64
+    }
+}
+
+/// Read and decode the segment at `path` frame by frame. `None` if it has
+/// no complete header: a missing or empty file, or one whose creation
+/// died inside the header.
+fn scan(path: &Path) -> StoreResult<Option<Segment>> {
     let file = match File::open(path) {
         Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(found),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
     let mut header = Vec::new();
-    (&file).take(SEGMENT_HEADER.len() as u64).read_to_end(&mut header)?;
-    if header != SEGMENT_HEADER {
-        if SEGMENT_HEADER.starts_with(&header) {
-            return Ok(found);
+    (&file).take(HEADER_LEN).read_to_end(&mut header)?;
+    let Some(base) = header.strip_prefix(&MAGIC).and_then(|base| base.try_into().ok()) else {
+        if header.len() < HEADER_LEN as usize && MAGIC.starts_with(&header[..header.len().min(8)]) {
+            return Ok(None);
         }
+        let path = path.display();
         return Err(invalid_input(format!(
-            "{} is not an ingest WAL segment (no segment header); left untouched",
-            path.display()
+            "{path} is not an ingest WAL segment (no segment header); left untouched"
         )));
-    }
-    found.valid_bytes = header.len() as u64;
+    };
+    let base = u64::from_le_bytes(base);
+    let mut found =
+        Segment { path: path.into(), base, valid_bytes: HEADER_LEN, ..Segment::default() };
     let mut raw = RawReplay::new(file, FRAME_HARD_BYTES as u32)?;
-    while found.events < until {
-        let Some(payload) = raw.next_payload()? else { break };
+    while let Some(payload) = raw.next_payload()? {
         // An intact checksum over a malformed frame is not a crash's work.
-        let malformed =
-            || StoreError::Corrupt(format!("{}: malformed ingest frame", path.display()));
-        let n = frame_events(payload).ok_or_else(malformed)?;
-        if found.events + n > cursor {
-            let skip = cursor.saturating_sub(found.events);
-            decode_frame(payload, skip, &mut found.suffix).ok_or_else(malformed)?;
-        }
-        found.events += n;
+        decode_frame(payload, &mut found.events).ok_or_else(|| {
+            StoreError::Corrupt(format!("{}: malformed ingest frame", path.display()))
+        })?;
         found.frames += 1;
         found.valid_bytes = raw.offset();
     }
     found.truncated = raw.torn();
-    Ok(found)
+    Ok(Some(found))
 }
 
-/// Start a segment at `path`: the header, synced together with the
-/// directory entry. Returns the header's length.
-fn create_segment(path: &Path) -> StoreResult<u64> {
-    audit::blocking_io("ingest wal create");
-    std::fs::write(path, SEGMENT_HEADER)?;
-    File::open(path)?.sync_all()?;
-    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
-    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
-    Ok(SEGMENT_HEADER.len() as u64)
+/// The directory the segments of the log at `path` sit in.
+fn dir_of(path: &Path) -> &Path {
+    path.parent().filter(|dir| !dir.as_os_str().is_empty()).unwrap_or(Path::new("."))
+}
+
+/// Make the directory entries of the log at `path` durable: a created,
+/// renamed or deleted segment.
+fn sync_dir(path: &Path) -> std::io::Result<()> {
+    audit::blocking_io("ingest wal directory fsync");
+    File::open(dir_of(path))?.sync_all()
+}
+
+/// Where the live segment at `path` goes when it is sealed: beside it, as
+/// `<name>.<base>`.
+fn sealed_path(path: &Path, base: u64) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{base}"));
+    path.with_file_name(name)
 }
 
 /// The log's sync step: make everything handed to the OS so far durable.
@@ -261,16 +280,28 @@ pub type SyncFn = Box<dyn Fn() -> std::io::Result<()> + Send + Sync>;
 
 /// The per-machine ingest WAL with leader-based group commit.
 pub struct IngestLog {
+    /// The live segment's path; sealed segments sit beside it.
+    path: PathBuf,
+    /// The live segment's writer.
     writer: Mutex<WalWriter>,
-    sync_fn: SyncFn,
+    /// What a sync step covers and which segments are on disk. Taken
+    /// after `writer` when both are held.
+    files: Mutex<Files>,
+    /// `None` = `fdatasync` the files.
+    sync_fn: Option<SyncFn>,
     /// Events handed to the OS. Stored under the writer lock (so it is
     /// monotone), read by sync leaders without it.
     written: AtomicU64,
     /// Events covered by a completed fsync. `durable ≤ written`.
     durable: AtomicU64,
-    /// Frames in, and length of, the segment (operator statistics).
+    /// Frames and bytes written since open plus the retained prefix found
+    /// at open (operator statistics, monotone whatever is deleted).
     frames: AtomicU64,
     bytes: AtomicU64,
+    /// Bytes of the segments deleted since open.
+    released: AtomicU64,
+    /// The last cursor handed to [`IngestLog::release_below`].
+    cursor: AtomicU64,
     /// True while a leader is inside the sync step. Its mutex is the
     /// condvar mutex: followers re-check `durable` under it before
     /// parking and leaders publish + notify under it, so a wakeup cannot
@@ -284,6 +315,17 @@ pub struct IngestLog {
     sync_latency: Option<Arc<Histogram>>,
 }
 
+/// The files behind an [`IngestLog`].
+struct Files {
+    /// A second handle to the live segment, for the sync step.
+    live: Arc<File>,
+    live_base: u64,
+    /// Sealed segments whose tail no sync step has covered yet.
+    unsynced: Vec<Arc<File>>,
+    /// Sealed segments on disk, oldest first.
+    sealed: Vec<Segment>,
+}
+
 /// One reading of an ingest WAL ([`IngestLog::view`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IngestWalView {
@@ -295,35 +337,54 @@ pub struct IngestWalView {
     pub failed: bool,
     /// Fsyncs issued.
     pub syncs: u64,
-    /// Bytes in the segment, header included.
+    /// Bytes written since open plus the retained prefix found at open,
+    /// headers included: monotone, whatever a checkpoint deletes.
     pub bytes: u64,
-    /// Frames in the segment.
+    /// Frames, counted like `bytes`.
     pub frames: u64,
+    /// Bytes in the segments on disk.
+    pub retained_bytes: u64,
+    /// Segments on disk, the live one included.
+    pub segments: u64,
+    /// The last replay cursor the store accepted (0 before the first).
+    pub cursor: u64,
 }
 
-/// What `IngestLog::open` recovered from an existing segment.
+/// What `IngestLog::open` recovered: every retained segment, decoded.
 pub struct IngestRecovery {
-    path: PathBuf,
-    /// Events in the segment's intact frames — its full ingest history.
+    /// Each retained segment's base and events, oldest first.
+    segments: Vec<(u64, Vec<Event>)>,
+    /// The log's end: one past the number of its last event.
     pub events: u64,
-    /// True if a torn tail was cut back to the last intact frame.
+    /// True if a torn tail was found (the live segment's is cut back to
+    /// the last intact frame).
     pub truncated: bool,
 }
 
 impl IngestRecovery {
-    /// The recovered events past a replay cursor (an event count, which
-    /// may land inside a frame), in admission order. Frames wholly below
-    /// the cursor are read but never decoded.
-    pub fn events_after(&self, cursor: u64) -> StoreResult<Vec<Event>> {
-        Ok(scan(&self.path, cursor, self.events)?.suffix)
+    /// The recovered events from a replay cursor on, in admission order.
+    /// The cursor must be a retained segment's base or the log's end; any
+    /// other value means the store and the log disagree and is refused.
+    pub fn events_after(self, cursor: u64) -> StoreResult<Vec<Event>> {
+        let bases: Vec<u64> = self.segments.iter().map(|(base, _)| *base).collect();
+        if cursor != self.events && !bases.contains(&cursor) {
+            return Err(invalid_input(format!(
+                "replay cursor {cursor} is neither a retained segment's base {bases:?} nor the \
+                 log's end {}: the store and the ingest WAL disagree",
+                self.events
+            )));
+        }
+        let retained = self.segments.into_iter().filter(|(base, _)| *base >= cursor);
+        Ok(retained.flat_map(|(_, events)| events).collect())
     }
 }
 
 impl IngestLog {
-    /// Open (or create) the log at `path`, counting its intact frames.
-    /// A torn tail — the signature of a crash mid-append — is truncated
-    /// to the last whole frame before the writer is positioned. A
-    /// non-empty file that is not an ingest segment is refused, untouched.
+    /// Open (or create) the log whose live segment is at `path`, decoding
+    /// every retained segment. A torn tail of the live segment — the
+    /// signature of a crash mid-append — is truncated to the last whole
+    /// frame before the writer is positioned. A non-empty file that is
+    /// not an ingest segment is refused, untouched.
     ///
     /// `sync_each` selects fsync-per-event; the default (false) is
     /// group commit, where durability is per-batch.
@@ -343,31 +404,71 @@ impl IngestLog {
         sync_fn: Option<SyncFn>,
     ) -> StoreResult<(IngestLog, IngestRecovery)> {
         let path = path.as_ref();
-        let found = scan(path, u64::MAX, u64::MAX)?;
-        let valid_bytes = match found.valid_bytes {
-            0 => create_segment(path)?,
-            valid_bytes => valid_bytes,
-        };
-        // The inner writer never syncs on its own: every fsync goes
-        // through `sync_fn`, on a second handle to the same file.
-        let writer = WalWriter::resume(path, false, found.frames, valid_bytes)?;
-        let sync_fn = match sync_fn {
-            Some(sync_fn) => sync_fn,
+        let live = scan(path)?;
+        let mut sealed = Vec::new();
+        let prefix = format!("{}.", path.file_name().unwrap_or_default().to_string_lossy());
+        for entry in std::fs::read_dir(dir_of(path))? {
+            let at = entry?.path();
+            let name = at.file_name().unwrap_or_default().to_string_lossy();
+            if name.strip_prefix(&prefix).is_none_or(|base| base.parse::<u64>().is_err()) {
+                continue;
+            }
+            match scan(&at)? {
+                Some(segment) => {
+                    // The previous life may have died before syncing its tail.
+                    File::open(&at)?.sync_data()?;
+                    sealed.push(segment);
+                }
+                // Its header never reached the disk, so no sync covered
+                // it: it holds nothing that was acked.
+                None => std::fs::remove_file(&at)?,
+            }
+        }
+        sealed.sort_by_key(|segment| segment.base);
+        let sealed_end = sealed.last().map_or(0, Segment::end);
+        let (writer, mut live) = match live {
+            Some(live) => (WalWriter::resume(path, false, live.frames, live.valid_bytes)?, live),
+            // A fresh log, or a crash before the live segment's header
+            // reached the disk: it starts where the sealed ones end, its
+            // header synced with its directory entry.
             None => {
-                let file = writer.sync_handle()?;
-                Box::new(move || {
-                    audit::blocking_io("ingest wal fsync");
-                    file.sync_data()
-                })
+                let mut writer = WalWriter::resume(path, false, 0, 0)?;
+                writer.write_raw(&segment_header(sealed_end))?;
+                writer.sync()?;
+                sync_dir(path)?;
+                (
+                    writer,
+                    Segment { base: sealed_end, valid_bytes: HEADER_LEN, ..Segment::default() },
+                )
             }
         };
+        let all = || sealed.iter().chain([&live]);
+        if all().zip(all().skip(1)).any(|(segment, next)| next.base < segment.end()) {
+            let msg = format!("{}: ingest WAL segments overlap", path.display());
+            return Err(StoreError::Corrupt(msg));
+        }
+        let (end, truncated) = (live.end(), all().any(|segment| segment.truncated));
+        let recovered = all().any(|segment| !segment.events.is_empty());
+        let (frames, bytes) = (all().map(|s| s.frames).sum(), all().map(|s| s.valid_bytes).sum());
+        let segments = sealed.iter_mut().chain([&mut live]);
+        let segments = segments.map(|s| (s.base, std::mem::take(&mut s.events))).collect();
+        let files = Files {
+            live: Arc::new(writer.sync_handle()?),
+            live_base: live.base,
+            unsynced: Vec::new(),
+            sealed,
+        };
         let log = IngestLog {
+            path: path.to_path_buf(),
             writer: Mutex::new(writer),
+            files: Mutex::new(files),
             sync_fn,
-            written: AtomicU64::new(found.events),
-            durable: AtomicU64::new(found.events),
-            frames: AtomicU64::new(found.frames),
-            bytes: AtomicU64::new(valid_bytes),
+            written: AtomicU64::new(end),
+            durable: AtomicU64::new(end),
+            frames: AtomicU64::new(frames),
+            bytes: AtomicU64::new(bytes),
+            released: AtomicU64::new(0),
+            cursor: AtomicU64::new(0),
             syncing: Mutex::new(false),
             cv: Condvar::new(),
             failed: AtomicBool::new(false),
@@ -375,19 +476,14 @@ impl IngestLog {
             syncs: AtomicU64::new(0),
             sync_latency: None,
         };
-        if found.events > 0 || found.truncated {
+        if recovered || truncated {
             // The previous incarnation may have died between `write` and
-            // fsync: the recovered prefix (and the truncation) is in the
+            // fsync: the recovered events (and the truncation) are in the
             // page cache, not necessarily on disk. `durable = recovered`
             // must be true before anyone reads it.
             log.run_sync()?;
         }
-        let recovery = IngestRecovery {
-            path: path.to_path_buf(),
-            events: found.events,
-            truncated: found.truncated,
-        };
-        Ok((log, recovery))
+        Ok((log, IngestRecovery { segments, events: end, truncated }))
     }
 
     /// Record every fsync's wall time (µs) into `hist`. Called by the
@@ -448,6 +544,7 @@ impl IngestLog {
     /// OS, under the writer lock, then advance `written`. Returns the new
     /// watermark.
     fn write_locked(&self, w: &mut WalWriter, events: &[Event]) -> StoreResult<u64> {
+        let (frames, bytes) = (w.record_count(), w.byte_count());
         let mut rest = events;
         while !rest.is_empty() {
             let (take, streams) = plan_frame(rest);
@@ -456,8 +553,8 @@ impl IngestLog {
         }
         w.commit()?;
         w.flush()?;
-        self.frames.store(w.record_count(), Ordering::Relaxed);
-        self.bytes.store(w.byte_count(), Ordering::Relaxed);
+        self.frames.fetch_add(w.record_count() - frames, Ordering::Relaxed);
+        self.bytes.fetch_add(w.byte_count() - bytes, Ordering::Relaxed);
         let seq = self.written.load(Ordering::Relaxed) + events.len() as u64;
         self.written.store(seq, Ordering::Release);
         Ok(seq)
@@ -495,22 +592,106 @@ impl IngestLog {
         }
     }
 
-    /// Draw an explicit durability line: everything written so far is
-    /// fsynced on return. Used by checkpoint/shutdown, before any slate
-    /// reaches the store.
-    pub fn sync(&self) -> StoreResult<()> {
-        self.wait_durable(self.written.load(Ordering::Acquire))
-    }
-
-    /// One timed, counted call of the sync step; an error poisons the log.
+    /// One timed, counted sync step over the live segment and every sealed
+    /// one no step has covered yet; an error poisons the log. The files are
+    /// taken after the caller read `written`, so each record it counts is
+    /// in one of them: sealed before, or still live.
     fn run_sync(&self) -> StoreResult<()> {
         let t0 = Instant::now();
-        let result = (self.sync_fn)();
+        let (live, sealed) = {
+            let mut files = self.files.lock();
+            (Arc::clone(&files.live), std::mem::take(&mut files.unsynced))
+        };
+        let result = match &self.sync_fn {
+            Some(sync_fn) => sync_fn(),
+            None => {
+                audit::blocking_io("ingest wal fsync");
+                sealed.iter().chain([&live]).try_for_each(|file| file.sync_data())
+            }
+        };
         self.syncs.fetch_add(1, Ordering::Relaxed);
         if let Some(hist) = &self.sync_latency {
             hist.record(t0.elapsed().as_micros() as u64);
         }
         result.map_err(|e| self.poison(e.into()))
+    }
+
+    /// Seal the live segment and start the next one at the log's end;
+    /// returns that end, the new segment's base — the rotation point a
+    /// checkpoint takes as its cursor. With nothing written since the last
+    /// rotation, returns the live segment's base and changes nothing.
+    ///
+    /// The rename, the creation and the fsyncs run outside the writer
+    /// lock; under it the new header is written, like a frame, and the
+    /// handles are swapped. The sealed tail is left to the next sync step.
+    /// Rotations must not overlap (the engine's recovery line is their one
+    /// caller). A failure poisons the log.
+    pub fn rotate(&self) -> StoreResult<u64> {
+        self.check_failed()?;
+        let live_base = self.files.lock().live_base;
+        if self.record_count() == live_base {
+            return Ok(live_base);
+        }
+        self.seal(live_base).map_err(|e| self.poison(e))
+    }
+
+    fn seal(&self, live_base: u64) -> StoreResult<u64> {
+        audit::blocking_io("ingest wal rotate");
+        let sealed = sealed_path(&self.path, live_base);
+        std::fs::rename(&self.path, &sealed)?;
+        let mut next = WalWriter::resume(&self.path, false, 0, 0)?;
+        let handle = Arc::new(next.sync_handle()?);
+        // Before any record in the new segment can be acked.
+        sync_dir(&self.path)?;
+        // The old writer is closed after the lock is released.
+        let (_old, base) = {
+            let mut w = self.writer.lock();
+            let base = self.record_count();
+            next.write_raw(&segment_header(base))?;
+            next.flush()?;
+            let mut files = self.files.lock();
+            let old = std::mem::replace(&mut *w, next);
+            let sealed_file = std::mem::replace(&mut files.live, Arc::clone(&handle));
+            files.unsynced.push(sealed_file);
+            let valid_bytes = old.byte_count();
+            files.sealed.push(Segment {
+                path: sealed,
+                base: live_base,
+                valid_bytes,
+                ..Segment::default()
+            });
+            files.live_base = base;
+            (old, base)
+        };
+        self.bytes.fetch_add(HEADER_LEN, Ordering::Relaxed);
+        // A checkpoint may leave the new segment holding nothing else, and
+        // a restart needs its base.
+        audit::blocking_io("ingest wal header fsync");
+        handle.sync_data()?;
+        Ok(base)
+    }
+
+    /// Record `cursor` as the one the store accepted, and delete every
+    /// sealed segment wholly below it, then fsync the directory. Only a
+    /// cursor the store holds may be passed: the deleted events are gone.
+    pub fn release_below(&self, cursor: u64) -> StoreResult<()> {
+        self.cursor.store(cursor, Ordering::Relaxed);
+        let doomed: Vec<Segment> = {
+            let mut files = self.files.lock();
+            // A segment ends where the next one starts.
+            let ends = files.sealed.iter().skip(1).map(|s| s.base).chain([files.live_base]);
+            let below = files.sealed.iter().zip(ends).take_while(|(_, end)| *end <= cursor).count();
+            files.sealed.drain(..below).collect()
+        };
+        if doomed.is_empty() {
+            return Ok(());
+        }
+        audit::blocking_io("ingest wal unlink");
+        for segment in &doomed {
+            std::fs::remove_file(&segment.path)?;
+            self.released.fetch_add(segment.valid_bytes, Ordering::Relaxed);
+        }
+        Ok(sync_dir(&self.path)?)
     }
 
     fn poison(&self, e: StoreError) -> StoreError {
@@ -527,53 +708,33 @@ impl IngestLog {
         Ok(())
     }
 
-    /// True once a `write` or fsync has failed. Sticky: the node refuses
-    /// ingest until it is restarted on a healthy disk.
+    /// True once a `write`, fsync or rotation has failed. Sticky: the
+    /// node refuses ingest until it is restarted on a healthy disk.
     pub fn failed(&self) -> bool {
         self.failed.load(Ordering::Acquire)
     }
 
-    /// Events *written* over the log's lifetime (including the recovered
-    /// prefix) — the value a replay cursor checkpoints. It may run ahead
-    /// of [`IngestLog::durable_count`] by the frames inside their fsync
-    /// window, so a cursor must only be taken from it after
-    /// [`IngestLog::sync`].
+    /// Events *written* since the log began — the number the next event
+    /// gets. It may run ahead of the durable watermark by the frames
+    /// inside their fsync window.
     pub fn record_count(&self) -> u64 {
         self.written.load(Ordering::Acquire)
     }
 
-    /// Events covered by a completed fsync.
-    pub fn durable_count(&self) -> u64 {
-        self.durable.load(Ordering::Acquire)
-    }
-
-    /// Frames in the segment (recovered prefix included). Events ÷ frames
-    /// near 1 means the source is not batching.
-    pub fn frame_count(&self) -> u64 {
-        self.frames.load(Ordering::Relaxed)
-    }
-
-    /// Length of the segment in bytes (header and recovered prefix
-    /// included).
-    pub fn byte_count(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Fsyncs issued since open. Group commit keeps this well below
-    /// `record_count` under concurrency.
-    pub fn sync_count(&self) -> u64 {
-        self.syncs.load(Ordering::Relaxed)
-    }
-
     /// The log's counters, read once.
     pub fn view(&self) -> IngestWalView {
+        let segments = self.files.lock().sealed.len() as u64 + 1;
+        let bytes = self.bytes.load(Ordering::Relaxed);
         IngestWalView {
             written: self.record_count(),
-            durable: self.durable_count(),
+            durable: self.durable.load(Ordering::Acquire),
             failed: self.failed(),
-            syncs: self.sync_count(),
-            bytes: self.byte_count(),
-            frames: self.frame_count(),
+            syncs: self.syncs.load(Ordering::Relaxed),
+            bytes,
+            frames: self.frames.load(Ordering::Relaxed),
+            retained_bytes: bytes.saturating_sub(self.released.load(Ordering::Relaxed)),
+            segments,
+            cursor: self.cursor.load(Ordering::Relaxed),
         }
     }
 }
@@ -600,9 +761,19 @@ mod tests {
     /// Everything a fresh open of `path` replays, and whether it cut a tail.
     fn replay_all(path: &Path) -> (Vec<Event>, bool) {
         let (_, rec) = open_unsynced(path);
+        let (end, truncated) = (rec.events, rec.truncated);
         let events = rec.events_after(0).unwrap();
-        assert_eq!(events.len() as u64, rec.events);
-        (events, rec.truncated)
+        assert_eq!(events.len() as u64, end);
+        (events, truncated)
+    }
+
+    /// The file names in `dir`, sorted.
+    fn names(dir: &TempDir) -> Vec<String> {
+        let entries = std::fs::read_dir(dir.path()).unwrap();
+        let mut names: Vec<String> =
+            entries.map(|e| e.unwrap().file_name().to_string_lossy().into_owned()).collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -625,13 +796,13 @@ mod tests {
             &[0, 2, 0, 255, 7, 1], b"z",                  // zigzag(-4) = 7
         ]
         .concat();
-        let mut expected = b"MUPIWAL\x01".to_vec();
+        let mut expected = b"MUPIWAL\x02\0\0\0\0\0\0\0\0".to_vec(); // base 0
         expected.extend_from_slice(&crc32c(&payload).to_le_bytes());
         expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         expected.extend_from_slice(&payload);
         assert_eq!(std::fs::read(&path).unwrap(), expected);
-        assert_eq!((log.record_count(), log.frame_count()), (3, 1));
-        assert_eq!(log.byte_count(), expected.len() as u64);
+        assert_eq!((log.record_count(), log.view().frames), (3, 1));
+        assert_eq!(log.view().bytes, expected.len() as u64);
 
         // What the layout buys: the counter shape (short keys, unit values,
         // adjacent timestamps) in 64-event frames costs at most 10 B/event,
@@ -676,26 +847,40 @@ mod tests {
 
     proptest! {
         #[test]
-        fn runs_round_trip_losslessly_and_in_order(
-            runs in proptest::collection::vec(proptest::collection::vec(arb_event(), 1..40), 1..6),
+        fn runs_round_trip_losslessly_and_in_order_across_rotations(
+            runs in proptest::collection::vec(
+                (proptest::collection::vec(arb_event(), 1..40), any::<bool>()),
+                1..6,
+            ),
             cursor in 0usize..200,
         ) {
             let dir = TempDir::new("ingest-prop").unwrap();
             let path = dir.file("prop.wal");
             let (log, _) = open_unsynced(&path);
-            for run in &runs {
+            let mut bases = vec![0];
+            for (run, rotate) in &runs {
                 log.write_batch(run).unwrap();
+                if *rotate {
+                    bases.push(log.rotate().unwrap());
+                }
             }
-            let all: Vec<Event> = runs.concat();
-            prop_assert_eq!((log.record_count(), log.frame_count()), (all.len() as u64, runs.len() as u64));
+            let all: Vec<Event> = runs.iter().flat_map(|(run, _)| run.clone()).collect();
+            prop_assert_eq!((log.record_count(), log.view().frames), (all.len() as u64, runs.len() as u64));
             drop(log);
             let (log, rec) = open_unsynced(&path);
             prop_assert!(!rec.truncated);
-            prop_assert_eq!((rec.events, log.frame_count()), (all.len() as u64, runs.len() as u64));
+            prop_assert_eq!((rec.events, log.view().frames), (all.len() as u64, runs.len() as u64));
+            prop_assert_eq!(log.view().segments, bases.len() as u64);
             // `Event: Eq` covers stream, ts, key, value (and seq, 0 on both sides).
             prop_assert_eq!(&rec.events_after(0).unwrap(), &all);
-            // A cursor anywhere — inside a frame, or past the end — skips exactly that many.
-            prop_assert_eq!(&rec.events_after(cursor as u64).unwrap()[..], &all[cursor.min(all.len())..]);
+            // A cursor at a base or at the end skips exactly that many
+            // events; anywhere else it is refused.
+            let (_, rec) = open_unsynced(&path);
+            let honoured = bases.contains(&(cursor as u64)) || cursor == all.len();
+            match rec.events_after(cursor as u64) {
+                Ok(rest) => prop_assert!(honoured && rest[..] == all[cursor..]),
+                Err(_) => prop_assert!(!honoured),
+            }
         }
 
         #[test]
@@ -703,9 +888,8 @@ mod tests {
             noise in proptest::collection::vec(any::<u8>(), 0..64),
             run in proptest::collection::vec(arb_event(), 1..6),
             damage in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..4),
-            skip in 0u64..8,
         ) {
-            let _ = decode_frame(&noise, skip, &mut Vec::new());
+            let _ = decode_frame(&noise, &mut Vec::new());
             let mut frame = Vec::new();
             encode_frame(&mut frame, &run, &plan_frame(&run).1);
             for (at, byte) in damage {
@@ -713,8 +897,8 @@ mod tests {
                 frame[at] = byte;
             }
             let mut out = Vec::new();
-            if decode_frame(&frame, 0, &mut out).is_some() {
-                prop_assert_eq!(out.len(), frame_events(&frame).unwrap() as usize);
+            if decode_frame(&frame, &mut out).is_some() {
+                prop_assert_eq!(out.len(), get_varint(&frame).unwrap().0 as usize);
             }
         }
     }
@@ -728,7 +912,7 @@ mod tests {
         let mut frame = Vec::new();
         encode_frame(&mut frame, &run, &["S1"]);
         let mut back = Vec::new();
-        decode_frame(&frame, 0, &mut back).unwrap();
+        decode_frame(&frame, &mut back).unwrap();
         assert_eq!(back, run);
     }
 
@@ -741,9 +925,9 @@ mod tests {
             .collect();
         let (log, _) = open_unsynced(&path);
         log.append_batch(&run).unwrap();
-        let frames = log.frame_count();
+        let frames = log.view().frames;
         assert!((3..=5).contains(&frames), "≈ 3.5 MB over a 1 MiB cap, got {frames} frames");
-        assert!(log.byte_count() / frames < (FRAME_SOFT_BYTES + 1_000) as u64);
+        assert!(log.view().bytes / frames < (FRAME_SOFT_BYTES + 1_000) as u64);
         assert_eq!(log.record_count(), 10_000, "the watermark counts events, not frames");
         drop(log);
         let (events, truncated) = replay_all(&path);
@@ -758,7 +942,7 @@ mod tests {
         let big = Event::new("S1", 0, Key::from("k"), vec![0u8; FRAME_HARD_BYTES]);
         assert!(log.write_batch(&[ev(0), big]).is_err());
         assert!(!log.failed());
-        assert_eq!((log.record_count(), log.frame_count()), (0, 0), "nothing of the run is logged");
+        assert_eq!((log.record_count(), log.view().frames), (0, 0), "nothing of the run is logged");
         log.append_batch(&[ev(1)]).unwrap();
     }
 
@@ -773,7 +957,7 @@ mod tests {
             log.append_batch(&run).unwrap();
             assert_eq!(log.record_count(), 10);
             assert_eq!(
-                (log.frame_count(), log.sync_count()),
+                (log.view().frames, log.view().syncs),
                 (10, 10),
                 "sync_each: a frame and an fsync per event, batch or not"
             );
@@ -782,7 +966,7 @@ mod tests {
         assert!(!rec.truncated);
         assert_eq!(rec.events_after(0).unwrap(), (0..10).map(ev).collect::<Vec<_>>());
         assert_eq!(
-            (log.record_count(), log.durable_count(), log.frame_count()),
+            (log.record_count(), log.view().durable, log.view().frames),
             (10, 10, 10),
             "the writer continues from the recovered prefix"
         );
@@ -811,9 +995,12 @@ mod tests {
                 })
                 .collect(),
         );
+        // Format 1: one segment, no base.
+        let format_one = dir.file("format-one.wal");
+        std::fs::write(&format_one, b"MUPIWAL\x01").unwrap();
         let garbage = dir.file("garbage");
-        std::fs::write(&garbage, b"MUPIWAL\x02 a later format").unwrap();
-        for path in [&store_wal, &old_log, &garbage] {
+        std::fs::write(&garbage, b"MUPIWAL\x03 a later format").unwrap();
+        for path in [&store_wal, &old_log, &format_one, &garbage] {
             let before = std::fs::read(path).unwrap();
             let Err(err) = IngestLog::open(path, false) else { panic!("{path:?} was accepted") };
             assert!(err.to_string().contains(path.to_str().unwrap()), "{err}");
@@ -824,9 +1011,9 @@ mod tests {
     #[test]
     fn a_segment_whose_creation_died_inside_the_header_starts_over() {
         let dir = TempDir::new("ingest").unwrap();
-        for len in 0..SEGMENT_HEADER.len() {
+        for len in 0..HEADER_LEN as usize {
             let path = dir.file(&format!("partial-{len}.wal"));
-            std::fs::write(&path, &SEGMENT_HEADER[..len]).unwrap();
+            std::fs::write(&path, &segment_header(0)[..len]).unwrap();
             let (log, rec) = IngestLog::open(&path, false).unwrap();
             assert_eq!((rec.events, rec.truncated), (0, false));
             log.append_batch(&[ev(0)]).unwrap();
@@ -845,7 +1032,7 @@ mod tests {
         let runs = [(0..3).map(ev).collect(), b, (7..9).map(ev).collect::<Vec<_>>()];
         let ends = runs.each_ref().map(|run| {
             log.write_batch(run).unwrap();
-            log.byte_count() as usize
+            log.view().bytes as usize
         });
         (std::fs::read(&path).unwrap(), ends, runs)
     }
@@ -864,7 +1051,7 @@ mod tests {
             assert_eq!(rec.truncated, cut != boundary, "cut at {cut}");
             assert_eq!(rec.events_after(0).unwrap(), expected, "cut at {cut}");
             assert_eq!(
-                (log.record_count(), log.frame_count(), log.byte_count()),
+                (log.record_count(), log.view().frames, log.view().bytes),
                 (expected.len() as u64, whole as u64, boundary as u64),
                 "cut at {cut}"
             );
@@ -901,49 +1088,97 @@ mod tests {
         let dir = TempDir::new("ingest").unwrap();
         let path = dir.file("hostile.wal");
         for len in [u32::MAX, FRAME_HARD_BYTES as u32 + 1] {
-            let mut data = SEGMENT_HEADER.to_vec();
+            let mut data = segment_header(0).to_vec();
             data.extend_from_slice(&[0; 4]);
             data.extend_from_slice(&len.to_le_bytes());
             data.extend_from_slice(b"not four gigabytes");
             std::fs::write(&path, &data).unwrap();
             assert_eq!(replay_all(&path), (vec![], true));
-            assert_eq!(std::fs::read(&path).unwrap(), SEGMENT_HEADER);
+            assert_eq!(std::fs::read(&path).unwrap(), segment_header(0));
         }
     }
 
     #[test]
-    fn replay_decodes_only_the_frames_the_cursor_does_not_cover() {
+    fn rotation_seals_the_live_segment_and_release_deletes_what_a_cursor_covers() {
         let dir = TempDir::new("ingest").unwrap();
-        let path = dir.file("long.wal");
+        let path = dir.file("log.wal");
         let (log, _) = open_unsynced(&path);
-        // 3 124 frames that pass their checksum, claim 64 events each and
-        // decode as nothing: whoever walks one fails.
-        let mut opaque = vec![0xff; 300];
-        opaque[0] = 64;
-        {
-            let mut w = log.writer.lock();
-            for _ in 0..3_124 {
-                w.stage(|buf| buf.extend_from_slice(&opaque));
-            }
-            w.commit().unwrap();
-            w.flush().unwrap();
-        }
-        let last: Vec<Event> = (0..64).map(ev).collect();
+        assert_eq!(log.rotate().unwrap(), 0, "nothing written: nothing rotates");
+        let runs: [Vec<Event>; 3] =
+            [(0..3).map(ev).collect(), (3..7).map(ev).collect(), (7..9).map(ev).collect()];
+        log.write_batch(&runs[0]).unwrap();
+        assert_eq!(log.rotate().unwrap(), 3);
+        log.write_batch(&runs[1]).unwrap();
+        assert_eq!(log.rotate().unwrap(), 7);
+        assert_eq!(log.rotate().unwrap(), 7, "nothing new: no empty segment");
+        log.write_batch(&runs[2]).unwrap();
+        assert_eq!(names(&dir), ["log.wal", "log.wal.0", "log.wal.3"]);
+        assert_eq!(std::fs::read(dir.file("log.wal.3")).unwrap()[..16], segment_header(3));
+        assert_eq!(std::fs::read(&path).unwrap()[..16], segment_header(7));
+        let before = log.view();
+        assert_eq!((before.segments, before.retained_bytes, before.cursor), (3, before.bytes, 0));
+
+        // Each cursor deletes the sealed segments wholly below it.
+        log.release_below(3).unwrap();
+        assert_eq!(names(&dir), ["log.wal", "log.wal.3"]);
+        log.release_below(7).unwrap();
+        log.release_below(9).unwrap();
+        assert_eq!(names(&dir), ["log.wal"], "the live segment is never released");
+        let after = log.view();
+        assert_eq!(
+            (after.written, after.bytes, after.frames),
+            (9, before.bytes, before.frames),
+            "the totals do not count down"
+        );
+        let live_len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!((after.segments, after.retained_bytes, after.cursor), (1, live_len, 9));
         drop(log);
+
+        // A restart decodes what is retained and honours only its base and
+        // the log's end.
         let (log, rec) = open_unsynced(&path);
-        assert_eq!((rec.events, log.frame_count()), (199_936, 3_124), "counted by their `n`");
-        log.write_batch(&last).unwrap();
+        assert_eq!((rec.events, log.view().segments, log.view().bytes), (9, 1, live_len));
+        assert_eq!(rec.events_after(7).unwrap(), runs[2]);
         drop(log);
+        for refused in [0, 3, 8] {
+            let (_, rec) = open_unsynced(&path);
+            let err = rec.events_after(refused).unwrap_err().to_string();
+            assert!(err.contains(&format!("cursor {refused} ")) && err.contains("[7]"), "{err}");
+        }
         let (_, rec) = open_unsynced(&path);
-        assert_eq!(rec.events, 200_000);
-        // The cursor sits on the last frame's first event: that frame is
-        // decoded, none of the 3 124 below it is so much as walked.
-        assert_eq!(rec.events_after(199_936).unwrap(), last);
-        // Ten events into it, the frame is decoded and its head skipped.
-        assert_eq!(rec.events_after(199_946).unwrap(), last[10..]);
-        assert!(rec.events_after(200_000).unwrap().is_empty());
-        // One event lower, and the frame below has to be read.
-        assert!(rec.events_after(199_935).is_err());
+        assert!(rec.events_after(9).unwrap().is_empty());
+    }
+
+    #[test]
+    fn open_drops_a_headerless_sealed_segment_and_refuses_overlapping_ones() {
+        let dir = TempDir::new("ingest").unwrap();
+        let path = dir.file("log.wal");
+        let (log, _) = open_unsynced(&path);
+        log.write_batch(&[ev(0), ev(1)]).unwrap();
+        log.rotate().unwrap();
+        drop(log);
+        // Sealed before its header reached the disk: it held nothing acked.
+        std::fs::write(dir.file("log.wal.9"), &segment_header(9)[..5]).unwrap();
+        let (log, rec) = open_unsynced(&path);
+        assert_eq!(names(&dir), ["log.wal", "log.wal.0"]);
+        assert_eq!(rec.events_after(0).unwrap(), [ev(0), ev(1)]);
+        drop(log);
+        // A segment from another log claims events this one already holds.
+        std::fs::write(dir.file("log.wal.1"), segment_header(1)).unwrap();
+        let Err(err) = IngestLog::open(&path, false) else { panic!("overlap accepted") };
+        assert!(err.to_string().contains("segments overlap"), "{err}");
+    }
+
+    #[test]
+    fn the_sync_step_covers_a_sealed_tail_no_step_has_synced() {
+        let dir = TempDir::new("ingest").unwrap();
+        let (log, _) = IngestLog::open(dir.file("sealed.wal"), false).unwrap();
+        let seq = log.write_batch(&[ev(0)]).unwrap();
+        log.rotate().unwrap();
+        assert_eq!(log.files.lock().unsynced.len(), 1, "the record was sealed, not synced");
+        log.wait_durable(seq).unwrap();
+        assert!(log.files.lock().unsynced.is_empty());
+        assert_eq!((log.view().durable, log.view().syncs), (1, 1));
     }
 
     /// A sync seam that reports each entry on the returned receiver and
@@ -967,21 +1202,21 @@ mod tests {
         let (log, _) = IngestLog::open_with_sync(&path, false, Some(sync)).unwrap();
         let events: Vec<Event> = (0..8).map(ev).collect();
         let seq = log.write_batch(&events).unwrap();
-        assert_eq!((seq, log.record_count(), log.durable_count()), (8, 8, 0));
+        assert_eq!((seq, log.record_count(), log.view().durable), (8, 8, 0));
         std::thread::scope(|s| {
             let waiter = s.spawn(|| log.wait_durable(seq));
             entered.recv().unwrap();
             // The leader is inside the sync step; what a process crash
             // would leave behind already replays in full.
-            let replayed = scan(&path, 0, u64::MAX).unwrap();
-            assert_eq!(replayed.suffix, events);
+            let replayed = scan(&path).unwrap().unwrap();
+            assert_eq!(replayed.events, events);
             assert!(!replayed.truncated);
-            assert_eq!(log.durable_count(), 0, "nothing is acked before the sync returns");
+            assert_eq!(log.view().durable, 0, "nothing is acked before the sync returns");
             assert!(!waiter.is_finished());
             gate.send(()).unwrap();
             waiter.join().unwrap().unwrap();
         });
-        assert_eq!((log.durable_count(), log.sync_count()), (8, 1));
+        assert_eq!((log.view().durable, log.view().syncs), (8, 1));
     }
 
     #[test]
@@ -1000,7 +1235,7 @@ mod tests {
             Box::new(move || {
                 let log = slot.get().and_then(Weak::upgrade).expect("log is open");
                 let written_now = log.record_count();
-                if log.durable_count() > last_written.swap(written_now, Ordering::SeqCst) {
+                if log.view().durable > last_written.swap(written_now, Ordering::SeqCst) {
                     violations.fetch_add(1, Ordering::SeqCst);
                 }
                 std::thread::yield_now(); // let writers in while "syncing"
@@ -1018,13 +1253,13 @@ mod tests {
                         // `append_batch`, with its watermark kept.
                         let seq = log.write_batch(&[ev(t * 50 + i)]).unwrap();
                         log.wait_durable(seq).unwrap();
-                        assert!(log.durable_count() >= seq, "returned before durable");
+                        assert!(log.view().durable >= seq, "returned before durable");
                     }
                 });
             }
         });
-        assert_eq!((log.record_count(), log.durable_count()), (200, 200));
-        assert!((1..=200).contains(&log.sync_count()), "never worse than sync-per-call");
+        assert_eq!((log.record_count(), log.view().durable), (200, 200));
+        assert!((1..=200).contains(&log.view().syncs), "never worse than sync-per-call");
         assert_eq!(violations.load(Ordering::SeqCst), 0, "acked past a sync's coverage");
     }
 
@@ -1041,19 +1276,19 @@ mod tests {
             // Sync 1 is running and the writer lock is free: this returns
             // while the gate is still closed.
             let second = log.write_batch(&[ev(1)]).unwrap();
-            assert_eq!((second, log.record_count(), log.durable_count()), (2, 2, 0));
+            assert_eq!((second, log.record_count(), log.view().durable), (2, 2, 0));
             let follower = s.spawn(move || log.wait_durable(second));
             gate.send(()).unwrap();
             leader.join().unwrap().unwrap();
             // Sync 1 began before record 2 was written, so it must not
             // cover it: the follower has to lead sync 2.
             entered.recv_timeout(Duration::from_secs(10)).expect("no second sync was led");
-            assert_eq!(log.durable_count(), 1, "the running sync covered a later write");
+            assert_eq!(log.view().durable, 1, "the running sync covered a later write");
             assert!(!follower.is_finished());
             gate.send(()).unwrap();
             follower.join().unwrap().unwrap();
         });
-        assert_eq!((log.durable_count(), log.sync_count()), (2, 2));
+        assert_eq!((log.view().durable, log.view().syncs), (2, 2));
     }
 
     #[test]
@@ -1073,13 +1308,13 @@ mod tests {
         fail.store(true, Ordering::SeqCst);
         assert!(log.append_batch(&[ev(1)]).is_err(), "the failed sync is this call's error");
         assert!(log.failed());
-        assert_eq!((log.record_count(), log.durable_count()), (2, 1));
+        assert_eq!((log.record_count(), log.view().durable), (2, 1));
         // Sticky, even once the disk "recovers": nothing new is written,
         // nothing un-synced is ever acked.
         fail.store(false, Ordering::SeqCst);
         assert!(log.write_batch(&[ev(2)]).is_err());
         assert!(log.wait_durable(2).is_err());
-        assert!(log.sync().is_err());
+        assert!(log.rotate().is_err(), "nor does it rotate");
         assert_eq!(log.record_count(), 2);
         log.wait_durable(1).expect("what a good sync covered stays acked");
     }

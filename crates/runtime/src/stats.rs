@@ -395,11 +395,12 @@ pub(crate) fn collect(
         out.push(count("muppet_wal_syncs_total", syncs));
     }
     if let Some(wal) = s.ingest_wal {
-        // Segment totals (recovered prefix included): bytes ÷ written is
-        // the log's cost per event, written ÷ frames near 1 a source
-        // that pays a header and an fsync per event; written − durable
-        // is the records inside their fsync window, logged and
-        // dispatched, not yet acked.
+        // Totals since open (the retained prefix found at open included,
+        // so they never count down at a checkpoint): bytes ÷ written is
+        // the log's cost per event, written ÷ frames near 1 a source that
+        // pays a header and an fsync per event; written − durable is the
+        // records inside their fsync window, logged and dispatched, not
+        // yet acked. What is on disk is the retained bytes and segments.
         out.extend([
             count("muppet_wal_ingest_syncs_total", wal.syncs),
             count("muppet_wal_ingest_bytes_total", wal.bytes),
@@ -407,6 +408,9 @@ pub(crate) fn collect(
             gauge("muppet_ingest_wal_written", wal.written),
             gauge("muppet_ingest_wal_durable", wal.durable),
             gauge("muppet_ingest_wal_failed", u64::from(wal.failed)),
+            gauge("muppet_ingest_wal_retained_bytes", wal.retained_bytes),
+            gauge("muppet_ingest_wal_segments", wal.segments),
+            gauge("muppet_ingest_wal_cursor", wal.cursor),
         ]);
     }
     // Process-wide statics: shared by every engine in one process,

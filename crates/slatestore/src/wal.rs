@@ -143,6 +143,14 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Raw layer: hand `bytes` to the file buffer unframed — a segment
+    /// header — counted in [`WalWriter::byte_count`] but not as a record.
+    pub fn write_raw(&mut self, bytes: &[u8]) -> StoreResult<()> {
+        self.out.write_all(bytes)?;
+        self.bytes += bytes.len() as u64;
+        Ok(())
+    }
+
     /// Make everything written so far durable (flush + fsync). Callers
     /// that batch appends without `sync_each` (checkpointing an ingest
     /// log, graceful shutdown) use this to draw an explicit durability

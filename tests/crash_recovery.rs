@@ -8,6 +8,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -19,6 +20,7 @@ use muppet::apps::retailer;
 use muppet::core::Error;
 use muppet::net::topology::Topology;
 use muppet::prelude::*;
+use muppet::runtime::cache::SlateBackend;
 use muppet::runtime::engine::OperatorSet;
 use muppet::runtime::http::percent_encode;
 use muppet::runtime::ingestlog::{IngestLog, SyncFn};
@@ -250,6 +252,9 @@ fn sigterm_checkpoints_exits_zero_and_restart_replays_nothing() {
     // Clean shutdown: drain + flush + cursor + fsync, then exit 0.
     let status = node.sigterm();
     assert_eq!(status.code(), Some(0), "SIGTERM must exit 0 after a clean checkpoint");
+    // The checkpoint deleted everything its cursor covers: the WAL path
+    // holds a header whose base is the N events logged, and nothing else.
+    assert_eq!(log_files(&wal), one_header_only_segment(&wal, N as u64));
 
     // The restart finds the cursor at the WAL's end: zero replay.
     let node2 = spawn_node(&peers, port, data_dir.to_str().unwrap(), wal.to_str().unwrap());
@@ -522,44 +527,263 @@ fn a_failed_fsync_stops_ingest_keeps_the_store_behind_the_log_and_a_restart_repl
     shutdown(engine);
 }
 
-/// The replay cursor counts events, not frames, and a checkpoint racing a
-/// `submit_many` may leave it inside one: the restart skips exactly that
-/// many events of the frame and replays the rest, once.
-#[test]
-fn a_cursor_inside_a_frame_replays_exactly_the_rest_of_it() {
-    let dir = TempDir::new("mid-frame-cursor").unwrap();
-    let store = Arc::new(StoreCluster::open(dir.path(), StoreConfig::default()).unwrap());
-    let frame = gated_frame();
+/// Builds the ingest WAL at a path by hand.
+type BuildLog<'a> = &'a dyn Fn(&Path);
+
+/// Write the replay cursor cell of an in-process engine (machine 0) into
+/// `store` directly, as a checkpoint would have.
+fn store_cursor(store: &StoreCluster, cursor: u64) {
+    let key = Key::from("node-0");
+    assert!(store.store(
+        "__ingest_cursor",
+        &key,
+        cursor.to_string().as_bytes(),
+        Codec::Json,
+        None,
+        0
+    ));
+}
+
+/// `frames` copies of [`gated_frame`], one after the other.
+fn frames(frames: usize) -> Vec<Event> {
+    (0..frames).flat_map(|_| gated_frame()).collect()
+}
+
+/// The counter slates of the count workflow's reference run over `events`.
+fn reference(events: &[Event]) -> Vec<(Key, Slate)> {
     let wf = count_workflow();
     let mut exec = ReferenceExecutor::new(&wf);
     exec.register_updater(CountUpdater);
-    for ev in &frame {
+    for ev in events {
         exec.push_external("S1", ev.clone());
     }
     exec.run_to_completion().unwrap();
+    exec.slates_of("counter").into_iter().map(|(key, slate)| (key.clone(), slate.clone())).collect()
+}
 
-    // First life: the frame's first ten events, checkpointed — the store
-    // holds their effects and a cursor of 10.
-    let engine = stored_count_engine(&dir.file("first.log"), &store, None);
-    engine.submit_many(frame[..10].to_vec()).unwrap();
-    assert!(engine.checkpoint(Duration::from_secs(10)));
-    shutdown(engine);
+/// Every file beside the ingest WAL at `wal` that belongs to it (the live
+/// segment and its sealed siblings), with its bytes, by name.
+fn log_files(wal: &Path) -> Vec<(String, Vec<u8>)> {
+    let live = wal.file_name().unwrap().to_str().unwrap();
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(wal.parent().unwrap())
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.file_name().unwrap().to_str().unwrap().starts_with(live))
+        .map(|path| {
+            (path.file_name().unwrap().to_str().unwrap().into(), std::fs::read(path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
 
-    // The log a racing checkpoint would have left: all 64 events in ONE frame.
-    let wal = dir.file("ingest.log");
-    let (log, _) = IngestLog::open(&wal, false).unwrap();
-    log.append_batch(&frame).unwrap();
-    drop(log);
+/// What the log at `wal` is after a checkpoint at `cursor` with no ingest
+/// since: the live segment alone, a header whose base is the cursor.
+fn one_header_only_segment(wal: &Path, cursor: u64) -> Vec<(String, Vec<u8>)> {
+    let header = [&b"MUPIWAL\x02"[..], &cursor.to_le_bytes()].concat();
+    vec![(wal.file_name().unwrap().to_str().unwrap().into(), header)]
+}
 
-    let engine = stored_count_engine(&wal, &store, None);
-    assert_eq!(engine.stats().recovered_replayed, 54);
-    assert!(engine.drain(Duration::from_secs(10)));
-    assert_eq!(engine.stats().processed, 54, "the first ten are not applied twice");
-    for k in 0..GATED_KEYS {
-        let key = Key::from(format!("k-{k}"));
-        let reference = exec.slate("counter", &key).unwrap();
-        assert_eq!(engine.read_slate("counter", &key).as_deref(), Some(reference.bytes()));
+/// A replay cursor that is neither a retained segment's base nor the log's
+/// end means the store and the log disagree — a cursor read lost, a log
+/// wiped without its store, two logs mixed — and the engine refuses to
+/// start rather than replay history onto slates that already hold it or
+/// skip events no slate reflects.
+#[test]
+fn a_cursor_the_log_cannot_honour_is_refused() {
+    let dir = TempDir::new("refused-cursor").unwrap();
+    let open = |wal: &Path| IngestLog::open(wal, false).unwrap().0;
+    let cases: [(&str, u64, BuildLog); 3] = [
+        // The store holds a cursor, the log is new.
+        ("fresh", 100, &|_| ()),
+        // Inside the one segment: only a second log mixed in could say so.
+        ("inside", 10, &|wal| open(wal).append_batch(&gated_frame()).unwrap()),
+        // The segment holding events 0..64 was deleted at a checkpoint.
+        ("below", 0, &|wal| {
+            let log = open(wal);
+            log.append_batch(&gated_frame()).unwrap();
+            log.release_below(log.rotate().unwrap()).unwrap();
+        }),
+    ];
+    for (name, cursor, build) in cases {
+        let wal = dir.file(&format!("{name}.log"));
+        build(&wal);
+        let store =
+            Arc::new(StoreCluster::open(dir.path().join(name), StoreConfig::default()).unwrap());
+        if cursor > 0 {
+            store_cursor(&store, cursor);
+        }
+        let started = Engine::start(
+            count_workflow(),
+            OperatorSet::new().updater(CountUpdater),
+            count_config(&wal),
+            Some(store),
+        );
+        let Err(err) = started else { panic!("{name}: started on cursor {cursor}") };
+        assert!(matches!(err, Error::Config(_)), "{name}: {err}");
+        assert!(err.to_string().contains(&format!("cursor {cursor} ")), "{name}: {err}");
     }
+}
+
+/// A checkpoint takes its cursor where it rotates the log: a run logged
+/// while its flush is on the wire lies past that cursor, and a run logged
+/// before it is dispatched before the flush starts. So the stored cursor
+/// never covers an event the stored slates do not reflect.
+#[test]
+fn a_checkpoint_racing_a_submit_stores_no_cursor_past_its_flush() {
+    let dir = TempDir::new("racing-cursor").unwrap();
+    let topology = Topology::loopback_ephemeral(2, false).unwrap();
+    let (store, _host, _listener) = common::serve_store(&topology);
+    let cfg = EngineConfig {
+        transport: TransportKind::Tcp { topology, local: 1 },
+        store_host: Some(0),
+        ..count_config(&dir.file("ingest.log"))
+    };
+    // S1 → gate → S2 → counter. The gate parks `HOLD` events before any
+    // slate is touched, so a parked run is acked and dispatched but
+    // reflected in no slate.
+    let mut b = Workflow::builder("gated-map");
+    b.external_stream("S1");
+    b.mapper_publishing("gate", &["S1"], &["S2"]);
+    b.updater("counter", &["S2"]);
+    let gate = Arc::new(common::Gate::default());
+    let held = Arc::clone(&gate);
+    let mapper = FnMapper::new("gate", move |ctx: &mut dyn Emitter, ev: &Event| {
+        while ev.key.as_bytes().starts_with(common::HOLD.as_bytes())
+            && !held.open.load(Ordering::Acquire)
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        ctx.publish("S2", ev.key.clone(), ev.value.to_vec());
+    });
+    let ops = OperatorSet::new().mapper(mapper).updater(CountUpdater);
+    let engine = Arc::new(Engine::start(b.build().unwrap(), ops, cfg, None).unwrap());
+    let frame = |prefix| -> Vec<Event> {
+        let keys = common::keys_owned_by(&engine, "counter", 1, prefix, 400);
+        let local = keys.into_iter().filter(|key| engine.owner_machine("gate", key) == Some(1));
+        local.take(64).map(|key| Event::new("S1", 0, key, "e")).collect()
+    };
+    engine.submit_many(frame("k-")).unwrap();
+    assert!(engine.drain(Duration::from_secs(10)));
+
+    store.shut.store(true, Ordering::Release);
+    let checkpoint = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || engine.checkpoint(Duration::from_secs(10)))
+    };
+    assert!(wait_until(Duration::from_secs(10), || store.entered.load(Ordering::Acquire)));
+    // The flush is held at the store host; a second frame is logged, acked
+    // and dispatched meanwhile, and parks in the gate.
+    engine.submit_many(frame(common::HOLD)).unwrap();
+    store.shut.store(false, Ordering::Release);
+    assert!(checkpoint.join().unwrap(), "the checkpoint is taken");
+
+    let data = store.data.lock();
+    let number = |value: &[u8]| std::str::from_utf8(value).unwrap().parse::<u64>().unwrap();
+    let cursor = number(&data[&("__ingest_cursor".to_string(), b"node-1".to_vec())]);
+    let counted: u64 =
+        data.iter().filter(|((column, _), _)| column == "counter").map(|(_, v)| number(v)).sum();
+    assert_eq!((cursor, counted), (64, 64), "the cursor covers exactly what was flushed");
+    drop(data);
+    gate.open.store(true, Ordering::Release);
+    shutdown(engine);
+}
+
+/// Every on-disk state a crash inside the recovery line can leave, built
+/// by hand: the log with [`IngestLog`], the store with the slates and the
+/// cursor a checkpoint at that cursor wrote. Three frames of 64 events;
+/// rows rotate after the second. Each restart replays exactly the events
+/// past the stored cursor, ends bit-exact against the reference, and its
+/// next checkpoint leaves one segment.
+#[test]
+fn every_crash_inside_the_recovery_line_restarts_exactly_and_ends_in_one_segment() {
+    let two_frames = |wal: &Path| {
+        let (log, _) = IngestLog::open(wal, false).unwrap();
+        log.append_batch(&frames(2)).unwrap();
+        log
+    };
+    let sealed = |wal: &Path| {
+        let log = two_frames(wal);
+        assert_eq!(log.rotate().unwrap(), 128);
+        log
+    };
+    let torn_header = |wal: &Path| {
+        drop(sealed(wal));
+        let header = std::fs::read(wal).unwrap();
+        std::fs::write(wal, &header[..11]).unwrap();
+    };
+    let third_frame = |wal: &Path| sealed(wal).append_batch(&gated_frame()).unwrap();
+    // ⟨state, its log, stored cursor, events in the log⟩
+    let rows: [(&str, BuildLog, u64, usize); 5] = [
+        ("crash before the rotation", &|wal| drop(two_frames(wal)), 0, 128),
+        (
+            "sealed, no live segment yet",
+            &|wal| {
+                drop(sealed(wal));
+                std::fs::remove_file(wal).unwrap();
+            },
+            0,
+            128,
+        ),
+        ("live segment with a torn header", &torn_header, 0, 128),
+        ("cursor not stored", &third_frame, 0, 192),
+        ("cursor stored, sealed segment not deleted", &third_frame, 128, 192),
+    ];
+    let events = frames(3);
+    for (state, build, cursor, end) in rows {
+        let dir = TempDir::new("crash-table").unwrap();
+        std::fs::create_dir(dir.path().join("wal")).unwrap();
+        let wal = dir.path().join("wal").join("ingest.log");
+        build(&wal);
+        let store =
+            Arc::new(StoreCluster::open(dir.path().join("store"), StoreConfig::default()).unwrap());
+        for (key, slate) in reference(&events[..cursor as usize]) {
+            assert!(store.store("counter", &key, slate.bytes(), Codec::Json, None, 0));
+        }
+        store_cursor(&store, cursor);
+
+        let engine = stored_count_engine(&wal, &store, None);
+        assert_eq!(engine.stats().recovered_replayed, end as u64 - cursor, "{state}");
+        assert!(engine.drain(Duration::from_secs(10)), "{state}");
+        let expected = reference(&events[..end]);
+        for (key, slate) in expected {
+            let got = engine.read_slate("counter", &key);
+            assert_eq!(got.as_deref(), Some(slate.bytes()), "{state}: {key:?}");
+        }
+        assert!(engine.checkpoint(Duration::from_secs(10)), "{state}");
+        assert_eq!(log_files(&wal), one_header_only_segment(&wal, end as u64), "{state}");
+        shutdown(engine);
+    }
+}
+
+/// The log plateaus: under steady ingest each checkpoint deletes what its
+/// cursor covers, so the directory never holds more than one segment past
+/// it, and a restart has nothing to replay.
+#[test]
+fn twenty_checkpoints_under_steady_ingest_each_leave_one_header_only_segment() {
+    let dir = TempDir::new("plateau").unwrap();
+    std::fs::create_dir(dir.path().join("wal")).unwrap();
+    let wal = dir.path().join("wal").join("ingest.log");
+    let store =
+        Arc::new(StoreCluster::open(dir.path().join("store"), StoreConfig::default()).unwrap());
+    let engine = stored_count_engine(&wal, &store, None);
+    for cycle in 1..=20u64 {
+        let events: Vec<Event> = (0..500)
+            .map(|i| Event::new("S1", i, Key::from(format!("k-{}", i % 50)), "e"))
+            .collect();
+        for run in events.chunks(50) {
+            engine.submit_many(run.to_vec()).unwrap();
+        }
+        assert!(engine.checkpoint(Duration::from_secs(10)), "cycle {cycle}");
+        assert_eq!(log_files(&wal), one_header_only_segment(&wal, 500 * cycle), "cycle {cycle}");
+    }
+    shutdown(engine);
+    let (_, recovery) = IngestLog::open(&wal, false).unwrap();
+    assert_eq!(recovery.events, 10_000);
+    assert!(recovery.events_after(10_000).unwrap().is_empty(), "nothing is retained to replay");
+    let engine = stored_count_engine(&wal, &store, None);
+    assert_eq!(engine.stats().recovered_replayed, 0);
+    assert_eq!(engine.read_slate("counter", &Key::from("k-0")).as_deref(), Some(b"200".as_ref()));
     shutdown(engine);
 }
 

@@ -236,7 +236,7 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// Every `/status` key, in order.
-const STATUS_KEYS: [&str; 52] = [
+const STATUS_KEYS: [&str; 55] = [
     "uptime_s",
     "machine_id",
     "protocol_version",
@@ -277,6 +277,9 @@ const STATUS_KEYS: [&str; 52] = [
     "ingest_wal_written",
     "ingest_wal_durable",
     "ingest_wal_failed",
+    "ingest_wal_retained_bytes",
+    "ingest_wal_segments",
+    "ingest_wal_cursor",
     "dlq_depth",
     "dlq_added",
     "dlq_dropped",
@@ -301,7 +304,7 @@ type Twin = (&'static str, &'static str, Label, fn(&EngineStats) -> u64);
 /// Every numeric `/status` key with a registry twin. The other keys are a
 /// clock (`uptime_s`), node shape (`machines`, `cache_shards`), a
 /// percentile or mean of a histogram, a high-water mark, or a list.
-const TWINS: [Twin; 39] = [
+const TWINS: [Twin; 42] = [
     ("machine_id", "muppet_machine_id", None, |s| s.machine_id.unwrap() as u64),
     ("protocol_version", "muppet_protocol_version", None, |_| muppet::net::frame::PROTOCOL_VERSION),
     ("submitted", "muppet_events_submitted_total", None, |s| s.submitted),
@@ -341,6 +344,11 @@ const TWINS: [Twin; 39] = [
     ("ingest_wal_failed", "muppet_ingest_wal_failed", None, |s| {
         u64::from(s.ingest_wal.unwrap().failed)
     }),
+    ("ingest_wal_retained_bytes", "muppet_ingest_wal_retained_bytes", None, |s| {
+        s.ingest_wal.unwrap().retained_bytes
+    }),
+    ("ingest_wal_segments", "muppet_ingest_wal_segments", None, |s| s.ingest_wal.unwrap().segments),
+    ("ingest_wal_cursor", "muppet_ingest_wal_cursor", None, |s| s.ingest_wal.unwrap().cursor),
     ("dlq_depth", "muppet_dlq_depth", None, |s| s.dlq_depth),
     ("dlq_added", "muppet_dead_letters_total", None, |s| s.dead_lettered),
     ("dlq_dropped", "muppet_dlq_evicted_total", None, |s| s.dlq_evicted),
@@ -398,6 +406,12 @@ fn status_metrics_and_engine_stats_are_one_set_of_numbers() {
             assert_eq!((hits.as_u64(), series), (Some(shard.hits), shard.hits), "shard {i}");
         }
         assert!(stats.processed > 0 && stats.cache.hits > 0 && stats.cache.flush_batches > 0);
+        // The checkpoint rotated the log at its end and deleted the sealed
+        // segment: one header-only segment is left, and the totals still
+        // count every frame written.
+        let wal = stats.ingest_wal.unwrap();
+        assert_eq!((wal.segments, wal.retained_bytes, wal.cursor), (1, 16, wal.written));
+        assert!(wal.frames >= 20 && wal.bytes > 20 * wal.retained_bytes, "{wal:?}");
         dead_letters += stats.dead_lettered;
     }
     assert_eq!(dead_letters, 1, "the poison event is counted once");
