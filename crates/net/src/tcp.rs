@@ -1,47 +1,9 @@
-//! The TCP transport: real sockets between `muppetd` processes.
-//!
-//! Wire model (§4.1): workers pass events *directly* to the owning
-//! machine's process; the master is only ever involved in the §4.3
-//! failure frames. Each engine process owns exactly one machine of the
-//! topology; a background listener accepts frames from peers and hands
-//! them to the engine's [`ClusterHandler`].
-//!
-//! **The event path is batched and pipelined.** `send_event` enqueues
-//! into a bounded per-peer outbox; a dedicated sender thread per peer
-//! drains it, coalescing events into [`Frame::Events`] frames and
-//! writing them back-to-back over one persistent connection — no
-//! per-event connection checkout, CRC, or syscall. A batch leaves when it
-//! is full (`batch_max`), when the producer that filled it says it has
-//! nothing more to add ([`Transport::flush_events`]), or — the ceiling for
-//! producers that never say so — when its oldest event is `flush_us` old
-//! ([`BatchConfig`], [`FlushReason`]). A full outbox blocks
-//! the enqueueing thread (real backpressure; the engine also folds
-//! [`Transport::outbound_backlog`] into its source-throttle budget) —
-//! the queue never grows unboundedly.
-//!
-//! Failure surfacing: a batch that cannot reach its peer — connection
-//! refused, reset, peer FIN seen by the pre-write probe, or timed out,
-//! after one reconnect attempt — is one traffic-driven §4.3 detection.
-//! The sender marks the peer down, drains the outbox, and hands the
-//! whole undelivered run (failed batch + everything queued behind it) to
-//! [`ClusterHandler::handle_send_failure`], which reports to the master
-//! and accounts every event individually (lost-and-logged, never
-//! retried). Later `send_event` calls return [`NetError::Unreachable`]
-//! synchronously. Events already buffered by the kernel when a peer dies
-//! are silently lost — the paper's semantics, not a bug: detection is
-//! traffic-driven and the undelivered window is bounded by the socket
-//! buffer.
-//!
-//! Request/response frames (`SlateGet`, `StorePut`, …) and the §4.3
-//! failure frames stay on the synchronous pooled path: per peer, a small
-//! stack of idle connections; an exchange takes one exclusively (so
-//! request/response frames never interleave), then returns it.
-//!
-//! Every connection opens with one handshake: the dialer's
-//! current-version [`Frame::Hello`], answered by a [`Frame::HelloAck`].
-//! A connection that opens any other way is closed and counted
-//! ([`TcpStats::hello_rejected`]); so is one that later sends bytes that
-//! are no frame ([`TcpStats::frames_rejected`]).
+//! The TCP transport: real sockets between `muppetd` processes, each of
+//! which runs one machine of the topology. It carries only traffic for
+//! another process; the engine delivers to its own machine itself. Events
+//! leave through batching per-peer outboxes, request/response frames
+//! through pooled connections, and a failed batch is one §4.3 detection.
+//! DESIGN.md §5.
 
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read};
@@ -81,7 +43,7 @@ const MAX_REJECTED_PEERS: usize = 1024;
 
 /// Flush policy for the per-peer batching senders: a batch goes on the
 /// wire when it holds `batch_max` events, when a producer asks
-/// ([`Transport::flush_events`]), or when the oldest queued event is
+/// ([`TcpTransport::flush_events`]), or when the oldest queued event is
 /// `flush_us` microseconds old, whichever comes first.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
@@ -109,7 +71,7 @@ impl Default for BatchConfig {
 pub enum FlushReason {
     /// The outbox held `batch_max` events.
     Size,
-    /// A producer asked ([`Transport::flush_events`]).
+    /// A producer asked ([`TcpTransport::flush_events`]).
     Demand,
     /// The oldest queued event reached `flush_us`.
     Age,
@@ -874,146 +836,10 @@ impl Transport for TcpTransport {
         self.handler.register(handler);
     }
 
-    fn is_local(&self, machine: MachineId) -> bool {
-        machine == self.local
-    }
-
-    fn local_machine(&self) -> Option<MachineId> {
-        Some(self.local)
-    }
-
+    /// `NoRoute` for this process's own machine: the wire carries only
+    /// other processes' traffic.
     fn send_event(&self, dest: MachineId, ev: WireEvent) -> Result<(), NetError> {
-        if dest == self.local {
-            return match self.handler() {
-                Some(h) => h.deliver_event(dest, ev),
-                None => Err(NetError::NoRoute(dest)),
-            };
-        }
         self.enqueue_event(dest, ev)
-    }
-
-    fn outbound_backlog(&self) -> usize {
-        self.stats.outbound_backlog.load(Ordering::Relaxed) as usize
-    }
-
-    fn flush_events(&self, peers: &[MachineId]) {
-        for &peer in peers {
-            let Ok(outbox) = self.outbox(peer) else { continue };
-            let mut q = outbox.queue.lock();
-            // A sender busy writing finds the flag when it comes back for
-            // its next batch; one already waiting needs the wake-up.
-            if !q.events.is_empty() && !q.flush_requested {
-                q.flush_requested = true;
-                outbox.cv.notify_all();
-            }
-        }
-    }
-
-    fn report_failure(&self, failed: MachineId, epoch: u64) {
-        if self.master == self.local {
-            if let Some(h) = self.handler() {
-                h.handle_failure_report(failed, epoch);
-            }
-            return;
-        }
-        // Best effort: if the master itself is unreachable, apply the drop
-        // locally so this node stops routing to the dead machine.
-        if self.exchange(self.master, &Frame::FailureReport { failed, epoch }, false).is_err() {
-            if let Some(h) = self.handler() {
-                h.handle_failure_broadcast(failed, epoch);
-            }
-        }
-    }
-
-    fn broadcast_failure(&self, failed: MachineId, epoch: u64) {
-        let nodes: Vec<MachineId> = self.topology.read().nodes.iter().map(|n| n.id).collect();
-        for id in nodes {
-            if id == failed {
-                continue; // no point telling the dead machine
-            }
-            if id == self.local {
-                if let Some(h) = self.handler() {
-                    h.handle_failure_broadcast(failed, epoch);
-                }
-            } else {
-                // Best effort; unreachable peers will detect via their own
-                // traffic.
-                let _ = self.exchange(id, &Frame::FailureBroadcast { failed, epoch }, false);
-            }
-        }
-    }
-
-    fn send_join(&self, master: MachineId, machine: MachineId) -> Result<(), NetError> {
-        if master == self.local {
-            return match self.handler() {
-                Some(h) => {
-                    h.handle_join(machine);
-                    Ok(())
-                }
-                None => Err(NetError::NoRoute(machine)),
-            };
-        }
-        self.exchange(master, &Frame::Join { machine }, false).map(|_| ())
-    }
-
-    fn send_membership(
-        &self,
-        dest: MachineId,
-        update: &MembershipUpdate,
-        want_ack: bool,
-    ) -> Result<(), NetError> {
-        if dest == self.local {
-            return match self.handler() {
-                Some(h) => {
-                    let acked = h.handle_membership(update);
-                    if want_ack && !acked {
-                        return Err(NetError::Protocol(format!(
-                            "membership epoch {} not acknowledged locally",
-                            update.epoch
-                        )));
-                    }
-                    Ok(())
-                }
-                None => Err(NetError::NoRoute(dest)),
-            };
-        }
-        // Only the prepare phase replies on the wire (a one-way
-        // commit/abort reply would poison the pooled connection with an
-        // unread frame).
-        debug_assert_eq!(
-            want_ack,
-            update.phase == MembershipPhase::Prepare,
-            "acks belong to the prepare phase"
-        );
-        match self.exchange(dest, &Frame::Membership(update.clone()), want_ack)? {
-            None => Ok(()),
-            Some(Frame::MembershipReply { epoch, accepted: true }) if epoch == update.epoch => {
-                Ok(())
-            }
-            Some(Frame::MembershipReply { epoch, accepted: false }) => {
-                Err(NetError::Protocol(format!("peer {dest} refused membership epoch {epoch}")))
-            }
-            other => Err(NetError::Protocol(format!("expected MembershipReply, got {other:?}"))),
-        }
-    }
-
-    fn read_slate(
-        &self,
-        dest: MachineId,
-        updater: &str,
-        key: &[u8],
-    ) -> Result<Option<Vec<u8>>, NetError> {
-        if dest == self.local {
-            return match self.handler() {
-                Some(h) => Ok(h.read_local_slate(dest, updater, key)),
-                None => Err(NetError::NoRoute(dest)),
-            };
-        }
-        let request = Frame::SlateGet { updater: updater.to_string(), key: key.to_vec() };
-        match self.exchange(dest, &request, true)? {
-            Some(Frame::SlateValue { value }) => Ok(value),
-            other => Err(NetError::Protocol(format!("expected SlateValue, got {other:?}"))),
-        }
     }
 
     fn store_put_many(
@@ -1022,12 +848,6 @@ impl Transport for TcpTransport {
         items: Vec<StorePutItem>,
         now_us: u64,
     ) -> Result<Vec<bool>, NetError> {
-        if dest == self.local {
-            return match self.handler() {
-                Some(h) => Ok(h.backend_store_many(&items, now_us)),
-                None => Err(NetError::NoRoute(dest)),
-            };
-        }
         // One framed round trip for the whole run — the flush tick's N
         // dirty slates cost one request frame and one reply, not N; the
         // owned items move straight into the frame (no payload re-copy).
@@ -1049,12 +869,6 @@ impl Transport for TcpTransport {
         items: Vec<StoreGetItem>,
         now_us: u64,
     ) -> Result<Vec<Option<Vec<u8>>>, NetError> {
-        if dest == self.local {
-            return match self.handler() {
-                Some(h) => Ok(h.backend_load_many(&items, now_us)),
-                None => Err(NetError::NoRoute(dest)),
-            };
-        }
         let asked = items.len();
         let request = Frame::StoreGet { items, now_us };
         match self.exchange(dest, &request, true)? {
@@ -1066,26 +880,149 @@ impl Transport for TcpTransport {
             other => Err(NetError::Protocol(format!("expected StoreValue, got {other:?}"))),
         }
     }
+}
 
-    fn reintroduce(&self, dest: MachineId, machine: MachineId) -> Result<u64, NetError> {
-        if dest == self.local {
-            return match self.handler() {
-                Some(h) => Ok(h.handle_reintroduce(machine)),
-                None => Err(NetError::NoRoute(dest)),
-            };
+/// The rest of the wire: flow control, the §4.3 failure channel,
+/// membership, live slate reads and restart. Every call but the master's
+/// own failure leg addresses another process.
+impl TcpTransport {
+    /// The machine this process runs.
+    pub fn local(&self) -> MachineId {
+        self.local
+    }
+
+    /// Events accepted by [`Transport::send_event`] but not yet on the
+    /// wire. The engine adds this to its pending/throttle budget so a slow
+    /// peer pushes back on the source instead of growing a buffer.
+    pub fn outbound_backlog(&self) -> usize {
+        self.stats.outbound_backlog.load(Ordering::Relaxed) as usize
+    }
+
+    /// The caller has, for now, nothing more to send to `peers`: what it
+    /// queued for them leaves as soon as the wire can take it instead of
+    /// waiting to fill a batch or reach its age ceiling. A hint — never
+    /// needed for delivery, free to call with peers that have nothing
+    /// queued.
+    pub fn flush_events(&self, peers: &[MachineId]) {
+        for &peer in peers {
+            let Ok(outbox) = self.outbox(peer) else { continue };
+            let mut q = outbox.queue.lock();
+            // A sender busy writing finds the flag when it comes back for
+            // its next batch; one already waiting needs the wake-up.
+            if !q.events.is_empty() && !q.flush_requested {
+                q.flush_requested = true;
+                outbox.cv.notify_all();
+            }
         }
+    }
+
+    /// Report `failed` to the master role, stamped with the reporter's
+    /// membership epoch: a frame, or on the master node a local call.
+    pub fn report_failure(&self, failed: MachineId, epoch: u64) {
+        if self.master == self.local {
+            if let Some(h) = self.handler() {
+                h.handle_failure_report(failed, epoch);
+            }
+            return;
+        }
+        // Best effort: if the master itself is unreachable, apply the drop
+        // locally so this node stops routing to the dead machine.
+        if self.exchange(self.master, &Frame::FailureReport { failed, epoch }, false).is_err() {
+            if let Some(h) = self.handler() {
+                h.handle_failure_broadcast(failed, epoch);
+            }
+        }
+    }
+
+    /// Master-side: tell every machine, this one included, to drop
+    /// `failed` from its rings.
+    pub fn broadcast_failure(&self, failed: MachineId, epoch: u64) {
+        let nodes: Vec<MachineId> = self.topology.read().nodes.iter().map(|n| n.id).collect();
+        for id in nodes {
+            if id == failed {
+                continue; // no point telling the dead machine
+            }
+            if id == self.local {
+                if let Some(h) = self.handler() {
+                    h.handle_failure_broadcast(failed, epoch);
+                }
+            } else {
+                // Best effort; unreachable peers will detect via their own
+                // traffic.
+                let _ = self.exchange(id, &Frame::FailureBroadcast { failed, epoch }, false);
+            }
+        }
+    }
+
+    /// Joiner-side: announce to the master role that `machine` (this
+    /// process's reserved id) is live and ready to enter the rings.
+    /// Errors when the announcement could not reach the master — the
+    /// joiner must surface or retry it, or it would sit outside every
+    /// ring forever believing it joined.
+    pub fn send_join(&self, master: MachineId, machine: MachineId) -> Result<(), NetError> {
+        self.exchange(master, &Frame::Join { machine }, false).map(|_| ())
+    }
+
+    /// Master-side: deliver one membership phase to `dest`. With
+    /// `want_ack` the call blocks until the peer acknowledges (the
+    /// prepare barrier: moved-away slates are flushed before the ack).
+    pub fn send_membership(
+        &self,
+        dest: MachineId,
+        update: &MembershipUpdate,
+        want_ack: bool,
+    ) -> Result<(), NetError> {
+        // Only the prepare phase replies on the wire (a one-way
+        // commit/abort reply would poison the pooled connection with an
+        // unread frame).
+        debug_assert_eq!(
+            want_ack,
+            update.phase == MembershipPhase::Prepare,
+            "acks belong to the prepare phase"
+        );
+        match self.exchange(dest, &Frame::Membership(update.clone()), want_ack)? {
+            None => Ok(()),
+            Some(Frame::MembershipReply { epoch, accepted: true }) if epoch == update.epoch => {
+                Ok(())
+            }
+            Some(Frame::MembershipReply { epoch, accepted: false }) => {
+                Err(NetError::Protocol(format!("peer {dest} refused membership epoch {epoch}")))
+            }
+            other => Err(NetError::Protocol(format!("expected MembershipReply, got {other:?}"))),
+        }
+    }
+
+    /// Read the live cached slate owned by `dest` (§4.4).
+    pub fn read_slate(
+        &self,
+        dest: MachineId,
+        updater: &str,
+        key: &[u8],
+    ) -> Result<Option<Vec<u8>>, NetError> {
+        let request = Frame::SlateGet { updater: updater.to_string(), key: key.to_vec() };
+        match self.exchange(dest, &request, true)? {
+            Some(Frame::SlateValue { value }) => Ok(value),
+            other => Err(NetError::Protocol(format!("expected SlateValue, got {other:?}"))),
+        }
+    }
+
+    /// Announce to `dest` that `machine` — a previously failed id — is a
+    /// restarted incarnation re-identifying itself (crash recovery).
+    /// Returns `dest`'s membership epoch.
+    pub fn reintroduce(&self, dest: MachineId, machine: MachineId) -> Result<u64, NetError> {
         match self.exchange(dest, &Frame::Reintroduce { machine }, true)? {
             Some(Frame::ReintroduceAck { epoch }) => Ok(epoch),
             other => Err(NetError::Protocol(format!("expected ReintroduceAck, got {other:?}"))),
         }
     }
 
-    fn revive_peer(&self, peer: MachineId) {
-        // A declared-dead peer's outbox is permanently down and its sender
-        // thread has exited (§4.3: "a dead machine never comes back").
-        // Reintroduction is the one sanctioned resurrection: reset both
-        // flags under the sender-threads lock so the next enqueue respawns
-        // a sender instead of racing a half-dead one.
+    /// Forget the send-side death state for `peer` so traffic can flow to
+    /// its restarted incarnation. A declared-dead peer's outbox is
+    /// permanently down and its sender thread has exited (§4.3: "a dead
+    /// machine never comes back"); reintroduction is the one sanctioned
+    /// resurrection. Both flags reset under the sender-threads lock so the
+    /// next enqueue respawns a sender instead of racing a half-dead one.
+    pub fn revive_peer(&self, peer: MachineId) {
         let Ok(outbox) = self.outbox(peer) else { return };
         let _threads = self.sender_threads.lock();
         if outbox.down.swap(false, Ordering::AcqRel) {
@@ -2260,16 +2197,13 @@ mod tests {
     }
 
     #[test]
-    fn local_destination_bypasses_sockets() {
-        let topo = Topology::loopback_ephemeral(1, false).unwrap();
-        let t = TcpTransport::new(topo, 0).unwrap();
-        let h = EchoHandler::new();
-        t.register(Arc::downgrade(&h) as Weak<dyn ClusterHandler>);
-        // No listener started at all: local sends still work.
-        t.send_event(0, wire_event()).unwrap();
-        assert_eq!(h.delivered.load(Ordering::Relaxed), 1);
-        assert_eq!(t.read_slate(0, "U1", b"walmart").unwrap(), Some(b"7".to_vec()));
-        assert!(t.is_local(0));
-        assert_eq!(t.local_machine(), Some(0));
+    fn the_wire_has_no_route_to_its_own_machine() {
+        let (t0, _t1, h0, _h1, _l0, _l1) = pair();
+        assert_eq!(t0.local(), 0);
+        assert!(matches!(t0.send_event(0, wire_event()), Err(NetError::NoRoute(0))));
+        assert!(matches!(t0.read_slate(0, "U1", b"walmart"), Err(NetError::NoRoute(0))));
+        assert_eq!(h0.delivered.load(Ordering::Relaxed), 0, "nothing looped back");
+        assert_eq!(t0.stats().frames_sent.load(Ordering::Relaxed), 0);
+        assert_eq!(t0.outbound_backlog(), 0);
     }
 }

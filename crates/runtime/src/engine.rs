@@ -1,9 +1,9 @@
 //! The Muppet engines (§4.1, §4.3, §4.5): configuration, the per-machine
 //! state, ingest, the worker loop, send and local delivery, and the
 //! shell of the membership protocol. Where ⟨function, key⟩ lives is
-//! `placement.rs`'s. DESIGN.md §3 describes the engines, §5 the
-//! transport seam the machines talk through, §7 elastic membership; the
-//! engine's numbers are `stats.rs`'s (§10).
+//! `placement.rs`'s. DESIGN.md §3 describes the engines, §5 the wire to
+//! other processes and where locality is decided, §7 elastic membership;
+//! the engine's numbers are `stats.rs`'s (§10).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -21,7 +21,7 @@ use muppet_core::{Codec, CodecChoice, Json};
 use muppet_net::frame::{MembershipPhase, MembershipUpdate, WireEvent, MAX_FORWARDS};
 use muppet_net::tcp::{BatchConfig, TcpListenerHandle, TcpTransport};
 use muppet_net::topology::{NodeSpec, Topology};
-use muppet_net::transport::{ClusterHandler, InProcessTransport, MachineId, NetError, Transport};
+use muppet_net::transport::{ClusterHandler, MachineId, NetError, Transport};
 use muppet_obs::{Level, Logger};
 use muppet_slatestore::cluster::StoreCluster;
 
@@ -64,9 +64,8 @@ pub enum EngineKind {
 /// Which wire connects the cluster's machines.
 #[derive(Clone, Debug, Default)]
 pub enum TransportKind {
-    /// Every machine lives in this process; "the network" is a synchronous
-    /// queue hand-off (the seed behaviour, now routed through the
-    /// [`Transport`] trait).
+    /// Every machine lives in this process and there is no wire: a send
+    /// is a call into the destination machine's queues.
     #[default]
     InProcess,
     /// Real TCP: this engine process owns exactly one machine (`local`) of
@@ -341,30 +340,16 @@ enum OpInstance {
     Update { updater: Arc<dyn Updater>, name: Arc<str>, ttl_secs: Option<u64> },
 }
 
-/// A queued unit of work: deliver `event` to operator `op`.
-struct Packet {
-    op: OpId,
-    event: Event,
-    /// Engine-relative µs at external injection (latency measurement).
-    injected_us: u64,
-    /// True once redirected to an overflow stream (no double redirects).
-    redirected: bool,
-    /// Ownership-forwarding hops so far (elastic handoff; capped).
-    forwards: u8,
-    /// Engine-relative µs at local enqueue when the queue-wait span
-    /// sampled this packet; 0 = unsampled. Stamped only on the local
-    /// delivery side — never crosses the wire.
-    enqueued_us: u64,
-}
+/// A queued event with the engine-relative µs at which the queue-wait span
+/// sampled its enqueue (0 = unsampled). The mark is stamped on delivery
+/// and never crosses the wire.
+type Queued = (WireEvent, u64);
 
-/// Per-machine state.
+/// Per-machine state. A machine of another process is a stub for
+/// ring/liveness state, without queues or caches.
 struct Machine {
-    /// Whether this machine's queues/caches/threads live in this process.
-    /// Always true in-process; exactly one machine is local in TCP mode
-    /// (the others are bookkeeping stubs for ring/liveness state).
-    local: bool,
     alive: AtomicBool,
-    queues: Vec<Arc<EventQueue<Packet>>>,
+    queues: Vec<Arc<EventQueue<Queued>>>,
     /// Route each thread is currently processing (two-choice rule 1).
     /// Encoding: 0 = idle, otherwise `route.wrapping_add(1)` — lock-free
     /// because the dispatcher reads these on every send.
@@ -403,7 +388,6 @@ impl Machine {
     /// A stub for a machine that lives in another process.
     fn remote_stub() -> Machine {
         Machine {
-            local: false,
             alive: AtomicBool::new(true),
             queues: Vec::new(),
             in_flight: Vec::new(),
@@ -418,7 +402,7 @@ impl Machine {
     /// entry, each updater thread with a private cache holding an even
     /// share of the machine's budget (§4.5). `None` is Muppet 2.0: a pool
     /// of `workers_per_machine` threads over one central, sharded cache.
-    fn local(
+    fn new(
         bound: Option<&[OpId]>,
         wf: &Workflow,
         cfg: &EngineConfig,
@@ -448,7 +432,6 @@ impl Machine {
         let updater_threads = thread_ops.iter().flatten().filter(|op| updates(op)).count();
         let per_worker = (cfg.slate_cache_capacity / updater_threads.max(1)).max(1);
         Machine {
-            local: true,
             alive: AtomicBool::new(true),
             queues: (0..threads).map(|_| Arc::new(EventQueue::new(cfg.queue_capacity))).collect(),
             in_flight: (0..threads).map(|_| AtomicU64::new(0)).collect(),
@@ -537,10 +520,9 @@ struct Shared {
     /// across aborted joins — a staged-but-never-committed epoch must
     /// never be reused with different content).
     epoch_mint: AtomicU64,
-    /// The wire (in-process hand-off or TCP).
-    transport: Arc<dyn Transport>,
-    /// TCP mode: the concrete transport, for wire-level stats snapshots.
-    tcp: Option<Arc<TcpTransport>>,
+    /// The wire to the other processes of a TCP cluster; `None`
+    /// in-process, where every machine is local.
+    wire: Option<Arc<TcpTransport>>,
     /// TCP mode: the locally hosted store service, served to peers via
     /// the transport's store frames.
     host_store: Option<Arc<StoreCluster>>,
@@ -600,6 +582,41 @@ impl Shared {
         self.machines.read().clone()
     }
 
+    /// Whether machine `m` lives in this process — every machine
+    /// in-process, only the wire's own over TCP. The engine's one
+    /// locality answer: the wire is called only when it is false.
+    fn is_local(&self, m: MachineId) -> bool {
+        self.wire.as_ref().is_none_or(|wire| wire.local() == m)
+    }
+
+    /// The machine this process runs (`None` in-process).
+    fn local_machine(&self) -> Option<MachineId> {
+        self.wire.as_ref().map(|wire| wire.local())
+    }
+
+    /// Events the wire accepted for another process and has not sent yet.
+    fn outbound_backlog(&self) -> usize {
+        self.wire.as_ref().map_or(0, |wire| wire.outbound_backlog())
+    }
+
+    /// Ask the wire to send what it holds for `peers` now.
+    fn flush_events(&self, peers: &[MachineId]) {
+        if let Some(wire) = &self.wire {
+            wire.flush_events(peers);
+        }
+    }
+
+    /// Make machine `id` reachable again: its wire outbox, if another
+    /// process runs it, and its liveness flag.
+    fn revive(&self, id: MachineId) {
+        if let Some(wire) = &self.wire {
+            wire.revive_peer(id);
+        }
+        if let Some(machine) = self.machine(id) {
+            machine.alive.store(true, Ordering::Release);
+        }
+    }
+
     /// Every slate cache of every machine this process holds.
     fn caches(&self) -> Vec<Arc<SlateCache>> {
         self.machines_snapshot().iter().flat_map(|m| m.caches().cloned()).collect()
@@ -611,13 +628,13 @@ impl Shared {
         EngineStats {
             epoch: self.epoch(),
             uptime_s: self.start.elapsed().as_secs(),
-            machine_id: self.transport.local_machine(),
+            machine_id: self.local_machine(),
             pending: self.pending.load(Ordering::Acquire),
             split_keys_active: self.splits.active.load(Ordering::Acquire),
             ingest_wal: self.ingest_log.as_ref().map(|log| log.view()),
             store_wal_syncs: self.host_store.as_ref().map(|store| store.wal_sync_count()),
             dlq_depth: self.dlq.depth() as u64,
-            ..self.stats.read(caches, self.tcp.as_deref())
+            ..self.stats.read(caches, self.wire.as_deref())
         }
     }
 
@@ -745,7 +762,7 @@ impl Shared {
     /// row⟩ pair, so cursor durability shares the store's quorum/WAL
     /// guarantees without a second persistence mechanism.
     fn ingest_cursor_key(&self) -> Key {
-        let id = self.transport.local_machine().unwrap_or(0);
+        let id = self.local_machine().unwrap_or(0);
         Key::from(format!("node-{id}"))
     }
 
@@ -779,7 +796,7 @@ impl Shared {
 /// A running Muppet engine.
 pub struct Engine {
     shared: Arc<Shared>,
-    /// Keeps the transport's weak handler registration alive.
+    /// Keeps the wire's weak handler registration alive (TCP mode).
     _handler: Arc<EngineHandler>,
     /// TCP mode: the node's frame listener (stopped on shutdown/drop).
     listener: Mutex<Option<TcpListenerHandle>>,
@@ -814,9 +831,8 @@ impl Engine {
     ) -> Result<Engine> {
         // Build the wire first: machine materialization below depends on
         // which machines are local.
-        let (transport, tcp): (Arc<dyn Transport>, Option<Arc<TcpTransport>>) = match &cfg.transport
-        {
-            TransportKind::InProcess => (Arc::new(InProcessTransport::new()), None),
+        let wire = match &cfg.transport {
+            TransportKind::InProcess => None,
             TransportKind::Tcp { topology, local } => {
                 if topology.len() != cfg.machines {
                     return Err(Error::Config(format!(
@@ -832,26 +848,25 @@ impl Engine {
                     // backlog participates in the same throttle budget.
                     queue_capacity: cfg.queue_capacity.max(1),
                 };
-                let tcp =
+                let wire =
                     TcpTransport::new_with_codec(topology.clone(), *local, batch, cfg.wire_codec)
                         .map_err(Error::Config)?;
-                (Arc::clone(&tcp) as Arc<dyn Transport>, Some(tcp))
+                Some(wire)
             }
         };
-        let is_local = |m: usize| transport.is_local(m);
+        let local = wire.as_ref().map(|wire| wire.local());
 
         // Pick the slate backend: a directly attached store, a remote
-        // store service reached through the transport, or nothing.
-        let backend: Arc<dyn SlateBackend> =
-            match (&store, cfg.store_host, transport.local_machine()) {
-                (Some(cluster), _, _) => Arc::clone(cluster) as Arc<dyn SlateBackend>,
-                (None, Some(host), Some(local)) if host != local => {
-                    Arc::new(RemoteBackend::new(Arc::clone(&transport), host))
-                }
-                _ => Arc::new(NullBackend),
-            };
-        let has_backend = store.is_some()
-            || matches!((cfg.store_host, transport.local_machine()), (Some(h), Some(l)) if h != l);
+        // store service reached through the wire, or nothing.
+        let remote_host = cfg.store_host.filter(|&host| local.is_some_and(|l| l != host));
+        let backend: Arc<dyn SlateBackend> = match (&store, remote_host, &wire) {
+            (Some(cluster), _, _) => Arc::clone(cluster) as Arc<dyn SlateBackend>,
+            (None, Some(host), Some(wire)) => {
+                Arc::new(RemoteBackend::new(Arc::clone(wire) as Arc<dyn Transport>, host))
+            }
+            _ => Arc::new(NullBackend),
+        };
+        let has_backend = store.is_some() || remote_host.is_some();
 
         // Resolve operator implementations against the workflow.
         let mut instances: Vec<Option<OpInstance>> =
@@ -896,14 +911,14 @@ impl Engine {
         let logger = if cfg.log_level == Level::Off {
             Logger::disabled()
         } else {
-            Logger::stderr(cfg.log_level, cfg.log_json, transport.local_machine().map(|m| m as u64))
+            Logger::stderr(cfg.log_level, cfg.log_json, local.map(|m| m as u64))
         };
-        if let Some(tcp) = &tcp {
+        if let Some(wire) = &wire {
             // A closed connection is all a node running another binary, or
             // one behind a corrupting link, ever sees of this one, and its
             // own log blames a dead peer.
             let logger = Arc::clone(&logger);
-            tcp.on_rejected(move |peer, offered| {
+            wire.on_rejected(move |peer, offered| {
                 logger.warn(
                     "closed a connection: no hello of this node's protocol version, or a bad frame",
                     &[
@@ -927,17 +942,15 @@ impl Engine {
         rings.ensure_slots(cfg.machines);
         let in_ring = |m: usize| {
             view.is_none_or(|v| {
-                transport.local_machine() != Some(m)
-                    && !v.failed.contains(&m)
-                    && v.members.contains(&m)
+                local != Some(m) && !v.failed.contains(&m) && v.members.contains(&m)
             })
         };
         (0..cfg.machines).filter(|&m| in_ring(m)).for_each(|m| rings.add_machine(m));
         let failed: &[usize] = view.map_or(&[], |v| &v.failed);
         let machines: Vec<Arc<Machine>> = (0..cfg.machines)
             .map(|m| {
-                let machine = if is_local(m) {
-                    Machine::local(
+                let machine = if local.is_none_or(|l| l == m) {
+                    Machine::new(
                         rings.bound_ops(m).as_deref(),
                         &workflow,
                         &cfg,
@@ -991,8 +1004,7 @@ impl Engine {
             wf: workflow,
             ops,
             machines: RwLock::new(machines),
-            transport: Arc::clone(&transport),
-            tcp: tcp.clone(),
+            wire,
             host_store: store.clone(),
             backend,
             has_backend,
@@ -1023,9 +1035,11 @@ impl Engine {
         }
         register_collector(&shared);
 
-        // Wire the transport back into this engine.
+        // Wire the other processes' traffic into this engine.
         let handler = Arc::new(EngineHandler(Arc::clone(&shared)));
-        transport.register(Arc::downgrade(&handler) as std::sync::Weak<dyn ClusterHandler>);
+        if let Some(wire) = &shared.wire {
+            wire.register(Arc::downgrade(&handler) as std::sync::Weak<dyn ClusterHandler>);
+        }
 
         // Spawn worker threads (local machines only; remote stubs have no
         // queues).
@@ -1050,17 +1064,15 @@ impl Engine {
             && shared.ingest_log.is_none()
         {
             let machines = shared.machines.read();
-            for m in 0..machines.len() {
-                if machines[m].local {
-                    flushers.push(spawn_flusher(&shared, m));
-                }
+            for m in (0..machines.len()).filter(|&m| shared.is_local(m)) {
+                flushers.push(spawn_flusher(&shared, m));
             }
         }
         // TCP mode: open this node's inbound wire last, so peers never see
         // a half-initialized engine.
-        let listener = match &tcp {
-            Some(tcp) => Some(
-                tcp.start_listener()
+        let listener = match &shared.wire {
+            Some(wire) => Some(
+                wire.start_listener()
                     .map_err(|e| Error::Config(format!("cannot bind event listener: {e}")))?,
             ),
             None => None,
@@ -1100,8 +1112,7 @@ impl Engine {
         }
         let replayed = events.len() as u64;
         for event in events {
-            let stream = event.stream.clone();
-            fan_out(shared, &stream, event, shared.now_us(), false, true, &mut Vec::new());
+            fan_out(shared, fresh(event, shared.now_us(), false, true), &mut Vec::new());
         }
         shared.stats.ingest_replayed.add(replayed);
         if replayed > 0 || truncated {
@@ -1186,8 +1197,7 @@ impl Engine {
         // (TCP mode): events parked in per-peer batching outboxes are
         // cluster load exactly like queued events, so a slow wire
         // throttles the source instead of growing buffers.
-        while self.shared.pending.load(Ordering::Acquire)
-            + self.shared.transport.outbound_backlog() as i64
+        while self.shared.pending.load(Ordering::Acquire) + self.shared.outbound_backlog() as i64
             > budget
         {
             if self.shared.stopping.load(Ordering::Acquire) {
@@ -1264,14 +1274,12 @@ impl Engine {
     /// fill +23 %).
     fn dispatch_accepted(&self, events: impl IntoIterator<Item = Event>) {
         let shared = &self.shared;
-        let idle =
-            shared.pending.load(Ordering::Acquire) == 0 && shared.transport.outbound_backlog() == 0;
+        let idle = shared.pending.load(Ordering::Acquire) == 0 && shared.outbound_backlog() == 0;
         let mut touched = Vec::new();
         for event in events {
-            let stream = event.stream.clone();
             let injected_us = shared.now_us();
             shared.stats.submitted.inc();
-            fan_out(shared, &stream, event, injected_us, false, true, &mut touched);
+            fan_out(shared, fresh(event, injected_us, false, true), &mut touched);
             if shared.stats.stages.enabled && shared.stats.stages.sampler_ingest.hit() {
                 // The ingest span: external injection → accepted by a queue
                 // (or the transport's outbox) for every subscriber.
@@ -1279,7 +1287,7 @@ impl Engine {
             }
         }
         if idle {
-            shared.transport.flush_events(&touched);
+            shared.flush_events(&touched);
         }
     }
 
@@ -1301,7 +1309,7 @@ impl Engine {
         // events, so `pending` read after it sees them.
         while self.shared.dispatching.load(Ordering::Acquire) > 0
             || self.shared.pending.load(Ordering::Acquire) > 0
-            || self.shared.transport.outbound_backlog() > 0
+            || self.shared.outbound_backlog() > 0
         {
             if Instant::now() > deadline {
                 return false;
@@ -1399,14 +1407,18 @@ impl Engine {
         updater: &str,
         key: &Key,
     ) -> std::result::Result<Option<Vec<u8>>, NetError> {
-        if self.shared.transport.is_local(owner) {
-            let Some(machine) = self.shared.machine(owner) else { return Ok(None) };
-            if !machine.alive.load(Ordering::Acquire) {
-                return Err(NetError::Unreachable(owner));
+        let shared = &self.shared;
+        match &shared.wire {
+            Some(wire) if !shared.is_local(owner) => {
+                wire.read_slate(owner, updater, key.as_bytes())
             }
-            Ok(read_cached(&self.shared, owner, &machine, op, updater, key))
-        } else {
-            self.shared.transport.read_slate(owner, updater, key.as_bytes())
+            _ => {
+                let Some(machine) = shared.machine(owner) else { return Ok(None) };
+                if !machine.alive.load(Ordering::Acquire) {
+                    return Err(NetError::Unreachable(owner));
+                }
+                Ok(read_cached(shared, owner, &machine, op, updater, key))
+            }
         }
     }
 
@@ -1466,10 +1478,10 @@ impl Engine {
     /// In TCP mode this only makes sense for the local machine (killing a
     /// peer means killing its process).
     pub fn kill_machine(&self, machine: usize) {
-        let Some(m) = self.shared.machine(machine) else { return };
-        if !m.local {
+        if !self.shared.is_local(machine) {
             return;
         }
+        let Some(m) = self.shared.machine(machine) else { return };
         if !m.alive.swap(false, Ordering::AcqRel) {
             return;
         }
@@ -1508,13 +1520,13 @@ impl Engine {
     }
 
     /// In-process elastic growth: add one machine to the running
-    /// simulated cluster and drive the full membership protocol through
-    /// the transport — reserve, prepare (epoch-stamped, with the dirty
-    /// slates of moved arcs handed off), commit. Returns the new
-    /// machine's id. TCP clusters grow via `muppetd --join` instead.
+    /// simulated cluster and drive the full membership protocol — reserve,
+    /// prepare (epoch-stamped, with the dirty slates of moved arcs handed
+    /// off), commit. Returns the new machine's id. TCP clusters grow via
+    /// `muppetd --join` instead.
     pub fn join_machine(&self) -> Result<usize> {
         let shared = &self.shared;
-        if shared.transport.local_machine().is_some() {
+        if shared.wire.is_some() {
             return Err(Error::Config(
                 "join_machine grows in-process clusters; TCP nodes join via `muppetd --join`"
                     .into(),
@@ -1525,7 +1537,7 @@ impl Engine {
             let _serialize = shared.join_lock.lock();
             let id = shared.machines.read().len();
             let bound = shared.membership.read().committed().bound_ops(id);
-            shared.machines.write().push(Arc::new(Machine::local(
+            shared.machines.write().push(Arc::new(Machine::new(
                 bound.as_deref(),
                 &shared.wf,
                 &shared.cfg,
@@ -1552,12 +1564,9 @@ impl Engine {
             }
             id
         };
-        // Announce readiness: the (in-process) master role runs the
-        // prepare → handoff → commit protocol synchronously.
-        shared
-            .transport
-            .send_join(0, id)
-            .map_err(|e| Error::Config(format!("join announcement failed: {e}")))?;
+        // Announce readiness: this process's master runs the prepare →
+        // handoff → commit protocol synchronously.
+        run_join_protocol(shared, id);
         if !self.ring_contains(id) {
             return Err(Error::Config(format!("machine {id} failed to enter the rings")));
         }
@@ -1570,18 +1579,18 @@ impl Engine {
     /// until its engine announces readiness ([`Engine::announce_join`]).
     pub fn admin_reserve_join(&self, host: &str, port: u16, http_port: u16) -> Result<JoinGrant> {
         let shared = &self.shared;
-        let Some(tcp) = &shared.tcp else {
+        let Some(wire) = &shared.wire else {
             return Err(Error::Config("join reservations require the TCP transport".into()));
         };
-        let master = tcp.topology().master;
-        if shared.transport.local_machine() != Some(master) {
+        let master = wire.topology().master;
+        if wire.local() != master {
             return Err(Error::Config(format!("joins must be sent to the master (node {master})")));
         }
         let _serialize = shared.join_lock.lock();
         let mut cluster_nodes = shared.cluster_nodes.lock();
         let id = cluster_nodes.len();
         let spec = NodeSpec { id, host: host.to_string(), port, http_port };
-        tcp.add_peer(&spec).map_err(Error::Config)?;
+        wire.add_peer(&spec).map_err(Error::Config)?;
         shared.machines.write().push(Arc::new(Machine::remote_stub()));
         cluster_nodes.push(spec);
         let membership = shared.membership.read();
@@ -1603,16 +1612,10 @@ impl Engine {
     /// the rings. The master's epoch-stamped membership update installs
     /// it everywhere — including here, once the commit arrives.
     pub fn announce_join(&self) -> Result<()> {
-        let shared = &self.shared;
-        let Some(local) = shared.transport.local_machine() else {
+        let Some(wire) = &self.shared.wire else {
             return Err(Error::Config("announce_join is for TCP joiners".into()));
         };
-        let Some(tcp) = &shared.tcp else {
-            return Err(Error::Config("announce_join is for TCP joiners".into()));
-        };
-        shared
-            .transport
-            .send_join(tcp.topology().master, local)
+        wire.send_join(wire.topology().master, wire.local())
             .map_err(|e| Error::Config(format!("join announcement failed: {e}")))
     }
 
@@ -1625,20 +1628,15 @@ impl Engine {
     /// the same steps locally).
     pub fn announce_restart(&self) -> Result<()> {
         let shared = &self.shared;
-        let Some(local) = shared.transport.local_machine() else {
+        let Some(wire) = &shared.wire else {
             return Ok(());
         };
-        let Some(tcp) = &shared.tcp else {
-            return Ok(());
-        };
-        let master = tcp.topology().master;
+        let (local, master) = (wire.local(), wire.topology().master);
         if local == master {
-            EngineHandler(Arc::clone(shared)).handle_reintroduce(local);
+            reintroduce(shared, local);
             return Ok(());
         }
-        shared
-            .transport
-            .reintroduce(master, local)
+        wire.reintroduce(master, local)
             .map_err(|e| Error::Config(format!("restart announcement failed: {e}")))?;
         Ok(())
     }
@@ -1659,7 +1657,7 @@ impl Engine {
     /// The machine this engine runs locally (`None` in-process, where all
     /// machines are local).
     pub fn local_machine(&self) -> Option<usize> {
-        self.shared.transport.local_machine()
+        self.shared.local_machine()
     }
 
     /// Machine ids known dead, in id order.
@@ -1727,15 +1725,8 @@ impl Engine {
         let n = letters.len();
         self.shared.stats.dlq_retried.add(n as u64);
         for letter in letters {
-            let packet = Packet {
-                op: letter.op,
-                event: letter.event,
-                injected_us: self.shared.now_us(),
-                redirected: false,
-                forwards: 0,
-                enqueued_us: 0,
-            };
-            try_send(&self.shared, packet, true, &mut Vec::new());
+            let ev = fresh(letter.event, self.shared.now_us(), false, true);
+            try_send(&self.shared, WireEvent { op: letter.op, ..ev }, &mut Vec::new());
         }
         n
     }
@@ -1848,6 +1839,7 @@ impl Engine {
             let _ = t.join();
         }
         for t in self.flushers.lock().drain(..) {
+            t.thread().unpark(); // parked until its next tick
             let _ = t.join();
         }
     }
@@ -1900,7 +1892,7 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
     let park = Duration::from_millis(100);
     // lint: allow(no-unwrap-in-prod) — worker threads are spawned per existing machine index
     let machine = shared.machine(machine_id).expect("worker spawned for an existing machine");
-    let mut batch: Vec<Packet> = Vec::with_capacity(DRAIN_BATCH);
+    let mut batch: Vec<Queued> = Vec::with_capacity(DRAIN_BATCH);
     // Remote peers this worker has sent to since it last went idle.
     let mut touched: Vec<MachineId> = Vec::new();
     loop {
@@ -1930,7 +1922,7 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
             // accumulating into fuller batches.
             let idle = machine.queues[thread].len_hint() == 0;
             if !touched.is_empty() && idle {
-                shared.transport.flush_events(&touched);
+                shared.flush_events(&touched);
                 touched.clear();
             }
             settle_retire(&shared, &machine, thread, owed, idle);
@@ -1940,7 +1932,7 @@ fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
 
 /// Take one in-flight unit for the eviction retire this worker now owes,
 /// if its cache has victims waiting and it holds none yet. Called only
-/// while a packet of the current batch still holds its own unit, so
+/// while an event of the current batch still holds its own unit, so
 /// `pending` never touches zero between a miss that chose a victim and
 /// the retire that writes it: `drain() == true` implies no retire is in
 /// flight. The no-eviction path pays one relaxed load.
@@ -1967,11 +1959,11 @@ fn settle_retire(shared: &Shared, machine: &Machine, thread: usize, owed: bool, 
     shared.throttle_cv.notify_all();
 }
 
-/// A processed packet whose emissions have not fanned out yet. Fan-out
-/// re-enters the membership lock on the in-process send path, so while a
+/// A processed event whose emissions have not fanned out yet. Fan-out
+/// re-enters the membership lock on the local send path, so while a
 /// run's read guard is held the follow-up work is parked here; the
-/// packet's in-flight count drops only once its emissions are enqueued
-/// (`finish_packet`), so `drain`/throttling never observe a gap.
+/// event's in-flight count drops only once its emissions are enqueued
+/// (`finish_event`), so `drain`/throttling never observe a gap.
 struct Finished {
     op: OpId,
     ts: u64,
@@ -1980,9 +1972,9 @@ struct Finished {
     records: Vec<muppet_core::event::EmitRecord>,
 }
 
-/// Admit one finished packet's emissions (ts = input ts + 1, §3) and
+/// Admit one finished event's emissions (ts = input ts + 1, §3) and
 /// retire it from the in-flight count.
-fn finish_packet(shared: &Arc<Shared>, done: Finished, touched: &mut Vec<MachineId>) {
+fn finish_event(shared: &Arc<Shared>, done: Finished, touched: &mut Vec<MachineId>) {
     let stages = &shared.stats.stages;
     let fanout_t0 = (!done.records.is_empty() && stages.enabled && stages.sampler_fanout.hit())
         .then(|| shared.now_us());
@@ -1998,14 +1990,9 @@ fn finish_packet(shared: &Arc<Shared>, done: Finished, touched: &mut Vec<Machine
             ));
             continue;
         }
-        let out = Event {
-            stream: rec.stream.clone(),
-            ts: done.ts + 1,
-            key: rec.key,
-            value: rec.value,
-            seq: 0,
-        };
-        fan_out(shared, &rec.stream, out, done.injected_us, done.redirected, false, touched);
+        let out =
+            Event { stream: rec.stream, ts: done.ts + 1, key: rec.key, value: rec.value, seq: 0 };
+        fan_out(shared, fresh(out, done.injected_us, done.redirected, false), touched);
     }
     if let Some(t0) = fanout_t0 {
         stages.fanout.record(shared.now_us().saturating_sub(t0));
@@ -2014,14 +2001,14 @@ fn finish_packet(shared: &Arc<Shared>, done: Finished, touched: &mut Vec<Machine
     shared.throttle_cv.notify_all();
 }
 
-/// Process one drained batch. The updater packets of a batch share a
-/// single membership read guard (a *run*; mapper packets need no lock and
+/// Process one drained batch. The updater events of a batch share a
+/// single membership read guard (a *run*; mapper events need no lock and
 /// pass through without closing it), and consecutive same-⟨op, key⟩
-/// updater packets reuse the previous packet's cache slot (the memo)
+/// updater events reuse the previous event's cache slot (the memo)
 /// without touching the shard lock — the per-event costs the batch
-/// amortizes. Every packet's fan-out is deferred while the guard is held
-/// (the in-process send path re-enters the membership lock) and flushed
-/// when the run closes: at a packet that must be forwarded, and at batch
+/// amortizes. Every event's fan-out is deferred while the guard is held
+/// (the local send path re-enters the membership lock) and flushed
+/// when the run closes: at an event that must be forwarded, and at batch
 /// end. The memo dies with the guard, because slate handoffs
 /// (`take_matching`) run under the membership *write* lock and so can
 /// only interleave between runs, never inside one.
@@ -2035,7 +2022,7 @@ fn process_batch(
     machine: &Arc<Machine>,
     machine_id: usize,
     thread: usize,
-    batch: &mut Vec<Packet>,
+    batch: &mut Vec<Queued>,
     touched: &mut Vec<MachineId>,
 ) -> bool {
     if shared.cfg.combine && batch.len() > 1 {
@@ -2047,38 +2034,38 @@ fn process_batch(
             prefetch_batch(shared, cache, machine_id, batch);
         }
         // Victims left over from earlier batches (the queue was not idle
-        // then): claimed here, while every packet of this batch is in flight.
+        // then): claimed here, while every event of this batch is in flight.
         claim_retire(shared, cache, &mut retire_owed);
     }
     let stages = &shared.stats.stages;
     let mut memo: Option<(OpId, Key, Arc<SlateSlot>)> = None;
     let mut finished: Vec<Finished> = Vec::new();
     let mut guard: Option<muppet_core::sync::RwLockReadGuard<'_, Membership>> = None;
-    for mut packet in batch.drain(..) {
+    for (mut ev, enqueued_us) in batch.drain(..) {
         // Owner-side split rewrite: events that were already in flight
         // (or forwarded) when a split installed still fan out. The
         // rewritten subkey re-routes below like any other key.
         if shared.split_enabled()
-            && matches!(&shared.ops[packet.op],
+            && matches!(&shared.ops[ev.op],
                 OpInstance::Update { updater, .. } if updater.combines())
         {
-            if let Some(sub) = shared.split_route(packet.op, &packet.event.key) {
-                packet.event.key = sub;
+            if let Some(sub) = shared.split_route(ev.op, &ev.event.key) {
+                ev.event.key = sub;
             }
         }
         // Muppet 1.0 invariant: a worker is bound to exactly one function.
         debug_assert!(
-            machine.thread_ops[thread].is_none() || machine.thread_ops[thread] == Some(packet.op),
+            machine.thread_ops[thread].is_none() || machine.thread_ops[thread] == Some(ev.op),
             "1.0 worker received an event for a function it does not run"
         );
-        let route = packet.event.key.route_hash(&shared.wf.op(packet.op).name);
+        let route = ev.event.key.route_hash(&shared.wf.op(ev.op).name);
         machine.in_flight[thread].store(route.wrapping_add(1), Ordering::Release);
-        if packet.enqueued_us > 0 {
+        if enqueued_us > 0 {
             // The queue-wait span: stamped at local enqueue by a sampler
-            // hit, closed when the drain reaches the packet.
-            stages.queue_wait.record(shared.now_us().saturating_sub(packet.enqueued_us));
+            // hit, closed when the drain reaches the event.
+            stages.queue_wait.record(shared.now_us().saturating_sub(enqueued_us));
         }
-        match &shared.ops[packet.op] {
+        match &shared.ops[ev.op] {
             OpInstance::Map(mapper) => {
                 // Mappers need no membership lock; an open updater run's
                 // guard is left in place and the mapper's fan-out joins
@@ -2087,7 +2074,7 @@ fn process_batch(
                     (stages.enabled && stages.sampler_service.hit()).then(|| shared.now_us());
                 let mut emitter = VecEmitter::new();
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    mapper.map(&mut emitter, &packet.event)
+                    mapper.map(&mut emitter, &ev.event)
                 }));
                 if let Err(payload) = outcome {
                     // Poison event: contain the panic (an uncontained one
@@ -2095,38 +2082,38 @@ fn process_batch(
                     // stuck pending count), discard any partial emissions,
                     // park the event, keep draining.
                     machine.in_flight[thread].store(0, Ordering::Release);
-                    dead_letter(shared, packet, payload);
+                    dead_letter(shared, ev, payload);
                     continue;
                 }
                 if let Some(t0) = service_t0 {
-                    stages.service[packet.op].record(shared.now_us().saturating_sub(t0));
+                    stages.service[ev.op].record(shared.now_us().saturating_sub(t0));
                 }
                 shared.stats.processed.inc();
                 machine.in_flight[thread].store(0, Ordering::Release);
                 finished.push(Finished {
-                    op: packet.op,
-                    ts: packet.event.ts,
-                    injected_us: packet.injected_us,
-                    redirected: packet.redirected,
+                    op: ev.op,
+                    ts: ev.event.ts,
+                    injected_us: ev.injected_us,
+                    redirected: ev.redirected,
                     records: emitter.take(),
                 });
             }
             OpInstance::Update { updater, name, ttl_secs } => {
-                // With a store backend attached, a memo-missing packet's
+                // With a store backend attached, a memo-missing event's
                 // get_or_load below may do real I/O (disk, or a remote
                 // store RPC). Close the run first so a waiting membership
                 // writer (join prepare/commit) gets in between I/O-bound
-                // packets — the pre-batching cadence — instead of stalling
+                // events — the pre-batching cadence — instead of stalling
                 // behind a whole batch of sequential loads. Store-less
                 // engines load from memory in microseconds and keep the
                 // full run amortization.
                 let memo_hit = matches!(&memo, Some((m_op, m_key, _))
-                    if *m_op == packet.op && *m_key == packet.event.key);
+                    if *m_op == ev.op && *m_key == ev.event.key);
                 if shared.has_backend && guard.is_some() && !memo_hit {
                     memo = None;
                     drop(guard.take());
                     for done in finished.drain(..) {
-                        finish_packet(shared, done, touched);
+                        finish_event(shared, done, touched);
                     }
                 }
                 // The ownership check, under the membership read lock held
@@ -2136,43 +2123,40 @@ fn process_batch(
                 // flush sees every completed write, and no worker mutates
                 // a slate its machine has already handed off.
                 let membership = guard.get_or_insert_with(|| shared.membership.read());
-                let owner = membership.owner(packet.op, route);
+                let owner = membership.owner(ev.op, route);
                 if let Some(owner) = owner.filter(|at| at.machine != machine_id) {
-                    // Forwarding re-enters the transport (and, in-process,
-                    // the membership lock): close the run first.
+                    // Forwarding re-enters the send path (and, for a local
+                    // owner, the membership lock): close the run first.
                     memo = None;
                     drop(guard.take());
                     for done in finished.drain(..) {
-                        finish_packet(shared, done, touched);
+                        finish_event(shared, done, touched);
                     }
                     machine.in_flight[thread].store(0, Ordering::Release);
-                    forward_packet(shared, packet, owner, touched);
+                    forward(shared, ev, owner, touched);
                     shared.pending.fetch_sub(1, Ordering::AcqRel);
                     shared.throttle_cv.notify_all();
                     continue;
                 }
                 // lint: allow(no-unwrap-in-prod) — 2.0 machines build a central cache, 1.0 one per updater thread
                 let cache = machine.cache_of(thread).expect("updater thread has a cache");
-                cache.offer_hot(packet.op, &packet.event.key);
+                cache.offer_hot(ev.op, &ev.event.key);
                 if shared.split_enabled()
                     && updater.combines()
-                    && crate::dispatch::split_base_of(&packet.event.key).is_none()
+                    && crate::dispatch::split_base_of(&ev.event.key).is_none()
                 {
-                    shared.maybe_split(cache, packet.op, &packet.event.key);
+                    shared.maybe_split(cache, ev.op, &ev.event.key);
                 }
                 let service_sampled = stages.enabled && stages.sampler_service.hit();
                 let now = shared.now_us();
                 let slot = match &memo {
-                    Some((m_op, m_key, m_slot))
-                        if *m_op == packet.op && *m_key == packet.event.key =>
-                    {
-                        cache.note_memo_hit(packet.op, m_slot, now);
+                    Some((m_op, m_key, m_slot)) if *m_op == ev.op && *m_key == ev.event.key => {
+                        cache.note_memo_hit(ev.op, m_slot, now);
                         Arc::clone(m_slot)
                     }
                     _ => {
-                        let s =
-                            cache.get_or_load(packet.op, name, &packet.event.key, *ttl_secs, now);
-                        memo = Some((packet.op, packet.event.key.clone(), Arc::clone(&s)));
+                        let s = cache.get_or_load(ev.op, name, &ev.event.key, *ttl_secs, now);
+                        memo = Some((ev.op, ev.event.key.clone(), Arc::clone(&s)));
                         claim_retire(shared, cache, &mut retire_owed); // a miss may have chosen victims
                         s
                     }
@@ -2181,7 +2165,7 @@ fn process_batch(
                 let outcome = {
                     let mut state = slot.state.lock();
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        updater.update(&mut emitter, &packet.event, &mut state.slate)
+                        updater.update(&mut emitter, &ev.event, &mut state.slate)
                     }));
                     // A panicking updater gets no dirty-marking: its
                     // half-mutated slate must never be flushed.
@@ -2196,24 +2180,24 @@ fn process_batch(
                     // touch refaults the last good version from the
                     // store — then park the event and keep the thread.
                     memo = None;
-                    cache.discard(packet.op, &packet.event.key);
+                    cache.discard(ev.op, &ev.event.key);
                     machine.in_flight[thread].store(0, Ordering::Release);
-                    dead_letter(shared, packet, payload);
+                    dead_letter(shared, ev, payload);
                     continue;
                 }
                 if service_sampled {
                     // Service span: slate fetch (cache or store) + the
                     // update under the slot lock.
-                    stages.service[packet.op].record(shared.now_us().saturating_sub(now));
+                    stages.service[ev.op].record(shared.now_us().saturating_sub(now));
                 }
-                shared.stats.latency.record(shared.now_us().saturating_sub(packet.injected_us));
+                shared.stats.latency.record(shared.now_us().saturating_sub(ev.injected_us));
                 shared.stats.processed.inc();
                 machine.in_flight[thread].store(0, Ordering::Release);
                 finished.push(Finished {
-                    op: packet.op,
-                    ts: packet.event.ts,
-                    injected_us: packet.injected_us,
-                    redirected: packet.redirected,
+                    op: ev.op,
+                    ts: ev.event.ts,
+                    injected_us: ev.injected_us,
+                    redirected: ev.redirected,
                     records: emitter.take(),
                 });
             }
@@ -2221,7 +2205,7 @@ fn process_batch(
     }
     drop(guard.take());
     for done in finished.drain(..) {
-        finish_packet(shared, done, touched);
+        finish_event(shared, done, touched);
     }
     retire_owed
 }
@@ -2230,17 +2214,17 @@ fn process_batch(
 /// trip: its locally-owned updater keys go to [`SlateCache::prefetch`],
 /// under the membership read guard like any other load (a slate fetched
 /// for a key that moved away meanwhile would sit in the cache stale).
-fn prefetch_batch(shared: &Shared, cache: &SlateCache, machine_id: usize, batch: &[Packet]) {
+fn prefetch_batch(shared: &Shared, cache: &SlateCache, machine_id: usize, batch: &[Queued]) {
     let membership = shared.membership.read();
     let wanted: Vec<_> = batch
         .iter()
-        .filter_map(|packet| {
-            let OpInstance::Update { name, ttl_secs, .. } = &shared.ops[packet.op] else {
+        .filter_map(|(ev, _)| {
+            let OpInstance::Update { name, ttl_secs, .. } = &shared.ops[ev.op] else {
                 return None;
             };
-            let route = packet.event.key.route_hash(&shared.wf.op(packet.op).name);
-            let owner = membership.owner(packet.op, route).map(|at| at.machine);
-            (owner == Some(machine_id)).then_some((packet.op, name, &packet.event.key, *ttl_secs))
+            let route = ev.event.key.route_hash(&shared.wf.op(ev.op).name);
+            let owner = membership.owner(ev.op, route).map(|at| at.machine);
+            (owner == Some(machine_id)).then_some((ev.op, name, &ev.event.key, *ttl_secs))
         })
         .collect();
     cache.prefetch(&wanted, shared.now_us());
@@ -2252,7 +2236,7 @@ fn prefetch_batch(shared: &Shared, cache: &SlateCache, machine_id: usize, batch:
 /// one per event. Mirrors the sender-outbox fold in `muppet_net::tcp`
 /// (first-occurrence order, veto opens a fresh run), but here the win is
 /// the slot-lock + updater invocation, not wire bytes. Each absorbed
-/// packet settles its pending-count immediately; the carrier keeps
+/// event settles its pending-count immediately; the carrier keeps
 /// `ts`/`seq` = max and `injected_us` = min so watermarks and latency
 /// stay conservative. Non-combining operators pass through untouched.
 ///
@@ -2264,43 +2248,41 @@ fn fold_local_batch(
     shared: &Arc<Shared>,
     machine: &Arc<Machine>,
     thread: usize,
-    batch: &mut Vec<Packet>,
+    batch: &mut Vec<Queued>,
 ) {
     let mut runs: HashMap<(OpId, StreamId, Key, bool), usize> = HashMap::new();
     let mut absorbed: HashMap<(OpId, Key), u64> = HashMap::new();
-    let mut out: Vec<Packet> = Vec::with_capacity(batch.len());
-    for packet in batch.drain(..) {
-        let updater = match &shared.ops[packet.op] {
+    let mut out: Vec<Queued> = Vec::with_capacity(batch.len());
+    for (ev, enqueued_us) in batch.drain(..) {
+        let updater = match &shared.ops[ev.op] {
             OpInstance::Update { updater, .. } if updater.combines() => Arc::clone(updater),
             _ => {
-                out.push(packet);
+                out.push((ev, enqueued_us));
                 continue;
             }
         };
-        let rk =
-            (packet.op, packet.event.stream.clone(), packet.event.key.clone(), packet.redirected);
+        let rk = (ev.op, ev.event.stream.clone(), ev.event.key.clone(), ev.redirected);
         let open = runs.get(&rk).copied();
-        let folded = open.and_then(|i| {
-            updater.combine(out[i].event.value.as_ref(), packet.event.value.as_ref())
-        });
+        let folded = open
+            .and_then(|i| updater.combine(out[i].0.event.value.as_ref(), ev.event.value.as_ref()));
         match (open, folded) {
             (Some(i), Some(value)) => {
-                let carrier = &mut out[i];
+                let carrier = &mut out[i].0;
                 carrier.event.value = Bytes::from(value);
-                carrier.event.ts = carrier.event.ts.max(packet.event.ts);
-                carrier.event.seq = carrier.event.seq.max(packet.event.seq);
-                carrier.injected_us = carrier.injected_us.min(packet.injected_us);
-                carrier.forwards = carrier.forwards.max(packet.forwards);
-                *absorbed.entry((packet.op, packet.event.key.clone())).or_insert(0) += 1;
+                carrier.event.ts = carrier.event.ts.max(ev.event.ts);
+                carrier.event.seq = carrier.event.seq.max(ev.event.seq);
+                carrier.injected_us = carrier.injected_us.min(ev.injected_us);
+                carrier.forwards = carrier.forwards.max(ev.forwards);
+                *absorbed.entry((ev.op, ev.event.key.clone())).or_insert(0) += 1;
                 shared.stats.combined_events.inc();
                 shared.pending.fetch_sub(1, Ordering::AcqRel);
                 shared.throttle_cv.notify_all();
             }
             _ => {
-                // No open run, or the combiner vetoed: this packet opens
+                // No open run, or the combiner vetoed: this event opens
                 // (or re-points) the run, preserving per-key order.
                 runs.insert(rk, out.len());
-                out.push(packet);
+                out.push((ev, enqueued_us));
             }
         }
     }
@@ -2335,21 +2317,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Park a poison event in the dead-letter queue and retire it from the
 /// in-flight accounting — the worker thread survives, `drain` still
 /// converges, and the event stays inspectable via `GET /dlq`.
-fn dead_letter(shared: &Arc<Shared>, packet: Packet, payload: Box<dyn std::any::Any + Send>) {
+fn dead_letter(shared: &Arc<Shared>, ev: WireEvent, payload: Box<dyn std::any::Any + Send>) {
     let reason = panic_message(payload);
     shared.stats.dead_lettered.inc();
     shared.drop_log.log(format!(
         "poison event dead-lettered at {}: key={:?} ({reason})",
-        shared.wf.op(packet.op).name,
-        packet.event.key
+        shared.wf.op(ev.op).name,
+        ev.event.key
     ));
     if shared.logger.enabled(Level::Warn) {
         shared.logger.warn(
             "operator panic contained; event dead-lettered",
-            &[("op", (packet.op as u64).into()), ("dlq_depth", (shared.dlq.depth() as u64).into())],
+            &[("op", (ev.op as u64).into()), ("dlq_depth", (shared.dlq.depth() as u64).into())],
         );
     }
-    let letter = DeadLetter { op: packet.op, event: packet.event, reason, at_us: shared.now_us() };
+    let letter = DeadLetter { op: ev.op, event: ev.event, reason, at_us: shared.now_us() };
     if shared.dlq.push(letter) {
         shared.stats.dlq_evicted.inc();
     }
@@ -2380,131 +2362,108 @@ fn log_peer_death(shared: &Arc<Shared>, dest: usize, lost_events: u64) {
     }
 }
 
-/// Re-send a packet whose key this machine no longer owns to its current
+/// Re-send an event whose key this machine no longer owns to its current
 /// owner (elastic handoff; also heals laggard-ring deliveries). Bounded
 /// by [`MAX_FORWARDS`] so disagreeing rings can never ping-pong an event
 /// forever — past the cap the event is dropped-and-logged like any other
 /// undeliverable (§4.3 posture).
-fn forward_packet(
+fn forward(
     shared: &Arc<Shared>,
-    mut packet: Packet,
+    mut ev: WireEvent,
     owner: Placement,
     touched: &mut Vec<MachineId>,
 ) {
-    if packet.forwards >= MAX_FORWARDS {
+    if ev.forwards >= MAX_FORWARDS {
         shared.stats.lost_machine_failure.inc();
         shared.drop_log.log(format!(
             "forward cap hit for key={:?} (rings disagree about machine {}?)",
-            packet.event.key, owner.machine
+            ev.event.key, owner.machine
         ));
         return;
     }
     shared.stats.forwarded.inc();
-    packet.forwards += 1;
+    ev.forwards += 1;
     // Forwarded events count as internal: the receiver's overflow policy
     // must never block the forwarding worker.
-    send_to(shared, packet, owner, false, touched);
+    ev.external = false;
+    send_to(shared, ev, owner, touched);
 }
 
-/// Send `event` to every subscriber of `stream`; `touched` collects the
-/// remote peers it was queued for (see [`note_remote`]).
-fn fan_out(
-    shared: &Arc<Shared>,
-    stream: &StreamId,
-    event: Event,
-    injected_us: u64,
-    redirected: bool,
-    external: bool,
-    touched: &mut Vec<MachineId>,
-) {
+/// A fresh event for the send path: no operator yet, no hops, no hint.
+fn fresh(event: Event, injected_us: u64, redirected: bool, external: bool) -> WireEvent {
+    WireEvent { op: 0, event, injected_us, redirected, external, thread_hint: None, forwards: 0 }
+}
+
+/// Send `ev` to every subscriber of its stream, each copy's `op` set to
+/// its subscriber; `touched` collects the remote peers it was queued for
+/// (see [`note_remote`]).
+fn fan_out(shared: &Arc<Shared>, mut ev: WireEvent, touched: &mut Vec<MachineId>) {
     // No per-event Vec, no clone for the final (usually only) subscriber.
-    let subscribers = shared.wf.subscribers_of(stream.as_str());
+    let subscribers = shared.wf.subscribers_of(ev.event.stream.as_str());
     if let Some((&last, rest)) = subscribers.split_last() {
         for &op in rest {
-            let packet = Packet {
-                op,
-                event: event.clone(),
-                injected_us,
-                redirected,
-                forwards: 0,
-                enqueued_us: 0,
-            };
-            try_send(shared, packet, external, touched);
+            try_send(shared, WireEvent { op, ..ev.clone() }, touched);
         }
-        let packet =
-            Packet { op: last, event, injected_us, redirected, forwards: 0, enqueued_us: 0 };
-        try_send(shared, packet, external, touched);
+        ev.op = last;
+        try_send(shared, ev, touched);
     }
 }
 
 /// Record that a burst queued an event for `dest`, if that is another
-/// process: the set a producer hands to [`Transport::flush_events`] once
-/// it has nothing more to add. O(peers) and allocation-free once warm.
+/// process: the set a producer hands to [`TcpTransport::flush_events`]
+/// once it has nothing more to add. O(peers) and allocation-free once
+/// warm.
 fn note_remote(shared: &Arc<Shared>, dest: MachineId, touched: &mut Vec<MachineId>) {
-    if !shared.transport.is_local(dest) && !touched.contains(&dest) {
+    if !shared.is_local(dest) && !touched.contains(&dest) {
         touched.push(dest);
     }
 }
 
 /// The send path: resolve the destination by the committed rings
-/// ([`Membership::route`]), then put the event on the wire.
-fn try_send(
-    shared: &Arc<Shared>,
-    mut packet: Packet,
-    external: bool,
-    touched: &mut Vec<MachineId>,
-) {
+/// ([`Membership::route`]), then send the event there.
+fn try_send(shared: &Arc<Shared>, mut ev: WireEvent, touched: &mut Vec<MachineId>) {
     // Sender-side split rewrite: route a split hot key's update to one of
     // its subkeys before the ring lookup, so fan-out happens at the
     // source and the subslates land on distinct machines/queues.
     if shared.split_enabled()
-        && matches!(&shared.ops[packet.op],
+        && matches!(&shared.ops[ev.op],
             OpInstance::Update { updater, .. } if updater.combines())
     {
-        if let Some(sub) = shared.split_route(packet.op, &packet.event.key) {
-            packet.event.key = sub;
+        if let Some(sub) = shared.split_route(ev.op, &ev.event.key) {
+            ev.event.key = sub;
         }
     }
-    let route: RouteHash = packet.event.key.route_hash(&shared.wf.op(packet.op).name);
-    let Some(dest) = shared.membership.read().route(packet.op, route) else {
+    let route: RouteHash = ev.event.key.route_hash(&shared.wf.op(ev.op).name);
+    let Some(dest) = shared.membership.read().route(ev.op, route) else {
         shared.stats.lost_machine_failure.inc();
         return;
     };
-    send_to(shared, packet, dest, external, touched);
+    send_to(shared, ev, dest, touched);
 }
 
-/// Put `packet` on the wire to `dest`. A transport failure — dead simulated
-/// machine in-process, connection error over TCP — triggers the §4.3
+/// Deliver `ev` to `dest`: straight into the queues of a machine of this
+/// process, over the wire to another process's. A failed delivery — a
+/// dead machine here, a connection error there — triggers the §4.3
 /// protocol: report to the master, which broadcasts, and every ring drops
 /// the machine; the event is lost and logged, never retried.
-fn send_to(
-    shared: &Arc<Shared>,
-    packet: Packet,
-    dest: Placement,
-    external: bool,
-    touched: &mut Vec<MachineId>,
-) {
+fn send_to(shared: &Arc<Shared>, mut ev: WireEvent, dest: Placement, touched: &mut Vec<MachineId>) {
     let machine = dest.machine;
-    let key = packet.event.key.clone();
-    let ev = WireEvent {
-        op: packet.op,
-        event: packet.event,
-        injected_us: packet.injected_us,
-        redirected: packet.redirected,
-        external,
-        thread_hint: dest.thread,
-        forwards: packet.forwards,
+    let key = ev.event.key.clone();
+    ev.thread_hint = dest.thread;
+    let sent = match &shared.wire {
+        Some(wire) if !shared.is_local(machine) => wire.send_event(machine, ev),
+        _ => deliver_local(shared, machine, ev, 1),
     };
-    match shared.transport.send_event(machine, ev) {
+    match sent {
         Ok(()) => note_remote(shared, machine, touched),
         Err(NetError::Unreachable(_)) => {
-            shared.transport.report_failure(machine, shared.epoch());
+            report_failure(shared, machine);
             log_peer_death(shared, machine, 1);
             shared.stats.lost_machine_failure.inc();
             shared.drop_log.log(format!("lost to failed machine {machine}: key={key:?}"));
         }
         Err(e) => {
-            // A local protocol/config error (oversized frame, no handler)
+            // A local protocol/config error (oversized frame, no route)
             // is not a dead peer — the event is lost and logged, but the
             // machine must not be declared failed.
             shared.stats.lost_machine_failure.inc();
@@ -2513,23 +2472,38 @@ fn send_to(
     }
 }
 
-/// Local delivery: the receiving half of the wire. Chooses the worker
-/// queue (two-choice for 2.0, the sender's slot hint for 1.0) and applies
-/// the §4.3 overflow mechanism. Runs on the sender's thread in-process and
-/// on the listener's connection thread over TCP.
+/// §4.3: report `failed` to the master, stamped with this node's epoch —
+/// over the wire, or in-process to this process's master, whose broadcast
+/// is the ring drop here.
+fn report_failure(shared: &Arc<Shared>, failed: MachineId) {
+    let epoch = shared.epoch();
+    match &shared.wire {
+        Some(wire) => wire.report_failure(failed, epoch),
+        None if shared.master.report_failure(failed, epoch) => {
+            apply_ring_drop(shared, failed, epoch);
+        }
+        None => {}
+    }
+}
+
+/// Local delivery: the receiving half of every send to a machine of this
+/// process. Chooses the worker queue (two-choice for 2.0, the sender's
+/// slot hint for 1.0) and applies the §4.3 overflow mechanism. Runs on the
+/// sender's thread for a local send and on the listener's connection
+/// thread for one from another process.
 fn deliver_local(
     shared: &Arc<Shared>,
     machine_id: usize,
-    ev: WireEvent,
+    mut ev: WireEvent,
     mut absorbed: u64,
 ) -> std::result::Result<(), NetError> {
+    if !shared.is_local(machine_id) {
+        return Err(NetError::NoRoute(machine_id));
+    }
     loop {
         let Some(machine) = shared.machine(machine_id) else {
             return Err(NetError::NoRoute(machine_id));
         };
-        if !machine.local {
-            return Err(NetError::NoRoute(machine_id));
-        }
         if !machine.alive.load(Ordering::Acquire) {
             return Err(NetError::Unreachable(machine_id));
         }
@@ -2594,30 +2568,18 @@ fn deliver_local(
             }
         }
         let queue = &machine.queues[thread];
-        let into_packet = |ev: WireEvent| {
-            // Stamp the queue-wait span here, on the receiving side —
-            // the mark never crosses the wire (`max(1)`: 0 means
-            // unsampled, and `now_us` can legitimately be 0 early on).
-            let enqueued_us =
-                if shared.stats.stages.enabled && shared.stats.stages.sampler_queue.hit() {
-                    shared.now_us().max(1)
-                } else {
-                    0
-                };
-            Packet {
-                op: ev.op,
-                event: ev.event,
-                injected_us: ev.injected_us,
-                redirected: ev.redirected,
-                forwards: ev.forwards,
-                enqueued_us,
-            }
+        let queued = |ev: WireEvent| -> Queued {
+            // Stamp the queue-wait span here, on the receiving side
+            // (`max(1)`: 0 means unsampled, and `now_us` can legitimately
+            // be 0 early on).
+            let sampled = shared.stats.stages.enabled && shared.stats.stages.sampler_queue.hit();
+            (ev, if sampled { shared.now_us().max(1) } else { 0 })
         };
         if queue.len_hint() < queue.capacity() {
             // Likely-room fast path; capacity may still be exceeded by a
             // racing sender, in which case force_push slightly overshoots
             // (bounded by sender count) — acceptable for a size *limit*.
-            queue.force_push(into_packet(ev));
+            queue.force_push(queued(ev));
             shared.pending.fetch_add(1, Ordering::AcqRel);
             return Ok(());
         }
@@ -2639,27 +2601,15 @@ fn deliver_local(
                     shared.stats.publish_errors.inc();
                     return Ok(());
                 }
-                let external = ev.external;
-                let mut event = ev.event;
-                event.stream = StreamId::from(overflow_stream.as_str());
                 // Fan out to the overflow stream's subscribers, marked so a
                 // second overflow drops instead of looping.
-                let subscribers = shared.wf.subscribers_of(&overflow_stream).to_vec();
-                for op in subscribers {
-                    let p = Packet {
-                        op,
-                        event: event.clone(),
-                        injected_us: ev.injected_us,
-                        redirected: true,
-                        forwards: ev.forwards,
-                        enqueued_us: 0,
-                    };
-                    try_send(shared, p, external, &mut Vec::new());
-                }
+                ev.event.stream = StreamId::from(overflow_stream.as_str());
+                ev.redirected = true;
+                fan_out(shared, ev, &mut Vec::new());
                 return Ok(());
             }
             OverflowAction::ForceThrough => {
-                queue.force_push(into_packet(ev));
+                queue.force_push(queued(ev));
                 shared.pending.fetch_add(1, Ordering::AcqRel);
                 return Ok(());
             }
@@ -2719,8 +2669,8 @@ fn membership_prepare(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
             if spec.id < machines.len() {
                 continue;
             }
-            if let Some(tcp) = &shared.tcp {
-                if let Err(e) = tcp.add_peer(spec) {
+            if let Some(wire) = &shared.wire {
+                if let Err(e) = wire.add_peer(spec) {
                     shared.drop_log.log(format!("membership add_peer failed: {e}"));
                     return false;
                 }
@@ -2730,20 +2680,17 @@ fn membership_prepare(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
         }
         machines.len()
     };
-    let machines = shared.machines_snapshot();
     for id in membership.stage(update, known_machines, &|id| shared.master.is_failed(id)) {
         // This epoch's joiners are reachable again: re-arm the wire and
         // the liveness flag so forwarded events flow as soon as the
         // staged rings apply.
-        shared.transport.revive_peer(id);
-        if let Some(machine) = machines.get(id) {
-            machine.alive.store(true, Ordering::Release);
-        }
+        shared.revive(id);
     }
     // The handoff: move every slate whose arc leaves a local machine.
+    let machines = shared.machines_snapshot();
     let now = shared.now_us();
     for (m, machine) in machines.iter().enumerate() {
-        if !machine.local || !machine.alive.load(Ordering::Acquire) {
+        if !shared.is_local(m) || !machine.alive.load(Ordering::Acquire) {
             continue;
         }
         for (op, spec) in shared.wf.ops().iter().enumerate() {
@@ -2779,9 +2726,9 @@ fn membership_prepare(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
                     // process (the in-process cluster); otherwise the
                     // slate is lost exactly like a §4.3 crash would lose
                     // it.
-                    let target = moved_to(&key).and_then(|to| {
-                        machines.get(to.machine).filter(|t| t.local)?.cache_at(op, to)
-                    });
+                    let target = moved_to(&key)
+                        .filter(|to| shared.is_local(to.machine))
+                        .and_then(|to| machines.get(to.machine)?.cache_at(op, to));
                     match target {
                         Some(target) => target.insert_slot(op, key, slot),
                         None => shared.drop_log.log(format!(
@@ -2806,10 +2753,7 @@ fn membership_commit(shared: &Arc<Shared>, epoch: u64) -> bool {
         // Forget the previous incarnation's death (§4.3 ledger): if the
         // NEW incarnation dies, detection must report and log it afresh.
         shared.logged_peer_deaths.lock().remove(&id);
-        shared.transport.revive_peer(id);
-        if let Some(machine) = shared.machine(id) {
-            machine.alive.store(true, Ordering::Release);
-        }
+        shared.revive(id);
     }
     true
 }
@@ -2825,9 +2769,19 @@ fn membership_abort(shared: &Arc<Shared>, epoch: u64) -> bool {
     true
 }
 
-/// Deliver one membership phase to every participant in `order` (the
-/// local node exactly once). `want_ack` only for prepare. Returns the
-/// first wire failure, if any.
+/// Apply one membership phase on this node; true is the ack.
+fn apply_membership(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
+    match update.phase {
+        MembershipPhase::Prepare => membership_prepare(shared, update),
+        MembershipPhase::Commit => membership_commit(shared, update.epoch),
+        MembershipPhase::Abort => membership_abort(shared, update.epoch),
+    }
+}
+
+/// Deliver one membership phase to every participant in `order`: this
+/// process's machines by one local call, the others over the wire.
+/// `want_ack` only for prepare, where the first refusal or wire failure
+/// is returned at once; other phases reach everyone and never fail.
 fn fan_out_membership(
     shared: &Arc<Shared>,
     order: &[MachineId],
@@ -2835,29 +2789,24 @@ fn fan_out_membership(
     want_ack: bool,
 ) -> std::result::Result<(), (MachineId, NetError)> {
     let mut local_done = false;
-    let mut first_err = None;
     for &dest in order {
-        if shared.transport.is_local(dest) {
-            if !local_done {
+        let sent = match &shared.wire {
+            Some(wire) if !shared.is_local(dest) => wire.send_membership(dest, update, want_ack),
+            _ if local_done => continue,
+            _ => {
                 local_done = true;
-                let handler = EngineHandler(Arc::clone(shared));
-                if !handler.handle_membership(update) && want_ack && first_err.is_none() {
-                    first_err = Some((dest, NetError::Protocol("local phase refused".to_string())));
+                if apply_membership(shared, update) {
+                    Ok(())
+                } else {
+                    Err(NetError::Protocol("local phase refused".to_string()))
                 }
             }
-        } else if let Err(e) = shared.transport.send_membership(dest, update, want_ack) {
-            if want_ack {
-                return Err((dest, e));
-            }
-            if first_err.is_none() {
-                first_err = Some((dest, e));
-            }
+        };
+        if let (Err(e), true) = (sent, want_ack) {
+            return Err((dest, e));
         }
     }
-    match first_err {
-        Some(err) if want_ack => Err(err),
-        _ => Ok(()),
-    }
+    Ok(())
 }
 
 /// The master side of a join: a reserved machine announced it is live.
@@ -2923,8 +2872,25 @@ fn run_join_protocol(shared: &Arc<Shared>, machine: MachineId) {
     let _ = fan_out_membership(shared, &order, &commit, false);
 }
 
-/// The engine side of the wire: what the transport calls to finish
-/// delivery and apply the failure protocol locally.
+/// Restart re-identification, master side: a node that crashed and came
+/// back announces under its old id. Re-arm the wire to it, wipe the
+/// previous incarnation's §4.3 death-ledger entry so a NEW death is
+/// detected and logged afresh, and — if the old incarnation was dropped
+/// from the rings — run the join protocol to restore its old ring
+/// position. Returns this node's epoch.
+fn reintroduce(shared: &Arc<Shared>, machine: MachineId) -> u64 {
+    shared.revive(machine);
+    shared.logged_peer_deaths.lock().remove(&machine);
+    let needs_join =
+        shared.master.is_failed(machine) || !shared.membership.read().committed().contains(machine);
+    if needs_join {
+        run_join_protocol(shared, machine);
+    }
+    shared.epoch()
+}
+
+/// The engine side of the wire: what the TCP transport calls with
+/// another process's traffic.
 struct EngineHandler(Arc<Shared>);
 
 impl ClusterHandler for EngineHandler {
@@ -2970,7 +2936,7 @@ impl ClusterHandler for EngineHandler {
         for ev in &lost {
             shared.drop_log.log(format!("lost to failed machine {dest}: key={:?}", ev.event.key));
         }
-        shared.transport.report_failure(dest, shared.epoch());
+        report_failure(shared, dest);
     }
 
     fn handle_failure_report(&self, failed: MachineId, epoch: u64) {
@@ -2978,7 +2944,9 @@ impl ClusterHandler for EngineHandler {
         // to every machine (including this one). Duplicates and reports
         // staler than the machine's latest join are absorbed.
         if self.0.master.report_failure(failed, epoch) {
-            self.0.transport.broadcast_failure(failed, epoch);
+            if let Some(wire) = &self.0.wire {
+                wire.broadcast_failure(failed, epoch);
+            }
         }
     }
 
@@ -2991,32 +2959,11 @@ impl ClusterHandler for EngineHandler {
     }
 
     fn handle_reintroduce(&self, machine: MachineId) -> u64 {
-        // Restart re-identification (master side): a node that crashed
-        // and came back announces under its old id. Re-arm the wire to
-        // it, wipe the previous incarnation's §4.3 death ledger entry so
-        // a NEW death is detected and logged afresh, and — if the old
-        // incarnation was dropped from the rings — run the join protocol
-        // to restore its old ring position.
-        let shared = &self.0;
-        shared.transport.revive_peer(machine);
-        shared.logged_peer_deaths.lock().remove(&machine);
-        if let Some(m) = shared.machine(machine) {
-            m.alive.store(true, Ordering::Release);
-        }
-        let needs_join = shared.master.is_failed(machine)
-            || !shared.membership.read().committed().contains(machine);
-        if needs_join {
-            run_join_protocol(shared, machine);
-        }
-        shared.epoch()
+        reintroduce(&self.0, machine)
     }
 
     fn handle_membership(&self, update: &MembershipUpdate) -> bool {
-        match update.phase {
-            MembershipPhase::Prepare => membership_prepare(&self.0, update),
-            MembershipPhase::Commit => membership_commit(&self.0, update.epoch),
-            MembershipPhase::Abort => membership_abort(&self.0, update.epoch),
-        }
+        apply_membership(&self.0, update)
     }
 
     fn read_local_slate(&self, dest: MachineId, updater: &str, key: &[u8]) -> Option<Vec<u8>> {
@@ -3025,8 +2972,8 @@ impl ClusterHandler for EngineHandler {
         if shared.wf.op(op).kind != OpKind::Update {
             return None;
         }
-        let machine = shared.machine(dest)?;
-        if !machine.local || !machine.alive.load(Ordering::Acquire) {
+        let machine = shared.machine(dest).filter(|_| shared.is_local(dest))?;
+        if !machine.alive.load(Ordering::Acquire) {
             return None;
         }
         read_cached(shared, dest, &machine, op, updater, &Key::from(key))
@@ -3077,7 +3024,7 @@ fn register_collector(shared: &Arc<Shared>) {
     shared.stats.registry.collector(move |out| {
         if let Some(sh) = weak.upgrade() {
             let caches = sh.caches();
-            stats::collect(&sh.wf, &sh.snapshot(&caches), &caches, sh.tcp.as_deref(), out);
+            stats::collect(&sh.wf, &sh.snapshot(&caches), &caches, sh.wire.as_deref(), out);
         }
     });
 }
@@ -3085,15 +3032,20 @@ fn register_collector(shared: &Arc<Shared>) {
 fn flusher_loop(shared: Arc<Shared>, machine_id: usize, interval: Duration) {
     // lint: allow(no-unwrap-in-prod) — flushers are spawned per existing machine index
     let machine = shared.machine(machine_id).expect("flusher spawned for an existing machine");
-    while !shared.stopping.load(Ordering::Acquire) {
-        // Sleep in short slices so shutdown does not block for a full
-        // (possibly multi-minute) flush interval.
+    loop {
+        // Parked until the tick: `Engine::stop` raises the flag, then
+        // unparks, so shutdown never waits out a (possibly multi-minute)
+        // interval. A spurious wake-up parks again for what is left.
         let deadline = Instant::now() + interval;
-        while Instant::now() < deadline {
+        loop {
             if shared.stopping.load(Ordering::Acquire) {
                 return;
             }
-            std::thread::sleep(Duration::from_millis(5).min(interval));
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            std::thread::park_timeout(left);
         }
         if !machine.alive.load(Ordering::Acquire) {
             return;

@@ -26,16 +26,10 @@
 //! * [`http`] — the per-node HTTP server for live slate reads (§4.4);
 //! * `stats` — the engine's registry and the handles it records into.
 //!
-//! The cluster runs over a pluggable wire ([`muppet_net::Transport`],
-//! selected via [`engine::TransportKind`]): by default *in-process* —
-//! machines are actor-like structs whose worker threads are real OS
-//! threads, and inter-machine "networking" is direct queue hand-off — or
-//! over real TCP, where each engine process owns one machine of a static
-//! cluster (`muppetd`) and failure detection rides on actual connection
-//! errors. The distribution logic — hash rings, direct worker→worker event
-//! passing, failure detection on send — is the paper's either way. See
-//! DESIGN.md §1 for the simulation substitution notes and §5 for the
-//! transport.
+//! The cluster runs in one process or, over TCP, one machine per process
+//! ([`engine::TransportKind`]); the engine decides which machines are
+//! local and calls the wire only for the others. DESIGN.md §1 lists what
+//! is simulated, §5 the wire.
 
 pub mod cache;
 pub mod dispatch;

@@ -5,10 +5,10 @@
 //! cluster". In a `muppetd` cluster, one node hosts the store
 //! ([`crate::engine::EngineConfig::store_host`]); every other node's slate
 //! cache flushes and misses go through `StorePut`/`StoreGet` frames on the
-//! same [`Transport`] the events use, a single slate as a run of one. Write failures are surfaced to the
-//! cache (the dirty slate stays dirty; a later flush retries) and read
-//! failures surface as cache misses — the availability-first posture of
-//! the in-process store adapter.
+//! same [`Transport`] the events use, a single slate as a run of one.
+//! Write failures are surfaced to the cache (the dirty slate stays dirty;
+//! a later flush retries) and read failures surface as cache misses — the
+//! availability-first posture of the in-process store adapter.
 
 use std::sync::Arc;
 
@@ -100,8 +100,9 @@ impl SlateBackend for RemoteBackend {
 mod tests {
     use super::*;
     use muppet_core::sync::Mutex;
-    use muppet_net::transport::{ClusterHandler, InProcessTransport, NetError};
-    use muppet_net::WireEvent;
+    use muppet_net::topology::Topology;
+    use muppet_net::transport::{ClusterHandler, NetError};
+    use muppet_net::{TcpTransport, WireEvent};
     use std::collections::HashMap;
     use std::sync::Weak;
 
@@ -133,10 +134,14 @@ mod tests {
 
     #[test]
     fn remote_backend_roundtrips_through_transport() {
-        let transport = Arc::new(InProcessTransport::new());
+        // Node 0 hosts the map store; node 1 reaches it over loopback.
+        let topology = Topology::loopback_ephemeral(2, false).unwrap();
+        let host = TcpTransport::new(topology.clone(), 0).unwrap();
         let store = Arc::new(MapStore::default());
-        transport.register(Arc::downgrade(&store) as Weak<dyn ClusterHandler>);
-        let backend = RemoteBackend::new(transport as Arc<dyn Transport>, 0);
+        host.register(Arc::downgrade(&store) as Weak<dyn ClusterHandler>);
+        let _listener = host.start_listener().unwrap();
+        let client = TcpTransport::new(topology, 1).unwrap();
+        let backend = RemoteBackend::new(client as Arc<dyn Transport>, 0);
 
         let key = Key::from("walmart");
         assert_eq!(backend.load("U1", &key, 0), None);

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use muppet_core::event::{Event, Key};
 use muppet_core::operator::{Emitter, FnMapper, FnUpdater};
@@ -186,6 +186,75 @@ fn graceful_shutdown_flushes_interval_policy_dirty_slates() {
     assert_eq!(stats.dirty_slates, 0, "graceful shutdown flushes everything");
     let stored = store.get(&CellKey::new("k", "U1"), now + 1).unwrap().unwrap();
     assert_eq!(stored.as_ref(), b"3");
+}
+
+/// Voluntary context switches of every `muppet-flusher-*` thread of this
+/// process, by thread id.
+#[cfg(target_os = "linux")]
+fn flusher_switches() -> std::collections::HashMap<String, u64> {
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+    let read = |task: &std::fs::DirEntry, file| std::fs::read_to_string(task.path().join(file));
+    tasks
+        .filter(|task| read(task, "comm").is_ok_and(|comm| comm.starts_with("muppet-flusher")))
+        .filter_map(|task| {
+            let status = read(&task, "status").ok()?;
+            let line = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?;
+            Some((task.file_name().to_string_lossy().into_owned(), line.trim().parse().ok()?))
+        })
+        .collect()
+}
+
+/// An idle interval flusher parks until its tick instead of polling the
+/// stop flag: over one second of a 1 s interval it wakes about once.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_interval_flusher_parks_until_its_tick() {
+    let dir = TempDir::new("engine-idle-flusher").unwrap();
+    let store = Arc::new(StoreCluster::open(dir.path(), StoreConfig::default()).unwrap());
+    let cfg =
+        EngineConfig { flush: FlushPolicy::IntervalMs(1_000), ..small_config(EngineKind::Muppet2) };
+    let before = flusher_switches();
+    let engine = Engine::start(count_workflow(), count_ops(), cfg, Some(store)).unwrap();
+    // A thread names itself once it runs: wait for one flusher per machine.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let ours = loop {
+        let new = flusher_switches().into_keys().filter(|tid| !before.contains_key(tid));
+        let ours: Vec<String> = new.collect();
+        if ours.len() >= 2 || Instant::now() > deadline {
+            break ours;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let start = flusher_switches();
+    std::thread::sleep(Duration::from_secs(1));
+    let end = flusher_switches();
+    // Threads of concurrently running tests may have come and gone.
+    let woke: Vec<u64> =
+        ours.iter().filter_map(|tid| Some(end.get(tid)? - start.get(tid)?)).collect();
+    assert!(
+        woke.len() >= 2 && woke.iter().all(|&n| n <= 5),
+        "voluntary context switches per flusher in one idle second: {woke:?}"
+    );
+    engine.shutdown();
+}
+
+/// `shutdown` wakes a flusher parked on a long interval instead of waiting
+/// it out.
+#[test]
+fn shutdown_does_not_wait_out_the_flush_interval() {
+    let dir = TempDir::new("engine-long-flusher").unwrap();
+    let store = Arc::new(StoreCluster::open(dir.path(), StoreConfig::default()).unwrap());
+    let cfg = EngineConfig {
+        flush: FlushPolicy::IntervalMs(60_000),
+        ..small_config(EngineKind::Muppet2)
+    };
+    let engine = Engine::start(count_workflow(), count_ops(), cfg, Some(store)).unwrap();
+    submit_keys(&engine, &["k", "k"]);
+    std::thread::sleep(Duration::from_millis(50)); // the flushers are parked
+    let started = Instant::now();
+    let stats = engine.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(1), "shutdown took {:?}", started.elapsed());
+    assert_eq!(stats.dirty_slates, 0);
 }
 
 #[test]

@@ -19,8 +19,8 @@
 //! * [`obs`](muppet_obs) — the observability substrate: the unified
 //!   metrics registry behind `GET /metrics`, the space-saving hot-key
 //!   sketch, and leveled structured logging.
-//! * [`net`](muppet_net) — the cluster wire: `Transport` trait with
-//!   in-process and TCP implementations, binary framing, topology config,
+//! * [`net`](muppet_net) — the wire between processes: the `Transport`
+//!   trait and its TCP implementation, binary framing, topology config,
 //!   and the §4.3 failure frames (run a real cluster with the `muppetd`
 //!   binary).
 //! * [`slatestore`](muppet_slatestore) — the Cassandra-like LSM store that

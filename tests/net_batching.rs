@@ -5,13 +5,16 @@
 //! work in flight a submission raises no flush at all, so batches still
 //! form. (The ceiling itself, for producers that never ask, is pinned by
 //! the direct-drive tests in `crates/net/src/tcp.rs`.) Both engine
-//! generations, over TCP loopback.
+//! generations, over TCP loopback. And what the wire carries at all: only
+//! another process's traffic, never a node's own.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use muppet::prelude::*;
+
+mod common;
 
 /// An age ceiling no test waits out by accident: anything delivered in a
 /// fraction of it was flushed on demand.
@@ -180,6 +183,46 @@ fn busy_node_submissions_batch_until_the_ceiling() {
     assert_eq!(flushes(&a), [0, 0, 1, 0], "one frame, by age: no submit tail raised the flag");
     assert_eq!(flushes(&b), [0; 4], "node 1 sent nothing");
 
+    a.shutdown();
+    b.shutdown();
+}
+
+/// The engine decides locality, once, before the wire: a node fed only
+/// keys it owns counts and reads them with no frame sent or received on
+/// either node. A read of the same slate from the other node is the
+/// control — it does cross, as one `SlateGet`.
+#[test]
+fn a_node_fed_only_its_own_keys_sends_nothing_on_the_wire() {
+    let topology = Topology::loopback_ephemeral(2, false).unwrap();
+    let start = |local| {
+        let cfg = EngineConfig {
+            machines: 2,
+            workers_per_machine: 2,
+            transport: TransportKind::Tcp { topology: topology.clone(), local },
+            ..EngineConfig::default()
+        };
+        let gate = Arc::new(common::Gate::default());
+        let ops = OperatorSet::new().updater(common::GatedCounter(gate));
+        Engine::start(common::counter_workflow(), ops, cfg, None).unwrap()
+    };
+    let (a, b) = (start(0), start(1));
+    let keys = common::keys_owned_by(&a, "counter", 0, "own-", 64);
+    for round in 0..3 {
+        a.submit_many(keys.iter().map(|key| Event::new("S1", round, key.clone(), "e")).collect())
+            .unwrap();
+    }
+    assert!(a.drain(Duration::from_secs(10)));
+    for key in &keys {
+        assert_eq!(a.read_slate("counter", key).as_deref(), Some(b"3".as_ref()), "{key:?}");
+    }
+    assert_eq!((a.stats().processed, b.stats().processed), (3 * 64, 0));
+    for node in [&a, &b] {
+        let net = node.stats().net;
+        assert_eq!((net.frames_sent, net.frames_received), (0, 0), "{net:?}");
+    }
+    assert_eq!(b.read_slate("counter", &keys[0]).as_deref(), Some(b"3".as_ref()));
+    // Node 0 receives the connection's hello and the `SlateGet`.
+    assert_eq!((b.stats().net.frames_sent, a.stats().net.frames_received), (1, 2));
     a.shutdown();
     b.shutdown();
 }
