@@ -727,6 +727,38 @@ mod tests {
         assert_eq!(healed.as_ref(), mbf.as_slice());
     }
 
+    /// The store's bytes per slate for the shape `counters_cold` writes:
+    /// short rows, one updater column, a one-digit value. The per-cell
+    /// layout paid 39 B in the WAL and 33 B in a table; a run says the
+    /// column once and a raw value costs one byte of header.
+    #[test]
+    fn a_group_committed_counter_costs_at_most_14_bytes_in_the_wal_and_in_a_table() {
+        let dir = TempDir::new("cluster-bytes").unwrap();
+        let cfg = StoreConfig { nodes: 1, replication: 1, ..Default::default() };
+        let c = StoreCluster::open(dir.path(), cfg).unwrap();
+        let cells: Vec<CellKey> =
+            (0..9_000).map(|i| CellKey::new(format!("k{i}"), "zipf-counter")).collect();
+        for (run, keys) in cells.chunks(64).enumerate() {
+            let items: Vec<(CellKey, &[u8], Codec, Option<u64>)> =
+                keys.iter().map(|k| (k.clone(), &b"7"[..], Codec::Json, None)).collect();
+            let now = 1_700_000_000_000_000 + 1_000 * run as u64;
+            assert!(c.put_many(&items, now).iter().all(Result::is_ok));
+        }
+        let node_dir = dir.path().join("node-0");
+        let wal_bytes = || -> u64 {
+            let files = std::fs::read_dir(&node_dir).unwrap().map(|e| e.unwrap());
+            let wal = files.filter(|e| e.file_name().to_string_lossy().starts_with("wal-"));
+            wal.map(|e| e.metadata().unwrap().len()).sum()
+        };
+        c.nodes[0].store.lock().sync_wal().unwrap();
+        let (wal, per_cell) = (wal_bytes(), cells.len() as f64);
+        c.flush_all(2_000_000_000_000_000).unwrap();
+        let table = c.disk_bytes();
+        assert_eq!(c.live_cells(2_000_000_000_000_000).unwrap(), cells.len());
+        assert!(wal as f64 / per_cell <= 14.0, "WAL: {wal} B for {per_cell} cells");
+        assert!(table as f64 / per_cell <= 14.0, "table: {table} B for {per_cell} cells");
+    }
+
     #[test]
     fn get_many_matches_point_reads() {
         let (_dir, c) = cluster(Consistency::Quorum);

@@ -6,72 +6,62 @@
 //! greedy hash-chain matching over a 32 KiB window — recovers most of that
 //! redundancy without external dependencies.
 //!
-//! ## Format
-//!
-//! ```text
-//! [0x4D 0x5A]  magic "MZ"
-//! [mode: u8]   0 = stored raw, 1 = LZSS
-//! [varint]     uncompressed length
-//! payload      raw bytes (mode 0) or token stream (mode 1)
-//! ```
+//! A value is one mode byte and its payload: stored raw (its length is
+//! the cell's), or the LZSS token stream behind its uncompressed length.
+//! DESIGN.md §2 has the layout.
 //!
 //! Token stream: groups of 8 items prefixed by a flag byte (bit i set ⟹
 //! item i is a match). Literal = 1 byte. Match = 2-byte little-endian
 //! `offset-1` (1..=32768) + 1 byte `length-MIN_MATCH` (match lengths
-//! 4..=259). Incompressible inputs fall back to mode 0, costing only the
-//! header.
+//! 4..=259). Inputs LZSS does not shrink are stored raw.
 
 use muppet_core::codec::{get_varint, put_varint};
 
 use crate::types::{StoreError, StoreResult};
 
-const MAGIC: [u8; 2] = [0x4d, 0x5a];
 const MODE_RAW: u8 = 0;
 const MODE_LZSS: u8 = 1;
 const WINDOW: usize = 32 * 1024;
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = MIN_MATCH + 255;
-const HASH_BITS: u32 = 15;
+/// Bytes of a match token: the most input any `MAX_MATCH` output costs.
+const MATCH_TOKEN: usize = 3;
+/// Hash table size cap: 2^15 heads, for inputs of 32 KiB and more.
+const MAX_HASH_BITS: u32 = 15;
 /// Bounded match-chain probes per position: caps worst-case compress time.
 const MAX_CHAIN: usize = 32;
 
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
+fn hash4(bytes: &[u8], bits: u32) -> usize {
     let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    ((v.wrapping_mul(0x9e37_79b1)) >> (32 - HASH_BITS)) as usize
+    (v.wrapping_mul(0x9e37_79b1) >> (32 - bits)) as usize
 }
 
-/// Compress `input`. Never fails; falls back to stored mode when LZSS does
-/// not help.
+/// Compress `input`. Never fails; stores it raw when LZSS does not help.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    out.extend_from_slice(&MAGIC);
-    out.push(MODE_LZSS);
-    put_varint(&mut out, input.len() as u64);
-    let header_len = out.len();
-
     if input.len() >= MIN_MATCH {
-        let mut head = vec![u32::MAX; 1 << HASH_BITS];
+        out.push(MODE_LZSS);
+        put_varint(&mut out, input.len() as u64);
+        // The table is sized to the input (≥ 4 heads, since the input
+        // holds a match's worth): a short slate does not clear 128 KiB.
+        let bits = input.len().next_power_of_two().trailing_zeros().min(MAX_HASH_BITS);
+        let mut head = vec![u32::MAX; 1 << bits];
         let mut prev = vec![u32::MAX; input.len()];
         let mut pos = 0usize;
-        let mut flag_at = usize::MAX;
+        let mut flag_at = 0usize;
         let mut flag_bit = 8u8;
 
-        macro_rules! begin_item {
-            () => {
-                if flag_bit == 8 {
-                    flag_at = out.len();
-                    out.push(0);
-                    flag_bit = 0;
-                }
-            };
-        }
-
         while pos < input.len() {
+            if flag_bit == 8 {
+                flag_at = out.len();
+                out.push(0);
+                flag_bit = 0;
+            }
             let mut best_len = 0usize;
             let mut best_off = 0usize;
             if pos + MIN_MATCH <= input.len() {
-                let h = hash4(&input[pos..]);
+                let h = hash4(&input[pos..], bits);
                 let mut candidate = head[h];
                 let mut probes = 0;
                 while candidate != u32::MAX && probes < MAX_CHAIN {
@@ -94,88 +84,62 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
                     candidate = prev[c];
                     probes += 1;
                 }
+                prev[pos] = head[h];
                 head[h] = pos as u32;
-                prev[pos] = if candidate == u32::MAX && probes == 0 { u32::MAX } else { prev[pos] };
             }
 
             if best_len >= MIN_MATCH {
-                begin_item!();
                 out[flag_at] |= 1 << flag_bit;
-                flag_bit += 1;
                 let off = (best_off - 1) as u16;
                 out.extend_from_slice(&off.to_le_bytes());
                 out.push((best_len - MIN_MATCH) as u8);
-                // Insert hash entries for covered positions so later
-                // matches can reference inside this match.
-                let end = pos + best_len;
-                let mut p = pos + 1;
-                while p < end && p + MIN_MATCH <= input.len() {
-                    let h = hash4(&input[p..]);
-                    prev[p] = head[h] as u32;
+                // Chain the covered positions so later matches can
+                // reference inside this one.
+                for p in pos + 1..(pos + best_len).min(input.len() + 1 - MIN_MATCH) {
+                    let h = hash4(&input[p..], bits);
+                    prev[p] = head[h];
                     head[h] = p as u32;
-                    p += 1;
                 }
-                pos = end;
+                pos += best_len;
             } else {
-                begin_item!();
-                flag_bit += 1;
                 out.push(input[pos]);
-                if pos + MIN_MATCH <= input.len() {
-                    let h = hash4(&input[pos..]);
-                    prev[pos] = head[h];
-                    head[h] = pos as u32;
-                }
                 pos += 1;
             }
-        }
-    } else {
-        // Inputs shorter than MIN_MATCH cannot contain matches: emit
-        // literals under all-zero flag bytes.
-        let mut flag_bit = 8u8;
-        for &b in input {
-            if flag_bit == 8 {
-                out.push(0);
-                flag_bit = 0;
-            }
             flag_bit += 1;
-            out.push(b);
         }
     }
 
-    if out.len() >= input.len() + header_len {
-        // Incompressible: store raw.
-        out.truncate(2);
+    if out.is_empty() || out.len() > input.len() {
+        out.clear();
         out.push(MODE_RAW);
-        put_varint(&mut out, input.len() as u64);
         out.extend_from_slice(input);
     }
     out
 }
 
-/// Decompress a buffer produced by [`compress`]. Fully bounds-checked.
+/// Decompress a buffer produced by [`compress`]. Fully bounds-checked: a
+/// declared length the tokens cannot expand to is refused before anything
+/// is allocated for it.
 pub fn decompress(data: &[u8]) -> StoreResult<Vec<u8>> {
-    if data.len() < 3 || data[0..2] != MAGIC {
-        return Err(StoreError::Compression("bad magic".into()));
-    }
-    let mode = data[2];
-    let (expect_len, n) =
-        get_varint(&data[3..]).ok_or_else(|| StoreError::Compression("bad length".into()))?;
-    let expect_len = usize::try_from(expect_len)
-        .map_err(|_| StoreError::Compression("length overflow".into()))?;
-    let mut rest = &data[3 + n..];
-
+    let err = |msg: &str| StoreError::Compression(msg.into());
+    let Some((&mode, rest)) = data.split_first() else {
+        return Err(err("empty value"));
+    };
     match mode {
-        MODE_RAW => {
-            if rest.len() != expect_len {
-                return Err(StoreError::Compression("raw length mismatch".into()));
-            }
-            Ok(rest.to_vec())
-        }
+        MODE_RAW => Ok(rest.to_vec()),
         MODE_LZSS => {
+            let (expect_len, n) = get_varint(rest).ok_or_else(|| err("bad length"))?;
+            let mut rest = &rest[n..];
+            let reachable =
+                (rest.len() / MATCH_TOKEN).saturating_mul(MAX_MATCH) + rest.len() % MATCH_TOKEN;
+            let expect_len = usize::try_from(expect_len)
+                .ok()
+                .filter(|&len| len <= reachable)
+                .ok_or_else(|| err("declared length past what the tokens can expand to"))?;
             let mut out = Vec::with_capacity(expect_len);
             while out.len() < expect_len {
                 let Some((&flags, after)) = rest.split_first() else {
-                    return Err(StoreError::Compression("truncated flags".into()));
+                    return Err(err("truncated flags"));
                 };
                 rest = after;
                 for bit in 0..8 {
@@ -183,16 +147,14 @@ pub fn decompress(data: &[u8]) -> StoreResult<Vec<u8>> {
                         break;
                     }
                     if flags & (1 << bit) != 0 {
-                        if rest.len() < 3 {
-                            return Err(StoreError::Compression("truncated match".into()));
+                        if rest.len() < MATCH_TOKEN {
+                            return Err(err("truncated match"));
                         }
                         let off = u16::from_le_bytes([rest[0], rest[1]]) as usize + 1;
                         let len = rest[2] as usize + MIN_MATCH;
-                        rest = &rest[3..];
+                        rest = &rest[MATCH_TOKEN..];
                         if off > out.len() {
-                            return Err(StoreError::Compression(
-                                "match offset out of range".into(),
-                            ));
+                            return Err(err("match offset out of range"));
                         }
                         let start = out.len() - off;
                         for i in 0..len {
@@ -201,7 +163,7 @@ pub fn decompress(data: &[u8]) -> StoreResult<Vec<u8>> {
                         }
                     } else {
                         let Some((&b, after)) = rest.split_first() else {
-                            return Err(StoreError::Compression("truncated literal".into()));
+                            return Err(err("truncated literal"));
                         };
                         rest = after;
                         out.push(b);
@@ -209,7 +171,7 @@ pub fn decompress(data: &[u8]) -> StoreResult<Vec<u8>> {
                 }
             }
             if out.len() != expect_len {
-                return Err(StoreError::Compression("length mismatch after decode".into()));
+                return Err(err("length mismatch after decode"));
             }
             Ok(out)
         }
@@ -261,8 +223,17 @@ mod tests {
             })
             .collect();
         let packed = compress(&input);
-        assert!(packed.len() <= input.len() + 16, "raw fallback bounds expansion");
+        assert_eq!(packed.len(), input.len() + 1, "raw fallback costs the mode byte");
         assert_eq!(decompress(&packed).unwrap(), input);
+    }
+
+    #[test]
+    fn a_short_value_costs_one_byte_more_than_itself() {
+        for value in [&b""[..], b"7", b"1234", b"12345678"] {
+            let packed = compress(value);
+            assert_eq!(packed, [&[MODE_RAW][..], value].concat());
+            assert_eq!(decompress(&packed).unwrap(), value);
+        }
     }
 
     #[test]
@@ -275,18 +246,37 @@ mod tests {
     #[test]
     fn decompress_rejects_garbage() {
         assert!(decompress(b"").is_err());
-        assert!(decompress(b"XY\x01\x05hello").is_err());
-        assert!(decompress(&[0x4d, 0x5a, 9, 0]).is_err());
+        assert!(decompress(b"\x09hello").is_err(), "unknown mode");
+        assert!(decompress(&[MODE_LZSS]).is_err(), "no length");
         // Valid header, truncated body.
         let mut packed = compress(b"hello world hello world hello world");
+        assert_eq!(packed[0], MODE_LZSS);
         packed.truncate(packed.len() - 3);
         assert!(decompress(&packed).is_err());
     }
 
     #[test]
+    fn a_declared_length_past_what_the_tokens_can_reach_is_refused_before_allocating() {
+        // Once "memory allocation of 9223372036854775807 bytes failed":
+        // the same declared length under the old "MZ" header, then under
+        // the one-byte header.
+        let huge = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+        let old = [&[0x4d, 0x5a, MODE_LZSS][..], &huge].concat();
+        let new = [&[MODE_LZSS][..], &huge].concat();
+        for data in [old, new] {
+            assert!(matches!(decompress(&data), Err(StoreError::Compression(_))));
+        }
+        // Three bytes after the length reach at most one longest match.
+        let mut max = vec![MODE_LZSS];
+        put_varint(&mut max, MAX_MATCH as u64 + 1);
+        max.extend_from_slice(&[0b1, 0, 255]);
+        assert!(decompress(&max).unwrap_err().to_string().contains("declared length"));
+    }
+
+    #[test]
     fn decompress_rejects_bad_match_offset() {
-        // Hand-craft: MAGIC, LZSS, len=4, flags=0b1 (match), offset 999, len 0.
-        let mut buf = vec![0x4d, 0x5a, MODE_LZSS];
+        // Hand-craft: LZSS, len=4, flags=0b1 (match), offset 999, len 0.
+        let mut buf = vec![MODE_LZSS];
         put_varint(&mut buf, 4);
         buf.push(0b1);
         buf.extend_from_slice(&998u16.to_le_bytes());

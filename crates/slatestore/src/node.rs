@@ -496,6 +496,7 @@ impl StoreNode {
 mod tests {
     use super::*;
     use crate::device::DeviceProfile;
+    use crate::types::StoreError;
     use crate::util::TempDir;
 
     fn node(dir: &TempDir) -> StoreNode {
@@ -760,6 +761,33 @@ mod tests {
         // Counter text is untouched.
         let (value, codec) = n.get_tagged(&key("counter"), 2_000).unwrap().unwrap();
         assert_eq!((value.as_ref(), codec), (&b"17"[..], Codec::Json));
+    }
+
+    #[test]
+    fn a_store_in_the_old_layout_is_refused_and_left_untouched() {
+        // Written by the per-cell encoder of the previous format: a table
+        // holding ⟨k, U⟩ = "7" (stored as "MZ", raw, length 1) and a WAL
+        // segment holding ⟨k, U⟩ = "8".
+        const OLD_TABLE: &str = "1597a41009000000016b01550001000137ec569faa06000000016b015500\
+            11a4914e2d180000001000000000000000010000000000000060c08001070e18301100000000000000\
+            1f000000000000000100000000000000425453535050554d";
+        const OLD_SEGMENT: &str = "b088d0f109000000016b01550003000138";
+        for (name, hex) in [("sst-0.sst", OLD_TABLE), ("wal-1.log", OLD_SEGMENT)] {
+            let dir = TempDir::new("node").unwrap();
+            let old: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            std::fs::write(dir.file(name), &old).unwrap();
+            let opened = StoreNode::open(
+                NodeConfig::new(dir.path()),
+                Arc::new(StorageDevice::new(DeviceProfile::NULL)),
+            );
+            let Err(StoreError::Corrupt(msg)) = opened else { panic!("{name} was accepted") };
+            assert!(msg.contains(&dir.file(name).display().to_string()), "{msg}");
+            assert_eq!(std::fs::read(dir.file(name)).unwrap(), old);
+            assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 1, "nothing created");
+        }
     }
 
     #[test]

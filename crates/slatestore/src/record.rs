@@ -1,11 +1,6 @@
-//! Shared on-disk cell record encoding, used by both the WAL and SSTable
-//! blocks so there is exactly one (well-tested) serialization of a cell.
-//!
-//! ```text
-//! record := [len-prefixed row][len-prefixed column][u8 flags]
-//!           [varint write_ts][varint ttl_secs+1 (0 = none)]
-//!           [len-prefixed value]
-//! ```
+//! The run codec: the one on-disk serialization of cells. A run is the
+//! payload of one WAL record (one group commit) and of one SSTable block.
+//! DESIGN.md §2 has the layout and what each part of it saves.
 
 use bytes::Bytes;
 use muppet_core::codec::{get_len_prefixed, get_varint, put_len_prefixed, put_varint};
@@ -13,148 +8,229 @@ use muppet_core::Codec;
 
 use crate::types::{Cell, CellKey, StoreError, StoreResult};
 
-const FLAG_TOMBSTONE: u8 = 0b0000_0001;
-/// Cell-level payload-format tag: set when the (uncompressed) value is
-/// MBF. Absent on every record written before the binary codec existed, so
-/// old JSON tables and WALs decode unchanged as `Codec::Json`.
-const FLAG_MBF: u8 = 0b0000_0010;
+/// Flag bits in the low end of a cell's head; the column index sits above.
+const TOMBSTONE: u64 = 0b001;
+const MBF: u64 = 0b010;
+const TTL: u64 = 0b100;
+const FLAG_BITS: u32 = 3;
 
-/// Append the record encoding of `(key, cell)` to `out`.
-pub(crate) fn encode_cell(out: &mut Vec<u8>, key: &CellKey, cell: &Cell) {
-    put_len_prefixed(out, &key.row);
-    put_len_prefixed(out, &key.column);
-    let mut flags = 0u8;
-    if cell.tombstone {
-        flags |= FLAG_TOMBSTONE;
-    }
-    if cell.codec == Codec::Mbf {
-        flags |= FLAG_MBF;
-    }
-    out.push(flags);
-    put_varint(out, cell.write_ts);
-    put_varint(out, cell.ttl_secs.map_or(0, |t| t + 1));
-    put_len_prefixed(out, &cell.value);
+/// Appends cells to one run. A fresh encoder starts a fresh run.
+#[derive(Default)]
+pub(crate) struct RunEncoder {
+    columns: Vec<Bytes>,
+    row: Bytes,
+    write_ts: u64,
 }
 
-/// Decode one record from the front of `buf`; returns the record and the
-/// number of bytes consumed.
-pub(crate) fn decode_cell(buf: &[u8]) -> StoreResult<((CellKey, Cell), usize)> {
-    let corrupt = |what: &str| StoreError::Corrupt(format!("cell record: {what}"));
-    let (row, n1) = get_len_prefixed(buf).ok_or_else(|| corrupt("row"))?;
-    let rest = &buf[n1..];
-    let (column, n2) = get_len_prefixed(rest).ok_or_else(|| corrupt("column"))?;
-    let rest = &rest[n2..];
-    let (&flags, rest2) = rest.split_first().ok_or_else(|| corrupt("flags"))?;
-    let (write_ts, n3) = get_varint(rest2).ok_or_else(|| corrupt("write_ts"))?;
-    let rest3 = &rest2[n3..];
-    let (ttl_raw, n4) = get_varint(rest3).ok_or_else(|| corrupt("ttl"))?;
-    let rest4 = &rest3[n4..];
-    let (value, n5) = get_len_prefixed(rest4).ok_or_else(|| corrupt("value"))?;
-    let consumed = n1 + n2 + 1 + n3 + n4 + n5;
-    let cell = Cell {
-        value: Bytes::copy_from_slice(value),
-        write_ts,
-        ttl_secs: if ttl_raw == 0 { None } else { Some(ttl_raw - 1) },
-        tombstone: flags & FLAG_TOMBSTONE != 0,
-        codec: if flags & FLAG_MBF != 0 { Codec::Mbf } else { Codec::Json },
-    };
-    Ok(((CellKey::new(row, column), cell), consumed))
+impl RunEncoder {
+    /// Append `(key, cell)` to the run being written into `out`.
+    pub(crate) fn push(&mut self, out: &mut Vec<u8>, key: &CellKey, cell: &Cell) {
+        let shared = self.row.iter().zip(key.row.iter()).take_while(|(a, b)| a == b).count();
+        put_varint(out, shared as u64);
+        put_len_prefixed(out, &key.row[shared..]);
+        self.row = key.row.clone();
+
+        let known = self.columns.iter().position(|c| *c == key.column);
+        let column = known.unwrap_or(self.columns.len());
+        let mut head = (column as u64) << FLAG_BITS;
+        if cell.tombstone {
+            debug_assert!(cell.value.is_empty(), "a tombstone's value is not stored");
+            head |= TOMBSTONE;
+        }
+        if cell.codec == Codec::Mbf {
+            head |= MBF;
+        }
+        if cell.ttl_secs.is_some() {
+            head |= TTL;
+        }
+        put_varint(out, head);
+        if known.is_none() {
+            put_len_prefixed(out, &key.column);
+            self.columns.push(key.column.clone());
+        }
+
+        let delta = cell.write_ts.wrapping_sub(self.write_ts) as i64;
+        put_varint(out, ((delta << 1) ^ (delta >> 63)) as u64);
+        self.write_ts = cell.write_ts;
+        if let Some(ttl) = cell.ttl_secs {
+            put_varint(out, ttl);
+        }
+        if !cell.tombstone {
+            put_len_prefixed(out, &cell.value);
+        }
+    }
+}
+
+/// One decoded cell, borrowed from its run; its row is the reader's.
+pub(crate) struct CellRef<'a> {
+    pub(crate) column: &'a [u8],
+    head: u64,
+    write_ts: u64,
+    ttl_secs: Option<u64>,
+    value: &'a [u8],
+}
+
+impl CellRef<'_> {
+    /// The owned cell.
+    pub(crate) fn to_cell(&self) -> Cell {
+        Cell {
+            value: Bytes::copy_from_slice(self.value),
+            write_ts: self.write_ts,
+            ttl_secs: self.ttl_secs,
+            tombstone: self.head & TOMBSTONE != 0,
+            codec: if self.head & MBF != 0 { Codec::Mbf } else { Codec::Json },
+        }
+    }
+}
+
+/// Walks the cells of one run in order, allocating nothing per cell.
+pub(crate) struct RunReader<'a> {
+    rest: &'a [u8],
+    columns: Vec<&'a [u8]>,
+    row: Vec<u8>,
+    write_ts: u64,
+}
+
+fn corrupt(what: &str) -> StoreError {
+    StoreError::Corrupt(format!("run: bad {what}"))
+}
+
+impl<'a> RunReader<'a> {
+    pub(crate) fn new(run: &'a [u8]) -> Self {
+        RunReader { rest: run, columns: Vec::new(), row: Vec::new(), write_ts: 0 }
+    }
+
+    /// The row of the cell [`RunReader::next_cell`] returned last.
+    pub(crate) fn row(&self) -> &[u8] {
+        &self.row
+    }
+
+    /// The next cell; `None` at the end of the run, `Err` where it is
+    /// malformed.
+    pub(crate) fn next_cell(&mut self) -> StoreResult<Option<CellRef<'a>>> {
+        if self.rest.is_empty() {
+            return Ok(None);
+        }
+        let shared = self.varint("shared prefix")?;
+        let suffix = self.bytes("row")?;
+        if shared > self.row.len() as u64 {
+            return Err(corrupt("shared prefix"));
+        }
+        self.row.truncate(shared as usize);
+        self.row.extend_from_slice(suffix);
+
+        let head = self.varint("head")?;
+        let index = usize::try_from(head >> FLAG_BITS).map_err(|_| corrupt("column"))?;
+        let column = match self.columns.get(index) {
+            Some(column) => column,
+            None if index == self.columns.len() => {
+                let name = self.bytes("column")?;
+                self.columns.push(name);
+                name
+            }
+            None => return Err(corrupt("column")),
+        };
+
+        let zigzag = self.varint("write_ts")?;
+        self.write_ts = self.write_ts.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
+        let ttl_secs = if head & TTL != 0 { Some(self.varint("ttl")?) } else { None };
+        let value = if head & TOMBSTONE != 0 { &[][..] } else { self.bytes("value")? };
+        Ok(Some(CellRef { column, head, write_ts: self.write_ts, ttl_secs, value }))
+    }
+
+    fn varint(&mut self, what: &str) -> StoreResult<u64> {
+        let (value, used) = get_varint(self.rest).ok_or_else(|| corrupt(what))?;
+        self.rest = &self.rest[used..];
+        Ok(value)
+    }
+
+    fn bytes(&mut self, what: &str) -> StoreResult<&'a [u8]> {
+        let (bytes, used) = get_len_prefixed(self.rest).ok_or_else(|| corrupt(what))?;
+        self.rest = &self.rest[used..];
+        Ok(bytes)
+    }
+}
+
+/// Decode every cell of `run` onto `out`. On `Err`, `out` may hold part
+/// of the run.
+pub(crate) fn decode_run(run: &[u8], out: &mut Vec<(CellKey, Cell)>) -> StoreResult<()> {
+    let mut reader = RunReader::new(run);
+    while let Some(cell) = reader.next_cell()? {
+        out.push((CellKey::new(reader.row(), cell.column), cell.to_cell()));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip_with_all_fields() {
-        let key = CellKey::new("row", "col");
-        let cell = Cell {
-            value: Bytes::from_static(b"data"),
-            write_ts: 99,
-            ttl_secs: Some(5),
-            tombstone: false,
-            codec: Codec::Json,
-        };
-        let mut buf = Vec::new();
-        encode_cell(&mut buf, &key, &cell);
-        let ((k2, c2), n) = decode_cell(&buf).unwrap();
-        assert_eq!(k2, key);
-        assert_eq!(c2, cell);
-        assert_eq!(n, buf.len());
+    pub(crate) fn encode(cells: &[(CellKey, Cell)]) -> Vec<u8> {
+        let (mut run, mut out) = (RunEncoder::default(), Vec::new());
+        for (key, cell) in cells {
+            run.push(&mut out, key, cell);
+        }
+        out
     }
 
-    #[test]
-    fn concatenated_records_decode_sequentially() {
-        let mut buf = Vec::new();
-        let recs: Vec<_> = (0..5u64)
-            .map(|i| (CellKey::new(format!("r{i}"), "U"), Cell::live(format!("v{i}"), i, None)))
-            .collect();
-        for (k, c) in &recs {
-            encode_cell(&mut buf, k, c);
-        }
-        let mut rest: &[u8] = &buf;
+    fn decode(run: &[u8]) -> StoreResult<Vec<(CellKey, Cell)>> {
         let mut out = Vec::new();
-        while !rest.is_empty() {
-            let (rec, n) = decode_cell(rest).unwrap();
-            out.push(rec);
-            rest = &rest[n..];
+        decode_run(run, &mut out).map(|()| out)
+    }
+
+    /// Every shape the layout distinguishes.
+    pub(crate) fn mixed_cells() -> Vec<(CellKey, Cell)> {
+        vec![
+            (CellKey::new("user-17", "U1"), Cell::live("data", 99, Some(5))),
+            (CellKey::new("user-170", "U1"), Cell::live_in("bin", Codec::Mbf, 7, None)),
+            (CellKey::new("user-170", "zipf-counter"), Cell::tombstone(u64::MAX)),
+            (CellKey::new("", "U1"), Cell::live(Vec::<u8>::new(), 0, Some(0))),
+            (CellKey::new([0u8, 255], [128u8]), Cell::live("v", 3, Some(u64::MAX))),
+        ]
+    }
+
+    #[test]
+    fn a_run_round_trips_every_cell_shape() {
+        let cells = mixed_cells();
+        assert_eq!(decode(&encode(&cells)).unwrap(), cells);
+        assert_eq!(decode(&[]).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn a_run_has_the_documented_byte_layout() {
+        let cells = &mixed_cells()[..3];
+        #[rustfmt::skip]
+        let expected: Vec<u8> = [
+            &[0u8, 7][..], b"user-17", &[0b100, 2], b"U1",   // new column 0, TTL
+            &[0xc6, 0x01, 5], &[4], b"data",          // zigzag(+99) = 198, ttl 5
+            &[7, 1], b"0", &[0b010, 0xb7, 0x01],       // shares "user-17", MBF, zigzag(-92)
+            &[3], b"bin",
+            &[8, 0], &[0b1001, 12], b"zipf-counter",   // new column 1, tombstone, no value
+            &[15],                                    // u64::MAX is 7 - 8 (wrapping)
+        ]
+        .concat();
+        assert_eq!(encode(cells), expected);
+    }
+
+    #[test]
+    fn every_prefix_of_a_run_decodes_to_a_prefix_of_its_cells_or_errs() {
+        let cells = mixed_cells();
+        let run = encode(&cells);
+        for cut in 0..run.len() {
+            let mut out = Vec::new();
+            let result = decode_run(&run[..cut], &mut out);
+            assert!(cells.starts_with(&out), "cut at {cut}");
+            assert!(result.is_err() || out.len() < cells.len(), "cut at {cut}");
         }
-        assert_eq!(out, recs);
     }
 
     #[test]
-    fn ttl_zero_is_preserved_distinct_from_none() {
-        let key = CellKey::new("r", "c");
-        let mut buf = Vec::new();
-        encode_cell(&mut buf, &key, &Cell::live("v", 1, Some(0)));
-        encode_cell(&mut buf, &key, &Cell::live("v", 1, None));
-        let ((_, a), n) = decode_cell(&buf).unwrap();
-        let ((_, b), _) = decode_cell(&buf[n..]).unwrap();
-        assert_eq!(a.ttl_secs, Some(0));
-        assert_eq!(b.ttl_secs, None);
-    }
-
-    #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let key = CellKey::new("row", "col");
-        let mut buf = Vec::new();
-        encode_cell(&mut buf, &key, &Cell::live("some value", 1, None));
-        for cut in 0..buf.len() {
-            assert!(decode_cell(&buf[..cut]).is_err(), "cut at {cut} must error");
-        }
-    }
-
-    #[test]
-    fn tombstone_flag_roundtrips() {
-        let key = CellKey::new("r", "c");
-        let mut buf = Vec::new();
-        encode_cell(&mut buf, &key, &Cell::tombstone(42));
-        let ((_, c), _) = decode_cell(&buf).unwrap();
-        assert!(c.tombstone);
-        assert_eq!(c.write_ts, 42);
-    }
-
-    #[test]
-    fn mbf_codec_tag_roundtrips() {
-        let key = CellKey::new("r", "c");
-        let mut buf = Vec::new();
-        encode_cell(&mut buf, &key, &Cell::live_in("binary", Codec::Mbf, 7, Some(3)));
-        encode_cell(&mut buf, &key, &Cell::live("text", 8, None));
-        let ((_, a), n) = decode_cell(&buf).unwrap();
-        assert_eq!(a.codec, Codec::Mbf);
-        assert!(!a.tombstone);
-        let ((_, b), _) = decode_cell(&buf[n..]).unwrap();
-        assert_eq!(b.codec, Codec::Json);
-    }
-
-    #[test]
-    fn pre_mbf_records_decode_as_json() {
-        // A record whose flags byte predates FLAG_MBF (only the tombstone
-        // bit exists) must read back as a JSON-codec cell.
-        let key = CellKey::new("row", "col");
-        let mut buf = Vec::new();
-        encode_cell(&mut buf, &key, &Cell::live("legacy", 1, None));
-        let ((_, c), _) = decode_cell(&buf).unwrap();
-        assert_eq!(c.codec, Codec::Json);
+    fn a_column_or_prefix_the_run_has_not_defined_is_corrupt() {
+        // Column index 1 before any column is named.
+        assert!(decode(&[0, 1, b'k', 1 << FLAG_BITS, 0, 0]).is_err());
+        // A row sharing more than the previous row holds.
+        assert!(decode(&[3, 1, b'k', 0, 1, b'U', 0, 0]).is_err());
+        // A column index far past the table.
+        assert!(decode(&[0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1]).is_err());
     }
 }

@@ -8,14 +8,16 @@
 //!
 //! ```text
 //! [block 0][block 1]...[index block][bloom block][footer]
-//! block      := [u32 crc][u32 len][cell records...]   (~4 KiB of records)
+//! block      := [u32 crc][u32 len][run]   (a `crate::record` run, ~4 KiB)
 //! index      := [u32 crc][u32 len][(first key, offset, len) per block]
 //! bloom      := [u32 crc][u32 len][BloomFilter bytes]
 //! footer     := index_off u64 | bloom_off u64 | entries u64 | magic u64
 //! ```
 //!
 //! Point reads consult the bloom filter, binary-search the in-memory index,
-//! and read exactly one block (charged to the [`StorageDevice`]).
+//! read exactly one block (charged to the [`StorageDevice`]) and scan its
+//! run in place, building a [`Cell`] only for the hit. DESIGN.md §2 has
+//! the run layout.
 
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
@@ -27,10 +29,12 @@ use muppet_core::codec::{get_len_prefixed, get_varint, put_len_prefixed};
 
 use crate::bloom::BloomFilter;
 use crate::device::StorageDevice;
-use crate::record::{decode_cell, encode_cell};
+use crate::record::{decode_run, RunEncoder, RunReader};
 use crate::types::{Cell, CellKey, StoreError, StoreResult};
 
-const MAGIC: u64 = 0x4d55_5050_5353_5442; // "MUPPSSTB"
+const MAGIC: u64 = 0x4d55_5050_5353_5432; // "MUPPSST2"
+/// The footer magic of the per-cell block layout this build refuses.
+const OLD_MAGIC: u64 = 0x4d55_5050_5353_5442; // "MUPPSSTB"
 const FOOTER_LEN: usize = 32;
 /// Target uncompressed block payload size.
 pub const BLOCK_TARGET: usize = 4096;
@@ -41,6 +45,7 @@ pub struct SSTableWriter {
     file: File,
     device: Arc<StorageDevice>,
     block: Vec<u8>,
+    run: RunEncoder,
     block_first_key: Option<CellKey>,
     index: Vec<(CellKey, u64, u32)>,
     offset: u64,
@@ -63,6 +68,7 @@ impl SSTableWriter {
             file,
             device,
             block: Vec::with_capacity(BLOCK_TARGET + 512),
+            run: RunEncoder::default(),
             block_first_key: None,
             index: Vec::new(),
             offset: 0,
@@ -82,7 +88,7 @@ impl SSTableWriter {
             self.block_first_key = Some(key.clone());
         }
         self.bloom.insert(&bloom_item(key));
-        encode_cell(&mut self.block, key, cell);
+        self.run.push(&mut self.block, key, cell);
         self.entries += 1;
         if self.block.len() >= BLOCK_TARGET {
             self.finish_block()?;
@@ -101,6 +107,7 @@ impl SSTableWriter {
         self.index.push((first, self.offset, framed_len as u32));
         self.offset += framed_len as u64;
         self.block.clear();
+        self.run = RunEncoder::default();
         Ok(())
     }
 
@@ -169,11 +176,11 @@ fn read_framed_at(file: &File, offset: u64, framed_len: usize) -> StoreResult<Ve
     if len as usize + 8 != framed_len {
         return Err(StoreError::Corrupt("frame: length mismatch".into()));
     }
-    let payload = buf.split_off(8);
-    if crc32c(&payload) != crc {
+    buf.drain(..8);
+    if crc32c(&buf) != crc {
         return Err(StoreError::Corrupt("frame: checksum mismatch".into()));
     }
-    Ok(payload)
+    Ok(buf)
 }
 
 fn bloom_item(key: &CellKey) -> Vec<u8> {
@@ -227,7 +234,15 @@ impl SSTable {
         // lint: allow(no-unwrap-in-prod) — fixed FOOTER_LEN array, offsets statically in bounds
         let magic = get_u64(&footer, 24).unwrap();
         if magic != MAGIC {
-            return Err(StoreError::Corrupt("sstable: bad magic".into()));
+            let layout = if magic == OLD_MAGIC {
+                "an SSTable in an older build's per-cell layout"
+            } else {
+                "not an SSTable (bad magic)"
+            };
+            return Err(StoreError::Corrupt(format!(
+                "{}: {layout}; left untouched",
+                path.display()
+            )));
         }
         if index_off > bloom_off || bloom_off > file_len - FOOTER_LEN as u64 {
             return Err(StoreError::Corrupt("sstable: bad section offsets".into()));
@@ -273,13 +288,12 @@ impl SSTable {
         let (_, offset, framed_len) = &self.index[block_idx];
         self.device.charge_read(*framed_len as usize);
         let payload = read_framed_at(&self.file, *offset, *framed_len as usize)?;
-        let mut rest: &[u8] = &payload;
-        while !rest.is_empty() {
-            let ((k, cell), n) = decode_cell(rest)?;
-            match k.cmp(key) {
-                std::cmp::Ordering::Equal => return Ok(Some(cell)),
+        let mut run = RunReader::new(&payload);
+        while let Some(cell) = run.next_cell()? {
+            match (run.row(), cell.column).cmp(&(&key.row[..], &key.column[..])) {
+                std::cmp::Ordering::Equal => return Ok(Some(cell.to_cell())),
                 std::cmp::Ordering::Greater => return Ok(None),
-                std::cmp::Ordering::Less => rest = &rest[n..],
+                std::cmp::Ordering::Less => {}
             }
         }
         Ok(None)
@@ -292,12 +306,7 @@ impl SSTable {
         for (_, offset, framed_len) in &self.index {
             self.device.charge_read(*framed_len as usize);
             let payload = read_framed_at(&self.file, *offset, *framed_len as usize)?;
-            let mut rest: &[u8] = &payload;
-            while !rest.is_empty() {
-                let (rec, n) = decode_cell(rest)?;
-                out.push(rec);
-                rest = &rest[n..];
-            }
+            decode_run(&payload, &mut out)?;
         }
         Ok(out)
     }
@@ -410,18 +419,33 @@ mod tests {
         assert!(t.get(&CellKey::new("b", "U")).unwrap().unwrap().tombstone);
     }
 
+    /// Flip a bit in any byte of the first block's frame: every read of
+    /// that block errs. Cut the file inside it: the table does not open.
     #[test]
     fn corruption_is_detected() {
         let dir = TempDir::new("sst").unwrap();
         let path = dir.file("t.sst");
-        build_table(&dir, "t.sst", 200);
-        let mut data = std::fs::read(&path).unwrap();
-        // Flip a byte inside the first data block.
-        data[20] ^= 0xff;
-        std::fs::write(&path, &data).unwrap();
-        let table = SSTable::open(&path, device()).unwrap();
-        let key = CellKey::new("row-000000", "U1");
-        assert!(matches!(table.get(&key), Err(StoreError::Corrupt(_))));
+        let (block_len, second_block) = {
+            let table = build_table(&dir, "t.sst", 1000);
+            (table.index[0].2 as usize, table.index[1].0.clone())
+        };
+        let data = std::fs::read(&path).unwrap();
+        let (first, last) = (CellKey::new("row-000000", "U1"), CellKey::new("row-000003", "U1"));
+        assert!(last < second_block, "both keys sit in the first block");
+        for at in 0..block_len {
+            let mut flipped = data.clone();
+            flipped[at] ^= 1 << (at % 8);
+            std::fs::write(&path, &flipped).unwrap();
+            let table = SSTable::open(&path, device()).unwrap();
+            for key in [&first, &last] {
+                assert!(matches!(table.get(key), Err(StoreError::Corrupt(_))), "bit {at}");
+            }
+            assert!(table.scan().is_err());
+        }
+        for cut in 0..block_len {
+            std::fs::write(&path, &data[..cut]).unwrap();
+            assert!(SSTable::open(&path, device()).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

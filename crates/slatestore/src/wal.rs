@@ -15,25 +15,26 @@
 //! poison recovery — and [`WalWriter::resume`] cuts the file back to that
 //! boundary. The runtime's ingest log puts its frames of events on it.
 //! The **cell layer** (`append`, `append_many`, [`replay`],
-//! [`WalWriter::open_or_create`]) is the commit log proper: one record per
-//! cell write.
+//! [`WalWriter::create`], [`WalWriter::open_or_create`]) is the commit
+//! log proper: a segment header, then one record per group commit whose
+//! payload is a run of `crate::record`. DESIGN.md §2 has the layout.
 //!
 //! ```text
-//! record  := [u32 crc32c over payload][u32 payload_len][payload]
-//! payload := [len-prefixed row][len-prefixed column][u8 flags]      (cell layer)
-//!            [varint write_ts][varint ttl_secs+1 (0 = none)]
-//!            [len-prefixed value]
+//! record := [u32 crc32c over payload][u32 payload_len][payload]
 //! ```
 
-use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 use muppet_core::codec::crc32c;
 
-use crate::record::{decode_cell, encode_cell};
+use crate::record::{decode_run, RunEncoder};
 use crate::types::{Cell, CellKey, StoreError, StoreResult};
+
+/// First bytes of every cell-layer segment: magic + format version.
+/// Format 1 had no header and one record per cell.
+const MAGIC: [u8; 8] = *b"MUPSWAL\x02";
 
 /// Append-only writer for one WAL segment file.
 #[derive(Debug)]
@@ -56,12 +57,14 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Create (truncate) a segment at `path`. Callers that may be
-    /// re-opening a segment they still need to recover from must use
-    /// [`WalWriter::open_or_create`] instead — `create` destroys exactly
-    /// the records a restart would replay.
+    /// Create (truncate) a cell-layer segment at `path` and write its
+    /// header. Callers that may be re-opening a segment they still need
+    /// to recover from must use [`WalWriter::open_or_create`] instead —
+    /// `create` destroys exactly the records a restart would replay.
     pub fn create(path: impl AsRef<Path>, sync_each: bool) -> StoreResult<WalWriter> {
-        Self::resume(path, sync_each, 0, 0)
+        let mut writer = Self::resume(path, sync_each, 0, 0)?;
+        writer.write_raw(&MAGIC)?;
+        Ok(writer)
     }
 
     /// Open an existing segment for appending — replaying its intact
@@ -76,8 +79,11 @@ impl WalWriter {
         sync_each: bool,
     ) -> StoreResult<(WalWriter, WalReplay)> {
         let replayed = replay(&path)?;
-        let records = replayed.records.len() as u64;
-        let writer = Self::resume(path, sync_each, records, replayed.valid_bytes)?;
+        let writer = if replayed.valid_bytes == 0 {
+            Self::create(path, sync_each)?
+        } else {
+            Self::resume(path, sync_each, replayed.runs, replayed.valid_bytes)?
+        };
         Ok((writer, replayed))
     }
 
@@ -163,26 +169,28 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Append one cell write.
+    /// Append one cell write: a run of one.
     pub fn append(&mut self, key: &CellKey, cell: &Cell) -> StoreResult<()> {
-        self.stage(|buf| encode_cell(buf, key, cell));
+        self.stage(|buf| RunEncoder::default().push(buf, key, cell));
         self.commit()
     }
 
-    /// Append a run of cell writes as one group commit: all records are
-    /// framed into one buffer and enter the file buffer with one write,
-    /// then — under `sync_each` — ONE fsync makes the whole batch durable,
-    /// instead of one per record. The §4.2 write-behind pipeline's
-    /// durability amortization: a flush tick of N dirty slates pays one
-    /// disk sync, not N.
-    pub fn append_many<R: Borrow<(CellKey, Cell)>>(
-        &mut self,
-        entries: impl IntoIterator<Item = R>,
-    ) -> StoreResult<()> {
-        for entry in entries {
-            let (key, cell) = entry.borrow();
-            self.stage(|buf| encode_cell(buf, key, cell));
+    /// Append cell writes as one group commit: one record whose payload
+    /// is one run, one write to the file buffer, then — under
+    /// `sync_each` — ONE fsync for the whole batch instead of one per
+    /// cell. The §4.2 write-behind pipeline's durability amortization: a
+    /// flush tick of N dirty slates pays one disk sync, not N. A torn
+    /// group commit is lost whole on replay. An empty batch writes nothing.
+    pub fn append_many(&mut self, entries: &[(CellKey, Cell)]) -> StoreResult<()> {
+        if entries.is_empty() {
+            return Ok(());
         }
+        self.stage(|buf| {
+            let mut run = RunEncoder::default();
+            for (key, cell) in entries {
+                run.push(buf, key, cell);
+            }
+        });
         self.commit()
     }
 
@@ -206,7 +214,7 @@ impl WalWriter {
         self.syncs
     }
 
-    /// Records appended so far.
+    /// Records (frames) appended so far: a group commit of many cells is one.
     pub fn record_count(&self) -> u64 {
         self.records
     }
@@ -222,23 +230,18 @@ impl WalWriter {
     }
 }
 
-fn decode_record(payload: &[u8]) -> StoreResult<(CellKey, Cell)> {
-    let (rec, n) = decode_cell(payload)?;
-    if n != payload.len() {
-        return Err(StoreError::Corrupt("wal record: trailing bytes".into()));
-    }
-    Ok(rec)
-}
-
 /// Outcome of replaying one WAL segment.
 #[derive(Debug)]
 pub struct WalReplay {
     /// Recovered writes, in append order.
     pub records: Vec<(CellKey, Cell)>,
+    /// Intact runs (records) they came from.
+    pub runs: u64,
     /// True if replay stopped early at a torn/corrupt record.
     pub truncated: bool,
-    /// Bytes of intact framed records (the boundary a torn tail is cut
-    /// back to by [`WalWriter::open_or_create`]).
+    /// Bytes of the header and the intact framed records (the boundary a
+    /// torn tail is cut back to by [`WalWriter::open_or_create`]); 0 when
+    /// the segment has no complete header.
     pub valid_bytes: u64,
 }
 
@@ -304,23 +307,43 @@ impl RawReplay {
     }
 }
 
-/// Replay a segment file of cell records. Missing file ⟹ empty replay
-/// (fresh node). A record that fails its checksum or does not decode as a
-/// cell ends the replay there.
+/// Replay a cell-layer segment. A missing file, or one whose creation
+/// died inside the header, replays empty (fresh node). A record that fails
+/// its checksum or does not decode as a run ends the replay there, losing
+/// that group commit whole. A non-empty file without the header — a
+/// segment of the per-cell format 1 — is refused with `Corrupt` and left
+/// untouched: replayed as torn, all of its writes would be dropped.
 pub fn replay(path: impl AsRef<Path>) -> StoreResult<WalReplay> {
-    let mut replayed = WalReplay { records: Vec::new(), truncated: false, valid_bytes: 0 };
+    let path = path.as_ref();
+    let mut replayed = WalReplay { records: Vec::new(), runs: 0, truncated: false, valid_bytes: 0 };
     let file = match File::open(path) {
         Ok(file) => file,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(replayed),
         Err(e) => return Err(e.into()),
     };
+    let mut header = Vec::new();
+    (&file).take(MAGIC.len() as u64).read_to_end(&mut header)?;
+    if header != MAGIC {
+        if MAGIC.starts_with(&header) {
+            replayed.truncated = !header.is_empty();
+            return Ok(replayed);
+        }
+        return Err(StoreError::Corrupt(format!(
+            "{} is not a store WAL segment of this format (no segment header: an older \
+             build's per-cell layout?); left untouched",
+            path.display()
+        )));
+    }
+    replayed.valid_bytes = MAGIC.len() as u64;
     let mut raw = RawReplay::new(file, u32::MAX)?;
     while let Some(payload) = raw.next_payload()? {
-        let Ok(record) = decode_record(payload) else {
+        let intact = replayed.records.len();
+        if decode_run(payload, &mut replayed.records).is_err() {
+            replayed.records.truncate(intact);
             replayed.truncated = true;
             break;
-        };
-        replayed.records.push(record);
+        }
+        replayed.runs += 1;
         replayed.valid_bytes = raw.offset();
     }
     replayed.truncated |= raw.torn();
@@ -379,44 +402,89 @@ mod tests {
         let mut w = WalWriter::create(&path, true).unwrap();
         let expected: Vec<_> = (0..64).map(sample).collect();
         w.append_many(&expected).unwrap();
-        assert_eq!(w.record_count(), 64);
+        assert_eq!(w.record_count(), 1, "one record for the whole batch");
         assert_eq!(w.sync_count(), 1, "one fsync for the whole batch (group commit)");
         w.append_many(&[]).unwrap();
         assert_eq!(w.sync_count(), 1, "an empty batch syncs nothing");
         drop(w);
         let replayed = replay(&path).unwrap();
         assert!(!replayed.truncated);
-        assert_eq!(replayed.records, expected, "group commit is byte-identical to appends");
+        assert_eq!(replayed.records, expected, "group commit replays like appends");
     }
 
     #[test]
-    fn one_buffer_batches_keep_the_documented_byte_layout() {
+    fn a_segment_has_the_documented_byte_layout() {
         let dir = TempDir::new("wal").unwrap();
         let path = dir.file("layout.log");
-        let entries: Vec<_> = (0..7).map(sample).collect();
+        let entries: Vec<_> = (0..3).map(sample).collect();
         let mut w = WalWriter::create(&path, false).unwrap();
         w.append(&entries[0].0, &entries[0].1).unwrap();
         w.append_many(&entries[1..]).unwrap();
         w.flush().unwrap();
-        // The frame layout of the module doc, built the long way round.
-        let mut expected = Vec::new();
-        for (key, cell) in &entries {
-            let mut payload = Vec::new();
-            encode_cell(&mut payload, key, cell);
-            expected.extend_from_slice(&crc32c(&payload).to_le_bytes());
+        #[rustfmt::skip]
+        let runs: [Vec<u8>; 2] = [
+            [&[0, 5], &b"row-0"[..], &[0b100, 2], b"U1", &[0, 60, 7], b"value-0"].concat(),
+            [
+                &[0, 5], &b"row-1"[..], &[0, 2], b"U1", &[2, 7], b"value-1",   // ts 1 - 0
+                &[4, 1], b"2", &[0b100, 2, 60, 7], b"value-2",                // shares "row-"
+            ]
+            .concat(),
+        ];
+        let mut expected = b"MUPSWAL\x02".to_vec();
+        for payload in &runs {
+            expected.extend_from_slice(&crc32c(payload).to_le_bytes());
             expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            expected.extend_from_slice(&payload);
+            expected.extend_from_slice(payload);
         }
         assert_eq!(std::fs::read(&path).unwrap(), expected);
-        assert_eq!(w.byte_count(), expected.len() as u64);
-        assert_eq!(w.record_count(), 7);
+        assert_eq!((w.byte_count(), w.record_count()), (expected.len() as u64, 2));
+        let replayed = replay(&path).unwrap();
+        assert_eq!((replayed.records, replayed.runs), (entries, 2));
+    }
+
+    /// Cut or corrupt a segment of two group commits anywhere: replay
+    /// never panics, and keeps exactly the commits before the damage.
+    #[test]
+    fn a_damaged_group_commit_is_lost_whole_and_everything_before_it_survives() {
+        let dir = TempDir::new("wal").unwrap();
+        let path = dir.file("sweep.log");
+        let mut cells = crate::record::tests::mixed_cells();
+        cells.extend((0..4).map(sample));
+        let (first, second) = cells.split_at(3);
+        let mut w = WalWriter::create(&path, false).unwrap();
+        w.append_many(first).unwrap();
+        let boundary = w.byte_count() as usize;
+        w.append_many(second).unwrap();
+        w.flush().unwrap();
+        let data = std::fs::read(&path).unwrap();
+        // A cut or flip before `boundary` damages the first commit.
+        let kept = |at: usize| if at < boundary { &cells[..0] } else { first };
+        for cut in 0..data.len() {
+            std::fs::write(&path, &data[..cut]).unwrap();
+            let replayed = replay(&path).unwrap();
+            assert_eq!(replayed.records, kept(cut), "cut at {cut}");
+            assert_eq!(replayed.truncated, ![0, MAGIC.len(), boundary].contains(&cut));
+        }
+        for at in 0..data.len() {
+            let mut flipped = data.clone();
+            flipped[at] ^= 0x10;
+            std::fs::write(&path, &flipped).unwrap();
+            match replay(&path) {
+                Ok(replayed) => {
+                    assert_eq!(replayed.records, kept(at), "flip at {at}");
+                    assert!(replayed.truncated);
+                }
+                Err(StoreError::Corrupt(_)) => assert!(at < MAGIC.len(), "flip at {at}"),
+                Err(e) => panic!("flip at {at}: {e}"),
+            }
+        }
     }
 
     #[test]
     fn raw_records_round_trip_and_resume_on_the_boundary() {
         let dir = TempDir::new("wal").unwrap();
         let path = dir.file("raw.log");
-        let mut w = WalWriter::create(&path, true).unwrap();
+        let mut w = WalWriter::resume(&path, true, 0, 0).unwrap();
         w.stage(|buf| buf.extend_from_slice(b"one"));
         w.commit().unwrap();
         w.stage(|_| ());
@@ -449,7 +517,7 @@ mod tests {
     fn a_length_over_the_readers_cap_is_torn_before_anything_is_allocated() {
         let dir = TempDir::new("wal").unwrap();
         let path = dir.file("cap.log");
-        let mut w = WalWriter::create(&path, false).unwrap();
+        let mut w = WalWriter::resume(&path, false, 0, 0).unwrap();
         w.stage(|buf| buf.extend_from_slice(&[7; 2_000]));
         w.commit().unwrap();
         w.flush().unwrap();
@@ -575,10 +643,10 @@ mod tests {
             let (mut w, replayed) = WalWriter::open_or_create(&path, false).unwrap();
             assert!(!replayed.truncated);
             assert_eq!(replayed.records, first);
-            assert_eq!(w.record_count(), 8);
+            assert_eq!(w.record_count(), 1, "one group commit");
             w.append_many(&second).unwrap();
             w.flush().unwrap();
-            assert_eq!(w.record_count(), 12);
+            assert_eq!(w.record_count(), 2);
         }
         // Second restart: both generations are present, in order.
         let (w, replayed) = WalWriter::open_or_create(&path, false).unwrap();
@@ -586,7 +654,7 @@ mod tests {
         let mut expected = first;
         expected.extend(second);
         assert_eq!(replayed.records, expected);
-        assert_eq!(w.record_count(), 12);
+        assert_eq!((w.record_count(), replayed.runs), (2, 2));
     }
 
     #[test]
@@ -630,6 +698,13 @@ mod tests {
         w.append(&k, &c).unwrap();
         drop(w);
         assert_eq!(replay(&path).unwrap().records.len(), 1);
+        // So does a segment whose creation died inside the header.
+        std::fs::write(&path, &MAGIC[..5]).unwrap();
+        let (mut w, replayed) = WalWriter::open_or_create(&path, true).unwrap();
+        assert!(replayed.records.is_empty() && replayed.truncated);
+        w.append(&k, &c).unwrap();
+        drop(w);
+        assert_eq!(replay(&path).unwrap().records, vec![(k, c)]);
     }
 
     #[test]

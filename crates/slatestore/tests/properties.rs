@@ -10,7 +10,30 @@ use muppet_slatestore::ring::ConsistentRing;
 use muppet_slatestore::sstable::{SSTable, SSTableWriter};
 use muppet_slatestore::types::{Cell, CellKey};
 use muppet_slatestore::util::TempDir;
+use muppet_slatestore::wal::{replay, WalWriter};
 use proptest::prelude::*;
+
+/// Rows that share prefixes (and some that are empty or binary), a few
+/// columns, tombstones, every TTL shape, and timestamps that jump both
+/// ways and reach the ends of the range.
+fn arb_cell() -> impl Strategy<Value = (CellKey, Cell)> {
+    let row = prop_oneof![
+        (0u32..300).prop_map(|i| format!("user-{i}").into_bytes()),
+        proptest::collection::vec(any::<u8>(), 0..6),
+    ];
+    let column = prop_oneof![Just("zipf-counter"), Just("U1"), Just(""), Just("ünï")];
+    let ts = prop_oneof![1_000u64..1_010, any::<u64>(), Just(0), Just(u64::MAX)];
+    let ttl = prop_oneof![Just(None), Just(Some(0)), any::<u64>().prop_map(Some)];
+    let value = proptest::collection::vec(any::<u8>(), 0..40);
+    (row, column, ts, ttl, value, 0u8..4).prop_map(|(row, column, ts, ttl, value, kind)| {
+        let cell = match kind {
+            0 => Cell::tombstone(ts),
+            1 => Cell::live_in(value, muppet_core::Codec::Mbf, ts, ttl),
+            _ => Cell::live(value, ts, ttl),
+        };
+        (CellKey::new(row, column), cell)
+    })
+}
 
 proptest! {
     // ---------- compression ----------
@@ -32,13 +55,26 @@ proptest! {
     #[test]
     fn compressed_size_is_bounded(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let packed = compress(&data);
-        // Raw fallback bounds expansion: header is ≤ 13 bytes.
-        prop_assert!(packed.len() <= data.len() + 13);
+        // Raw fallback bounds expansion: the header is one mode byte.
+        prop_assert!(packed.len() <= data.len() + 1);
     }
 
     #[test]
     fn decompress_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = decompress(&data);
+    }
+
+    /// Arbitrary bytes behind a valid mode and any declared length: `Ok` or
+    /// `Err`, never a panic or an allocation the bytes cannot fill.
+    #[test]
+    fn decompress_of_any_declared_length_returns(mode in 0u8..3, len in any::<u64>(),
+                                                 tokens in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let mut data = vec![mode];
+        muppet_core::codec::put_varint(&mut data, len);
+        data.extend_from_slice(&tokens);
+        if let Ok(out) = decompress(&data) {
+            prop_assert!(out.len() <= data.len() * 87);
+        }
     }
 
     // ---------- bloom ----------
@@ -119,6 +155,43 @@ proptest! {
 // SSTable write→read equivalence gets fewer cases (touches the filesystem).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn runs_round_trip_through_wal_replay(runs in proptest::collection::vec(
+        proptest::collection::vec(arb_cell(), 0..40), 1..6,
+    )) {
+        let dir = TempDir::new("prop-wal").unwrap();
+        let path = dir.file("wal-0.log");
+        let mut w = WalWriter::create(&path, false).unwrap();
+        for run in &runs {
+            w.append_many(run).unwrap();
+        }
+        w.flush().unwrap();
+        let replayed = replay(&path).unwrap();
+        prop_assert!(!replayed.truncated);
+        prop_assert_eq!(replayed.runs, runs.iter().filter(|run| !run.is_empty()).count() as u64);
+        prop_assert_eq!(replayed.records, runs.concat());
+    }
+
+    #[test]
+    fn runs_round_trip_through_sstable_get_and_scan(
+        cells in proptest::collection::btree_map(
+            arb_cell().prop_map(|(key, _)| key), arb_cell().prop_map(|(_, cell)| cell), 1..400,
+        )
+    ) {
+        let dir = TempDir::new("prop-sst-run").unwrap();
+        let mut w = SSTableWriter::create(dir.file("t.sst"), Arc::new(StorageDevice::default()), cells.len()).unwrap();
+        for (key, cell) in &cells {
+            w.add(key, cell).unwrap();
+        }
+        let table = w.finish().unwrap();
+        for (key, cell) in &cells {
+            prop_assert_eq!(table.get(key).unwrap().as_ref(), Some(cell));
+        }
+        let absent = CellKey::new("user-", "zipf-counter");
+        prop_assert_eq!(table.get(&absent).unwrap().as_ref(), cells.get(&absent));
+        prop_assert_eq!(table.scan().unwrap(), cells.into_iter().collect::<Vec<_>>());
+    }
 
     #[test]
     fn sstable_read_equals_written(entries in proptest::collection::btree_map(
