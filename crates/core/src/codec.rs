@@ -151,24 +151,39 @@ pub fn get_u64(buf: &[u8], offset: usize) -> Option<u64> {
     buf.get(offset..end).map(|s| u64::from_le_bytes(s.try_into().unwrap()))
 }
 
-/// CRC-32C (Castagnoli) over `bytes`, implemented with a 256-entry table.
-/// Used to detect torn or corrupted WAL and SSTable records.
+/// CRC-32C (Castagnoli) over `bytes`, eight bytes per step (slicing-by-8).
+/// Checks every wire frame, ingest-WAL frame, store WAL record and SSTable
+/// block.
 pub fn crc32c(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
+    // `T[0]` is the byte-at-a-time table of the reflected polynomial;
+    // `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, entry) in t[0].iter_mut().enumerate() {
             let mut crc = i as u32;
             for _ in 0..8 {
                 crc = if crc & 1 != 0 { (crc >> 1) ^ 0x82f6_3b78 } else { crc >> 1 };
             }
             *entry = crc;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            }
+        }
         t
     });
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word: [u8; 8] = word.try_into().expect("chunks_exact(8) yields 8 bytes");
+        let v = u64::from_le_bytes(word) ^ u64::from(crc);
+        crc = (0..8).fold(0, |acc, j| acc ^ t[7 - j][(v >> (8 * j) & 0xff) as usize]);
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -325,6 +340,12 @@ mod tests {
     fn crc32c_known_vectors() {
         // RFC 3720 test vector: 32 bytes of zeros.
         assert_eq!(crc32c(&[0u8; 32]), 0x8a91_36aa);
+        // ... 32 bytes of 0xff, ascending and descending.
+        assert_eq!(crc32c(&[0xffu8; 32]), 0x62a8_ab43);
+        let ascending: Vec<u8> = (0..32).collect();
+        assert_eq!(crc32c(&ascending), 0x46dd_794e);
+        let descending: Vec<u8> = (0..32).rev().collect();
+        assert_eq!(crc32c(&descending), 0x113f_db5c);
         // "123456789"
         assert_eq!(crc32c(b"123456789"), 0xe306_9283);
         assert_eq!(crc32c(b""), 0);

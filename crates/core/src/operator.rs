@@ -50,6 +50,11 @@ impl VecEmitter {
         std::mem::take(&mut self.records)
     }
 
+    /// Drain the buffered emissions, keeping the allocation for the next.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, EmitRecord> {
+        self.records.drain(..)
+    }
+
     /// Number of buffered emissions.
     pub fn len(&self) -> usize {
         self.records.len()

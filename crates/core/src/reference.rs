@@ -17,14 +17,11 @@
 //! runs of order-insensitive (commutative) applications, bounded deviation
 //! otherwise.
 //!
-//! Implementation: a priority queue of admitted events ordered by
-//! `(ts, seq)` where `seq` is an admission counter (the deterministic
-//! tie-break). Each step pops the globally-least event and delivers it to
-//! every subscribed operator in `OpId` order; emissions are admitted with
-//! `ts + 1` and the next `seq` values.
+//! How pending events are ordered (two sorted lanes merged at pop, a heap
+//! for stragglers) is DESIGN.md §3, "The reference executor".
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::error::{Error, Result};
 use crate::event::{Event, Key, StreamId};
@@ -39,18 +36,69 @@ pub const DEFAULT_STEP_BUDGET: u64 = 10_000_000;
 
 /// Heap entry: min-order by `(ts, seq)`.
 #[derive(PartialEq, Eq)]
-struct Pending(Event);
+struct ByOrder(Event);
 
-impl Ord for Pending {
+impl Ord for ByOrder {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.order().cmp(&other.0.order())
     }
 }
 
-impl PartialOrd for Pending {
+impl PartialOrd for ByOrder {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// The lane external events are admitted to.
+const EXTERNAL: usize = 0;
+/// The lane operator emissions are admitted to.
+const EMITTED: usize = 1;
+
+/// Admitted, undelivered events: one FIFO lane per admission source, each
+/// sorted by `(ts, seq)`, and a heap for an admission that would land
+/// behind its lane's tail.
+#[derive(Default)]
+struct Pending {
+    lanes: [VecDeque<Event>; 2],
+    behind: BinaryHeap<Reverse<ByOrder>>,
+}
+
+impl Pending {
+    /// Queue `event` on `lane`. Returns `false` when it lands behind the
+    /// lane's tail and goes to the heap instead.
+    fn push(&mut self, lane: usize, event: Event) -> bool {
+        let lane = &mut self.lanes[lane];
+        // `seq` grows with every admission, so a tie on `ts` is in order.
+        if lane.back().is_some_and(|tail| tail.ts > event.ts) {
+            self.behind.push(Reverse(ByOrder(event)));
+            return false;
+        }
+        lane.push_back(event);
+        true
+    }
+
+    /// Remove the least pending event by `(ts, seq)`: the least of the two
+    /// lane heads and the heap's top.
+    fn pop(&mut self) -> Option<Event> {
+        let heads = [
+            self.lanes[EXTERNAL].front(),
+            self.lanes[EMITTED].front(),
+            self.behind.peek().map(|Reverse(ByOrder(e))| e),
+        ];
+        let (_, from) =
+            heads.iter().enumerate().filter_map(|(i, e)| Some((e.as_ref()?.order(), i))).min()?;
+        match from {
+            EXTERNAL | EMITTED => self.lanes[from].pop_front(),
+            _ => self.behind.pop().map(|Reverse(ByOrder(e))| e),
+        }
+    }
+}
+
+/// A registered operator implementation.
+enum Operator {
+    Map(Box<dyn Mapper>),
+    Update(Box<dyn Updater>),
 }
 
 /// Counters describing a finished reference run.
@@ -62,17 +110,22 @@ pub struct RunStats {
     pub deliveries: u64,
     /// Events emitted by operators.
     pub emitted: u64,
+    /// Admissions that landed behind their lane's tail and were ordered by
+    /// the heap (DESIGN.md §3): 0 when externals arrive in `ts` order.
+    pub out_of_order: u64,
 }
 
 /// The single-threaded golden-model executor.
 pub struct ReferenceExecutor<'wf> {
     wf: &'wf Workflow,
-    mappers: FxHashMap<OpId, Box<dyn Mapper>>,
-    updaters: FxHashMap<OpId, Box<dyn Updater>>,
-    heap: BinaryHeap<Reverse<Pending>>,
+    /// Indexed by [`OpId`]; `None` until registered.
+    ops: Vec<Option<Operator>>,
+    /// Each updater's slates, indexed by [`OpId`] (a mapper's stays empty).
+    slates: Vec<FxHashMap<Key, Slate>>,
+    pending: Pending,
     next_seq: u64,
-    // BTreeMap so `slates_of` iterates keys deterministically.
-    slates: BTreeMap<(OpId, Key), Slate>,
+    /// Reused across deliveries, so a step allocates nothing of its own.
+    emitter: VecEmitter,
     record_streams: Vec<StreamId>,
     recorded: FxHashMap<StreamId, Vec<Event>>,
     stats: RunStats,
@@ -83,13 +136,14 @@ impl<'wf> ReferenceExecutor<'wf> {
     /// Build an executor for `wf`. Operator implementations must then be
     /// registered for every declared operator before running.
     pub fn new(wf: &'wf Workflow) -> Self {
+        let n = wf.ops().len();
         ReferenceExecutor {
             wf,
-            mappers: FxHashMap::default(),
-            updaters: FxHashMap::default(),
-            heap: BinaryHeap::new(),
+            ops: std::iter::repeat_with(|| None).take(n).collect(),
+            slates: std::iter::repeat_with(FxHashMap::default).take(n).collect(),
+            pending: Pending::default(),
             next_seq: 0,
-            slates: BTreeMap::new(),
+            emitter: VecEmitter::new(),
             record_streams: Vec::new(),
             recorded: FxHashMap::default(),
             stats: RunStats::default(),
@@ -119,17 +173,8 @@ impl<'wf> ReferenceExecutor<'wf> {
 
     /// Register a boxed mapper, returning an error on mismatches.
     pub fn register_mapper_boxed(&mut self, mapper: Box<dyn Mapper>) -> Result<()> {
-        let id = self
-            .wf
-            .op_id(mapper.name())
-            .ok_or_else(|| Error::UnknownOperator(mapper.name().to_string()))?;
-        if self.wf.op(id).kind != OpKind::Map {
-            return Err(Error::OperatorMismatch {
-                expected: "a map function".into(),
-                got: mapper.name().to_string(),
-            });
-        }
-        self.mappers.insert(id, mapper);
+        let id = self.declared(mapper.name(), OpKind::Map, "a map function")?;
+        self.ops[id] = Some(Operator::Map(mapper));
         Ok(())
     }
 
@@ -142,99 +187,91 @@ impl<'wf> ReferenceExecutor<'wf> {
 
     /// Register a boxed updater, returning an error on mismatches.
     pub fn register_updater_boxed(&mut self, updater: Box<dyn Updater>) -> Result<()> {
-        let id = self
-            .wf
-            .op_id(updater.name())
-            .ok_or_else(|| Error::UnknownOperator(updater.name().to_string()))?;
-        if self.wf.op(id).kind != OpKind::Update {
+        let id = self.declared(updater.name(), OpKind::Update, "an update function")?;
+        self.ops[id] = Some(Operator::Update(updater));
+        Ok(())
+    }
+
+    /// The id of the operator declared as `name`, if it is of `kind`.
+    fn declared(&self, name: &str, kind: OpKind, expected: &str) -> Result<OpId> {
+        let id = self.wf.op_id(name).ok_or_else(|| Error::UnknownOperator(name.to_string()))?;
+        if self.wf.op(id).kind != kind {
             return Err(Error::OperatorMismatch {
-                expected: "an update function".into(),
-                got: updater.name().to_string(),
+                expected: expected.into(),
+                got: name.to_string(),
             });
         }
-        self.updaters.insert(id, updater);
-        Ok(())
+        Ok(id)
     }
 
     /// Admit an external event. Only declared external streams accept
     /// outside events.
-    pub fn push_external(&mut self, stream: &str, mut event: Event) {
-        assert!(
-            self.wf.is_external(stream),
-            "stream {stream} is not external; operators publish internal events"
-        );
-        event.stream = StreamId::from(stream);
-        self.admit(event);
+    pub fn push_external(&mut self, stream: &str, event: Event) {
+        self.push_external_batch(stream, [event]);
     }
 
     /// Admit a batch of external events into one stream.
     pub fn push_external_batch(&mut self, stream: &str, events: impl IntoIterator<Item = Event>) {
-        for e in events {
-            self.push_external(stream, e);
+        assert!(
+            self.wf.is_external(stream),
+            "stream {stream} is not external; operators publish internal events"
+        );
+        let id = StreamId::from(stream);
+        for mut event in events {
+            event.stream = id.clone();
+            self.admit(EXTERNAL, event);
         }
     }
 
-    fn admit(&mut self, mut event: Event) {
+    fn admit(&mut self, lane: usize, mut event: Event) {
         event.seq = self.next_seq;
         self.next_seq += 1;
         self.stats.admitted += 1;
-        self.heap.push(Reverse(Pending(event)));
+        if !self.pending.push(lane, event) {
+            self.stats.out_of_order += 1;
+        }
     }
 
     /// Deliver the globally-least pending event to all subscribers.
     /// Returns `false` when no events remain.
     pub fn step(&mut self) -> Result<bool> {
-        let Some(Reverse(Pending(event))) = self.heap.pop() else {
+        let Some(event) = self.pending.pop() else {
             return Ok(false);
         };
         if self.record_streams.contains(&event.stream) {
             self.recorded.entry(event.stream.clone()).or_default().push(event.clone());
         }
-        let subscribers = self.wf.subscribers_of(event.stream.as_str()).to_vec();
-        let mut emitter = VecEmitter::new();
-        for op_id in subscribers {
+        let wf = self.wf;
+        let mut emitter = std::mem::take(&mut self.emitter);
+        for &op_id in wf.subscribers_of(event.stream.as_str()) {
             self.stats.deliveries += 1;
             if self.stats.deliveries > self.step_budget {
                 return Err(Error::LoopBudgetExceeded { steps: self.step_budget });
             }
-            match self.wf.op(op_id).kind {
-                OpKind::Map => {
-                    let mapper = self
-                        .mappers
-                        .get(&op_id)
-                        .ok_or_else(|| Error::UnknownOperator(self.wf.op(op_id).name.clone()))?;
-                    mapper.map(&mut emitter, &event);
-                }
-                OpKind::Update => {
-                    let updater = self
-                        .updaters
-                        .get(&op_id)
-                        .ok_or_else(|| Error::UnknownOperator(self.wf.op(op_id).name.clone()))?;
+            match &self.ops[op_id] {
+                Some(Operator::Map(mapper)) => mapper.map(&mut emitter, &event),
+                Some(Operator::Update(updater)) => {
                     let slate =
-                        self.slates.entry((op_id, event.key.clone())).or_insert_with(Slate::empty);
+                        self.slates[op_id].entry(event.key.clone()).or_insert_with(Slate::empty);
                     updater.update(&mut emitter, &event, slate);
                 }
+                None => return Err(Error::UnknownOperator(wf.op(op_id).name.clone())),
             }
             // Admit this operator's emissions before running the next
             // subscriber, so seq order is (op order, emission order) — a
             // fixed deterministic rule.
-            for rec in emitter.take() {
-                if self.wf.is_external(rec.stream.as_str()) {
+            for rec in emitter.drain() {
+                if wf.is_external(rec.stream.as_str()) {
                     return Err(Error::ExternalStreamViolation(rec.stream.as_str().to_string()));
                 }
-                if !self.wf.has_stream(rec.stream.as_str()) {
+                if !wf.has_stream(rec.stream.as_str()) {
                     return Err(Error::UnknownStream(rec.stream.as_str().to_string()));
                 }
                 self.stats.emitted += 1;
-                self.admit(Event {
-                    stream: rec.stream,
-                    ts: event.ts + 1,
-                    key: rec.key,
-                    value: rec.value,
-                    seq: 0,
-                });
+                self.admit(EMITTED, Event::new(rec.stream, event.ts + 1, rec.key, rec.value));
             }
         }
+        self.emitter = emitter;
         Ok(true)
     }
 
@@ -246,8 +283,7 @@ impl<'wf> ReferenceExecutor<'wf> {
 
     /// The slate for ⟨updater, key⟩, if any exists.
     pub fn slate(&self, updater: &str, key: &Key) -> Option<&Slate> {
-        let id = self.wf.op_id(updater)?;
-        self.slates.get(&(id, key.clone()))
+        self.slates[self.wf.op_id(updater)?].get(key)
     }
 
     /// All ⟨key, slate⟩ pairs of one updater, in key order.
@@ -255,16 +291,14 @@ impl<'wf> ReferenceExecutor<'wf> {
         let Some(id) = self.wf.op_id(updater) else {
             return Vec::new();
         };
-        self.slates
-            .range((id, Key::empty())..)
-            .take_while(|((op, _), _)| *op == id)
-            .map(|((_, k), s)| (k, s))
-            .collect()
+        let mut slates: Vec<(&Key, &Slate)> = self.slates[id].iter().collect();
+        slates.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        slates
     }
 
     /// Number of live slates across all updaters.
     pub fn slate_count(&self) -> usize {
-        self.slates.len()
+        self.slates.iter().map(|slates| slates.len()).sum()
     }
 
     /// Events recorded on `stream` (requires a prior
@@ -320,6 +354,7 @@ mod tests {
         assert_eq!(stats.admitted, 8, "4 external + 4 mapped");
         assert_eq!(stats.deliveries, 8);
         assert_eq!(stats.emitted, 4);
+        assert_eq!(stats.out_of_order, 0, "in-order externals never reach the heap");
         assert_eq!(exec.slate_count(), 2);
     }
 
@@ -341,12 +376,13 @@ mod tests {
                 slate.replace(s.into_bytes());
             },
         ));
-        // Push out of order; the heap must reorder by ts.
+        // Push out of order; the executor must reorder by ts.
         exec.push_external("B", Event::new("B", 25, Key::from("k"), ""));
         exec.push_external("A", Event::new("A", 21, Key::from("k"), ""));
         exec.push_external("A", Event::new("A", 30, Key::from("k"), ""));
-        exec.run_to_completion().unwrap();
+        let stats = exec.run_to_completion().unwrap();
         assert_eq!(exec.slate("U", &Key::from("k")).unwrap().as_str(), Some("A@21;B@25;A@30;"));
+        assert_eq!(stats.out_of_order, 1, "A@21 lands behind B@25 and is ordered by the heap");
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! Property-based tests for the muppet-core primitives.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::Arc;
+
 use muppet_core::codec;
+use muppet_core::error::Error;
 use muppet_core::event::{Event, Key};
 use muppet_core::json::{self, Field, Json};
 use muppet_core::operator::{Emitter, FnMapper, FnUpdater};
-use muppet_core::reference::ReferenceExecutor;
+use muppet_core::reference::{ReferenceExecutor, RunStats};
 use muppet_core::slate::Slate;
-use muppet_core::workflow::Workflow;
+use muppet_core::sync::Mutex;
+use muppet_core::workflow::{OpId, OpKind, Workflow};
 use proptest::prelude::*;
 
 // ---------- codec ----------
@@ -66,6 +72,39 @@ proptest! {
         let idx = bit % (data.len() * 8);
         flipped[idx / 8] ^= 1 << (idx % 8);
         prop_assert_ne!(codec::crc32c(&flipped), base);
+    }
+
+    #[test]
+    fn crc32c_equals_the_bytewise_definition(
+        data in proptest::collection::vec(any::<u8>(), 0..4105),
+        start in 0usize..8,
+    ) {
+        let bytes = &data[start.min(data.len())..];
+        prop_assert_eq!(codec::crc32c(bytes), crc32c_bytewise(bytes));
+    }
+}
+
+/// CRC-32C from its definition: the reflected Castagnoli polynomial, one
+/// byte at a time and one bit per shift.
+fn crc32c_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0x82f6_3b78 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+#[test]
+fn crc32c_equals_the_bytewise_definition_at_every_short_length_and_start() {
+    let data: Vec<u8> = (0u32..80).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    for start in 0..8 {
+        for end in start..data.len() {
+            let bytes = &data[start..end];
+            assert_eq!(codec::crc32c(bytes), crc32c_bytewise(bytes), "bytes {start}..{end}");
+        }
     }
 }
 
@@ -553,4 +592,228 @@ proptest! {
         let model: Vec<(String, u64)> = model.into_iter().collect();
         prop_assert_eq!(got, model);
     }
+}
+
+// ---------- reference executor: two lanes ≡ one heap ----------
+//
+// The reference merges two sorted admission lanes and orders only
+// stragglers with a heap (DESIGN.md §3). Whatever the schedule, it must
+// deliver exactly what one `(ts, seq)` heap of every pending event would.
+
+/// Streams of the lane workflow by index; A and B are external.
+const LANE_STREAMS: [&str; 3] = ["A", "B", "C"];
+
+/// A feeds M0 and U1; B feeds U2; C feeds U1 and U2. M0 forwards A onto
+/// C and U1 republishes into C with a countdown: a bounded cycle.
+fn lane_workflow() -> Workflow {
+    let mut b = Workflow::builder("lanes");
+    b.external_stream("A");
+    b.external_stream("B");
+    b.mapper_publishing("M0", &["A"], &["C"]);
+    b.updater_publishing("U1", &["A", "C"], &["C"]);
+    b.updater("U2", &["B", "C"]);
+    b.build().unwrap()
+}
+
+/// What operator `op` publishes on C for an event carrying countdown `n`.
+fn lane_emit(op: OpId, n: u8) -> Option<u8> {
+    match op {
+        0 => Some(n),
+        1 => n.checked_sub(1),
+        _ => None,
+    }
+}
+
+/// One delivery: ⟨ts, seq, operator, key⟩.
+type Delivery = (u64, u64, OpId, Key);
+
+/// An external event: ⟨on B rather than A, ts, key, countdown⟩.
+type LaneInput = (bool, u64, u8, u8);
+
+fn lane_event((on_b, ts, key, n): &LaneInput) -> Event {
+    Event::new(LANE_STREAMS[usize::from(*on_b)], *ts, Key::from(format!("k{key}")), vec![*n])
+}
+
+/// Every operator logs each delivery it is handed into `log`.
+fn lane_executor<'wf>(
+    wf: &'wf Workflow,
+    budget: u64,
+    log: &Arc<Mutex<Vec<Delivery>>>,
+) -> ReferenceExecutor<'wf> {
+    let logger = |op: OpId| {
+        let log = Arc::clone(log);
+        move |ev: &Event| log.lock().push((ev.ts, ev.seq, op, ev.key.clone()))
+    };
+    let mut exec = ReferenceExecutor::new(wf).with_step_budget(budget);
+    let seen = logger(0);
+    exec.register_mapper(FnMapper::new("M0", move |ctx: &mut dyn Emitter, ev: &Event| {
+        seen(ev);
+        if let Some(m) = lane_emit(0, ev.value[0]) {
+            ctx.publish("C", ev.key.clone(), vec![m]);
+        }
+    }));
+    for name in ["U1", "U2"] {
+        let op = wf.op_id(name).unwrap();
+        let seen = logger(op);
+        exec.register_updater(FnUpdater::new(
+            name,
+            move |ctx: &mut dyn Emitter, ev: &Event, slate: &mut Slate| {
+                seen(ev);
+                slate.incr_counter(1);
+                if let Some(m) = lane_emit(op, ev.value[0]) {
+                    ctx.publish("C", ev.key.clone(), vec![m]);
+                }
+            },
+        ));
+    }
+    exec
+}
+
+/// A pending event of the model: ⟨ts, seq, stream, key, countdown⟩.
+type ModelEvent = (u64, u64, usize, Key, u8);
+
+/// The oracle: every pending event in one heap.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<ModelEvent>>,
+    next_seq: u64,
+    stats: RunStats,
+    log: Vec<Delivery>,
+    slates: BTreeMap<(OpId, Key), u64>,
+}
+
+impl HeapModel {
+    fn admit(&mut self, ts: u64, stream: usize, key: Key, n: u8) {
+        self.heap.push(Reverse((ts, self.next_seq, stream, key, n)));
+        self.next_seq += 1;
+        self.stats.admitted += 1;
+    }
+
+    /// Deliver until nothing is pending; `false` when delivery number
+    /// `budget + 1` is reached.
+    fn run(&mut self, wf: &Workflow, budget: u64) -> bool {
+        while let Some(Reverse((ts, seq, stream, key, n))) = self.heap.pop() {
+            for &op in wf.subscribers_of(LANE_STREAMS[stream]) {
+                self.stats.deliveries += 1;
+                if self.stats.deliveries > budget {
+                    return false;
+                }
+                self.log.push((ts, seq, op, key.clone()));
+                if wf.op(op).kind == OpKind::Update {
+                    *self.slates.entry((op, key.clone())).or_default() += 1;
+                }
+                if let Some(m) = lane_emit(op, n) {
+                    self.stats.emitted += 1;
+                    self.admit(ts + 1, 2, key.clone(), m);
+                }
+            }
+        }
+        true
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Rounds of external pushes (one at a time or in per-stream batches,
+    /// timestamps in any order), each followed by `run_to_completion`,
+    /// under a step budget that may trip part-way.
+    #[test]
+    fn lanes_deliver_exactly_what_one_heap_would(
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec((any::<bool>(), 0u64..40, 0u8..3, 0u8..4), 0..24),
+                any::<bool>(),
+            ),
+            1..4,
+        ),
+        budget in prop_oneof![Just(u64::MAX), 1u64..600],
+    ) {
+        let wf = lane_workflow();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut exec = lane_executor(&wf, budget, &log);
+        let mut model = HeapModel::default();
+        let mut finished = (true, true);
+        for (events, batched) in &rounds {
+            if *batched {
+                for run in events.chunk_by(|a, b| a.0 == b.0) {
+                    exec.push_external_batch(
+                        LANE_STREAMS[usize::from(run[0].0)],
+                        run.iter().map(lane_event),
+                    );
+                }
+            } else {
+                for input in events {
+                    exec.push_external(LANE_STREAMS[usize::from(input.0)], lane_event(input));
+                }
+            }
+            for input in events {
+                let event = lane_event(input);
+                model.admit(event.ts, usize::from(input.0), event.key, input.3);
+            }
+            let ran = exec.run_to_completion();
+            if let Err(e) = &ran {
+                prop_assert_eq!(e, &Error::LoopBudgetExceeded { steps: budget });
+            }
+            finished = (ran.is_ok(), model.run(&wf, budget));
+            if finished != (true, true) {
+                break;
+            }
+        }
+        prop_assert_eq!(finished.0, finished.1);
+        prop_assert_eq!(&*log.lock(), &model.log);
+        let stats = exec.stats();
+        prop_assert_eq!(
+            (stats.admitted, stats.deliveries, stats.emitted),
+            (model.stats.admitted, model.stats.deliveries, model.stats.emitted)
+        );
+        let slates: BTreeMap<(OpId, Key), u64> = ["U1", "U2"]
+            .into_iter()
+            .flat_map(|name| {
+                let op = wf.op_id(name).unwrap();
+                exec.slates_of(name).into_iter().map(move |(k, s)| ((op, k.clone()), s.counter()))
+            })
+            .collect();
+        prop_assert_eq!(slates, model.slates);
+        // With each round's externals in ts order, every admission is in
+        // order and nothing reaches the heap.
+        let in_order = rounds.iter().all(|(events, _)| events.is_sorted_by_key(|input| input.1));
+        if in_order {
+            prop_assert_eq!(stats.out_of_order, 0);
+        }
+        prop_assert!(stats.out_of_order <= stats.admitted);
+    }
+}
+
+/// The e2e benchmark's shape: one batch with timestamps 1..=n, a run, then
+/// a batch continuing the timestamps and another run.
+#[test]
+fn an_in_order_schedule_never_reaches_the_heap() {
+    let wf = count_workflow();
+    let mut exec = ReferenceExecutor::new(&wf);
+    exec.register_mapper(FnMapper::new("M1", |ctx: &mut dyn Emitter, ev: &Event| {
+        ctx.publish("S2", ev.key.clone(), ev.value.to_vec());
+    }));
+    exec.register_updater(FnUpdater::new(
+        "U1",
+        |_: &mut dyn Emitter, _: &Event, slate: &mut Slate| {
+            slate.incr_counter(1);
+        },
+    ));
+    let mut ts = 0;
+    for batch in [300, 700] {
+        exec.push_external_batch(
+            "S1",
+            (0..batch).map(|i| {
+                ts += 1;
+                Event::new("S1", ts, Key::from(format!("k{}", i % 17)), "")
+            }),
+        );
+        let stats = exec.run_to_completion().unwrap();
+        assert_eq!(stats.out_of_order, 0);
+    }
+    let stats = exec.stats();
+    assert_eq!((stats.admitted, stats.deliveries, stats.emitted), (2_000, 2_000, 1_000));
+    let total: u64 = exec.slates_of("U1").iter().map(|(_, s)| s.counter()).sum();
+    assert_eq!(total, 1_000);
 }

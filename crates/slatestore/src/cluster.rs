@@ -26,7 +26,7 @@ use crate::compress::{compress, decompress};
 use crate::device::{DeviceProfile, StorageDevice};
 use crate::node::{NodeConfig, NodeStats, StoreNode};
 use crate::ring::ConsistentRing;
-use crate::types::{CellKey, StoreError, StoreResult};
+use crate::types::{Cell, CellKey, StoreError, StoreResult};
 
 /// Consistency level for one operation (§4.2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -391,22 +391,14 @@ impl StoreCluster {
     ) -> StoreResult<Option<(Bytes, Codec)>> {
         let replicas = self.replica_set(key);
         let required = consistency.required(replicas.len());
-        // Collect (node, value, write_ts, codec) from live replicas.
-        type ReplicaRead = (usize, Option<(Bytes, u64, Codec)>);
-        let mut responses: Vec<ReplicaRead> = Vec::new();
+        // Collect (node, visible cell) from live replicas.
+        let mut responses: Vec<(usize, Option<Cell>)> = Vec::new();
         for &id in &replicas {
             let node = &self.nodes[id];
             if !node.up.load(Ordering::Acquire) {
                 continue;
             }
-            let mut store = node.store.lock();
-            // Peek at write_ts by reading the raw cell through get(); the
-            // node returns only bytes, so ask twice is wasteful — instead we
-            // use get() and track freshness via a follow-up. To keep the node
-            // API small we re-read the timestamp from the merged value path:
-            // the node's get already resolves newest-internal; cross-replica
-            // resolution needs the ts, so we read it via get_with_ts below.
-            let got = store.get_with_ts(key, now)?;
+            let got = node.store.lock().get_cell(key, now)?;
             responses.push((id, got));
             if responses.len() >= required {
                 break;
@@ -417,39 +409,34 @@ impl StoreCluster {
         }
         // Newest wins.
         let newest =
-            responses.iter().filter_map(|(_, v)| v.as_ref()).max_by_key(|(_, ts, _)| *ts).cloned();
+            responses.iter().filter_map(|(_, c)| c.as_ref()).max_by_key(|c| c.write_ts).cloned();
         let mut stats = self.stats.lock();
         stats.reads_ok += 1;
         drop(stats);
         match newest {
             None => Ok(None),
-            Some((stored, newest_ts, codec)) => {
+            Some(cell) => {
                 // Read repair: any contacted replica with an older (or no)
-                // version gets the newest value written back, codec tag
-                // included.
+                // version gets the newest cell written back, codec tag and
+                // TTL included, so the copy expires when the others do.
                 for (id, resp) in &responses {
-                    let stale = match resp {
-                        None => true,
-                        Some((_, ts, _)) => *ts < newest_ts,
-                    };
-                    if stale {
-                        let node = &self.nodes[*id];
-                        node.store.lock().put_tagged(
+                    if resp.as_ref().is_none_or(|c| c.write_ts < cell.write_ts) {
+                        self.nodes[*id].store.lock().put_tagged(
                             key.clone(),
-                            stored.clone(),
-                            codec,
-                            None,
-                            newest_ts,
+                            cell.value.clone(),
+                            cell.codec,
+                            cell.ttl_secs,
+                            cell.write_ts,
                         )?;
                         self.stats.lock().read_repairs += 1;
                     }
                 }
                 let value = if self.cfg.compress_values {
-                    Bytes::from(decompress(&stored)?)
+                    Bytes::from(decompress(&cell.value)?)
                 } else {
-                    stored
+                    cell.value
                 };
-                Ok(Some((value, codec)))
+                Ok(Some((value, cell.codec)))
             }
         }
     }
@@ -523,11 +510,11 @@ impl StoreCluster {
                 if key.column.as_ref() != column.as_bytes() {
                     continue;
                 }
-                if let Some((value, ts, _)) = store.get_with_ts(&key, now)? {
+                if let Some(cell) = store.get_cell(&key, now)? {
                     match newest.get(&key.row) {
-                        Some((best_ts, _)) if *best_ts >= ts => {}
+                        Some((best_ts, _)) if *best_ts >= cell.write_ts => {}
                         _ => {
-                            newest.insert(key.row.clone(), (ts, value));
+                            newest.insert(key.row.clone(), (cell.write_ts, cell.value));
                         }
                     }
                 }
@@ -791,6 +778,20 @@ mod tests {
         c.put(&key("t"), b"v", Some(1), 1_000_000).unwrap();
         assert!(c.get(&key("t"), 1_500_000).unwrap().is_some());
         assert!(c.get(&key("t"), 3_000_000).unwrap().is_none());
+    }
+
+    #[test]
+    fn read_repair_keeps_the_ttl_so_a_repaired_replica_expires_with_the_others() {
+        let (_dir, c) = cluster(Consistency::Quorum);
+        c.node_down(2);
+        c.put(&key("t"), b"v", Some(1), 0).unwrap();
+        c.node_up(2);
+        // ALL at 0.5 s reaches node 2, which missed the write: repaired.
+        let live = c.get_with(&key("t"), 500_000, Consistency::All).unwrap();
+        assert_eq!(live.as_deref(), Some(&b"v"[..]));
+        assert_eq!(c.stats().read_repairs, 1);
+        // At 5 s the TTL has lapsed on every replica, node 2's copy included.
+        assert_eq!(c.get_with(&key("t"), 5_000_000, Consistency::All).unwrap(), None);
     }
 
     #[test]

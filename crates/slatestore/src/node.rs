@@ -256,23 +256,18 @@ impl StoreNode {
     /// Returns the raw stored bytes (the store does not understand slate
     /// compression; that is the cache layer's concern).
     pub fn get(&mut self, key: &CellKey, now: u64) -> StoreResult<Option<Bytes>> {
-        Ok(self.get_with_ts(key, now)?.map(|(v, _, _)| v))
+        Ok(self.get_cell(key, now)?.map(|cell| cell.value))
     }
 
     /// Point read returning the value with its payload codec tag.
     pub fn get_tagged(&mut self, key: &CellKey, now: u64) -> StoreResult<Option<(Bytes, Codec)>> {
-        Ok(self.get_with_ts(key, now)?.map(|(v, _, codec)| (v, codec)))
+        Ok(self.get_cell(key, now)?.map(|cell| (cell.value, cell.codec)))
     }
 
-    /// Point read returning `(value, write_ts, codec)` — the cluster layer
-    /// needs the timestamp to resolve divergent replicas and run read
-    /// repair, and the codec tag to interpret (and faithfully repair) the
-    /// payload.
-    pub fn get_with_ts(
-        &mut self,
-        key: &CellKey,
-        now: u64,
-    ) -> StoreResult<Option<(Bytes, u64, Codec)>> {
+    /// Point read returning the whole visible cell — the cluster layer
+    /// needs its `write_ts` to resolve divergent replicas, and its codec
+    /// tag and TTL to repair a stale one faithfully.
+    pub fn get_cell(&mut self, key: &CellKey, now: u64) -> StoreResult<Option<Cell>> {
         self.stats.gets += 1;
         let mut best: Option<(Cell, bool)> = // (cell, from_memtable)
             self.memtable.get(key).map(|c| (c.clone(), true));
@@ -294,7 +289,7 @@ impl StoreNode {
                 } else {
                     self.stats.sstable_hits += 1;
                 }
-                Ok(Some((cell.value, cell.write_ts, cell.codec)))
+                Ok(Some(cell))
             }
             _ => {
                 self.stats.misses += 1;
