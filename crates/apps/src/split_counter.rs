@@ -19,7 +19,7 @@ use muppet_core::event::{Event, Key};
 use muppet_core::hash::FxHashMap;
 use muppet_core::json::{self, Json};
 use muppet_core::operator::{Emitter, Mapper, Updater};
-use muppet_core::slate::Slate;
+use muppet_core::slate::{parse_decimal, Slate};
 use muppet_core::workflow::Workflow;
 
 use crate::retailer::match_retailer;
@@ -274,11 +274,7 @@ impl Updater for CombiningCounter {
     }
 
     fn update(&self, _ctx: &mut dyn Emitter, event: &Event, slate: &mut Slate) {
-        let n: u64 = std::str::from_utf8(event.value.as_ref())
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
-        slate.incr_counter(n);
+        slate.incr_counter(parse_decimal(&event.value).unwrap_or(0));
     }
 
     fn combine(&self, acc: &[u8], next: &[u8]) -> Option<Vec<u8>> {

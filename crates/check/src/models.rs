@@ -1,5 +1,5 @@
-//! Executable models of the repo's three hairiest lock protocols, shaped
-//! for the [`crate::sched`] harness.
+//! Executable models of the repo's four hairiest concurrency protocols,
+//! shaped for the [`crate::sched`] harness.
 //!
 //! Each model is a faithful miniature of the real code path — same locks,
 //! same acquisition order, same memory-ordering discipline, with the IO
@@ -15,17 +15,21 @@
 //! * [`run_flush_cas`] — `runtime::cache` snapshot flushes (snapshot
 //!   under the slot lock, write outside it, CAS `flushed_version` up to
 //!   the *snapshot* version only, so a concurrent mutation keeps its
-//!   dirty bit).
+//!   dirty bit);
+//! * [`run_in_flight`] — `runtime::engine`'s in-flight count (an event is
+//!   counted in `pending` before a worker can pop it, so `drain() == true`
+//!   implies nothing in flight, an owed eviction retire included).
 //!
 //! Every model also has deliberately-broken variants — the negative
 //! controls proving the harness can actually catch the bug class it
 //! guards against (an ack past what the sync covered, a cursor past its
-//! flush, a waiter observing an absent value, a lost dirty bit).
+//! flush, a waiter observing an absent value, a lost dirty bit, a drain
+//! that sees nothing in flight while a retire is owed).
 //! `violations > 0` for a broken run is the harness working, not the
 //! harness failing.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -616,6 +620,138 @@ pub fn run_flush_cas(seed: u64, rounds: u64, broken: bool) -> Outcome {
     }
     if let Some(note) = fc.check_clean_means_stored() {
         out.violate(note);
+    }
+    out
+}
+
+// ---------------------------------------------------------------------
+// Model 4: the in-flight count behind `Engine::drain`.
+// ---------------------------------------------------------------------
+
+struct InFlight {
+    queue: Mutex<VecDeque<u64>>,
+    /// `Shared::pending`: in-flight units, read by the drain predicate.
+    pending: AtomicI64,
+    /// Ground truth, written conservatively around the real steps:
+    /// `published` after an event is pushed, `finished` before its unit
+    /// is given back, `retired` before the owed retire's unit is.
+    published: AtomicU64,
+    finished: AtomicU64,
+    retired: AtomicBool,
+    /// Negative control: publish the event, then count it.
+    broken_count_after_publish: bool,
+}
+
+impl InFlight {
+    /// `deliver_local`'s fast path.
+    fn deliver(&self, event: u64) {
+        if !self.broken_count_after_publish {
+            self.pending.fetch_add(1, Ordering::AcqRel);
+        }
+        self.queue.lock().push_back(event);
+        self.published.fetch_add(1, Ordering::SeqCst);
+        sched::point();
+        if self.broken_count_after_publish {
+            self.pending.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+
+    /// A worker that pops and finishes `events` events while it owes one
+    /// eviction retire (claimed before the run, as `claim_retire` does
+    /// while an event holds its unit), settling it once they are done.
+    /// `drain` may be called at any instant, so the worker also evaluates
+    /// its predicate right after each unit it gives back.
+    fn work(&self, events: u64) -> Vec<String> {
+        let mut notes = Vec::new();
+        let mut done = 0;
+        while done < events {
+            sched::point();
+            let Some(_event) = self.queue.lock().pop_front() else {
+                std::thread::yield_now();
+                continue;
+            };
+            sched::point();
+            self.finished.fetch_add(1, Ordering::SeqCst);
+            self.pending.fetch_sub(1, Ordering::AcqRel);
+            notes.extend(self.check_drain());
+            done += 1;
+        }
+        sched::point();
+        self.retired.store(true, Ordering::SeqCst);
+        self.pending.fetch_sub(1, Ordering::AcqRel);
+        notes
+    }
+
+    /// `drain`'s predicate against the ground truth: the truth is read
+    /// before and after `pending`, so a unit published before and still
+    /// unfinished after was in flight when `pending` was read.
+    fn check_drain(&self) -> Option<String> {
+        let published = self.published.load(Ordering::SeqCst);
+        let pending = self.pending.load(Ordering::Acquire);
+        let finished = self.finished.load(Ordering::SeqCst);
+        let retired = self.retired.load(Ordering::SeqCst);
+        if pending < 0 {
+            return Some(format!("pending read {pending}"));
+        }
+        if pending == 0 && (published > finished || !retired) {
+            return Some(format!(
+                "drain saw nothing in flight while {} event(s) and {} retire were",
+                published.saturating_sub(finished),
+                if retired { "no" } else { "one" }
+            ));
+        }
+        None
+    }
+}
+
+/// A deliverer publishes `events` events to one worker's queue while the
+/// worker, owing one eviction retire, pops and finishes them; an observer
+/// evaluates `drain`'s predicate throughout. Invariant: `drain() == true`
+/// implies nothing in flight, and `pending` never reads below zero.
+/// `broken` counts each event after publishing it, as the engine once did.
+pub fn run_in_flight(seed: u64, events: u64, broken: bool) -> Outcome {
+    sched::install(seed);
+    let state = Arc::new(InFlight {
+        queue: Mutex::new(VecDeque::new()),
+        // The owed retire's unit.
+        pending: AtomicI64::new(1),
+        published: AtomicU64::new(0),
+        finished: AtomicU64::new(0),
+        retired: AtomicBool::new(false),
+        broken_count_after_publish: broken,
+    });
+    let spawn = |idx: u64, role: fn(&InFlight, u64) -> Vec<String>| {
+        let state = Arc::clone(&state);
+        std::thread::spawn(move || {
+            sched::register(idx);
+            let notes = role(&state, events);
+            sched::deregister();
+            notes
+        })
+    };
+    let deliverer = spawn(1, |s, events| {
+        (0..events).for_each(|e| s.deliver(e));
+        Vec::new()
+    });
+    let worker = spawn(2, InFlight::work);
+    let observer = spawn(3, |s, _| {
+        let mut notes = Vec::new();
+        while !s.retired.load(Ordering::SeqCst) {
+            notes.extend(s.check_drain());
+            sched::point();
+        }
+        notes
+    });
+    let mut out = Outcome::default();
+    for role in [deliverer, worker, observer] {
+        for note in role.join().expect("no panic") {
+            out.violate(note);
+        }
+    }
+    out.work = state.finished.load(Ordering::SeqCst);
+    let pending = state.pending.load(Ordering::SeqCst);
+    if pending != 0 {
+        out.violate(format!("pending ends at {pending}, not 0"));
     }
     out
 }

@@ -1,4 +1,4 @@
-//! Schedule-perturbed runs of the three protocol models (DESIGN.md §12).
+//! Schedule-perturbed runs of the four protocol models (DESIGN.md §12).
 //!
 //! Each correct protocol is driven through 1000+ seeded interleavings
 //! and must hold its invariants on every one. Each deliberately-broken
@@ -119,6 +119,30 @@ fn flush_cas_holds_over_1000_interleavings() {
         let out = models::run_flush_cas(seed, 64, false);
         assert_clean("flush CAS", seed, &out);
     }
+}
+
+#[test]
+fn in_flight_count_holds_over_1000_interleavings() {
+    arm_hook();
+    for seed in 0..SEEDS {
+        let out = models::run_in_flight(seed, 8, false);
+        assert_clean("in-flight count", seed, &out);
+        assert_eq!(out.work, 8, "every event finished (seed {seed})");
+    }
+}
+
+#[test]
+fn in_flight_negative_control_count_after_publish_is_caught() {
+    arm_hook();
+    // The broken deliverer pushes the event and only then counts it: a
+    // worker that pops and finishes it in between gives back a unit never
+    // taken, so `drain` sees nothing in flight while the worker still owes
+    // its eviction retire.
+    let caught = (0..SEEDS).any(|seed| {
+        let out = models::run_in_flight(seed, 8, true);
+        out.notes.iter().any(|n| n.starts_with("drain saw nothing"))
+    });
+    assert!(caught, "harness failed to catch count-after-publish in {SEEDS} seeds");
 }
 
 #[test]

@@ -400,13 +400,17 @@ fn newline_indent(out: &mut Vec<u8>, indent: Option<usize>, level: usize) {
 }
 
 fn write_number(out: &mut Vec<u8>, n: f64) {
-    use std::io::Write;
     if n.is_finite() {
         if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
             // Integral values print without the trailing ".0" so counters
-            // roundtrip byte-identically.
-            write!(out, "{}", n as i64).expect("Vec write is infallible");
+            // roundtrip byte-identically (and −0 prints as `0`).
+            let i = n as i64;
+            if i < 0 {
+                out.push(b'-');
+            }
+            write_decimal(out, i.unsigned_abs());
         } else {
+            use std::io::Write;
             write!(out, "{n}").expect("Vec write is infallible");
         }
     } else {
@@ -415,25 +419,51 @@ fn write_number(out: &mut Vec<u8>, n: f64) {
     }
 }
 
-fn write_string(out: &mut Vec<u8>, s: &str) {
-    out.push(b'"');
-    let mut utf8 = [0u8; 4];
-    for c in s.chars() {
-        match c {
-            '"' => out.extend_from_slice(b"\\\""),
-            '\\' => out.extend_from_slice(b"\\\\"),
-            '\n' => out.extend_from_slice(b"\\n"),
-            '\r' => out.extend_from_slice(b"\\r"),
-            '\t' => out.extend_from_slice(b"\\t"),
-            '\u{08}' => out.extend_from_slice(b"\\b"),
-            '\u{0c}' => out.extend_from_slice(b"\\f"),
-            c if (c as u32) < 0x20 => {
-                use std::io::Write;
-                write!(out, "\\u{:04x}", c as u32).expect("Vec write is infallible");
-            }
-            c => out.extend_from_slice(c.encode_utf8(&mut utf8).as_bytes()),
+/// `n` in decimal digits — the integral branch of the number writer and
+/// the text of a counter slate.
+pub(crate) fn write_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.extend_from_slice(&digits[at..]);
+}
+
+fn write_string(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut unicode = *b"\\u0000";
+    out.push(b'"');
+    // Copy each run that needs no escape in one go; only `"`, `\` and
+    // control bytes break a run (multibyte UTF-8 bytes are all ≥ 0x80).
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0x08 => b"\\b",
+            0x0c => b"\\f",
+            0x00..=0x1f => {
+                unicode[4] = HEX[usize::from(b >> 4)];
+                unicode[5] = HEX[usize::from(b & 15)];
+                &unicode
+            }
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(escape);
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
     out.push(b'"');
 }
 

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 
 use crate::event::{EmitRecord, Event, Key, StreamId};
-use crate::slate::Slate;
+use crate::slate::{parse_decimal, Slate};
 
 /// The event-publication context handed to operators — the analogue of the
 /// paper's `PerformerUtilities` submitter.
@@ -263,9 +263,10 @@ where
 /// their sum as decimal text. Total over slate byte images, so updaters
 /// built on it are eligible for dynamic key splitting.
 pub fn combine_decimal_sum(acc: &[u8], next: &[u8]) -> Option<Vec<u8>> {
-    let a: u64 = std::str::from_utf8(acc).ok()?.trim().parse().ok()?;
-    let b: u64 = std::str::from_utf8(next).ok()?.trim().parse().ok()?;
-    Some(a.checked_add(b)?.to_string().into_bytes())
+    let sum = parse_decimal(acc)?.checked_add(parse_decimal(next)?)?;
+    let mut out = Vec::with_capacity(20);
+    crate::json::write_decimal(&mut out, sum);
+    Some(out)
 }
 
 #[cfg(test)]

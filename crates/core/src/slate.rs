@@ -15,37 +15,19 @@
 //! (`replaceSlate`). Convenience accessors cover the common encodings the
 //! paper mentions: UTF-8 text counters and JSON objects.
 //!
-//! ## The resident representation
-//!
-//! "Our applications often use JSON to encode slates" (§4.2) — and the
-//! per-event hot path used to pay for that by re-parsing the payload from
-//! bytes and re-serializing it back on *every* event. A slate now holds one
-//! of three representations:
-//!
-//! * **Bytes** — a raw blob (JSON text, decimal counter text, opaque);
-//! * **Mbf** — an undecoded [MBF](crate::mbf) binary payload, as loaded
-//!   from an MBF-at-rest store or an MBF-negotiated connection;
-//! * **Json** — a parsed document *resident* in the slate, with byte forms
-//!   materialized lazily (and cached per codec) only at real byte
-//!   boundaries: store flush, slate handoff, HTTP `/slate` reads, wire
-//!   transfer.
-//!
-//! [`Slate::ensure_json`] converts bytes → resident once (keeping the
-//! original payload cached, so an untouched slate still flushes the exact
-//! bytes it was loaded with — in its original codec);
-//! [`Slate::json_mut`] / [`Slate::json_mut_or`] mutate the resident
-//! document in place, bumping `version` without serializing.
-//! [`Slate::materialize`] emits the payload in a caller-chosen codec —
-//! JSON text for human-facing boundaries, MBF for wire peers that
-//! negotiated it and the store — serializing at most once per codec per
-//! mutation.
+//! A slate holds one of four representations: raw **bytes**, an undecoded
+//! **MBF** payload, a resident parsed **JSON** document, or a resident
+//! decimal **counter**. The last three render their byte forms lazily, once
+//! per mutation, and only at real byte boundaries; every boundary sees
+//! exactly the bytes the byte path would have produced. DESIGN.md §8
+//! "Resident slates" describes each and when it renders.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use bytes::Bytes;
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::mbf::{self, Codec};
 
 /// Global count of byte-payload → JSON-document parses (all slates).
@@ -62,11 +44,18 @@ pub fn repr_counters() -> (u64, u64) {
     (PARSES.load(Ordering::Relaxed), SERIALIZATIONS.load(Ordering::Relaxed))
 }
 
-/// The payload: raw bytes, an undecoded MBF payload, or a resident parsed
-/// document with its byte forms cached lazily per codec.
+/// The payload: raw bytes, a resident decimal counter, an undecoded MBF
+/// payload, or a resident parsed document with its byte forms cached
+/// lazily per codec.
 #[derive(Clone, Debug)]
 enum Repr {
     Bytes(Bytes),
+    Counter {
+        n: u64,
+        /// `n` as decimal text; filled on first byte access after a
+        /// mutation.
+        text: OnceLock<Bytes>,
+    },
     Mbf {
         raw: Bytes,
         /// Cached JSON-text rendering (decode + serialize), filled only if
@@ -139,7 +128,7 @@ impl Slate {
     pub fn is_empty(&self) -> bool {
         match &self.repr {
             Repr::Bytes(b) => b.is_empty(),
-            Repr::Mbf { .. } | Repr::Json { .. } => false,
+            Repr::Counter { .. } | Repr::Mbf { .. } | Repr::Json { .. } => false,
         }
     }
 
@@ -153,6 +142,7 @@ impl Slate {
     pub fn bytes(&self) -> &[u8] {
         match &self.repr {
             Repr::Bytes(b) => b,
+            Repr::Counter { n, text } => text.get_or_init(|| render_decimal(*n)),
             Repr::Mbf { raw, json } => json.get_or_init(|| match Json::from_mbf(raw) {
                 Ok(doc) => serialize(&doc),
                 // Corrupt MBF: fall back to the raw payload rather than
@@ -186,7 +176,8 @@ impl Slate {
     /// most once per slate.
     pub fn as_json(&self) -> Option<Json> {
         match &self.repr {
-            Repr::Bytes(b) => {
+            Repr::Bytes(_) | Repr::Counter { .. } => {
+                let b = self.bytes();
                 if b.is_empty() {
                     return None;
                 }
@@ -208,6 +199,11 @@ impl Slate {
     /// payload is empty or neither parseable JSON nor decodable MBF (the
     /// representation is left as-is).
     pub fn ensure_json(&mut self) -> Option<&Json> {
+        if let Repr::Counter { .. } = self.repr {
+            // A counter's document is its text's: parse that, as the byte
+            // path would.
+            self.repr = Repr::Bytes(self.to_shared());
+        }
         match &self.repr {
             Repr::Bytes(b) if !b.is_empty() && mbf::is_mbf(b) => {
                 // Raw bytes that carry an MBF payload (e.g. replaced
@@ -235,7 +231,7 @@ impl Slate {
         }
         match &self.repr {
             Repr::Json { doc, .. } => Some(doc),
-            Repr::Bytes(_) | Repr::Mbf { .. } => None,
+            Repr::Bytes(_) | Repr::Counter { .. } | Repr::Mbf { .. } => None,
         }
     }
 
@@ -343,6 +339,8 @@ impl Slate {
     ///
     /// * raw non-JSON payloads (counter text, opaque blobs) are returned
     ///   verbatim and tagged by sniffing — they are never transcoded;
+    /// * a resident counter renders its decimal text at most once per
+    ///   mutation, tagged JSON, under either requested codec;
     /// * an untouched slate loaded from bytes returns those exact bytes
     ///   when asked for its own codec (byte-identical flush);
     /// * a resident document serializes at most once per codec per
@@ -352,6 +350,9 @@ impl Slate {
     pub fn materialize(&self, codec: Codec) -> (Bytes, Codec) {
         match (&self.repr, codec) {
             (Repr::Bytes(b), _) => (b.clone(), Codec::sniff(b)),
+            (Repr::Counter { n, text }, _) => {
+                (text.get_or_init(|| render_decimal(*n)).clone(), Codec::Json)
+            }
             (Repr::Mbf { raw, .. }, Codec::Mbf) => (raw.clone(), Codec::Mbf),
             (Repr::Mbf { raw, json }, Codec::Json) => {
                 let text = json.get_or_init(|| match Json::from_mbf(raw) {
@@ -384,16 +385,41 @@ impl Slate {
     /// Read the payload as a decimal `u64` counter; 0 when empty/invalid
     /// (mirrors Figure 4's `NumberFormatException` fallback).
     pub fn counter(&self) -> u64 {
-        self.as_str().and_then(|s| s.trim().parse().ok()).unwrap_or(0)
+        match &self.repr {
+            Repr::Counter { n, .. } => *n,
+            _ => parse_decimal(self.bytes()).unwrap_or(0),
+        }
     }
 
-    /// Increment the decimal counter payload by `delta` and return the new
-    /// value.
+    /// Increment the decimal counter payload by `delta` (saturating) and
+    /// return the new value. Any other payload is read once by
+    /// [`Slate::counter`]'s rule and replaced by a resident counter, which
+    /// later increments update in place; its text renders only at a byte
+    /// boundary.
     pub fn incr_counter(&mut self, delta: u64) -> u64 {
-        let next = self.counter().saturating_add(delta);
-        self.replace(next.to_string().into_bytes());
-        next
+        self.version += 1;
+        if let Repr::Counter { n, text } = &mut self.repr {
+            *n = n.saturating_add(delta);
+            text.take();
+            return *n;
+        }
+        let n = self.counter().saturating_add(delta);
+        self.repr = Repr::Counter { n, text: OnceLock::new() };
+        n
     }
+}
+
+/// The one rule for decimal counter text (slates, and the values counter
+/// updaters add and combine): a `u64` after trimming whitespace, `None`
+/// otherwise.
+pub fn parse_decimal(bytes: &[u8]) -> Option<u64> {
+    std::str::from_utf8(bytes).ok()?.trim().parse().ok()
+}
+
+fn render_decimal(n: u64) -> Bytes {
+    let mut out = Vec::with_capacity(20);
+    json::write_decimal(&mut out, n);
+    Bytes::from(out)
 }
 
 fn serialize(doc: &Json) -> Bytes {
@@ -441,6 +467,37 @@ mod tests {
     fn counter_saturates_instead_of_overflowing() {
         let mut s = Slate::from_bytes(u64::MAX.to_string().into_bytes());
         assert_eq!(s.incr_counter(5), u64::MAX);
+        assert_eq!(s.bytes(), u64::MAX.to_string().as_bytes());
+    }
+
+    #[test]
+    fn a_counter_renders_its_text_once_per_mutation() {
+        let mut s = Slate::from_bytes(b" 41 ".to_vec());
+        assert_eq!(s.incr_counter(1), 42);
+        let (flushed, codec) = s.materialize(Codec::Mbf);
+        assert_eq!((flushed.as_ref(), codec), (&b"42"[..], Codec::Json));
+        assert_eq!(flushed.as_ptr(), s.to_shared().as_ptr(), "one rendering, shared");
+        assert_eq!(s.incr_counter(958), 1000);
+        assert_eq!((s.bytes(), s.len(), s.version()), (&b"1000"[..], 4, 2));
+    }
+
+    #[test]
+    fn parse_decimal_is_trimmed_u64_text() {
+        for (text, want) in [
+            (&b"7"[..], Some(7)),
+            (b"007", Some(7)),
+            (b" 7\n", Some(7)),
+            (b"+7", Some(7)),
+            ("\u{a0}7".as_bytes(), Some(7)),
+            (b"18446744073709551615", Some(u64::MAX)),
+            (b"18446744073709551616", None),
+            (b"", None),
+            (b"-1", None),
+            (b"7x", None),
+            (&[0xff, b'7'], None),
+        ] {
+            assert_eq!(parse_decimal(text), want, "{text:?}");
+        }
     }
 
     #[test]

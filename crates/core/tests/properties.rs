@@ -8,6 +8,7 @@ use muppet_core::codec;
 use muppet_core::error::Error;
 use muppet_core::event::{Event, Key};
 use muppet_core::json::{self, Field, Json};
+use muppet_core::mbf::Codec;
 use muppet_core::operator::{Emitter, FnMapper, FnUpdater};
 use muppet_core::reference::{ReferenceExecutor, RunStats};
 use muppet_core::slate::Slate;
@@ -156,6 +157,91 @@ proptest! {
     #[test]
     fn json_parser_never_panics_on_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
         let _ = Json::parse_bytes(&bytes);
+    }
+}
+
+/// The string writer the serializer used before it copied runs: one
+/// `char` at a time.
+fn per_char_string(s: &str) -> Vec<u8> {
+    use std::io::Write;
+    let mut out = vec![b'"'];
+    let mut utf8 = [0u8; 4];
+    for c in s.chars() {
+        match c {
+            '"' => out.extend_from_slice(b"\\\""),
+            '\\' => out.extend_from_slice(b"\\\\"),
+            '\n' => out.extend_from_slice(b"\\n"),
+            '\r' => out.extend_from_slice(b"\\r"),
+            '\t' => out.extend_from_slice(b"\\t"),
+            '\u{08}' => out.extend_from_slice(b"\\b"),
+            '\u{0c}' => out.extend_from_slice(b"\\f"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+            c => out.extend_from_slice(c.encode_utf8(&mut utf8).as_bytes()),
+        }
+    }
+    out.push(b'"');
+    out
+}
+
+/// The number writer the serializer used before it wrote digits itself.
+fn fmt_number(n: f64) -> Vec<u8> {
+    if !n.is_finite() {
+        b"null".to_vec()
+    } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+        format!("{}", n as i64).into_bytes()
+    } else {
+        format!("{n}").into_bytes()
+    }
+}
+
+/// Every control char, the two escaped printables, DEL, and multibyte
+/// UTF-8 of two, three and four bytes.
+fn arb_escapable_string() -> impl Strategy<Value = String> {
+    let alphabet: Vec<char> = (0u8..0x20)
+        .map(char::from)
+        .chain(['"', '\\', 'a', ' ', '\u{7f}', '\u{e9}', '\u{2028}', '\u{1F600}'])
+        .collect();
+    proptest::collection::vec(0..alphabet.len(), 0..32)
+        .prop_map(move |picks| picks.into_iter().map(|p| alphabet[p]).collect())
+}
+
+/// Integers at the ±2⁵³ edges, ±0, fractions, and every bit pattern
+/// (NaN and ±∞ included).
+fn arb_writer_number() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-3i64..=3, any::<bool>()).prop_map(|(d, neg)| {
+            let n = 2f64.powi(53) + d as f64;
+            if neg {
+                -n
+            } else {
+                n
+            }
+        }),
+        Just(-0.0),
+        Just(0.0),
+        any::<i64>().prop_map(|n| n as f64),
+        -1.0e6f64..1.0e6,
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn json_writer_matches_the_per_char_writer(
+        s in arb_escapable_string(),
+        n in arb_writer_number(),
+    ) {
+        prop_assert_eq!(Json::str(s.clone()).to_compact().into_bytes(), per_char_string(&s));
+        prop_assert_eq!(Json::Num(n).to_compact().into_bytes(), fmt_number(n));
+        let doc = Json::obj([(s.clone(), Json::Arr(vec![Json::Num(n), Json::str(s.clone())]))]);
+        let mut want = b"{".to_vec();
+        want.extend(per_char_string(&s));
+        want.extend_from_slice(b":[");
+        want.extend(fmt_number(n));
+        want.push(b',');
+        want.extend(per_char_string(&s));
+        want.extend_from_slice(b"]}");
+        prop_assert_eq!(doc.to_compact().into_bytes(), want);
     }
 }
 
@@ -466,6 +552,89 @@ fn apply_plain(slate: &mut Slate, op: &SlateOp) {
     }
 }
 
+/// One step of a counter-slate sequence.
+#[derive(Clone, Debug)]
+enum CounterOp {
+    Incr(u64),
+    Replace(Vec<u8>),
+    Clear,
+    EnsureJson,
+    /// `json_mut_or`, adding to a numeric document.
+    JsonAdd(i64),
+    /// `obj_mut_or` + `set`.
+    ObjSet(String, i64),
+    SetJson(Json),
+}
+
+fn arb_counter_op() -> impl Strategy<Value = CounterOp> {
+    let payload = prop_oneof![
+        (0u64..1000).prop_map(|n| n.to_string().into_bytes()),
+        Just(b" 7 ".to_vec()),
+        Just(b"+7".to_vec()),
+        Just(b"x7".to_vec()),
+        Just(Vec::new()),
+        Just(u64::MAX.to_string().into_bytes()),
+        Just(b"18446744073709551616".to_vec()),
+        proptest::collection::vec(any::<u8>(), 0..8),
+    ];
+    prop_oneof![
+        (0u64..100).prop_map(CounterOp::Incr),
+        (u64::MAX - 100..=u64::MAX).prop_map(CounterOp::Incr),
+        payload.prop_map(CounterOp::Replace),
+        Just(CounterOp::Clear),
+        Just(CounterOp::EnsureJson),
+        (-5i64..50).prop_map(CounterOp::JsonAdd),
+        ("[a-b]", -5i64..50).prop_map(|(k, v)| CounterOp::ObjSet(k, v)),
+        prop_oneof![arb_json(1), (0u64..1000).prop_map(|n| Json::num(n as f64))]
+            .prop_map(CounterOp::SetJson),
+    ]
+}
+
+/// Where a counter sequence starts: empty, or loaded from the store in
+/// either codec.
+fn arb_counter_init() -> impl Strategy<Value = Slate> {
+    prop_oneof![
+        Just(Slate::empty()),
+        (0u64..1000).prop_map(|n| Slate::from_stored(n.to_string().into_bytes(), Codec::Json)),
+        arb_json(2).prop_map(|v| Slate::from_stored(v.to_compact().into_bytes(), Codec::Json)),
+        arb_json(2).prop_map(|v| Slate::from_stored(v.to_mbf().unwrap(), Codec::Mbf)),
+    ]
+}
+
+/// The decimal counter rule of Figure 4, read off the slate's text.
+fn text_counter(slate: &Slate) -> u64 {
+    slate.as_str().and_then(|s| s.trim().parse().ok()).unwrap_or(0)
+}
+
+/// Apply `op`; with `as_text`, an increment replaces the payload with the
+/// new decimal text, which is how a counter slate used to be kept.
+fn apply_counter_op(slate: &mut Slate, op: &CounterOp, as_text: bool) {
+    match op {
+        CounterOp::Incr(d) if as_text => {
+            let next = text_counter(slate).saturating_add(*d);
+            slate.replace(next.to_string().into_bytes());
+        }
+        CounterOp::Incr(d) => {
+            slate.incr_counter(*d);
+        }
+        CounterOp::Replace(bytes) => slate.replace(bytes.clone()),
+        CounterOp::Clear => slate.clear(),
+        CounterOp::EnsureJson => {
+            let _ = slate.ensure_json();
+        }
+        CounterOp::JsonAdd(d) => {
+            let doc = slate.json_mut_or(|| Json::num(0));
+            if let Some(n) = doc.as_i64() {
+                *doc = Json::num((n + d) as f64);
+            }
+        }
+        CounterOp::ObjSet(k, v) => {
+            slate.obj_mut_or(obj_default).set(k.clone(), Json::num(*v as f64))
+        }
+        CounterOp::SetJson(v) => slate.set_json(v.clone()),
+    }
+}
+
 proptest! {
     #[test]
     fn event_order_is_total_and_consistent(
@@ -518,6 +687,30 @@ proptest! {
             prop_assert_eq!(resident.len(), plain.len());
             prop_assert_eq!(resident.to_shared().as_ref(), plain.to_shared().as_ref());
             prop_assert_eq!(resident.as_json(), plain.as_json());
+        }
+    }
+
+    #[test]
+    fn counter_slate_equals_the_text_counter_under_mutations(
+        init in arb_counter_init(),
+        ops in proptest::collection::vec(arb_counter_op(), 0..40),
+    ) {
+        let mut counter = init.clone();
+        let mut text = init;
+        for op in &ops {
+            apply_counter_op(&mut counter, op, false);
+            apply_counter_op(&mut text, op, true);
+            prop_assert_eq!(counter.bytes(), text.bytes(), "op: {:?}", op);
+            prop_assert_eq!(counter.as_str(), text.as_str());
+            prop_assert_eq!(counter.len(), text.len());
+            prop_assert_eq!(counter.is_empty(), text.is_empty());
+            prop_assert_eq!(counter.version(), text.version());
+            prop_assert_eq!(counter.counter(), text_counter(&text));
+            // Debug, not `==`: a decoded NaN equals nothing.
+            prop_assert_eq!(format!("{:?}", counter.as_json()), format!("{:?}", text.as_json()));
+            for codec in [Codec::Json, Codec::Mbf] {
+                prop_assert_eq!(counter.materialize(codec), text.materialize(codec));
+            }
         }
     }
 

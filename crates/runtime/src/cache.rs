@@ -2337,4 +2337,45 @@ mod tests {
         assert_eq!((s.entries, s.evictions, s.evict_backlog), (8, 8, 0));
         assert!(cache.read(0, &Key::from("r0")).is_none());
     }
+
+    #[test]
+    fn a_counter_slate_flushes_its_decimal_text_tagged_json() {
+        // A counter kept as a number stores what its text always stored:
+        // the decimal digits, tagged JSON, under either store codec.
+        #[derive(Default)]
+        struct Tagged(Mutex<Vec<(Vec<u8>, Codec)>>);
+        impl SlateBackend for Tagged {
+            fn load(&self, _: &str, _: &Key, _: u64) -> Option<Vec<u8>> {
+                Some(b" 41 ".to_vec())
+            }
+            fn store(&self, _: &str, _: &Key, b: &[u8], c: Codec, _: Option<u64>, _: u64) -> bool {
+                self.0.lock().push((b.to_vec(), c));
+                true
+            }
+        }
+        for store_codec in [Codec::Json, Codec::Mbf] {
+            let backend = Arc::new(Tagged::default());
+            let cache =
+                SlateCache::new(10, FlushPolicy::IntervalMs(100), Arc::clone(&backend) as _)
+                    .with_store_codec(store_codec);
+            let slot = cache.get_or_load(0, &updater_name(), &Key::from("Best Buy"), None, 0);
+            {
+                let mut state = slot.state.lock();
+                assert_eq!(state.slate.incr_counter(1), 42);
+                cache.note_write(&slot, &mut state, 10);
+            }
+            assert_eq!(cache.flush_dirty(20), 1);
+            {
+                let mut state = slot.state.lock();
+                state.slate.incr_counter(958);
+                cache.note_write(&slot, &mut state, 30);
+            }
+            assert_eq!(cache.flush_dirty(40), 1);
+            assert_eq!(
+                *backend.0.lock(),
+                vec![(b"42".to_vec(), Codec::Json), (b"1000".to_vec(), Codec::Json)],
+                "store codec {store_codec:?}"
+            );
+        }
+    }
 }

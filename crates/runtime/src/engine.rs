@@ -2579,8 +2579,10 @@ fn deliver_local(
             // Likely-room fast path; capacity may still be exceeded by a
             // racing sender, in which case force_push slightly overshoots
             // (bounded by sender count) — acceptable for a size *limit*.
-            queue.force_push(queued(ev));
+            // Count before publishing: a worker may pop and finish the
+            // event the moment it is pushed (`models::run_in_flight`).
             shared.pending.fetch_add(1, Ordering::AcqRel);
+            queue.force_push(queued(ev));
             return Ok(());
         }
         // Queue full: invoke the overflow mechanism (§4.3).
@@ -2609,8 +2611,8 @@ fn deliver_local(
                 return Ok(());
             }
             OverflowAction::ForceThrough => {
-                queue.force_push(queued(ev));
                 shared.pending.fetch_add(1, Ordering::AcqRel);
+                queue.force_push(queued(ev));
                 return Ok(());
             }
             OverflowAction::BlockProducer => {
