@@ -8,7 +8,8 @@
 //! Run one:        `cargo run -p muppet-bench --release --bin experiments -- x5`
 //! Quick mode:     `... -- all --quick` (smaller event counts)
 //!
-//! Criterion micro-benchmarks live under `benches/`.
+//! Performance is measured end to end by the e2e benchmark
+//! (`src/bin/e2e`, declared in `BENCHMARK.json`).
 
 pub mod experiments;
 pub mod harness;

@@ -1,4 +1,4 @@
-//! Executable models of the repo's four hairiest concurrency protocols,
+//! Executable models of the repo's hairiest concurrency protocols,
 //! shaped for the [`crate::sched`] harness.
 //!
 //! Each model is a faithful miniature of the real code path — same locks,
@@ -18,13 +18,17 @@
 //!   dirty bit);
 //! * [`run_in_flight`] — `runtime::engine`'s in-flight count (an event is
 //!   counted in `pending` before a worker can pop it, so `drain() == true`
-//!   implies nothing in flight, an owed eviction retire included).
+//!   implies nothing in flight, an owed eviction retire included);
+//! * [`run_kill_race`] — a local delivery racing `kill_machine` (a push
+//!   that lands after the killer's drain is drained by its deliverer, so
+//!   no unit is stranded in a dead machine's queue).
 //!
 //! Every model also has deliberately-broken variants — the negative
 //! controls proving the harness can actually catch the bug class it
 //! guards against (an ack past what the sync covered, a cursor past its
 //! flush, a waiter observing an absent value, a lost dirty bit, a drain
-//! that sees nothing in flight while a retire is owed).
+//! that sees nothing in flight while a retire is owed, a unit stranded in
+//! a dead queue).
 //! `violations > 0` for a broken run is the harness working, not the
 //! harness failing.
 
@@ -752,6 +756,106 @@ pub fn run_in_flight(seed: u64, events: u64, broken: bool) -> Outcome {
     let pending = state.pending.load(Ordering::SeqCst);
     if pending != 0 {
         out.violate(format!("pending ends at {pending}, not 0"));
+    }
+    out
+}
+
+// ---------------------------------------------------------------------
+// Model 5: a local delivery racing `Engine::kill_machine`.
+// ---------------------------------------------------------------------
+
+struct KillRace {
+    /// `Machine::alive`.
+    alive: AtomicBool,
+    /// The machine's one worker queue.
+    queue: Mutex<VecDeque<u64>>,
+    /// The ledger's `pending`.
+    pending: AtomicI64,
+    /// Negative control: push without re-checking liveness afterwards.
+    broken_no_recheck: bool,
+}
+
+impl KillRace {
+    /// `deliver_local`'s liveness check, then `Shared::enqueue`.
+    fn deliver(&self, event: u64) {
+        if !self.alive.load(Ordering::Acquire) {
+            return; // `Unreachable`: never counted
+        }
+        sched::point();
+        self.pending.fetch_add(1, Ordering::AcqRel);
+        self.queue.lock().push_back(event);
+        sched::point();
+        if !self.broken_no_recheck && !self.alive.load(Ordering::Acquire) {
+            self.drain_lost();
+        }
+    }
+
+    /// `Shared::kill_machine`: mark dead, then take what the queue holds.
+    fn kill(&self) {
+        if self.alive.swap(false, Ordering::AcqRel) {
+            sched::point();
+            self.drain_lost();
+        }
+    }
+
+    /// Take every queued event as lost and settle its unit.
+    fn drain_lost(&self) {
+        let lost = self.queue.lock().drain(..).count();
+        self.pending.fetch_sub(lost as i64, Ordering::AcqRel);
+    }
+
+    /// The machine's worker: pops and finishes events until it sees its
+    /// machine dead.
+    fn work(&self) {
+        while self.alive.load(Ordering::Acquire) {
+            sched::point();
+            let popped = self.queue.lock().pop_front();
+            if popped.is_some() {
+                sched::point();
+                self.pending.fetch_sub(1, Ordering::AcqRel);
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// A deliverer pushes `events` events to a machine whose worker drains
+/// them while a killer kills the machine part-way through. Invariant:
+/// once all three are done, `pending` is 0 — no event sits counted in a
+/// queue nobody will drain. `broken` skips the deliverer's re-check after
+/// the push, as the engine once did.
+pub fn run_kill_race(seed: u64, events: u64, broken: bool) -> Outcome {
+    sched::install(seed);
+    let state = Arc::new(KillRace {
+        alive: AtomicBool::new(true),
+        queue: Mutex::new(VecDeque::new()),
+        pending: AtomicI64::new(0),
+        broken_no_recheck: broken,
+    });
+    let spawn = |idx: u64, role: fn(&KillRace, u64)| {
+        let state = Arc::clone(&state);
+        std::thread::spawn(move || {
+            sched::register(idx);
+            role(&state, events);
+            sched::deregister();
+        })
+    };
+    let roles = [
+        spawn(1, |s, events| (0..events).for_each(|e| s.deliver(e))),
+        spawn(2, |s, _| s.work()),
+        spawn(3, |s, events| {
+            (0..events).for_each(|_| sched::point());
+            s.kill();
+        }),
+    ];
+    for role in roles {
+        role.join().expect("no panic");
+    }
+    let mut out = Outcome { work: state.queue.lock().len() as u64, ..Outcome::default() };
+    let pending = state.pending.load(Ordering::SeqCst);
+    if pending != 0 {
+        out.violate(format!("pending ends at {pending}, not 0: a unit stranded in a dead queue"));
     }
     out
 }

@@ -1,4 +1,4 @@
-//! Schedule-perturbed runs of the four protocol models (DESIGN.md §12).
+//! Schedule-perturbed runs of the protocol models (DESIGN.md §12).
 //!
 //! Each correct protocol is driven through 1000+ seeded interleavings
 //! and must hold its invariants on every one. Each deliberately-broken
@@ -156,4 +156,27 @@ fn flush_cas_negative_control_blind_mark_is_caught() {
         out.notes.iter().any(|n| n.contains("dirty bit"))
     });
     assert!(caught, "harness failed to catch the blind flushed-version mark in {SEEDS} seeds");
+}
+
+#[test]
+fn kill_race_holds_over_1000_interleavings() {
+    arm_hook();
+    for seed in 0..SEEDS {
+        let out = models::run_kill_race(seed, 8, false);
+        assert_clean("kill race", seed, &out);
+        assert_eq!(out.work, 0, "the dead queue is empty (seed {seed})");
+    }
+}
+
+#[test]
+fn kill_race_negative_control_push_without_recheck_is_caught() {
+    arm_hook();
+    // The broken deliverer checks liveness, then pushes: a kill whose
+    // drain ran in between leaves the event counted in a queue whose
+    // worker has exited.
+    let caught = (0..SEEDS).any(|seed| {
+        let out = models::run_kill_race(seed, 8, true);
+        out.notes.iter().any(|n| n.contains("stranded"))
+    });
+    assert!(caught, "harness failed to catch the missing re-check in {SEEDS} seeds");
 }

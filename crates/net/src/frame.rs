@@ -20,7 +20,7 @@ use muppet_core::codec::{
     self, get_event, get_len_prefixed, get_opt_bytes, get_opt_varint, get_varint, put_event,
     put_len_prefixed, put_opt_bytes, put_opt_varint, put_varint,
 };
-use muppet_core::event::Event;
+use muppet_core::event::{Event, Key, StreamId};
 use muppet_core::workflow::OpId;
 use muppet_core::{mbf, Codec, Json};
 
@@ -61,6 +61,75 @@ pub struct WireEvent {
 
 /// Hop bound for ownership forwarding (3 bits in the wire flags byte).
 pub const MAX_FORWARDS: u8 = 7;
+
+/// What two events must agree on to fold ([`WireEvent::run_key`]).
+pub type RunKey = (OpId, StreamId, Key, bool, Option<(bool, Option<usize>)>);
+
+impl WireEvent {
+    /// The run key [`fold_runs`] folds by: operator, stream, key and the
+    /// redirect mark — in a worker's drained batch; in a sender outbox
+    /// (`outbox`) also what the receiver's delivery still reads (overflow
+    /// class, 1.0 thread hint).
+    pub fn run_key(&self, outbox: bool) -> RunKey {
+        let delivery = outbox.then_some((self.external, self.thread_hint));
+        (self.op, self.event.stream.clone(), self.event.key.clone(), self.redirected, delivery)
+    }
+}
+
+/// A worker's queue entry: an event with its enqueue stamp, which a fold
+/// carries along ([`fold_runs`]).
+impl<S> std::borrow::Borrow<WireEvent> for (WireEvent, S) {
+    fn borrow(&self) -> &WireEvent {
+        &self.0
+    }
+}
+
+impl<S> std::borrow::BorrowMut<WireEvent> for (WireEvent, S) {
+    fn borrow_mut(&mut self) -> &mut WireEvent {
+        &mut self.0
+    }
+}
+
+/// Map-side pre-aggregation, the one fold of the sender outbox and the
+/// worker drain: events with the same `run_key` (`None`: never folds)
+/// coalesce into the run's first event through `combine` — the
+/// operator's declared order-free combiner, `None` a veto. Returns the
+/// carriers in first-occurrence order, each with the number of events it
+/// absorbed (itself included). A carrier keeps the run's largest ts/seq
+/// (output ts = input ts + 1 stays §3-legal for the whole run), earliest
+/// injection stamp (latency is measured pessimistically) and largest
+/// forwarding debt; a veto re-points the run at the vetoed event, so
+/// per-key order is kept.
+pub fn fold_runs<T: std::borrow::BorrowMut<WireEvent>, K: Eq + std::hash::Hash>(
+    items: impl IntoIterator<Item = T>,
+    run_key: impl Fn(&WireEvent) -> Option<K>,
+    mut combine: impl FnMut(OpId, &[u8], &[u8]) -> Option<Vec<u8>>,
+) -> Vec<(T, u64)> {
+    let items = items.into_iter();
+    let mut carriers: Vec<(T, u64)> = Vec::with_capacity(items.size_hint().0);
+    let mut open: std::collections::HashMap<K, usize> = std::collections::HashMap::new();
+    for mut item in items {
+        let ev: &mut WireEvent = item.borrow_mut();
+        if let Some(run) = run_key(ev) {
+            if let Some(&at) = open.get(&run) {
+                let (carrier, count) = &mut carriers[at];
+                let acc: &mut WireEvent = carrier.borrow_mut();
+                if let Some(folded) = combine(ev.op, &acc.event.value, &ev.event.value) {
+                    acc.event.value = folded.into();
+                    acc.event.ts = acc.event.ts.max(ev.event.ts);
+                    acc.event.seq = acc.event.seq.max(ev.event.seq);
+                    acc.injected_us = acc.injected_us.min(ev.injected_us);
+                    acc.forwards = acc.forwards.max(ev.forwards);
+                    *count += 1;
+                    continue;
+                }
+            }
+            open.insert(run, carriers.len());
+        }
+        carriers.push((item, 1));
+    }
+    carriers
+}
 
 /// Which step of the membership protocol a [`MembershipUpdate`] carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1267,5 +1336,65 @@ mod tests {
             payload.extend_from_slice(&[1, 0, 1, 0]);
             assert_eq!(Frame::decode_payload(&payload), None, "kind {kind}");
         }
+    }
+
+    fn keyed_event(op: OpId, key: &str, value: &str) -> WireEvent {
+        WireEvent {
+            op,
+            event: Event::new("S", 1, Key::from(key), value.as_bytes().to_vec()),
+            injected_us: 7,
+            redirected: false,
+            external: true,
+            thread_hint: None,
+            forwards: 0,
+        }
+    }
+
+    /// Op 1 declares a decimal-sum combiner, every other op none.
+    fn sum_op_1(op: OpId, acc: &[u8], next: &[u8]) -> Option<Vec<u8>> {
+        (op == 1).then(|| muppet_core::operator::combine_decimal_sum(acc, next)).flatten()
+    }
+
+    #[test]
+    fn fold_runs_coalesces_same_key_runs_in_first_occurrence_order() {
+        let raw = vec![
+            keyed_event(1, "a", "1"),
+            keyed_event(1, "b", "5"),
+            keyed_event(1, "a", "2"),
+            keyed_event(2, "a", "9"), // op 2 declares no combiner
+            keyed_event(1, "a", "3"),
+            keyed_event(2, "a", "9"),
+        ];
+        let entries = fold_runs(raw, |ev| Some(ev.run_key(true)), sum_op_1);
+        assert_eq!(entries.len(), 4);
+        assert_eq!(entries[0].0.event.value.as_ref(), b"6", "1+2+3 folded");
+        assert_eq!(entries[0].1, 3);
+        assert_eq!(entries[1].0.event.value.as_ref(), b"5");
+        assert_eq!(entries[1].1, 1);
+        assert_eq!(entries[2].1, 1, "non-combining op never folds");
+        assert_eq!(entries[3].1, 1);
+    }
+
+    #[test]
+    fn fold_runs_without_a_combiner_passes_through() {
+        let raw = vec![keyed_event(1, "a", "1"), keyed_event(1, "a", "2")];
+        let entries = fold_runs(raw, |ev| Some(ev.run_key(true)), |_, _, _| None);
+        assert_eq!(entries.len(), 2);
+        assert!(entries.iter().all(|(_, c)| *c == 1));
+    }
+
+    #[test]
+    fn delivery_metadata_splits_outbox_runs_but_not_drain_runs() {
+        let mut internal = keyed_event(1, "a", "2");
+        internal.external = false;
+        let mut hinted = keyed_event(1, "a", "3");
+        hinted.thread_hint = Some(1);
+        let raw = vec![(keyed_event(1, "a", "1"), 10u64), (internal, 11), (hinted, 12)];
+        let outbox = fold_runs(raw.clone(), |ev| Some(ev.run_key(true)), sum_op_1);
+        assert_eq!(outbox.iter().map(|(_, n)| *n).collect::<Vec<_>>(), [1, 1, 1]);
+        let drain = fold_runs(raw, |ev| Some(ev.run_key(false)), sum_op_1);
+        assert_eq!(drain.len(), 1, "the drain key ignores external and thread_hint");
+        let ((carrier, stamp), absorbed) = &drain[0];
+        assert_eq!((carrier.event.value.as_ref(), *stamp, *absorbed), (&b"6"[..], 10, 3));
     }
 }

@@ -589,69 +589,6 @@ fn collect_batch(outbox: &PeerOutbox) -> Option<(Vec<WireEvent>, FlushReason)> {
     }
 }
 
-/// Map-side pre-aggregation: coalesce same-⟨op,key⟩ events in a drained
-/// batch through the operator's declared combiner (surfaced via
-/// [`ClusterHandler::combine_values`]) before framing. Runs of a hot key
-/// collapse into one wire entry carrying the folded payload and the
-/// absorbed count; first-occurrence order is preserved, and runs only
-/// fold when they agree on every routing-relevant field (stream, key,
-/// redirected/external flags, thread hint). Ops with no combiner — the
-/// default — fold nothing and the batch frames byte-identically to the
-/// uncombined wire.
-fn fold_batch(outbox: &PeerOutbox, raw: Vec<WireEvent>) -> Vec<(WireEvent, u64)> {
-    let handler = outbox.handler.get();
-    let mut entries: Vec<(WireEvent, u64)> = Vec::with_capacity(raw.len());
-    if raw.len() < 2 || handler.is_none() {
-        entries.extend(raw.into_iter().map(|ev| (ev, 1)));
-        return entries;
-    }
-    // lint: allow(no-unwrap-in-prod) — is_none() checked above
-    let handler = handler.unwrap();
-    // Open runs keyed by everything that must agree for two events to be
-    // interchangeable under the combiner; values index into `entries`.
-    type RunKey = (
-        muppet_core::workflow::OpId,
-        muppet_core::event::StreamId,
-        muppet_core::event::Key,
-        bool,
-        bool,
-        Option<usize>,
-    );
-    let mut open: std::collections::HashMap<RunKey, usize> = std::collections::HashMap::new();
-    for ev in raw {
-        let run = (
-            ev.op,
-            ev.event.stream.clone(),
-            ev.event.key.clone(),
-            ev.redirected,
-            ev.external,
-            ev.thread_hint,
-        );
-        if let Some(&at) = open.get(&run) {
-            let (acc, count) = &mut entries[at];
-            if let Some(folded) = handler.combine_values(ev.op, &acc.event.value, &ev.event.value) {
-                // Fold into the open run: the carrier keeps the latest
-                // timestamp/seq (output ts = input ts + 1 stays §3-legal
-                // for the whole absorbed run), the earliest injection
-                // stamp (latency is measured pessimistically), and the
-                // largest forwarding debt.
-                acc.event.value = folded.into();
-                acc.event.ts = acc.event.ts.max(ev.event.ts);
-                acc.event.seq = acc.event.seq.max(ev.event.seq);
-                acc.injected_us = acc.injected_us.min(ev.injected_us);
-                acc.forwards = acc.forwards.max(ev.forwards);
-                *count += 1;
-                continue;
-            }
-            // Veto (no combiner, or non-foldable payloads): this event
-            // starts a fresh run so per-key order is preserved.
-        }
-        open.insert(run, entries.len());
-        entries.push((ev, 1));
-    }
-    entries
-}
-
 /// Dial a peer, send the connection preamble, and negotiate the wire
 /// codec. Both timeouts are set — the write timeout matters even on the
 /// pooled request/response path: a failure report written from a sender
@@ -718,10 +655,6 @@ fn probe_peer_alive(stream: &TcpStream) -> io::Result<()> {
     verdict
 }
 
-fn encode_batch(batch: &[(WireEvent, u64)], allow_mbf: bool) -> Vec<u8> {
-    frame::encode_events(batch.iter().map(|(ev, absorbed)| (ev, *absorbed)), allow_mbf)
-}
-
 /// Write one batch, reusing `conn` with one reconnect retry (a stale
 /// persistent connection gets one fresh dial; a dead peer fails that
 /// too). The batch is encoded per connection attempt — the negotiated
@@ -735,11 +668,11 @@ fn send_batch(
     let reused = conn.is_some();
     let first = match conn.as_mut() {
         Some(c) => probe_peer_alive(&c.stream).and_then(|()| {
-            let payload = encode_batch(batch, c.mbf);
+            let payload = frame::encode_events(batch.iter().map(|(ev, n)| (ev, *n)), c.mbf);
             frame::write_payload(&mut c.stream, &payload)
         }),
         None => connect_outbox(outbox).and_then(|mut c| {
-            let payload = encode_batch(batch, c.mbf);
+            let payload = frame::encode_events(batch.iter().map(|(ev, n)| (ev, *n)), c.mbf);
             frame::write_payload(&mut c.stream, &payload)?;
             *conn = Some(c);
             Ok(())
@@ -768,7 +701,7 @@ fn send_batch(
             // the peer's socket is gone — so the resend cannot duplicate.
             *conn = None;
             let mut c = connect_outbox(outbox)?;
-            let payload = encode_batch(batch, c.mbf);
+            let payload = frame::encode_events(batch.iter().map(|(ev, n)| (ev, *n)), c.mbf);
             frame::write_payload(&mut c.stream, &payload)?;
             *conn = Some(c);
             Ok(())
@@ -784,7 +717,12 @@ fn sender_loop(outbox: Arc<PeerOutbox>) {
     let mut conn: Option<Conn> = None;
     while let Some((raw, reason)) = collect_batch(&outbox) {
         outbox.stats.flushes[reason as usize].fetch_add(1, Ordering::Relaxed);
-        let batch = fold_batch(&outbox, raw);
+        // Map-side pre-aggregation before framing: runs of a hot key
+        // become one wire entry with its absorbed count. Ops with no
+        // combiner — the default — fold nothing and frame byte-identically.
+        let handler = outbox.handler.get();
+        let combine = |op, acc: &[u8], next: &[u8]| handler.as_ref()?.combine_values(op, acc, next);
+        let batch = frame::fold_runs(raw, |ev| Some(ev.run_key(true)), combine);
         // Original (pre-fold) event count — what the backlog gauge and
         // loss ledgers are denominated in.
         let raw_count: u64 = batch.iter().map(|(_, count)| *count).sum();
@@ -810,10 +748,7 @@ fn sender_loop(outbox: Arc<PeerOutbox>) {
                 // redelivers).
                 let mut lost: Vec<WireEvent> = Vec::with_capacity(raw_count as usize);
                 for (ev, count) in batch {
-                    for _ in 1..count {
-                        lost.push(ev.clone());
-                    }
-                    lost.push(ev);
+                    lost.extend(std::iter::repeat_n(ev, count as usize));
                 }
                 {
                     let mut q = outbox.queue.lock();
@@ -1843,7 +1778,7 @@ mod tests {
     }
 
     /// A standalone outbox (no transport, no socket) for driving
-    /// `collect_batch`/`fold_batch` directly.
+    /// `collect_batch` directly.
     fn bare_outbox(cfg: BatchConfig) -> Arc<PeerOutbox> {
         Arc::new(PeerOutbox {
             dest: 1,
@@ -2118,29 +2053,11 @@ mod tests {
     }
 
     #[test]
-    fn fold_batch_coalesces_same_key_runs_in_first_occurrence_order() {
-        let ob = bare_outbox(BatchConfig::default());
-        let h = CombiningHandler::new();
-        ob.handler.register(Arc::downgrade(&h) as Weak<dyn ClusterHandler>);
-        let raw = vec![
-            keyed_event(1, "a", "1"),
-            keyed_event(1, "b", "5"),
-            keyed_event(1, "a", "2"),
-            keyed_event(2, "a", "9"), // op 2 declares no combiner
-            keyed_event(1, "a", "3"),
-            keyed_event(2, "a", "9"),
-        ];
-        let entries = fold_batch(&ob, raw);
-        assert_eq!(entries.len(), 4);
-        assert_eq!(entries[0].0.event.value.as_ref(), b"6", "1+2+3 folded");
-        assert_eq!(entries[0].1, 3);
-        assert_eq!(entries[1].0.event.value.as_ref(), b"5");
-        assert_eq!(entries[1].1, 1);
-        assert_eq!(entries[2].1, 1, "non-combining op never folds");
-        assert_eq!(entries[3].1, 1);
-
+    fn a_drained_outbox_batch_folds_into_one_carrier() {
         // A single-hot-key burst of N frames ⌈N/batch_max⌉ entries: every
         // drained batch folds into one carrier.
+        let ob = bare_outbox(BatchConfig::default());
+        let h = CombiningHandler::new();
         let batch_max = ob.cfg.batch_max;
         for _ in 0..2 * batch_max + 44 {
             ob.queue.lock().events.push_back((Instant::now(), keyed_event(1, "hot", "1")));
@@ -2148,18 +2065,11 @@ mod tests {
         ob.stopping.store(true, Ordering::Release);
         let mut absorbed = Vec::new();
         while let Some((batch, _)) = collect_batch(&ob) {
-            absorbed.extend(fold_batch(&ob, batch).into_iter().map(|(_, n)| n as usize));
+            let combine = |op, acc: &[u8], next: &[u8]| h.combine_values(op, acc, next);
+            let entries = frame::fold_runs(batch, |ev| Some(ev.run_key(true)), combine);
+            absorbed.extend(entries.into_iter().map(|(_, n)| n as usize));
         }
         assert_eq!(absorbed, [batch_max, batch_max, 44]);
-    }
-
-    #[test]
-    fn fold_batch_without_handler_passes_through() {
-        let ob = bare_outbox(BatchConfig::default());
-        let raw = vec![keyed_event(1, "a", "1"), keyed_event(1, "a", "2")];
-        let entries = fold_batch(&ob, raw);
-        assert_eq!(entries.len(), 2);
-        assert!(entries.iter().all(|(_, c)| *c == 1));
     }
 
     #[test]

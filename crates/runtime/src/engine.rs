@@ -1,41 +1,44 @@
 //! The Muppet engines (§4.1, §4.3, §4.5): configuration, the per-machine
-//! state, ingest, the worker loop, send and local delivery, and the
-//! shell of the membership protocol. Where ⟨function, key⟩ lives is
-//! `placement.rs`'s. DESIGN.md §3 describes the engines, §5 the wire to
-//! other processes and where locality is decided, §7 elastic membership;
-//! the engine's numbers are `stats.rs`'s (§10).
+//! state and the `Engine` API over the parts that run it — the worker
+//! (`worker.rs`), the send path (`send.rs`), membership (`membership.rs`),
+//! ingest and its recovery line (`ingest.rs`), hot-key splitting
+//! (`split.rs`) and the in-flight ledger (`ledger.rs`). Where ⟨function,
+//! key⟩ lives is `placement.rs`'s. DESIGN.md §3 maps the modules, §5 the
+//! wire to other processes and where locality is decided, §7 elastic
+//! membership; the engine's numbers are `stats.rs`'s (§10).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use muppet_core::config::{AppConfig, FlushSpec};
 use muppet_core::error::{Error, Result};
-use muppet_core::event::{Event, Key, StreamId};
-use muppet_core::operator::{Mapper, Updater, VecEmitter};
-use muppet_core::sync::{Condvar, Mutex, RwLock};
+use muppet_core::event::{Event, Key};
+use muppet_core::operator::{Mapper, Updater};
+use muppet_core::sync::{Mutex, RwLock};
 use muppet_core::workflow::{OpId, OpKind, Workflow};
-use muppet_core::{Codec, CodecChoice, Json};
-use muppet_net::frame::{MembershipPhase, MembershipUpdate, WireEvent, MAX_FORWARDS};
+use muppet_core::CodecChoice;
+use muppet_net::frame::{MembershipUpdate, WireEvent};
 use muppet_net::tcp::{BatchConfig, TcpListenerHandle, TcpTransport};
 use muppet_net::topology::{NodeSpec, Topology};
 use muppet_net::transport::{ClusterHandler, MachineId, NetError, Transport};
 use muppet_obs::{Level, Logger};
 use muppet_slatestore::cluster::StoreCluster;
 
-use crate::cache::{
-    FlushPolicy, NullBackend, SlateBackend, SlateCache, SlateSlot, DEFAULT_FLUSH_BATCH_MAX,
-};
-use crate::dispatch::{choose_between, RouteHash};
-use crate::dlq::{DeadLetter, DeadLetterQueue};
-use crate::ingestlog::{IngestLog, IngestRecovery, SyncFn};
+use crate::cache::{FlushPolicy, NullBackend, SlateBackend, SlateCache};
+use crate::dispatch::RouteHash;
+use crate::dlq::DeadLetterQueue;
+use crate::ingestlog::{IngestLog, SyncFn};
+use crate::ledger::Ledger;
 use crate::master::Master;
 use crate::netstore::RemoteBackend;
-use crate::overflow::{DropLog, OverflowAction, OverflowPolicy};
+use crate::overflow::{DropLog, OverflowPolicy};
 use crate::placement::{Membership, Placement, Rings};
 use crate::queue::EventQueue;
+use crate::send::fresh;
+use crate::split::{SplitTracker, HOT_KEY_CAPACITY};
 use crate::stats::{self, hottest, CacheMetrics, Stats};
 pub use crate::stats::{DrainSummary, EngineStats, NetSummary};
 
@@ -47,9 +50,8 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 pub const DRAIN_BATCH: usize = 64;
 /// Dead letters a machine parks before the oldest are evicted.
 const DLQ_CAPACITY: usize = 1024;
-/// Reserved store column the ingest replay cursor is checkpointed under
-/// (never a real updater name — workflow operator names are validated).
-const INGEST_CURSOR_COLUMN: &str = "__ingest_cursor";
+/// How long a throttled producer waits for a settle before it re-checks.
+const THROTTLE_TICK: Duration = Duration::from_millis(1);
 
 /// Which generation of Muppet to run (§4.5).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -116,23 +118,8 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Flush policy for dirty slates.
     pub flush: FlushPolicy,
-    /// Dirty slates a flush sweep coalesces into one batched backend
-    /// call (`SlateBackend::store_many`) at most: over a remote store
-    /// host, one `StorePut` wire round trip; on the LSM node, one
-    /// WAL group commit. Also caps the eviction backlog (victims a cache
-    /// lets wait, resident, before a miss writes them back inline).
-    /// 1 = the per-slate write-behind path.
-    pub flush_batch_max: usize,
     /// Queue-overflow policy.
     pub overflow: OverflowPolicy,
-    /// TCP mode: events coalesced into one wire frame at most (the
-    /// batching senders' size trigger; 1 = unbatched). Ignored
-    /// in-process.
-    pub net_batch_max: usize,
-    /// TCP mode: age ceiling in microseconds — a queued outbound event
-    /// whose producer never asks for a flush waits at most this long for
-    /// its batch to leave. Ignored in-process.
-    pub net_flush_us: u64,
     /// This node was reserved via the master's `/join` admin call and has
     /// not entered the rings yet: the cluster as the join grant described
     /// it. The engine starts with the local machine outside every ring;
@@ -206,10 +193,7 @@ impl Default for EngineConfig {
             slate_cache_capacity: 100_000,
             cache_shards: DEFAULT_CACHE_SHARDS,
             flush: FlushPolicy::default(),
-            flush_batch_max: DEFAULT_FLUSH_BATCH_MAX,
             overflow: OverflowPolicy::default(),
-            net_batch_max: BatchConfig::default().batch_max,
-            net_flush_us: BatchConfig::default().flush_us,
             joining: None,
             metrics: true,
             latency_sample_n: 64,
@@ -335,7 +319,7 @@ impl OperatorSet {
 }
 
 /// Resolved operator instance.
-enum OpInstance {
+pub(crate) enum OpInstance {
     Map(Arc<dyn Mapper>),
     Update { updater: Arc<dyn Updater>, name: Arc<str>, ttl_secs: Option<u64> },
 }
@@ -343,36 +327,36 @@ enum OpInstance {
 /// A queued event with the engine-relative µs at which the queue-wait span
 /// sampled its enqueue (0 = unsampled). The mark is stamped on delivery
 /// and never crosses the wire.
-type Queued = (WireEvent, u64);
+pub(crate) type Queued = (WireEvent, u64);
 
 /// Per-machine state. A machine of another process is a stub for
 /// ring/liveness state, without queues or caches.
-struct Machine {
-    alive: AtomicBool,
-    queues: Vec<Arc<EventQueue<Queued>>>,
+pub(crate) struct Machine {
+    pub(crate) alive: AtomicBool,
+    pub(crate) queues: Vec<Arc<EventQueue<Queued>>>,
     /// Route each thread is currently processing (two-choice rule 1).
     /// Encoding: 0 = idle, otherwise `route.wrapping_add(1)` — lock-free
     /// because the dispatcher reads these on every send.
-    in_flight: Vec<AtomicU64>,
+    pub(crate) in_flight: Vec<AtomicU64>,
     /// 2.0: one central cache. 1.0: per-thread caches (None for mapper
     /// threads).
     central_cache: Option<Arc<SlateCache>>,
     worker_caches: Vec<Option<Arc<SlateCache>>>,
     /// 1.0: the single op each thread runs (None in 2.0).
-    thread_ops: Vec<Option<OpId>>,
+    pub(crate) thread_ops: Vec<Option<OpId>>,
 }
 
 impl Machine {
     /// The slate cache worker `thread` updates through: the machine's
     /// central cache (2.0) or the worker's own (1.0; `None` on a mapper
     /// thread).
-    fn cache_of(&self, thread: usize) -> Option<&Arc<SlateCache>> {
+    pub(crate) fn cache_of(&self, thread: usize) -> Option<&Arc<SlateCache>> {
         self.central_cache.as_ref().or_else(|| self.worker_caches.get(thread)?.as_ref())
     }
 
     /// The slate cache that holds `op`'s slates placed at `at` on this
     /// machine (1.0: only if the placement's thread does run `op`).
-    fn cache_at(&self, op: OpId, at: Placement) -> Option<&Arc<SlateCache>> {
+    pub(crate) fn cache_at(&self, op: OpId, at: Placement) -> Option<&Arc<SlateCache>> {
         match at.thread {
             None => self.central_cache.as_ref(),
             Some(t) if self.thread_ops.get(t) == Some(&Some(op)) => self.worker_caches[t].as_ref(),
@@ -381,12 +365,18 @@ impl Machine {
     }
 
     /// Every slate cache this machine owns.
-    fn caches(&self) -> impl Iterator<Item = &Arc<SlateCache>> {
+    pub(crate) fn caches(&self) -> impl Iterator<Item = &Arc<SlateCache>> {
         self.central_cache.iter().chain(self.worker_caches.iter().flatten())
     }
 
+    /// The route worker `thread` is processing, `None` when idle.
+    pub(crate) fn working_on(&self, thread: usize) -> Option<RouteHash> {
+        let raw = self.in_flight[thread].load(Ordering::Acquire);
+        (raw != 0).then(|| raw.wrapping_sub(1))
+    }
+
     /// A stub for a machine that lives in another process.
-    fn remote_stub() -> Machine {
+    pub(crate) fn remote_stub() -> Machine {
         Machine {
             alive: AtomicBool::new(true),
             queues: Vec::new(),
@@ -415,7 +405,6 @@ impl Machine {
             let backend = Arc::clone(backend);
             Arc::new(
                 SlateCache::with_metrics(capacity, cfg.flush, backend, shards, metrics.clone())
-                    .with_flush_batch(cfg.flush_batch_max)
                     .with_store_codec(cfg.wire_codec.store_codec())
                     .with_hot_keys(hot_keys, cfg.latency_sample_n.max(1))
                     .with_logger(Arc::clone(logger)),
@@ -447,160 +436,104 @@ impl Machine {
     }
 }
 
-/// Keys tracked per cache shard by the space-saving hot-key sketch.
-const HOT_KEY_CAPACITY: usize = 64;
-
-/// Cooling-probe window for split hot keys: a key whose rewrite traffic
-/// over one window falls below half `hot_split_threshold` collapses back
-/// to base-key routing (its subslates persist and keep merging on read).
-const SPLIT_COOL_WINDOW_US: u64 = 250_000;
-
-/// Dynamic hot-key fan-out state. The owner-side detector installs a
-/// combining ⟨op, key⟩ here when the cache's space-saving sketch
-/// estimates its event count past [`EngineConfig::hot_split_threshold`];
-/// while installed, senders and owners rewrite the key round-robin to
-/// one of [`crate::dispatch::SPLIT_WAYS`] ring-distributed subkeys.
-/// Reads merge base + subslates through the declared combiner, so the
-/// split is invisible to exactness. Subkeys are ordinary keys to every
-/// other subsystem (handoff, flush, recovery) — no epoch special-casing.
-struct SplitTracker {
-    /// Actively split ⟨op, key⟩ pairs. Touched on the rewrite path only
-    /// when `active > 0`, so unsplit workloads never take the lock.
-    map: RwLock<HashMap<(OpId, Key), Arc<SplitEntry>>>,
-    /// Fast-path gate: the number of entries in `map`.
-    active: AtomicU64,
-    /// Sampled-probe counter for the hot detector (one sketch estimate
-    /// per `SPLIT_PROBE_EVERY` update events).
-    probe: AtomicU64,
-    /// Collapsed pairs' sketch estimates at collapse, as read by the first
-    /// over-threshold probe after it (`None` until then). The sketch count
-    /// is cumulative, so a pair re-splits only on heat gained since. At
-    /// most [`HOT_KEY_CAPACITY`] entries.
-    floors: Mutex<HashMap<(OpId, Key), Option<u64>>>,
-}
-
-/// Per-split-key routing state.
-struct SplitEntry {
-    /// Round-robin subkey cursor.
-    rr: AtomicU64,
-    /// Rewrites observed in the current cooling window.
-    hits: AtomicU64,
-    /// Engine-relative µs when the current cooling window opened.
-    window_us: AtomicU64,
-}
-
-/// One hot-key sketch probe per this many update events: keeps the
-/// steady detector cost to a relaxed `fetch_add`.
-const SPLIT_PROBE_EVERY: u64 = 64;
-
-/// A batch-fold run that absorbed at least this many events probes the
-/// splitter unconditionally — coalescing that deep is itself the skew
-/// signal, and the carrier-level probe above undersamples keys the fold
-/// has already collapsed.
-const SPLIT_FOLD_PROBE_MIN: u64 = 8;
-
-struct Shared {
-    wf: Workflow,
-    ops: Vec<OpInstance>,
-    cfg: EngineConfig,
+/// The engine's shared state, which its parts (DESIGN.md §3's module map)
+/// work on. The in-flight count and the split state are types of their
+/// own (`ledger`, `splits`), so no other code touches them.
+pub(crate) struct Shared {
+    pub(crate) wf: Workflow,
+    pub(crate) ops: Vec<OpInstance>,
+    pub(crate) cfg: EngineConfig,
     /// Per-machine state; grows when machines join (ids are append-only).
-    machines: RwLock<Vec<Arc<Machine>>>,
+    pub(crate) machines: RwLock<Vec<Arc<Machine>>>,
     /// The routing state: the committed epoch's rings and, mid-join, the
     /// staged epoch's. ONE lock over all of it — updaters hold the read
     /// lock across a slate mutation, so a transition (write lock) is
     /// atomic with respect to every in-flight update: once it returns, no
     /// worker can still be mutating a slate the node just handed off.
-    membership: RwLock<Membership>,
+    pub(crate) membership: RwLock<Membership>,
     /// The full cluster node list, reservations included (authoritative
     /// on the master; grown from membership updates elsewhere).
-    cluster_nodes: Mutex<Vec<NodeSpec>>,
+    pub(crate) cluster_nodes: Mutex<Vec<NodeSpec>>,
     /// Serializes join reservations + protocol runs on the master.
-    join_lock: Mutex<()>,
+    pub(crate) join_lock: Mutex<()>,
     /// Highest epoch this master has ever handed out (monotone even
     /// across aborted joins — a staged-but-never-committed epoch must
     /// never be reused with different content).
-    epoch_mint: AtomicU64,
+    pub(crate) epoch_mint: AtomicU64,
     /// The wire to the other processes of a TCP cluster; `None`
     /// in-process, where every machine is local.
-    wire: Option<Arc<TcpTransport>>,
+    pub(crate) wire: Option<Arc<TcpTransport>>,
     /// TCP mode: the locally hosted store service, served to peers via
     /// the transport's store frames.
-    host_store: Option<Arc<StoreCluster>>,
+    pub(crate) host_store: Option<Arc<StoreCluster>>,
     /// The slate backend every cache flushes to / loads from (also the
     /// read fallback when a slate's owner is unreachable, §4.4).
-    backend: Arc<dyn SlateBackend>,
+    pub(crate) backend: Arc<dyn SlateBackend>,
     /// Whether `backend` actually persists (false for [`NullBackend`]):
     /// decides whether elastic handoff goes through the store or moves
     /// slots directly between in-process caches.
-    has_backend: bool,
-    master: Master,
-    /// Events enqueued but not yet fully processed.
-    pending: AtomicI64,
-    /// Submitted runs between their ingest-log write and the end of their
-    /// dispatch: `drain` waits for them as for `pending`.
-    dispatching: AtomicU64,
+    pub(crate) has_backend: bool,
+    pub(crate) master: Master,
+    /// The in-flight count `drain` and throttling read.
+    pub(crate) ledger: Ledger,
     /// A recovery line is running: two would store their cursors out of
     /// order.
-    checkpointing: AtomicBool,
-    stopping: AtomicBool,
+    pub(crate) checkpointing: AtomicBool,
+    pub(crate) stopping: AtomicBool,
     /// Every count the engine records (`Engine::stats`, `GET /metrics`).
-    stats: Stats,
+    pub(crate) stats: Stats,
     /// Leveled incident logger (peer deaths, flush failures). Disabled
     /// (`Level::Off`) unless the config raises it.
-    logger: Arc<Logger>,
+    pub(crate) logger: Arc<Logger>,
     /// Peers whose death was already logged through `logger`: §4.3
     /// detection can fire concurrently from the sync-send, forward, and
     /// batch-sender paths for one incident; this set makes the
     /// operator-facing record exactly-once while the [`DropLog`] ring
     /// keeps its per-event entries.
-    logged_peer_deaths: Mutex<HashSet<usize>>,
-    drop_log: DropLog,
+    pub(crate) logged_peer_deaths: Mutex<HashSet<usize>>,
+    pub(crate) drop_log: DropLog,
     start: Instant,
-    /// Source-throttling gate: producers wait here when queues are full.
-    throttle_mutex: Mutex<()>,
-    throttle_cv: Condvar,
     /// The per-machine ingest WAL (`None` = the paper's §4.3 semantics:
     /// in-flight work dies with the machine).
-    ingest_log: Option<Arc<IngestLog>>,
+    pub(crate) ingest_log: Option<Arc<IngestLog>>,
     /// Poison events parked instead of killing worker threads.
-    dlq: DeadLetterQueue,
-    /// Dynamic hot-key splitting state (empty unless `cfg.combine` and
-    /// `cfg.hot_split_threshold > 0` ever install a split).
-    splits: SplitTracker,
+    pub(crate) dlq: DeadLetterQueue,
+    /// Dynamic hot-key splitting state.
+    pub(crate) splits: SplitTracker,
 }
 
 impl Shared {
-    fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
 
-    fn machine(&self, id: usize) -> Option<Arc<Machine>> {
+    pub(crate) fn machine(&self, id: usize) -> Option<Arc<Machine>> {
         self.machines.read().get(id).cloned()
     }
 
-    fn machines_snapshot(&self) -> Vec<Arc<Machine>> {
+    pub(crate) fn machines_snapshot(&self) -> Vec<Arc<Machine>> {
         self.machines.read().clone()
     }
 
     /// Whether machine `m` lives in this process — every machine
     /// in-process, only the wire's own over TCP. The engine's one
     /// locality answer: the wire is called only when it is false.
-    fn is_local(&self, m: MachineId) -> bool {
+    pub(crate) fn is_local(&self, m: MachineId) -> bool {
         self.wire.as_ref().is_none_or(|wire| wire.local() == m)
     }
 
     /// The machine this process runs (`None` in-process).
-    fn local_machine(&self) -> Option<MachineId> {
+    pub(crate) fn local_machine(&self) -> Option<MachineId> {
         self.wire.as_ref().map(|wire| wire.local())
     }
 
     /// Events the wire accepted for another process and has not sent yet.
-    fn outbound_backlog(&self) -> usize {
+    pub(crate) fn outbound_backlog(&self) -> usize {
         self.wire.as_ref().map_or(0, |wire| wire.outbound_backlog())
     }
 
     /// Ask the wire to send what it holds for `peers` now.
-    fn flush_events(&self, peers: &[MachineId]) {
+    pub(crate) fn flush_events(&self, peers: &[MachineId]) {
         if let Some(wire) = &self.wire {
             wire.flush_events(peers);
         }
@@ -608,7 +541,7 @@ impl Shared {
 
     /// Make machine `id` reachable again: its wire outbox, if another
     /// process runs it, and its liveness flag.
-    fn revive(&self, id: MachineId) {
+    pub(crate) fn revive(&self, id: MachineId) {
         if let Some(wire) = &self.wire {
             wire.revive_peer(id);
         }
@@ -617,9 +550,12 @@ impl Shared {
         }
     }
 
-    /// Every slate cache of every machine this process holds.
-    fn caches(&self) -> Vec<Arc<SlateCache>> {
-        self.machines_snapshot().iter().flat_map(|m| m.caches().cloned()).collect()
+    /// Every slate cache of every machine this process holds — of the
+    /// live ones only when `live` (a dead machine lost its slates, §4.3).
+    fn caches(&self, live: bool) -> Vec<Arc<SlateCache>> {
+        let machines = self.machines_snapshot();
+        let holding = machines.iter().filter(|m| !live || m.alive.load(Ordering::Acquire));
+        holding.flat_map(|m| m.caches().cloned()).collect()
     }
 
     /// The stats snapshot: the registry's handles, with `caches`' and this
@@ -629,8 +565,8 @@ impl Shared {
             epoch: self.epoch(),
             uptime_s: self.start.elapsed().as_secs(),
             machine_id: self.local_machine(),
-            pending: self.pending.load(Ordering::Acquire),
-            split_keys_active: self.splits.active.load(Ordering::Acquire),
+            pending: self.ledger.pending(),
+            split_keys_active: self.splits.active(),
             ingest_wal: self.ingest_log.as_ref().map(|log| log.view()),
             store_wal_syncs: self.host_store.as_ref().map(|store| store.wal_sync_count()),
             dlq_depth: self.dlq.depth() as u64,
@@ -638,158 +574,75 @@ impl Shared {
         }
     }
 
+    /// Wait until all in-flight events finish (or `timeout` elapses) —
+    /// including runs logged but not yet dispatched, and events still
+    /// parked in the transport's outbound batching queues. True on a full
+    /// drain.
+    pub(crate) fn drain(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        while self.ledger.busy() || self.outbound_backlog() > 0 {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        true
+    }
+
     /// Flush every dirty slate of every live machine (dead machines lost
     /// theirs, §4.3). Returns how many slates are still dirty afterwards
     /// (quorum failure, dead store host).
-    fn flush_live_caches(&self) -> u64 {
+    pub(crate) fn flush_live_caches(&self) -> u64 {
         let now = self.now_us();
-        let mut dirty_left = 0;
-        for m in &self.machines_snapshot() {
-            if !m.alive.load(Ordering::Acquire) {
-                continue;
-            }
-            for cache in m.caches() {
-                // Barriers restore capacity too: victims still waiting for
-                // eviction are written by the sweep and retired after it.
-                cache.flush_dirty(now);
-                cache.retire_evicted(now);
-                dirty_left += cache.dirty_count();
-            }
-        }
-        dirty_left
-    }
-
-    /// Whether dynamic hot-key splitting is configured on.
-    fn split_enabled(&self) -> bool {
-        self.cfg.combine && self.cfg.hot_split_threshold > 0
-    }
-
-    /// Rewrite path: the round-robin subkey for an actively split
-    /// ⟨op, key⟩, `None` when the pair is not split. Each rewrite bumps
-    /// the entry's cooling window; a window whose rewrite traffic fell
-    /// below half the threshold collapses the entry — routing reverts
-    /// to the base key while the subslates persist (reads keep merging
-    /// them, so no update is ever lost to a collapse).
-    fn split_route(&self, op: OpId, key: &Key) -> Option<Key> {
-        if self.splits.active.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let entry = self.splits.map.read().get(&(op, key.clone())).cloned()?;
-        let now = self.now_us();
-        let opened = entry.window_us.load(Ordering::Acquire);
-        if now.saturating_sub(opened) >= SPLIT_COOL_WINDOW_US
-            && entry
-                .window_us
-                .compare_exchange(opened, now, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            let windowed = entry.hits.swap(0, Ordering::AcqRel);
-            if windowed < self.cfg.hot_split_threshold / 2 {
-                let id = (op, key.clone());
-                if self.splits.map.write().remove(&id).is_some() {
-                    self.splits.active.fetch_sub(1, Ordering::AcqRel);
-                }
-                let mut floors = self.splits.floors.lock();
-                if floors.len() >= HOT_KEY_CAPACITY {
-                    if let Some(old) = floors.keys().next().cloned() {
-                        floors.remove(&old);
-                    }
-                }
-                floors.insert(id, None);
-                return None;
-            }
-        }
-        entry.hits.fetch_add(1, Ordering::Relaxed);
-        let shard = entry.rr.fetch_add(1, Ordering::Relaxed) as usize % crate::dispatch::SPLIT_WAYS;
-        Some(crate::dispatch::split_subkey(key, shard))
-    }
-
-    /// Owner-side hot detector: install a split for a combining
-    /// ⟨op, key⟩ whose sketch estimate crossed the threshold. Probes the
-    /// sketch once per [`SPLIT_PROBE_EVERY`] update events; callers
-    /// exclude subkeys (a split never recurses).
-    fn maybe_split(&self, cache: &SlateCache, op: OpId, key: &Key) {
-        if !self.splits.probe.fetch_add(1, Ordering::Relaxed).is_multiple_of(SPLIT_PROBE_EVERY) {
-            return;
-        }
-        self.probe_split(cache, op, key);
-    }
-
-    /// Unconditional sketch check. The batch-fold path calls this
-    /// directly for runs it just coalesced past the fold-probe floor:
-    /// under deep folding a hot key surfaces as a handful of carriers,
-    /// so the sampled per-event probe above would almost never land on
-    /// it — but the absorbed count *is* the heat signal, already paid
-    /// for.
-    fn probe_split(&self, cache: &SlateCache, op: OpId, key: &Key) {
-        let Some(est) = cache.hot_estimate(op, key) else { return };
-        if est < self.cfg.hot_split_threshold {
-            return;
-        }
-        let id = (op, key.clone());
-        let floor = match self.splits.floors.lock().get_mut(&id) {
-            Some(floor) => *floor.get_or_insert(est),
-            None => 0,
+        let flush = |cache: Arc<SlateCache>| {
+            // Barriers restore capacity too: victims still waiting for
+            // eviction are written by the sweep and retired after it.
+            cache.flush_dirty(now);
+            cache.retire_evicted(now);
+            cache.dirty_count()
         };
-        if est.saturating_sub(floor) < self.cfg.hot_split_threshold {
-            return;
-        }
-        self.splits.floors.lock().remove(&id);
-        let mut map = self.splits.map.write();
-        if let std::collections::hash_map::Entry::Vacant(v) = map.entry(id) {
-            let now = self.now_us();
-            v.insert(Arc::new(SplitEntry {
-                rr: AtomicU64::new(0),
-                hits: AtomicU64::new(0),
-                window_us: AtomicU64::new(now),
-            }));
-            self.splits.active.fetch_add(1, Ordering::AcqRel);
+        self.caches(true).into_iter().map(flush).sum()
+    }
+
+    /// `op`'s updater, when combining is on and it declares a combiner.
+    pub(crate) fn combiner(&self, op: OpId) -> Option<&Arc<dyn Updater>> {
+        match self.ops.get(op) {
+            Some(OpInstance::Update { updater, .. }) if self.cfg.combine && updater.combines() => {
+                Some(updater)
+            }
+            _ => None,
         }
     }
 
-    fn epoch(&self) -> u64 {
+    /// The cached value of ⟨`op`, `key`⟩ on local machine `id`, if this
+    /// node's rings place the key there — by [`Membership::owner`]: once an
+    /// epoch is staged, a handed-off slate is read at its new owner (or
+    /// from the store). `Err` when the machine is dead.
+    fn read_local(
+        &self,
+        id: usize,
+        op: OpId,
+        updater: &str,
+        key: &Key,
+    ) -> std::result::Result<Option<Vec<u8>>, NetError> {
+        let Some(machine) = self.machine(id).filter(|_| self.is_local(id)) else { return Ok(None) };
+        if !machine.alive.load(Ordering::Acquire) {
+            return Err(NetError::Unreachable(id));
+        }
+        let owner = self.membership.read().owner(op, key.route_hash(updater));
+        Ok(owner
+            .filter(|at| at.machine == id)
+            .and_then(|at| machine.cache_at(op, at)?.read(op, key)))
+    }
+
+    pub(crate) fn epoch(&self) -> u64 {
         self.membership.read().epoch()
     }
 
     /// Total events the cluster's queues are sized to hold; the source-
     /// throttling high-water mark.
-    fn total_queue_budget(&self) -> usize {
+    pub(crate) fn total_queue_budget(&self) -> usize {
         self.machines.read().iter().map(|m| m.queues.len() * self.cfg.queue_capacity).sum()
-    }
-
-    /// The store key under which this machine checkpoints its ingest
-    /// replay cursor. Rides the slate backend as a reserved ⟨column,
-    /// row⟩ pair, so cursor durability shares the store's quorum/WAL
-    /// guarantees without a second persistence mechanism.
-    fn ingest_cursor_key(&self) -> Key {
-        let id = self.local_machine().unwrap_or(0);
-        Key::from(format!("node-{id}"))
-    }
-
-    /// The checkpointed replay cursor: events `0..cursor` of the ingest
-    /// WAL are already reflected in store-recovered slates. No cell is 0;
-    /// a cell that is not a number is an error, not 0.
-    fn load_ingest_cursor(&self) -> Result<u64> {
-        let key = self.ingest_cursor_key();
-        let Some(cell) = self.backend.load(INGEST_CURSOR_COLUMN, &key, self.now_us()) else {
-            return Ok(0);
-        };
-        let text = String::from_utf8_lossy(&cell);
-        let unreadable = |_| Error::Config(format!("unreadable ingest replay cursor {text:?}"));
-        text.trim().parse().map_err(unreadable)
-    }
-
-    /// Persist the replay cursor. Returns false if the store rejected
-    /// the write (the caller must not treat the checkpoint as taken).
-    fn store_ingest_cursor(&self, cursor: u64) -> bool {
-        self.backend.store(
-            INGEST_CURSOR_COLUMN,
-            &self.ingest_cursor_key(),
-            cursor.to_string().as_bytes(),
-            Codec::Json,
-            None,
-            self.now_us(),
-        )
     }
 }
 
@@ -800,8 +653,8 @@ pub struct Engine {
     _handler: Arc<EngineHandler>,
     /// TCP mode: the node's frame listener (stopped on shutdown/drop).
     listener: Mutex<Option<TcpListenerHandle>>,
+    /// Every worker and flusher thread.
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    flushers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Engine {
@@ -842,11 +695,10 @@ impl Engine {
                     )));
                 }
                 let batch = BatchConfig {
-                    batch_max: cfg.net_batch_max,
-                    flush_us: cfg.net_flush_us,
                     // Bound each peer outbox like a worker queue: the
                     // backlog participates in the same throttle budget.
                     queue_capacity: cfg.queue_capacity.max(1),
+                    ..BatchConfig::default()
                 };
                 let wire =
                     TcpTransport::new_with_codec(topology.clone(), *local, batch, cfg.wire_codec)
@@ -869,30 +721,20 @@ impl Engine {
         let has_backend = store.is_some() || remote_host.is_some();
 
         // Resolve operator implementations against the workflow.
+        let resolve = |name: &str, kind: OpKind, expected: &str| {
+            let id = workflow.op_id(name).ok_or_else(|| Error::UnknownOperator(name.into()))?;
+            let mismatch =
+                || Error::OperatorMismatch { expected: expected.into(), got: name.into() };
+            (workflow.op(id).kind == kind).then_some(id).ok_or_else(mismatch)
+        };
         let mut instances: Vec<Option<OpInstance>> =
             (0..workflow.ops().len()).map(|_| None).collect();
         for m in ops.mappers {
-            let id = workflow
-                .op_id(m.name())
-                .ok_or_else(|| Error::UnknownOperator(m.name().to_string()))?;
-            if workflow.op(id).kind != OpKind::Map {
-                return Err(Error::OperatorMismatch {
-                    expected: "a map function".into(),
-                    got: m.name().to_string(),
-                });
-            }
+            let id = resolve(m.name(), OpKind::Map, "a map function")?;
             instances[id] = Some(OpInstance::Map(m));
         }
         for u in ops.updaters {
-            let id = workflow
-                .op_id(u.name())
-                .ok_or_else(|| Error::UnknownOperator(u.name().to_string()))?;
-            if workflow.op(id).kind != OpKind::Update {
-                return Err(Error::OperatorMismatch {
-                    expected: "an update function".into(),
-                    got: u.name().to_string(),
-                });
-            }
+            let id = resolve(u.name(), OpKind::Update, "an update function")?;
             let ttl = workflow.op(id).ttl_secs.or(u.slate_ttl_secs());
             let name: Arc<str> = Arc::from(u.name());
             instances[id] = Some(OpInstance::Update { updater: u, name, ttl_secs: ttl });
@@ -996,11 +838,16 @@ impl Engine {
 
         let initial_epoch = view.map_or(0, |v| v.epoch);
         let initial_failed = failed.to_vec();
+        let combines = ops
+            .iter()
+            .map(|op| matches!(op, OpInstance::Update { updater, .. } if updater.combines()));
+        let split_threshold = if cfg.combine { cfg.hot_split_threshold } else { 0 };
         let shared = Arc::new(Shared {
             membership: RwLock::new(Membership::new(initial_epoch, rings)),
             cluster_nodes: Mutex::new(cluster_nodes),
             join_lock: Mutex::new(()),
             epoch_mint: AtomicU64::new(initial_epoch),
+            splits: SplitTracker::new(split_threshold, combines.collect()),
             wf: workflow,
             ops,
             machines: RwLock::new(machines),
@@ -1009,8 +856,7 @@ impl Engine {
             backend,
             has_backend,
             master: Master::new(),
-            pending: AtomicI64::new(0),
-            dispatching: AtomicU64::new(0),
+            ledger: Ledger::new(THROTTLE_TICK),
             checkpointing: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
             stats,
@@ -1018,16 +864,8 @@ impl Engine {
             logged_peer_deaths: Mutex::new(HashSet::new()),
             drop_log: DropLog::new(1024),
             start: Instant::now(),
-            throttle_mutex: Mutex::new(()),
-            throttle_cv: Condvar::new(),
             ingest_log,
             dlq: DeadLetterQueue::new(DLQ_CAPACITY),
-            splits: SplitTracker {
-                map: RwLock::new(HashMap::new()),
-                active: AtomicU64::new(0),
-                probe: AtomicU64::new(0),
-                floors: Mutex::new(HashMap::new()),
-            },
             cfg,
         });
         for failed in initial_failed {
@@ -1040,34 +878,9 @@ impl Engine {
         if let Some(wire) = &shared.wire {
             wire.register(Arc::downgrade(&handler) as std::sync::Weak<dyn ClusterHandler>);
         }
-
-        // Spawn worker threads (local machines only; remote stubs have no
-        // queues).
-        let mut threads = Vec::new();
-        {
-            let machines = shared.machines.read();
-            for m in 0..machines.len() {
-                for t in 0..machines[m].queues.len() {
-                    threads.push(spawn_worker(&shared, m, t));
-                }
-            }
-        }
-        // Spawn background flusher threads (one per local machine) when the
-        // policy is interval-based and a backend (direct or remote) is
-        // attached. With an ingest WAL the flushers stay parked: store
-        // slate state may only advance together with the replay cursor
-        // (at `Engine::checkpoint`), or a restart would replay events
-        // whose effects were already flushed and double-count them.
-        let mut flushers = Vec::new();
-        if matches!(shared.cfg.flush, FlushPolicy::IntervalMs(_))
-            && has_backend
-            && shared.ingest_log.is_none()
-        {
-            let machines = shared.machines.read();
-            for m in (0..machines.len()).filter(|&m| shared.is_local(m)) {
-                flushers.push(spawn_flusher(&shared, m));
-            }
-        }
+        let machines = shared.machines.read().len();
+        let threads =
+            (0..machines).flat_map(|m| crate::worker::spawn_machine(&shared, m)).collect();
         // TCP mode: open this node's inbound wire last, so peers never see
         // a half-initialized engine.
         let listener = match &shared.wire {
@@ -1082,51 +895,16 @@ impl Engine {
             _handler: handler,
             listener: Mutex::new(listener),
             threads: Mutex::new(threads),
-            flushers: Mutex::new(flushers),
         };
         // Replay the ingest suffix past the checkpointed cursor: the
         // store recovered the slates as of the last checkpoint, so only
         // events logged after it are re-injected. A node that was
         // checkpointed at shutdown (SIGTERM) replays nothing.
-        if let Some(Err(e)) = ingest_recovery.map(|recovery| engine.replay_recovered(recovery)) {
+        if let Some(Err(e)) = ingest_recovery.map(|rec| engine.shared.replay_recovered(rec)) {
             engine.stop();
             return Err(e);
         }
         Ok(engine)
-    }
-
-    /// Re-inject the ingest-WAL suffix past the persisted cursor. The
-    /// replayed events fan out exactly like fresh submissions — same
-    /// routing, same seq assignment order — but are *not* re-appended to
-    /// the WAL (they are already in it) and count as `recovered`, not
-    /// `submitted`. A cursor the log cannot honour is refused; segments a
-    /// crash left below it are deleted first.
-    fn replay_recovered(&self, recovery: IngestRecovery) -> Result<()> {
-        let shared = &self.shared;
-        let cursor = shared.load_ingest_cursor()?;
-        let (logged, truncated) = (recovery.events, recovery.truncated);
-        let refused = |e| Error::Config(format!("cannot replay ingest WAL: {e}"));
-        let events = recovery.events_after(cursor).map_err(refused)?;
-        if let (true, Some(log)) = (shared.has_backend, &shared.ingest_log) {
-            log.release_below(cursor).map_err(refused)?;
-        }
-        let replayed = events.len() as u64;
-        for event in events {
-            fan_out(shared, fresh(event, shared.now_us(), false, true), &mut Vec::new());
-        }
-        shared.stats.ingest_replayed.add(replayed);
-        if replayed > 0 || truncated {
-            shared.logger.warn(
-                "ingest WAL recovery",
-                &[
-                    ("logged", logged.into()),
-                    ("cursor", cursor.into()),
-                    ("replayed", replayed.into()),
-                    ("torn_tail", u64::from(truncated).into()),
-                ],
-            );
-        }
-        Ok(())
     }
 
     /// Inject one external event (the paper's special source mapper M0
@@ -1135,11 +913,7 @@ impl Engine {
     ///
     /// Under [`OverflowPolicy::SourceThrottle`], this call *blocks* while
     /// the cluster is backlogged beyond its aggregate queue budget — the
-    /// §5 source throttling: "Muppet ... can slow down the pace at which
-    /// it consumes events from its input streams ... until the hotspot
-    /// updater has a chance to catch up." Internal events never block
-    /// (§5's deadlock argument), so a *downstream* hotspot surfaces here,
-    /// at the source, via the global in-flight count.
+    /// §5 source throttling (see `ingest.rs`).
     ///
     /// With an ingest WAL the event is **logged before dispatch, durable
     /// before `Ok`**: its record is written to the log file, workers start
@@ -1148,7 +922,7 @@ impl Engine {
     /// accepted; the log is poisoned and every later submit fails
     /// ([`Error::IngestLog`]).
     pub fn submit(&self, event: Event) -> Result<()> {
-        self.submit_run([event])
+        self.shared.submit_run([event])
     }
 
     /// Submit a coalesced run of external events — the ingest twin of
@@ -1162,133 +936,7 @@ impl Engine {
     /// run; like `submit`, events are only accepted from external
     /// streams.
     pub fn submit_many(&self, events: Vec<Event>) -> Result<()> {
-        self.submit_run(events)
-    }
-
-    /// `submit` and `submit_many`: validate → transcode → throttle → log →
-    /// dispatch → wait durable, over a run held in an array or a `Vec`.
-    fn submit_run(&self, mut run: impl AsMut<[Event]> + IntoIterator<Item = Event>) -> Result<()> {
-        let events = run.as_mut();
-        if let Some(bad) = events.iter().find(|e| !self.shared.wf.is_external(e.stream.as_str())) {
-            return Err(Error::ExternalStreamViolation(bad.stream.as_str().to_string()));
-        }
-        events.iter_mut().for_each(|event| self.mbf_ingest(event));
-        self.throttle_source();
-        // Counted from before the write, so a recovery line whose rotation
-        // took this run below its cursor finds it here until it is queued.
-        self.shared.dispatching.fetch_add(1, Ordering::AcqRel);
-        let logged = self.log_accepted(events);
-        if logged.is_ok() {
-            self.dispatch_accepted(run);
-        }
-        self.shared.dispatching.fetch_sub(1, Ordering::AcqRel);
-        self.wait_durable(logged?)
-    }
-
-    /// §5 source throttling, the head of `submit` / `submit_many`: under
-    /// [`OverflowPolicy::SourceThrottle`], block while the cluster is
-    /// backlogged beyond its aggregate queue budget.
-    fn throttle_source(&self) {
-        if self.shared.cfg.overflow != OverflowPolicy::SourceThrottle {
-            return;
-        }
-        let budget = self.shared.total_queue_budget() as i64;
-        // The in-flight count includes the transport's outbound backlog
-        // (TCP mode): events parked in per-peer batching outboxes are
-        // cluster load exactly like queued events, so a slow wire
-        // throttles the source instead of growing buffers.
-        while self.shared.pending.load(Ordering::Acquire) + self.shared.outbound_backlog() as i64
-            > budget
-        {
-            if self.shared.stopping.load(Ordering::Acquire) {
-                break;
-            }
-            self.shared.stats.throttle_waits.inc();
-            let mut guard = self.shared.throttle_mutex.lock();
-            self.shared.throttle_cv.wait_for(&mut guard, Duration::from_millis(1));
-        }
-    }
-
-    /// The *logged* line: write the accepted run to the ingest WAL (no
-    /// fsync) before any worker can see it, so every event a worker ever
-    /// saw is in the file and a process crash from here on replays it.
-    /// Returns the watermark [`Engine::wait_durable`] must reach before
-    /// the ack. A failed write dispatches nothing.
-    fn log_accepted(&self, events: &[Event]) -> Result<u64> {
-        let Some(log) = &self.shared.ingest_log else {
-            return Ok(0);
-        };
-        let seq = log.write_batch(events).map_err(|e| Error::IngestLog(e.to_string()))?;
-        self.shared.stats.ingest_logged.add(events.len() as u64);
-        Ok(seq)
-    }
-
-    /// The *durable* line: `Ok` — the caller's ack — only once an fsync
-    /// covers the first `seq` log records. Workers are already on the
-    /// events while the disk syncs; group commit lets concurrent
-    /// submitters share one fsync.
-    fn wait_durable(&self, seq: u64) -> Result<()> {
-        match &self.shared.ingest_log {
-            Some(log) => log.wait_durable(seq).map_err(|e| Error::IngestLog(e.to_string())),
-            None => Ok(()),
-        }
-    }
-
-    /// Ingest-edge transcoding: under `CodecChoice::Mbf` (explicit
-    /// opt-in), container-shaped external event values (JSON
-    /// objects/arrays) are rewritten to MBF once here — before the
-    /// ingest-WAL append, so a crash replay redispatches the identical
-    /// bytes — and every downstream `Json::from_payload` skips the text
-    /// parser. This trades one parse+encode per event at the ingest edge
-    /// for ~30% fewer bytes WAL-appended and framed downstream (PR 9), so
-    /// it is not part of `Auto`: the default negotiates binary where it
-    /// is free (slate materialization, store frames) and leaves submitted
-    /// values untouched. Scalar and plain-text values (`"42"`, raw URLs)
-    /// pass through untouched in every mode: applications read those via
-    /// `value_str`, and the reference engine must observe the same text.
-    fn mbf_ingest(&self, event: &mut Event) {
-        if self.shared.cfg.wire_codec != CodecChoice::Mbf {
-            return;
-        }
-        if !matches!(event.value.first(), Some(b'{') | Some(b'[')) {
-            return;
-        }
-        if let Ok(json) = Json::parse_bytes(&event.value) {
-            if let Ok(mbf) = json.to_mbf() {
-                event.value = mbf.into();
-            }
-        }
-    }
-
-    /// Fan accepted (validated, WAL-logged) external events out to their
-    /// streams' subscriber queues. The shared tail of `submit` and
-    /// `submit_many`.
-    ///
-    /// What the call sends to remote peers is flushed at once iff the node
-    /// had nothing in flight when it started (no queued or running event,
-    /// empty outboxes) — Nagle's rule. An idle node has capacity to spare
-    /// and the submission's latency is all that matters; with work in
-    /// flight the new events queue behind it anyway, and flushing them
-    /// early only shreds the frames a busy node's batching exists to build
-    /// (flushing at every submit tail cost a saturated closed-loop cache
-    /// fill +23 %).
-    fn dispatch_accepted(&self, events: impl IntoIterator<Item = Event>) {
-        let shared = &self.shared;
-        let idle = shared.pending.load(Ordering::Acquire) == 0 && shared.outbound_backlog() == 0;
-        let mut touched = Vec::new();
-        for event in events {
-            let injected_us = shared.now_us();
-            shared.stats.submitted.inc();
-            fan_out(shared, fresh(event, injected_us, false, true), &mut touched);
-            if shared.stats.stages.enabled && shared.stats.stages.sampler_ingest.hit() {
-                // The ingest span: external injection → accepted by a queue
-                // (or the transport's outbox) for every subscriber.
-                shared.stats.stages.ingest.record(shared.now_us().saturating_sub(injected_us));
-            }
-        }
-        if idle {
-            shared.flush_events(&touched);
-        }
+        self.shared.submit_run(events)
     }
 
     /// Convenience: submit with the engine assigning the timestamp (µs
@@ -1304,26 +952,15 @@ impl Engine {
     /// reached their destination machine yet. Returns true on a full
     /// drain.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        // `dispatching` first: a run it no longer counts has queued its
-        // events, so `pending` read after it sees them.
-        while self.shared.dispatching.load(Ordering::Acquire) > 0
-            || self.shared.pending.load(Ordering::Acquire) > 0
-            || self.shared.outbound_backlog() > 0
-        {
-            if Instant::now() > deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        true
+        self.shared.drain(timeout)
     }
 
     /// Read a slate's current value from the owning machine's cache —
     /// the §4.4 live read ("from Muppet's slate cache ... rather than from
     /// the durable key-value store to ensure an up-to-date reply"). When
     /// the owning machine lives in another process (TCP mode), the read
-    /// crosses the wire as a `SlateGet` frame.
+    /// crosses the wire as a `SlateGet` frame. A key that is (or ever was)
+    /// split merges its subslates on read (`split.rs`).
     ///
     /// A read addressed to a machine that has died (or was dropped from
     /// the ring between resolution and the wire call) does not surface as
@@ -1331,41 +968,12 @@ impl Engine {
     /// durable store, so the client sees the last flushed value instead
     /// of an error — the §4.3 survivor-recovery path, applied to reads.
     pub fn read_slate(&self, updater: &str, key: &Key) -> Option<Vec<u8>> {
-        let base = self.read_slate_unsplit(updater, key);
         let shared = &self.shared;
-        if !shared.split_enabled() || crate::dispatch::split_base_of(key).is_some() {
-            return base;
-        }
-        let Some(op) = shared.wf.op_id(updater) else { return base };
-        let OpInstance::Update { updater: up, .. } = &shared.ops[op] else { return base };
-        if !up.combines() {
-            return base;
-        }
-        // Merge-on-read: a key that is (or ever was) split holds part of
-        // its total in up to SPLIT_WAYS subslates; fold them into the
-        // base value through the combiner. Collapsed keys keep their
-        // subslate residue, so this runs whenever splitting is
-        // configured — reads of never-split keys cost SPLIT_WAYS cache
-        // misses only in that configuration.
-        let mut acc = base;
-        let mut merged = false;
-        for shard in 0..crate::dispatch::SPLIT_WAYS {
-            let sub = crate::dispatch::split_subkey(key, shard);
-            if let Some(part) = self.read_slate_unsplit(updater, &sub) {
-                merged = true;
-                acc = match acc {
-                    None => Some(part),
-                    // Splitting requires a total combiner (the
-                    // `Updater::combine` contract); on a veto keep the
-                    // accumulated prefix rather than corrupt it.
-                    Some(a) => Some(up.combine(&a, &part).unwrap_or(a)),
-                };
-            }
-        }
-        if merged {
-            shared.stats.split_merge_reads.inc();
-        }
-        acc
+        let op = shared.wf.op_id(updater)?;
+        let OpInstance::Update { updater: up, .. } = &shared.ops[op] else { return None };
+        let read = |key: &Key| self.read_slate_unsplit(updater, key);
+        let combine = |acc: &[u8], part: &[u8]| up.combine(acc, part);
+        shared.splits.read_merged(op, key, read, combine, &shared.stats.split_merge_reads)
     }
 
     /// [`Engine::read_slate`] without subslate merging: one key, one
@@ -1373,9 +981,6 @@ impl Engine {
     /// non-combining operators).
     fn read_slate_unsplit(&self, updater: &str, key: &Key) -> Option<Vec<u8>> {
         let op = self.shared.wf.op_id(updater)?;
-        if self.shared.wf.op(op).kind != OpKind::Update {
-            return None;
-        }
         let first_owner = self.owner_machine(updater, key)?;
         match self.read_slate_from(first_owner, op, updater, key) {
             Ok(Some(bytes)) => Some(bytes),
@@ -1412,13 +1017,7 @@ impl Engine {
             Some(wire) if !shared.is_local(owner) => {
                 wire.read_slate(owner, updater, key.as_bytes())
             }
-            _ => {
-                let Some(machine) = shared.machine(owner) else { return Ok(None) };
-                if !machine.alive.load(Ordering::Acquire) {
-                    return Err(NetError::Unreachable(owner));
-                }
-                Ok(read_cached(shared, owner, &machine, op, updater, key))
-            }
+            _ => shared.read_local(owner, op, updater, key),
         }
     }
 
@@ -1434,13 +1033,8 @@ impl Engine {
     /// All cached keys of one updater across machines (bulk reads, §5).
     pub fn cached_keys(&self, updater: &str) -> Vec<Key> {
         let Some(op) = self.shared.wf.op_id(updater) else { return Vec::new() };
-        let mut keys = Vec::new();
-        for m in &self.shared.machines_snapshot() {
-            if !m.alive.load(Ordering::Acquire) {
-                continue;
-            }
-            m.caches().for_each(|cache| keys.extend(cache.keys_of(op)));
-        }
+        let caches = self.shared.caches(true);
+        let mut keys: Vec<Key> = caches.iter().flat_map(|cache| cache.keys_of(op)).collect();
         keys.sort();
         keys.dedup();
         keys
@@ -1455,16 +1049,9 @@ impl Engine {
     pub fn dump_slates(&self, updater: &str) -> Vec<(Key, Vec<u8>)> {
         let Some(op) = self.shared.wf.op_id(updater) else { return Vec::new() };
         let mut out = Vec::new();
-        for m in &self.shared.machines_snapshot() {
-            if !m.alive.load(Ordering::Acquire) {
-                continue;
-            }
-            for cache in m.caches() {
-                for key in cache.keys_of(op) {
-                    if let Some(bytes) = cache.read(op, &key) {
-                        out.push((key, bytes));
-                    }
-                }
+        for cache in self.shared.caches(true) {
+            for key in cache.keys_of(op) {
+                out.extend(cache.read(op, &key).map(|bytes| (key, bytes)));
             }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -1478,21 +1065,7 @@ impl Engine {
     /// In TCP mode this only makes sense for the local machine (killing a
     /// peer means killing its process).
     pub fn kill_machine(&self, machine: usize) {
-        if !self.shared.is_local(machine) {
-            return;
-        }
-        let Some(m) = self.shared.machine(machine) else { return };
-        if !m.alive.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        let mut lost = 0u64;
-        for q in &m.queues {
-            let dropped = q.drain_all();
-            lost += dropped.len() as u64;
-            q.notify();
-        }
-        self.shared.stats.lost_in_queues.add(lost);
-        self.shared.pending.fetch_sub(lost as i64, Ordering::AcqRel);
+        self.shared.kill_machine(machine);
     }
 
     /// Number of machines known (configured + joined).
@@ -1551,22 +1124,12 @@ impl Engine {
                 port: 0,
                 http_port: 0,
             });
-            let machines = shared.machines.read();
-            let mut threads = self.threads.lock();
-            for t in 0..machines[id].queues.len() {
-                threads.push(spawn_worker(shared, id, t));
-            }
-            if matches!(shared.cfg.flush, FlushPolicy::IntervalMs(_))
-                && shared.has_backend
-                && shared.ingest_log.is_none()
-            {
-                self.flushers.lock().push(spawn_flusher(shared, id));
-            }
+            self.threads.lock().extend(crate::worker::spawn_machine(shared, id));
             id
         };
         // Announce readiness: this process's master runs the prepare →
         // handoff → commit protocol synchronously.
-        run_join_protocol(shared, id);
+        shared.run_join_protocol(id);
         if !self.ring_contains(id) {
             return Err(Error::Config(format!("machine {id} failed to enter the rings")));
         }
@@ -1633,7 +1196,7 @@ impl Engine {
         };
         let (local, master) = (wire.local(), wire.topology().master);
         if local == master {
-            reintroduce(shared, local);
+            shared.reintroduce(local);
             return Ok(());
         }
         wire.reintroduce(master, local)
@@ -1673,19 +1236,13 @@ impl Engine {
     /// Peak queue occupancy across all workers (the §4.5 status
     /// information: "the event count of the largest event queues").
     pub fn max_queue_high_water(&self) -> usize {
-        self.shared
-            .machines
-            .read()
-            .iter()
-            .flat_map(|m| m.queues.iter())
-            .map(|q| q.high_water())
-            .max()
-            .unwrap_or(0)
+        let machines = self.shared.machines.read();
+        machines.iter().flat_map(|m| &m.queues).map(|q| q.high_water()).max().unwrap_or(0)
     }
 
     /// Snapshot engine statistics.
     pub fn stats(&self) -> EngineStats {
-        self.shared.snapshot(&self.shared.caches())
+        self.shared.snapshot(&self.shared.caches(false))
     }
 
     /// The engine's metrics registry: every count [`EngineStats`] reads,
@@ -1700,14 +1257,14 @@ impl Engine {
     /// first. Empty when metrics are off.
     pub fn hot_keys(&self, k: usize) -> Vec<(String, Key, u64, u64)> {
         let wf = &self.shared.wf;
-        let hot = hottest(&self.shared.caches(), k).into_iter();
+        let hot = hottest(&self.shared.caches(false), k).into_iter();
         hot.map(|hh| (wf.op(hh.key.0).name.clone(), hh.key.1, hh.count, hh.err)).collect()
     }
 
     /// Per-shard cache statistics of this engine's slate caches (Muppet
     /// 1.0's per-worker caches have one shard each).
     pub fn cache_shard_stats(&self) -> Vec<crate::cache::ShardStats> {
-        self.shared.stats.cache.shard_stats(&self.shared.caches())
+        self.shared.stats.cache.shard_stats(&self.shared.caches(false))
     }
 
     /// Recent drop-log entries (§4.3: dropped events "can be logged for
@@ -1726,7 +1283,7 @@ impl Engine {
         self.shared.stats.dlq_retried.add(n as u64);
         for letter in letters {
             let ev = fresh(letter.event, self.shared.now_us(), false, true);
-            try_send(&self.shared, WireEvent { op: letter.op, ..ev }, &mut Vec::new());
+            self.shared.try_send(WireEvent { op: letter.op, ..ev }, &mut Vec::new());
         }
         n
     }
@@ -1735,11 +1292,9 @@ impl Engine {
     /// endpoint), oldest letter first.
     pub fn dlq_json(&self) -> String {
         use muppet_core::json::Json;
+        let letters = self.shared.dlq.snapshot().into_iter();
         Json::Arr(
-            self.shared
-                .dlq
-                .snapshot()
-                .into_iter()
+            letters
                 .map(|l| {
                     Json::obj([
                         ("op", Json::str(&self.shared.wf.op(l.op).name)),
@@ -1778,32 +1333,7 @@ impl Engine {
     /// not reach the store. Engines without an ingest WAL return true
     /// trivially.
     pub fn checkpoint(&self, timeout: Duration) -> bool {
-        let Some(log) = self.shared.ingest_log.as_ref() else {
-            return true;
-        };
-        if self.shared.checkpointing.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        let taken = self.recovery_line(log, timeout);
-        self.shared.checkpointing.store(false, Ordering::Release);
-        taken
-    }
-
-    /// The recovery line of `checkpoint` and `shutdown`, in its order.
-    /// Without a store the log is the only copy: it neither rotates nor
-    /// shrinks.
-    fn recovery_line(&self, log: &IngestLog, timeout: Duration) -> bool {
-        let shared = &self.shared;
-        let rotated = if shared.has_backend { log.rotate() } else { Ok(log.record_count()) };
-        let Ok(cursor) = rotated else { return false };
-        if log.wait_durable(cursor).is_err()
-            || !self.drain(timeout)
-            || shared.flush_live_caches() > 0
-            || !shared.store_ingest_cursor(cursor)
-        {
-            return false;
-        }
-        !shared.has_backend || log.release_below(cursor).is_ok()
+        self.shared.checkpoint(timeout)
     }
 
     /// Stop the engine: waits for queues to drain (bounded), draws the
@@ -1815,7 +1345,7 @@ impl Engine {
         // If the line fails (an unsyncable log) the store stays at the last
         // checkpoint and a restart replays whatever the log holds.
         match &self.shared.ingest_log {
-            Some(log) => _ = self.recovery_line(log, Duration::ZERO),
+            Some(log) => _ = self.shared.recovery_line(log, Duration::ZERO),
             None => _ = self.shared.flush_live_caches(),
         }
         self.stats()
@@ -1836,1059 +1366,10 @@ impl Engine {
             }
         }
         for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
-        for t in self.flushers.lock().drain(..) {
-            t.thread().unpark(); // parked until its next tick
+            t.thread().unpark(); // a flusher is parked until its next tick
             let _ = t.join();
         }
     }
-}
-
-/// `machine`'s cached value of ⟨`op`, `key`⟩, if this node's rings place
-/// the key there — by [`Membership::owner`]: once an epoch is staged, a
-/// handed-off slate is read at its new owner (or from the store).
-fn read_cached(
-    shared: &Shared,
-    machine_id: usize,
-    machine: &Machine,
-    op: OpId,
-    updater: &str,
-    key: &Key,
-) -> Option<Vec<u8>> {
-    let owner = shared.membership.read().owner(op, key.route_hash(updater));
-    machine.cache_at(op, owner.filter(|at| at.machine == machine_id)?)?.read(op, key)
-}
-
-/// Spawn the worker thread for (machine, thread).
-fn spawn_worker(shared: &Arc<Shared>, m: usize, t: usize) -> std::thread::JoinHandle<()> {
-    let sh = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("muppet-m{m}-w{t}"))
-        .spawn(move || worker_loop(sh, m, t))
-        // lint: allow(no-unwrap-in-prod) — spawn fails only on OS thread exhaustion; fail fast
-        .expect("spawn worker")
-}
-
-/// Spawn the background flusher for one local machine (interval policy).
-fn spawn_flusher(shared: &Arc<Shared>, m: usize) -> std::thread::JoinHandle<()> {
-    let FlushPolicy::IntervalMs(ms) = shared.cfg.flush else {
-        unreachable!("flushers only run under the interval policy")
-    };
-    let sh = Arc::clone(shared);
-    let interval = Duration::from_millis(ms.max(1));
-    std::thread::Builder::new()
-        .name(format!("muppet-flusher-{m}"))
-        .spawn(move || flusher_loop(sh, m, interval))
-        // lint: allow(no-unwrap-in-prod) — spawn fails only on OS thread exhaustion; fail fast
-        .expect("spawn flusher")
-}
-
-fn worker_loop(shared: Arc<Shared>, machine_id: usize, thread: usize) {
-    // A safety ceiling, not a poll: every push, `shutdown` and
-    // `kill_machine` notify the queue, so an idle worker stays parked. A
-    // stop flag set between the check below and the wait costs one
-    // ceiling, once.
-    let park = Duration::from_millis(100);
-    // lint: allow(no-unwrap-in-prod) — worker threads are spawned per existing machine index
-    let machine = shared.machine(machine_id).expect("worker spawned for an existing machine");
-    let mut batch: Vec<Queued> = Vec::with_capacity(DRAIN_BATCH);
-    // Remote peers this worker has sent to since it last went idle.
-    let mut touched: Vec<MachineId> = Vec::new();
-    loop {
-        if !machine.alive.load(Ordering::Acquire) {
-            return; // crashed machine: thread dies with it
-        }
-        if shared.stopping.load(Ordering::Acquire) {
-            // Drain remaining work, then exit (the shutdown flush retires
-            // whatever is still waiting for eviction).
-            if machine.queues[thread].pop_many(&mut batch, DRAIN_BATCH, Duration::ZERO) == 0 {
-                return;
-            }
-            let owed =
-                process_batch(&shared, &machine, machine_id, thread, &mut batch, &mut touched);
-            settle_retire(&shared, &machine, thread, owed, false);
-            continue;
-        }
-        let n = machine.queues[thread].pop_many(&mut batch, DRAIN_BATCH, park);
-        if n > 0 {
-            shared.stats.drain.record(n as u64);
-            let owed =
-                process_batch(&shared, &machine, machine_id, thread, &mut batch, &mut touched);
-            // About to park: this producer has nothing more to add, so its
-            // emissions leave now — and then, with nobody waiting on it,
-            // it writes back the slates its misses chose for eviction.
-            // With more queued it keeps draining and both keep
-            // accumulating into fuller batches.
-            let idle = machine.queues[thread].len_hint() == 0;
-            if !touched.is_empty() && idle {
-                shared.flush_events(&touched);
-                touched.clear();
-            }
-            settle_retire(&shared, &machine, thread, owed, idle);
-        }
-    }
-}
-
-/// Take one in-flight unit for the eviction retire this worker now owes,
-/// if its cache has victims waiting and it holds none yet. Called only
-/// while an event of the current batch still holds its own unit, so
-/// `pending` never touches zero between a miss that chose a victim and
-/// the retire that writes it: `drain() == true` implies no retire is in
-/// flight. The no-eviction path pays one relaxed load.
-fn claim_retire(shared: &Shared, cache: &SlateCache, owed: &mut bool) {
-    if !*owed && cache.evict_backlog() > 0 {
-        shared.pending.fetch_add(1, Ordering::AcqRel);
-        *owed = true;
-    }
-}
-
-/// Retire the eviction backlog when the worker is about to park (its
-/// emissions have already fanned out), then give back the unit
-/// [`claim_retire`] took.
-fn settle_retire(shared: &Shared, machine: &Machine, thread: usize, owed: bool, idle: bool) {
-    if !owed {
-        return;
-    }
-    if idle {
-        if let Some(cache) = machine.cache_of(thread) {
-            cache.retire_evicted(shared.now_us());
-        }
-    }
-    shared.pending.fetch_sub(1, Ordering::AcqRel);
-    shared.throttle_cv.notify_all();
-}
-
-/// A processed event whose emissions have not fanned out yet. Fan-out
-/// re-enters the membership lock on the local send path, so while a
-/// run's read guard is held the follow-up work is parked here; the
-/// event's in-flight count drops only once its emissions are enqueued
-/// (`finish_event`), so `drain`/throttling never observe a gap.
-struct Finished {
-    op: OpId,
-    ts: u64,
-    injected_us: u64,
-    redirected: bool,
-    records: Vec<muppet_core::event::EmitRecord>,
-}
-
-/// Admit one finished event's emissions (ts = input ts + 1, §3) and
-/// retire it from the in-flight count.
-fn finish_event(shared: &Arc<Shared>, done: Finished, touched: &mut Vec<MachineId>) {
-    let stages = &shared.stats.stages;
-    let fanout_t0 = (!done.records.is_empty() && stages.enabled && stages.sampler_fanout.hit())
-        .then(|| shared.now_us());
-    for rec in done.records {
-        shared.stats.emitted.inc();
-        if shared.wf.is_external(rec.stream.as_str()) || !shared.wf.has_stream(rec.stream.as_str())
-        {
-            shared.stats.publish_errors.inc();
-            shared.drop_log.log(format!(
-                "illegal publish to {} from {}",
-                rec.stream,
-                shared.wf.op(done.op).name
-            ));
-            continue;
-        }
-        let out =
-            Event { stream: rec.stream, ts: done.ts + 1, key: rec.key, value: rec.value, seq: 0 };
-        fan_out(shared, fresh(out, done.injected_us, done.redirected, false), touched);
-    }
-    if let Some(t0) = fanout_t0 {
-        stages.fanout.record(shared.now_us().saturating_sub(t0));
-    }
-    shared.pending.fetch_sub(1, Ordering::AcqRel);
-    shared.throttle_cv.notify_all();
-}
-
-/// Process one drained batch. The updater events of a batch share a
-/// single membership read guard (a *run*; mapper events need no lock and
-/// pass through without closing it), and consecutive same-⟨op, key⟩
-/// updater events reuse the previous event's cache slot (the memo)
-/// without touching the shard lock — the per-event costs the batch
-/// amortizes. Every event's fan-out is deferred while the guard is held
-/// (the local send path re-enters the membership lock) and flushed
-/// when the run closes: at an event that must be forwarded, and at batch
-/// end. The memo dies with the guard, because slate handoffs
-/// (`take_matching`) run under the membership *write* lock and so can
-/// only interleave between runs, never inside one.
-///
-/// Store-backed engines first fetch the batch's cold slates in one round
-/// trip ([`prefetch_batch`]). Returns whether the worker now owes an
-/// eviction retire, i.e. holds the in-flight unit [`claim_retire`] took
-/// and must hand it to [`settle_retire`].
-fn process_batch(
-    shared: &Arc<Shared>,
-    machine: &Arc<Machine>,
-    machine_id: usize,
-    thread: usize,
-    batch: &mut Vec<Queued>,
-    touched: &mut Vec<MachineId>,
-) -> bool {
-    if shared.cfg.combine && batch.len() > 1 {
-        fold_local_batch(shared, machine, thread, batch);
-    }
-    let mut retire_owed = false;
-    if let Some(cache) = machine.cache_of(thread) {
-        if shared.has_backend && batch.len() > 1 && !shared.split_enabled() {
-            prefetch_batch(shared, cache, machine_id, batch);
-        }
-        // Victims left over from earlier batches (the queue was not idle
-        // then): claimed here, while every event of this batch is in flight.
-        claim_retire(shared, cache, &mut retire_owed);
-    }
-    let stages = &shared.stats.stages;
-    let mut memo: Option<(OpId, Key, Arc<SlateSlot>)> = None;
-    let mut finished: Vec<Finished> = Vec::new();
-    let mut guard: Option<muppet_core::sync::RwLockReadGuard<'_, Membership>> = None;
-    for (mut ev, enqueued_us) in batch.drain(..) {
-        // Owner-side split rewrite: events that were already in flight
-        // (or forwarded) when a split installed still fan out. The
-        // rewritten subkey re-routes below like any other key.
-        if shared.split_enabled()
-            && matches!(&shared.ops[ev.op],
-                OpInstance::Update { updater, .. } if updater.combines())
-        {
-            if let Some(sub) = shared.split_route(ev.op, &ev.event.key) {
-                ev.event.key = sub;
-            }
-        }
-        // Muppet 1.0 invariant: a worker is bound to exactly one function.
-        debug_assert!(
-            machine.thread_ops[thread].is_none() || machine.thread_ops[thread] == Some(ev.op),
-            "1.0 worker received an event for a function it does not run"
-        );
-        let route = ev.event.key.route_hash(&shared.wf.op(ev.op).name);
-        machine.in_flight[thread].store(route.wrapping_add(1), Ordering::Release);
-        if enqueued_us > 0 {
-            // The queue-wait span: stamped at local enqueue by a sampler
-            // hit, closed when the drain reaches the event.
-            stages.queue_wait.record(shared.now_us().saturating_sub(enqueued_us));
-        }
-        match &shared.ops[ev.op] {
-            OpInstance::Map(mapper) => {
-                // Mappers need no membership lock; an open updater run's
-                // guard is left in place and the mapper's fan-out joins
-                // the deferred queue like everyone else's.
-                let service_t0 =
-                    (stages.enabled && stages.sampler_service.hit()).then(|| shared.now_us());
-                let mut emitter = VecEmitter::new();
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    mapper.map(&mut emitter, &ev.event)
-                }));
-                if let Err(payload) = outcome {
-                    // Poison event: contain the panic (an uncontained one
-                    // kills this worker thread and wedges `drain` on the
-                    // stuck pending count), discard any partial emissions,
-                    // park the event, keep draining.
-                    machine.in_flight[thread].store(0, Ordering::Release);
-                    dead_letter(shared, ev, payload);
-                    continue;
-                }
-                if let Some(t0) = service_t0 {
-                    stages.service[ev.op].record(shared.now_us().saturating_sub(t0));
-                }
-                shared.stats.processed.inc();
-                machine.in_flight[thread].store(0, Ordering::Release);
-                finished.push(Finished {
-                    op: ev.op,
-                    ts: ev.event.ts,
-                    injected_us: ev.injected_us,
-                    redirected: ev.redirected,
-                    records: emitter.take(),
-                });
-            }
-            OpInstance::Update { updater, name, ttl_secs } => {
-                // With a store backend attached, a memo-missing event's
-                // get_or_load below may do real I/O (disk, or a remote
-                // store RPC). Close the run first so a waiting membership
-                // writer (join prepare/commit) gets in between I/O-bound
-                // events — the pre-batching cadence — instead of stalling
-                // behind a whole batch of sequential loads. Store-less
-                // engines load from memory in microseconds and keep the
-                // full run amortization.
-                let memo_hit = matches!(&memo, Some((m_op, m_key, _))
-                    if *m_op == ev.op && *m_key == ev.event.key);
-                if shared.has_backend && guard.is_some() && !memo_hit {
-                    memo = None;
-                    drop(guard.take());
-                    for done in finished.drain(..) {
-                        finish_event(shared, done, touched);
-                    }
-                }
-                // The ownership check, under the membership read lock held
-                // across the whole slate mutation (and, amortized, across
-                // the run): a membership change (write lock) can only land
-                // between runs, never mid-update — so the prepare-phase
-                // flush sees every completed write, and no worker mutates
-                // a slate its machine has already handed off.
-                let membership = guard.get_or_insert_with(|| shared.membership.read());
-                let owner = membership.owner(ev.op, route);
-                if let Some(owner) = owner.filter(|at| at.machine != machine_id) {
-                    // Forwarding re-enters the send path (and, for a local
-                    // owner, the membership lock): close the run first.
-                    memo = None;
-                    drop(guard.take());
-                    for done in finished.drain(..) {
-                        finish_event(shared, done, touched);
-                    }
-                    machine.in_flight[thread].store(0, Ordering::Release);
-                    forward(shared, ev, owner, touched);
-                    shared.pending.fetch_sub(1, Ordering::AcqRel);
-                    shared.throttle_cv.notify_all();
-                    continue;
-                }
-                // lint: allow(no-unwrap-in-prod) — 2.0 machines build a central cache, 1.0 one per updater thread
-                let cache = machine.cache_of(thread).expect("updater thread has a cache");
-                cache.offer_hot(ev.op, &ev.event.key);
-                if shared.split_enabled()
-                    && updater.combines()
-                    && crate::dispatch::split_base_of(&ev.event.key).is_none()
-                {
-                    shared.maybe_split(cache, ev.op, &ev.event.key);
-                }
-                let service_sampled = stages.enabled && stages.sampler_service.hit();
-                let now = shared.now_us();
-                let slot = match &memo {
-                    Some((m_op, m_key, m_slot)) if *m_op == ev.op && *m_key == ev.event.key => {
-                        cache.note_memo_hit(ev.op, m_slot, now);
-                        Arc::clone(m_slot)
-                    }
-                    _ => {
-                        let s = cache.get_or_load(ev.op, name, &ev.event.key, *ttl_secs, now);
-                        memo = Some((ev.op, ev.event.key.clone(), Arc::clone(&s)));
-                        claim_retire(shared, cache, &mut retire_owed); // a miss may have chosen victims
-                        s
-                    }
-                };
-                let mut emitter = VecEmitter::new();
-                let outcome = {
-                    let mut state = slot.state.lock();
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        updater.update(&mut emitter, &ev.event, &mut state.slate)
-                    }));
-                    // A panicking updater gets no dirty-marking: its
-                    // half-mutated slate must never be flushed.
-                    if r.is_ok() {
-                        cache.note_write(&slot, &mut state, now);
-                    }
-                    r
-                };
-                if let Err(payload) = outcome {
-                    // Poison event: the updater may have left the slate
-                    // half-mutated, so evict the cached slot — the next
-                    // touch refaults the last good version from the
-                    // store — then park the event and keep the thread.
-                    memo = None;
-                    cache.discard(ev.op, &ev.event.key);
-                    machine.in_flight[thread].store(0, Ordering::Release);
-                    dead_letter(shared, ev, payload);
-                    continue;
-                }
-                if service_sampled {
-                    // Service span: slate fetch (cache or store) + the
-                    // update under the slot lock.
-                    stages.service[ev.op].record(shared.now_us().saturating_sub(now));
-                }
-                shared.stats.latency.record(shared.now_us().saturating_sub(ev.injected_us));
-                shared.stats.processed.inc();
-                machine.in_flight[thread].store(0, Ordering::Release);
-                finished.push(Finished {
-                    op: ev.op,
-                    ts: ev.event.ts,
-                    injected_us: ev.injected_us,
-                    redirected: ev.redirected,
-                    records: emitter.take(),
-                });
-            }
-        }
-    }
-    drop(guard.take());
-    for done in finished.drain(..) {
-        finish_event(shared, done, touched);
-    }
-    retire_owed
-}
-
-/// Load the slates a drained batch is about to miss on in ONE store round
-/// trip: its locally-owned updater keys go to [`SlateCache::prefetch`],
-/// under the membership read guard like any other load (a slate fetched
-/// for a key that moved away meanwhile would sit in the cache stale).
-fn prefetch_batch(shared: &Shared, cache: &SlateCache, machine_id: usize, batch: &[Queued]) {
-    let membership = shared.membership.read();
-    let wanted: Vec<_> = batch
-        .iter()
-        .filter_map(|(ev, _)| {
-            let OpInstance::Update { name, ttl_secs, .. } = &shared.ops[ev.op] else {
-                return None;
-            };
-            let route = ev.event.key.route_hash(&shared.wf.op(ev.op).name);
-            let owner = membership.owner(ev.op, route).map(|at| at.machine);
-            (owner == Some(machine_id)).then_some((ev.op, name, &ev.event.key, *ttl_secs))
-        })
-        .collect();
-    cache.prefetch(&wanted, shared.now_us());
-}
-
-/// Map-side pre-aggregation over one drained batch: coalesce runs of
-/// same-⟨op, stream, key⟩ update events through the operator's declared
-/// combiner, so a hot key's burst becomes one slate mutation instead of
-/// one per event. Mirrors the sender-outbox fold in `muppet_net::tcp`
-/// (first-occurrence order, veto opens a fresh run), but here the win is
-/// the slot-lock + updater invocation, not wire bytes. Each absorbed
-/// event settles its pending-count immediately; the carrier keeps
-/// `ts`/`seq` = max and `injected_us` = min so watermarks and latency
-/// stay conservative. Non-combining operators pass through untouched.
-///
-/// Absorbed events are credited to the hot-key sketch in one weighted
-/// offer per run: the splitter's threshold is denominated in *events*,
-/// and without the credit a deeply-folded hot key would look cold (the
-/// sketch would only see one carrier per drained batch).
-fn fold_local_batch(
-    shared: &Arc<Shared>,
-    machine: &Arc<Machine>,
-    thread: usize,
-    batch: &mut Vec<Queued>,
-) {
-    let mut runs: HashMap<(OpId, StreamId, Key, bool), usize> = HashMap::new();
-    let mut absorbed: HashMap<(OpId, Key), u64> = HashMap::new();
-    let mut out: Vec<Queued> = Vec::with_capacity(batch.len());
-    for (ev, enqueued_us) in batch.drain(..) {
-        let updater = match &shared.ops[ev.op] {
-            OpInstance::Update { updater, .. } if updater.combines() => Arc::clone(updater),
-            _ => {
-                out.push((ev, enqueued_us));
-                continue;
-            }
-        };
-        let rk = (ev.op, ev.event.stream.clone(), ev.event.key.clone(), ev.redirected);
-        let open = runs.get(&rk).copied();
-        let folded = open
-            .and_then(|i| updater.combine(out[i].0.event.value.as_ref(), ev.event.value.as_ref()));
-        match (open, folded) {
-            (Some(i), Some(value)) => {
-                let carrier = &mut out[i].0;
-                carrier.event.value = Bytes::from(value);
-                carrier.event.ts = carrier.event.ts.max(ev.event.ts);
-                carrier.event.seq = carrier.event.seq.max(ev.event.seq);
-                carrier.injected_us = carrier.injected_us.min(ev.injected_us);
-                carrier.forwards = carrier.forwards.max(ev.forwards);
-                *absorbed.entry((ev.op, ev.event.key.clone())).or_insert(0) += 1;
-                shared.stats.combined_events.inc();
-                shared.pending.fetch_sub(1, Ordering::AcqRel);
-                shared.throttle_cv.notify_all();
-            }
-            _ => {
-                // No open run, or the combiner vetoed: this event opens
-                // (or re-points) the run, preserving per-key order.
-                runs.insert(rk, out.len());
-                out.push((ev, enqueued_us));
-            }
-        }
-    }
-    if !absorbed.is_empty() {
-        if let Some(cache) = machine.cache_of(thread) {
-            let split = shared.split_enabled();
-            for ((op, key), n) in absorbed {
-                cache.offer_hot_n(op, &key, n);
-                if split
-                    && n >= SPLIT_FOLD_PROBE_MIN
-                    && crate::dispatch::split_base_of(&key).is_none()
-                {
-                    shared.probe_split(cache, op, &key);
-                }
-            }
-        }
-    }
-    *batch = out;
-}
-
-/// Extract a human-readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
-    }
-}
-
-/// Park a poison event in the dead-letter queue and retire it from the
-/// in-flight accounting — the worker thread survives, `drain` still
-/// converges, and the event stays inspectable via `GET /dlq`.
-fn dead_letter(shared: &Arc<Shared>, ev: WireEvent, payload: Box<dyn std::any::Any + Send>) {
-    let reason = panic_message(payload);
-    shared.stats.dead_lettered.inc();
-    shared.drop_log.log(format!(
-        "poison event dead-lettered at {}: key={:?} ({reason})",
-        shared.wf.op(ev.op).name,
-        ev.event.key
-    ));
-    if shared.logger.enabled(Level::Warn) {
-        shared.logger.warn(
-            "operator panic contained; event dead-lettered",
-            &[("op", (ev.op as u64).into()), ("dlq_depth", (shared.dlq.depth() as u64).into())],
-        );
-    }
-    let letter = DeadLetter { op: ev.op, event: ev.event, reason, at_us: shared.now_us() };
-    if shared.dlq.push(letter) {
-        shared.stats.dlq_evicted.inc();
-    }
-    shared.pending.fetch_sub(1, Ordering::AcqRel);
-    shared.throttle_cv.notify_all();
-}
-
-/// Log a peer's death through the leveled logger exactly once per peer
-/// *per incarnation* — a committed rejoin or restart re-identification
-/// clears the entry so the NEW incarnation's death is logged afresh.
-/// §4.3 detection is send-driven and can fire concurrently from the
-/// sync-send, forward, and batch-sender failure paths for one incident;
-/// without the set each path would emit its own report. The [`DropLog`]
-/// ring keeps its per-event entries regardless.
-fn log_peer_death(shared: &Arc<Shared>, dest: usize, lost_events: u64) {
-    if !shared.logger.enabled(Level::Warn) {
-        return;
-    }
-    if shared.logged_peer_deaths.lock().insert(dest) {
-        shared.logger.warn(
-            "peer unreachable; reported to master (send-detect, §4.3)",
-            &[
-                ("peer", (dest as u64).into()),
-                ("epoch", shared.epoch().into()),
-                ("lost_events", lost_events.into()),
-            ],
-        );
-    }
-}
-
-/// Re-send an event whose key this machine no longer owns to its current
-/// owner (elastic handoff; also heals laggard-ring deliveries). Bounded
-/// by [`MAX_FORWARDS`] so disagreeing rings can never ping-pong an event
-/// forever — past the cap the event is dropped-and-logged like any other
-/// undeliverable (§4.3 posture).
-fn forward(
-    shared: &Arc<Shared>,
-    mut ev: WireEvent,
-    owner: Placement,
-    touched: &mut Vec<MachineId>,
-) {
-    if ev.forwards >= MAX_FORWARDS {
-        shared.stats.lost_machine_failure.inc();
-        shared.drop_log.log(format!(
-            "forward cap hit for key={:?} (rings disagree about machine {}?)",
-            ev.event.key, owner.machine
-        ));
-        return;
-    }
-    shared.stats.forwarded.inc();
-    ev.forwards += 1;
-    // Forwarded events count as internal: the receiver's overflow policy
-    // must never block the forwarding worker.
-    ev.external = false;
-    send_to(shared, ev, owner, touched);
-}
-
-/// A fresh event for the send path: no operator yet, no hops, no hint.
-fn fresh(event: Event, injected_us: u64, redirected: bool, external: bool) -> WireEvent {
-    WireEvent { op: 0, event, injected_us, redirected, external, thread_hint: None, forwards: 0 }
-}
-
-/// Send `ev` to every subscriber of its stream, each copy's `op` set to
-/// its subscriber; `touched` collects the remote peers it was queued for
-/// (see [`note_remote`]).
-fn fan_out(shared: &Arc<Shared>, mut ev: WireEvent, touched: &mut Vec<MachineId>) {
-    // No per-event Vec, no clone for the final (usually only) subscriber.
-    let subscribers = shared.wf.subscribers_of(ev.event.stream.as_str());
-    if let Some((&last, rest)) = subscribers.split_last() {
-        for &op in rest {
-            try_send(shared, WireEvent { op, ..ev.clone() }, touched);
-        }
-        ev.op = last;
-        try_send(shared, ev, touched);
-    }
-}
-
-/// Record that a burst queued an event for `dest`, if that is another
-/// process: the set a producer hands to [`TcpTransport::flush_events`]
-/// once it has nothing more to add. O(peers) and allocation-free once
-/// warm.
-fn note_remote(shared: &Arc<Shared>, dest: MachineId, touched: &mut Vec<MachineId>) {
-    if !shared.is_local(dest) && !touched.contains(&dest) {
-        touched.push(dest);
-    }
-}
-
-/// The send path: resolve the destination by the committed rings
-/// ([`Membership::route`]), then send the event there.
-fn try_send(shared: &Arc<Shared>, mut ev: WireEvent, touched: &mut Vec<MachineId>) {
-    // Sender-side split rewrite: route a split hot key's update to one of
-    // its subkeys before the ring lookup, so fan-out happens at the
-    // source and the subslates land on distinct machines/queues.
-    if shared.split_enabled()
-        && matches!(&shared.ops[ev.op],
-            OpInstance::Update { updater, .. } if updater.combines())
-    {
-        if let Some(sub) = shared.split_route(ev.op, &ev.event.key) {
-            ev.event.key = sub;
-        }
-    }
-    let route: RouteHash = ev.event.key.route_hash(&shared.wf.op(ev.op).name);
-    let Some(dest) = shared.membership.read().route(ev.op, route) else {
-        shared.stats.lost_machine_failure.inc();
-        return;
-    };
-    send_to(shared, ev, dest, touched);
-}
-
-/// Deliver `ev` to `dest`: straight into the queues of a machine of this
-/// process, over the wire to another process's. A failed delivery — a
-/// dead machine here, a connection error there — triggers the §4.3
-/// protocol: report to the master, which broadcasts, and every ring drops
-/// the machine; the event is lost and logged, never retried.
-fn send_to(shared: &Arc<Shared>, mut ev: WireEvent, dest: Placement, touched: &mut Vec<MachineId>) {
-    let machine = dest.machine;
-    let key = ev.event.key.clone();
-    ev.thread_hint = dest.thread;
-    let sent = match &shared.wire {
-        Some(wire) if !shared.is_local(machine) => wire.send_event(machine, ev),
-        _ => deliver_local(shared, machine, ev, 1),
-    };
-    match sent {
-        Ok(()) => note_remote(shared, machine, touched),
-        Err(NetError::Unreachable(_)) => {
-            report_failure(shared, machine);
-            log_peer_death(shared, machine, 1);
-            shared.stats.lost_machine_failure.inc();
-            shared.drop_log.log(format!("lost to failed machine {machine}: key={key:?}"));
-        }
-        Err(e) => {
-            // A local protocol/config error (oversized frame, no route)
-            // is not a dead peer — the event is lost and logged, but the
-            // machine must not be declared failed.
-            shared.stats.lost_machine_failure.inc();
-            shared.drop_log.log(format!("undeliverable to machine {machine} ({e}): key={key:?}"));
-        }
-    }
-}
-
-/// §4.3: report `failed` to the master, stamped with this node's epoch —
-/// over the wire, or in-process to this process's master, whose broadcast
-/// is the ring drop here.
-fn report_failure(shared: &Arc<Shared>, failed: MachineId) {
-    let epoch = shared.epoch();
-    match &shared.wire {
-        Some(wire) => wire.report_failure(failed, epoch),
-        None if shared.master.report_failure(failed, epoch) => {
-            apply_ring_drop(shared, failed, epoch);
-        }
-        None => {}
-    }
-}
-
-/// Local delivery: the receiving half of every send to a machine of this
-/// process. Chooses the worker queue (two-choice for 2.0, the sender's
-/// slot hint for 1.0) and applies the §4.3 overflow mechanism. Runs on the
-/// sender's thread for a local send and on the listener's connection
-/// thread for one from another process.
-fn deliver_local(
-    shared: &Arc<Shared>,
-    machine_id: usize,
-    mut ev: WireEvent,
-    mut absorbed: u64,
-) -> std::result::Result<(), NetError> {
-    if !shared.is_local(machine_id) {
-        return Err(NetError::NoRoute(machine_id));
-    }
-    loop {
-        let Some(machine) = shared.machine(machine_id) else {
-            return Err(NetError::NoRoute(machine_id));
-        };
-        if !machine.alive.load(Ordering::Acquire) {
-            return Err(NetError::Unreachable(machine_id));
-        }
-        let updater_name = shared.wf.op(ev.op).name.as_str();
-        let route: RouteHash = ev.event.key.route_hash(updater_name);
-        let thread = match shared.cfg.kind {
-            EngineKind::Muppet1 => {
-                // 1.0 workers are bound to one function; an event on the
-                // wrong thread would fault the worker (no cache for the
-                // op). Trust the sender's hint only when it names a local
-                // thread actually running this op; otherwise re-resolve
-                // from the local rings (layouts are deterministic
-                // cluster-wide, so a mismatch means a heterogeneously
-                // configured peer).
-                let valid =
-                    |t: usize| t < machine.queues.len() && machine.thread_ops[t] == Some(ev.op);
-                let resolved = ev.thread_hint.filter(|&t| valid(t)).or_else(|| {
-                    let owner = shared.membership.read().owner(ev.op, route);
-                    owner.filter(|at| at.machine == machine_id)?.thread.filter(|&t| valid(t))
-                });
-                match resolved {
-                    Some(t) => t,
-                    None => {
-                        shared.drop_log.log(format!(
-                            "misrouted 1.0 event discarded at m{machine_id}: op={updater_name} \
-                             key={:?} (peer layout mismatch?)",
-                            ev.event.key
-                        ));
-                        return Ok(());
-                    }
-                }
-            }
-            EngineKind::Muppet2 => {
-                let threads = machine.queues.len();
-                let (p, s) = crate::dispatch::queue_pair(route, threads);
-                let decode = |raw: u64| -> Option<RouteHash> {
-                    if raw == 0 {
-                        None
-                    } else {
-                        Some(raw.wrapping_sub(1))
-                    }
-                };
-                choose_between(
-                    route,
-                    p,
-                    s,
-                    decode(machine.in_flight[p].load(Ordering::Acquire)),
-                    decode(machine.in_flight[s].load(Ordering::Acquire)),
-                    machine.queues[p].len_hint(),
-                    machine.queues[s].len_hint(),
-                )
-            }
-        };
-        let credit = std::mem::take(&mut absorbed);
-        if credit > 1 {
-            // A carrier the sender folded from `absorbed` events is one
-            // event here, but the splitter's threshold is denominated in
-            // events: credit them to the sketch of the cache the carrier
-            // will update (once, however often a full queue retries).
-            if let Some(cache) = machine.cache_of(thread) {
-                cache.offer_hot_n(ev.op, &ev.event.key, credit);
-            }
-        }
-        let queue = &machine.queues[thread];
-        let queued = |ev: WireEvent| -> Queued {
-            // Stamp the queue-wait span here, on the receiving side
-            // (`max(1)`: 0 means unsampled, and `now_us` can legitimately
-            // be 0 early on).
-            let sampled = shared.stats.stages.enabled && shared.stats.stages.sampler_queue.hit();
-            (ev, if sampled { shared.now_us().max(1) } else { 0 })
-        };
-        if queue.len_hint() < queue.capacity() {
-            // Likely-room fast path; capacity may still be exceeded by a
-            // racing sender, in which case force_push slightly overshoots
-            // (bounded by sender count) — acceptable for a size *limit*.
-            // Count before publishing: a worker may pop and finish the
-            // event the moment it is pushed (`models::run_in_flight`).
-            shared.pending.fetch_add(1, Ordering::AcqRel);
-            queue.force_push(queued(ev));
-            return Ok(());
-        }
-        // Queue full: invoke the overflow mechanism (§4.3).
-        match shared.cfg.overflow.decide(ev.external, ev.redirected) {
-            OverflowAction::Drop => {
-                shared.stats.dropped_overflow.inc();
-                shared.drop_log.log(format!(
-                    "overflow drop at m{machine_id}w{thread}: key={:?} op={}",
-                    ev.event.key, updater_name
-                ));
-                return Ok(());
-            }
-            OverflowAction::Redirect(overflow_stream) => {
-                shared.stats.redirected_overflow.inc();
-                if !shared.wf.has_stream(&overflow_stream)
-                    || shared.wf.is_external(&overflow_stream)
-                {
-                    shared.stats.publish_errors.inc();
-                    return Ok(());
-                }
-                // Fan out to the overflow stream's subscribers, marked so a
-                // second overflow drops instead of looping.
-                ev.event.stream = StreamId::from(overflow_stream.as_str());
-                ev.redirected = true;
-                fan_out(shared, ev, &mut Vec::new());
-                return Ok(());
-            }
-            OverflowAction::ForceThrough => {
-                shared.pending.fetch_add(1, Ordering::AcqRel);
-                queue.force_push(queued(ev));
-                return Ok(());
-            }
-            OverflowAction::BlockProducer => {
-                shared.stats.throttle_waits.inc();
-                let mut guard = shared.throttle_mutex.lock();
-                shared.throttle_cv.wait_for(&mut guard, Duration::from_millis(1));
-                drop(guard);
-                if shared.stopping.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                // Retry: re-check liveness and queue room (the machine may
-                // have failed or drained meanwhile).
-            }
-        }
-    }
-}
-
-/// Drop `failed` from every routing structure — the effect of the master's
-/// §4.3 broadcast, applied on each node. `epoch` fences re-joined
-/// incarnations: a broadcast staler than the machine's latest join is a
-/// ghost of a previous incarnation and is ignored. Failure drops do not
-/// mint epochs — only master-coordinated membership updates do, so every
-/// node's epoch stays comparable.
-fn apply_ring_drop(shared: &Arc<Shared>, failed: usize, epoch: u64) {
-    if epoch < shared.master.joined_epoch(failed) {
-        return;
-    }
-    shared.membership.write().drop_machine(failed);
-    if let Some(machine) = shared.machine(failed) {
-        machine.alive.store(false, Ordering::Release);
-    }
-    // Every node tracks the failed set ("each worker keeps track of all
-    // failed machines"), without re-reporting.
-    shared.master.mark_failed(failed, epoch);
-}
-
-/// Stage a membership epoch (the *prepare* phase): grow the peer table
-/// for unseen nodes, stage the epoch ([`Membership::stage`]), and — the
-/// handoff invariant — flush (or transfer) every dirty slate whose arc
-/// moves away from a local machine, all under the membership write lock so
-/// no updater can be mid-write on a moved slate. After this returns true,
-/// processing-side ownership checks use the staged rings: moved keys are
-/// forwarded to their new owner, never updated here again.
-fn membership_prepare(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
-    let mut membership = shared.membership.write();
-    if let Some(answer) = membership.prepared(update.epoch) {
-        return answer;
-    }
-    // Grow peers + machine stubs for nodes this engine has never seen.
-    let known_machines = {
-        let mut machines = shared.machines.write();
-        let mut cluster_nodes = shared.cluster_nodes.lock();
-        let mut specs: Vec<&NodeSpec> = update.nodes.iter().collect();
-        specs.sort_by_key(|s| s.id);
-        for spec in specs {
-            if spec.id < machines.len() {
-                continue;
-            }
-            if let Some(wire) = &shared.wire {
-                if let Err(e) = wire.add_peer(spec) {
-                    shared.drop_log.log(format!("membership add_peer failed: {e}"));
-                    return false;
-                }
-            }
-            machines.push(Arc::new(Machine::remote_stub()));
-            cluster_nodes.push(spec.clone());
-        }
-        machines.len()
-    };
-    for id in membership.stage(update, known_machines, &|id| shared.master.is_failed(id)) {
-        // This epoch's joiners are reachable again: re-arm the wire and
-        // the liveness flag so forwarded events flow as soon as the
-        // staged rings apply.
-        shared.revive(id);
-    }
-    // The handoff: move every slate whose arc leaves a local machine.
-    let machines = shared.machines_snapshot();
-    let now = shared.now_us();
-    for (m, machine) in machines.iter().enumerate() {
-        if !shared.is_local(m) || !machine.alive.load(Ordering::Acquire) {
-            continue;
-        }
-        for (op, spec) in shared.wf.ops().iter().enumerate() {
-            if spec.kind != OpKind::Update {
-                continue;
-            }
-            let opname = &spec.name;
-            let moved_to = |key: &Key| membership.moved_from(m, op, key.route_hash(opname));
-            for cache in machine.caches() {
-                for (key, slot) in cache.take_matching(op, &|key| moved_to(key).is_some()) {
-                    if shared.has_backend {
-                        // Store-backed handoff (§4.3 recovery path, run
-                        // proactively): flush, then the new owner faults
-                        // the slate in on its first event. A failed
-                        // flush (store down mid-join) must not destroy
-                        // the slate: it goes back into the cache dirty —
-                        // post-prepare processing forwards this key, so
-                        // nothing re-dirties it here, and the background
-                        // flusher retries until the store recovers (the
-                        // new owner reads stale until then; bounded
-                        // inconsistency instead of silent loss).
-                        if !cache.flush_slot_now(&slot, now) {
-                            shared.drop_log.log(format!(
-                                "handoff flush failed for {opname} key={key:?} (store down?); \
-                                 retained for flusher retry"
-                            ));
-                            cache.insert_slot(op, key, slot);
-                        }
-                        continue;
-                    }
-                    // No store attached: hand the slot to the cache its
-                    // staged placement names when that lives in this
-                    // process (the in-process cluster); otherwise the
-                    // slate is lost exactly like a §4.3 crash would lose
-                    // it.
-                    let target = moved_to(&key)
-                        .filter(|to| shared.is_local(to.machine))
-                        .and_then(|to| machines.get(to.machine)?.cache_at(op, to));
-                    match target {
-                        Some(target) => target.insert_slot(op, key, slot),
-                        None => shared.drop_log.log(format!(
-                            "handoff without store: slate {opname} key={key:?} lost (§4.3 \
-                             posture)"
-                        )),
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Install a staged membership epoch (the *commit* phase).
-fn membership_commit(shared: &Arc<Shared>, epoch: u64) -> bool {
-    let Some(joined) = shared.membership.write().commit(epoch) else {
-        return false;
-    };
-    for id in joined {
-        shared.master.mark_joined(id, epoch);
-        // Forget the previous incarnation's death (§4.3 ledger): if the
-        // NEW incarnation dies, detection must report and log it afresh.
-        shared.logged_peer_deaths.lock().remove(&id);
-        shared.revive(id);
-    }
-    true
-}
-
-/// Discard a staged membership epoch (the *abort* phase): a prepare
-/// acked somewhere, but the join could not complete. Ownership reverts
-/// to the committed rings; the already-flushed moved slates simply fault
-/// back in from the store on the old owner's next touch.
-fn membership_abort(shared: &Arc<Shared>, epoch: u64) -> bool {
-    if shared.membership.write().abort(epoch) {
-        shared.drop_log.log(format!("membership epoch {epoch} aborted; staged state discarded"));
-    }
-    true
-}
-
-/// Apply one membership phase on this node; true is the ack.
-fn apply_membership(shared: &Arc<Shared>, update: &MembershipUpdate) -> bool {
-    match update.phase {
-        MembershipPhase::Prepare => membership_prepare(shared, update),
-        MembershipPhase::Commit => membership_commit(shared, update.epoch),
-        MembershipPhase::Abort => membership_abort(shared, update.epoch),
-    }
-}
-
-/// Deliver one membership phase to every participant in `order`: this
-/// process's machines by one local call, the others over the wire.
-/// `want_ack` only for prepare, where the first refusal or wire failure
-/// is returned at once; other phases reach everyone and never fail.
-fn fan_out_membership(
-    shared: &Arc<Shared>,
-    order: &[MachineId],
-    update: &MembershipUpdate,
-    want_ack: bool,
-) -> std::result::Result<(), (MachineId, NetError)> {
-    let mut local_done = false;
-    for &dest in order {
-        let sent = match &shared.wire {
-            Some(wire) if !shared.is_local(dest) => wire.send_membership(dest, update, want_ack),
-            _ if local_done => continue,
-            _ => {
-                local_done = true;
-                if apply_membership(shared, update) {
-                    Ok(())
-                } else {
-                    Err(NetError::Protocol("local phase refused".to_string()))
-                }
-            }
-        };
-        if let (Err(e), true) = (sent, want_ack) {
-            return Err((dest, e));
-        }
-    }
-    Ok(())
-}
-
-/// The master side of a join: a reserved machine announced it is live.
-/// Runs the protocol — prepare to the joiner first (so forwarded events
-/// always find it ready) and then to every committed ring member (each
-/// ack certifies the moved-away slates were flushed), then commit
-/// everywhere; any un-acked prepare aborts the epoch explicitly so no
-/// worker is left forwarding to a joiner that never commits. Serialized
-/// per master.
-fn run_join_protocol(shared: &Arc<Shared>, machine: MachineId) {
-    let _serialize = shared.join_lock.lock();
-    // A duplicate announcement (e.g. the joiner's commit frame was lost
-    // and it re-announced) runs the protocol again: everywhere the
-    // machine is already a member the epoch is a no-op, and on the
-    // joiner the member-heal path installs it.
-    // Mint a fresh epoch, monotone even across aborted attempts: a
-    // staged-but-never-committed epoch on some worker must never be
-    // reused with different content, or a later commit could install
-    // divergent rings there (serialized by join_lock, so load/store is
-    // race-free).
-    let epoch = (shared.epoch() + 1).max(shared.epoch_mint.load(Ordering::Acquire) + 1);
-    shared.epoch_mint.store(epoch, Ordering::Release);
-    let nodes = shared.cluster_nodes.lock().clone();
-    if machine >= nodes.len() {
-        shared.drop_log.log(format!("join announcement for unreserved machine {machine}"));
-        return;
-    }
-    // The barrier participants: the joiner plus the *committed ring
-    // members* — the machines that can own moved arcs. Reservations that
-    // never announced are excluded (their listeners may not exist; they
-    // must not be able to abort someone else's join), and so are failed
-    // machines.
-    let members = shared.membership.read().committed().members();
-    let mut order: Vec<MachineId> = vec![machine];
-    order.extend(members.iter().copied().filter(|&id| id != machine));
-    let mut post_members = members.clone();
-    post_members.push(machine);
-    post_members.sort_unstable();
-    post_members.dedup();
-
-    let prepare = MembershipUpdate {
-        epoch,
-        phase: MembershipPhase::Prepare,
-        joined: vec![machine],
-        members: post_members,
-        nodes,
-    };
-    if let Err((dest, e)) = fan_out_membership(shared, &order, &prepare, true) {
-        // An un-acked live participant kills the join: the ack is the
-        // handoff barrier — committing past a worker whose flush did
-        // not finish would let the joiner fault stale slates out of the
-        // store. Abort explicitly so every node that DID stage the
-        // epoch reverts to its committed rings instead of forwarding to
-        // a joiner that will never commit. (A genuinely dead worker
-        // blocks joins only until traffic-driven §4.3 detection removes
-        // it from the member set.)
-        shared.drop_log.log(format!("join of {machine} aborted: prepare to {dest}: {e}"));
-        let abort = MembershipUpdate { phase: MembershipPhase::Abort, ..prepare };
-        let _ = fan_out_membership(shared, &order, &abort, false);
-        return;
-    }
-    let commit = MembershipUpdate { phase: MembershipPhase::Commit, ..prepare };
-    let _ = fan_out_membership(shared, &order, &commit, false);
-}
-
-/// Restart re-identification, master side: a node that crashed and came
-/// back announces under its old id. Re-arm the wire to it, wipe the
-/// previous incarnation's §4.3 death-ledger entry so a NEW death is
-/// detected and logged afresh, and — if the old incarnation was dropped
-/// from the rings — run the join protocol to restore its old ring
-/// position. Returns this node's epoch.
-fn reintroduce(shared: &Arc<Shared>, machine: MachineId) -> u64 {
-    shared.revive(machine);
-    shared.logged_peer_deaths.lock().remove(&machine);
-    let needs_join =
-        shared.master.is_failed(machine) || !shared.membership.read().committed().contains(machine);
-    if needs_join {
-        run_join_protocol(shared, machine);
-    }
-    shared.epoch()
 }
 
 /// The engine side of the wire: what the TCP transport calls with
@@ -2897,7 +1378,7 @@ struct EngineHandler(Arc<Shared>);
 
 impl ClusterHandler for EngineHandler {
     fn deliver_event(&self, dest: MachineId, ev: WireEvent) -> std::result::Result<(), NetError> {
-        deliver_local(&self.0, dest, ev, 1)
+        self.0.deliver_local(dest, ev, 1)
     }
 
     fn deliver_combined(
@@ -2906,24 +1387,15 @@ impl ClusterHandler for EngineHandler {
         ev: WireEvent,
         absorbed: u64,
     ) -> std::result::Result<(), NetError> {
-        deliver_local(&self.0, dest, ev, absorbed)
+        self.0.deliver_local(dest, ev, absorbed)
     }
 
     fn combine_values(&self, op: OpId, acc: &[u8], next: &[u8]) -> Option<Vec<u8>> {
-        let shared = &self.0;
-        if !shared.cfg.combine {
-            return None;
+        let folded = self.0.combiner(op)?.combine(acc, next);
+        if folded.is_some() {
+            self.0.stats.combined_events.inc();
         }
-        match shared.ops.get(op) {
-            Some(OpInstance::Update { updater, .. }) if updater.combines() => {
-                let folded = updater.combine(acc, next);
-                if folded.is_some() {
-                    shared.stats.combined_events.inc();
-                }
-                folded
-            }
-            _ => None,
-        }
+        folded
     }
 
     fn handle_send_failure(&self, dest: MachineId, lost: Vec<WireEvent>) {
@@ -2933,12 +1405,12 @@ impl ClusterHandler for EngineHandler {
         // what the synchronous path does per event, amortized over the
         // batch. Never retried.
         let shared = &self.0;
-        log_peer_death(shared, dest, lost.len() as u64);
+        shared.log_peer_death(dest, lost.len() as u64);
         shared.stats.lost_machine_failure.add(lost.len() as u64);
         for ev in &lost {
             shared.drop_log.log(format!("lost to failed machine {dest}: key={:?}", ev.event.key));
         }
-        report_failure(shared, dest);
+        shared.report_failure(dest);
     }
 
     fn handle_failure_report(&self, failed: MachineId, epoch: u64) {
@@ -2953,32 +1425,25 @@ impl ClusterHandler for EngineHandler {
     }
 
     fn handle_failure_broadcast(&self, failed: MachineId, epoch: u64) {
-        apply_ring_drop(&self.0, failed, epoch);
+        self.0.apply_ring_drop(failed, epoch);
     }
 
     fn handle_join(&self, machine: MachineId) {
-        run_join_protocol(&self.0, machine);
+        self.0.run_join_protocol(machine);
     }
 
     fn handle_reintroduce(&self, machine: MachineId) -> u64 {
-        reintroduce(&self.0, machine)
+        self.0.reintroduce(machine)
     }
 
     fn handle_membership(&self, update: &MembershipUpdate) -> bool {
-        apply_membership(&self.0, update)
+        self.0.apply_membership(update)
     }
 
     fn read_local_slate(&self, dest: MachineId, updater: &str, key: &[u8]) -> Option<Vec<u8>> {
         let shared = &self.0;
-        let op = shared.wf.op_id(updater)?;
-        if shared.wf.op(op).kind != OpKind::Update {
-            return None;
-        }
-        let machine = shared.machine(dest).filter(|_| shared.is_local(dest))?;
-        if !machine.alive.load(Ordering::Acquire) {
-            return None;
-        }
-        read_cached(shared, dest, &machine, op, updater, &Key::from(key))
+        let op = shared.wf.op_id(updater).filter(|&op| shared.wf.op(op).kind == OpKind::Update)?;
+        shared.read_local(dest, op, updater, &Key::from(key)).ok().flatten()
     }
 
     fn backend_store_many(&self, items: &[muppet_net::StorePutItem], now_us: u64) -> Vec<bool> {
@@ -3025,37 +1490,8 @@ fn register_collector(shared: &Arc<Shared>) {
     let weak = Arc::downgrade(shared);
     shared.stats.registry.collector(move |out| {
         if let Some(sh) = weak.upgrade() {
-            let caches = sh.caches();
+            let caches = sh.caches(false);
             stats::collect(&sh.wf, &sh.snapshot(&caches), &caches, sh.wire.as_deref(), out);
         }
     });
-}
-
-fn flusher_loop(shared: Arc<Shared>, machine_id: usize, interval: Duration) {
-    // lint: allow(no-unwrap-in-prod) — flushers are spawned per existing machine index
-    let machine = shared.machine(machine_id).expect("flusher spawned for an existing machine");
-    loop {
-        // Parked until the tick: `Engine::stop` raises the flag, then
-        // unparks, so shutdown never waits out a (possibly multi-minute)
-        // interval. A spurious wake-up parks again for what is left.
-        let deadline = Instant::now() + interval;
-        loop {
-            if shared.stopping.load(Ordering::Acquire) {
-                return;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            std::thread::park_timeout(left);
-        }
-        if !machine.alive.load(Ordering::Acquire) {
-            return;
-        }
-        let now = shared.now_us();
-        for cache in machine.caches() {
-            cache.flush_dirty(now);
-            cache.retire_evicted(now); // nothing lingers when traffic stops
-        }
-    }
 }

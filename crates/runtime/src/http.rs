@@ -287,10 +287,23 @@ const MAX_HEAD: u64 = 16 << 10;
 
 fn handle_connection(stream: TcpStream, reader: &dyn SlateReader) -> std::io::Result<()> {
     stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-    let mut buf = BufReader::new(stream.try_clone()?);
-    let mut out = stream;
-    let Some(head) = read_head(&mut buf)? else {
-        return respond(&mut out, 431, "text/plain", b"request head too large");
+    serve_request(&mut BufReader::new(stream.try_clone()?), &mut &stream, reader)
+}
+
+/// Answer one request read from `input` on `out` — what the server runs on
+/// every connection it accepts, over any byte stream. A head past
+/// [`MAX_HEAD`] is answered 431, one that is not UTF-8 400; `Err` is an
+/// I/O error, a body cut short included, and nothing was answered.
+pub fn serve_request(
+    input: &mut impl BufRead,
+    out: &mut impl Write,
+    reader: &dyn SlateReader,
+) -> std::io::Result<()> {
+    let Some(head) = read_head(&mut *input)? else {
+        return respond(out, 431, "text/plain", b"request head too large");
+    };
+    let Ok(head) = String::from_utf8(head) else {
+        return respond(out, 400, "text/plain", b"request head must be utf-8");
     };
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or_default();
@@ -303,34 +316,34 @@ fn handle_connection(stream: TcpStream, reader: &dyn SlateReader) -> std::io::Re
         }
     }
     let Some(content_length) = content_length else {
-        return respond(&mut out, 400, "text/plain", b"bad content-length");
+        return respond(out, 400, "text/plain", b"bad content-length");
     };
     let mut parts = request_line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m, p),
-        _ => return respond(&mut out, 400, "text/plain", b"bad request"),
+        _ => return respond(out, 400, "text/plain", b"bad request"),
     };
     if method == "POST" && path.starts_with("/submit/") {
         // POST /submit/<stream>/<percent-encoded key>, body = event value.
         let Some(rest) = path.strip_prefix("/submit/") else {
-            return respond(&mut out, 400, "text/plain", b"expected /submit/<stream>/<key>");
+            return respond(out, 400, "text/plain", b"expected /submit/<stream>/<key>");
         };
         let Some((stream_name, key_enc)) = rest.split_once('/') else {
-            return respond(&mut out, 400, "text/plain", b"expected /submit/<stream>/<key>");
+            return respond(out, 400, "text/plain", b"expected /submit/<stream>/<key>");
         };
         let Some(key_bytes) = percent_decode(key_enc) else {
-            return respond(&mut out, 400, "text/plain", b"bad key encoding");
+            return respond(out, 400, "text/plain", b"bad key encoding");
         };
         if content_length > 16 << 20 {
-            return respond(&mut out, 400, "text/plain", b"body too large");
+            return respond(out, 400, "text/plain", b"body too large");
         }
         let mut body = vec![0u8; content_length];
-        std::io::Read::read_exact(&mut buf, &mut body)?;
+        input.read_exact(&mut body)?;
         return match reader.submit_event(stream_name, Key::from(key_bytes), body) {
-            Ok(()) => respond(&mut out, 200, "text/plain", b"ok"),
+            Ok(()) => respond(out, 200, "text/plain", b"ok"),
             Err(e) => {
                 let code = if matches!(e, Error::IngestLog(_)) { 503 } else { 400 };
-                respond(&mut out, code, "text/plain", e.to_string().as_bytes())
+                respond(out, code, "text/plain", e.to_string().as_bytes())
             }
         };
     }
@@ -338,48 +351,45 @@ fn handle_connection(stream: TcpStream, reader: &dyn SlateReader) -> std::io::Re
         // POST /join, body = host:port:http_port → the join grant
         // (admin; master node only).
         if content_length > 4096 {
-            return respond(&mut out, 400, "text/plain", b"body too large");
+            return respond(out, 400, "text/plain", b"body too large");
         }
         let mut body = vec![0u8; content_length];
-        std::io::Read::read_exact(&mut buf, &mut body)?;
+        input.read_exact(&mut body)?;
         let Ok(spec) = String::from_utf8(body) else {
-            return respond(&mut out, 400, "text/plain", b"body must be utf-8");
+            return respond(out, 400, "text/plain", b"body must be utf-8");
         };
         return match reader.reserve_join(&spec) {
-            Ok(grant) => respond(&mut out, 200, "text/plain", grant.as_bytes()),
-            Err(msg) => respond(&mut out, 400, "text/plain", msg.as_bytes()),
+            Ok(grant) => respond(out, 200, "text/plain", grant.as_bytes()),
+            Err(msg) => respond(out, 400, "text/plain", msg.as_bytes()),
         };
     }
     if method == "POST" && path == "/dlq/retry" {
         return match reader.dlq_retry() {
-            Ok(n) => respond(
-                &mut out,
-                200,
-                "application/json",
-                format!("{{\"retried\":{n}}}").as_bytes(),
-            ),
-            Err(msg) => respond(&mut out, 400, "text/plain", msg.as_bytes()),
+            Ok(n) => {
+                respond(out, 200, "application/json", format!("{{\"retried\":{n}}}").as_bytes())
+            }
+            Err(msg) => respond(out, 400, "text/plain", msg.as_bytes()),
         };
     }
     if method != "GET" {
-        return respond(&mut out, 405, "text/plain", b"method not allowed");
+        return respond(out, 405, "text/plain", b"method not allowed");
     }
     if path == "/dlq" {
         let body = reader.dlq_json();
-        return respond(&mut out, 200, "application/json", body.as_bytes());
+        return respond(out, 200, "application/json", body.as_bytes());
     }
     if path == "/status" {
         let body = reader.status_json();
-        return respond(&mut out, 200, "application/json", body.as_bytes());
+        return respond(out, 200, "application/json", body.as_bytes());
     }
     if path == "/membership" {
         let body = reader.membership_json();
-        return respond(&mut out, 200, "application/json", body.as_bytes());
+        return respond(out, 200, "application/json", body.as_bytes());
     }
     if path == "/metrics" {
         return match reader.metrics_text() {
-            Some(body) => respond(&mut out, 200, "text/plain; version=0.0.4", body.as_bytes()),
-            None => respond(&mut out, 404, "text/plain", b"no metrics registry"),
+            Some(body) => respond(out, 200, "text/plain; version=0.0.4", body.as_bytes()),
+            None => respond(out, 404, "text/plain", b"no metrics registry"),
         };
     }
     if let Some(updater) = path.strip_prefix("/keys/") {
@@ -389,47 +399,47 @@ fn handle_connection(stream: TcpStream, reader: &dyn SlateReader) -> std::io::Re
             body.push_str(&percent_encode(key.as_bytes()));
             body.push('\n');
         }
-        return respond(&mut out, 200, "text/plain", body.as_bytes());
+        return respond(out, 200, "text/plain", body.as_bytes());
     }
     if let Some(rest) = path.strip_prefix("/slate/") {
         // /slate/<updater>/<key>; the key may itself contain encoded '/'.
         if let Some((updater, key_enc)) = rest.split_once('/') {
             let Some(key_bytes) = percent_decode(key_enc) else {
-                return respond(&mut out, 400, "text/plain", b"bad key encoding");
+                return respond(out, 400, "text/plain", b"bad key encoding");
             };
             let key = Key::from(key_bytes);
             return match reader.fetch_slate(updater, &key) {
-                Some(bytes) => respond(&mut out, 200, "application/octet-stream", &bytes),
-                None => respond(&mut out, 404, "text/plain", b"no such slate"),
+                Some(bytes) => respond(out, 200, "application/octet-stream", &bytes),
+                None => respond(out, 404, "text/plain", b"no such slate"),
             };
         }
-        return respond(&mut out, 400, "text/plain", b"expected /slate/<updater>/<key>");
+        return respond(out, 400, "text/plain", b"expected /slate/<updater>/<key>");
     }
-    respond(&mut out, 404, "text/plain", b"not found")
+    respond(out, 404, "text/plain", b"not found")
 }
 
 /// The request line and headers, up to the blank line that ends them:
 /// `None` when they do not end within [`MAX_HEAD`] bytes. A stream that
 /// ends first yields what it sent.
-fn read_head(buf: impl BufRead) -> std::io::Result<Option<String>> {
-    let mut head = String::new();
+fn read_head(buf: impl BufRead) -> std::io::Result<Option<Vec<u8>>> {
+    let mut head = Vec::new();
     let mut capped = buf.take(MAX_HEAD);
     loop {
         let start = head.len();
-        capped.read_line(&mut head)?;
+        capped.read_until(b'\n', &mut head)?;
         let line = &head[start..];
-        if !line.ends_with('\n') {
+        if !line.ends_with(b"\n") {
             // End of stream, or of the cap.
             return Ok((capped.limit() > 0).then_some(head));
         }
-        if start > 0 && (line == "\r\n" || line == "\n") {
+        if start > 0 && (line == b"\r\n" || line == b"\n") {
             return Ok(Some(head));
         }
     }
 }
 
 fn respond(
-    stream: &mut TcpStream,
+    out: &mut impl Write,
     code: u16,
     content_type: &str,
     body: &[u8],
@@ -451,7 +461,7 @@ fn respond(
     )
     .into_bytes();
     msg.extend_from_slice(body);
-    stream.write_all(&msg)
+    out.write_all(&msg)
 }
 
 /// Decode `%xx` escapes and `+` (as space). Returns `None` on malformed
@@ -594,6 +604,15 @@ mod tests {
         assert!(raw_status(&srv, headers.as_bytes()).starts_with("HTTP/1.1 431 "));
         let (code, body) = http_get(&format!("{}/status", srv.base_url())).unwrap();
         assert_eq!((code, body.as_slice()), (200, br#"{"ok":true}"#.as_slice()));
+    }
+
+    #[test]
+    fn a_request_head_that_is_not_utf8_is_answered_400() {
+        let srv = server();
+        let line = raw_status(&srv, b"GET /status HTTP/1.1\r\nX-A: \xff\r\n\r\n");
+        assert!(line.starts_with("HTTP/1.1 400 "), "{line:?}");
+        let (code, _) = http_get(&format!("{}/status", srv.base_url())).unwrap();
+        assert_eq!(code, 200, "the server keeps serving");
     }
 
     #[test]

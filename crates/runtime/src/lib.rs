@@ -36,14 +36,20 @@ pub mod dispatch;
 pub mod dlq;
 pub mod engine;
 pub mod http;
+mod ingest;
 pub mod ingestlog;
+mod ledger;
 pub mod lru;
 pub mod master;
+mod membership;
 pub mod netstore;
 pub mod overflow;
 mod placement;
 pub mod queue;
+mod send;
+mod split;
 mod stats;
+mod worker;
 
 pub use cache::{FlushPolicy, SlateCache};
 pub use engine::{Engine, EngineConfig, EngineKind, EngineStats, TransportKind};

@@ -44,10 +44,9 @@
 //! surviving node shows it under `failed_machines`.
 //!
 //! The event wire batches: outbound events coalesce into `Events`
-//! frames per peer, flushed at `--batch-max` events or when their
-//! producer has nothing more to add; `--flush-us` is the age ceiling for
-//! events nobody asks to flush (see DESIGN.md §5 "Batching and
-//! backpressure").
+//! frames per peer, flushed at 128 events or when their producer has
+//! nothing more to add, with a 1 ms age ceiling for events nobody asks to
+//! flush (constants; see DESIGN.md §5 "Batching and backpressure").
 
 use std::sync::Arc;
 
@@ -67,9 +66,6 @@ struct Options {
     workers: usize,
     store_host: Option<usize>,
     data_dir: Option<String>,
-    batch_max: usize,
-    flush_us: u64,
-    flush_batch_max: usize,
     metrics: bool,
     latency_sample_n: u64,
     log_level: Level,
@@ -88,8 +84,6 @@ fn usage() -> ! {
         "usage: muppetd (--config <cluster.toml> | --peers <host:port:http,...>) --node <id>
            [--app hot_topics|retailer] [--engine muppet1|muppet2]
            [--workers <n>] [--store-host <id>] [--data-dir <path>] [--master <id>]
-           [--batch-max <events>] [--flush-us <microseconds>]
-           [--flush-batch-max <slates>]
            [--metrics on|off] [--latency-sample-n <n>]
            [--ingest-wal <path>] [--ingest-sync each|group]
            [--wire-codec auto|json|mbf]
@@ -164,9 +158,6 @@ fn parse_args() -> Options {
     let mut join: Option<String> = None;
     let mut listen: Option<String> = None;
     let defaults = EngineConfig::default();
-    let mut batch_max = defaults.net_batch_max;
-    let mut flush_us = defaults.net_flush_us;
-    let mut flush_batch_max = defaults.flush_batch_max;
     let mut metrics = defaults.metrics;
     let mut latency_sample_n = defaults.latency_sample_n;
     // Unlike library embeddings (silent by default), a daemon logs its
@@ -212,24 +203,6 @@ fn parse_args() -> Options {
                 }
             }
             "--workers" => workers = value().parse().unwrap_or(4),
-            "--batch-max" => {
-                batch_max = value().parse().unwrap_or_else(|_| {
-                    eprintln!("muppetd: --batch-max wants an event count");
-                    usage()
-                })
-            }
-            "--flush-us" => {
-                flush_us = value().parse().unwrap_or_else(|_| {
-                    eprintln!("muppetd: --flush-us wants microseconds");
-                    usage()
-                })
-            }
-            "--flush-batch-max" => {
-                flush_batch_max = value().parse().unwrap_or_else(|_| {
-                    eprintln!("muppetd: --flush-batch-max wants a slate count");
-                    usage()
-                })
-            }
             "--metrics" => {
                 metrics = match value() {
                     "on" | "true" | "1" => true,
@@ -310,9 +283,6 @@ fn parse_args() -> Options {
             workers,
             store_host: store_host.or(grant.store_host),
             data_dir,
-            batch_max,
-            flush_us,
-            flush_batch_max,
             metrics,
             latency_sample_n,
             log_level,
@@ -342,9 +312,6 @@ fn parse_args() -> Options {
         workers,
         store_host,
         data_dir,
-        batch_max,
-        flush_us,
-        flush_batch_max,
         metrics,
         latency_sample_n,
         log_level,
@@ -436,9 +403,6 @@ fn main() {
         workers_per_op: opts.workers,
         transport: TransportKind::Tcp { topology: opts.topology.clone(), local: opts.node },
         store_host: opts.store_host,
-        net_batch_max: opts.batch_max,
-        net_flush_us: opts.flush_us,
-        flush_batch_max: opts.flush_batch_max,
         metrics: opts.metrics,
         latency_sample_n: opts.latency_sample_n,
         log_level: opts.log_level,

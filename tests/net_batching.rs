@@ -1,9 +1,9 @@
 //! The latency side of the flush policy: batching must never turn into a
 //! Nagle stall. On an idle cluster the flush is demand-driven — a lone
 //! event crosses each hop as soon as its producer has nothing more to add,
-//! however long the age ceiling (`net_flush_us`) is — and on a node with
-//! work in flight a submission raises no flush at all, so batches still
-//! form. (The ceiling itself, for producers that never ask, is pinned by
+//! before the age ceiling (`BatchConfig::default().flush_us`) — and on a
+//! node with work in flight a submission raises no flush at all, so
+//! batches still form. (The ceiling itself, for producers that never ask, is pinned by
 //! the direct-drive tests in `crates/net/src/tcp.rs`.) Both engine
 //! generations, over TCP loopback. And what the wire carries at all: only
 //! another process's traffic, never a node's own.
@@ -15,10 +15,6 @@ use std::time::{Duration, Instant};
 use muppet::prelude::*;
 
 mod common;
-
-/// An age ceiling no test waits out by accident: anything delivered in a
-/// fraction of it was flushed on demand.
-const FLUSH_US: u64 = 200_000;
 
 /// Key prefix whose update parks inside the updater until the gate opens.
 const HOLD: &str = "hold-";
@@ -74,9 +70,6 @@ fn start_node(topology: &Topology, local: usize, kind: EngineKind, gate: &Arc<Ga
         workers_per_machine: 2,
         workers_per_op: 2,
         transport: TransportKind::Tcp { topology: topology.clone(), local },
-        // A size trigger these tests never reach.
-        net_batch_max: 10_000,
-        net_flush_us: FLUSH_US,
         ..EngineConfig::default()
     };
     let ops = OperatorSet::new().mapper(Relay).updater(CountUpdater(Arc::clone(gate)));
@@ -127,8 +120,7 @@ fn lone_event_crosses_both_hops_on_demand(kind: EngineKind) {
     while a.stats().processed < 1 {
         assert!(
             started.elapsed() <= bound,
-            "lone event not delivered within {bound:?} of a {FLUSH_US} µs ceiling: the flush \
-             is timed, not demand-driven ({kind:?}; flushes a={:?} b={:?})",
+            "lone event not delivered within {bound:?} ({kind:?}; flushes a={:?} b={:?})",
             flushes(&a),
             flushes(&b)
         );
@@ -165,19 +157,20 @@ fn busy_node_submissions_batch_until_the_ceiling() {
     while !gate.entered.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(1));
     }
-    // Two closed-loop frames for node 1 arrive behind it. Nagle's rule:
-    // neither submit tail asks for a flush, so they share one wire frame,
-    // which leaves by the age ceiling.
-    let remote = keys_routed(&a, "probe-", 1, 1, 128);
-    for frame in remote.chunks(64) {
+    // Two closed-loop frames for node 1 arrive behind it, together short
+    // of the 128-event size trigger. Nagle's rule: neither submit tail
+    // asks for a flush, so they share one wire frame, which leaves by the
+    // age ceiling.
+    let remote = keys_routed(&a, "probe-", 1, 1, 126);
+    for frame in remote.chunks(63) {
         let events = frame.iter().map(|key| Event::new("S1", 1, key.clone(), "e")).collect();
         a.submit_many(events).unwrap();
     }
     gate.open.store(true, Ordering::Release);
     let deadline = Instant::now() + Duration::from_secs(10);
-    // 128 maps + 128 updates on node 1.
-    while b.stats().processed < 256 {
-        assert!(Instant::now() < deadline, "node 1 processed {} of 256", b.stats().processed);
+    // 126 maps + 126 updates on node 1.
+    while b.stats().processed < 252 {
+        assert!(Instant::now() < deadline, "node 1 processed {} of 252", b.stats().processed);
         std::thread::sleep(Duration::from_millis(2));
     }
     assert_eq!(flushes(&a), [0, 0, 1, 0], "one frame, by age: no submit tail raised the flag");

@@ -193,7 +193,6 @@ fn engine_over_tcp_store_host_flushes_in_batches_and_counts_exactly() {
             transport: TransportKind::Tcp { topology: topology.clone(), local },
             store_host: Some(0),
             flush: FlushPolicy::IntervalMs(20),
-            flush_batch_max: 16,
             ..EngineConfig::default()
         };
         Engine::start(wf.clone(), OperatorSet::new().updater(CountUpdater), cfg, store).unwrap()
@@ -228,7 +227,7 @@ fn engine_over_tcp_store_host_flushes_in_batches_and_counts_exactly() {
     assert_eq!(total, 600, "batched write-behind must not change the counts");
     // Let the interval flusher run, then verify remote flushes batched:
     // the worker node's cache flushed over the wire with > 1 slate per
-    // round trip (50 hot keys per tick at flush_batch_max = 16).
+    // round trip (50 hot keys per tick under the default batch cap).
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     while worker.stats().cache.flush_batches == 0 {
         assert!(std::time::Instant::now() < deadline, "worker flusher never ticked");
