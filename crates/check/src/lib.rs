@@ -10,15 +10,14 @@
 //! * the `lock-audit` feature of `muppet-core::sync` (driven from this
 //!   crate's integration tests) — runtime lock-order cycle detection and
 //!   IO-under-lock reporting over the real engine;
-//! * [`sched`] + [`models`] — a deterministic-seed schedule perturbation
-//!   harness and small executable models of the repo's three hairiest
-//!   lock protocols (ingest-WAL group commit, single-flight miss reads,
-//!   flush-CAS vs concurrent mutation), each asserted over thousands of
-//!   interleavings.
+//! * [`sched`] — a deterministic-seed schedule perturbation harness.
+//!   The runtime's `sweep_*` tests run it over the real protocols —
+//!   ingest-WAL group commit with the recovery line, single-flight miss
+//!   reads, the flush CAS, the in-flight count and the kill race — each
+//!   asserted over a thousand interleavings.
 
 pub mod lexer;
 pub mod lint;
 pub mod loc;
-pub mod models;
 pub mod rules;
 pub mod sched;

@@ -6,7 +6,7 @@
 //! classed by its construction site (`file:line:col`, captured via
 //! `#[track_caller]`). Each acquisition:
 //!
-//! 1. fires the schedule-perturbation hook, if installed;
+//! 1. is a schedule-perturbation [`point`]: fires the installed hook;
 //! 2. records a ⟨held-class → acquired-class⟩ edge for every lock the
 //!    thread currently holds, with the acquiring backtrace sampled the
 //!    first time each edge appears;
@@ -167,8 +167,8 @@ pub const fn enabled() -> bool {
 }
 
 /// Install (or clear, with `None`) the schedule-perturbation hook fired
-/// before every shim acquisition. Used by the `muppet-check` interleaving
-/// harness to jitter schedules through real lock sites.
+/// at every [`point`]. Used by the `muppet-check` interleaving harness to
+/// jitter schedules through the real code.
 pub fn set_sched_hook(hook: Option<fn()>) {
     SCHED_HOOK.store(hook.map_or(0, |f| f as usize), Ordering::SeqCst);
 }
@@ -225,8 +225,10 @@ fn remove_entry(id: u64) -> Option<HeldEntry> {
     .flatten()
 }
 
-/// The acquisition probe called by every shim lock method.
-pub(super) fn on_acquire(site: &'static Location<'static>, kind: Kind) -> HeldToken {
+/// A schedule-perturbation point: fire the installed hook, if any. Every
+/// shim acquisition is one; the runtime marks the protocol steps no shim
+/// lock follows (DESIGN.md §12).
+pub fn point() {
     let hook = SCHED_HOOK.load(Ordering::Relaxed);
     if hook != 0 {
         // SAFETY: only `set_sched_hook` stores here, and it stores either
@@ -234,6 +236,11 @@ pub(super) fn on_acquire(site: &'static Location<'static>, kind: Kind) -> HeldTo
         let hook: fn() = unsafe { std::mem::transmute(hook) };
         hook();
     }
+}
+
+/// The acquisition probe called by every shim lock method.
+pub(super) fn on_acquire(site: &'static Location<'static>, kind: Kind) -> HeldToken {
+    point();
     acquire_class(Class::of(site), kind)
 }
 

@@ -18,9 +18,10 @@
 //! [`audit::io_allowed`].
 //!
 //! The audit layer also exposes a schedule-perturbation hook
-//! ([`audit::set_sched_hook`]) fired before every acquisition — the
+//! ([`audit::set_sched_hook`]) fired at every [`audit::point`]: before
+//! every acquisition, and at the protocol steps the runtime marks — the
 //! `muppet-check` interleaving harness uses it to jitter thread schedules
-//! through real lock sites.
+//! through the real code.
 
 #[cfg(feature = "lock-audit")]
 pub mod audit;
@@ -35,6 +36,14 @@ pub mod audit {
     pub const fn enabled() -> bool {
         false
     }
+
+    /// A schedule-perturbation point (no-op without `lock-audit`).
+    #[inline(always)]
+    pub fn point() {}
+
+    /// Install the schedule-perturbation hook (no-op without `lock-audit`).
+    #[inline(always)]
+    pub fn set_sched_hook(_hook: Option<fn()>) {}
 
     /// Record a blocking-IO call (no-op without `lock-audit`).
     #[inline(always)]

@@ -34,7 +34,7 @@ use bytes::Bytes;
 use muppet_core::event::Key;
 use muppet_core::hash::fx64_pair;
 use muppet_core::slate::Slate;
-use muppet_core::sync::{Condvar, Mutex};
+use muppet_core::sync::{audit, Condvar, Mutex};
 use muppet_core::workflow::OpId;
 use muppet_core::Codec;
 use muppet_obs::{Counter, HeavyHitter, Logger, Registry, Sampler, SpaceSaving};
@@ -374,12 +374,14 @@ struct Flight {
 }
 
 impl Flight {
-    /// Block until the leader resolves the flight (re-checking
-    /// periodically so a wedged backend cannot strand waiters silently).
+    /// Block until the leader resolves the flight. `finish` sets `done`
+    /// under this mutex, and [`FlightGuard`] resolves every flight on every
+    /// exit, unwinding included, so the wait needs no timeout. A waiter
+    /// stays parked for as long as its leader's backend load takes.
     fn wait(&self) {
         let mut done = self.done.lock();
         while !*done {
-            self.cv.wait_for(&mut done, Duration::from_millis(50));
+            self.cv.wait(&mut done);
         }
     }
 
@@ -668,6 +670,7 @@ impl SlateCache {
         now_us: u64,
     ) -> Arc<SlateSlot> {
         let guard = FlightGuard { cache: self, keys: vec![(op, key.clone())] };
+        audit::point();
         let loaded = self.backend.load(updater, key, now_us);
         self.metrics.store_round_trips.inc();
         let (slot, victims) = self.install(op, updater, key, ttl_secs, loaded, now_us);
@@ -1092,6 +1095,7 @@ impl SlateCache {
             if items.is_empty() {
                 continue;
             }
+            audit::point();
             let t0 = Instant::now();
             let oks = self.backend.store_many(&items, now_us);
             self.metrics.flush_latency.record(t0.elapsed().as_micros() as u64);
@@ -1303,6 +1307,8 @@ impl SlateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testkit::SEEDS;
+    use muppet_check::sched;
     use muppet_core::sync::RwLock;
     use std::collections::HashMap;
     use std::sync::atomic::AtomicU64;
@@ -2377,5 +2383,171 @@ mod tests {
                 "store codec {store_codec:?}"
             );
         }
+    }
+
+    /// How a sweep's thread takes a key's slot: a real miss path, or a
+    /// negative control's copy of the leader.
+    type Lead = fn(&SlateCache, &Key) -> Arc<SlateSlot>;
+
+    fn get(cache: &SlateCache, key: &Key) -> Arc<SlateSlot> {
+        cache.get_or_load(0, &updater_name(), key, None, 0)
+    }
+
+    /// A run of misses: prefetch `key` with a second key, so there is a
+    /// batch to load, then take its slot.
+    fn prefetch_then_get(cache: &SlateCache, key: &Key) -> Arc<SlateSlot> {
+        let (updater, other) = (updater_name(), Key::from("other"));
+        cache.prefetch(&[(0, &updater, key, None), (0, &updater, &other, None)], 0);
+        get(cache, key)
+    }
+
+    /// Four threads miss on one key — `first`, which leads, then two
+    /// `get_or_load`s and a prefetch once its flight is up. Invariants: one
+    /// backend load of the key, and every thread holds the slot the cache
+    /// installed.
+    fn single_flight(first: Lead) -> Vec<String> {
+        let backend = Arc::new(RecBackend::default());
+        let cache = Arc::new(SlateCache::new(16, FlushPolicy::OnEvict, Arc::clone(&backend) as _));
+        let (key, mut threads) = (Key::from("hot"), Vec::new());
+        for (idx, lead) in [first, get, get, prefetch_then_get].into_iter().enumerate() {
+            let (thread_cache, thread_key) = (Arc::clone(&cache), key.clone());
+            threads.push(sched::spawn(idx as u64 + 1, move || lead(&thread_cache, &thread_key)));
+            let (shard, k) = (cache.shard_of(0, &key), (0, key.clone()));
+            while !shard.flights.lock().contains_key(&k) && shard.map.lock().peek(&k).is_none() {
+                std::thread::yield_now();
+            }
+        }
+        let slots = sched::join_within(threads, Duration::from_secs(10));
+        let loads = backend.single_loads.load(Ordering::SeqCst) as usize
+            + backend.load_batches.lock().len();
+        let installed = get(&cache, &key);
+        let mut notes = vec![format!("{loads} backend loads of one key"); usize::from(loads != 1)];
+        if !slots.iter().all(|slot| Arc::ptr_eq(slot, &installed)) {
+            notes.push("a thread holds a slot the cache does not".to_string());
+        }
+        notes
+    }
+
+    #[test]
+    fn sweep_single_flight() {
+        let caught =
+            sched::sweep(SEEDS, |seed| single_flight([get, prefetch_then_get][seed as usize % 2]));
+        assert_eq!(caught, None, "single flight");
+    }
+
+    #[test]
+    fn sweep_single_flight_catches_a_flight_resolved_before_install() {
+        // `load_as_leader` resolving its flight before installing the slot:
+        // a woken waiter retries, finds neither, and leads a second load.
+        fn lead(cache: &SlateCache, key: &Key) -> Arc<SlateSlot> {
+            let k = (0, key.clone());
+            cache.shard_of(0, key).flights.lock().insert(k.clone(), Arc::default());
+            let guard = FlightGuard { cache, keys: vec![k] };
+            sched::point();
+            let loaded = cache.backend.load("U1", key, 0);
+            drop(guard);
+            sched::point();
+            cache.install(0, &updater_name(), key, None, loaded, 0).0
+        }
+        let caught = sched::sweep(SEEDS, |_| single_flight(lead));
+        assert!(caught.is_some(), "the sweep missed an early resolve in {SEEDS} seeds");
+    }
+
+    /// How a flusher flushes the slot in a round: the real paths, or a
+    /// negative control's copy of `flush_slots`.
+    type Flush = fn(&SlateCache, &Arc<SlateSlot>, u64);
+
+    /// `flush_slot_now` or a `flush_dirty` sweep, by round, and in every
+    /// third round a second, concurrent sweep: one of two flushes of one
+    /// slot must skip it while the other has it in flight.
+    const REAL_FLUSHERS: [Flush; 2] = [
+        |cache, slot, round| match round % 2 {
+            0 => _ = cache.flush_slot_now(slot, 0),
+            _ => _ = cache.flush_dirty(0),
+        },
+        |cache, _, round| _ = round.is_multiple_of(3).then(|| cache.flush_dirty(0)),
+    ];
+
+    /// A mutator (state lock, mutate, `note_write`) races `flushers` over
+    /// one slot, round by round; between rounds all are parked. Invariant:
+    /// a slot that claims to be clean matches the backend — after every
+    /// round, and after a final sweep, which must leave it clean.
+    fn flush_cas(flushers: &[Flush]) -> Vec<String> {
+        const ROUNDS: u64 = 12;
+        let backend = Arc::new(MemBackend::default());
+        let cache = Arc::new(SlateCache::new(4, FlushPolicy::OnEvict, Arc::clone(&backend) as _));
+        let slot = get(&cache, &Key::from("k"));
+        let barrier = Arc::new(std::sync::Barrier::new(1 + flushers.len()));
+        let clean_matches = move |backend: &MemBackend, slot: &SlateSlot| {
+            let state = slot.state.lock();
+            let stored = backend.load("U1", &slot.key, 0);
+            (!state.dirty() && stored.as_deref() != Some(state.slate.bytes()))
+                .then(|| format!("clean at v{} but stored {stored:?}", state.slate.version()))
+        };
+        let mut threads: Vec<_> = (2..)
+            .zip(flushers.iter().copied())
+            .map(|(idx, flush)| {
+                let (cache, slot, barrier) =
+                    (Arc::clone(&cache), Arc::clone(&slot), Arc::clone(&barrier));
+                sched::spawn(idx, move || {
+                    for round in 0..ROUNDS {
+                        barrier.wait();
+                        flush(&cache, &slot, round);
+                        barrier.wait();
+                    }
+                    Vec::new()
+                })
+            })
+            .collect();
+        // The mutator checks each round while the flushers wait for the next.
+        threads.push({
+            let (cache, slot, backend) =
+                (Arc::clone(&cache), Arc::clone(&slot), Arc::clone(&backend));
+            sched::spawn(1, move || {
+                let round = |round: u64| {
+                    barrier.wait();
+                    sched::point();
+                    let mut state = slot.state.lock();
+                    state.slate.replace(round.to_string().into_bytes());
+                    cache.note_write(&slot, &mut state, 0);
+                    drop(state);
+                    barrier.wait();
+                    clean_matches(&backend, &slot)
+                };
+                (1..=ROUNDS).filter_map(round).collect()
+            })
+        });
+        let mut notes = sched::join_within(threads, Duration::from_secs(10)).concat();
+        cache.flush_dirty(0);
+        if slot.state.lock().dirty() {
+            notes.push("dirty after the final sweep".to_string());
+        }
+        notes.extend(clean_matches(&backend, &slot));
+        notes
+    }
+
+    #[test]
+    fn sweep_flush_cas() {
+        assert_eq!(sched::sweep(SEEDS, |_| flush_cas(&REAL_FLUSHERS)), None, "the flush CAS");
+    }
+
+    #[test]
+    fn sweep_flush_cas_catches_a_blind_mark() {
+        // `flush_slots` for one slot with a blind mark: the slot's current
+        // version, not the written snapshot's, is marked flushed, so a
+        // mutation that landed during the write loses its dirty bit.
+        fn flush(cache: &SlateCache, slot: &Arc<SlateSlot>, _: u64) {
+            let (bytes, codec) = slot.state.lock().slate.materialize(cache.store_codec);
+            sched::point();
+            let (updater, key) = (Arc::clone(&slot.updater), slot.key.clone());
+            cache
+                .backend
+                .store_many(&[FlushItem { updater, key, bytes, codec, ttl_secs: None }], 0);
+            sched::point();
+            let mut state = slot.state.lock();
+            state.flushed_version = state.slate.version();
+        }
+        let caught = sched::sweep(SEEDS, |_| flush_cas(&[flush]));
+        assert!(caught.is_some(), "the sweep missed a blind flushed-version mark in {SEEDS} seeds");
     }
 }

@@ -1495,3 +1495,70 @@ fn register_collector(shared: &Arc<Shared>) {
         }
     });
 }
+
+#[cfg(test)]
+pub(crate) mod testkit {
+    //! What the `sweep_*` tests share (DESIGN.md §12): a one-updater
+    //! engine whose updater counts the events it applies.
+
+    use std::sync::atomic::AtomicU64;
+
+    use muppet_core::operator::{Emitter, FnUpdater};
+    use muppet_core::slate::Slate;
+    use muppet_slatestore::cluster::StoreConfig;
+    use muppet_slatestore::util::TempDir;
+
+    use super::*;
+
+    /// Seeds per sweep.
+    pub(crate) const SEEDS: u64 = 1000;
+
+    /// Start `cfg` over external stream `S` into updater `U` (op 0), which
+    /// bumps its counter slate and `applied`; with a one-node store under
+    /// `store` if given, and `sync` as its ingest WAL's sync step.
+    pub(crate) fn start(
+        cfg: EngineConfig,
+        store: Option<&TempDir>,
+        sync: Option<SyncFn>,
+        applied: &Arc<AtomicU64>,
+    ) -> Engine {
+        let mut wf = Workflow::builder("sweep");
+        wf.external_stream("S").updater("U", &["S"]);
+        let applied = Arc::clone(applied);
+        let update = move |_: &mut dyn Emitter, _: &Event, slate: &mut Slate| {
+            slate.incr_counter(1);
+            applied.fetch_add(1, Ordering::SeqCst);
+        };
+        let one_node = StoreConfig { nodes: 1, replication: 1, ..StoreConfig::default() };
+        let store = store.map(|dir| Arc::new(StoreCluster::open(dir.path(), one_node).unwrap()));
+        let ops = OperatorSet::new().updater(FnUpdater::new("U", update));
+        Engine::start_with_ingest_sync(wf.build().unwrap(), ops, cfg, store, sync).unwrap()
+    }
+
+    /// `machines` machines of one worker over a one-shard cache of
+    /// `capacity` slates, flushed on eviction.
+    pub(crate) fn config(machines: usize, capacity: usize) -> EngineConfig {
+        let cfg = EngineConfig {
+            machines,
+            workers_per_machine: 1,
+            cache_shards: 1,
+            ..Default::default()
+        };
+        EngineConfig { slate_cache_capacity: capacity, flush: FlushPolicy::OnEvict, ..cfg }
+    }
+
+    pub(crate) fn shared(engine: &Engine) -> &Arc<Shared> {
+        &engine.shared
+    }
+
+    /// Join `engine`'s threads without draining or flushing: a seed that
+    /// broke an invariant may have stranded a unit.
+    pub(crate) fn halt(engine: Engine) {
+        engine.stop();
+    }
+
+    /// An external event for key `k<k>`.
+    pub(crate) fn event(k: u64) -> Event {
+        Event::new("S", k, Key::from(format!("k{k}")), "e")
+    }
+}

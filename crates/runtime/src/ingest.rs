@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use muppet_core::error::{Error, Result};
 use muppet_core::event::{Event, Key};
+use muppet_core::sync::audit;
 use muppet_core::{Codec, CodecChoice, Json};
 
 use crate::engine::Shared;
@@ -32,14 +33,24 @@ impl Shared {
         }
         events.iter_mut().for_each(|event| self.mbf_ingest(event));
         self.throttle_source();
-        let logged = self.ledger.dispatching(|| {
-            let logged = self.log_accepted(run.as_mut());
-            if logged.is_ok() {
-                self.dispatch_accepted(run);
-            }
-            logged
-        });
-        self.wait_durable(logged?)
+        let logged = self.log_and_dispatch(run)?;
+        self.wait_durable(logged)
+    }
+
+    /// Log a run, then dispatch it, counted as dispatching throughout (a
+    /// recovery line that rotated the run below its cursor waits for it).
+    /// Returns the watermark the ack waits for; a failed write dispatches
+    /// nothing.
+    pub(crate) fn log_and_dispatch(
+        &self,
+        mut run: impl AsMut<[Event]> + IntoIterator<Item = Event>,
+    ) -> Result<u64> {
+        self.ledger.dispatching(|| {
+            let logged = self.log_accepted(run.as_mut())?;
+            audit::point();
+            self.dispatch_accepted(run);
+            Ok(logged)
+        })
     }
 
     /// §5 source throttling, the head of a submit: under
@@ -231,5 +242,154 @@ impl Shared {
         let (key, now) = (self.ingest_cursor_key(), self.now_us());
         let cell = cursor.to_string();
         self.backend.store(INGEST_CURSOR_COLUMN, &key, cell.as_bytes(), Codec::Json, None, now)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{HashMap, HashSet};
+    use std::sync::Arc;
+
+    use muppet_check::sched;
+    use muppet_core::sync::Mutex;
+    use muppet_slatestore::util::TempDir;
+
+    use super::*;
+    use crate::engine::testkit::{self, SEEDS};
+    use crate::engine::EngineConfig;
+
+    const SUBMITTERS: u64 = 3;
+    /// One-event runs per submitter and seed.
+    const RUNS: u64 = 3;
+
+    /// How a submitter logs and dispatches a run, and how the line is
+    /// drawn: the real steps, or a negative control's copy of one.
+    type Dispatch = fn(&Shared, Vec<Event>) -> Result<u64>;
+    type Line = fn(&Shared, &IngestLog) -> bool;
+
+    fn dispatch(shared: &Shared, run: Vec<Event>) -> Result<u64> {
+        shared.log_and_dispatch(run)
+    }
+
+    fn line(shared: &Shared, log: &IngestLog) -> bool {
+        shared.recovery_line(log, Duration::from_secs(10))
+    }
+
+    /// Each seed's submitters send one-event runs through `dispatch` into
+    /// a store-backed engine the sweep shares, and wait for each ack — one
+    /// of them, by seed, idles before its last run for long enough that
+    /// the engine drains — while a thread draws the line through `line`
+    /// once the seed's first event is written. Invariant: every event
+    /// below the stored cursor is in the flush stored with it, judged for
+    /// the seed's own keys by what the store held when the line returned,
+    /// since later evictions write ahead of any cursor. Returns the first
+    /// seed that violated it, if any, and how many lines stored a cursor.
+    fn recovery_line(dispatch: Dispatch, line: Line) -> (Option<(u64, Vec<String>)>, u64) {
+        let dir = TempDir::new("sweep-recovery-line").unwrap();
+        // A cache of a few seeds' slates, so the line's flush and its dirty
+        // count cost as little at the last seed as at the first; the sweep
+        // checks the line, not the disk, so the log's syncs are no-ops.
+        let cfg =
+            EngineConfig { ingest_wal: Some(dir.file("ingest.wal")), ..testkit::config(1, 256) };
+        let engine = testkit::start(cfg, Some(&dir), Some(Box::new(|_| Ok(()))), &Arc::default());
+        let shared = testkit::shared(&engine);
+        let log = Arc::clone(shared.ingest_log.as_ref().unwrap());
+        let (keys, mut cursor, mut taken) = (Arc::new(Mutex::new(HashMap::new())), 0, 0);
+        let caught = sched::sweep(SEEDS, |seed| {
+            let seed_keys = seed * SUBMITTERS * RUNS..(seed + 1) * SUBMITTERS * RUNS;
+            let (start, stored) = (log.record_count(), Arc::new(Mutex::new(HashSet::new())));
+            let mut threads: Vec<_> = (0..SUBMITTERS)
+                .map(|t| {
+                    let (shared, keys) = (Arc::clone(shared), Arc::clone(&keys));
+                    sched::spawn(t + 1, move || {
+                        for k in (seed * SUBMITTERS + t) * RUNS..(seed * SUBMITTERS + t + 1) * RUNS
+                        {
+                            if t == seed % SUBMITTERS && k % RUNS == RUNS - 1 {
+                                std::thread::sleep(Duration::from_micros(seed % 4 * 150));
+                            }
+                            let seq = dispatch(&shared, vec![testkit::event(k)]).unwrap();
+                            keys.lock().insert(seq - 1, k);
+                            shared.wait_durable(seq).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            threads.push({
+                let (shared, log, stored) =
+                    (Arc::clone(shared), Arc::clone(&log), Arc::clone(&stored));
+                let seed_keys = seed_keys.clone();
+                sched::spawn(SUBMITTERS + 1, move || {
+                    while log.record_count() == start {
+                        std::thread::yield_now();
+                    }
+                    if line(&shared, &log) {
+                        let in_store = |k: &u64| {
+                            shared.backend.load("U", &testkit::event(*k).key, 0).is_some()
+                        };
+                        stored.lock().extend(seed_keys.filter(in_store));
+                    }
+                })
+            });
+            sched::join_within(threads, Duration::from_secs(10));
+            let now = shared.load_ingest_cursor().unwrap();
+            let (stored, mut keys) = (stored.lock(), keys.lock());
+            let in_flush = |k: u64| match seed_keys.contains(&k) {
+                true => stored.contains(&k),
+                false => shared.backend.load("U", &testkit::event(k).key, 0).is_some(),
+            };
+            let lacking = (cursor..now).filter(|e| !keys.remove(e).is_some_and(in_flush)).count();
+            taken += u64::from(now > cursor);
+            cursor = now;
+            vec![
+                format!("{lacking} events below the cursor {now} its flush lacks");
+                usize::from(lacking > 0)
+            ]
+        });
+        testkit::halt(engine);
+        (caught, taken)
+    }
+
+    #[test]
+    fn sweep_recovery_line() {
+        let (violated, taken) = recovery_line(dispatch, line);
+        assert_eq!(violated, None, "the recovery line");
+        // Shape: most lines stored a cursor — the sweep explored the line.
+        assert!(taken > SEEDS * 3 / 4, "{taken} of {SEEDS} lines stored a cursor");
+    }
+
+    #[test]
+    fn sweep_recovery_line_catches_a_cursor_read_after_the_flush() {
+        // `recovery_line` taking its cursor after the flush, not at the
+        // rotation: runs written during the flush are below it and not in
+        // the flush.
+        fn line(shared: &Shared, log: &IngestLog) -> bool {
+            let Ok(rotated) = log.rotate() else { return false };
+            if log.wait_durable(rotated).is_err()
+                || !shared.drain(Duration::from_secs(10))
+                || shared.flush_live_caches() > 0
+            {
+                return false;
+            }
+            sched::point();
+            let cursor = log.record_count();
+            shared.store_ingest_cursor(cursor) && log.release_below(cursor).is_ok()
+        }
+        let (caught, _) = recovery_line(dispatch, line);
+        assert!(caught.is_some(), "the sweep missed a cursor read after the flush");
+    }
+
+    #[test]
+    fn sweep_recovery_line_catches_a_drain_blind_to_dispatch() {
+        // `log_and_dispatch` without its `dispatching` count: the line's
+        // drain cannot see a run between its log write and its dispatch,
+        // as the drain that ignored `dispatching` could not.
+        fn dispatch(shared: &Shared, run: Vec<Event>) -> Result<u64> {
+            let logged = shared.log_accepted(&run)?;
+            sched::point();
+            shared.dispatch_accepted(run);
+            Ok(logged)
+        }
+        let (caught, _) = recovery_line(dispatch, line);
+        assert!(caught.is_some(), "the sweep missed a drain blind to dispatch");
     }
 }

@@ -273,10 +273,12 @@ fn sealed_path(path: &Path, base: u64) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// The log's sync step: make everything handed to the OS so far durable.
-/// The one seam tests substitute (gate it, count it, fail it).
+/// The log's sync step over the files it covers — the sealed segments no
+/// step has synced yet, then the live one: make everything handed to the
+/// OS so far durable. The one seam tests substitute (gate it, count it,
+/// fail it, see what it covers).
 #[doc(hidden)]
-pub type SyncFn = Box<dyn Fn() -> std::io::Result<()> + Send + Sync>;
+pub type SyncFn = Box<dyn Fn(&[&File]) -> std::io::Result<()> + Send + Sync>;
 
 /// The per-machine ingest WAL with leader-based group commit.
 pub struct IngestLog {
@@ -602,11 +604,12 @@ impl IngestLog {
             let mut files = self.files.lock();
             (Arc::clone(&files.live), std::mem::take(&mut files.unsynced))
         };
+        let covered: Vec<&File> = sealed.iter().chain([&live]).map(|file| &**file).collect();
         let result = match &self.sync_fn {
-            Some(sync_fn) => sync_fn(),
+            Some(sync_fn) => sync_fn(&covered),
             None => {
                 audit::blocking_io("ingest wal fsync");
-                sealed.iter().chain([&live]).try_for_each(|file| file.sync_data())
+                covered.iter().try_for_each(|file| file.sync_data())
             }
         };
         self.syncs.fetch_add(1, Ordering::Relaxed);
@@ -742,10 +745,15 @@ impl IngestLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testkit::SEEDS;
+    use muppet_check::sched;
     use muppet_core::codec::crc32c;
     use muppet_slatestore::types::{Cell, CellKey};
     use muppet_slatestore::util::TempDir;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::os::fd::AsRawFd;
+    use std::os::unix::fs::FileExt;
     use std::sync::{mpsc, OnceLock, Weak};
     use std::time::Duration;
 
@@ -755,7 +763,7 @@ mod tests {
 
     /// A log whose sync step does nothing (the sweeps reopen hundreds of times).
     fn open_unsynced(path: &Path) -> (IngestLog, IngestRecovery) {
-        IngestLog::open_with_sync(path, false, Some(Box::new(|| Ok(())))).unwrap()
+        IngestLog::open_with_sync(path, false, Some(Box::new(|_| Ok(())))).unwrap()
     }
 
     /// Everything a fresh open of `path` replays, and whether it cut a tail.
@@ -1187,7 +1195,7 @@ mod tests {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let gate_rx = Mutex::new(gate_rx);
-        let sync: SyncFn = Box::new(move || {
+        let sync: SyncFn = Box::new(move |_| {
             entered_tx.send(()).unwrap();
             gate_rx.lock().recv().map_err(std::io::Error::other)
         });
@@ -1232,7 +1240,7 @@ mod tests {
         let last_written = AtomicU64::new(0);
         let sync: SyncFn = {
             let (slot, violations) = (Arc::clone(&slot), Arc::clone(&violations));
-            Box::new(move || {
+            Box::new(move |_| {
                 let log = slot.get().and_then(Weak::upgrade).expect("log is open");
                 let written_now = log.record_count();
                 if log.view().durable > last_written.swap(written_now, Ordering::SeqCst) {
@@ -1298,7 +1306,7 @@ mod tests {
         let fail = Arc::new(AtomicBool::new(false));
         let sync: SyncFn = {
             let fail = Arc::clone(&fail);
-            Box::new(move || match fail.load(Ordering::SeqCst) {
+            Box::new(move |_| match fail.load(Ordering::SeqCst) {
                 true => Err(std::io::Error::other("injected fsync failure")),
                 false => Ok(()),
             })
@@ -1317,5 +1325,199 @@ mod tests {
         assert!(log.rotate().is_err(), "nor does it rotate");
         assert_eq!(log.record_count(), 2);
         log.wait_durable(1).expect("what a good sync covered stays acked");
+    }
+
+    const SUBMITTERS: u64 = 3;
+    /// One-record runs per submitter and seed.
+    const RUNS: u64 = 3;
+
+    /// How a sweep's submitter waits for its ack: the real
+    /// [`IngestLog::wait_durable`], or a negative control's copy.
+    type Wait = fn(&IngestLog, u64) -> StoreResult<()>;
+
+    /// What the sweep's sync steps did to one log.
+    #[derive(Default)]
+    struct Syncs {
+        log: OnceLock<Weak<IngestLog>>,
+        /// Per segment base: the records below which a completed sync step
+        /// covered the segment (`u64::MAX`: all of a sealed one).
+        covered: Mutex<BTreeMap<u64, u64>>,
+        steps: AtomicU64,
+        /// `durable` when the failing step failed.
+        failed_at: OnceLock<u64>,
+        /// Submitters inside their wait, or done.
+        parked: AtomicU64,
+    }
+
+    /// The sweep's sync step. At entry it claims each file it covers —
+    /// from the `cover(n)`th of the `n` it is handed — durable up to what
+    /// the OS holds: a sealed segment whole, the live one up to the records
+    /// written so far. It publishes the claims after a perturbation point,
+    /// the fsync window. With `fail`, step 2 waits for the submitters to
+    /// park behind it, then fails.
+    fn sync_step(syncs: &Arc<Syncs>, cover: fn(usize) -> usize, fail: bool) -> SyncFn {
+        let syncs = Arc::clone(syncs);
+        Box::new(move |files| {
+            let log = syncs.log.get().and_then(Weak::upgrade).expect("the log is open");
+            let (written, from, mut claims) = (log.record_count(), cover(files.len()), Vec::new());
+            for (i, file) in files.iter().enumerate() {
+                let mut base = [0; 8];
+                File::open(format!("/proc/self/fd/{}", file.as_raw_fd()))?
+                    .read_exact_at(&mut base, 8)?;
+                let claim = if i + 1 < files.len() { u64::MAX } else { written };
+                claims.push((u64::from_le_bytes(base), if i < from { 0 } else { claim }));
+            }
+            if fail && syncs.steps.fetch_add(1, Ordering::SeqCst) == 1 {
+                let deadline = Instant::now() + Duration::from_secs(1);
+                while syncs.parked.load(Ordering::SeqCst) < SUBMITTERS && Instant::now() < deadline
+                {
+                    sched::point();
+                }
+                syncs.failed_at.get_or_init(|| log.view().durable);
+                return Err(std::io::Error::other("injected fsync failure"));
+            }
+            sched::point();
+            let mut covered = syncs.covered.lock();
+            for (base, claim) in claims {
+                let at = covered.entry(base).or_insert(0);
+                *at = claim.max(*at);
+            }
+            Ok(())
+        })
+    }
+
+    /// Submitters write one-record runs to a fresh log and wait for each
+    /// through `wait`, while a rotator seals the live segment once a record
+    /// is written; on odd seeds the second sync step fails once every
+    /// submitter is parked behind it. Invariants: no record is acked past
+    /// what a sync of its own segment covered; a poisoned log releases
+    /// every waiter within the deadline, `durable` stays where the failure
+    /// found it, and what an earlier step covered stays acked. Returns the
+    /// violations, the log's view and, if a step failed, the `durable` it
+    /// found.
+    fn group_commit(
+        dir: &TempDir,
+        seed: u64,
+        wait: Wait,
+        cover: fn(usize) -> usize,
+    ) -> (Vec<String>, IngestWalView, Option<u64>) {
+        let syncs = Arc::new(Syncs::default());
+        let sync = sync_step(&syncs, cover, seed % 2 == 1);
+        let log = IngestLog::open_with_sync(dir.file(&format!("{seed}.wal")), false, Some(sync));
+        let (log, notes) = (Arc::new(log.unwrap().0), Arc::new(Mutex::new(Vec::new())));
+        syncs.log.set(Arc::downgrade(&log)).unwrap();
+        let mut threads: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let (log, syncs, notes) =
+                    (Arc::clone(&log), Arc::clone(&syncs), Arc::clone(&notes));
+                sched::spawn(t + 1, move || {
+                    for k in t * RUNS..(t + 1) * RUNS {
+                        let Ok(seq) = log.write_batch(&[ev(k)]) else { break };
+                        syncs.parked.fetch_add(1, Ordering::SeqCst);
+                        let acked = wait(&log, seq);
+                        syncs.parked.fetch_sub(1, Ordering::SeqCst);
+                        let covered =
+                            syncs.covered.lock().range(..seq).next_back().map(|(_, c)| *c);
+                        match acked {
+                            Err(_) => break,
+                            Ok(()) if covered.is_none_or(|c| c < seq) => notes
+                                .lock()
+                                .push(format!("record {} acked past its segment's sync", seq - 1)),
+                            Ok(()) => {}
+                        }
+                    }
+                    syncs.parked.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+            .collect();
+        let rotated = Arc::clone(&log);
+        threads.push(sched::spawn(SUBMITTERS + 1, move || {
+            while rotated.record_count() == 0 {
+                std::thread::yield_now();
+            }
+            _ = rotated.rotate();
+        }));
+        sched::join_within(threads, Duration::from_secs(10));
+        let (mut notes, view) = (std::mem::take(&mut *notes.lock()), log.view());
+        let failed_at = syncs.failed_at.get().copied();
+        match failed_at {
+            Some(at) if view.durable != at => {
+                notes.push(format!("durable moved {at} → {}", view.durable))
+            }
+            Some(at) if log.wait_durable(at).is_err() || log.wait_durable(at + 1).is_ok() => {
+                notes.push(format!("a log poisoned at {at} answers a later wait wrongly"))
+            }
+            _ => {}
+        }
+        (notes, view, failed_at)
+    }
+
+    /// Sweep [`group_commit`]: the first seed that violated, if any, the
+    /// syncs and records of all its logs, and how many were poisoned.
+    fn sweep(wait: Wait, cover: fn(usize) -> usize) -> (Option<(u64, Vec<String>)>, [u64; 3]) {
+        let (dir, mut shape) = (TempDir::new("sweep-group-commit").unwrap(), [0; 3]);
+        let caught = sched::sweep(SEEDS, |seed| {
+            let (notes, view, failed_at) = group_commit(&dir, seed, wait, cover);
+            shape[0] += view.syncs;
+            shape[1] += view.written;
+            shape[2] += u64::from(failed_at.is_some());
+            notes
+        });
+        (caught, shape)
+    }
+
+    #[test]
+    fn sweep_group_commit() {
+        let (violated, [syncs, written, poisoned]) = sweep(IngestLog::wait_durable, |_| 0);
+        assert_eq!(violated, None, "group commit");
+        assert!(
+            syncs < written,
+            "no two submitters shared a sync: {syncs} syncs, {written} records"
+        );
+        // Shape: most odd seeds failed a step, the submitters parked behind it.
+        assert!(poisoned > SEEDS / 4, "{poisoned} of {} logs poisoned", SEEDS / 2);
+    }
+
+    #[test]
+    fn sweep_group_commit_catches_a_read_after_sync() {
+        let (caught, _) = sweep(wait_durable_reading_after_sync, |_| 0);
+        assert!(caught.is_some(), "the sweep missed `written` read after the sync");
+    }
+
+    #[test]
+    fn sweep_group_commit_catches_a_live_only_sync() {
+        // The sync step covering the live segment only: a tail the rotation
+        // sealed before any step reached it is acked from the page cache.
+        let (caught, _) = sweep(IngestLog::wait_durable, |files| files - 1);
+        assert!(caught.is_some(), "the sweep missed an unsynced sealed tail");
+    }
+
+    /// `wait_durable` with its leader reading `written` after its sync,
+    /// not before: a record written while the sync ran is acked although
+    /// the sync may not cover it.
+    fn wait_durable_reading_after_sync(log: &IngestLog, seq: u64) -> StoreResult<()> {
+        let mut syncing = log.syncing.lock();
+        loop {
+            if log.durable.load(Ordering::Acquire) >= seq {
+                return Ok(());
+            }
+            log.check_failed()?;
+            if *syncing {
+                log.cv.wait(&mut syncing);
+                continue;
+            }
+            *syncing = true;
+            drop(syncing);
+            let result = log.run_sync();
+            sched::point();
+            let covers = log.written.load(Ordering::Acquire);
+            syncing = log.syncing.lock();
+            *syncing = false;
+            if result.is_ok() {
+                log.durable.fetch_max(covers, Ordering::AcqRel);
+            }
+            log.cv.notify_all();
+            result?;
+        }
     }
 }

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
-use muppet_core::sync::{Condvar, Mutex};
+use muppet_core::sync::{audit, Condvar, Mutex};
 use muppet_obs::Counter;
 
 /// Units admitted and not yet settled, plus the runs a submitter has
@@ -38,13 +38,15 @@ impl Ledger {
 
     /// Count `n` units in. Called before the work is published: a worker
     /// may pop and finish an event the moment it is pushed
-    /// (`models::run_in_flight`).
+    /// (`send::tests::sweep_in_flight_count`).
     pub(crate) fn admit(&self, n: u64) {
+        audit::point();
         self.pending.fetch_add(n as i64, Ordering::AcqRel);
     }
 
     /// Count `n` units out and wake every throttled producer.
     pub(crate) fn settle(&self, n: u64) {
+        audit::point();
         self.pending.fetch_sub(n as i64, Ordering::AcqRel);
         self.settled.notify_all();
     }

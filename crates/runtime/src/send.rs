@@ -9,6 +9,7 @@
 use std::sync::atomic::Ordering;
 
 use muppet_core::event::{Event, StreamId};
+use muppet_core::sync::audit;
 use muppet_net::frame::{WireEvent, MAX_FORWARDS};
 use muppet_net::transport::{MachineId, NetError, Transport};
 use muppet_obs::Level;
@@ -179,6 +180,7 @@ impl Shared {
             if !machine.alive.load(Ordering::Acquire) {
                 return Err(NetError::Unreachable(machine_id));
             }
+            audit::point();
             let updater_name = self.wf.op(ev.op).name.as_str();
             let route: RouteHash = ev.event.key.route_hash(updater_name);
             let Some(thread) = self.choose_thread(machine_id, &machine, &ev, route) else {
@@ -282,17 +284,18 @@ impl Shared {
 
     /// Push one event onto a local worker queue, counted first: a worker
     /// may pop and finish it the moment it is pushed
-    /// (`models::run_in_flight`). A [`Shared::kill_machine`] whose drain
-    /// ran before the push leaves no worker to take it, so a push that
-    /// finds the machine dead drains the queue itself; the queue lock
+    /// (`tests::sweep_in_flight_count`). A [`Shared::kill_machine`] whose
+    /// drain ran before the push leaves no worker to take it, so a push
+    /// that finds the machine dead drains the queue itself; the queue lock
     /// orders the two drains, so each event is taken by exactly one
-    /// (`models::run_kill_race`).
+    /// (`tests::sweep_kill_race`).
     fn enqueue(&self, machine: &Machine, queue: &EventQueue<Queued>, ev: WireEvent) {
         // Stamp the queue-wait span here, on the receiving side (`max(1)`:
         // 0 means unsampled, and `now_us` can legitimately be 0 early on).
         let sampled = self.stats.stages.enabled && self.stats.stages.sampler_queue.hit();
         self.ledger.admit(1);
         queue.force_push((ev, if sampled { self.now_us().max(1) } else { 0 }));
+        audit::point();
         if !machine.alive.load(Ordering::Acquire) {
             self.settle_lost(queue.drain_all().len() as u64);
         }
@@ -305,6 +308,7 @@ impl Shared {
         if !machine.alive.swap(false, Ordering::AcqRel) {
             return;
         }
+        audit::point();
         let mut lost = 0;
         for queue in &machine.queues {
             lost += queue.drain_all().len() as u64;
@@ -317,5 +321,170 @@ impl Shared {
     fn settle_lost(&self, lost: u64) {
         self.stats.lost_in_queues.add(lost);
         self.ledger.settle(lost);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use muppet_check::sched;
+    use muppet_slatestore::util::TempDir;
+
+    use super::*;
+    use crate::engine::testkit::{self, SEEDS};
+
+    /// How a sweep puts an event on a local queue: [`Shared::enqueue`],
+    /// or a negative control's copy of it.
+    type Enqueue = fn(&Shared, &Machine, &EventQueue<Queued>, WireEvent);
+
+    /// A deliverer enqueues events for fresh keys on a store-backed machine
+    /// whose two-slate cache makes each one a miss that owes an eviction
+    /// retire, while the real worker runs them and an observer reads the
+    /// ledger as `drain` does. Invariants: the ledger never reads below
+    /// zero, and `drain() == true` implies every event delivered before it
+    /// is applied and, once all are delivered, no retire is owed. The seeds
+    /// of a sweep share one engine, each on keys of its own.
+    fn in_flight_count(enqueue: Enqueue) -> Option<(u64, Vec<String>)> {
+        const EVENTS: u64 = 8;
+        let (dir, applied) =
+            (TempDir::new("sweep-in-flight").unwrap(), Arc::new(AtomicU64::new(0)));
+        let engine = testkit::start(testkit::config(1, 2), Some(&dir), None, &applied);
+        let (shared, machine) =
+            (testkit::shared(&engine), testkit::shared(&engine).machine(0).unwrap());
+        let caught = sched::sweep(SEEDS, |seed| {
+            let (keys, delivered) =
+                (seed * EVENTS..(seed + 1) * EVENTS, Arc::new(AtomicU64::new(0)));
+            // Read before the deliverer starts: the worker may apply its
+            // first events before the observer is spawned.
+            let applied_before = applied.load(Ordering::SeqCst);
+            let (s, m, d, ks) =
+                (Arc::clone(shared), Arc::clone(&machine), Arc::clone(&delivered), keys.clone());
+            let deliverer = sched::spawn(1, move || {
+                for k in ks {
+                    enqueue(&s, &m, &m.queues[0], fresh(testkit::event(k), 0, false, true));
+                    d.fetch_add(1, Ordering::SeqCst);
+                }
+                Vec::new()
+            });
+            let (s, m, applied) = (Arc::clone(shared), Arc::clone(&machine), Arc::clone(&applied));
+            let observer = sched::spawn(2, move || {
+                let mut notes = Vec::new();
+                loop {
+                    let before = delivered.load(Ordering::SeqCst);
+                    sched::point();
+                    let (pending, busy) = (s.ledger.pending(), s.ledger.busy());
+                    sched::point();
+                    let done = applied.load(Ordering::SeqCst) - applied_before;
+                    let owed = m.cache_of(0).unwrap().evict_backlog();
+                    let notes_now = [
+                        (pending < 0).then(|| format!("the ledger read {pending}")),
+                        (!busy && done < before)
+                            .then(|| format!("idle, {done} of {before} applied")),
+                        (!busy && before == EVENTS && owed > 0)
+                            .then(|| format!("idle, {owed} owed")),
+                    ];
+                    notes.extend(notes_now.into_iter().flatten());
+                    if !busy && before == EVENTS {
+                        return notes;
+                    }
+                }
+            });
+            let mut notes =
+                sched::join_within(vec![deliverer, observer], Duration::from_secs(10)).concat();
+            let unreflected = keys
+                .filter(|&k| engine.read_slate("U", &testkit::event(k).key) != Some(b"1".to_vec()));
+            notes.extend(unreflected.map(|k| format!("k{k} does not reflect its event")));
+            notes
+        });
+        testkit::halt(engine);
+        caught
+    }
+
+    #[test]
+    fn sweep_in_flight_count() {
+        assert_eq!(in_flight_count(Shared::enqueue), None, "the in-flight count");
+    }
+
+    #[test]
+    fn sweep_in_flight_count_catches_a_count_after_publish() {
+        // `enqueue` as it once was: the event is pushed, then counted. A
+        // worker that pops and finishes it in between gives back a unit
+        // never taken.
+        fn enqueue(shared: &Shared, _: &Machine, queue: &EventQueue<Queued>, ev: WireEvent) {
+            queue.force_push((ev, 0));
+            sched::point();
+            shared.ledger.admit(1);
+        }
+        assert!(in_flight_count(enqueue).is_some(), "the sweep missed a count after publish");
+    }
+
+    /// Two submitters send events over two machines — through `submit`,
+    /// the real ingest path or a negative control's copy of its tail —
+    /// while a killer kills machine 1 part-way through. Invariants: `drain`
+    /// returns true within its deadline, and every submitted event is
+    /// processed or counted lost, in a dead queue or to the failed machine.
+    fn kill_race(submit: fn(&Shared, Event)) -> Vec<String> {
+        const EVENTS: u64 = 4;
+        let engine = testkit::start(testkit::config(2, 64), None, None, &Arc::default());
+        let shared = testkit::shared(&engine);
+        let mut roles: Vec<_> = (0..2)
+            .map(|t| {
+                let shared = Arc::clone(shared);
+                sched::spawn(t + 1, move || {
+                    (0..EVENTS).for_each(|k| submit(&shared, testkit::event(t * EVENTS + k)))
+                })
+            })
+            .collect();
+        let killed = Arc::clone(shared);
+        roles.push(sched::spawn(3, move || {
+            (0..EVENTS).for_each(|_| sched::point());
+            killed.kill_machine(1);
+        }));
+        sched::join_within(roles, Duration::from_secs(10));
+        let (drained, s) = (engine.drain(Duration::from_millis(200)), engine.stats());
+        let mut notes = vec![
+            "drain never returned true: a unit is stranded".to_string();
+            usize::from(!drained)
+        ];
+        if s.submitted != s.processed + s.lost_in_queues + s.lost_machine_failure {
+            notes.push(format!(
+                "{} submitted, {} processed, {} + {} lost",
+                s.submitted, s.processed, s.lost_in_queues, s.lost_machine_failure
+            ));
+        }
+        testkit::halt(engine);
+        notes
+    }
+
+    #[test]
+    fn sweep_kill_race() {
+        let caught =
+            sched::sweep(SEEDS, |_| kill_race(|shared, event| shared.submit_run([event]).unwrap()));
+        assert_eq!(caught, None, "the kill race");
+    }
+
+    #[test]
+    fn sweep_kill_race_catches_a_push_without_the_alive_recheck() {
+        // The send path's tail as it once was: `deliver_local`'s liveness
+        // check, then `enqueue` without its re-check. A kill whose drain
+        // ran in between leaves the event counted in a queue no worker
+        // will take it from.
+        fn submit(shared: &Shared, event: Event) {
+            shared.stats.submitted.inc();
+            let dest = shared.membership.read().route(0, event.key.route_hash("U"));
+            let machine = dest.and_then(|dest| shared.machine(dest.machine));
+            let Some(machine) = machine.filter(|m| m.alive.load(Ordering::Acquire)) else {
+                dest.into_iter().for_each(|dest| shared.report_failure(dest.machine));
+                return shared.stats.lost_machine_failure.inc();
+            };
+            sched::point();
+            shared.ledger.admit(1);
+            machine.queues[0].force_push((fresh(event, 0, false, true), 0));
+        }
+        let caught = sched::sweep(SEEDS, |_| kill_race(submit));
+        assert!(caught.is_some(), "the sweep missed a push without the re-check in {SEEDS} seeds");
     }
 }

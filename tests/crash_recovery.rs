@@ -387,7 +387,7 @@ fn gated_sync() -> (SyncFn, mpsc::Receiver<()>, mpsc::Sender<()>) {
     let (entered_tx, entered_rx) = mpsc::channel();
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
     let gate_rx = muppet::core::sync::Mutex::new(gate_rx);
-    let sync: SyncFn = Box::new(move || {
+    let sync: SyncFn = Box::new(move |_| {
         entered_tx.send(()).unwrap();
         gate_rx.lock().recv().map_err(std::io::Error::other)
     });
