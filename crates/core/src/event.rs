@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::hash::{fx64, fx64_pair};
+use crate::hash::fx64_pair;
 
 pub use crate::time::Timestamp;
 
@@ -87,11 +87,6 @@ impl Key {
     /// Whether the key has zero bytes.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
-    }
-
-    /// Deterministic 64-bit hash of the key alone.
-    pub fn hash64(&self) -> u64 {
-        fx64(&self.0)
     }
 
     /// Deterministic hash of ⟨key, destination operator⟩ — the routing hash

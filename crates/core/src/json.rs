@@ -128,14 +128,6 @@ impl Json {
         self.as_f64().and_then(i64_of)
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Array view.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

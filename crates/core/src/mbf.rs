@@ -123,35 +123,30 @@ impl std::fmt::Display for Codec {
     }
 }
 
-/// Operator-facing codec knob (DESIGN.md §13): what this node offers in
-/// the wire handshake and stores at rest.
+/// Operator-facing codec knob (DESIGN.md §13): what this node writes —
+/// its flushes at rest and, under `Mbf`, its ingest. Every reader sniffs,
+/// so a node reads what its peers wrote whatever its own choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CodecChoice {
-    /// Negotiate: MBF with peers that offer it and at rest, JSON with
-    /// JSON-pinned peers and at the HTTP boundary.
+    /// MBF at rest; ingested values as they arrived. JSON at the HTTP
+    /// boundary.
     #[default]
     Auto,
-    /// Force JSON everywhere: offer nothing, store text.
+    /// Write text: flushes store JSON.
     Json,
-    /// Prefer MBF; still downgrades per connection when a peer cannot
-    /// decode it.
+    /// As `Auto`, and container-shaped ingested values are transcoded to
+    /// MBF.
     Mbf,
 }
 
 impl CodecChoice {
-    /// The codec used for local byte boundaries (store, WAL, flush) where
-    /// no peer negotiation applies.
+    /// The codec this node writes at its byte boundaries (store, WAL,
+    /// flush).
     pub fn store_codec(self) -> Codec {
         match self {
             CodecChoice::Json => Codec::Json,
             CodecChoice::Auto | CodecChoice::Mbf => Codec::Mbf,
         }
-    }
-
-    /// Whether connections should advertise (and use, when the peer also
-    /// supports it) the binary codec.
-    pub fn offers_mbf(self) -> bool {
-        !matches!(self, CodecChoice::Json)
     }
 }
 
@@ -713,7 +708,5 @@ mod tests {
         assert_eq!(CodecChoice::Json.store_codec(), Codec::Json);
         assert_eq!(CodecChoice::Auto.store_codec(), Codec::Mbf);
         assert_eq!(CodecChoice::Mbf.store_codec(), Codec::Mbf);
-        assert!(!CodecChoice::Json.offers_mbf());
-        assert!(CodecChoice::Auto.offers_mbf());
     }
 }

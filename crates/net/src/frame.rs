@@ -12,7 +12,6 @@
 //! desynchronization; decoding is bounds-checked throughout and never
 //! panics on malformed input.
 
-use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 use bytes::Bytes;
@@ -22,7 +21,7 @@ use muppet_core::codec::{
 };
 use muppet_core::event::{Event, Key, StreamId};
 use muppet_core::workflow::OpId;
-use muppet_core::{mbf, Codec, Json};
+use muppet_core::Codec;
 
 use crate::topology::NodeSpec;
 use crate::transport::MachineId;
@@ -198,15 +197,12 @@ pub struct StoreGetItem {
 /// direction, reply).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
-    /// Connection preamble, always the first frame: protocol version,
-    /// sender machine, and the codec capabilities the dialer offers
-    /// ([`CODEC_MBF`] bit). A hello of another version decodes with only
-    /// its `version` filled in, so the receiver can name what it refuses.
-    Hello { sender: MachineId, version: u64, codecs: u8 },
-    /// Reply to every accepted [`Frame::Hello`], carrying the receiver's
-    /// codec capabilities; the intersection of offered and acked bits is
-    /// the connection's negotiated codec.
-    HelloAck { codecs: u8 },
+    /// Connection preamble, always the first frame: protocol version and
+    /// sender machine. A hello of another version decodes with only its
+    /// `version` filled in, so the receiver can name what it refuses.
+    Hello { sender: MachineId, version: u64 },
+    /// Reply to every accepted [`Frame::Hello`].
+    HelloAck,
     /// Deliver a run of events (one-way; losses surface as connection
     /// errors). One frame header, one CRC, one syscall for the whole run —
     /// the amortization that makes the wire keep up with the firehose
@@ -265,11 +261,7 @@ pub enum Frame {
 
 /// Protocol version carried in [`Frame::Hello`]; the only one a node
 /// speaks (DESIGN.md §5).
-pub const PROTOCOL_VERSION: u64 = 7;
-
-/// Codec-capability bit in the hello/ack `codecs` byte: the peer can
-/// decode MBF payloads in event values and store frames.
-pub const CODEC_MBF: u8 = 0b0000_0001;
+pub const PROTOCOL_VERSION: u64 = 8;
 
 // Kind bytes are never renumbered and a retired byte (2, 7–11, 15, 16, 23)
 // is never reused.
@@ -315,28 +307,9 @@ fn codec_from_byte(byte: u8) -> Option<Codec> {
     }
 }
 
-/// `value` as it crosses a connection: unchanged when the connection
-/// negotiated MBF, else any MBF payload re-encoded as canonical JSON
-/// text. Bytes that are not MBF, or fail to decode, travel as-is (payloads
-/// are opaque to the wire).
-fn wire_value(value: &[u8], allow_mbf: bool) -> Cow<'_, [u8]> {
-    if !allow_mbf && mbf::is_mbf(value) {
-        if let Ok(doc) = Json::from_mbf(value) {
-            return Cow::Owned(doc.to_compact().into_bytes());
-        }
-    }
-    Cow::Borrowed(value)
-}
-
-/// An optional slate value, transcoded for the connection by
-/// [`wire_value`].
-fn put_opt_value(out: &mut Vec<u8>, value: Option<&[u8]>, allow_mbf: bool) {
-    put_opt_bytes(out, value.map(|bytes| wire_value(bytes, allow_mbf)).as_deref());
-}
-
 /// Encode one [`Frame::Events`] entry. An uncombined event (`absorbed ==
 /// 1`) costs no count byte: the count rides behind [`FLAG_ABSORBED`].
-fn put_wire_event(out: &mut Vec<u8>, ev: &WireEvent, absorbed: u64, allow_mbf: bool) {
+fn put_wire_event(out: &mut Vec<u8>, ev: &WireEvent, absorbed: u64) {
     put_varint(out, ev.op as u64);
     put_varint(out, ev.injected_us);
     let mut flags = 0u8;
@@ -353,10 +326,7 @@ fn put_wire_event(out: &mut Vec<u8>, ev: &WireEvent, absorbed: u64, allow_mbf: b
     }
     out.push(flags);
     put_opt_varint(out, ev.thread_hint.map(|t| t as u64));
-    match wire_value(&ev.event.value, allow_mbf) {
-        Cow::Borrowed(_) => put_event(out, &ev.event),
-        Cow::Owned(json) => put_event(out, &Event { value: json.into(), ..ev.event.clone() }),
-    }
+    put_event(out, &ev.event);
     if absorbed > 1 {
         put_varint(out, absorbed);
     }
@@ -434,60 +404,43 @@ fn get_node_spec(buf: &[u8]) -> Option<(NodeSpec, usize)> {
 
 /// The one events encoder: a [`Frame::Events`] payload from entries held
 /// by reference (senders must not clone events just to build a `Frame`).
-/// `allow_mbf` is the connection's negotiated codec: when false, any MBF
-/// event value is transcoded to JSON text on the way out.
-pub fn encode_events<'a>(
-    entries: impl ExactSizeIterator<Item = (&'a WireEvent, u64)>,
-    allow_mbf: bool,
-) -> Vec<u8> {
+/// Event values travel as the engine tagged them; receivers sniff MBF.
+pub fn encode_events<'a>(entries: impl ExactSizeIterator<Item = (&'a WireEvent, u64)>) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 * entries.len().max(1));
     out.push(KIND_EVENTS);
     put_varint(&mut out, entries.len() as u64);
     for (ev, absorbed) in entries {
-        put_wire_event(&mut out, ev, absorbed, allow_mbf);
+        put_wire_event(&mut out, ev, absorbed);
     }
     out
 }
 
-/// [`encode_events`] over uncombined events.
-pub fn encode_events_payload(events: &[WireEvent], allow_mbf: bool) -> Vec<u8> {
-    encode_events(events.iter().map(|ev| (ev, 1)), allow_mbf)
+/// [`encode_events`] over uncombined events. The flag is ignored: the
+/// wire has one encoding.
+pub fn encode_events_payload(events: &[WireEvent], _allow_mbf: bool) -> Vec<u8> {
+    encode_events(events.iter().map(|ev| (ev, 1)))
 }
 
 impl Frame {
-    /// A hello, offering MBF iff `offer_mbf`.
-    pub fn hello(sender: MachineId, offer_mbf: bool) -> Frame {
-        Frame::Hello {
-            sender,
-            version: PROTOCOL_VERSION,
-            codecs: if offer_mbf { CODEC_MBF } else { 0 },
-        }
+    /// This binary's hello.
+    pub fn hello(sender: MachineId) -> Frame {
+        Frame::Hello { sender, version: PROTOCOL_VERSION }
     }
 
     /// Encode the payload (kind byte + fields), without the outer
-    /// length/CRC header, for a connection that negotiated MBF.
+    /// length/CRC header. Values travel with the bytes and tags the engine
+    /// handed over.
     pub fn encode_payload(&self) -> Vec<u8> {
-        self.encode_payload_for(true)
-    }
-
-    /// Encode the payload for a connection's negotiated codec. With
-    /// `allow_mbf` false this is the one place an MBF payload becomes JSON
-    /// text: event values, put items, store and slate values.
-    pub fn encode_payload_for(&self, allow_mbf: bool) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
-            Frame::Hello { sender, version, codecs } => {
+            Frame::Hello { sender, version } => {
                 out.push(KIND_HELLO);
                 put_varint(&mut out, *version);
                 put_varint(&mut out, *sender as u64);
-                out.push(*codecs);
             }
-            Frame::HelloAck { codecs } => {
-                out.push(KIND_HELLO_ACK);
-                out.push(*codecs);
-            }
+            Frame::HelloAck => out.push(KIND_HELLO_ACK),
             Frame::Events(entries) => {
-                return encode_events(entries.iter().map(|(ev, n)| (ev, *n)), allow_mbf);
+                return encode_events(entries.iter().map(|(ev, n)| (ev, *n)));
             }
             Frame::FailureReport { failed, epoch } => {
                 out.push(KIND_FAILURE_REPORT);
@@ -536,22 +489,17 @@ impl Frame {
             }
             Frame::SlateValue { value } => {
                 out.push(KIND_SLATE_VALUE);
-                put_opt_value(&mut out, value.as_deref(), allow_mbf);
+                put_opt_bytes(&mut out, value.as_deref());
             }
             Frame::StorePut { items, now_us } => {
                 out.push(KIND_STORE_PUT);
                 put_varint(&mut out, items.len() as u64);
                 for item in items {
-                    // A connection that cannot carry MBF cannot carry its
-                    // tag either. Undecodable MBF then travels raw under
-                    // the JSON tag; readers sniff payloads, so nothing is
-                    // lost.
-                    let downgrade = !allow_mbf && item.codec == Codec::Mbf;
                     put_len_prefixed(&mut out, item.updater.as_bytes());
                     put_len_prefixed(&mut out, &item.key);
-                    put_len_prefixed(&mut out, &wire_value(&item.value, !downgrade));
+                    put_len_prefixed(&mut out, &item.value);
                     put_opt_varint(&mut out, item.ttl_secs);
-                    out.push(codec_byte(if downgrade { Codec::Json } else { item.codec }));
+                    out.push(codec_byte(item.codec));
                 }
                 put_varint(&mut out, *now_us);
             }
@@ -573,7 +521,7 @@ impl Frame {
                 out.push(KIND_STORE_VALUE);
                 put_varint(&mut out, values.len() as u64);
                 for value in values {
-                    put_opt_value(&mut out, value.as_deref(), allow_mbf);
+                    put_opt_bytes(&mut out, value.as_deref());
                 }
             }
             Frame::Reintroduce { machine } => {
@@ -588,7 +536,7 @@ impl Frame {
         out
     }
 
-    /// Decode a payload produced by [`Frame::encode_payload_for`]. `None`
+    /// Decode a payload produced by [`Frame::encode_payload`]. `None`
     /// on malformed input.
     pub fn decode_payload(buf: &[u8]) -> Option<Frame> {
         let kind = *buf.first()?;
@@ -600,17 +548,15 @@ impl Frame {
                     // Another binary's hello: its layout is unknown past
                     // the version, which is all the receiver needs to
                     // count and log the refusal.
-                    return Some(Frame::Hello { sender: 0, version, codecs: 0 });
+                    return Some(Frame::Hello { sender: 0, version });
                 }
                 let (sender, m) = get_varint(&rest[n..])?;
-                let codecs = *rest.get(n + m)?;
-                expect_consumed(rest, n + m + 1)?;
-                Frame::Hello { sender: sender as MachineId, version, codecs }
+                expect_consumed(rest, n + m)?;
+                Frame::Hello { sender: sender as MachineId, version }
             }
             KIND_HELLO_ACK => {
-                let codecs = *rest.first()?;
-                expect_consumed(rest, 1)?;
-                Frame::HelloAck { codecs }
+                expect_consumed(rest, 0)?;
+                Frame::HelloAck
             }
             KIND_EVENTS => {
                 let (count, mut at) = get_varint(rest)?;
@@ -863,6 +809,7 @@ fn get_bool(buf: &[u8], at: usize) -> Option<bool> {
 mod tests {
     use super::*;
     use muppet_core::event::Key;
+    use muppet_core::Json;
 
     /// Every kind byte that decodes; the rest of 0..=255 is retired
     /// (2, 7–11, 15, 16, 23) or never assigned.
@@ -911,10 +858,8 @@ mod tests {
 
     fn sample_frames() -> Vec<Frame> {
         vec![
-            Frame::hello(2, true),
-            Frame::hello(2, false),
-            Frame::HelloAck { codecs: CODEC_MBF },
-            Frame::HelloAck { codecs: 0 },
+            Frame::hello(2),
+            Frame::HelloAck,
             Frame::Events(Vec::new()),
             Frame::Events(vec![(sample_wire_event(3), 1)]),
             Frame::Events(vec![
@@ -1012,11 +957,11 @@ mod tests {
         let u = || "U".to_string();
         let golden: Vec<(Frame, &[u8])> = vec![
             (
-                Frame::Hello { sender: 2, version: 7, codecs: CODEC_MBF },
-                // kind, version, sender, codecs
-                &[4, 0, 0, 0, 0xfb, 0x36, 0xfc, 0x34, 1, 7, 2, 1],
+                Frame::Hello { sender: 2, version: 8 },
+                // kind, version, sender
+                &[3, 0, 0, 0, 0x4b, 0x82, 0x0a, 0xb9, 1, 8, 2],
             ),
-            (Frame::HelloAck { codecs: CODEC_MBF }, &[2, 0, 0, 0, 0xe8, 0xc6, 0xdb, 0xa1, 24, 1]),
+            (Frame::HelloAck, &[1, 0, 0, 0, 0xf1, 0xcc, 0xfa, 0xc8, 24]),
             (
                 Frame::Events(vec![
                     (
@@ -1145,7 +1090,7 @@ mod tests {
         // event, a counted run of them, a bare epoch): no compatibility
         // reader is left behind any of them.
         let mut event = Vec::new();
-        put_wire_event(&mut event, &sample_wire_event(1), 1, true);
+        put_wire_event(&mut event, &sample_wire_event(1), 1);
         let bodies: [&[u8]; 4] = [&[], &[7], &event, &[&[1u8][..], &event].concat()];
         for kind in (0..=u8::MAX).filter(|k| !SURVIVING_KINDS.contains(k)) {
             for body in bodies {
@@ -1171,7 +1116,7 @@ mod tests {
     fn a_flagged_count_of_zero_or_one_is_refused() {
         let entry = |flagged_count: u64| {
             let mut payload = vec![KIND_EVENTS, 1];
-            put_wire_event(&mut payload, &sample_wire_event(1), 2, true);
+            put_wire_event(&mut payload, &sample_wire_event(1), 2);
             let count_at = payload.len() - 1;
             payload[count_at] = flagged_count as u8;
             payload
@@ -1220,107 +1165,38 @@ mod tests {
 
     #[test]
     fn a_hello_of_another_version_decodes_with_only_its_version() {
-        for version in [0u64, 3, 6, PROTOCOL_VERSION + 1, u64::MAX] {
-            // Whatever follows the version is not interpreted: a v4 hello
-            // had no codecs byte, a future one may have more.
+        for version in [0u64, 3, 6, 7, PROTOCOL_VERSION + 1, u64::MAX] {
+            // Whatever follows the version is not interpreted: a v7 hello
+            // had a codecs byte, a future one may have more.
             for tail in [&[][..], &[2], &[2, 1, 9, 9]] {
                 let mut payload = vec![KIND_HELLO];
                 put_varint(&mut payload, version);
                 payload.extend_from_slice(tail);
                 assert_eq!(
                     Frame::decode_payload(&payload),
-                    Some(Frame::Hello { sender: 0, version, codecs: 0 }),
+                    Some(Frame::Hello { sender: 0, version }),
                     "version {version}"
                 );
             }
         }
         // The current version is decoded strictly.
-        assert_eq!(Frame::decode_payload(&[KIND_HELLO, PROTOCOL_VERSION as u8, 2]), None);
-        assert_eq!(Frame::decode_payload(&[KIND_HELLO, PROTOCOL_VERSION as u8, 2, 1, 0]), None);
-    }
-
-    fn mbf_doc() -> (Vec<u8>, &'static str) {
-        let text = r#"{"loc":"walmart","n":42}"#;
-        (Json::parse(text).unwrap().to_mbf().unwrap(), text)
+        assert_eq!(Frame::decode_payload(&[KIND_HELLO, PROTOCOL_VERSION as u8]), None);
+        assert_eq!(Frame::decode_payload(&[KIND_HELLO, PROTOCOL_VERSION as u8, 2, 1]), None);
+        assert_eq!(Frame::decode_payload(&[KIND_HELLO_ACK, 1]), None);
     }
 
     #[test]
     fn encode_events_payload_is_the_events_frame_of_uncombined_entries() {
-        let (raw, _) = mbf_doc();
         let mut carrier = sample_wire_event(2);
-        carrier.event.value = raw.into();
+        carrier.event.value = Json::parse(r#"{"n":42}"#).unwrap().to_mbf().unwrap().into();
         let events = vec![sample_wire_event(1), carrier, bare_wire_event()];
         let frame = Frame::Events(events.iter().map(|ev| (ev.clone(), 1)).collect());
+        // The flag is ignored: an MBF value crosses as its own bytes.
         for allow_mbf in [true, false] {
-            assert_eq!(
-                encode_events_payload(&events, allow_mbf),
-                frame.encode_payload_for(allow_mbf)
-            );
+            assert_eq!(encode_events_payload(&events, allow_mbf), frame.encode_payload());
         }
+        assert_eq!(Frame::decode_payload(&frame.encode_payload()), Some(frame));
         assert_eq!(encode_events_payload(&[], true), Frame::Events(Vec::new()).encode_payload());
-    }
-
-    #[test]
-    fn events_transcode_mbf_values_for_json_peers_and_keep_their_counts() {
-        let (raw, text) = mbf_doc();
-        let mut carrier = sample_wire_event(1);
-        carrier.event.value = raw.into();
-        let frame = Frame::Events(vec![(carrier, 7), (sample_wire_event(2), 1)]);
-        let Frame::Events(entries) = &frame else { unreachable!() };
-        match Frame::decode_payload(&frame.encode_payload_for(false)) {
-            Some(Frame::Events(back)) => {
-                assert_eq!(std::str::from_utf8(&back[0].0.event.value).unwrap(), text);
-                assert_eq!(back[0].1, 7, "absorbed count survives the downgrade");
-                assert_eq!(back[0].0.event.key, entries[0].0.event.key);
-                assert_eq!(back[1], entries[1], "JSON values pass through untouched");
-            }
-            other => panic!("expected Events, got {other:?}"),
-        }
-        // With MBF allowed the value travels verbatim, in a smaller frame.
-        assert!(frame.encode_payload_for(true).len() < frame.encode_payload_for(false).len());
-        assert_eq!(Frame::decode_payload(&frame.encode_payload_for(true)), Some(frame));
-    }
-
-    #[test]
-    fn store_and_slate_values_transcode_for_json_peers() {
-        let (raw, text) = mbf_doc();
-        let put = Frame::StorePut {
-            items: vec![
-                StorePutItem {
-                    value: raw.clone().into(),
-                    ..put_item(b"k", b"", Some(3), Codec::Mbf)
-                },
-                // Tagged MBF but undecodable: travels raw, retagged.
-                put_item(b"junk", b"\xb1\xff", None, Codec::Mbf),
-                put_item(b"text", b"42", None, Codec::Json),
-            ],
-            now_us: 7,
-        };
-        match Frame::decode_payload(&put.encode_payload_for(false)) {
-            Some(Frame::StorePut { items, now_us: 7 }) => {
-                assert_eq!((&items[0].value[..], items[0].codec), (text.as_bytes(), Codec::Json));
-                assert_eq!(items[0].ttl_secs, Some(3));
-                assert_eq!((&items[1].value[..], items[1].codec), (&b"\xb1\xff"[..], Codec::Json));
-                assert_eq!(items[2], put_item(b"text", b"42", None, Codec::Json));
-            }
-            other => panic!("unexpected downgrade: {other:?}"),
-        }
-        assert_eq!(Frame::decode_payload(&put.encode_payload_for(true)), Some(put));
-
-        let values =
-            Frame::StoreValue { values: vec![Some(raw.clone()), None, Some(b"42".to_vec())] };
-        assert_eq!(
-            Frame::decode_payload(&values.encode_payload_for(false)),
-            Some(Frame::StoreValue {
-                values: vec![Some(text.as_bytes().to_vec()), None, Some(b"42".to_vec())]
-            })
-        );
-        let slate = Frame::SlateValue { value: Some(raw) };
-        assert_eq!(
-            Frame::decode_payload(&slate.encode_payload_for(false)),
-            Some(Frame::SlateValue { value: Some(text.as_bytes().to_vec()) })
-        );
-        assert_eq!(Frame::decode_payload(&slate.encode_payload_for(true)), Some(slate));
     }
 
     #[test]

@@ -13,11 +13,10 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use muppet_core::sync::{Condvar, Mutex, RwLock};
-use muppet_core::CodecChoice;
 
 use crate::frame::{
     self, Frame, MembershipPhase, MembershipUpdate, StoreGetItem, StorePutItem, WireEvent,
-    CODEC_MBF, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::topology::{NodeSpec, Topology};
 use crate::transport::{ClusterHandler, HandlerSlot, MachineId, NetError, Transport};
@@ -115,8 +114,6 @@ pub struct TcpStats {
     /// Gauge: events accepted but not yet written to (or failed off) the
     /// wire, across all peers.
     pub outbound_backlog: AtomicU64,
-    /// Fresh connections whose hello/ack handshake negotiated MBF.
-    pub mbf_connects: AtomicU64,
     /// Inbound connections closed because they did not open with a
     /// current-version hello (another binary, or not a muppet peer).
     pub hello_rejected: AtomicU64,
@@ -135,17 +132,9 @@ impl TcpStats {
     }
 }
 
-/// One outbound connection with its negotiated codec: `mbf` is true only
-/// when this side's hello offered MBF and the peer's `HelloAck` confirmed
-/// it.
-struct Conn {
-    stream: TcpStream,
-    mbf: bool,
-}
-
 struct PeerPool {
     addr: SocketAddr,
-    idle: Mutex<Vec<Conn>>,
+    idle: Mutex<Vec<TcpStream>>,
 }
 
 /// Outbox interior: the queued events plus flush bookkeeping.
@@ -167,7 +156,6 @@ struct PeerOutbox {
     local: MachineId,
     addr: SocketAddr,
     cfg: BatchConfig,
-    codec: CodecChoice,
     queue: Mutex<OutboxQueue>,
     /// Signals both ways: producers on free room, the sender on new work.
     cv: Condvar,
@@ -207,9 +195,6 @@ pub struct TcpTransport {
     /// The master role's machine id (pinned at cluster creation).
     master: MachineId,
     batch: BatchConfig,
-    /// Wire-codec policy: whether this node's hellos and acks offer MBF.
-    /// `Json` offers nothing, which pins every connection to JSON.
-    codec: CodecChoice,
     handler: Arc<HandlerSlot>,
     /// Told, once per peer address, that a connection was refused at the
     /// hello and which version it offered (`None`: no hello at all).
@@ -239,16 +224,6 @@ impl TcpTransport {
         local: MachineId,
         batch: BatchConfig,
     ) -> Result<Arc<TcpTransport>, String> {
-        TcpTransport::new_with_codec(topology, local, batch, CodecChoice::Auto)
-    }
-
-    /// Build the transport with explicit batching and wire-codec policies.
-    pub fn new_with_codec(
-        topology: Topology,
-        local: MachineId,
-        batch: BatchConfig,
-        codec: CodecChoice,
-    ) -> Result<Arc<TcpTransport>, String> {
         topology.validate()?;
         if local >= topology.len() {
             return Err(format!("local machine {local} is not in the topology"));
@@ -256,7 +231,6 @@ impl TcpTransport {
         let transport = Arc::new(TcpTransport {
             master: topology.master,
             local,
-            codec,
             batch: BatchConfig {
                 batch_max: batch.batch_max.max(1),
                 queue_capacity: batch.queue_capacity.max(1),
@@ -309,7 +283,6 @@ impl TcpTransport {
                 local: self.local,
                 addr,
                 cfg: self.batch,
-                codec: self.codec,
                 queue: Mutex::new(OutboxQueue::default()),
                 cv: Condvar::new(),
                 down: AtomicBool::new(false),
@@ -432,10 +405,6 @@ impl TcpTransport {
         }
     }
 
-    fn connect(&self, addr: SocketAddr) -> io::Result<Conn> {
-        dial(addr, self.local, &self.stats, self.codec)
-    }
-
     /// Run one frame exchange with `dest`: write `frame`, optionally read
     /// a reply, reusing a pooled connection with one reconnect retry.
     fn exchange(
@@ -447,10 +416,7 @@ impl TcpTransport {
         let pool = self.pool(dest)?;
         // Size-check before touching the socket: an oversized frame is a
         // local protocol error, not a dead peer — it must not trip §4.3.
-        // The check uses the encoding this node's hello asks for; only a
-        // connection whose peer granted less (below) re-encodes.
-        let offers_mbf = self.codec.offers_mbf();
-        let payload = frame.encode_payload_for(offers_mbf);
+        let payload = frame.encode_payload();
         if payload.len() > MAX_FRAME_BYTES {
             return Err(NetError::Protocol(format!(
                 "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte limit",
@@ -460,20 +426,19 @@ impl TcpTransport {
         let pooled = pool.idle.lock().pop();
         let had_pooled = pooled.is_some();
 
-        let attempt = |conn: Option<Conn>| -> io::Result<(Conn, Option<Frame>)> {
-            let mut conn = match conn {
+        let attempt = |conn: Option<TcpStream>| -> io::Result<(TcpStream, Option<Frame>)> {
+            let mut stream = match conn {
                 // A one-way write to a peer that has closed "succeeds"
                 // into the kernel buffer and the frame is lost unreported,
                 // so a pooled connection is probed first. A request needs
                 // no probe: its reply read fails and the redial below runs.
-                Some(c) if want_reply => c,
-                Some(c) => probe_peer_alive(&c.stream).map(|()| c)?,
-                None => self.connect(pool.addr)?,
+                Some(stream) if want_reply => stream,
+                Some(stream) => probe_peer_alive(&stream).map(|()| stream)?,
+                None => dial(pool.addr, self.local, &self.stats)?,
             };
-            let downgraded = (offers_mbf && !conn.mbf).then(|| frame.encode_payload_for(false));
-            frame::write_payload(&mut conn.stream, downgraded.as_deref().unwrap_or(&payload))?;
-            let reply = if want_reply { Some(Frame::read_from(&mut conn.stream)?) } else { None };
-            Ok((conn, reply))
+            frame::write_payload(&mut stream, &payload)?;
+            let reply = if want_reply { Some(Frame::read_from(&mut stream)?) } else { None };
+            Ok((stream, reply))
         };
 
         let outcome = match attempt(pooled) {
@@ -589,47 +554,25 @@ fn collect_batch(outbox: &PeerOutbox) -> Option<(Vec<WireEvent>, FlushReason)> {
     }
 }
 
-/// Dial a peer, send the connection preamble, and negotiate the wire
-/// codec. Both timeouts are set — the write timeout matters even on the
-/// pooled request/response path: a failure report written from a sender
-/// thread must not block forever on a stalled master, or
+/// Dial a peer, send the connection preamble and wait for its
+/// [`Frame::HelloAck`]. Both timeouts are set — the write timeout matters
+/// even on the pooled request/response path: a failure report written from
+/// a sender thread must not block forever on a stalled master, or
 /// `TcpTransport::drop`'s join would wedge shutdown.
-///
-/// The hello offers MBF unless this transport is pinned to JSON, and the
-/// dial blocks on the peer's [`Frame::HelloAck`]; the connection speaks
-/// MBF only if the ack grants it.
-fn dial(
-    addr: SocketAddr,
-    local: MachineId,
-    stats: &TcpStats,
-    codec: CodecChoice,
-) -> io::Result<Conn> {
-    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+fn dial(addr: SocketAddr, local: MachineId, stats: &TcpStats) -> io::Result<TcpStream> {
+    let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(REPLY_TIMEOUT))?;
     stream.set_write_timeout(Some(REPLY_TIMEOUT))?;
     stats.connects.fetch_add(1, Ordering::Relaxed);
-    let mut w = &stream;
-    Frame::hello(local, codec.offers_mbf()).write_to(&mut w)?;
-    let mut r = &stream;
-    let mbf = match Frame::read_from(&mut r)? {
-        Frame::HelloAck { codecs } => codec.offers_mbf() && codecs & CODEC_MBF != 0,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected HelloAck, got {other:?}"),
-            ))
-        }
-    };
-    if mbf {
-        stats.mbf_connects.fetch_add(1, Ordering::Relaxed);
+    Frame::hello(local).write_to(&mut stream)?;
+    match Frame::read_from(&mut stream)? {
+        Frame::HelloAck => Ok(stream),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("expected HelloAck, got {other:?}"),
+        )),
     }
-    Ok(Conn { stream, mbf })
-}
-
-/// Dial `outbox`'s peer.
-fn connect_outbox(outbox: &PeerOutbox) -> io::Result<Conn> {
-    dial(outbox.addr, outbox.local, &outbox.stats, outbox.codec)
 }
 
 /// Check a reused connection for a peer that has already closed, before a
@@ -655,35 +598,20 @@ fn probe_peer_alive(stream: &TcpStream) -> io::Result<()> {
     verdict
 }
 
-/// Write one batch, reusing `conn` with one reconnect retry (a stale
-/// persistent connection gets one fresh dial; a dead peer fails that
-/// too). The batch is encoded per connection attempt — the negotiated
-/// codec lives on the connection, and a reconnect may negotiate a
-/// different one (e.g. the peer restarted JSON-pinned).
-fn send_batch(
-    outbox: &PeerOutbox,
-    conn: &mut Option<Conn>,
-    batch: &[(WireEvent, u64)],
-) -> io::Result<()> {
-    let reused = conn.is_some();
-    let first = match conn.as_mut() {
-        Some(c) => probe_peer_alive(&c.stream).and_then(|()| {
-            let payload = frame::encode_events(batch.iter().map(|(ev, n)| (ev, *n)), c.mbf);
-            frame::write_payload(&mut c.stream, &payload)
-        }),
-        None => connect_outbox(outbox).and_then(|mut c| {
-            let payload = frame::encode_events(batch.iter().map(|(ev, n)| (ev, *n)), c.mbf);
-            frame::write_payload(&mut c.stream, &payload)?;
-            *conn = Some(c);
-            Ok(())
-        }),
+/// Write one encoded batch, reusing `conn` with one reconnect retry (a
+/// stale persistent connection gets one fresh dial; a dead peer fails that
+/// too).
+fn send_batch(outbox: &PeerOutbox, conn: &mut Option<TcpStream>, payload: &[u8]) -> io::Result<()> {
+    let redial = |conn: &mut Option<TcpStream>| {
+        *conn = None;
+        let mut stream = dial(outbox.addr, outbox.local, &outbox.stats)?;
+        frame::write_payload(&mut stream, payload)?;
+        *conn = Some(stream);
+        Ok(())
     };
-    match first {
+    let Some(stream) = conn.as_mut() else { return redial(conn) };
+    match probe_peer_alive(stream).and_then(|()| frame::write_payload(stream, payload)) {
         Ok(()) => Ok(()),
-        Err(e) if !reused => {
-            *conn = None;
-            Err(e)
-        }
         Err(e) if matches!(e.kind(), io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock) => {
             // A write *timeout* on a live connection means the peer is
             // stalled, not gone — the frame may sit in kernel buffers and
@@ -699,12 +627,7 @@ fn send_batch(
             // broken pipe): the stale persistent connection gets one
             // fresh dial. Nothing of the failed write can be delivered —
             // the peer's socket is gone — so the resend cannot duplicate.
-            *conn = None;
-            let mut c = connect_outbox(outbox)?;
-            let payload = frame::encode_events(batch.iter().map(|(ev, n)| (ev, *n)), c.mbf);
-            frame::write_payload(&mut c.stream, &payload)?;
-            *conn = Some(c);
-            Ok(())
+            redial(conn)
         }
     }
 }
@@ -714,7 +637,7 @@ fn send_batch(
 /// reconnect retry) this is the §4.3 detection point — mark the peer
 /// down, drain everything undelivered, and hand it to the engine.
 fn sender_loop(outbox: Arc<PeerOutbox>) {
-    let mut conn: Option<Conn> = None;
+    let mut conn: Option<TcpStream> = None;
     while let Some((raw, reason)) = collect_batch(&outbox) {
         outbox.stats.flushes[reason as usize].fetch_add(1, Ordering::Relaxed);
         // Map-side pre-aggregation before framing: runs of a hot key
@@ -726,7 +649,8 @@ fn sender_loop(outbox: Arc<PeerOutbox>) {
         // Original (pre-fold) event count — what the backlog gauge and
         // loss ledgers are denominated in.
         let raw_count: u64 = batch.iter().map(|(_, count)| *count).sum();
-        match send_batch(&outbox, &mut conn, &batch) {
+        let payload = frame::encode_events(batch.iter().map(|(ev, n)| (ev, *n)));
+        match send_batch(&outbox, &mut conn, &payload) {
             Ok(()) => {
                 outbox.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
                 if batch.len() > 1 {
@@ -1034,102 +958,74 @@ impl Drop for TcpListenerHandle {
     }
 }
 
-/// Read exactly `buf.len()` bytes, retrying across read-timeout polls
-/// (a frame may straddle a poll boundary; `read_exact` would discard the
-/// partial prefix). Returns `Ok(false)` when `stop` was raised before any
-/// byte of `buf` arrived.
-fn read_full_polled(r: &mut impl io::Read, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
-    let mut at = 0;
-    while at < buf.len() {
-        match r.read(&mut buf[at..]) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed")),
-            Ok(n) => at += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(false);
-                }
+/// An inbound connection as [`Frame::read_from`] reads it: a
+/// [`SERVE_POLL`] read timeout is retried until `stop` is raised, so a
+/// frame may straddle a poll.
+struct Polled<'a> {
+    stream: &'a TcpStream,
+    stop: &'a AtomicBool,
+}
+
+impl Read for Polled<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+                        && !self.stop.load(Ordering::Acquire) => {}
+                done => return done,
             }
-            Err(e) => return Err(e),
         }
     }
-    Ok(true)
 }
 
 /// Bytes arrived that are no frame: oversized, corrupt or undecodable.
 struct Rejected;
 
-/// One read off an inbound connection. `Ok(None)` ends the connection
-/// quietly: stop raised, or the peer went away.
-type Inbound = Result<Option<Frame>, Rejected>;
-
-/// Read one frame off an inbound connection, polling `stop`.
-fn read_frame_polled(reader: &mut TcpStream, stats: &TcpStats, stop: &AtomicBool) -> Inbound {
-    let mut head = [0u8; 8];
-    if !matches!(read_full_polled(reader, &mut head, stop), Ok(true)) {
-        return Ok(None);
+/// Read one frame off an inbound connection. `Ok(None)` ends the
+/// connection quietly: stop raised, or the peer went away.
+fn read_inbound(
+    stream: &TcpStream,
+    stats: &TcpStats,
+    stop: &AtomicBool,
+) -> Result<Option<Frame>, Rejected> {
+    match Frame::read_from(&mut Polled { stream, stop }) {
+        Ok(frame) => {
+            stats.frames_received.fetch_add(1, Ordering::Relaxed);
+            Ok(Some(frame))
+        }
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(Rejected),
+        Err(_) => Ok(None),
     }
-    // lint: allow(no-unwrap-in-prod) — 8-byte header array, offsets statically in bounds
-    let len = muppet_core::codec::get_u32(&head, 0).expect("fixed header") as usize;
-    // lint: allow(no-unwrap-in-prod) — 8-byte header array, offsets statically in bounds
-    let crc = muppet_core::codec::get_u32(&head, 4).expect("fixed header");
-    if len > MAX_FRAME_BYTES {
-        return Err(Rejected);
-    }
-    let mut payload = vec![0u8; len];
-    if !matches!(read_full_polled(reader, &mut payload, stop), Ok(true)) {
-        return Ok(None);
-    }
-    if muppet_core::codec::crc32c(&payload) != crc {
-        return Err(Rejected);
-    }
-    let frame = Frame::decode_payload(&payload).ok_or(Rejected)?;
-    stats.frames_received.fetch_add(1, Ordering::Relaxed);
-    Ok(Some(frame))
 }
 
 fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(SERVE_POLL));
     let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let mut writer = stream;
-    // The preamble: nothing is served before a current-version hello. The
-    // connection speaks MBF only if both sides offer it; replies on a JSON
-    // connection get their MBF payloads transcoded as they are encoded.
+    // The preamble: nothing is served before a current-version hello.
     let stats = &transport.stats;
-    let first = match read_frame_polled(&mut reader, stats, &stop) {
-        Ok(Some(frame)) => frame,
-        Ok(None) => return,
-        Err(Rejected) => return transport.reject(&stats.hello_rejected, writer.peer_addr(), None),
-    };
-    let peer_mbf = match first {
-        Frame::Hello { version: PROTOCOL_VERSION, codecs, .. } => {
-            let ours = transport.codec.offers_mbf();
-            let ack = Frame::HelloAck { codecs: if ours { CODEC_MBF } else { 0 } };
-            if ack.write_to(&mut writer).is_err() {
+    let refuse =
+        |counter: &AtomicU64, offered| transport.reject(counter, stream.peer_addr(), offered);
+    match read_inbound(&stream, stats, &stop) {
+        Ok(Some(Frame::Hello { version: PROTOCOL_VERSION, .. })) => {
+            if Frame::HelloAck.write_to(&mut &stream).is_err() {
                 return;
             }
-            ours && codecs & CODEC_MBF != 0
         }
-        Frame::Hello { version, .. } => {
-            return transport.reject(&stats.hello_rejected, writer.peer_addr(), Some(version))
+        Ok(Some(Frame::Hello { version, .. })) => {
+            return refuse(&stats.hello_rejected, Some(version))
         }
-        _ => return transport.reject(&stats.hello_rejected, writer.peer_addr(), None),
-    };
+        Ok(None) => return,
+        Ok(Some(_)) | Err(Rejected) => return refuse(&stats.hello_rejected, None),
+    }
     loop {
         if stop.load(Ordering::Acquire) {
             return; // closes both halves → peers see RST on next send
         }
-        let frame = match read_frame_polled(&mut reader, stats, &stop) {
+        let frame = match read_inbound(&stream, stats, &stop) {
             Ok(Some(frame)) => frame,
             Ok(None) => return,
-            Err(Rejected) => {
-                return transport.reject(&stats.frames_rejected, writer.peer_addr(), None)
-            }
+            Err(Rejected) => return refuse(&stats.frames_rejected, None),
         };
         let Some(handler) = transport.handler() else { return };
         let local = transport.local;
@@ -1188,7 +1084,7 @@ fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<A
             // A second hello, or a reply kind arriving as a request:
             // protocol violation.
             Frame::Hello { .. }
-            | Frame::HelloAck { .. }
+            | Frame::HelloAck
             | Frame::SlateValue { .. }
             | Frame::StoreValue { .. }
             | Frame::StoreAck { .. }
@@ -1196,7 +1092,7 @@ fn serve_connection(transport: Arc<TcpTransport>, stream: TcpStream, stop: Arc<A
             | Frame::ReintroduceAck { .. } => return,
         };
         if let Some(reply) = reply {
-            if frame::write_payload(&mut writer, &reply.encode_payload_for(peer_mbf)).is_err() {
+            if reply.write_to(&mut &stream).is_err() {
                 return;
             }
         }
@@ -1578,13 +1474,12 @@ mod tests {
     }
 
     #[test]
-    fn peers_negotiate_mbf_and_tags_survive_the_wire() {
+    fn tags_and_mbf_bytes_cross_the_wire_verbatim() {
         let (_t0, t1, h0, _h1, _l0, _l1) = pair();
         let raw = mbf_value();
         let items = vec![put_item(b"bin", &raw, Codec::Mbf), put_item(b"txt", b"7", Codec::Json)];
         let ok = t1.store_put_many(0, items, 1).unwrap();
         assert_eq!(ok, vec![true, true]);
-        assert!(t1.stats().mbf_connects.load(Ordering::Relaxed) >= 1, "handshake negotiated MBF");
         let store = h0.store.lock();
         assert_eq!(store.get(&b"bin"[..].to_vec()).unwrap(), &(raw.clone(), Codec::Mbf));
         assert_eq!(store.get(&b"txt"[..].to_vec()).unwrap(), &(b"7".to_vec(), Codec::Json));
@@ -1597,53 +1492,12 @@ mod tests {
         let values = t1.store_get_many(0, gets, 2).unwrap();
         assert_eq!(values[0].as_deref(), Some(&raw[..]));
         assert_eq!(values[1].as_deref(), Some(&b"7"[..]));
-    }
-
-    /// Node 1 dials node 0 where one of the two is pinned to JSON: the one
-    /// handshake (hello, always acked) grants no MBF, and no MBF byte
-    /// crosses in either direction.
-    fn no_mbf_crosses_when_one_side_is_pinned(dialer: CodecChoice, server: CodecChoice) {
-        const TEXT: &str = r#"{"count":42,"loc":"walmart"}"#;
-        let topo = Topology::loopback_ephemeral(2, false).unwrap();
-        let batch = BatchConfig::default();
-        let t0 = TcpTransport::new_with_codec(topo.clone(), 0, batch, server).unwrap();
-        let t1 = TcpTransport::new_with_codec(topo, 1, batch, dialer).unwrap();
-        let h0 = EchoHandler::new();
-        let h1 = EchoHandler::new();
-        t0.register(Arc::downgrade(&h0) as Weak<dyn ClusterHandler>);
-        t1.register(Arc::downgrade(&h1) as Weak<dyn ClusterHandler>);
-        let _l0 = t0.start_listener().unwrap();
-
-        // Requests: a tagged MBF put arrives as JSON text under the JSON
-        // tag. (That the reply parsed as a StoreAck is the dialer having
-        // read its HelloAck first, whatever it offered.)
-        let raw = mbf_value();
-        let ok = t1.store_put_many(0, vec![put_item(b"bin", &raw, Codec::Mbf)], 1).unwrap();
-        assert_eq!(ok, vec![true]);
-        assert_eq!(t1.stats().mbf_connects.load(Ordering::Relaxed), 0, "nothing was granted");
-        assert_eq!(t0.stats().hello_rejected.load(Ordering::Relaxed), 0);
-        let stored = h0.store.lock().get(&b"bin"[..]).cloned();
-        assert_eq!(stored, Some((TEXT.as_bytes().to_vec(), Codec::Json)));
-        // Replies: an MBF value at rest on the host comes back as text.
-        h0.store.lock().insert(b"at-rest".to_vec(), (raw.clone(), Codec::Mbf));
-        let get = vec![StoreGetItem { updater: "U1".into(), key: b"at-rest".to_vec() }];
-        assert_eq!(t1.store_get_many(0, get, 2).unwrap(), [Some(TEXT.as_bytes().to_vec())]);
-        // Event values downgrade the same way on the batching path.
+        // So does an event value on the batching path.
         let mut ev = wire_event();
-        ev.event.value = raw.into();
+        ev.event.value = raw.clone().into();
         t1.send_event(0, ev).unwrap();
         wait_delivered(&h0, 1);
-        assert_eq!(*h0.last_value.lock(), TEXT.as_bytes());
-    }
-
-    #[test]
-    fn json_pinned_dialer_offers_nothing_and_reads_its_ack() {
-        no_mbf_crosses_when_one_side_is_pinned(CodecChoice::Json, CodecChoice::Auto);
-    }
-
-    #[test]
-    fn mbf_dialer_against_json_pinned_server_falls_back_to_json() {
-        no_mbf_crosses_when_one_side_is_pinned(CodecChoice::Auto, CodecChoice::Json);
+        assert_eq!(*h0.last_value.lock(), raw);
     }
 
     #[test]
@@ -1666,7 +1520,7 @@ mod tests {
         drop((l1, t1));
         // ...and its close has reached node 0 (the pooled socket reads EOF)
         // before a second incarnation listens on the same port.
-        let pooled = t0.pool(1).unwrap().idle.lock()[0].stream.try_clone().unwrap();
+        let pooled = t0.pool(1).unwrap().idle.lock()[0].try_clone().unwrap();
         assert_eq!((&pooled).read(&mut [0u8; 1]).unwrap(), 0, "the old incarnation closed");
         let second = EchoHandler::new();
         let (_t1, _l1) = listen(&second);
@@ -1742,9 +1596,9 @@ mod tests {
     #[test]
     fn a_corrupt_frame_after_the_hello_is_counted_and_reported_not_served() {
         let (t1, h1, l1, refusals) = refusing_server();
-        let mut bytes = wire(&[Frame::hello(0, true), Frame::Join { machine: 0 }]);
+        let mut bytes = wire(&[Frame::hello(0), Frame::Join { machine: 0 }]);
         *bytes.last_mut().unwrap() ^= 1; // one payload bit of the join
-        assert_eq!(raw_exchange(&l1, &bytes), wire(&[Frame::HelloAck { codecs: CODEC_MBF }]));
+        assert_eq!(raw_exchange(&l1, &bytes), wire(&[Frame::HelloAck]));
         assert!(h1.joins.lock().is_empty(), "the handler saw no callback");
         let stats = t1.stats();
         assert_eq!(stats.frames_rejected.load(Ordering::Relaxed), 1);
@@ -1755,7 +1609,7 @@ mod tests {
     #[test]
     fn a_hello_of_another_version_is_refused_and_reported_once_per_peer() {
         let (t1, h1, l1, refusals) = refusing_server();
-        let old = Frame::Hello { sender: 0, version: PROTOCOL_VERSION - 1, codecs: CODEC_MBF };
+        let old = Frame::Hello { sender: 0, version: PROTOCOL_VERSION - 1 };
         let join = Frame::Join { machine: 0 };
         for _ in 0..3 {
             assert!(
@@ -1769,12 +1623,28 @@ mod tests {
         assert_eq!(*refusals.lock(), reported, "one report per peer address");
         // The same connection with the current version is acked and served.
         let mut stream = TcpStream::connect(("127.0.0.1", l1.port())).unwrap();
-        Frame::hello(0, true).write_to(&mut stream).unwrap();
+        Frame::hello(0).write_to(&mut stream).unwrap();
         let get = Frame::SlateGet { updater: "U1".into(), key: b"walmart".to_vec() };
         get.write_to(&mut stream).unwrap();
-        assert_eq!(Frame::read_from(&mut stream).unwrap(), Frame::HelloAck { codecs: CODEC_MBF });
+        assert_eq!(Frame::read_from(&mut stream).unwrap(), Frame::HelloAck);
         let value = Frame::SlateValue { value: Some(b"7".to_vec()) };
         assert_eq!(Frame::read_from(&mut stream).unwrap(), value);
+    }
+
+    #[test]
+    fn a_frame_that_straddles_a_serve_poll_is_delivered_whole() {
+        let (t1, _h1, l1, _refusals) = refusing_server();
+        let mut stream = TcpStream::connect(("127.0.0.1", l1.port())).unwrap();
+        let get = wire(&[Frame::SlateGet { updater: "U1".into(), key: b"walmart".to_vec() }]);
+        // The hello and the request's 8-byte header, then a pause longer
+        // than the server's read poll, then the body.
+        stream.write_all(&[wire(&[Frame::hello(0)]), get[..8].to_vec()].concat()).unwrap();
+        std::thread::sleep(SERVE_POLL + Duration::from_millis(150));
+        stream.write_all(&get[8..]).unwrap();
+        assert_eq!(Frame::read_from(&mut stream).unwrap(), Frame::HelloAck);
+        let value = Frame::SlateValue { value: Some(b"7".to_vec()) };
+        assert_eq!(Frame::read_from(&mut stream).unwrap(), value);
+        assert_eq!(t1.stats().frames_rejected.load(Ordering::Relaxed), 0);
     }
 
     /// A standalone outbox (no transport, no socket) for driving
@@ -1789,7 +1659,6 @@ mod tests {
                 queue_capacity: cfg.queue_capacity.max(1),
                 ..cfg
             },
-            codec: CodecChoice::Auto,
             queue: Mutex::new(OutboxQueue::default()),
             cv: Condvar::new(),
             down: AtomicBool::new(false),

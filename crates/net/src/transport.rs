@@ -161,9 +161,8 @@ pub trait Transport: Send + Sync + 'static {
     /// Persist a run of slates on the store-hosting machine `dest` in one
     /// round trip ([`crate::frame::Frame::StorePut`]); a single slate is a
     /// run of one. Items are taken by value so a frame-building transport
-    /// never re-copies the payload; each carries its payload format tag,
-    /// and a connection that did not negotiate MBF transcodes MBF values
-    /// to JSON text on the way out. Returns per-item success in order; an
+    /// never re-copies the payload; each carries its payload format tag.
+    /// Returns per-item success in order; an
     /// `Err` means the whole run may not have reached the store (the
     /// caller keeps every slate dirty).
     fn store_put_many(

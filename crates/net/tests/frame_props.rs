@@ -119,8 +119,8 @@ fn arb_frame() -> BoxedStrategy<Frame> {
     prop_oneof![
         // Only a current-version hello round-trips: any other version
         // decodes with nothing but its version (see the hello properties).
-        (0usize..64, any::<bool>()).prop_map(|(sender, mbf)| Frame::hello(sender, mbf)),
-        (any::<bool>()).prop_map(|mbf| Frame::HelloAck { codecs: u8::from(mbf) }),
+        (0usize..64).prop_map(Frame::hello),
+        Just(Frame::HelloAck),
         proptest::collection::vec((arb_wire_event(), arb_absorbed()), 0..12)
             .prop_map(Frame::Events),
         (0usize..64, any::<u64>())
@@ -156,7 +156,7 @@ fn arb_absorbed() -> impl Strategy<Value = u64> {
 fn variant_index(frame: &Frame) -> usize {
     match frame {
         Frame::Hello { .. } => 0,
-        Frame::HelloAck { .. } => 1,
+        Frame::HelloAck => 1,
         Frame::Events(_) => 2,
         Frame::FailureReport { .. } => 3,
         Frame::FailureBroadcast { .. } => 4,
@@ -312,7 +312,7 @@ proptest! {
         payload.extend_from_slice(&tail);
         prop_assert_eq!(
             Frame::decode_payload(&payload),
-            Some(Frame::Hello { sender: 0, version, codecs: 0 })
+            Some(Frame::Hello { sender: 0, version })
         );
     }
 

@@ -552,14 +552,9 @@ impl SlateCache {
 
     /// Enable per-⟨op, key⟩ hot-spot telemetry: one space-saving sketch
     /// of `capacity` keys per lock shard, fed 1-in-`sample_n` offers
-    /// (each weighted by the interval). `capacity = 0` disables it —
-    /// [`SlateCache::offer_hot`] becomes a single branch.
+    /// (each weighted by the interval). Without it
+    /// [`SlateCache::offer_hot`] is a single branch.
     pub fn with_hot_keys(mut self, capacity: usize, sample_n: u64) -> Self {
-        if capacity == 0 {
-            self.hot = Box::new([]);
-            self.hot_samplers = Box::new([]);
-            return self;
-        }
         let n = self.shards.len();
         let sketches: Vec<Mutex<SpaceSaving<(OpId, Key)>>> =
             (0..n).map(|_| Mutex::new(SpaceSaving::new(capacity))).collect();
@@ -1244,6 +1239,30 @@ impl SlateCache {
         outcomes.iter().filter(|o| **o == FlushOutcome::Written).count() as u64
     }
 
+    /// The recovery line's sweep: write every slate dirty when it starts,
+    /// waiting out a slot another flush holds as
+    /// [`SlateCache::flush_slot_now`] does (its write may not have landed
+    /// yet). Returns how many of them it could not write; a slate dirtied
+    /// after the sweep found it does not count. It walks the resident
+    /// slots, not the dirty index: a concurrent [`SlateCache::flush_dirty`]
+    /// may have drained a slot from the index and not yet claimed it.
+    pub fn flush_barrier(&self, now_us: u64) -> u64 {
+        let dirty: Vec<_> = self.resident().filter(|slot| slot.state.lock().dirty()).collect();
+        let outcomes = self.flush_slots(&dirty, now_us);
+        let unwritten = dirty.iter().zip(outcomes).filter(|(slot, outcome)| match outcome {
+            FlushOutcome::InFlight => !self.flush_slot_now(slot, now_us),
+            outcome => *outcome == FlushOutcome::Failed,
+        });
+        unwritten.count() as u64
+    }
+
+    /// Every resident slot, each shard listed under its map lock.
+    fn resident(&self) -> impl Iterator<Item = Arc<SlateSlot>> + '_ {
+        self.shards.iter().flat_map(|shard| -> Vec<_> {
+            shard.map.lock().iter().map(|(_, slot)| Arc::clone(slot)).collect()
+        })
+    }
+
     /// Read a slate's current bytes without creating it (HTTP reads, §4.4:
     /// "the fetch retrieves the slate from Muppet's slate cache ... to
     /// ensure an up-to-date reply").
@@ -1275,13 +1294,7 @@ impl SlateCache {
     /// right now (§4.3: "whatever changes ... not yet been flushed to the
     /// key-value store are lost").
     pub fn dirty_count(&self) -> u64 {
-        let mut dirty = 0u64;
-        for shard in self.shards.iter() {
-            let slots: Vec<Arc<SlateSlot>> =
-                shard.map.lock().iter().map(|(_, slot)| Arc::clone(slot)).collect();
-            dirty += slots.iter().filter(|s| s.state.lock().dirty()).count() as u64;
-        }
-        dirty
+        self.resident().filter(|slot| slot.state.lock().dirty()).count() as u64
     }
 
     /// Per-shard statistics (hit/miss/occupancy per lock shard).
@@ -2013,6 +2026,50 @@ mod tests {
         assert_eq!(cache.flush_dirty(20), 1);
         assert_eq!(backend.inner.load("U1", &k, 0), Some(b"v2".to_vec()));
         assert!(!slot.state.lock().dirty());
+        assert_eq!(cache.dirty_count(), 0);
+    }
+
+    /// Write `value` into `cache`'s slate of `key`, leaving it dirty.
+    fn dirty(cache: &SlateCache, key: &str, value: &[u8]) {
+        let slot = cache.get_or_load(0, &updater_name(), &Key::from(key), None, 0);
+        let mut state = slot.state.lock();
+        state.slate.replace(value.to_vec());
+        cache.note_write(&slot, &mut state, 0);
+    }
+
+    #[test]
+    fn a_barrier_waits_out_a_write_another_flush_holds() {
+        // A sweep has drained the slot from the dirty index and parked its
+        // write in the backend: the barrier finds the slot anyway and
+        // returns only once that write has landed.
+        let (backend, entered, release) = SlowBackend::gated();
+        let cache =
+            Arc::new(SlateCache::new(10, FlushPolicy::IntervalMs(1), Arc::clone(&backend) as _));
+        dirty(&cache, "held", b"v1");
+        let spawn = |f: fn(&SlateCache) -> u64| {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || f(&cache))
+        };
+        let sweep = spawn(|cache| cache.flush_dirty(10));
+        entered.recv_timeout(Duration::from_secs(5)).expect("the sweep's write in flight");
+        let barrier = spawn(|cache| cache.flush_barrier(11));
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!barrier.is_finished(), "the barrier returned with a write in flight");
+        release.send(()).unwrap();
+        assert_eq!(sweep.join().unwrap(), 1);
+        assert_eq!(barrier.join().unwrap(), 0, "nothing the barrier found was refused");
+        assert_eq!(backend.inner.load("U1", &Key::from("held"), 0), Some(b"v1".to_vec()));
+    }
+
+    #[test]
+    fn a_barrier_counts_the_writes_refused() {
+        let backend = Arc::new(FlakyBackend::failing(1));
+        let cache = SlateCache::new(10, FlushPolicy::OnEvict, Arc::clone(&backend) as _);
+        dirty(&cache, "a", b"1");
+        dirty(&cache, "b", b"2");
+        assert_eq!(cache.flush_barrier(1), 1, "one of two writes refused");
+        assert_eq!(cache.dirty_count(), 1);
+        assert_eq!(cache.flush_barrier(2), 0);
         assert_eq!(cache.dirty_count(), 0);
     }
 

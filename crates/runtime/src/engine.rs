@@ -127,11 +127,6 @@ pub struct EngineConfig {
     /// membership update install it everywhere (including here). `None`
     /// = a founding member: epoch 0, every machine in the rings.
     pub joining: Option<ClusterView>,
-    /// Master switch for the observability extras that ride the hot
-    /// path: sampled per-stage latency spans and per-shard hot-key
-    /// sketch offers. The registry's counters and the end-to-end latency
-    /// histogram are always on (one relaxed atomic each).
-    pub metrics: bool,
     /// 1-in-N sampling interval for per-stage latency spans and hot-key
     /// offers (rounded up to a power of two; 1 = observe every event).
     pub latency_sample_n: u64,
@@ -152,14 +147,13 @@ pub struct EngineConfig {
     /// leader-based group commit (one fsync per concurrent batch,
     /// dispatched while it runs — the default).
     pub ingest_sync_each: bool,
-    /// Slate/wire byte representation. `Auto` (default) offers MBF in the
-    /// TCP hello and stores MBF at rest, falling back to JSON per
-    /// connection when the peer is pinned to JSON. `Json` pins everything
-    /// to text, on the wire and at rest (the rollback lever); `Mbf`
-    /// additionally transcodes
+    /// What this node writes. `Auto` (default) stores MBF at rest; `Json`
+    /// stores text (the rollback lever); `Mbf` additionally transcodes
     /// container-shaped external event values to MBF at the ingest edge
     /// (one parse+encode per event buys ~30% fewer bytes WAL-appended and
-    /// framed — measured in PR 9). HTTP endpoints always speak JSON.
+    /// framed — measured in PR 9). The wire carries bytes with their tags
+    /// as written, and every reader sniffs, so nodes of different choices
+    /// share a cluster. HTTP endpoints always speak JSON.
     pub wire_codec: CodecChoice,
     /// Map-side combining: when true, same-⟨op, key⟩ runs for updaters
     /// that declare an associative `combine` are pre-aggregated in the
@@ -176,7 +170,7 @@ pub struct EngineConfig {
     /// distributed subslates, merged on read through the same combiner;
     /// keys that cool back under half the threshold collapse back to
     /// direct routing. 0 (the default) disables splitting. Requires
-    /// `combine` and `metrics` (the sketch is the detector).
+    /// `combine`.
     pub hot_split_threshold: u64,
 }
 
@@ -195,7 +189,6 @@ impl Default for EngineConfig {
             flush: FlushPolicy::default(),
             overflow: OverflowPolicy::default(),
             joining: None,
-            metrics: true,
             latency_sample_n: 64,
             log_level: Level::Off,
             log_json: false,
@@ -304,18 +297,6 @@ impl OperatorSet {
         self.updaters.push(Arc::new(u));
         self
     }
-
-    /// Add a pre-boxed mapper.
-    pub fn mapper_arc(mut self, m: Arc<dyn Mapper>) -> Self {
-        self.mappers.push(m);
-        self
-    }
-
-    /// Add a pre-boxed updater.
-    pub fn updater_arc(mut self, u: Arc<dyn Updater>) -> Self {
-        self.updaters.push(u);
-        self
-    }
 }
 
 /// Resolved operator instance.
@@ -400,13 +381,12 @@ impl Machine {
         metrics: &CacheMetrics,
         logger: &Arc<Logger>,
     ) -> Machine {
-        let hot_keys = if cfg.metrics { HOT_KEY_CAPACITY } else { 0 };
         let cache = |capacity: usize, shards: usize| {
             let backend = Arc::clone(backend);
             Arc::new(
                 SlateCache::with_metrics(capacity, cfg.flush, backend, shards, metrics.clone())
                     .with_store_codec(cfg.wire_codec.store_codec())
-                    .with_hot_keys(hot_keys, cfg.latency_sample_n.max(1))
+                    .with_hot_keys(HOT_KEY_CAPACITY, cfg.latency_sample_n.max(1))
                     .with_logger(Arc::clone(logger)),
             )
         };
@@ -590,16 +570,17 @@ impl Shared {
     }
 
     /// Flush every dirty slate of every live machine (dead machines lost
-    /// theirs, §4.3). Returns how many slates are still dirty afterwards
-    /// (quorum failure, dead store host).
+    /// theirs, §4.3). Returns how many of the slates its sweep found dirty
+    /// it could not write (quorum failure, dead store host); a slate
+    /// dirtied after the sweep found it is not counted.
     pub(crate) fn flush_live_caches(&self) -> u64 {
         let now = self.now_us();
         let flush = |cache: Arc<SlateCache>| {
             // Barriers restore capacity too: victims still waiting for
             // eviction are written by the sweep and retired after it.
-            cache.flush_dirty(now);
+            let refused = cache.flush_barrier(now);
             cache.retire_evicted(now);
-            cache.dirty_count()
+            refused
         };
         self.caches(true).into_iter().map(flush).sum()
     }
@@ -700,9 +681,8 @@ impl Engine {
                     queue_capacity: cfg.queue_capacity.max(1),
                     ..BatchConfig::default()
                 };
-                let wire =
-                    TcpTransport::new_with_codec(topology.clone(), *local, batch, cfg.wire_codec)
-                        .map_err(Error::Config)?;
+                let wire = TcpTransport::new_with_batching(topology.clone(), *local, batch)
+                    .map_err(Error::Config)?;
                 Some(wire)
             }
         };
@@ -1254,7 +1234,7 @@ impl Engine {
 
     /// The hottest ⟨updater, key⟩ pairs this node has seen, estimated by
     /// the per-shard space-saving sketches (count, overshoot bound), best
-    /// first. Empty when metrics are off.
+    /// first.
     pub fn hot_keys(&self, k: usize) -> Vec<(String, Key, u64, u64)> {
         let wf = &self.shared.wf;
         let hot = hottest(&self.shared.caches(false), k).into_iter();

@@ -292,7 +292,7 @@ impl Shared {
     fn enqueue(&self, machine: &Machine, queue: &EventQueue<Queued>, ev: WireEvent) {
         // Stamp the queue-wait span here, on the receiving side (`max(1)`:
         // 0 means unsampled, and `now_us` can legitimately be 0 early on).
-        let sampled = self.stats.stages.enabled && self.stats.stages.sampler_queue.hit();
+        let sampled = self.stats.stages.sampler_queue.hit();
         self.ledger.admit(1);
         queue.force_push((ev, if sampled { self.now_us().max(1) } else { 0 }));
         audit::point();

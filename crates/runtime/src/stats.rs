@@ -54,8 +54,6 @@ pub(crate) struct Stats {
 /// is timed on 1 in `latency_sample_n` events; an unsampled event pays
 /// one relaxed fetch_add and a branch.
 pub(crate) struct StageMetrics {
-    /// False ⇒ every span site is a single load + branch.
-    pub(crate) enabled: bool,
     pub(crate) sampler_ingest: Sampler,
     pub(crate) sampler_queue: Sampler,
     pub(crate) sampler_service: Sampler,
@@ -65,7 +63,7 @@ pub(crate) struct StageMetrics {
     /// Indexed by `OpId`.
     pub(crate) service: Vec<Arc<Histogram>>,
     pub(crate) fanout: Arc<Histogram>,
-    /// Every ingest-WAL fsync (unsampled; only with metrics and a WAL).
+    /// Every ingest-WAL fsync (unsampled; only with a WAL).
     pub(crate) wal_sync: Option<Arc<Histogram>>,
 }
 
@@ -427,7 +425,6 @@ impl StageMetrics {
             reg.histogram_with("muppet_stage_latency_us", STAGE_HELP, labels)
         };
         StageMetrics {
-            enabled: cfg.metrics,
             sampler_ingest: Sampler::every(n),
             sampler_queue: Sampler::every(n),
             sampler_service: Sampler::every(n),
@@ -440,8 +437,7 @@ impl StageMetrics {
                 .map(|op| stage(&[("stage", "service"), ("op", &op.name)]))
                 .collect(),
             fanout: stage(&[("stage", "fanout")]),
-            wal_sync: (cfg.metrics && cfg.ingest_wal.is_some())
-                .then(|| stage(&[("stage", "wal_sync")])),
+            wal_sync: cfg.ingest_wal.is_some().then(|| stage(&[("stage", "wal_sync")])),
         }
     }
 }

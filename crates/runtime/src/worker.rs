@@ -185,8 +185,8 @@ impl Shared {
     /// settle its in-flight unit.
     fn finish_event(&self, done: Finished, touched: &mut Vec<MachineId>) {
         let (stages, ev) = (&self.stats.stages, &done.ev);
-        let fanout_t0 = (!done.records.is_empty() && stages.enabled && stages.sampler_fanout.hit())
-            .then(|| self.now_us());
+        let fanout_t0 =
+            (!done.records.is_empty() && stages.sampler_fanout.hit()).then(|| self.now_us());
         for rec in done.records {
             self.stats.emitted.inc();
             if self.wf.is_external(rec.stream.as_str()) || !self.wf.has_stream(rec.stream.as_str())
@@ -261,8 +261,7 @@ impl Shared {
                     // Mappers need no membership lock; an open updater
                     // run's guard is left in place and the mapper's fan-out
                     // joins the deferred queue like everyone else's.
-                    let service_t0 =
-                        (stages.enabled && stages.sampler_service.hit()).then(|| self.now_us());
+                    let service_t0 = stages.sampler_service.hit().then(|| self.now_us());
                     let mut emitter = VecEmitter::new();
                     match catch_unwind(AssertUnwindSafe(|| mapper.map(&mut emitter, &ev.event))) {
                         Err(payload) => Step::Poisoned(payload),
@@ -306,7 +305,7 @@ impl Shared {
                     cache.offer_hot(op, key);
                     let now = self.now_us();
                     self.splits.sample(op, key, || cache.hot_estimate(op, key), now);
-                    let service_sampled = stages.enabled && stages.sampler_service.hit();
+                    let service_sampled = stages.sampler_service.hit();
                     let slot = match &run.memo {
                         Some((m_op, m_key, m_slot)) if *m_op == op && m_key == key => {
                             cache.note_memo_hit(op, m_slot, now);

@@ -82,11 +82,6 @@ impl BloomFilter {
         let bits = (0..n).map(|i| get_u64(data, 16 + i * 8).expect("bounds checked")).collect();
         Ok(BloomFilter { bits, k: k as u32 })
     }
-
-    /// Bits allocated (diagnostics).
-    pub fn bit_len(&self) -> usize {
-        self.bits.len() * 64
-    }
 }
 
 #[cfg(test)]

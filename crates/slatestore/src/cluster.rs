@@ -330,16 +330,6 @@ impl StoreCluster {
         keys.iter().map(|key| self.get(key, now)).collect()
     }
 
-    /// Batched codec-tagged reads (the runtime's miss path under an MBF
-    /// store: one round trip, values returned with their format tags).
-    pub fn get_many_tagged(
-        &self,
-        keys: &[CellKey],
-        now: u64,
-    ) -> Vec<StoreResult<Option<(Bytes, Codec)>>> {
-        keys.iter().map(|key| self.get_tagged(key, now)).collect()
-    }
-
     /// Delete at the default consistency.
     pub fn delete(&self, key: &CellKey, now: u64) -> StoreResult<()> {
         let replicas = self.replica_set(key);
@@ -449,11 +439,6 @@ impl StoreCluster {
     /// Bring a node back.
     pub fn node_up(&self, id: usize) {
         self.nodes[id].up.store(true, Ordering::Release);
-    }
-
-    /// Whether a node is currently up.
-    pub fn is_up(&self, id: usize) -> bool {
-        self.nodes[id].up.load(Ordering::Acquire)
     }
 
     /// Number of nodes.

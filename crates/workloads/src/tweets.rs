@@ -68,12 +68,6 @@ impl TweetGenerator {
         }
     }
 
-    /// Override the user-popularity skew.
-    pub fn with_user_skew(mut self, s: f64) -> Self {
-        self.users = Zipf::new(self.users.len(), s);
-        self
-    }
-
     /// Override the arrival process.
     pub fn with_arrivals(mut self, arrivals: ArrivalProcess) -> Self {
         self.arrivals = arrivals;

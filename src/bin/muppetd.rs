@@ -47,6 +47,12 @@
 //! frames per peer, flushed at 128 events or when their producer has
 //! nothing more to add, with a 1 ms age ceiling for events nobody asks to
 //! flush (constants; see DESIGN.md §5 "Batching and backpressure").
+//!
+//! `--wire-codec` picks what this node writes: MBF slates at rest
+//! (`auto`, the default), text (`json`), or MBF at rest and at ingest
+//! (`mbf`). The wire carries every value as its writer tagged it and every
+//! reader sniffs, so nodes of different choices share a cluster
+//! (DESIGN.md §13).
 
 use std::sync::Arc;
 
@@ -66,7 +72,6 @@ struct Options {
     workers: usize,
     store_host: Option<usize>,
     data_dir: Option<String>,
-    metrics: bool,
     latency_sample_n: u64,
     log_level: Level,
     log_json: bool,
@@ -84,9 +89,9 @@ fn usage() -> ! {
         "usage: muppetd (--config <cluster.toml> | --peers <host:port:http,...>) --node <id>
            [--app hot_topics|retailer] [--engine muppet1|muppet2]
            [--workers <n>] [--store-host <id>] [--data-dir <path>] [--master <id>]
-           [--metrics on|off] [--latency-sample-n <n>]
+           [--latency-sample-n <n>]
            [--ingest-wal <path>] [--ingest-sync each|group]
-           [--wire-codec auto|json|mbf]
+           [--wire-codec auto|json|mbf]   (what this node writes)
            [--combine on|off] [--hot-split-threshold <events>]
            [--log-level debug|info|warn|error|off] [--log-json]
        muppetd --join <master-host:http_port> --listen <host:port:http_port>
@@ -158,7 +163,6 @@ fn parse_args() -> Options {
     let mut join: Option<String> = None;
     let mut listen: Option<String> = None;
     let defaults = EngineConfig::default();
-    let mut metrics = defaults.metrics;
     let mut latency_sample_n = defaults.latency_sample_n;
     // Unlike library embeddings (silent by default), a daemon logs its
     // operational incidents.
@@ -203,16 +207,6 @@ fn parse_args() -> Options {
                 }
             }
             "--workers" => workers = value().parse().unwrap_or(4),
-            "--metrics" => {
-                metrics = match value() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => {
-                        eprintln!("muppetd: --metrics wants on|off, got {other:?}");
-                        usage()
-                    }
-                }
-            }
             "--latency-sample-n" => {
                 latency_sample_n = value().parse().unwrap_or_else(|_| {
                     eprintln!("muppetd: --latency-sample-n wants an event count");
@@ -283,7 +277,6 @@ fn parse_args() -> Options {
             workers,
             store_host: store_host.or(grant.store_host),
             data_dir,
-            metrics,
             latency_sample_n,
             log_level,
             log_json,
@@ -312,7 +305,6 @@ fn parse_args() -> Options {
         workers,
         store_host,
         data_dir,
-        metrics,
         latency_sample_n,
         log_level,
         log_json,
@@ -403,7 +395,6 @@ fn main() {
         workers_per_op: opts.workers,
         transport: TransportKind::Tcp { topology: opts.topology.clone(), local: opts.node },
         store_host: opts.store_host,
-        metrics: opts.metrics,
         latency_sample_n: opts.latency_sample_n,
         log_level: opts.log_level,
         log_json: opts.log_json,

@@ -1,10 +1,11 @@
-//! Mixed-version cluster: a JSON-pinned node (wire-identical to a
-//! pre-v5 peer — legacy hello, no codec negotiation, text payloads) and
-//! an MBF-capable v5 node run one workflow over real TCP loopback.
-//! Rolling upgrades look exactly like this, so the invariant is total:
-//! exact per-key counts against ground truth, zero loss, in both
-//! traffic directions — binary values transcode to text at the JSON
-//! boundary and every reader sniffs per payload.
+//! Mixed-codec cluster: a JSON-pinned node (it writes text at rest and
+//! leaves ingested values as they arrive) and a full-`mbf` node (MBF at
+//! rest, container values transcoded to MBF at ingest) run one workflow
+//! over real TCP loopback. The wire carries each value as its writer
+//! tagged it, so the JSON node receives MBF event values and reads them
+//! by sniffing, as every reader does. The invariant is total: exact
+//! per-key counts against ground truth, zero loss, in both traffic
+//! directions.
 
 use std::collections::BTreeMap;
 use std::time::Duration;

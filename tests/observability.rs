@@ -26,11 +26,10 @@ fn counter_ops() -> muppet::runtime::engine::OperatorSet {
     ))
 }
 
-fn start(metrics: bool, sample_n: u64) -> Arc<Engine> {
+fn start(sample_n: u64) -> Arc<Engine> {
     let cfg = EngineConfig {
         machines: 2,
         workers_per_machine: 2,
-        metrics,
         latency_sample_n: sample_n,
         ..EngineConfig::default()
     };
@@ -57,7 +56,7 @@ fn stage_spans(samples: &[ParsedSample], stage: &str) -> f64 {
 
 #[test]
 fn metrics_endpoint_round_trips_every_engine_counter() {
-    let engine = start(true, 1);
+    let engine = start(1);
     feed(&engine, 400);
     let server = HttpSlateServer::serve(Arc::clone(&engine) as _).unwrap();
 
@@ -113,7 +112,7 @@ fn metrics_endpoint_round_trips_every_engine_counter() {
 
 #[test]
 fn status_carries_identity_fields_and_agrees_with_metrics() {
-    let engine = start(true, 64);
+    let engine = start(64);
     feed(&engine, 100);
     let server = HttpSlateServer::serve(Arc::clone(&engine) as _).unwrap();
 
@@ -145,31 +144,6 @@ fn status_carries_identity_fields_and_agrees_with_metrics() {
     // event (1-in-1, above, times every one).
     let spans = stage_spans(&samples, "service");
     assert!(spans > 0.0 && spans < 100.0, "{spans} service spans for 100 events");
-}
-
-#[test]
-fn disabling_metrics_keeps_counters_but_drops_spans_and_sketches() {
-    let engine = start(false, 64);
-    feed(&engine, 200);
-    let server = HttpSlateServer::serve(Arc::clone(&engine) as _).unwrap();
-
-    let (code, body) = http_get(&format!("{}/metrics", server.base_url())).unwrap();
-    assert_eq!(code, 200);
-    let samples = parse_exposition(&String::from_utf8(body).unwrap()).unwrap();
-
-    // Counters are plain atomics and stay on.
-    let submitted =
-        samples.iter().find(|s| s.name == "muppet_events_submitted_total").map(|s| s.value);
-    assert_eq!(submitted, Some(200.0));
-    // No sampled spans, no hot-key sketch.
-    let span_count: f64 =
-        samples.iter().filter(|s| s.name == "muppet_stage_latency_us_count").map(|s| s.value).sum();
-    assert_eq!(span_count, 0.0, "metrics off must record no stage spans");
-    assert!(
-        !samples.iter().any(|s| s.name == "muppet_hot_key_events_est"),
-        "metrics off must not export hot-key series"
-    );
-    assert!(engine.hot_keys(5).is_empty());
 }
 
 /// A TCP pair after traffic: node 0 hosts the store, both log ingest,
