@@ -46,34 +46,6 @@ pub fn run_engine(
     RunOutcome { elapsed, stats, max_queue }
 }
 
-/// Like [`run_engine`] but keeps the engine alive and hands it to a
-/// callback mid-stream (failure drills, HTTP readers).
-pub fn run_engine_with<F: FnOnce(&Engine)>(
-    workflow: muppet_core::workflow::Workflow,
-    ops: OperatorSet,
-    cfg: EngineConfig,
-    store: Option<Arc<StoreCluster>>,
-    first: Vec<Event>,
-    mid: F,
-    second: Vec<Event>,
-) -> RunOutcome {
-    let engine = Engine::start(workflow, ops, cfg, store).expect("engine starts");
-    let t0 = Instant::now();
-    for ev in first {
-        engine.submit(ev).expect("submit");
-    }
-    engine.drain(Duration::from_secs(300));
-    mid(&engine);
-    for ev in second {
-        engine.submit(ev).expect("submit");
-    }
-    assert!(engine.drain(Duration::from_secs(300)), "engine must drain");
-    let elapsed = t0.elapsed();
-    let max_queue = engine.max_queue_high_water();
-    let stats = engine.shutdown();
-    RunOutcome { elapsed, stats, max_queue }
-}
-
 /// The retailer operator set (the workhorse app for throughput runs).
 pub fn retailer_ops() -> OperatorSet {
     OperatorSet::new().mapper(RetailerMapper::new()).updater(Counter::new())

@@ -103,21 +103,6 @@ impl Workflow {
         self.subscribers.get(stream).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Streams with no subscribers — the application's output streams.
-    pub fn sink_streams(&self) -> Vec<&StreamId> {
-        self.streams.iter().filter(|s| self.subscribers_of(s.as_str()).is_empty()).collect()
-    }
-
-    /// Updater names, in [`OpId`] order.
-    pub fn updater_names(&self) -> Vec<&str> {
-        self.ops.iter().filter(|o| o.kind == OpKind::Update).map(|o| o.name.as_str()).collect()
-    }
-
-    /// Mapper names, in [`OpId`] order.
-    pub fn mapper_names(&self) -> Vec<&str> {
-        self.ops.iter().filter(|o| o.kind == OpKind::Map).map(|o| o.name.as_str()).collect()
-    }
-
     /// True if the *declared* publish edges admit a cycle (op → stream →
     /// op → ...). Cycles are legal in MapUpdate — output timestamps strictly
     /// exceed input timestamps, so executions stay well-defined — but
@@ -377,8 +362,6 @@ mod tests {
         assert_eq!(wf.op_id("U1"), Some(1));
         assert_eq!(wf.op_id("nope"), None);
         assert!(!wf.has_declared_cycle());
-        assert_eq!(wf.updater_names(), vec!["U1"]);
-        assert_eq!(wf.mapper_names(), vec!["M1"]);
     }
 
     #[test]
@@ -390,8 +373,8 @@ mod tests {
         b.updater_publishing("U1", &["S2"], &["S3"]);
         b.updater_publishing("U2", &["S3"], &["S4"]);
         let wf = b.build().unwrap();
-        let sinks: Vec<&str> = wf.sink_streams().iter().map(|s| s.as_str()).collect();
-        assert_eq!(sinks, vec!["S4"]);
+        assert_eq!(wf.subscribers_of("S3"), &[2]);
+        assert!(wf.subscribers_of("S4").is_empty(), "S4 is the output stream");
         assert!(!wf.has_declared_cycle());
     }
 

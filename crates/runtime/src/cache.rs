@@ -886,24 +886,16 @@ impl SlateCache {
         {
             state.slate.clear();
             state.flushed_version = state.slate.version();
+            self.unindex(slot, &mut state);
             self.metrics.ttl_resets.inc();
         }
     }
 
-    /// Record a lookup served from a worker's slot memo (the batch-drain
-    /// path reuses the previous packet's slot for a run of same-key events
-    /// without touching the shard lock): counts as a shard hit and applies
-    /// the TTL check exactly like a map lookup would.
-    pub fn note_memo_hit(&self, op: OpId, slot: &Arc<SlateSlot>, now_us: u64) {
-        self.shard_of(op, &slot.key).hits.inc();
-        self.maybe_ttl_reset(slot, now_us);
-    }
-
     /// Offer one updater event's ⟨op, key⟩ to the hot-key sketches. The
-    /// engine calls this once per processed update event (memo-hit and
-    /// map-lookup paths alike); the per-shard sampler keeps the steady
-    /// cost to one relaxed `fetch_add`, and each sampled hit is weighted
-    /// by the interval so reported counts stay event-scale estimates.
+    /// engine calls this once per processed update event; the per-shard
+    /// sampler keeps the steady cost to one relaxed `fetch_add`, and each
+    /// sampled hit is weighted by the interval so reported counts stay
+    /// event-scale estimates.
     pub fn offer_hot(&self, op: OpId, key: &Key) {
         if self.hot.is_empty() {
             return;
@@ -974,6 +966,22 @@ impl SlateCache {
         }
     }
 
+    /// Deregister `slot` from its shard's dirty index (caller holds the
+    /// slot's state lock, the order [`SlateCache::ensure_indexed`] uses):
+    /// an index entry exists only while its slot is dirty, so an engine
+    /// without an interval flusher to drain the index does not keep one
+    /// entry per key it ever wrote. An entry another slot of the same key
+    /// registered since is left alone.
+    fn unindex(&self, slot: &Arc<SlateSlot>, state: &mut SlateState) {
+        if std::mem::take(&mut state.indexed) {
+            let mut dirty = self.shard_of(slot.op, &slot.key).dirty.lock();
+            let id = (slot.op, slot.key.clone());
+            if dirty.get(&id).is_some_and(|weak| weak.as_ptr() == Arc::as_ptr(slot)) {
+                dirty.remove(&id);
+            }
+        }
+    }
+
     /// Re-register `slot` unconditionally — the flush paths use this
     /// after taking (or declining) a snapshot, when the `indexed` flag
     /// may be stale-false while the slot's index entry is gone.
@@ -1002,6 +1010,7 @@ impl SlateCache {
             self.metrics.flush_latency.record(t0.elapsed().as_micros() as u64);
             if ok {
                 state.flushed_version = state.slate.version();
+                self.unindex(slot, state);
                 self.metrics.flush_writes.inc();
                 return;
             }
@@ -1047,7 +1056,7 @@ impl SlateCache {
                     // concurrent sweep does not double-write it; any write
                     // that lands after this lock drops re-registers via
                     // `note_write`.
-                    state.indexed = false;
+                    self.unindex(slot, &mut state);
                     if !state.dirty() {
                         outcomes.push(FlushOutcome::Clean);
                         at += 1;
@@ -1589,6 +1598,26 @@ mod tests {
     }
 
     #[test]
+    fn dirty_index_holds_only_dirty_slots_without_a_flusher() {
+        // No interval flusher drains the index (an engine with an ingest
+        // WAL, or a store-less one): eviction retires and the recovery
+        // line's barrier are its only flushes, and each must take the
+        // entries of the slots it writes out of the index.
+        let backend = Arc::new(MemBackend::default());
+        let cache = SlateCache::new(4, FlushPolicy::OnEvict, backend as _);
+        for i in 0..1000 {
+            write(&cache, &format!("k{i}"), "v", i);
+            cache.retire_evicted(i);
+        }
+        cache.flush_barrier(1000);
+        let indexed: usize = cache.shards.iter().map(|shard| shard.dirty.lock().len()).sum();
+        let resident = cache.resident().count();
+        assert!(resident <= 4, "capacity 4 holds {resident} slots");
+        assert!(indexed <= resident, "{indexed} index entries for {resident} resident slots");
+        assert_eq!(cache.dirty_count(), 0);
+    }
+
+    #[test]
     fn evicted_dirty_slate_survives_a_failed_store_write() {
         // The regression: a dirty slate evicted for capacity whose store
         // write fails used to be dropped from the map — the update was
@@ -1851,21 +1880,6 @@ mod tests {
                 "update {i} missing after recovery"
             );
         }
-    }
-
-    #[test]
-    fn memo_hits_count_and_apply_ttl() {
-        let cache = SlateCache::with_shards(16, FlushPolicy::OnEvict, Arc::new(NullBackend), 4);
-        let name = updater_name();
-        let k = Key::from("memoed");
-        let slot = cache.get_or_load(0, &name, &k, Some(1), 0);
-        slot.state.lock().slate.replace(b"live".to_vec());
-        cache.note_memo_hit(0, &slot, 500_000);
-        assert!(!slot.state.lock().slate.is_empty(), "within TTL: untouched");
-        cache.note_memo_hit(0, &slot, 2_000_001);
-        assert!(slot.state.lock().slate.is_empty(), "memo path still applies the TTL reset");
-        assert_eq!(cache.stats().hits, 2, "memo hits count as shard hits");
-        assert_eq!(cache.stats().ttl_resets, 1);
     }
 
     #[test]

@@ -109,16 +109,6 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.nodes[idx].as_ref().map(|n| &n.value)
     }
 
-    /// Get mutably and mark as most-recently-used.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let idx = *self.map.get(key)?;
-        if self.head != idx {
-            self.unlink(idx);
-            self.push_front(idx);
-        }
-        self.nodes[idx].as_mut().map(|n| &mut n.value)
-    }
-
     /// Peek without touching recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
         let idx = *self.map.get(key)?;
@@ -172,14 +162,6 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         Some((node.key, node.value))
     }
 
-    /// The least-recently-used entry without removing it.
-    pub fn peek_lru(&self) -> Option<(&K, &V)> {
-        if self.tail == NIL {
-            return None;
-        }
-        self.nodes[self.tail].as_ref().map(|n| (&n.key, &n.value))
-    }
-
     /// Iterate entries from most- to least-recently-used.
     pub fn iter(&self) -> LruIter<'_, K, V> {
         LruIter { lru: self, cursor: self.head }
@@ -217,10 +199,10 @@ mod tests {
         lru.insert("b", 2);
         lru.insert("c", 3);
         assert_eq!(lru.len(), 3);
-        assert_eq!(lru.peek_lru(), Some((&"a", &1)));
+        assert_eq!(lru.iter().last(), Some((&"a", &1)));
         // Touch "a": "b" becomes LRU.
         assert_eq!(lru.get(&"a"), Some(&1));
-        assert_eq!(lru.peek_lru(), Some((&"b", &2)));
+        assert_eq!(lru.iter().last(), Some((&"b", &2)));
         assert_eq!(lru.pop_lru(), Some(("b", 2)));
         assert_eq!(lru.len(), 2);
     }
@@ -269,7 +251,7 @@ mod tests {
         lru.insert("a", 1);
         lru.insert("b", 2);
         assert_eq!(lru.peek(&"a"), Some(&1));
-        assert_eq!(lru.peek_lru(), Some((&"a", &1)), "peek must not promote");
+        assert_eq!(lru.iter().last(), Some((&"a", &1)), "peek must not promote");
     }
 
     #[test]
@@ -283,14 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_mutates_in_place() {
-        let mut lru = LruMap::new();
-        lru.insert("k", vec![1]);
-        lru.get_mut(&"k").unwrap().push(2);
-        assert_eq!(lru.peek(&"k"), Some(&vec![1, 2]));
-    }
-
-    #[test]
     fn single_entry_edge_cases() {
         let mut lru = LruMap::new();
         lru.insert("only", 1);
@@ -298,7 +272,7 @@ mod tests {
         assert_eq!(lru.pop_lru(), Some(("only", 1)));
         assert!(lru.is_empty());
         lru.insert("again", 2);
-        assert_eq!(lru.peek_lru(), Some((&"again", &2)));
+        assert_eq!(lru.iter().last(), Some((&"again", &2)));
     }
 
     #[test]

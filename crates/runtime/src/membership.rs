@@ -95,14 +95,17 @@ impl Shared {
                             // flush (store down mid-join) must not destroy
                             // the slate: it goes back into the cache dirty —
                             // post-prepare processing forwards this key, so
-                            // nothing re-dirties it here, and the background
-                            // flusher retries until the store recovers (the
-                            // new owner reads stale until then; bounded
-                            // inconsistency instead of silent loss).
+                            // nothing re-dirties it here, and the next flush
+                            // that reaches it writes it: the interval
+                            // flusher's next tick or, with an ingest WAL
+                            // (which runs no flusher), the next recovery
+                            // line's `flush_barrier` (the new owner reads
+                            // stale until then; bounded inconsistency instead
+                            // of silent loss).
                             if !cache.flush_slot_now(&slot, now) {
                                 self.drop_log.log(format!(
                                     "handoff flush failed for {opname} key={key:?} (store down?); \
-                                     retained for flusher retry"
+                                     retained dirty for a later flush"
                                 ));
                                 cache.insert_slot(op, key, slot);
                             }

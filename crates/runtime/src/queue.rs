@@ -3,7 +3,7 @@
 //! "Each worker has its own queue for input events" (§4.1), with a
 //! pre-specified size limit whose overflow triggers the §4.3 mechanisms.
 //! `push` never blocks (the *sender* decides what to do on overflow —
-//! that's the overflow policy's job); `pop_timeout` parks the worker thread
+//! that's the overflow policy's job); `pop_many` parks the worker thread
 //! until an event or a shutdown check is due.
 
 use std::collections::VecDeque;
@@ -74,17 +74,6 @@ impl<T> EventQueue<T> {
         self.nonempty.notify_one();
     }
 
-    /// Pop, waiting up to `timeout`. `None` on timeout.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let mut q = self.inner.lock();
-        if q.is_empty() {
-            self.nonempty.wait_for(&mut q, timeout);
-        }
-        let item = q.pop_front();
-        self.len_hint.store(q.len(), Ordering::Relaxed);
-        item
-    }
-
     /// Pop up to `max` items in one lock acquisition, appending to `out`;
     /// waits up to `timeout` when the queue is empty. Returns the number
     /// of items popped (0 on timeout). This is the batch-drain fast path:
@@ -103,14 +92,6 @@ impl<T> EventQueue<T> {
         out.extend(q.drain(..n));
         self.len_hint.store(q.len(), Ordering::Relaxed);
         n
-    }
-
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut q = self.inner.lock();
-        let item = q.pop_front();
-        self.len_hint.store(q.len(), Ordering::Relaxed);
-        item
     }
 
     /// Cheap (racy) length estimate for dispatch decisions — the two-choice
@@ -160,9 +141,11 @@ mod tests {
         q.push(1).unwrap();
         q.push(2).unwrap();
         assert_eq!(q.len(), 2);
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), None);
+        let mut out = Vec::new();
+        assert_eq!(q.pop_many(&mut out, 1, Duration::ZERO), 1);
+        assert_eq!(q.pop_many(&mut out, 1, Duration::ZERO), 1);
+        assert_eq!(q.pop_many(&mut out, 1, Duration::ZERO), 0);
+        assert_eq!(out, vec![1, 2]);
         assert!(q.is_empty());
     }
 
@@ -175,24 +158,6 @@ mod tests {
         q.force_push(3); // throttling mode bypasses the cap
         assert_eq!(q.len(), 3);
         assert_eq!(q.capacity(), 2);
-    }
-
-    #[test]
-    fn pop_timeout_waits_then_gives_up() {
-        let q: EventQueue<u32> = EventQueue::new(4);
-        let t0 = std::time::Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(30)), None);
-        assert!(t0.elapsed() >= Duration::from_millis(25));
-    }
-
-    #[test]
-    fn pop_timeout_wakes_on_push() {
-        let q = Arc::new(EventQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        q.push(42u32).unwrap();
-        assert_eq!(waiter.join().unwrap(), Some(42));
     }
 
     #[test]
@@ -238,9 +203,7 @@ mod tests {
         for i in 0..7 {
             q.push(i).unwrap();
         }
-        for _ in 0..7 {
-            q.try_pop();
-        }
+        q.pop_many(&mut Vec::new(), 7, Duration::ZERO);
         assert_eq!(q.high_water(), 7);
         assert_eq!(q.len_hint(), 0);
     }
@@ -273,9 +236,7 @@ mod tests {
             h.join().unwrap();
         }
         let mut seen = Vec::new();
-        while let Some(v) = q.try_pop() {
-            seen.push(v);
-        }
+        while q.pop_many(&mut seen, 64, Duration::ZERO) > 0 {}
         assert_eq!(seen.len(), 4000);
         seen.sort_unstable();
         seen.dedup();

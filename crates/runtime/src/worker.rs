@@ -1,8 +1,9 @@
 //! The worker (§4.1, §4.5): a thread that drains its machine's queue in
-//! batches, folds combinable runs, runs each event's map or update under
-//! one membership read guard per run, and settles each event's in-flight
-//! unit once its emissions are sent on. Also the machine's interval
-//! flusher (§4.2) and the dead-letter hand-off for panicking operators.
+//! batches, folds combinable runs, then steps one event at a time — its
+//! map, or its update under a membership read guard of its own — and sends
+//! the step's emissions on before its in-flight unit settles. Also the
+//! machine's interval flusher (§4.2) and the dead-letter hand-off for
+//! panicking operators.
 //! DESIGN.md §3.
 
 use std::collections::HashMap;
@@ -14,16 +15,15 @@ use std::time::{Duration, Instant};
 
 use muppet_core::event::{EmitRecord, Event, Key};
 use muppet_core::operator::VecEmitter;
-use muppet_core::sync::RwLockReadGuard;
 use muppet_core::workflow::OpId;
 use muppet_net::frame::{fold_runs, WireEvent};
 use muppet_net::transport::MachineId;
 use muppet_obs::Level;
 
-use crate::cache::{FlushPolicy, SlateCache, SlateSlot};
+use crate::cache::{FlushPolicy, SlateCache};
 use crate::dlq::DeadLetter;
 use crate::engine::{Machine, OpInstance, Queued, Shared, DRAIN_BATCH};
-use crate::placement::{Membership, Placement};
+use crate::placement::Placement;
 use crate::send::fresh;
 use crate::split::SPLIT_FOLD_PROBE_MIN;
 
@@ -61,17 +61,6 @@ fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
         .expect("spawn engine thread")
 }
 
-/// A processed event whose emissions have not fanned out yet. Fan-out
-/// re-enters the membership lock on the local send path, so while a
-/// run's read guard is held the follow-up work is parked here; the
-/// event's in-flight unit is settled only once its emissions are
-/// enqueued ([`Shared::finish_event`]), so `drain`/throttling never
-/// observe a gap.
-struct Finished {
-    ev: WireEvent,
-    records: Vec<EmitRecord>,
-}
-
 /// What one event's step did.
 enum Step {
     /// It ran; these are its emissions.
@@ -80,31 +69,6 @@ enum Step {
     Forwarded(Placement),
     /// Its operator panicked, with this payload.
     Poisoned(Box<dyn std::any::Any + Send>),
-}
-
-/// A *run*: the updater events of a batch share one membership read guard
-/// (mapper events need no lock and pass through without closing it), and
-/// consecutive same-⟨op, key⟩ updater events reuse the previous event's
-/// cache slot (the memo) without touching the shard lock. Every event's
-/// fan-out is deferred while the guard is held. The memo dies with the
-/// guard, because slate handoffs (`take_matching`) run under the
-/// membership *write* lock and so can only interleave between runs.
-struct Run<'a> {
-    guard: Option<RwLockReadGuard<'a, Membership>>,
-    memo: Option<(OpId, Key, Arc<SlateSlot>)>,
-    finished: Vec<Finished>,
-}
-
-impl Run<'_> {
-    /// Close the run: drop the memo and the guard, then send on every
-    /// deferred event's emissions.
-    fn close(&mut self, shared: &Shared, touched: &mut Vec<MachineId>) {
-        self.memo = None;
-        self.guard = None;
-        for done in self.finished.drain(..) {
-            shared.finish_event(done, touched);
-        }
-    }
 }
 
 impl Shared {
@@ -181,13 +145,13 @@ impl Shared {
         self.ledger.settle(1);
     }
 
-    /// Admit one finished event's emissions (ts = input ts + 1, §3) and
-    /// settle its in-flight unit.
-    fn finish_event(&self, done: Finished, touched: &mut Vec<MachineId>) {
-        let (stages, ev) = (&self.stats.stages, &done.ev);
-        let fanout_t0 =
-            (!done.records.is_empty() && stages.sampler_fanout.hit()).then(|| self.now_us());
-        for rec in done.records {
+    /// Admit one processed event's emissions (ts = input ts + 1, §3) and
+    /// settle its in-flight unit — only once they are enqueued, so
+    /// `drain`/throttling never observe a gap.
+    fn finish_event(&self, ev: &WireEvent, records: Vec<EmitRecord>, touched: &mut Vec<MachineId>) {
+        let stages = &self.stats.stages;
+        let fanout_t0 = (!records.is_empty() && stages.sampler_fanout.hit()).then(|| self.now_us());
+        for rec in records {
             self.stats.emitted.inc();
             if self.wf.is_external(rec.stream.as_str()) || !self.wf.has_stream(rec.stream.as_str())
             {
@@ -209,10 +173,10 @@ impl Shared {
         self.ledger.settle(1);
     }
 
-    /// Process one drained batch as runs (see [`Run`]): each event's step
-    /// ends in one exit over what it did. Store-backed engines first fetch
-    /// the batch's cold slates in one round trip
-    /// ([`Shared::prefetch_batch`]). Returns whether the worker now owes
+    /// Process one drained batch: fold it, fetch its cold slates in one
+    /// round trip when store-backed ([`Shared::prefetch_batch`]), then
+    /// [`Shared::step`] each event and perform what the step returned
+    /// before the next event starts. Returns whether the worker now owes
     /// an eviction retire, i.e. holds the in-flight unit
     /// [`Shared::claim_retire`] took and must hand it to
     /// [`Shared::settle_retire`].
@@ -237,12 +201,10 @@ impl Shared {
             // in flight.
             self.claim_retire(cache, &mut retire_owed);
         }
-        let stages = &self.stats.stages;
-        let mut run = Run { guard: None, memo: None, finished: Vec::new() };
         for (mut ev, enqueued_us) in batch.drain(..) {
             // Owner-side split rewrite: events that were already in flight
             // (or forwarded) when a split installed still fan out. The
-            // rewritten subkey re-routes below like any other key.
+            // rewritten subkey re-routes in the step like any other key.
             self.splits.rewrite(ev.op, &mut ev.event.key, || self.now_us());
             // Muppet 1.0 invariant: a worker is bound to exactly one function.
             debug_assert!(
@@ -254,111 +216,16 @@ impl Shared {
             if enqueued_us > 0 {
                 // The queue-wait span: stamped at local enqueue by a
                 // sampler hit, closed when the drain reaches the event.
-                stages.queue_wait.record(self.now_us().saturating_sub(enqueued_us));
+                self.stats.stages.queue_wait.record(self.now_us().saturating_sub(enqueued_us));
             }
-            let step = match &self.ops[ev.op] {
-                OpInstance::Map(mapper) => {
-                    // Mappers need no membership lock; an open updater
-                    // run's guard is left in place and the mapper's fan-out
-                    // joins the deferred queue like everyone else's.
-                    let service_t0 = stages.sampler_service.hit().then(|| self.now_us());
-                    let mut emitter = VecEmitter::new();
-                    match catch_unwind(AssertUnwindSafe(|| mapper.map(&mut emitter, &ev.event))) {
-                        Err(payload) => Step::Poisoned(payload),
-                        Ok(()) => {
-                            if let Some(t0) = service_t0 {
-                                stages.service[ev.op].record(self.now_us().saturating_sub(t0));
-                            }
-                            Step::Processed(emitter.take())
-                        }
-                    }
-                }
-                OpInstance::Update { updater, name, ttl_secs } => 'update: {
-                    // With a store backend attached, a memo-missing event's
-                    // get_or_load below may do real I/O (disk, or a remote
-                    // store RPC). Close the run first so a waiting
-                    // membership writer (join prepare/commit) gets in
-                    // between I/O-bound events instead of stalling behind a
-                    // whole batch of sequential loads. Store-less engines
-                    // load from memory in microseconds and keep the full run
-                    // amortization.
-                    let memo_hit = matches!(&run.memo, Some((m_op, m_key, _))
-                        if *m_op == ev.op && *m_key == ev.event.key);
-                    if self.has_backend && run.guard.is_some() && !memo_hit {
-                        run.close(self, touched);
-                    }
-                    // The ownership check, under the membership read lock
-                    // held across the whole slate mutation (and, amortized,
-                    // across the run): a membership change (write lock) can
-                    // only land between runs, never mid-update — so the
-                    // prepare-phase flush sees every completed write, and no
-                    // worker mutates a slate its machine has already handed
-                    // off.
-                    let membership = run.guard.get_or_insert_with(|| self.membership.read());
-                    let owner = membership.owner(ev.op, route);
-                    if let Some(owner) = owner.filter(|at| at.machine != machine_id) {
-                        break 'update Step::Forwarded(owner);
-                    }
-                    // lint: allow(no-unwrap-in-prod) — 2.0 machines build a central cache, 1.0 one per updater thread
-                    let cache = machine.cache_of(thread).expect("updater thread has a cache");
-                    let (op, key) = (ev.op, &ev.event.key);
-                    cache.offer_hot(op, key);
-                    let now = self.now_us();
-                    self.splits.sample(op, key, || cache.hot_estimate(op, key), now);
-                    let service_sampled = stages.sampler_service.hit();
-                    let slot = match &run.memo {
-                        Some((m_op, m_key, m_slot)) if *m_op == op && m_key == key => {
-                            cache.note_memo_hit(op, m_slot, now);
-                            Arc::clone(m_slot)
-                        }
-                        _ => {
-                            let s = cache.get_or_load(op, name, key, *ttl_secs, now);
-                            run.memo = Some((op, key.clone(), Arc::clone(&s)));
-                            // A miss may have chosen victims.
-                            self.claim_retire(cache, &mut retire_owed);
-                            s
-                        }
-                    };
-                    let mut emitter = VecEmitter::new();
-                    let outcome = {
-                        let mut state = slot.state.lock();
-                        let r = catch_unwind(AssertUnwindSafe(|| {
-                            updater.update(&mut emitter, &ev.event, &mut state.slate)
-                        }));
-                        // A panicking updater gets no dirty-marking: its
-                        // half-mutated slate must never be flushed.
-                        if r.is_ok() {
-                            cache.note_write(&slot, &mut state, now);
-                        }
-                        r
-                    };
-                    if let Err(payload) = outcome {
-                        // The updater may have left the slate half-mutated,
-                        // so evict the cached slot — the next touch refaults
-                        // the last good version from the store.
-                        run.memo = None;
-                        cache.discard(op, key);
-                        break 'update Step::Poisoned(payload);
-                    }
-                    if service_sampled {
-                        // Service span: slate fetch (cache or store) + the
-                        // update under the slot lock.
-                        stages.service[op].record(self.now_us().saturating_sub(now));
-                    }
-                    self.stats.latency.record(self.now_us().saturating_sub(ev.injected_us));
-                    Step::Processed(emitter.take())
-                }
-            };
+            let step = self.step(machine, machine_id, thread, &ev, route, &mut retire_owed);
             machine.in_flight[thread].store(0, Ordering::Release);
             match step {
                 Step::Processed(records) => {
                     self.stats.processed.inc();
-                    run.finished.push(Finished { ev, records });
+                    self.finish_event(&ev, records, touched);
                 }
                 Step::Forwarded(owner) => {
-                    // Forwarding re-enters the send path (and, for a local
-                    // owner, the membership lock): close the run first.
-                    run.close(self, touched);
                     self.forward(ev, owner, touched);
                     self.ledger.settle(1);
                 }
@@ -369,8 +236,85 @@ impl Shared {
                 Step::Poisoned(payload) => self.dead_letter(ev, payload),
             }
         }
-        run.close(self, touched);
         retire_owed
+    }
+
+    /// Run one event's map or update and say what it did; the caller
+    /// performs the result. A mapper takes no lock. An updater checks
+    /// ownership under a membership read guard held across the whole slate
+    /// mutation and dropped when the step returns: a membership change
+    /// (write lock) lands between two events, never mid-update — so the
+    /// prepare-phase flush sees every completed write, and no worker
+    /// mutates a slate its machine has already handed off. Fan-out
+    /// re-enters that lock on the local send path, so it runs after the
+    /// step, not inside it.
+    fn step(
+        &self,
+        machine: &Machine,
+        machine_id: usize,
+        thread: usize,
+        ev: &WireEvent,
+        route: u64,
+        retire_owed: &mut bool,
+    ) -> Step {
+        let stages = &self.stats.stages;
+        let (op, key) = (ev.op, &ev.event.key);
+        let (updater, name, ttl_secs) = match &self.ops[op] {
+            OpInstance::Map(mapper) => {
+                let service_t0 = stages.sampler_service.hit().then(|| self.now_us());
+                let mut emitter = VecEmitter::new();
+                if let Err(payload) =
+                    catch_unwind(AssertUnwindSafe(|| mapper.map(&mut emitter, &ev.event)))
+                {
+                    return Step::Poisoned(payload);
+                }
+                if let Some(t0) = service_t0 {
+                    stages.service[op].record(self.now_us().saturating_sub(t0));
+                }
+                return Step::Processed(emitter.take());
+            }
+            OpInstance::Update { updater, name, ttl_secs } => (updater, name, *ttl_secs),
+        };
+        let membership = self.membership.read();
+        if let Some(owner) = membership.owner(op, route).filter(|at| at.machine != machine_id) {
+            return Step::Forwarded(owner);
+        }
+        // lint: allow(no-unwrap-in-prod) — 2.0 machines build a central cache, 1.0 one per updater thread
+        let cache = machine.cache_of(thread).expect("updater thread has a cache");
+        cache.offer_hot(op, key);
+        let now = self.now_us();
+        self.splits.sample(op, key, || cache.hot_estimate(op, key), now);
+        let service_sampled = stages.sampler_service.hit();
+        let slot = cache.get_or_load(op, name, key, ttl_secs, now);
+        // A miss may have chosen victims.
+        self.claim_retire(cache, retire_owed);
+        let mut emitter = VecEmitter::new();
+        let outcome = {
+            let mut state = slot.state.lock();
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                updater.update(&mut emitter, &ev.event, &mut state.slate)
+            }));
+            // A panicking updater gets no dirty-marking: its half-mutated
+            // slate must never be flushed.
+            if r.is_ok() {
+                cache.note_write(&slot, &mut state, now);
+            }
+            r
+        };
+        if let Err(payload) = outcome {
+            // The updater may have left the slate half-mutated, so evict the
+            // cached slot — the next touch refaults the last good version
+            // from the store.
+            cache.discard(op, key);
+            return Step::Poisoned(payload);
+        }
+        if service_sampled {
+            // Service span: slate fetch (cache or store) + the update under
+            // the slot lock.
+            stages.service[op].record(self.now_us().saturating_sub(now));
+        }
+        self.stats.latency.record(self.now_us().saturating_sub(ev.injected_us));
+        Step::Processed(emitter.take())
     }
 
     /// Map-side pre-aggregation over one drained batch: [`fold_runs`]
@@ -485,5 +429,68 @@ impl Shared {
                 cache.retire_evicted(now); // nothing lingers when traffic stops
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+
+    use super::*;
+    use crate::engine::testkit;
+
+    /// A two-machine store-less engine, machine 0, and the first
+    /// `testkit::event` key machine `owner` owns, as updater `U`'s event.
+    fn setup(owner: usize) -> (crate::engine::Engine, Arc<Machine>, WireEvent, u64) {
+        let engine = testkit::start(testkit::config(2, 64), None, None, &Arc::default());
+        let shared = testkit::shared(&engine);
+        let machine = shared.machine(0).unwrap();
+        let (ev, route) = (0..)
+            .map(|k| {
+                let ev = fresh(testkit::event(k), 0, false, true);
+                let route = ev.event.key.route_hash("U");
+                (ev, route)
+            })
+            .find(|(_, route)| {
+                shared.membership.read().owner(0, *route).map(|at| at.machine) == Some(owner)
+            })
+            .unwrap();
+        (engine, machine, ev, route)
+    }
+
+    #[test]
+    fn a_step_forwards_a_key_owned_elsewhere_before_touching_the_cache() {
+        let (engine, machine, ev, route) = setup(1);
+        let shared = testkit::shared(&engine);
+        let mut owed = false;
+        let step = shared.step(&machine, 0, 0, &ev, route, &mut owed);
+        assert!(matches!(step, Step::Forwarded(at) if at.machine == 1));
+        let cache = machine.cache_of(0).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0), "ownership is checked before the load");
+        assert!(cache.keys_of(0).is_empty(), "no slot for a key machine 1 owns");
+        assert!(!owed);
+        testkit::halt(engine);
+    }
+
+    #[test]
+    fn a_steps_membership_guard_ends_with_its_event() {
+        let (engine, machine, ev, route) = setup(0);
+        let shared = Arc::clone(testkit::shared(&engine));
+        let mut owed = false;
+        let step = shared.step(&machine, 0, 0, &ev, route, &mut owed);
+        assert!(matches!(step, Step::Processed(_)));
+        assert_eq!(machine.cache_of(0).unwrap().stats().misses, 1);
+        // A leaked read guard would block the writer for good: wait in a
+        // detached thread so the test fails instead of hanging.
+        let (tx, rx) = mpsc::channel();
+        let writer = Arc::clone(&shared);
+        let writer = std::thread::spawn(move || {
+            drop(writer.membership.write());
+            tx.send(()).unwrap();
+        });
+        assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok(), "membership writer blocked");
+        writer.join().unwrap();
+        testkit::halt(engine);
     }
 }

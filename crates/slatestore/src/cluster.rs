@@ -110,7 +110,8 @@ pub struct ClusterStats {
     pub node: NodeStats,
     /// Successful quorum writes.
     pub writes_ok: u64,
-    /// Batched write calls ([`StoreCluster::put_many`] chunks).
+    /// Write calls: every [`StoreCluster::put_many`] chunk, and every
+    /// single put (a one-cell chunk).
     pub write_batches: u64,
     /// Successful quorum reads.
     pub reads_ok: u64,
@@ -164,7 +165,10 @@ impl StoreCluster {
         self.ring.owners(muppet_core::hash::fx64(&item), self.cfg.replication)
     }
 
-    /// Write a JSON/raw `value` at the default consistency.
+    /// Write a JSON/raw `value` at the default consistency. Every single
+    /// put is a one-cell [`StoreCluster::put_many`] chunk: a replica whose
+    /// node write fails counts as not acked, and the consistency level
+    /// decides whether the put succeeds.
     pub fn put(
         &self,
         key: &CellKey,
@@ -184,7 +188,10 @@ impl StoreCluster {
         ttl_secs: Option<u64>,
         now: u64,
     ) -> StoreResult<()> {
-        self.put_inner(key, value, codec, ttl_secs, now, self.cfg.consistency)
+        let acks =
+            self.put_chunk(&[(key.clone(), value, codec, ttl_secs)], now, self.cfg.consistency);
+        // lint: allow(no-unwrap-in-prod) — put_chunk returns one result per cell
+        acks.into_iter().next().expect("one result per cell")
     }
 
     /// Write with an explicit consistency level (JSON/raw payload).
@@ -196,43 +203,9 @@ impl StoreCluster {
         now: u64,
         consistency: Consistency,
     ) -> StoreResult<()> {
-        self.put_inner(key, value, Codec::Json, ttl_secs, now, consistency)
-    }
-
-    fn put_inner(
-        &self,
-        key: &CellKey,
-        value: &[u8],
-        codec: Codec,
-        ttl_secs: Option<u64>,
-        now: u64,
-        consistency: Consistency,
-    ) -> StoreResult<()> {
-        let stored: Bytes = if self.cfg.compress_values {
-            compress(value).into()
-        } else {
-            Bytes::copy_from_slice(value)
-        };
-        let replicas = self.replica_set(key);
-        let required = consistency.required(replicas.len());
-        let mut acked = 0usize;
-        for &id in &replicas {
-            let node = &self.nodes[id];
-            if !node.up.load(Ordering::Acquire) {
-                continue;
-            }
-            node.store.lock().put_tagged(key.clone(), stored.clone(), codec, ttl_secs, now)?;
-            acked += 1;
-        }
-        let mut stats = self.stats.lock();
-        stats.raw_bytes += value.len() as u64;
-        stats.stored_bytes += stored.len() as u64 * replicas.len() as u64;
-        if acked >= required {
-            stats.writes_ok += 1;
-            Ok(())
-        } else {
-            Err(StoreError::QuorumFailed { required, acked })
-        }
+        let acks = self.put_chunk(&[(key.clone(), value, Codec::Json, ttl_secs)], now, consistency);
+        // lint: allow(no-unwrap-in-prod) — put_chunk returns one result per cell
+        acks.into_iter().next().expect("one result per cell")
     }
 
     /// Write a run of cells at the default consistency — the batched half
@@ -249,15 +222,17 @@ impl StoreCluster {
     ) -> Vec<StoreResult<()>> {
         let mut out: Vec<StoreResult<()>> = Vec::with_capacity(items.len());
         for chunk in items.chunks(PUT_BATCH_MAX) {
-            out.extend(self.put_chunk(chunk, now));
+            out.extend(self.put_chunk(chunk, now, self.cfg.consistency));
         }
         out
     }
 
+    /// Write one chunk of cells, each acked at `consistency` on its own.
     fn put_chunk(
         &self,
         items: &[(CellKey, &[u8], Codec, Option<u64>)],
         now: u64,
+        consistency: Consistency,
     ) -> Vec<StoreResult<()>> {
         // Compress once per cell, then fan the prepared bytes out to the
         // replica sets.
@@ -308,7 +283,7 @@ impl StoreCluster {
         stats.write_batches += 1;
         let mut out = Vec::with_capacity(items.len());
         for (idx, (key_value, replicas)) in items.iter().zip(prepared.iter()).enumerate() {
-            let required = self.cfg.consistency.required(replicas.1.len());
+            let required = consistency.required(replicas.1.len());
             stats.raw_bytes += key_value.1.len() as u64;
             stats.stored_bytes += prepared[idx].0.len() as u64 * replicas.1.len() as u64;
             if acked[idx] >= required {

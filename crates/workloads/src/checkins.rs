@@ -86,12 +86,6 @@ impl CheckinGenerator {
         self
     }
 
-    /// Override the arrival process.
-    pub fn with_arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
     /// All venue names this generator can emit.
     pub fn venues(&self) -> &[&'static str] {
         &self.venues

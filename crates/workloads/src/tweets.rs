@@ -68,21 +68,9 @@ impl TweetGenerator {
         }
     }
 
-    /// Override the arrival process.
-    pub fn with_arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
     /// Plant a hot-topic burst.
     pub fn with_burst(mut self, burst: PlantedBurst) -> Self {
         self.bursts.push(burst);
-        self
-    }
-
-    /// Override the retweet probability.
-    pub fn with_retweet_prob(mut self, p: f64) -> Self {
-        self.retweet_prob = p.clamp(0.0, 1.0);
         self
     }
 
@@ -222,15 +210,5 @@ mod tests {
             hits as f64 / in_window as f64 > 0.4,
             "boosted topic should dominate: {hits}/{in_window}"
         );
-    }
-
-    #[test]
-    fn retweet_probability_zero_suppresses_references() {
-        let mut gen = TweetGenerator::new(9, 20, 100.0).with_retweet_prob(0.0);
-        for ev in gen.take("S1", 100) {
-            let v = Json::from_payload(&ev.value).unwrap();
-            assert!(v.get("retweet_of").is_none());
-            assert!(v.get("reply_to").is_none());
-        }
     }
 }
