@@ -108,16 +108,6 @@ impl Histogram {
             max_us: self.max_us(),
         }
     }
-
-    /// Reset all counters.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_us.store(0, Ordering::Relaxed);
-        self.max_us.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time latency digest.
@@ -201,15 +191,6 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert_eq!(h.max_us(), u64::MAX);
         assert!(h.percentile_us(0.5) > 0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let h = Histogram::new();
-        h.record(5);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.max_us(), 0);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! buildup, and slow machines in production — needs three things the
 //! processing path must provide without slowing down:
 //!
-//! * **[`Registry`]** — named [`Counter`]/[`Gauge`]/[`Histogram`] handles
-//!   (plain atomics, zero allocation to record) plus pull-style
-//!   *collectors* for state that is not a count or lives elsewhere
-//!   (gauges, wire stats, WAL sync counts). One [`Registry::render`]
-//!   call produces the Prometheus text exposition.
+//! * **[`Registry`]** — named [`Counter`]/[`Histogram`] handles (plain
+//!   atomics, zero allocation to record) plus pull-style *collectors* for
+//!   state that is not a count or lives elsewhere (every gauge, wire
+//!   stats, WAL sync counts). One [`Registry::render`] call produces the
+//!   Prometheus text exposition.
 //! * **[`SpaceSaving`]** — the fixed-size heavy-hitters sketch behind
 //!   per-⟨op, key⟩ rate telemetry (the hot-key signal ROADMAP item 5's
 //!   auto-splitting will act on).
@@ -27,7 +27,6 @@ mod sketch;
 pub use histogram::{Histogram, LatencySummary, BUCKETS};
 pub use logger::{FieldValue, Level, Logger};
 pub use registry::{
-    parse_exposition, Counter, Gauge, HistogramSnapshot, ParsedSample, Registry, Sample, Sampler,
-    Value,
+    parse_exposition, Counter, HistogramSnapshot, ParsedSample, Registry, Sample, Sampler, Value,
 };
 pub use sketch::{HeavyHitter, SpaceSaving};

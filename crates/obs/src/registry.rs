@@ -4,20 +4,18 @@
 //! Two registration styles, matching how the workspace's counters
 //! actually live:
 //!
-//! * **Handles** ([`Counter`], [`Gauge`], [`Histogram`]) — created
-//!   through the registry, cloned onto the hot path, recorded with one
-//!   relaxed atomic op and zero allocation. Every count the engine
-//!   records is one of these.
+//! * **Handles** ([`Counter`], [`Histogram`]) — created through the
+//!   registry, cloned onto the hot path, recorded with one relaxed atomic
+//!   op and zero allocation. Every count the engine records is one of
+//!   these.
 //! * **Collectors** — closures run at scrape time that emit [`Sample`]s
-//!   from state that is not a count or lives in another crate (gauges,
-//!   `TcpStats`, WAL sync counts, the heavy-hitter sketches).
+//!   from state that is not a count or lives in another crate: every
+//!   gauge, `TcpStats`, WAL sync counts, the heavy-hitter sketches.
 //!
-//! [`Registry::render`] merges both into one exposition document;
-//! [`Registry::snapshot`] flattens the same data into ⟨name, value⟩
-//! pairs for bench stamping.
+//! [`Registry::render`] merges both into one exposition document.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use muppet_core::sync::Mutex;
@@ -41,27 +39,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge handle (a value that can go down). Clones share the cell.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Set the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `n` (may be negative).
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -124,7 +101,8 @@ impl Sample {
         Sample { name: name.into(), labels: owned_labels(labels), value: Value::Counter(v) }
     }
 
-    /// Convenience: a gauge sample.
+    /// Convenience: a gauge sample (the only way a gauge reaches the
+    /// registry: a collector emits it at scrape time).
     pub fn gauge(name: &str, labels: &[(&str, &str)], v: i64) -> Sample {
         Sample { name: name.into(), labels: owned_labels(labels), value: Value::Gauge(v) }
     }
@@ -145,9 +123,9 @@ fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
     labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
 }
 
+#[derive(Clone)]
 enum Handle {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Arc<Histogram>),
 }
 
@@ -161,9 +139,6 @@ type CollectorFn = Box<dyn Fn(&mut Vec<Sample>) + Send + Sync>;
 #[derive(Default)]
 struct Inner {
     families: BTreeMap<String, Family>,
-    /// HELP text for families emitted by collectors (no handle to hang
-    /// the text on).
-    described: BTreeMap<String, String>,
     collectors: Vec<CollectorFn>,
 }
 
@@ -197,49 +172,10 @@ impl Registry {
     /// Get or create a counter with labels. Repeated calls with the same
     /// ⟨name, labels⟩ return handles sharing one cell.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let labels = owned_labels(labels);
-        let mut inner = self.inner.lock();
-        let family = inner
-            .families
-            .entry(name.to_string())
-            .or_insert_with(|| Family { help: help.to_string(), metrics: Vec::new() });
-        for (ls, handle) in &family.metrics {
-            if *ls == labels {
-                match handle {
-                    Handle::Counter(c) => return c.clone(),
-                    _ => panic!("metric {name} already registered with a different type"),
-                }
-            }
+        match self.handle(name, help, labels, || Handle::Counter(Counter::default())) {
+            Handle::Counter(c) => c,
+            Handle::Histogram(_) => panic!("metric {name} already registered as a histogram"),
         }
-        let c = Counter::default();
-        family.metrics.push((labels, Handle::Counter(c.clone())));
-        c
-    }
-
-    /// Get or create an unlabeled gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Get or create a gauge with labels.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let labels = owned_labels(labels);
-        let mut inner = self.inner.lock();
-        let family = inner
-            .families
-            .entry(name.to_string())
-            .or_insert_with(|| Family { help: help.to_string(), metrics: Vec::new() });
-        for (ls, handle) in &family.metrics {
-            if *ls == labels {
-                match handle {
-                    Handle::Gauge(g) => return g.clone(),
-                    _ => panic!("metric {name} already registered with a different type"),
-                }
-            }
-        }
-        let g = Gauge::default();
-        family.metrics.push((labels, Handle::Gauge(g.clone())));
-        g
     }
 
     /// Get or create an unlabeled histogram.
@@ -254,34 +190,39 @@ impl Registry {
         help: &str,
         labels: &[(&str, &str)],
     ) -> Arc<Histogram> {
+        match self.handle(name, help, labels, || Handle::Histogram(Arc::new(Histogram::new()))) {
+            Handle::Histogram(h) => h,
+            Handle::Counter(_) => panic!("metric {name} already registered as a counter"),
+        }
+    }
+
+    /// The handle registered under ⟨`name`, `labels`⟩, or a new one from
+    /// `make`.
+    fn handle(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> Handle,
+    ) -> Handle {
         let labels = owned_labels(labels);
         let mut inner = self.inner.lock();
         let family = inner
             .families
             .entry(name.to_string())
             .or_insert_with(|| Family { help: help.to_string(), metrics: Vec::new() });
-        for (ls, handle) in &family.metrics {
-            if *ls == labels {
-                match handle {
-                    Handle::Histogram(h) => return Arc::clone(h),
-                    _ => panic!("metric {name} already registered with a different type"),
-                }
-            }
+        if let Some((_, handle)) = family.metrics.iter().find(|(ls, _)| *ls == labels) {
+            return handle.clone();
         }
-        let h = Arc::new(Histogram::new());
-        family.metrics.push((labels, Handle::Histogram(Arc::clone(&h))));
-        h
+        let handle = make();
+        family.metrics.push((labels, handle.clone()));
+        handle
     }
 
     /// Register a pull-style collector: called at every scrape to emit
     /// samples from state living outside the registry.
     pub fn collector(&self, f: impl Fn(&mut Vec<Sample>) + Send + Sync + 'static) {
         self.inner.lock().collectors.push(Box::new(f));
-    }
-
-    /// Attach HELP text to a family emitted by collectors.
-    pub fn describe(&self, name: &str, help: &str) {
-        self.inner.lock().described.insert(name.to_string(), help.to_string());
     }
 
     /// Collect every sample: handle families first, then collector
@@ -293,7 +234,6 @@ impl Registry {
             for (labels, handle) in &family.metrics {
                 let value = match handle {
                     Handle::Counter(c) => Value::Counter(c.get()),
-                    Handle::Gauge(g) => Value::Gauge(g.get()),
                     Handle::Histogram(h) => Value::Histogram(HistogramSnapshot {
                         bucket_counts: h.bucket_counts(),
                         sum: h.sum_us(),
@@ -318,11 +258,9 @@ impl Registry {
         for s in samples {
             by_family.entry(s.name.clone()).or_default().push(s);
         }
-        let (helps, described) = {
+        let helps: BTreeMap<String, String> = {
             let inner = self.inner.lock();
-            let helps: BTreeMap<String, String> =
-                inner.families.iter().map(|(n, f)| (n.clone(), f.help.clone())).collect();
-            (helps, inner.described.clone())
+            inner.families.iter().map(|(n, f)| (n.clone(), f.help.clone())).collect()
         };
         let mut out = String::new();
         for (name, samples) in by_family {
@@ -331,7 +269,7 @@ impl Registry {
                 Value::Gauge(_) => "gauge",
                 Value::Histogram(_) => "histogram",
             };
-            if let Some(help) = helps.get(&name).or_else(|| described.get(&name)) {
+            if let Some(help) = helps.get(&name) {
                 if !help.is_empty() {
                     out.push_str(&format!("# HELP {name} {}\n", escape_help(help)));
                 }
@@ -343,32 +281,6 @@ impl Registry {
         }
         out
     }
-
-    /// Flatten every sample into ⟨flat name, value⟩ pairs (histograms
-    /// contribute `_count` and `_sum`) — the bench-stamping snapshot.
-    pub fn snapshot(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        for s in self.gather() {
-            let flat = flat_name(&s.name, &s.labels);
-            match s.value {
-                Value::Counter(v) => out.push((flat, v as f64)),
-                Value::Gauge(v) => out.push((flat, v as f64)),
-                Value::Histogram(h) => {
-                    out.push((format!("{flat}_count"), h.count as f64));
-                    out.push((format!("{flat}_sum"), h.sum as f64));
-                }
-            }
-        }
-        out
-    }
-}
-
-fn flat_name(name: &str, labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
-    }
-    let ls: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    format!("{name}{{{}}}", ls.join(","))
 }
 
 fn escape_help(help: &str) -> String {
@@ -564,15 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_goes_down() {
-        let reg = Registry::new();
-        let g = reg.gauge("depth", "queue depth");
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
-    }
-
-    #[test]
     fn render_emits_help_and_type_once_per_family() {
         let reg = Registry::new();
         reg.counter_with("z_total", "the z counter", &[("k", "a")]);
@@ -602,23 +505,20 @@ mod tests {
         let reg = Registry::new();
         let n = Arc::new(AtomicU64::new(41));
         let n2 = Arc::clone(&n);
-        reg.describe("ext_total", "externally owned");
         reg.collector(move |out| {
             out.push(Sample::counter("ext_total", &[], n2.load(Ordering::Relaxed)));
         });
         n.fetch_add(1, Ordering::Relaxed);
         let text = reg.render();
-        assert!(text.contains("# HELP ext_total externally owned"), "{text}");
         assert!(text.contains("ext_total 42"), "{text}");
     }
 
     #[test]
     fn exposition_round_trips() {
         let reg = Registry::new();
-        let c = reg.counter("events_total", "all events");
+        let c = reg.counter("events_total", "all \"events\"\nand \\slashes");
         c.add(7);
-        let g = reg.gauge_with("depth", "with \"quotes\" and \\slashes", &[("peer", "a\"b\\c")]);
-        g.set(-5);
+        reg.collector(|out| out.push(Sample::gauge("depth", &[("peer", "a\"b\\c")], -5)));
         let h = reg.histogram_with("lat_us", "", &[("stage", "ingest")]);
         h.record(100);
         h.record(200_000);
@@ -644,19 +544,6 @@ mod tests {
             assert!(b.value >= prev, "cumulative buckets never decrease");
             prev = b.value;
         }
-    }
-
-    #[test]
-    fn snapshot_flattens_names() {
-        let reg = Registry::new();
-        reg.counter("a_total", "").add(3);
-        reg.counter_with("b_total", "", &[("op", "x")]).add(4);
-        reg.histogram("h_us", "").record(9);
-        let snap: BTreeMap<String, f64> = reg.snapshot().into_iter().collect();
-        assert_eq!(snap["a_total"], 3.0);
-        assert_eq!(snap["b_total{op=x}"], 4.0);
-        assert_eq!(snap["h_us_count"], 1.0);
-        assert_eq!(snap["h_us_sum"], 9.0);
     }
 
     #[test]

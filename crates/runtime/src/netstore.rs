@@ -12,9 +12,7 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use muppet_core::event::Key;
-use muppet_core::Codec;
 use muppet_net::frame::{StoreGetItem, StorePutItem};
 use muppet_net::transport::{MachineId, Transport};
 
@@ -34,37 +32,11 @@ impl RemoteBackend {
 }
 
 impl SlateBackend for RemoteBackend {
-    // A single slate is a batch of one: one wire round trip either way, a
-    // wire failure reads as a miss / leaves the slate dirty.
-    fn load(&self, updater: &str, key: &Key, now_us: u64) -> Option<Vec<u8>> {
-        self.load_many(&[(Arc::from(updater), key.clone())], now_us).pop().flatten()
-    }
-
-    fn store(
-        &self,
-        updater: &str,
-        key: &Key,
-        bytes: &[u8],
-        codec: Codec,
-        ttl_secs: Option<u64>,
-        now_us: u64,
-    ) -> bool {
-        let item = FlushItem {
-            updater: Arc::from(updater),
-            key: key.clone(),
-            bytes: Bytes::copy_from_slice(bytes),
-            codec,
-            ttl_secs,
-        };
-        self.store_many(&[item], now_us)[0]
-    }
-
     fn store_many(&self, items: &[FlushItem], now_us: u64) -> Vec<bool> {
         // One `StorePut` frame for the whole run: a flush tick of N
         // dirty slates costs one wire round trip instead of N. A wire
         // failure fails the batch wholesale — every slate stays dirty and
-        // the next sweep retries (identical posture to the per-slate
-        // path, amortized).
+        // the next sweep retries.
         let wire: Vec<StorePutItem> = items
             .iter()
             .map(|item| StorePutItem {
@@ -100,6 +72,7 @@ impl SlateBackend for RemoteBackend {
 mod tests {
     use super::*;
     use muppet_core::sync::Mutex;
+    use muppet_core::Codec;
     use muppet_net::topology::Topology;
     use muppet_net::transport::{ClusterHandler, NetError};
     use muppet_net::{TcpTransport, WireEvent};

@@ -300,7 +300,6 @@ mod deferred_eviction {
 
     use muppet_core::event::Key;
     use muppet_core::sync::Mutex;
-    use muppet_core::Codec;
     use muppet_runtime::cache::{FlushItem, FlushPolicy, SlateBackend, SlateCache};
     use proptest::prelude::*;
     use proptest::TestRng;
@@ -317,20 +316,18 @@ mod deferred_eviction {
     }
 
     impl SlateBackend for Recording {
-        fn load(&self, _updater: &str, key: &Key, _now: u64) -> Option<Vec<u8>> {
-            self.data.lock().get(key).cloned()
+        fn load_many(&self, items: &[(Arc<str>, Key)], _now: u64) -> Vec<Option<Vec<u8>>> {
+            let data = self.data.lock();
+            items.iter().map(|(_, key)| data.get(key).cloned()).collect()
         }
-        fn store(&self, _u: &str, k: &Key, v: &[u8], _c: Codec, _t: Option<u64>, _n: u64) -> bool {
-            self.data.lock().insert(k.clone(), v.to_vec());
-            true
-        }
-        fn store_many(&self, items: &[FlushItem], now: u64) -> Vec<bool> {
+        fn store_many(&self, items: &[FlushItem], _now: u64) -> Vec<bool> {
             let refuse = self.refuse_next.swap(false, Ordering::AcqRel);
             self.refused.fetch_add(u64::from(refuse), Ordering::Relaxed);
-            items
-                .iter()
-                .map(|i| !refuse && self.store(&i.updater, &i.key, &i.bytes, i.codec, None, now))
-                .collect()
+            if !refuse {
+                let mut data = self.data.lock();
+                items.iter().for_each(|i| _ = data.insert(i.key.clone(), i.bytes.to_vec()));
+            }
+            vec![!refuse; items.len()]
         }
     }
 

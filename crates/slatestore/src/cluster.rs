@@ -179,21 +179,6 @@ impl StoreCluster {
         self.put_with(key, value, ttl_secs, now, self.cfg.consistency)
     }
 
-    /// Write a codec-tagged value at the default consistency.
-    pub fn put_tagged(
-        &self,
-        key: &CellKey,
-        value: &[u8],
-        codec: Codec,
-        ttl_secs: Option<u64>,
-        now: u64,
-    ) -> StoreResult<()> {
-        let acks =
-            self.put_chunk(&[(key.clone(), value, codec, ttl_secs)], now, self.cfg.consistency);
-        // lint: allow(no-unwrap-in-prod) — put_chunk returns one result per cell
-        acks.into_iter().next().expect("one result per cell")
-    }
-
     /// Write with an explicit consistency level (JSON/raw payload).
     pub fn put_with(
         &self,
@@ -658,13 +643,14 @@ mod tests {
         let (_dir, c) = cluster(Consistency::Quorum);
         let doc = muppet_core::Json::parse(r#"{"count": 3, "tags": ["a","b"]}"#).unwrap();
         let mbf = doc.to_mbf().unwrap();
-        c.put_tagged(&key("bin"), &mbf, Codec::Mbf, None, 10).unwrap();
+        let tagged = [(key("bin"), &mbf[..], Codec::Mbf, None)];
+        assert!(c.put_many(&tagged, 10).iter().all(Result::is_ok));
         let (got, codec) = c.get_tagged(&key("bin"), 11).unwrap().unwrap();
         assert_eq!(codec, Codec::Mbf);
         assert_eq!(got.as_ref(), mbf.as_slice());
         // Repair a stale replica and confirm the tag travels with the value.
         c.node_down(0);
-        c.put_tagged(&key("bin"), &mbf, Codec::Mbf, None, 20).unwrap();
+        assert!(c.put_many(&tagged, 20).iter().all(Result::is_ok));
         c.node_up(0);
         c.get_with(&key("bin"), 30, Consistency::All).unwrap();
         c.node_down(1);

@@ -64,24 +64,14 @@ use muppet::runtime::http::http_post;
 use muppet::slatestore::cluster::{StoreCluster, StoreConfig};
 use muppet_net::topology::Topology;
 
+/// The parsed command line: the engine's configuration (an elastic
+/// join's grant included), and what the engine does not take.
 struct Options {
+    cfg: EngineConfig,
     topology: Topology,
     node: usize,
     app: String,
-    kind: EngineKind,
-    workers: usize,
-    store_host: Option<usize>,
     data_dir: Option<String>,
-    latency_sample_n: u64,
-    log_level: Level,
-    log_json: bool,
-    /// Elastic join: the cluster as the master's grant described it.
-    join: Option<ClusterView>,
-    ingest_wal: Option<String>,
-    ingest_sync_each: bool,
-    wire_codec: CodecChoice,
-    combine: bool,
-    hot_split_threshold: u64,
 }
 
 fn usage() -> ! {
@@ -152,27 +142,17 @@ fn reserve_join(master_http: &str, listen: &str) -> JoinGrant {
 
 fn parse_args() -> Options {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Unlike library embeddings (silent by default), a daemon logs its
+    // operational incidents.
+    let mut cfg =
+        EngineConfig { workers_per_op: 4, log_level: Level::Info, ..EngineConfig::default() };
     let mut topology: Option<Topology> = None;
     let mut node: Option<usize> = None;
     let mut app = "hot_topics".to_string();
-    let mut kind = EngineKind::Muppet2;
-    let mut workers = 4;
-    let mut store_host = None;
     let mut data_dir = None;
     let mut master: Option<usize> = None;
     let mut join: Option<String> = None;
     let mut listen: Option<String> = None;
-    let defaults = EngineConfig::default();
-    let mut latency_sample_n = defaults.latency_sample_n;
-    // Unlike library embeddings (silent by default), a daemon logs its
-    // operational incidents.
-    let mut log_level = Level::Info;
-    let mut log_json = false;
-    let mut ingest_wal = None;
-    let mut ingest_sync_each = false;
-    let mut wire_codec = defaults.wire_codec;
-    let mut combine = defaults.combine;
-    let mut hot_split_threshold = defaults.hot_split_threshold;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -197,7 +177,7 @@ fn parse_args() -> Options {
             "--listen" => listen = Some(value().to_string()),
             "--app" => app = value().to_string(),
             "--engine" => {
-                kind = match value() {
+                cfg.kind = match value() {
                     "muppet1" | "1" => EngineKind::Muppet1,
                     "muppet2" | "2" => EngineKind::Muppet2,
                     other => {
@@ -206,23 +186,26 @@ fn parse_args() -> Options {
                     }
                 }
             }
-            "--workers" => workers = value().parse().unwrap_or(4),
+            "--workers" => {
+                cfg.workers_per_machine = value().parse().unwrap_or(4);
+                cfg.workers_per_op = cfg.workers_per_machine;
+            }
             "--latency-sample-n" => {
-                latency_sample_n = value().parse().unwrap_or_else(|_| {
+                cfg.latency_sample_n = value().parse().unwrap_or_else(|_| {
                     eprintln!("muppetd: --latency-sample-n wants an event count");
                     usage()
                 })
             }
             "--log-level" => {
-                log_level = Level::parse(value()).unwrap_or_else(|| {
+                cfg.log_level = Level::parse(value()).unwrap_or_else(|| {
                     eprintln!("muppetd: --log-level wants debug|info|warn|error|off");
                     usage()
                 })
             }
-            "--log-json" => log_json = true,
-            "--ingest-wal" => ingest_wal = Some(value().to_string()),
+            "--log-json" => cfg.log_json = true,
+            "--ingest-wal" => cfg.ingest_wal = Some(value().into()),
             "--ingest-sync" => {
-                ingest_sync_each = match value() {
+                cfg.ingest_sync_each = match value() {
                     "each" => true,
                     "group" => false,
                     other => {
@@ -232,13 +215,13 @@ fn parse_args() -> Options {
                 }
             }
             "--wire-codec" => {
-                wire_codec = value().parse().unwrap_or_else(|_| {
+                cfg.wire_codec = value().parse().unwrap_or_else(|_| {
                     eprintln!("muppetd: --wire-codec wants auto|json|mbf");
                     usage()
                 })
             }
             "--combine" => {
-                combine = match value() {
+                cfg.combine = match value() {
                     "on" | "true" | "1" => true,
                     "off" | "false" | "0" => false,
                     other => {
@@ -248,12 +231,12 @@ fn parse_args() -> Options {
                 }
             }
             "--hot-split-threshold" => {
-                hot_split_threshold = value().parse().unwrap_or_else(|_| {
+                cfg.hot_split_threshold = value().parse().unwrap_or_else(|_| {
                     eprintln!("muppetd: --hot-split-threshold wants an event count");
                     usage()
                 })
             }
-            "--store-host" => store_host = value().parse().ok(),
+            "--store-host" => cfg.store_host = value().parse().ok(),
             "--data-dir" => data_dir = Some(value().to_string()),
             "--master" => master = value().parse().ok(),
             "--help" | "-h" => usage(),
@@ -264,57 +247,31 @@ fn parse_args() -> Options {
         }
     }
 
-    if let Some(master_http) = join {
-        // Elastic join: the grant supplies topology, id, epoch state —
-        // and the cluster's store host, unless overridden explicitly.
-        let listen = listen.unwrap_or_else(|| fail("--join requires --listen".to_string()));
-        let grant = reserve_join(&master_http, &listen);
-        return Options {
-            topology: grant.topology,
-            node: grant.id,
-            app,
-            kind,
-            workers,
-            store_host: store_host.or(grant.store_host),
-            data_dir,
-            latency_sample_n,
-            log_level,
-            log_json,
-            join: Some(grant.view),
-            ingest_wal,
-            ingest_sync_each,
-            wire_codec,
-            combine,
-            hot_split_threshold,
-        };
-    }
-
-    let mut topology = topology.unwrap_or_else(|| usage());
-    if let Some(m) = master {
-        topology.master = m;
-    }
-    let node = node.unwrap_or_else(|| usage());
-    if node >= topology.len() {
-        fail(format!("--node {node} not in topology of {} nodes", topology.len()));
-    }
-    Options {
-        topology,
-        node,
-        app,
-        kind,
-        workers,
-        store_host,
-        data_dir,
-        latency_sample_n,
-        log_level,
-        log_json,
-        join: None,
-        ingest_wal,
-        ingest_sync_each,
-        wire_codec,
-        combine,
-        hot_split_threshold,
-    }
+    let (topology, node) = match join {
+        Some(master_http) => {
+            // Elastic join: the grant supplies topology, id, epoch state —
+            // and the cluster's store host, unless overridden explicitly.
+            let listen = listen.unwrap_or_else(|| fail("--join requires --listen".to_string()));
+            let grant = reserve_join(&master_http, &listen);
+            cfg.store_host = cfg.store_host.or(grant.store_host);
+            cfg.joining = Some(grant.view);
+            (grant.topology, grant.id)
+        }
+        None => {
+            let mut topology = topology.unwrap_or_else(|| usage());
+            if let Some(m) = master {
+                topology.master = m;
+            }
+            let node = node.unwrap_or_else(|| usage());
+            if node >= topology.len() {
+                fail(format!("--node {node} not in topology of {} nodes", topology.len()));
+            }
+            (topology, node)
+        }
+    };
+    cfg.machines = topology.len();
+    cfg.transport = TransportKind::Tcp { topology: topology.clone(), local: node };
+    Options { cfg, topology, node, app, data_dir }
 }
 
 fn app_workflow_and_ops(app: &str) -> (Workflow, OperatorSet) {
@@ -355,15 +312,15 @@ extern "C" {
 const SIGTERM: i32 = 15;
 
 fn main() {
-    let opts = parse_args();
-    let (workflow, ops) = app_workflow_and_ops(&opts.app);
+    let Options { cfg, topology, node, app, data_dir } = parse_args();
+    let (workflow, ops) = app_workflow_and_ops(&app);
 
     // The store service: the hosting node opens a real cluster on disk;
     // other nodes reach it through the transport's store frames.
-    let store: Option<Arc<StoreCluster>> = match opts.store_host {
-        Some(host) if host == opts.node => {
-            let dir = opts.data_dir.clone().unwrap_or_else(|| {
-                format!("{}/muppetd-node{}", std::env::temp_dir().display(), opts.node)
+    let store: Option<Arc<StoreCluster>> = match cfg.store_host {
+        Some(host) if host == node => {
+            let dir = data_dir.unwrap_or_else(|| {
+                format!("{}/muppetd-node{}", std::env::temp_dir().display(), node)
             });
             // With an ingest WAL the store IS the checkpoint: the replay
             // cursor is only as durable as the store's own WAL, so sync
@@ -372,8 +329,8 @@ fn main() {
             // MBF as compaction touches them, so an upgraded cluster
             // converges to binary at rest without a migration pass.
             let store_cfg = StoreConfig {
-                wal_sync_each: opts.ingest_wal.is_some(),
-                compact_rewrite_mbf: opts.wire_codec.store_codec() == Codec::Mbf,
+                wal_sync_each: cfg.ingest_wal.is_some(),
+                compact_rewrite_mbf: cfg.wire_codec.store_codec() == Codec::Mbf,
                 ..StoreConfig::default()
             };
             match StoreCluster::open(&dir, store_cfg) {
@@ -387,25 +344,8 @@ fn main() {
         _ => None,
     };
 
-    let http_port = opts.topology.nodes[opts.node].http_port;
-    let cfg = EngineConfig {
-        kind: opts.kind,
-        machines: opts.topology.len(),
-        workers_per_machine: opts.workers,
-        workers_per_op: opts.workers,
-        transport: TransportKind::Tcp { topology: opts.topology.clone(), local: opts.node },
-        store_host: opts.store_host,
-        latency_sample_n: opts.latency_sample_n,
-        log_level: opts.log_level,
-        log_json: opts.log_json,
-        joining: opts.join.clone(),
-        ingest_wal: opts.ingest_wal.as_ref().map(std::path::PathBuf::from),
-        ingest_sync_each: opts.ingest_sync_each,
-        wire_codec: opts.wire_codec,
-        combine: opts.combine,
-        hot_split_threshold: opts.hot_split_threshold,
-        ..EngineConfig::default()
-    };
+    let node_spec = &topology.nodes[node];
+    let (kind, joining, durable) = (cfg.kind, cfg.joining.is_some(), cfg.ingest_wal.is_some());
     let engine = match Engine::start(workflow, ops, cfg, store) {
         Ok(engine) => Arc::new(engine),
         Err(e) => {
@@ -414,8 +354,8 @@ fn main() {
         }
     };
 
-    let http = if http_port != 0 {
-        let addr = format!("{}:{}", opts.topology.nodes[opts.node].host, http_port);
+    let http = if node_spec.http_port != 0 {
+        let addr = format!("{}:{}", node_spec.host, node_spec.http_port);
         match HttpSlateServer::serve_on(
             Arc::clone(&engine) as Arc<dyn muppet::runtime::http::SlateReader>,
             &addr,
@@ -437,7 +377,7 @@ fn main() {
     // until this node actually appears in its own committed ring and
     // re-announce if it does not. A node that silently sits outside
     // every ring is worse than one that exits loudly.
-    if opts.join.is_some() {
+    if joining {
         let mut joined = false;
         'announce: for attempt in 0..5 {
             if attempt > 0 {
@@ -450,7 +390,7 @@ fn main() {
             // The commit normally lands within milliseconds; give the
             // cluster-wide flush barrier a generous window.
             for _ in 0..100 {
-                if engine.ring_contains(opts.node) {
+                if engine.ring_contains(node) {
                     joined = true;
                     break 'announce;
                 }
@@ -469,7 +409,7 @@ fn main() {
     // and the old ring position restored. Best-effort with retries: at
     // cluster bootstrap the master may simply not be up yet, and a fresh
     // (never-crashed) start is a no-op on the master.
-    if opts.ingest_wal.is_some() && opts.join.is_none() {
+    if durable && !joining {
         for attempt in 0..3 {
             if attempt > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(500));
@@ -483,19 +423,18 @@ fn main() {
         }
     }
 
-    let node_spec = &opts.topology.nodes[opts.node];
     println!(
         "muppetd: node {}/{} ({}) listening on {}:{}{} app={} engine={:?} master={}{}",
-        opts.node,
-        opts.topology.len(),
-        if opts.topology.master == opts.node { "master" } else { "worker" },
+        node,
+        topology.len(),
+        if topology.master == node { "master" } else { "worker" },
         node_spec.host,
         node_spec.port,
         http.as_ref().map(|h| format!(" http={}", h.port())).unwrap_or_default(),
-        opts.app,
-        opts.kind,
-        opts.topology.master,
-        if opts.join.is_some() { " (joined live)" } else { "" },
+        app,
+        kind,
+        topology.master,
+        if joining { " (joined live)" } else { "" },
     );
     // Flush the ready line so supervisors (and the e2e test) can wait on it.
     use std::io::Write as _;
