@@ -5,6 +5,8 @@
 //! instead of panicking — these functions parse data from disk and from
 //! the network.
 
+use bytes::Bytes;
+
 use crate::event::{Event, Key, StreamId};
 
 /// Maximum encoded size of a varint u64.
@@ -200,11 +202,16 @@ pub fn put_event(out: &mut Vec<u8>, event: &Event) {
 
 /// Decode an event from the front of `buf`. Returns `(event,
 /// bytes_read)`; `None` on truncated or malformed input (including a
-/// non-UTF-8 stream name).
-pub fn get_event(buf: &[u8]) -> Option<(Event, usize)> {
+/// non-UTF-8 stream name). When the stream is named `prev` (say, the
+/// previous event of the same frame), the event shares that id instead of
+/// allocating one.
+pub fn get_event(buf: &[u8], prev: Option<&StreamId>) -> Option<(Event, usize)> {
     let mut at = 0;
     let (stream, n) = get_len_prefixed(&buf[at..])?;
-    let stream = std::str::from_utf8(stream).ok()?;
+    let stream = match prev {
+        Some(prev) if prev.as_str().as_bytes() == stream => prev.clone(),
+        _ => StreamId::from(std::str::from_utf8(stream).ok()?),
+    };
     at += n;
     let (ts, n) = get_varint(&buf[at..])?;
     at += n;
@@ -215,7 +222,7 @@ pub fn get_event(buf: &[u8]) -> Option<(Event, usize)> {
     let key = Key::from(key);
     let (value, n) = get_len_prefixed(&buf[at..])?;
     at += n;
-    let mut event = Event::new(StreamId::from(stream), ts, key, value.to_vec());
+    let mut event = Event::new(stream, ts, key, Bytes::copy_from_slice(value));
     event.seq = seq;
     Some((event, at))
 }
@@ -368,11 +375,24 @@ mod tests {
         // A second event concatenates cleanly.
         let empty = Event::new("", 0, Key::empty(), Vec::new());
         put_event(&mut buf, &empty);
-        let (got, n) = get_event(&buf).unwrap();
+        let (got, n) = get_event(&buf, None).unwrap();
         assert_eq!(got, e);
-        let (got2, m) = get_event(&buf[n..]).unwrap();
+        let (got2, m) = get_event(&buf[n..], Some(&got.stream)).unwrap();
         assert_eq!(got2, empty);
         assert_eq!(n + m, buf.len());
+    }
+
+    #[test]
+    fn event_wire_reuses_a_matching_stream_id() {
+        let mut buf = Vec::new();
+        put_event(&mut buf, &Event::new("S1", 1, Key::from("a"), "x"));
+        let (first, n) = get_event(&buf, None).unwrap();
+        let (again, _) = get_event(&buf, Some(&first.stream)).unwrap();
+        assert_eq!(again, first);
+        assert_eq!(again.stream.as_str().as_ptr(), first.stream.as_str().as_ptr());
+        let other = StreamId::from("S2");
+        let (fresh, m) = get_event(&buf, Some(&other)).unwrap();
+        assert_eq!((fresh.stream.as_str(), m), ("S1", n));
     }
 
     #[test]
@@ -381,11 +401,11 @@ mod tests {
         let mut buf = Vec::new();
         put_event(&mut buf, &e);
         for cut in 0..buf.len() {
-            assert!(get_event(&buf[..cut]).is_none(), "cut at {cut} must fail");
+            assert!(get_event(&buf[..cut], None).is_none(), "cut at {cut} must fail");
         }
         // Corrupt the stream name with invalid UTF-8.
         let mut bad = buf.clone();
         bad[1] = 0xff;
-        assert!(get_event(&bad).is_none());
+        assert!(get_event(&bad, None).is_none());
     }
 }

@@ -413,7 +413,7 @@ fn write_number(out: &mut Vec<u8>, n: f64) {
 
 /// `n` in decimal digits — the integral branch of the number writer and
 /// the text of a counter slate.
-pub(crate) fn write_decimal(out: &mut Vec<u8>, mut n: u64) {
+pub fn write_decimal(out: &mut Vec<u8>, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {

@@ -34,15 +34,32 @@ pub trait Emitter {
 /// A buffering [`Emitter`] that records emissions for the executor to admit
 /// afterwards. This is what both the reference executor and the runtime
 /// engines pass into operators.
+///
+/// Built [`with_streams`](VecEmitter::with_streams) over a workflow's
+/// declared streams, a publish to one of them clones that stream's id; only
+/// a publish to an undeclared name allocates one.
 #[derive(Debug, Default)]
-pub struct VecEmitter {
+pub struct VecEmitter<'s> {
     records: Vec<EmitRecord>,
+    streams: &'s [StreamId],
 }
 
-impl VecEmitter {
+impl<'s> VecEmitter<'s> {
     /// An empty emitter buffer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty emitter buffer whose publishes to `streams` share their ids.
+    pub fn with_streams(streams: &'s [StreamId]) -> Self {
+        VecEmitter { records: Vec::new(), streams }
+    }
+
+    fn stream_id(&self, stream: &str) -> StreamId {
+        match self.streams.iter().find(|s| s.as_str() == stream) {
+            Some(id) => id.clone(),
+            None => StreamId::from(stream),
+        }
     }
 
     /// Drain the buffered emissions.
@@ -76,17 +93,14 @@ impl VecEmitter {
     }
 }
 
-impl Emitter for VecEmitter {
+impl Emitter for VecEmitter<'_> {
     fn publish(&mut self, stream: &str, key: Key, value: Vec<u8>) {
-        self.records.push(EmitRecord {
-            stream: StreamId::from(stream),
-            key,
-            value: Bytes::from(value),
-        });
+        self.publish_shared(stream, key, Bytes::from(value));
     }
 
     fn publish_shared(&mut self, stream: &str, key: Key, value: Bytes) {
-        self.records.push(EmitRecord { stream: StreamId::from(stream), key, value });
+        let stream = self.stream_id(stream);
+        self.records.push(EmitRecord { stream, key, value });
     }
 }
 
@@ -286,6 +300,17 @@ mod tests {
         assert_eq!(recs[1].stream.as_str(), "S3");
         assert_eq!(recs[1].value.as_ref(), b"2");
         assert!(em.is_empty());
+    }
+
+    #[test]
+    fn vec_emitter_shares_declared_stream_ids() {
+        let declared = [StreamId::from("S2")];
+        let mut em = VecEmitter::with_streams(&declared);
+        em.publish("S2", Key::from("a"), b"1".to_vec());
+        em.publish_shared("S9", Key::from("b"), Bytes::from_static(b"2"));
+        let recs = em.take();
+        assert_eq!(recs[0].stream.as_str().as_ptr(), declared[0].as_str().as_ptr());
+        assert_eq!(recs[1].stream.as_str(), "S9");
     }
 
     #[test]

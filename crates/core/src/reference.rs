@@ -124,8 +124,9 @@ pub struct ReferenceExecutor<'wf> {
     slates: Vec<FxHashMap<Key, Slate>>,
     pending: Pending,
     next_seq: u64,
-    /// Reused across deliveries, so a step allocates nothing of its own.
-    emitter: VecEmitter,
+    /// Reused across deliveries and built over the workflow's streams, so
+    /// a step allocates nothing of its own.
+    emitter: VecEmitter<'wf>,
     record_streams: Vec<StreamId>,
     recorded: FxHashMap<StreamId, Vec<Event>>,
     stats: RunStats,
@@ -143,7 +144,7 @@ impl<'wf> ReferenceExecutor<'wf> {
             slates: std::iter::repeat_with(FxHashMap::default).take(n).collect(),
             pending: Pending::default(),
             next_seq: 0,
-            emitter: VecEmitter::new(),
+            emitter: VecEmitter::with_streams(wf.streams()),
             record_streams: Vec::new(),
             recorded: FxHashMap::default(),
             stats: RunStats::default(),

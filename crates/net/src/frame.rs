@@ -333,8 +333,9 @@ fn put_wire_event(out: &mut Vec<u8>, ev: &WireEvent, absorbed: u64) {
 }
 
 /// Decode one [`Frame::Events`] entry. Returns the event, its absorbed
-/// count and the bytes consumed; `None` on malformed input.
-fn get_wire_event(buf: &[u8]) -> Option<(WireEvent, u64, usize)> {
+/// count and the bytes consumed; `None` on malformed input. An event of
+/// `prev`'s stream shares that id.
+fn get_wire_event(buf: &[u8], prev: Option<&StreamId>) -> Option<(WireEvent, u64, usize)> {
     let mut at = 0;
     let (op, n) = get_varint(buf)?;
     at += n;
@@ -344,7 +345,7 @@ fn get_wire_event(buf: &[u8]) -> Option<(WireEvent, u64, usize)> {
     at += 1;
     let (hint, n) = get_opt_varint(&buf[at..])?;
     at += n;
-    let (event, n) = get_event(&buf[at..])?;
+    let (event, n) = get_event(&buf[at..], prev)?;
     at += n;
     let absorbed = if flags & FLAG_ABSORBED != 0 {
         let (count, n) = get_varint(&buf[at..])?;
@@ -563,9 +564,11 @@ impl Frame {
                 // Cap the pre-allocation by what the buffer could possibly
                 // hold: a corrupt count must not trigger a huge reserve.
                 let possible = rest.len() / MIN_WIRE_EVENT_BYTES + 1;
-                let mut entries = Vec::with_capacity((count as usize).min(possible));
+                let mut entries: Vec<(WireEvent, u64)> =
+                    Vec::with_capacity((count as usize).min(possible));
                 for _ in 0..count {
-                    let (ev, absorbed, n) = get_wire_event(&rest[at..])?;
+                    let prev = entries.last().map(|(ev, _)| &ev.event.stream);
+                    let (ev, absorbed, n) = get_wire_event(&rest[at..], prev)?;
                     at += n;
                     entries.push((ev, absorbed));
                 }
@@ -1110,6 +1113,21 @@ mod tests {
             Some(Frame::Events(back)) => assert_eq!(back[0].0.forwards, MAX_FORWARDS),
             other => panic!("expected an Events frame, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn entries_of_one_stream_share_its_decoded_id() {
+        let frame = Frame::Events(vec![
+            (sample_wire_event(1), 1),
+            (sample_wire_event(2), 1),
+            (bare_wire_event(), 1),
+        ]);
+        let Some(Frame::Events(back)) = Frame::decode_payload(&frame.encode_payload()) else {
+            panic!("expected an Events frame");
+        };
+        let stream = |i: usize| back[i].0.event.stream.as_str();
+        assert_eq!(stream(0).as_ptr(), stream(1).as_ptr(), "S1 decoded once");
+        assert_eq!((stream(0), stream(2)), ("S1", "S2"));
     }
 
     #[test]

@@ -262,7 +262,7 @@ impl Shared {
         let (updater, name, ttl_secs) = match &self.ops[op] {
             OpInstance::Map(mapper) => {
                 let service_t0 = stages.sampler_service.hit().then(|| self.now_us());
-                let mut emitter = VecEmitter::new();
+                let mut emitter = VecEmitter::with_streams(self.wf.streams());
                 if let Err(payload) =
                     catch_unwind(AssertUnwindSafe(|| mapper.map(&mut emitter, &ev.event)))
                 {
@@ -288,7 +288,7 @@ impl Shared {
         let slot = cache.get_or_load(op, name, key, ttl_secs, now);
         // A miss may have chosen victims.
         self.claim_retire(cache, retire_owed);
-        let mut emitter = VecEmitter::new();
+        let mut emitter = VecEmitter::with_streams(self.wf.streams());
         let outcome = {
             let mut state = slot.state.lock();
             let r = catch_unwind(AssertUnwindSafe(|| {

@@ -7,8 +7,8 @@
 //! *planted hot-topic bursts* so the hot-topics experiment (Figure 1(c))
 //! has a known ground truth.
 
-use muppet_core::event::{Event, Key};
-use muppet_core::json::Json;
+use muppet_core::event::{Bytes, Event, Key, StreamId};
+use muppet_core::json::{write_decimal, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,9 +45,22 @@ pub struct TweetGenerator {
     arrivals: ArrivalProcess,
     now_us: u64,
     bursts: Vec<PlantedBurst>,
+    /// Each topic as the body of a JSON string (escaped, unquoted):
+    /// `topics` in order, then one per burst.
+    escaped: Vec<String>,
     retweet_prob: f64,
     url_prob: f64,
     seq: u64,
+    /// The id of the stream last generated into, shared by its events.
+    stream: Option<StreamId>,
+    /// The tweet being written; its bytes are copied out once.
+    buf: Vec<u8>,
+}
+
+/// `topic` as the body of a JSON string: the serializer's escaping, unquoted.
+fn escaped(topic: &str) -> String {
+    let quoted = Json::str(topic).to_compact();
+    quoted[1..quoted.len() - 1].to_string()
 }
 
 impl TweetGenerator {
@@ -62,14 +75,18 @@ impl TweetGenerator {
             arrivals: ArrivalProcess::Poisson { events_per_sec: rate_per_sec },
             now_us: 0,
             bursts: Vec::new(),
+            escaped: DEFAULT_TOPICS.iter().map(|s| escaped(s)).collect(),
             retweet_prob: 0.25,
             url_prob: 0.15,
             seq: 0,
+            stream: None,
+            buf: Vec::new(),
         }
     }
 
     /// Plant a hot-topic burst.
     pub fn with_burst(mut self, burst: PlantedBurst) -> Self {
+        self.escaped.push(escaped(&burst.topic));
         self.bursts.push(burst);
         self
     }
@@ -85,49 +102,68 @@ impl TweetGenerator {
         &self.topics
     }
 
-    fn pick_topic(&mut self) -> String {
+    /// The index into `escaped` of the next tweet's topic.
+    fn pick_topic(&mut self) -> usize {
         // Planted bursts first: active burst wins a boosted coin flip.
-        for burst in &self.bursts {
+        for (i, burst) in self.bursts.iter().enumerate() {
             if (burst.start_us..burst.end_us).contains(&self.now_us) {
                 let base = 1.0 / self.topics.len() as f64;
                 let p = (base * burst.boost).min(0.95);
                 if self.rng.gen_bool(p) {
-                    return burst.topic.clone();
+                    return self.topics.len() + i;
                 }
             }
         }
-        self.topics[self.topic_dist.sample(&mut self.rng)].clone()
+        self.topic_dist.sample(&mut self.rng)
     }
 
     /// Generate the next tweet event. Key = author user id; value = the
-    /// tweet JSON.
+    /// tweet as compact JSON — `{"id","user","text","topics"}`, then
+    /// `retweet_of` or `reply_to` and `urls` when drawn — written straight
+    /// into one buffer, byte for byte what `Json::to_compact` gives the
+    /// same object.
     pub fn next_event(&mut self, stream: &str) -> Event {
         let user_rank = self.users.sample(&mut self.rng);
-        let user = format!("user-{user_rank}");
         let topic = self.pick_topic();
+        let topic = self.escaped[topic].as_str();
         self.seq += 1;
-        let mut fields = vec![
-            ("id".to_string(), Json::num(self.seq as f64)),
-            ("user".to_string(), Json::str(user.clone())),
-            (
-                "text".to_string(),
-                Json::str(format!("synthetic tweet #{} about {topic} #{topic}", self.seq)),
-            ),
-            ("topics".to_string(), Json::arr([Json::str(topic)])),
-        ];
+        let buf = &mut self.buf;
+        buf.clear();
+        buf.extend_from_slice(br#"{"id":"#);
+        write_decimal(buf, self.seq);
+        buf.extend_from_slice(br#","user":""#);
+        let user_at = buf.len();
+        buf.extend_from_slice(b"user-");
+        write_decimal(buf, user_rank as u64);
+        let user = user_at..buf.len();
+        buf.extend_from_slice(br#"","text":"synthetic tweet #"#);
+        write_decimal(buf, self.seq);
+        for part in [" about ", topic, " #", topic, r#"","topics":[""#, topic, r#""]"#] {
+            buf.extend_from_slice(part.as_bytes());
+        }
         if self.rng.gen_bool(self.retweet_prob) {
-            let target = format!("user-{}", self.users.sample(&mut self.rng));
+            let target = self.users.sample(&mut self.rng);
             let kind = if self.rng.gen_bool(0.5) { "retweet_of" } else { "reply_to" };
-            fields.push((kind.to_string(), Json::str(target)));
+            for part in [",\"", kind, "\":\"user-"] {
+                buf.extend_from_slice(part.as_bytes());
+            }
+            write_decimal(buf, target as u64);
+            buf.push(b'"');
         }
         if self.rng.gen_bool(self.url_prob) {
-            let url = format!("http://example.com/page{}", self.rng.gen_range(0..50));
-            fields.push(("urls".to_string(), Json::arr([Json::str(url)])));
+            buf.extend_from_slice(br#","urls":["http://example.com/page"#);
+            write_decimal(buf, self.rng.gen_range(0..50));
+            buf.extend_from_slice(br#""]"#);
         }
-        let value = Json::Obj(fields).to_compact().into_bytes();
+        buf.push(b'}');
+        let (key, value) = (Key::from(&buf[user]), Bytes::copy_from_slice(buf));
         let ts = self.now_us;
         self.now_us += self.arrivals.next_gap_us(self.now_us, &mut self.rng).max(1);
-        Event::new(stream, ts, Key::from(user), value)
+        let stream = match &self.stream {
+            Some(id) if id.as_str() == stream => id.clone(),
+            _ => self.stream.insert(StreamId::from(stream)).clone(),
+        };
+        Event::new(stream, ts, key, value)
     }
 
     /// Generate `n` events.
@@ -139,6 +175,82 @@ impl TweetGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tweet as `next_event` once built it — a `Json` tree, serialized —
+    /// drawing from `gen`'s RNG in the same order.
+    fn tree_tweet(gen: &mut TweetGenerator, stream: &str) -> Event {
+        let user_rank = gen.users.sample(&mut gen.rng);
+        let user = format!("user-{user_rank}");
+        let topic = tree_topic(gen);
+        gen.seq += 1;
+        let mut fields = vec![
+            ("id".to_string(), Json::num(gen.seq as f64)),
+            ("user".to_string(), Json::str(user.clone())),
+            (
+                "text".to_string(),
+                Json::str(format!("synthetic tweet #{} about {topic} #{topic}", gen.seq)),
+            ),
+            ("topics".to_string(), Json::arr([Json::str(topic)])),
+        ];
+        if gen.rng.gen_bool(gen.retweet_prob) {
+            let target = format!("user-{}", gen.users.sample(&mut gen.rng));
+            let kind = if gen.rng.gen_bool(0.5) { "retweet_of" } else { "reply_to" };
+            fields.push((kind.to_string(), Json::str(target)));
+        }
+        if gen.rng.gen_bool(gen.url_prob) {
+            let url = format!("http://example.com/page{}", gen.rng.gen_range(0..50));
+            fields.push(("urls".to_string(), Json::arr([Json::str(url)])));
+        }
+        let value = Json::Obj(fields).to_compact().into_bytes();
+        let ts = gen.now_us;
+        gen.now_us += gen.arrivals.next_gap_us(gen.now_us, &mut gen.rng).max(1);
+        Event::new(stream, ts, Key::from(user), value)
+    }
+
+    fn tree_topic(gen: &mut TweetGenerator) -> String {
+        for burst in &gen.bursts {
+            if (burst.start_us..burst.end_us).contains(&gen.now_us) {
+                let base = 1.0 / gen.topics.len() as f64;
+                let p = (base * burst.boost).min(0.95);
+                if gen.rng.gen_bool(p) {
+                    return burst.topic.clone();
+                }
+            }
+        }
+        gen.topics[gen.topic_dist.sample(&mut gen.rng)].clone()
+    }
+
+    #[test]
+    fn written_tweets_are_the_json_tree_byte_for_byte() {
+        for seed in [1, 2, 3] {
+            for bursting in [false, true] {
+                let make = || {
+                    let gen = TweetGenerator::new(seed, 5_000, 10_000.0);
+                    if !bursting {
+                        return gen;
+                    }
+                    // A topic the serializer must escape, hot for the first
+                    // half of the run.
+                    gen.with_burst(PlantedBurst {
+                        topic: "quake \"Ü\"\n\\ \u{1}".into(),
+                        start_us: 0,
+                        end_us: 1_000_000,
+                        boost: 8.0,
+                    })
+                };
+                let (mut written, mut tree) = (make(), make());
+                for i in 0..20_000 {
+                    let (a, b) = (written.next_event("S1"), tree_tweet(&mut tree, "S1"));
+                    assert_eq!(
+                        String::from_utf8_lossy(&a.value),
+                        String::from_utf8_lossy(&b.value),
+                        "seed {seed}, burst {bursting}, tweet {i}"
+                    );
+                    assert_eq!(a, b, "seed {seed}, burst {bursting}, tweet {i}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn tweets_are_valid_json_with_required_fields() {
