@@ -1588,7 +1588,7 @@ mod tests {
     #[test]
     fn garbage_in_place_of_the_hello_is_refused_like_any_other_opening() {
         let (t1, _h1, l1, refusals) = refusing_server();
-        assert!(raw_exchange(&l1, b"GET /status HTTP/1.1\r\n\r\n").is_empty());
+        assert!(raw_exchange(&l1, b"GET / HTTP/1.1\r\n\r\n").is_empty());
         assert_eq!(t1.stats().hello_rejected.load(Ordering::Relaxed), 1);
         assert_eq!(*refusals.lock(), vec![(IpAddr::from([127, 0, 0, 1]), None)]);
     }

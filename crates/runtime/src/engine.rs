@@ -502,6 +502,12 @@ impl Shared {
         self.wire.as_ref().is_none_or(|wire| wire.local() == m)
     }
 
+    /// Peak queue occupancy across all workers.
+    fn max_queue_high_water(&self) -> usize {
+        let machines = self.machines.read();
+        machines.iter().flat_map(|m| &m.queues).map(|q| q.high_water()).max().unwrap_or(0)
+    }
+
     /// The machine this process runs (`None` in-process).
     pub(crate) fn local_machine(&self) -> Option<MachineId> {
         self.wire.as_ref().map(|wire| wire.local())
@@ -550,6 +556,7 @@ impl Shared {
             ingest_wal: self.ingest_log.as_ref().map(|log| log.view()),
             store_wal_syncs: self.host_store.as_ref().map(|store| store.wal_sync_count()),
             dlq_depth: self.dlq.depth() as u64,
+            queue_high_water: self.max_queue_high_water() as u64,
             ..self.stats.read(caches, self.wire.as_deref())
         }
     }
@@ -1216,8 +1223,7 @@ impl Engine {
     /// Peak queue occupancy across all workers (the §4.5 status
     /// information: "the event count of the largest event queues").
     pub fn max_queue_high_water(&self) -> usize {
-        let machines = self.shared.machines.read();
-        machines.iter().flat_map(|m| &m.queues).map(|q| q.high_water()).max().unwrap_or(0)
+        self.shared.max_queue_high_water()
     }
 
     /// Snapshot engine statistics.

@@ -9,7 +9,14 @@
 //!
 //! Endpoints:
 //! * `GET /slate/<updater>/<percent-encoded key>` → slate bytes or 404;
-//! * `GET /status` → JSON engine statistics.
+//! * `GET /keys/<updater>` → the updater's cached keys, one per line;
+//! * `GET /metrics` → the registry as Prometheus text: the §4.5 status
+//!   (`muppet_queue_high_water` is the largest queue's event count);
+//! * `GET /membership` → JSON epoch, ring members, nodes, failed machines;
+//! * `GET /dlq` → the dead-letter queue as JSON;
+//! * `POST /submit/<stream>/<percent-encoded key>` → ingest one event;
+//! * `POST /join` → a join grant (master only);
+//! * `POST /dlq/retry` → re-inject every dead letter.
 //!
 //! Minimal HTTP/1.1: request-line parsing, `Connection: close`, explicit
 //! `Content-Length`. No external dependencies.
@@ -20,17 +27,14 @@ use std::sync::Arc;
 
 use muppet_core::event::Key;
 use muppet_core::Error;
-use muppet_net::FlushReason;
-
-use crate::ingestlog::IngestWalView;
 
 /// What the server needs from its host engine. `Engine` implements this;
 /// tests can substitute a stub.
 pub trait SlateReader: Send + Sync + 'static {
     /// Current bytes of ⟨updater, key⟩'s slate, from the cache.
     fn fetch_slate(&self, updater: &str, key: &Key) -> Option<Vec<u8>>;
-    /// A JSON status document.
-    fn status_json(&self) -> String;
+    /// The Prometheus text exposition (`GET /metrics`).
+    fn metrics_text(&self) -> String;
     /// The currently-cached keys of one updater (the `/keys/<updater>`
     /// endpoint) — §5's bulk-read pain point was that "the query agent
     /// must know all the slate keys in advance to enumerate the slate
@@ -62,12 +66,6 @@ pub trait SlateReader: Send + Sync + 'static {
         "{}".to_string()
     }
 
-    /// The Prometheus text exposition (`GET /metrics`). `None` means the
-    /// host has no metrics registry and the endpoint serves 404.
-    fn metrics_text(&self) -> Option<String> {
-        None
-    }
-
     /// The dead-letter queue contents (`GET /dlq`), newest last, as a
     /// JSON array. Default: empty (no DLQ attached).
     fn dlq_json(&self) -> String {
@@ -90,8 +88,8 @@ impl SlateReader for crate::engine::Engine {
         self.cached_keys(updater)
     }
 
-    fn metrics_text(&self) -> Option<String> {
-        Some(self.registry().render())
+    fn metrics_text(&self) -> String {
+        self.registry().render()
     }
 
     fn dlq_json(&self) -> String {
@@ -100,84 +98,6 @@ impl SlateReader for crate::engine::Engine {
 
     fn dlq_retry(&self) -> Result<usize, String> {
         Ok(self.dlq_retry())
-    }
-
-    fn status_json(&self) -> String {
-        use muppet_core::json::Json;
-        let s = self.stats();
-        let shards = self.cache_shard_stats();
-        let num = |v: u64| Json::num(v as f64);
-        // Ingest-WAL fields are null on a node without one.
-        let wal_num =
-            |f: fn(&IngestWalView) -> u64| s.ingest_wal.map_or(Json::Null, |w| num(f(&w)));
-        Json::obj([
-            ("uptime_s", num(s.uptime_s)),
-            ("machine_id", s.machine_id.map_or(Json::Null, |id| num(id as u64))),
-            ("protocol_version", num(muppet_net::frame::PROTOCOL_VERSION)),
-            ("submitted", num(s.submitted)),
-            ("processed", num(s.processed)),
-            ("emitted", num(s.emitted)),
-            ("dropped_overflow", num(s.dropped_overflow)),
-            ("lost_machine_failure", num(s.lost_machine_failure)),
-            ("lost_in_queues", num(s.lost_in_queues)),
-            ("forwarded", num(s.forwarded)),
-            ("combined_events_total", num(s.combined_events)),
-            ("split_keys_active", num(s.split_keys_active)),
-            ("split_merge_reads_total", num(s.split_merge_reads)),
-            ("epoch", num(s.epoch)),
-            ("machines", num(self.machine_count() as u64)),
-            ("max_queue_high_water", num(self.max_queue_high_water() as u64)),
-            ("cache_entries", num(s.cache.entries)),
-            ("cache_hits", num(s.cache.hits)),
-            ("cache_misses", num(s.cache.misses)),
-            // Per-machine shard count — the length of cache_shard_hits
-            // below (EngineStats::cache.shards is the cross-machine sum).
-            ("cache_shards", num(shards.len() as u64)),
-            ("drain_batches", num(s.drain.drains)),
-            ("drain_batch_mean", num(s.drain.mean)),
-            ("drain_batch_p50", num(s.drain.p50)),
-            ("drain_batch_p99", num(s.drain.p99)),
-            ("drain_batch_max", num(s.drain.max)),
-            ("cache_shard_hits", Json::Arr(shards.iter().map(|shard| num(shard.hits)).collect())),
-            ("p99_latency_us", num(s.latency.p99_us)),
-            // The write-behind store pipeline (DESIGN.md §9).
-            ("store_flush_batches", num(s.cache.flush_batches)),
-            ("store_flush_batch_p50", num(s.cache.flush_batch_p50)),
-            ("store_flush_batch_largest", num(s.cache.flush_batch_largest)),
-            ("store_round_trips", num(s.cache.store_round_trips)),
-            ("store_miss_coalesced", num(s.cache.miss_coalesced)),
-            // Eviction victims chosen, not yet written back.
-            ("evict_backlog", num(s.cache.evict_backlog)),
-            // Crash recovery (DESIGN.md §11): ingest WAL + DLQ state.
-            ("recovered_replayed", num(s.recovered_replayed)),
-            ("ingest_wal_syncs", wal_num(|w| w.syncs)),
-            ("ingest_wal_bytes", wal_num(|w| w.bytes)),
-            ("ingest_wal_frames", wal_num(|w| w.frames)),
-            // written − durable = the un-acked fsync window.
-            ("ingest_wal_written", wal_num(|w| w.written)),
-            ("ingest_wal_durable", wal_num(|w| w.durable)),
-            ("ingest_wal_failed", s.ingest_wal.map_or(Json::Null, |w| Json::Bool(w.failed))),
-            ("ingest_wal_retained_bytes", wal_num(|w| w.retained_bytes)),
-            ("ingest_wal_segments", wal_num(|w| w.segments)),
-            // The last replay cursor the store accepted.
-            ("ingest_wal_cursor", wal_num(|w| w.cursor)),
-            ("dlq_depth", num(s.dlq_depth)),
-            ("dlq_added", num(s.dead_lettered)),
-            ("dlq_dropped", num(s.dlq_evicted)),
-            ("dlq_retried", num(s.dlq_retried)),
-            ("net_frames_sent", num(s.net.frames_sent)),
-            ("net_batches_sent", num(s.net.batches_sent)),
-            ("net_outbound_backlog", num(s.net.outbound_backlog)),
-            ("net_flushes_size", num(s.net.flushes[FlushReason::Size as usize])),
-            ("net_flushes_demand", num(s.net.flushes[FlushReason::Demand as usize])),
-            ("net_flushes_age", num(s.net.flushes[FlushReason::Age as usize])),
-            ("net_flushes_stop", num(s.net.flushes[FlushReason::Stop as usize])),
-            (
-                "failed_machines",
-                Json::Arr(self.failed_machines().into_iter().map(|m| num(m as u64)).collect()),
-            ),
-        ])
-        .to_compact()
     }
 
     fn submit_event(&self, stream: &str, key: Key, value: Vec<u8>) -> muppet_core::Result<()> {
@@ -378,19 +298,13 @@ pub fn serve_request(
         let body = reader.dlq_json();
         return respond(out, 200, "application/json", body.as_bytes());
     }
-    if path == "/status" {
-        let body = reader.status_json();
-        return respond(out, 200, "application/json", body.as_bytes());
-    }
     if path == "/membership" {
         let body = reader.membership_json();
         return respond(out, 200, "application/json", body.as_bytes());
     }
     if path == "/metrics" {
-        return match reader.metrics_text() {
-            Some(body) => respond(out, 200, "text/plain; version=0.0.4", body.as_bytes()),
-            None => respond(out, 404, "text/plain", b"no metrics registry"),
-        };
+        let body = reader.metrics_text();
+        return respond(out, 200, "text/plain; version=0.0.4", body.as_bytes());
     }
     if let Some(updater) = path.strip_prefix("/keys/") {
         // Newline-separated percent-encoded keys of one updater.
@@ -568,7 +482,10 @@ mod tests {
                 None
             }
         }
-        fn status_json(&self) -> String {
+        fn metrics_text(&self) -> String {
+            "muppet_up 1\n".to_string()
+        }
+        fn membership_json(&self) -> String {
             r#"{"ok":true}"#.to_string()
         }
         fn dlq_json(&self) -> String {
@@ -600,18 +517,18 @@ mod tests {
         let line = raw_status(&srv, request.as_bytes());
         assert!(line.starts_with("HTTP/1.1 431 "), "{line}");
         let headers =
-            format!("GET /status HTTP/1.1\r\n{}\r\n", "X-Pad: 0123456789\r\n".repeat(1000));
+            format!("GET /membership HTTP/1.1\r\n{}\r\n", "X-Pad: 0123456789\r\n".repeat(1000));
         assert!(raw_status(&srv, headers.as_bytes()).starts_with("HTTP/1.1 431 "));
-        let (code, body) = http_get(&format!("{}/status", srv.base_url())).unwrap();
+        let (code, body) = http_get(&format!("{}/membership", srv.base_url())).unwrap();
         assert_eq!((code, body.as_slice()), (200, br#"{"ok":true}"#.as_slice()));
     }
 
     #[test]
     fn a_request_head_that_is_not_utf8_is_answered_400() {
         let srv = server();
-        let line = raw_status(&srv, b"GET /status HTTP/1.1\r\nX-A: \xff\r\n\r\n");
+        let line = raw_status(&srv, b"GET /membership HTTP/1.1\r\nX-A: \xff\r\n\r\n");
         assert!(line.starts_with("HTTP/1.1 400 "), "{line:?}");
-        let (code, _) = http_get(&format!("{}/status", srv.base_url())).unwrap();
+        let (code, _) = http_get(&format!("{}/membership", srv.base_url())).unwrap();
         assert_eq!(code, 200, "the server keeps serving");
     }
 
@@ -646,11 +563,10 @@ mod tests {
     }
 
     #[test]
-    fn status_endpoint_returns_json() {
+    fn metrics_endpoint_returns_the_exposition() {
         let srv = server();
-        let (code, body) = http_get(&format!("{}/status", srv.base_url())).unwrap();
-        assert_eq!(code, 200);
-        assert_eq!(body, br#"{"ok":true}"#);
+        let (code, body) = http_get(&format!("{}/metrics", srv.base_url())).unwrap();
+        assert_eq!((code, body.as_slice()), (200, b"muppet_up 1\n".as_slice()));
     }
 
     #[test]

@@ -17,22 +17,8 @@
 //! stamped with the membership epoch the failure was observed under, and
 //! the registry rejects anything staler than the machine's latest join.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
 use muppet_core::hash::{FxHashMap, FxHashSet};
 use muppet_core::sync::RwLock;
-
-/// One failure report, for the experiment log.
-#[derive(Clone, Debug)]
-pub struct FailureReport {
-    /// Machine that was found unreachable.
-    pub machine: usize,
-    /// The membership epoch the reporter observed the failure under.
-    pub epoch: u64,
-    /// When the report arrived at the master.
-    pub at: Instant,
-}
 
 /// The master: failure registry + broadcast, epoch-fenced.
 #[derive(Debug, Default)]
@@ -41,9 +27,6 @@ pub struct Master {
     /// Latest epoch each machine (re-)joined at. Absent = a founding
     /// member (joined at epoch 0).
     joined: RwLock<FxHashMap<usize, u64>>,
-    reports: RwLock<Vec<FailureReport>>,
-    broadcasts: AtomicU64,
-    stale_rejections: AtomicU64,
 }
 
 impl Master {
@@ -76,7 +59,6 @@ impl Master {
     /// previous incarnation.
     pub fn report_failure(&self, machine: usize, epoch: u64) -> bool {
         if epoch < self.joined_epoch(machine) {
-            self.stale_rejections.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         {
@@ -89,25 +71,17 @@ impl Master {
         // Re-check the fence under the write lock: a concurrent
         // mark_joined must win over a racing stale report.
         if epoch < self.joined_epoch(machine) {
-            self.stale_rejections.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        if !failed.insert(machine) {
-            return false;
-        }
-        self.reports.write().push(FailureReport { machine, epoch, at: Instant::now() });
-        self.broadcasts.fetch_add(1, Ordering::Relaxed);
-        true
+        failed.insert(machine)
     }
 
     /// Record a failure learned from a master *broadcast* (as opposed to a
-    /// locally observed one): updates the failed set without logging a
-    /// report or counting a broadcast, so receiving nodes never re-fan the
-    /// news out. Returns `true` if the machine was newly marked; stale
-    /// broadcasts (older than the machine's latest join) are rejected.
+    /// locally observed one), which receiving nodes never re-fan out.
+    /// Returns `true` if the machine was newly marked; stale broadcasts
+    /// (older than the machine's latest join) are rejected.
     pub fn mark_failed(&self, machine: usize, epoch: u64) -> bool {
         if epoch < self.joined_epoch(machine) {
-            self.stale_rejections.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         self.failed.write().insert(machine)
@@ -126,21 +100,6 @@ impl Master {
         v.sort_unstable();
         v
     }
-
-    /// All failure reports so far.
-    pub fn reports(&self) -> Vec<FailureReport> {
-        self.reports.read().clone()
-    }
-
-    /// Number of broadcasts issued (== distinct accepted failures).
-    pub fn broadcast_count(&self) -> u64 {
-        self.broadcasts.load(Ordering::Relaxed)
-    }
-
-    /// Reports/broadcasts rejected for carrying a stale epoch.
-    pub fn stale_rejection_count(&self) -> u64 {
-        self.stale_rejections.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -154,19 +113,14 @@ mod tests {
         assert!(m.report_failure(3, 0));
         assert!(!m.report_failure(3, 0), "duplicate report must not re-broadcast");
         assert!(m.is_failed(3));
-        assert_eq!(m.broadcast_count(), 1);
-        assert_eq!(m.reports().len(), 1);
         assert_eq!(m.failed_machines(), vec![3]);
     }
 
     #[test]
     fn multiple_failures_accumulate() {
         let m = Master::new();
-        m.report_failure(1, 0);
-        m.report_failure(0, 0);
-        m.report_failure(2, 0);
+        assert!([1, 0, 2].iter().all(|&machine| m.report_failure(machine, 0)), "each broadcasts");
         assert_eq!(m.failed_machines(), vec![0, 1, 2]);
-        assert_eq!(m.broadcast_count(), 3);
     }
 
     #[test]
@@ -183,7 +137,7 @@ mod tests {
             .map(|h| h.join().unwrap())
             .collect();
         assert_eq!(winners.iter().filter(|&&w| w).count(), 1, "exactly one reporter wins");
-        assert_eq!(m.broadcast_count(), 1);
+        assert_eq!(m.failed_machines(), vec![7]);
     }
 
     #[test]
@@ -207,8 +161,7 @@ mod tests {
         m.mark_joined(2, 3);
         assert!(!m.report_failure(2, 0), "stale-epoch report must be rejected");
         assert!(!m.is_failed(2));
-        assert_eq!(m.broadcast_count(), 0);
-        assert_eq!(m.stale_rejection_count(), 1);
+        assert!(m.failed_machines().is_empty(), "nothing was broadcast");
         // A report observed at (or after) the join epoch is legitimate:
         // the *new* incarnation really did die.
         assert!(m.report_failure(2, 3));

@@ -76,7 +76,6 @@ impl OverflowPolicy {
 pub struct DropLog {
     entries: muppet_core::sync::Mutex<std::collections::VecDeque<String>>,
     capacity: usize,
-    total: std::sync::atomic::AtomicU64,
 }
 
 impl DropLog {
@@ -85,23 +84,16 @@ impl DropLog {
         DropLog {
             entries: muppet_core::sync::Mutex::new(std::collections::VecDeque::new()),
             capacity,
-            total: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
     /// Record a dropped event.
     pub fn log(&self, description: String) {
-        self.total.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut entries = self.entries.lock();
         if entries.len() == self.capacity {
             entries.pop_front();
         }
         entries.push_back(description);
-    }
-
-    /// Total drops ever recorded.
-    pub fn total(&self) -> u64 {
-        self.total.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Snapshot of the retained (most recent) drop descriptions.
@@ -140,12 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn drop_log_retains_recent_and_counts_all() {
+    fn drop_log_retains_the_most_recent() {
         let log = DropLog::new(3);
         for i in 0..10 {
             log.log(format!("event-{i}"));
         }
-        assert_eq!(log.total(), 10);
         assert_eq!(log.recent(), vec!["event-7", "event-8", "event-9"]);
     }
 

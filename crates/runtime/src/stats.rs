@@ -155,6 +155,8 @@ pub struct EngineStats {
     pub dlq_evicted: u64,
     /// Letters handed back for retry.
     pub dlq_retried: u64,
+    /// The largest event count any one worker queue has held.
+    pub queue_high_water: u64,
 }
 
 /// Distribution of worker queue drain-batch sizes (events per
@@ -360,6 +362,7 @@ pub(crate) fn collect(
         // bound: the store is the bottleneck.
         gauge("muppet_cache_evict_backlog", s.cache.evict_backlog),
         gauge("muppet_dlq_depth", s.dlq_depth),
+        gauge("muppet_queue_high_water", s.queue_high_water),
     ]);
     if let Some(id) = s.machine_id {
         out.push(gauge("muppet_machine_id", id as u64));

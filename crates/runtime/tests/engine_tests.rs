@@ -556,10 +556,11 @@ fn http_server_serves_live_slates_and_status() {
     assert_eq!(body, b"1");
     let (code, _) = http_get(&format!("{}/slate/U1/nobody", server.base_url())).unwrap();
     assert_eq!(code, 404);
-    let (code, body) = http_get(&format!("{}/status", server.base_url())).unwrap();
+    let (code, body) = http_get(&format!("{}/metrics", server.base_url())).unwrap();
     assert_eq!(code, 200);
-    let status = muppet_core::json::Json::parse_bytes(&body).unwrap();
-    assert_eq!(status.get("submitted").unwrap().as_u64(), Some(3));
+    let samples = muppet_obs::parse_exposition(&String::from_utf8(body).unwrap()).unwrap();
+    let submitted = samples.iter().find(|s| s.name == "muppet_events_submitted_total");
+    assert_eq!(submitted.map(|s| s.value), Some(3.0));
     drop(server);
 }
 

@@ -54,8 +54,8 @@ impl SlateReader for Stub {
     fn fetch_slate(&self, updater: &str, key: &Key) -> Option<Vec<u8>> {
         (updater == "U" && key.as_bytes() == b"k").then(|| b"42".to_vec())
     }
-    fn status_json(&self) -> String {
-        "{}".to_string()
+    fn metrics_text(&self) -> String {
+        String::new()
     }
     fn submit_event(&self, _: &str, _: Key, _: Vec<u8>) -> muppet_core::Result<()> {
         Ok(())
@@ -103,7 +103,7 @@ fn body_cut_short(request: &[u8]) -> bool {
 #[test]
 fn every_truncation_and_byte_flip_is_answered_or_cut_short() {
     let requests: [(&[u8], usize); 4] = [
-        (b"GET /status HTTP/1.1\r\nHost: node\r\n\r\n", HEAD_CAP),
+        (b"GET /membership HTTP/1.1\r\nHost: node\r\n\r\n", HEAD_CAP),
         (b"GET /slate/U/k HTTP/1.1\r\nHost: node\r\n\r\n", HEAD_CAP),
         (b"POST /submit/S/k HTTP/1.1\r\nContent-Length: 12\r\n\r\nhello, world", SUBMIT_CAP),
         (b"POST /join HTTP/1.1\r\nContent-Length: 21\r\n\r\n127.0.0.1:29100:28100", JOIN_CAP),
@@ -144,7 +144,7 @@ fn declared_bodies_past_their_caps_are_refused_before_allocating() {
         assert_eq!(code, Some(400), "{request:?}");
         assert!(largest < HEAD_CAP, "allocated {largest} B for {request:?}");
     }
-    let head = format!("GET /status HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(HEAD_CAP));
+    let head = format!("GET /membership HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(HEAD_CAP));
     let (code, largest) = serve(head.as_bytes());
     assert_eq!(code, Some(431));
     assert!(largest <= 2 * HEAD_CAP, "allocated {largest} B past the head cap");

@@ -69,9 +69,6 @@ pub struct StoreConfig {
     pub device: DeviceProfile,
     /// Per-node memtable flush threshold.
     pub memtable_flush_bytes: usize,
-    /// Compress values before storing (the §4.2 behaviour; off for
-    /// ablation).
-    pub compress_values: bool,
     /// fsync node WALs on every append (durable against power loss).
     /// Batched writes group-commit: one fsync per [`StoreCluster::put_many`]
     /// run per node, instead of one per record.
@@ -90,7 +87,6 @@ impl Default for StoreConfig {
             consistency: Consistency::Quorum,
             device: DeviceProfile::NULL,
             memtable_flush_bytes: 4 * 1024 * 1024,
-            compress_values: true,
             wal_sync_each: false,
             compact_rewrite_mbf: false,
         }
@@ -146,7 +142,7 @@ impl StoreCluster {
             let node_cfg = NodeConfig::new(base.join(format!("node-{i}")))
                 .with_flush_bytes(cfg.memtable_flush_bytes)
                 .with_wal_sync(cfg.wal_sync_each)
-                .with_mbf_rewrite(cfg.compact_rewrite_mbf, cfg.compress_values);
+                .with_mbf_rewrite(cfg.compact_rewrite_mbf, true);
             nodes.push(ClusterNode {
                 store: Mutex::new(StoreNode::open(node_cfg, Arc::clone(&device))?),
                 device,
@@ -223,14 +219,7 @@ impl StoreCluster {
         // replica sets.
         let prepared: Vec<(Bytes, Vec<usize>)> = items
             .iter()
-            .map(|(key, value, _, _)| {
-                let stored: Bytes = if self.cfg.compress_values {
-                    compress(value).into()
-                } else {
-                    Bytes::copy_from_slice(value)
-                };
-                (stored, self.replica_set(key))
-            })
+            .map(|(key, value, _, _)| (Bytes::from(compress(value)), self.replica_set(key)))
             .collect();
         // Group per node: node id → the (index, cell) runs it stores.
         let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
@@ -381,12 +370,7 @@ impl StoreCluster {
                         self.stats.lock().read_repairs += 1;
                     }
                 }
-                let value = if self.cfg.compress_values {
-                    Bytes::from(decompress(&cell.value)?)
-                } else {
-                    cell.value
-                };
-                Ok(Some((value, cell.codec)))
+                Ok(Some((Bytes::from(decompress(&cell.value)?), cell.codec)))
             }
         }
     }
@@ -467,9 +451,7 @@ impl StoreCluster {
         }
         let mut out = Vec::with_capacity(newest.len());
         for (row, (_, stored)) in newest {
-            let value =
-                if self.cfg.compress_values { Bytes::from(decompress(&stored)?) } else { stored };
-            out.push((row, value));
+            out.push((row, Bytes::from(decompress(&stored)?)));
         }
         Ok(out)
     }
@@ -754,20 +736,13 @@ mod tests {
     }
 
     #[test]
-    fn compression_toggle_affects_stored_bytes() {
-        let dir_a = TempDir::new("cluster-comp").unwrap();
-        let dir_b = TempDir::new("cluster-raw").unwrap();
+    fn values_are_stored_compressed() {
+        let dir = TempDir::new("cluster-comp").unwrap();
         let compressible = vec![b'a'; 10_000];
-        let mk = |dir: &TempDir, compress: bool| {
-            let cfg = StoreConfig { compress_values: compress, ..Default::default() };
-            StoreCluster::open(dir.path(), cfg).unwrap()
-        };
-        let ca = mk(&dir_a, true);
-        ca.put(&key("k"), &compressible, None, 1).unwrap();
-        assert_eq!(ca.get(&key("k"), 2).unwrap().unwrap().as_ref(), &compressible[..]);
-        let cb = mk(&dir_b, false);
-        cb.put(&key("k"), &compressible, None, 1).unwrap();
-        assert!(ca.stats().stored_bytes < cb.stats().stored_bytes / 10);
+        let c = StoreCluster::open(dir.path(), StoreConfig::default()).unwrap();
+        c.put(&key("k"), &compressible, None, 1).unwrap();
+        assert_eq!(c.get(&key("k"), 2).unwrap().unwrap().as_ref(), &compressible[..]);
+        assert!(c.stats().stored_bytes < c.stats().raw_bytes / 10);
     }
 
     #[test]

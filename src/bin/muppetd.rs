@@ -8,12 +8,13 @@
 //! * `GET  /slate/<updater>/<key>`  — live slate read (cluster-wide: reads
 //!   for keys owned by other machines cross the wire);
 //! * `GET  /keys/<updater>`         — cached keys;
-//! * `GET  /status`                 — engine counters + epoch + failures;
-//! * `GET  /metrics`                — Prometheus text exposition (counters,
-//!   per-stage latency histograms, hot-key top-k);
+//! * `GET  /metrics`                — Prometheus text exposition: the §4.5
+//!   status (counters, epoch, largest queue, per-stage latency
+//!   histograms, hot-key top-k);
 //! * `GET  /membership`             — epoch, staged epoch, ring members,
 //!   node list, failed machines;
 //! * `POST /submit/<stream>/<key>`  — ingest one event (body = value);
+//! * `GET  /dlq`, `POST /dlq/retry`  — dead letters: list, re-inject;
 //! * `POST /join` (master only)     — reserve a cluster id for a joiner.
 //!
 //! Example 3-node loopback cluster:
@@ -23,7 +24,7 @@
 //!     127.0.0.1:9100:8100,127.0.0.1:9101:8101,127.0.0.1:9102:8102 --node 0 &
 //! # ... same with --node 1 and --node 2 ...
 //! curl -X POST --data-binary '{"topics":["sports"]}' http://127.0.0.1:8100/submit/S1/k1
-//! curl http://127.0.0.1:8102/status
+//! curl http://127.0.0.1:8102/metrics
 //! ```
 //!
 //! Growing the running cluster by a 4th machine (DESIGN.md §7):
@@ -40,8 +41,8 @@
 //!
 //! The failure master (§4.3) runs on the topology's `master` node (default
 //! node 0). Kill any other node and keep submitting: the senders report
-//! the dead machine, the master broadcasts, and `/status` on every
-//! surviving node shows it under `failed_machines`.
+//! the dead machine, the master broadcasts, and `/membership` on every
+//! surviving node shows it under `failed`.
 //!
 //! The event wire batches: outbound events coalesce into `Events`
 //! frames per peer, flushed at 128 events or when their producer has

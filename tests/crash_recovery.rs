@@ -162,7 +162,7 @@ fn spawn_node(peers: &str, http_port: u16, data_dir: &str, wal: &str) -> Node {
                 panic!("muppetd exited before becoming ready: {status}");
             }
         }
-        matches!(http("GET", http_port, "/status", b""), Ok((200, _)))
+        matches!(http("GET", http_port, "/membership", b""), Ok((200, _)))
     });
     assert!(ready, "muppetd never became ready on http port {http_port}");
     node
@@ -209,12 +209,12 @@ fn kill_minus_9_mid_ingest_then_restart_replays_to_bit_exact_counts() {
 
     // The node replayed the un-checkpointed suffix (everything: the crash
     // preceded any checkpoint) ...
-    let (code, status) = http("GET", port, "/status", b"").unwrap();
+    let (code, metrics) = http("GET", port, "/metrics", b"").unwrap();
     assert_eq!(code, 200);
-    let status = String::from_utf8(status).unwrap();
+    let metrics = String::from_utf8(metrics).unwrap();
     assert!(
-        status.contains(&format!("\"recovered_replayed\":{N}")),
-        "expected a full replay of {N} events in {status}"
+        metrics.lines().any(|l| l == format!("muppet_wal_ingest_replayed_total {N}")),
+        "expected a full replay of {N} events in {metrics}"
     );
     // ... and converges to the reference model's exact counts.
     let expected = reference_counts(N);
@@ -258,11 +258,11 @@ fn sigterm_checkpoints_exits_zero_and_restart_replays_nothing() {
 
     // The restart finds the cursor at the WAL's end: zero replay.
     let node2 = spawn_node(&peers, port, data_dir.to_str().unwrap(), wal.to_str().unwrap());
-    let (_, status) = http("GET", port, "/status", b"").unwrap();
-    let status = String::from_utf8(status).unwrap();
+    let (_, metrics) = http("GET", port, "/metrics", b"").unwrap();
+    let metrics = String::from_utf8(metrics).unwrap();
     assert!(
-        status.contains("\"recovered_replayed\":0"),
-        "a checkpointed restart must replay nothing: {status}"
+        metrics.lines().any(|l| l == "muppet_wal_ingest_replayed_total 0"),
+        "a checkpointed restart must replay nothing: {metrics}"
     );
 
     // Exactly-once across the restart: one more Walmart checkin continues
@@ -491,10 +491,6 @@ fn a_failed_fsync_stops_ingest_keeps_the_store_behind_the_log_and_a_restart_repl
     let server = HttpSlateServer::serve(Arc::clone(&engine) as _).unwrap();
     let (code, _) = http("POST", server.port(), "/submit/S1/k-0", b"e").unwrap();
     assert_eq!(code, 503);
-    let (_, status) = http("GET", server.port(), "/status", b"").unwrap();
-    let status = String::from_utf8(status).unwrap();
-    assert!(status.contains(r#""ingest_wal_failed":true"#), "{status}");
-    assert!(status.contains(r#""ingest_wal_written":64,"ingest_wal_durable":0"#), "{status}");
     let (_, metrics) = http("GET", server.port(), "/metrics", b"").unwrap();
     let metrics = String::from_utf8(metrics).unwrap();
     for line in [

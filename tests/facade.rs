@@ -123,10 +123,11 @@ fn http_slate_reads_from_a_config_driven_cluster() {
     let (code, body) = http_get(&format!("{}/slate/tally/{enc}", server.base_url())).unwrap();
     assert_eq!(code, 200);
     assert_eq!(body, b"1");
-    let (code, body) = http_get(&format!("{}/status", server.base_url())).unwrap();
+    let (code, body) = http_get(&format!("{}/metrics", server.base_url())).unwrap();
     assert_eq!(code, 200);
-    let status = Json::parse_bytes(&body).unwrap();
-    assert_eq!(status.get("submitted").and_then(Json::as_u64), Some(1));
+    let samples = muppet::obs::parse_exposition(&String::from_utf8(body).unwrap()).unwrap();
+    let submitted = samples.iter().find(|s| s.name == "muppet_events_submitted_total");
+    assert_eq!(submitted.map(|s| s.value), Some(1.0));
 }
 
 #[test]

@@ -80,11 +80,27 @@ fn json_u64(body: &str, field: &str) -> Option<u64> {
     rest[..end].split('.').next()?.parse().ok()
 }
 
-fn status_field(port: u16, field: &str) -> Option<u64> {
-    match http("GET", port, "/status", b"") {
-        Ok((200, body)) => json_u64(&String::from_utf8_lossy(&body), field),
-        _ => None,
+/// The series of family `name` on `port`'s `/metrics` — the one labelled
+/// `label`, when given.
+fn metric(port: u16, name: &str, label: Option<(&str, &str)>) -> Option<u64> {
+    let Ok((200, body)) = http("GET", port, "/metrics", b"") else { return None };
+    let samples = muppet::obs::parse_exposition(&String::from_utf8_lossy(&body)).ok()?;
+    let found = samples
+        .iter()
+        .find(|s| s.name == name && label.is_none_or(|(k, v)| s.label(k) == Some(v)))?;
+    Some(found.value as u64)
+}
+
+/// `port`'s `/membership` document (empty when it does not answer 200).
+fn membership(port: u16) -> String {
+    match http("GET", port, "/membership", b"") {
+        Ok((200, body)) => String::from_utf8_lossy(&body).into_owned(),
+        _ => String::new(),
     }
+}
+
+fn processed(port: u16) -> u64 {
+    metric(port, "muppet_events_processed_total", None).unwrap_or(0)
 }
 
 fn start_cluster(store_dir: &str) -> Cluster {
@@ -144,9 +160,9 @@ fn try_start_cluster(store_dir: &str, attempt: usize) -> Result<Cluster, String>
                     return true; // break the wait; the http check below fails
                 }
             }
-            matches!(http("GET", port, "/status", b""), Ok((200, _)))
+            matches!(http("GET", port, "/membership", b""), Ok((200, _)))
         });
-        if !ready || !matches!(http("GET", port, "/status", b""), Ok((200, _))) {
+        if !ready || !matches!(http("GET", port, "/membership", b""), Ok((200, _))) {
             return Err(format!("node {node} on http port {port} never became ready"));
         }
     }
@@ -177,11 +193,8 @@ fn fourth_muppetd_joins_a_running_cluster_with_zero_handoff_loss() {
     ingest(a, 72);
     assert!(
         wait_until(Duration::from_secs(20), || {
-            status_field(a, "epoch") == Some(0)
-                && (0..3)
-                    .map(|n| status_field(cluster.http_ports[n], "processed").unwrap_or(0))
-                    .sum::<u64>()
-                    >= 72
+            metric(a, "muppet_epoch", None) == Some(0)
+                && (0..3).map(|n| processed(cluster.http_ports[n])).sum::<u64>() >= 72
         }),
         "pre-join traffic never processed"
     );
@@ -215,25 +228,24 @@ fn fourth_muppetd_joins_a_running_cluster_with_zero_handoff_loss() {
     // Keep ingesting through the join window.
     let joined = wait_until(Duration::from_secs(30), || {
         ingest(a, 8);
-        let epoch_everywhere = [a, c, d_http]
-            .iter()
-            .all(|&p| status_field(p, "epoch").map(|e| e >= 1).unwrap_or(false));
-        epoch_everywhere && status_field(a, "machines") == Some(4)
+        let epoch_everywhere =
+            [a, c, d_http].iter().all(|&p| metric(p, "muppet_epoch", None).is_some_and(|e| e >= 1));
+        epoch_everywhere && membership(a).matches("\"id\":").count() == 4
     });
     assert!(joined, "epoch 1 never installed on master, survivor, and joiner");
 
     // Post-join traffic — some of it now lands on the new machine.
     ingest(a, 72);
     let all_processed = wait_until(Duration::from_secs(30), || {
-        (0..4).map(|n| status_field(cluster.http_ports[n], "processed").unwrap_or(0)).sum::<u64>()
-            >= submitted * 3 // mapper + minute-counter + hot-detector per tweet
+        // mapper + minute-counter + hot-detector per tweet
+        (0..4).map(|n| processed(cluster.http_ports[n])).sum::<u64>() >= submitted * 3
     });
     assert!(all_processed, "cluster never processed all {submitted} tweets");
 
     // The joiner is doing real work: it processed events (forwarded or
     // routed directly once senders installed the epoch).
     assert!(
-        wait_until(Duration::from_secs(10), || status_field(d_http, "processed").unwrap_or(0) > 0),
+        wait_until(Duration::from_secs(10), || processed(d_http) > 0),
         "the joined machine never processed an event"
     );
 
@@ -257,21 +269,19 @@ fn fourth_muppetd_joins_a_running_cluster_with_zero_handoff_loss() {
     // The only permitted losses are the §4.3 failure counters — and no
     // machine failed, so every loss counter must be zero, on every node.
     for (n, &port) in cluster.http_ports.iter().enumerate() {
-        assert_eq!(status_field(port, "lost_machine_failure"), Some(0), "node {n}");
-        assert_eq!(status_field(port, "lost_in_queues"), Some(0), "node {n}");
-        assert_eq!(status_field(port, "dropped_overflow"), Some(0), "node {n}");
-        let (code, body) = http("GET", port, "/status", b"").unwrap();
-        assert_eq!(code, 200);
+        for reason in ["machine_failure", "in_queues"] {
+            let lost = metric(port, "muppet_events_lost_total", Some(("reason", reason)));
+            assert_eq!(lost, Some(0), "node {n}: lost to {reason}");
+        }
+        assert_eq!(metric(port, "muppet_overflow_dropped_total", None), Some(0), "node {n}");
         assert!(
-            String::from_utf8_lossy(&body).contains("\"failed_machines\":[]"),
+            membership(port).contains("\"failed\":[]"),
             "node {n}: no machine may be marked failed by a clean join"
         );
     }
 
     // /membership reflects the grown cluster everywhere.
-    let (code, body) = http("GET", c, "/membership", b"").unwrap();
-    assert_eq!(code, 200);
-    let body = String::from_utf8_lossy(&body).to_string();
+    let body = membership(c);
     assert!(json_u64(&body, "epoch").unwrap_or(0) >= 1, "{body}");
     assert_eq!(body.matches("\"id\":").count(), 4, "{body}");
     assert!(
