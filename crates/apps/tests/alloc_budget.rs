@@ -1,16 +1,15 @@
-//! Allocation budgets of the per-event paths: the reference executor, the
-//! event decoder, the tweet generator and a mapper step. A counting global
-//! allocator tallies each thread's heap allocations, so tests running in
-//! parallel do not see each other's.
+//! Allocation budgets of the per-event paths: the event decoder, the tweet
+//! generator and a mapper step. A counting global allocator tallies each
+//! thread's heap allocations, so tests running in parallel do not see each
+//! other's. The reference executor's budget is in `alloc_reference.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use muppet_apps::reputation::{self, ReputationMapper, ReputationScorer};
+use muppet_apps::reputation::{self, ReputationMapper};
 use muppet_core::codec::{get_event, put_event};
 use muppet_core::event::{Event, Key};
 use muppet_core::operator::{Mapper, VecEmitter};
-use muppet_core::reference::ReferenceExecutor;
 use muppet_workloads::tweets::TweetGenerator;
 
 struct Counting;
@@ -56,27 +55,6 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
-}
-
-#[test]
-fn a_warm_reference_tweet_allocates_nothing() {
-    const TWEETS: usize = 20_000;
-    let wf = reputation::workflow();
-    let mut exec = ReferenceExecutor::new(&wf);
-    exec.register_mapper(ReputationMapper::new());
-    exec.register_updater(ReputationScorer::new());
-    let pool = TweetGenerator::new(5, 2_000, 1.0).take(reputation::TWEET_STREAM, TWEETS);
-    // The first pass creates every slate and grows every queue.
-    exec.push_external_batch(reputation::TWEET_STREAM, pool.clone());
-    exec.run_to_completion().unwrap();
-    let cold = exec.stats();
-    let (stats, allocations) = counted(|| {
-        exec.push_external_batch(reputation::TWEET_STREAM, pool);
-        exec.run_to_completion().unwrap()
-    });
-    assert_eq!(stats.emitted, 2 * cold.emitted, "the warm pass re-runs the same tweets");
-    let per_tweet = allocations as f64 / TWEETS as f64;
-    assert!(per_tweet <= 0.01, "{allocations} allocations over {TWEETS} warm tweets");
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //! probe. The assertions are the PR's standing contract:
 //!
 //! * the observed order graph is acyclic (no potential deadlock pair
-//!   anywhere in the exercised paths);
+//!   anywhere in the exercised paths, the failure master's join fence
+//!   included);
 //! * zero fsyncs happen while a lock is held, outside the explicitly
 //!   sanctioned group-commit/checkpoint windows.
 //!
@@ -25,6 +26,7 @@ use muppet_core::sync::audit;
 use muppet_core::workflow::Workflow;
 use muppet_runtime::cache::FlushPolicy;
 use muppet_runtime::engine::{Engine, EngineConfig, EngineKind, OperatorSet};
+use muppet_runtime::master::Master;
 use muppet_slatestore::cluster::{StoreCluster, StoreConfig};
 use muppet_slatestore::util::TempDir;
 
@@ -86,6 +88,15 @@ fn engine_run_has_acyclic_lock_order_and_no_fsync_under_lock() {
     // Shutdown syncs the ingest WAL (with no lock held, like every group
     // commit above) and checkpoints the ingest cursor.
     engine.shutdown();
+
+    // The master's join fence and failure marks, on both lock paths: a
+    // join takes `joined` then `failed`, and so must every failure mark.
+    let master = Master::new();
+    master.mark_joined(1, 2);
+    assert!(!master.report_failure(1, 1), "a stale report is fenced out");
+    assert!(master.report_failure(1, 2));
+    master.mark_joined(1, 3);
+    assert!(master.mark_failed(1, 3));
 
     let cycles = audit::order_cycles();
     assert!(cycles.is_empty(), "lock-order cycles observed:\n{}", cycles.join("\n---\n"));

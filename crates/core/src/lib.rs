@@ -3,8 +3,8 @@
 //! This crate defines the data model and programming interfaces of
 //! **MapUpdate**, the MapReduce-style framework for fast data introduced by
 //! the Muppet paper (Lam et al., VLDB 2012), plus a deterministic
-//! single-threaded *reference executor* that realizes the paper's
-//! "well-defined" semantics exactly (Section 3):
+//! *reference executor* that delivers one event at a time and realizes the
+//! paper's "well-defined" semantics exactly (Section 3):
 //!
 //! * events are tuples ⟨sid, ts, k, v⟩ ([`event::Event`]);
 //! * a *stream* is the sequence of events with one sid in increasing

@@ -11,20 +11,29 @@
 //!
 //! "Ideally, a MapUpdate implementation should produce these exact streams
 //! and slate updates. Due to practical constraints, however, it often can
-//! only approximate them." This module *is* the ideal: a single-threaded
-//! executor that realizes the exact semantics. The distributed engines in
-//! `muppet-runtime` are tested against it — exact equality for loss-free
-//! runs of order-insensitive (commutative) applications, bounded deviation
-//! otherwise.
+//! only approximate them." This module *is* the ideal: an executor that
+//! delivers one event at a time and realizes the exact semantics. The
+//! distributed engines in `muppet-runtime` are tested against it — exact
+//! equality for loss-free runs of order-insensitive (commutative)
+//! applications, bounded deviation otherwise.
 //!
 //! How pending events are ordered (two sorted lanes merged at pop, a heap
-//! for stragglers) is DESIGN.md §3, "The reference executor".
+//! for stragglers) is DESIGN.md §3, "The reference executor". A run may
+//! call the mappers fed only by external streams ahead of delivery, on one
+//! helper thread; every function still sees its events in the same order
+//! (DESIGN.md §3, "Mapping ahead").
 
 use std::cmp::Reverse;
+use std::collections::vec_deque::Drain;
 use std::collections::{BinaryHeap, VecDeque};
+use std::mem;
+use std::panic;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::Arc;
+use std::thread::{self, ScopedJoinHandle};
 
 use crate::error::{Error, Result};
-use crate::event::{Event, Key, StreamId};
+use crate::event::{EmitRecord, Event, Key, StreamId, Timestamp};
 use crate::hash::FxHashMap;
 use crate::operator::{Mapper, Updater, VecEmitter};
 use crate::slate::Slate;
@@ -78,26 +87,130 @@ impl Pending {
         true
     }
 
-    /// Remove the least pending event by `(ts, seq)`: the least of the two
-    /// lane heads and the heap's top.
-    fn pop(&mut self) -> Option<Event> {
+    /// Where the least pending event by `(ts, seq)` is — the least of the
+    /// two lane heads and the heap's top: a lane, or the heap (2), with
+    /// `external` standing for the external lane's head.
+    fn least(&self, external: Option<&Event>) -> Option<usize> {
         let heads = [
-            self.lanes[EXTERNAL].front(),
+            external,
             self.lanes[EMITTED].front(),
             self.behind.peek().map(|Reverse(ByOrder(e))| e),
         ];
         let (_, from) =
             heads.iter().enumerate().filter_map(|(i, e)| Some((e.as_ref()?.order(), i))).min()?;
-        match from {
+        Some(from)
+    }
+
+    /// Remove the head of a source [`least`](Self::least) named.
+    fn take(&mut self, from: usize) -> Event {
+        let event = match from {
             EXTERNAL | EMITTED => self.lanes[from].pop_front(),
             _ => self.behind.pop().map(|Reverse(ByOrder(e))| e),
+        };
+        event.expect("the least source has a head")
+    }
+}
+
+/// External events the map-ahead helper maps per hand-off.
+const CHUNK: usize = 1024;
+
+/// What the mappers that run ahead emitted for a run of external events:
+/// `counts` holds one entry per ⟨event, mapper⟩ call, in delivery order,
+/// and `records` those calls' records.
+struct Chunk {
+    records: VecDeque<EmitRecord>,
+    counts: VecDeque<usize>,
+}
+
+/// The helper thread's loop: walk `lane` in order, call `mappers`
+/// (indexed by [`OpId`]) on each event, and hand their records over
+/// `full` a chunk at a time, reusing the buffers that come back on
+/// `empty`. It stops early when the delivering thread hangs up.
+fn map_ahead(
+    wf: &Workflow,
+    mappers: &[Option<Arc<dyn Mapper>>],
+    lane: &VecDeque<Event>,
+    full: SyncSender<Chunk>,
+    empty: Receiver<Chunk>,
+) {
+    let mut emitter = VecEmitter::with_streams(wf.streams());
+    let mut events = lane.iter();
+    while events.len() > 0 {
+        let mut chunk = match empty.try_recv() {
+            Ok(chunk) => chunk,
+            Err(TryRecvError::Empty) => Chunk {
+                records: VecDeque::with_capacity(CHUNK),
+                counts: VecDeque::with_capacity(CHUNK),
+            },
+            Err(TryRecvError::Disconnected) => return,
+        };
+        for event in events.by_ref().take(CHUNK) {
+            for &op in wf.subscribers_of(event.stream.as_str()) {
+                if let Some(mapper) = &mappers[op] {
+                    mapper.map(&mut emitter, event);
+                    chunk.counts.push_back(emitter.len());
+                    chunk.records.extend(emitter.drain());
+                }
+            }
+        }
+        if full.send(chunk).is_err() {
+            return;
+        }
+    }
+}
+
+/// The delivering thread's end of a run that maps ahead. It delivers the
+/// external lane by index: the helper reads the same lane.
+struct Ahead<'scope, 'lane> {
+    /// Whether the helper maps for each operator, by [`OpId`].
+    runs: Vec<bool>,
+    lane: &'lane VecDeque<Event>,
+    /// The index of the next external to deliver.
+    next: usize,
+    /// The helper's records not yet admitted, and their per-call counts.
+    records: VecDeque<EmitRecord>,
+    counts: VecDeque<usize>,
+    full: Receiver<Chunk>,
+    empty: Sender<Chunk>,
+    helper: Option<ScopedJoinHandle<'scope, ()>>,
+}
+
+impl Ahead<'_, '_> {
+    /// The records of the helper's next mapper call.
+    fn next_call(&mut self) -> Drain<'_, EmitRecord> {
+        while self.counts.is_empty() {
+            let Ok(mut chunk) = self.full.recv() else {
+                // The helper hung up before mapping the event delivered:
+                // a mapper panicked.
+                let helper = self.helper.take().expect("the helper is joined once");
+                match helper.join() {
+                    Err(payload) => panic::resume_unwind(payload),
+                    Ok(()) => unreachable!("the helper maps every external delivered"),
+                }
+            };
+            mem::swap(&mut self.records, &mut chunk.records);
+            mem::swap(&mut self.counts, &mut chunk.counts);
+            // Fails only once the helper is done.
+            let _ = self.empty.send(chunk);
+        }
+        let n = self.counts.pop_front().expect("a count was just received");
+        self.records.drain(..n)
+    }
+
+    /// Hang up and join the helper. A panic it met past the last delivery
+    /// is dropped: stepping would not have called that mapper.
+    fn finish(mut self) {
+        let helper = self.helper.take();
+        drop(self);
+        if let Some(helper) = helper {
+            let _ = helper.join();
         }
     }
 }
 
 /// A registered operator implementation.
 enum Operator {
-    Map(Box<dyn Mapper>),
+    Map(Arc<dyn Mapper>),
     Update(Box<dyn Updater>),
 }
 
@@ -115,7 +228,8 @@ pub struct RunStats {
     pub out_of_order: u64,
 }
 
-/// The single-threaded golden-model executor.
+/// The golden-model executor: one delivery at a time, in `(ts, seq)`
+/// order.
 pub struct ReferenceExecutor<'wf> {
     wf: &'wf Workflow,
     /// Indexed by [`OpId`]; `None` until registered.
@@ -175,7 +289,7 @@ impl<'wf> ReferenceExecutor<'wf> {
     /// Register a boxed mapper, returning an error on mismatches.
     pub fn register_mapper_boxed(&mut self, mapper: Box<dyn Mapper>) -> Result<()> {
         let id = self.declared(mapper.name(), OpKind::Map, "a map function")?;
-        self.ops[id] = Some(Operator::Map(mapper));
+        self.ops[id] = Some(Operator::Map(mapper.into()));
         Ok(())
     }
 
@@ -218,6 +332,8 @@ impl<'wf> ReferenceExecutor<'wf> {
             "stream {stream} is not external; operators publish internal events"
         );
         let id = StreamId::from(stream);
+        let events = events.into_iter();
+        self.pending.lanes[EXTERNAL].reserve(events.size_hint().0);
         for mut event in events {
             event.stream = id.clone();
             self.admit(EXTERNAL, event);
@@ -236,50 +352,152 @@ impl<'wf> ReferenceExecutor<'wf> {
     /// Deliver the globally-least pending event to all subscribers.
     /// Returns `false` when no events remain.
     pub fn step(&mut self) -> Result<bool> {
-        let Some(event) = self.pending.pop() else {
-            return Ok(false);
+        self.deliver(None)
+    }
+
+    /// [`step`](Self::step), taking the externals and the records of the
+    /// mappers that run ahead from `ahead`.
+    fn deliver(&mut self, mut ahead: Option<&mut Ahead<'_, '_>>) -> Result<bool> {
+        let head = match ahead.as_deref() {
+            Some(ahead) => ahead.lane.get(ahead.next),
+            None => self.pending.lanes[EXTERNAL].front(),
+        };
+        let popped;
+        let event = match (self.pending.least(head), ahead.as_deref_mut()) {
+            (None, _) => return Ok(false),
+            (Some(EXTERNAL), Some(ahead)) => {
+                ahead.next += 1;
+                &ahead.lane[ahead.next - 1]
+            }
+            (Some(from), _) => {
+                popped = self.pending.take(from);
+                &popped
+            }
         };
         if self.record_streams.contains(&event.stream) {
             self.recorded.entry(event.stream.clone()).or_default().push(event.clone());
         }
         let wf = self.wf;
-        let mut emitter = std::mem::take(&mut self.emitter);
+        let mut emitter = mem::take(&mut self.emitter);
         for &op_id in wf.subscribers_of(event.stream.as_str()) {
             self.stats.deliveries += 1;
             if self.stats.deliveries > self.step_budget {
                 return Err(Error::LoopBudgetExceeded { steps: self.step_budget });
             }
             match &self.ops[op_id] {
-                Some(Operator::Map(mapper)) => mapper.map(&mut emitter, &event),
+                Some(Operator::Map(mapper)) => match ahead.as_deref_mut() {
+                    Some(ahead) if ahead.runs[op_id] => {
+                        self.admit_emitted(ahead.next_call(), event.ts)?;
+                    }
+                    _ => mapper.map(&mut emitter, event),
+                },
                 Some(Operator::Update(updater)) => {
                     let slate =
                         self.slates[op_id].entry(event.key.clone()).or_insert_with(Slate::empty);
-                    updater.update(&mut emitter, &event, slate);
+                    updater.update(&mut emitter, event, slate);
                 }
                 None => return Err(Error::UnknownOperator(wf.op(op_id).name.clone())),
             }
             // Admit this operator's emissions before running the next
             // subscriber, so seq order is (op order, emission order) — a
             // fixed deterministic rule.
-            for rec in emitter.drain() {
-                if wf.is_external(rec.stream.as_str()) {
-                    return Err(Error::ExternalStreamViolation(rec.stream.as_str().to_string()));
-                }
-                if !wf.has_stream(rec.stream.as_str()) {
-                    return Err(Error::UnknownStream(rec.stream.as_str().to_string()));
-                }
-                self.stats.emitted += 1;
-                self.admit(EMITTED, Event::new(rec.stream, event.ts + 1, rec.key, rec.value));
-            }
+            self.admit_emitted(emitter.drain(), event.ts)?;
         }
         self.emitter = emitter;
         Ok(true)
     }
 
+    /// Validate and admit one call's emissions, stamped `ts + 1`.
+    fn admit_emitted(
+        &mut self,
+        records: impl Iterator<Item = EmitRecord>,
+        ts: Timestamp,
+    ) -> Result<()> {
+        for rec in records {
+            if self.wf.is_external(rec.stream.as_str()) {
+                return Err(Error::ExternalStreamViolation(rec.stream.as_str().to_string()));
+            }
+            if !self.wf.has_stream(rec.stream.as_str()) {
+                return Err(Error::UnknownStream(rec.stream.as_str().to_string()));
+            }
+            self.stats.emitted += 1;
+            self.admit(EMITTED, Event::new(rec.stream, ts + 1, rec.key, rec.value));
+        }
+        Ok(())
+    }
+
     /// Run until no pending events remain (or the step budget trips).
+    ///
+    /// With at least a chunk (1024) of external events pending, all in lane
+    /// order, the mappers subscribed to external streams only run ahead on
+    /// a helper thread (DESIGN.md §3, "Mapping ahead"). A mapper's panic is
+    /// re-raised here with its own payload.
     pub fn run_to_completion(&mut self) -> Result<RunStats> {
-        while self.step()? {}
+        let Some(mappers) = self.mappers_ahead() else {
+            return self.drive(None);
+        };
+        let wf = self.wf;
+        let runs = mappers.iter().map(Option::is_some).collect();
+        let mut lane = mem::take(&mut self.pending.lanes[EXTERNAL]);
+        let mut delivered = 0;
+        let ran = thread::scope(|scope| {
+            let (full_tx, full) = mpsc::sync_channel(1);
+            let (empty, empty_rx) = mpsc::channel();
+            let lane = &lane;
+            let helper = thread::Builder::new()
+                .name("muppet-ref-map".into())
+                .spawn_scoped(scope, move || map_ahead(wf, &mappers, lane, full_tx, empty_rx))
+                .expect("spawn the map-ahead thread");
+            let mut ahead = Ahead {
+                runs,
+                lane,
+                next: 0,
+                records: VecDeque::new(),
+                counts: VecDeque::new(),
+                full,
+                empty,
+                helper: Some(helper),
+            };
+            let ran = self.drive(Some(&mut ahead));
+            delivered = ahead.next;
+            ahead.finish();
+            ran
+        });
+        // Nothing is admitted to the external lane during a run.
+        lane.drain(..delivered);
+        self.pending.lanes[EXTERNAL] = lane;
+        ran
+    }
+
+    fn drive(&mut self, mut ahead: Option<&mut Ahead<'_, '_>>) -> Result<RunStats> {
+        while self.deliver(ahead.as_deref_mut())? {}
         Ok(self.stats)
+    }
+
+    /// The mappers a run may call ahead, by [`OpId`]: registered mappers
+    /// whose streams are all external. `None` when there is none, or when
+    /// fewer than [`CHUNK`] externals are pending or one is in the heap,
+    /// so that externals would not be delivered in lane order.
+    fn mappers_ahead(&self) -> Option<Vec<Option<Arc<dyn Mapper>>>> {
+        let wf = self.wf;
+        let external = |stream: &StreamId| wf.is_external(stream.as_str());
+        if self.pending.lanes[EXTERNAL].len() < CHUNK
+            || self.pending.behind.iter().any(|Reverse(ByOrder(e))| external(&e.stream))
+        {
+            return None;
+        }
+        let mappers: Vec<_> = self
+            .ops
+            .iter()
+            .zip(wf.ops())
+            .map(|(op, decl)| match op {
+                Some(Operator::Map(mapper)) if decl.subscribes.iter().all(external) => {
+                    Some(Arc::clone(mapper))
+                }
+                _ => None,
+            })
+            .collect();
+        mappers.iter().any(Option::is_some).then_some(mappers)
     }
 
     /// The slate for ⟨updater, key⟩, if any exists.

@@ -1010,3 +1010,233 @@ fn an_in_order_schedule_never_reaches_the_heap() {
     let total: u64 = exec.slates_of("U1").iter().map(|(_, s)| s.counter()).sum();
     assert_eq!(total, 1_000);
 }
+
+// ---------- reference executor: mapping ahead ≡ stepping ----------
+//
+// `run_to_completion` may run the mappers fed only by external streams
+// ahead of delivery on a helper thread (DESIGN.md §3, "Mapping ahead").
+// Every function must still see exactly the events, in exactly the order,
+// that `step()` one at a time hands it.
+
+/// Streams of the map-ahead workflow by index; A and B are external.
+const AHEAD_STREAMS: [&str; 4] = ["A", "B", "C", "D"];
+
+/// A feeds M0, U1 and M2 (in that `OpId` order); B and C feed M3; C and D
+/// feed U4, which republishes a countdown on C. M0 and M2 read external
+/// streams only and may run ahead; M3 reads C and may not.
+fn ahead_workflow() -> Workflow {
+    let mut b = Workflow::builder("ahead");
+    b.external_stream("A");
+    b.external_stream("B");
+    b.mapper_publishing("M0", &["A"], &["C"]);
+    b.updater("U1", &["A"]);
+    b.mapper_publishing("M2", &["A"], &["D"]);
+    b.mapper_publishing("M3", &["B", "C"], &["D"]);
+    b.updater_publishing("U4", &["C", "D"], &["C"]);
+    b.build().unwrap()
+}
+
+/// Each operator's own log of the events it was handed: ⟨ts, seq, key⟩.
+type OwnLog = Vec<(u64, u64, Key)>;
+
+/// What a run leaves behind for comparison.
+#[derive(Debug, PartialEq)]
+struct AheadOutcome {
+    ran: Result<RunStats, Error>,
+    logs: Vec<OwnLog>,
+    slates: BTreeMap<(String, Key), u64>,
+    stats: RunStats,
+    /// Mapper calls made on the map-ahead thread.
+    ahead_calls: usize,
+}
+
+/// An external event: ⟨on B rather than A, ts, key, countdown, publish
+/// into an external stream⟩.
+type AheadInput = (bool, u64, u8, u8, bool);
+
+/// Push `inputs` into a fresh executor, run it with `run`, and collect
+/// every operator's log, every slate and the stats.
+fn ahead_run(
+    inputs: &[AheadInput],
+    budget: u64,
+    run: impl FnOnce(&mut ReferenceExecutor) -> Result<RunStats, Error>,
+) -> AheadOutcome {
+    let wf = ahead_workflow();
+    let logs: Vec<Arc<Mutex<OwnLog>>> = wf.ops().iter().map(|_| Arc::default()).collect();
+    let ahead_calls = Arc::new(Mutex::new(0));
+    let logger = |op: usize| {
+        let log = Arc::clone(&logs[op]);
+        let ahead_calls = Arc::clone(&ahead_calls);
+        move |ev: &Event| {
+            log.lock().push((ev.ts, ev.seq, ev.key.clone()));
+            if std::thread::current().name() == Some("muppet-ref-map") {
+                *ahead_calls.lock() += 1;
+            }
+        }
+    };
+    let mut exec = ReferenceExecutor::new(&wf).with_step_budget(budget);
+    // M0 spreads each key over three sub-keys round-robin, with a cursor
+    // per key like `apps::split_counter::SplittingMapper`: its output
+    // depends on the order of its calls.
+    let (seen, cursors) = (logger(0), Mutex::new(BTreeMap::<Key, u64>::new()));
+    exec.register_mapper(FnMapper::new("M0", move |ctx: &mut dyn Emitter, ev: &Event| {
+        seen(ev);
+        let shard = {
+            let mut cursors = cursors.lock();
+            let cursor = cursors.entry(ev.key.clone()).or_default();
+            *cursor += 1;
+            *cursor % 3
+        };
+        let key = Key::from(format!("{}#{shard}", ev.key.as_str().unwrap()));
+        ctx.publish("C", key, ev.value.to_vec());
+    }));
+    let seen = logger(2);
+    exec.register_mapper(FnMapper::new("M2", move |ctx: &mut dyn Emitter, ev: &Event| {
+        seen(ev);
+        let stream = if ev.value[1] == 1 { "B" } else { "D" };
+        ctx.publish(stream, ev.key.clone(), vec![ev.value[0], 0]);
+        ctx.publish("D", ev.key.clone(), vec![0, 0]);
+    }));
+    let seen = logger(3);
+    exec.register_mapper(FnMapper::new("M3", move |ctx: &mut dyn Emitter, ev: &Event| {
+        seen(ev);
+        if ev.value[0] % 2 == 1 {
+            ctx.publish("D", ev.key.clone(), vec![0, 0]);
+        }
+    }));
+    for name in ["U1", "U4"] {
+        let seen = logger(wf.op_id(name).unwrap());
+        exec.register_updater(FnUpdater::new(
+            name,
+            move |ctx: &mut dyn Emitter, ev: &Event, slate: &mut Slate| {
+                seen(ev);
+                slate.incr_counter(1);
+                if let Some(n) = ev.value[0].checked_sub(1).filter(|_| ev.stream.as_str() != "A") {
+                    ctx.publish("C", ev.key.clone(), vec![n, 0]);
+                }
+            },
+        ));
+    }
+    for run in inputs.chunk_by(|a, b| a.0 == b.0) {
+        exec.push_external_batch(
+            AHEAD_STREAMS[usize::from(run[0].0)],
+            run.iter().map(|&(on_b, ts, key, n, violate)| {
+                let stream = AHEAD_STREAMS[usize::from(on_b)];
+                Event::new(stream, ts, Key::from(format!("k{key}")), vec![n, u8::from(violate)])
+            }),
+        );
+    }
+    let ran = run(&mut exec);
+    let slates = ["U1", "U4"]
+        .into_iter()
+        .flat_map(|name| {
+            exec.slates_of(name)
+                .into_iter()
+                .map(|(k, s)| ((name.to_string(), k.clone()), s.counter()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let logs = logs.iter().map(|log| log.lock().clone()).collect();
+    let ahead_calls = *ahead_calls.lock();
+    AheadOutcome { ran, logs, slates, stats: exec.stats(), ahead_calls }
+}
+
+/// A schedule of `n` externals: mostly on A, timestamps rising by at most
+/// one (ties included), or with every `disorder`-th one pulled back.
+fn ahead_inputs(
+    n: usize,
+    seed: u64,
+    disorder: Option<usize>,
+    violate_at: Option<usize>,
+) -> Vec<AheadInput> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut ts = 1;
+    (0..n)
+        .map(|i| {
+            let r = next();
+            ts += r % 2;
+            let ts = match disorder {
+                Some(every) if i % every == every - 1 => ts.saturating_sub(3),
+                _ => ts,
+            };
+            let on_b = (r >> 8) % 8 == 0;
+            let violate = violate_at == Some(i) && !on_b;
+            (on_b, ts, ((r >> 16) % 7) as u8, ((r >> 24) % 4) as u8, violate)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same schedule, run to completion (mapping ahead where it may)
+    /// and stepped one event at a time, leaves every operator with the
+    /// same log, every slate, `RunStats` and `Err` the same. After an
+    /// `Err` a mapper that ran ahead may have seen more events, in the
+    /// same order.
+    #[test]
+    fn mapping_ahead_feeds_every_function_what_stepping_does(
+        n in 900usize..3200,
+        seed in any::<u64>(),
+        disorder in prop_oneof![Just(None), Just(None), (2usize..50).prop_map(Some)],
+        budget in prop_oneof![Just(u64::MAX), 1u64..9000],
+        violate_at in prop_oneof![Just(None), Just(None), (0usize..3200).prop_map(Some)],
+    ) {
+        let inputs = ahead_inputs(n, seed, disorder, violate_at);
+        let ahead = ahead_run(&inputs, budget, |exec| exec.run_to_completion());
+        let stepped = ahead_run(&inputs, budget, |exec| {
+            while exec.step()? {}
+            Ok(exec.stats())
+        });
+        prop_assert_eq!(stepped.ahead_calls, 0);
+        prop_assert_eq!(&ahead.ran, &stepped.ran);
+        prop_assert_eq!(&ahead.slates, &stepped.slates);
+        prop_assert_eq!(ahead.stats, stepped.stats);
+        for (op, (got, want)) in ahead.logs.iter().zip(&stepped.logs).enumerate() {
+            if ahead.ran.is_ok() || ![0, 2].contains(&op) {
+                prop_assert_eq!(got, want, "operator {}", op);
+            } else {
+                prop_assert!(got.starts_with(want), "operator {} ran ahead out of order", op);
+            }
+        }
+        // Mapping ahead happens exactly when a chunk of externals is
+        // pending in lane order; then M0 and M2 never run on the caller.
+        let externals_in_order = inputs.is_sorted_by_key(|input| input.1);
+        let mapped = ahead.logs[0].len() + ahead.logs[2].len();
+        if n >= 1024 && externals_in_order {
+            prop_assert_eq!(ahead.ahead_calls, mapped);
+        } else {
+            prop_assert_eq!(ahead.ahead_calls, 0);
+        }
+    }
+}
+
+#[test]
+fn a_mapper_panic_on_the_map_ahead_thread_keeps_its_message() {
+    let wf = count_workflow();
+    let mut exec = ReferenceExecutor::new(&wf);
+    exec.register_mapper(FnMapper::new("M1", |ctx: &mut dyn Emitter, ev: &Event| {
+        assert_ne!(ev.ts, 1500, "the mapper refuses ts {}", ev.ts);
+        ctx.publish("S2", ev.key.clone(), vec![]);
+    }));
+    exec.register_updater(FnUpdater::new("U1", |_: &mut dyn Emitter, _: &Event, s: &mut Slate| {
+        s.incr_counter(1);
+    }));
+    exec.push_external_batch("S1", (1..=3000).map(|ts| Event::new("S1", ts, Key::from("k"), "")));
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        exec.run_to_completion().ok();
+    }))
+    .expect_err("the mapper panics");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(message.contains("the mapper refuses ts 1500"), "lost the payload: {message:?}");
+}

@@ -21,12 +21,23 @@ use muppet_core::hash::{FxHashMap, FxHashSet};
 use muppet_core::sync::RwLock;
 
 /// The master: failure registry + broadcast, epoch-fenced.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Master {
     failed: RwLock<FxHashSet<usize>>,
     /// Latest epoch each machine (re-)joined at. Absent = a founding
     /// member (joined at epoch 0).
     joined: RwLock<FxHashMap<usize, u64>>,
+}
+
+impl Default for Master {
+    fn default() -> Self {
+        // Built field by field, so each lock is its own class in the
+        // lock-order audit (a derived Default gives both one site).
+        Master {
+            failed: RwLock::new(FxHashSet::default()),
+            joined: RwLock::new(FxHashMap::default()),
+        }
+    }
 }
 
 impl Master {
@@ -43,6 +54,10 @@ impl Master {
     /// Record that `machine` (re-)joined the cluster at `epoch`: clears
     /// any failed mark from a previous incarnation and fences out stale
     /// reports (those stamped with an earlier epoch).
+    ///
+    /// Every method that takes both locks takes `joined` before `failed`,
+    /// and reads the fence under `joined`, so a join and a failure mark
+    /// are ordered one way or the other.
     pub fn mark_joined(&self, machine: usize, epoch: u64) {
         let mut joined = self.joined.write();
         let slot = joined.entry(machine).or_insert(0);
@@ -58,22 +73,10 @@ impl Master {
     /// the machine's latest join are rejected outright — they describe a
     /// previous incarnation.
     pub fn report_failure(&self, machine: usize, epoch: u64) -> bool {
-        if epoch < self.joined_epoch(machine) {
+        if self.is_failed(machine) {
             return false;
         }
-        {
-            let failed = self.failed.read();
-            if failed.contains(&machine) {
-                return false;
-            }
-        }
-        let mut failed = self.failed.write();
-        // Re-check the fence under the write lock: a concurrent
-        // mark_joined must win over a racing stale report.
-        if epoch < self.joined_epoch(machine) {
-            return false;
-        }
-        failed.insert(machine)
+        self.mark_failed(machine, epoch)
     }
 
     /// Record a failure learned from a master *broadcast* (as opposed to a
@@ -81,7 +84,10 @@ impl Master {
     /// Returns `true` if the machine was newly marked; stale broadcasts
     /// (older than the machine's latest join) are rejected.
     pub fn mark_failed(&self, machine: usize, epoch: u64) -> bool {
-        if epoch < self.joined_epoch(machine) {
+        let joined = self.joined.read();
+        // The fence is read under `joined`, so a concurrent mark_joined
+        // wins over a racing stale report or broadcast.
+        if epoch < joined.get(&machine).copied().unwrap_or(0) {
             return false;
         }
         self.failed.write().insert(machine)
