@@ -3,7 +3,8 @@
 //! A real store-backed engine is driven through the full hot surface —
 //! membership reads, sharded cache hits/misses, slot mutation, dirty
 //! tracking, flush sweeps, ingest-WAL group commit, cross-machine
-//! routing, and shutdown checkpointing — with every shim lock feeding
+//! routing, an in-process join, a TCP master's join reservation and
+//! shutdown checkpointing — with every shim lock feeding
 //! the global acquisition-order graph and every fsync passing the IO
 //! probe. The assertions are the PR's standing contract:
 //!
@@ -24,8 +25,9 @@ use muppet_core::operator::{Emitter, FnMapper, FnUpdater};
 use muppet_core::slate::Slate;
 use muppet_core::sync::audit;
 use muppet_core::workflow::Workflow;
+use muppet_net::topology::Topology;
 use muppet_runtime::cache::FlushPolicy;
-use muppet_runtime::engine::{Engine, EngineConfig, EngineKind, OperatorSet};
+use muppet_runtime::engine::{Engine, EngineConfig, EngineKind, OperatorSet, TransportKind};
 use muppet_runtime::master::Master;
 use muppet_slatestore::cluster::{StoreCluster, StoreConfig};
 use muppet_slatestore::util::TempDir;
@@ -85,9 +87,26 @@ fn engine_run_has_acyclic_lock_order_and_no_fsync_under_lock() {
     for k in 0..50u64 {
         let _ = engine.read_slate("U1", &Key::from(format!("k{k}")));
     }
+    // Elastic growth: an in-process join (reserve, prepare with its
+    // handoff, commit) and the cluster view built from the machine table.
+    let joined = engine.join_machine().expect("machine joins");
+    assert_eq!(engine.cluster_view().topology.len(), joined + 1);
     // Shutdown syncs the ingest WAL (with no lock held, like every group
     // commit above) and checkpoints the ingest cursor.
     engine.shutdown();
+
+    // A TCP master reserving a joiner's id: the machine table and the
+    // wire's node table grow together under the join lock.
+    let topology = Topology::loopback_ephemeral(1, false).expect("ports");
+    let cfg = EngineConfig {
+        machines: 1,
+        transport: TransportKind::Tcp { topology, local: 0 },
+        ..EngineConfig::default()
+    };
+    let tcp = Engine::start(count_workflow(), count_ops(), cfg, None).expect("master starts");
+    let grant = tcp.admin_reserve_join("127.0.0.1:9103:8103").expect("id reserved");
+    assert_eq!(grant.id, Some(1));
+    tcp.shutdown();
 
     // The master's join fence and failure marks, on both lock paths: a
     // join takes `joined` then `failed`, and so must every failure mark.

@@ -151,68 +151,6 @@ impl AppConfig {
         Ok(cfg)
     }
 
-    /// Serialize back to JSON (stable field order).
-    pub fn to_json(&self) -> Json {
-        let flush = match self.flush {
-            FlushSpec::WriteThrough => Json::obj([("policy", Json::str("write_through"))]),
-            FlushSpec::IntervalMs(ms) => {
-                Json::obj([("policy", Json::str("interval")), ("ms", Json::num(ms as f64))])
-            }
-            FlushSpec::OnEvict => Json::obj([("policy", Json::str("on_evict"))]),
-        };
-        let consistency = match self.consistency {
-            ConsistencySpec::One => "one",
-            ConsistencySpec::Quorum => "quorum",
-            ConsistencySpec::All => "all",
-        };
-        let op_to_json = |op: &OpSpec| {
-            let mut fields = vec![
-                ("name".to_string(), Json::str(op.name.clone())),
-                (
-                    "subscribe".to_string(),
-                    Json::arr(op.subscribe.iter().map(|s| Json::str(s.clone()))),
-                ),
-            ];
-            if !op.publish.is_empty() {
-                fields.push((
-                    "publish".to_string(),
-                    Json::arr(op.publish.iter().map(|s| Json::str(s.clone()))),
-                ));
-            }
-            if let Some(ttl) = op.ttl_secs {
-                fields.push(("ttl_secs".to_string(), Json::num(ttl as f64)));
-            }
-            Json::Obj(fields)
-        };
-        Json::obj([
-            ("name", Json::str(self.name.clone())),
-            ("machines", Json::num(self.machines as f64)),
-            ("workers_per_machine", Json::num(self.workers_per_machine as f64)),
-            ("queue_capacity", Json::num(self.queue_capacity as f64)),
-            ("slate_cache_capacity", Json::num(self.slate_cache_capacity as f64)),
-            ("replication", Json::num(self.replication as f64)),
-            ("flush", flush),
-            ("consistency", Json::str(consistency)),
-            (
-                "workflow",
-                Json::obj([
-                    (
-                        "external_streams",
-                        Json::arr(
-                            self.workflow.external_streams.iter().map(|s| Json::str(s.clone())),
-                        ),
-                    ),
-                    (
-                        "streams",
-                        Json::arr(self.workflow.streams.iter().map(|s| Json::str(s.clone()))),
-                    ),
-                    ("mappers", Json::arr(self.workflow.mappers.iter().map(op_to_json))),
-                    ("updaters", Json::arr(self.workflow.updaters.iter().map(op_to_json))),
-                ]),
-            ),
-        ])
-    }
-
     /// Build the validated [`Workflow`] graph from this config.
     pub fn build_workflow(&self) -> Result<Workflow> {
         let mut b = Workflow::builder(self.name.clone());
@@ -397,16 +335,6 @@ mod tests {
         assert_eq!(wf.op_id("U1"), Some(1));
         // The config's per-updater TTL lands on the workflow declaration.
         assert_eq!(wf.op(1).ttl_secs, Some(86_400));
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_config() {
-        let cfg = AppConfig::from_json_str(EXAMPLE).unwrap();
-        let text = cfg.to_json().to_pretty();
-        let back = AppConfig::from_json_str(&text).unwrap();
-        // ttl_secs is carried through the roundtrip.
-        assert_eq!(back.workflow.updaters[0].ttl_secs, Some(86_400));
-        assert_eq!(back, cfg);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use muppet_core::workflow::{OpId, OpKind, Workflow};
 use muppet_core::CodecChoice;
 use muppet_net::frame::{MembershipUpdate, WireEvent};
 use muppet_net::tcp::{BatchConfig, TcpListenerHandle, TcpTransport};
-use muppet_net::topology::{NodeSpec, Topology};
+use muppet_net::topology::{ClusterView, NodeSpec, Topology};
 use muppet_net::transport::{ClusterHandler, MachineId, NetError, Transport};
 use muppet_obs::{Level, Logger};
 use muppet_slatestore::cluster::StoreCluster;
@@ -121,9 +121,8 @@ pub struct EngineConfig {
     /// Queue-overflow policy.
     pub overflow: OverflowPolicy,
     /// This node was reserved via the master's `/join` admin call and has
-    /// not entered the rings yet: the cluster as the join grant described
-    /// it. The engine starts with the local machine outside every ring;
-    /// [`Engine::announce_join`] then has the master's epoch-stamped
+    /// not entered the rings yet: the join grant. The engine starts with
+    /// the local machine outside every ring; [`Engine::announce_join`] then has the master's epoch-stamped
     /// membership update install it everywhere (including here). `None`
     /// = a founding member: epoch 0, every machine in the rings.
     pub joining: Option<ClusterView>,
@@ -219,58 +218,6 @@ impl EngineConfig {
             ..EngineConfig::default()
         }
     }
-}
-
-/// The membership state a running cluster hands a joiner: what its rings
-/// must start from.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ClusterView {
-    /// The founding machine count (Muppet 1.0 derives the founders' worker
-    /// layout from it and every later machine's from its id).
-    pub base: usize,
-    /// The master's membership epoch at reservation time.
-    pub epoch: u64,
-    /// Machines already known failed, so the joiner never routes to
-    /// corpses.
-    pub failed: Vec<usize>,
-    /// The committed ring members — a strict subset of the node list when
-    /// other reservations are pending; only these may enter the joiner's
-    /// initial rings (the others enter via their own commit).
-    pub members: Vec<usize>,
-}
-
-/// A join reservation issued by the master's `/join` admin endpoint: the
-/// id and cluster view the joining `muppetd` starts its engine with.
-#[derive(Clone, Debug)]
-pub struct JoinGrant {
-    /// The machine id assigned to the joiner (always `nodes.len() - 1` —
-    /// ids are append-only, never reused).
-    pub id: MachineId,
-    /// Epoch, founding size, failed set and ring members at grant time.
-    pub view: ClusterView,
-    /// The full node list, joiner included (as a not-yet-joined
-    /// reservation).
-    pub topology: Topology,
-    /// The cluster's slate-store host, so the joiner wires itself to the
-    /// same store the handoff flushes went to (a joiner without it would
-    /// fault nothing and silently reset every moved slate).
-    pub store_host: Option<usize>,
-}
-
-/// One node's view of the cluster's membership.
-#[derive(Clone, Debug)]
-pub struct MembershipView {
-    /// The installed membership epoch.
-    pub epoch: u64,
-    /// An epoch this node has prepared and not yet committed: set for
-    /// the instant a join takes, or for good when one is stuck.
-    pub staged_epoch: Option<u64>,
-    /// The committed machine-ring members, sorted.
-    pub members: Vec<MachineId>,
-    /// Every node with an id — reservations that are in no ring included.
-    pub nodes: Vec<NodeSpec>,
-    /// Machines known failed.
-    pub failed: Vec<MachineId>,
 }
 
 /// Registered operator implementations for a workflow.
@@ -431,9 +378,6 @@ pub(crate) struct Shared {
     /// atomic with respect to every in-flight update: once it returns, no
     /// worker can still be mutating a slate the node just handed off.
     pub(crate) membership: RwLock<Membership>,
-    /// The full cluster node list, reservations included (authoritative
-    /// on the master; grown from membership updates elsewhere).
-    pub(crate) cluster_nodes: Mutex<Vec<NodeSpec>>,
     /// Serializes join reservations + protocol runs on the master.
     pub(crate) join_lock: Mutex<()>,
     /// Highest epoch this master has ever handed out (monotone even
@@ -795,15 +739,6 @@ impl Engine {
             })
             .collect();
 
-        // The authoritative node list (addresses for TCP; synthesized
-        // placeholders in-process, where addressing is by id only).
-        let cluster_nodes: Vec<NodeSpec> = match &cfg.transport {
-            TransportKind::Tcp { topology, .. } => topology.nodes.clone(),
-            TransportKind::InProcess => (0..cfg.machines)
-                .map(|id| NodeSpec { id, host: "in-process".into(), port: 0, http_port: 0 })
-                .collect(),
-        };
-
         // Crash recovery: open (or create) the ingest WAL before anything
         // can accept events. A torn tail from a crash mid-append is cut
         // back to the last intact frame; the recovered history is
@@ -831,7 +766,6 @@ impl Engine {
         let split_threshold = if cfg.combine { cfg.hot_split_threshold } else { 0 };
         let shared = Arc::new(Shared {
             membership: RwLock::new(Membership::new(initial_epoch, rings)),
-            cluster_nodes: Mutex::new(cluster_nodes),
             join_lock: Mutex::new(()),
             epoch_mint: AtomicU64::new(initial_epoch),
             splits: SplitTracker::new(split_threshold, combines.collect()),
@@ -1065,17 +999,22 @@ impl Engine {
         self.shared.epoch()
     }
 
-    /// This node's view of the cluster (the `GET /membership` document).
-    pub fn membership_view(&self) -> MembershipView {
-        let nodes = self.shared.cluster_nodes.lock().clone();
-        let failed = self.shared.master.failed_machines();
-        let membership = self.shared.membership.read();
-        MembershipView {
+    /// This node's view of the cluster: the `GET /membership` document,
+    /// and the body of a join grant.
+    pub fn cluster_view(&self) -> ClusterView {
+        let shared = &self.shared;
+        let topology = shared.node_table();
+        let failed = shared.master.failed_machines();
+        let membership = shared.membership.read();
+        ClusterView {
+            id: None,
             epoch: membership.epoch(),
             staged_epoch: membership.staged_epoch(),
             members: membership.committed().members(),
-            nodes,
             failed,
+            topology,
+            base: shared.cfg.joining.as_ref().map_or(shared.cfg.machines, |v| v.base),
+            store_host: shared.cfg.store_host,
         }
     }
 
@@ -1105,12 +1044,6 @@ impl Engine {
                 &shared.stats.cache,
                 &shared.logger,
             )));
-            shared.cluster_nodes.lock().push(NodeSpec {
-                id,
-                host: "in-process".into(),
-                port: 0,
-                http_port: 0,
-            });
             self.threads.lock().extend(crate::worker::spawn_machine(shared, id));
             id
         };
@@ -1124,10 +1057,12 @@ impl Engine {
     }
 
     /// Master-side admin (the HTTP `POST /join` endpoint): reserve a
-    /// cluster id for a joining `muppetd`. The node is appended to the
-    /// peer table — so the master can talk to it — but enters no ring
-    /// until its engine announces readiness ([`Engine::announce_join`]).
-    pub fn admin_reserve_join(&self, host: &str, port: u16, http_port: u16) -> Result<JoinGrant> {
+    /// cluster id for a joining `muppetd` listening at `listen`
+    /// (`host:port[:http_port]`). The node is appended to the peer table —
+    /// so the master can talk to it — but enters no ring until its engine
+    /// announces readiness ([`Engine::announce_join`]). Returns the join
+    /// grant: this node's view with the reserved `id`.
+    pub fn admin_reserve_join(&self, listen: &str) -> Result<ClusterView> {
         let shared = &self.shared;
         let Some(wire) = &shared.wire else {
             return Err(Error::Config("join reservations require the TCP transport".into()));
@@ -1137,24 +1072,14 @@ impl Engine {
             return Err(Error::Config(format!("joins must be sent to the master (node {master})")));
         }
         let _serialize = shared.join_lock.lock();
-        let mut cluster_nodes = shared.cluster_nodes.lock();
-        let id = cluster_nodes.len();
-        let spec = NodeSpec { id, host: host.to_string(), port, http_port };
-        wire.add_peer(&spec).map_err(Error::Config)?;
-        shared.machines.write().push(Arc::new(Machine::remote_stub()));
-        cluster_nodes.push(spec);
-        let membership = shared.membership.read();
-        Ok(JoinGrant {
-            id,
-            view: ClusterView {
-                base: shared.cfg.joining.as_ref().map_or(shared.cfg.machines, |v| v.base),
-                epoch: membership.epoch(),
-                failed: shared.master.failed_machines(),
-                members: membership.committed().members(),
-            },
-            topology: Topology { nodes: cluster_nodes.clone(), master },
-            store_host: shared.cfg.store_host,
-        })
+        let id = {
+            let mut machines = shared.machines.write();
+            let spec = NodeSpec::parse(machines.len(), listen).map_err(Error::Config)?;
+            wire.add_peer(&spec).map_err(Error::Config)?;
+            machines.push(Arc::new(Machine::remote_stub()));
+            spec.id
+        };
+        Ok(ClusterView { id: Some(id), ..self.cluster_view() })
     }
 
     /// Joiner-side: announce to the master that this node (started with

@@ -12,10 +12,12 @@
 //! * `GET /keys/<updater>` → the updater's cached keys, one per line;
 //! * `GET /metrics` → the registry as Prometheus text: the §4.5 status
 //!   (`muppet_queue_high_water` is the largest queue's event count);
-//! * `GET /membership` → JSON epoch, ring members, nodes, failed machines;
+//! * `GET /membership` → the node's cluster view as JSON (epoch, ring
+//!   members, failed machines, nodes, master, founding size, store host);
 //! * `GET /dlq` → the dead-letter queue as JSON;
 //! * `POST /submit/<stream>/<percent-encoded key>` → ingest one event;
-//! * `POST /join` → a join grant (master only);
+//! * `POST /join` → a join grant: the cluster view with the reserved id
+//!   (master only);
 //! * `POST /dlq/retry` → re-inject every dead letter.
 //!
 //! Minimal HTTP/1.1: request-line parsing, `Connection: close`, explicit
@@ -53,15 +55,16 @@ pub trait SlateReader: Send + Sync + 'static {
     }
 
     /// Reserve a cluster id for a joining node (`POST /join`, body =
-    /// `host:port:http_port`). Returns the grant document the joiner
-    /// parses (id/epoch/base/failed header + the topology TOML). Master
-    /// nodes only; default: unsupported.
+    /// `host:port[:http_port]`). Returns the grant the joiner reads back:
+    /// the `/membership` document with the reserved `id`. Master nodes
+    /// only; default: unsupported.
     fn reserve_join(&self, _spec: &str) -> Result<String, String> {
         Err("join not supported".to_string())
     }
 
-    /// The node's membership view (`GET /membership`): epoch, staged
-    /// epoch, ring members, node list, failed machines, as JSON.
+    /// The node's cluster view (`GET /membership`): epoch, staged epoch,
+    /// ring members, failed machines, node list, master, founding size and
+    /// store host, as JSON.
     fn membership_json(&self) -> String {
         "{}".to_string()
     }
@@ -104,60 +107,12 @@ impl SlateReader for crate::engine::Engine {
         self.submit_kv(stream, key, value)
     }
 
-    fn reserve_join(&self, spec: &str) -> Result<String, String> {
-        let fields: Vec<&str> = spec.trim().split(':').collect();
-        if fields.len() != 3 {
-            return Err("join body must be host:port:http_port".to_string());
-        }
-        let port: u16 = fields[1].parse().map_err(|_| "bad port".to_string())?;
-        let http_port: u16 = fields[2].parse().map_err(|_| "bad http_port".to_string())?;
-        let grant =
-            self.admin_reserve_join(fields[0], port, http_port).map_err(|e| e.to_string())?;
-        // Grant document: a one-line header the joiner parses by hand,
-        // then the topology in the TOML subset `muppetd --config` already
-        // understands.
-        let list = |ids: &[usize]| ids.iter().map(|m| m.to_string()).collect::<Vec<_>>().join(",");
-        let store_host = grant.store_host.map(|h| format!(" store_host={h}")).unwrap_or_default();
-        Ok(format!(
-            "id={} epoch={} base={} failed={} members={}{}\n{}",
-            grant.id,
-            grant.view.epoch,
-            grant.view.base,
-            list(&grant.view.failed),
-            list(&grant.view.members),
-            store_host,
-            grant.topology.to_toml()
-        ))
+    fn reserve_join(&self, listen: &str) -> Result<String, String> {
+        self.admin_reserve_join(listen).map(|grant| grant.to_json()).map_err(|e| e.to_string())
     }
 
     fn membership_json(&self) -> String {
-        use muppet_core::json::Json;
-        let view = self.membership_view();
-        let ids =
-            |ids: Vec<usize>| Json::Arr(ids.into_iter().map(|m| Json::num(m as f64)).collect());
-        Json::obj([
-            ("epoch", Json::num(view.epoch as f64)),
-            ("staged_epoch", view.staged_epoch.map_or(Json::Null, |e| Json::num(e as f64))),
-            ("members", ids(view.members)),
-            ("failed", ids(view.failed)),
-            (
-                "nodes",
-                Json::Arr(
-                    view.nodes
-                        .into_iter()
-                        .map(|n| {
-                            Json::obj([
-                                ("id", Json::num(n.id as f64)),
-                                ("host", Json::str(&n.host)),
-                                ("port", Json::num(n.port as f64)),
-                                ("http_port", Json::num(n.http_port as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_compact()
+        self.cluster_view().to_json()
     }
 }
 
@@ -268,7 +223,7 @@ pub fn serve_request(
         };
     }
     if method == "POST" && path == "/join" {
-        // POST /join, body = host:port:http_port → the join grant
+        // POST /join, body = host:port[:http_port] → the join grant
         // (admin; master node only).
         if content_length > 4096 {
             return respond(out, 400, "text/plain", b"body too large");
@@ -279,7 +234,7 @@ pub fn serve_request(
             return respond(out, 400, "text/plain", b"body must be utf-8");
         };
         return match reader.reserve_join(&spec) {
-            Ok(grant) => respond(out, 200, "text/plain", grant.as_bytes()),
+            Ok(grant) => respond(out, 200, "application/json", grant.as_bytes()),
             Err(msg) => respond(out, 400, "text/plain", msg.as_bytes()),
         };
     }
@@ -458,7 +413,9 @@ fn http_request(method: &str, url: &str, body: &[u8]) -> std::io::Result<(u16, V
             break;
         }
         if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
+            content_length = v.trim().parse().map_err(|_| {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
+            })?;
         }
     }
     let mut body = vec![0u8; content_length];
@@ -539,6 +496,22 @@ mod tests {
         assert!(raw_status(&srv, request).starts_with("HTTP/1.1 400 "));
         let (code, _) = http_post(&format!("{}/submit/S1/k", srv.base_url()), b"v").unwrap();
         assert_eq!(code, 200, "a well-formed submit is accepted");
+    }
+
+    #[test]
+    fn the_client_refuses_a_malformed_content_length() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let url = format!("http://{}/membership", listener.local_addr().unwrap());
+        let answer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut head = String::new();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            while reader.read_line(&mut head).unwrap() > 2 {}
+            stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 12x\r\n\r\n{}").unwrap();
+        });
+        let err = http_get(&url).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        answer.join().unwrap();
     }
 
     fn server() -> HttpSlateServer {

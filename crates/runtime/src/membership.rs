@@ -9,12 +9,27 @@ use std::sync::Arc;
 use muppet_core::event::Key;
 use muppet_core::workflow::OpKind;
 use muppet_net::frame::{MembershipPhase, MembershipUpdate};
-use muppet_net::topology::NodeSpec;
+use muppet_net::topology::{NodeSpec, Topology};
 use muppet_net::transport::{MachineId, NetError};
 
 use crate::engine::{Machine, Shared};
 
 impl Shared {
+    /// The cluster's node table, reservations included: the wire's in a
+    /// TCP cluster; in-process, one placeholder per machine (addressing is
+    /// by id there).
+    pub(crate) fn node_table(&self) -> Topology {
+        match &self.wire {
+            Some(wire) => wire.topology(),
+            None => {
+                let n = self.machines.read().len();
+                let placeholder =
+                    |id| NodeSpec { id, host: "in-process".into(), port: 0, http_port: 0 };
+                Topology { nodes: (0..n).map(placeholder).collect(), master: 0 }
+            }
+        }
+    }
+
     /// Drop `failed` from every routing structure — the effect of the master's
     /// §4.3 broadcast, applied on each node. `epoch` fences re-joined
     /// incarnations: a broadcast staler than the machine's latest join is a
@@ -49,7 +64,6 @@ impl Shared {
         // Grow peers + machine stubs for nodes this engine has never seen.
         let known_machines = {
             let mut machines = self.machines.write();
-            let mut cluster_nodes = self.cluster_nodes.lock();
             let mut specs: Vec<&NodeSpec> = update.nodes.iter().collect();
             specs.sort_by_key(|s| s.id);
             for spec in specs {
@@ -63,7 +77,6 @@ impl Shared {
                     }
                 }
                 machines.push(Arc::new(Machine::remote_stub()));
-                cluster_nodes.push(spec.clone());
             }
             machines.len()
         };
@@ -216,7 +229,7 @@ impl Shared {
         // race-free).
         let epoch = (self.epoch() + 1).max(self.epoch_mint.load(Ordering::Acquire) + 1);
         self.epoch_mint.store(epoch, Ordering::Release);
-        let nodes = self.cluster_nodes.lock().clone();
+        let nodes = self.node_table().nodes;
         if machine >= nodes.len() {
             self.drop_log.log(format!("join announcement for unreserved machine {machine}"));
             return;

@@ -1,7 +1,7 @@
 //! `muppetd` — one Muppet machine as a standalone OS process.
 //!
-//! Joins a static cluster (TOML config or `--peers` flag) — or an
-//! already-running one (`--join`, elastic scale-out) — runs the engine
+//! Joins a static cluster (`--config <cluster.json>` or `--peers`) — or
+//! an already-running one (`--join`, elastic scale-out) — runs the engine
 //! for one of the bundled applications over the TCP transport, and
 //! serves the §4.4 HTTP endpoints on its topology `http_port`:
 //!
@@ -11,11 +11,13 @@
 //! * `GET  /metrics`                — Prometheus text exposition: the §4.5
 //!   status (counters, epoch, largest queue, per-stage latency
 //!   histograms, hot-key top-k);
-//! * `GET  /membership`             — epoch, staged epoch, ring members,
-//!   node list, failed machines;
+//! * `GET  /membership`             — the node's cluster view: epoch, staged
+//!   epoch, ring members, failed machines, node list, master, founding
+//!   size, store host (the JSON `--config` reads);
 //! * `POST /submit/<stream>/<key>`  — ingest one event (body = value);
 //! * `GET  /dlq`, `POST /dlq/retry`  — dead letters: list, re-inject;
-//! * `POST /join` (master only)     — reserve a cluster id for a joiner.
+//! * `POST /join` (master only)     — reserve a cluster id for a joiner;
+//!   answers the cluster view with the reserved `id`.
 //!
 //! Example 3-node loopback cluster:
 //!
@@ -60,10 +62,10 @@ use std::sync::Arc;
 use muppet::apps::{hot_topics, retailer};
 use muppet::core::workflow::Workflow;
 use muppet::prelude::*;
-use muppet::runtime::engine::{ClusterView, JoinGrant, OperatorSet, TransportKind};
+use muppet::runtime::engine::{OperatorSet, TransportKind};
 use muppet::runtime::http::http_post;
 use muppet::slatestore::cluster::{StoreCluster, StoreConfig};
-use muppet_net::topology::Topology;
+use muppet_net::topology::{ClusterView, Topology};
 
 /// The parsed command line: the engine's configuration (an elastic
 /// join's grant included), and what the engine does not take.
@@ -77,7 +79,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: muppetd (--config <cluster.toml> | --peers <host:port:http,...>) --node <id>
+        "usage: muppetd (--config <cluster.json> | --peers <host:port:http,...>) --node <id>
            [--app hot_topics|retailer] [--engine muppet1|muppet2]
            [--workers <n>] [--store-host <id>] [--data-dir <path>] [--master <id>]
            [--latency-sample-n <n>]
@@ -85,7 +87,7 @@ fn usage() -> ! {
            [--wire-codec auto|json|mbf]   (what this node writes)
            [--combine on|off] [--hot-split-threshold <events>]
            [--log-level debug|info|warn|error|off] [--log-json]
-       muppetd --join <master-host:http_port> --listen <host:port:http_port>
+       muppetd --join <master-host:http_port> --listen <host:port[:http_port]>
            [--app ...] [--engine ...] [--workers ...] [--store-host <id>] [...]"
     );
     std::process::exit(2)
@@ -96,49 +98,19 @@ fn fail(msg: String) -> ! {
     std::process::exit(2)
 }
 
-/// Reserve an id at the running cluster's master and parse the grant.
-fn reserve_join(master_http: &str, listen: &str) -> JoinGrant {
-    let fields: Vec<&str> = listen.split(':').collect();
-    if fields.len() != 3 {
-        fail(format!("--listen wants host:port:http_port, got '{listen}'"));
-    }
+/// Reserve an id at the running cluster's master and read the grant.
+fn reserve_join(master_http: &str, listen: &str) -> (usize, ClusterView) {
     let url = format!("http://{master_http}/join");
     let (code, body) = http_post(&url, listen.as_bytes())
         .unwrap_or_else(|e| fail(format!("cannot reach master at {url}: {e}")));
-    let body = String::from_utf8_lossy(&body).to_string();
+    let body = String::from_utf8_lossy(&body);
     if code != 200 {
         fail(format!("master refused the join: {body}"));
     }
-    // Grant: "id=N epoch=E base=B failed=a,b members=a,b\n" + topology
-    // TOML.
-    let (header, toml) =
-        body.split_once('\n').unwrap_or_else(|| fail(format!("malformed grant: {body}")));
-    let parse_list = |v: &str| -> Vec<usize> {
-        v.split(',').filter(|s| !s.is_empty()).filter_map(|s| s.parse().ok()).collect()
-    };
-    let mut id = None;
-    let mut epoch = None;
-    let mut base = None;
-    let mut failed = Vec::new();
-    let mut members: Option<Vec<usize>> = None;
-    let mut store_host = None;
-    for part in header.split_whitespace() {
-        match part.split_once('=') {
-            Some(("id", v)) => id = v.parse().ok(),
-            Some(("epoch", v)) => epoch = v.parse().ok(),
-            Some(("base", v)) => base = v.parse().ok(),
-            Some(("failed", v)) => failed = parse_list(v),
-            Some(("members", v)) => members = Some(parse_list(v)),
-            Some(("store_host", v)) => store_host = v.parse().ok(),
-            _ => {}
-        }
-    }
-    let (Some(id), Some(epoch), Some(base), Some(members)) = (id, epoch, base, members) else {
-        fail(format!("malformed grant header: {header}"))
-    };
-    let topology =
-        Topology::from_toml_str(toml).unwrap_or_else(|e| fail(format!("bad grant topology: {e}")));
-    JoinGrant { id, view: ClusterView { base, epoch, failed, members }, topology, store_host }
+    let grant = ClusterView::from_json(&body)
+        .unwrap_or_else(|e| fail(format!("unreadable join grant: {e}: {body}")));
+    let Some(id) = grant.id else { fail(format!("join grant without an id: {body}")) };
+    (id, grant)
 }
 
 fn parse_args() -> Options {
@@ -160,13 +132,14 @@ fn parse_args() -> Options {
         let mut value = || it.next().map(String::as_str).unwrap_or_else(|| usage());
         match flag.as_str() {
             "--config" => {
+                // A cluster document: a saved `/membership` body, or one
+                // listing only `nodes` (and `master`).
                 let path = value();
-                let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    fail(format!("cannot read {path}: {e}"));
-                });
-                topology = Some(Topology::from_toml_str(&text).unwrap_or_else(|e| {
-                    fail(format!("bad config {path}: {e}"));
-                }));
+                let text = std::fs::read_to_string(path)
+                    .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+                let view = ClusterView::from_json(&text)
+                    .unwrap_or_else(|e| fail(format!("bad config {path}: {e}")));
+                topology = Some(view.topology);
             }
             "--peers" => {
                 topology = Some(Topology::from_peer_list(value()).unwrap_or_else(|e| {
@@ -253,10 +226,11 @@ fn parse_args() -> Options {
             // Elastic join: the grant supplies topology, id, epoch state —
             // and the cluster's store host, unless overridden explicitly.
             let listen = listen.unwrap_or_else(|| fail("--join requires --listen".to_string()));
-            let grant = reserve_join(&master_http, &listen);
+            let (id, grant) = reserve_join(&master_http, &listen);
             cfg.store_host = cfg.store_host.or(grant.store_host);
-            cfg.joining = Some(grant.view);
-            (grant.topology, grant.id)
+            let topology = grant.topology.clone();
+            cfg.joining = Some(grant);
+            (topology, id)
         }
         None => {
             let mut topology = topology.unwrap_or_else(|| usage());
