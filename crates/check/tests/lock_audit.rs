@@ -3,8 +3,10 @@
 //! A real store-backed engine is driven through the full hot surface —
 //! membership reads, sharded cache hits/misses, slot mutation, dirty
 //! tracking, flush sweeps, ingest-WAL group commit, cross-machine
-//! routing, an in-process join, a TCP master's join reservation and
-//! shutdown checkpointing — with every shim lock feeding
+//! routing, an in-process join, a TCP master's join reservation,
+//! shutdown checkpointing, and a combining run whose Zipf head splits
+//! (the hot-key sketch, collapse floors and split map) — with every shim
+//! lock feeding
 //! the global acquisition-order graph and every fsync passing the IO
 //! probe. The assertions are the PR's standing contract:
 //!
@@ -20,6 +22,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use muppet_apps::split_counter::CombiningCounter;
 use muppet_core::event::{Event, Key};
 use muppet_core::operator::{Emitter, FnMapper, FnUpdater};
 use muppet_core::slate::Slate;
@@ -31,6 +34,7 @@ use muppet_runtime::engine::{Engine, EngineConfig, EngineKind, OperatorSet, Tran
 use muppet_runtime::master::Master;
 use muppet_slatestore::cluster::{StoreCluster, StoreConfig};
 use muppet_slatestore::util::TempDir;
+use muppet_workloads::{zipf_events, ZIPF_STREAM};
 
 fn count_workflow() -> Workflow {
     let mut b = Workflow::builder("audit");
@@ -107,6 +111,28 @@ fn engine_run_has_acyclic_lock_order_and_no_fsync_under_lock() {
     let grant = tcp.admin_reserve_join("127.0.0.1:9103:8103").expect("id reserved");
     assert_eq!(grant.id, Some(1));
     tcp.shutdown();
+
+    // Fold and split: a Zipf burst folds in the drains, credits the
+    // hot-key sketch, installs splits (sketch, then floors, then the
+    // split map) and rewrites the head key; reads merge the subslates.
+    let mut b = Workflow::builder("audit-split");
+    b.external_stream(ZIPF_STREAM);
+    b.updater("zipf-counter", &[ZIPF_STREAM]);
+    let cfg = EngineConfig {
+        machines: 2,
+        workers_per_machine: 2,
+        queue_capacity: 10_000,
+        combine: true,
+        hot_split_threshold: 50,
+        ..EngineConfig::default()
+    };
+    let ops = OperatorSet::new().updater(CombiningCounter::named("zipf-counter"));
+    let split = Engine::start(b.build().expect("valid workflow"), ops, cfg, None).expect("starts");
+    split.submit_many(zipf_events(50, 1.4, 5_000, 7)).expect("submit");
+    assert!(split.drain(Duration::from_secs(30)), "engine drains");
+    assert!(split.stats().split_keys_active > 0, "the Zipf head splits");
+    assert!(split.read_slate("zipf-counter", &Key::from("k0")).is_some());
+    split.shutdown();
 
     // The master's join fence and failure marks, on both lock paths: a
     // join takes `joined` then `failed`, and so must every failure mark.

@@ -4,12 +4,12 @@
 //! §5: "The distribution of event keys can be strongly skewed ...
 //! updaters can receive widely varying loads." Exact per-key counting
 //! over an unbounded key universe is off the table on the hot path, so
-//! each cache shard keeps a fixed-capacity sketch: the top keys are
-//! counted exactly once they enter, and any key's reported count
-//! overshoots its true count by at most `err` (the count it inherited
-//! when it evicted the previous minimum). Classic guarantee: with
-//! capacity `m` after `N` offered events, `err ≤ N / m`, so any key with
-//! true rate above `N / m` is guaranteed present.
+//! each shard of the engine's hot-key sketch has a fixed capacity: the
+//! top keys are counted exactly once they enter, and any key's reported
+//! count overshoots its true count by at most `err` (the count it
+//! inherited when it evicted the previous minimum). Classic guarantee:
+//! with capacity `m` after `N` offered events, `err ≤ N / m`, so any key
+//! with true rate above `N / m` is guaranteed present.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -43,7 +43,7 @@ use muppet_core::slate::Slate;
 use muppet_core::sync::{audit, Condvar, Mutex};
 use muppet_core::workflow::OpId;
 use muppet_core::Codec;
-use muppet_obs::{Counter, HeavyHitter, Logger, Registry, Sampler, SpaceSaving};
+use muppet_obs::{Counter, Logger, Registry};
 use muppet_slatestore::cluster::StoreCluster;
 use muppet_slatestore::types::CellKey;
 
@@ -406,9 +406,6 @@ pub struct ShardStats {
     pub capacity: u64,
 }
 
-/// One shard's space-saving sketch over ⟨op, key⟩ offers.
-type HotSketch = Mutex<SpaceSaving<(OpId, Key)>>;
-
 /// An LRU slate cache bound to a backend, split into power-of-two lock
 /// shards so a machine's worker pool stops serializing on one mutex
 /// (the Muppet 2.0 central cache was a single `Mutex<LruMap>` — with 4+
@@ -440,15 +437,6 @@ pub struct SlateCache {
     /// thread's own check.
     backlog_len: AtomicUsize,
     metrics: CacheMetrics,
-    /// Per-shard heavy-hitter sketches over the updater event stream
-    /// (⟨op, key⟩ offers from the engine's updater path, §5: "the
-    /// distribution of event keys can be strongly skewed"). Empty when
-    /// hot-key telemetry is off.
-    hot: Box<[HotSketch]>,
-    /// Per-shard 1-in-N gates for sketch offers; a hit offers with the
-    /// sampling interval as its weight, keeping reported counts
-    /// event-scale.
-    hot_samplers: Box<[Sampler]>,
     /// Incident logger (flush failures, aggregated once per sweep).
     logger: Arc<Logger>,
 }
@@ -518,8 +506,6 @@ impl SlateCache {
             backlog: Mutex::new(Vec::new()),
             backlog_len: AtomicUsize::new(0),
             metrics,
-            hot: Box::new([]),
-            hot_samplers: Box::new([]),
             logger: Logger::disabled(),
         }
     }
@@ -530,20 +516,6 @@ impl SlateCache {
     /// (1 = the per-slate write-behind path).
     pub fn with_flush_batch(mut self, flush_batch_max: usize) -> Self {
         self.flush_batch_max = flush_batch_max.max(1);
-        self
-    }
-
-    /// Enable per-⟨op, key⟩ hot-spot telemetry: one space-saving sketch
-    /// of `capacity` keys per lock shard, fed 1-in-`sample_n` offers
-    /// (each weighted by the interval). Without it
-    /// [`SlateCache::offer_hot`] is a single branch.
-    pub fn with_hot_keys(mut self, capacity: usize, sample_n: u64) -> Self {
-        let n = self.shards.len();
-        let sketches: Vec<Mutex<SpaceSaving<(OpId, Key)>>> =
-            (0..n).map(|_| Mutex::new(SpaceSaving::new(capacity))).collect();
-        let samplers: Vec<Sampler> = (0..n).map(|_| Sampler::every(sample_n)).collect();
-        self.hot = sketches.into_boxed_slice();
-        self.hot_samplers = samplers.into_boxed_slice();
         self
     }
 
@@ -873,68 +845,6 @@ impl SlateCache {
             self.unindex(slot, &mut state);
             self.metrics.ttl_resets.inc();
         }
-    }
-
-    /// Offer one updater event's ⟨op, key⟩ to the hot-key sketches. The
-    /// engine calls this once per processed update event; the per-shard
-    /// sampler keeps the steady cost to one relaxed `fetch_add`, and each
-    /// sampled hit is weighted by the interval so reported counts stay
-    /// event-scale estimates.
-    pub fn offer_hot(&self, op: OpId, key: &Key) {
-        if self.hot.is_empty() {
-            return;
-        }
-        let h = fx64_pair(key.as_bytes(), &(op as u64).to_le_bytes());
-        let i = (h & self.shard_mask) as usize;
-        let sampler = &self.hot_samplers[i];
-        if sampler.hit() {
-            self.hot[i].lock().offer_n((op, key.clone()), sampler.rate());
-        }
-    }
-
-    /// Credit `n` events' worth of load to one ⟨op, key⟩ in one shot —
-    /// unsampled, since the caller already coalesced. The batch-fold path
-    /// uses this for the events a combined carrier absorbed: the carrier
-    /// itself still flows through the sampled [`SlateCache::offer_hot`],
-    /// but without this credit a deeply-folded hot key would look *cold*
-    /// to the splitter (the sketch would see one carrier per batch, not
-    /// the event-scale load the `hot_split_threshold` is denominated in).
-    pub fn offer_hot_n(&self, op: OpId, key: &Key, n: u64) {
-        if self.hot.is_empty() || n == 0 {
-            return;
-        }
-        let h = fx64_pair(key.as_bytes(), &(op as u64).to_le_bytes());
-        let i = (h & self.shard_mask) as usize;
-        self.hot[i].lock().offer_n((op, key.clone()), n);
-    }
-
-    /// The top `k` ⟨op, key⟩ pairs by estimated event count, merged
-    /// across shards. Shard selection is key-stable, so per-shard entries
-    /// are disjoint and a concatenation-then-sort merge is exact over the
-    /// union of the shard sketches.
-    pub fn hot_keys(&self, k: usize) -> Vec<HeavyHitter<(OpId, Key)>> {
-        let mut all: Vec<HeavyHitter<(OpId, Key)>> = Vec::new();
-        for sketch in self.hot.iter() {
-            let sketch = sketch.lock();
-            all.extend(sketch.top(sketch.capacity()));
-        }
-        all.sort_by(|a, b| b.count.cmp(&a.count).then(a.err.cmp(&b.err)));
-        all.truncate(k);
-        all
-    }
-
-    /// Sketch estimate of the event count seen for one ⟨op, key⟩, `None`
-    /// when the pair is not tracked (or hot-key tracking is off). Shard
-    /// selection matches `offer_hot`, so the lookup touches exactly one
-    /// sketch. Counts are sampler-weighted event-scale estimates; the
-    /// engine's hot-key splitter compares them against its threshold.
-    pub fn hot_estimate(&self, op: OpId, key: &Key) -> Option<u64> {
-        if self.hot.is_empty() {
-            return None;
-        }
-        let h = fx64_pair(key.as_bytes(), &(op as u64).to_le_bytes());
-        let i = (h & self.shard_mask) as usize;
-        self.hot[i].lock().estimate(&(op, key.clone()))
     }
 
     /// Register `slot` in its shard's dirty index if it is not already

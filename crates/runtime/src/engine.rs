@@ -38,8 +38,8 @@ use crate::overflow::{DropLog, OverflowPolicy};
 use crate::placement::{Membership, Placement, Rings};
 use crate::queue::EventQueue;
 use crate::send::fresh;
-use crate::split::{SplitTracker, HOT_KEY_CAPACITY};
-use crate::stats::{self, hottest, CacheMetrics, Stats};
+use crate::split::SplitTracker;
+use crate::stats::{self, CacheMetrics, Stats};
 pub use crate::stats::{DrainSummary, EngineStats, NetSummary};
 
 /// Default lock-shard count for the Muppet 2.0 central slate cache.
@@ -163,7 +163,7 @@ pub struct EngineConfig {
     /// contract (`Updater::combine`); updaters that declare nothing are
     /// untouched. Off by default.
     pub combine: bool,
-    /// Dynamic hot-key splitting: when a per-shard SpaceSaving sketch
+    /// Dynamic hot-key splitting: when the engine's space-saving sketch
     /// estimates a combining key's event count past this threshold, its
     /// updates transparently fan out across [`SPLIT_WAYS`] ring-
     /// distributed subslates, merged on read through the same combiner;
@@ -333,7 +333,6 @@ impl Machine {
             Arc::new(
                 SlateCache::with_metrics(capacity, cfg.flush, backend, shards, metrics.clone())
                     .with_store_codec(cfg.wire_codec.store_codec())
-                    .with_hot_keys(HOT_KEY_CAPACITY, cfg.latency_sample_n.max(1))
                     .with_logger(Arc::clone(logger)),
             )
         };
@@ -768,7 +767,7 @@ impl Engine {
             membership: RwLock::new(Membership::new(initial_epoch, rings)),
             join_lock: Mutex::new(()),
             epoch_mint: AtomicU64::new(initial_epoch),
-            splits: SplitTracker::new(split_threshold, combines.collect()),
+            splits: SplitTracker::new(split_threshold, combines.collect(), cfg.latency_sample_n),
             wf: workflow,
             ops,
             machines: RwLock::new(machines),
@@ -1164,11 +1163,11 @@ impl Engine {
     }
 
     /// The hottest ⟨updater, key⟩ pairs this node has seen, estimated by
-    /// the per-shard space-saving sketches (count, overshoot bound), best
+    /// the engine's space-saving sketch (count, overshoot bound), best
     /// first.
     pub fn hot_keys(&self, k: usize) -> Vec<(String, Key, u64, u64)> {
         let wf = &self.shared.wf;
-        let hot = hottest(&self.shared.caches(false), k).into_iter();
+        let hot = self.shared.splits.hot_keys(k).into_iter();
         hot.map(|hh| (wf.op(hh.key.0).name.clone(), hh.key.1, hh.count, hh.err)).collect()
     }
 
@@ -1402,7 +1401,8 @@ fn register_collector(shared: &Arc<Shared>) {
     shared.stats.registry.collector(move |out| {
         if let Some(sh) = weak.upgrade() {
             let caches = sh.caches(false);
-            stats::collect(&sh.wf, &sh.snapshot(&caches), &caches, sh.wire.as_deref(), out);
+            let hot = sh.splits.hot_keys(10);
+            stats::collect(&sh.wf, &sh.snapshot(&caches), hot, sh.wire.as_deref(), out);
         }
     });
 }

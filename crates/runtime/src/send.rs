@@ -191,16 +191,13 @@ impl Shared {
                 ));
                 return Ok(());
             };
-            let credit = std::mem::take(&mut absorbed);
-            if credit > 1 {
+            let credit = std::mem::take(&mut absorbed).saturating_sub(1);
+            if credit > 0 {
                 // A carrier the sender folded from `absorbed` events is one
-                // event here, but the splitter's threshold is denominated
-                // in events: credit them to the sketch of the cache the
-                // carrier will update (once, however often a full queue
-                // retries).
-                if let Some(cache) = machine.cache_of(thread) {
-                    cache.offer_hot_n(ev.op, &ev.event.key, credit);
-                }
+                // event here (its update offers it), but the splitter's
+                // threshold is denominated in events: credit the rest to
+                // the sketch (once, however often a full queue retries).
+                self.splits.offer(ev.op, &ev.event.key, credit, self.now_us());
             }
             let queue = &machine.queues[thread];
             if queue.len_hint() < queue.capacity() {
@@ -401,6 +398,21 @@ mod tests {
         });
         testkit::halt(engine);
         caught
+    }
+
+    /// A carrier a sender folded from 5 events counts 5 in the receiver's
+    /// sketch: 4 credited on delivery, one offered by its update.
+    #[test]
+    fn a_delivered_carrier_counts_each_absorbed_event_once() {
+        let applied = Arc::new(AtomicU64::new(0));
+        let cfg = crate::engine::EngineConfig { latency_sample_n: 1, ..testkit::config(1, 16) };
+        let engine = testkit::start(cfg, None, None, &applied);
+        let shared = testkit::shared(&engine);
+        shared.deliver_local(0, fresh(testkit::event(7), 0, false, true), 5).unwrap();
+        assert!(engine.drain(Duration::from_secs(10)));
+        let top = shared.splits.hot_keys(1).remove(0);
+        assert_eq!((top.key.1, top.count), (testkit::event(7).key, 5));
+        testkit::halt(engine);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Dynamic hot-key splitting (DESIGN.md §14): the one place that answers
-//! "is ⟨op, key⟩ split, and what is its subkey?". The owner-side detector
-//! installs a combining ⟨op, key⟩ when the cache's space-saving sketch
-//! estimates its event count past the threshold; while installed, senders
-//! and owners rewrite the key round-robin to one of
-//! [`SPLIT_WAYS`] ring-distributed subkeys. Reads merge base +
-//! subslates through the declared combiner, so the split is invisible to
-//! exactness. Subkeys are ordinary keys to every other subsystem
-//! (handoff, flush, recovery) — no epoch special-casing. The clock and the
-//! sketch's estimates are arguments, never read here.
+//! Hot keys (DESIGN.md §10, §14): the one place that measures how hot
+//! ⟨op, key⟩ is and answers "is it split, and what is its subkey?". One
+//! engine-wide space-saving sketch takes every update's ⟨op, key⟩
+//! ([`SplitTracker::offer`]) and feeds both `muppet_hot_key_events_est`
+//! and the detector: a combining ⟨op, key⟩ whose estimate crosses the
+//! threshold is installed, and while installed, senders and owners
+//! rewrite the key round-robin to one of [`SPLIT_WAYS`] ring-distributed
+//! subkeys. Reads merge base + subslates through the declared combiner,
+//! so the split is invisible to exactness. Subkeys are ordinary keys to
+//! every other subsystem (handoff, flush, recovery) — no epoch
+//! special-casing. The clock is an argument, never read here.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -15,14 +16,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use muppet_core::event::Key;
+use muppet_core::hash::fx64_pair;
 use muppet_core::sync::{Mutex, RwLock};
 use muppet_core::workflow::OpId;
-use muppet_obs::Counter;
+use muppet_obs::{Counter, HeavyHitter, Sampler, SpaceSaving};
 
 use crate::dispatch::{split_base_of, split_subkey, SPLIT_WAYS};
+use crate::engine::DEFAULT_CACHE_SHARDS;
 
-/// Keys tracked per cache shard by the space-saving hot-key sketch; also
-/// the most collapse floors the tracker keeps.
+/// Keys tracked per sketch shard; also the most collapse floors the
+/// tracker keeps.
 pub(crate) const HOT_KEY_CAPACITY: usize = 64;
 
 /// Cooling-probe window for split hot keys: a key whose rewrite traffic
@@ -30,30 +33,35 @@ pub(crate) const HOT_KEY_CAPACITY: usize = 64;
 /// base-key routing (its subslates persist and keep merging on read).
 const SPLIT_COOL_WINDOW_US: u64 = 250_000;
 
-/// One hot-key sketch probe per this many update events: keeps the
-/// steady detector cost to a relaxed `fetch_add`.
-const SPLIT_PROBE_EVERY: u64 = 64;
-
-/// A batch-fold run that absorbed at least this many events probes the
-/// splitter unconditionally — coalescing that deep is itself the skew
-/// signal, and the sampled per-event probe undersamples keys the fold has
-/// already collapsed.
+/// A fold credit of at least this many events reads the estimate and may
+/// split — coalescing that deep is itself the skew signal, and the
+/// sampled single offers undersample keys the fold has already
+/// collapsed.
 pub(crate) const SPLIT_FOLD_PROBE_MIN: u64 = 8;
 
-/// The split state of one engine.
+/// One lock shard of the hot-key sketch.
+struct SketchShard {
+    sketch: Mutex<SpaceSaving<(OpId, Key)>>,
+    /// 1-in-N gate for single offers; a hit counts for the interval, so
+    /// estimates stay event-scale.
+    sampler: Sampler,
+}
+
+/// The hot-key state of one engine.
 pub(crate) struct SplitTracker {
     /// Sketch estimate at which a pair splits.
     threshold: u64,
     /// Per op, whether it may split: splitting is on and its updater
     /// declares a combiner. Empty when splitting is off.
     splittable: Vec<bool>,
+    /// The sketch over ⟨op, key⟩ offers, in [`DEFAULT_CACHE_SHARDS`] lock
+    /// shards picked by the cache's hash (so shards hold disjoint keys).
+    sketch: Box<[SketchShard]>,
     /// Actively split ⟨op, key⟩ pairs. Touched on the rewrite path only
     /// when `active > 0`, so unsplit workloads never take the lock.
     map: RwLock<HashMap<(OpId, Key), Arc<SplitEntry>>>,
     /// Fast-path gate: the number of entries in `map`.
     active: AtomicU64,
-    /// Sampled-probe counter for the hot detector.
-    probe: AtomicU64,
     /// Collapsed pairs' sketch estimates at collapse, as read by the first
     /// over-threshold probe after it (`None` until then). The sketch count
     /// is cumulative, so a pair re-splits only on heat gained since. At
@@ -73,14 +81,18 @@ struct SplitEntry {
 
 impl SplitTracker {
     /// A tracker splitting at `threshold` (0 = never) the ops whose
-    /// `combines` entry is true.
-    pub(crate) fn new(threshold: u64, combines: Vec<bool>) -> SplitTracker {
+    /// `combines` entry is true, sampling 1-in-`sample_n` single offers.
+    pub(crate) fn new(threshold: u64, combines: Vec<bool>, sample_n: u64) -> SplitTracker {
+        let shard = |_| SketchShard {
+            sketch: Mutex::new(SpaceSaving::new(HOT_KEY_CAPACITY)),
+            sampler: Sampler::every(sample_n),
+        };
         SplitTracker {
             threshold,
             splittable: if threshold > 0 { combines } else { Vec::new() },
+            sketch: (0..DEFAULT_CACHE_SHARDS).map(shard).collect(),
             map: RwLock::new(HashMap::new()),
             active: AtomicU64::new(0),
-            probe: AtomicU64::new(0),
             floors: Mutex::new(HashMap::new()),
         }
     }
@@ -139,41 +151,42 @@ impl SplitTracker {
         *key = split_subkey(key, shard);
     }
 
-    /// The owner-side detector on one update event: one in
-    /// [`SPLIT_PROBE_EVERY`] candidates asks the sketch.
-    pub(crate) fn sample(
-        &self,
-        op: OpId,
-        key: &Key,
-        estimate: impl FnOnce() -> Option<u64>,
-        now_us: u64,
-    ) {
-        if self.candidate(op, key)
-            && self.probe.fetch_add(1, Ordering::Relaxed).is_multiple_of(SPLIT_PROBE_EVERY)
-        {
-            self.probe(op, key, estimate, now_us);
+    /// Count `n` events of ⟨op, key⟩ (an owner-side update is one; a fold
+    /// credit is what the fold absorbed) and split it if it is hot. A
+    /// single offer is sampled by its shard's gate and weighted by the
+    /// interval; a credit is already coalesced, so it counts unsampled.
+    /// A sampled hit, or a credit of at least [`SPLIT_FOLD_PROBE_MIN`]
+    /// events, reads the estimate under the lock that took the offer:
+    /// under deep folding a hot key surfaces as a handful of carriers, so
+    /// the absorbed count *is* the heat signal, already paid for.
+    pub(crate) fn offer(&self, op: OpId, key: &Key, n: u64, now_us: u64) {
+        let h = fx64_pair(key.as_bytes(), &(op as u64).to_le_bytes());
+        let shard = &self.sketch[h as usize % self.sketch.len()];
+        let weight = match n {
+            0 => return,
+            1 if !shard.sampler.hit() => return,
+            1 => shard.sampler.rate(),
+            n => n,
+        };
+        let probe = (n == 1 || n >= SPLIT_FOLD_PROBE_MIN) && self.candidate(op, key);
+        let id = (op, key.clone());
+        let est = {
+            let mut sketch = shard.sketch.lock();
+            sketch.offer_n(id.clone(), weight);
+            probe.then(|| sketch.estimate(&id)).flatten()
+        };
+        if let Some(est) = est {
+            self.install(id, est, now_us);
         }
     }
 
-    /// Install a split for a candidate ⟨op, key⟩ whose sketch estimate
-    /// crossed the threshold — by a threshold's worth above its floor, if
-    /// it collapsed before. The batch fold calls this directly for runs it
-    /// coalesced past [`SPLIT_FOLD_PROBE_MIN`]: under deep folding a hot
-    /// key surfaces as a handful of carriers, so the sampled probe would
-    /// almost never land on it — but the absorbed count *is* the heat
-    /// signal, already paid for.
-    pub(crate) fn probe(
-        &self,
-        op: OpId,
-        key: &Key,
-        estimate: impl FnOnce() -> Option<u64>,
-        now_us: u64,
-    ) {
-        if !self.candidate(op, key) {
+    /// Install a split for a candidate whose estimate `est` crossed the
+    /// threshold — by a threshold's worth above its floor, if it
+    /// collapsed before.
+    fn install(&self, id: (OpId, Key), est: u64, now_us: u64) {
+        if est < self.threshold {
             return;
         }
-        let Some(est) = estimate().filter(|&est| est >= self.threshold) else { return };
-        let id = (op, key.clone());
         let floor = match self.floors.lock().get_mut(&id) {
             Some(floor) => *floor.get_or_insert(est),
             None => 0,
@@ -190,6 +203,16 @@ impl SplitTracker {
             }));
             self.active.fetch_add(1, Ordering::AcqRel);
         }
+    }
+
+    /// The top `k` ⟨op, key⟩ pairs by estimated event count, best first.
+    /// Shards hold disjoint keys, so merging each shard's top `k` is
+    /// exact.
+    pub(crate) fn hot_keys(&self, k: usize) -> Vec<HeavyHitter<(OpId, Key)>> {
+        let mut all: Vec<_> = self.sketch.iter().flat_map(|s| s.sketch.lock().top(k)).collect();
+        all.sort_by(|a, b| b.count.cmp(&a.count).then(a.err.cmp(&b.err)));
+        all.truncate(k);
+        all
     }
 
     /// Merge-on-read: a key that is (or ever was) split holds part of its
@@ -233,8 +256,9 @@ mod tests {
 
     const T: u64 = 100;
 
+    /// Splitting at [`T`] for op 0 only, every single offer sampled.
     fn tracker() -> SplitTracker {
-        SplitTracker::new(T, vec![true, false])
+        SplitTracker::new(T, vec![true, false], 1)
     }
 
     fn rewritten(t: &SplitTracker, key: &str, now: u64) -> Key {
@@ -245,7 +269,7 @@ mod tests {
 
     /// Install `key`, then let its first cooling window pass cold.
     fn split_then_collapse(t: &SplitTracker, key: &str) {
-        t.probe(0, &Key::from(key), || Some(T), 0);
+        t.offer(0, &Key::from(key), T, 0);
         assert_eq!(rewritten(t, key, SPLIT_COOL_WINDOW_US), Key::from(key), "collapsed");
     }
 
@@ -253,22 +277,83 @@ mod tests {
     fn a_key_installs_at_the_threshold_and_not_below() {
         let t = tracker();
         let hot = Key::from("hot");
-        t.probe(0, &hot, || Some(T - 1), 0);
-        t.probe(0, &hot, || None, 0);
+        t.offer(0, &hot, T - 1, 0);
         assert_eq!((t.active(), rewritten(&t, "hot", 1)), (0, hot.clone()));
-        t.probe(1, &hot, || Some(T), 0);
-        assert_eq!(t.active(), 0, "an op without a combiner never splits");
-        t.probe(0, &split_subkey(&hot, 1), || Some(T), 0);
+        t.offer(0, &split_subkey(&hot, 1), T, 0);
         assert_eq!(t.active(), 0, "a split never recurses");
-        t.probe(0, &hot, || Some(T), 0);
+        t.offer(0, &hot, 1, 0);
+        assert_eq!(t.active(), 1, "a sampled single offer reads the estimate");
+        assert!(!SplitTracker::new(0, vec![true], 1).enabled(), "threshold 0 is off");
+    }
+
+    #[test]
+    fn one_credit_of_threshold_events_installs_exactly_one_split() {
+        let t = tracker();
+        t.offer(0, &Key::from("hot"), T, 0);
+        t.offer(0, &Key::from("hot"), T, 0);
+        t.offer(0, &Key::from("cold"), SPLIT_FOLD_PROBE_MIN - 1, 0);
         assert_eq!(t.active(), 1);
-        assert!(!SplitTracker::new(0, vec![true]).enabled(), "threshold 0 is off");
+        assert_ne!(rewritten(&t, "hot", 1), Key::from("hot"));
+        // A credit below the fold-probe floor counts but never decides.
+        let t = SplitTracker::new(SPLIT_FOLD_PROBE_MIN - 1, vec![true], 1);
+        t.offer(0, &Key::from("hot"), SPLIT_FOLD_PROBE_MIN - 1, 0);
+        assert_eq!(t.active(), 0);
+        assert_eq!(t.hot_keys(1)[0].count, SPLIT_FOLD_PROBE_MIN - 1);
+    }
+
+    #[test]
+    fn sampled_single_offers_reach_the_same_install() {
+        let t = SplitTracker::new(T, vec![true], 4);
+        let hot = Key::from("hot");
+        for _ in 0..T - 4 {
+            t.offer(0, &hot, 1, 0);
+        }
+        assert_eq!(t.active(), 0);
+        for _ in 0..4 {
+            t.offer(0, &hot, 1, 0);
+        }
+        assert_eq!(t.active(), 1);
+        // One in four offers was counted, each for four events.
+        assert_eq!(t.hot_keys(1)[0].count, T);
+    }
+
+    #[test]
+    fn an_op_without_a_combiner_is_hot_but_never_splits() {
+        let t = tracker();
+        let hot = Key::from("hot");
+        t.offer(1, &hot, 10 * T, 0);
+        for _ in 0..T {
+            t.offer(1, &hot, 1, 0);
+        }
+        assert_eq!(t.active(), 0);
+        let top = t.hot_keys(1);
+        assert_eq!((top[0].key.clone(), top[0].count), ((1, hot), 11 * T));
+    }
+
+    #[test]
+    fn hot_keys_merges_the_shards_best_first() {
+        let t = SplitTracker::new(0, Vec::new(), 1);
+        let keys: Vec<Key> = (0..20).map(|i| Key::from(format!("k{i}"))).collect();
+        for (i, key) in keys.iter().enumerate() {
+            t.offer(0, key, 10 * (i as u64 + 1), 0);
+        }
+        let shard = |key: &Key| {
+            fx64_pair(key.as_bytes(), &0u64.to_le_bytes()) as usize % DEFAULT_CACHE_SHARDS
+        };
+        let top: Vec<Key> = t.hot_keys(5).into_iter().map(|hh| hh.key.1).collect();
+        let expected: Vec<Key> = keys.iter().rev().take(5).cloned().collect();
+        assert_eq!(top, expected);
+        let mut shards: Vec<usize> = top.iter().map(shard).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        assert!(shards.len() > 1, "the top keys span shards: {shards:?}");
+        assert_eq!(t.hot_keys(100).len(), keys.len());
     }
 
     #[test]
     fn rewrites_go_round_robin_over_the_split_ways() {
         let t = tracker();
-        t.probe(0, &Key::from("hot"), || Some(T), 0);
+        t.offer(0, &Key::from("hot"), T, 0);
         let base = Key::from("hot");
         let subkeys: Vec<Key> =
             (0..2 * SPLIT_WAYS).map(|i| rewritten(&t, "hot", i as u64)).collect();
@@ -281,7 +366,7 @@ mod tests {
     #[test]
     fn a_cold_window_collapses_the_split_and_records_a_floor() {
         let t = tracker();
-        t.probe(0, &Key::from("warm"), || Some(T), 0);
+        t.offer(0, &Key::from("warm"), T, 0);
         // A hot window keeps it split: T/2 rewrites before the window ends.
         for i in 0..T / 2 {
             assert_ne!(rewritten(&t, "warm", i), Key::from("warm"));
@@ -299,11 +384,11 @@ mod tests {
         let key = Key::from("k");
         split_then_collapse(&t, "k");
         // The sketch is cumulative: the first probe after the collapse
-        // records its estimate as the floor.
-        t.probe(0, &key, || Some(3 * T), 1);
-        t.probe(0, &key, || Some(4 * T - 1), 2);
+        // records its estimate (3T) as the floor.
+        t.offer(0, &key, 2 * T, 1);
+        t.offer(0, &key, T - 1, 2);
         assert_eq!(t.active(), 0);
-        t.probe(0, &key, || Some(4 * T), 3);
+        t.offer(0, &key, 1, 3);
         assert_eq!(t.active(), 1);
         assert!(t.floors.lock().is_empty(), "a re-split clears its floor");
     }

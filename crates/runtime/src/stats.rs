@@ -336,11 +336,11 @@ impl Stats {
 /// Scrape-time samples for everything in the snapshot `s` that is not a
 /// handle — gauges, the hit/miss totals summed over the shard cells, the
 /// flush-batch count read off its histogram, other crates' counters —
-/// plus the hot-key sketches of `caches` and the slate repr statics.
+/// plus the `hot` ⟨op, key⟩ estimates and the slate repr statics.
 pub(crate) fn collect(
     wf: &Workflow,
     s: &EngineStats,
-    caches: &[Arc<SlateCache>],
+    hot: Vec<HeavyHitter<(OpId, Key)>>,
     tcp: Option<&TcpTransport>,
     out: &mut Vec<Sample>,
 ) {
@@ -367,7 +367,7 @@ pub(crate) fn collect(
     if let Some(id) = s.machine_id {
         out.push(gauge("muppet_machine_id", id as u64));
     }
-    for hh in hottest(caches, 10) {
+    for hh in hot {
         let (op, key) = hh.key;
         let key = String::from_utf8_lossy(key.as_bytes());
         let labels = [("op", wf.op(op).name.as_str()), ("key", &*key)];
@@ -539,12 +539,4 @@ impl CacheMetrics {
         }
         out
     }
-}
-
-/// The `k` hottest ⟨op, key⟩ pairs of `caches`' sketches, best first.
-pub(crate) fn hottest(caches: &[Arc<SlateCache>], k: usize) -> Vec<HeavyHitter<(OpId, Key)>> {
-    let mut all: Vec<_> = caches.iter().flat_map(|cache| cache.hot_keys(k)).collect();
-    all.sort_by(|a, b| b.count.cmp(&a.count).then(a.err.cmp(&b.err)));
-    all.truncate(k);
-    all
 }

@@ -25,7 +25,6 @@ use crate::dlq::DeadLetter;
 use crate::engine::{Machine, OpInstance, Queued, Shared, DRAIN_BATCH};
 use crate::placement::Placement;
 use crate::send::fresh;
-use crate::split::SPLIT_FOLD_PROBE_MIN;
 
 /// Spawn machine `m`'s threads: one worker per queue (a machine of
 /// another process has none) and, when the interval policy flushes into
@@ -189,7 +188,7 @@ impl Shared {
         touched: &mut Vec<MachineId>,
     ) -> bool {
         if self.cfg.combine && batch.len() > 1 {
-            self.fold_drained(machine.cache_of(thread), batch);
+            self.fold_drained(batch);
         }
         let mut retire_owed = false;
         if let Some(cache) = machine.cache_of(thread) {
@@ -281,9 +280,8 @@ impl Shared {
         }
         // lint: allow(no-unwrap-in-prod) — 2.0 machines build a central cache, 1.0 one per updater thread
         let cache = machine.cache_of(thread).expect("updater thread has a cache");
-        cache.offer_hot(op, key);
         let now = self.now_us();
-        self.splits.sample(op, key, || cache.hot_estimate(op, key), now);
+        self.splits.offer(op, key, 1, now);
         let service_sampled = stages.sampler_service.hit();
         let slot = cache.get_or_load(op, name, key, ttl_secs, now);
         // A miss may have chosen victims.
@@ -325,7 +323,7 @@ impl Shared {
     /// the hot-key sketch in one weighted offer per ⟨op, key⟩: the
     /// splitter's threshold is denominated in *events*, and without the
     /// credit a deeply-folded hot key would look cold.
-    fn fold_drained(&self, cache: Option<&Arc<SlateCache>>, batch: &mut Vec<Queued>) {
+    fn fold_drained(&self, batch: &mut Vec<Queued>) {
         let carriers = fold_runs(
             batch.drain(..),
             |ev: &WireEvent| self.combiner(ev.op).map(|_| ev.run_key(false)),
@@ -344,13 +342,9 @@ impl Shared {
         }
         self.stats.combined_events.add(total);
         self.ledger.settle(total);
-        let Some(cache) = cache else { return };
         let now = self.now_us();
         for ((op, key), n) in absorbed {
-            cache.offer_hot_n(op, &key, n);
-            if n >= SPLIT_FOLD_PROBE_MIN {
-                self.splits.probe(op, &key, || cache.hot_estimate(op, &key), now);
-            }
+            self.splits.offer(op, &key, n, now);
         }
     }
 

@@ -246,9 +246,8 @@ fn combine_off_is_unchanged_and_exact() {
 }
 
 /// A key a remote sender folds down must still look hot to its owner
-/// under Muppet 1.0, whose sketches sit in the per-worker caches: the
-/// carrier's absorbed count is credited to the cache of the thread it is
-/// delivered to.
+/// under Muppet 1.0: the carrier's absorbed count is credited to the
+/// owning engine's sketch when the carrier is delivered.
 #[test]
 fn remote_folds_reach_the_owners_sketch_under_muppet_1() {
     const BURST: u64 = 400;

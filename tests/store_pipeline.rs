@@ -17,6 +17,7 @@ use muppet::net::{StoreGetItem, TcpTransport};
 use muppet::prelude::*;
 use muppet::runtime::cache::{SlateBackend, SlateCache};
 use muppet::runtime::netstore::RemoteBackend;
+use muppet::slatestore::util::TempDir;
 use muppet_core::workflow::OpId;
 
 /// A cache on node 1 whose backend is the store service hosted on node 0,
@@ -181,10 +182,13 @@ fn engine_over_tcp_store_host_flushes_in_batches_and_counts_exactly() {
     let wf = b.build().unwrap();
 
     let topology = Topology::loopback_ephemeral(2, false).expect("reserve ports");
-    let dir = tempdir();
+    let dir = TempDir::new("store-pipeline").unwrap();
     let store = Arc::new(
-        StoreCluster::open(&dir, StoreConfig { nodes: 1, replication: 1, ..Default::default() })
-            .unwrap(),
+        StoreCluster::open(
+            dir.path(),
+            StoreConfig { nodes: 1, replication: 1, ..Default::default() },
+        )
+        .unwrap(),
     );
     let mk = |local: usize, store: Option<Arc<StoreCluster>>| {
         let cfg = EngineConfig {
@@ -382,15 +386,4 @@ fn a_refused_single_slate_write_over_tcp_leaves_the_slate_dirty() {
     write(b"3", 3);
     assert_eq!(cache.dirty_count(), 0);
     assert_eq!(backend.load("U1", &key, 4), Some(b"3".to_vec()));
-}
-
-fn tempdir() -> std::path::PathBuf {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "muppet-store-pipeline-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
