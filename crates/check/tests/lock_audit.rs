@@ -67,7 +67,8 @@ fn engine_run_has_acyclic_lock_order_and_no_fsync_under_lock() {
         workers_per_machine: 2,
         queue_capacity: 10_000,
         // Tiny cache + write-through: every update walks slot → dirty
-        // index → backend, and evictions churn the shard maps.
+        // index, then the flush core's store write once the slot lock is
+        // released, and evictions churn the shard maps.
         slate_cache_capacity: 64,
         cache_shards: 4,
         flush: FlushPolicy::WriteThrough,

@@ -13,36 +13,50 @@ use crate::error::{Error, Result};
 use crate::json::Json;
 use crate::workflow::Workflow;
 
-/// When dirty slates are flushed from the cache to the key-value store
-/// (§4.2 "the application can set the flushing interval, ranging from
-/// 'immediate write-through' to 'only when evicted from cache'").
+/// When dirty slates reach the key-value store (§4.2 "the application can
+/// set the flushing interval, ranging from 'immediate write-through' to
+/// 'only when evicted from cache'").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlushSpec {
-    /// Write every slate mutation to the store immediately.
+pub enum FlushPolicy {
+    /// Every slate mutation writes to the store before the worker moves on.
     WriteThrough,
-    /// Flush dirty slates at most every `ms` milliseconds (background I/O).
+    /// A background flusher sweeps dirty slates every `ms` milliseconds
+    /// ("a thread to provide background I/O to the durable key-value
+    /// store", §4.5).
     IntervalMs(u64),
-    /// Write a slate only when the cache evicts it.
+    /// Slates reach the store only when evicted (maximum write coalescing,
+    /// maximum crash loss).
     OnEvict,
 }
 
-impl Default for FlushSpec {
+impl Default for FlushPolicy {
     fn default() -> Self {
-        FlushSpec::IntervalMs(100)
+        FlushPolicy::IntervalMs(100)
     }
 }
 
-/// Quorum required for store reads/writes (§4.2: "any single machine ... a
-/// majority of replicas ... or all of the replicas").
+/// Quorum required for one store read or write (§4.2: "any single machine
+/// ... a majority of replicas ... or all of the replicas").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ConsistencySpec {
-    /// Any single replica suffices.
+pub enum Consistency {
+    /// Any single replica.
     One,
-    /// A majority of replicas.
+    /// A majority of the replica set.
     #[default]
     Quorum,
     /// Every replica.
     All,
+}
+
+impl Consistency {
+    /// Acks required out of `replicas`.
+    pub fn required(self, replicas: usize) -> usize {
+        match self {
+            Consistency::One => 1, // any single replica (replicas is validated >= 1)
+            Consistency::Quorum => replicas / 2 + 1,
+            Consistency::All => replicas,
+        }
+    }
 }
 
 /// Per-operator declaration inside the config file.
@@ -87,9 +101,9 @@ pub struct AppConfig {
     /// Machine-wide slate cache capacity (number of slates).
     pub slate_cache_capacity: usize,
     /// Flush policy for dirty slates.
-    pub flush: FlushSpec,
+    pub flush: FlushPolicy,
     /// Store quorum.
-    pub consistency: ConsistencySpec,
+    pub consistency: Consistency,
     /// Store replication factor.
     pub replication: usize,
     /// The workflow graph.
@@ -104,8 +118,8 @@ impl Default for AppConfig {
             workers_per_machine: 4,
             queue_capacity: 4096,
             slate_cache_capacity: 100_000,
-            flush: FlushSpec::default(),
-            consistency: ConsistencySpec::default(),
+            flush: FlushPolicy::default(),
+            consistency: Consistency::default(),
             replication: 3,
             workflow: WorkflowSpec::default(),
         }
@@ -199,30 +213,30 @@ fn usize_field(value: &Json, name: &str) -> Result<usize> {
         .ok_or_else(|| Error::Config(format!("{name} must be a non-negative integer")))
 }
 
-fn parse_flush(value: &Json) -> Result<FlushSpec> {
+fn parse_flush(value: &Json) -> Result<FlushPolicy> {
     let policy = value
         .get("policy")
         .and_then(Json::as_str)
         .ok_or_else(|| Error::Config("flush.policy must be a string".into()))?;
     match policy {
-        "write_through" => Ok(FlushSpec::WriteThrough),
-        "on_evict" => Ok(FlushSpec::OnEvict),
+        "write_through" => Ok(FlushPolicy::WriteThrough),
+        "on_evict" => Ok(FlushPolicy::OnEvict),
         "interval" => {
             let ms = value
                 .get("ms")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| Error::Config("flush.ms must be a non-negative integer".into()))?;
-            Ok(FlushSpec::IntervalMs(ms))
+            Ok(FlushPolicy::IntervalMs(ms))
         }
         other => Err(Error::Config(format!("unknown flush policy: {other}"))),
     }
 }
 
-fn parse_consistency(value: &Json) -> Result<ConsistencySpec> {
+fn parse_consistency(value: &Json) -> Result<Consistency> {
     match value.as_str() {
-        Some("one") => Ok(ConsistencySpec::One),
-        Some("quorum") => Ok(ConsistencySpec::Quorum),
-        Some("all") => Ok(ConsistencySpec::All),
+        Some("one") => Ok(Consistency::One),
+        Some("quorum") => Ok(Consistency::Quorum),
+        Some("all") => Ok(Consistency::All),
         _ => Err(Error::Config("consistency must be one|quorum|all".into())),
     }
 }
@@ -319,8 +333,8 @@ mod tests {
         assert_eq!(cfg.machines, 3);
         assert_eq!(cfg.workers_per_machine, 2);
         assert_eq!(cfg.queue_capacity, 512);
-        assert_eq!(cfg.flush, FlushSpec::IntervalMs(50));
-        assert_eq!(cfg.consistency, ConsistencySpec::Quorum);
+        assert_eq!(cfg.flush, FlushPolicy::IntervalMs(50));
+        assert_eq!(cfg.consistency, Consistency::Quorum);
         assert_eq!(cfg.workflow.mappers.len(), 1);
         assert_eq!(cfg.workflow.updaters[0].ttl_secs, Some(86_400));
     }
@@ -341,15 +355,15 @@ mod tests {
     fn defaults_apply_for_missing_fields() {
         let cfg = AppConfig::from_json_str(r#"{"name": "minimal"}"#).unwrap();
         assert_eq!(cfg.machines, AppConfig::default().machines);
-        assert_eq!(cfg.flush, FlushSpec::IntervalMs(100));
+        assert_eq!(cfg.flush, FlushPolicy::IntervalMs(100));
     }
 
     #[test]
     fn flush_policy_variants() {
         for (text, want) in [
-            (r#"{"flush": {"policy": "write_through"}}"#, FlushSpec::WriteThrough),
-            (r#"{"flush": {"policy": "on_evict"}}"#, FlushSpec::OnEvict),
-            (r#"{"flush": {"policy": "interval", "ms": 0}}"#, FlushSpec::IntervalMs(0)),
+            (r#"{"flush": {"policy": "write_through"}}"#, FlushPolicy::WriteThrough),
+            (r#"{"flush": {"policy": "on_evict"}}"#, FlushPolicy::OnEvict),
+            (r#"{"flush": {"policy": "interval", "ms": 0}}"#, FlushPolicy::IntervalMs(0)),
         ] {
             assert_eq!(AppConfig::from_json_str(text).unwrap().flush, want, "{text}");
         }
@@ -369,9 +383,9 @@ mod tests {
     #[test]
     fn consistency_variants() {
         for (text, want) in [
-            (r#"{"consistency": "one"}"#, ConsistencySpec::One),
-            (r#"{"consistency": "quorum"}"#, ConsistencySpec::Quorum),
-            (r#"{"consistency": "all"}"#, ConsistencySpec::All),
+            (r#"{"consistency": "one"}"#, Consistency::One),
+            (r#"{"consistency": "quorum"}"#, Consistency::Quorum),
+            (r#"{"consistency": "all"}"#, Consistency::All),
         ] {
             assert_eq!(AppConfig::from_json_str(text).unwrap().consistency, want);
         }

@@ -13,6 +13,7 @@
 //! panics on malformed input.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use muppet_core::codec::{
@@ -166,31 +167,26 @@ pub struct MembershipUpdate {
     pub nodes: Vec<NodeSpec>,
 }
 
-/// One slate write inside a [`Frame::StorePut`] — the wire image of a
-/// dirty-slate snapshot headed for the store host.
+/// One slate write: a dirty-slate snapshot from the slate cache's flush,
+/// the item of a [`Frame::StorePut`], and what the store host persists.
+/// One shape from cache to store — the snapshot is taken under the slot's
+/// state lock but written without it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StorePutItem {
-    /// Update function (store column).
-    pub updater: String,
-    /// Event key (store row).
-    pub key: Vec<u8>,
-    /// Slate bytes — refcounted, so a flush snapshot moves from the
-    /// slate cache into the frame without copying the payload.
-    pub value: Bytes,
-    /// Slate TTL, if the updater configured one.
-    pub ttl_secs: Option<u64>,
-    /// Payload format of `value`. Travels with every item: the store may
-    /// compress the bytes, after which they can no longer be sniffed.
+pub struct FlushItem {
+    /// The update function's name (store column).
+    pub updater: Arc<str>,
+    /// The event key (store row).
+    pub key: Key,
+    /// The slate bytes at snapshot time — refcounted, so the snapshot
+    /// reaches the frame without copying the payload.
+    pub bytes: Bytes,
+    /// Format of `bytes` (the cache materializes in the store's codec;
+    /// raw/legacy payloads stay [`Codec::Json`]). Travels with every item:
+    /// the store may compress the bytes, after which they can no longer
+    /// be sniffed.
     pub codec: Codec,
-}
-
-/// One slate read inside a [`Frame::StoreGet`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoreGetItem {
-    /// Update function (store column).
-    pub updater: String,
-    /// Event key (store row).
-    pub key: Vec<u8>,
+    /// TTL configured for this updater's slates.
+    pub ttl_secs: Option<u64>,
 }
 
 /// One protocol message. DESIGN.md §5 has the kind table (byte,
@@ -239,12 +235,12 @@ pub enum Frame {
     /// round trip (the §4.2 write-behind flush: a tick's dirty set crosses
     /// the wire as one frame, one CRC, one syscall). A single slate is a
     /// run of one.
-    StorePut { items: Vec<StorePutItem>, now_us: u64 },
+    StorePut { items: Vec<FlushItem>, now_us: u64 },
     /// Response to [`Frame::StorePut`]: per-item success, in order (false
     /// = the store refused that cell; the sender keeps it dirty).
     StoreAck { ok: Vec<bool> },
     /// Load a run of slates from the store-hosting node in one round trip.
-    StoreGet { items: Vec<StoreGetItem>, now_us: u64 },
+    StoreGet { items: Vec<(Arc<str>, Key)>, now_us: u64 },
     /// Response to [`Frame::StoreGet`]: per-item values, in order. No
     /// codec tag: values come back uncompressed, and the MBF magic byte is
     /// sniffable.
@@ -497,8 +493,8 @@ impl Frame {
                 put_varint(&mut out, items.len() as u64);
                 for item in items {
                     put_len_prefixed(&mut out, item.updater.as_bytes());
-                    put_len_prefixed(&mut out, &item.key);
-                    put_len_prefixed(&mut out, &item.value);
+                    put_len_prefixed(&mut out, item.key.as_bytes());
+                    put_len_prefixed(&mut out, &item.bytes);
                     put_opt_varint(&mut out, item.ttl_secs);
                     out.push(codec_byte(item.codec));
                 }
@@ -512,9 +508,9 @@ impl Frame {
             Frame::StoreGet { items, now_us } => {
                 out.push(KIND_STORE_GET);
                 put_varint(&mut out, items.len() as u64);
-                for item in items {
-                    put_len_prefixed(&mut out, item.updater.as_bytes());
-                    put_len_prefixed(&mut out, &item.key);
+                for (updater, key) in items {
+                    put_len_prefixed(&mut out, updater.as_bytes());
+                    put_len_prefixed(&mut out, key.as_bytes());
                 }
                 put_varint(&mut out, *now_us);
             }
@@ -665,19 +661,19 @@ impl Frame {
                 let mut items = Vec::with_capacity((count as usize).min(possible));
                 for _ in 0..count {
                     let (updater, n) = get_len_prefixed(&rest[at..])?;
-                    let updater = std::str::from_utf8(updater).ok()?.to_string();
+                    let updater = Arc::from(std::str::from_utf8(updater).ok()?);
                     at += n;
                     let (key, n) = get_len_prefixed(&rest[at..])?;
-                    let key = key.to_vec();
+                    let key = Key::from(key);
                     at += n;
-                    let (value, n) = get_len_prefixed(&rest[at..])?;
-                    let value = Bytes::copy_from_slice(value);
+                    let (bytes, n) = get_len_prefixed(&rest[at..])?;
+                    let bytes = Bytes::copy_from_slice(bytes);
                     at += n;
                     let (ttl_secs, n) = get_opt_varint(&rest[at..])?;
                     at += n;
                     let codec = codec_from_byte(*rest.get(at)?)?;
                     at += 1;
-                    items.push(StorePutItem { updater, key, value, ttl_secs, codec });
+                    items.push(FlushItem { updater, key, bytes, codec, ttl_secs });
                 }
                 let (now_us, n) = get_varint(&rest[at..])?;
                 at += n;
@@ -701,12 +697,11 @@ impl Frame {
                 let mut items = Vec::with_capacity((count as usize).min(possible));
                 for _ in 0..count {
                     let (updater, n) = get_len_prefixed(&rest[at..])?;
-                    let updater = std::str::from_utf8(updater).ok()?.to_string();
+                    let updater = Arc::from(std::str::from_utf8(updater).ok()?);
                     at += n;
                     let (key, n) = get_len_prefixed(&rest[at..])?;
-                    let key = key.to_vec();
                     at += n;
-                    items.push(StoreGetItem { updater, key });
+                    items.push((updater, Key::from(key)));
                 }
                 let (now_us, n) = get_varint(&rest[at..])?;
                 at += n;
@@ -849,13 +844,13 @@ mod tests {
         value: &'static [u8],
         ttl_secs: Option<u64>,
         codec: Codec,
-    ) -> StorePutItem {
-        StorePutItem {
+    ) -> FlushItem {
+        FlushItem {
             updater: "counter".into(),
-            key: key.to_vec(),
-            value: Bytes::from_static(value),
-            ttl_secs,
+            key: Key::from(key),
+            bytes: Bytes::from_static(value),
             codec,
+            ttl_secs,
         }
     }
 
@@ -914,10 +909,7 @@ mod tests {
             Frame::StoreAck { ok: vec![true, false, true] },
             Frame::StoreAck { ok: Vec::new() },
             Frame::StoreGet {
-                items: vec![
-                    StoreGetItem { updater: "counter".into(), key: b"a".to_vec() },
-                    StoreGetItem { updater: "counter".into(), key: b"b".to_vec() },
-                ],
+                items: vec![("counter".into(), Key::from("a")), ("counter".into(), Key::from("b"))],
                 now_us: 77,
             },
             Frame::StoreValue {
@@ -1038,12 +1030,12 @@ mod tests {
             (
                 Frame::StorePut {
                     items: vec![
-                        StorePutItem {
-                            updater: u(),
+                        FlushItem {
+                            updater: "U".into(),
                             ..put_item(b"k", b"42", Some(60), Codec::Json)
                         },
-                        StorePutItem {
-                            updater: u(),
+                        FlushItem {
+                            updater: "U".into(),
                             ..put_item(b"", b"\xb1\x00", None, Codec::Mbf)
                         },
                     ],
@@ -1062,10 +1054,7 @@ mod tests {
                 &[4, 0, 0, 0, 0x38, 0x9a, 0x8b, 0x20, 17, 2, 1, 0],
             ),
             (
-                Frame::StoreGet {
-                    items: vec![StoreGetItem { updater: u(), key: b"k".to_vec() }],
-                    now_us: 9,
-                },
+                Frame::StoreGet { items: vec![("U".into(), Key::from("k"))], now_us: 9 },
                 &[7, 0, 0, 0, 0xea, 0xbf, 0x7b, 0x30, 18, 1, 1, b'U', 1, b'k', 9],
             ),
             (

@@ -10,9 +10,7 @@ pub mod tcp;
 pub mod topology;
 pub mod transport;
 
-pub use frame::{
-    Frame, MembershipPhase, MembershipUpdate, StoreGetItem, StorePutItem, WireEvent, MAX_FORWARDS,
-};
+pub use frame::{FlushItem, Frame, MembershipPhase, MembershipUpdate, WireEvent, MAX_FORWARDS};
 pub use tcp::{BatchConfig, FlushReason, TcpListenerHandle, TcpStats, TcpTransport};
 pub use topology::{NodeSpec, Topology};
 pub use transport::{ClusterHandler, MachineId, NetError, Transport};

@@ -12,11 +12,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
+use muppet_core::event::Key;
 use muppet_core::sync::{Condvar, Mutex, RwLock};
 
 use crate::frame::{
-    self, Frame, MembershipPhase, MembershipUpdate, StoreGetItem, StorePutItem, WireEvent,
-    MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    self, FlushItem, Frame, MembershipPhase, MembershipUpdate, WireEvent, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
 };
 use crate::topology::{NodeSpec, Topology};
 use crate::transport::{ClusterHandler, HandlerSlot, MachineId, NetError, Transport};
@@ -704,14 +705,13 @@ impl Transport for TcpTransport {
     fn store_put_many(
         &self,
         dest: MachineId,
-        items: Vec<StorePutItem>,
+        items: &[FlushItem],
         now_us: u64,
     ) -> Result<Vec<bool>, NetError> {
         // One framed round trip for the whole run — the flush tick's N
-        // dirty slates cost one request frame and one reply, not N; the
-        // owned items move straight into the frame (no payload re-copy).
+        // dirty slates cost one request frame and one reply, not N.
         let sent = items.len();
-        let request = Frame::StorePut { items, now_us };
+        let request = Frame::StorePut { items: items.to_vec(), now_us };
         match self.exchange(dest, &request, true)? {
             Some(Frame::StoreAck { ok }) if ok.len() == sent => Ok(ok),
             Some(Frame::StoreAck { ok }) => Err(NetError::Protocol(format!(
@@ -725,11 +725,11 @@ impl Transport for TcpTransport {
     fn store_get_many(
         &self,
         dest: MachineId,
-        items: Vec<StoreGetItem>,
+        items: &[(Arc<str>, Key)],
         now_us: u64,
     ) -> Result<Vec<Option<Vec<u8>>>, NetError> {
         let asked = items.len();
-        let request = Frame::StoreGet { items, now_us };
+        let request = Frame::StoreGet { items: items.to_vec(), now_us };
         match self.exchange(dest, &request, true)? {
             Some(Frame::StoreValue { values }) if values.len() == asked => Ok(values),
             Some(Frame::StoreValue { values }) => Err(NetError::Protocol(format!(
@@ -1159,10 +1159,10 @@ mod tests {
         fn read_local_slate(&self, _dest: MachineId, updater: &str, key: &[u8]) -> Option<Vec<u8>> {
             (updater == "U1" && key == b"walmart").then(|| b"7".to_vec())
         }
-        fn backend_store_many(&self, items: &[StorePutItem], _now: u64) -> Vec<bool> {
+        fn backend_store_many(&self, items: &[FlushItem], _now: u64) -> Vec<bool> {
             let mut store = self.store.lock();
             for item in items {
-                store.insert(item.key.clone(), (item.value.to_vec(), item.codec));
+                store.insert(item.key.as_bytes().to_vec(), (item.bytes.to_vec(), item.codec));
             }
             vec![true; items.len()]
         }
@@ -1213,13 +1213,25 @@ mod tests {
         }
     }
 
-    fn put_item(key: &[u8], value: &[u8], codec: Codec) -> StorePutItem {
-        StorePutItem {
+    /// Wait until `t`'s sender threads have accounted every queued event:
+    /// a sender counts a frame in `frames_sent` only after its write
+    /// returns — the receiver may have delivered it already — and drains
+    /// the backlog gauge after that.
+    fn wait_sent(t: &TcpTransport) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while t.outbound_backlog() > 0 {
+            assert!(Instant::now() < deadline, "backlog never drained");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn put_item(key: &[u8], value: &[u8], codec: Codec) -> FlushItem {
+        FlushItem {
             updater: "U1".into(),
-            key: key.to_vec(),
-            value: value.to_vec().into(),
-            ttl_secs: None,
+            key: Key::from(key),
+            bytes: value.to_vec().into(),
             codec,
+            ttl_secs: None,
         }
     }
 
@@ -1285,7 +1297,7 @@ mod tests {
             t0.stats().queue_full_waits.load(Ordering::Relaxed) > 0,
             "an 8-slot outbox fed 100 events must exert backpressure"
         );
-        assert_eq!(t0.outbound_backlog(), 0);
+        wait_sent(&t0);
     }
 
     #[test]
@@ -1324,11 +1336,10 @@ mod tests {
         assert_eq!(t0.read_slate(1, "U1", b"absent").unwrap(), None);
         // Store ops served by node 0's handler, called from node 1.
         let get = |key: &[u8]| {
-            let item = StoreGetItem { updater: "U1".into(), key: key.to_vec() };
-            t1.store_get_many(0, vec![item], 0).unwrap().remove(0)
+            t1.store_get_many(0, &[("U1".into(), Key::from(key))], 0).unwrap().remove(0)
         };
         assert_eq!(
-            t1.store_put_many(0, vec![put_item(b"k1", b"v1", Codec::Json)], 0).unwrap(),
+            t1.store_put_many(0, &[put_item(b"k1", b"v1", Codec::Json)], 0).unwrap(),
             [true]
         );
         assert_eq!(get(b"k1"), Some(b"v1".to_vec()));
@@ -1340,22 +1351,15 @@ mod tests {
     fn store_batches_are_one_round_trip_each() {
         let (_t0, t1, h0, _h1, _l0, _l1) = pair();
         let before = t1.stats().frames_sent.load(Ordering::Relaxed);
-        let items: Vec<StorePutItem> = (0..32)
-            .map(|i| StorePutItem {
-                updater: "U1".into(),
-                key: format!("k{i}").into_bytes(),
-                value: format!("v{i}").into_bytes().into(),
-                ttl_secs: None,
-                codec: Codec::Json,
-            })
+        let items: Vec<FlushItem> = (0..32)
+            .map(|i| put_item(format!("k{i}").as_bytes(), format!("v{i}").as_bytes(), Codec::Json))
             .collect();
-        let ok = t1.store_put_many(0, items, 5).unwrap();
+        let ok = t1.store_put_many(0, &items, 5).unwrap();
         assert_eq!(ok, vec![true; 32]);
         assert_eq!(h0.store.lock().len(), 32, "every cell landed on the host");
-        let gets: Vec<StoreGetItem> = (0..33)
-            .map(|i| StoreGetItem { updater: "U1".into(), key: format!("k{i}").into_bytes() })
-            .collect();
-        let values = t1.store_get_many(0, gets, 6).unwrap();
+        let gets: Vec<(Arc<str>, Key)> =
+            (0..33).map(|i| ("U1".into(), Key::from(format!("k{i}")))).collect();
+        let values = t1.store_get_many(0, &gets, 6).unwrap();
         assert_eq!(values.len(), 33);
         for (i, v) in values.iter().take(32).enumerate() {
             assert_eq!(v.as_deref(), Some(format!("v{i}").as_bytes()));
@@ -1478,18 +1482,15 @@ mod tests {
         let (_t0, t1, h0, _h1, _l0, _l1) = pair();
         let raw = mbf_value();
         let items = vec![put_item(b"bin", &raw, Codec::Mbf), put_item(b"txt", b"7", Codec::Json)];
-        let ok = t1.store_put_many(0, items, 1).unwrap();
+        let ok = t1.store_put_many(0, &items, 1).unwrap();
         assert_eq!(ok, vec![true, true]);
         let store = h0.store.lock();
         assert_eq!(store.get(&b"bin"[..].to_vec()).unwrap(), &(raw.clone(), Codec::Mbf));
         assert_eq!(store.get(&b"txt"[..].to_vec()).unwrap(), &(b"7".to_vec(), Codec::Json));
         drop(store);
         // The value reply carries the MBF bytes back verbatim.
-        let gets = vec![
-            StoreGetItem { updater: "U1".into(), key: b"bin".to_vec() },
-            StoreGetItem { updater: "U1".into(), key: b"txt".to_vec() },
-        ];
-        let values = t1.store_get_many(0, gets, 2).unwrap();
+        let gets = [("U1".into(), Key::from("bin")), ("U1".into(), Key::from("txt"))];
+        let values = t1.store_get_many(0, &gets, 2).unwrap();
         assert_eq!(values[0].as_deref(), Some(&raw[..]));
         assert_eq!(values[1].as_deref(), Some(&b"7"[..]));
         // So does an event value on the batching path.
@@ -1749,6 +1750,7 @@ mod tests {
         }
         t0.flush_events(&[1]);
         wait_delivered(&h1, 64);
+        wait_sent(&t0);
         let stats = t0.stats();
         assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 1, "a burst is one frame");
         // 300 more: two full frames leave on their own, the request takes
@@ -1758,6 +1760,7 @@ mod tests {
         }
         t0.flush_events(&[1]);
         wait_delivered(&h1, 364);
+        wait_sent(&t0);
         assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 1 + 3);
         assert_eq!(FlushReason::ALL.map(|r| stats.flushes(r)), [2, 2, 0, 0]);
         // A request with nothing queued is free: no frame, no stale flag.

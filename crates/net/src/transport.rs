@@ -1,13 +1,16 @@
 //! The wire's two faces: [`Transport`], what a caller sends to another
 //! process through, and [`ClusterHandler`], what the wire delivers into.
-//! DESIGN.md §5.
+//! Both speak the slate cache's records for the store: a [`FlushItem`]
+//! per write and an ⟨updater, key⟩ pair per read, from the sending cache
+//! to the hosted store unchanged. DESIGN.md §5.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock, Weak};
 
+use muppet_core::event::Key;
 use muppet_core::workflow::OpId;
 
-use crate::frame::{MembershipUpdate, StoreGetItem, StorePutItem, WireEvent};
+use crate::frame::{FlushItem, MembershipUpdate, WireEvent};
 
 /// Cluster-wide machine index (ring member id).
 pub type MachineId = usize;
@@ -120,17 +123,22 @@ pub trait ClusterHandler: Send + Sync + 'static {
     }
 
     /// Persist a run of slates into the locally hosted store, returning
-    /// per-item success in order. Each item carries the payload format tag
+    /// per-item success in order: a peer cache's [`FlushItem`]s as its
+    /// flush built them. Each item carries the payload format tag
     /// persisted with its cell (stored values may be compressed, so it
     /// cannot be re-sniffed at rest). The one write callback; default (a
     /// node hosting no store): refuse every item.
-    fn backend_store_many(&self, items: &[StorePutItem], _now_us: u64) -> Vec<bool> {
+    fn backend_store_many(&self, items: &[FlushItem], _now_us: u64) -> Vec<bool> {
         vec![false; items.len()]
     }
 
-    /// Load a run of slates from the locally hosted store, in order.
-    fn backend_load_many(&self, items: &[StoreGetItem], now_us: u64) -> Vec<Option<Vec<u8>>> {
-        items.iter().map(|item| self.backend_load(&item.updater, &item.key, now_us)).collect()
+    /// Load a run of ⟨updater, key⟩ slates from the locally hosted store,
+    /// in order.
+    fn backend_load_many(&self, items: &[(Arc<str>, Key)], now_us: u64) -> Vec<Option<Vec<u8>>> {
+        items
+            .iter()
+            .map(|(updater, key)| self.backend_load(updater, key.as_bytes(), now_us))
+            .collect()
     }
 
     /// A restarted incarnation of `machine` re-identified itself (crash
@@ -160,24 +168,24 @@ pub trait Transport: Send + Sync + 'static {
 
     /// Persist a run of slates on the store-hosting machine `dest` in one
     /// round trip ([`crate::frame::Frame::StorePut`]); a single slate is a
-    /// run of one. Items are taken by value so a frame-building transport
-    /// never re-copies the payload; each carries its payload format tag.
-    /// Returns per-item success in order; an
+    /// run of one. The items are the cache's flush snapshots, each with
+    /// its payload format tag; their bytes are refcounted, so a frame
+    /// never re-copies a payload. Returns per-item success in order; an
     /// `Err` means the whole run may not have reached the store (the
     /// caller keeps every slate dirty).
     fn store_put_many(
         &self,
         dest: MachineId,
-        items: Vec<StorePutItem>,
+        items: &[FlushItem],
         now_us: u64,
     ) -> Result<Vec<bool>, NetError>;
 
-    /// Load a run of slates from the store-hosting machine `dest` in one
-    /// [`crate::frame::Frame::StoreGet`] round trip.
+    /// Load a run of ⟨updater, key⟩ slates from the store-hosting machine
+    /// `dest` in one [`crate::frame::Frame::StoreGet`] round trip.
     fn store_get_many(
         &self,
         dest: MachineId,
-        items: Vec<StoreGetItem>,
+        items: &[(Arc<str>, Key)],
         now_us: u64,
     ) -> Result<Vec<Option<Vec<u8>>>, NetError>;
 }

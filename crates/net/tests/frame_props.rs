@@ -5,13 +5,14 @@
 //! panic or a huge speculative allocation.
 
 use std::io::Cursor;
+use std::sync::Arc;
 
 use muppet_core::codec;
 use muppet_core::event::{Event, Key};
 use muppet_core::Codec;
 use muppet_net::frame::{
-    Frame, MembershipPhase, MembershipUpdate, StoreGetItem, StorePutItem, WireEvent, MAX_FORWARDS,
-    MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    FlushItem, Frame, MembershipPhase, MembershipUpdate, WireEvent, MAX_FORWARDS, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
 };
 use muppet_net::topology::NodeSpec;
 use proptest::prelude::*;
@@ -90,7 +91,7 @@ fn arb_codec() -> impl Strategy<Value = Codec> {
     prop_oneof![Just(Codec::Json), Just(Codec::Mbf)]
 }
 
-fn arb_store_put_item() -> impl Strategy<Value = StorePutItem> {
+fn arb_store_put_item() -> impl Strategy<Value = FlushItem> {
     (
         "[a-z][a-z0-9_-]{0,15}",
         proptest::collection::vec(any::<u8>(), 0..48),
@@ -98,18 +99,18 @@ fn arb_store_put_item() -> impl Strategy<Value = StorePutItem> {
         proptest::option::of(any::<u64>()),
         arb_codec(),
     )
-        .prop_map(|(updater, key, value, ttl_secs, codec)| StorePutItem {
-            updater,
-            key,
-            value: value.into(),
-            ttl_secs,
+        .prop_map(|(updater, key, value, ttl_secs, codec)| FlushItem {
+            updater: updater.into(),
+            key: Key::from(key),
+            bytes: value.into(),
             codec,
+            ttl_secs,
         })
 }
 
-fn arb_store_get_item() -> impl Strategy<Value = StoreGetItem> {
+fn arb_store_get_item() -> impl Strategy<Value = (Arc<str>, Key)> {
     ("[a-z][a-z0-9_-]{0,15}", proptest::collection::vec(any::<u8>(), 0..48))
-        .prop_map(|(updater, key)| StoreGetItem { updater, key })
+        .prop_map(|(updater, key)| (updater.into(), Key::from(key)))
 }
 
 /// Exactly the 16 variants (the enum match in

@@ -12,13 +12,15 @@
 //! slot's state while running the update function. Two-choice dispatch
 //! bounds contention on any slot to two workers (§4.5).
 //!
-//! The store is behind the event path on every route but one: a miss
-//! *loads* its slate before the update can run — one backend round trip,
-//! shared by all the misses of a drained batch ([`SlateCache::prefetch`]).
-//! Nothing is ever *written* on that path. Dirty slates reach the backend
-//! through one flush core (`flush_slots`: snapshot under the slot lock,
-//! ONE `store_many` per batch outside it, compare-and-set
-//! `flushed_version`), driven by the periodic sweep
+//! Outside write-through, the store is behind the event path on every
+//! route but one: a miss *loads* its slate before the update can run — one
+//! backend round trip, shared by all the misses of a drained batch
+//! ([`SlateCache::prefetch`]). Nothing else is *written* on that path.
+//! Dirty slates reach the backend through one flush core (`flush_slots`:
+//! snapshot under the slot lock, ONE `store_many` per batch outside it,
+//! compare-and-set `flushed_version`) as [`FlushItem`]s, the store frame's
+//! own item. It is driven by write-through ([`SlateCache::write_through`],
+//! once the update has released the slot lock), the periodic sweep
 //! ([`SlateCache::flush_dirty`]), the recovery line's
 //! [`SlateCache::flush_barrier`], hand-off
 //! ([`SlateCache::flush_slot_now`]) and eviction: a miss over capacity
@@ -62,44 +64,8 @@ pub const DEFAULT_FLUSH_BATCH_MAX: usize = 256;
 /// still flushes alone.
 pub const FLUSH_BATCH_SOFT_BYTES: usize = 8 << 20;
 
-/// When dirty slates reach the key-value store (§4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlushPolicy {
-    /// Every slate mutation writes to the store before the worker moves on.
-    WriteThrough,
-    /// A background flusher sweeps dirty slates every `ms` milliseconds
-    /// ("a thread to provide background I/O to the durable key-value
-    /// store", §4.5).
-    IntervalMs(u64),
-    /// Slates reach the store only when evicted (maximum write coalescing,
-    /// maximum crash loss).
-    OnEvict,
-}
-
-impl Default for FlushPolicy {
-    fn default() -> Self {
-        FlushPolicy::IntervalMs(100)
-    }
-}
-
-/// One dirty-slate snapshot inside a batched flush: the bytes and
-/// identity a [`SlateBackend::store_many`] call persists. Snapshots are
-/// taken under the slot's state lock but *written* without it — a worker
-/// mutating the slate never waits on the (possibly remote) store write.
-#[derive(Clone, Debug)]
-pub struct FlushItem {
-    /// The update function's name (store column).
-    pub updater: Arc<str>,
-    /// The event key (store row).
-    pub key: Key,
-    /// The slate bytes at snapshot time.
-    pub bytes: Bytes,
-    /// Format of `bytes` (the cache materializes in the store's codec;
-    /// raw/legacy payloads stay [`Codec::Json`]).
-    pub codec: Codec,
-    /// TTL configured for this updater's slates.
-    pub ttl_secs: Option<u64>,
-}
+pub use muppet_core::config::FlushPolicy;
+pub use muppet_net::FlushItem;
 
 /// Where cache misses load from and flushes write to: runs of slates, in
 /// order. Implemented by the slate-store cluster and the remote store
@@ -874,44 +840,38 @@ impl SlateCache {
         }
     }
 
-    /// Record a completed updater write on `slot`; under write-through this
-    /// persists immediately. A failed write-through leaves the slate dirty
-    /// (the eviction/shutdown flush retries it). A slate left dirty is
-    /// registered in its shard's dirty index so the next flush sweep finds
-    /// it without scanning the cache.
+    /// Record a completed updater write on `slot` (caller holds its state
+    /// lock). A slate left dirty is registered in its shard's dirty index,
+    /// where every flush finds it without scanning the cache. No backend
+    /// call: under write-through the caller then runs
+    /// [`SlateCache::write_through`] with the lock released.
     pub fn note_write(&self, slot: &Arc<SlateSlot>, state: &mut SlateState, now_us: u64) {
         state.last_write_us = now_us;
-        if self.policy == FlushPolicy::WriteThrough && state.dirty() && !state.flushing {
-            // (With a flush of this slot mid-flight, the synchronous write
-            // is skipped — two concurrent store writes of one key could
-            // land out of order. The slot stays dirty and indexed; the
-            // in-flight flush's CAS covers only its own snapshot.)
-            self.metrics.store_round_trips.inc();
-            let t0 = Instant::now();
-            let (bytes, codec) = state.slate.materialize(self.store_codec);
-            let ok =
-                self.backend.store(&slot.updater, &slot.key, &bytes, codec, slot.ttl_secs, now_us);
-            self.metrics.flush_latency.record(t0.elapsed().as_micros() as u64);
-            if ok {
-                state.flushed_version = state.slate.version();
-                self.unindex(slot, state);
-                self.metrics.flush_writes.inc();
-                return;
-            }
-            self.metrics.flush_failures.inc();
-        }
         if state.dirty() {
             self.ensure_indexed(slot, state);
         }
     }
 
-    /// The one flush core — sweeps, eviction retires and hand-off flushes
-    /// all run it. Snapshot phase: bytes + version per dirty slot, each
-    /// under its own briefly-held state lock. Write phase: ONE batched
-    /// backend call per `flush_batch_max` slates (one store round trip
-    /// over a remote host, one WAL group commit per replica), with no
-    /// lock held, so no worker ever stalls behind the store write of a
-    /// slate it is mutating. Then a compare-and-set: `flushed_version`
+    /// Under [`FlushPolicy::WriteThrough`], persist `slot` now through the
+    /// flush core, a batch of one, after [`SlateCache::note_write`] and
+    /// with the slot lock released — a reader or a second worker never
+    /// waits on the store write. A refused write leaves the slate dirty
+    /// (the eviction, hand-off or shutdown flush retries it); so does a
+    /// slot another flush has in flight, whose compare-and-set covers only
+    /// its own snapshot. A no-op under any other policy.
+    pub fn write_through(&self, slot: &Arc<SlateSlot>, now_us: u64) {
+        if self.policy == FlushPolicy::WriteThrough {
+            self.flush_slots(std::slice::from_ref(slot), now_us);
+        }
+    }
+
+    /// The one flush core — write-through, sweeps, eviction retires and
+    /// hand-off flushes all run it. Snapshot phase: bytes + version per
+    /// dirty slot, each under its own briefly-held state lock. Write
+    /// phase: ONE batched backend call per `flush_batch_max` slates (one
+    /// store round trip over a remote host, one WAL group commit per
+    /// replica), with no lock held, so no worker ever stalls behind the
+    /// store write of a slate it is mutating. Then a compare-and-set: `flushed_version`
     /// advances only to the version actually written, and only a slot it
     /// leaves clean leaves the dirty index — a slate mutated mid-flight
     /// stays dirty and indexed, as does one the backend refused. A slot
@@ -1382,8 +1342,9 @@ mod tests {
             let mut state = slot.state.lock();
             state.slate.replace(b"5".to_vec());
             cache.note_write(&slot, &mut state, 10);
-            assert!(!state.dirty());
         }
+        cache.write_through(&slot, 10);
+        assert!(!slot.state.lock().dirty());
         assert_eq!(backend.load("U1", &k, 0), Some(b"5".to_vec()));
         assert_eq!(cache.stats().flush_writes, 1);
     }
@@ -1777,6 +1738,38 @@ mod tests {
         assert_eq!(cache.flush_dirty(20), 1);
         assert_eq!(backend.inner.load("U1", &k, 0), Some(b"v2".to_vec()));
         assert!(!slot.state.lock().dirty());
+    }
+
+    #[test]
+    fn a_read_never_waits_on_a_write_through_in_flight() {
+        // Write-through runs the flush core after the update drops the
+        // slot lock, so a live read of the slate the store is still
+        // writing answers at once instead of queueing behind the write.
+        let (backend, entered, release) = SlowBackend::gated();
+        let cache =
+            Arc::new(SlateCache::new(10, FlushPolicy::WriteThrough, Arc::clone(&backend) as _));
+        let k = Key::from("k");
+        let slot = cache.get_or_load(0, &updater_name(), &k, None, 0);
+        let writer = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                write(&cache, "k", "1", 1);
+                cache.write_through(&slot, 1);
+            })
+        };
+        entered.recv_timeout(std::time::Duration::from_secs(5)).expect("the write is parked");
+        let (read_tx, read_rx) = std::sync::mpsc::channel();
+        let reader = {
+            let (cache, k) = (Arc::clone(&cache), k.clone());
+            std::thread::spawn(move || read_tx.send(cache.read(0, &k)))
+        };
+        let read = read_rx.recv_timeout(std::time::Duration::from_secs(2));
+        release.send(()).unwrap();
+        writer.join().unwrap();
+        let _ = reader.join();
+        assert_eq!(read.expect("a read must not wait on the store write"), Some(b"1".to_vec()));
+        assert_eq!(backend.inner.load("U1", &k, 2), Some(b"1".to_vec()));
+        assert_eq!(cache.dirty_count(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use muppet_core::config::{AppConfig, FlushSpec};
+use muppet_core::config::AppConfig;
 use muppet_core::error::{Error, Result};
 use muppet_core::event::{Event, Key};
 use muppet_core::operator::{Mapper, Updater};
@@ -27,7 +27,7 @@ use muppet_net::transport::{ClusterHandler, MachineId, NetError, Transport};
 use muppet_obs::{Level, Logger};
 use muppet_slatestore::cluster::StoreCluster;
 
-use crate::cache::{FlushPolicy, NullBackend, SlateBackend, SlateCache};
+use crate::cache::{FlushItem, FlushPolicy, NullBackend, SlateBackend, SlateCache};
 use crate::dispatch::RouteHash;
 use crate::dlq::DeadLetterQueue;
 use crate::ingestlog::{IngestLog, SyncFn};
@@ -210,11 +210,7 @@ impl EngineConfig {
             workers_per_op: app.workers_per_machine, // 1.0 interpretation
             queue_capacity: app.queue_capacity,
             slate_cache_capacity: app.slate_cache_capacity,
-            flush: match app.flush {
-                FlushSpec::WriteThrough => FlushPolicy::WriteThrough,
-                FlushSpec::IntervalMs(ms) => FlushPolicy::IntervalMs(ms),
-                FlushSpec::OnEvict => FlushPolicy::OnEvict,
-            },
+            flush: app.flush,
             ..EngineConfig::default()
         }
     }
@@ -1356,40 +1352,22 @@ impl ClusterHandler for EngineHandler {
         shared.read_local(dest, op, updater, &Key::from(key)).ok().flatten()
     }
 
-    fn backend_store_many(&self, items: &[muppet_net::StorePutItem], now_us: u64) -> Vec<bool> {
+    fn backend_store_many(&self, items: &[FlushItem], now_us: u64) -> Vec<bool> {
         // A peer's `StorePut` lands here: one `store_many` on the hosted
         // cluster — cells grouped per LSM node, each node's run
         // WAL-group-committed — with real per-cell quorum outcomes in the
         // ack.
-        let Some(store) = &self.0.host_store else {
-            return vec![false; items.len()];
-        };
-        let flush: Vec<crate::cache::FlushItem> = items
-            .iter()
-            .map(|item| crate::cache::FlushItem {
-                updater: Arc::from(item.updater.as_str()),
-                key: Key::from(item.key.as_slice()),
-                bytes: item.value.clone(),
-                ttl_secs: item.ttl_secs,
-                codec: item.codec,
-            })
-            .collect();
-        SlateBackend::store_many(&**store, &flush, now_us)
+        match &self.0.host_store {
+            Some(store) => SlateBackend::store_many(&**store, items, now_us),
+            None => vec![false; items.len()],
+        }
     }
 
-    fn backend_load_many(
-        &self,
-        items: &[muppet_net::StoreGetItem],
-        now_us: u64,
-    ) -> Vec<Option<Vec<u8>>> {
-        let Some(store) = &self.0.host_store else {
-            return vec![None; items.len()];
-        };
-        let keys: Vec<(Arc<str>, Key)> = items
-            .iter()
-            .map(|item| (Arc::from(item.updater.as_str()), Key::from(item.key.as_slice())))
-            .collect();
-        SlateBackend::load_many(&**store, &keys, now_us)
+    fn backend_load_many(&self, items: &[(Arc<str>, Key)], now_us: u64) -> Vec<Option<Vec<u8>>> {
+        match &self.0.host_store {
+            Some(store) => SlateBackend::load_many(&**store, items, now_us),
+            None => vec![None; items.len()],
+        }
     }
 }
 

@@ -5,15 +5,16 @@
 //! cluster". In a `muppetd` cluster, one node hosts the store
 //! ([`crate::engine::EngineConfig::store_host`]); every other node's slate
 //! cache flushes and misses go through `StorePut`/`StoreGet` frames on the
-//! same [`Transport`] the events use, a single slate as a run of one.
-//! Write failures are surfaced to the cache (the dirty slate stays dirty;
-//! a later flush retries) and read failures surface as cache misses — the
+//! same [`Transport`] the events use, a single slate as a run of one. The
+//! runs pass through as the cache built them: a [`FlushItem`] is the
+//! `StorePut` item and an ⟨updater, key⟩ pair the `StoreGet` item. Write
+//! failures are surfaced to the cache (the dirty slate stays dirty; a
+//! later flush retries) and read failures surface as cache misses — the
 //! availability-first posture of the in-process store adapter.
 
 use std::sync::Arc;
 
 use muppet_core::event::Key;
-use muppet_net::frame::{StoreGetItem, StorePutItem};
 use muppet_net::transport::{MachineId, Transport};
 
 use crate::cache::{FlushItem, SlateBackend};
@@ -37,31 +38,14 @@ impl SlateBackend for RemoteBackend {
         // dirty slates costs one wire round trip instead of N. A wire
         // failure fails the batch wholesale — every slate stays dirty and
         // the next sweep retries.
-        let wire: Vec<StorePutItem> = items
-            .iter()
-            .map(|item| StorePutItem {
-                updater: item.updater.to_string(),
-                key: item.key.as_bytes().to_vec(),
-                value: item.bytes.clone(), // refcount bump, not a copy
-                ttl_secs: item.ttl_secs,
-                codec: item.codec,
-            })
-            .collect();
-        match self.transport.store_put_many(self.host, wire, now_us) {
+        match self.transport.store_put_many(self.host, items, now_us) {
             Ok(ok) if ok.len() == items.len() => ok,
             _ => vec![false; items.len()],
         }
     }
 
     fn load_many(&self, items: &[(Arc<str>, Key)], now_us: u64) -> Vec<Option<Vec<u8>>> {
-        let wire: Vec<StoreGetItem> = items
-            .iter()
-            .map(|(updater, key)| StoreGetItem {
-                updater: updater.to_string(),
-                key: key.as_bytes().to_vec(),
-            })
-            .collect();
-        match self.transport.store_get_many(self.host, wire, now_us) {
+        match self.transport.store_get_many(self.host, items, now_us) {
             Ok(values) if values.len() == items.len() => values,
             _ => vec![None; items.len()], // wire failure reads as misses
         }
@@ -93,10 +77,11 @@ mod tests {
         fn read_local_slate(&self, _d: usize, _u: &str, _k: &[u8]) -> Option<Vec<u8>> {
             None
         }
-        fn backend_store_many(&self, items: &[StorePutItem], _now: u64) -> Vec<bool> {
+        fn backend_store_many(&self, items: &[FlushItem], _now: u64) -> Vec<bool> {
             let mut cells = self.0.lock();
             for item in items {
-                cells.insert((item.updater.clone(), item.key.clone()), item.value.to_vec());
+                let cell = (item.updater.to_string(), item.key.as_bytes().to_vec());
+                cells.insert(cell, item.bytes.to_vec());
             }
             vec![true; items.len()]
         }

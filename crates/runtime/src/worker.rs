@@ -306,6 +306,9 @@ impl Shared {
             cache.discard(op, key);
             return Step::Poisoned(payload);
         }
+        // Still under the membership guard: a hand-off's flush sees this
+        // write persisted or the slot dirty.
+        cache.write_through(&slot, now);
         if service_sampled {
             // Service span: slate fetch (cache or store) + the update under
             // the slot lock.

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
+pub use muppet_core::config::Consistency;
 use muppet_core::sync::Mutex;
 use muppet_core::Codec;
 
@@ -27,29 +28,6 @@ use crate::device::{DeviceProfile, StorageDevice};
 use crate::node::{NodeConfig, NodeStats, StoreNode};
 use crate::ring::ConsistentRing;
 use crate::types::{Cell, CellKey, StoreError, StoreResult};
-
-/// Consistency level for one operation (§4.2).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Consistency {
-    /// Any single replica.
-    One,
-    /// A majority of the replica set.
-    #[default]
-    Quorum,
-    /// Every replica.
-    All,
-}
-
-impl Consistency {
-    /// Acks required out of `replicas`.
-    pub fn required(self, replicas: usize) -> usize {
-        match self {
-            Consistency::One => 1, // any single replica (replicas is validated >= 1)
-            Consistency::Quorum => replicas / 2 + 1,
-            Consistency::All => replicas,
-        }
-    }
-}
 
 /// Largest run [`StoreCluster::put_many`] hands one node in a single group
 /// commit; bigger batches are split. Bounds WAL latency under a huge flush

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use muppet::net::topology::Topology;
 use muppet::net::transport::{ClusterHandler, MachineId, NetError, Transport};
-use muppet::net::{StoreGetItem, StorePutItem, TcpListenerHandle, TcpTransport, WireEvent};
+use muppet::net::{FlushItem, TcpListenerHandle, TcpTransport, WireEvent};
 use muppet::prelude::*;
 use muppet_core::sync::Mutex;
 
@@ -45,7 +45,7 @@ impl ClusterHandler for HostStore {
     fn read_local_slate(&self, _d: MachineId, _u: &str, _k: &[u8]) -> Option<Vec<u8>> {
         None
     }
-    fn backend_store_many(&self, items: &[StorePutItem], _now: u64) -> Vec<bool> {
+    fn backend_store_many(&self, items: &[FlushItem], _now: u64) -> Vec<bool> {
         while self.shut.load(Ordering::Acquire) {
             self.entered.store(true, Ordering::Release);
             std::thread::sleep(Duration::from_millis(1));
@@ -56,16 +56,19 @@ impl ClusterHandler for HostStore {
         self.batch_sizes.lock().push(items.len());
         let mut data = self.data.lock();
         for item in items {
-            data.insert((item.updater.clone(), item.key.clone()), item.value.to_vec());
+            let cell = (item.updater.to_string(), item.key.as_bytes().to_vec());
+            data.insert(cell, item.bytes.to_vec());
         }
         vec![true; items.len()]
     }
-    fn backend_load_many(&self, items: &[StoreGetItem], _now: u64) -> Vec<Option<Vec<u8>>> {
+    fn backend_load_many(&self, items: &[(Arc<str>, Key)], _now: u64) -> Vec<Option<Vec<u8>>> {
         self.load_batch_sizes.lock().push(items.len());
         let data = self.data.lock();
         items
             .iter()
-            .map(|item| data.get(&(item.updater.clone(), item.key.clone())).cloned())
+            .map(|(updater, key)| {
+                data.get(&(updater.to_string(), key.as_bytes().to_vec())).cloned()
+            })
             .collect()
     }
 }

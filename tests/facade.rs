@@ -31,16 +31,6 @@ const CONFIG: &str = r#"
 }
 "#;
 
-/// Map the config file's consistency onto the store's enum.
-fn consistency_of(spec: muppet::core::config::ConsistencySpec) -> Consistency {
-    use muppet::core::config::ConsistencySpec as Spec;
-    match spec {
-        Spec::One => Consistency::One,
-        Spec::Quorum => Consistency::Quorum,
-        Spec::All => Consistency::All,
-    }
-}
-
 fn operators() -> OperatorSet {
     OperatorSet::new()
         .mapper(FnMapper::new("normalize", |ctx: &mut dyn Emitter, ev: &Event| {
@@ -71,7 +61,7 @@ fn config_file_drives_the_whole_stack() {
             StoreConfig {
                 nodes: app.replication,
                 replication: app.replication,
-                consistency: consistency_of(app.consistency),
+                consistency: app.consistency,
                 ..Default::default()
             },
         )

@@ -13,7 +13,7 @@ use std::time::Duration;
 use common::{HostStore, StoreMap};
 use muppet::net::topology::Topology;
 use muppet::net::transport::{ClusterHandler, Transport};
-use muppet::net::{StoreGetItem, TcpTransport};
+use muppet::net::TcpTransport;
 use muppet::prelude::*;
 use muppet::runtime::cache::{SlateBackend, SlateCache};
 use muppet::runtime::netstore::RemoteBackend;
@@ -84,10 +84,9 @@ fn tcp_flush_round_trips_scale_with_the_batch_cap_not_the_dirty_set() {
             Some(&format!("value-{i}").into_bytes())
         );
     }
-    let gets: Vec<StoreGetItem> = (0..N)
-        .map(|i| StoreGetItem { updater: "U1".into(), key: format!("key-{i}").into_bytes() })
-        .collect();
-    let values = client.store_get_many(0, gets, 2_000).unwrap();
+    let gets: Vec<(Arc<str>, Key)> =
+        (0..N).map(|i| ("U1".into(), Key::from(format!("key-{i}")))).collect();
+    let values = client.store_get_many(0, &gets, 2_000).unwrap();
     for (i, v) in values.iter().enumerate() {
         assert_eq!(v.as_deref(), Some(format!("value-{i}").as_bytes()), "batched read of key-{i}");
     }
@@ -376,6 +375,8 @@ fn a_refused_single_slate_write_over_tcp_leaves_the_slate_dirty() {
         let mut state = slot.state.lock();
         state.slate.replace(value.to_vec());
         cache.note_write(&slot, &mut state, now);
+        drop(state);
+        cache.write_through(&slot, now);
     };
     write(b"2", 2);
     assert_eq!(cache.dirty_count(), 1, "the refused write-through is still owed");
