@@ -1258,6 +1258,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "events not delivered");
             std::thread::sleep(Duration::from_millis(5));
         }
+        wait_sent(&t0);
         // The batching path accounts every event; the frame count may be
         // smaller (coalescing) but never zero.
         let stats = t0.stats();
@@ -1277,6 +1278,7 @@ mod tests {
             t0.send_event(1, wire_event()).unwrap();
         }
         wait_delivered(&h1, 200);
+        wait_sent(&t0);
         let stats = t0.stats();
         let frames = stats.frames_sent.load(Ordering::Relaxed);
         assert!(frames < 200, "200 events must not take 200 frames (got {frames})");
@@ -1843,6 +1845,7 @@ mod tests {
             assert!(Instant::now() < deadline, "events lost behind a stalled peer");
             std::thread::sleep(Duration::from_millis(2));
         }
+        wait_sent(&t0);
         let frames = t0.stats().frames_sent.load(Ordering::Relaxed);
         assert!(frames <= ROUNDS, "{frames} frames for {ROUNDS} flush requests");
         assert_eq!(t0.stats().flushes(FlushReason::Demand), frames, "every frame was asked for");
@@ -1966,6 +1969,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(h1.sum.load(Ordering::Relaxed), 51, "folded payloads preserve the total");
+        wait_sent(&t0);
         let entries_framed = t0.stats().batched_events_sent.load(Ordering::Relaxed);
         assert!(
             entries_framed < 51,

@@ -29,7 +29,8 @@
 //! in one batch, when the caller has nothing better to do.
 //!
 //! The dirty set is kept once: each shard's dirty index holds an entry
-//! exactly while its slot is dirty. The sweep and the barrier list it
+//! exactly while its slot is dirty (save while a write-through write is on
+//! the wire). The sweep and the barrier list it
 //! (never drain it), and [`SlateCache::dirty_count`] counts it without
 //! locking a slate.
 
@@ -813,11 +814,11 @@ impl SlateCache {
         }
     }
 
-    /// Register `slot` in its shard's dirty index if it is not already
-    /// there (caller holds the slot's state lock — the `indexed` flag
-    /// makes steady-state re-writes of an already-dirty slate free).
-    fn ensure_indexed(&self, slot: &Arc<SlateSlot>, state: &mut SlateState) {
-        if !state.indexed {
+    /// Register `slot` in its shard's dirty index if it is dirty and not
+    /// already there (caller holds the slot's state lock — the `indexed`
+    /// flag makes steady-state re-writes of an already-dirty slate free).
+    fn index_if_dirty(&self, slot: &Arc<SlateSlot>, state: &mut SlateState) {
+        if state.dirty() && !state.indexed {
             state.indexed = true;
             self.shard_of(slot.op, &slot.key)
                 .dirty
@@ -828,7 +829,7 @@ impl SlateCache {
 
     /// Deregister `slot` from its shard's dirty index when it becomes
     /// clean (caller holds the slot's state lock, the order
-    /// [`SlateCache::ensure_indexed`] uses). An entry another slot of the
+    /// [`SlateCache::index_if_dirty`] uses). An entry another slot of the
     /// same key registered since is left alone.
     fn unindex(&self, slot: &Arc<SlateSlot>, state: &mut SlateState) {
         if std::mem::take(&mut state.indexed) {
@@ -844,24 +845,29 @@ impl SlateCache {
     /// lock). A slate left dirty is registered in its shard's dirty index,
     /// where every flush finds it without scanning the cache. No backend
     /// call: under write-through the caller then runs
-    /// [`SlateCache::write_through`] with the lock released.
+    /// [`SlateCache::write_through`] with the lock released, which indexes
+    /// the slot only if its write is refused — registering every write
+    /// just to deregister it at the write's compare-and-set would put two
+    /// index-lock round trips on every event.
     pub fn note_write(&self, slot: &Arc<SlateSlot>, state: &mut SlateState, now_us: u64) {
         state.last_write_us = now_us;
-        if state.dirty() {
-            self.ensure_indexed(slot, state);
+        if self.policy != FlushPolicy::WriteThrough {
+            self.index_if_dirty(slot, state);
         }
     }
 
     /// Under [`FlushPolicy::WriteThrough`], persist `slot` now through the
     /// flush core, a batch of one, after [`SlateCache::note_write`] and
-    /// with the slot lock released — a reader or a second worker never
-    /// waits on the store write. A refused write leaves the slate dirty
-    /// (the eviction, hand-off or shutdown flush retries it); so does a
-    /// slot another flush has in flight, whose compare-and-set covers only
-    /// its own snapshot. A no-op under any other policy.
+    /// with the slot lock released — a reader never waits on the store
+    /// write. A flush already in flight on the slot (a second worker's
+    /// write-through) is waited out and the slot re-flushed, since its
+    /// compare-and-set covers only its own snapshot: every completed write
+    /// is in the store when this returns. A refused write leaves the slate
+    /// dirty and indexed (the eviction, hand-off or shutdown flush retries
+    /// it). A no-op under any other policy.
     pub fn write_through(&self, slot: &Arc<SlateSlot>, now_us: u64) {
-        if self.policy == FlushPolicy::WriteThrough {
-            self.flush_slots(std::slice::from_ref(slot), now_us);
+        if self.policy == FlushPolicy::WriteThrough && !self.flush_slot_now(slot, now_us) {
+            self.index_if_dirty(slot, &mut slot.state.lock());
         }
     }
 
@@ -1019,7 +1025,7 @@ impl SlateCache {
             // The slots leave this cache: purge their dirty-index entries
             // (the new owner's cache re-registers them on insert), then
             // mark them unindexed. The two locks are never nested — every
-            // other path orders state → dirty (`ensure_indexed` under the
+            // other path orders state → dirty (`index_if_dirty` under the
             // caller's state lock), so taking state while holding dirty
             // here would be an AB-BA deadlock with a concurrent flusher.
             {
@@ -1064,10 +1070,7 @@ impl SlateCache {
     pub fn insert_slot(&self, op: OpId, key: Key, slot: Arc<SlateSlot>) {
         debug_assert_eq!(slot.op, op, "a handed-off slot keeps its op identity");
         self.shard_of(op, &key).map.lock().insert((op, key), Arc::clone(&slot));
-        let mut state = slot.state.lock();
-        if state.dirty() {
-            self.ensure_indexed(&slot, &mut state);
-        }
+        self.index_if_dirty(&slot, &mut slot.state.lock());
     }
 
     /// Every slot in the dirty index, each shard listed under its index
@@ -1770,6 +1773,41 @@ mod tests {
         assert_eq!(read.expect("a read must not wait on the store write"), Some(b"1".to_vec()));
         assert_eq!(backend.inner.load("U1", &k, 2), Some(b"1".to_vec()));
         assert_eq!(cache.dirty_count(), 0);
+    }
+
+    #[test]
+    fn a_write_through_landing_mid_flight_is_written_before_it_returns() {
+        // Two workers on one hot slot: B's write lands while A's
+        // write-through of the older snapshot is parked in the store. B's
+        // write-through must wait A out and write its own version — A's
+        // compare-and-set leaves v2 dirty, and no sweep runs under
+        // write-through to pick it up.
+        let (backend, entered, release) = SlowBackend::gated();
+        let cache =
+            Arc::new(SlateCache::new(10, FlushPolicy::WriteThrough, Arc::clone(&backend) as _));
+        let k = Key::from("k");
+        let slot = cache.get_or_load(0, &updater_name(), &k, None, 0);
+        let worker = |value: &'static str, now: u64| {
+            let (cache, slot) = (Arc::clone(&cache), Arc::clone(&slot));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let handle = std::thread::spawn(move || {
+                write(&cache, "k", value, now);
+                cache.write_through(&slot, now);
+                let _ = done_tx.send(());
+            });
+            (handle, done_rx)
+        };
+        let (a, _) = worker("1", 1);
+        entered.recv_timeout(std::time::Duration::from_secs(5)).expect("A's write is parked");
+        let (b, b_done) = worker("2", 2);
+        let b_returned_early = b_done.recv_timeout(std::time::Duration::from_millis(200)).is_ok();
+        release.send(()).unwrap(); // A's store
+        release.send(()).unwrap(); // B's store
+        a.join().unwrap();
+        b.join().unwrap();
+        assert!(!b_returned_early, "B returned while A's write was still in flight");
+        assert_eq!(backend.inner.load("U1", &k, 3), Some(b"2".to_vec()));
+        assert!(!slot.state.lock().dirty());
     }
 
     #[test]
