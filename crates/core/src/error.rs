@@ -5,14 +5,15 @@ use std::fmt;
 /// Convenience alias used across the workspace.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors raised by workflow construction, configuration parsing, and
+/// Errors raised by workflow construction, engine configuration, and
 /// executors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// A workflow definition is inconsistent (duplicate names, unknown
     /// streams, no external input, ...).
     Workflow(String),
-    /// An application configuration file could not be interpreted.
+    /// An engine setting could not be honoured (a codec name, an ingest
+    /// WAL, a listener, a join).
     Config(String),
     /// JSON text could not be parsed. Carries offset and message.
     Json { offset: usize, message: String },

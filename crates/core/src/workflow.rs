@@ -230,18 +230,6 @@ impl WorkflowBuilder {
         self.op(name, OpKind::Update, subscribes, &[], Some(ttl_secs))
     }
 
-    /// Declare an update function with both declared outputs and an
-    /// optional TTL (the most general form, used by config files).
-    pub fn updater_full(
-        &mut self,
-        name: &str,
-        subscribes: &[&str],
-        publishes: &[&str],
-        ttl_secs: Option<u64>,
-    ) -> &mut Self {
-        self.op(name, OpKind::Update, subscribes, publishes, ttl_secs)
-    }
-
     fn op(
         &mut self,
         name: &str,

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use muppet_core::config::AppConfig;
 use muppet_core::error::{Error, Result};
 use muppet_core::event::{Event, Key};
 use muppet_core::operator::{Mapper, Updater};
@@ -196,22 +195,6 @@ impl Default for EngineConfig {
             wire_codec: CodecChoice::Auto,
             combine: false,
             hot_split_threshold: 0,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Derive an engine configuration from an application config file.
-    pub fn from_app_config(app: &AppConfig, kind: EngineKind) -> EngineConfig {
-        EngineConfig {
-            kind,
-            machines: app.machines,
-            workers_per_machine: app.workers_per_machine,
-            workers_per_op: app.workers_per_machine, // 1.0 interpretation
-            queue_capacity: app.queue_capacity,
-            slate_cache_capacity: app.slate_cache_capacity,
-            flush: app.flush,
-            ..EngineConfig::default()
         }
     }
 }

@@ -288,7 +288,9 @@ mod tests {
         let dir = TempDir::new("sweep-recovery-line").unwrap();
         // A cache of a few seeds' slates, so the line's flush and its dirty
         // count cost as little at the last seed as at the first; the sweep
-        // checks the line, not the disk, so the log's syncs are no-ops.
+        // checks the line, not the disk, so the log's syncs are no-ops
+        // (the header and directory fsyncs of its rotations and releases
+        // too: the disk's fsync time hid the controls' mutants).
         let cfg =
             EngineConfig { ingest_wal: Some(dir.file("ingest.wal")), ..testkit::config(1, 256) };
         let engine = testkit::start(cfg, Some(&dir), Some(Box::new(|_| Ok(()))), &Arc::default());

@@ -2,8 +2,9 @@
 //!
 //! Joins a static cluster (`--config <cluster.json>` or `--peers`) — or
 //! an already-running one (`--join`, elastic scale-out) — runs the engine
-//! for one of the bundled applications over the TCP transport, and
-//! serves the §4.4 HTTP endpoints on its topology `http_port`:
+//! for one of the bundled applications (`--app`; each declares its
+//! workflow graph in code) over the TCP transport, and serves the §4.4
+//! HTTP endpoints on its topology `http_port`:
 //!
 //! * `GET  /slate/<updater>/<key>`  — live slate read (cluster-wide: reads
 //!   for keys owned by other machines cross the wire);
@@ -28,6 +29,12 @@
 //! curl -X POST --data-binary '{"topics":["sports"]}' http://127.0.0.1:8100/submit/S1/k1
 //! curl http://127.0.0.1:8102/metrics
 //! ```
+//!
+//! `--config` reads a cluster document, such as a saved `/membership`
+//! body: its nodes, its master and its store host (an explicit
+//! `--store-host` wins). A flag value that does not parse exits 2 with
+//! a message naming the flag and the value. DESIGN.md's knob table
+//! sorts every flag.
 //!
 //! Growing the running cluster by a 4th machine (DESIGN.md §7):
 //!
@@ -82,8 +89,7 @@ fn usage() -> ! {
         "usage: muppetd (--config <cluster.json> | --peers <host:port:http,...>) --node <id>
            [--app hot_topics|retailer] [--engine muppet1|muppet2]
            [--workers <n>] [--store-host <id>] [--data-dir <path>] [--master <id>]
-           [--latency-sample-n <n>]
-           [--ingest-wal <path>] [--ingest-sync each|group]
+           [--ingest-wal <path>]
            [--wire-codec auto|json|mbf]   (what this node writes)
            [--combine on|off] [--hot-split-threshold <events>]
            [--log-level debug|info|warn|error|off] [--log-json]
@@ -96,6 +102,12 @@ fn usage() -> ! {
 fn fail(msg: String) -> ! {
     eprintln!("muppetd: {msg}");
     std::process::exit(2)
+}
+
+/// `value` read as a `T`, or exit 2 naming the flag, what it wants and
+/// what it got.
+fn parsed<T: std::str::FromStr>(flag: &str, want: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| fail(format!("{flag} wants {want}, got {value:?}")))
 }
 
 /// Reserve an id at the running cluster's master and read the grant.
@@ -124,29 +136,32 @@ fn parse_args() -> Options {
     let mut app = "hot_topics".to_string();
     let mut data_dir = None;
     let mut master: Option<usize> = None;
+    let mut document_store_host = None;
     let mut join: Option<String> = None;
     let mut listen: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        let flag = flag.as_str();
         let mut value = || it.next().map(String::as_str).unwrap_or_else(|| usage());
-        match flag.as_str() {
+        match flag {
             "--config" => {
                 // A cluster document: a saved `/membership` body, or one
-                // listing only `nodes` (and `master`).
+                // listing only `nodes` (and `master`, `store_host`).
                 let path = value();
                 let text = std::fs::read_to_string(path)
                     .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
                 let view = ClusterView::from_json(&text)
                     .unwrap_or_else(|e| fail(format!("bad config {path}: {e}")));
                 topology = Some(view.topology);
+                document_store_host = view.store_host;
             }
             "--peers" => {
                 topology = Some(Topology::from_peer_list(value()).unwrap_or_else(|e| {
                     fail(format!("bad --peers: {e}"));
                 }));
             }
-            "--node" => node = value().parse().ok(),
+            "--node" => node = Some(parsed(flag, "a node id", value())),
             "--join" => join = Some(value().to_string()),
             "--listen" => listen = Some(value().to_string()),
             "--app" => app = value().to_string(),
@@ -154,65 +169,35 @@ fn parse_args() -> Options {
                 cfg.kind = match value() {
                     "muppet1" | "1" => EngineKind::Muppet1,
                     "muppet2" | "2" => EngineKind::Muppet2,
-                    other => {
-                        eprintln!("muppetd: unknown engine {other:?}");
-                        usage()
-                    }
+                    other => fail(format!("--engine wants muppet1|muppet2, got {other:?}")),
                 }
             }
             "--workers" => {
-                cfg.workers_per_machine = value().parse().unwrap_or(4);
+                cfg.workers_per_machine = parsed(flag, "a thread count", value());
                 cfg.workers_per_op = cfg.workers_per_machine;
             }
-            "--latency-sample-n" => {
-                cfg.latency_sample_n = value().parse().unwrap_or_else(|_| {
-                    eprintln!("muppetd: --latency-sample-n wants an event count");
-                    usage()
-                })
-            }
             "--log-level" => {
-                cfg.log_level = Level::parse(value()).unwrap_or_else(|| {
-                    eprintln!("muppetd: --log-level wants debug|info|warn|error|off");
-                    usage()
+                let level = value();
+                cfg.log_level = Level::parse(level).unwrap_or_else(|| {
+                    fail(format!("--log-level wants debug|info|warn|error|off, got {level:?}"))
                 })
             }
             "--log-json" => cfg.log_json = true,
             "--ingest-wal" => cfg.ingest_wal = Some(value().into()),
-            "--ingest-sync" => {
-                cfg.ingest_sync_each = match value() {
-                    "each" => true,
-                    "group" => false,
-                    other => {
-                        eprintln!("muppetd: --ingest-sync wants each|group, got {other:?}");
-                        usage()
-                    }
-                }
-            }
-            "--wire-codec" => {
-                cfg.wire_codec = value().parse().unwrap_or_else(|_| {
-                    eprintln!("muppetd: --wire-codec wants auto|json|mbf");
-                    usage()
-                })
-            }
+            "--wire-codec" => cfg.wire_codec = parsed(flag, "auto|json|mbf", value()),
             "--combine" => {
                 cfg.combine = match value() {
                     "on" | "true" | "1" => true,
                     "off" | "false" | "0" => false,
-                    other => {
-                        eprintln!("muppetd: --combine wants on|off, got {other:?}");
-                        usage()
-                    }
+                    other => fail(format!("--combine wants on|off, got {other:?}")),
                 }
             }
             "--hot-split-threshold" => {
-                cfg.hot_split_threshold = value().parse().unwrap_or_else(|_| {
-                    eprintln!("muppetd: --hot-split-threshold wants an event count");
-                    usage()
-                })
+                cfg.hot_split_threshold = parsed(flag, "an event count", value())
             }
-            "--store-host" => cfg.store_host = value().parse().ok(),
+            "--store-host" => cfg.store_host = Some(parsed(flag, "a node id", value())),
             "--data-dir" => data_dir = Some(value().to_string()),
-            "--master" => master = value().parse().ok(),
+            "--master" => master = Some(parsed(flag, "a node id", value())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("muppetd: unknown flag {other:?}");
@@ -221,10 +206,11 @@ fn parse_args() -> Options {
         }
     }
 
+    // A cluster document (the join grant or `--config`) names the store
+    // host unless `--store-host` overrides it.
     let (topology, node) = match join {
         Some(master_http) => {
-            // Elastic join: the grant supplies topology, id, epoch state —
-            // and the cluster's store host, unless overridden explicitly.
+            // Elastic join: the grant supplies topology, id, epoch state.
             let listen = listen.unwrap_or_else(|| fail("--join requires --listen".to_string()));
             let (id, grant) = reserve_join(&master_http, &listen);
             cfg.store_host = cfg.store_host.or(grant.store_host);
@@ -238,8 +224,14 @@ fn parse_args() -> Options {
                 topology.master = m;
             }
             let node = node.unwrap_or_else(|| usage());
-            if node >= topology.len() {
-                fail(format!("--node {node} not in topology of {} nodes", topology.len()));
+            cfg.store_host = cfg.store_host.or(document_store_host);
+            let n = topology.len();
+            let ids =
+                [("--node", Some(node)), ("--master", master), ("--store-host", cfg.store_host)];
+            for (flag, id) in ids {
+                if let Some(id) = id.filter(|&id| id >= n) {
+                    fail(format!("{flag} {id} not in topology of {n} nodes"));
+                }
             }
             (topology, node)
         }

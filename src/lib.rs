@@ -72,7 +72,6 @@ pub use muppet_workloads as workloads;
 /// One-stop imports for building and running MapUpdate applications.
 pub mod prelude {
     pub use muppet_core::{
-        config::AppConfig,
         event::{Event, Key, StreamId, Timestamp},
         json::Json,
         operator::{Emitter, FnMapper, FnUpdater, Mapper, Updater},

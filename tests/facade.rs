@@ -1,35 +1,40 @@
 //! Facade-level integration: the `muppet` crate's public API surface —
-//! config files to running clusters, HTTP reads, prelude ergonomics.
+//! an application declared in code (`Workflow::builder` plus
+//! `EngineConfig` and `StoreConfig`) to running clusters, HTTP reads,
+//! prelude ergonomics.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use muppet::prelude::*;
 use muppet::runtime::http::{http_get, percent_encode};
+use muppet::slatestore::types::CellKey;
 use muppet::slatestore::util::TempDir;
 
-const CONFIG: &str = r#"
-{
-    "name": "config-driven-app",
-    "machines": 2,
-    "workers_per_machine": 2,
-    "queue_capacity": 2048,
-    "slate_cache_capacity": 5000,
-    "replication": 3,
-    "flush": {"policy": "write_through"},
-    "consistency": "quorum",
-    "workflow": {
-        "external_streams": ["events"],
-        "streams": [],
-        "mappers": [
-            {"name": "normalize", "subscribe": ["events"], "publish": ["clean"]}
-        ],
-        "updaters": [
-            {"name": "tally", "subscribe": ["clean"], "ttl_secs": 86400}
-        ]
+/// The app's graph (§3): `events` → normalize → `clean` → tally, whose
+/// slates live a day in the store (§4.2's per-updater TTL).
+fn workflow() -> Workflow {
+    let mut wf = Workflow::builder("facade-app");
+    wf.external_stream("events");
+    wf.mapper_publishing("normalize", &["events"], &["clean"]);
+    wf.updater_with_ttl("tally", &["clean"], 86_400);
+    wf.build().unwrap()
+}
+
+/// The engine the app runs on: two machines of two workers, every slate
+/// written through to the store.
+fn config(kind: EngineKind) -> EngineConfig {
+    EngineConfig {
+        kind,
+        machines: 2,
+        workers_per_machine: 2,
+        workers_per_op: 2,
+        queue_capacity: 2048,
+        slate_cache_capacity: 5000,
+        flush: FlushPolicy::WriteThrough,
+        ..EngineConfig::default()
     }
 }
-"#;
 
 fn operators() -> OperatorSet {
     OperatorSet::new()
@@ -45,47 +50,50 @@ fn operators() -> OperatorSet {
 
 #[test]
 fn config_file_drives_the_whole_stack() {
-    // Parse the application config exactly as a developer would write it
-    // (§3: "a configuration file that includes the workflow graph").
-    let app = AppConfig::from_json_str(CONFIG).unwrap();
-    assert_eq!(app.name, "config-driven-app");
-    let wf = app.build_workflow().unwrap();
+    let wf = workflow();
     assert!(wf.is_external("events"));
     assert_eq!(wf.op(1).ttl_secs, Some(86_400));
 
-    // Store cluster per the config's replication/consistency.
+    // A three-replica store answering at quorum.
     let dir = TempDir::new("facade").unwrap();
     let store = Arc::new(
         StoreCluster::open(
             dir.path(),
             StoreConfig {
-                nodes: app.replication,
-                replication: app.replication,
-                consistency: app.consistency,
+                nodes: 3,
+                replication: 3,
+                consistency: Consistency::Quorum,
                 ..Default::default()
             },
         )
         .unwrap(),
     );
 
-    // Engine per the config.
-    let cfg = EngineConfig::from_app_config(&app, EngineKind::Muppet2);
-    assert_eq!(cfg.machines, 2);
-    assert_eq!(cfg.flush, FlushPolicy::WriteThrough);
-    let engine = Engine::start(wf, operators(), cfg, Some(store)).unwrap();
+    let engine =
+        Engine::start(wf, operators(), config(EngineKind::Muppet2), Some(Arc::clone(&store)))
+            .unwrap();
     for (i, word) in ["  Apple ", "apple", "BANANA", "apple  "].iter().enumerate() {
         engine.submit(Event::new("events", i as u64, Key::from("src"), *word)).unwrap();
     }
     assert!(engine.drain(Duration::from_secs(10)));
     assert_eq!(engine.read_slate("tally", &Key::from("apple")).unwrap(), b"3");
     assert_eq!(engine.read_slate("tally", &Key::from("banana")).unwrap(), b"1");
+
+    // Written through before any shutdown flush, and a quorum read still
+    // answers with one replica down.
+    let now = engine.now_us() + 1;
+    store.node_down(0);
+    for (key, want) in [("apple", "3"), ("banana", "1")] {
+        let got = store.get(&CellKey::new(key, "tally"), now).unwrap();
+        assert_eq!(got.as_deref(), Some(want.as_bytes()), "{key}");
+    }
+    store.node_up(0);
     engine.shutdown();
 }
 
 #[test]
-fn config_roundtrips_and_dot_export_renders() {
-    let app = AppConfig::from_json_str(CONFIG).unwrap();
-    let dot = app.build_workflow().unwrap().to_dot();
+fn dot_export_renders_the_declared_graph() {
+    let dot = workflow().to_dot();
     for name in ["events", "clean", "normalize", "tally"] {
         assert!(dot.contains(name), "DOT export should mention {name}:\n{dot}");
     }
@@ -93,16 +101,8 @@ fn config_roundtrips_and_dot_export_renders() {
 
 #[test]
 fn http_slate_reads_from_a_config_driven_cluster() {
-    let app = AppConfig::from_json_str(CONFIG).unwrap();
-    let wf = app.build_workflow().unwrap();
     let engine = Arc::new(
-        Engine::start(
-            wf,
-            operators(),
-            EngineConfig::from_app_config(&app, EngineKind::Muppet2),
-            None,
-        )
-        .unwrap(),
+        Engine::start(workflow(), operators(), config(EngineKind::Muppet2), None).unwrap(),
     );
     engine.submit(Event::new("events", 1, Key::from("s"), "Hot Topic")).unwrap();
     assert!(engine.drain(Duration::from_secs(10)));
@@ -144,16 +144,9 @@ fn doc_quickstart_pattern_compiles_and_runs() {
 
 #[test]
 fn engine_kind_selection_from_one_config() {
-    // The same app config runs on either engine generation.
-    let app = AppConfig::from_json_str(CONFIG).unwrap();
+    // The same app runs on either engine generation.
     for kind in [EngineKind::Muppet1, EngineKind::Muppet2] {
-        let engine = Engine::start(
-            app.build_workflow().unwrap(),
-            operators(),
-            EngineConfig::from_app_config(&app, kind),
-            None,
-        )
-        .unwrap();
+        let engine = Engine::start(workflow(), operators(), config(kind), None).unwrap();
         engine.submit(Event::new("events", 1, Key::from("s"), "x")).unwrap();
         assert!(engine.drain(Duration::from_secs(10)));
         assert_eq!(engine.read_slate("tally", &Key::from("x")).unwrap(), b"1", "{kind:?}");

@@ -2,12 +2,15 @@
 //! running the hot_topics app. Events ingested over HTTP on node A produce
 //! slates readable over HTTP from node C; killing node B (SIGKILL)
 //! triggers the §4.3 path — surviving nodes report, the master broadcasts,
-//! and `/membership` shows the failed machine everywhere.
+//! and `/membership` shows the failed machine everywhere. Also: what a
+//! node's command line and cluster document configure.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use muppet::slatestore::util::TempDir;
 
 struct Cluster {
     children: Vec<Option<Child>>,
@@ -193,4 +196,84 @@ fn three_muppetd_processes_run_hot_topics_and_survive_a_kill() {
     assert_eq!(code, 200);
     let (code, _) = http("POST", c, "/submit/S1/late-tweet", tweet).unwrap();
     assert_eq!(code, 200);
+}
+
+/// One loopback node on probed-free ports, and its `--peers` list.
+fn one_node() -> (muppet::net::NodeSpec, String) {
+    let topology = muppet::net::Topology::loopback_ephemeral(1, true).expect("probe free ports");
+    let n = topology.nodes[0].clone();
+    let peers = format!("{}:{}:{}", n.host, n.port, n.http_port);
+    (n, peers)
+}
+
+#[test]
+fn malformed_or_retired_flags_exit_2_naming_the_flag() {
+    let (_, peers) = one_node();
+    for (extra, names) in [
+        (["--store-host", "zero"], ["--store-host", "zero"]),
+        (["--master", "x"], ["--master", "\"x\""]),
+        (["--workers", "x"], ["--workers", "\"x\""]),
+        (["--node", "x"], ["--node", "\"x\""]),
+        (["--store-host", "7"], ["--store-host", "7"]),
+        (["--ingest-sync", "group"], ["unknown flag", "--ingest-sync"]),
+        (["--latency-sample-n", "1"], ["unknown flag", "--latency-sample-n"]),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_muppetd"))
+            .args(["--peers", &peers, "--node", "0"])
+            .args(extra)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn muppetd");
+        let mut status = None;
+        wait_until(Duration::from_secs(10), || {
+            status = child.try_wait().unwrap();
+            status.is_some()
+        });
+        let Some(status) = status else {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("muppetd {extra:?} was still running after 10 s");
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(2), "{extra:?}: {stderr}");
+        for name in names {
+            assert!(stderr.contains(name), "{extra:?}: stderr does not name {name}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn a_cluster_document_names_the_store_host() {
+    let (n, _) = one_node();
+    let http_port = n.http_port;
+    let dir = TempDir::new("muppetd-config").unwrap();
+    let doc = dir.path().join("cluster.json");
+    let node =
+        format!(r#"{{"id":0,"host":"{}","port":{},"http_port":{http_port}}}"#, n.host, n.port);
+    std::fs::write(&doc, format!(r#"{{"nodes":[{node}],"store_host":0}}"#)).unwrap();
+    let data = dir.path().join("store");
+    let child = Command::new(env!("CARGO_BIN_EXE_muppetd"))
+        .args(["--config", doc.to_str().unwrap(), "--node", "0"])
+        .args(["--data-dir", data.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn muppetd");
+    let _cluster = Cluster { children: vec![Some(child)], http_ports: vec![http_port] };
+    let mut membership = String::new();
+    let ready =
+        wait_until(Duration::from_secs(20), || match http("GET", http_port, "/membership", b"") {
+            Ok((200, body)) => {
+                membership = String::from_utf8_lossy(&body).into_owned();
+                true
+            }
+            _ => false,
+        });
+    assert!(ready, "the node never answered /membership");
+    assert!(membership.contains("\"store_host\":0"), "{membership}");
+    // The node opened the store in its data directory: it hosts it.
+    let files = std::fs::read_dir(&data).map(|d| d.count()).unwrap_or(0);
+    assert!(files > 0, "no store under {}", data.display());
 }
